@@ -85,22 +85,25 @@ scale-smoke:
 	$(GO) test -race -run TestScaleSmoke -v ./internal/bench/
 
 # Timed fuzz over the core free pool, the host-tier/map-reference
-# differential, the fork/CoW lifecycle and the fleet-directory/
-# map-reference differential (the CI fuzz step): the seeded corpora
-# always run as part of `make test`; this explores beyond them.
+# differential, the fork/CoW lifecycle, the eviction queue/lazy-heap
+# differential and the fleet-directory/map-reference differential (the
+# CI fuzz step): the seeded corpora always run as part of `make test`;
+# this explores beyond them.
 # `go test -fuzz` takes one target per run, so each gets its own
 # budget.
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzFreePool -fuzztime 5s ./internal/core
 	$(GO) test -run NONE -fuzz FuzzHostTier -fuzztime 5s ./internal/core
 	$(GO) test -run NONE -fuzz FuzzForkLifecycle -fuzztime 5s ./internal/core
+	$(GO) test -run NONE -fuzz FuzzEvictQueue -fuzztime 5s ./internal/core
 	$(GO) test -run NONE -fuzz FuzzFleetDirectory -fuzztime 5s ./internal/fleet
 
 # jengalint: the repo's own analyzers (internal/analysis) — the
 # machine-enforced determinism contract (DESIGN.md): no map-order
 # dependence in golden-affecting packages, no wall-clock/global-rand/
 # env reads in sim packages, goroutine confinement, the //jenga:hotpath
-# zero-alloc contract, and comma-ok capability assertions. Builds from
+# zero-alloc contract (interface boxing included), and comma-ok
+# capability assertions. Builds from
 # the module itself (standard library only), so it runs fully offline
 # and is part of `make ci`. It is a standalone driver rather than a
 # `go vet -vettool` plugin because vet's unitchecker protocol needs
@@ -124,3 +127,4 @@ vet:
 
 ci: vet lint build test race chaos-smoke scale-smoke
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rln '"container/heap"' internal/core --include='*.go' | grep -v '_test\.go$$'); if [ -n "$$out" ]; then echo "container/heap (boxing) is back in internal/core:"; echo "$$out"; exit 1; fi

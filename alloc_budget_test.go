@@ -127,3 +127,41 @@ func TestServeArrivalAllocBudget(t *testing.T) {
 		t.Fatalf("online arrival allocates %.2f objects per request, budget %d", allocs, budget)
 	}
 }
+
+// TestClaimReleaseAllocBudget bounds the claim_release fixture — a
+// one-block prefix claim and cache-preserving release that re-keys a
+// 4096-page large page — at what is left once the eviction queues
+// stopped boxing: the request's own state (reqState, its per-group
+// slice, its page table and that table's first growth) and
+// claimPrefix's projections of the prompt (core.project, four of the
+// eight).
+// The release itself, and the re-key it triggers, allocate nothing
+// (internal/core's TestEvictCycleZeroAlloc pins that part at zero).
+// alloc_small has no budget here: its three allocations are the
+// request state alone, and its quarter-million-page fixture takes two
+// minutes to build; BENCH_core.json records it.
+func TestClaimReleaseAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is not meaningful under -short/-race runs")
+	}
+	op, err := bench.ClaimRelease()
+	if err != nil {
+		t.Fatal(err)
+	}
+	iter := 0
+	for ; iter < 64; iter++ {
+		if err := op.Run(iter); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(128, func() {
+		if err := op.Run(iter); err != nil {
+			t.Fatal(err)
+		}
+		iter++
+	})
+	const budget = 8
+	if allocs > budget {
+		t.Fatalf("claim+release allocates %.2f objects per request, budget %d", allocs, budget)
+	}
+}

@@ -18,7 +18,8 @@
 //	             goroutine-confined packages outside files that carry
 //	             the //jenga:concurrent <why> pragma.
 //	hotpath    — functions annotated //jenga:hotpath may not call fmt,
-//	             allocate maps or closures, or grow a nil local slice.
+//	             allocate maps or closures, grow a nil local slice, or
+//	             box a concrete value into an interface.
 //	capability — type assertions to a capability interface must use the
 //	             comma-ok form so a missing capability degrades instead
 //	             of panicking.

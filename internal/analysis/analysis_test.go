@@ -27,6 +27,12 @@ func TestHotpath(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Hotpath, "hotpathtest")
 }
 
+// TestHotpathRejectsBoxedHeaps is the regression the boxing rule was
+// added for: the pre-evictQueue release path, annotated hot, fails.
+func TestHotpathRejectsBoxedHeaps(t *testing.T) {
+	analysistest.Run(t, "testdata", analysis.Hotpath, "oldrelease")
+}
+
 func TestCapability(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Capability, "captest")
 }

@@ -2,18 +2,25 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
 // Hotpath holds functions annotated //jenga:hotpath — the zero-alloc
 // set whose budget alloc_budget_test.go pins with
 // testing.AllocsPerRun — to the allocation contract: no fmt calls, no
-// map or closure allocation, and no growing a nil local slice (the
+// map or closure allocation, no growing a nil local slice (the
 // amortized scratch buffers that make these paths zero-alloc are
-// struct fields, never loop-local slices born nil). Cold branches that
-// must allocate move to an unannotated helper or carry
-// //jenga:alloc-ok <why>. The check is per-function, not transitive:
-// annotate every function of a measured chain.
+// struct fields, never loop-local slices born nil), and no boxing: a
+// concrete value converted to an interface — as a call argument
+// (variadic ...any included), a return value, or the right-hand side
+// of an assignment — is copied to the heap unless it is a pointer, a
+// constant or a single byte. Cold branches that must allocate move to
+// an unannotated helper or carry //jenga:alloc-ok <why>; the one
+// built-in exemption is the invariant idiom `if bad { check(false,
+// "...", args) }`, whose arguments are evaluated only on the way to a
+// panic. The check is per-function, not transitive: annotate every
+// function of a measured chain.
 var Hotpath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "enforce the zero-alloc contract in //jenga:hotpath functions",
@@ -81,9 +88,107 @@ func checkHotFunc(pass *Pass, f *ast.File, fn *ast.FuncDecl) {
 			}
 		case *ast.CallExpr:
 			checkHotCall(pass, f, fn, n, nilSlices)
+			checkCallBoxing(pass, f, fn, n)
+		case *ast.ReturnStmt:
+			if res := pass.Info.Defs[fn.Name].Type().(*types.Signature).Results(); res.Len() == len(n.Results) {
+				for i, e := range n.Results {
+					checkBoxing(pass, f, fn, e, res.At(i).Type())
+				}
+			}
+		case *ast.AssignStmt:
+			if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+				for i, e := range n.Rhs {
+					if tv, ok := pass.Info.Types[n.Lhs[i]]; ok {
+						checkBoxing(pass, f, fn, e, tv.Type)
+					}
+				}
+			}
+		case *ast.ValueSpec:
+			if n.Type != nil && len(n.Names) == len(n.Values) {
+				for _, e := range n.Values {
+					checkBoxing(pass, f, fn, e, pass.Info.TypeOf(n.Type))
+				}
+			}
 		}
 		return true
 	})
+}
+
+// checkCallBoxing checks every argument of a call (or the operand of a
+// conversion) against the parameter type it is passed as.
+func checkCallBoxing(pass *Pass, f *ast.File, fn *ast.FuncDecl, call *ast.CallExpr) {
+	tv, ok := pass.Info.Types[call.Fun]
+	if !ok {
+		return
+	}
+	if tv.IsType() { // explicit conversion T(x)
+		if len(call.Args) == 1 {
+			checkBoxing(pass, f, fn, call.Args[0], tv.Type)
+		}
+		return
+	}
+	sig, ok := tv.Type.Underlying().(*types.Signature)
+	if !ok || isFmtCall(pass, call) || isInvariantFailure(call) {
+		// A builtin; a call the fmt finding already covers, boxing
+		// included; or arguments evaluated only on the panic path.
+		return
+	}
+	params := sig.Params()
+	for i, arg := range call.Args {
+		var pt types.Type
+		switch {
+		case sig.Variadic() && i >= params.Len()-1:
+			if call.Ellipsis.IsValid() {
+				continue // xs... passes the slice through
+			}
+			pt = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
+		case i < params.Len():
+			pt = params.At(i).Type()
+		default:
+			continue // f(g()) with a multi-value g
+		}
+		checkBoxing(pass, f, fn, arg, pt)
+	}
+}
+
+// isInvariantFailure recognizes check(false, ...): the repo's
+// invariant helper called on an already-failed condition, i.e. a
+// formatted panic.
+func isInvariantFailure(call *ast.CallExpr) bool {
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok || id.Name != "check" || len(call.Args) == 0 {
+		return false
+	}
+	cond, ok := call.Args[0].(*ast.Ident)
+	return ok && cond.Name == "false"
+}
+
+// checkBoxing reports e when storing it as a value of type to converts
+// a concrete value to an interface by copying it to the heap.
+func checkBoxing(pass *Pass, f *ast.File, fn *ast.FuncDecl, e ast.Expr, to types.Type) {
+	if to == nil || !types.IsInterface(to) {
+		return
+	}
+	if _, isTypeParam := to.(*types.TypeParam); isTypeParam {
+		return
+	}
+	tv, ok := pass.Info.Types[e]
+	if !ok || tv.Type == nil || tv.Value != nil || tv.IsNil() || types.IsInterface(tv.Type) {
+		return // constant, nil, or already an interface
+	}
+	switch u := tv.Type.Underlying().(type) {
+	case *types.Pointer, *types.Map, *types.Chan, *types.Signature:
+		return // pointer-shaped: stored in the interface word itself
+	case *types.Basic:
+		if u.Kind() == types.UnsafePointer || u.Info()&types.IsBoolean != 0 ||
+			u.Kind() == types.Uint8 || u.Kind() == types.Int8 {
+			return // single bytes come from the runtime's static table
+		}
+	}
+	if !pass.suppressed(f, "alloc-ok", e.Pos()) {
+		pass.Reportf(e.Pos(), "%s value boxed into %s in //jenga:hotpath function %s allocates; pass a pointer, keep it typed, or justify with //jenga:alloc-ok <why>",
+			types.TypeString(tv.Type, types.RelativeTo(pass.Pkg)), types.TypeString(to, types.RelativeTo(pass.Pkg)), fn.Name.Name)
+	}
 }
 
 func checkHotCall(pass *Pass, f *ast.File, fn *ast.FuncDecl, call *ast.CallExpr, nilSlices map[types.Object]bool) {
@@ -119,14 +224,22 @@ func checkHotCall(pass *Pass, f *ast.File, fn *ast.FuncDecl, call *ast.CallExpr,
 			}
 		}
 	case *ast.SelectorExpr:
-		pkgID, ok := fun.X.(*ast.Ident)
-		if !ok {
-			return
-		}
-		if pkgName, ok := pass.Info.Uses[pkgID].(*types.PkgName); ok && pkgName.Imported().Path() == "fmt" {
-			if !pass.suppressed(f, "alloc-ok", call.Pos()) {
-				pass.Reportf(call.Pos(), "fmt.%s in //jenga:hotpath function %s allocates (interface boxing + formatting); move it to a cold helper or justify with //jenga:alloc-ok <why>", fun.Sel.Name, fn.Name.Name)
-			}
+		if isFmtCall(pass, call) && !pass.suppressed(f, "alloc-ok", call.Pos()) {
+			pass.Reportf(call.Pos(), "fmt.%s in //jenga:hotpath function %s allocates (interface boxing + formatting); move it to a cold helper or justify with //jenga:alloc-ok <why>", fun.Sel.Name, fn.Name.Name)
 		}
 	}
+}
+
+// isFmtCall reports whether call is fmt.<Func>(...).
+func isFmtCall(pass *Pass, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	pkgID, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	pkgName, ok := pass.Info.Uses[pkgID].(*types.PkgName)
+	return ok && pkgName.Imported().Path() == "fmt"
 }

@@ -75,3 +75,78 @@ func (r *ring) hotJustified(v int) {
 func (r *ring) hotBare() map[int]int {
 	return make(map[int]int) /* want "make\\(map\\) in //jenga:hotpath function hotBare" "needs a justification" */ //jenga:alloc-ok
 }
+
+// --- boxing ---------------------------------------------------------------
+
+type entry struct {
+	id int
+	ts int64
+}
+
+type sink interface{ put(any) }
+
+type box struct{ last any }
+
+func (b *box) put(v any) { b.last = v }
+
+func logf(format string, args ...any) {}
+
+func check(cond bool, format string, args ...any) {}
+
+// hotBoxed converts concrete values to interfaces every way the check
+// covers: call argument, variadic argument, method argument through an
+// interface, return value, assignment, declaration, explicit
+// conversion.
+//
+//jenga:hotpath
+func (b *box) hotBoxed(s sink, e entry, n int) any {
+	b.put(e)                  // want "entry value boxed into any in //jenga:hotpath function hotBoxed"
+	s.put(n)                  // want "int value boxed into any"
+	logf("%d %v", n, e)       // want "int value boxed into any" "entry value boxed into any"
+	check(n > 0, "n = %d", n) // want "int value boxed into any"
+	b.last = e.ts             // want "int64 value boxed into any"
+	var v any = e             // want "entry value boxed into any"
+	_ = any(e.id)             // want "int value boxed into any"
+	_ = v
+	return e // want "entry value boxed into any"
+}
+
+// hotUnboxed shows what stays silent: pointers and other
+// pointer-shaped values, constants, single bytes, values that already
+// are interfaces, a forwarded variadic slice, and the invariant idiom
+// whose arguments are only evaluated on the way to a panic.
+//
+//jenga:hotpath
+func (b *box) hotUnboxed(s sink, e *entry, v any, ok bool, args []any) any {
+	b.put(e)
+	b.put(b.put)
+	s.put(v)
+	s.put(42)
+	s.put("constant")
+	s.put(ok)
+	s.put(nil)
+	logf("%v", args...)
+	if e.id < 0 {
+		check(false, "entry %d went negative at %d", e.id, e.ts)
+	}
+	b.last = v
+	var w any = e
+	_ = w
+	return e
+}
+
+// coldBoxed is hotBoxed without the annotation: no findings.
+func (b *box) coldBoxed(e entry) any {
+	b.put(e)
+	return e
+}
+
+// hotBoxJustified suppresses one cold-branch conversion.
+//
+//jenga:hotpath
+func (b *box) hotBoxJustified(e entry) {
+	if e.id < 0 {
+		//jenga:alloc-ok corrupt-entry report, taken at most once per run
+		logf("bad entry %v", e)
+	}
+}

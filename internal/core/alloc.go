@@ -1,15 +1,26 @@
 package core
 
 import (
-	"container/heap"
+	"slices"
 
 	"jenga/internal/arena"
 )
 
-// Eviction heaps. Entries are immutable snapshots validated lazily on
-// pop: a page (or large page) whose state or timestamp moved on since
-// the entry was pushed is skipped or re-pushed with fresh keys, which
-// keeps every mutation O(log n) without decrease-key support.
+// Eviction queues (evictq.go). Both are slotted — one entry per small
+// page of the group, one per large page, replaced in place when the
+// page is pushed again — so neither outgrows len(g.pages) or
+// NumLargePages(). An entry is a snapshot of the page's eviction key
+// at its last push, validated on pop (stale → skip, large key moved →
+// re-key and continue).
+//
+// With a single entry a large page is seen at its last pushed key, not
+// at the minimum of every key it was ever pushed with. The two differ
+// only when a large page's key drops without a push (evictOneSmall
+// taking the max-last-access page out of an already-evictable large
+// page, say) while an older, smaller snapshot would still have been
+// queued. No workload or golden reaches that; if one ever moves for
+// this reason, keep the smaller of the old and new key on replace
+// rather than moving the golden.
 
 type pageEntry struct {
 	id      arena.SmallPageID
@@ -18,27 +29,23 @@ type pageEntry struct {
 	expired bool
 }
 
-// pageHeap orders evictable pages expired-first (§3.3: out-of-window
-// KV is evicted before any live page), then by (lastAccess asc,
-// priority desc, id asc) — LRU with the §5.1 prefix-length tie break.
-type pageHeap []pageEntry
-
-func (h pageHeap) Len() int { return len(h) }
-func (h pageHeap) Less(i, j int) bool {
-	if h[i].expired != h[j].expired {
-		return h[i].expired
+// before orders evictable pages expired-first (§3.3: out-of-window KV
+// is evicted before any live page), then by (lastAccess asc, priority
+// desc, id asc) — LRU with the §5.1 prefix-length tie break.
+func (a pageEntry) before(b pageEntry) bool {
+	if a.expired != b.expired {
+		return a.expired
 	}
-	if h[i].ts != h[j].ts {
-		return h[i].ts < h[j].ts
+	if a.ts != b.ts {
+		return a.ts < b.ts
 	}
-	if h[i].prio != h[j].prio {
-		return h[i].prio > h[j].prio
+	if a.prio != b.prio {
+		return a.prio > b.prio
 	}
-	return h[i].id < h[j].id
+	return a.id < b.id
 }
-func (h pageHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *pageHeap) Push(x any)   { *h = append(*h, x.(pageEntry)) }
-func (h *pageHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+func (a pageEntry) slot() int { return int(a.id) }
 
 type largeEntry struct {
 	id      arena.LargePageID
@@ -46,23 +53,19 @@ type largeEntry struct {
 	expired bool
 }
 
-// largeHeap orders evictable large pages expired-first, then by the
+// before orders evictable large pages expired-first, then by the
 // latest last-access time among their small pages (§5.4 step 3).
-type largeHeap []largeEntry
-
-func (h largeHeap) Len() int { return len(h) }
-func (h largeHeap) Less(i, j int) bool {
-	if h[i].expired != h[j].expired {
-		return h[i].expired
+func (a largeEntry) before(b largeEntry) bool {
+	if a.expired != b.expired {
+		return a.expired
 	}
-	if h[i].ts != h[j].ts {
-		return h[i].ts < h[j].ts
+	if a.ts != b.ts {
+		return a.ts < b.ts
 	}
-	return h[i].id < h[j].id
+	return a.id < b.id
 }
-func (h largeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *largeHeap) Push(x any)   { *h = append(*h, x.(largeEntry)) }
-func (h *largeHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+func (a largeEntry) slot() int { return int(a.id) }
 
 // --- page state transitions -------------------------------------------
 
@@ -179,7 +182,7 @@ func (m *Jenga) pageRelease(g *group, id arena.SmallPageID, cache bool, exitTS T
 		pg.expired = expired
 		g.nCached++
 		m.cacheAdd(L, exitTS, expired)
-		heap.Push(&g.evict, pageEntry{id: id, ts: pg.lastAccess, prio: pg.priority, expired: expired})
+		g.evict.push(pageEntry{id: id, ts: pg.lastAccess, prio: pg.priority, expired: expired})
 		if m.cntUsed[L] == 0 {
 			m.pushLargeCandidate(L)
 		}
@@ -190,6 +193,8 @@ func (m *Jenga) pageRelease(g *group, id arena.SmallPageID, cache bool, exitTS T
 
 // pageToEmpty returns a page to the free pool and reclaims its large
 // page if it became entirely empty.
+//
+//jenga:hotpath
 func (m *Jenga) pageToEmpty(g *group, id arena.SmallPageID) {
 	pg := &g.pages[id]
 	if pg.hashed {
@@ -203,7 +208,13 @@ func (m *Jenga) pageToEmpty(g *group, id arena.SmallPageID) {
 	pg.complete = false
 	g.free.add(id)
 	if m.cfg.RequestAware {
-		g.freeByReq[pg.assoc] = append(g.freeByReq[pg.assoc], id)
+		// pg.assoc may be long gone, but a preempted request resumes
+		// under its old ID, so the entry cannot be skipped; the sweep
+		// drops the lists that went dead instead.
+		g.freeByReq[pg.assoc] = append(g.assocList(pg.assoc), id)
+		if len(g.freeByReq) > 2*(len(m.reqs)+g.free.len()) {
+			m.sweepFreeByReq(g)
+		}
 	}
 	m.stats.Frees++
 	L := m.largeOf(g, id)
@@ -242,12 +253,14 @@ func (m *Jenga) reclaimLarge(g *group, L arena.LargePageID) {
 
 // pushLargeCandidate registers a large page as an eviction candidate
 // with the max last-access among its cached small pages.
+//
+//jenga:hotpath
 func (m *Jenga) pushLargeCandidate(L arena.LargePageID) {
 	ts, expired, ok := m.largeTimestamp(L)
 	if !ok {
 		return
 	}
-	heap.Push(&m.largeEvict, largeEntry{id: L, ts: ts, expired: expired})
+	m.largeEvict.push(largeEntry{id: L, ts: ts, expired: expired})
 }
 
 // largeTimestamp returns the eviction key of a large page: the latest
@@ -293,7 +306,7 @@ func (m *Jenga) largeTimestamp(L arena.LargePageID) (Tick, bool, bool) {
 //jenga:hotpath
 func (m *Jenga) allocSmall(g *group, req RequestID) (arena.SmallPageID, error) {
 	if !m.cfg.RequestAware {
-		if id, ok := m.popAnyFree(g); ok {
+		if id, ok := g.free.min(); ok {
 			m.pageToUsed(g, id, req)
 			return id, nil
 		}
@@ -319,7 +332,7 @@ func (m *Jenga) allocSmall(g *group, req RequestID) (arena.SmallPageID, error) {
 		check(false, "large eviction produced no free large page")
 	}
 	// Step 4: any empty page of the type.
-	if id, ok := m.popAnyFree(g); ok {
+	if id, ok := g.free.min(); ok {
 		m.pageToUsed(g, id, req)
 		return id, nil
 	}
@@ -328,7 +341,7 @@ func (m *Jenga) allocSmall(g *group, req RequestID) (arena.SmallPageID, error) {
 	// LCM allocator), so re-probe the free pools rather than using the
 	// evicted page directly.
 	for m.evictOneSmall(g) {
-		if id, ok := m.popAnyFree(g); ok {
+		if id, ok := g.free.min(); ok {
 			m.pageToUsed(g, id, req)
 			return id, nil
 		}
@@ -348,29 +361,69 @@ func (m *Jenga) popAssocFree(g *group, req RequestID) (arena.SmallPageID, bool) 
 	for len(lst) > 0 {
 		id := lst[len(lst)-1]
 		lst = lst[:len(lst)-1]
-		pg := &g.pages[id]
-		if pg.status == pageEmpty && pg.assoc == req &&
-			m.largeOwner[m.largeOf(g, id)] == int32(g.idx) {
-			if g.free.has(id) {
-				g.freeByReq[req] = lst
-				return id, true
-			}
+		if m.assocFree(g, id, req) {
+			g.freeByReq[req] = lst
+			return id, true
 		}
 	}
-	delete(g.freeByReq, req)
+	g.dropAssocList(req)
 	return 0, false
 }
 
-// popAnyFree pops the lowest-ID empty page of the group — O(1) and
-// deterministic, unlike the randomized map iteration it replaces.
+// assocFree is the validity test of a freeByReq entry. It depends on
+// the page alone, so every entry for one page is valid or stale
+// together, and a page only turns valid again through a transition
+// that appends a fresh entry — stale entries can therefore be dropped
+// at any time without changing what popAssocFree returns.
 //
 //jenga:hotpath
-func (m *Jenga) popAnyFree(g *group) (arena.SmallPageID, bool) {
-	return g.free.min()
+func (m *Jenga) assocFree(g *group, id arena.SmallPageID, req RequestID) bool {
+	pg := &g.pages[id]
+	return pg.status == pageEmpty && pg.assoc == req &&
+		m.largeOwner[m.largeOf(g, id)] == int32(g.idx) && g.free.has(id)
+}
+
+// assocList returns req's freeByReq list to append to; a new list
+// starts on a retired backing array, so steady-state carving and
+// freeing allocate none.
+//
+//jenga:hotpath
+func (g *group) assocList(req RequestID) []arena.SmallPageID {
+	lst, ok := g.freeByReq[req]
+	if n := len(g.spareLists); !ok && n > 0 {
+		lst, g.spareLists = g.spareLists[n-1], g.spareLists[:n-1]
+	}
+	return lst
+}
+
+// dropAssocList deletes req's list and retires its backing array.
+//
+//jenga:hotpath
+func (g *group) dropAssocList(req RequestID) {
+	if lst, ok := g.freeByReq[req]; ok {
+		delete(g.freeByReq, req)
+		g.spareLists = append(g.spareLists, lst[:0])
+	}
+}
+
+// sweepFreeByReq deletes every list with no valid entry left. A free
+// page is valid for one request only, so at most g.free.len() lists
+// survive — half the size that triggers the sweep at most, which makes
+// it amortized O(1) per freed page and bounds the map by live state,
+// not by the number of requests ever served.
+func (m *Jenga) sweepFreeByReq(g *group) {
+	//jenga:order-ok each list is judged on its own pages; visit order only decides which retired array a later list reuses
+	for req, lst := range g.freeByReq {
+		if !slices.ContainsFunc(lst, func(id arena.SmallPageID) bool { return m.assocFree(g, id, req) }) {
+			g.dropAssocList(req)
+		}
+	}
 }
 
 // takeFreshLarge assigns a free large page to g, associates all its
 // small pages with req, and returns the first of them.
+//
+//jenga:hotpath
 func (m *Jenga) takeFreshLarge(g *group, req RequestID) (arena.SmallPageID, bool) {
 	if len(m.freeLarge) == 0 {
 		return 0, false
@@ -384,11 +437,6 @@ func (m *Jenga) takeFreshLarge(g *group, req RequestID) (arena.SmallPageID, bool
 	m.largeAssoc[L] = req
 	g.ownedLarge++
 	first, n := g.view.SmallRange(L)
-	assoc := m.cfg.RequestAware && n > 1
-	var lst []arena.SmallPageID
-	if assoc {
-		lst = g.freeByReq[req] // one map access for the whole carve
-	}
 	for i := n - 1; i >= 0; i-- {
 		id := first + arena.SmallPageID(i)
 		pg := &g.pages[id]
@@ -397,11 +445,12 @@ func (m *Jenga) takeFreshLarge(g *group, req RequestID) (arena.SmallPageID, bool
 		pg.hashed = false
 		pg.assoc = req
 		g.free.add(id)
-		if assoc && i > 0 {
-			lst = append(lst, id)
-		}
 	}
-	if assoc {
+	if m.cfg.RequestAware && n > 1 {
+		lst := g.assocList(req) // one map access for the whole carve
+		for i := n - 1; i > 0; i-- {
+			lst = append(lst, first+arena.SmallPageID(i))
+		}
 		g.freeByReq[req] = lst
 	}
 	return first, true
@@ -409,15 +458,17 @@ func (m *Jenga) takeFreshLarge(g *group, req RequestID) (arena.SmallPageID, bool
 
 // evictLargeLRU evicts the least-recently-used evictable large page,
 // returning it to the LCM free list. Reports whether one was evicted.
+//
+//jenga:hotpath
 func (m *Jenga) evictLargeLRU() bool {
-	for m.largeEvict.Len() > 0 {
-		e := heap.Pop(&m.largeEvict).(largeEntry)
+	for m.largeEvict.len() > 0 {
+		e := m.largeEvict.pop()
 		ts, expired, ok := m.largeTimestamp(e.id)
 		if !ok {
 			continue // stale: no longer evictable
 		}
 		if ts != e.ts || expired != e.expired {
-			heap.Push(&m.largeEvict, largeEntry{id: e.id, ts: ts, expired: expired})
+			m.largeEvict.push(largeEntry{id: e.id, ts: ts, expired: expired})
 			continue // stale key: retry with fresh position
 		}
 		og := m.groups[m.largeOwner[e.id]]
@@ -443,9 +494,11 @@ func (m *Jenga) evictLargeLRU() bool {
 
 // evictOneSmall evicts the least-recently-used cached page of g,
 // reporting whether any eviction happened.
+//
+//jenga:hotpath
 func (m *Jenga) evictOneSmall(g *group) bool {
-	for g.evict.Len() > 0 {
-		e := heap.Pop(&g.evict).(pageEntry)
+	for g.evict.len() > 0 {
+		e := g.evict.pop()
 		pg := &g.pages[e.id]
 		if pg.status != pageCached || pg.lastAccess != e.ts || pg.priority != e.prio || pg.expired != e.expired {
 			continue // stale

@@ -1,0 +1,220 @@
+package core
+
+import (
+	"testing"
+
+	"jenga/internal/model"
+)
+
+// These budgets need the allocator's internals (page-level primitives,
+// queue lengths, the freeByReq map), so they sit here rather than in
+// the root alloc_budget_test.go, which pins what the public API can
+// reach.
+
+// TestEvictCycleZeroAlloc pins the eviction cycle at zero allocations:
+// on a full pool with the prefix cache on, reserve → commit →
+// release(cache) → large-page evict → re-carve allocates nothing once
+// the queues and lists have grown to their working size. The cycle is
+// driven at page level — allocSmall, the publish a block-boundary
+// commit performs, pageRelease — because the per-request state a
+// public Reserve creates (getReq) is not part of it. llava-ov puts two
+// page sizes in play: text KV pages fill a large page each, vision
+// pages are carved eight to one, so every iteration evicts a text page
+// to carve a vision large page and reclaims it again.
+func TestEvictCycleZeroAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is not meaningful under -short/-race runs")
+	}
+	spec := model.LLaVAOneVision7B()
+	geo, err := spec.Geometry(model.LCMPage, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const largePages = 64
+	m, err := New(Config{
+		Spec: spec, CapacityBytes: int64(largePages * geo.LargePageBytes), TokensPerPage: 16,
+		EnablePrefixCache: true, RequestAware: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, vision := m.groups[m.byName["self"]], m.groups[m.byName["vision"]]
+	if text.ratio == vision.ratio {
+		t.Fatalf("want two page sizes, got ratio %d for both groups", text.ratio)
+	}
+	var k int64
+	cycle := func() {
+		k++
+		req, now := RequestID(k), Tick(k)
+		id, err := m.allocSmall(text, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A block-boundary commit: the page is complete and published.
+		// Hashes rotate through a set larger than the pool, so the
+		// block evicted to make room never shares one with a live page.
+		pg := &text.pages[id]
+		pg.hash, pg.complete, pg.hashed = uint64(k%(2*largePages))+1, true, true
+		pg.filled = int32(text.tpp)
+		text.filledSlots += int64(text.tpp)
+		text.index[pg.hash] = id
+		m.pageRelease(text, id, true, now, false)
+
+		vid, err := m.allocSmall(vision, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.pageRelease(vision, vid, false, now, false)
+	}
+	for i := 0; i < 8*largePages; i++ {
+		cycle()
+	}
+	before := m.stats
+	allocs := testing.AllocsPerRun(4*largePages, cycle)
+	if allocs != 0 {
+		t.Fatalf("eviction cycle allocates %.2f objects per iteration, want 0", allocs)
+	}
+	evicted := m.stats.LargeEvictions - before.LargeEvictions
+	reclaimed := m.stats.LargeReclaims - before.LargeReclaims
+	if evicted < 4*largePages || reclaimed < 4*largePages {
+		t.Fatalf("measured window evicted %d and reclaimed %d large pages, want one of each per iteration", evicted, reclaimed)
+	}
+	audit(t, m)
+}
+
+// churnSpec gives the text group four small pages per large page (the
+// image-only group sets the LCM), so request-aware lists, partial
+// large pages and both eviction steps are all exercised.
+func churnSpec() *model.Spec {
+	return &model.Spec{
+		Name: "churn", Params: 1_000_000, WeightBytes: 2, HiddenSize: 64,
+		Groups: []model.KVGroup{
+			{Name: "kv", Kind: model.FullAttention, Layers: 1, BytesPerToken: 128, Scope: model.ScopeText},
+			{Name: "pad", Kind: model.FullAttention, Layers: 1, BytesPerToken: 512, Scope: model.ScopeImage},
+		},
+	}
+}
+
+// churn serves n requests one after another through a full cache: each
+// prompt is one of `groups` shared 8-block prefixes (0 = nothing
+// shared) plus a unique 2-block suffix, reserved, committed and
+// released into the cache. after runs once per request.
+func churn(t *testing.T, m *Jenga, n, groups int, after func()) {
+	t.Helper()
+	const tpp, prefixBlocks, suffixBlocks = 4, 8, 2
+	for i := 0; i < n; i++ {
+		seq := &Sequence{ID: RequestID(i + 1)}
+		for j := 0; j < prefixBlocks*tpp; j++ {
+			id := int32(1_000_000 + i*64 + j) // unique
+			if groups > 0 {
+				id = int32((i%groups)*64 + j + 1)
+			}
+			seq.Tokens = append(seq.Tokens, Token{ID: id})
+		}
+		for j := 0; j < suffixBlocks*tpp; j++ {
+			seq.Tokens = append(seq.Tokens, Token{ID: int32(2_000_000 + i*16 + j)})
+		}
+		commitSeq(t, m, seq, Tick(i+1))
+		after()
+	}
+}
+
+// TestEvictQueuesBounded: the eviction queues are bounded by what they
+// index, not by how often pages were released. Fifty pool-sizes of
+// release/claim cycles over a working set larger than the pool (so
+// cached pages are re-claimed, evicted, spilled and restored all the
+// time) leave every small-page queue within len(g.pages), the
+// large-page queue within NumLargePages(), and the host-tier queue
+// within twice its live pages plus the compaction slack.
+func TestEvictQueuesBounded(t *testing.T) {
+	spec := churnSpec()
+	geo, err := spec.Geometry(model.LCMPage, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const largePages, hostPages = 32, 12
+	m, err := New(Config{
+		Spec: spec, CapacityBytes: int64(largePages * geo.LargePageBytes), TokensPerPage: 4,
+		EnablePrefixCache: true, RequestAware: true,
+		HostTierBytes: int64(hostPages * geo.LargePageBytes),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv := m.groups[m.byName["kv"]]
+	bounded := func() {
+		for _, g := range m.groups {
+			if g.evict.len() > len(g.pages) {
+				t.Fatalf("group %s: %d queued entries for %d pages", g.spec.Name, g.evict.len(), len(g.pages))
+			}
+		}
+		if m.largeEvict.len() > m.ar.NumLargePages() {
+			t.Fatalf("large-page queue holds %d entries for %d large pages", m.largeEvict.len(), m.ar.NumLargePages())
+		}
+		if bound := 2*len(m.host.pages) + 64; m.host.evict.len() > bound {
+			t.Fatalf("host-tier queue holds %d entries, bound %d (%d live pages)", m.host.evict.len(), bound, len(m.host.pages))
+		}
+	}
+	// 24 prefix groups × 8 blocks exceed the 128-page pool on their own.
+	requests := 50 * len(kv.pages) / 10
+	churn(t, m, requests, 24, bounded)
+	// The bounds only mean something if the lazy queues would have
+	// broken them: far more pushes than slots on every queue.
+	ts := m.TierStats()
+	if m.stats.Frees < int64(10*len(kv.pages)) || m.stats.LargeEvictions < int64(10*largePages) ||
+		ts.SwapOuts+ts.SwapIns < 10*(2*hostPages+64) {
+		t.Fatalf("churn too light to test the bounds: %+v, tier %+v", m.stats, ts)
+	}
+	audit(t, m)
+}
+
+// TestFreeByReqBounded: freeByReq is bounded by live state — requests
+// in flight plus free pages — not by the number of requests ever
+// served. Every eviction frees pages whose associated request is long
+// gone; those lists used to stay in the map forever.
+func TestFreeByReqBounded(t *testing.T) {
+	spec := churnSpec()
+	geo, err := spec.Geometry(model.LCMPage, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := func(n int) int {
+		m, err := New(Config{
+			Spec: spec, CapacityBytes: int64(32 * geo.LargePageBytes), TokensPerPage: 4,
+			EnablePrefixCache: true, RequestAware: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		max := 0
+		churn(t, m, n, 0, func() {
+			for _, g := range m.groups {
+				if l := len(g.freeByReq); l > max {
+					max = l
+				}
+				// The sweep runs when a freed page finds the map above
+				// 2 × (live requests + free pages); one request is live
+				// at a time here and no more pages can be free than exist.
+				if bound := 2 * (1 + len(g.pages)); len(g.freeByReq) > bound {
+					t.Fatalf("group %s: %d lists, bound %d", g.spec.Name, len(g.freeByReq), bound)
+				}
+				for req, lst := range g.freeByReq {
+					if len(lst) == 0 {
+						t.Fatalf("group %s: empty list kept for request %d", g.spec.Name, req)
+					}
+				}
+			}
+		})
+		if m.stats.LargeEvictions+m.stats.SmallEvictions == 0 {
+			t.Fatal("cache never filled")
+		}
+		audit(t, m)
+		return max
+	}
+	base := peak(1000)
+	for _, n := range []int{4000, 16000} {
+		if got := peak(n); got > base {
+			t.Errorf("freeByReq peaked at %d lists over %d requests, %d over 1000: grows with requests served", got, n, base)
+		}
+	}
+}

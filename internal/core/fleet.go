@@ -134,17 +134,15 @@ func (m *Jenga) ImportPrefix(ps PageSet, now Tick) (int, int64) {
 		if len(pb) == 0 {
 			continue
 		}
-		hashes := make([]uint64, len(pb))
+		blocks, hashes := m.tierBlocks[:0], m.tierHashes[:0]
 		for i := range pb {
-			hashes[i] = pb[i].Hash
+			blocks = append(blocks, hostBlock{hash: pb[i].Hash, priority: pb[i].Priority, filled: pb[i].Filled, data: pb[i].Data})
+			hashes = append(hashes, pb[i].Hash)
 		}
+		m.tierBlocks, m.tierHashes = blocks, hashes
 		if m.host.resident(ps.Group, hashes) {
 			m.host.touchPage(ps.Group, hashes[0], now)
 			continue
-		}
-		blocks := make([]hostBlock, len(pb))
-		for i := range pb {
-			blocks[i] = hostBlock{hash: pb[i].Hash, priority: pb[i].Priority, filled: pb[i].Filled, data: pb[i].Data}
 		}
 		if !m.host.store(ps.Group, blocks, now) {
 			break

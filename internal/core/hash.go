@@ -24,48 +24,14 @@ func hashChain(parent uint64, tok Token) uint64 {
 	return x
 }
 
-// blockHashes returns the chained hash of every complete block of size
-// blockTokens over the projected token list. Element k covers projected
-// tokens [k*blockTokens, (k+1)*blockTokens).
-func blockHashes(tokens []Token, blockTokens int) []uint64 {
-	if blockTokens <= 0 {
-		return nil
-	}
-	n := len(tokens) / blockTokens
-	out := make([]uint64, n)
-	h := blockHashSeed
-	for k := 0; k < n; k++ {
-		for i := k * blockTokens; i < (k+1)*blockTokens; i++ {
-			h = hashChain(h, tokens[i])
-		}
-		out[k] = h
-	}
-	return out
-}
-
-// blockHashesInto is blockHashes appending into a caller-provided
-// slice (pass dst[:0] to reuse its capacity) — the warm-Lookup path
-// rebuilds per-group hash lists every call and reuses the scratch.
-func blockHashesInto(dst []uint64, tokens []Token, blockTokens int) []uint64 {
-	if blockTokens <= 0 {
-		return dst
-	}
-	n := len(tokens) / blockTokens
-	h := blockHashSeed
-	for k := 0; k < n; k++ {
-		for i := k * blockTokens; i < (k+1)*blockTokens; i++ {
-			h = hashChain(h, tokens[i])
-		}
-		dst = append(dst, h)
-	}
-	return dst
-}
-
-// extendBlockHashes appends the hashes of complete blocks not yet in
-// dst, resuming the chain from dst's last element (the chain value
-// after block k IS element k, so no rehash of covered tokens is
-// needed). With an empty dst it equals blockHashesInto(dst[:0], ...);
-// callers guarantee dst was built from a prefix of tokens.
+// extendBlockHashes appends to dst the chained hash of every complete
+// block of size blockTokens over the projected token list that dst
+// does not hold yet: element k covers projected tokens
+// [k*blockTokens, (k+1)*blockTokens). The chain resumes from dst's last
+// element (the chain value after block k IS element k, so covered
+// tokens are not rehashed); callers guarantee dst was built from a
+// prefix of tokens, and pass dst[:0] to hash from the start into
+// reused scratch.
 func extendBlockHashes(dst []uint64, tokens []Token, blockTokens int) []uint64 {
 	if blockTokens <= 0 {
 		return dst
@@ -139,22 +105,4 @@ func projectInto(dst []Token, tokens []Token, storesImage, storesText bool) []To
 		}
 	}
 	return dst
-}
-
-// projectedLen returns how many of the first p full-sequence tokens a
-// group with the given modality filter stores.
-func projectedLen(tokens []Token, p int, storesImage, storesText bool) int {
-	if storesImage && storesText {
-		if p > len(tokens) {
-			return len(tokens)
-		}
-		return p
-	}
-	n := 0
-	for i := 0; i < p && i < len(tokens); i++ {
-		if (tokens[i].Image && storesImage) || (!tokens[i].Image && storesText) {
-			n++
-		}
-	}
-	return n
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"container/heap"
+	"slices"
 
 	"jenga/internal/arena"
 )
@@ -104,11 +104,17 @@ type hostTier struct {
 	// therefore tier-evict) — it must not evict the source.
 	pinned map[int64]int
 	// evict orders pages by (touch, seq) for O(log n) tier eviction.
-	// Entries are immutable snapshots validated lazily on pop (the
-	// same pattern as the allocator's page heaps): a touch refresh
-	// pushes a new entry and the stale one is skipped later.
-	evict hostEvictHeap
-	stats TierStats
+	// Sequence numbers are not a dense ID space, so the queue is
+	// unslotted: a touch refresh pushes a second entry, the stale one
+	// is skipped on pop, and pushEvict compacts past 2× live pages.
+	evict evictQueue[hostEvictEntry]
+	// Scratch: evictOne's pinned candidates; the hash list handed to
+	// the observer (which must not retain it); dropped pages, reused
+	// with their block arrays by the next store.
+	stash  []hostEvictEntry
+	hashes []uint64
+	spare  []*hostPage
+	stats  TierStats
 	// obs, when set, is notified of every content change: block hashes
 	// entering the tier (store) and leaving it (dropPage). The fleet
 	// directory registers and invalidates through these callbacks; nil
@@ -116,31 +122,19 @@ type hostTier struct {
 	obs TierObserver
 }
 
-// hostEvictEntry is one (touch, seq) snapshot in the eviction heap.
+// hostEvictEntry is one (touch, seq) snapshot in the eviction queue.
 type hostEvictEntry struct {
 	touch Tick
 	seq   int64
 }
 
-// hostEvictHeap is a min-heap on (touch, seq) — the seq tiebreak
-// makes the order total, so tier eviction is deterministic.
-type hostEvictHeap []hostEvictEntry
-
-func (h hostEvictHeap) Len() int { return len(h) }
-func (h hostEvictHeap) Less(i, j int) bool {
-	if h[i].touch != h[j].touch {
-		return h[i].touch < h[j].touch
+// before is (touch, seq) ascending — the seq tiebreak makes the order
+// total, so tier eviction is deterministic.
+func (a hostEvictEntry) before(b hostEvictEntry) bool {
+	if a.touch != b.touch {
+		return a.touch < b.touch
 	}
-	return h[i].seq < h[j].seq
-}
-func (h hostEvictHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *hostEvictHeap) Push(x any)   { *h = append(*h, x.(hostEvictEntry)) }
-func (h *hostEvictHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // newHostTier builds a tier with the given byte budget. A budget
@@ -231,7 +225,8 @@ func (h *hostTier) spill(group string, blocks []hostBlock, now Tick) bool {
 // store is the common page-admission path behind the D2H spill and the
 // fleet import: budget eviction, indexing, recency, observer
 // registration — everything except the transfer-direction accounting,
-// which the two callers charge differently.
+// which the two callers charge differently. blocks is copied, so
+// callers may build it in scratch.
 func (h *hostTier) store(group string, blocks []hostBlock, now Tick) bool {
 	if !h.hasRoomEver() || len(blocks) == 0 {
 		return false
@@ -243,9 +238,15 @@ func (h *hostTier) store(group string, blocks []hostBlock, now Tick) bool {
 	}
 	seq := h.nextSeq
 	h.nextSeq++
-	pg := &hostPage{group: group, seq: seq, touch: now, blocks: blocks, bytes: h.pageBytes}
+	var pg *hostPage
+	if n := len(h.spare); n > 0 {
+		pg, h.spare = h.spare[n-1], h.spare[:n-1]
+	} else {
+		pg = new(hostPage)
+	}
+	*pg = hostPage{group: group, seq: seq, touch: now, blocks: append(pg.blocks[:0], blocks...), bytes: h.pageBytes}
 	h.pages[seq] = pg
-	heap.Push(&h.evict, hostEvictEntry{touch: now, seq: seq})
+	h.pushEvict(hostEvictEntry{touch: now, seq: seq})
 	gi := h.index[group]
 	if gi == nil {
 		gi = make(map[uint64]int64)
@@ -257,11 +258,11 @@ func (h *hostTier) store(group string, blocks []hostBlock, now Tick) bool {
 	h.used += pg.bytes
 	h.stats.HostUsed = h.used
 	if h.obs != nil {
-		hashes := make([]uint64, len(blocks))
+		h.hashes = h.hashes[:0]
 		for i := range blocks {
-			hashes[i] = blocks[i].hash
+			h.hashes = append(h.hashes, blocks[i].hash)
 		}
-		h.obs.TierStored(group, hashes)
+		h.obs.TierStored(group, h.hashes)
 	}
 	return true
 }
@@ -283,45 +284,63 @@ func (h *hostTier) resident(group string, hs []uint64) bool {
 }
 
 // touchPage refreshes the owning page's last access (restore hits),
-// re-queueing it in the eviction heap; the stale entry is skipped on
-// pop.
+// re-queueing it for eviction; the stale entry is skipped on pop.
+//
+//jenga:hotpath
 func (h *hostTier) touchPage(group string, hash uint64, now Tick) {
-	if gi, ok := h.index[group]; ok {
-		if seq, ok := gi[hash]; ok {
-			if pg := h.pages[seq]; pg.touch < now {
-				pg.touch = now
-				heap.Push(&h.evict, hostEvictEntry{touch: now, seq: seq})
-			}
+	if seq, ok := h.index[group][hash]; ok {
+		if pg := h.pages[seq]; pg.touch < now {
+			pg.touch = now
+			h.pushEvict(hostEvictEntry{touch: now, seq: seq})
 		}
 	}
 }
 
+// pushEvict queues e and compacts once stale entries outnumber live
+// pages: each live page has one live entry, so a compaction leaves at
+// most len(h.pages) and the next is at least as many pushes away.
+func (h *hostTier) pushEvict(e hostEvictEntry) {
+	h.evict.push(e)
+	if h.evict.len() > 2*len(h.pages)+64 {
+		h.evict.filter(h.liveEntry)
+	}
+}
+
+// liveEntry is the validate-on-pop test: the page exists and has not
+// been touched since e was pushed.
+func (h *hostTier) liveEntry(e hostEvictEntry) bool {
+	pg, ok := h.pages[e.seq]
+	return ok && pg.touch == e.touch
+}
+
 // evictOne drops the least-recently-touched unpinned page (spill
 // sequence breaks ties), reporting whether anything was dropped —
-// O(log n) amortized via the lazily validated heap. Pinned
-// candidates are stashed and re-queued so a pin never loses a page
-// its position in the order.
+// O(log n) amortized via validate-on-pop. Pinned candidates are
+// stashed and re-queued so a pin never loses a page its position in
+// the order.
+//
+//jenga:hotpath
 func (h *hostTier) evictOne() bool {
-	var stash []hostEvictEntry
+	stash := h.stash[:0]
 	dropped := false
-	for h.evict.Len() > 0 {
-		e := heap.Pop(&h.evict).(hostEvictEntry)
-		pg, live := h.pages[e.seq]
-		if !live || pg.touch != e.touch {
+	for h.evict.len() > 0 {
+		e := h.evict.pop()
+		if !h.liveEntry(e) {
 			continue // stale: page gone or touched since
 		}
 		if _, p := h.pinned[e.seq]; p {
 			stash = append(stash, e)
 			continue
 		}
-		h.dropPage(pg)
+		h.dropPage(h.pages[e.seq])
 		h.stats.HostEvictions++
 		dropped = true
 		break
 	}
 	for _, s := range stash {
-		heap.Push(&h.evict, s)
+		h.evict.push(s)
 	}
+	h.stash = stash
 	return dropped
 }
 
@@ -331,7 +350,7 @@ func (h *hostTier) evictOne() bool {
 // hashes are still resident and stay registered.
 func (h *hostTier) dropPage(pg *hostPage) {
 	gi := h.index[pg.group]
-	var gone []uint64
+	gone := h.hashes[:0]
 	for i := range pg.blocks {
 		if seq, ok := gi[pg.blocks[i].hash]; ok && seq == pg.seq {
 			delete(gi, pg.blocks[i].hash)
@@ -340,12 +359,14 @@ func (h *hostTier) dropPage(pg *hostPage) {
 			}
 		}
 	}
+	h.hashes = gone
 	delete(h.pages, pg.seq)
 	h.used -= pg.bytes
 	h.stats.HostUsed = h.used
-	if h.obs != nil && len(gone) > 0 {
+	if len(gone) > 0 {
 		h.obs.TierEvicted(pg.group, gone)
 	}
+	h.spare = append(h.spare, pg)
 }
 
 // --- Jenga integration ---------------------------------------------------
@@ -382,15 +403,6 @@ type TierManager interface {
 }
 
 var _ TierManager = (*Jenga)(nil)
-
-// HostTierUsage returns the tier's live byte accounting (0, 0 with no
-// tier configured).
-func (m *Jenga) HostTierUsage() (used, capacity int64) {
-	if m.host == nil {
-		return 0, 0
-	}
-	return m.host.used, m.host.capacity
-}
 
 // TierStats implements TierManager.
 func (m *Jenga) TierStats() TierStats {
@@ -444,42 +456,24 @@ func (m *Jenga) SwapOut(seq *Sequence) (int, int64) {
 }
 
 // heldLargePages collects, in ascending order, the distinct large
-// pages holding any page the request currently references.
+// pages holding any page the request currently references. The result
+// is scratch, valid until the next call.
 func (m *Jenga) heldLargePages(r *reqState) []arena.LargePageID {
-	seen := make(map[arena.LargePageID]bool)
-	var out []arena.LargePageID
-	add := func(g *group, id arena.SmallPageID) {
-		L := m.largeOf(g, id)
-		if !seen[L] {
-			seen[L] = true
-			out = append(out, L)
-		}
-	}
+	out := m.tierLarge[:0]
 	for gi, g := range m.groups {
 		rg := &r.g[gi]
-		for b := range rg.pages {
-			if rg.pages[b].held {
-				add(g, rg.pages[b].id)
-			}
-		}
-		for i := range rg.ckpts {
-			if rg.ckpts[i].held {
-				add(g, rg.ckpts[i].id)
+		for _, refs := range [2][]pageRef{rg.pages, rg.ckpts} {
+			for _, ref := range refs {
+				if ref.held {
+					out = append(out, m.largeOf(g, ref.id))
+				}
 			}
 		}
 	}
-	sortLargeIDs(out)
+	slices.Sort(out)
+	out = slices.Compact(out)
+	m.tierLarge = out
 	return out
-}
-
-// sortLargeIDs sorts ascending (tiny n; insertion sort avoids an
-// import and allocation).
-func sortLargeIDs(ids []arena.LargePageID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }
 
 // spillLarge copies large page L's cached blocks into the host tier
@@ -498,8 +492,7 @@ func (m *Jenga) spillLarge(L arena.LargePageID, now Tick) bool {
 	}
 	g := m.groups[m.largeOwner[L]]
 	first, n := g.view.SmallRange(L)
-	blocks := make([]hostBlock, 0, m.cntCached[L])
-	hashes := make([]uint64, 0, m.cntCached[L])
+	blocks, hashes := m.tierBlocks[:0], m.tierHashes[:0]
 	for i := 0; i < n; i++ {
 		id := first + arena.SmallPageID(i)
 		pg := &g.pages[id]
@@ -519,6 +512,7 @@ func (m *Jenga) spillLarge(L arena.LargePageID, now Tick) bool {
 		blocks = append(blocks, hb)
 		hashes = append(hashes, pg.hash)
 	}
+	m.tierBlocks, m.tierHashes = blocks, hashes
 	if len(blocks) == 0 {
 		return false
 	}

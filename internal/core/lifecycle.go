@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 
 	"jenga/internal/arena"
@@ -619,7 +618,7 @@ func (m *Jenga) Release(seq *Sequence, cache bool) {
 				m.pageRelease(g, rg.ckpts[i].id, cache, pg.lastAccess, false)
 			}
 		}
-		delete(g.freeByReq, r.id)
+		g.dropAssocList(r.id)
 	}
 	delete(m.reqs, seq.ID)
 }
@@ -666,13 +665,14 @@ func (m *Jenga) claim(seq *Sequence, r *reqState, now Tick) {
 
 // pendingRestore is one host-tier block a claim must bring back:
 // block ≥ 0 names a token-group block, block < 0 a Mamba checkpoint
-// at projected position pl.
+// at projected position pl. pin is the source page's tier pin.
 type pendingRestore struct {
 	g     *group
 	rg    *reqGroup
 	block int
 	hash  uint64
 	pl    int
+	pin   int64
 }
 
 // claimPrefix attaches the pages of a p-token valid prefix to r. It
@@ -684,7 +684,7 @@ type pendingRestore struct {
 // the caller rolls back). With useHost false it is the historical
 // claim, performs no allocation, and always succeeds.
 func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost bool) bool {
-	var pending []pendingRestore
+	m.claimPending = m.claimPending[:0]
 	for gi, g := range m.groups {
 		rg := &r.g[gi]
 		if g.isVision() || !g.appliesTo(seq) {
@@ -709,7 +709,7 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost
 			if useHost && pl > 0 {
 				if _, ok := g.index[rg.chain]; !ok {
 					if _, hok := m.host.lookup(g.spec.Name, rg.chain); hok {
-						pending = append(pending, pendingRestore{g: g, rg: rg, block: -1, hash: rg.chain, pl: pl})
+						m.claimPending = append(m.claimPending, pendingRestore{g: g, rg: rg, block: -1, hash: rg.chain, pl: pl})
 						continue
 					}
 				}
@@ -717,7 +717,9 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost
 			m.claimMamba(g, rg, pl, now)
 			continue
 		}
-		check(pl%g.tpp == 0, "claim: group %s prefix %d not block aligned", g.spec.Name, pl)
+		if pl%g.tpp != 0 {
+			check(false, "claim: group %s prefix %d not block aligned", g.spec.Name, pl)
+		}
 		nb := pl / g.tpp
 		rg.pages = make([]pageRef, nb)
 		lo := g.pol.AccessedFrom(pl) / g.tpp
@@ -725,45 +727,23 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost
 		if ka, ok := g.pol.(KeepAlive); ok {
 			keepBlocks = (ka.KeptBelow(pl) + g.tpp - 1) / g.tpp
 		}
-		hashes := blockHashes(proj, g.tpp)
-		claimBlock := func(b int) {
-			id, ok := g.index[hashes[b]]
-			if !ok {
-				check(useHost, "claim: block %d of group %s vanished", b, g.spec.Name)
-				pending = append(pending, pendingRestore{g: g, rg: rg, block: b, hash: hashes[b]})
-				return
-			}
-			pg := &g.pages[id]
-			check(pg.hashed && pg.hash == hashes[b], "claim: stale index entry")
-			switch pg.status {
-			case pageCached:
-				m.pageToUsed(g, id, r.id)
-			case pageUsed:
-				m.pageAddRef(g, id)
-			default:
-				check(false, "claim: empty page in index")
-			}
-			rg.pages[b] = pageRef{id: id, held: true}
-		}
-		for b := 0; b < keepBlocks && b < lo; b++ {
-			claimBlock(b) // always-live head (attention sinks)
-		}
-		for b := lo; b < nb; b++ {
-			claimBlock(b)
-		}
+		m.claimHashes = extendBlockHashes(m.claimHashes[:0], proj, g.tpp)
+		// The always-live head (attention sinks), then the accessed tail.
+		m.claimBlocks(g, rg, r.id, 0, min(keepBlocks, lo), useHost)
+		m.claimBlocks(g, rg, r.id, lo, nb, useHost)
 		rg.projReserved = pl
 		rg.projCommitted = pl
 		rg.demotedBlocks = lo
 	}
+	pending := m.claimPending
 	if len(pending) == 0 {
 		return true
 	}
 	// Pass 2: every source page is pinned before the first restore,
 	// because a restore's allocation can spill — and a spill's tier
 	// eviction must never drop a sibling restore's source.
-	pins := make([]int64, len(pending))
-	for i, pr := range pending {
-		pins[i] = m.host.pin(pr.g.spec.Name, pr.hash)
+	for i := range pending {
+		pending[i].pin = m.host.pin(pending[i].g.spec.Name, pending[i].hash)
 	}
 	ok := true
 	for _, pr := range pending {
@@ -785,10 +765,39 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost
 			m.claimMamba(pr.g, pr.rg, pr.pl, now)
 		}
 	}
-	for _, s := range pins {
-		m.host.unpin(s)
+	for _, pr := range pending {
+		m.host.unpin(pr.pin)
 	}
+	clear(pending) // drop the request-state pointers the scratch holds
 	return ok
+}
+
+// claimBlocks is claimPrefix's pass 1 over blocks [from, to) of one
+// group, hashes in m.claimHashes: a GPU-resident block is attached to
+// rg, any other is queued on m.claimPending for the restore pass.
+func (m *Jenga) claimBlocks(g *group, rg *reqGroup, req RequestID, from, to int, useHost bool) {
+	for b := from; b < to; b++ {
+		hash := m.claimHashes[b]
+		id, ok := g.index[hash]
+		if !ok {
+			if !useHost {
+				check(false, "claim: block %d of group %s vanished", b, g.spec.Name)
+			}
+			m.claimPending = append(m.claimPending, pendingRestore{g: g, rg: rg, block: b, hash: hash})
+			continue
+		}
+		pg := &g.pages[id]
+		check(pg.hashed && pg.hash == hash, "claim: stale index entry")
+		switch pg.status {
+		case pageCached:
+			m.pageToUsed(g, id, req)
+		case pageUsed:
+			m.pageAddRef(g, id)
+		default:
+			check(false, "claim: empty page in index")
+		}
+		rg.pages[b] = pageRef{id: id, held: true}
+	}
 }
 
 // rollbackClaim detaches everything a failed claimPrefix attached:
@@ -837,7 +846,7 @@ func (m *Jenga) claimMamba(g *group, rg *reqGroup, pl int, now Tick) {
 		if now > m.largeTS[L] {
 			m.largeTS[L] = now
 		}
-		heap.Push(&g.evict, pageEntry{id: id, ts: now, prio: pg.priority})
+		g.evict.push(pageEntry{id: id, ts: now, prio: pg.priority})
 	} else {
 		pg.lastAccess = now
 	}

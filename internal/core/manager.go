@@ -114,15 +114,17 @@ type group struct {
 
 	// index maps published block hash → page (prefix cache).
 	index map[uint64]arena.SmallPageID
-	// freeByReq holds empty pages grouped by associated request
-	// (lazy — entries validated on pop).
-	freeByReq map[RequestID][]arena.SmallPageID
+	// freeByReq holds empty pages grouped by associated request (lazy
+	// — entries validated on pop, dead lists swept by pageToEmpty);
+	// spareLists are deleted lists' backing arrays, reused by new ones.
+	freeByReq  map[RequestID][]arena.SmallPageID
+	spareLists [][]arena.SmallPageID
 	// free holds every empty page in group-owned large pages (strictly
 	// maintained): a hierarchical bitmap whose pop is O(1) and always
 	// yields the lowest free ID (deterministic §5.4 steps 1/4).
 	free freePool
 	// evict orders cached pages by (lastAccess, -priority).
-	evict pageHeap
+	evict evictQueue[pageEntry]
 
 	// counters for Usage (pages in the "used" state only for slots).
 	ownedLarge  int
@@ -186,7 +188,7 @@ type Jenga struct {
 	largeDirty []bool
 
 	freeLarge  []arena.LargePageID
-	largeEvict largeHeap
+	largeEvict evictQueue[largeEntry]
 
 	reqs  map[RequestID]*reqState
 	stats Stats
@@ -204,6 +206,14 @@ type Jenga struct {
 
 	// lkViews is the Lookup scratch for the per-group view list.
 	lkViews []lookupView
+	// Scratch: one tier page's blocks and hashes (spillLarge and
+	// ImportPrefix; the tier copies what it keeps), SwapOut's candidate
+	// list, claimPrefix's restore queue and block hashes.
+	tierBlocks   []hostBlock
+	tierHashes   []uint64
+	tierLarge    []arena.LargePageID
+	claimPending []pendingRestore
+	claimHashes  []uint64
 }
 
 var _ Manager = (*Jenga)(nil)
@@ -273,6 +283,7 @@ func New(cfg Config) (*Jenga, error) {
 	for i := range m.largeOwner {
 		m.largeOwner[i] = -1
 	}
+	m.largeEvict.initSlots(ar.NumLargePages(), largeEntry.slot)
 	// Free list in reverse so allocation proceeds from page 0 upward.
 	m.freeLarge = make([]arena.LargePageID, 0, ar.NumLargePages())
 	for i := ar.NumLargePages() - 1; i >= 0; i-- {
@@ -308,6 +319,7 @@ func New(cfg Config) (*Jenga, error) {
 			freeByReq:  make(map[RequestID][]arena.SmallPageID),
 		}
 		g.free.init(len(g.pages))
+		g.evict.initSlots(len(g.pages), pageEntry.slot)
 		m.groups = append(m.groups, g)
 		m.byName[gs.Name] = i
 	}

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"container/heap"
-	"sort"
-
-	"jenga/internal/arena"
-)
+import "jenga/internal/arena"
 
 // Offload advice (§8): systems that spill KV to host memory or disk
 // (CachedAttention, Mooncake) need a fixed-size transfer granularity
@@ -43,17 +38,13 @@ func hintLess(a, b OffloadHint) bool {
 	return a.LargePage < b.LargePage
 }
 
-// hintHeap is a bounded max-heap on hintLess: the top is the *worst*
-// kept hint, so top-k selection evicts it when a better candidate
-// appears. This keeps a bounded OffloadOrder at O(L log max) instead
-// of sorting every evictable page for any max.
-type hintHeap []OffloadHint
+// worstFirst reverses hintLess, so an evictQueue of them keeps the
+// *worst* kept hint on top: top-k selection pops it when a better
+// candidate appears. This keeps a bounded OffloadOrder at O(L log max)
+// instead of sorting every evictable page for any max.
+type worstFirst OffloadHint
 
-func (h hintHeap) Len() int           { return len(h) }
-func (h hintHeap) Less(i, j int) bool { return hintLess(h[j], h[i]) }
-func (h hintHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *hintHeap) Push(x any)        { *h = append(*h, x.(OffloadHint)) }
-func (h *hintHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+func (a worstFirst) before(b worstFirst) bool { return hintLess(OffloadHint(b), OffloadHint(a)) }
 
 // OffloadOrder returns up to max evictable large pages in the order the
 // evictor would discard them — expired pages first, then LRU. An
@@ -72,7 +63,7 @@ func (m *Jenga) OffloadOrder(max int) []OffloadHint {
 	if max <= 0 || max > m.ar.NumLargePages() {
 		max = m.ar.NumLargePages()
 	}
-	var top hintHeap
+	var top evictQueue[worstFirst]
 	for L := 0; L < m.ar.NumLargePages(); L++ {
 		// largeTimestamp is the commit-pin gate: it rejects pages with
 		// used (reservation-held) small pages and pages with nothing
@@ -87,15 +78,19 @@ func (m *Jenga) OffloadOrder(max int) []OffloadHint {
 			LastAccess: ts,
 			Expired:    expired,
 		}
-		if len(top) < max {
-			heap.Push(&top, h)
-		} else if hintLess(h, top[0]) {
-			top[0] = h
-			heap.Fix(&top, 0)
+		if top.len() == max {
+			if !hintLess(h, OffloadHint(top.h[0])) {
+				continue
+			}
+			top.pop()
 		}
+		top.push(worstFirst(h))
 	}
-	hints := []OffloadHint(top)
-	sort.Slice(hints, func(i, j int) bool { return hintLess(hints[i], hints[j]) })
+	// Pops come worst first, so fill from the back.
+	hints := make([]OffloadHint, top.len())
+	for i := len(hints) - 1; i >= 0; i-- {
+		hints[i] = OffloadHint(top.pop())
+	}
 	return hints
 }
 

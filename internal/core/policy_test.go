@@ -142,6 +142,11 @@ func TestRangeCachedProperties(t *testing.T) {
 	}
 }
 
+// blockHashes hashes every complete block from the start of the chain.
+func blockHashes(tokens []Token, blockTokens int) []uint64 {
+	return extendBlockHashes(nil, tokens, blockTokens)
+}
+
 func TestBlockHashChaining(t *testing.T) {
 	a := []Token{{ID: 1}, {ID: 2}, {ID: 3}, {ID: 4}}
 	b := []Token{{ID: 1}, {ID: 2}, {ID: 3}, {ID: 5}}
@@ -178,12 +183,6 @@ func TestProjectHelpers(t *testing.T) {
 	proj, idx = project(toks, true, true)
 	if len(proj) != 4 || idx[2] != 2 {
 		t.Errorf("identity projection wrong: %v %v", proj, idx)
-	}
-	if projectedLen(toks, 3, false, true) != 2 {
-		t.Error("projectedLen text of first 3 should be 2")
-	}
-	if projectedLen(toks, 99, true, true) != 4 {
-		t.Error("projectedLen clamps at sequence length")
 	}
 	if blockHashes(toks, 0) != nil {
 		t.Error("non-positive block size returns nil")
