@@ -5,7 +5,7 @@ GO ?= go
 # Pinned staticcheck (matches the CI step; bump both together).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race bench bench-json bench-scale bench-smoke chaos-smoke scale-smoke fuzz lint staticcheck fmt vet ci
+.PHONY: build test race bench bench-json bench-scale bench-smoke chaos-smoke scale-smoke fuzz lint guard staticcheck fmt vet ci
 
 build:
 	$(GO) build ./...
@@ -125,6 +125,19 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: vet lint build test race chaos-smoke scale-smoke
-	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
+# Source-shape guards (the CI guard step): allocation patterns that were
+# removed on purpose and that neither vet nor jengalint would notice
+# coming back. The eviction queues are typed (internal/core/evictq.go),
+# and a container/heap adapter boxes every entry it is handed; a claim
+# reads the prompt in place, and core.project copied it per group; the
+# engine borrows prompts and recycles decode buffers
+# (internal/engine/tokbuf.go holds the one allocation, the free-list
+# miss), and a fresh []core.Token anywhere else in it is a per-request
+# copy again.
+guard:
 	@out=$$(grep -rln '"container/heap"' internal/core --include='*.go' | grep -v '_test\.go$$'); if [ -n "$$out" ]; then echo "container/heap (boxing) is back in internal/core:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn 'func project(' internal/core --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "core.project (a per-claim copy of the prefix) is back in internal/core:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn -e 'append(\[\]core\.Token(nil)' -e 'make(\[\]core\.Token' internal/engine --include='*.go' | grep -v -e '_test\.go:' -e '^internal/engine/tokbuf\.go:'); if [ -n "$$out" ]; then echo "token copies outside the free-list miss in internal/engine:"; echo "$$out"; exit 1; fi
+
+ci: vet lint guard build test race chaos-smoke scale-smoke
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi

@@ -355,7 +355,7 @@ func TestMambaCheckpointTouchOnHit(t *testing.T) {
 	m.Release(b, true)
 
 	g := m.groups[m.byName["mamba"]]
-	proj, _ := project(a.Tokens, g.spec.StoresToken(true), g.spec.StoresToken(false))
+	proj := projectInto(nil, a.Tokens, g.spec.StoresToken(true), g.spec.StoresToken(false))
 	h8 := prefixHash(proj, 8)
 	id, ok := g.index[h8]
 	if !ok {

@@ -73,31 +73,11 @@ func PrefixHash(tokens []Token, n int) uint64 {
 	return prefixHash(tokens, n)
 }
 
-// project returns the subsequence of tokens a group stores (its
-// "projected sequence") given the group's modality filter, plus the
-// mapping from projected index to full-sequence index.
-func project(tokens []Token, storesImage, storesText bool) ([]Token, []int) {
-	if storesImage && storesText {
-		idx := make([]int, len(tokens))
-		for i := range idx {
-			idx[i] = i
-		}
-		return tokens, idx
-	}
-	proj := make([]Token, 0, len(tokens))
-	idx := make([]int, 0, len(tokens))
-	for i, t := range tokens {
-		if (t.Image && storesImage) || (!t.Image && storesText) {
-			proj = append(proj, t)
-			idx = append(idx, i)
-		}
-	}
-	return proj, idx
-}
-
-// projectInto appends the projected subsequence to dst (pass dst[:0]
-// to reuse capacity). Callers that need the index mapping use project;
-// the Lookup path only needs the tokens and reuses per-group scratch.
+// projectInto appends to dst the subsequence of tokens a group stores
+// (its "projected sequence") given the group's modality filter; pass
+// dst[:0] to reuse capacity. Only the Lookup path materialises a
+// projection, into per-group scratch; claims and commits walk the full
+// token list in place.
 func projectInto(dst []Token, tokens []Token, storesImage, storesText bool) []Token {
 	for _, t := range tokens {
 		if (t.Image && storesImage) || (!t.Image && storesText) {

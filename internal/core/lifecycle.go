@@ -238,13 +238,17 @@ type lookupView struct {
 // rebuilt in full on every call — the cache index mutates between
 // lookups, and LookupFleet overlays peer presence in place — but the
 // content-derived scratch (the projection, ProjCount and the block
-// hash chain) extends incrementally when this call sees the same
+// hash chain) extends incrementally when this call sees the same live
 // request on the same backing array with the cached prefix intact.
-// Callers only ever append to a live sequence's tokens (Submit and
-// Fork allocate fresh arrays), so append-only growth keeps the base
-// pointer, the first token and the token at the cached boundary
-// stable; a different request, a reallocated array or a truncation
-// breaks one of them and forces a full rebuild. This is what makes a
+// A live sequence's tokens are only ever appended to, so growth keeps
+// the base pointer, the first token and the token at the cached
+// boundary stable; a different request, a moved array (the engine's
+// switch from the borrowed prompt to a private decode buffer) or a
+// truncation breaks one of them and forces a full rebuild. The key
+// proves nothing across requests — the engine recycles token buffers,
+// so an address recurs routinely, and an ID may be reused once its
+// request is gone — which is why Release drops it (CrashReset builds
+// fresh groups, and with them fresh scratch). This is what makes a
 // warm lookup over a long prompt stop rehashing the whole prefix.
 //
 //jenga:hotpath
@@ -592,6 +596,13 @@ func (m *Jenga) finalizeCheckpoint(g *group, rg *reqGroup, i int, now Tick) {
 //
 //jenga:hotpath
 func (m *Jenga) Release(seq *Sequence, cache bool) {
+	// The warm-lookup scratch is keyed on this request: it must not
+	// survive it (see buildView), claimed or not.
+	for _, g := range m.groups {
+		if g.lkSeqID == seq.ID {
+			g.lkSeqLen = 0
+		}
+	}
 	r, ok := m.reqs[seq.ID]
 	if !ok {
 		return
@@ -683,6 +694,14 @@ type pendingRestore struct {
 // false when a pass-2 allocation failed (partial state attached —
 // the caller rolls back). With useHost false it is the historical
 // claim, performs no allocation, and always succeeds.
+//
+// The caller has just run lookupPrefix over the same (request, tokens),
+// which left every token group's block hashes in g.lkHashes: a chained
+// hash names its whole prefix, so the first p tokens' blocks are that
+// list's head and the claim reads them instead of hashing the prefix
+// again. Nothing here is sized by p except the request's page table.
+//
+//jenga:hotpath
 func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost bool) bool {
 	m.claimPending = m.claimPending[:0]
 	for gi, g := range m.groups {
@@ -690,22 +709,8 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost
 		if g.isVision() || !g.appliesTo(seq) {
 			continue
 		}
-		storesImg := g.spec.StoresToken(true)
-		storesTxt := g.spec.StoresToken(false)
-		proj, fullIdx := project(seq.Tokens[:p], storesImg, storesTxt)
-		pl := len(proj)
-		// Replay hashing state through the claimed prefix.
-		rg.chain = blockHashSeed
-		rg.runChain = blockHashSeed
-		rg.lastFullIdx = -1
-		for j, t := range proj {
-			if rg.lastFullIdx != fullIdx[j]-1 {
-				rg.runChain = rg.chain
-			}
-			rg.lastFullIdx = fullIdx[j]
-			rg.chain = hashChain(rg.chain, t)
-		}
 		if g.spec.Kind == model.Mamba {
+			pl := replayPrefix(g, rg, seq.Tokens[:p])
 			if useHost && pl > 0 {
 				if _, ok := g.index[rg.chain]; !ok {
 					if _, hok := m.host.lookup(g.spec.Name, rg.chain); hok {
@@ -717,17 +722,31 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost
 			m.claimMamba(g, rg, pl, now)
 			continue
 		}
+		if g.lkSeqID != seq.ID || g.lkSeqLen != len(seq.Tokens) {
+			check(false, "claim: group %s lookup scratch is not request %d's", g.spec.Name, seq.ID)
+		}
+		pl := g.lkView.ProjCount[p]
 		if pl%g.tpp != 0 {
 			check(false, "claim: group %s prefix %d not block aligned", g.spec.Name, pl)
 		}
 		nb := pl / g.tpp
+		if g.spec.Scope == model.ScopeAll {
+			// Every token is stored: one run from the start, ending on
+			// the claimed prefix's last block hash.
+			rg.chain, rg.runChain, rg.lastFullIdx = blockHashSeed, blockHashSeed, p-1
+			if nb > 0 {
+				rg.chain = g.lkHashes[nb-1]
+			}
+		} else {
+			replayPrefix(g, rg, seq.Tokens[:p])
+		}
+		//jenga:alloc-ok the request's page table, one per claim; the only allocation sized by the prefix
 		rg.pages = make([]pageRef, nb)
 		lo := g.pol.AccessedFrom(pl) / g.tpp
 		keepBlocks := 0
 		if ka, ok := g.pol.(KeepAlive); ok {
 			keepBlocks = (ka.KeptBelow(pl) + g.tpp - 1) / g.tpp
 		}
-		m.claimHashes = extendBlockHashes(m.claimHashes[:0], proj, g.tpp)
 		// The always-live head (attention sinks), then the accessed tail.
 		m.claimBlocks(g, rg, r.id, 0, min(keepBlocks, lo), useHost)
 		m.claimBlocks(g, rg, r.id, lo, nb, useHost)
@@ -772,12 +791,37 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost
 	return ok
 }
 
+// replayPrefix brings rg's incremental hashing state — chain, runChain
+// and lastFullIdx, what commitGroup maintains token by token — to the
+// end of prefix in one pass over the full token list, and returns the
+// prefix's projected length.
+//
+//jenga:hotpath
+func replayPrefix(g *group, rg *reqGroup, prefix []Token) int {
+	rg.chain, rg.runChain, rg.lastFullIdx = blockHashSeed, blockHashSeed, -1
+	pl := 0
+	for i, t := range prefix {
+		if !g.spec.StoresToken(t.Image) {
+			continue
+		}
+		if rg.lastFullIdx != i-1 {
+			rg.runChain = rg.chain // a new contiguous run starts here
+		}
+		rg.lastFullIdx = i
+		rg.chain = hashChain(rg.chain, t)
+		pl++
+	}
+	return pl
+}
+
 // claimBlocks is claimPrefix's pass 1 over blocks [from, to) of one
-// group, hashes in m.claimHashes: a GPU-resident block is attached to
+// group, hashes in g.lkHashes: a GPU-resident block is attached to
 // rg, any other is queued on m.claimPending for the restore pass.
+//
+//jenga:hotpath
 func (m *Jenga) claimBlocks(g *group, rg *reqGroup, req RequestID, from, to int, useHost bool) {
 	for b := from; b < to; b++ {
-		hash := m.claimHashes[b]
+		hash := g.lkHashes[b]
 		id, ok := g.index[hash]
 		if !ok {
 			if !useHost {

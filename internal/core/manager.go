@@ -149,11 +149,13 @@ type group struct {
 	lkView   GroupSeqView
 	lkProj   []Token
 	lkHashes []uint64
-	// Identity of the sequence the scratch above was built from.
-	// The incremental path requires the same request ID and the same
-	// backing array with an unchanged prefix; callers only ever append
-	// to a live sequence's tokens, so (ID, base pointer, first/last
-	// token at the cached length) identifies an append-only extension.
+	// Identity of the sequence the scratch above was built from
+	// (lkSeqLen 0: none). The incremental path requires the same live
+	// request on the same backing array; a live sequence's tokens are
+	// only ever appended to, so (ID, base pointer, first/last token at
+	// the cached length) identifies an append-only extension. Release
+	// drops the key with the request: token buffers are recycled and
+	// IDs may be reused, so nothing here outlives the request.
 	lkSeqID   RequestID
 	lkSeqBase *Token
 	lkSeqLen  int
@@ -208,12 +210,11 @@ type Jenga struct {
 	lkViews []lookupView
 	// Scratch: one tier page's blocks and hashes (spillLarge and
 	// ImportPrefix; the tier copies what it keeps), SwapOut's candidate
-	// list, claimPrefix's restore queue and block hashes.
+	// list, claimPrefix's restore queue.
 	tierBlocks   []hostBlock
 	tierHashes   []uint64
 	tierLarge    []arena.LargePageID
 	claimPending []pendingRestore
-	claimHashes  []uint64
 }
 
 var _ Manager = (*Jenga)(nil)

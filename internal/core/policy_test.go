@@ -176,13 +176,13 @@ func TestBlockHashChaining(t *testing.T) {
 
 func TestProjectHelpers(t *testing.T) {
 	toks := []Token{{ID: 1}, {ID: 2, Image: true}, {ID: 3}, {ID: 4, Image: true}}
-	proj, idx := project(toks, true, false)
-	if len(proj) != 2 || idx[0] != 1 || idx[1] != 3 {
-		t.Errorf("image projection wrong: %v %v", proj, idx)
+	proj := projectInto(nil, toks, true, false)
+	if len(proj) != 2 || proj[0].ID != 2 || proj[1].ID != 4 {
+		t.Errorf("image projection wrong: %v", proj)
 	}
-	proj, idx = project(toks, true, true)
-	if len(proj) != 4 || idx[2] != 2 {
-		t.Errorf("identity projection wrong: %v %v", proj, idx)
+	proj = projectInto(proj[:0], toks, true, true)
+	if len(proj) != 4 || proj[2].ID != 3 {
+		t.Errorf("identity projection wrong: %v", proj)
 	}
 	if blockHashes(toks, 0) != nil {
 		t.Error("non-positive block size returns nil")

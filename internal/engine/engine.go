@@ -289,7 +289,11 @@ const (
 type run struct {
 	req *workload.Request
 	seq *core.Sequence
-	ph  phase
+	// owned marks seq.Tokens as a private buffer from the engine's free
+	// list; otherwise it borrows req.Prompt (or a Migrated record's
+	// slice) and is read-only. See tokbuf.go.
+	owned bool
+	ph    phase
 	// computed is the number of tokens with committed KV.
 	computed int
 	// cachedHit is the prefix served from cache at (re)admission.
@@ -423,6 +427,10 @@ type Engine struct {
 	tier     core.TierManager
 	tierBase core.TierStats
 
+	// tokFree is the free list of private token buffers (tokbuf.go); it
+	// survives Reset.
+	tokFree tokenPool
+
 	// forker is the manager's copy-on-write forking capability (nil
 	// for managers without one — fan-out then degrades to running the
 	// root single-stream); forkSeq numbers engine-generated branch IDs.
@@ -484,6 +492,7 @@ func (e *Engine) runMetrics(r *run) RequestMetrics {
 // streaming-retirement mode) or to its retention list. Callers emit
 // the matching lifecycle event themselves.
 func (e *Engine) retireTerminal(r *run, ev EventType) {
+	e.returnTokens(r)
 	if e.sink != nil {
 		switch ev {
 		case EventFailed:
@@ -565,8 +574,14 @@ func (e *Engine) Run(reqs []workload.Request) (*Result, error) {
 }
 
 // reset returns the scheduler to a clean state so Run can be called
-// again on the same engine (the manager's cache is deliberately kept).
+// again on the same engine (the manager's cache is deliberately kept,
+// and so is the token free list: abandoned runs' buffers rejoin it).
 func (e *Engine) reset() {
+	for _, q := range [...][]*run{e.pending, e.waiting, e.running} {
+		for _, r := range q {
+			e.returnTokens(r)
+		}
+	}
 	e.clock = 0
 	e.step = 0
 	e.pending = e.pending[:0]
@@ -716,6 +731,7 @@ func (e *Engine) runStep() bool {
 		if !r.alive {
 			continue // preempted by an earlier iteration of this loop
 		}
+		e.ownTokens(r)
 		r.seq.Tokens = append(r.seq.Tokens, e.genToken(r))
 		target := len(r.seq.Tokens)
 		if !e.reserveWithPreemption(r, target, now) {
@@ -1260,6 +1276,7 @@ func (e *Engine) handleStall() bool {
 func (e *Engine) finishRun(r *run) {
 	r.finish = e.clock
 	e.cfg.Manager.Release(r.seq, true)
+	e.returnTokens(r)
 	e.removeRunning(r)
 	if e.sink != nil {
 		e.retFinished++

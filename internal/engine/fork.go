@@ -58,7 +58,9 @@ func (e *Engine) Fork(parentID int64, childIDs []int64) error {
 }
 
 // forkOne clones parent into one child branch and enters it into the
-// running set.
+// running set. The child request shares the parent's Prompt array
+// (read-only, like every prompt the engine holds); its token buffer
+// comes from the engine's free list.
 func (e *Engine) forkOne(parent *run, childID int64) error {
 	if parent.req.Group == 0 {
 		parent.req.Group = parent.req.ID
@@ -72,14 +74,14 @@ func (e *Engine) forkOne(parent *run, childID int64) error {
 		Deadline:  parent.req.Deadline,
 		Priority:  parent.req.Priority,
 	}
-	// Same slice sizing rule as Submit: room for the full
-	// prompt-plus-output lifetime so decode appends never reallocate.
-	toks := make([]core.Token, len(parent.seq.Tokens), len(creq.Prompt)+creq.OutputLen)
-	copy(toks, parent.seq.Tokens)
+	// A child decodes from its first step, so it starts on a private
+	// buffer holding the parent's content up to the divergence point.
+	toks := append(e.takeTokens(len(creq.Prompt)+creq.OutputLen), parent.seq.Tokens...)
 	child := &run{
-		req: creq,
-		seq: &core.Sequence{ID: core.RequestID(childID), PromptLen: parent.seq.PromptLen, Tokens: toks},
-		ph:  phaseDecode,
+		req:   creq,
+		seq:   &core.Sequence{ID: core.RequestID(childID), PromptLen: parent.seq.PromptLen, Tokens: toks},
+		owned: true,
+		ph:    phaseDecode,
 		// The child starts exactly where the parent stands: everything
 		// committed so far is shared, nothing needs recomputing.
 		computed:      parent.computed,
@@ -95,6 +97,7 @@ func (e *Engine) forkOne(parent *run, childID int64) error {
 		forkDone:      true, // children of a Fanout root never re-fork
 	}
 	if err := e.forker.Fork(parent.seq, child.seq, core.Tick(e.step)); err != nil {
+		e.returnTokens(child)
 		return err
 	}
 	e.running = append(e.running, child)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"sort"
 	"time"
 
 	"jenga/internal/core"
@@ -21,14 +20,24 @@ import (
 // restore shares. The cluster layer owns policy — when to migrate,
 // where to, and how to move the pages (internal/fleet).
 
-// Migrated is one request's portable runtime state.
+// Migrated is one request's portable runtime state. A record is moved,
+// not copied: hand it to exactly one MigrateIn, or drop it.
 type Migrated struct {
 	// Req is the original request (the engine retained it; the
 	// destination retains it next).
 	Req *workload.Request
 	// Tokens is the sequence content at extraction: prompt plus every
-	// generated token.
+	// generated token. It is the extracted run's own slice — Req.Prompt
+	// itself for a request that had not decoded yet (and for every
+	// CrashOut record), the source engine's private buffer otherwise —
+	// so holders may read it (to fetch the prefix's pages, say) but
+	// must not write to it or keep it past MigrateIn.
 	Tokens []core.Token
+	// pooled marks Tokens as a private engine buffer whose ownership
+	// travels with the record: MigrateIn adopts it and the destination
+	// recycles it at the request's exit. Records built by hand leave it
+	// false and their Tokens are only ever read.
+	pooled bool
 	// DecodesDone and EverComputed restore decode progress and the
 	// recompute high-water mark (cross-replica recomputation still
 	// counts as RecomputedTokens on the destination).
@@ -97,7 +106,8 @@ func (e *Engine) MigrateOut(id int64) (Migrated, bool) {
 		e.emit(EventMigrated, r)
 		return Migrated{
 			Req:            r.req,
-			Tokens:         append([]core.Token(nil), r.seq.Tokens...),
+			Tokens:         r.seq.Tokens,
+			pooled:         r.owned,
 			DecodesDone:    r.decodesDone,
 			EverComputed:   r.everComputed,
 			RestoredTokens: r.restoredTokens,
@@ -145,13 +155,21 @@ func (e *Engine) MigrateOut(id int64) (Migrated, bool) {
 // replica's cache, its host tier or a prior fleet fetch holds, and
 // only the remainder recomputes. Unstarted requests re-join the
 // arrival queue. IDs must remain unique among this engine's live
-// requests.
+// requests. m.Tokens is taken over, not copied: a private buffer that
+// came out of MigrateOut is adopted (and recycled here when the request
+// leaves), anything else is borrowed read-only like a submitted prompt;
+// the caller must not use m again.
+//
+//jenga:hotpath
 func (e *Engine) MigrateIn(m Migrated) {
-	toks := make([]core.Token, 0, len(m.Req.Prompt)+m.Req.OutputLen)
-	toks = append(toks, m.Tokens...)
+	toks := m.Tokens
+	if !m.pooled {
+		toks = borrowTokens(toks)
+	}
 	r := &run{
 		req:            m.Req,
 		seq:            &core.Sequence{ID: core.RequestID(m.Req.ID), PromptLen: len(m.Req.Prompt), Tokens: toks},
+		owned:          m.pooled,
 		ph:             phasePrefill,
 		decodesDone:    m.DecodesDone,
 		everComputed:   m.EverComputed,
@@ -164,10 +182,7 @@ func (e *Engine) MigrateIn(m Migrated) {
 	e.totalPromptTokens += int64(len(m.Req.Prompt))
 	e.migratedIn++
 	if !m.Started {
-		i := sort.Search(len(e.pending), func(i int) bool { return e.pending[i].req.Arrival > m.Req.Arrival })
-		e.pending = append(e.pending, nil)
-		copy(e.pending[i+1:], e.pending[i:])
-		e.pending[i] = r
+		e.enqueuePending(r)
 		return
 	}
 	e.waiting = append(e.waiting, r)
@@ -183,14 +198,17 @@ func (e *Engine) MigrateIn(m Migrated) {
 // decides whether the extracted requests are re-dispatched to
 // survivors — recompute from the prompt; EverComputed is preserved so
 // the survivor's recompute counts as RecomputedTokens, the crash's
-// waste — or counted lost. The caller owns wiping the manager
+// waste — or counted lost. Each record's Tokens is its request's
+// prompt itself; generated tokens died with the process, and their
+// buffers rejoin the free list. The caller owns wiping the manager
 // (core.Crasher); CrashOut only empties the engine's queues.
 func (e *Engine) CrashOut() []Migrated {
 	out := make([]Migrated, 0, len(e.running)+len(e.waiting)+len(e.pending))
 	extract := func(r *run, started bool) {
+		e.returnTokens(r)
 		out = append(out, Migrated{
 			Req:            r.req,
-			Tokens:         append([]core.Token(nil), r.req.Prompt...),
+			Tokens:         r.req.Prompt,
 			EverComputed:   r.everComputed,
 			RestoredTokens: r.restoredTokens,
 			RestoredBytes:  r.restoredBytes,

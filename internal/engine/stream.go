@@ -260,29 +260,37 @@ func (e *Engine) snapshot(u core.Usage) Snapshot {
 // Submit enqueues one request into the streaming core. The request
 // joins the arrival queue at req.Arrival (which may be in the
 // simulated past — it is then admitted on the next step). The engine
-// retains req; callers must not mutate it afterwards. IDs must be
-// unique among live requests.
+// retains req and reads req.Prompt in place until the request leaves
+// (no copy is made: Submit costs the same for an 8k-token prompt as
+// for a 64-token one); callers must not mutate either afterwards. The
+// engine itself never writes to the prompt's array. IDs must be unique
+// among live requests.
+//
+//jenga:hotpath
 func (e *Engine) Submit(req *workload.Request) error {
 	if req.OutputLen < 1 {
+		//jenga:alloc-ok invalid-request error path
 		return fmt.Errorf("engine: request %d has output length %d", req.ID, req.OutputLen)
 	}
-	// Size the token slice for the full prompt-plus-output lifetime up
-	// front so decode-time appends never reallocate.
-	toks := make([]core.Token, 0, len(req.Prompt)+req.OutputLen)
-	toks = append(toks, req.Prompt...)
-	r := &run{
+	e.enqueuePending(&run{
 		req: req,
-		seq: &core.Sequence{ID: core.RequestID(req.ID), PromptLen: len(req.Prompt), Tokens: toks},
-	}
-	// Stable insert by arrival: after existing entries with arrival
-	// ≤ req.Arrival, so submission order breaks ties exactly like the
-	// batch driver's stable sort.
-	i := sort.Search(len(e.pending), func(i int) bool { return e.pending[i].req.Arrival > req.Arrival })
+		seq: &core.Sequence{ID: core.RequestID(req.ID), PromptLen: len(req.Prompt), Tokens: borrowTokens(req.Prompt)},
+	})
+	e.totalPromptTokens += int64(len(req.Prompt))
+	return nil
+}
+
+// enqueuePending inserts r into the arrival queue: stable by arrival,
+// after existing entries with arrival ≤ r's, so submission order breaks
+// ties exactly like the batch driver's stable sort.
+//
+//jenga:hotpath
+func (e *Engine) enqueuePending(r *run) {
+	//jenga:alloc-ok the closure does not outlive sort.Search, so it stays on the stack
+	i := sort.Search(len(e.pending), func(i int) bool { return e.pending[i].req.Arrival > r.req.Arrival })
 	e.pending = append(e.pending, nil)
 	copy(e.pending[i+1:], e.pending[i:])
 	e.pending[i] = r
-	e.totalPromptTokens += int64(len(req.Prompt))
-	return nil
 }
 
 // Cancel terminates the request with the given ID wherever it is in

@@ -515,18 +515,20 @@ func (s *Server) handleEvent(ev engine.Event) {
 	s.finalize(st, ev, res)
 }
 
-// finalize records a terminal result and closes the stream.
+// finalize records a terminal result and closes the stream. done
+// closes before events: a consumer that drains Events to its close and
+// then asks for Result must find it, and Result is gated on done.
 func (s *Server) finalize(st *Stream, ev engine.Event, res StreamResult) {
 	st.result = res
 	s.records = append(s.records, res)
 	delete(s.streams, st.id)
+	close(st.done)
 	select {
 	case st.events <- ev:
 	default:
 		st.dropped++
 	}
 	close(st.events)
-	close(st.done)
 }
 
 // failAll terminates every live stream with err (engine abort).

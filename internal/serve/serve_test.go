@@ -113,6 +113,32 @@ func TestServerStreamsTokens(t *testing.T) {
 	}
 }
 
+// TestResultAfterEventsClose pins the close order in finalize: a
+// consumer that reads Events to its close must find the terminal
+// record in Result straight away. With events closed before done the
+// consumer could win the race between the two closes (seen as a
+// TestServerStreamsTokens flake under -race).
+func TestResultAfterEventsClose(t *testing.T) {
+	s := testServer(t, 64<<20, false, Config{})
+	reqs := testReqs(1, 1, 32, 2)
+	for i := 0; i < 400; i++ {
+		r := reqs[0]
+		r.ID = int64(i + 1)
+		st, err := s.Submit(context.Background(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range st.Events() {
+		}
+		if res, ok := st.Result(); !ok || res.State != StateFinished {
+			t.Fatalf("iteration %d: result %+v ok=%v right after the event channel closed", i, res, ok)
+		}
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServerContextCancelReleasesKV cancels one stream mid-generation
 // via its context and checks the KV returns and the other stream
 // completes untouched.
