@@ -25,9 +25,6 @@ type ScaleOptions struct {
 	Groups    int
 	PrefixLen int
 	SuffixLen int
-	// Mailbox and SnapshotEvery pass through to StreamConfig.
-	Mailbox       int
-	SnapshotEvery time.Duration
 	// Seed drives both the workload and arrival generators.
 	Seed int64
 	// NewSource, when non-nil, overrides the built-in PrefixGroups
@@ -167,11 +164,7 @@ func RunScale(opt ScaleOptions) (ScaleResult, error) {
 	}
 	w := watchHeap()
 	start := time.Now()
-	res, err := c.ServeStream(scaleSource(opt), cluster.StreamConfig{
-		Shards:        opt.Shards,
-		Mailbox:       opt.Mailbox,
-		SnapshotEvery: opt.SnapshotEvery,
-	})
+	res, err := c.ServeStream(scaleSource(opt), cluster.StreamConfig{Shards: opt.Shards})
 	wall := time.Since(start)
 	peak := w.done()
 	if err != nil {

@@ -15,9 +15,10 @@ import (
 // existed.
 //
 // Degrade and straggler windows slow the affected replica's simulated
-// steps in both serving paths; crash/restart point events and transfer
-// faults apply during ServeOnline, where there is an arrival loop to
-// order them against.
+// steps under every horizon policy; crash/restart point events and
+// transfer faults are cross-replica operations and apply in the barrier
+// sections of the every-arrival horizon (ServeOnline, and ServeStream
+// whenever a plan is attached), each at its exact simulated instant.
 type ChaosPolicy struct {
 	// Plan is the seeded fault schedule. Nil: no faults.
 	Plan *chaos.Plan
@@ -92,65 +93,31 @@ func (f *replicaFaults) StepFault(clock time.Duration) engine.StepFault {
 	return engine.StepFault{PCIe: pcie, Link: link, Slow: slow}
 }
 
-// chaosStats accumulates what the fault machinery did during one
-// ServeOnline pass.
-type chaosStats struct {
-	crashes, restarts int
-	redispatched      int
-	lost              int
-	dirInvalidations  int
-	rollbacks         int
-}
-
-// onlineState is the per-pass fleet state ServeOnline threads through
-// the routing and fleet helpers: which replicas are drained for
-// scale-down, each replica's chaos health, and the live fault cursor.
-type onlineState struct {
-	drained []bool
-	health  []Health
-	// cur walks the chaos plan's point events and failure streams (nil
-	// without a plan — every fault check short-circuits off).
-	cur     *chaos.Cursor
-	recover bool
-	stats   chaosStats
-}
-
-func newOnlineState(n int, pol ChaosPolicy) *onlineState {
-	st := &onlineState{
-		drained: make([]bool, n),
-		health:  make([]Health, n),
-		recover: pol.Recover,
-	}
-	if pol.Plan != nil {
-		st.cur = pol.Plan.Start()
-	}
-	return st
-}
-
 // applyChaos applies every pending point event with At ≤ upTo, in
-// order: all replicas advance to the event instant first, so a crash
-// takes exactly the progress made before it and nothing after.
-func (c *Cluster) applyChaos(st *onlineState, upTo time.Duration) error {
-	if st.cur == nil {
+// order, each in its own barrier section: all replicas advance to the
+// event instant first, so a crash takes exactly the progress made
+// before it and nothing after.
+func (c *Cluster) applyChaos(p *pass, upTo time.Duration) error {
+	if p.cur == nil {
 		return nil
 	}
 	for {
-		ev, ok := st.cur.Peek()
+		ev, ok := p.cur.Peek()
 		if !ok || ev.At > upTo {
 			return nil
 		}
-		for j, e := range c.engines {
-			if err := e.AdvanceTo(ev.At); err != nil {
-				return fmt.Errorf("cluster: replica %d: %w", j, err)
-			}
+		if err := p.barrier(ev.At); err != nil {
+			return err
 		}
 		switch ev.Kind {
 		case chaos.KindCrash:
-			c.crashReplica(st, ev.Replica)
+			if err := c.crashReplica(p, ev.Replica); err != nil {
+				return err
+			}
 		case chaos.KindRestart:
-			c.restartReplica(st, ev.Replica)
+			c.restartReplica(p, ev.Replica)
 		}
-		st.cur.Pop()
+		p.cur.Pop()
 	}
 }
 
@@ -159,64 +126,70 @@ func (c *Cluster) applyChaos(st *onlineState, upTo time.Duration) error {
 // restarts cold. With recovery on, the fleet reacts — the directory
 // drops the dead holder's entries and the lost requests re-dispatch to
 // the coolest survivors, recomputing from their prompts. Without it
-// the requests die with the replica.
-func (c *Cluster) crashReplica(st *onlineState, rep int) {
-	if rep < 0 || rep >= len(c.engines) || st.health[rep] == Dead {
-		return
+// the requests die with the replica. A replica that cannot restart
+// cold fails the run: serving on would read undefined manager state.
+func (c *Cluster) crashReplica(p *pass, rep int) error {
+	if rep < 0 || rep >= len(c.engines) || p.loads[rep].Health == Dead {
+		return nil
 	}
-	st.health[rep] = Dead
-	st.stats.crashes++
+	p.loads[rep].Health = Dead
+	p.out.Crashes++
 	lost := c.engines[rep].CrashOut()
 	if cr, ok := c.managers[rep].(core.Crasher); ok {
 		// The tier dies with the process: CrashReset swaps in a cold
 		// manager behind the same pointer the engine and store hold.
-		_ = cr.CrashReset()
+		if err := cr.CrashReset(); err != nil {
+			return fmt.Errorf("cluster: replica %d: crash reset: %w", rep, err)
+		}
 	}
-	if !st.recover {
-		st.stats.lost += len(lost)
-		return
+	if !c.cfg.Chaos.Recover {
+		p.out.LostRequests += len(lost)
+		return nil
 	}
 	if c.store != nil {
-		st.stats.dirInvalidations += c.store.Crash(rep)
+		p.out.DirInvalidations += c.store.Crash(rep)
 	}
 	for _, m := range lost {
-		dst := c.coolestReplica(st, rep)
+		dst := c.coolestReplica(p, rep)
 		if dst < 0 {
-			st.stats.lost++
+			p.out.LostRequests++
 			continue
 		}
 		c.engines[dst].MigrateIn(m)
-		st.stats.redispatched++
+		p.out.Redispatched++
 	}
+	return nil
 }
 
 // restartReplica brings a crashed replica back with a cold tier. Its
 // manager was already reset at crash time; new content re-registers in
 // the directory through the still-attached observer as it is spilled.
-func (c *Cluster) restartReplica(st *onlineState, rep int) {
-	if rep < 0 || rep >= len(c.engines) || st.health[rep] != Dead {
+func (c *Cluster) restartReplica(p *pass, rep int) {
+	if rep < 0 || rep >= len(c.engines) || p.loads[rep].Health != Dead {
 		return
 	}
-	st.health[rep] = Healthy
-	st.stats.restarts++
+	p.loads[rep].Health = Healthy
+	p.out.Restarts++
 }
 
 // refreshHealth re-derives each live replica's Sick/Healthy state from
 // the plan's windows at the given instant (Dead is sticky until a
-// restart event clears it).
-func (st *onlineState) refreshHealth(plan *chaos.Plan, at time.Duration) {
+// restart event clears it). Health lives in the loads, where routers
+// read it.
+func (c *Cluster) refreshHealth(p *pass, at time.Duration) {
+	plan := c.cfg.Chaos.Plan
 	if plan == nil {
 		return
 	}
-	for j := range st.health {
-		if st.health[j] == Dead {
+	for j := range p.loads {
+		if p.loads[j].Health == Dead {
 			continue
 		}
 		pcie, link, slow := plan.Window(j, at)
 		if pcie != 1 || link != 1 || slow != 1 {
-			st.health[j] = Sick
+			p.loads[j].Health = Sick
 		} else {
-			st.health[j] = Healthy
+			p.loads[j].Health = Healthy
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package cluster scales the single-engine serving simulation out to a
 // multi-replica cluster: N independent engine.Engine replicas — each
-// with its own core.Manager heap and simulated gpu.Device — run
-// concurrently on their own goroutines, while a pluggable Router
-// decides which replica serves each request of the arrival stream.
+// with its own core.Manager heap and simulated gpu.Device — run on
+// shard goroutines, while a pluggable Router decides which replica
+// serves each request of the arrival stream.
 //
 // The routing decision is where the paper's single-engine story meets
 // production scale-out: prefix-cache hit rate depends on *which*
@@ -13,29 +13,26 @@
 // the fleet's caches partition the prefix space — the PagedAttention
 // sharing insight lifted one level up.
 //
-// Engines are goroutine-confined: the cluster serializes routing, hands
-// each replica its own request slice, and only aggregates results after
-// all replicas finish. Nothing is shared between replica goroutines.
-//
-// Two serving paths share the replicas and the aggregation. Serve is
-// the batch path: placement is precomputed from estimate-drained
-// loads, then every replica's Engine.Run (the batch driver over the
-// engine's streaming core) executes concurrently. ServeOnline (see
-// online.go) drives the streaming cores directly: replicas advance to
-// each arrival instant, routers decide on live per-replica state
-// (measured Usage, queue depth, outstanding tokens — Load.Live), and
-// per-replica admission policies shed at arrival.
-//
-//jenga:concurrent batch fan-out: one goroutine per goroutine-confined replica, joined before aggregation
+// There is one serve loop (drive, stream.go): it pulls arrivals from a
+// workload.Source, places each one through the single placement step
+// (place), and dispatches it to the owning replica's shard mailbox.
+// Serve, ServeOnline and ServeStream differ only in the loop's horizon
+// policy — when every shard is parked at one simulated instant so the
+// router may read live replica state and run cross-replica operations:
+// never (Serve: routers see estimate-drained loads, Load.Live false),
+// at every arrival (ServeOnline, and any fleet or chaos config: live
+// per-arrival state, fleet store, migration, crash recovery), or at
+// every SnapshotEvery of simulated time (ServeStream: epoch snapshots).
+// Engines are goroutine-confined to their shard; the router touches
+// them only inside a barrier section, after every shard has acked.
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
+	"jenga/internal/chaos"
 	"jenga/internal/core"
 	"jenga/internal/detmap"
 	"jenga/internal/engine"
@@ -103,18 +100,20 @@ type Config struct {
 	// is measured against (0: attainment over per-request deadlines).
 	SLOTTFT time.Duration
 	// Fleet configures the cluster-wide KV store and live request
-	// migration for ServeOnline (see FleetPolicy). Zero value:
-	// disabled — no directory, no peer transfers, no migration.
+	// migration (see FleetPolicy); it runs under the every-arrival
+	// horizon, so ServeOnline and ServeStream apply it and Serve does
+	// not. Zero value: disabled — no directory, no peer transfers, no
+	// migration.
 	Fleet FleetPolicy
 	// Chaos attaches a deterministic fault-injection plan and the
 	// recovery machinery (see ChaosPolicy). Zero value: no faults,
 	// bit-identical to a chaos-free cluster.
 	Chaos ChaosPolicy
 	// EventSink, when set, receives every replica engine's events
-	// tagged with the replica index. During the arrival loop events
-	// arrive serially; during the concurrent drain phase they arrive
-	// from replica goroutines, so implementations must be
-	// goroutine-safe.
+	// tagged with the replica index. One replica's events come from one
+	// goroutine at a time (its shard, or the router inside a barrier
+	// section), but different replicas' events arrive concurrently, so
+	// implementations must be goroutine-safe across replicas.
 	EventSink func(replica int, ev engine.Event)
 }
 
@@ -210,7 +209,7 @@ type Result struct {
 	// (the sum of per-replica MigratedIn).
 	Migrations int
 	// Crashes and Restarts count the chaos plan's replica failures
-	// applied during ServeOnline; Redispatched is how many in-flight
+	// applied during the run; Redispatched is how many in-flight
 	// requests from crashed replicas were recovered onto survivors,
 	// LostRequests how many died with their replica (recovery off, or
 	// no survivor to take them).
@@ -231,9 +230,9 @@ type Result struct {
 	PerReplica []ReplicaResult
 }
 
-// Cluster owns N engine replicas and a router. Serve may be called
-// repeatedly (replica caches stay warm across calls) but is not safe
-// for concurrent use.
+// Cluster owns N engine replicas and a router. The serve methods may be
+// called repeatedly (replica caches stay warm across calls) but are not
+// safe for concurrent use.
 type Cluster struct {
 	cfg     Config
 	router  Router
@@ -343,135 +342,272 @@ func New(cfg Config) (*Cluster, error) {
 // Router returns the active router (tests and diagnostics).
 func (c *Cluster) Router() Router { return c.router }
 
-// Route partitions a request stream across replicas in arrival order
-// without running it, returning one slice per replica. Exposed so
-// tests and tools can inspect placement; Serve uses the same path.
-// Stateful built-in routers are reset at the start of every pass, so
-// placement is a pure function of the stream and a Route followed by
-// Serve sees the identical assignment (a custom stateful Router keeps
-// its own state across passes and forfeits that guarantee).
-func (c *Cluster) Route(reqs []workload.Request) [][]workload.Request {
-	assigned, _ := c.route(reqs)
-	return assigned
+// The horizon policy is when drive parks every shard at one simulated
+// instant (a barrier): never, at every arrival, or — any positive
+// value — every that much simulated time.
+const (
+	horizonNever        time.Duration = -1
+	horizonEveryArrival time.Duration = 0
+)
+
+// pass is the state of one pass over an arrival stream: the loads the
+// router sees, and the fleet view barrier sections maintain.
+type pass struct {
+	loads        []Load
+	lastArrival  time.Duration
+	routedGroups map[int64]int
+	// drained marks replicas scaled down out of service; drainFired
+	// latches the one-shot scale-down.
+	drained    []bool
+	drainFired bool
+	// cur walks the chaos plan's point events and failure streams (nil
+	// unless the pass runs barrier sections under a plan — every fault
+	// check short-circuits off).
+	cur       *chaos.Cursor
+	storeBase fleet.StoreStats
+	// out is the pass's Result; barrier sections count what they did
+	// (crashes, redispatches, rollbacks, …) straight into it and
+	// aggregate fills in the rest.
+	out Result
+	// shards are the replica event loops (nil for Route's dry run).
+	shards []*streamShard
 }
 
-// route is Route plus the final per-replica Load vector.
-func (c *Cluster) route(reqs []workload.Request) ([][]workload.Request, []Load) {
+// newPass starts a pass. Stateful built-in routers are reset, so
+// placement is a pure function of the stream and a Route followed by a
+// serve call sees the identical assignment (a custom stateful Router
+// keeps its own state across passes and forfeits that guarantee).
+func (c *Cluster) newPass() *pass {
 	if r, ok := c.router.(resettable); ok {
 		r.reset()
 	}
 	n := len(c.engines)
-	assigned := make([][]workload.Request, n)
-	loads := make([]Load, n)
-	for i := range loads {
-		loads[i].Replica = i
+	p := &pass{
+		loads:        make([]Load, n),
+		routedGroups: make(map[int64]int),
+		drained:      make([]bool, n),
 	}
+	for i := range p.loads {
+		p.loads[i].Replica = i
+	}
+	if c.store != nil {
+		p.storeBase = c.store.Stats()
+	}
+	return p
+}
+
+// place is the one placement step: drain the estimated outstanding work
+// at the nominal serving rate for the time since the previous arrival,
+// ask the router, fall over when its pick is out of service, and book
+// the request against the chosen replica.
+func (c *Cluster) place(p *pass, r *workload.Request) int {
+	if dt := (r.Arrival - p.lastArrival).Seconds(); dt > 0 && c.drainRate > 0 {
+		for j := range p.loads {
+			p.loads[j].Outstanding = max(p.loads[j].Outstanding-c.drainRate*dt, 0)
+		}
+	}
+	p.lastArrival = r.Arrival
+	rep := c.router.Route(r, p.loads)
+	if rep < 0 || rep >= len(p.loads) {
+		rep = 0 // defensive: a broken custom router must not panic the run
+	}
+	if p.drained[rep] || p.loads[rep].Health != Healthy {
+		// The router's pick is out of service (drained, dead, or inside a
+		// fault window — states only a barrier section sets): fall over to
+		// the coolest healthy survivor (lowest index on ties). With
+		// nowhere better to go the pick stands.
+		if alt := c.coolestReplica(p, -1); alt >= 0 {
+			rep = alt
+		}
+	}
+	work := int64(len(r.Prompt) + r.OutputLen)
+	l := &p.loads[rep]
+	l.Requests++
+	l.RoutedTokens += work
+	l.Outstanding += float64(work)
+	if l.Live {
+		// Optimistic deltas over the last snapshot: it cannot see work
+		// routed after it, so without them a load-aware router dumps a
+		// whole epoch's arrivals on whichever replica the snapshot showed
+		// coolest. The next horizon overwrites both with measured values.
+		l.OutstandingTokens += work
+		l.QueueDepth++
+	}
+	p.routedGroups[r.Group]++
+	return rep
+}
+
+// sortedByArrival returns a copy of reqs stably sorted by arrival.
+func sortedByArrival(reqs []workload.Request) []workload.Request {
 	stream := append([]workload.Request(nil), reqs...)
 	sort.SliceStable(stream, func(i, j int) bool { return stream[i].Arrival < stream[j].Arrival })
-	lastArrival := time.Duration(0)
+	return stream
+}
+
+// Route partitions a request stream across replicas in arrival order
+// without running it, returning one slice per replica: a dry run of the
+// placement step Serve performs, so tests and tools can inspect
+// placement.
+func (c *Cluster) Route(reqs []workload.Request) [][]workload.Request {
+	p := c.newPass()
+	assigned := make([][]workload.Request, len(c.engines))
+	stream := sortedByArrival(reqs)
 	for i := range stream {
-		r := &stream[i]
-		// Drain outstanding work at the nominal serving rate for the
-		// time elapsed since the previous arrival.
-		if dt := (r.Arrival - lastArrival).Seconds(); dt > 0 && c.drainRate > 0 {
-			for j := range loads {
-				loads[j].Outstanding -= c.drainRate * dt
-				if loads[j].Outstanding < 0 {
-					loads[j].Outstanding = 0
-				}
-			}
-		}
-		lastArrival = r.Arrival
-		rep := c.router.Route(r, loads)
-		if rep < 0 || rep >= n {
-			rep = 0 // defensive: a broken custom router must not panic the run
-		}
-		work := int64(len(r.Prompt) + r.OutputLen)
-		loads[rep].Requests++
-		loads[rep].RoutedTokens += work
-		loads[rep].Outstanding += float64(work)
-		assigned[rep] = append(assigned[rep], *r)
+		rep := c.place(p, &stream[i])
+		assigned[rep] = append(assigned[rep], stream[i])
 	}
-	return assigned, loads
+	return assigned
 }
 
-// Serve routes the request stream and runs every replica to completion
-// concurrently, then aggregates the fleet result. The simulation is
-// deterministic: placement is computed serially before any replica
-// starts, and each replica's engine is deterministic on its share.
+// Serve is the batch path: the serve loop with no horizon. Routers see
+// estimate-drained loads only (Load.Live stays false), nothing reads a
+// replica before the stream ends, and every replica runs its share on
+// its own shard. Fleet and chaos point events need barrier sections and
+// do not run here (degrade and straggler windows still slow steps).
 func (c *Cluster) Serve(reqs []workload.Request) (*Result, error) {
-	assigned, loads := c.route(reqs)
-	n := len(c.engines)
-	results := make([]*engine.Result, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range c.engines {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := c.engines[i].Run(assigned[i])
-			if err != nil {
-				errs[i] = fmt.Errorf("cluster: replica %d: %w", i, err)
-				return
-			}
-			results[i] = res
-		}(i)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return c.aggregate(loads, results, groupCounts(reqs)), nil
+	return c.drive(workload.SliceSource(sortedByArrival(reqs)), len(c.engines), horizonNever, true)
 }
 
-// groupCounts tallies the request stream by group label (every
-// request is routed somewhere, so this is the fleet's routed-group
-// census).
-func groupCounts(reqs []workload.Request) map[int64]int {
-	out := make(map[int64]int)
-	for i := range reqs {
-		out[reqs[i].Group]++
+// ServeOnline drives the fleet as an online event-driven system in
+// simulated time: the serve loop with a horizon at every arrival. Every
+// replica is advanced to each request's arrival instant, the router
+// places the request against the replicas' *live* state — measured KV
+// usage, queue depth and outstanding work, not drained estimates — and
+// the replica's admission policy may still shed it. The fleet store,
+// scale-down drain, rebalancing migration and the chaos plan's crash
+// and restart events run in the barrier sections this horizon opens,
+// each at its exact simulated instant.
+func (c *Cluster) ServeOnline(reqs []workload.Request) (*Result, error) {
+	return c.drive(workload.SliceSource(sortedByArrival(reqs)), 1, horizonEveryArrival, true)
+}
+
+// sample is one latency distribution: every value kept (slice-backed
+// runs: exact nearest-rank percentiles) or a log-bucketed histogram
+// (streamed runs: fixed memory, ≤ ~4.5% relative error).
+type sample struct {
+	keep   bool
+	values []time.Duration
+	hist   metrics.DurationHist
+}
+
+func (s *sample) observe(d time.Duration) {
+	if s.keep {
+		s.values = append(s.values, d)
+		return
+	}
+	s.hist.Observe(d)
+}
+
+func (s *sample) merge(o *sample) {
+	s.values = append(s.values, o.values...)
+	s.hist.Merge(&o.hist)
+}
+
+func (s *sample) percentiles(ps ...float64) []time.Duration {
+	if s.keep {
+		return metrics.Percentiles(s.values, ps...)
+	}
+	out := make([]time.Duration, len(ps))
+	for i, p := range ps {
+		out[i] = s.hist.Percentile(p)
 	}
 	return out
 }
 
-// aggregate folds per-replica results into the fleet view.
-// routedGroups maps each group label to the number of requests routed
-// anywhere in the fleet (starvation accounting needs the groups that
-// got nothing back).
-func (c *Cluster) aggregate(loads []Load, results []*engine.Result, routedGroups map[int64]int) *Result {
-	out := &Result{
-		Policy:   c.router.Name(),
-		Replicas: len(results),
+// groupAcc is one tenant's exact served-work accumulator.
+type groupAcc struct {
+	tokens   int64
+	finished int
+	ttftSum  time.Duration
+}
+
+// latencyAcc folds finished requests into everything the Result derives
+// from per-request records. Streamed runs feed one per shard from the
+// engines' retire sinks (touched only by that shard's goroutine) and
+// merge them after the join; slice-backed runs feed it from
+// engine.Result.PerRequest.
+type latencyAcc struct {
+	slo                time.Duration
+	ttft, e2e, restore sample
+	finished           int
+	deadlineMet        int
+	sloMet             int
+	groups             map[int64]*groupAcc
+}
+
+func newLatencyAcc(exact bool, slo time.Duration) *latencyAcc {
+	a := &latencyAcc{slo: slo, groups: make(map[int64]*groupAcc)}
+	a.ttft.keep, a.e2e.keep, a.restore.keep = exact, exact, exact
+	return a
+}
+
+func (a *latencyAcc) group(id int64) *groupAcc {
+	g := a.groups[id]
+	if g == nil {
+		g = &groupAcc{}
+		a.groups[id] = g
 	}
-	var cached, computed, generated, restored int64
-	var ttfts, e2es, restores []time.Duration
-	deadlineMet := 0
-	shares := make([]float64, len(results))
-	type groupAcc struct {
-		tokens   int64
-		finished int
-		ttftSum  time.Duration
+	return g
+}
+
+// observe folds one finished request.
+func (a *latencyAcc) observe(m engine.RequestMetrics) {
+	a.ttft.observe(m.TTFT)
+	a.e2e.observe(m.E2E)
+	a.restore.observe(m.RestoreTime)
+	a.finished++
+	if m.Deadline == 0 || m.E2E <= m.Deadline {
+		a.deadlineMet++
 	}
-	groups := make(map[int64]*groupAcc)
-	for i, res := range results {
-		shares[i] = float64(loads[i].RoutedTokens)
+	if m.TTFT <= a.slo {
+		a.sloMet++
+	}
+	g := a.group(m.Group)
+	g.tokens += int64(m.Tokens)
+	g.finished++
+	g.ttftSum += m.TTFT
+}
+
+func (a *latencyAcc) merge(o *latencyAcc) {
+	a.ttft.merge(&o.ttft)
+	a.e2e.merge(&o.e2e)
+	a.restore.merge(&o.restore)
+	a.finished += o.finished
+	a.deadlineMet += o.deadlineMet
+	a.sloMet += o.sloMet
+	//jenga:order-ok integer sums into the cell keyed by the loop key
+	for id, og := range o.groups {
+		g := a.group(id)
+		g.tokens += og.tokens
+		g.finished += og.finished
+		g.ttftSum += og.ttftSum
+	}
+}
+
+// aggregate folds the drained replicas into the fleet view. acc already
+// holds whatever the retire sinks streamed; per-request records the
+// engines retained instead (slice-backed runs) fold in here.
+func (c *Cluster) aggregate(p *pass, acc *latencyAcc) *Result {
+	out := &p.out
+	out.Policy, out.Replicas = c.router.Name(), len(c.engines)
+	var generated int64
+	shares := make([]float64, len(c.engines))
+	for i, e := range c.engines {
+		res := e.ResultSnapshot()
+		shares[i] = float64(p.loads[i].RoutedTokens)
 		out.PerReplica = append(out.PerReplica, ReplicaResult{
 			Replica:      i,
-			Requests:     loads[i].Requests,
-			RoutedTokens: loads[i].RoutedTokens,
+			Requests:     p.loads[i].Requests,
+			RoutedTokens: p.loads[i].RoutedTokens,
 			Result:       res,
 		})
 		out.Finished += res.Finished
 		out.Failed += res.Failed
 		out.Shed += res.Shed
-		if res.Duration > out.Duration {
-			out.Duration = res.Duration
-		}
-		cached += res.CachedPromptTokens
-		computed += res.ComputedPromptTokens
+		out.Duration = max(out.Duration, res.Duration)
+		out.CachedPromptTokens += res.CachedPromptTokens
+		out.ComputedPromptTokens += res.ComputedPromptTokens
 		generated += res.GeneratedTokens
-		restored += res.RestoredTokens
 		out.RestoredTokens += res.RestoredTokens
 		out.RecomputedTokens += res.RecomputedTokens
 		out.SwapOuts += res.SwapOuts
@@ -482,63 +618,53 @@ func (c *Cluster) aggregate(loads []Load, results []*engine.Result, routedGroups
 		out.Migrations += res.MigratedIn
 		out.MeanKVUtil += res.MeanKVUtil
 		for _, rm := range res.PerRequest {
-			ttfts = append(ttfts, rm.TTFT)
-			e2es = append(e2es, rm.E2E)
-			restores = append(restores, rm.RestoreTime)
-			if rm.Deadline == 0 || rm.E2E <= rm.Deadline {
-				deadlineMet++
-			}
-			g := groups[rm.Group]
-			if g == nil {
-				g = &groupAcc{}
-				groups[rm.Group] = g
-			}
-			g.tokens += int64(rm.Tokens)
-			g.finished++
-			g.ttftSum += rm.TTFT
+			acc.observe(rm)
 		}
 	}
 	// Cross-replica fairness and starvation over prefix groups. Sorted
 	// traversal keeps the float accumulation order (and so Jain's
 	// rounding) identical across runs.
-	groupTokens := make([]float64, 0, len(groups))
-	for _, g := range detmap.Sorted(groups) {
+	groupTokens := make([]float64, 0, len(acc.groups))
+	for _, g := range detmap.Sorted(acc.groups) {
 		groupTokens = append(groupTokens, float64(g.tokens))
-		if mean := g.ttftSum / time.Duration(g.finished); mean > out.MaxGroupMeanTTFT {
-			out.MaxGroupMeanTTFT = mean
-		}
+		out.MaxGroupMeanTTFT = max(out.MaxGroupMeanTTFT, g.ttftSum/time.Duration(g.finished))
 	}
 	out.GroupJain = metrics.Jain(groupTokens)
-	for g, routed := range routedGroups {
-		if routed > 0 && groups[g] == nil {
+	for g, routed := range p.routedGroups {
+		if routed > 0 && acc.groups[g] == nil {
 			out.StarvedGroups++
 		}
 	}
-	if n := len(results); n > 0 {
-		out.MeanKVUtil /= float64(n)
-	}
+	out.MeanKVUtil /= float64(len(c.engines))
 	if out.Duration > 0 {
 		out.ReqPerSec = float64(out.Finished) / out.Duration.Seconds()
-		out.TokensPerSec = float64(computed+generated) / out.Duration.Seconds()
-		out.Goodput = metrics.Goodput(deadlineMet, out.Duration)
+		out.TokensPerSec = float64(out.ComputedPromptTokens+generated) / out.Duration.Seconds()
+		out.Goodput = metrics.Goodput(acc.deadlineMet, out.Duration)
 	}
-	if c.cfg.SLOTTFT > 0 {
-		out.SLOAttainment = metrics.Attainment(ttfts, c.cfg.SLOTTFT)
-	} else {
-		out.SLOAttainment = metrics.Fraction(deadlineMet, out.Finished)
+	switch {
+	case c.cfg.SLOTTFT <= 0:
+		out.SLOAttainment = metrics.Fraction(acc.deadlineMet, out.Finished)
+	case acc.finished == 0:
+		out.SLOAttainment = 1
+	default:
+		out.SLOAttainment = float64(acc.sloMet) / float64(acc.finished)
 	}
-	out.CachedPromptTokens = cached
-	out.ComputedPromptTokens = computed
-	if work := cached + computed; work > 0 {
-		out.HitRate = float64(cached) / float64(work)
-		out.TierHitRate = float64(restored) / float64(work)
+	if work := out.CachedPromptTokens + out.ComputedPromptTokens; work > 0 {
+		out.HitRate = float64(out.CachedPromptTokens) / float64(work)
+		out.TierHitRate = float64(out.RestoredTokens) / float64(work)
 		out.PeerHitRate = float64(out.PeerTokens) / float64(work)
 	}
-	out.P99Restore = metrics.Percentile(restores, 99)
 	out.Imbalance = metrics.Imbalance(shares)
-	tq := metrics.Percentiles(ttfts, 50, 99)
-	eq := metrics.Percentiles(e2es, 50, 99)
+	tq := acc.ttft.percentiles(50, 99)
+	eq := acc.e2e.percentiles(50, 99)
 	out.P50TTFT, out.P99TTFT = tq[0], tq[1]
 	out.P50E2E, out.P99E2E = eq[0], eq[1]
+	out.P99Restore = acc.restore.percentiles(99)[0]
+	if c.store != nil {
+		ss := c.store.Stats()
+		out.FetchRetries = ss.Retries - p.storeBase.Retries
+		out.FetchFailures = ss.Failed - p.storeBase.Failed
+		out.FetchSkips = ss.Skipped - p.storeBase.Skipped
+	}
 	return out
 }

@@ -8,9 +8,12 @@ import (
 )
 
 // FleetPolicy configures the cluster-wide KV store and live request
-// migration (internal/fleet) for ServeOnline. The zero value disables
-// everything: no directory, no peer transfers, no migration — the
-// cluster is bit-identical to a fleet-unaware one.
+// migration (internal/fleet). The zero value disables everything: no
+// directory, no peer transfers, no migration — the cluster is
+// bit-identical to a fleet-unaware one. Every mechanism here is a
+// cross-replica operation, so it runs only inside the barrier sections
+// of the every-arrival horizon (ServeOnline, and ServeStream whenever
+// the policy is enabled), where all shards are parked at one instant.
 type FleetPolicy struct {
 	// Store enables the fleet-wide KV store: every replica's host tier
 	// registers its content in a shared prefix directory, and a local
@@ -48,15 +51,35 @@ func (p FleetPolicy) enabled() bool {
 	return p.Store || p.Migrate || p.DrainAfter > 0
 }
 
-// fleetFetch runs the fleet-store miss path for a request routed to
-// replica rep: if the directory says peers extend rep's local prefix,
-// the pages move into rep's host tier now (serially, before Submit)
-// and the wire bytes are charged to rep's next step as peer-link DMA.
-func (c *Cluster) fleetFetch(rep int, id int64, prompt []core.Token) {
-	if c.store == nil {
+// arrivalSection opens the barrier section an arrival at instant at is
+// placed in: chaos point events due by then apply at their own
+// instants, every replica advances to at, health is re-derived, and the
+// one-shot scale-down fires at the first arrival at or past its
+// deadline.
+func (c *Cluster) arrivalSection(p *pass, at time.Duration) error {
+	if err := c.applyChaos(p, at); err != nil {
+		return err
+	}
+	if err := p.barrier(at); err != nil {
+		return err
+	}
+	c.refreshHealth(p, at)
+	if d := c.cfg.Fleet.DrainAfter; d > 0 && !p.drainFired && at >= d {
+		p.drainFired = true
+		c.drainReplicas(p)
+	}
+	return nil
+}
+
+// fleetFetch runs the fleet-store miss path for tokens about to be
+// admitted on replica rep: if the directory says peers extend rep's
+// local prefix, the pages move into rep's host tier now and the wire
+// bytes are charged to rep's next step as peer-link DMA.
+func (c *Cluster) fleetFetch(rep int, id int64, promptLen int, tokens []core.Token) {
+	if c.store == nil || len(tokens) == 0 {
 		return
 	}
-	seq := &core.Sequence{ID: core.RequestID(id), PromptLen: len(prompt), Tokens: prompt}
+	seq := &core.Sequence{ID: core.RequestID(id), PromptLen: promptLen, Tokens: tokens}
 	now := core.Tick(c.engines[rep].SnapshotTotals().Step)
 	if fr := c.store.Fetch(rep, seq, now); fr.Bytes > 0 {
 		c.engines[rep].RecordPeerFetch(fr.Tokens, fr.Bytes)
@@ -72,26 +95,20 @@ func (c *Cluster) fleetFetch(rep int, id int64, prompt []core.Token) {
 // are still in its tier, so MigrateIn re-queues the request exactly
 // where it left — unless the source is draining out of service, in
 // which case the request is shed (its one terminal event).
-func (c *Cluster) migrate(st *onlineState, src, dst int, id int64) bool {
+func (c *Cluster) migrate(p *pass, src, dst int, id int64) bool {
 	m, ok := c.engines[src].MigrateOut(id)
 	if !ok {
 		return false
 	}
-	if st != nil && st.cur != nil && st.cur.FailMigration() {
-		st.stats.rollbacks++
+	if p.cur != nil && p.cur.FailMigration() {
+		p.out.MigrationRollbacks++
 		c.engines[src].MigrateIn(m)
-		if st.drained[src] {
+		if p.drained[src] {
 			c.engines[src].Shed(m.Req.ID)
 		}
 		return false
 	}
-	if c.store != nil && len(m.Tokens) > 0 {
-		seq := &core.Sequence{ID: core.RequestID(m.Req.ID), PromptLen: len(m.Req.Prompt), Tokens: m.Tokens}
-		now := core.Tick(c.engines[dst].SnapshotTotals().Step)
-		if fr := c.store.Fetch(dst, seq, now); fr.Bytes > 0 {
-			c.engines[dst].RecordPeerFetch(fr.Tokens, fr.Bytes)
-		}
-	}
+	c.fleetFetch(dst, m.Req.ID, len(m.Req.Prompt), m.Tokens)
 	c.engines[dst].MigrateIn(m)
 	return true
 }
@@ -102,11 +119,11 @@ func (c *Cluster) migrate(st *onlineState, src, dst int, id int64) bool {
 // sick ones (inside a degraded or straggler window) are a fallback;
 // dead and drained replicas are never candidates. Returns -1 when no
 // candidate is in service.
-func (c *Cluster) coolestReplica(st *onlineState, exclude int) int {
+func (c *Cluster) coolestReplica(p *pass, exclude int) int {
 	pick := func(want Health) int {
 		best, bestOut := -1, int64(0)
 		for i, e := range c.engines {
-			if st.drained[i] || i == exclude || st.health[i] != want {
+			if p.drained[i] || i == exclude || p.loads[i].Health != want {
 				continue
 			}
 			out := e.SnapshotTotals().OutstandingTokens
@@ -124,9 +141,8 @@ func (c *Cluster) coolestReplica(st *onlineState, exclude int) int {
 
 // drainReplicas evacuates the fleet's tail replicas for scale-down:
 // every live request on a draining replica migrates to the coolest
-// surviving replica (Migrate) or is shed (otherwise). Runs serially
-// inside the arrival loop, so the evacuation is deterministic.
-func (c *Cluster) drainReplicas(st *onlineState) {
+// surviving replica (Migrate) or is shed (otherwise).
+func (c *Cluster) drainReplicas(p *pass) {
 	n := len(c.engines)
 	k := c.cfg.Fleet.DrainReplicas
 	if k <= 0 {
@@ -136,16 +152,16 @@ func (c *Cluster) drainReplicas(st *onlineState) {
 		k = n - 1
 	}
 	for d := n - k; d < n; d++ {
-		st.drained[d] = true
+		p.drained[d] = true
 	}
 	for d := n - k; d < n; d++ {
 		for _, cand := range c.engines[d].MigrationCandidates() {
 			if c.cfg.Fleet.Migrate {
-				if dst := c.coolestReplica(st, -1); dst >= 0 {
+				if dst := c.coolestReplica(p, -1); dst >= 0 {
 					// A rolled-back migration sheds internally (the
 					// source is draining), so the request still ends
 					// with exactly one terminal either way.
-					c.migrate(st, d, dst, cand.ID)
+					c.migrate(p, d, dst, cand.ID)
 					continue
 				}
 			}
@@ -154,21 +170,23 @@ func (c *Cluster) drainReplicas(st *onlineState) {
 	}
 }
 
+// rebalancing reports whether imbalance rebalancing is configured.
+func (c *Cluster) rebalancing() bool {
+	return c.cfg.Fleet.Migrate && c.cfg.Fleet.ImbalanceThreshold > 1
+}
+
 // rebalance moves one request from the hottest replica to the coolest
 // when the imbalance threshold is exceeded. The victim is the
 // deterministic first candidate with the most remaining work, running
 // requests preferred (their KV rides the transfer path; queued ones
 // carry nothing).
-func (c *Cluster) rebalance(st *onlineState) {
+func (c *Cluster) rebalance(p *pass) {
 	thr := c.cfg.Fleet.ImbalanceThreshold
-	if !c.cfg.Fleet.Migrate || thr <= 1 {
-		return
-	}
 	var total int64
 	hot, hotOut := -1, int64(0)
 	live := 0
 	for i, e := range c.engines {
-		if st.drained[i] || st.health[i] == Dead {
+		if p.drained[i] || p.loads[i].Health == Dead {
 			continue
 		}
 		live++
@@ -196,8 +214,8 @@ func (c *Cluster) rebalance(st *onlineState) {
 	if victim < 0 {
 		return
 	}
-	if dst := c.coolestReplica(st, hot); dst >= 0 {
-		c.migrate(st, hot, dst, victim)
+	if dst := c.coolestReplica(p, hot); dst >= 0 {
+		c.migrate(p, hot, dst, victim)
 	}
 }
 

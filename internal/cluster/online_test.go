@@ -89,6 +89,8 @@ type liveRecordingRouter struct {
 	sawLive  int
 	sawUsage int
 	sawQueue int
+	// sawStale counts loads that are not Live yet carry live fields.
+	sawStale int
 }
 
 func (r *liveRecordingRouter) Name() string { return "live-recording" }
@@ -103,6 +105,8 @@ func (r *liveRecordingRouter) Route(req *workload.Request, loads []Load) int {
 			if l.QueueDepth > 0 || l.OutstandingTokens > 0 {
 				r.sawQueue++
 			}
+		} else if l.QueueDepth != 0 || l.OutstandingTokens != 0 || l.Usage.Free+l.Usage.Used+l.Usage.Cached+l.Usage.Wasted != 0 {
+			r.sawStale++
 		}
 	}
 	return r.rr.Route(req, loads)
@@ -141,8 +145,9 @@ func TestServeOnlineRoutersSeeLiveState(t *testing.T) {
 	if _, err := c2.Serve(onlineWorkload(13, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if rec2.sawLive != 0 {
-		t.Errorf("batch Serve handed routers %d live loads, want 0", rec2.sawLive)
+	if rec2.sawLive != 0 || rec2.sawStale != 0 {
+		t.Errorf("batch Serve handed routers %d live loads and %d with live fields set, want 0 and 0",
+			rec2.sawLive, rec2.sawStale)
 	}
 }
 

@@ -57,10 +57,11 @@ func ParsePolicy(s string) (RouterPolicy, error) {
 // Load is the router-visible state of one replica at routing time. The
 // cluster maintains it: RoutedTokens grows with every assignment and
 // Outstanding additionally drains at the replica's nominal serving
-// rate as simulated arrival time advances. In online serving
-// (Cluster.ServeOnline) the Live fields additionally carry the
-// replica's actual scheduler state at the arrival instant, so routers
-// decide on measured usage and queue depth instead of estimates.
+// rate as simulated arrival time advances. Under a horizon policy
+// (ServeOnline, ServeStream) the Live fields additionally carry the
+// replica's actual scheduler state as of the last horizon — the
+// arrival instant itself for ServeOnline — so routers decide on
+// measured usage and queue depth instead of estimates.
 type Load struct {
 	// Replica is the replica index.
 	Replica int
@@ -72,8 +73,8 @@ type Load struct {
 	// Outstanding estimates tokens routed but not yet served.
 	Outstanding float64
 	// Live reports whether the fields below hold the replica's real
-	// scheduler state (online serving) rather than zero values (the
-	// precomputed batch routing pass).
+	// scheduler state (a horizon has published it) rather than zero
+	// values (Serve and Route, which have no horizon).
 	Live bool
 	// Usage is the replica's live KV memory accounting.
 	Usage core.Usage
@@ -83,10 +84,11 @@ type Load struct {
 	// OutstandingTokens is the replica's live admitted-but-unserved
 	// work: remaining prompt plus remaining output tokens.
 	OutstandingTokens int64
-	// Health is the replica's live health under a chaos plan (online
-	// serving; always Healthy without one). Routers may read it to
-	// avoid sick replicas; the cluster itself falls requests over when
-	// a router picks a dead or sick one.
+	// Health is the replica's live health under a chaos plan (the
+	// every-arrival horizon; always Healthy without one). Routers may
+	// read it to avoid sick replicas — the cluster owns the field and
+	// falls requests over itself when a router picks a dead or sick
+	// replica.
 	Health Health
 }
 

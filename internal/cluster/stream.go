@@ -1,4 +1,4 @@
-//jenga:concurrent sharded event loops: replica shards, bounded mailboxes, and the epoch-horizon barrier channels
+//jenga:concurrent the one serve loop: replica shards, bounded mailboxes, and the horizon barrier channels
 package cluster
 
 import (
@@ -6,9 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"jenga/internal/detmap"
 	"jenga/internal/engine"
-	"jenga/internal/metrics"
 	"jenga/internal/workload"
 )
 
@@ -18,26 +16,29 @@ type StreamConfig struct {
 	// runs on shard i mod Shards. 0 or negative defaults to 1; values
 	// above the replica count are clamped (an empty shard is useless).
 	Shards int
-	// Mailbox is each shard's bounded command-queue depth (routed
-	// arrivals plus snapshot horizons). 0 defaults to 256.
-	Mailbox int
 	// SnapshotEvery is the load-snapshot epoch length K in simulated
 	// time: replicas publish their SnapshotTotals at every multiple of
 	// K, and the router reads those epoch snapshots instead of
 	// force-advancing all engines per arrival. Smaller K is fresher
-	// load state but more synchronization; 0 defaults to 10ms.
+	// load state but more synchronization; 0 defaults to 10ms. A
+	// cluster with a fleet or chaos config synchronizes at every
+	// arrival instead (those mechanisms are defined per arrival).
 	SnapshotEvery time.Duration
 }
 
 const (
-	defaultMailbox       = 256
+	// mailboxDepth bounds each shard's command queue (routed arrivals
+	// plus horizons): deep enough that the router rarely blocks inside
+	// an epoch, shallow enough that a streamed workload stays O(1) in
+	// memory.
+	mailboxDepth         = 256
 	defaultSnapshotEvery = 10 * time.Millisecond
 )
 
 // streamCmd is one shard-mailbox entry: a routed arrival (horizon
-// false) or a snapshot-horizon barrier (horizon true). Commands reach
-// each shard in router order, so per-replica arrival order is exactly
-// the routing order.
+// false) or a horizon barrier (horizon true). Commands reach each
+// shard in router order, so per-replica arrival order is exactly the
+// routing order.
 type streamCmd struct {
 	req     workload.Request
 	rep     int
@@ -45,412 +46,250 @@ type streamCmd struct {
 	horizon bool
 }
 
-// streamGroup is one tenant's exact served-work accumulator (the
-// streamed counterpart of aggregate's per-group fold).
-type streamGroup struct {
-	tokens   int64
-	finished int
-	ttftSum  time.Duration
-}
-
-// streamAcc folds one shard's terminal request metrics as they retire:
-// latency histograms instead of per-request slices, exact counters for
-// everything aggregate computes exactly. One accumulator per shard,
-// touched only by that shard's goroutine — merged after the drain.
-type streamAcc struct {
-	ttft, e2e, restore metrics.DurationHist
-	deadlineMet        int
-	sloMet             int
-	groups             map[int64]*streamGroup
-}
-
-func newStreamAcc() *streamAcc {
-	return &streamAcc{groups: make(map[int64]*streamGroup)}
-}
-
-// observe folds one finished request (RetireSink latency fields are
-// only meaningful for EventFinished).
-func (a *streamAcc) observe(m engine.RequestMetrics, slo time.Duration) {
-	a.ttft.Observe(m.TTFT)
-	a.e2e.Observe(m.E2E)
-	a.restore.Observe(m.RestoreTime)
-	if m.Deadline == 0 || m.E2E <= m.Deadline {
-		a.deadlineMet++
-	}
-	if slo > 0 && m.TTFT <= slo {
-		a.sloMet++
-	}
-	g := a.groups[m.Group]
-	if g == nil {
-		g = &streamGroup{}
-		a.groups[m.Group] = g
-	}
-	g.tokens += int64(m.Tokens)
-	g.finished++
-	g.ttftSum += m.TTFT
-}
-
-// streamShard is one replica event loop: it owns replicas rep where
-// rep mod shards == id, consumes its mailbox in FIFO order, and
-// publishes load snapshots at horizon barriers.
+// streamShard is one replica event loop: shard i of S owns the replicas
+// rep with rep mod S == i and consumes its mailbox in FIFO order.
 type streamShard struct {
-	id      int
-	cluster *Cluster
+	engines []*engine.Engine
 	owned   []int // replica indices, ascending
 	cmds    chan streamCmd
-	// ack signals one completed horizon; loads is the snapshot buffer
-	// the router reads after the ack (the channel receive orders the
-	// shard's writes before the router's reads, and the router never
-	// reads it between a horizon send and its ack).
+	// ack signals one completed horizon. Between a horizon's send and
+	// its ack the shard writes its replicas' entries of loads (the
+	// pass's slice) and the router touches neither loads nor engines;
+	// outside that window the shard is parked on its mailbox and the
+	// router may. The channel operations order the two.
 	ack   chan struct{}
 	loads []Load
-	acc   *streamAcc
+	acc   *latencyAcc
 	err   error
 }
 
 // run is the shard goroutine body. On error it keeps consuming (and
-// acking horizons) so the router never blocks; the error surfaces
-// after the drain.
+// acking horizons) so the router never blocks; the router sees the
+// error at the next barrier or after the join.
 func (s *streamShard) run(wg *sync.WaitGroup) {
 	defer wg.Done()
-	engines := s.cluster.engines
 	for cmd := range s.cmds {
-		if s.err != nil {
-			if cmd.horizon {
-				s.ack <- struct{}{}
-			}
-			continue
-		}
-		if cmd.horizon {
-			for i, rep := range s.owned {
-				e := engines[rep]
-				if err := e.AdvanceTo(cmd.at); err != nil {
-					s.err = fmt.Errorf("cluster: replica %d: %w", rep, err)
-					break
+		switch {
+		case cmd.horizon:
+			for _, rep := range s.owned {
+				if s.err == nil {
+					s.err = s.publish(rep, cmd.at)
 				}
-				snap := e.SnapshotTotals()
-				s.loads[i].Usage = snap.Usage
-				s.loads[i].QueueDepth = snap.Pending + snap.Waiting
-				s.loads[i].OutstandingTokens = snap.OutstandingTokens
 			}
 			s.ack <- struct{}{}
-			continue
+		case s.err == nil:
+			s.err = s.submit(cmd)
 		}
-		e := engines[cmd.rep]
-		if err := e.AdvanceTo(cmd.req.Arrival); err != nil {
-			s.err = fmt.Errorf("cluster: replica %d: %w", cmd.rep, err)
-			continue
-		}
-		// Submit retains the pointer; the command is a loop variable,
-		// so give the engine its own copy.
-		req := cmd.req
-		if err := e.Submit(&req); err != nil {
-			s.err = fmt.Errorf("cluster: replica %d: %w", cmd.rep, err)
-		}
-	}
-	if s.err != nil {
-		return
 	}
 	for _, rep := range s.owned {
-		if err := engines[rep].Drain(); err != nil {
-			s.err = fmt.Errorf("cluster: replica %d: %w", rep, err)
-			return
+		if s.err == nil {
+			s.err = replicaErr(rep, s.engines[rep].Drain())
 		}
 	}
 }
 
-// ServeStream is ServeOnline's scale path: the workload streams in
-// (never materialized), each replica's engine runs on a shard
-// goroutine fed by a bounded mailbox of routed arrivals, and routing
-// reads epoch-published load snapshots instead of force-advancing
-// every engine at every arrival — the O(replicas × arrivals) snapshot
-// work that dominates large serial runs becomes O(replicas × epochs),
-// and per-request retirement folds into fixed-size histograms so
-// memory stays bounded at any request count.
-//
-// The drive is a conservative parallel discrete-event simulation: at
-// each snapshot epoch boundary E·K the router broadcasts a horizon
-// barrier, every shard advances its replicas exactly to E·K and
-// publishes their SnapshotTotals, and only then does routing proceed.
-// Snapshots are therefore taken at exact simulated instants, so the
-// result is a pure function of the workload, config and shard-visible
-// routing state — independent of the shard count and of wall-clock
-// scheduling. For a load-oblivious router (prefix affinity, round
-// robin) routing never reads engine state at all, and every replica
-// receives exactly the ServeOnline request sequence: per-replica
-// results are bit-identical to the serial path at any shard count.
-// Load-aware routers see epoch-stale state (staleness < K) instead of
-// per-arrival state, so their placements are statistically — not
-// bit — equivalent to ServeOnline's.
-//
-// Arrivals must be non-decreasing (PoissonSource and MergeSources
-// guarantee this); chaos plans, the fleet store, scale-down drains and
-// migration need the serial arrival loop and are rejected. Latency
-// percentiles come from log-bucketed histograms (≤ ~3% relative
-// error, exact min/max); every count, rate and sum in the Result is
-// exact.
-func (c *Cluster) ServeStream(src workload.Source, sc StreamConfig) (*Result, error) {
-	if c.cfg.Chaos.enabled() {
-		return nil, fmt.Errorf("cluster: ServeStream does not support a chaos plan (use ServeOnline)")
+// publish advances replica rep exactly to the horizon and publishes its
+// live state.
+func (s *streamShard) publish(rep int, at time.Duration) error {
+	e := s.engines[rep]
+	if err := e.AdvanceTo(at); err != nil {
+		return replicaErr(rep, err)
 	}
-	if c.cfg.Fleet.enabled() || c.store != nil {
-		return nil, fmt.Errorf("cluster: ServeStream does not support fleet policies (use ServeOnline)")
+	snap := e.SnapshotTotals()
+	l := &s.loads[rep]
+	l.Live = true
+	l.Usage = snap.Usage
+	l.QueueDepth = snap.Pending + snap.Waiting
+	l.OutstandingTokens = snap.OutstandingTokens
+	return nil
+}
+
+// submit hands one routed arrival to its replica at its arrival
+// instant.
+func (s *streamShard) submit(cmd streamCmd) error {
+	e := s.engines[cmd.rep]
+	if err := e.AdvanceTo(cmd.req.Arrival); err != nil {
+		return replicaErr(cmd.rep, err)
 	}
+	// Submit retains the pointer and the source owns its request only
+	// until the next pull, so the engine gets its own copy.
+	req := cmd.req
+	return replicaErr(cmd.rep, e.Submit(&req))
+}
+
+func replicaErr(rep int, err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("cluster: replica %d: %w", rep, err)
+}
+
+// barrier parks every shard at simulated instant at: each advances its
+// replicas exactly there, publishes their snapshots into p.loads, acks,
+// and blocks on its mailbox. Until the next send the caller is in a
+// barrier section — it may touch engines, managers, the store and the
+// directory directly (the ack is the happens-before edge). Snapshots are
+// taken at exact simulated instants, so a run is a pure function of
+// workload, config and horizon policy, whatever the shard count.
+func (p *pass) barrier(at time.Duration) error {
+	for _, s := range p.shards {
+		s.cmds <- streamCmd{at: at, horizon: true}
+	}
+	var err error
+	for _, s := range p.shards {
+		<-s.ack
+		if err == nil {
+			err = s.err
+		}
+	}
+	return err
+}
+
+// drive is the serve loop behind Serve, ServeOnline and ServeStream: a
+// conservative parallel discrete-event simulation. It pulls arrivals
+// from src (non-decreasing), fires a barrier when the horizon policy
+// every says so, places each arrival and sends it to its replica's
+// shard; at EOF the shards drain their replicas and the results fold
+// into one Result. With exact set the engines retain per-request
+// records (Result.PerRequest, exact percentiles); otherwise they retire
+// into per-shard histograms and memory stays bounded at any request
+// count. Every exit closes the mailboxes and joins the shards.
+func (c *Cluster) drive(src workload.Source, shards int, every time.Duration, exact bool) (*Result, error) {
 	n := len(c.engines)
-	shards := sc.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > n {
-		shards = n
-	}
-	mailbox := sc.Mailbox
-	if mailbox <= 0 {
-		mailbox = defaultMailbox
-	}
-	every := sc.SnapshotEvery
-	if every <= 0 {
-		every = defaultSnapshotEvery
-	}
-	if r, ok := c.router.(resettable); ok {
-		r.reset()
-	}
+	shards = min(max(shards, 1), n)
+	p := c.newPass()
 	for _, e := range c.engines {
 		e.Reset()
 	}
-
-	// Build the shards and wire each owned engine's retirement into its
-	// shard's accumulator (sink calls run on the shard goroutine).
-	shardOf := make([]*streamShard, n)
-	ss := make([]*streamShard, shards)
-	for i := range ss {
-		s := &streamShard{
-			id:      i,
-			cluster: c,
-			cmds:    make(chan streamCmd, mailbox),
+	p.shards = make([]*streamShard, shards)
+	for i := range p.shards {
+		p.shards[i] = &streamShard{
+			engines: c.engines,
+			cmds:    make(chan streamCmd, mailboxDepth),
 			ack:     make(chan struct{}, 1),
-			acc:     newStreamAcc(),
+			loads:   p.loads,
+			acc:     newLatencyAcc(exact, c.cfg.SLOTTFT),
 		}
-		ss[i] = s
 	}
-	slo := c.cfg.SLOTTFT
-	for rep := 0; rep < n; rep++ {
-		s := ss[rep%shards]
+	for rep, e := range c.engines {
+		s := p.shards[rep%shards]
 		s.owned = append(s.owned, rep)
-		shardOf[rep] = s
-		acc := s.acc
-		c.engines[rep].SetRetireSink(func(m engine.RequestMetrics, ev engine.EventType) {
-			if ev == engine.EventFinished {
-				acc.observe(m, slo)
-			}
-		})
-	}
-	defer func() {
-		for _, e := range c.engines {
-			e.SetRetireSink(nil)
+		if !exact {
+			// Sink calls run on the owning shard's goroutine.
+			e.SetRetireSink(func(m engine.RequestMetrics, ev engine.EventType) {
+				if ev == engine.EventFinished {
+					s.acc.observe(m)
+				}
+			})
+			defer e.SetRetireSink(nil)
 		}
-	}()
-	for _, s := range ss {
-		s.loads = make([]Load, len(s.owned))
 	}
 	var wg sync.WaitGroup
-	for _, s := range ss {
+	for _, s := range p.shards {
 		wg.Add(1)
 		go s.run(&wg)
 	}
-
-	// Route: the serial part of the drive. Epoch snapshots plus the
-	// drained-estimate Outstanding are the only engine state it reads.
-	loads := make([]Load, n)
-	for i := range loads {
-		loads[i].Replica = i
+	err := c.routeAll(p, src, every)
+	for _, s := range p.shards {
+		close(s.cmds)
 	}
-	routedGroups := make(map[int64]int)
+	wg.Wait()
+	for _, s := range p.shards {
+		if err == nil {
+			err = s.err
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	acc := p.shards[0].acc
+	for _, s := range p.shards[1:] {
+		acc.merge(s.acc)
+	}
+	return c.aggregate(p, acc), nil
+}
+
+// routeAll is drive's serial part: everything between starting the
+// shards and closing their mailboxes.
+func (c *Cluster) routeAll(p *pass, src workload.Source, every time.Duration) error {
+	sections := every == horizonEveryArrival
+	if plan := c.cfg.Chaos.Plan; sections && plan != nil {
+		p.cur = plan.Start()
+		if c.store != nil {
+			c.store.SetFaults(p.cur, c.cfg.Chaos.attempts())
+			defer c.store.SetFaults(nil, 1)
+		}
+	}
 	epoch := int64(-1)
-	lastArrival := time.Duration(0)
-	var routeErr error
 	for {
 		r, ok := src.Next()
 		if !ok {
 			break
 		}
-		if r.Arrival < lastArrival {
-			routeErr = fmt.Errorf("cluster: ServeStream needs non-decreasing arrivals (got %v after %v)", r.Arrival, lastArrival)
-			break
+		if r.Arrival < p.lastArrival {
+			return fmt.Errorf("cluster: arrivals must be non-decreasing (got %v after %v)", r.Arrival, p.lastArrival)
 		}
-		// Snapshot horizon: on an epoch change, barrier every shard at
-		// the boundary E·K and collect the published loads.
-		if e := int64(r.Arrival / every); e > epoch {
-			epoch = e
-			at := time.Duration(epoch) * every
-			for _, s := range ss {
-				s.cmds <- streamCmd{at: at, horizon: true}
+		switch {
+		case sections:
+			if err := c.arrivalSection(p, r.Arrival); err != nil {
+				return err
 			}
-			for _, s := range ss {
-				<-s.ack
-				for i, rep := range s.owned {
-					loads[rep].Live = true
-					loads[rep].Usage = s.loads[i].Usage
-					loads[rep].QueueDepth = s.loads[i].QueueDepth
-					loads[rep].OutstandingTokens = s.loads[i].OutstandingTokens
-				}
+		case every > 0 && int64(r.Arrival/every) > epoch:
+			// Epoch change: barrier every shard at the boundary E·K.
+			epoch = int64(r.Arrival / every)
+			if err := p.barrier(time.Duration(epoch) * every); err != nil {
+				return err
 			}
 		}
-		// Keep the estimate-drained Outstanding for routers written
-		// against the batch contract (same decay as the serial paths).
-		if dt := (r.Arrival - lastArrival).Seconds(); dt > 0 && c.drainRate > 0 {
-			for j := range loads {
-				loads[j].Outstanding -= c.drainRate * dt
-				if loads[j].Outstanding < 0 {
-					loads[j].Outstanding = 0
-				}
+		rep := c.place(p, r)
+		if sections {
+			c.fleetFetch(rep, r.ID, len(r.Prompt), r.Prompt)
+		}
+		p.shards[rep%len(p.shards)].cmds <- streamCmd{req: *r, rep: rep}
+		if sections && c.rebalancing() {
+			// Rebalancing weighs the replicas with this arrival on board:
+			// wait for its shard to take it in.
+			if err := p.barrier(r.Arrival); err != nil {
+				return err
 			}
-		}
-		lastArrival = r.Arrival
-		rep := c.router.Route(r, loads)
-		if rep < 0 || rep >= n {
-			rep = 0 // defensive: a broken custom router must not panic the run
-		}
-		work := int64(len(r.Prompt) + r.OutputLen)
-		loads[rep].Requests++
-		loads[rep].RoutedTokens += work
-		loads[rep].Outstanding += float64(work)
-		// Optimistic local deltas over the stale snapshot: the epoch
-		// publish can't see work routed after it, so account for it
-		// here or a load-aware router dumps a whole epoch's arrivals on
-		// whichever replica the last snapshot showed coolest. The next
-		// horizon overwrites both with measured values.
-		loads[rep].OutstandingTokens += work
-		loads[rep].QueueDepth++
-		routedGroups[r.Group]++
-		shardOf[rep].cmds <- streamCmd{req: *r, rep: rep}
-	}
-
-	// EOF (or router error): close the mailboxes, let the shards drain
-	// their replicas to completion, then collect.
-	for _, s := range ss {
-		close(s.cmds)
-	}
-	wg.Wait()
-	if routeErr != nil {
-		return nil, routeErr
-	}
-	for _, s := range ss {
-		if s.err != nil {
-			return nil, s.err
+			c.rebalance(p)
 		}
 	}
-	results := make([]*engine.Result, n)
-	for i, e := range c.engines {
-		results[i] = e.ResultSnapshot()
+	if sections {
+		// Crashes scheduled after the last arrival.
+		return c.applyChaos(p, 1<<62)
 	}
-	accs := make([]*streamAcc, len(ss))
-	for i, s := range ss {
-		accs[i] = s.acc
-	}
-	return c.aggregateStream(loads, results, accs, routedGroups), nil
+	return nil
 }
 
-// aggregateStream is aggregate for the streamed path: identical exact
-// counters, rates and fairness folds, with latency percentiles read
-// from the merged shard histograms instead of per-request slices.
-func (c *Cluster) aggregateStream(loads []Load, results []*engine.Result, accs []*streamAcc, routedGroups map[int64]int) *Result {
-	out := &Result{
-		Policy:   c.router.Name(),
-		Replicas: len(results),
+// ServeStream is the scale path: the workload streams in (never
+// materialized), finished requests fold into fixed-size histograms, and
+// routing reads load snapshots published every SnapshotEvery of
+// simulated time instead of force-advancing every engine at every
+// arrival — O(replicas × epochs) snapshot work instead of
+// O(replicas × arrivals).
+//
+// For a load-oblivious router (prefix affinity, round robin) routing
+// never reads engine state at all, and every replica receives exactly
+// the ServeOnline request sequence: per-replica results are
+// bit-identical to ServeOnline's at any shard count. Load-aware routers
+// see epoch-stale state (staleness < K), so their placements are
+// statistically — not bit — equivalent. A cluster with a fleet or chaos
+// config keeps ServeOnline's every-arrival horizon (that is what those
+// mechanisms are defined against), so it matches ServeOnline exactly
+// and gains only the streamed source and bounded aggregation.
+//
+// Arrivals must be non-decreasing (PoissonSource and MergeSources
+// guarantee this). Latency percentiles come from log-bucketed
+// histograms (≤ ~4.5% relative error, exact min/max); every count, rate
+// and sum in the Result is exact.
+func (c *Cluster) ServeStream(src workload.Source, sc StreamConfig) (*Result, error) {
+	every := sc.SnapshotEvery
+	if every <= 0 {
+		every = defaultSnapshotEvery
 	}
-	var cached, computed, generated, restored int64
-	shares := make([]float64, len(results))
-	for i, res := range results {
-		shares[i] = float64(loads[i].RoutedTokens)
-		out.PerReplica = append(out.PerReplica, ReplicaResult{
-			Replica:      i,
-			Requests:     loads[i].Requests,
-			RoutedTokens: loads[i].RoutedTokens,
-			Result:       res,
-		})
-		out.Finished += res.Finished
-		out.Failed += res.Failed
-		out.Shed += res.Shed
-		if res.Duration > out.Duration {
-			out.Duration = res.Duration
-		}
-		cached += res.CachedPromptTokens
-		computed += res.ComputedPromptTokens
-		generated += res.GeneratedTokens
-		restored += res.RestoredTokens
-		out.RestoredTokens += res.RestoredTokens
-		out.RecomputedTokens += res.RecomputedTokens
-		out.SwapOuts += res.SwapOuts
-		out.SwapIns += res.SwapIns
-		out.PeerHits += res.PeerHits
-		out.PeerTokens += res.PeerTokens
-		out.PeerBytes += res.PeerBytes
-		out.Migrations += res.MigratedIn
-		out.MeanKVUtil += res.MeanKVUtil
+	if c.cfg.Fleet.enabled() || c.cfg.Chaos.enabled() {
+		every = horizonEveryArrival
 	}
-	var ttft, e2e, restoreH metrics.DurationHist
-	deadlineMet, sloMet := 0, 0
-	groups := make(map[int64]*streamGroup)
-	for _, a := range accs {
-		ttft.Merge(&a.ttft)
-		e2e.Merge(&a.e2e)
-		restoreH.Merge(&a.restore)
-		deadlineMet += a.deadlineMet
-		sloMet += a.sloMet
-		for id, sg := range a.groups {
-			g := groups[id]
-			if g == nil {
-				g = &streamGroup{}
-				groups[id] = g
-			}
-			g.tokens += sg.tokens
-			g.finished += sg.finished
-			g.ttftSum += sg.ttftSum
-		}
-	}
-	// Sorted traversal: float accumulation order must not depend on
-	// map iteration order (see the identical aggregation in Serve).
-	groupTokens := make([]float64, 0, len(groups))
-	for _, g := range detmap.Sorted(groups) {
-		groupTokens = append(groupTokens, float64(g.tokens))
-		if mean := g.ttftSum / time.Duration(g.finished); mean > out.MaxGroupMeanTTFT {
-			out.MaxGroupMeanTTFT = mean
-		}
-	}
-	out.GroupJain = metrics.Jain(groupTokens)
-	for g, routed := range routedGroups {
-		if routed > 0 && groups[g] == nil {
-			out.StarvedGroups++
-		}
-	}
-	if n := len(results); n > 0 {
-		out.MeanKVUtil /= float64(n)
-	}
-	if out.Duration > 0 {
-		out.ReqPerSec = float64(out.Finished) / out.Duration.Seconds()
-		out.TokensPerSec = float64(computed+generated) / out.Duration.Seconds()
-		out.Goodput = metrics.Goodput(deadlineMet, out.Duration)
-	}
-	if c.cfg.SLOTTFT > 0 {
-		if n := ttft.Count(); n > 0 {
-			out.SLOAttainment = float64(sloMet) / float64(n)
-		} else {
-			out.SLOAttainment = 1
-		}
-	} else {
-		out.SLOAttainment = metrics.Fraction(deadlineMet, out.Finished)
-	}
-	out.CachedPromptTokens = cached
-	out.ComputedPromptTokens = computed
-	if work := cached + computed; work > 0 {
-		out.HitRate = float64(cached) / float64(work)
-		out.TierHitRate = float64(restored) / float64(work)
-		out.PeerHitRate = float64(out.PeerTokens) / float64(work)
-	}
-	out.P99Restore = restoreH.Percentile(99)
-	out.Imbalance = metrics.Imbalance(shares)
-	out.P50TTFT, out.P99TTFT = ttft.Percentile(50), ttft.Percentile(99)
-	out.P50E2E, out.P99E2E = e2e.Percentile(50), e2e.Percentile(99)
-	return out
+	return c.drive(src, sc.Shards, every, false)
 }

@@ -1,15 +1,21 @@
 package cluster
 
 import (
+	"errors"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"jenga/internal/chaos"
+	"jenga/internal/core"
+	"jenga/internal/engine"
 	"jenga/internal/workload"
 )
 
-// streamWorkload builds a monotone-arrival online stream (ServeStream
-// requires non-decreasing arrivals, so no jitter here).
+// streamWorkload builds a monotone-arrival online stream (a Source
+// must yield non-decreasing arrivals, so no jitter here).
 func streamWorkload(seed int64, deadline time.Duration) []workload.Request {
 	gen := workload.NewGen(seed)
 	reqs := gen.PrefixGroups(15, 12, 512, 48)
@@ -197,30 +203,183 @@ func TestServeStreamThenServeOnline(t *testing.T) {
 	}
 }
 
-// Chaos plans and fleet mechanisms need the serial arrival loop.
-func TestServeStreamRejectsIncompatibleConfigs(t *testing.T) {
-	src := func() workload.Source { return workload.SliceSource(streamWorkload(1, 0)) }
-	c, err := New(Config{
-		Spec: testSpec(), Replicas: 2, Policy: PrefixAffinity,
+// fleetChaosConfig is the "everything on" fleet: store, migration with
+// an imbalance threshold, a mid-stream scale-down, one crash with a
+// restart, and transfer faults — every cross-replica operation a
+// barrier section can run.
+func fleetChaosConfig() Config {
+	plan := chaos.NewPlan(7).
+		Crash(1, 200*time.Millisecond).
+		Restart(1, 400*time.Millisecond).
+		Degrade(0, 100*time.Millisecond, 300*time.Millisecond, 0.5, 0.5)
+	plan.FetchFailRate = 0.3
+	plan.MigrateFailRate = 0.3
+	return Config{
+		Spec: testSpec(), Replicas: 4, Policy: LeastLoaded,
 		CapacityBytes: perReplicaCapacity,
-		Chaos:         ChaosPolicy{Plan: chaos.NewPlan(1).Crash(0, time.Second)},
-	})
+		HostTierBytes: 64 << 20,
+		PreemptMode:   engine.PreemptSwap,
+		SLOTTFT:       500 * time.Millisecond,
+		Fleet: FleetPolicy{
+			Store: true, Migrate: true, ImbalanceThreshold: 1.3,
+			DrainAfter: 500 * time.Millisecond,
+		},
+		Chaos: ChaosPolicy{Plan: plan, Recover: true},
+	}
+}
+
+// scalars strips the per-request and timeline slices off an engine
+// result so two results compare on every counter, rate and mean.
+func scalars(r *engine.Result) engine.Result {
+	c := *r
+	c.PerRequest, c.DecodeBatchTimeline, c.MemTimeline = nil, nil, nil
+	return c
+}
+
+// A fleet or chaos config gives ServeStream the every-arrival horizon,
+// so the streamed run is the ServeOnline run: every exact field of the
+// Result and every per-replica engine counter match bit for bit at any
+// shard count; only the histogram-read percentiles may differ, within
+// the bucket resolution.
+func TestServeStreamFleetChaosMatchesServeOnline(t *testing.T) {
+	gen := workload.NewGen(5)
+	reqs := gen.ChurnGroups(12, 20, 512, 48, 4)
+	gen.PoissonArrivals(reqs, 300)
+	workload.SetDeadlines(reqs, time.Second)
+	build := func() *Cluster {
+		c, err := New(fleetChaosConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	serial, err := build().ServeOnline(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ServeStream(src(), StreamConfig{}); err == nil {
-		t.Fatal("chaos plan must be rejected")
+	if serial.Crashes != 1 || serial.Restarts != 1 || serial.Redispatched == 0 ||
+		serial.Migrations == 0 || serial.PeerHits == 0 || serial.MigrationRollbacks == 0 ||
+		serial.FetchRetries == 0 || serial.PerReplica[3].Result.MigratedOut == 0 {
+		t.Fatalf("reference run does not exercise every barrier-section operation: %+v", serial)
 	}
-	c, err = New(Config{
-		Spec: testSpec(), Replicas: 2, Policy: PrefixAffinity,
-		CapacityBytes: perReplicaCapacity,
-		Fleet:         FleetPolicy{DrainAfter: time.Second},
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{1, 2, 4} {
+		stream, err := build().ServeStream(workload.SliceSource(reqs), StreamConfig{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Copy the reference, overwrite what legitimately differs, and
+		// compare everything else in one go.
+		want := *serial
+		want.P50TTFT, want.P99TTFT = stream.P50TTFT, stream.P99TTFT
+		want.P50E2E, want.P99E2E, want.P99Restore = stream.P50E2E, stream.P99E2E, stream.P99Restore
+		want.PerReplica = nil
+		got := *stream
+		got.PerReplica = nil
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards %d: fleet result differs:\nstream %+v\nserial %+v", shards, got, want)
+		}
+		for i, o := range serial.PerReplica {
+			s := stream.PerReplica[i]
+			if s.Requests != o.Requests || s.RoutedTokens != o.RoutedTokens ||
+				!reflect.DeepEqual(scalars(s.Result), scalars(o.Result)) {
+				t.Fatalf("shards %d replica %d differs:\nstream %+v\nserial %+v",
+					shards, i, scalars(s.Result), scalars(o.Result))
+			}
+		}
+		within(t, "p50 TTFT", float64(stream.P50TTFT), float64(serial.P50TTFT), 0.06)
+		within(t, "p99 TTFT", float64(stream.P99TTFT), float64(serial.P99TTFT), 0.06)
+		within(t, "p50 E2E", float64(stream.P50E2E), float64(serial.P50E2E), 0.06)
+		within(t, "p99 E2E", float64(stream.P99E2E), float64(serial.P99E2E), 0.06)
+		within(t, "p99 restore", float64(stream.P99Restore), float64(serial.P99Restore), 0.06)
 	}
-	if _, err := c.ServeStream(src(), StreamConfig{}); err == nil {
-		t.Fatal("fleet scale-down must be rejected")
+}
+
+// With a load-oblivious router placement never reads replica state, so
+// the horizon policy cannot matter: Serve (no horizon) and ServeOnline
+// (a horizon at every arrival) hand every replica the same request
+// sequence and get the same per-replica results, per-request records
+// included. This is the equivalence that lets one loop serve both.
+func TestServeMatchesServeOnlineLoadOblivious(t *testing.T) {
+	reqs := onlineWorkload(17, time.Second) // jittered: exercises the arrival sort
+	for _, policy := range []RouterPolicy{RoundRobin, PrefixAffinity} {
+		batch, err := streamCluster(t, 4, policy).Serve(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		online, err := streamCluster(t, 4, policy).ServeOnline(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(batch, online) {
+			t.Fatalf("policy %v: Serve and ServeOnline diverged:\nserve  %+v\nonline %+v", policy, batch, online)
+		}
+	}
+}
+
+// failingCrasher is a manager whose cold restart fails.
+type failingCrasher struct{ core.Manager }
+
+func (failingCrasher) CrashReset() error { return errors.New("no cold restart") }
+
+// Every way the serve loop can fail returns the error promptly and
+// leaves no goroutine behind: drive closes the mailboxes and joins the
+// shards on every exit.
+func TestDriveErrorPathsJoinShards(t *testing.T) {
+	nonMonotone := streamWorkload(2, 0)[:40]
+	nonMonotone[20].Arrival = nonMonotone[19].Arrival - time.Millisecond
+	cases := []struct {
+		name, want string
+		run        func() error
+	}{
+		{"non-monotone arrivals", "non-decreasing", func() error {
+			_, err := streamCluster(t, 3, LeastLoaded).ServeStream(workload.SliceSource(nonMonotone), StreamConfig{Shards: 3})
+			return err
+		}},
+		{"engine exceeds MaxSteps mid-stream", "replica 1: engine: exceeded 20 steps", func() error {
+			c := streamCluster(t, 3, RoundRobin)
+			stuck, err := engine.New(engine.Config{Spec: testSpec(), Manager: c.managers[1], MaxSteps: 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.engines[1] = stuck
+			_, err = c.ServeStream(workload.SliceSource(streamWorkload(2, 0)), StreamConfig{Shards: 3})
+			return err
+		}},
+		{"crashed replica cannot restart cold", "replica 1: crash reset: no cold restart", func() error {
+			cfg := fleetChaosConfig()
+			cfg.NewManager = func(int) (core.Manager, error) {
+				m, err := core.New(core.Config{
+					Spec: cfg.Spec, CapacityBytes: cfg.CapacityBytes,
+					EnablePrefixCache: true, RequestAware: true,
+				})
+				return failingCrasher{m}, err
+			}
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = c.ServeOnline(streamWorkload(2, 0))
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		before := runtime.NumGoroutine()
+		done := make(chan error, 1)
+		go func() { done <- tc.run() }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: serve loop did not return", tc.name)
+		}
+		for i := 0; i < 200 && runtime.NumGoroutine() > before; i++ {
+			time.Sleep(time.Millisecond) // a joined goroutine may not have exited yet
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("%s: %d goroutines outlive the run", tc.name, n-before)
+		}
 	}
 }
 

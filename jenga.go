@@ -37,8 +37,11 @@
 //     swap-out/swap-in instead of recompute.
 //   - NewCluster scales serving out to N engine replicas behind a
 //     pluggable request router (round-robin, least-loaded,
-//     prefix-affinity); Serve is the deterministic batch path,
-//     ServeOnline routes each arrival against live replica state.
+//     prefix-affinity). One serve loop, three horizon policies:
+//     Serve routes on estimates (batch), ServeOnline against live
+//     replica state at every arrival, ServeStream against epoch
+//     snapshots over a streamed workload; fleet and chaos configs
+//     run under the last two.
 //
 // Quick start:
 //
