@@ -21,47 +21,29 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Machine-readable scorecards, mirrored by the CI artifact uploads:
-# BENCH_serving.json is the online streaming benchmark under a
-# 4-replica memory-pressured overload (0.25 GiB per-replica KV budget)
-# with kv+slo admission — one row per (scheduling policy, preempt
-# mode) pair on the identical seeded stream, so every policy's
-# swap-vs-recompute tier tradeoff (tier hit rate, recomputed tokens,
-# restore p99) is tracked across PRs — plus a fanout section comparing
-# copy-on-write forked branches against naive independent branches
-# (per-branch KV footprint and branch TTFT) and a fleet section
-# comparing the fleet-wide KV store against local recompute under
-# replica churn and migration against shedding under a mid-stream
-# scale-down; BENCH_core.json is the allocator/engine hot-path
-# trajectory (ns/op, allocs/op, sim anchor — the baseline section in
-# the committed file is preserved across runs). The -stream, -fanout
-# and fleet runs each rewrite their own section of BENCH_serving.json
-# and preserve the others'.
+# Machine-readable scorecards, mirrored by the CI artifact uploads. One
+# command runs every scorecard of cmd/jengabench's table (scorecards.go)
+# and stores each in its file: BENCH_serving.json gets the routers,
+# stream (scheduler x preempt mode under a memory-pressured overload),
+# fanout (copy-on-write fork vs naive branches), fleet (fleet KV store
+# vs recompute, migration vs shedding) and chaos (crash recovery off vs
+# on) sections — all deterministic, so regenerating them leaves the
+# committed file unchanged unless behaviour changed
+# (TestScorecardsMatchCommitted gates exactly that) — and BENCH_core.json
+# gets the allocator/engine hot-path trajectory (ns/op, allocs/op, sim
+# anchor; its baseline set is preserved across runs). Writing one
+# section carries every other over byte for byte.
 bench-json:
-	$(GO) run ./cmd/jengabench -stream -replicas 4 -requests 480 -rate 600 \
-		-slo-ttft 250ms -deadline 2s -admission kv+slo -sched all \
-		-preempt all -host-gb 2 -kv-gb 0.25 \
-		-bench-json BENCH_serving.json
-	$(GO) run ./cmd/jengabench -fanout -kv-gb 2 -bench-json BENCH_serving.json
-	$(GO) run ./cmd/jengabench -fleet-store -migrate -replicas 4 -requests 480 \
-		-rate 70 -prefix-len 1024 -slo-ttft 250ms -deadline 2s \
-		-drain-after 3s -host-gb 2 -kv-gb 0.25 \
-		-bench-json BENCH_serving.json
-	$(GO) run ./cmd/jengabench -faults -replicas 4 -requests 480 \
-		-rate 70 -prefix-len 1024 -slo-ttft 500ms -deadline 6s \
-		-host-gb 2 -kv-gb 0.25 \
-		-bench-json BENCH_serving.json
-	$(GO) run ./cmd/jengabench -bench-core -bench-json BENCH_core.json
+	$(GO) run ./cmd/jengabench -scorecard all -bench-json .
 
 # Full-size scale benchmark: one million streamed requests on a
 # 16-replica fleet through ServeStream, swept across shard counts,
 # with a serial ServeOnline baseline pair — writes the scale section
-# of BENCH_serving.json. Several minutes of wall time, so it is not
-# part of bench-json/CI (every other mode preserves the committed
-# scale section); rerun it when the streaming or sharding paths
-# change.
+# of BENCH_serving.json. Several minutes of wall time and host-dependent
+# numbers, so it is not part of `-scorecard all`/CI; rerun it when the
+# streaming or sharding paths change.
 bench-scale:
-	$(GO) run ./cmd/jengabench -scale-serve -bench-json BENCH_serving.json
+	$(GO) run ./cmd/jengabench -scorecard scale -bench-json .
 
 # Benchmark smoke: every benchmark must still run (one iteration each),
 # so the committed perf trajectory cannot rot.
@@ -69,12 +51,12 @@ bench-smoke:
 	$(GO) test -run NONE -bench=. -benchtime=1x .
 
 # Chaos smoke (part of `make ci`): a short seeded crash-restart
-# schedule with peer-transfer faults runs under the race detector —
-# the recovery path (CrashOut/CrashReset, directory invalidation,
-# redispatch, bounded retry) must stay deterministic and race-free.
+# schedule with peer-transfer faults runs under the race detector,
+# recovery off and on — the recovery path (CrashOut/CrashReset,
+# directory invalidation, redispatch, bounded retry) must stay
+# deterministic and race-free, and every request must be accounted for.
 chaos-smoke:
-	$(GO) run -race ./cmd/jengabench -faults -replicas 3 -requests 120 \
-		-rate 150 -prefix-len 512 -host-gb 1 -kv-gb 0.25
+	$(GO) test -race -run TestChaosSmoke -v ./internal/bench/
 
 # Scale smoke (part of `make ci`): a ~100k-request streamed ServeStream
 # pass over the 16-replica fleet under the race detector, asserting the
@@ -135,13 +117,16 @@ vet:
 # miss), and a fresh []core.Token anywhere else in it is a per-request
 # copy again; internal/cluster has one serve loop — one placement step
 # (the only router.Route call site) and one file that may use
-# goroutines and channels — and a second of either is a second loop.
+# goroutines and channels — and a second of either is a second loop;
+# internal/bench and cmd/jengabench build clusters in one place,
+# bench.Run, and a second cluster.Config literal is a second runner.
 guard:
 	@out=$$(grep -rln '"container/heap"' internal/core --include='*.go' | grep -v '_test\.go$$'); if [ -n "$$out" ]; then echo "container/heap (boxing) is back in internal/core:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'func project(' internal/core --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "core.project (a per-claim copy of the prefix) is back in internal/core:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn -e 'append(\[\]core\.Token(nil)' -e 'make(\[\]core\.Token' internal/engine --include='*.go' | grep -v -e '_test\.go:' -e '^internal/engine/tokbuf\.go:'); if [ -n "$$out" ]; then echo "token copies outside the free-list miss in internal/engine:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'router\.Route(' internal/cluster --include='*.go' | grep -v '_test\.go:'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/cluster must have exactly one router.Route call site (the placement step):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rl '^//jenga:concurrent' internal/cluster --include='*.go' | grep -v '_test\.go$$'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/cluster must have exactly one //jenga:concurrent file (the serve loop):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn 'cluster\.Config{' internal/bench cmd/jengabench --include='*.go' | grep -v '_test\.go:'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/bench + cmd/jengabench must have exactly one cluster.Config literal (bench.Run):"; echo "$$out"; exit 1; fi
 
 ci: vet lint guard build test race chaos-smoke scale-smoke
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi

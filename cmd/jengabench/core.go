@@ -1,21 +1,19 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"io"
+	"path/filepath"
 	"testing"
-	"time"
 
 	"jenga/internal/bench"
 )
 
 // BENCH_core.json: the committed core hot-path trajectory. "current"
-// is regenerated by every `jengabench -bench-core` run (make
-// bench-json); "baseline" is preserved from the existing file, so the
-// before/after of an optimization PR stays visible — a PR that first
-// introduces the file (or measures a pre-optimization tree) seeds
-// baseline from that run's numbers.
+// is regenerated by every run of the core scorecard (make bench-json);
+// "baseline" is preserved from the existing file, so the before/after
+// of an optimization PR stays visible — a run that first creates the
+// file seeds baseline from its own numbers.
 
 // coreBenchEntry is one hot path's measurement.
 type coreBenchEntry struct {
@@ -44,9 +42,9 @@ type coreBenchFile struct {
 	Current  *coreBenchSet `json:"current"`
 }
 
-// runBenchCore measures the shared internal/bench fixtures and writes
-// the scorecard, preserving any baseline already in outPath.
-func runBenchCore(outPath string) error {
+// runCore measures the shared internal/bench fixtures and, with a
+// directory, stores them as its BENCH_core.json's current set.
+func runCore(w io.Writer, dir string) error {
 	cur := &coreBenchSet{Benches: map[string]coreBenchEntry{}}
 	for _, fx := range bench.All {
 		op, err := fx.Make()
@@ -63,7 +61,7 @@ func runBenchCore(outPath string) error {
 			BytesPerOp:  r.AllocedBytesPerOp(),
 		}
 		cur.Benches[fx.Name] = e
-		fmt.Printf("%-24s %12.1f ns/op %8d B/op %6d allocs/op\n",
+		fmt.Fprintf(w, "%-24s %12.1f ns/op %8d B/op %6d allocs/op\n",
 			fx.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp)
 	}
 	sim, err := bench.SimThroughput()
@@ -73,30 +71,25 @@ func runBenchCore(outPath string) error {
 	cur.Sim = &coreBenchSim{
 		SimReqPerSec:    sim.ReqPerSec,
 		SimTokensPerSec: sim.TokensPerSec,
-		WallMs:          float64(sim.Wall) / float64(time.Millisecond),
+		WallMs:          ms(sim.Wall),
 	}
-	fmt.Printf("%-24s %12.1f req/s %10.0f tok/s  [%v wall]\n",
-		"sim_throughput", sim.ReqPerSec, sim.TokensPerSec, sim.Wall.Round(time.Millisecond))
-
-	out := coreBenchFile{Current: cur}
-	if prev, err := os.ReadFile(outPath); err == nil {
-		var old coreBenchFile
-		if err := json.Unmarshal(prev, &old); err == nil && old.Baseline != nil {
-			out.Baseline = old.Baseline
+	fmt.Fprintf(w, "%-24s %12.1f req/s %10.0f tok/s  [%v wall]\n",
+		"sim_throughput", sim.ReqPerSec, sim.TokensPerSec, sim.Wall)
+	if dir == "" {
+		return nil
+	}
+	path := filepath.Join(dir, "BENCH_core.json")
+	err = updateJSON(path, func(f *coreBenchFile) error {
+		f.Current = cur
+		if f.Baseline == nil {
+			seeded := *cur
+			seeded.Note = "seeded from this run (no prior baseline)"
+			f.Baseline = &seeded
 		}
+		return nil
+	})
+	if err == nil {
+		fmt.Fprintf(w, "wrote %s\n", path)
 	}
-	if out.Baseline == nil {
-		seeded := *cur
-		seeded.Note = "seeded from this run (no prior baseline)"
-		out.Baseline = &seeded
-	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", outPath)
-	return nil
+	return err
 }

@@ -1,42 +1,41 @@
-// Command jengabench runs the paper's experiments by ID and prints the
-// corresponding tables and series, with -replicas a cluster serving
-// comparison of the routing policies, or with -stream an online
-// serving benchmark over the event-driven core: requests are routed at
-// their arrival instants against live replica state, admission sheds
-// by KV demand or SLO estimates, and the scorecard (goodput, SLO
-// attainment, shed rate, latency percentiles) is printed and — with
-// -bench-json — written as machine-readable JSON so the serving
-// trajectory is tracked across PRs.
+// Command jengabench runs the repository's two kinds of measurement.
 //
-// With -bench-core it instead measures the allocator/engine hot-path
-// micro-benchmarks (the internal/bench fixtures the root benchmark
-// suite also runs) plus a compact end-to-end throughput anchor, and
-// writes BENCH_core.json — preserving the file's existing baseline
-// section so an optimization's before/after stays committed.
+// Experiments (-exp) replay the paper's tables and figures by ID and
+// print their rows and series.
 //
-// With -scale-serve it runs the streamed scale benchmark: a
-// serial-vs-stream baseline pair at a size ServeOnline can finish,
-// then the full request count (default one million, streamed and never
-// materialized) through ServeStream across a shard sweep, recording
-// wall time and peak heap per point (the scale section of
-// -bench-json). -cpuprofile/-memprofile capture pprof profiles of any
-// mode.
+// Scorecards (-scorecard) are the serving trajectory tracked across
+// PRs: each is a named table — one base bench.Scenario and its variants
+// — defined as Go values in scorecards.go. One runner executes every
+// variant, one row type flattens every result, one table printer shows
+// it and, with -bench-json, one read-modify-write helper stores it as
+// the scorecard's section of BENCH_serving.json (or, for the core
+// micro-benchmarks, as BENCH_core.json's "current" set) in the given
+// directory, leaving every other section byte for byte as it was.
+// Scorecards take no parameters: to ask a different question, edit or
+// add a row of the table and `go run` it.
+//
+//	routers  routing policies on a shared-prefix stream (Serve)
+//	stream   scheduler x preemption under overload with admission (ServeOnline)
+//	fanout   copy-on-write forked branches vs naive independent branches
+//	fleet    fleet KV store vs recompute; scale-down by shedding vs migration
+//	chaos    replica crash/restart and transfer faults, recovery off vs on
+//	core     allocator/engine hot-path micro-benchmarks and the sim anchor
+//	scale    1M streamed requests, ServeOnline vs ServeStream, shard sweep
+//	all      every scorecard above except scale (minutes of wall clock)
+//
+// -cpuprofile/-memprofile capture pprof profiles of whatever ran.
 //
 // Usage:
 //
 //	jengabench -list
 //	jengabench -exp fig13 -scale 0.5
-//	jengabench -exp all
-//	jengabench -replicas 4 -router all -model gemma2-2b -rate 200
-//	jengabench -stream -rate 150 -slo-ttft 750ms -admission kv+slo \
-//	    -bench-json BENCH_serving.json
-//	jengabench -bench-core -bench-json BENCH_core.json
-//	jengabench -scale-serve -requests 1000000 -stream-workload mixed \
-//	    -bench-json BENCH_serving.json
+//	jengabench -exp all -csv out/
+//	jengabench -scorecard stream
+//	jengabench -scorecard all -bench-json .
+//	jengabench -scorecard scale -bench-json . -cpuprofile scale.prof
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -45,79 +44,40 @@ import (
 	"strings"
 	"time"
 
-	"jenga"
-	"jenga/internal/bench"
-	"jenga/internal/cluster"
-	"jenga/internal/engine"
 	"jenga/internal/experiments"
-	"jenga/internal/gpu"
-	"jenga/internal/model"
-	"jenga/internal/sched"
-	"jenga/internal/workload"
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is main behind an error return, so the profile defers fire before
+// the process exits.
+func run() error {
 	var (
 		exp   = flag.String("exp", "", "experiment ID to run (or 'all')")
-		list  = flag.Bool("list", false, "list experiment IDs")
-		scale = flag.Float64("scale", 1.0, "request-count scale factor")
-		seed  = flag.Int64("seed", 42, "workload seed")
-		csv   = flag.String("csv", "", "directory to also write tables as CSV")
+		list  = flag.Bool("list", false, "list experiment IDs and scorecards")
+		scale = flag.Float64("scale", 1.0, "experiment request-count scale factor")
+		seed  = flag.Int64("seed", 42, "experiment workload seed")
+		csv   = flag.String("csv", "", "directory to also write experiment tables as CSV")
 
-		replicas  = flag.Int("replicas", 0, "run cluster mode with N engine replicas")
-		router    = flag.String("router", "all", "routing policy: roundrobin, leastloaded, affinity or all")
-		modelName = flag.String("model", "gemma2-2b", "model for cluster/stream mode (see Models zoo)")
-		device    = flag.String("device", "h100", "device for cluster/stream mode: h100 or l4")
-		requests  = flag.Int("requests", 480, "cluster/stream-mode request count")
-		rate      = flag.Float64("rate", 0, "Poisson arrival rate in req/s (0 = all at once; stream mode defaults to 150)")
-		groups    = flag.Int("prefix-groups", 0, "shared-prefix classes (default 4×replicas-1)")
-		prefixLen = flag.Int("prefix-len", 1024, "shared-prefix length in tokens")
-
-		benchCore   = flag.Bool("bench-core", false, "run the core hot-path micro-benchmarks and write BENCH_core.json (path via -bench-json)")
-		fanout      = flag.Bool("fanout", false, "run the fan-out serving benchmark: copy-on-write forked branches vs naive independent branches (merges a fanout section into -bench-json)")
-		fanBranch   = flag.Int("fanout-branch", 8, "fan-out branches per root")
-		fanPrompt   = flag.Int("fanout-prompt", 256, "fan-out prompt length in tokens")
-		fanAfter    = flag.Int("fanout-after", 770, "output tokens shared by all branches before the fork point")
-		fanOutLen   = flag.Int("fanout-out", 834, "total output tokens per branch")
-		fanRoots    = flag.Int("fanout-roots", 16, "fan-out roots in the traffic sub-experiment (rate via -rate, default 3 req/s)")
-		stream      = flag.Bool("stream", false, "run the online streaming-serving benchmark (event-driven core, live routing, admission)")
-		sloTTFT     = flag.Duration("slo-ttft", 750*time.Millisecond, "stream-mode TTFT target for SLO attainment and the slo admission policy")
-		deadline    = flag.Duration("deadline", 0, "stream-mode per-request E2E deadline for goodput (0 = none)")
-		admission   = flag.String("admission", "none", "stream-mode admission policy: none, kv, slo or a + chain like kv+slo")
-		schedName   = flag.String("sched", "fcfs", "stream-mode scheduling policy: fcfs, priority, sjf, fairshare (optional :<frac> prefill reserve) or all")
-		prioClasses = flag.Int("prio-classes", 2, "stream-mode priority classes: request i gets priority i mod N (1 = all equal)")
-		preempt     = flag.String("preempt", "recompute", "stream-mode preemption: recompute, swap or all (swap rows run with the -host-gb tier, recompute rows untiered — the historical baseline)")
-		hostGB      = flag.Float64("host-gb", 0, "per-replica host-memory KV tier budget in GiB for swap-mode rows (0 = no tier)")
-		kvGB        = flag.Float64("kv-gb", 0, "per-replica KV budget override in GiB (0 = full device budget); small values make the stream memory-pressured")
-		benchJSON   = flag.String("bench-json", "", "write the stream-mode scorecard to this JSON file (BENCH_serving.json)")
-
-		scaleServe     = flag.Bool("scale-serve", false, "run the streamed scale benchmark: ServeOnline baseline, same-shape ServeStream, then a full-size shard sweep (merges a scale section into -bench-json)")
-		shards         = flag.Int("shards", 0, "scale-mode shard count (0 = sweep 1,2,4,8)")
-		streamWorkload = flag.String("stream-workload", "prefixgroups", "scale-mode streamed workload: prefixgroups, sharegpt or mixed")
-		cpuProfile     = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile     = flag.String("memprofile", "", "write a heap profile at exit to this file")
-
-		faults        = flag.Bool("faults", false, "run the chaos benchmark: a seeded replica crash/restart plus peer-transfer faults on the churn stream, recovery off vs on (merges a chaos section into -bench-json)")
-		crashReplica  = flag.Int("crash-replica", -1, "chaos-mode replica to crash (-1 = the last)")
-		crashAt       = flag.Duration("crash-at", 0, "chaos-mode crash instant (0 = 40% through the arrival burst)")
-		restartAt     = flag.Duration("restart-at", 0, "chaos-mode restart instant (0 = 75% through the arrival burst)")
-		fetchFailRate = flag.Float64("fetch-fail-rate", 0.2, "chaos-mode per-attempt peer-transfer failure probability")
-		fleetStore    = flag.Bool("fleet-store", false, "run the fleet-store churn benchmark: cluster-wide KV store vs local recompute on a replica-churn stream (merges the fleet section's churn rows into -bench-json)")
-		migrate       = flag.Bool("migrate", false, "run the live-migration drain benchmark: replica scale-down served by shedding vs recompute-migration vs transfer-migration (merges the fleet section's drain rows into -bench-json)")
-		churnPhases   = flag.Int("churn-phases", 4, "fleet-mode popularity phases: group popularity shifts this many times across the stream")
-		drainAfter    = flag.Duration("drain-after", 250*time.Millisecond, "migration-mode drain instant: the tail replica evacuates at the first arrival past it")
-		drainReplicas = flag.Int("drain-replicas", 1, "migration-mode replicas to drain (capped at replicas-1)")
+		card       = flag.String("scorecard", "", "scorecard to run: a name from -list, or 'all' (every one but scale)")
+		benchJSON  = flag.String("bench-json", "", "directory whose BENCH_serving.json / BENCH_core.json the scorecards update")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -135,168 +95,29 @@ func main() {
 			}
 		}()
 	}
-	if *scaleServe {
-		if *exp != "" || *list || *csv != "" || *stream || *fanout || *benchCore || *faults || *fleetStore || *migrate {
-			fmt.Fprintln(os.Stderr, "scale mode (-scale-serve) does not combine with -exp, -list, -csv, -stream, -fanout, -bench-core or the fleet/chaos modes")
-			os.Exit(1)
-		}
-		n := *replicas
-		if n <= 0 {
-			n = 16
-		}
-		reqs := *requests
-		if reqs <= 480 {
-			reqs = 1_000_000 // the default -requests is sized for the serial modes
-		}
-		r := *rate
-		if r <= 0 {
-			r = 4000
-		}
-		if err := runScaleServe(reqs, n, *shards, r, *groups, *prefixLen, *streamWorkload, *seed, *benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchCore {
-		if *exp != "" || *list || *csv != "" || *stream || *replicas > 0 {
-			fmt.Fprintln(os.Stderr, "core-bench mode (-bench-core) does not combine with -exp, -list, -csv, -stream or -replicas")
-			os.Exit(1)
-		}
-		out := *benchJSON
-		if out == "" {
-			out = "BENCH_core.json"
-		}
-		if err := runBenchCore(out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fanout {
-		if *exp != "" || *list || *csv != "" || *stream || *replicas > 0 {
-			fmt.Fprintln(os.Stderr, "fan-out mode (-fanout) does not combine with -exp, -list, -csv, -stream or -replicas")
-			os.Exit(1)
-		}
-		r := *rate
-		if r <= 0 {
-			r = 3
-		}
-		if err := runFanout(*modelName, *device, *fanPrompt, *fanAfter, *fanOutLen, *fanBranch,
-			*fanRoots, r, *kvGB, *seed, *benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *faults {
-		if *exp != "" || *list || *csv != "" || *stream || *fanout || *benchCore || *fleetStore || *migrate {
-			fmt.Fprintln(os.Stderr, "chaos mode (-faults) does not combine with -exp, -list, -csv, -stream, -fanout, -bench-core or the fleet modes")
-			os.Exit(1)
-		}
-		n := *replicas
-		if n <= 1 {
-			n = 4
-		}
-		r := *rate
-		if r <= 0 {
-			r = 300
-		}
-		hg := *hostGB
-		if hg <= 0 {
-			hg = 2 // the recovery story needs the tiers the store serves from
-		}
-		routerName := *router
-		if routerName == "all" {
-			routerName = "roundrobin"
-		}
-		if err := runChaos(n, routerName, *modelName, *device,
-			*requests, r, *groups, *prefixLen, *churnPhases, *seed,
-			*sloTTFT, *deadline, *crashReplica, *crashAt, *restartAt, *fetchFailRate,
-			hg, *kvGB, *benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fleetStore || *migrate {
-		if *exp != "" || *list || *csv != "" || *stream || *fanout || *benchCore {
-			fmt.Fprintln(os.Stderr, "fleet mode (-fleet-store/-migrate) does not combine with -exp, -list, -csv, -stream, -fanout or -bench-core")
-			os.Exit(1)
-		}
-		n := *replicas
-		if n <= 1 {
-			n = 4
-		}
-		r := *rate
-		if r <= 0 {
-			r = 300
-		}
-		hg := *hostGB
-		if hg <= 0 {
-			hg = 2 // the fleet store is the host tiers; an untiered fleet run is vacuous
-		}
-		routerName := *router
-		if routerName == "all" {
-			routerName = "roundrobin"
-		}
-		if err := runFleet(*fleetStore, *migrate, n, routerName, *modelName, *device,
-			*requests, r, *groups, *prefixLen, *churnPhases, *seed,
-			*sloTTFT, *deadline, *drainAfter, *drainReplicas, hg, *kvGB, *benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *stream {
+	if *card != "" {
 		if *exp != "" || *list || *csv != "" {
-			fmt.Fprintln(os.Stderr, "stream mode (-stream) does not combine with -exp, -list or -csv")
-			os.Exit(1)
+			return fmt.Errorf("-scorecard does not combine with -exp, -list or -csv")
 		}
-		n := *replicas
-		if n <= 0 {
-			n = 1
-		}
-		r := *rate
-		if r <= 0 {
-			r = 150
-		}
-		routerName := *router
-		if routerName == "all" {
-			routerName = "affinity"
-		}
-		if err := runStream(n, routerName, *modelName, *device, *requests, r, *groups, *prefixLen, *seed,
-			*sloTTFT, *deadline, *admission, *schedName, *prioClasses, *preempt, *hostGB, *kvGB, *benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *replicas > 0 {
-		if *exp != "" || *list || *csv != "" {
-			fmt.Fprintln(os.Stderr, "cluster mode (-replicas) does not combine with -exp, -list or -csv")
-			os.Exit(1)
-		}
-		if err := runCluster(*replicas, *router, *modelName, *device, *requests, *rate, *groups, *prefixLen, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		return runScorecards(*card, *benchJSON)
 	}
 	if *list || *exp == "" {
 		fmt.Println("available experiments:")
 		for _, id := range experiments.IDs() {
 			fmt.Printf("  %s\n", id)
 		}
+		fmt.Println("available scorecards:")
+		for _, sc := range scorecards() {
+			fmt.Printf("  %-8s %s\n", sc.name, sc.about)
+		}
 		if *exp == "" {
-			os.Exit(0)
+			return nil
 		}
 	}
 	opt := experiments.Options{Scale: *scale, Seed: *seed, CSVDir: *csv}
 	if *csv != "" {
 		if err := os.MkdirAll(*csv, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "csv dir: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("csv dir: %w", err)
 		}
 	}
 	ids := []string{*exp}
@@ -306,807 +127,34 @@ func main() {
 	for _, id := range ids {
 		r, ok := experiments.Registry[id]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (known: %s)\n", id, strings.Join(experiments.IDs(), ", "))
-			os.Exit(1)
+			return fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(experiments.IDs(), ", "))
 		}
 		start := time.Now()
 		if err := r(os.Stdout, opt); err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", id, err)
-			os.Exit(1)
+			return fmt.Errorf("experiment %s failed: %w", id, err)
 		}
 		fmt.Printf("[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
+	return nil
 }
 
-// parseDevice converts the -device flag spelling.
-func parseDevice(device string) (gpu.Device, error) {
-	switch strings.ToLower(device) {
-	case "h100":
-		return gpu.H100(), nil
-	case "l4":
-		return gpu.L4(), nil
-	default:
-		return gpu.Device{}, fmt.Errorf("unknown device %q (want h100 or l4)", device)
-	}
-}
-
-// runCluster compares routing policies on a shared-prefix workload.
-func runCluster(replicas int, router, modelName, device string, requests int, rate float64, groups, prefixLen int, seed int64) error {
-	spec, err := model.ByName(modelName)
-	if err != nil {
-		return err
-	}
-	dev, err := parseDevice(device)
-	if err != nil {
-		return err
-	}
-	var policies []cluster.RouterPolicy
-	if router == "all" {
-		policies = []cluster.RouterPolicy{cluster.RoundRobin, cluster.LeastLoaded, cluster.PrefixAffinity}
-	} else {
-		p, err := jenga.ParseRouterOption(router)
-		if err != nil {
-			return err
+// runScorecards runs the named scorecard, or with "all" every one that
+// is not wall-clock, and with a directory stores each in its file.
+func runScorecards(name, dir string) error {
+	ran := false
+	for _, sc := range scorecards() {
+		if sc.name != name && (name != "all" || sc.wallClock) {
+			continue
 		}
-		policies = []cluster.RouterPolicy{p}
-	}
-	if groups <= 0 {
-		// More prefix classes than replicas, deliberately co-prime-ish
-		// so round-robin cannot accidentally align classes to replicas.
-		groups = 4*replicas - 1
-	}
-	perGroup := requests / groups
-	if perGroup < 1 {
-		perGroup = 1
-	}
-
-	fmt.Printf("cluster: %d × %s on %s, %d requests over %d shared prefixes of %d tokens\n",
-		replicas, spec.Name, dev.Name, groups*perGroup, groups, prefixLen)
-	fmt.Printf("%-12s %9s %10s %10s %10s %8s %10s %8s\n",
-		"router", "req/s", "p50 TTFT", "p99 TTFT", "p99 E2E", "hit", "imbalance", "kv-util")
-	for _, p := range policies {
-		gen := workload.NewGen(seed)
-		reqs := gen.PrefixGroups(groups, perGroup, prefixLen, 128)
-		if rate > 0 {
-			gen.PoissonArrivals(reqs, rate)
-		} else {
-			workload.AllAtOnce(reqs)
-		}
-		c, err := cluster.New(cluster.Config{
-			Spec: spec, Device: dev, Replicas: replicas, Policy: p,
-		})
-		if err != nil {
-			return err
-		}
+		ran = true
 		start := time.Now()
-		res, err := c.Serve(reqs)
-		if err != nil {
+		if err := sc.exec(os.Stdout, dir); err != nil {
 			return err
 		}
-		fmt.Printf("%-12s %9.1f %10s %10s %10s %7.1f%% %10.2f %7.1f%%\n",
-			res.Policy, res.ReqPerSec,
-			res.P50TTFT.Round(time.Millisecond), res.P99TTFT.Round(time.Millisecond),
-			res.P99E2E.Round(time.Millisecond),
-			100*res.HitRate, res.Imbalance, 100*res.MeanKVUtil)
-		if res.Failed > 0 {
-			fmt.Printf("  (%d requests failed)\n", res.Failed)
-		}
-		for _, pr := range res.PerReplica {
-			fmt.Printf("  replica %d: %4d reqs, %8d tokens, hit %5.1f%%, peak kv %5.1f%%\n",
-				pr.Replica, pr.Requests, pr.RoutedTokens,
-				100*pr.Result.HitRate, 100*pr.Result.PeakKVUtil)
-		}
-		fmt.Printf("  [%v wall]\n", time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[%s completed in %v]\n\n", sc.name, time.Since(start).Round(time.Millisecond))
 	}
-	return nil
-}
-
-// servingBench is the machine-readable BENCH_serving.json schema: the
-// serving scorecard tracked across PRs, one row per scheduling policy
-// on the identical seeded workload.
-type servingBench struct {
-	Model       string  `json:"model"`
-	Device      string  `json:"device"`
-	Replicas    int     `json:"replicas"`
-	Router      string  `json:"router"`
-	Admission   string  `json:"admission"`
-	Requests    int     `json:"requests"`
-	RatePerS    float64 `json:"rate_per_s"`
-	SLOTTFTMs   float64 `json:"slo_ttft_ms"`
-	PrioClasses int     `json:"prio_classes"`
-	// HostGB is the per-replica host-tier budget swap-mode rows run
-	// with (recompute rows are always untiered); KvGB the per-replica
-	// KV budget override (0 = full device budget) that makes the
-	// stream memory-pressured.
-	HostGB float64 `json:"host_gb"`
-	KvGB   float64 `json:"kv_gb"`
-
-	Policies []servingPolicyBench `json:"policies"`
-
-	// Fanout is the fan-out sharing scorecard (-fanout mode); Fleet the
-	// fleet-memory scorecard (-fleet-store/-migrate modes); Chaos the
-	// fault-injection scorecard (-faults mode); Scale the streamed
-	// million-request harness scorecard (-scale-serve mode). Every mode
-	// rewrites its own section of the file and preserves the others'.
-	Fanout *fanoutBench `json:"fanout,omitempty"`
-	Fleet  *fleetBench  `json:"fleet,omitempty"`
-	Chaos  *chaosBench  `json:"chaos,omitempty"`
-	Scale  *scaleBench  `json:"scale,omitempty"`
-}
-
-// chaosBench is the chaos section of BENCH_serving.json: the identical
-// seeded fault schedule — one replica crash and restart mid-burst plus
-// a peer-transfer failure rate — served with the recovery machinery
-// off and on, so the goodput, lost-request and tail-latency cost of a
-// crash (and what recovery buys back) is tracked across PRs.
-type chaosBench struct {
-	Model     string  `json:"model"`
-	Device    string  `json:"device"`
-	Replicas  int     `json:"replicas"`
-	Requests  int     `json:"requests"`
-	RatePerS  float64 `json:"rate_per_s"`
-	Groups    int     `json:"groups"`
-	PrefixLen int     `json:"prefix_len"`
-	Phases    int     `json:"phases"`
-	HostGB    float64 `json:"host_gb"`
-	KvGB      float64 `json:"kv_gb"`
-
-	CrashReplica  int     `json:"crash_replica"`
-	CrashAtMs     float64 `json:"crash_at_ms"`
-	RestartAtMs   float64 `json:"restart_at_ms"`
-	FetchFailRate float64 `json:"fetch_fail_rate"`
-	PlanSeed      int64   `json:"plan_seed"`
-
-	Rows []chaosRow `json:"rows"`
-}
-
-// chaosRow is one recovery variant's scorecard row.
-type chaosRow struct {
-	Mode               string  `json:"mode"`
-	ReqPerSec          float64 `json:"req_per_s"`
-	Goodput            float64 `json:"goodput_per_s"`
-	SLOAttainment      float64 `json:"slo_attainment"`
-	P50TTFTMs          float64 `json:"p50_ttft_ms"`
-	P99TTFTMs          float64 `json:"p99_ttft_ms"`
-	Finished           int     `json:"finished"`
-	Failed             int     `json:"failed"`
-	Shed               int     `json:"shed"`
-	LostRequests       int     `json:"lost_requests"`
-	Crashes            int     `json:"crashes"`
-	Restarts           int     `json:"restarts"`
-	Redispatched       int     `json:"redispatched"`
-	DirInvalidations   int     `json:"dir_invalidations"`
-	MigrationRollbacks int     `json:"migration_rollbacks"`
-	FetchRetries       int64   `json:"fetch_retries"`
-	FetchFailures      int64   `json:"fetch_failures"`
-	HitRate            float64 `json:"hit_rate"`
-	PeerBytes          int64   `json:"peer_bytes"`
-}
-
-// fleetBench is the fleet section of BENCH_serving.json: the
-// cluster-wide KV store and live-migration scorecard. Churn rows
-// compare the fleet store against local recompute on a replica-churn
-// stream; drain rows compare scale-down served by shedding, by
-// recompute-migration and by transfer-migration at the same offered
-// load. -fleet-store and -migrate each rewrite their own rows and
-// preserve the other's.
-type fleetBench struct {
-	Model     string  `json:"model"`
-	Device    string  `json:"device"`
-	Replicas  int     `json:"replicas"`
-	Requests  int     `json:"requests"`
-	RatePerS  float64 `json:"rate_per_s"`
-	Groups    int     `json:"groups"`
-	PrefixLen int     `json:"prefix_len"`
-	Phases    int     `json:"phases"`
-	HostGB    float64 `json:"host_gb"`
-	KvGB      float64 `json:"kv_gb"`
-
-	DrainAfterMs  float64 `json:"drain_after_ms,omitempty"`
-	DrainReplicas int     `json:"drain_replicas,omitempty"`
-
-	Churn []fleetRow `json:"churn,omitempty"`
-	Drain []fleetRow `json:"drain,omitempty"`
-}
-
-// fleetRow is one fleet-policy variant's scorecard row.
-type fleetRow struct {
-	Mode                 string  `json:"mode"`
-	ReqPerSec            float64 `json:"req_per_s"`
-	Goodput              float64 `json:"goodput_per_s"`
-	SLOAttainment        float64 `json:"slo_attainment"`
-	P50TTFTMs            float64 `json:"p50_ttft_ms"`
-	P99TTFTMs            float64 `json:"p99_ttft_ms"`
-	HitRate              float64 `json:"hit_rate"`
-	PeerHits             int     `json:"peer_hits"`
-	PeerHitRate          float64 `json:"peer_hit_rate"`
-	PeerBytes            int64   `json:"peer_bytes"`
-	ComputedPromptTokens int64   `json:"computed_prompt_tokens"`
-	RecomputedTokens     int64   `json:"recomputed_tokens"`
-	Migrations           int     `json:"migrations"`
-	Finished             int     `json:"finished"`
-	Failed               int     `json:"failed"`
-	Shed                 int     `json:"shed"`
-}
-
-// fanoutBench is the -fanout section of BENCH_serving.json: the same
-// fan-out shape served twice — forked copy-on-write branches vs naive
-// independent branches — so the per-branch KV footprint and the branch
-// TTFT advantage are tracked across PRs.
-type fanoutBench struct {
-	Model     string  `json:"model"`
-	Device    string  `json:"device"`
-	PromptLen int     `json:"prompt_len"`
-	ForkAfter int     `json:"fork_after"`
-	OutputLen int     `json:"output_len"`
-	Branch    int     `json:"branch"`
-	Roots     int     `json:"roots"`
-	RatePerS  float64 `json:"rate_per_s"`
-	KvGB      float64 `json:"kv_gb"`
-
-	Modes []fanoutModeBench `json:"modes"`
-	// SavingsX is naive kv_bytes_per_branch over fork's: how many
-	// times less KV a forked branch holds at the memory peak.
-	SavingsX float64 `json:"kv_bytes_per_branch_savings_x"`
-}
-
-// fanoutModeBench is one mode's row: memory columns from the
-// single-root sub-experiment (peak KV with every branch live), traffic
-// columns from the Poisson-roots sub-experiment.
-type fanoutModeBench struct {
-	Mode             string  `json:"mode"`
-	PeakKVBytes      int64   `json:"peak_kv_bytes"`
-	KVBytesPerBranch float64 `json:"kv_bytes_per_branch"`
-	Forks            int64   `json:"forks"`
-	CowCopies        int64   `json:"cow_copies"`
-	CowCopyBytes     int64   `json:"cow_copy_bytes"`
-	ReqPerSec        float64 `json:"req_per_s"`
-	P50TTFTMs        float64 `json:"p50_ttft_ms"`
-	P99TTFTMs        float64 `json:"p99_ttft_ms"`
-	Finished         int     `json:"finished"`
-	Failed           int     `json:"failed"`
-}
-
-// loadServingBench reads an existing scorecard file so one mode's write
-// can preserve the other mode's section (missing or unreadable file →
-// zero value).
-func loadServingBench(path string) servingBench {
-	var sb servingBench
-	if buf, err := os.ReadFile(path); err == nil {
-		_ = json.Unmarshal(buf, &sb)
+	if !ran {
+		return fmt.Errorf("unknown scorecard %q (see -list)", name)
 	}
-	return sb
-}
-
-// servingPolicyBench is one (scheduling policy, preempt mode) row of
-// the scorecard.
-type servingPolicyBench struct {
-	Scheduler          string  `json:"scheduler"`
-	Preempt            string  `json:"preempt"`
-	ReqPerSec          float64 `json:"req_per_s"`
-	Goodput            float64 `json:"goodput_per_s"`
-	SLOAttainment      float64 `json:"slo_attainment"`
-	ShedRate           float64 `json:"shed_rate"`
-	P50TTFTMs          float64 `json:"p50_ttft_ms"`
-	P99TTFTMs          float64 `json:"p99_ttft_ms"`
-	P50E2EMs           float64 `json:"p50_e2e_ms"`
-	P99E2EMs           float64 `json:"p99_e2e_ms"`
-	HitRate            float64 `json:"hit_rate"`
-	MeanKVUtil         float64 `json:"mean_kv_util"`
-	Imbalance          float64 `json:"imbalance"`
-	GroupJain          float64 `json:"group_jain"`
-	MaxGroupMeanTTFTMs float64 `json:"max_group_mean_ttft_ms"`
-	Finished           int     `json:"finished"`
-	Failed             int     `json:"failed"`
-	Shed               int     `json:"shed"`
-	// Host-tier columns: restored-vs-recomputed volume, transfer
-	// counts and the p99 per-request restore cost.
-	TierHitRate      float64 `json:"tier_hit_rate"`
-	RestoredTokens   int64   `json:"restored_tokens"`
-	RecomputedTokens int64   `json:"recomputed_tokens"`
-	SwapOuts         int64   `json:"swap_outs"`
-	SwapIns          int64   `json:"swap_ins"`
-	RestoreP99Ms     float64 `json:"restore_p99_ms"`
-}
-
-// runStream runs the online streaming-serving benchmark: a
-// shared-prefix Poisson stream through ServeOnline — routing sees live
-// replica state, admission sheds at arrival — once per scheduling
-// policy on the identical seeded workload, so the scorecard compares
-// policies directly.
-func runStream(replicas int, router, modelName, device string, requests int, rate float64,
-	groups, prefixLen int, seed int64, sloTTFT, deadline time.Duration,
-	admission, schedName string, prioClasses int, preempt string, hostGB, kvGB float64,
-	benchJSON string) error {
-	spec, err := model.ByName(modelName)
-	if err != nil {
-		return err
-	}
-	dev, err := parseDevice(device)
-	if err != nil {
-		return err
-	}
-	policy, err := jenga.ParseRouterOption(router)
-	if err != nil {
-		return err
-	}
-	adm, err := jenga.ParseAdmissionOption(admission, sloTTFT)
-	if err != nil {
-		return err
-	}
-	schedNames := []string{schedName}
-	if schedName == "all" {
-		schedNames = []string{"fcfs", "priority", "sjf", "fairshare"}
-	}
-	schedulers := make([]sched.Scheduler, len(schedNames))
-	for i, name := range schedNames {
-		s, err := jenga.ParseSchedulerOption(name)
-		if err != nil {
-			return err
-		}
-		schedulers[i] = s
-	}
-	preemptModes := []engine.PreemptMode{engine.PreemptRecompute}
-	switch preempt {
-	case "all":
-		preemptModes = []engine.PreemptMode{engine.PreemptRecompute, engine.PreemptSwap}
-	default:
-		m, err := jenga.ParsePreemptOption(preempt)
-		if err != nil {
-			return err
-		}
-		preemptModes = []engine.PreemptMode{m}
-	}
-	hostBytes := int64(hostGB * float64(1<<30))
-	if groups <= 0 {
-		groups = 4*replicas - 1
-	}
-	admName := "none"
-	if adm != nil {
-		admName = adm.Name()
-	}
-	opt := bench.ServingOptions{
-		Spec: spec, Device: dev, Replicas: replicas, Router: policy,
-		Admission: adm, Requests: requests, Rate: rate,
-		Groups: groups, PrefixLen: prefixLen, SuffixLen: 128,
-		PrioClasses: prioClasses, SLOTTFT: sloTTFT, Deadline: deadline, Seed: seed,
-		CapacityBytes: int64(kvGB * float64(1<<30)),
-	}
-	nReqs := opt.RequestCount()
-	fmt.Printf("stream: %d × %s on %s, %d requests at %.0f req/s, router %s, admission %s, slo-ttft %v, %d priority classes, host tier %.1f GiB (swap rows)\n",
-		replicas, spec.Name, dev.Name, nReqs, rate, policy, admName, sloTTFT, prioClasses, hostGB)
-	fmt.Printf("%-12s %-9s %8s %9s %9s %7s %10s %10s %10s %7s %7s %8s\n",
-		"scheduler", "preempt", "req/s", "goodput", "slo-att", "shed", "p50 TTFT", "p99 TTFT", "p99 E2E", "hit", "tier", "recomp")
-	out := servingBench{
-		Model: spec.Name, Device: dev.Name, Replicas: replicas,
-		Router: policy.String(), Admission: admName,
-		Requests: nReqs, RatePerS: rate,
-		SLOTTFTMs:   float64(sloTTFT) / float64(time.Millisecond),
-		PrioClasses: prioClasses,
-		HostGB:      hostGB,
-		KvGB:        kvGB,
-	}
-	for _, scheduler := range schedulers {
-		for _, mode := range preemptModes {
-			opt.Scheduler = scheduler
-			opt.PreemptMode = mode
-			// Recompute rows run untiered — the historical baseline the
-			// scorecard trajectory compares against; swap rows get the
-			// host tier.
-			if mode == engine.PreemptSwap {
-				opt.HostTierBytes = hostBytes
-			} else {
-				opt.HostTierBytes = 0
-			}
-			start := time.Now()
-			res, err := bench.RunServing(opt)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-12s %-9s %8.1f %9.1f %8.1f%% %6.1f%% %10s %10s %10s %6.1f%% %6.1f%% %8d  [%v wall]\n",
-				scheduler.Name(), mode, res.ReqPerSec, res.Goodput, 100*res.SLOAttainment,
-				100*float64(res.Shed)/float64(nReqs),
-				res.P50TTFT.Round(time.Millisecond), res.P99TTFT.Round(time.Millisecond),
-				res.P99E2E.Round(time.Millisecond), 100*res.HitRate, 100*res.TierHitRate,
-				res.RecomputedTokens, time.Since(start).Round(time.Millisecond))
-			if res.Failed > 0 {
-				fmt.Printf("  (%d requests failed)\n", res.Failed)
-			}
-			out.Policies = append(out.Policies, servingPolicyBench{
-				Scheduler:          scheduler.Name(),
-				Preempt:            mode.String(),
-				ReqPerSec:          res.ReqPerSec,
-				Goodput:            res.Goodput,
-				SLOAttainment:      res.SLOAttainment,
-				ShedRate:           float64(res.Shed) / float64(nReqs),
-				P50TTFTMs:          float64(res.P50TTFT) / float64(time.Millisecond),
-				P99TTFTMs:          float64(res.P99TTFT) / float64(time.Millisecond),
-				P50E2EMs:           float64(res.P50E2E) / float64(time.Millisecond),
-				P99E2EMs:           float64(res.P99E2E) / float64(time.Millisecond),
-				HitRate:            res.HitRate,
-				MeanKVUtil:         res.MeanKVUtil,
-				Imbalance:          res.Imbalance,
-				GroupJain:          res.GroupJain,
-				MaxGroupMeanTTFTMs: float64(res.MaxGroupMeanTTFT) / float64(time.Millisecond),
-				Finished:           res.Finished, Failed: res.Failed, Shed: res.Shed,
-				TierHitRate:      res.TierHitRate,
-				RestoredTokens:   res.RestoredTokens,
-				RecomputedTokens: res.RecomputedTokens,
-				SwapOuts:         res.SwapOuts,
-				SwapIns:          res.SwapIns,
-				RestoreP99Ms:     float64(res.P99Restore) / float64(time.Millisecond),
-			})
-		}
-	}
-	if benchJSON == "" {
-		return nil
-	}
-	prev := loadServingBench(benchJSON)
-	out.Fanout = prev.Fanout
-	out.Fleet = prev.Fleet
-	out.Chaos = prev.Chaos
-	out.Scale = prev.Scale
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(benchJSON, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", benchJSON)
-	return nil
-}
-
-// runFanout runs the fan-out sharing benchmark: the identical fan-out
-// shape served with copy-on-write forking and with naive independent
-// branches. Two sub-experiments per mode — memory (one root, every
-// branch live at once, peak KV per branch) and traffic (Poisson roots,
-// branch throughput and TTFT percentiles) — merge into one row.
-func runFanout(modelName, device string, prompt, after, outLen, branch, roots int,
-	rate, kvGB float64, seed int64, benchJSON string) error {
-	spec, err := model.ByName(modelName)
-	if err != nil {
-		return err
-	}
-	dev, err := parseDevice(device)
-	if err != nil {
-		return err
-	}
-	base := bench.FanoutOptions{
-		Spec: spec, Device: dev, CapacityBytes: int64(kvGB * float64(1<<30)),
-		PromptLen: prompt, ForkAfter: after, OutputLen: outLen, Branch: branch,
-		Seed: seed,
-	}
-	fb := fanoutBench{
-		Model: spec.Name, Device: dev.Name,
-		PromptLen: prompt, ForkAfter: after, OutputLen: outLen, Branch: branch,
-		Roots: roots, RatePerS: rate, KvGB: kvGB,
-	}
-	fmt.Printf("fanout: %s on %s, branch %d after %d shared output tokens (prompt %d, %d per branch); traffic: %d roots at %.1f req/s\n",
-		spec.Name, dev.Name, branch, after, prompt, outLen, roots, rate)
-	fmt.Printf("%-6s %14s %14s %8s %10s %8s %10s %10s %9s\n",
-		"mode", "peak KV", "KV/branch", "forks", "cow bytes", "req/s", "p50 TTFT", "p99 TTFT", "finished")
-	for _, naive := range []bool{false, true} {
-		mem := base
-		mem.Roots, mem.Rate, mem.Naive = 1, 0, naive
-		mres, err := bench.RunFanout(mem)
-		if err != nil {
-			return err
-		}
-		traffic := base
-		traffic.Roots, traffic.Rate, traffic.Naive = roots, rate, naive
-		tres, err := bench.RunFanout(traffic)
-		if err != nil {
-			return err
-		}
-		mode := "fork"
-		if naive {
-			mode = "naive"
-		}
-		row := fanoutModeBench{
-			Mode:             mode,
-			PeakKVBytes:      mres.PeakKVBytes,
-			KVBytesPerBranch: mres.KVBytesPerBranch,
-			Forks:            mres.Forks,
-			CowCopies:        mres.CowCopies,
-			CowCopyBytes:     mres.CowCopyBytes,
-			ReqPerSec:        tres.ReqPerSec,
-			P50TTFTMs:        float64(tres.P50TTFT) / float64(time.Millisecond),
-			P99TTFTMs:        float64(tres.P99TTFT) / float64(time.Millisecond),
-			Finished:         tres.Finished,
-			Failed:           mres.Failed + tres.Failed,
-		}
-		fb.Modes = append(fb.Modes, row)
-		fmt.Printf("%-6s %14d %14.0f %8d %10d %8.1f %10s %10s %9d\n",
-			mode, row.PeakKVBytes, row.KVBytesPerBranch, row.Forks, row.CowCopyBytes,
-			row.ReqPerSec, tres.P50TTFT.Round(time.Millisecond), tres.P99TTFT.Round(time.Millisecond),
-			row.Finished)
-		if row.Failed > 0 {
-			fmt.Printf("  (%d requests failed)\n", row.Failed)
-		}
-	}
-	if fb.Modes[0].KVBytesPerBranch > 0 {
-		fb.SavingsX = fb.Modes[1].KVBytesPerBranch / fb.Modes[0].KVBytesPerBranch
-	}
-	fmt.Printf("KV bytes per branch: fork holds %.2fx less than naive at the memory peak\n", fb.SavingsX)
-	if benchJSON == "" {
-		return nil
-	}
-	sb := loadServingBench(benchJSON)
-	sb.Fanout = &fb
-	buf, err := json.MarshalIndent(sb, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(benchJSON, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (fanout section)\n", benchJSON)
-	return nil
-}
-
-// fleetRowOf flattens one cluster result into a scorecard row.
-func fleetRowOf(mode string, res *cluster.Result) fleetRow {
-	return fleetRow{
-		Mode:                 mode,
-		ReqPerSec:            res.ReqPerSec,
-		Goodput:              res.Goodput,
-		SLOAttainment:        res.SLOAttainment,
-		P50TTFTMs:            float64(res.P50TTFT) / float64(time.Millisecond),
-		P99TTFTMs:            float64(res.P99TTFT) / float64(time.Millisecond),
-		HitRate:              res.HitRate,
-		PeerHits:             res.PeerHits,
-		PeerHitRate:          res.PeerHitRate,
-		PeerBytes:            res.PeerBytes,
-		ComputedPromptTokens: res.ComputedPromptTokens,
-		RecomputedTokens:     res.RecomputedTokens,
-		Migrations:           res.Migrations,
-		Finished:             res.Finished,
-		Failed:               res.Failed,
-		Shed:                 res.Shed,
-	}
-}
-
-// runFleet runs the fleet-memory benchmarks on a replica-churn stream:
-// with storeExp, the fleet store against local recompute (identical
-// workload and routing, only the directory and peer-transfer path
-// differ); with migrateExp, a mid-stream scale-down served by
-// shedding, by recompute-migration and by transfer-migration. Each
-// variant gets a fresh cluster — cold caches, empty directory — so the
-// rows compare policies, not warm-up.
-func runFleet(storeExp, migrateExp bool, replicas int, router, modelName, device string,
-	requests int, rate float64, groups, prefixLen, phases int, seed int64,
-	sloTTFT, deadline, drainAfter time.Duration, drainReplicas int,
-	hostGB, kvGB float64, benchJSON string) error {
-	spec, err := model.ByName(modelName)
-	if err != nil {
-		return err
-	}
-	dev, err := parseDevice(device)
-	if err != nil {
-		return err
-	}
-	policy, err := jenga.ParseRouterOption(router)
-	if err != nil {
-		return err
-	}
-	if groups <= 0 {
-		groups = 4*replicas - 1
-	}
-	opt := bench.FleetOptions{
-		Spec: spec, Device: dev, Replicas: replicas,
-		CapacityBytes: int64(kvGB * float64(1<<30)),
-		HostTierBytes: int64(hostGB * float64(1<<30)),
-		Router:        policy,
-		Requests:      requests, Rate: rate,
-		Groups: groups, PrefixLen: prefixLen, SuffixLen: 128, Phases: phases,
-		SLOTTFT: sloTTFT, Deadline: deadline, Seed: seed,
-	}
-	nReqs := opt.RequestCount()
-	fb := fleetBench{
-		Model: spec.Name, Device: dev.Name, Replicas: replicas,
-		Requests: nReqs, RatePerS: rate,
-		Groups: groups, PrefixLen: prefixLen, Phases: phases,
-		HostGB: hostGB, KvGB: kvGB,
-	}
-	fmt.Printf("fleet: %d × %s on %s, %d requests at %.0f req/s over %d churning prefixes of %d tokens (%d phases), router %s, host tier %.1f GiB\n",
-		replicas, spec.Name, dev.Name, nReqs, rate, groups, prefixLen, phases, policy, hostGB)
-	header := func() {
-		fmt.Printf("%-18s %8s %9s %10s %10s %7s %7s %10s %9s %7s %6s %6s\n",
-			"mode", "req/s", "goodput", "p50 TTFT", "p99 TTFT", "hit", "peer", "computed", "recomp", "migr", "shed", "fail")
-	}
-	row := func(mode string, fl cluster.FleetPolicy) (fleetRow, error) {
-		opt.Fleet = fl
-		start := time.Now()
-		res, err := bench.RunFleet(opt)
-		if err != nil {
-			return fleetRow{}, err
-		}
-		r := fleetRowOf(mode, res)
-		fmt.Printf("%-18s %8.1f %9.1f %10s %10s %6.1f%% %6.1f%% %10d %9d %7d %6d %6d  [%v wall]\n",
-			mode, r.ReqPerSec, r.Goodput,
-			res.P50TTFT.Round(time.Millisecond), res.P99TTFT.Round(time.Millisecond),
-			100*r.HitRate, 100*r.PeerHitRate, r.ComputedPromptTokens, r.RecomputedTokens,
-			r.Migrations, r.Shed, r.Failed, time.Since(start).Round(time.Millisecond))
-		return r, nil
-	}
-	if storeExp {
-		fmt.Println("churn: fleet store vs local recompute")
-		header()
-		for _, v := range []struct {
-			mode string
-			fl   cluster.FleetPolicy
-		}{
-			{"local-recompute", cluster.FleetPolicy{}},
-			{"fleet-store", cluster.FleetPolicy{Store: true}},
-		} {
-			r, err := row(v.mode, v.fl)
-			if err != nil {
-				return err
-			}
-			fb.Churn = append(fb.Churn, r)
-		}
-	}
-	if migrateExp {
-		fb.DrainAfterMs = float64(drainAfter) / float64(time.Millisecond)
-		fb.DrainReplicas = drainReplicas
-		fmt.Printf("drain: %d replica(s) evacuate at %v\n", drainReplicas, drainAfter)
-		header()
-		for _, v := range []struct {
-			mode string
-			fl   cluster.FleetPolicy
-		}{
-			{"shed", cluster.FleetPolicy{DrainAfter: drainAfter, DrainReplicas: drainReplicas}},
-			{"migrate-recompute", cluster.FleetPolicy{Migrate: true, DrainAfter: drainAfter, DrainReplicas: drainReplicas}},
-			{"migrate-transfer", cluster.FleetPolicy{Store: true, Migrate: true, DrainAfter: drainAfter, DrainReplicas: drainReplicas}},
-		} {
-			r, err := row(v.mode, v.fl)
-			if err != nil {
-				return err
-			}
-			fb.Drain = append(fb.Drain, r)
-		}
-	}
-	if benchJSON == "" {
-		return nil
-	}
-	sb := loadServingBench(benchJSON)
-	if prev := sb.Fleet; prev != nil {
-		// Preserve the rows of whichever experiment did not re-run.
-		if !storeExp {
-			fb.Churn = prev.Churn
-		}
-		if !migrateExp {
-			fb.Drain, fb.DrainAfterMs, fb.DrainReplicas = prev.Drain, prev.DrainAfterMs, prev.DrainReplicas
-		}
-	}
-	sb.Fleet = &fb
-	buf, err := json.MarshalIndent(sb, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(benchJSON, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (fleet section)\n", benchJSON)
-	return nil
-}
-
-// runChaos runs the fault-injection benchmark: the churn workload with
-// a seeded replica crash/restart mid-burst and a peer-transfer failure
-// rate, served twice — recovery machinery off, then on — on the
-// identical plan. The printed scorecard and the chaos section of
-// -bench-json record what recovery buys: requests saved (lost → 0),
-// goodput recovered, and the tail-latency price of re-dispatching the
-// crashed replica's work.
-func runChaos(replicas int, router, modelName, device string,
-	requests int, rate float64, groups, prefixLen, phases int, seed int64,
-	sloTTFT, deadline time.Duration, crashReplica int, crashAt, restartAt time.Duration,
-	fetchFailRate, hostGB, kvGB float64, benchJSON string) error {
-	spec, err := model.ByName(modelName)
-	if err != nil {
-		return err
-	}
-	dev, err := parseDevice(device)
-	if err != nil {
-		return err
-	}
-	policy, err := jenga.ParseRouterOption(router)
-	if err != nil {
-		return err
-	}
-	if groups <= 0 {
-		groups = 4*replicas - 1
-	}
-	opt := bench.ChaosOptions{
-		FleetOptions: bench.FleetOptions{
-			Spec: spec, Device: dev, Replicas: replicas,
-			CapacityBytes: int64(kvGB * float64(1<<30)),
-			HostTierBytes: int64(hostGB * float64(1<<30)),
-			Router:        policy,
-			Requests:      requests, Rate: rate,
-			Groups: groups, PrefixLen: prefixLen, SuffixLen: 128, Phases: phases,
-			SLOTTFT: sloTTFT, Deadline: deadline, Seed: seed,
-		},
-		CrashReplica:  crashReplica,
-		CrashAt:       crashAt,
-		RestartAt:     restartAt,
-		FetchFailRate: fetchFailRate,
-	}
-	plan := opt.Plan()
-	ev := plan.Events
-	cb := chaosBench{
-		Model: spec.Name, Device: dev.Name, Replicas: replicas,
-		Requests: opt.RequestCount(), RatePerS: rate,
-		Groups: groups, PrefixLen: prefixLen, Phases: phases,
-		HostGB: hostGB, KvGB: kvGB,
-		CrashReplica:  ev[0].Replica,
-		CrashAtMs:     float64(ev[0].At) / float64(time.Millisecond),
-		RestartAtMs:   float64(ev[1].At) / float64(time.Millisecond),
-		FetchFailRate: fetchFailRate,
-		PlanSeed:      seed,
-	}
-	fmt.Printf("chaos: %d × %s on %s, %d requests at %.0f req/s; crash replica %d at %v, restart %v, transfer fail rate %.2f (plan %x)\n",
-		replicas, spec.Name, dev.Name, cb.Requests, rate,
-		ev[0].Replica, ev[0].At.Round(time.Millisecond), ev[1].At.Round(time.Millisecond),
-		fetchFailRate, plan.Fingerprint())
-	fmt.Printf("%-12s %8s %9s %9s %10s %10s %6s %6s %6s %7s %7s %7s\n",
-		"recovery", "req/s", "goodput", "slo-att", "p50 TTFT", "p99 TTFT", "lost", "shed", "fail", "redisp", "retry", "xfail")
-	for _, recover := range []bool{false, true} {
-		opt.Recover = recover
-		start := time.Now()
-		res, err := bench.RunChaos(opt)
-		if err != nil {
-			return err
-		}
-		mode := "off"
-		if recover {
-			mode = "on"
-		}
-		fmt.Printf("%-12s %8.1f %9.1f %8.1f%% %10s %10s %6d %6d %6d %7d %7d %7d  [%v wall]\n",
-			mode, res.ReqPerSec, res.Goodput, 100*res.SLOAttainment,
-			res.P50TTFT.Round(time.Millisecond), res.P99TTFT.Round(time.Millisecond),
-			res.LostRequests, res.Shed, res.Failed,
-			res.Redispatched, res.FetchRetries, res.FetchFailures,
-			time.Since(start).Round(time.Millisecond))
-		cb.Rows = append(cb.Rows, chaosRow{
-			Mode:               mode,
-			ReqPerSec:          res.ReqPerSec,
-			Goodput:            res.Goodput,
-			SLOAttainment:      res.SLOAttainment,
-			P50TTFTMs:          float64(res.P50TTFT) / float64(time.Millisecond),
-			P99TTFTMs:          float64(res.P99TTFT) / float64(time.Millisecond),
-			Finished:           res.Finished,
-			Failed:             res.Failed,
-			Shed:               res.Shed,
-			LostRequests:       res.LostRequests,
-			Crashes:            res.Crashes,
-			Restarts:           res.Restarts,
-			Redispatched:       res.Redispatched,
-			DirInvalidations:   res.DirInvalidations,
-			MigrationRollbacks: res.MigrationRollbacks,
-			FetchRetries:       res.FetchRetries,
-			FetchFailures:      res.FetchFailures,
-			HitRate:            res.HitRate,
-			PeerBytes:          res.PeerBytes,
-		})
-	}
-	off, on := cb.Rows[0], cb.Rows[1]
-	fmt.Printf("recovery saved %d requests (lost %d → %d) and %+.1f goodput req/s\n",
-		off.LostRequests-on.LostRequests, off.LostRequests, on.LostRequests,
-		on.Goodput-off.Goodput)
-	if benchJSON == "" {
-		return nil
-	}
-	sb := loadServingBench(benchJSON)
-	sb.Chaos = &cb
-	buf, err := json.MarshalIndent(sb, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(benchJSON, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (chaos section)\n", benchJSON)
 	return nil
 }

@@ -1,40 +1,33 @@
 package bench
 
 import (
-	"sort"
 	"time"
 
 	"jenga/internal/core"
 	"jenga/internal/engine"
 	"jenga/internal/gpu"
-	"jenga/internal/model"
+	"jenga/internal/metrics"
 	"jenga/internal/workload"
 )
 
-// FanoutOptions configures one fan-out serving run: Roots requests,
-// each a PromptLen-token prompt that branches into Branch streams after
-// ForkAfter output tokens, every branch decoding to OutputLen total.
-// The same options drive both sides of the scorecard: the fork mode
-// (copy-on-write branching via core.Forker) and, with Naive set, the
-// baseline an engine without forking must serve — every root lowered to
-// Branch independent requests over the identical prompt. Prefix caching
-// is on in both modes, so the naive side still shares what claiming can
-// share (prompt blocks); the delta isolates what only forking can
-// share: the generated pre-divergence region.
+// FanoutOptions configures one fan-out serving run. It is engine-level
+// — one replica, with the allocator's fork counters and a per-step
+// memory timeline no cluster.Result carries — but takes its shape from
+// a Scenario: Spec, Device and CapacityBytes describe the replica,
+// Requests is the number of fan-out roots, PrefixLen their prompt
+// length, Rate and Seed their Poisson arrivals. Each root branches into
+// Branch streams after ForkAfter output tokens, every branch decoding
+// to OutputLen total. The same options drive both sides of the
+// scorecard: the fork mode (copy-on-write branching via core.Forker)
+// and, with Naive set, the baseline an engine without forking must
+// serve — every root lowered to Branch independent requests over the
+// identical prompt. Prefix caching is on in both modes, so the naive
+// side still shares what claiming can share (prompt blocks); the delta
+// isolates what only forking can share: the generated pre-divergence
+// region.
 type FanoutOptions struct {
-	// Spec and Device describe the replica (zero Device = H100).
-	Spec   *model.Spec
-	Device gpu.Device
-	// CapacityBytes overrides the KV budget (0 = full device budget).
-	CapacityBytes int64
-	// PromptLen, ForkAfter, OutputLen and Branch shape each fan-out.
-	PromptLen, ForkAfter, OutputLen, Branch int
-	// Roots is the number of fan-out requests; Rate their Poisson
-	// arrival rate in req/s (0 = all at once).
-	Roots int
-	Rate  float64
-	// Seed drives the deterministic workload generator.
-	Seed int64
+	Scenario
+	ForkAfter, OutputLen, Branch int
 	// Naive lowers every root to Branch independent requests.
 	Naive bool
 }
@@ -53,12 +46,10 @@ type FanoutResult struct {
 	// request, so Finished counts branches, not roots.
 	Finished, Failed int
 	ReqPerSec        float64
-	TokensPerSec     float64
 	// P50TTFT/P99TTFT are time-to-first-token percentiles over
 	// branches. A forked branch's clock starts at the fork instant and
 	// its first token needs no prefill — the latency face of sharing.
 	P50TTFT, P99TTFT time.Duration
-	Duration         time.Duration
 }
 
 // RunFanout runs one fan-out serving benchmark mode on a fresh
@@ -68,7 +59,7 @@ func RunFanout(o FanoutOptions) (*FanoutResult, error) {
 		o.Device = gpu.H100()
 	}
 	gen := workload.NewGen(o.Seed)
-	reqs := gen.FanOut(o.Roots, o.PromptLen, o.ForkAfter, o.OutputLen, o.Branch)
+	reqs := gen.FanOut(o.Requests, o.PrefixLen, o.ForkAfter, o.OutputLen, o.Branch)
 	if o.Rate > 0 {
 		gen.PoissonArrivals(reqs, o.Rate)
 	} else {
@@ -94,14 +85,9 @@ func RunFanout(o FanoutOptions) (*FanoutResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	branches := o.Roots * o.Branch
-	if branches < 1 {
-		branches = 1
-	}
+	branches := max(1, o.Requests*o.Branch)
 	out := &FanoutResult{
-		Finished: res.Finished, Failed: res.Failed,
-		ReqPerSec: res.ReqPerSec, TokensPerSec: res.TokensPerSec,
-		Duration: res.Duration,
+		Finished: res.Finished, Failed: res.Failed, ReqPerSec: res.ReqPerSec,
 	}
 	for _, s := range res.MemTimeline {
 		if s.Usage.Used > out.PeakKVBytes {
@@ -115,17 +101,7 @@ func RunFanout(o FanoutOptions) (*FanoutResult, error) {
 	for _, rm := range res.PerRequest {
 		ttfts = append(ttfts, rm.TTFT)
 	}
-	sort.Slice(ttfts, func(i, j int) bool { return ttfts[i] < ttfts[j] })
-	out.P50TTFT = percentileDur(ttfts, 0.50)
-	out.P99TTFT = percentileDur(ttfts, 0.99)
+	ps := metrics.Percentiles(ttfts, 50, 99)
+	out.P50TTFT, out.P99TTFT = ps[0], ps[1]
 	return out, nil
-}
-
-// percentileDur reads the p-th percentile of a sorted slice.
-func percentileDur(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
 }

@@ -530,18 +530,24 @@ func TestReportLivePriorityClass(t *testing.T) {
 // own report row — and that the shared KV is fully released at drain.
 func TestStreamFork(t *testing.T) {
 	s := testServer(t, 64<<20, true, Config{})
-	rootReq := testReqs(51, 1, 200, 100_000)[0]
-	root, err := s.Submit(context.Background(), rootReq)
+	// The pump stays parked through the set-up and the test steps the
+	// engine itself, under the lock the pump would hold, to exactly 8
+	// generated tokens: a running pump decodes on while this goroutine
+	// reacts, so where a Pause lands is up to the goroutine scheduler
+	// and can be past the bounds below.
+	s.Pause()
+	root, err := s.Submit(context.Background(), testReqs(51, 1, 200, 100_000)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ev := range root.Events() {
-		if (ev.Type == engine.EventFirstToken || ev.Type == engine.EventToken) &&
-			ev.Generated >= 8 {
-			break
-		}
+	s.mu.Lock()
+	for root.generated < 8 && err == nil {
+		err = s.eng.StepOnce()
 	}
-	s.Pause() // step boundary: the parent is quiescent and mid-decode
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
 	kids, err := root.Fork(2)
 	if err != nil {
 		t.Fatal(err)
@@ -572,8 +578,8 @@ func TestStreamFork(t *testing.T) {
 			t.Errorf("branch %d: first token missing (saw=%v TTFT=%v)", k.ID(), sawFirst, res.TTFT)
 		}
 	}
-	if res, err := root.Wait(context.Background()); err != nil || res.State != StateCancelled {
-		t.Fatalf("root: %+v err %v, want cancelled", res, err)
+	if res, err := root.Wait(context.Background()); err != nil || res.State != StateCancelled || res.Generated != 40 {
+		t.Fatalf("root: %+v err %v, want cancelled at exactly 40", res, err)
 	}
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
