@@ -11,12 +11,15 @@ import (
 // steady-state decode, one engine step performs zero heap allocations —
 // no per-step running-list copy, no per-decode projected-context map,
 // no Usage map on the sampling path, no free-pool map churn in the
-// allocator. The budget is asserted over a measurement window placed
-// mid-plateau of the engine's amortized slices (the private token
-// buffer, taken from the engine's free list at the first generated
-// token, is sized for the request's whole output; page tables and
-// timelines are within capacity), so any regression that allocates per
-// step or per token fails loudly.
+// allocator — and a speculative pair's step, which draws an acceptance,
+// appends and commits a burst of up to SpecK+1 tokens over both models'
+// groups and prices the draft's passes, adds nothing to that. The
+// budget is asserted over a measurement window placed mid-plateau of
+// the engine's amortized slices (the private token buffer, taken from
+// the engine's free list at the first generated token, is sized for the
+// request's whole output; page tables and timelines are within
+// capacity), so any regression that allocates per step or per token
+// fails loudly.
 //
 // Skipped under -short: the race-detector CI pass (-race -short) adds
 // instrumentation allocations that are not the engine's.
@@ -30,39 +33,59 @@ func TestDecodeStepZeroAlloc(t *testing.T) {
 			{Name: "kv", Kind: jenga.FullAttention, Layers: 2, BytesPerToken: 128, Scope: jenga.ScopeText},
 		},
 	}
-	mgr, err := jenga.NewManager(jenga.ManagerConfig{
-		Spec: spec, CapacityBytes: 64 << 20, TokensPerPage: 16, RequestAware: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	draft := &jenga.Spec{
+		Name: "zeroalloc-draft", Params: 100_000, WeightBytes: 2, HiddenSize: 32,
+		Groups: []jenga.KVGroup{
+			{Name: "kv", Kind: jenga.FullAttention, Layers: 1, BytesPerToken: 64, Scope: jenga.ScopeText},
+		},
 	}
-	eng, err := jenga.NewEngine(jenga.EngineConfig{
-		Spec: spec, Manager: mgr, MaxBatchTokens: 2048, MaxSteps: 1 << 30,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := jenga.Request{ID: 1, OutputLen: 4096}
-	for j := 0; j < 64; j++ {
-		req.Prompt = append(req.Prompt, jenga.Token{ID: int32(j + 1)})
-	}
-	if err := eng.Submit(&req); err != nil {
-		t.Fatal(err)
-	}
-	// Warm deep into decode so every amortized slice (page table,
-	// decode timeline) sits mid-plateau for the measurement window.
-	for i := 0; i < 1300; i++ {
-		if err := eng.StepOnce(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(128, func() {
-		if err := eng.StepOnce(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state decode step allocates %.2f objects per step, want 0", allocs)
+	for _, c := range []struct {
+		name string
+		spec *jenga.Spec
+	}{
+		{"plain", spec},
+		{"speculative", jenga.WithDraft(spec, draft)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mgr, err := jenga.NewManager(jenga.ManagerConfig{
+				Spec: c.spec, CapacityBytes: 64 << 20, TokensPerPage: 16, RequestAware: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := jenga.NewEngine(jenga.EngineConfig{
+				Spec: c.spec, Manager: mgr, MaxBatchTokens: 2048, MaxSteps: 1 << 30,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := jenga.Request{ID: 1, OutputLen: 4096}
+			for j := 0; j < 64; j++ {
+				req.Prompt = append(req.Prompt, jenga.Token{ID: int32(j + 1)})
+			}
+			if err := eng.Submit(&req); err != nil {
+				t.Fatal(err)
+			}
+			// Warm deep into decode so every amortized slice (page
+			// table, decode timeline) sits mid-plateau for the
+			// measurement window.
+			for i := 0; i < 1300; i++ {
+				if err := eng.StepOnce(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(128, func() {
+				if err := eng.StepOnce(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state decode step allocates %.2f objects per step, want 0", allocs)
+			}
+			if !eng.Live() {
+				t.Fatal("the request finished inside the window: the steps measured were not all decode steps")
+			}
+		})
 	}
 }
 

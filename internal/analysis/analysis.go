@@ -119,6 +119,7 @@ func pathIn(path, pkg string) bool {
 // breaks bit-identity. maporder guards them.
 var goldenPkgs = []string{
 	"jenga/internal/core",
+	"jenga/internal/baseline",
 	"jenga/internal/engine",
 	"jenga/internal/sched",
 	"jenga/internal/cluster",

@@ -218,37 +218,51 @@ func TestPagedPrefixCaching(t *testing.T) {
 	p.DropImages(b, 17)
 }
 
+// miniDraft is the one-layer draft the speculative baselines pair with.
+func miniDraft() *model.Spec {
+	return &model.Spec{Name: "d", Params: 100, WeightBytes: 2, HiddenSize: 8,
+		Groups: []model.KVGroup{{Name: "self", Kind: model.FullAttention, Layers: 1, BytesPerToken: 128}}}
+}
+
+// conserved checks the accounting identity every manager owes.
+func conserved(t *testing.T, m core.Manager) core.Usage {
+	t.Helper()
+	u, tot := m.Usage(), m.UsageTotals()
+	if u.Used+u.Cached+u.Wasted+u.Free != m.Capacity() {
+		t.Errorf("conservation violated: %+v over capacity %d", u, m.Capacity())
+	}
+	if u.Used != tot.Used || u.Cached != tot.Cached || u.Wasted != tot.Wasted || u.Free != tot.Free {
+		t.Errorf("UsageTotals %+v disagrees with Usage %+v", tot, u)
+	}
+	return u
+}
+
 // TestVLLMMaxPadding: draft tokens in target-sized pages waste the
 // difference.
 func TestVLLMMaxPadding(t *testing.T) {
 	target := &model.Spec{Name: "t", Params: 1000, WeightBytes: 2, HiddenSize: 8,
 		Groups: []model.KVGroup{{Name: "self", Kind: model.FullAttention, Layers: 4, BytesPerToken: 128}}}
-	draft := &model.Spec{Name: "d", Params: 100, WeightBytes: 2, HiddenSize: 8,
-		Groups: []model.KVGroup{{Name: "self", Kind: model.FullAttention, Layers: 1, BytesPerToken: 128}}}
-	ms, err := NewVLLMMax(target, draft, 1<<20, 1, false)
+	draft := miniDraft()
+	m, err := NewVLLMMax(target, draft, 1<<20, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms.Target != ms.Draft {
-		t.Error("vLLM-max shares one pool")
-	}
-	ds := seqText(1, 8)
-	ds.Tag = TagDraft
-	if err := ms.Draft.Reserve(ds, 8, 1); err != nil {
+	seq := seqText(1, 8)
+	if err := m.Reserve(seq, 8, 1); err != nil {
 		t.Fatal(err)
 	}
-	ms.Draft.Commit(ds, 8, 1)
-	u := ms.Draft.Usage()
-	// Draft needs 8×128 but occupies 8×512: padding 8×384 is waste.
-	if want := int64(8 * 128); u.Used != want {
+	m.Commit(seq, 8, 1)
+	u := conserved(t, m)
+	// Each token holds 512 B of target KV and 128 B of draft KV in a
+	// second 512 B slot: 8×384 of padding is waste.
+	if want := int64(8*512 + 8*128); u.Used != want {
 		t.Errorf("used = %d, want %d", u.Used, want)
 	}
 	if want := int64(8 * 384); u.Wasted != want {
 		t.Errorf("wasted = %d, want %d", u.Wasted, want)
 	}
-	ms.Draft.Release(ds, false)
-	u = ms.Draft.Usage()
-	if u.Used != 0 || u.Wasted != 0 {
+	m.Release(seq, false)
+	if u = conserved(t, m); u.Used != 0 || u.Wasted != 0 {
 		t.Errorf("after release: %+v", u)
 	}
 	// Draft larger than target is rejected.
@@ -257,60 +271,91 @@ func TestVLLMMaxPadding(t *testing.T) {
 	}
 }
 
-// TestVLLMManualSplit: capacities divide by the SmartSpec heuristic and
-// the two pools are independent.
+// TestVLLMManualSplit: capacity divides in the ratio of the models'
+// per-token KV, every operation reaches both pools, and a sequence is
+// resident only as far as both pools hold it.
 func TestVLLMManualSplit(t *testing.T) {
-	target := windowMini()
-	draft := &model.Spec{Name: "d", Params: 100, WeightBytes: 2, HiddenSize: 8,
-		Groups: []model.KVGroup{{Name: "self", Kind: model.FullAttention, Layers: 1, BytesPerToken: 128}}}
-	ms, err := NewVLLMManual(target, draft, 1<<20, 2, false, 1)
+	m, err := NewVLLMManual(windowMini(), miniDraft(), 1<<20, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms.Target == ms.Draft {
-		t.Error("manual split must use two managers")
-	}
+	ms := m.(*manualSplit)
 	// target flat = 512, draft = 128 → draft gets 1/5 of capacity.
-	if got := ms.Draft.Capacity(); got > (1<<20)/4 {
-		t.Errorf("draft capacity = %d, too large", got)
+	if got, want := ms.draft.Capacity(), int64(1<<20)/5; got > want || got < want-1024 {
+		t.Errorf("draft capacity = %d, want ≈ %d", got, want)
 	}
-	total := ms.Draft.Capacity() + ms.Target.Capacity()
-	if total > 1<<20 || total < (1<<20)-1024 {
+	if total := m.Capacity(); total > 1<<20 || total < (1<<20)-1024 {
 		t.Errorf("split total = %d, want ≈ %d", total, 1<<20)
+	}
+	a := seqText(1, 17)
+	if err := m.Reserve(a, 17, 1); err != nil {
+		t.Fatal(err)
+	}
+	m.Commit(a, 17, 1)
+	u := conserved(t, m)
+	if tu, du := ms.target.UsageTotals(), ms.draft.UsageTotals(); tu.Used == 0 || du.Used != 17*128 || u.Used != tu.Used+du.Used {
+		t.Errorf("both pools must hold the sequence: target %+v draft %+v sum %+v", tu, du, u)
+	}
+	if u.PerGroup["t:"+FlattenedGroupName].Used == 0 || u.PerGroup["d:"+FlattenedGroupName].Used != 17*128 {
+		t.Errorf("per-group breakdown: %+v", u.PerGroup)
+	}
+	if got, want := m.Footprint(a), ms.target.Footprint(a)+ms.draft.Footprint(a); got != want {
+		t.Errorf("footprint = %d, want the pools' sum %d", got, want)
+	}
+	m.Release(a, true)
+	// A second sequence over the same tokens hits both pools' caches.
+	b := seqText(2, 17)
+	if got := m.Lookup(b); got != 16 {
+		t.Errorf("lookup = %d, want 16", got)
+	}
+	// With the draft pool's copy gone, the prefix is only half resident.
+	ms.draft.inner.CrashReset()
+	if got := m.Lookup(b); got != 0 {
+		t.Errorf("lookup = %d after the draft pool lost its cache, want 0", got)
+	}
+	if err := m.Reserve(b, 17, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.CachedPrefix(b); got != 0 {
+		t.Errorf("cached prefix = %d, want 0 (the shorter of the pools' claims)", got)
+	}
+	m.Commit(b, 17, 2)
+	m.Release(b, false)
+	if u = conserved(t, m); u.Used != 0 {
+		t.Errorf("after release: %+v", u)
+	}
+	// Either pool running out is the pair running out.
+	big := seqText(3, 1<<12)
+	if err := m.Reserve(big, len(big.Tokens), 3); !errors.Is(err, core.ErrNoSpace) {
+		t.Errorf("reserve beyond the pools = %v, want ErrNoSpace", err)
+	}
+	m.Release(big, false)
+	if u = conserved(t, m); u.Used != 0 {
+		t.Errorf("after failed reserve and release: %+v", u)
 	}
 }
 
-// TestJengaSharedSpecDecode: merged tagged spec serves both models with
-// natural page sizes.
+// TestJengaSharedSpecDecode: a manager built on the paired spec serves
+// both models from one heap, each group at its natural page size.
 func TestJengaSharedSpecDecode(t *testing.T) {
-	target := windowMini()
-	draft := &model.Spec{Name: "d", Params: 100, WeightBytes: 2, HiddenSize: 8,
-		Groups: []model.KVGroup{{Name: "self", Kind: model.FullAttention, Layers: 1, BytesPerToken: 128}}}
-	ms, err := NewJengaShared(target, draft, 1<<20, 2, false)
+	m, err := core.New(core.Config{
+		Spec: model.WithDraft(windowMini(), miniDraft()), CapacityBytes: 1 << 20, TokensPerPage: 2, RequestAware: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms.Target != ms.Draft {
-		t.Error("shared heap expected")
+	seq := seqText(1, 8)
+	if err := m.Reserve(seq, 8, 1); err != nil {
+		t.Fatal(err)
 	}
-	ts := seqText(1, 8)
-	ts.Tag = TagTarget
-	ds := seqText(2, 8)
-	ds.Tag = TagDraft
-	for _, s := range []*core.Sequence{ts, ds} {
-		if err := ms.Target.Reserve(s, 8, 1); err != nil {
-			t.Fatal(err)
-		}
-		ms.Target.Commit(s, 8, 1)
+	m.Commit(seq, 8, 1)
+	u := conserved(t, m)
+	// Target: the full layer holds 8×128, the three window layers free
+	// beyond their window, 4×3×128; draft: 8×128.
+	if want := int64(8*128 + 4*3*128 + 8*128); u.Used != want {
+		t.Errorf("used = %d, want %d", u.Used, want)
 	}
-	u := ms.Target.Usage()
-	// Target: full 8×128 + window min(8,4)... window group under Jenga
-	// frees beyond window: used = 8×128 + 4×3×128; draft: 8×128.
-	wantUsed := int64(8*128 + 4*3*128 + 8*128)
-	if u.Used != wantUsed {
-		t.Errorf("used = %d, want %d", u.Used, wantUsed)
-	}
-	if u.Used+u.Cached+u.Wasted+u.Free != ms.Target.Capacity() {
-		t.Error("conservation violated")
+	if g := u.PerGroup["d:self"]; g.Used != 8*128 {
+		t.Errorf("draft group usage = %+v, want 8×128 used", g)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"jenga/internal/cluster"
 	"jenga/internal/engine"
+	"jenga/internal/model"
 	"jenga/internal/sched"
 )
 
@@ -19,9 +20,13 @@ type matrixCell struct {
 }
 
 // matrixCells is the product router × scheduler × preempt/tier × fleet
-// × chaos over one small memory-pressured churn workload. Short runs
-// keep every 7th cell: 7 is coprime to every dimension's size, so the
-// subset still visits every value of every dimension.
+// × chaos over one small memory-pressured churn workload, then the same
+// workload served as a speculative target/draft pair over a corner set
+// of that product (every scheduler; both tiers; nothing, or everything,
+// of fleet and chaos) — burst commits under migration, crash
+// redispatch and both preemption modes. Short runs keep every 7th cell:
+// 7 is coprime to every dimension's size, so the subset still visits
+// every value of every dimension.
 func matrixCells(short bool) []matrixCell {
 	base := Scenario{
 		Spec: textSpec("bench-matrix"), Replicas: 4, CapacityBytes: 1 << 20,
@@ -61,6 +66,30 @@ func matrixCells(short bool) []matrixCell {
 					}
 				}
 			}
+		}
+	}
+	pair := model.WithDraft(base.Spec, &model.Spec{
+		Name: "bench-matrix-draft", Params: 100_000, WeightBytes: 2, HiddenSize: 16,
+		Groups: []model.KVGroup{{Name: "kv", Kind: model.FullAttention, Layers: 1, BytesPerToken: 64, Scope: model.ScopeText}},
+	})
+	for i, sc := range []sched.Scheduler{sched.NewFCFS(), sched.NewPriority(), sched.NewSJF(), sched.NewFairShare(nil)} {
+		for _, all := range []bool{false, true} {
+			s := base
+			s.Spec, s.Router, s.Scheduler = pair, cluster.PrefixAffinity, sc
+			tier, swap := "recompute", i%2 == 1
+			if swap {
+				tier, s.Preempt, s.HostTierBytes = "swap", engine.PreemptSwap, 8<<20
+			}
+			if all {
+				s.Fleet = cluster.FleetPolicy{Store: true, Migrate: true, ImbalanceThreshold: 1.3}
+				s.Faults, s.Recover = &Faults{Replica: 1, FetchFailRate: 0.2}, true
+			}
+			// Short runs keep the diagonal: recompute alone, swap with
+			// everything on — each scheduler and each value still once.
+			if short && swap != all {
+				continue
+			}
+			cells = append(cells, matrixCell{fmt.Sprintf("speculative/%s/%s/fleet+crash=%v", sc.Name(), tier, all), s})
 		}
 	}
 	kept := cells[:0]

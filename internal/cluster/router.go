@@ -26,7 +26,7 @@ const (
 	PrefixAffinity
 )
 
-// String implements fmt.Stringer (also the -router flag spelling).
+// String implements fmt.Stringer.
 func (p RouterPolicy) String() string {
 	switch p {
 	case RoundRobin:
@@ -37,20 +37,6 @@ func (p RouterPolicy) String() string {
 		return "affinity"
 	default:
 		return fmt.Sprintf("RouterPolicy(%d)", int(p))
-	}
-}
-
-// ParsePolicy converts a -router flag spelling to a RouterPolicy.
-func ParsePolicy(s string) (RouterPolicy, error) {
-	switch s {
-	case "roundrobin", "rr":
-		return RoundRobin, nil
-	case "leastloaded", "ll":
-		return LeastLoaded, nil
-	case "affinity", "prefix", "prefix-affinity":
-		return PrefixAffinity, nil
-	default:
-		return 0, fmt.Errorf("cluster: unknown router policy %q (want roundrobin, leastloaded or affinity)", s)
 	}
 }
 

@@ -15,21 +15,6 @@ func testLoads(n int) []Load {
 	return loads
 }
 
-func TestParsePolicy(t *testing.T) {
-	for _, p := range []RouterPolicy{RoundRobin, LeastLoaded, PrefixAffinity} {
-		got, err := ParsePolicy(p.String())
-		if err != nil {
-			t.Fatalf("ParsePolicy(%q): %v", p.String(), err)
-		}
-		if got != p {
-			t.Fatalf("ParsePolicy(%q) = %v, want %v", p.String(), got, p)
-		}
-	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Fatal("ParsePolicy(bogus) succeeded")
-	}
-}
-
 func TestRoundRobinCycles(t *testing.T) {
 	r, err := NewRouter(RoundRobin, 4, 0, 0)
 	if err != nil {

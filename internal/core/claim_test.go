@@ -103,18 +103,26 @@ func TestClaimMatchesReplay(t *testing.T) {
 	audit(t, m)
 }
 
-// allocsAndBytes is testing.AllocsPerRun that also reports bytes.
+// allocsAndBytes is testing.AllocsPerRun that also reports bytes. The
+// counters are process-wide, so a stray runtime allocation inside the
+// window (about one window in twenty saw 64 B of one) reads as f's; the
+// smallest of three windows is f's own cost.
 func allocsAndBytes(runs int, f func()) (objs, bytes float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f() // warm up
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
+	for trial := 0; trial < 3; trial++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		b := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+		if trial == 0 || b < bytes {
+			objs, bytes = float64(after.Mallocs-before.Mallocs)/float64(runs), b
+		}
 	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs),
-		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+	return objs, bytes
 }
 
 // TestClaimAllocatesNothingPerToken: claiming a cached prefix costs the

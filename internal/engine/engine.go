@@ -1,7 +1,10 @@
 // Package engine simulates a continuous-batching LLM serving engine in
 // the style of vLLM: policy-ordered admission, chunked prefill under a
 // token budget, one-token decode steps for running sequences, and
-// recompute-style preemption when memory runs out. The engine is
+// recompute-style preemption when memory runs out. A model.Spec that
+// carries a Draft is served by speculative decoding (speculative.go):
+// the same loop, with decode steps that commit a burst of accepted
+// tokens and cost the draft's passes too. The engine is
 // manager-agnostic — Jenga and the PagedAttention baselines plug in
 // through core.Manager, so experiments vary only memory management,
 // exactly as the paper's evaluation does. It is likewise
@@ -79,24 +82,12 @@ const (
 	PreemptSwap
 )
 
-// String names the mode for flags and reports.
+// String names the mode for reports.
 func (m PreemptMode) String() string {
 	if m == PreemptSwap {
 		return "swap"
 	}
 	return "recompute"
-}
-
-// ParsePreemptMode converts a flag spelling.
-func ParsePreemptMode(s string) (PreemptMode, error) {
-	switch s {
-	case "", "recompute":
-		return PreemptRecompute, nil
-	case "swap":
-		return PreemptSwap, nil
-	default:
-		return PreemptRecompute, fmt.Errorf("engine: unknown preempt mode %q (want recompute or swap)", s)
-	}
 }
 
 // Config configures an engine run.
@@ -353,18 +344,17 @@ func (r *run) promptLen() int { return len(r.req.Prompt) }
 
 // Engine executes one simulation run.
 type Engine struct {
-	cfg   Config
-	cost  gpu.CostModel
-	clock time.Duration
-	step  int
+	cfg  Config
+	cost gpu.CostModel
+	// draftCost prices the draft model's passes; nil unless cfg.Spec is
+	// a speculative pair.
+	draftCost *gpu.CostModel
+	clock     time.Duration
+	step      int
 
-	pending   []*run // not yet arrived (sorted by arrival)
-	waiting   []*run // arrived, not running
-	running   []*run
-	finished  []*run
-	failed    []*run
-	shed      []*run // dropped by the admission policy at arrival
-	cancelled []*run // terminated by Cancel
+	pending []*run // not yet arrived (sorted by arrival)
+	waiting []*run // arrived, not running
+	running []*run
 
 	// onEvent is the streaming sink (nil: no emission).
 	onEvent func(Event)
@@ -437,13 +427,14 @@ type Engine struct {
 	forker  core.Forker
 	forkSeq int64
 
-	// sink, when set via SetRetireSink, switches the engine to
-	// streaming retirement: terminal runs fold into the counters below
-	// (and into the caller's sink) instead of accumulating in the
-	// finished/failed/shed/cancelled lists, and the decode timeline
-	// folds into decodeSteps/decodeSum — memory stays bounded over
-	// million-request streams.
+	// Retirement: every terminal run folds into the counters below and
+	// every decoding step into decodeSteps/decodeSum, so a run leaves
+	// nothing behind but its record. The record goes to sink when one
+	// is set via SetRetireSink — memory then stays bounded over
+	// million-request streams — and otherwise, for finished runs, into
+	// perRequest (as the step's batch size goes into decodeTimeline).
 	sink         RetireSink
+	perRequest   []RequestMetrics
 	retFinished  int
 	retFailed    int
 	retShed      int
@@ -464,10 +455,10 @@ type Engine struct {
 type RetireSink func(m RequestMetrics, ev EventType)
 
 // SetRetireSink installs sink and switches the engine to streaming
-// retirement: Result.PerRequest, DecodeBatchTimeline and the terminal
-// run lists stay empty, while every aggregate field (counts, means,
-// hit rates, throughput) is still computed exactly. The sink survives
-// Reset; pass nil to restore retained-list behavior.
+// retirement: Result.PerRequest and DecodeBatchTimeline stay empty,
+// while every aggregate field (counts, means, hit rates, throughput)
+// is still computed exactly. The sink survives Reset; pass nil to
+// restore retained-record behavior.
 func (e *Engine) SetRetireSink(sink RetireSink) { e.sink = sink }
 
 // runMetrics assembles one run's per-request record (the Result
@@ -488,30 +479,21 @@ func (e *Engine) runMetrics(r *run) RequestMetrics {
 	}
 }
 
-// retireTerminal routes a non-finished terminal run to the sink (in
-// streaming-retirement mode) or to its retention list. Callers emit
-// the matching lifecycle event themselves.
+// retireTerminal counts a non-finished terminal run and hands its
+// record to the sink, if any. Callers emit the matching lifecycle
+// event themselves.
 func (e *Engine) retireTerminal(r *run, ev EventType) {
 	e.returnTokens(r)
-	if e.sink != nil {
-		switch ev {
-		case EventFailed:
-			e.retFailed++
-		case EventShed:
-			e.retShed++
-		case EventCancelled:
-			e.retCancelled++
-		}
-		e.sink(e.runMetrics(r), ev)
-		return
-	}
 	switch ev {
 	case EventFailed:
-		e.failed = append(e.failed, r)
+		e.retFailed++
 	case EventShed:
-		e.shed = append(e.shed, r)
+		e.retShed++
 	case EventCancelled:
-		e.cancelled = append(e.cancelled, r)
+		e.retCancelled++
+	}
+	if e.sink != nil {
+		e.sink(e.runMetrics(r), ev)
 	}
 }
 
@@ -539,6 +521,13 @@ func New(cfg Config) (*Engine, error) {
 		cfg:       cfg,
 		cost:      gpu.CostModel{Dev: cfg.Device, Spec: cfg.Spec},
 		scheduler: cfg.Scheduler,
+	}
+	if draft := cfg.Spec.Draft; draft != nil {
+		if cfg.MaxBatchTokens < SpecK+1 {
+			return nil, fmt.Errorf("engine: MaxBatchTokens %d cannot hold one %d-token verify pass of %s",
+				cfg.MaxBatchTokens, SpecK+1, cfg.Spec.Name)
+		}
+		e.draftCost = &gpu.CostModel{Dev: cfg.Device, Spec: draft}
 	}
 	if e.scheduler == nil {
 		e.scheduler = sched.NewFCFS()
@@ -587,10 +576,6 @@ func (e *Engine) reset() {
 	e.pending = e.pending[:0]
 	e.waiting = nil
 	e.running = nil
-	e.finished = nil
-	e.failed = nil
-	e.shed = nil
-	e.cancelled = nil
 	e.kvSampledStep = 0
 	e.totalPromptComputed = 0
 	e.totalCachedTokens = 0
@@ -616,6 +601,7 @@ func (e *Engine) reset() {
 	e.kvUtilPeak = 0
 	e.decodeTimeline = nil
 	e.memTimeline = nil
+	e.perRequest = nil
 	e.retFinished = 0
 	e.retFailed = 0
 	e.retShed = 0
@@ -720,32 +706,45 @@ func (e *Engine) runStep() bool {
 		}
 	}
 
-	// Phase 1: one decode slot per running decode-phase sequence. The
-	// running list can shrink mid-loop (reserveWithPreemption), so
-	// iterate a reused snapshot and skip runs a preemption removed.
+	// Phase 1: one decode pass per running decode-phase sequence — one
+	// token, or under a speculative pair one verify pass over SpecK
+	// proposals plus the bonus position, which is scheduled whole or
+	// not at all. The running list can shrink mid-loop
+	// (reserveWithPreemption), so iterate a reused snapshot and skip
+	// runs a preemption removed.
+	pass := 1
+	if e.draftCost != nil {
+		pass = SpecK + 1
+	}
 	e.stepScratch = append(e.stepScratch[:0], e.running...)
 	for _, r := range e.stepScratch {
-		if r.ph != phaseDecode || budget <= 0 || decodeLeft <= 0 {
+		if r.ph != phaseDecode || budget < pass || decodeLeft < pass {
 			continue
 		}
 		if !r.alive {
 			continue // preempted by an earlier iteration of this loop
 		}
 		e.ownTokens(r)
-		r.seq.Tokens = append(r.seq.Tokens, e.genToken(r))
+		gain := 1
+		if e.draftCost != nil {
+			gain = min(acceptedDrafts(r.req.ID, len(r.seq.Tokens))+1, r.req.OutputLen-1-r.decodesDone)
+		}
+		for i := 0; i < gain; i++ {
+			r.seq.Tokens = append(r.seq.Tokens, e.genToken(r))
+		}
 		target := len(r.seq.Tokens)
 		if !e.reserveWithPreemption(r, target, now) {
 			// Roll the speculative append back and wait for memory.
-			r.seq.Tokens = r.seq.Tokens[:target-1]
+			r.seq.Tokens = r.seq.Tokens[:target-gain]
 			continue
 		}
 		r.pendingTarget = target
 		r.scheduledStep = e.step
 		committers = append(committers, r)
-		budget--
-		decodeLeft--
+		budget -= pass
+		decodeLeft -= pass
 		decodeBatch++
-		work.DecodeSeqs++
+		work.DecodeSeqs += pass
 		work.KVReadBytes += gpu.DecodeKVReadBytesSplit(e.cfg.Spec, r.ctxText, r.ctxImg)
 	}
 
@@ -868,13 +867,22 @@ func (e *Engine) runStep() bool {
 		f := e.cfg.Faults.StepFault(e.clock)
 		work.PCIeFactor, work.LinkFactor, work.TimeFactor = f.PCIe, f.Link, f.Slow
 	}
-	e.clock += e.cost.StepTime(work)
-	if e.sink != nil {
-		if decodeBatch > 0 {
-			e.decodeSteps++
-			e.decodeSum += int64(decodeBatch)
-		}
-	} else {
+	dt := e.cost.StepTime(work)
+	if e.draftCost != nil {
+		// The draft runs first: the step's prompt chunks go through it
+		// as well, and it proposes for the verify batch in SpecK
+		// sequential one-token passes. (A pass without tokens is free.)
+		dw := gpu.StepWork{PrefillTokens: work.PrefillTokens, KernelEfficiency: work.KernelEfficiency, TimeFactor: work.TimeFactor}
+		dt += e.draftCost.StepTime(dw)
+		dw.PrefillTokens, dw.DecodeSeqs = 0, decodeBatch
+		dt += SpecK * e.draftCost.StepTime(dw)
+	}
+	e.clock += dt
+	if decodeBatch > 0 {
+		e.decodeSteps++
+		e.decodeSum += int64(decodeBatch)
+	}
+	if e.sink == nil {
 		e.decodeTimeline = append(e.decodeTimeline, decodeBatch)
 	}
 	for _, r := range committers {
@@ -908,13 +916,14 @@ func (e *Engine) runStep() bool {
 				}
 			}
 		} else {
+			gain := r.pendingTarget - r.computed
 			r.advanceCtx(r.computed, r.pendingTarget)
 			r.computed = r.pendingTarget
 			if r.computed > r.everComputed {
 				r.everComputed = r.computed
 			}
-			r.decodesDone++
-			e.totalGenerated++
+			r.decodesDone += gain
+			e.totalGenerated += int64(gain)
 			if r.firstToken == 0 {
 				// Only forked branches reach decode without a first
 				// token: this is the branch's TTFT instant.
@@ -1278,17 +1287,17 @@ func (e *Engine) finishRun(r *run) {
 	e.cfg.Manager.Release(r.seq, true)
 	e.returnTokens(r)
 	e.removeRunning(r)
+	e.retFinished++
+	e.retTTFT += r.firstToken - r.req.Arrival
+	e.retE2E += r.finish - r.req.Arrival
+	if r.req.OutputLen > 1 {
+		e.retTPOT += (r.finish - r.firstToken) / time.Duration(r.req.OutputLen-1)
+		e.retTPOTN++
+	}
 	if e.sink != nil {
-		e.retFinished++
-		e.retTTFT += r.firstToken - r.req.Arrival
-		e.retE2E += r.finish - r.req.Arrival
-		if r.req.OutputLen > 1 {
-			e.retTPOT += (r.finish - r.firstToken) / time.Duration(r.req.OutputLen-1)
-			e.retTPOTN++
-		}
 		e.sink(e.runMetrics(r), EventFinished)
 	} else {
-		e.finished = append(e.finished, r)
+		e.perRequest = append(e.perRequest, e.runMetrics(r))
 	}
 	e.emit(EventFinished, r)
 }
@@ -1318,10 +1327,10 @@ func (e *Engine) result() *Result {
 	res := &Result{
 		Duration:             e.clock,
 		Steps:                e.step,
-		Finished:             len(e.finished) + e.retFinished,
-		Failed:               len(e.failed) + e.retFailed,
-		Shed:                 len(e.shed) + e.retShed,
-		Cancelled:            len(e.cancelled) + e.retCancelled,
+		Finished:             e.retFinished,
+		Failed:               e.retFailed,
+		Shed:                 e.retShed,
+		Cancelled:            e.retCancelled,
 		Preemptions:          e.preemptions,
 		PeerHits:             e.peerHits,
 		PeerTokens:           e.peerTokens,
@@ -1336,6 +1345,8 @@ func (e *Engine) result() *Result {
 		PeakKVUtil:           e.kvUtilPeak,
 		DecodeBatchTimeline:  e.decodeTimeline,
 		MemTimeline:          e.memTimeline,
+		// A copy, never nil: the engine keeps appending to its own.
+		PerRequest: append([]RequestMetrics{}, e.perRequest...),
 	}
 	if e.kvUtilN > 0 {
 		res.MeanKVUtil = e.kvUtilSum / float64(e.kvUtilN)
@@ -1371,38 +1382,16 @@ func (e *Engine) result() *Result {
 			res.TierHitRate = float64(res.RestoredTokens) / float64(work)
 		}
 	}
-	// Latency means: streamed retirements accumulated their sums at
-	// the terminal event; retained runs contribute here. In streaming-
-	// retirement mode PerRequest stays empty — per-request records went
-	// to the sink as they retired.
-	ttft, e2e, tpot := e.retTTFT, e.retE2E, e.retTPOT
-	tpotN := e.retTPOTN
-	res.PerRequest = make([]RequestMetrics, 0, len(e.finished))
-	for _, r := range e.finished {
-		ttft += r.firstToken - r.req.Arrival
-		e2e += r.finish - r.req.Arrival
-		res.PerRequest = append(res.PerRequest, e.runMetrics(r))
-		if r.req.OutputLen > 1 {
-			tpot += (r.finish - r.firstToken) / time.Duration(r.req.OutputLen-1)
-			tpotN++
-		}
-	}
+	// Latency means over the sums each finish accumulated.
 	if n := res.Finished; n > 0 {
-		res.MeanTTFT = ttft / time.Duration(n)
-		res.MeanE2E = e2e / time.Duration(n)
+		res.MeanTTFT = e.retTTFT / time.Duration(n)
+		res.MeanE2E = e.retE2E / time.Duration(n)
 	}
-	if tpotN > 0 {
-		res.MeanTPOT = tpot / time.Duration(tpotN)
+	if e.retTPOTN > 0 {
+		res.MeanTPOT = e.retTPOT / time.Duration(e.retTPOTN)
 	}
-	steps, sum := e.decodeSteps, e.decodeSum
-	for _, b := range e.decodeTimeline {
-		if b > 0 {
-			steps++
-			sum += int64(b)
-		}
-	}
-	if steps > 0 {
-		res.MeanDecodeBatch = float64(sum) / float64(steps)
+	if e.decodeSteps > 0 {
+		res.MeanDecodeBatch = float64(e.decodeSum) / float64(e.decodeSteps)
 	}
 	return res
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"jenga/internal/model"
 	"jenga/internal/workload"
 )
 
@@ -26,7 +27,11 @@ func goldenWorkload() []workload.Request {
 
 func runGolden(t *testing.T, capacity int64) *Result {
 	t.Helper()
-	spec := miniWindowSpec()
+	return runGoldenSpec(t, miniWindowSpec(), capacity)
+}
+
+func runGoldenSpec(t *testing.T, spec *model.Spec, capacity int64) *Result {
+	t.Helper()
 	mgr := jengaFor(t, spec, capacity, true)
 	e, err := New(Config{Spec: spec, Device: smallDevice(), Manager: mgr, MaxBatchTokens: 512, MaxPrefills: 2})
 	if err != nil {
@@ -96,6 +101,20 @@ func TestRunGoldenSeededPressure(t *testing.T) {
 		cached: 0, computed: 36005, generated: 2737,
 		hitRate: "0.000000000", meanKV: "0.861000559", peakKV: "0.984726295",
 		decodeBatch: "6.532219570",
+	})
+}
+
+// TestRunGoldenSpeculative pins the same workload served as a
+// target/draft pair under pressure (two preemptions): burst commits,
+// the verify pass's budget cost and the draft's share of every step's
+// price, all on one row.
+func TestRunGoldenSpeculative(t *testing.T) {
+	checkGolden(t, runGoldenSpec(t, miniPair(), 1280<<10), goldenExpect{
+		steps: 389, finished: 72, failed: 0, preemptions: 2,
+		duration: 2372006155, meanTTFT: 837470429, meanE2E: 922114669, tpot: 2247118,
+		cached: 32, computed: 36009, generated: 2737,
+		hitRate: "0.000887878", meanKV: "0.675206151", peakKV: "0.899550078",
+		decodeBatch: "2.658914729",
 	})
 }
 

@@ -379,7 +379,7 @@ func (e *Engine) StepOnce() error {
 // the hot step body stays free of fmt's boxing and formatting.
 func (e *Engine) debugDump() {
 	fmt.Printf("step %d clock %v running %d waiting %d pending %d finished %d failed %d stalls %d\n",
-		e.step, e.clock, len(e.running), len(e.waiting), len(e.pending), len(e.finished), len(e.failed), e.globalStalls)
+		e.step, e.clock, len(e.running), len(e.waiting), len(e.pending), e.retFinished, e.retFailed, e.globalStalls)
 	for _, r := range e.running {
 		fmt.Printf("  run id=%d ph=%d computed=%d/%d decodes=%d/%d cachedHit=%d\n", r.req.ID, r.ph, r.computed, r.promptLen(), r.decodesDone, r.req.OutputLen, r.cachedHit)
 	}

@@ -5,10 +5,10 @@ import (
 	"io"
 
 	"jenga/internal/baseline"
+	"jenga/internal/core"
 	"jenga/internal/gpu"
 	"jenga/internal/metrics"
 	"jenga/internal/model"
-	"jenga/internal/spec"
 	"jenga/internal/trace"
 	"jenga/internal/workload"
 )
@@ -49,66 +49,52 @@ func Fig19(w io.Writer, opt Options) error {
 		"Jenga vs best baseline", "paper (vs manual)")
 
 	for _, e := range entries {
-		budget, err := gpu.KVBudget(e.target, dev, 0)
+		// Both models' weights occupy the device; the rest is KV.
+		pair := model.WithDraft(e.target, e.draft)
+		budget, err := gpu.KVBudget(pair, dev, 0)
 		if err != nil {
-			return err
-		}
-		// The draft's weights also occupy device memory.
-		budget -= e.draft.WeightFootprint()
-		if budget <= 0 {
 			tbl.AddRow(e.label, "OOM", "OOM", "OOM", "-", e.paper)
 			continue
 		}
 		n := opt.n(e.baseN)
-		run := func(ms baseline.Managers) (float64, error) {
-			d, err := spec.New(spec.Config{
-				Target: e.target, Draft: e.draft, Device: dev,
-				Managers: ms, K: 4, AcceptRate: 0.7,
-			})
+		managers := [...]struct {
+			name  string
+			build func() (core.Manager, error)
+		}{
+			{"vmax", func() (core.Manager, error) {
+				return baseline.NewVLLMMax(e.target, e.draft, budget, opt.TokensPerPage, false)
+			}},
+			{"manual", func() (core.Manager, error) {
+				return baseline.NewVLLMManual(e.target, e.draft, budget, opt.TokensPerPage, false)
+			}},
+			// Jenga needs no strategy: the pair is a model like any other.
+			{"jenga", func() (core.Manager, error) {
+				return core.New(core.Config{
+					Spec: pair, CapacityBytes: budget, TokensPerPage: opt.TokensPerPage, RequestAware: true,
+				})
+			}},
+		}
+		var rps [len(managers)]float64
+		for i, m := range managers {
+			mgr, err := m.build()
 			if err != nil {
-				return 0, err
+				return fmt.Errorf("fig19 %s %s: %w", e.label, m.name, err)
 			}
-			g := workload.NewGen(opt.Seed)
-			res, err := d.Run(e.load(g, n))
+			res, err := serve(pair, dev, mgr, e.load(workload.NewGen(opt.Seed), n), nil)
 			if err != nil {
-				return 0, err
+				return fmt.Errorf("fig19 %s %s: %w", e.label, m.name, err)
 			}
-			return res.ReqPerSec, nil
+			if res.Finished != n {
+				return fmt.Errorf("fig19 %s %s: %d of %d requests finished", e.label, m.name, res.Finished, n)
+			}
+			rps[i] = res.ReqPerSec
 		}
-
-		vmaxM, err := baseline.NewVLLMMax(e.target, e.draft, budget, opt.TokensPerPage, false)
-		if err != nil {
-			return err
-		}
-		vmax, err := run(vmaxM)
-		if err != nil {
-			return fmt.Errorf("fig19 %s vmax: %w", e.label, err)
-		}
-		manualM, err := baseline.NewVLLMManual(e.target, e.draft, budget, opt.TokensPerPage, false, 4)
-		if err != nil {
-			return err
-		}
-		manual, err := run(manualM)
-		if err != nil {
-			return fmt.Errorf("fig19 %s manual: %w", e.label, err)
-		}
-		sharedM, err := baseline.NewJengaShared(e.target, e.draft, budget, opt.TokensPerPage, false)
-		if err != nil {
-			return err
-		}
-		shared, err := run(sharedM)
-		if err != nil {
-			return fmt.Errorf("fig19 %s jenga: %w", e.label, err)
-		}
-		best := vmax
-		if manual > best {
-			best = manual
-		}
+		vmax, manual, shared := rps[0], rps[1], rps[2]
 		tbl.AddRow(e.label,
 			fmt.Sprintf("%.3f", vmax),
 			fmt.Sprintf("%.3f", manual),
 			fmt.Sprintf("%.3f", shared),
-			fmt.Sprintf("%.2fx", metrics.Speedup(shared, best)),
+			fmt.Sprintf("%.2fx", metrics.Speedup(shared, max(vmax, manual))),
 			e.paper)
 	}
 	return emit(w, opt, tbl)

@@ -89,17 +89,23 @@ const DefaultLinkBW = 10e9
 const encoderWorkFactor = 5.0
 
 // KVBudget returns the KV-cache byte budget for a model on a device:
-// device memory minus weights minus the runtime reserve. It errors when
-// the weights alone do not fit (the paper's Jamba-on-L4 OOM case).
+// device memory minus weights (a speculative pair's draft weights
+// included — both models are resident) minus the runtime reserve. It
+// errors when the weights alone do not fit (the paper's Jamba-on-L4
+// OOM case).
 func KVBudget(spec *model.Spec, dev Device, reserveFraction float64) (int64, error) {
 	if reserveFraction <= 0 {
 		reserveFraction = DefaultReserveFraction
 	}
 	reserve := int64(float64(dev.MemBytes) * reserveFraction)
-	budget := dev.MemBytes - spec.WeightFootprint() - reserve
+	weights := spec.WeightFootprint()
+	if spec.Draft != nil {
+		weights += spec.Draft.WeightFootprint()
+	}
+	budget := dev.MemBytes - weights - reserve
 	if budget <= 0 {
 		return 0, fmt.Errorf("gpu: %s does not fit on %s (weights %d + reserve %d > %d)",
-			spec.Name, dev.Name, spec.WeightFootprint(), reserve, dev.MemBytes)
+			spec.Name, dev.Name, weights, reserve, dev.MemBytes)
 	}
 	return budget, nil
 }

@@ -19,6 +19,23 @@ func TestKVBudget(t *testing.T) {
 	}
 }
 
+// TestKVBudgetPair: both models of a speculative pair are resident, so
+// the draft's weights come out of the KV budget too.
+func TestKVBudgetPair(t *testing.T) {
+	target, draft := model.Llama31_70B(), model.Llama32_1B()
+	alone, err := KVBudget(target, H100(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paired, err := KVBudget(model.WithDraft(target, draft), H100(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alone-paired != draft.WeightFootprint() {
+		t.Errorf("pair budget %d vs target alone %d: want the draft's %d weight bytes less", paired, alone, draft.WeightFootprint())
+	}
+}
+
 func TestKVBudgetOOM(t *testing.T) {
 	// Jamba 52B fp8 (52 GB weights) cannot fit on a 24 GB L4 — the
 	// paper skips this combination for the same reason.

@@ -117,9 +117,10 @@ type KVGroup struct {
 	// Scope restricts which tokens the group stores KV for.
 	Scope TokenScope
 	// Tag restricts the group to sequences carrying the same tag; empty
-	// applies to all. Used when one manager serves several models at
-	// once (§6.1 — speculative decoding's draft + target share one
-	// Jenga heap and exchange memory at large-page granularity).
+	// applies to all. Used when one manager serves several models'
+	// requests at once (§6.1): each request stores KV only in its own
+	// model's groups, and the models exchange memory at large-page
+	// granularity.
 	Tag string
 }
 
@@ -203,9 +204,41 @@ type Spec struct {
 	Groups []KVGroup
 	// Vision is non-nil for multi-modal models.
 	Vision *VisionSpec
+	// Draft is non-nil for a speculative-decoding pair (WithDraft): the
+	// small model that proposes tokens for this one to verify. Its KV
+	// groups are already part of Groups; the pointer is what the cost
+	// model prices the draft's own passes with.
+	Draft *Spec
 }
 
-// WeightFootprint returns the device memory the weights occupy.
+// WithDraft pairs target with a draft model for speculative decoding
+// (§6.1). The pair is one model as far as memory goes: its KV groups
+// are the union of both models' (prefixed "t:" and "d:"), every
+// request stores each token in all of them, and a manager built on the
+// pair therefore serves both models from one heap — each group at its
+// natural page size. Everything else (parameters, vision encoder) is
+// the target's; the engine runs a paired spec as propose-and-verify
+// decoding and prices the draft's passes from Draft.
+func WithDraft(target, draft *Spec) *Spec {
+	pair := *target
+	pair.Name = target.Name + "+" + draft.Name
+	pair.Draft = draft
+	pair.Groups = make([]KVGroup, 0, len(target.Groups)+len(draft.Groups))
+	for _, g := range target.Groups {
+		g.Name = "t:" + g.Name
+		pair.Groups = append(pair.Groups, g)
+	}
+	for _, g := range draft.Groups {
+		g.Name = "d:" + g.Name
+		pair.Groups = append(pair.Groups, g)
+	}
+	return &pair
+}
+
+// WeightFootprint returns the device memory the model's own weights
+// occupy — what one forward pass streams. A pair's Draft weights are
+// not included: they belong to the draft's passes (gpu.KVBudget
+// subtracts both).
 func (s *Spec) WeightFootprint() int64 {
 	w := s.Params * int64(s.WeightBytes)
 	if s.Vision != nil {
@@ -315,6 +348,12 @@ func (s *Spec) Validate() error {
 	}
 	if s.Vision != nil && s.Vision.TokensPerImage <= 0 {
 		return fmt.Errorf("model %s: vision spec needs TokensPerImage", s.Name)
+	}
+	if s.Draft != nil {
+		if s.Draft.Draft != nil {
+			return fmt.Errorf("model %s: draft %s has a draft of its own", s.Name, s.Draft.Name)
+		}
+		return s.Draft.Validate()
 	}
 	return nil
 }

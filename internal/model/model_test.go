@@ -300,3 +300,38 @@ func TestWeightFootprint(t *testing.T) {
 		t.Error("dense model active params should equal params")
 	}
 }
+
+// TestWithDraft: a target/draft pair is the target with both models'
+// KV groups, each model's under its own prefix, and a pointer to the
+// draft; the models it was built from are left as they were.
+func TestWithDraft(t *testing.T) {
+	target, draft := Gemma2_27B(), Gemma2_2B()
+	nt, nd := len(target.Groups), len(draft.Groups)
+	pair := WithDraft(target, draft)
+	if err := pair.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if pair.Draft != draft || len(pair.Groups) != nt+nd || len(target.Groups) != nt || target.Draft != nil {
+		t.Fatalf("pair has %d groups and draft %v; target now has %d groups", len(pair.Groups), pair.Draft, len(target.Groups))
+	}
+	for i, g := range pair.Groups {
+		want := "t:" + target.Groups[min(i, nt-1)].Name
+		if i >= nt {
+			want = "d:" + draft.Groups[i-nt].Name
+		}
+		if g.Name != want || g.Tag != "" {
+			t.Errorf("group %d is %q (tag %q), want %q untagged", i, g.Name, g.Tag, want)
+		}
+	}
+	if pair.BytesPerTokenAllLayers(false) != target.BytesPerTokenAllLayers(false)+draft.BytesPerTokenAllLayers(false) {
+		t.Error("a token of the pair must cost both models' KV")
+	}
+	// One pass of the pair streams the target's weights; the draft's
+	// belong to the draft's passes.
+	if pair.WeightFootprint() != target.WeightFootprint() || pair.ActiveParamCount() != target.ActiveParamCount() {
+		t.Error("the pair's own weights are the target's")
+	}
+	if _, err := pair.Geometry(LCMPage, 16); err != nil {
+		t.Errorf("pair geometry: %v", err)
+	}
+}

@@ -1,16 +1,10 @@
 package sched
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // Built-in schedulers. FCFS is the engine default and reproduces the
 // historical hard-coded behavior exactly; Priority, SJF and FairShare
-// are drop-in alternatives. ParseScheduler converts flag spellings
-// ("fcfs", "priority", "sjf", "fairshare", optionally ":<frac>" for a
-// prefill reserve, e.g. "sjf:0.25").
+// are drop-in alternatives.
 
 // fcfs is first-come-first-served: pure arrival order, priorities
 // ignored. Admission picks the earliest-arrived waiting request (the
@@ -278,33 +272,4 @@ func (w withReserve) PrefillBudget(v *View, total int) Split {
 		decode = 0
 	}
 	return Split{Decode: decode, Prefill: total}
-}
-
-// ParseScheduler converts a flag spelling into a scheduler: "fcfs"
-// (also "" — the default), "priority", "sjf" or "fairshare", each with
-// an optional ":<frac>" prefill-reserve suffix ("sjf:0.25" reserves a
-// quarter of each step's budget for prefill work).
-func ParseScheduler(s string) (Scheduler, error) {
-	name, reserveStr, hasReserve := strings.Cut(strings.TrimSpace(s), ":")
-	var out Scheduler
-	switch strings.ToLower(name) {
-	case "", "fcfs":
-		out = NewFCFS()
-	case "priority":
-		out = NewPriority()
-	case "sjf":
-		out = NewSJF()
-	case "fairshare":
-		out = NewFairShare(nil)
-	default:
-		return nil, fmt.Errorf("sched: unknown scheduler %q (want fcfs, priority, sjf or fairshare)", name)
-	}
-	if hasReserve {
-		frac, err := strconv.ParseFloat(reserveStr, 64)
-		if err != nil || frac < 0 || frac >= 1 {
-			return nil, fmt.Errorf("sched: bad prefill reserve %q in %q (want a fraction in [0, 1))", reserveStr, s)
-		}
-		out = WithPrefillReserve(out, frac)
-	}
-	return out, nil
 }

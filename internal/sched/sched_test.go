@@ -220,22 +220,17 @@ func TestWithPrefillReserve(t *testing.T) {
 	}
 }
 
-func TestParseScheduler(t *testing.T) {
-	for _, c := range []struct{ in, want string }{
-		{"", "fcfs"}, {"fcfs", "fcfs"}, {"priority", "priority"},
-		{"sjf", "sjf"}, {"FairShare", "fairshare"}, {"sjf:0.25", "sjf:0.25"},
+// TestSchedulerNames pins the names reports and scorecards print.
+func TestSchedulerNames(t *testing.T) {
+	for _, c := range []struct {
+		s    Scheduler
+		want string
+	}{
+		{NewFCFS(), "fcfs"}, {NewPriority(), "priority"}, {NewSJF(), "sjf"},
+		{NewFairShare(nil), "fairshare"}, {WithPrefillReserve(NewSJF(), 0.25), "sjf:0.25"},
 	} {
-		s, err := ParseScheduler(c.in)
-		if err != nil {
-			t.Fatalf("ParseScheduler(%q): %v", c.in, err)
-		}
-		if s.Name() != c.want {
-			t.Errorf("ParseScheduler(%q).Name() = %q, want %q", c.in, s.Name(), c.want)
-		}
-	}
-	for _, bad := range []string{"bogus", "fcfs:1.5", "sjf:x", "priority:-0.1"} {
-		if _, err := ParseScheduler(bad); err == nil {
-			t.Errorf("ParseScheduler(%q) accepted", bad)
+		if c.s.Name() != c.want {
+			t.Errorf("Name() = %q, want %q", c.s.Name(), c.want)
 		}
 	}
 }

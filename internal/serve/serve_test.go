@@ -28,16 +28,20 @@ func testDevice() gpu.Device {
 		StepOverhead: time.Millisecond}
 }
 
+// testServer serves cfg.Engine.Spec (testSpec when unset) from a Jenga
+// manager of the given capacity.
 func testServer(t *testing.T, capacity int64, cache bool, cfg Config) *Server {
 	t.Helper()
+	if cfg.Engine.Spec == nil {
+		cfg.Engine.Spec = testSpec()
+	}
 	mgr, err := core.New(core.Config{
-		Spec: testSpec(), CapacityBytes: capacity, TokensPerPage: 8,
+		Spec: cfg.Engine.Spec, CapacityBytes: capacity, TokensPerPage: 8,
 		EnablePrefixCache: cache, RequestAware: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Engine.Spec = testSpec()
 	cfg.Engine.Device = testDevice()
 	cfg.Engine.Manager = mgr
 	s, err := New(cfg)
@@ -110,6 +114,67 @@ func TestServerStreamsTokens(t *testing.T) {
 	}
 	if rep.ReqPerSec <= 0 || rep.P99E2E < rep.P50E2E {
 		t.Fatalf("report stats inconsistent: %+v", rep)
+	}
+}
+
+// TestSpeculativeStream: a server handed a target/draft pair streams
+// speculative decoding with no change of its own — Generated is already
+// cumulative, so each token event simply lands a burst of 1 to SpecK+1
+// tokens further on, the stream ends at exactly OutputLen, and a stream
+// cancelled mid-generation gives back both models' KV.
+func TestSpeculativeStream(t *testing.T) {
+	draft := &model.Spec{
+		Name: "serve-draft", Params: 10_000_000, WeightBytes: 2, HiddenSize: 64,
+		Groups: []model.KVGroup{{Name: "self", Kind: model.FullAttention, Layers: 1, BytesPerToken: 128}},
+	}
+	s := testServer(t, 64<<20, false, Config{Engine: engine.Config{Spec: model.WithDraft(testSpec(), draft)}})
+	const out = 61
+	st, err := s.Submit(context.Background(), testReqs(1, 1, 200, out)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, bursts, widest := 0, 0, 0
+	for ev := range st.Events() {
+		if ev.Type != engine.EventFirstToken && ev.Type != engine.EventToken {
+			continue
+		}
+		burst := ev.Generated - last
+		if burst < 1 || burst > engine.SpecK+1 || (ev.Type == engine.EventFirstToken && burst != 1) {
+			t.Fatalf("%v event moved Generated %d → %d, want a burst of 1 to %d", ev.Type, last, ev.Generated, engine.SpecK+1)
+		}
+		last, bursts, widest = ev.Generated, bursts+1, max(widest, burst)
+	}
+	if res, ok := st.Result(); !ok || res.State != StateFinished || res.Generated != out || last != out {
+		t.Fatalf("result %+v (events ended at %d), want finished at exactly %d", res, last, out)
+	}
+	if st.Dropped() != 0 || bursts >= out || widest < 2 {
+		t.Fatalf("%d bursts (widest %d, %d events dropped) for %d tokens: want fewer events than tokens", bursts, widest, st.Dropped(), out)
+	}
+
+	victimReq := testReqs(5, 1, 400, 50_000)[0]
+	victimReq.ID = 101
+	victim, err := s.Submit(context.Background(), victimReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ev := range victim.Events() {
+		if ev.Type == engine.EventToken && ev.Generated >= 8 {
+			victim.Cancel()
+			break
+		}
+	}
+	res, err := victim.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.State != StateCancelled || res.Generated < 8 || res.Generated >= 50_000 {
+		t.Fatalf("victim %+v, want cancelled mid-generation", res)
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if u := s.Snapshot().Usage; u.Used != 0 {
+		t.Errorf("cancelled speculative stream leaked KV: %+v", u)
 	}
 }
 

@@ -28,8 +28,11 @@
 //     policies for the engine's pluggable scheduling layer (admission
 //     order, preemption victim selection, prefill/decode budgeting);
 //     every config surface accepts a Scheduler and defaults to FCFS.
-//   - NewSpeculative drives two-model speculative decoding over shared
-//     or split heaps.
+//   - WithDraft pairs a target with a draft model: the pair is a Spec
+//     like any other, a manager built on it serves both models from
+//     one heap, and every serving layer runs it as speculative
+//     decoding (§6.1). NewVLLMMax and NewVLLMManual are the §7.4
+//     baselines for it.
 //   - ManagerConfig.HostTierBytes adds a host-memory KV tier (§8):
 //     whole-large-page eviction spills to host instead of discarding,
 //     prefix lookups restore spilled blocks over PCIe, and
@@ -72,7 +75,6 @@ import (
 	"jenga/internal/model"
 	"jenga/internal/sched"
 	"jenga/internal/serve"
-	"jenga/internal/spec"
 	"jenga/internal/workload"
 )
 
@@ -164,8 +166,6 @@ type (
 	BaselineConfig = baseline.Config
 	// PagedBaseline is the vLLM-style homogeneous manager.
 	PagedBaseline = baseline.Paged
-	// SpecManagers bundles per-model managers for speculative decoding.
-	SpecManagers = baseline.Managers
 )
 
 // ErrNoSpace is returned when KV memory cannot be found even after
@@ -180,13 +180,20 @@ func NewManager(cfg ManagerConfig) (*JengaManager, error) { return core.New(cfg)
 // Mamba partition.
 func NewPagedBaseline(cfg BaselineConfig) (*PagedBaseline, error) { return baseline.NewPaged(cfg) }
 
-// NewJengaShared serves a target and a draft model from one Jenga heap
-// (§6.1); NewVLLMMax and NewVLLMManual are the §7.4 baselines.
+// Speculative decoding (§6.1, Fig. 19). WithDraft(target, draft) is the
+// pair as one Spec — NewManager on it is the shared Jenga heap, and
+// NewEngine, NewServer and NewCluster serve it by propose-and-verify
+// decoding, SpecK proposals per verify pass. NewVLLMMax (one page size,
+// the target's) and NewVLLMManual (a static split into two paged
+// pools) are the §7.4 baseline managers for the same pair.
 var (
-	NewJengaShared = baseline.NewJengaShared
-	NewVLLMMax     = baseline.NewVLLMMax
-	NewVLLMManual  = baseline.NewVLLMManual
+	WithDraft     = model.WithDraft
+	NewVLLMMax    = baseline.NewVLLMMax
+	NewVLLMManual = baseline.NewVLLMManual
 )
+
+// SpecK is the number of draft tokens proposed per verify pass.
+const SpecK = engine.SpecK
 
 // Serving-engine surface.
 type (
@@ -216,17 +223,11 @@ const (
 // Preemption modes: recompute (vLLM-style, the default) or swap (the
 // victim's pages move to the manager's host tier and resume by PCIe
 // restore instead of recompute — requires a tiered manager, see
-// ManagerConfig.HostTierBytes). ParsePreemptMode converts flag
-// spellings.
+// ManagerConfig.HostTierBytes).
 const (
 	PreemptRecompute = engine.PreemptRecompute
 	PreemptSwap      = engine.PreemptSwap
 )
-
-// ParsePreemptMode converts a flag spelling ("recompute", "swap").
-// ParsePreemptOption is the unified-grammar equivalent with the
-// OptionError shape.
-var ParsePreemptMode = engine.ParsePreemptMode
 
 // NewEngine builds a serving simulation.
 func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
@@ -303,9 +304,7 @@ var (
 func NewServer(cfg ServerConfig) (*Server, error) { return serve.New(cfg) }
 
 // AdmitAll, AdmissionChain and ParseAdmission build admission
-// policies; ParseAdmission converts flag spellings ("kv+slo") —
-// ParseAdmissionOption is the unified-grammar equivalent with the
-// OptionError shape.
+// policies; ParseAdmission converts a spelling ("kv+slo").
 var (
 	AdmitAll       = engine.AdmitAll
 	AdmissionChain = engine.AdmissionChain
@@ -337,10 +336,7 @@ type (
 // (the default); NewPriority adds strict priority with admission-time
 // preemption of lower classes; NewSJF is shortest-remaining-first
 // with a deadline-aware tiebreak; NewFairShare serves tenant groups
-// by weighted max-min share. ParseScheduler converts flag spellings
-// ("fcfs", "priority", "sjf", "fairshare", optional ":<frac>" prefill
-// reserve) — ParseSchedulerOption is the unified-grammar equivalent
-// with the OptionError shape; WithPrefillReserve adds the
+// by weighted max-min share. WithPrefillReserve adds the
 // chunked-prefill budget reserve to any scheduler; CompareSchedule is
 // the shared priority/arrival comparator custom policies can build
 // on.
@@ -349,7 +345,6 @@ var (
 	NewPriority        = sched.NewPriority
 	NewSJF             = sched.NewSJF
 	NewFairShare       = sched.NewFairShare
-	ParseScheduler     = sched.ParseScheduler
 	WithPrefillReserve = sched.WithPrefillReserve
 	CompareSchedule    = sched.Compare
 )
@@ -384,14 +379,8 @@ const (
 // NewCluster builds a multi-replica serving cluster.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
 
-// NewRouter builds a built-in router; ParseRouterPolicy converts a
-// flag spelling ("roundrobin", "leastloaded", "affinity") —
-// ParseRouterOption is the unified-grammar equivalent with the
-// OptionError shape.
-var (
-	NewRouter         = cluster.NewRouter
-	ParseRouterPolicy = cluster.ParsePolicy
-)
+// NewRouter builds a built-in router.
+var NewRouter = cluster.NewRouter
 
 // Fleet memory surface (cluster-wide KV store and live request
 // migration): FleetPolicy on ClusterConfig.Fleet turns on the fleet
@@ -503,19 +492,6 @@ var (
 	SetDeadlines = workload.SetDeadlines
 	NaiveFanOut  = workload.NaiveFanOut
 )
-
-// Speculative-decoding surface (§6.1, Fig. 19).
-type (
-	// SpecConfig configures NewSpeculative.
-	SpecConfig = spec.Config
-	// SpecDriver runs two-model speculative decoding.
-	SpecDriver = spec.Driver
-	// SpecResult aggregates a speculative run's metrics.
-	SpecResult = spec.Result
-)
-
-// NewSpeculative builds a speculative-decoding driver.
-func NewSpeculative(cfg SpecConfig) (*SpecDriver, error) { return spec.New(cfg) }
 
 // Models exposes the paper's evaluation zoo (Table 1 and Figs. 18/19).
 var Models = struct {

@@ -218,17 +218,17 @@ func TestPublicOnlineServing(t *testing.T) {
 	}
 }
 
+// TestPublicSpeculative: a WithDraft pair is served by the ordinary
+// manager and engine constructors, every request finishing in bursts.
 func TestPublicSpeculative(t *testing.T) {
-	target := jenga.Models.Gemma2_9B()
-	draft := jenga.Models.Gemma2_2B()
-	ms, err := jenga.NewJengaShared(target, draft, 1<<30, 16, false)
+	pair := jenga.WithDraft(jenga.Models.Gemma2_9B(), jenga.Models.Gemma2_2B())
+	mgr, err := jenga.NewManager(jenga.ManagerConfig{Spec: pair, CapacityBytes: 1 << 30, TokensPerPage: 16, RequestAware: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := jenga.NewSpeculative(jenga.SpecConfig{
-		Target: target, Draft: draft,
-		Device:   jenga.Device{Name: "t", MemBytes: 1 << 32, FLOPS: 50e12, MemBW: 500e9},
-		Managers: ms, K: 4, AcceptRate: 0.7,
+	eng, err := jenga.NewEngine(jenga.EngineConfig{
+		Spec: pair, Manager: mgr,
+		Device: jenga.Device{Name: "t", MemBytes: 1 << 32, FLOPS: 50e12, MemBW: 500e9},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,12 +242,19 @@ func TestPublicSpeculative(t *testing.T) {
 		reqs[i].OutputLen = 12
 	}
 	jenga.AllAtOnce(reqs)
-	res, err := d.Run(reqs)
+	res, err := eng.Run(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Finished != 4 {
-		t.Errorf("finished %d of 4", res.Finished)
+	if res.Finished != 4 || res.GeneratedTokens != 4*11 {
+		t.Errorf("finished %d of 4, generated %d tokens, want %d", res.Finished, res.GeneratedTokens, 4*11)
+	}
+	passes := 0
+	for _, b := range res.DecodeBatchTimeline {
+		passes += b
+	}
+	if passes >= 4*11 || passes*(jenga.SpecK+1) < 4*11 {
+		t.Errorf("%d verify passes for %d tokens: want bursts of 1 to %d", passes, 4*11, jenga.SpecK+1)
 	}
 }
 
@@ -285,17 +292,8 @@ func TestErrNoSpaceExported(t *testing.T) {
 }
 
 // TestPublicScheduler exercises the re-exported scheduling surface:
-// parsing, the comparator, and an engine run under each built-in.
+// the comparator, and an engine run under each built-in.
 func TestPublicScheduler(t *testing.T) {
-	for _, name := range []string{"fcfs", "priority", "sjf", "fairshare", "sjf:0.25"} {
-		s, err := jenga.ParseScheduler(name)
-		if err != nil {
-			t.Fatalf("ParseScheduler(%q): %v", name, err)
-		}
-		if s.Name() != name {
-			t.Errorf("ParseScheduler(%q).Name() = %q", name, s.Name())
-		}
-	}
 	if jenga.CompareSchedule(jenga.SchedReqInfo{Priority: 1}, jenga.SchedReqInfo{}) != -1 {
 		t.Error("CompareSchedule must schedule the higher priority first")
 	}
