@@ -140,7 +140,11 @@ func BenchmarkAllocatorChurn(b *testing.B) {
 	const tokens = 512
 	seq := &jenga.Sequence{ID: 1}
 	for i := 0; i < tokens; i++ {
-		seq.Tokens = append(seq.Tokens, jenga.Token{ID: int32(i + 1), Image: i%3 == 0})
+		tok := jenga.TextToken(int32(i + 1))
+		if i%3 == 0 {
+			tok = jenga.ImageToken(int32(i + 1))
+		}
+		seq.Tokens = append(seq.Tokens, tok)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -51,7 +51,7 @@ func seqText(id core.RequestID, n int) *core.Sequence {
 func seqMixed(id core.RequestID, img, txt int) *core.Sequence {
 	s := &core.Sequence{ID: id}
 	for i := 0; i < img; i++ {
-		s.Tokens = append(s.Tokens, core.Token{ID: int32(i + 1), Image: true})
+		s.Tokens = append(s.Tokens, core.ImageToken(int32(i+1)))
 	}
 	for i := 0; i < txt; i++ {
 		s.Tokens = append(s.Tokens, core.Token{ID: int32(i + 1)})

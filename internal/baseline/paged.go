@@ -232,7 +232,7 @@ func (p *Paged) advance(seq *core.Sequence, tr *seqTrack, upTo int) {
 		}
 		add := 0
 		for _, t := range delta {
-			if g.StoresToken(t.Image) {
+			if g.StoresToken(t.Image()) {
 				add++
 			}
 		}

@@ -13,6 +13,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 )
 
 // ErrNoSpace is returned by Reserve when the manager cannot find or
@@ -27,16 +28,41 @@ type RequestID int64
 // a monotonically increasing step counter.
 type Tick int64
 
-// Token is one sequence element as the memory manager sees it: a
-// content identifier (for prefix-cache hashing) and a modality flag.
+// Token is one sequence element as the memory manager sees it, packed
+// into four bytes: the content identity (for prefix-cache hashing) in
+// the low 31 bits and the modality in the sign bit. Token arrays are
+// the largest thing a serving run holds on the host — prompts, decode
+// buffers, migration records — so the layout is pinned at compile time
+// below. Build tokens with TextToken and ImageToken and read them with
+// Content and Image; Token{ID: n} with n ≥ 0 is also a text token with
+// content n (zero sign bit). A negative ID is an image token, never a
+// negative content.
 type Token struct {
-	// ID is the token's content identity (vocabulary id or content
-	// hash); two tokens with equal IDs at equal positions after equal
-	// prefixes hash to the same block.
+	// ID is the packed value: content in bits 0–30 (vocabulary id or
+	// content hash; two tokens with equal contents and modalities at
+	// equal positions after equal prefixes hash to the same block),
+	// image flag in bit 31.
 	ID int32
-	// Image marks image tokens, which only image-scoped groups store.
-	Image bool
 }
+
+// tokenImageBit is the modality flag, the sign bit of Token.ID.
+const tokenImageBit = -1 << 31
+
+// The token is four bytes; a field added to it doubles every prompt.
+var _ [4]byte = [unsafe.Sizeof(Token{})]byte{}
+
+// TextToken builds a text token from the low 31 bits of content.
+func TextToken(content int32) Token { return Token{ID: content &^ tokenImageBit} }
+
+// ImageToken builds an image token — one that only image-scoped groups
+// store — from the low 31 bits of content.
+func ImageToken(content int32) Token { return Token{ID: content | tokenImageBit} }
+
+// Image reports whether t is an image token.
+func (t Token) Image() bool { return t.ID < 0 }
+
+// Content returns t's content identity, in [0, 1<<31).
+func (t Token) Content() int32 { return t.ID &^ tokenImageBit }
 
 // Sequence is the manager-facing view of one request.
 type Sequence struct {

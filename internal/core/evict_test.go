@@ -220,11 +220,11 @@ func TestImageAtomicEviction(t *testing.T) {
 	// Two images of 4 tokens each, separated by text.
 	seq := &Sequence{ID: 1}
 	for i := 0; i < 4; i++ {
-		seq.Tokens = append(seq.Tokens, Token{ID: int32(100 + i), Image: true})
+		seq.Tokens = append(seq.Tokens, ImageToken(int32(100+i)))
 	}
 	seq.Tokens = append(seq.Tokens, Token{ID: 1}, Token{ID: 2})
 	for i := 0; i < 4; i++ {
-		seq.Tokens = append(seq.Tokens, Token{ID: int32(200 + i), Image: true})
+		seq.Tokens = append(seq.Tokens, ImageToken(int32(200+i)))
 	}
 	seq.Tokens = append(seq.Tokens, Token{ID: 3}, Token{ID: 4})
 	n := len(seq.Tokens)

@@ -151,7 +151,11 @@ func TestFootprintPerKind(t *testing.T) {
 	m := newMgr(t, heteroSpec(), 1<<22, 2, true)
 	seq := &Sequence{ID: 1}
 	for i := 0; i < 20; i++ {
-		seq.Tokens = append(seq.Tokens, Token{ID: int32(i + 1), Image: i%5 == 0})
+		tok := TextToken(int32(i + 1))
+		if i%5 == 0 {
+			tok = ImageToken(int32(i + 1))
+		}
+		seq.Tokens = append(seq.Tokens, tok)
 	}
 	// 4 image tokens, 16 text tokens.
 	fp := m.Footprint(seq)

@@ -71,18 +71,14 @@ func (m *Jenga) Fork(parent, child *Sequence, now Tick) error {
 	if _, dup := m.reqs[child.ID]; dup {
 		return fmt.Errorf("core: fork: child request %d already live", child.ID)
 	}
-	cr := &reqState{
-		id:           child.ID,
-		reserved:     pr.reserved,
-		committed:    pr.committed,
-		lastNow:      now,
-		claimed:      true, // the shared prefix stands in for a claim
-		cachedPrefix: pr.committed,
-		g:            make([]reqGroup, len(m.groups)),
-	}
-	// Register first so a mid-fork allocation failure can unwind
+	// Registered first, so a mid-fork allocation failure can unwind
 	// through the normal Release path.
-	m.reqs[child.ID] = cr
+	cr := m.takeReq(child.ID)
+	cr.reserved = pr.reserved
+	cr.committed = pr.committed
+	cr.lastNow = now
+	cr.claimed = true // the shared prefix stands in for a claim
+	cr.cachedPrefix = pr.committed
 	for gi, g := range m.groups {
 		prg := &pr.g[gi]
 		crg := &cr.g[gi]
@@ -101,28 +97,23 @@ func (m *Jenga) Fork(parent, child *Sequence, now Tick) error {
 		crg.visDropped = prg.visDropped
 		crg.dropCursor = prg.dropCursor
 		crg.dropProj = prg.dropProj
-		if len(prg.pages) > 0 {
-			crg.pages = make([]pageRef, len(prg.pages))
-			copy(crg.pages, prg.pages)
-			for b := range crg.pages {
-				if crg.pages[b].held {
-					m.pageAddRef(g, crg.pages[b].id)
-				}
+		// The child's tables are empty (a pristine state), so appending
+		// the parent's copies them, into recycled arrays when there are any.
+		crg.pages = append(crg.pages, prg.pages...)
+		for b := range crg.pages {
+			if crg.pages[b].held {
+				m.pageAddRef(g, crg.pages[b].id)
 			}
 		}
-		if len(prg.visPages) > 0 {
-			crg.visPages = make([]pageRef, len(prg.visPages))
-			copy(crg.visPages, prg.visPages)
-			for b := range crg.visPages {
-				if crg.visPages[b].held {
-					m.pageAddRef(g, crg.visPages[b].id)
-				}
+		crg.visPages = append(crg.visPages, prg.visPages...)
+		for b := range crg.visPages {
+			if crg.visPages[b].held {
+				m.pageAddRef(g, crg.visPages[b].id)
 			}
 		}
 		if len(prg.ckpts) > 0 {
-			crg.ckpts = make([]pageRef, len(prg.ckpts))
-			copy(crg.ckpts, prg.ckpts)
-			crg.ckptPos = append([]int(nil), prg.ckptPos...)
+			crg.ckpts = append(crg.ckpts, prg.ckpts...)
+			crg.ckptPos = append(crg.ckptPos, prg.ckptPos...)
 			for i := range crg.ckpts {
 				if !crg.ckpts[i].held {
 					continue

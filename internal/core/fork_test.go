@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"jenga/internal/arena"
@@ -263,23 +264,33 @@ func TestForkErrors(t *testing.T) {
 
 // FuzzForkLifecycle drives random fork/extend/release sequences on a
 // backed arena against a map-based reference of every live branch's
-// committed tokens. Every committed slot carries a fingerprint of its
-// token; any sharing bug — a missing copy-on-write (one branch's write
-// visible in a sibling) or a premature free (content lost while a
-// sibling still holds the block) — corrupts a read-back.
+// committed tokens. Every committed slot of the attention group carries
+// a fingerprint of its token; any sharing bug — a missing copy-on-write
+// (one branch's write visible in a sibling) or a premature free
+// (content lost while a sibling still holds the block) — corrupts a
+// read-back. The model also has a Mamba group and a vision-embedding
+// cache, and a released branch's successor (op 5) starts at once, under
+// the same ID with the same content or under a new one: request state
+// is recycled (takeReq), so the successor runs its prefix claim,
+// copy-on-write, checkpoints and vision pages in tables a previous
+// owner filled, and a reference left behind in one shows up as a
+// refcount or accounting mismatch in the audit, or as a foreign
+// fingerprint.
 func FuzzForkLifecycle(f *testing.F) {
 	f.Add([]byte{0, 4, 2, 0, 1, 1, 1, 0, 3, 0})
 	f.Add([]byte{0, 8, 2, 0, 2, 0, 1, 1, 1, 2, 4, 0, 1, 0})
 	f.Add([]byte{0, 15, 2, 0, 2, 0, 2, 0, 1, 3, 1, 2, 1, 1, 3, 2, 1, 0})
+	f.Add([]byte{0, 15, 2, 0, 1, 64, 5, 0, 1, 0, 5, 1, 2, 0, 1, 65, 5, 2, 5, 3})
+	f.Add([]byte{0, 9, 0, 12, 2, 1, 5, 4, 5, 1, 1, 64, 2, 0, 5, 0, 4, 0, 0, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := New(Config{
-			Spec: forkSpec(), CapacityBytes: 1 << 15, TokensPerPage: 2,
+			Spec: recycleSpec(), CapacityBytes: 1 << 15, TokensPerPage: 2,
 			EnablePrefixCache: true, RequestAware: true, Backed: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := m.groups[0]
+		g := m.groups[0] // full attention over every token
 
 		// Reference model: every live branch's committed token list.
 		type ref struct {
@@ -336,36 +347,47 @@ func FuzzForkLifecycle(f *testing.F) {
 			}
 		}
 		drop := func(i int) { live = append(live[:i], live[i+1:]...) }
+		// root serves a new n-token request (content a function of its
+		// ID, so a reused ID finds its predecessor's blocks cached).
+		root := func(id RequestID, n int) {
+			s := recycleSeq(id, n)
+			if err := serve(m, s, now); err != nil {
+				m.Release(s, false)
+				return
+			}
+			stamp(s, 0, n)
+			live = append(live, &ref{seq: s})
+		}
 
 		for i := 0; i+1 < len(data) && len(live) < 24; i += 2 {
-			op, arg := data[i]%5, int(data[i+1])
+			op, arg := data[i]%6, int(data[i+1])
 			now++
 			switch op {
 			case 0: // new root
-				n := 1 + arg%16
-				s := &Sequence{ID: nextID}
+				root(nextID, 1+arg%16)
 				nextID++
-				for p := 0; p < n; p++ {
-					s.Tokens = append(s.Tokens, Token{ID: int32((int(s.ID)*37+p)%997 + 1)})
-				}
-				if err := m.Reserve(s, n, now); err != nil {
-					m.Release(s, false)
-					continue
-				}
-				m.Commit(s, n, now)
-				stamp(s, 0, n)
-				live = append(live, &ref{seq: s})
-			case 1: // divergent decode on one branch
+			case 1: // divergent decode on one branch (arg bit 6: an image token)
 				if len(live) == 0 {
 					continue
 				}
-				rf := live[arg%len(live)]
+				j := arg % 64 % len(live)
+				rf := live[j]
 				pos := len(rf.seq.Tokens)
-				rf.seq.Tokens = append(rf.seq.Tokens,
-					Token{ID: int32((int(rf.seq.ID)*1009+pos*31)%997 + 1)})
-				if err := m.Reserve(rf.seq, pos+1, now); err != nil {
-					rf.seq.Tokens = rf.seq.Tokens[:pos]
-					continue
+				tok := TextToken(int32((int(rf.seq.ID)*1009+pos*31)%997 + 1))
+				if arg&64 != 0 {
+					tok = ImageToken(tok.Content())
+				}
+				rf.seq.Tokens = append(rf.seq.Tokens, tok)
+				err := m.EncodeImages(rf.seq, pos+1, now)
+				if err == nil {
+					err = m.Reserve(rf.seq, pos+1, now)
+				}
+				if err != nil {
+					// Preempted for want of memory; an embedding may
+					// already be stored, so the branch goes whole.
+					m.Release(rf.seq, true)
+					drop(j)
+					break
 				}
 				m.Commit(rf.seq, pos+1, now)
 				stamp(rf.seq, pos, pos+1)
@@ -378,7 +400,12 @@ func FuzzForkLifecycle(f *testing.F) {
 					Tokens: append([]Token(nil), parent.seq.Tokens...)}
 				nextID++
 				if err := m.Fork(parent.seq, child, now); err != nil {
-					t.Fatalf("fork of quiescent parent %d: %v", parent.seq.ID, err)
+					// Only the eager Mamba copies can fail, for want of
+					// memory, and then the child holds nothing.
+					if _, kept := m.reqs[child.ID]; kept || !errors.Is(err, ErrNoSpace) {
+						t.Fatalf("fork of quiescent parent %d: %v (child state kept: %v)", parent.seq.ID, err, kept)
+					}
+					break
 				}
 				live = append(live, &ref{seq: child})
 			case 3: // finish (cache-preserving release)
@@ -395,6 +422,20 @@ func FuzzForkLifecycle(f *testing.F) {
 				j := arg % len(live)
 				m.Release(live[j].seq, false)
 				drop(j)
+			case 5: // finish, and a successor takes the state at once
+				if len(live) == 0 {
+					continue
+				}
+				j := arg % len(live)
+				old := live[j].seq
+				m.Release(old, arg&32 == 0)
+				drop(j)
+				if arg&16 == 0 {
+					root(old.ID, len(old.Tokens)) // same ID, same content
+				} else {
+					root(nextID, 1+arg%16)
+					nextID++
+				}
 			}
 			audit(t, m)
 			verify()

@@ -11,10 +11,13 @@ package core
 // blockHashSeed distinguishes an empty chain from a zero hash.
 const blockHashSeed uint64 = 0x6A656E6761_5F4B56 // "jenga_KV"
 
-// hashChain extends a parent hash with one token.
+// hashChain extends a parent hash with one token. Content and modality
+// enter separately, so the value does not depend on how Token packs
+// them: published block hashes, PrefixHash routing keys and fleet
+// directory keys are what they were when the modality was its own field.
 func hashChain(parent uint64, tok Token) uint64 {
-	x := parent ^ (uint64(uint32(tok.ID)) + 0x9E3779B97F4A7C15)
-	if tok.Image {
+	x := parent ^ (uint64(tok.Content()) + 0x9E3779B97F4A7C15)
+	if tok.Image() {
 		x ^= 0xA5A5A5A5A5A5A5A5
 	}
 	x *= 0xFF51AFD7ED558CCD
@@ -80,7 +83,7 @@ func PrefixHash(tokens []Token, n int) uint64 {
 // token list in place.
 func projectInto(dst []Token, tokens []Token, storesImage, storesText bool) []Token {
 	for _, t := range tokens {
-		if (t.Image && storesImage) || (!t.Image && storesText) {
+		if (t.Image() && storesImage) || (!t.Image() && storesText) {
 			dst = append(dst, t)
 		}
 	}

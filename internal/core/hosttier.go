@@ -444,10 +444,11 @@ func (m *Jenga) SwapOut(seq *Sequence) (int, int64) {
 	if m.host != nil && m.host.hasRoomEver() && m.cfg.EnablePrefixCache {
 		candidates = m.heldLargePages(r)
 	}
+	now := r.lastNow // Release recycles r
 	m.Release(seq, true)
 	pages, bytes := 0, int64(0)
 	for _, L := range candidates {
-		if m.spillLarge(L, r.lastNow) {
+		if m.spillLarge(L, now) {
 			pages++
 			bytes += int64(m.geo.LargePageBytes)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"jenga/internal/arena"
 	"jenga/internal/model"
@@ -69,22 +70,94 @@ type reqState struct {
 	g              []reqGroup
 }
 
+// getReq returns the sequence's state, registering a pristine one at
+// the manager's first sight of it.
+//
+//jenga:hotpath
 func (m *Jenga) getReq(seq *Sequence) *reqState {
 	if r, ok := m.reqs[seq.ID]; ok {
 		return r
 	}
-	r := &reqState{id: seq.ID, g: make([]reqGroup, len(m.groups))}
-	for i := range r.g {
-		rg := &r.g[i]
-		rg.chain = blockHashSeed
-		rg.runChain = blockHashSeed
-		rg.lastFullIdx = -1
-		if m.groups[i].spec.Kind == model.Mamba {
-			rg.nextCkpt = m.groups[i].spec.Checkpoint()
+	return m.takeReq(seq.ID)
+}
+
+// Per-request state is recycled. A request's reqState, its per-group
+// slice and each group's page, checkpoint and vision tables are built
+// on the request's first Reserve (or Fork) and are dead at its Release;
+// Release resets the state and parks it on m.spareReqs, and the next
+// new request takes it from there, tables at their previous capacity.
+// A state is only ever built while the list is empty, so parked plus
+// live states never exceed the most requests that were live at once,
+// and in steady state a request costs the allocator nothing.
+
+// takeReq registers a pristine state for a request the manager has not
+// seen: a parked one, or a new one when none is parked.
+//
+//jenga:hotpath
+func (m *Jenga) takeReq(id RequestID) *reqState {
+	var r *reqState
+	if n := len(m.spareReqs); n > 0 {
+		r = m.spareReqs[n-1]
+		m.spareReqs[n-1] = nil
+		m.spareReqs = m.spareReqs[:n-1]
+	} else {
+		//jenga:alloc-ok free-list miss: taken only while every state ever built is live, so misses are bounded by the high-water live set, not by requests served
+		r = &reqState{g: make([]reqGroup, len(m.groups))}
+		for gi, g := range m.groups {
+			g.resetReq(&r.g[gi])
 		}
 	}
-	m.reqs[seq.ID] = r
+	r.id = id
+	m.reqs[id] = r
 	return r
+}
+
+// parkReq resets a released request's state and puts it on the free
+// list. The caller has dropped every page the state held.
+//
+//jenga:hotpath
+func (m *Jenga) parkReq(r *reqState) {
+	rgs := r.g
+	for gi, g := range m.groups {
+		g.resetReq(&rgs[gi])
+	}
+	*r = reqState{g: rgs}
+	m.spareReqs = append(m.spareReqs, r)
+}
+
+// resetReq returns rg to what a request that has touched nothing holds
+// for group g, keeping the tables' backing arrays. Entries are zeroed
+// before the tables are emptied, so slots in [len, cap) are always zero
+// and growRefs can extend a table by reslicing.
+//
+//jenga:hotpath
+func (g *group) resetReq(rg *reqGroup) {
+	clear(rg.pages)
+	clear(rg.ckpts)
+	clear(rg.visPages)
+	*rg = reqGroup{
+		pages:       rg.pages[:0],
+		ckpts:       rg.ckpts[:0],
+		ckptPos:     rg.ckptPos[:0],
+		visPages:    rg.visPages[:0],
+		chain:       blockHashSeed,
+		runChain:    blockHashSeed,
+		lastFullIdx: -1,
+	}
+	if g.spec.Kind == model.Mamba {
+		rg.nextCkpt = g.spec.Checkpoint()
+	}
+}
+
+// growRefs extends a page table to n entries, the new ones unheld, in
+// at most one allocation.
+//
+//jenga:hotpath
+func growRefs(refs []pageRef, n int) []pageRef {
+	if n <= len(refs) {
+		return refs
+	}
+	return slices.Grow(refs, n-len(refs))[:n]
 }
 
 // appliesTo reports whether a group stores KV for the sequence's model
@@ -100,7 +173,7 @@ func countScope(g *group, toks []Token) int {
 	}
 	n := 0
 	for _, t := range toks {
-		if g.spec.StoresToken(t.Image) {
+		if g.spec.StoresToken(t.Image()) {
 			n++
 		}
 	}
@@ -276,7 +349,7 @@ func (m *Jenga) buildView(g *group, id RequestID, tokens []Token, useHost bool) 
 	v.ProjCount[0] = 0
 	n := v.ProjCount[done]
 	for i := done; i < len(tokens); i++ {
-		if g.spec.StoresToken(tokens[i].Image) {
+		if g.spec.StoresToken(tokens[i].Image()) {
 			n++
 		}
 		v.ProjCount[i+1] = n
@@ -388,9 +461,7 @@ func (m *Jenga) Reserve(seq *Sequence, upTo int, now Tick) error {
 			continue
 		}
 		lastBlock := (newProj - 1) / g.tpp
-		for len(rg.pages) <= lastBlock {
-			rg.pages = append(rg.pages, pageRef{})
-		}
+		rg.pages = growRefs(rg.pages, lastBlock+1)
 		// Copy-on-write boundary: the scan starts at the committed tail
 		// block, not the reserved one, because every block from there to
 		// lastBlock will receive this reservation's commits — a block
@@ -486,7 +557,7 @@ func (m *Jenga) commitGroup(g *group, rg *reqGroup, delta []Token, fullBase, pro
 	mamba := g.spec.Kind == model.Mamba
 	pos := rg.projCommitted
 	for i, t := range delta {
-		if !g.spec.StoresToken(t.Image) {
+		if !g.spec.StoresToken(t.Image()) {
 			continue
 		}
 		fi := fullBase + i
@@ -632,6 +703,7 @@ func (m *Jenga) Release(seq *Sequence, cache bool) {
 		g.dropAssocList(r.id)
 	}
 	delete(m.reqs, seq.ID)
+	m.parkReq(r)
 }
 
 // --- Prefix-cache claiming ------------------------------------------------
@@ -699,7 +771,8 @@ type pendingRestore struct {
 // which left every token group's block hashes in g.lkHashes: a chained
 // hash names its whole prefix, so the first p tokens' blocks are that
 // list's head and the claim reads them instead of hashing the prefix
-// again. Nothing here is sized by p except the request's page table.
+// again. Nothing here is sized by p except the request's page table,
+// which a recycled state already holds.
 //
 //jenga:hotpath
 func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost bool) bool {
@@ -740,8 +813,10 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost
 		} else {
 			replayPrefix(g, rg, seq.Tokens[:p])
 		}
-		//jenga:alloc-ok the request's page table, one per claim; the only allocation sized by the prefix
-		rg.pages = make([]pageRef, nb)
+		if len(rg.pages) != 0 {
+			check(false, "claim: group %s already holds a page table", g.spec.Name)
+		}
+		rg.pages = growRefs(rg.pages, nb)
 		lo := g.pol.AccessedFrom(pl) / g.tpp
 		keepBlocks := 0
 		if ka, ok := g.pol.(KeepAlive); ok {
@@ -801,7 +876,7 @@ func replayPrefix(g *group, rg *reqGroup, prefix []Token) int {
 	rg.chain, rg.runChain, rg.lastFullIdx = blockHashSeed, blockHashSeed, -1
 	pl := 0
 	for i, t := range prefix {
-		if !g.spec.StoresToken(t.Image) {
+		if !g.spec.StoresToken(t.Image()) {
 			continue
 		}
 		if rg.lastFullIdx != i-1 {
@@ -858,10 +933,7 @@ func (m *Jenga) rollbackClaim(seq *Sequence, r *reqState) {
 				m.pageRelease(g, rg.pages[b].id, m.cfg.EnablePrefixCache, pg.lastAccess, false)
 			}
 		}
-		r.g[gi] = reqGroup{chain: blockHashSeed, runChain: blockHashSeed, lastFullIdx: -1}
-		if g.spec.Kind == model.Mamba {
-			r.g[gi].nextCkpt = g.spec.Checkpoint()
-		}
+		g.resetReq(rg)
 	}
 	r.restoredTokens = 0
 	r.restoredBytes = 0
@@ -915,14 +987,15 @@ func (m *Jenga) EncodeImages(seq *Sequence, uptoFull int, now Tick) error {
 			continue
 		}
 		rg := &r.g[gi]
+		if rg.visCursor < uptoFull {
+			images := countScope(g, seq.Tokens[rg.visCursor:uptoFull])
+			rg.visPages = growRefs(rg.visPages, (rg.visProj+images+g.tpp-1)/g.tpp)
+		}
 		for fi := rg.visCursor; fi < uptoFull; fi++ {
-			if !seq.Tokens[fi].Image {
+			if !seq.Tokens[fi].Image() {
 				continue
 			}
 			b := rg.visProj / g.tpp
-			for len(rg.visPages) <= b {
-				rg.visPages = append(rg.visPages, pageRef{})
-			}
 			if !rg.visPages[b].held {
 				id, err := m.allocSmall(g, r.id)
 				if err != nil {
@@ -968,7 +1041,7 @@ func (m *Jenga) DropImages(seq *Sequence, uptoFull int) {
 			uptoFull = len(seq.Tokens)
 		}
 		for fi := rg.dropCursor; fi < uptoFull; fi++ {
-			if seq.Tokens[fi].Image {
+			if seq.Tokens[fi].Image() {
 				rg.dropProj++
 			}
 		}

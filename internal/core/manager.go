@@ -192,8 +192,10 @@ type Jenga struct {
 	freeLarge  []arena.LargePageID
 	largeEvict evictQueue[largeEntry]
 
-	reqs  map[RequestID]*reqState
-	stats Stats
+	reqs map[RequestID]*reqState
+	// spareReqs is the free list of released requests' states (takeReq).
+	spareReqs []*reqState
+	stats     Stats
 
 	// host is the optional second memory tier (nil without one), and
 	// pendingH2D/pendingD2H the transfer bytes accumulated since the

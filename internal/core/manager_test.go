@@ -56,7 +56,7 @@ func textSeq(id RequestID, n int) *Sequence {
 func mixedSeq(id RequestID, imgN, txtN int) *Sequence {
 	s := &Sequence{ID: id}
 	for i := 0; i < imgN; i++ {
-		s.Tokens = append(s.Tokens, Token{ID: int32(i + 1), Image: true})
+		s.Tokens = append(s.Tokens, ImageToken(int32(i+1)))
 	}
 	for i := 0; i < txtN; i++ {
 		s.Tokens = append(s.Tokens, Token{ID: int32(i + 1)})

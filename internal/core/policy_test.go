@@ -159,7 +159,7 @@ func TestBlockHashChaining(t *testing.T) {
 		t.Error("different second blocks must hash differently")
 	}
 	// Image flag participates in identity.
-	c := []Token{{ID: 1, Image: true}, {ID: 2}}
+	c := []Token{ImageToken(1), {ID: 2}}
 	if blockHashes(c, 2)[0] == blockHashes(a[:2], 2)[0] {
 		t.Error("image flag must change the hash")
 	}
@@ -175,9 +175,9 @@ func TestBlockHashChaining(t *testing.T) {
 }
 
 func TestProjectHelpers(t *testing.T) {
-	toks := []Token{{ID: 1}, {ID: 2, Image: true}, {ID: 3}, {ID: 4, Image: true}}
+	toks := []Token{{ID: 1}, ImageToken(2), {ID: 3}, ImageToken(4)}
 	proj := projectInto(nil, toks, true, false)
-	if len(proj) != 2 || proj[0].ID != 2 || proj[1].ID != 4 {
+	if len(proj) != 2 || proj[0] != ImageToken(2) || proj[1] != ImageToken(4) {
 		t.Errorf("image projection wrong: %v", proj)
 	}
 	proj = projectInto(proj[:0], toks, true, true)

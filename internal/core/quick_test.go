@@ -69,8 +69,11 @@ func runRandomOps(t *testing.T, seed int64, cache bool) {
 		// Shared pools of content so prefix hits actually happen.
 		base := int32(rng.Intn(3) * 1000)
 		for i := 0; i < n; i++ {
-			img := rng.Intn(5) == 0
-			s.Tokens = append(s.Tokens, Token{ID: base + int32(i), Image: img})
+			tok := TextToken(base + int32(i))
+			if rng.Intn(5) == 0 {
+				tok = ImageToken(base + int32(i))
+			}
+			s.Tokens = append(s.Tokens, tok)
 		}
 		return &simSeq{seq: s}
 	}

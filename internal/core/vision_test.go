@@ -28,7 +28,7 @@ func TestVisionEncodeConsumeFree(t *testing.T) {
 	seq := &Sequence{ID: 1}
 	seq.Tokens = append(seq.Tokens, Token{ID: 1}, Token{ID: 2})
 	for i := 0; i < 8; i++ {
-		seq.Tokens = append(seq.Tokens, Token{ID: int32(10 + i), Image: true})
+		seq.Tokens = append(seq.Tokens, ImageToken(int32(10+i)))
 	}
 	seq.Tokens = append(seq.Tokens, Token{ID: 3}, Token{ID: 4})
 	n := len(seq.Tokens)
@@ -74,7 +74,7 @@ func TestVisionDoesNotGateKVHits(t *testing.T) {
 	m := newMgr(t, vlmSpec(), 1<<20, 2, true)
 	seq := &Sequence{ID: 1}
 	for i := 0; i < 4; i++ {
-		seq.Tokens = append(seq.Tokens, Token{ID: int32(10 + i), Image: true})
+		seq.Tokens = append(seq.Tokens, ImageToken(int32(10+i)))
 	}
 	for i := 0; i < 13; i++ {
 		seq.Tokens = append(seq.Tokens, Token{ID: int32(i + 1)})

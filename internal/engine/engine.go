@@ -279,7 +279,7 @@ const (
 // run is one request's runtime state.
 type run struct {
 	req *workload.Request
-	seq *core.Sequence
+	seq core.Sequence
 	// owned marks seq.Tokens as a private buffer from the engine's free
 	// list; otherwise it borrows req.Prompt (or a Migrated record's
 	// slice) and is read-only. See tokbuf.go.
@@ -328,7 +328,7 @@ type run struct {
 // image counts.
 func (r *run) advanceCtx(from, to int) {
 	for i := from; i < to && i < len(r.seq.Tokens); i++ {
-		if r.seq.Tokens[i].Image {
+		if r.seq.Tokens[i].Image() {
 			r.ctxImg++
 		} else {
 			r.ctxText++
@@ -352,8 +352,8 @@ type Engine struct {
 	clock     time.Duration
 	step      int
 
-	pending []*run // not yet arrived (sorted by arrival)
-	waiting []*run // arrived, not running
+	pending runQueue // not yet arrived (sorted by arrival)
+	waiting runQueue // arrived, not running
 	running []*run
 
 	// onEvent is the streaming sink (nil: no emission).
@@ -566,15 +566,15 @@ func (e *Engine) Run(reqs []workload.Request) (*Result, error) {
 // again on the same engine (the manager's cache is deliberately kept,
 // and so is the token free list: abandoned runs' buffers rejoin it).
 func (e *Engine) reset() {
-	for _, q := range [...][]*run{e.pending, e.waiting, e.running} {
+	for _, q := range [...][]*run{e.pending.items(), e.waiting.items(), e.running} {
 		for _, r := range q {
 			e.returnTokens(r)
 		}
 	}
 	e.clock = 0
 	e.step = 0
-	e.pending = e.pending[:0]
-	e.waiting = nil
+	e.pending.reset()
+	e.waiting.reset()
 	e.running = nil
 	e.kvSampledStep = 0
 	e.totalPromptComputed = 0
@@ -642,15 +642,14 @@ func (e *Engine) finishSampling() {
 // admitArrivals moves arrived requests into the waiting queue,
 // applying the admission policy at each request's arrival instant.
 func (e *Engine) admitArrivals() {
-	for len(e.pending) > 0 && e.pending[0].req.Arrival <= e.clock {
-		r := e.pending[0]
-		e.pending = e.pending[1:]
+	for e.pending.len() > 0 && e.pending.front().req.Arrival <= e.clock {
+		r := e.pending.popFront()
 		if e.cfg.Admission != nil && e.cfg.Admission.Decide(r.req, e.admissionState(r)) == Shed {
 			e.retireTerminal(r, EventShed)
 			e.emit(EventShed, r)
 			continue
 		}
-		e.waiting = append(e.waiting, r)
+		e.waiting.pushBack(r)
 		e.emit(EventQueued, r)
 	}
 }
@@ -684,14 +683,14 @@ func (e *Engine) runStep() bool {
 	// entirely via the cached AdmissionPreempter capability; one view
 	// fill serves both the pick and the victim call of an iteration
 	// (nothing mutates between them).
-	if e.admPreempt && len(e.waiting) > 0 && len(e.running) > 0 {
+	if e.admPreempt && e.waiting.len() > 0 && len(e.running) > 0 {
 		for {
 			v := e.policyView()
 			idx := e.scheduler.PickWaiting(v)
-			if idx < 0 || idx >= len(e.waiting) {
+			if idx < 0 || idx >= e.waiting.len() {
 				idx = 0
 			}
-			cand := e.waiting[idx]
+			cand := e.waiting.items()[idx]
 			if e.admissionFits(cand) {
 				break
 			}
@@ -776,10 +775,10 @@ func (e *Engine) runStep() bool {
 			prefills++
 		}
 	}
-	for budget > 0 && prefillLeft > 0 && len(e.waiting) > 0 && len(e.running) < e.cfg.MaxRunning &&
+	for budget > 0 && prefillLeft > 0 && e.waiting.len() > 0 && len(e.running) < e.cfg.MaxRunning &&
 		prefills < e.cfg.MaxPrefills {
 		idx := e.pickWaiting()
-		r := e.waiting[idx]
+		r := e.waiting.items()[idx]
 		blocked := false
 		for !e.admissionFits(r) {
 			if !e.admPreempt || !e.admissionFeasible(r) {
@@ -803,11 +802,7 @@ func (e *Engine) runStep() bool {
 		prefills++
 		e.running = append(e.running, r)
 		r.alive = true
-		if idx == 0 {
-			e.waiting = e.waiting[1:]
-		} else {
-			e.waiting = append(e.waiting[:idx], e.waiting[idx+1:]...)
-		}
+		e.waiting.remove(idx)
 		if !r.started {
 			r.started = true
 		}
@@ -823,12 +818,12 @@ func (e *Engine) runStep() bool {
 			// or recompute the identical content again.
 			e.running = e.running[:len(e.running)-1]
 			r.alive = false
-			e.cfg.Manager.Release(r.seq, true)
+			e.cfg.Manager.Release(&r.seq, true)
 			r.computed = 0
 			r.resetCtx()
 			r.cachedHit = 0
 			r.encoded = false
-			e.waiting = append([]*run{r}, e.waiting...)
+			e.waiting.pushFront(r)
 			break
 		}
 		budget -= chunk
@@ -886,7 +881,7 @@ func (e *Engine) runStep() bool {
 		e.decodeTimeline = append(e.decodeTimeline, decodeBatch)
 	}
 	for _, r := range committers {
-		e.cfg.Manager.Commit(r.seq, r.pendingTarget, now)
+		e.cfg.Manager.Commit(&r.seq, r.pendingTarget, now)
 		if r.ph == phasePrefill {
 			e.totalPromptComputed += int64(r.pendingTarget - r.computed)
 			// Work below the run's high-water mark was computed once
@@ -900,7 +895,7 @@ func (e *Engine) runStep() bool {
 				r.everComputed = r.computed
 			}
 			if e.cfg.Vision == VisionFreeOnDemand && e.cfg.Manager.SupportsVisionCache() {
-				e.cfg.Manager.DropImages(r.seq, r.computed)
+				e.cfg.Manager.DropImages(&r.seq, r.computed)
 			}
 			// After a preemption the recompute pass covers generated
 			// tokens too, so completion is against the full sequence.
@@ -950,7 +945,7 @@ func (e *Engine) runStep() bool {
 func (e *Engine) schedulePrefill(r *run, budget int, now core.Tick, work *gpu.StepWork) int {
 	if r.computed == 0 && r.cachedHit == 0 {
 		// First chunk after (re)admission: consult the prefix cache.
-		r.cachedHit = e.cfg.Manager.Lookup(r.seq)
+		r.cachedHit = e.cfg.Manager.Lookup(&r.seq)
 		if debugSteps {
 			fmt.Printf("admit id=%d len=%d hit=%d\n", r.req.ID, len(r.seq.Tokens), r.cachedHit)
 		}
@@ -962,7 +957,7 @@ func (e *Engine) schedulePrefill(r *run, budget int, now core.Tick, work *gpu.St
 		case e.cfg.Vision == VisionFreeOnDemand && e.cfg.Manager.SupportsVisionCache():
 			if !r.encoded {
 				// Embeddings must exist before the chunk consumes them.
-				if err := e.cfg.Manager.EncodeImages(r.seq, r.promptLen(), now); err != nil {
+				if err := e.cfg.Manager.EncodeImages(&r.seq, r.promptLen(), now); err != nil {
 					return 0
 				}
 				encoderTokens = images
@@ -994,7 +989,7 @@ func (e *Engine) schedulePrefill(r *run, budget int, now core.Tick, work *gpu.St
 		chunk = 0
 	}
 	target := start + chunk
-	if err := e.cfg.Manager.Reserve(r.seq, target, now); err != nil {
+	if err := e.cfg.Manager.Reserve(&r.seq, target, now); err != nil {
 		return 0
 	}
 	// A prefix hit skips compute for [r.computed, claimed). A
@@ -1003,7 +998,7 @@ func (e *Engine) schedulePrefill(r *run, budget int, now core.Tick, work *gpu.St
 	// back to the GPU-only prefix): reconcile cachedHit down so later
 	// chunks size themselves from the real claim, not the stale
 	// advisory. Untiered, claim and advisory always agree.
-	claimed := e.cfg.Manager.CachedPrefix(r.seq)
+	claimed := e.cfg.Manager.CachedPrefix(&r.seq)
 	if claimed < r.cachedHit {
 		r.cachedHit = claimed
 	}
@@ -1022,7 +1017,7 @@ func (e *Engine) schedulePrefill(r *run, budget int, now core.Tick, work *gpu.St
 		// restored again) never inflate RestoredTokens past the
 		// prefill work actually served — TierHitRate stays ≤ HitRate.
 		if e.tier != nil {
-			if tok, bytes := e.tier.RestoreCost(r.seq); tok > 0 || bytes > 0 {
+			if tok, bytes := e.tier.RestoreCost(&r.seq); tok > 0 || bytes > 0 {
 				r.restoredTokens += tok
 				r.restoredBytes += bytes
 				e.totalRestored += int64(tok)
@@ -1064,7 +1059,7 @@ func (e *Engine) schedulePrefill(r *run, budget int, now core.Tick, work *gpu.St
 // imagesRemaining reports whether un-prefilled image tokens remain.
 func (e *Engine) imagesRemaining(r *run) bool {
 	for i := r.computed; i < r.promptLen(); i++ {
-		if r.req.Prompt[i].Image {
+		if r.req.Prompt[i].Image() {
 			return true
 		}
 	}
@@ -1077,7 +1072,7 @@ func (e *Engine) imagesRemaining(r *run) bool {
 // scheduling policy.
 func (e *Engine) reserveWithPreemption(r *run, upTo int, now core.Tick) bool {
 	for {
-		err := e.cfg.Manager.Reserve(r.seq, upTo, now)
+		err := e.cfg.Manager.Reserve(&r.seq, upTo, now)
 		if err == nil {
 			return true
 		}
@@ -1113,7 +1108,7 @@ func (e *Engine) validVictim(idx int, requesterID int64) *run {
 // the scheduler's order, clamped defensively to the queue front.
 func (e *Engine) pickWaiting() int {
 	idx := e.scheduler.PickWaiting(e.policyView())
-	if idx < 0 || idx >= len(e.waiting) {
+	if idx < 0 || idx >= e.waiting.len() {
 		return 0
 	}
 	return idx
@@ -1124,7 +1119,7 @@ func (e *Engine) pickWaiting() int {
 func (e *Engine) admissionFits(r *run) bool {
 	u := e.cfg.Manager.UsageTotals()
 	watermark := e.cfg.Manager.Capacity() / 100
-	return e.cfg.Manager.Footprint(r.seq) <= u.Free+u.Cached-watermark
+	return e.cfg.Manager.Footprint(&r.seq) <= u.Free+u.Cached-watermark
 }
 
 // admissionFeasible reports whether r could fit even on an idle
@@ -1134,7 +1129,7 @@ func (e *Engine) admissionFits(r *run) bool {
 // one impossible arrival must not wipe the fleet's in-flight work.
 func (e *Engine) admissionFeasible(r *run) bool {
 	capacity := e.cfg.Manager.Capacity()
-	return e.cfg.Manager.Footprint(r.seq) <= capacity-capacity/100
+	return e.cfg.Manager.Footprint(&r.seq) <= capacity-capacity/100
 }
 
 // policyView repopulates the reusable scheduler view from the live
@@ -1146,7 +1141,7 @@ func (e *Engine) policyView() *sched.View {
 	v.Usage = e.cfg.Manager.UsageTotals()
 	v.Capacity = e.cfg.Manager.Capacity()
 	v.Waiting = v.Waiting[:0]
-	for _, r := range e.waiting {
+	for _, r := range e.waiting.items() {
 		v.Waiting = append(v.Waiting, e.reqInfo(r, true))
 	}
 	v.Running = v.Running[:0]
@@ -1209,9 +1204,9 @@ func clampBudget(share, total int) int {
 // prefix-cache claim, so whatever survives is never recomputed.
 func (e *Engine) preempt(victim *run) {
 	if e.cfg.PreemptMode == PreemptSwap && e.tier != nil {
-		e.tier.SwapOut(victim.seq)
+		e.tier.SwapOut(&victim.seq)
 	} else {
-		e.cfg.Manager.Release(victim.seq, true)
+		e.cfg.Manager.Release(&victim.seq, true)
 	}
 	victim.ph = phasePrefill
 	victim.computed = 0
@@ -1220,7 +1215,7 @@ func (e *Engine) preempt(victim *run) {
 	victim.encoded = false
 	e.preemptions++
 	e.removeRunning(victim)
-	e.waiting = append([]*run{victim}, e.waiting...)
+	e.waiting.pushFront(victim)
 	e.emit(EventPreempted, victim)
 }
 
@@ -1228,8 +1223,8 @@ func (e *Engine) preempt(victim *run) {
 // the simulation is irrecoverably stuck.
 func (e *Engine) handleStall() bool {
 	// Future arrivals: fast-forward.
-	if len(e.running) == 0 && len(e.waiting) == 0 && len(e.pending) > 0 {
-		e.clock = e.pending[0].req.Arrival
+	if len(e.running) == 0 && e.waiting.len() == 0 && e.pending.len() > 0 {
+		e.clock = e.pending.front().req.Arrival
 		e.globalStalls = 0
 		return true
 	}
@@ -1238,18 +1233,18 @@ func (e *Engine) handleStall() bool {
 	// candidate is the one admission actually tried — pickWaiting's
 	// choice — not blindly waiting[0], or a stuck high-priority
 	// request would sink every fitting request queued behind it.
-	if len(e.running) == 0 && len(e.waiting) > 0 {
+	if len(e.running) == 0 && e.waiting.len() > 0 {
 		idx := e.pickWaiting()
-		r := e.waiting[idx]
-		e.waiting = append(e.waiting[:idx], e.waiting[idx+1:]...)
-		e.cfg.Manager.Release(r.seq, false)
+		r := e.waiting.items()[idx]
+		e.waiting.remove(idx)
+		e.cfg.Manager.Release(&r.seq, false)
 		e.retireTerminal(r, EventFailed)
 		e.emit(EventFailed, r)
 		e.globalStalls = 0
 		if debugSteps {
 			u := e.cfg.Manager.Usage()
 			fmt.Printf("FAIL idle-admission id=%d len=%d fp=%d free=%d cached=%d used=%d wasted=%d\n",
-				r.req.ID, len(r.seq.Tokens), e.cfg.Manager.Footprint(r.seq), u.Free, u.Cached, u.Used, u.Wasted)
+				r.req.ID, len(r.seq.Tokens), e.cfg.Manager.Footprint(&r.seq), u.Free, u.Cached, u.Used, u.Wasted)
 		}
 		return true
 	}
@@ -1274,7 +1269,7 @@ func (e *Engine) handleStall() bool {
 		fmt.Printf("FAIL stuck-running id=%d len=%d computed=%d free=%d cached=%d\n",
 			worst.req.ID, len(worst.seq.Tokens), worst.computed, u.Free, u.Cached)
 	}
-	e.cfg.Manager.Release(worst.seq, false)
+	e.cfg.Manager.Release(&worst.seq, false)
 	e.removeRunning(worst)
 	e.retireTerminal(worst, EventFailed)
 	e.emit(EventFailed, worst)
@@ -1284,7 +1279,7 @@ func (e *Engine) handleStall() bool {
 
 func (e *Engine) finishRun(r *run) {
 	r.finish = e.clock
-	e.cfg.Manager.Release(r.seq, true)
+	e.cfg.Manager.Release(&r.seq, true)
 	e.returnTokens(r)
 	e.removeRunning(r)
 	e.retFinished++

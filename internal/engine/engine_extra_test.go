@@ -122,7 +122,7 @@ func TestVisionAdmissionBlocked(t *testing.T) {
 	for i := range reqs {
 		r := workload.Request{ID: int64(i + 1), OutputLen: 3}
 		for j := 0; j < 64; j++ {
-			r.Prompt = append(r.Prompt, core.Token{ID: int32(100*i + j), Image: true})
+			r.Prompt = append(r.Prompt, core.ImageToken(int32(100*i+j)))
 		}
 		for j := 0; j < 16; j++ {
 			r.Prompt = append(r.Prompt, core.Token{ID: int32(j + 1)})
@@ -156,11 +156,14 @@ func TestGenTokenDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &run{req: &workload.Request{ID: 42}, seq: newSeq(5)}
+	r := &run{req: &workload.Request{ID: 42}, seq: *newSeq(5)}
 	a := e1.genToken(r)
 	b := e1.genToken(r)
 	if a != b {
 		t.Error("genToken must be deterministic for a fixed position")
+	}
+	if a.Image() || a.Content() < 1 || a.Content() > 50000 {
+		t.Errorf("generated token = image %v, content %d; want a text token in [1, 50000]", a.Image(), a.Content())
 	}
 	r.seq.Tokens = append(r.seq.Tokens, a)
 	c := e1.genToken(r)

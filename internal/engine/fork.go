@@ -79,7 +79,7 @@ func (e *Engine) forkOne(parent *run, childID int64) error {
 	toks := append(e.takeTokens(len(creq.Prompt)+creq.OutputLen), parent.seq.Tokens...)
 	child := &run{
 		req:   creq,
-		seq:   &core.Sequence{ID: core.RequestID(childID), PromptLen: parent.seq.PromptLen, Tokens: toks},
+		seq:   core.Sequence{ID: core.RequestID(childID), PromptLen: parent.seq.PromptLen, Tokens: toks},
 		owned: true,
 		ph:    phaseDecode,
 		// The child starts exactly where the parent stands: everything
@@ -96,7 +96,7 @@ func (e *Engine) forkOne(parent *run, childID int64) error {
 		started:       true,
 		forkDone:      true, // children of a Fanout root never re-fork
 	}
-	if err := e.forker.Fork(parent.seq, child.seq, core.Tick(e.step)); err != nil {
+	if err := e.forker.Fork(&parent.seq, &child.seq, core.Tick(e.step)); err != nil {
 		e.returnTokens(child)
 		return err
 	}

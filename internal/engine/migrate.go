@@ -71,7 +71,7 @@ type MigrationCandidate struct {
 // (queue order), then pending (arrival order) — so cluster rebalancing
 // picks identically across runs.
 func (e *Engine) MigrationCandidates() []MigrationCandidate {
-	out := make([]MigrationCandidate, 0, len(e.running)+len(e.waiting)+len(e.pending))
+	out := make([]MigrationCandidate, 0, len(e.running)+e.waiting.len()+e.pending.len())
 	add := func(r *run, running bool) {
 		rem := len(r.seq.Tokens) - r.computed
 		if rem < 0 {
@@ -85,10 +85,10 @@ func (e *Engine) MigrationCandidates() []MigrationCandidate {
 	for _, r := range e.running {
 		add(r, true)
 	}
-	for _, r := range e.waiting {
+	for _, r := range e.waiting.items() {
 		add(r, false)
 	}
-	for _, r := range e.pending {
+	for _, r := range e.pending.items() {
 		add(r, false)
 	}
 	return out
@@ -122,26 +122,26 @@ func (e *Engine) MigrateOut(id int64) (Migrated, bool) {
 			continue
 		}
 		if e.tier != nil {
-			e.tier.SwapOut(r.seq)
+			e.tier.SwapOut(&r.seq)
 		} else {
-			e.cfg.Manager.Release(r.seq, true)
+			e.cfg.Manager.Release(&r.seq, true)
 		}
 		e.removeRunning(r)
 		return extract(r, true), true
 	}
-	for i, r := range e.waiting {
+	for i, r := range e.waiting.items() {
 		if r.req.ID != id {
 			continue
 		}
-		e.waiting = append(e.waiting[:i], e.waiting[i+1:]...)
-		e.cfg.Manager.Release(r.seq, false) // holds no pages; defensive
+		e.waiting.remove(i)
+		e.cfg.Manager.Release(&r.seq, false) // holds no pages; defensive
 		return extract(r, true), true
 	}
-	for i, r := range e.pending {
+	for i, r := range e.pending.items() {
 		if r.req.ID != id {
 			continue
 		}
-		e.pending = append(e.pending[:i], e.pending[i+1:]...)
+		e.pending.remove(i)
 		return extract(r, false), true
 	}
 	return Migrated{}, false
@@ -168,7 +168,7 @@ func (e *Engine) MigrateIn(m Migrated) {
 	}
 	r := &run{
 		req:            m.Req,
-		seq:            &core.Sequence{ID: core.RequestID(m.Req.ID), PromptLen: len(m.Req.Prompt), Tokens: toks},
+		seq:            core.Sequence{ID: core.RequestID(m.Req.ID), PromptLen: len(m.Req.Prompt), Tokens: toks},
 		owned:          m.pooled,
 		ph:             phasePrefill,
 		decodesDone:    m.DecodesDone,
@@ -185,7 +185,7 @@ func (e *Engine) MigrateIn(m Migrated) {
 		e.enqueuePending(r)
 		return
 	}
-	e.waiting = append(e.waiting, r)
+	e.waiting.pushBack(r)
 	e.emit(EventQueued, r)
 }
 
@@ -203,7 +203,7 @@ func (e *Engine) MigrateIn(m Migrated) {
 // buffers rejoin the free list. The caller owns wiping the manager
 // (core.Crasher); CrashOut only empties the engine's queues.
 func (e *Engine) CrashOut() []Migrated {
-	out := make([]Migrated, 0, len(e.running)+len(e.waiting)+len(e.pending))
+	out := make([]Migrated, 0, len(e.running)+e.waiting.len()+e.pending.len())
 	extract := func(r *run, started bool) {
 		e.returnTokens(r)
 		out = append(out, Migrated{
@@ -220,15 +220,15 @@ func (e *Engine) CrashOut() []Migrated {
 	for _, r := range e.running {
 		extract(r, true)
 	}
-	for _, r := range e.waiting {
+	for _, r := range e.waiting.items() {
 		extract(r, true)
 	}
-	for _, r := range e.pending {
+	for _, r := range e.pending.items() {
 		extract(r, false)
 	}
 	e.running = nil
-	e.waiting = nil
-	e.pending = e.pending[:0]
+	e.waiting.reset()
+	e.pending.reset()
 	e.pendingPeerBytes = 0
 	return out
 }
@@ -238,18 +238,18 @@ func (e *Engine) CrashOut() []Migrated {
 // drain. Running requests release their KV cache-preservingly.
 // Reports false for unknown IDs.
 func (e *Engine) Shed(id int64) bool {
-	for i, r := range e.pending {
+	for i, r := range e.pending.items() {
 		if r.req.ID == id {
-			e.pending = append(e.pending[:i], e.pending[i+1:]...)
+			e.pending.remove(i)
 			e.retireTerminal(r, EventShed)
 			e.emit(EventShed, r)
 			return true
 		}
 	}
-	for i, r := range e.waiting {
+	for i, r := range e.waiting.items() {
 		if r.req.ID == id {
-			e.waiting = append(e.waiting[:i], e.waiting[i+1:]...)
-			e.cfg.Manager.Release(r.seq, false)
+			e.waiting.remove(i)
+			e.cfg.Manager.Release(&r.seq, false)
 			e.retireTerminal(r, EventShed)
 			e.emit(EventShed, r)
 			return true
@@ -257,7 +257,7 @@ func (e *Engine) Shed(id int64) bool {
 	}
 	for _, r := range e.running {
 		if r.req.ID == id {
-			e.cfg.Manager.Release(r.seq, true)
+			e.cfg.Manager.Release(&r.seq, true)
 			e.removeRunning(r)
 			e.retireTerminal(r, EventShed)
 			e.emit(EventShed, r)

@@ -204,7 +204,7 @@ func (e *Engine) Reset() { e.reset() }
 // Live reports whether any submitted request has not yet reached a
 // terminal state.
 func (e *Engine) Live() bool {
-	return len(e.pending)+len(e.waiting)+len(e.running) > 0
+	return e.pending.len()+e.waiting.len()+len(e.running) > 0
 }
 
 // Clock returns the current simulated time.
@@ -231,16 +231,16 @@ func (e *Engine) snapshot(u core.Usage) Snapshot {
 	s := Snapshot{
 		Clock:    e.clock,
 		Step:     e.step,
-		Pending:  len(e.pending),
-		Waiting:  len(e.waiting),
+		Pending:  e.pending.len(),
+		Waiting:  e.waiting.len(),
 		Running:  len(e.running),
 		Usage:    u,
 		Capacity: e.cfg.Manager.Capacity(),
 	}
-	for _, r := range e.pending {
+	for _, r := range e.pending.items() {
 		s.OutstandingTokens += int64(r.promptLen() + r.req.OutputLen)
 	}
-	for _, r := range e.waiting {
+	for _, r := range e.waiting.items() {
 		s.OutstandingTokens += int64(r.promptLen() + r.req.OutputLen)
 	}
 	for _, r := range e.running {
@@ -274,7 +274,7 @@ func (e *Engine) Submit(req *workload.Request) error {
 	}
 	e.enqueuePending(&run{
 		req: req,
-		seq: &core.Sequence{ID: core.RequestID(req.ID), PromptLen: len(req.Prompt), Tokens: borrowTokens(req.Prompt)},
+		seq: core.Sequence{ID: core.RequestID(req.ID), PromptLen: len(req.Prompt), Tokens: borrowTokens(req.Prompt)},
 	})
 	e.totalPromptTokens += int64(len(req.Prompt))
 	return nil
@@ -286,11 +286,9 @@ func (e *Engine) Submit(req *workload.Request) error {
 //
 //jenga:hotpath
 func (e *Engine) enqueuePending(r *run) {
+	pending := e.pending.items()
 	//jenga:alloc-ok the closure does not outlive sort.Search, so it stays on the stack
-	i := sort.Search(len(e.pending), func(i int) bool { return e.pending[i].req.Arrival > r.req.Arrival })
-	e.pending = append(e.pending, nil)
-	copy(e.pending[i+1:], e.pending[i:])
-	e.pending[i] = r
+	e.pending.insert(sort.Search(len(pending), func(i int) bool { return pending[i].req.Arrival > r.req.Arrival }), r)
 }
 
 // Cancel terminates the request with the given ID wherever it is in
@@ -299,21 +297,21 @@ func (e *Engine) enqueuePending(r *run) {
 // completion), so cancellation never corrupts the cache; everything
 // else returns to the free pool. Reports whether the ID was live.
 func (e *Engine) Cancel(id int64) bool {
-	for i, r := range e.pending {
+	for i, r := range e.pending.items() {
 		if r.req.ID == id {
-			e.pending = append(e.pending[:i], e.pending[i+1:]...)
+			e.pending.remove(i)
 			e.retireTerminal(r, EventCancelled)
 			e.emit(EventCancelled, r)
 			return true
 		}
 	}
-	for i, r := range e.waiting {
+	for i, r := range e.waiting.items() {
 		if r.req.ID == id {
-			e.waiting = append(e.waiting[:i], e.waiting[i+1:]...)
+			e.waiting.remove(i)
 			// Waiting requests hold no pages (admission is
 			// all-or-nothing), but mirror the stall path's defensive
 			// release.
-			e.cfg.Manager.Release(r.seq, false)
+			e.cfg.Manager.Release(&r.seq, false)
 			e.retireTerminal(r, EventCancelled)
 			e.emit(EventCancelled, r)
 			return true
@@ -321,7 +319,7 @@ func (e *Engine) Cancel(id int64) bool {
 	}
 	for _, r := range e.running {
 		if r.req.ID == id {
-			e.cfg.Manager.Release(r.seq, true)
+			e.cfg.Manager.Release(&r.seq, true)
 			e.removeRunning(r)
 			e.retireTerminal(r, EventCancelled)
 			e.emit(EventCancelled, r)
@@ -344,8 +342,8 @@ func (e *Engine) StepOnce() error {
 		return fmt.Errorf("engine: exceeded %d steps (stuck?)", e.cfg.MaxSteps)
 	}
 	e.admitArrivals()
-	if len(e.running) == 0 && len(e.waiting) == 0 && len(e.pending) > 0 {
-		e.clock = e.pending[0].req.Arrival
+	if len(e.running) == 0 && e.waiting.len() == 0 && e.pending.len() > 0 {
+		e.clock = e.pending.front().req.Arrival
 		e.admitArrivals()
 	}
 	if e.step%5000 == 0 && debugSteps {
@@ -379,7 +377,7 @@ func (e *Engine) StepOnce() error {
 // the hot step body stays free of fmt's boxing and formatting.
 func (e *Engine) debugDump() {
 	fmt.Printf("step %d clock %v running %d waiting %d pending %d finished %d failed %d stalls %d\n",
-		e.step, e.clock, len(e.running), len(e.waiting), len(e.pending), e.retFinished, e.retFailed, e.globalStalls)
+		e.step, e.clock, len(e.running), e.waiting.len(), e.pending.len(), e.retFinished, e.retFailed, e.globalStalls)
 	for _, r := range e.running {
 		fmt.Printf("  run id=%d ph=%d computed=%d/%d decodes=%d/%d cachedHit=%d\n", r.req.ID, r.ph, r.computed, r.promptLen(), r.decodesDone, r.req.OutputLen, r.cachedHit)
 	}
@@ -391,7 +389,7 @@ func (e *Engine) debugDump() {
 // before routing against their live state.
 func (e *Engine) AdvanceTo(t time.Duration) error {
 	for e.Live() && e.clock < t {
-		if len(e.running) == 0 && len(e.waiting) == 0 && e.pending[0].req.Arrival > t {
+		if len(e.running) == 0 && e.waiting.len() == 0 && e.pending.front().req.Arrival > t {
 			break
 		}
 		if err := e.StepOnce(); err != nil {
@@ -437,14 +435,14 @@ func (e *Engine) admissionState(r *run) AdmissionState {
 		Step:      e.step,
 		Usage:     e.cfg.Manager.UsageTotals(),
 		Capacity:  e.cfg.Manager.Capacity(),
-		Queued:    len(e.waiting),
+		Queued:    e.waiting.len(),
 		Running:   len(e.running),
-		Footprint: e.cfg.Manager.Footprint(r.seq),
+		Footprint: e.cfg.Manager.Footprint(&r.seq),
 		QueuePos:  e.scheduler.RankWaiting(e.reqInfo(r, true), e.policyView()),
 	}
 	if e.drainRate > 0 {
 		ahead := int64(r.promptLen())
-		for _, w := range e.waiting {
+		for _, w := range e.waiting.items() {
 			ahead += int64(w.promptLen())
 		}
 		for _, c := range e.running {

@@ -29,7 +29,7 @@ func markPrompt(p []core.Token) promptMark {
 	h := fnv.New64a()
 	for _, t := range p[:cap(p)] {
 		b := [5]byte{byte(t.ID), byte(t.ID >> 8), byte(t.ID >> 16), byte(t.ID >> 24)}
-		if t.Image {
+		if t.Image() {
 			b[4] = 1
 		}
 		h.Write(b[:])
@@ -52,7 +52,7 @@ func poolStats(e *Engine) (bufs, tokens int) {
 // lentBuffers counts live runs holding a private buffer.
 func lentBuffers(e *Engine) int {
 	n := 0
-	for _, q := range [...][]*run{e.pending, e.waiting, e.running} {
+	for _, q := range [...][]*run{e.pending.items(), e.waiting.items(), e.running} {
 		for _, r := range q {
 			if r.owned {
 				n++
@@ -294,7 +294,7 @@ func TestMigratedTokensOwnership(t *testing.T) {
 	// The migration fails: both records go back to the source.
 	e.MigrateIn(m)
 	e.MigrateIn(pending)
-	if got := e.waiting[len(e.waiting)-1].seq.Tokens; &got[0] != private {
+	if got := e.waiting.items()[e.waiting.len()-1].seq.Tokens; &got[0] != private {
 		t.Fatal("MigrateIn copied the buffer instead of adopting it")
 	}
 	reqs[1].Arrival = 0 // nothing reads it again before the drain
@@ -327,8 +327,8 @@ func TestMigratedTokensOwnership(t *testing.T) {
 }
 
 // TestSubmitCostIsPromptIndependent: Submit borrows the prompt, so an
-// 8k-token request costs what a 64-token one does — the run and its
-// Sequence, nothing sized by the prompt.
+// 8k-token request costs what a 64-token one does — one object, the run
+// (its Sequence is a field of it), and nothing sized by the prompt.
 func TestSubmitCostIsPromptIndependent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is not meaningful under -short/-race runs")
@@ -364,8 +364,8 @@ func TestSubmitCostIsPromptIndependent(t *testing.T) {
 	}
 	objs64, bytes64 := measure(64)
 	objs8k, bytes8k := measure(8 << 10)
-	if objs64 != 2*runs || objs8k != objs64 || bytes8k != bytes64 {
+	if objs64 != runs || objs8k != objs64 || bytes8k != bytes64 {
 		t.Fatalf("%d submits: %d objects / %d B with 64-token prompts, %d / %d B with 8k-token ones; want %d objects and equal bytes",
-			runs, objs64, bytes64, objs8k, bytes8k, 2*runs)
+			runs, objs64, bytes64, objs8k, bytes8k, runs)
 	}
 }

@@ -110,7 +110,7 @@ func measuredWaste(spec *model.Spec, text, image int, opt Options) (float64, err
 	}
 	seq := &core.Sequence{ID: 1}
 	for i := 0; i < image; i++ {
-		seq.Tokens = append(seq.Tokens, core.Token{ID: int32(i%50000 + 1), Image: true})
+		seq.Tokens = append(seq.Tokens, core.ImageToken(int32(i%50000+1)))
 	}
 	for i := 0; i < text; i++ {
 		seq.Tokens = append(seq.Tokens, core.Token{ID: int32(i%50000 + 1)})

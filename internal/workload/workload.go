@@ -60,7 +60,7 @@ type Request struct {
 func (r *Request) PromptImages() int {
 	n := 0
 	for _, t := range r.Prompt {
-		if t.Image {
+		if t.Image() {
 			n++
 		}
 	}
@@ -83,28 +83,31 @@ func (g *Gen) id() int64 {
 	return g.next
 }
 
-// textTokens derives deterministic token IDs from a content seed, so
-// two prompts built from the same (seed, offset) share content.
-func textTokens(seed int64, offset, n int) []core.Token {
-	toks := make([]core.Token, n)
+// fillTokens writes deterministic token contents derived from a content
+// seed into dst, so two prompts filled from the same (seed, offset)
+// share content. Every generator below draws its lengths first, makes
+// the prompt once at its exact size and fills each segment in place:
+// one allocation per request, len == cap, nothing copied or regrown.
+//
+//jenga:hotpath
+func fillTokens(dst []core.Token, seed int64, offset int, image bool) {
 	x := uint64(seed)*0x9E3779B97F4A7C15 + 0x1234567
-	for i := 0; i < n; i++ {
+	for i := range dst {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		toks[i] = core.Token{ID: int32((x+uint64(offset+i))%50000 + 1)}
+		c := int32((x+uint64(offset+i))%50000 + 1)
+		if image {
+			dst[i] = core.ImageToken(c)
+		} else {
+			dst[i] = core.TextToken(c)
+		}
 	}
-	return toks
 }
 
-// imageTokens builds one image's tokens with content derived from seed.
-func imageTokens(seed int64, n int) []core.Token {
-	toks := textTokens(seed, 1<<20, n)
-	for i := range toks {
-		toks[i].Image = true
-	}
-	return toks
-}
+// imageOffset separates image content from text content filled from
+// the same seed.
+const imageOffset = 1 << 20
 
 // clampedNormal samples a normal distribution clipped to [lo, hi].
 func (g *Gen) clampedNormal(mean, stddev float64, lo, hi int) int {
@@ -140,11 +143,15 @@ func (g *Gen) MMLUPro(n int, sharedPrefix int) []Request {
 // mmluProOne generates one MMLUPro request — the per-request body
 // shared by the slice generator and MMLUProSource, so both consume the
 // generator's randomness in exactly the same order.
+//
+//jenga:hotpath
 func (g *Gen) mmluProOne(sharedPrefix int) Request {
 	subject := g.rng.Intn(4)
 	qLen := g.clampedNormal(800, 400, 128, 3076-sharedPrefix)
-	prompt := append([]core.Token{}, textTokens(int64(1000+subject), 0, sharedPrefix)...)
-	prompt = append(prompt, textTokens(int64(g.id())*7919, 0, qLen)...)
+	//jenga:alloc-ok the request's prompt, made once at its exact size
+	prompt := make([]core.Token, sharedPrefix+qLen)
+	fillTokens(prompt[:sharedPrefix], int64(1000+subject), 0, false)
+	fillTokens(prompt[sharedPrefix:], int64(g.id())*7919, 0, false)
 	return Request{
 		ID: g.id(), Group: int64(1000 + subject), Prompt: prompt,
 		// MMLU-pro is chain-of-thought: answers are long.
@@ -164,6 +171,8 @@ func (g *Gen) MMMUPro(n int, tokensPerImage int) []Request {
 
 // mmmuProOne generates one MMMUPro request (shared by slice and
 // streaming forms; see mmluProOne).
+//
+//jenga:hotpath
 func (g *Gen) mmmuProOne(tokensPerImage int) Request {
 	images := 1
 	if tokensPerImage < 6193 {
@@ -172,12 +181,13 @@ func (g *Gen) mmmuProOne(tokensPerImage int) Request {
 			images = 1
 		}
 	}
-	var prompt []core.Token
-	for im := 0; im < images; im++ {
-		prompt = append(prompt, imageTokens(int64(g.id())*104729+int64(im), tokensPerImage)...)
-	}
 	txt := g.clampedNormal(43, 15, 8, 120)
-	prompt = append(prompt, textTokens(int64(g.id())*31, 0, txt)...)
+	//jenga:alloc-ok the request's prompt, made once at its exact size
+	prompt := make([]core.Token, images*tokensPerImage+txt)
+	for im := 0; im < images; im++ {
+		fillTokens(prompt[im*tokensPerImage:(im+1)*tokensPerImage], int64(g.id())*104729+int64(im), imageOffset, true)
+	}
+	fillTokens(prompt[images*tokensPerImage:], int64(g.id())*31, 0, false)
 	return Request{
 		ID: g.id(), Prompt: prompt,
 		// MMMU-pro answers include chain-of-thought reasoning.
@@ -197,7 +207,8 @@ func (g *Gen) Articles(count, meanLen int) []Article {
 	for i := range arts {
 		n := g.clampedNormal(float64(meanLen), float64(meanLen)/4, meanLen/4, meanLen*2)
 		seed := int64(i+1) * 6700417
-		arts[i] = Article{Seed: seed, Tokens: textTokens(seed, 0, n)}
+		arts[i] = Article{Seed: seed, Tokens: make([]core.Token, n)}
+		fillTokens(arts[i].Tokens, seed, 0, false)
 	}
 	return arts
 }
@@ -216,10 +227,14 @@ func (g *Gen) ArxivQA(arts []Article, n int, questionLen int) []Request {
 
 // arxivQAOne generates one ArxivQA request (shared by slice and
 // streaming forms; see mmluProOne).
+//
+//jenga:hotpath
 func (g *Gen) arxivQAOne(arts []Article, questionLen int) Request {
 	a := arts[g.rng.Intn(len(arts))]
-	prompt := append([]core.Token{}, a.Tokens...)
-	prompt = append(prompt, textTokens(int64(g.id())*131071, 0, questionLen)...)
+	//jenga:alloc-ok the request's prompt, made once at its exact size
+	prompt := make([]core.Token, len(a.Tokens)+questionLen)
+	copy(prompt, a.Tokens)
+	fillTokens(prompt[len(a.Tokens):], int64(g.id())*131071, 0, false)
 	return Request{
 		ID: g.id(), Group: a.Seed, Prompt: prompt,
 		OutputLen: g.uniform(100, 300),
@@ -238,12 +253,15 @@ func (g *Gen) LongDocQA(n int) []Request {
 
 // longDocQAOne generates one LongDocQA request (shared by slice and
 // streaming forms; see mmluProOne).
+//
+//jenga:hotpath
 func (g *Gen) longDocQAOne() Request {
-	return Request{
-		ID:        g.id(),
-		Prompt:    textTokens(int64(g.id())*2147483647, 0, g.uniform(55_000, 110_000)),
-		OutputLen: g.uniform(50, 100),
-	}
+	id := g.id()
+	seed := int64(g.id()) * 2147483647
+	//jenga:alloc-ok the request's prompt, made once at its exact size
+	prompt := make([]core.Token, g.uniform(55_000, 110_000))
+	fillTokens(prompt, seed, 0, false)
+	return Request{ID: id, Prompt: prompt, OutputLen: g.uniform(50, 100)}
 }
 
 // ShareGPT generates conversational prompts with the dataset's ~1085
@@ -258,12 +276,15 @@ func (g *Gen) ShareGPT(n int) []Request {
 
 // shareGPTOne generates one ShareGPT request (shared by slice and
 // streaming forms; see mmluProOne).
+//
+//jenga:hotpath
 func (g *Gen) shareGPTOne() Request {
-	return Request{
-		ID:        g.id(),
-		Prompt:    textTokens(int64(g.id())*524287, 0, g.clampedNormal(1085, 600, 32, 8192)),
-		OutputLen: g.uniform(64, 512),
-	}
+	id := g.id()
+	seed := int64(g.id()) * 524287
+	//jenga:alloc-ok the request's prompt, made once at its exact size
+	prompt := make([]core.Token, g.clampedNormal(1085, 600, 32, 8192))
+	fillTokens(prompt, seed, 0, false)
+	return Request{ID: id, Prompt: prompt, OutputLen: g.uniform(64, 512)}
 }
 
 // PrefixGroups generates the cluster-routing workload: groups distinct
@@ -286,14 +307,27 @@ func (g *Gen) PrefixGroups(groups, perGroup, prefixLen, suffixLen int) []Request
 
 // prefixGroupsOne generates one PrefixGroups request for group grp
 // (shared by slice and streaming forms; see mmluProOne).
+//
+//jenga:hotpath
 func (g *Gen) prefixGroupsOne(grp, prefixLen, suffixLen int) Request {
 	seed := int64(7_000_000 + grp)
-	prompt := append([]core.Token{}, textTokens(seed, 0, prefixLen)...)
-	prompt = append(prompt, textTokens(int64(g.id())*15485863, 0, suffixLen)...)
+	prompt := g.groupPrompt(seed, prefixLen, suffixLen)
 	return Request{
 		ID: g.id(), Group: seed, Prompt: prompt,
 		OutputLen: g.uniform(16, 64),
 	}
+}
+
+// groupPrompt builds a PrefixGroups/ChurnGroups prompt: the group's
+// shared prefix (content from seed) and a unique suffix.
+//
+//jenga:hotpath
+func (g *Gen) groupPrompt(seed int64, prefixLen, suffixLen int) []core.Token {
+	//jenga:alloc-ok the request's prompt, made once at its exact size
+	prompt := make([]core.Token, prefixLen+suffixLen)
+	fillTokens(prompt[:prefixLen], seed, 0, false)
+	fillTokens(prompt[prefixLen:], int64(g.id())*15485863, 0, false)
+	return prompt
 }
 
 // ChurnGroups generates the replica-churn workload: the same shared
@@ -322,6 +356,8 @@ func (g *Gen) ChurnGroups(groups, perGroup, prefixLen, suffixLen, phases int) []
 
 // churnGroupsOne generates ChurnGroups request i of total (shared by
 // slice and streaming forms; see mmluProOne).
+//
+//jenga:hotpath
 func (g *Gen) churnGroupsOne(i, total, groups, prefixLen, suffixLen, phases int) Request {
 	p := i * phases / total
 	// Hot groups in phase p are p, p+phases, p+2·phases, …
@@ -336,8 +372,7 @@ func (g *Gen) churnGroupsOne(i, total, groups, prefixLen, suffixLen, phases int)
 		grp = g.rng.Intn(groups)
 	}
 	seed := int64(7_000_000 + grp)
-	prompt := append([]core.Token{}, textTokens(seed, 0, prefixLen)...)
-	prompt = append(prompt, textTokens(int64(g.id())*15485863, 0, suffixLen)...)
+	prompt := g.groupPrompt(seed, prefixLen, suffixLen)
 	return Request{
 		ID: g.id(), Group: seed, Prompt: prompt,
 		OutputLen: g.uniform(16, 64),
@@ -359,11 +394,16 @@ func (g *Gen) FanOut(n, promptLen, forkAfter, outLen, branch int) []Request {
 
 // fanOutOne generates one fan-out root (shared by slice and streaming
 // forms; see mmluProOne).
+//
+//jenga:hotpath
 func (g *Gen) fanOutOne(promptLen, forkAfter, outLen, branch int) Request {
 	id := g.id()
+	//jenga:alloc-ok the request's prompt, made once at its exact size
+	prompt := make([]core.Token, promptLen)
+	fillTokens(prompt, id*399989, 0, false)
 	return Request{
 		ID: id, Group: id,
-		Prompt:    textTokens(id*399989, 0, promptLen),
+		Prompt:    prompt,
 		OutputLen: outLen,
 		Fanout:    branch, ForkAfter: forkAfter,
 	}

@@ -14,10 +14,10 @@ func TestMMMUImagesAreContiguousRuns(t *testing.T) {
 		runs := 0
 		inRun := false
 		for _, tok := range r.Prompt {
-			if tok.Image && !inRun {
+			if tok.Image() && !inRun {
 				runs++
 				inRun = true
-			} else if !tok.Image {
+			} else if !tok.Image() {
 				inRun = false
 			}
 		}
@@ -27,10 +27,10 @@ func TestMMMUImagesAreContiguousRuns(t *testing.T) {
 		// Each run should be an exact multiple of the image size.
 		count := 0
 		for i, tok := range r.Prompt {
-			if tok.Image {
+			if tok.Image() {
 				count++
 			}
-			if (!tok.Image || i == len(r.Prompt)-1) && count > 0 {
+			if (!tok.Image() || i == len(r.Prompt)-1) && count > 0 {
 				if count%256 != 0 {
 					t.Fatalf("image run of %d tokens is not a multiple of 256", count)
 				}

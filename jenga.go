@@ -126,7 +126,10 @@ type (
 	JengaManager = core.Jenga
 	// Sequence is the manager-facing view of one request.
 	Sequence = core.Sequence
-	// Token is one sequence element.
+	// Token is one sequence element, four bytes: a 31-bit content id and
+	// the modality in the sign bit. Token{ID: n} with n ≥ 0 is a text
+	// token; build image tokens with ImageToken and read either kind
+	// through its Content and Image methods.
 	Token = core.Token
 	// RequestID identifies a sequence.
 	RequestID = core.RequestID
@@ -446,6 +449,13 @@ const (
 // PrefixHash hashes a prompt's first n tokens with the prefix-cache
 // block chain (custom routers key consistent hashing on it).
 var PrefixHash = core.PrefixHash
+
+// TextToken and ImageToken build a Token from the low 31 bits of a
+// content id.
+var (
+	TextToken  = core.TextToken
+	ImageToken = core.ImageToken
+)
 
 // Device and cost-model surface.
 type (
