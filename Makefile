@@ -126,8 +126,13 @@ vet:
 # speculative decoding used to be, stays deleted; internal/workload
 # makes each prompt once at its exact size and fills it in place
 # (fillTokens), and a textTokens helper or an append onto a fresh
-# []core.Token is the copy-then-grow construction again. (The token's
-# four bytes need no grep: internal/core pins them at compile time.)
+# []core.Token is the copy-then-grow construction again; per-request
+# records are rolled up in one place, engine.Rollup (goodput, SLO
+# attainment, percentiles), and a report layer — internal/serve,
+# internal/cluster, internal/bench, an example — that calls the
+# percentile, attainment or goodput helpers of internal/metrics itself
+# is a second roll-up again. (The token's four bytes need no grep:
+# internal/core pins them at compile time.)
 guard:
 	@out=$$(grep -rln '"container/heap"' internal/core --include='*.go' | grep -v '_test\.go$$'); if [ -n "$$out" ]; then echo "container/heap (boxing) is back in internal/core:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'func project(' internal/core --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "core.project (a per-claim copy of the prefix) is back in internal/core:"; echo "$$out"; exit 1; fi
@@ -137,6 +142,7 @@ guard:
 	@out=$$(grep -rn 'cluster\.Config{' internal/bench cmd/jengabench --include='*.go' | grep -v '_test\.go:'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/bench + cmd/jengabench must have exactly one cluster.Config literal (bench.Run):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'StepTime(' . --include='*.go' | grep -v -e '_test\.go:' -e '^\./internal/gpu/' -e '^\./cmd/jengaperf/' -e '^\./internal/engine/'); if [ -n "$$out" ] || [ -e internal/spec ]; then echo "the sim clock must advance only in internal/engine (no StepTime caller elsewhere, no internal/spec):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn -e 'append(\[\]core\.Token{}' -e 'func textTokens(' internal/workload --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "copy-then-grow prompt construction is back in internal/workload:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn -e 'metrics\.Percentiles\?(' -e 'metrics\.Attainment(' -e 'metrics\.Goodput(' internal/serve internal/cluster internal/bench examples --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a report layer rolls up per-request records itself (engine.Rollup is the one roll-up):"; echo "$$out"; exit 1; fi
 
 ci: vet lint guard build test race chaos-smoke scale-smoke
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi

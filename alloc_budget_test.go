@@ -14,11 +14,12 @@ import (
 // allocator — and a speculative pair's step, which draws an acceptance,
 // appends and commits a burst of up to SpecK+1 tokens over both models'
 // groups and prices the draft's passes, adds nothing to that. The
-// budget is asserted over a measurement window placed mid-plateau of
-// the engine's amortized slices (the private token buffer, taken from
-// the engine's free list at the first generated token, is sized for the
-// request's whole output; page tables and timelines are within
-// capacity), so any regression that allocates per step or per token
+// engine itself keeps nothing per step (SampleEvery is 0: no timeline)
+// and the private token buffer, taken from the engine's free list at
+// the first generated token, is sized for the request's whole output;
+// the one amortized slice left is the allocator's page table, which
+// grows by doubling, so the measurement window is placed between two
+// doublings. Any regression that allocates per step or per token then
 // fails loudly.
 //
 // Skipped under -short: the race-detector CI pass (-race -short) adds
@@ -66,9 +67,8 @@ func TestDecodeStepZeroAlloc(t *testing.T) {
 			if err := eng.Submit(&req); err != nil {
 				t.Fatal(err)
 			}
-			// Warm deep into decode so every amortized slice (page
-			// table, decode timeline) sits mid-plateau for the
-			// measurement window.
+			// Warm deep into decode so the page table's next doubling
+			// lies beyond the measurement window.
 			for i := 0; i < 1300; i++ {
 				if err := eng.StepOnce(); err != nil {
 					t.Fatal(err)

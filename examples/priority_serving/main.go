@@ -39,9 +39,9 @@ func serveBurst(scheduler jenga.Scheduler) (jenga.ServingReport, int) {
 		Engine: jenga.EngineConfig{
 			Spec: spec, Device: jenga.H100(), Manager: mgr,
 			MaxBatchTokens: 1024, MaxPrefills: 2,
+			Scheduler: scheduler,
 		},
-		Scheduler: scheduler,
-		SLOTTFT:   100 * time.Millisecond,
+		SLOTTFT: 100 * time.Millisecond,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -31,7 +31,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		eng, err := jenga.NewEngine(jenga.EngineConfig{Spec: pair, Device: dev, Manager: mgr})
+		eng, err := jenga.NewEngine(jenga.EngineConfig{Spec: pair, Device: dev, Manager: mgr, SampleEvery: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

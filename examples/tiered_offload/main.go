@@ -18,7 +18,6 @@ package main
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"jenga"
@@ -72,18 +71,6 @@ func run(mode jenga.PreemptMode, hostBytes int64) *jenga.Result {
 	return res
 }
 
-func p99(res *jenga.Result) time.Duration {
-	ts := make([]time.Duration, 0, len(res.PerRequest))
-	for _, rm := range res.PerRequest {
-		ts = append(ts, rm.TTFT)
-	}
-	if len(ts) == 0 {
-		return 0
-	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-	return ts[(len(ts)*99+99)/100-1]
-}
-
 func main() {
 	fmt.Println("tiered offload: host-tier swap vs recompute when the prefix working set")
 	fmt.Println("overflows GPU KV (24 shared prefixes x 600 tokens vs a 1 MiB budget)")
@@ -102,7 +89,7 @@ func main() {
 		fmt.Printf("%-22s %9d %9d %10d %8.1f%% %8.1f%% %9s %9s\n",
 			c.name, res.Finished, res.ComputedPromptTokens,
 			res.RestoredTokens, 100*res.TierHitRate, 100*res.HitRate,
-			p99(res).Round(time.Millisecond), res.MeanE2E.Round(time.Millisecond))
+			res.Latency(0).P99TTFT.Round(time.Millisecond), res.MeanE2E.Round(time.Millisecond))
 		if c.host > 0 {
 			fmt.Printf("%-22s %s\n", "", fmt.Sprintf(
 				"tier: %d spills (%d MiB D2H), %d block restores (%d MiB H2D), host %d/%d MiB",

@@ -6,7 +6,6 @@ import (
 	"jenga/internal/core"
 	"jenga/internal/engine"
 	"jenga/internal/gpu"
-	"jenga/internal/metrics"
 	"jenga/internal/workload"
 )
 
@@ -97,11 +96,7 @@ func RunFanout(o FanoutOptions) (*FanoutResult, error) {
 	out.KVBytesPerBranch = float64(out.PeakKVBytes) / float64(branches)
 	st := mgr.Stats()
 	out.Forks, out.CowCopies, out.CowCopyBytes = st.Forks, st.CowCopies, st.CowCopyBytes
-	ttfts := make([]time.Duration, 0, len(res.PerRequest))
-	for _, rm := range res.PerRequest {
-		ttfts = append(ttfts, rm.TTFT)
-	}
-	ps := metrics.Percentiles(ttfts, 50, 99)
-	out.P50TTFT, out.P99TTFT = ps[0], ps[1]
+	lat := res.Latency(0)
+	out.P50TTFT, out.P99TTFT = lat.P50TTFT, lat.P99TTFT
 	return out, nil
 }

@@ -25,32 +25,26 @@ type ChaosPolicy struct {
 	// Recover enables the recovery machinery: crashed replicas'
 	// directory entries are invalidated, their in-flight requests are
 	// re-dispatched to survivors (recompute from prompt), and peer
-	// transfers retry within FetchAttempts before falling back to
-	// local recompute. Without it the cluster takes the faults raw:
-	// crashed requests are lost, dangling directory entries linger
-	// until tier churn clears them, and every transfer gets exactly
-	// one attempt.
+	// transfers retry up to recoveryFetchAttempts times per batch
+	// before falling back to local recompute. Without it the cluster
+	// takes the faults raw: crashed requests are lost, dangling
+	// directory entries linger until tier churn clears them, and every
+	// transfer gets exactly one attempt.
 	Recover bool
-	// FetchAttempts bounds the per-batch peer-transfer retry loop when
-	// Recover is set (0 → 3). Ignored without Recover: one attempt.
-	FetchAttempts int
 }
 
-// defaultFetchAttempts is the recovery-mode transfer retry bound.
-const defaultFetchAttempts = 3
+// recoveryFetchAttempts is the recovery-mode transfer retry bound.
+const recoveryFetchAttempts = 3
 
 // enabled reports whether a plan is attached.
 func (p ChaosPolicy) enabled() bool { return p.Plan != nil }
 
-// attempts resolves the transfer attempt bound for this policy.
+// attempts is the per-batch peer-transfer attempt bound.
 func (p ChaosPolicy) attempts() int {
-	if !p.Recover {
-		return 1
+	if p.Recover {
+		return recoveryFetchAttempts
 	}
-	if p.FetchAttempts > 0 {
-		return p.FetchAttempts
-	}
-	return defaultFetchAttempts
+	return 1
 }
 
 // Health is a replica's liveness as the router sees it.

@@ -80,6 +80,31 @@ func TestChaosCrashRecoveryInvariants(t *testing.T) {
 	}
 }
 
+// TestRedispatchIsNotMigration: with recovery on and migration off a
+// crash's survivors re-enter through MigrateIn, and Result.Migrations
+// still says what happened — nothing migrated.
+func TestRedispatchIsNotMigration(t *testing.T) {
+	c, err := New(Config{
+		Spec: testSpec(), Replicas: 3, Policy: LeastLoaded,
+		CapacityBytes: perReplicaCapacity, HostTierBytes: 64 << 20,
+		Fleet: FleetPolicy{Store: true},
+		Chaos: ChaosPolicy{Plan: crashPlan(1, false), Recover: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.ServeOnline(onlineWorkload(41, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Redispatched == 0 {
+		t.Fatal("the crash redispatched nothing; the scenario needs MigrateIn entries")
+	}
+	if res.Migrations != 0 {
+		t.Errorf("Migrations = %d with migration off (%d redispatched)", res.Migrations, res.Redispatched)
+	}
+}
+
 // TestChaosNoRecoveryLosesRequests: the same crash without recovery
 // loses the in-flight requests outright — they never reach a terminal
 // event — and the rest of the stream still accounts exactly.

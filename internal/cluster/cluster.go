@@ -129,42 +129,25 @@ type ReplicaResult struct {
 	Result *engine.Result
 }
 
-// Result aggregates one cluster run.
+// Result aggregates one cluster run: the replicas' totals summed into
+// fleet totals, the roll-up of every finished request's record, and
+// what only the cluster knows — placement, fairness across tenants,
+// migrations and the chaos plan's toll.
 type Result struct {
 	// Policy is the router that produced this run.
 	Policy string
 	// Replicas is the fleet size.
 	Replicas int
-	// Duration is the wall time of the run: the slowest replica.
-	Duration time.Duration
-	// Finished and Failed sum across replicas.
-	Finished, Failed int
-	// ReqPerSec is total finished requests per wall second.
-	ReqPerSec float64
-	// TokensPerSec is total computed prompt plus generated tokens per
-	// wall second.
-	TokensPerSec float64
-	// P50TTFT/P99TTFT/P50E2E/P99E2E are latency percentiles over every
-	// finished request in the fleet.
-	P50TTFT, P99TTFT, P50E2E, P99E2E time.Duration
-	// HitRate is the fleet-wide prefix-cache hit rate: cached prompt
-	// tokens over cached plus computed prompt tokens (exact aggregate,
-	// not a mean of per-replica ratios).
-	HitRate float64
+	// Totals sums the replicas (engine.Totals.Add): Duration is the
+	// slowest replica's, every rate is exact over the fleet's sums.
+	engine.Totals
+	// Latency is the roll-up over every finished request in the fleet,
+	// SLOAttainment measured against Config.SLOTTFT.
+	engine.Latency
 	// Imbalance is max/mean of per-replica routed tokens (1.0 = even).
 	Imbalance float64
 	// MeanKVUtil averages the per-replica mean KV utilization.
 	MeanKVUtil float64
-	// Shed counts requests the replicas' admission policies dropped
-	// (online serving; 0 without an admission policy).
-	Shed int
-	// Goodput is deadline-meeting finishes per wall second (equals
-	// ReqPerSec when no request carries a deadline).
-	Goodput float64
-	// SLOAttainment is the fraction of finished requests with TTFT at
-	// or under Config.SLOTTFT (with no target: the fraction meeting
-	// their own deadlines; 1 when neither is set).
-	SLOAttainment float64
 	// GroupJain is Jain's fairness index over per-group (tenant)
 	// served tokens across the whole fleet: 1.0 means every prefix
 	// group received an even share of the fleet's work, 1/groups
@@ -179,34 +162,9 @@ type Result struct {
 	// StarvedGroups counts groups that were routed at least one
 	// request but finished none.
 	StarvedGroups int
-	// TierHitRate is the fleet-exact host-tier share of all prefill
-	// work: Σ restored tokens over Σ (cached + computed) prompt
-	// tokens across replicas — the tier counterpart of HitRate.
-	TierHitRate float64
-	// RestoredTokens and RecomputedTokens sum the per-replica tier
-	// restores and the recompute waste; SwapOuts/SwapIns sum the
-	// fleet's page/block transfers.
-	RestoredTokens, RecomputedTokens int64
-	SwapOuts, SwapIns                int64
-	// P99Restore is the p99 per-request PCIe restore time over every
-	// finished request in the fleet.
-	P99Restore time.Duration
-	// CachedPromptTokens and ComputedPromptTokens are HitRate's exact
-	// numerator and computed remainder summed across replicas —
-	// exported so fleet experiments can compare recompute volumes
-	// directly instead of back-deriving them from ratios.
-	CachedPromptTokens, ComputedPromptTokens int64
-	// PeerHits counts fleet-store fetches that extended a replica's
-	// local prefix from a peer's host tier; PeerTokens is the prefix
-	// length they added, PeerBytes the peer-link wire volume (fetches
-	// plus migration moves), and PeerHitRate the peer-served share of
-	// all prefill work (the fleet-store counterpart of TierHitRate).
-	PeerHits    int
-	PeerTokens  int64
-	PeerBytes   int64
-	PeerHitRate float64
-	// Migrations counts live request migrations completed fleet-wide
-	// (the sum of per-replica MigratedIn).
+	// Migrations counts the live request migrations Cluster.migrate
+	// completed — not the ones that rolled back, and not crash
+	// redispatches, which have their own counters below.
 	Migrations int
 	// Crashes and Restarts count the chaos plan's replica failures
 	// applied during the run; Redispatched is how many in-flight
@@ -481,39 +439,6 @@ func (c *Cluster) ServeOnline(reqs []workload.Request) (*Result, error) {
 	return c.drive(workload.SliceSource(sortedByArrival(reqs)), 1, horizonEveryArrival, true)
 }
 
-// sample is one latency distribution: every value kept (slice-backed
-// runs: exact nearest-rank percentiles) or a log-bucketed histogram
-// (streamed runs: fixed memory, ≤ ~4.5% relative error).
-type sample struct {
-	keep   bool
-	values []time.Duration
-	hist   metrics.DurationHist
-}
-
-func (s *sample) observe(d time.Duration) {
-	if s.keep {
-		s.values = append(s.values, d)
-		return
-	}
-	s.hist.Observe(d)
-}
-
-func (s *sample) merge(o *sample) {
-	s.values = append(s.values, o.values...)
-	s.hist.Merge(&o.hist)
-}
-
-func (s *sample) percentiles(ps ...float64) []time.Duration {
-	if s.keep {
-		return metrics.Percentiles(s.values, ps...)
-	}
-	out := make([]time.Duration, len(ps))
-	for i, p := range ps {
-		out[i] = s.hist.Percentile(p)
-	}
-	return out
-}
-
 // groupAcc is one tenant's exact served-work accumulator.
 type groupAcc struct {
 	tokens   int64
@@ -521,27 +446,17 @@ type groupAcc struct {
 	ttftSum  time.Duration
 }
 
-// latencyAcc folds finished requests into everything the Result derives
-// from per-request records. Streamed runs feed one per shard from the
-// engines' retire sinks (touched only by that shard's goroutine) and
-// merge them after the join; slice-backed runs feed it from
-// engine.Result.PerRequest.
-type latencyAcc struct {
-	slo                time.Duration
-	ttft, e2e, restore sample
-	finished           int
-	deadlineMet        int
-	sloMet             int
-	groups             map[int64]*groupAcc
+// fleetAcc is what finished requests fold into: the shared roll-up and
+// the per-tenant sums behind the cluster's fairness fields. Streamed
+// runs feed one per shard from the engines' retire sinks (touched only
+// by that shard's goroutine) and merge them after the join;
+// slice-backed runs feed it from engine.Result.PerRequest.
+type fleetAcc struct {
+	*engine.Rollup
+	groups map[int64]*groupAcc
 }
 
-func newLatencyAcc(exact bool, slo time.Duration) *latencyAcc {
-	a := &latencyAcc{slo: slo, groups: make(map[int64]*groupAcc)}
-	a.ttft.keep, a.e2e.keep, a.restore.keep = exact, exact, exact
-	return a
-}
-
-func (a *latencyAcc) group(id int64) *groupAcc {
+func (a *fleetAcc) group(id int64) *groupAcc {
 	g := a.groups[id]
 	if g == nil {
 		g = &groupAcc{}
@@ -551,30 +466,16 @@ func (a *latencyAcc) group(id int64) *groupAcc {
 }
 
 // observe folds one finished request.
-func (a *latencyAcc) observe(m engine.RequestMetrics) {
-	a.ttft.observe(m.TTFT)
-	a.e2e.observe(m.E2E)
-	a.restore.observe(m.RestoreTime)
-	a.finished++
-	if m.Deadline == 0 || m.E2E <= m.Deadline {
-		a.deadlineMet++
-	}
-	if m.TTFT <= a.slo {
-		a.sloMet++
-	}
+func (a *fleetAcc) observe(m *engine.RequestMetrics) {
+	a.Observe(m)
 	g := a.group(m.Group)
 	g.tokens += int64(m.Tokens)
 	g.finished++
 	g.ttftSum += m.TTFT
 }
 
-func (a *latencyAcc) merge(o *latencyAcc) {
-	a.ttft.merge(&o.ttft)
-	a.e2e.merge(&o.e2e)
-	a.restore.merge(&o.restore)
-	a.finished += o.finished
-	a.deadlineMet += o.deadlineMet
-	a.sloMet += o.sloMet
+func (a *fleetAcc) merge(o *fleetAcc) {
+	a.Merge(o.Rollup)
 	//jenga:order-ok integer sums into the cell keyed by the loop key
 	for id, og := range o.groups {
 		g := a.group(id)
@@ -587,10 +488,9 @@ func (a *latencyAcc) merge(o *latencyAcc) {
 // aggregate folds the drained replicas into the fleet view. acc already
 // holds whatever the retire sinks streamed; per-request records the
 // engines retained instead (slice-backed runs) fold in here.
-func (c *Cluster) aggregate(p *pass, acc *latencyAcc) *Result {
+func (c *Cluster) aggregate(p *pass, acc *fleetAcc) *Result {
 	out := &p.out
 	out.Policy, out.Replicas = c.router.Name(), len(c.engines)
-	var generated int64
 	shares := make([]float64, len(c.engines))
 	for i, e := range c.engines {
 		res := e.ResultSnapshot()
@@ -601,26 +501,14 @@ func (c *Cluster) aggregate(p *pass, acc *latencyAcc) *Result {
 			RoutedTokens: p.loads[i].RoutedTokens,
 			Result:       res,
 		})
-		out.Finished += res.Finished
-		out.Failed += res.Failed
-		out.Shed += res.Shed
-		out.Duration = max(out.Duration, res.Duration)
-		out.CachedPromptTokens += res.CachedPromptTokens
-		out.ComputedPromptTokens += res.ComputedPromptTokens
-		generated += res.GeneratedTokens
-		out.RestoredTokens += res.RestoredTokens
-		out.RecomputedTokens += res.RecomputedTokens
-		out.SwapOuts += res.SwapOuts
-		out.SwapIns += res.SwapIns
-		out.PeerHits += res.PeerHits
-		out.PeerTokens += res.PeerTokens
-		out.PeerBytes += res.PeerBytes
-		out.Migrations += res.MigratedIn
+		out.Totals.Add(&res.Totals)
 		out.MeanKVUtil += res.MeanKVUtil
-		for _, rm := range res.PerRequest {
-			acc.observe(rm)
+		for j := range res.PerRequest {
+			acc.observe(&res.PerRequest[j])
 		}
 	}
+	out.Rates()
+	out.Latency = acc.Latency(out.Duration)
 	// Cross-replica fairness and starvation over prefix groups. Sorted
 	// traversal keeps the float accumulation order (and so Jain's
 	// rounding) identical across runs.
@@ -636,30 +524,7 @@ func (c *Cluster) aggregate(p *pass, acc *latencyAcc) *Result {
 		}
 	}
 	out.MeanKVUtil /= float64(len(c.engines))
-	if out.Duration > 0 {
-		out.ReqPerSec = float64(out.Finished) / out.Duration.Seconds()
-		out.TokensPerSec = float64(out.ComputedPromptTokens+generated) / out.Duration.Seconds()
-		out.Goodput = metrics.Goodput(acc.deadlineMet, out.Duration)
-	}
-	switch {
-	case c.cfg.SLOTTFT <= 0:
-		out.SLOAttainment = metrics.Fraction(acc.deadlineMet, out.Finished)
-	case acc.finished == 0:
-		out.SLOAttainment = 1
-	default:
-		out.SLOAttainment = float64(acc.sloMet) / float64(acc.finished)
-	}
-	if work := out.CachedPromptTokens + out.ComputedPromptTokens; work > 0 {
-		out.HitRate = float64(out.CachedPromptTokens) / float64(work)
-		out.TierHitRate = float64(out.RestoredTokens) / float64(work)
-		out.PeerHitRate = float64(out.PeerTokens) / float64(work)
-	}
 	out.Imbalance = metrics.Imbalance(shares)
-	tq := acc.ttft.percentiles(50, 99)
-	eq := acc.e2e.percentiles(50, 99)
-	out.P50TTFT, out.P99TTFT = tq[0], tq[1]
-	out.P50E2E, out.P99E2E = eq[0], eq[1]
-	out.P99Restore = acc.restore.percentiles(99)[0]
 	if c.store != nil {
 		ss := c.store.Stats()
 		out.FetchRetries = ss.Retries - p.storeBase.Retries

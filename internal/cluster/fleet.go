@@ -110,6 +110,7 @@ func (c *Cluster) migrate(p *pass, src, dst int, id int64) bool {
 	}
 	c.fleetFetch(dst, m.Req.ID, len(m.Req.Prompt), m.Tokens)
 	c.engines[dst].MigrateIn(m)
+	p.out.Migrations++
 	return true
 }
 

@@ -59,7 +59,7 @@ type streamShard struct {
 	// router may. The channel operations order the two.
 	ack   chan struct{}
 	loads []Load
-	acc   *latencyAcc
+	acc   *fleetAcc
 	err   error
 }
 
@@ -168,7 +168,7 @@ func (c *Cluster) drive(src workload.Source, shards int, every time.Duration, ex
 			cmds:    make(chan streamCmd, mailboxDepth),
 			ack:     make(chan struct{}, 1),
 			loads:   p.loads,
-			acc:     newLatencyAcc(exact, c.cfg.SLOTTFT),
+			acc:     &fleetAcc{Rollup: engine.NewRollup(c.cfg.SLOTTFT, exact), groups: make(map[int64]*groupAcc)},
 		}
 	}
 	for rep, e := range c.engines {
@@ -176,12 +176,12 @@ func (c *Cluster) drive(src workload.Source, shards int, every time.Duration, ex
 		s.owned = append(s.owned, rep)
 		if !exact {
 			// Sink calls run on the owning shard's goroutine.
-			e.SetRetireSink(func(m engine.RequestMetrics, ev engine.EventType) {
-				if ev == engine.EventFinished {
-					s.acc.observe(m)
+			e.SetRetireSink(func(m engine.RequestMetrics) {
+				if m.State == engine.EventFinished {
+					s.acc.observe(&m)
 				}
 			})
-			defer e.SetRetireSink(nil)
+			defer e.SetRetireSink(e.Retain)
 		}
 	}
 	var wg sync.WaitGroup

@@ -236,6 +236,26 @@ func scalars(r *engine.Result) engine.Result {
 	return c
 }
 
+// checkMigrationLaw: every MigrateOut either completes as a migration
+// or rolls back, and MigrateIn's other callers — rollback re-entries
+// and crash redispatches — are not migrations. (Summing MigratedIn, as
+// Result.Migrations once did, counts all three.)
+func checkMigrationLaw(t *testing.T, name string, res *Result) {
+	t.Helper()
+	out, in := 0, 0
+	for _, pr := range res.PerReplica {
+		out += pr.Result.MigratedOut
+		in += pr.Result.MigratedIn
+	}
+	if res.Migrations != out-res.MigrationRollbacks {
+		t.Errorf("%s: Migrations %d, want %d extractions - %d rollbacks", name, res.Migrations, out, res.MigrationRollbacks)
+	}
+	if in != res.Migrations+res.MigrationRollbacks+res.Redispatched {
+		t.Errorf("%s: %d MigrateIn entries, want %d migrations + %d rollbacks + %d redispatches",
+			name, in, res.Migrations, res.MigrationRollbacks, res.Redispatched)
+	}
+}
+
 // A fleet or chaos config gives ServeStream the every-arrival horizon,
 // so the streamed run is the ServeOnline run: every exact field of the
 // Result and every per-replica engine counter match bit for bit at any
@@ -262,11 +282,13 @@ func TestServeStreamFleetChaosMatchesServeOnline(t *testing.T) {
 		serial.FetchRetries == 0 || serial.PerReplica[3].Result.MigratedOut == 0 {
 		t.Fatalf("reference run does not exercise every barrier-section operation: %+v", serial)
 	}
+	checkMigrationLaw(t, "ServeOnline", serial)
 	for _, shards := range []int{1, 2, 4} {
 		stream, err := build().ServeStream(workload.SliceSource(reqs), StreamConfig{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkMigrationLaw(t, "ServeStream", stream)
 		// Copy the reference, overwrite what legitimately differs, and
 		// compare everything else in one go.
 		want := *serial

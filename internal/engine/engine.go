@@ -33,7 +33,6 @@ package engine
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"jenga/internal/core"
@@ -42,11 +41,6 @@ import (
 	"jenga/internal/sched"
 	"jenga/internal/workload"
 )
-
-// debugSteps enables periodic scheduler state dumps (debugging only).
-//
-//jenga:det-ok debug tracing gate only; read once at init and never on a result path
-var debugSteps = os.Getenv("JENGA_DEBUG") != ""
 
 // VisionStrategy selects how vision embeddings are managed (§6.2).
 type VisionStrategy int
@@ -134,8 +128,10 @@ type Config struct {
 	// slow-replica stragglers — see internal/chaos). Nil, the
 	// default, leaves every step's cost untouched.
 	Faults FaultInjector
-	// SampleEvery records a memory-usage sample every N steps
-	// (0 disables the timeline).
+	// SampleEvery switches the per-step timelines on: any value above 0
+	// keeps Result.DecodeBatchTimeline (one entry per executed step)
+	// and records a Result.MemTimeline sample every N steps. 0, the
+	// default, keeps neither — an engine then holds no per-step slice.
 	SampleEvery int
 	// MaxSteps aborts runaway simulations. Default 2_000_000.
 	MaxSteps int
@@ -162,111 +158,59 @@ type MemSample struct {
 	Usage core.Usage
 }
 
-// RequestMetrics is one finished request's latency record; cluster-level
-// aggregation computes percentiles across replicas from these.
-type RequestMetrics struct {
-	ID      int64
-	Arrival time.Duration
-	TTFT    time.Duration
-	E2E     time.Duration
-	// Deadline is the request's E2E budget (0 = none); goodput counts
-	// only finished requests with E2E within it.
-	Deadline time.Duration
-	// Group and Priority echo the request's tenant label and
-	// scheduling class; cluster aggregation computes per-group
-	// fairness and per-priority breakdowns from them.
-	Group    int64
-	Priority int
-	// Tokens is the request's served work: prompt plus output tokens.
-	Tokens int
-	// RestoredTokens and RestoreBytes are the request's host-tier
-	// share: prefix tokens the tier served (beyond the GPU-only
-	// prefix) instead of recompute, and the H2D bytes that cost;
-	// RestoreTime is the PCIe time of those bytes — report layers
-	// take restore-latency percentiles over it.
-	RestoredTokens int
-	RestoreBytes   int64
-	RestoreTime    time.Duration
-}
-
 // kvUtilEvery is the step stride for KV-utilization sampling (cheap
 // enough to stay on by default, coarse enough not to show in profiles).
 const kvUtilEvery = 32
 
 // Result aggregates one run's metrics.
 type Result struct {
-	Duration time.Duration
-	Steps    int
-	Finished int
-	Failed   int
-	// ReqPerSec is finished requests per simulated second.
-	ReqPerSec float64
-	// TokensPerSec counts computed prompt tokens plus generated tokens.
-	TokensPerSec float64
+	// Totals is the part serve.Report and cluster.Result carry too:
+	// duration, counts by terminal state, token sums, throughput, hit
+	// and tier-hit rates, tier and peer transfer totals.
+	Totals
+	Steps int
 	// MeanTTFT, MeanE2E, MeanTPOT are latency averages over finished
 	// requests.
 	MeanTTFT, MeanE2E, MeanTPOT time.Duration
 	// MeanDecodeBatch is the average number of decoding sequences per
 	// step that decoded anything (Fig. 15).
 	MeanDecodeBatch float64
-	// DecodeBatchTimeline is the per-step decode batch size (Fig. 15).
+	// DecodeBatchTimeline is the decode batch size of every executed
+	// step (Fig. 15) and MemTimeline the sampled memory usage
+	// (Fig. 16); both are kept only under Config.SampleEvery > 0.
 	DecodeBatchTimeline []int
-	// MemTimeline is the sampled memory usage (Fig. 16).
-	MemTimeline []MemSample
-	// HitRate is cached prompt tokens over all prefill work, cached
-	// plus computed — recompute passes after preemption included, so it
-	// stays in [0, 1] (Fig. 17).
-	HitRate float64
-	// CachedPromptTokens and ComputedPromptTokens are HitRate's
-	// numerator and the computed remainder; keeping both lets a cluster
-	// aggregate an exact fleet-wide hit rate instead of averaging ratios.
-	CachedPromptTokens   int64
-	ComputedPromptTokens int64
-	// GeneratedTokens counts decode-produced tokens.
-	GeneratedTokens int64
-	// PerRequest records each finished request's latencies.
+	MemTimeline         []MemSample
+	// PerRequest holds the finished requests' records in finish order —
+	// what the default retire sink (Retain) keeps. Empty once
+	// SetRetireSink has installed another sink.
 	PerRequest []RequestMetrics
 	// MeanKVUtil and PeakKVUtil are the mean and peak fraction of KV
 	// capacity holding live or cached KV, sampled every kvUtilEvery
 	// steps.
 	MeanKVUtil, PeakKVUtil float64
-	// Preemptions counts preemptions (recompute- or swap-mode).
-	Preemptions int
-	// RecomputedTokens counts prompt-pass tokens that had already been
-	// computed once for the same request — the work preemption wastes
-	// and the host tier exists to avoid.
-	RecomputedTokens int64
-	// RestoredTokens counts prefix tokens served from the host tier
-	// (H2D restore) instead of being recomputed, over claims whose
-	// admission succeeded; TierHitRate is their share of all prefill
-	// work (cached + computed), the tier counterpart of (and bounded
-	// by) HitRate. Both are zero without a tiered manager.
-	RestoredTokens int64
-	TierHitRate    float64
-	// SwapOuts and SwapIns count large pages spilled to and blocks
-	// restored from the host tier; SwapOutBytes/SwapInBytes are the
-	// D2H/H2D volumes. HostTierUsed/HostTierCapacity snapshot the
-	// tier at the end of the run.
-	SwapOuts, SwapIns              int64
+	// SwapOutBytes/SwapInBytes are the D2H/H2D volumes behind
+	// SwapOuts/SwapIns. HostTierUsed/HostTierCapacity snapshot the tier
+	// at the end of the run.
 	SwapOutBytes, SwapInBytes      int64
 	HostTierUsed, HostTierCapacity int64
-	// PeerHits counts fleet-store fetches that extended this replica's
-	// local prefix from a peer's host tier; PeerTokens is the prefix
-	// length they added over the local lookup, and PeerBytes the total
-	// peer-link wire volume charged (fetches plus migration moves).
-	PeerHits   int
-	PeerTokens int64
-	PeerBytes  int64
-	// MigratedIn and MigratedOut count live request migrations through
-	// this engine (a cluster's fleet-wide migration count is the sum
-	// of MigratedIn over replicas).
+	// MigratedIn counts entries through MigrateIn, whatever brought the
+	// request — a completed migration, a failed one rolling back to its
+	// source, or a crash redispatch. MigratedOut counts MigrateOut
+	// extractions. (How many migrations completed is the cluster's to
+	// say: cluster.Result.Migrations.)
 	MigratedIn, MigratedOut int
 	// EncoderRuns counts vision-encoder invocations (Fig. 18).
 	EncoderRuns int
-	// Shed counts requests the admission policy dropped at arrival.
-	Shed int
-	// Cancelled counts requests terminated by Cancel.
-	Cancelled int
+}
+
+// Latency rolls the retained records (PerRequest) up, exactly, against
+// the TTFT target slo (0: against per-request deadlines).
+func (r *Result) Latency(slo time.Duration) Latency {
+	roll := NewRollup(slo, true)
+	for i := range r.PerRequest {
+		roll.Observe(&r.PerRequest[i])
+	}
+	return roll.Latency(r.Duration)
 }
 
 type phase int
@@ -318,10 +262,12 @@ type run struct {
 	restoredBytes  int64
 	// forkDone marks that the run's Fanout expansion already fired
 	// (set on forked children at creation so they never re-fork).
-	forkDone   bool
-	firstToken time.Duration
-	finish     time.Duration
-	started    bool
+	forkDone bool
+	// preemptions counts how often this request lost its KV (carried
+	// across migration and crash redispatch, like firstToken).
+	preemptions int
+	firstToken  time.Duration
+	started     bool
 }
 
 // advanceCtx folds tokens [from, to) into the run's committed text and
@@ -362,38 +308,12 @@ type Engine struct {
 	// simulated second), the first-order term admission uses to
 	// estimate queueing delay.
 	drainRate float64
-	// kvSampledStep is the last step sampleKVUtil ran for, so the
-	// drain-time closing sample is never taken twice.
-	kvSampledStep int
 
-	totalPromptComputed int64
-	totalCachedTokens   int64
-	totalPromptTokens   int64
-	totalGenerated      int64
-	totalRecomputed     int64
-	totalRestored       int64
-	preemptions         int
-	encoderRuns         int
-	globalStalls        int
-
-	// Fleet accounting: peerHits/peerTokens count fleet-store prefix
-	// fetches that extended the local lookup; pendingPeerBytes is
-	// wire volume recorded since the last executed step, drained into
-	// that step's StepWork.PeerBytes (the peer-link DMA term) and
-	// accumulated into peerBytes. migratedIn/migratedOut count live
-	// request migrations through this engine.
-	peerHits                int
-	peerTokens              int64
-	peerBytes               int64
-	pendingPeerBytes        int64
-	migratedIn, migratedOut int
-
-	kvUtilSum  float64
-	kvUtilN    int
-	kvUtilPeak float64
-
-	decodeTimeline []int
-	memTimeline    []MemSample
+	// sink receives every request's record at its one exit (retire).
+	// Never nil: New installs the default, which retains finished
+	// records for Result.PerRequest.
+	sink RetireSink
+	tally
 
 	// stepScratch and committers are per-step work lists reused across
 	// steps so the steady-state step loop allocates nothing.
@@ -423,78 +343,95 @@ type Engine struct {
 
 	// forker is the manager's copy-on-write forking capability (nil
 	// for managers without one — fan-out then degrades to running the
-	// root single-stream); forkSeq numbers engine-generated branch IDs.
-	forker  core.Forker
-	forkSeq int64
-
-	// Retirement: every terminal run folds into the counters below and
-	// every decoding step into decodeSteps/decodeSum, so a run leaves
-	// nothing behind but its record. The record goes to sink when one
-	// is set via SetRetireSink — memory then stays bounded over
-	// million-request streams — and otherwise, for finished runs, into
-	// perRequest (as the step's batch size goes into decodeTimeline).
-	sink         RetireSink
-	perRequest   []RequestMetrics
-	retFinished  int
-	retFailed    int
-	retShed      int
-	retCancelled int
-	retTTFT      time.Duration
-	retE2E       time.Duration
-	retTPOT      time.Duration
-	retTPOTN     int
-	decodeSteps  int64
-	decodeSum    int64
+	// root single-stream).
+	forker core.Forker
 }
 
-// RetireSink receives each request's final record at its terminal
-// event. Latency fields (TTFT, E2E) are meaningful only for
-// EventFinished; failed/shed/cancelled records carry identity and
-// sizing fields. The sink is invoked synchronously on the engine's
-// stepping goroutine and must not call back into the engine.
-type RetireSink func(m RequestMetrics, ev EventType)
+// tally is everything a run accumulates between resets; reset clears
+// it by assigning the zero value.
+type tally struct {
+	// res is the Result under construction. Counts, token sums, the
+	// peak, and the retained timelines and records accumulate in their
+	// final fields; result() copies it out and derives the rest
+	// (duration, rates, means, tier deltas).
+	res Result
+	// Latency sums over finished requests, for Result's means.
+	ttftSum, e2eSum, tpotSum time.Duration
+	tpotN                    int
+	decodeSteps, decodeSum   int64
+	kvUtilSum                float64
+	kvUtilN                  int
+	// kvSampledStep is the last step sampleKVUtil ran for, so the
+	// drain-time closing sample is never taken twice.
+	kvSampledStep int
+	globalStalls  int
+	// pendingPeerBytes is peer-link wire volume recorded since the last
+	// executed step (fleet prefix fetches, migration page moves),
+	// drained into that step's StepWork.PeerBytes and res.PeerBytes.
+	pendingPeerBytes int64
+	// forkSeq numbers engine-generated branch IDs.
+	forkSeq int64
+}
 
-// SetRetireSink installs sink and switches the engine to streaming
-// retirement: Result.PerRequest and DecodeBatchTimeline stay empty,
-// while every aggregate field (counts, means, hit rates, throughput)
-// is still computed exactly. The sink survives Reset; pass nil to
-// restore retained-record behavior.
+// SetRetireSink replaces the sink every request's record is handed to
+// at its exit. The engine then retains no records (Result.PerRequest
+// stays empty) and its memory stays bounded over million-request
+// streams; every aggregate field of Result is computed exactly either
+// way. The sink survives Reset; SetRetireSink(e.Retain) puts the
+// default back.
 func (e *Engine) SetRetireSink(sink RetireSink) { e.sink = sink }
 
-// runMetrics assembles one run's per-request record (the Result
-// PerRequest entry, and the RetireSink payload in streaming mode).
-func (e *Engine) runMetrics(r *run) RequestMetrics {
-	return RequestMetrics{
+// Retain is the default sink: it keeps finished requests' records, in
+// finish order, for Result.PerRequest.
+func (e *Engine) Retain(m RequestMetrics) {
+	if m.State == EventFinished {
+		e.res.PerRequest = append(e.res.PerRequest, m)
+	}
+}
+
+// retire is the one way out of the engine: whoever ends a request has
+// detached it from its queue and released its KV, and retire does the
+// rest — returns the token buffer, completes the request's record,
+// folds it into the run's tally, hands it to the sink and then emits
+// the terminal event ev.
+func (e *Engine) retire(r *run, ev EventType) {
+	e.returnTokens(r)
+	m := RequestMetrics{
 		ID:             r.req.ID,
+		State:          ev,
 		Arrival:        r.req.Arrival,
-		TTFT:           r.firstToken - r.req.Arrival,
-		E2E:            r.finish - r.req.Arrival,
+		E2E:            max(e.clock-r.req.Arrival, 0), // cancelled ahead of its arrival: no lifetime yet
 		Deadline:       r.req.Deadline,
 		Group:          r.req.Group,
 		Priority:       r.req.Priority,
 		Tokens:         r.promptLen() + r.req.OutputLen,
+		Preemptions:    r.preemptions,
 		RestoredTokens: r.restoredTokens,
 		RestoreBytes:   r.restoredBytes,
 		RestoreTime:    e.cfg.Device.PCIeTime(r.restoredBytes),
 	}
-}
-
-// retireTerminal counts a non-finished terminal run and hands its
-// record to the sink, if any. Callers emit the matching lifecycle
-// event themselves.
-func (e *Engine) retireTerminal(r *run, ev EventType) {
-	e.returnTokens(r)
+	if r.firstToken > 0 {
+		m.TTFT = r.firstToken - r.req.Arrival
+		m.Generated = 1 + r.decodesDone
+	}
 	switch ev {
+	case EventFinished:
+		e.res.Finished++
+		e.ttftSum += m.TTFT
+		e.e2eSum += m.E2E
+		if r.req.OutputLen > 1 {
+			e.tpotSum += (e.clock - r.firstToken) / time.Duration(r.req.OutputLen-1)
+			e.tpotN++
+		}
 	case EventFailed:
-		e.retFailed++
+		e.res.Failed++
 	case EventShed:
-		e.retShed++
+		e.res.Shed++
 	case EventCancelled:
-		e.retCancelled++
+		e.res.Cancelled++
 	}
-	if e.sink != nil {
-		e.sink(e.runMetrics(r), ev)
-	}
+	e.sink(m)
+	e.emit(ev, r)
 }
 
 // New validates the config and builds an engine.
@@ -533,6 +470,7 @@ func New(cfg Config) (*Engine, error) {
 		e.scheduler = sched.NewFCFS()
 	}
 	e.admPreempt = sched.CanAdmissionPreempt(e.scheduler)
+	e.sink = e.Retain
 	e.tier, _ = cfg.Manager.(core.TierManager)
 	e.forker, _ = cfg.Manager.(core.Forker)
 	// 2 FLOPs per active parameter per token, compute-bound: the same
@@ -566,7 +504,7 @@ func (e *Engine) Run(reqs []workload.Request) (*Result, error) {
 // again on the same engine (the manager's cache is deliberately kept,
 // and so is the token free list: abandoned runs' buffers rejoin it).
 func (e *Engine) reset() {
-	for _, q := range [...][]*run{e.pending.items(), e.waiting.items(), e.running} {
+	for _, q := range e.queues() {
 		for _, r := range q {
 			e.returnTokens(r)
 		}
@@ -576,42 +514,18 @@ func (e *Engine) reset() {
 	e.pending.reset()
 	e.waiting.reset()
 	e.running = nil
-	e.kvSampledStep = 0
-	e.totalPromptComputed = 0
-	e.totalCachedTokens = 0
-	e.totalPromptTokens = 0
-	e.totalGenerated = 0
-	e.totalRecomputed = 0
-	e.totalRestored = 0
-	e.preemptions = 0
-	e.peerHits = 0
-	e.peerTokens = 0
-	e.peerBytes = 0
-	e.pendingPeerBytes = 0
-	e.migratedIn = 0
-	e.migratedOut = 0
+	e.tally = tally{}
 	if e.tier != nil {
 		e.tierBase = e.tier.TierStats()
 	}
-	e.encoderRuns = 0
-	e.globalStalls = 0
-	e.forkSeq = 0
-	e.kvUtilSum = 0
-	e.kvUtilN = 0
-	e.kvUtilPeak = 0
-	e.decodeTimeline = nil
-	e.memTimeline = nil
-	e.perRequest = nil
-	e.retFinished = 0
-	e.retFailed = 0
-	e.retShed = 0
-	e.retCancelled = 0
-	e.retTTFT = 0
-	e.retE2E = 0
-	e.retTPOT = 0
-	e.retTPOTN = 0
-	e.decodeSteps = 0
-	e.decodeSum = 0
+}
+
+// queues lists the live requests in the engine's one deterministic
+// order: running (schedule order), waiting (queue order), pending
+// (arrival order). Everything in the first two has had its arrival
+// processed.
+func (e *Engine) queues() [3][]*run {
+	return [3][]*run{e.running, e.waiting.items(), e.pending.items()}
 }
 
 // sampleKVUtil records the fraction of KV capacity holding live or
@@ -626,8 +540,8 @@ func (e *Engine) sampleKVUtil() {
 	util := float64(u.Used+u.Cached) / float64(capacity)
 	e.kvUtilSum += util
 	e.kvUtilN++
-	if util > e.kvUtilPeak {
-		e.kvUtilPeak = util
+	if util > e.res.PeakKVUtil {
+		e.res.PeakKVUtil = util
 	}
 }
 
@@ -645,8 +559,7 @@ func (e *Engine) admitArrivals() {
 	for e.pending.len() > 0 && e.pending.front().req.Arrival <= e.clock {
 		r := e.pending.popFront()
 		if e.cfg.Admission != nil && e.cfg.Admission.Decide(r.req, e.admissionState(r)) == Shed {
-			e.retireTerminal(r, EventShed)
-			e.emit(EventShed, r)
+			e.retire(r, EventShed)
 			continue
 		}
 		e.waiting.pushBack(r)
@@ -853,7 +766,7 @@ func (e *Engine) runStep() bool {
 	// interconnect term.
 	if e.pendingPeerBytes > 0 {
 		work.PeerBytes += e.pendingPeerBytes
-		e.peerBytes += e.pendingPeerBytes
+		e.res.PeerBytes += e.pendingPeerBytes
 		e.pendingPeerBytes = 0
 	}
 	// Fault windows in effect at this instant (degraded links,
@@ -877,17 +790,17 @@ func (e *Engine) runStep() bool {
 		e.decodeSteps++
 		e.decodeSum += int64(decodeBatch)
 	}
-	if e.sink == nil {
-		e.decodeTimeline = append(e.decodeTimeline, decodeBatch)
+	if e.cfg.SampleEvery > 0 {
+		e.res.DecodeBatchTimeline = append(e.res.DecodeBatchTimeline, decodeBatch)
 	}
 	for _, r := range committers {
 		e.cfg.Manager.Commit(&r.seq, r.pendingTarget, now)
 		if r.ph == phasePrefill {
-			e.totalPromptComputed += int64(r.pendingTarget - r.computed)
+			e.res.ComputedPromptTokens += int64(r.pendingTarget - r.computed)
 			// Work below the run's high-water mark was computed once
 			// already: recomputation, the waste swap preemption avoids.
 			if rec := min(r.pendingTarget, r.everComputed) - r.computed; rec > 0 {
-				e.totalRecomputed += int64(rec)
+				e.res.RecomputedTokens += int64(rec)
 			}
 			r.advanceCtx(r.computed, r.pendingTarget)
 			r.computed = r.pendingTarget
@@ -918,7 +831,7 @@ func (e *Engine) runStep() bool {
 				r.everComputed = r.computed
 			}
 			r.decodesDone += gain
-			e.totalGenerated += int64(gain)
+			e.res.GeneratedTokens += int64(gain)
 			if r.firstToken == 0 {
 				// Only forked branches reach decode without a first
 				// token: this is the branch's TTFT instant.
@@ -946,9 +859,6 @@ func (e *Engine) schedulePrefill(r *run, budget int, now core.Tick, work *gpu.St
 	if r.computed == 0 && r.cachedHit == 0 {
 		// First chunk after (re)admission: consult the prefix cache.
 		r.cachedHit = e.cfg.Manager.Lookup(&r.seq)
-		if debugSteps {
-			fmt.Printf("admit id=%d len=%d hit=%d\n", r.req.ID, len(r.seq.Tokens), r.cachedHit)
-		}
 	}
 	images := r.req.PromptImages()
 	encoderTokens := 0
@@ -1003,7 +913,7 @@ func (e *Engine) schedulePrefill(r *run, budget int, now core.Tick, work *gpu.St
 		r.cachedHit = claimed
 	}
 	if claimed > r.computed {
-		e.totalCachedTokens += int64(claimed - r.computed)
+		e.res.CachedPromptTokens += int64(claimed - r.computed)
 		r.advanceCtx(r.computed, claimed)
 		r.computed = claimed
 		if r.computed > r.everComputed {
@@ -1020,7 +930,7 @@ func (e *Engine) schedulePrefill(r *run, budget int, now core.Tick, work *gpu.St
 			if tok, bytes := e.tier.RestoreCost(&r.seq); tok > 0 || bytes > 0 {
 				r.restoredTokens += tok
 				r.restoredBytes += bytes
-				e.totalRestored += int64(tok)
+				e.res.RestoredTokens += int64(tok)
 			}
 		}
 	}
@@ -1041,7 +951,7 @@ func (e *Engine) schedulePrefill(r *run, budget int, now core.Tick, work *gpu.St
 	r.scheduledStep = e.step
 	if encoderTokens > 0 {
 		work.EncoderTokens += encoderTokens
-		e.encoderRuns++
+		e.res.EncoderRuns++
 		if e.cfg.Vision != VisionNone {
 			r.encoded = true
 		}
@@ -1213,7 +1123,8 @@ func (e *Engine) preempt(victim *run) {
 	victim.resetCtx()
 	victim.cachedHit = 0
 	victim.encoded = false
-	e.preemptions++
+	victim.preemptions++
+	e.res.Preemptions++
 	e.removeRunning(victim)
 	e.waiting.pushFront(victim)
 	e.emit(EventPreempted, victim)
@@ -1238,14 +1149,8 @@ func (e *Engine) handleStall() bool {
 		r := e.waiting.items()[idx]
 		e.waiting.remove(idx)
 		e.cfg.Manager.Release(&r.seq, false)
-		e.retireTerminal(r, EventFailed)
-		e.emit(EventFailed, r)
+		e.retire(r, EventFailed)
 		e.globalStalls = 0
-		if debugSteps {
-			u := e.cfg.Manager.Usage()
-			fmt.Printf("FAIL idle-admission id=%d len=%d fp=%d free=%d cached=%d used=%d wasted=%d\n",
-				r.req.ID, len(r.seq.Tokens), e.cfg.Manager.Footprint(&r.seq), u.Free, u.Cached, u.Used, u.Wasted)
-		}
 		return true
 	}
 	if len(e.running) == 0 {
@@ -1264,37 +1169,19 @@ func (e *Engine) handleStall() bool {
 			worst = r
 		}
 	}
-	if debugSteps {
-		u := e.cfg.Manager.Usage()
-		fmt.Printf("FAIL stuck-running id=%d len=%d computed=%d free=%d cached=%d\n",
-			worst.req.ID, len(worst.seq.Tokens), worst.computed, u.Free, u.Cached)
-	}
 	e.cfg.Manager.Release(&worst.seq, false)
 	e.removeRunning(worst)
-	e.retireTerminal(worst, EventFailed)
-	e.emit(EventFailed, worst)
+	e.retire(worst, EventFailed)
 	e.globalStalls = 0
 	return true
 }
 
+// finishRun ends a run that produced its full output: its pages return
+// to the evictable prefix cache.
 func (e *Engine) finishRun(r *run) {
-	r.finish = e.clock
 	e.cfg.Manager.Release(&r.seq, true)
-	e.returnTokens(r)
 	e.removeRunning(r)
-	e.retFinished++
-	e.retTTFT += r.firstToken - r.req.Arrival
-	e.retE2E += r.finish - r.req.Arrival
-	if r.req.OutputLen > 1 {
-		e.retTPOT += (r.finish - r.firstToken) / time.Duration(r.req.OutputLen-1)
-		e.retTPOTN++
-	}
-	if e.sink != nil {
-		e.sink(e.runMetrics(r), EventFinished)
-	} else {
-		e.perRequest = append(e.perRequest, e.runMetrics(r))
-	}
-	e.emit(EventFinished, r)
+	e.retire(r, EventFinished)
 }
 
 func (e *Engine) removeRunning(r *run) {
@@ -1317,76 +1204,42 @@ func (e *Engine) genToken(r *run) core.Token {
 	return core.Token{ID: int32(x%50000 + 1)}
 }
 
-// result assembles the final metrics.
+// result copies the tally's Result out and derives what is not
+// accumulated in place.
 func (e *Engine) result() *Result {
-	res := &Result{
-		Duration:             e.clock,
-		Steps:                e.step,
-		Finished:             e.retFinished,
-		Failed:               e.retFailed,
-		Shed:                 e.retShed,
-		Cancelled:            e.retCancelled,
-		Preemptions:          e.preemptions,
-		PeerHits:             e.peerHits,
-		PeerTokens:           e.peerTokens,
-		PeerBytes:            e.peerBytes,
-		MigratedIn:           e.migratedIn,
-		MigratedOut:          e.migratedOut,
-		EncoderRuns:          e.encoderRuns,
-		CachedPromptTokens:   e.totalCachedTokens,
-		ComputedPromptTokens: e.totalPromptComputed,
-		GeneratedTokens:      e.totalGenerated,
-		RecomputedTokens:     e.totalRecomputed,
-		PeakKVUtil:           e.kvUtilPeak,
-		DecodeBatchTimeline:  e.decodeTimeline,
-		MemTimeline:          e.memTimeline,
-		// A copy, never nil: the engine keeps appending to its own.
-		PerRequest: append([]RequestMetrics{}, e.perRequest...),
-	}
+	res := e.res
+	res.Duration, res.Steps = e.clock, e.step
+	// A copy, never nil: the engine keeps appending to its own.
+	res.PerRequest = append([]RequestMetrics{}, res.PerRequest...)
 	if e.kvUtilN > 0 {
 		res.MeanKVUtil = e.kvUtilSum / float64(e.kvUtilN)
-	}
-	if e.clock > 0 {
-		res.ReqPerSec = float64(res.Finished) / e.clock.Seconds()
-		res.TokensPerSec = float64(e.totalPromptComputed+e.totalGenerated) / e.clock.Seconds()
-	}
-	// Hit rate over all prefill work (recompute passes after preemption
-	// included), so it stays in [0, 1].
-	if work := e.totalCachedTokens + e.totalPromptComputed; work > 0 {
-		res.HitRate = float64(e.totalCachedTokens) / float64(work)
 	}
 	// Host-tier accounting. Transfer counts and volumes are per-run
 	// deltas of the manager's counters (the manager may be warm
 	// across runs) and include every wire transfer, even for claims
 	// whose admission later rolled back. RestoredTokens is the
 	// engine's served-claims tally — the subset of restored prefix
-	// that reached admitted work — and TierHitRate is computed from
-	// it, so the engine result, serve.Report and the cluster's
-	// fleet-exact aggregation all derive the same rate from the same
-	// counter, bounded by HitRate.
+	// that reached admitted work — so TierHitRate stays bounded by
+	// HitRate.
 	if e.tier != nil {
 		ts := e.tier.TierStats()
 		res.SwapOuts = ts.SwapOuts - e.tierBase.SwapOuts
 		res.SwapIns = ts.SwapIns - e.tierBase.SwapIns
 		res.SwapOutBytes = ts.SpilledBytes - e.tierBase.SpilledBytes
 		res.SwapInBytes = ts.RestoredBytes - e.tierBase.RestoredBytes
-		res.RestoredTokens = e.totalRestored
 		res.HostTierUsed = ts.HostUsed
 		res.HostTierCapacity = ts.HostCapacity
-		if work := e.totalCachedTokens + e.totalPromptComputed; work > 0 {
-			res.TierHitRate = float64(res.RestoredTokens) / float64(work)
-		}
 	}
-	// Latency means over the sums each finish accumulated.
+	res.Rates()
 	if n := res.Finished; n > 0 {
-		res.MeanTTFT = e.retTTFT / time.Duration(n)
-		res.MeanE2E = e.retE2E / time.Duration(n)
+		res.MeanTTFT = e.ttftSum / time.Duration(n)
+		res.MeanE2E = e.e2eSum / time.Duration(n)
 	}
-	if e.retTPOTN > 0 {
-		res.MeanTPOT = e.retTPOT / time.Duration(e.retTPOTN)
+	if e.tpotN > 0 {
+		res.MeanTPOT = e.tpotSum / time.Duration(e.tpotN)
 	}
 	if e.decodeSteps > 0 {
 		res.MeanDecodeBatch = float64(e.decodeSum) / float64(e.decodeSteps)
 	}
-	return res
+	return &res
 }

@@ -14,7 +14,7 @@ func TestMaxRunningCap(t *testing.T) {
 	mgr := jengaFor(t, spec, 64<<20, false)
 	reqs := textReqs(21, 16, 100, 40)
 	res := runEngine(t, Config{Spec: spec, Device: smallDevice(), Manager: mgr,
-		MaxBatchTokens: 4096, MaxRunning: 3, MaxPrefills: 3}, reqs)
+		MaxBatchTokens: 4096, MaxRunning: 3, MaxPrefills: 3, SampleEvery: 1}, reqs)
 	if res.Finished != 16 {
 		t.Fatalf("finished %d of 16", res.Finished)
 	}

@@ -43,10 +43,12 @@ type Migrated struct {
 	// counts as RecomputedTokens on the destination).
 	DecodesDone  int
 	EverComputed int
-	// RestoredTokens and RestoredBytes carry the request's host-tier
-	// restore share so its PerRequest record survives the move.
+	// RestoredTokens, RestoredBytes and Preemptions carry the request's
+	// host-tier restore share and preemption count so its record
+	// survives the move.
 	RestoredTokens int
 	RestoredBytes  int64
+	Preemptions    int
 	// FirstToken is the TTFT instant if prefill completed (0 before);
 	// Started marks that the request's arrival was processed.
 	FirstToken time.Duration
@@ -72,24 +74,11 @@ type MigrationCandidate struct {
 // picks identically across runs.
 func (e *Engine) MigrationCandidates() []MigrationCandidate {
 	out := make([]MigrationCandidate, 0, len(e.running)+e.waiting.len()+e.pending.len())
-	add := func(r *run, running bool) {
-		rem := len(r.seq.Tokens) - r.computed
-		if rem < 0 {
-			rem = 0
+	for i, q := range e.queues() {
+		for _, r := range q {
+			rem := max(len(r.seq.Tokens)-r.computed, 0) + max(r.req.OutputLen-1-r.decodesDone, 0)
+			out = append(out, MigrationCandidate{ID: r.req.ID, Remaining: rem, Running: i == 0})
 		}
-		if n := r.req.OutputLen - 1 - r.decodesDone; n > 0 {
-			rem += n
-		}
-		out = append(out, MigrationCandidate{ID: r.req.ID, Remaining: rem, Running: running})
-	}
-	for _, r := range e.running {
-		add(r, true)
-	}
-	for _, r := range e.waiting.items() {
-		add(r, false)
-	}
-	for _, r := range e.pending.items() {
-		add(r, false)
 	}
 	return out
 }
@@ -101,50 +90,32 @@ func (e *Engine) MigrationCandidates() []MigrationCandidate {
 // stream continues on the destination; EventMigrated marks the
 // hand-off point). Reports false for unknown IDs.
 func (e *Engine) MigrateOut(id int64) (Migrated, bool) {
-	extract := func(r *run, started bool) Migrated {
-		e.migratedOut++
-		e.emit(EventMigrated, r)
-		return Migrated{
-			Req:            r.req,
-			Tokens:         r.seq.Tokens,
-			pooled:         r.owned,
-			DecodesDone:    r.decodesDone,
-			EverComputed:   r.everComputed,
-			RestoredTokens: r.restoredTokens,
-			RestoredBytes:  r.restoredBytes,
-			FirstToken:     r.firstToken,
-			Started:        started,
-			ForkDone:       r.forkDone,
-		}
+	r, started, running := e.detach(id)
+	if r == nil {
+		return Migrated{}, false
 	}
-	for _, r := range e.running {
-		if r.req.ID != id {
-			continue
-		}
+	if running {
 		if e.tier != nil {
 			e.tier.SwapOut(&r.seq)
 		} else {
 			e.cfg.Manager.Release(&r.seq, true)
 		}
-		e.removeRunning(r)
-		return extract(r, true), true
 	}
-	for i, r := range e.waiting.items() {
-		if r.req.ID != id {
-			continue
-		}
-		e.waiting.remove(i)
-		e.cfg.Manager.Release(&r.seq, false) // holds no pages; defensive
-		return extract(r, true), true
-	}
-	for i, r := range e.pending.items() {
-		if r.req.ID != id {
-			continue
-		}
-		e.pending.remove(i)
-		return extract(r, false), true
-	}
-	return Migrated{}, false
+	e.res.MigratedOut++
+	e.emit(EventMigrated, r)
+	return Migrated{
+		Req:            r.req,
+		Tokens:         r.seq.Tokens,
+		pooled:         r.owned,
+		DecodesDone:    r.decodesDone,
+		EverComputed:   r.everComputed,
+		RestoredTokens: r.restoredTokens,
+		RestoredBytes:  r.restoredBytes,
+		Preemptions:    r.preemptions,
+		FirstToken:     r.firstToken,
+		Started:        started,
+		ForkDone:       r.forkDone,
+	}, true
 }
 
 // MigrateIn resumes a migrated request on this engine. Started
@@ -175,12 +146,12 @@ func (e *Engine) MigrateIn(m Migrated) {
 		everComputed:   m.EverComputed,
 		restoredTokens: m.RestoredTokens,
 		restoredBytes:  m.RestoredBytes,
+		preemptions:    m.Preemptions,
 		firstToken:     m.FirstToken,
 		started:        m.Started,
 		forkDone:       m.ForkDone,
 	}
-	e.totalPromptTokens += int64(len(m.Req.Prompt))
-	e.migratedIn++
+	e.res.MigratedIn++
 	if !m.Started {
 		e.enqueuePending(r)
 		return
@@ -204,27 +175,21 @@ func (e *Engine) MigrateIn(m Migrated) {
 // (core.Crasher); CrashOut only empties the engine's queues.
 func (e *Engine) CrashOut() []Migrated {
 	out := make([]Migrated, 0, len(e.running)+e.waiting.len()+e.pending.len())
-	extract := func(r *run, started bool) {
-		e.returnTokens(r)
-		out = append(out, Migrated{
-			Req:            r.req,
-			Tokens:         r.req.Prompt,
-			EverComputed:   r.everComputed,
-			RestoredTokens: r.restoredTokens,
-			RestoredBytes:  r.restoredBytes,
-			FirstToken:     r.firstToken,
-			Started:        started,
-			ForkDone:       r.forkDone,
-		})
-	}
-	for _, r := range e.running {
-		extract(r, true)
-	}
-	for _, r := range e.waiting.items() {
-		extract(r, true)
-	}
-	for _, r := range e.pending.items() {
-		extract(r, false)
+	for i, q := range e.queues() {
+		for _, r := range q {
+			e.returnTokens(r)
+			out = append(out, Migrated{
+				Req:            r.req,
+				Tokens:         r.req.Prompt,
+				EverComputed:   r.everComputed,
+				RestoredTokens: r.restoredTokens,
+				RestoredBytes:  r.restoredBytes,
+				Preemptions:    r.preemptions,
+				FirstToken:     r.firstToken,
+				Started:        i < 2, // running or waiting: arrival processed
+				ForkDone:       r.forkDone,
+			})
+		}
 	}
 	e.running = nil
 	e.waiting.reset()
@@ -237,35 +202,7 @@ func (e *Engine) CrashOut() []Migrated {
 // policy had rejected it — the no-migration baseline for replica
 // drain. Running requests release their KV cache-preservingly.
 // Reports false for unknown IDs.
-func (e *Engine) Shed(id int64) bool {
-	for i, r := range e.pending.items() {
-		if r.req.ID == id {
-			e.pending.remove(i)
-			e.retireTerminal(r, EventShed)
-			e.emit(EventShed, r)
-			return true
-		}
-	}
-	for i, r := range e.waiting.items() {
-		if r.req.ID == id {
-			e.waiting.remove(i)
-			e.cfg.Manager.Release(&r.seq, false)
-			e.retireTerminal(r, EventShed)
-			e.emit(EventShed, r)
-			return true
-		}
-	}
-	for _, r := range e.running {
-		if r.req.ID == id {
-			e.cfg.Manager.Release(&r.seq, true)
-			e.removeRunning(r)
-			e.retireTerminal(r, EventShed)
-			e.emit(EventShed, r)
-			return true
-		}
-	}
-	return false
-}
+func (e *Engine) Shed(id int64) bool { return e.terminate(id, EventShed) }
 
 // RecordPeerFetch accounts one fleet peer transfer into this engine:
 // tokens is the prefix length the fetch added over the local lookup
@@ -275,8 +212,8 @@ func (e *Engine) Shed(id int64) bool {
 // term.
 func (e *Engine) RecordPeerFetch(tokens int, bytes int64) {
 	if tokens > 0 {
-		e.peerHits++
-		e.peerTokens += int64(tokens)
+		e.res.PeerHits++
+		e.res.PeerTokens += int64(tokens)
 	}
 	e.pendingPeerBytes += bytes
 }

@@ -40,7 +40,8 @@ func specManagers(t *testing.T, capacity int64) map[string]core.Manager {
 	}
 }
 
-// verifyPasses is the number of verify passes a run executed.
+// verifyPasses is the number of verify passes a run executed (it reads
+// the per-step timeline, so the run needs SampleEvery > 0).
 func verifyPasses(res *Result) (n int) {
 	for _, b := range res.DecodeBatchTimeline {
 		n += b
@@ -65,7 +66,7 @@ func TestSpeculativeFinishesUnderEveryManager(t *testing.T) {
 	for name, mgr := range specManagers(t, 8<<20) {
 		t.Run(name, func(t *testing.T) {
 			reqs := textReqs(11, 8, 200, 40)
-			res := runEngine(t, Config{Spec: miniPair(), Device: smallDevice(), Manager: mgr, MaxBatchTokens: 512}, reqs)
+			res := runEngine(t, Config{Spec: miniPair(), Device: smallDevice(), Manager: mgr, MaxBatchTokens: 512, SampleEvery: 1}, reqs)
 			if res.Finished != 8 || res.Failed != 0 {
 				t.Fatalf("finished %d failed %d, want 8/0", res.Finished, res.Failed)
 			}
@@ -169,7 +170,7 @@ func TestSpeculativeImpossibleRequestFails(t *testing.T) {
 // draft.
 func TestSpeculativeResultConsistency(t *testing.T) {
 	reqs := func() []workload.Request { return textReqs(34, 6, 200, 40) }
-	res := runEngine(t, Config{Spec: miniPair(), Device: smallDevice(), Manager: specManagers(t, 8<<20)["manual"], MaxBatchTokens: 512}, reqs())
+	res := runEngine(t, Config{Spec: miniPair(), Device: smallDevice(), Manager: specManagers(t, 8<<20)["manual"], MaxBatchTokens: 512, SampleEvery: 1}, reqs())
 	if res.MeanDecodeBatch <= 0 || res.MeanDecodeBatch > 6 {
 		t.Errorf("mean batch %f out of range", res.MeanDecodeBatch)
 	}
@@ -272,7 +273,7 @@ func TestSpeculativeVerifyPassIsWhole(t *testing.T) {
 	}
 	res := runEngine(t, Config{
 		Spec: miniPair(), Device: smallDevice(), Manager: jengaFor(t, miniPair(), 8<<20, false),
-		MaxBatchTokens: 8, Scheduler: sched.WithPrefillReserve(sched.NewFCFS(), 0.5),
+		MaxBatchTokens: 8, Scheduler: sched.WithPrefillReserve(sched.NewFCFS(), 0.5), SampleEvery: 1,
 	}, reqs)
 	if res.Finished != 3 || res.GeneratedTokens != wantGenerated(reqs) {
 		t.Fatalf("finished %d of 3, generated %d of %d", res.Finished, res.GeneratedTokens, wantGenerated(reqs))

@@ -276,7 +276,6 @@ func (e *Engine) Submit(req *workload.Request) error {
 		req: req,
 		seq: core.Sequence{ID: core.RequestID(req.ID), PromptLen: len(req.Prompt), Tokens: borrowTokens(req.Prompt)},
 	})
-	e.totalPromptTokens += int64(len(req.Prompt))
 	return nil
 }
 
@@ -291,43 +290,57 @@ func (e *Engine) enqueuePending(r *run) {
 	e.pending.insert(sort.Search(len(pending), func(i int) bool { return pending[i].req.Arrival > r.req.Arrival }), r)
 }
 
-// Cancel terminates the request with the given ID wherever it is in
-// the lifecycle, releasing all KV it holds. Fully committed pages
-// return to the evictable prefix cache (exactly as on normal
-// completion), so cancellation never corrupts the cache; everything
-// else returns to the free pool. Reports whether the ID was live.
-func (e *Engine) Cancel(id int64) bool {
+// detach removes the live request with the given ID from whichever
+// queue holds it (nil for an unknown ID). started says its arrival had
+// been processed — it was waiting or running, not pending — and running
+// that it was scheduled: a pending or waiting request holds no pages
+// (admission is all-or-nothing; the waiting case mirrors the stall
+// path's defensive release), so only a run detached from the running
+// set still has KV for its caller to release, swap out or hand over.
+func (e *Engine) detach(id int64) (r *run, started, running bool) {
 	for i, r := range e.pending.items() {
 		if r.req.ID == id {
 			e.pending.remove(i)
-			e.retireTerminal(r, EventCancelled)
-			e.emit(EventCancelled, r)
-			return true
+			return r, false, false
 		}
 	}
 	for i, r := range e.waiting.items() {
 		if r.req.ID == id {
 			e.waiting.remove(i)
-			// Waiting requests hold no pages (admission is
-			// all-or-nothing), but mirror the stall path's defensive
-			// release.
 			e.cfg.Manager.Release(&r.seq, false)
-			e.retireTerminal(r, EventCancelled)
-			e.emit(EventCancelled, r)
-			return true
+			return r, true, false
 		}
 	}
 	for _, r := range e.running {
 		if r.req.ID == id {
-			e.cfg.Manager.Release(&r.seq, true)
 			e.removeRunning(r)
-			e.retireTerminal(r, EventCancelled)
-			e.emit(EventCancelled, r)
-			return true
+			return r, true, true
 		}
 	}
-	return false
+	return nil, false, false
 }
+
+// terminate ends the live request with the given ID with terminal event
+// ev, wherever it is in the lifecycle. A running request's fully
+// committed pages return to the evictable prefix cache (exactly as on
+// normal completion), everything else to the free pool. Reports
+// whether the ID was live.
+func (e *Engine) terminate(id int64, ev EventType) bool {
+	r, _, running := e.detach(id)
+	if r == nil {
+		return false
+	}
+	if running {
+		e.cfg.Manager.Release(&r.seq, true)
+	}
+	e.retire(r, ev)
+	return true
+}
+
+// Cancel terminates the request with the given ID wherever it is in
+// the lifecycle, releasing all KV it holds; cancellation never corrupts
+// the prefix cache. Reports whether the ID was live.
+func (e *Engine) Cancel(id int64) bool { return e.terminate(id, EventCancelled) }
 
 // StepOnce advances the simulation by one scheduler step: admit
 // arrivals (shedding per the admission policy), schedule and execute
@@ -346,9 +359,6 @@ func (e *Engine) StepOnce() error {
 		e.clock = e.pending.front().req.Arrival
 		e.admitArrivals()
 	}
-	if e.step%5000 == 0 && debugSteps {
-		e.debugDump()
-	}
 	progressed := e.runStep()
 	switch {
 	case progressed:
@@ -365,22 +375,12 @@ func (e *Engine) StepOnce() error {
 		}
 	}
 	if e.cfg.SampleEvery > 0 && e.step%e.cfg.SampleEvery == 0 {
-		e.memTimeline = append(e.memTimeline, MemSample{Step: e.step, Clock: e.clock, Usage: e.cfg.Manager.Usage()})
+		e.res.MemTimeline = append(e.res.MemTimeline, MemSample{Step: e.step, Clock: e.clock, Usage: e.cfg.Manager.Usage()})
 	}
 	if e.step%kvUtilEvery == 0 {
 		e.sampleKVUtil()
 	}
 	return nil
-}
-
-// debugDump prints the JENGA_DEBUG step trace. Kept out of StepOnce so
-// the hot step body stays free of fmt's boxing and formatting.
-func (e *Engine) debugDump() {
-	fmt.Printf("step %d clock %v running %d waiting %d pending %d finished %d failed %d stalls %d\n",
-		e.step, e.clock, len(e.running), e.waiting.len(), e.pending.len(), e.retFinished, e.retFailed, e.globalStalls)
-	for _, r := range e.running {
-		fmt.Printf("  run id=%d ph=%d computed=%d/%d decodes=%d/%d cachedHit=%d\n", r.req.ID, r.ph, r.computed, r.promptLen(), r.decodesDone, r.req.OutputLen, r.cachedHit)
-	}
 }
 
 // AdvanceTo steps the simulation until the clock reaches t or no

@@ -52,7 +52,7 @@ func poolStats(e *Engine) (bufs, tokens int) {
 // lentBuffers counts live runs holding a private buffer.
 func lentBuffers(e *Engine) int {
 	n := 0
-	for _, q := range [...][]*run{e.pending.items(), e.waiting.items(), e.running} {
+	for _, q := range e.queues() {
 		for _, r := range q {
 			if r.owned {
 				n++
@@ -85,9 +85,9 @@ func borrowScenario(t *testing.T, mode PreemptMode, reqs []workload.Request) (a,
 			t.Fatal(err)
 		}
 	}
-	for ea.preemptions == 0 || ea.forkSeq == 0 {
+	for ea.res.Preemptions == 0 || ea.forkSeq == 0 {
 		if !ea.Live() {
-			t.Fatalf("source drained with %d preemptions and %d forks; the scenario needs both", ea.preemptions, ea.forkSeq)
+			t.Fatalf("source drained with %d preemptions and %d forks; the scenario needs both", ea.res.Preemptions, ea.forkSeq)
 		}
 		if err := ea.StepOnce(); err != nil {
 			t.Fatal(err)

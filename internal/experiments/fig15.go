@@ -72,6 +72,7 @@ func Fig15(w io.Writer, opt Options) error {
 		res, err := serve(spec, dev, mgr, load(s.outputScale), func(c *engine.Config) {
 			c.MaxBatchTokens = 8192
 			c.MaxPrefills = 4
+			c.SampleEvery = 1 // keeps the per-step decode timeline
 		})
 		if err != nil {
 			return fmt.Errorf("fig15 %s: %w", s.name, err)

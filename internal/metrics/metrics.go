@@ -186,22 +186,6 @@ func percentileSorted(cp []time.Duration, p float64) time.Duration {
 	return cp[idx]
 }
 
-// Attainment returns the fraction of xs at or below target — SLO
-// attainment over a latency sample. Empty input or a non-positive
-// target returns 1 (a vacuous SLO is met).
-func Attainment(xs []time.Duration, target time.Duration) float64 {
-	if len(xs) == 0 || target <= 0 {
-		return 1
-	}
-	met := 0
-	for _, x := range xs {
-		if x <= target {
-			met++
-		}
-	}
-	return float64(met) / float64(len(xs))
-}
-
 // Goodput returns useful completions per second of d: finishes that
 // met their deadline, over the serving duration. Zero duration is
 // zero goodput.

@@ -32,13 +32,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
+	"jenga/internal/detmap"
 	"jenga/internal/engine"
 	"jenga/internal/metrics"
-	"jenga/internal/sched"
 	"jenga/internal/workload"
 )
 
@@ -58,13 +57,8 @@ var ErrClosed = errors.New("serve: server closed")
 // Config configures a Server.
 type Config struct {
 	// Engine configures the wrapped replica (spec, device, manager,
-	// batching limits, admission policy).
+	// batching limits, admission and scheduling policy).
 	Engine engine.Config
-	// Scheduler, when set, overrides Engine.Scheduler: the scheduling
-	// policy (admission order, preemption victims, prefill/decode
-	// budget) the wrapped replica runs. Nil falls back to
-	// Engine.Scheduler, and from there to the FCFS default.
-	Scheduler sched.Scheduler
 	// MaxQueue bounds the not-yet-scheduled requests (pending plus
 	// waiting) a Submit may join; beyond it Submit returns
 	// ErrQueueFull. 0 means unbounded.
@@ -110,7 +104,9 @@ func (s StreamState) String() string {
 	}
 }
 
-// StreamResult is a stream's terminal record.
+// StreamResult is a stream's terminal record: the engine's record of
+// the request (engine.RequestMetrics) in the server's vocabulary. After
+// an engine abort it carries only ID, State, Generated, Priority and Err.
 type StreamResult struct {
 	// ID is the request ID.
 	ID int64
@@ -145,14 +141,13 @@ type Stream struct {
 	events chan engine.Event
 	done   chan struct{}
 
-	// Owned by the pump (under srv.mu) until done closes.
-	arrival     time.Duration
-	deadline    time.Duration
+	// Owned by the pump (under srv.mu) until done closes. generated
+	// follows the token events (CancelAfter reads it between them);
+	// everything else about how the request went arrives with its
+	// record at the terminal instant.
 	priority    int
 	outputLen   int
-	firstToken  time.Duration
 	generated   int
-	preemptions int
 	dropped     int
 	cancelAfter int
 	result      StreamResult
@@ -268,8 +263,6 @@ func (st *Stream) Fork(n int) ([]*Stream, error) {
 			srv:       s,
 			events:    make(chan engine.Event, buf),
 			done:      make(chan struct{}),
-			arrival:   s.eng.Clock(),
-			deadline:  st.deadline,
 			priority:  st.priority,
 			outputLen: st.outputLen,
 		}
@@ -280,8 +273,7 @@ func (st *Stream) Fork(n int) ([]*Stream, error) {
 			delete(s.streams, id)
 			return streams, err
 		}
-		s.submitted++
-		s.submittedByPrio[cst.priority]++
+		s.accept(cst.priority)
 		streams = append(streams, cst)
 	}
 	s.cond.Signal()
@@ -307,11 +299,11 @@ type Server struct {
 	cond    *sync.Cond
 	eng     *engine.Engine
 	streams map[int64]*Stream
-	records []StreamResult
-	// submittedByPrio counts accepted Submits per priority class for
-	// the Report breakdown.
-	submittedByPrio map[int]int
-	nextID          int64
+	// total rolls up every terminated stream's record; classes holds
+	// one row per priority class with an accepted Submit.
+	total   *engine.Rollup
+	classes map[int]*class
+	nextID  int64
 	// pendingCancels are CancelAfter hits applied at the next step
 	// boundary (the engine sink must not re-enter the engine).
 	pendingCancels []int64
@@ -328,22 +320,21 @@ type Server struct {
 // the engine built from cfg.Engine; callers interact only through the
 // Server.
 func New(cfg Config) (*Server, error) {
-	if cfg.Scheduler != nil {
-		cfg.Engine.Scheduler = cfg.Scheduler
-	}
 	eng, err := engine.New(cfg.Engine)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		cfg:             cfg,
-		eng:             eng,
-		streams:         make(map[int64]*Stream),
-		submittedByPrio: make(map[int]int),
-		nextID:          1,
-		done:            make(chan struct{}),
+		cfg:     cfg,
+		eng:     eng,
+		streams: make(map[int64]*Stream),
+		total:   engine.NewRollup(cfg.SLOTTFT, true),
+		classes: make(map[int]*class),
+		nextID:  1,
+		done:    make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	eng.SetRetireSink(s.handleRecord)
 	eng.SetEventSink(s.handleEvent)
 	go s.pump()
 	return s, nil
@@ -396,14 +387,11 @@ func (s *Server) Submit(ctx context.Context, req workload.Request) (*Stream, err
 		srv:       s,
 		events:    make(chan engine.Event, buf),
 		done:      make(chan struct{}),
-		arrival:   req.Arrival,
-		deadline:  req.Deadline,
 		priority:  req.Priority,
 		outputLen: req.OutputLen,
 	}
 	s.streams[req.ID] = st
-	s.submitted++
-	s.submittedByPrio[req.Priority]++
+	s.accept(req.Priority)
 	s.cond.Signal()
 	s.mu.Unlock()
 	if ctx != nil && ctx.Done() != nil {
@@ -457,6 +445,52 @@ func (s *Server) pump() {
 	}
 }
 
+// class is one priority class's share of the report.
+type class struct {
+	submitted int
+	roll      *engine.Rollup
+}
+
+// accept counts one accepted stream (a Submit or a Fork branch).
+func (s *Server) accept(priority int) {
+	s.submitted++
+	c := s.classes[priority]
+	if c == nil {
+		c = &class{roll: engine.NewRollup(s.cfg.SLOTTFT, true)}
+		s.classes[priority] = c
+	}
+	c.submitted++
+}
+
+// streamStates maps the engine's terminal events onto stream states.
+var streamStates = map[engine.EventType]StreamState{
+	engine.EventFinished:  StateFinished,
+	engine.EventFailed:    StateFailed,
+	engine.EventShed:      StateShed,
+	engine.EventCancelled: StateCancelled,
+}
+
+// handleRecord is the engine's retire sink: it turns a request's record
+// into its stream's result and folds it into the report. The terminal
+// event follows immediately (handleEvent) and closes the stream.
+func (s *Server) handleRecord(m engine.RequestMetrics) {
+	if st := s.streams[m.ID]; st != nil {
+		s.record(st, &m, StreamResult{
+			ID: m.ID, State: streamStates[m.State], Arrival: m.Arrival,
+			TTFT: m.TTFT, E2E: m.E2E,
+			Generated: m.Generated, Preemptions: m.Preemptions,
+			DeadlineMet: m.DeadlineMet(), Priority: m.Priority,
+		})
+	}
+}
+
+// record stores a terminated stream's result and rolls its record up.
+func (s *Server) record(st *Stream, m *engine.RequestMetrics, res StreamResult) {
+	st.result = res
+	s.total.Observe(m)
+	s.classes[st.priority].roll.Observe(m)
+}
+
 // handleEvent routes one engine event to its stream. Called
 // synchronously from StepOnce with s.mu held by the pump.
 func (s *Server) handleEvent(ev engine.Event) {
@@ -464,63 +498,27 @@ func (s *Server) handleEvent(ev engine.Event) {
 	if st == nil {
 		return
 	}
-	switch ev.Type {
-	case engine.EventFirstToken:
-		st.firstToken = ev.Clock
+	if ev.Type == engine.EventFirstToken || ev.Type == engine.EventToken {
 		st.generated = ev.Generated
-	case engine.EventToken:
-		st.generated = ev.Generated
-	case engine.EventPreempted:
-		st.preemptions++
-	}
-	if (ev.Type == engine.EventFirstToken || ev.Type == engine.EventToken) &&
-		st.cancelAfter > 0 && st.generated >= st.cancelAfter {
-		s.pendingCancels = append(s.pendingCancels, st.id)
-	}
-	if !ev.Type.Terminal() {
-		select {
-		case st.events <- ev:
-		default:
-			st.dropped++
+		if st.cancelAfter > 0 && st.generated >= st.cancelAfter {
+			s.pendingCancels = append(s.pendingCancels, st.id)
 		}
+	}
+	if ev.Type.Terminal() {
+		s.finalize(st, ev)
 		return
 	}
-	res := StreamResult{
-		ID:          st.id,
-		Arrival:     st.arrival,
-		Generated:   st.generated,
-		Preemptions: st.preemptions,
-		Priority:    st.priority,
+	select {
+	case st.events <- ev:
+	default:
+		st.dropped++
 	}
-	// Cancelling a request still ahead of its simulated arrival emits
-	// the terminal event before st.arrival; a lifetime cannot be
-	// negative.
-	if ev.Clock > st.arrival {
-		res.E2E = ev.Clock - st.arrival
-	}
-	if st.firstToken > 0 {
-		res.TTFT = st.firstToken - st.arrival
-	}
-	switch ev.Type {
-	case engine.EventFinished:
-		res.State = StateFinished
-		res.DeadlineMet = st.deadline == 0 || res.E2E <= st.deadline
-	case engine.EventFailed:
-		res.State = StateFailed
-	case engine.EventShed:
-		res.State = StateShed
-	case engine.EventCancelled:
-		res.State = StateCancelled
-	}
-	s.finalize(st, ev, res)
 }
 
-// finalize records a terminal result and closes the stream. done
-// closes before events: a consumer that drains Events to its close and
-// then asks for Result must find it, and Result is gated on done.
-func (s *Server) finalize(st *Stream, ev engine.Event, res StreamResult) {
-	st.result = res
-	s.records = append(s.records, res)
+// finalize closes a stream whose result is recorded. done closes before
+// events: a consumer that drains Events to its close and then asks for
+// Result must find it, and Result is gated on done.
+func (s *Server) finalize(st *Stream, ev engine.Event) {
 	delete(s.streams, st.id)
 	close(st.done)
 	select {
@@ -531,15 +529,13 @@ func (s *Server) finalize(st *Stream, ev engine.Event, res StreamResult) {
 	close(st.events)
 }
 
-// failAll terminates every live stream with err (engine abort).
+// failAll terminates every live stream with err (engine abort): the
+// engine will never retire them, so the server writes their records.
 func (s *Server) failAll(err error) {
 	for id, st := range s.streams {
-		res := StreamResult{
-			ID: id, State: StateFailed, Arrival: st.arrival,
-			Generated: st.generated, Preemptions: st.preemptions,
-			Priority: st.priority, Err: err,
-		}
-		s.finalize(st, engine.Event{Type: engine.EventFailed, ID: id}, res)
+		m := engine.RequestMetrics{ID: id, State: engine.EventFailed, Priority: st.priority}
+		s.record(st, &m, StreamResult{ID: id, State: StateFailed, Generated: st.generated, Priority: st.priority, Err: err})
+		s.finalize(st, engine.Event{Type: engine.EventFailed, ID: id})
 	}
 }
 
@@ -610,56 +606,27 @@ func (s *Server) EngineResult() *engine.Result {
 	return s.eng.ResultSnapshot()
 }
 
-// Report is the server-level serving scorecard.
+// Report is the server-level serving scorecard: the engine's totals,
+// the roll-up of every terminated stream's record, and what only the
+// server knows.
 type Report struct {
-	// Submitted counts accepted Submit calls; Finished, Failed, Shed
-	// and Cancelled partition the terminated ones; Live is the rest.
-	Submitted, Finished, Failed, Shed, Cancelled, Live int
-	// Duration is the simulated clock at report time.
-	Duration time.Duration
-	// ReqPerSec is finished requests per simulated second.
-	ReqPerSec float64
-	// Goodput is deadline-meeting finishes per simulated second (equal
-	// to ReqPerSec when no deadlines are set).
-	Goodput float64
-	// SLOAttainment is the fraction of finished streams with TTFT at
-	// or under the configured SLOTTFT (with no target: the fraction
-	// meeting their own deadlines).
-	SLOAttainment float64
+	// Totals are the wrapped engine's, with Finished, Failed, Shed and
+	// Cancelled (and so ReqPerSec) counted over this server's
+	// terminated streams.
+	engine.Totals
+	// Latency is the roll-up over those streams, SLOAttainment measured
+	// against Config.SLOTTFT.
+	engine.Latency
+	// Submitted counts accepted Submit calls and Fork branches; Live is
+	// how many have not terminated yet.
+	Submitted, Live int
 	// ShedRate is shed over submitted.
 	ShedRate float64
-	// P50TTFT/P99TTFT/P50E2E/P99E2E are per-stream latency
-	// percentiles over finished streams.
-	P50TTFT, P99TTFT, P50E2E, P99E2E time.Duration
-	// HitRate, MeanKVUtil, PeakKVUtil and Preemptions mirror the
-	// engine's aggregates.
-	HitRate                float64
+	// MeanKVUtil and PeakKVUtil mirror the engine's.
 	MeanKVUtil, PeakKVUtil float64
-	Preemptions            int
-	// GeneratedTokens counts decode-produced tokens.
-	GeneratedTokens int64
-	// TierHitRate is the host-tier share of all prefill work (tokens
-	// restored over PCIe instead of recomputed); RestoredTokens is
-	// its numerator and SwapOuts/SwapIns the page/block transfer
-	// counts — all zero without a tiered manager. RecomputedTokens is
-	// the engine-level recompute waste (prompt work computed more
-	// than once for the same request); it accumulates with or without
-	// a tier, and the tier's job is to drive it toward zero.
-	TierHitRate       float64
-	RestoredTokens    int64
-	RecomputedTokens  int64
-	SwapOuts, SwapIns int64
-	// PeerHits/PeerTokens/PeerBytes mirror the engine's fleet-store
-	// accounting (peer-tier prefix fetches and their wire volume);
 	// Migrations counts live requests migrated in plus out through
-	// this server's engine. All zero outside a fleet deployment.
-	PeerHits   int
-	PeerTokens int64
-	PeerBytes  int64
+	// this server's engine (zero outside a fleet deployment).
 	Migrations int
-	// P99Restore is the p99 per-request PCIe restore time over
-	// finished streams — what a spilled-prefix hit costs at the tail.
-	P99Restore time.Duration
 	// PerPriority breaks the scorecard down by scheduling class,
 	// ascending by priority — how a Priority scheduler trades
 	// low-class latency for high-class SLO attainment. Every class
@@ -699,119 +666,30 @@ func (s *Server) Report() Report {
 	defer s.mu.Unlock()
 	er := s.eng.ResultSnapshot()
 	r := Report{
-		Submitted:        s.submitted,
-		Live:             len(s.streams),
-		Duration:         s.eng.Clock(),
-		HitRate:          er.HitRate,
-		MeanKVUtil:       er.MeanKVUtil,
-		PeakKVUtil:       er.PeakKVUtil,
-		Preemptions:      er.Preemptions,
-		GeneratedTokens:  er.GeneratedTokens,
-		TierHitRate:      er.TierHitRate,
-		RestoredTokens:   er.RestoredTokens,
-		RecomputedTokens: er.RecomputedTokens,
-		SwapOuts:         er.SwapOuts,
-		SwapIns:          er.SwapIns,
-		PeerHits:         er.PeerHits,
-		PeerTokens:       er.PeerTokens,
-		PeerBytes:        er.PeerBytes,
-		Migrations:       er.MigratedIn + er.MigratedOut,
+		Totals:     er.Totals,
+		Submitted:  s.submitted,
+		Live:       len(s.streams),
+		MeanKVUtil: er.MeanKVUtil,
+		PeakKVUtil: er.PeakKVUtil,
+		Migrations: er.MigratedIn + er.MigratedOut,
 	}
-	if len(er.PerRequest) > 0 {
-		restores := make([]time.Duration, 0, len(er.PerRequest))
-		for _, rm := range er.PerRequest {
-			restores = append(restores, rm.RestoreTime)
-		}
-		r.P99Restore = metrics.Percentile(restores, 99)
-	}
-	// perPrio accumulates the per-class breakdown alongside the
-	// aggregate pass.
-	type prioAcc struct {
-		finished, shed, good, preempt int
-		ttfts                         []time.Duration
-	}
-	perPrio := make(map[int]*prioAcc)
-	acc := func(p int) *prioAcc {
-		a := perPrio[p]
-		if a == nil {
-			a = &prioAcc{}
-			perPrio[p] = a
-		}
-		return a
-	}
-	var ttfts, e2es []time.Duration
-	goodFinishes := 0
-	for _, rec := range s.records {
-		a := acc(rec.Priority)
-		a.preempt += rec.Preemptions
-		switch rec.State {
-		case StateFinished:
-			r.Finished++
-			a.finished++
-			ttfts = append(ttfts, rec.TTFT)
-			e2es = append(e2es, rec.E2E)
-			a.ttfts = append(a.ttfts, rec.TTFT)
-			if rec.DeadlineMet {
-				goodFinishes++
-				a.good++
-			}
-		case StateFailed:
-			r.Failed++
-		case StateShed:
-			r.Shed++
-			a.shed++
-		case StateCancelled:
-			r.Cancelled++
-		}
-	}
-	if r.Duration > 0 {
-		r.ReqPerSec = float64(r.Finished) / r.Duration.Seconds()
-	}
-	r.Goodput = metrics.Goodput(goodFinishes, r.Duration)
+	r.Finished, r.Failed, r.Shed, r.Cancelled = s.total.Finished, s.total.Failed, s.total.Shed, s.total.Cancelled
+	r.Rates()
+	r.Latency = s.total.Latency(r.Duration)
 	r.ShedRate = metrics.Fraction(r.Shed, s.submitted)
-	if s.cfg.SLOTTFT > 0 {
-		r.SLOAttainment = metrics.Attainment(ttfts, s.cfg.SLOTTFT)
-	} else {
-		r.SLOAttainment = metrics.Fraction(goodFinishes, r.Finished)
-	}
-	tq := metrics.Percentiles(ttfts, 50, 99)
-	eq := metrics.Percentiles(e2es, 50, 99)
-	r.P50TTFT, r.P99TTFT = tq[0], tq[1]
-	r.P50E2E, r.P99E2E = eq[0], eq[1]
-	// Every class with an accepted Submit gets a row, including
-	// classes whose streams are all still live (zero terminated).
-	prios := make([]int, 0, len(perPrio)+len(s.submittedByPrio))
-	for p := range perPrio {
-		prios = append(prios, p)
-	}
-	for p := range s.submittedByPrio {
-		if _, ok := perPrio[p]; !ok {
-			prios = append(prios, p)
-		}
-	}
-	sort.Ints(prios)
-	for _, p := range prios {
-		a := perPrio[p]
-		if a == nil {
-			a = &prioAcc{}
-		}
-		pq := metrics.Percentiles(a.ttfts, 50, 99)
-		pr := PriorityReport{
-			Priority:    p,
-			Submitted:   s.submittedByPrio[p],
-			Finished:    a.finished,
-			Shed:        a.shed,
-			P50TTFT:     pq[0],
-			P99TTFT:     pq[1],
-			Goodput:     metrics.Goodput(a.good, r.Duration),
-			Preemptions: a.preempt,
-		}
-		if s.cfg.SLOTTFT > 0 {
-			pr.SLOAttainment = metrics.Attainment(a.ttfts, s.cfg.SLOTTFT)
-		} else {
-			pr.SLOAttainment = metrics.Fraction(a.good, a.finished)
-		}
-		r.PerPriority = append(r.PerPriority, pr)
+	for p, c := range detmap.Sorted(s.classes) {
+		l := c.roll.Latency(r.Duration)
+		r.PerPriority = append(r.PerPriority, PriorityReport{
+			Priority:      p,
+			Submitted:     c.submitted,
+			Finished:      c.roll.Finished,
+			Shed:          c.roll.Shed,
+			P50TTFT:       l.P50TTFT,
+			P99TTFT:       l.P99TTFT,
+			Goodput:       l.Goodput,
+			SLOAttainment: l.SLOAttainment,
+			Preemptions:   c.roll.Preemptions,
+		})
 	}
 	return r
 }

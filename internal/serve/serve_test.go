@@ -371,14 +371,22 @@ func TestServerClose(t *testing.T) {
 }
 
 // TestBatchOnlineEquivalence: pausing the server, submitting a full
-// seeded workload and resuming reproduces Engine.Run's aggregate
-// numbers exactly — batch mode really is a thin driver over the same
-// core the online server pumps.
+// seeded workload and resuming reproduces Engine.Run's numbers exactly
+// — batch mode really is a thin driver over the same core the online
+// server pumps — and the server's Report says the same thing in every
+// field it shares with the engine's Result: the embedded totals, and
+// the latency roll-up of the batch run's retained records.
 func TestBatchOnlineEquivalence(t *testing.T) {
+	const slo = 3 * time.Millisecond
 	gen := func() []workload.Request {
 		g := workload.NewGen(42)
 		reqs := g.PrefixGroups(5, 10, 320, 64)
 		g.PoissonArrivals(reqs, 200)
+		for i := range reqs {
+			if i%4 == 0 {
+				reqs[i].Deadline = 60 * time.Millisecond
+			}
+		}
 		return reqs
 	}
 
@@ -400,7 +408,7 @@ func TestBatchOnlineEquivalence(t *testing.T) {
 	}
 
 	// Online drive of the identical workload.
-	s := testServer(t, 16<<20, true, Config{Engine: engine.Config{MaxBatchTokens: 512}})
+	s := testServer(t, 16<<20, true, Config{Engine: engine.Config{MaxBatchTokens: 512}, SLOTTFT: slo})
 	s.Pause()
 	for _, r := range gen() {
 		if _, err := s.Submit(context.Background(), r); err != nil {
@@ -412,14 +420,26 @@ func TestBatchOnlineEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := s.EngineResult()
-	if got.Steps != want.Steps || got.Duration != want.Duration ||
-		got.Finished != want.Finished || got.Failed != want.Failed ||
-		got.CachedPromptTokens != want.CachedPromptTokens ||
-		got.ComputedPromptTokens != want.ComputedPromptTokens ||
-		got.GeneratedTokens != want.GeneratedTokens ||
-		got.MeanTTFT != want.MeanTTFT || got.MeanE2E != want.MeanE2E ||
-		got.HitRate != want.HitRate || got.MeanKVUtil != want.MeanKVUtil {
+	if got.Totals != want.Totals || got.Steps != want.Steps ||
+		got.MeanTTFT != want.MeanTTFT || got.MeanE2E != want.MeanE2E || got.MeanTPOT != want.MeanTPOT ||
+		got.MeanDecodeBatch != want.MeanDecodeBatch ||
+		got.MeanKVUtil != want.MeanKVUtil || got.PeakKVUtil != want.PeakKVUtil {
 		t.Errorf("online drive diverged from batch:\n got  %+v\n want %+v", got, want)
+	}
+	if len(got.PerRequest) != 0 {
+		t.Errorf("the served engine retained %d records; the server's sink takes them", len(got.PerRequest))
+	}
+	rep := s.Report()
+	if rep.Totals != want.Totals || rep.MeanKVUtil != want.MeanKVUtil || rep.PeakKVUtil != want.PeakKVUtil {
+		t.Errorf("report totals diverged from batch:\n got  %+v\n want %+v", rep.Totals, want.Totals)
+	}
+	lat := want.Latency(slo)
+	if rep.Latency != lat {
+		t.Errorf("report latency diverged from the batch records' roll-up:\n got  %+v\n want %+v", rep.Latency, lat)
+	}
+	if lat.Goodput <= 0 || lat.Goodput >= rep.ReqPerSec || lat.SLOAttainment <= 0 || lat.SLOAttainment >= 1 ||
+		lat.P50TTFT <= 0 || lat.P99TTFT < lat.P50TTFT || lat.P99E2E < lat.P50E2E {
+		t.Errorf("latency roll-up is vacuous on this workload: %+v", lat)
 	}
 }
 
@@ -532,8 +552,8 @@ func TestReportAllShed(t *testing.T) {
 // seeing no worse p50 TTFT than the low class.
 func TestReportPerPriorityBreakdown(t *testing.T) {
 	s := testServer(t, 1<<20, false, Config{
-		Scheduler: sched.NewPriority(),
-		SLOTTFT:   time.Second,
+		Engine:  engine.Config{Scheduler: sched.NewPriority()},
+		SLOTTFT: time.Second,
 	})
 	s.Pause()
 	reqs := testReqs(33, 16, 400, 32)

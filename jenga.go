@@ -204,7 +204,10 @@ type (
 	EngineConfig = engine.Config
 	// Engine is the continuous-batching serving simulator.
 	Engine = engine.Engine
-	// Result aggregates a run's metrics.
+	// Result aggregates a run's metrics: the totals every report level
+	// carries (embedded engine.Totals) plus the engine's own means,
+	// timelines and retained records; Result.Latency rolls the records
+	// up into goodput, SLO attainment and percentiles.
 	Result = engine.Result
 	// MemSample is one memory-timeline point.
 	MemSample = engine.MemSample
@@ -212,7 +215,9 @@ type (
 	VisionStrategy = engine.VisionStrategy
 	// PreemptMode selects recompute- or swap-based preemption.
 	PreemptMode = engine.PreemptMode
-	// RequestMetrics is one finished request's latency/restore record.
+	// RequestMetrics is one request's terminal record — state, TTFT,
+	// E2E, tokens generated, preemptions, host-tier restore share —
+	// completed at the engine's one exit whatever way the request left.
 	RequestMetrics = engine.RequestMetrics
 )
 
@@ -248,12 +253,14 @@ type (
 	// carries the request's scheduler events.
 	Stream = serve.Stream
 	// StreamResult is a stream's terminal record (state, TTFT, E2E,
-	// tokens generated).
+	// tokens generated), built from the engine's RequestMetrics.
 	StreamResult = serve.StreamResult
 	// StreamState is a stream's terminal state.
 	StreamState = serve.StreamState
-	// ServingReport is the server-level scorecard (goodput, SLO
-	// attainment, shed rate, latency percentiles).
+	// ServingReport is the server-level scorecard: the engine's totals,
+	// the roll-up of the terminated streams' records (goodput, SLO
+	// attainment, latency percentiles) and the server's own counts
+	// (submitted, live, shed rate, per-priority rows).
 	ServingReport = serve.Report
 	// Event is one scheduler occurrence for one request.
 	Event = engine.Event
@@ -316,8 +323,8 @@ var (
 
 // Scheduling surface (internal/sched): the pluggable policy layer
 // behind admission order, preemption victim selection and the
-// prefill/decode budget split. EngineConfig, ServerConfig and
-// ClusterConfig all accept a Scheduler; nil means FCFS, the
+// prefill/decode budget split. EngineConfig (a ServerConfig wraps one)
+// and ClusterConfig accept a Scheduler; nil means FCFS, the
 // historical behavior the golden tests pin.
 type (
 	// Scheduler is the pluggable scheduling policy.
@@ -359,8 +366,10 @@ type (
 	ClusterConfig = cluster.Config
 	// Cluster runs N engine replicas concurrently behind a Router.
 	Cluster = cluster.Cluster
-	// ClusterResult aggregates a fleet run (throughput, p50/p99
-	// latency, fleet-wide prefix-hit rate, load imbalance).
+	// ClusterResult aggregates a fleet run: the replicas' totals
+	// summed, the roll-up of every finished request's record (p50/p99
+	// latency, goodput, SLO attainment) and the cluster's own fields
+	// (load imbalance, tenant fairness, migrations, the chaos toll).
 	ClusterResult = cluster.Result
 	// ClusterReplicaResult is one replica's share of a cluster run.
 	ClusterReplicaResult = cluster.ReplicaResult

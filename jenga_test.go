@@ -227,7 +227,7 @@ func TestPublicSpeculative(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, err := jenga.NewEngine(jenga.EngineConfig{
-		Spec: pair, Manager: mgr,
+		Spec: pair, Manager: mgr, SampleEvery: 1,
 		Device: jenga.Device{Name: "t", MemBytes: 1 << 32, FLOPS: 50e12, MemBW: 500e9},
 	})
 	if err != nil {
