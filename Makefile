@@ -131,8 +131,16 @@ vet:
 # attainment, percentiles), and a report layer — internal/serve,
 # internal/cluster, internal/bench, an example — that calls the
 # percentile, attainment or goodput helpers of internal/metrics itself
-# is a second roll-up again. (The token's four bytes need no grep:
-# internal/core pins them at compile time.)
+# is a second roll-up again; the fleet/tier path allocates nothing per
+# page — the directory is one flat map of holder bitmasks and the tier
+# index one map per group index (a map[string]map[uint64] in either is
+# the nested, string-keyed form again, with its per-cell holder slice or
+# its second probe), the tier's eviction queue is slotted, so
+# evictQueue has no compaction (filter) to come back, and the transfer
+# path in internal/core/fleet.go runs on manager scratch, so a fresh
+# []PageBlock or map there is a per-page or per-call allocation again.
+# (The token's four bytes need no grep: internal/core pins them at
+# compile time.)
 guard:
 	@out=$$(grep -rln '"container/heap"' internal/core --include='*.go' | grep -v '_test\.go$$'); if [ -n "$$out" ]; then echo "container/heap (boxing) is back in internal/core:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'func project(' internal/core --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "core.project (a per-claim copy of the prefix) is back in internal/core:"; echo "$$out"; exit 1; fi
@@ -142,6 +150,9 @@ guard:
 	@out=$$(grep -rn 'cluster\.Config{' internal/bench cmd/jengabench --include='*.go' | grep -v '_test\.go:'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/bench + cmd/jengabench must have exactly one cluster.Config literal (bench.Run):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'StepTime(' . --include='*.go' | grep -v -e '_test\.go:' -e '^\./internal/gpu/' -e '^\./cmd/jengaperf/' -e '^\./internal/engine/'); if [ -n "$$out" ] || [ -e internal/spec ]; then echo "the sim clock must advance only in internal/engine (no StepTime caller elsewhere, no internal/spec):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn -e 'append(\[\]core\.Token{}' -e 'func textTokens(' internal/workload --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "copy-then-grow prompt construction is back in internal/workload:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -n 'map\[string\]map\[uint64\]' internal/core/hosttier.go $$(ls internal/fleet/*.go | grep -v '_test\.go$$')); if [ -n "$$out" ]; then echo "a nested string-keyed map is back in the fleet directory or the host tier:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn 'func (q \*evictQueue\[E\]) filter(' internal/core --include='*.go'); if [ -n "$$out" ]; then echo "evictQueue.filter (the unslotted tier queue's compaction) is back:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -n -e 'make(\[\]PageBlock' -e 'make(map\[' internal/core/fleet.go); if [ -n "$$out" ]; then echo "the fleet transfer path allocates per page or per call again (internal/core/fleet.go runs on manager scratch):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn -e 'metrics\.Percentiles\?(' -e 'metrics\.Attainment(' -e 'metrics\.Goodput(' internal/serve internal/cluster internal/bench examples --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a report layer rolls up per-request records itself (engine.Rollup is the one roll-up):"; echo "$$out"; exit 1; fi
 
 ci: vet lint guard build test race chaos-smoke scale-smoke

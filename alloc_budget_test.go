@@ -227,3 +227,38 @@ func TestClaimReleaseAllocBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestFleetFetchAllocBudget pins the fleet miss path at zero on the
+// committed fleet_fetch fixture: a prefix missed locally, found in a
+// peer's tier, exported, imported over an evicted page and restored by
+// the claim allocates nothing on a warm store — the directory cell is a
+// bit in a flat map, the tier page a reused slab slot, and the lookup
+// views, fetch list, holder batches, page set and fetch report are
+// scratch owned by the manager and the store (internal/core's
+// TestTierCycleZeroAlloc and internal/fleet's TestFetchZeroAlloc and
+// TestDirectoryChurnZeroAlloc pin the parts, a Mamba group and failed
+// and skipped batches included).
+func TestFleetFetchAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is not meaningful under -short/-race runs")
+	}
+	op, err := bench.FleetFetch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	iter := 0
+	for ; iter < 64; iter++ {
+		if err := op.Run(iter); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(128, func() {
+		if err := op.Run(iter); err != nil {
+			t.Fatal(err)
+		}
+		iter++
+	})
+	if allocs != 0 {
+		t.Fatalf("fleet fetch allocates %.2f objects per request on a warm store, want 0", allocs)
+	}
+}

@@ -6,7 +6,7 @@ package jenga_test
 // commits their ns/op and allocs/op to BENCH_core.json so the perf
 // trajectory has data points and regressions surface in review. Run
 //
-//	go test -bench='AllocSmall|ClaimRelease|LookupWarm|CommitDecode|RunStep' -benchmem .
+//	go test -bench='AllocSmall|ClaimRelease|LookupWarm|CommitDecode|RunStep|FleetFetch' -benchmem .
 //
 // See each fixture's doc comment for the regime it pins down.
 
@@ -48,3 +48,8 @@ func BenchmarkRunStepSteadyState(b *testing.B) { benchOp(b, bench.RunStepSteadyS
 // BenchmarkServeOnlineArrival: ServeOnline's per-arrival router-loop
 // body over an 8-replica fleet — snapshot, route, submit.
 func BenchmarkServeOnlineArrival(b *testing.B) { benchOp(b, bench.ServeOnlineArrival) }
+
+// BenchmarkFleetFetch: the fleet miss path — peer lookup, export of
+// sixteen tier pages, import, claim-restore — on a warm three-replica
+// store.
+func BenchmarkFleetFetch(b *testing.B) { benchOp(b, bench.FleetFetch) }

@@ -18,6 +18,7 @@ import (
 	"jenga/internal/cluster"
 	"jenga/internal/core"
 	"jenga/internal/engine"
+	"jenga/internal/fleet"
 	"jenga/internal/model"
 	"jenga/internal/workload"
 )
@@ -65,6 +66,7 @@ var All = []struct {
 	{"commit_decode", CommitDecode},
 	{"run_step_steady_state", RunStepSteadyState},
 	{"serve_online_arrival", ServeOnlineArrival},
+	{"fleet_fetch", FleetFetch},
 }
 
 // AllocSmall measures one small-page allocation plus release at ~99.9%
@@ -386,6 +388,86 @@ func ServeOnlineArrival() (*Op, error) {
 		return engines[rep].Submit(&req)
 	}
 	return op, nil
+}
+
+// FleetFetch measures the fleet miss path end to end on a warm
+// three-replica store: the destination misses a 256-token prefix
+// locally, LookupFleet finds it in a peer's host tier, the holder
+// exports its sixteen pages, the destination imports them — evicting
+// what it imported three requests ago — and the claim restores them to
+// the device; an uncached release puts the destination back where it
+// started. Four prefix families, two to a holder, rotate through a
+// destination tier that holds two of them, so by the time a family
+// comes round again its pages are long gone and every iteration is the
+// same miss.
+func FleetFetch() (*Op, error) {
+	spec := textSpec("bench-fleet")
+	const (
+		replicas, dst   = 3, 2
+		families        = 4
+		prefix          = 256
+		pagesPerFamily  = prefix / 16
+		dstTierFamilies = 2
+	)
+	geo, err := spec.Geometry(model.LCMPage, 16)
+	if err != nil {
+		return nil, err
+	}
+	store := fleet.NewStore(replicas)
+	mgrs := make([]*core.Jenga, replicas)
+	for i := range mgrs {
+		tierPages := families * pagesPerFamily
+		if i == dst {
+			tierPages = dstTierFamilies * pagesPerFamily
+		}
+		mgrs[i], err = core.New(core.Config{
+			Spec: spec, CapacityBytes: 8 << 20, TokensPerPage: 16,
+			EnablePrefixCache: true, RequestAware: true,
+			HostTierBytes: int64(tierPages * geo.LargePageBytes),
+		})
+		if err != nil {
+			return nil, err
+		}
+		if !store.Attach(i, mgrs[i]) {
+			return nil, fmt.Errorf("bench: replica %d has no host tier", i)
+		}
+	}
+	probes := make([]*core.Sequence, families)
+	for f := range probes {
+		seq := &core.Sequence{ID: core.RequestID(f + 1), PromptLen: prefix + 1}
+		for j := 0; j <= prefix; j++ {
+			seq.Tokens = append(seq.Tokens, core.Token{ID: int32(f*prefix + j + 1)})
+		}
+		holder := mgrs[f%dst]
+		if err := holder.Reserve(seq, len(seq.Tokens), 1); err != nil {
+			return nil, err
+		}
+		holder.Commit(seq, len(seq.Tokens), 1)
+		if pages, _ := holder.SwapOut(seq); pages != pagesPerFamily {
+			return nil, fmt.Errorf("bench: holder spilled %d pages of family %d, want %d", pages, f, pagesPerFamily)
+		}
+		probes[f] = seq
+	}
+	// The rotation is the fixture's own count, not the caller's i: a
+	// harness that restarts i at zero must not revisit a family the
+	// destination still holds.
+	n := 0
+	return &Op{Run: func(int) error {
+		probe, now := probes[n%families], core.Tick(n+2)
+		probe.ID = core.RequestID(100 + n)
+		n++
+		if fr := store.Fetch(dst, probe, now); fr.Tokens != prefix || fr.Fetched != 1 {
+			return fmt.Errorf("bench: fetch moved %d tokens in %d batches, want %d in 1", fr.Tokens, fr.Fetched, prefix)
+		}
+		if err := mgrs[dst].Reserve(probe, len(probe.Tokens), now); err != nil {
+			return err
+		}
+		if got := mgrs[dst].CachedPrefix(probe); got != prefix {
+			return fmt.Errorf("bench: claim restored %d tokens, want %d", got, prefix)
+		}
+		mgrs[dst].Release(probe, false)
+		return nil
+	}}, nil
 }
 
 // textSpec is the shared one-group full-attention model.

@@ -203,6 +203,9 @@ type Cluster struct {
 	// is on): one prefix directory spanning every replica's host tier
 	// plus the peer-transfer path (see internal/fleet).
 	store *fleet.Store
+	// fetchSeq is fleetFetch's sequence: the store's miss path takes a
+	// *core.Sequence, and one built per call would escape.
+	fetchSeq core.Sequence
 	// drainRate is the nominal per-replica serving rate (tokens per
 	// simulated second) used to decay Load.Outstanding between
 	// arrivals: the cost model's compute-bound token rate.

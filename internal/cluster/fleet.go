@@ -74,16 +74,21 @@ func (c *Cluster) arrivalSection(p *pass, at time.Duration) error {
 // fleetFetch runs the fleet-store miss path for tokens about to be
 // admitted on replica rep: if the directory says peers extend rep's
 // local prefix, the pages move into rep's host tier now and the wire
-// bytes are charged to rep's next step as peer-link DMA.
+// bytes are charged to rep's next step as peer-link DMA. Barrier
+// sections run one at a time, so the cluster's one fetch sequence is
+// free on entry; the tokens are only borrowed for the call.
+//
+//jenga:hotpath
 func (c *Cluster) fleetFetch(rep int, id int64, promptLen int, tokens []core.Token) {
 	if c.store == nil || len(tokens) == 0 {
 		return
 	}
-	seq := &core.Sequence{ID: core.RequestID(id), PromptLen: promptLen, Tokens: tokens}
+	c.fetchSeq = core.Sequence{ID: core.RequestID(id), PromptLen: promptLen, Tokens: tokens}
 	now := core.Tick(c.engines[rep].SnapshotTotals().Step)
-	if fr := c.store.Fetch(rep, seq, now); fr.Bytes > 0 {
+	if fr := c.store.Fetch(rep, &c.fetchSeq, now); fr.Bytes > 0 {
 		c.engines[rep].RecordPeerFetch(fr.Tokens, fr.Bytes)
 	}
+	c.fetchSeq.Tokens = nil
 }
 
 // migrate moves one live request from replica src to replica dst:

@@ -124,8 +124,8 @@ func churn(t *testing.T, m *Jenga, n, groups int, after func()) {
 // release/claim cycles over a working set larger than the pool (so
 // cached pages are re-claimed, evicted, spilled and restored all the
 // time) leave every small-page queue within len(g.pages), the
-// large-page queue within NumLargePages(), and the host-tier queue
-// within twice its live pages plus the compaction slack.
+// large-page queue within NumLargePages(), and the host-tier queue at
+// exactly one entry per live page.
 func TestEvictQueuesBounded(t *testing.T) {
 	spec := churnSpec()
 	geo, err := spec.Geometry(model.LCMPage, 4)
@@ -151,8 +151,8 @@ func TestEvictQueuesBounded(t *testing.T) {
 		if m.largeEvict.len() > m.ar.NumLargePages() {
 			t.Fatalf("large-page queue holds %d entries for %d large pages", m.largeEvict.len(), m.ar.NumLargePages())
 		}
-		if bound := 2*len(m.host.pages) + 64; m.host.evict.len() > bound {
-			t.Fatalf("host-tier queue holds %d entries, bound %d (%d live pages)", m.host.evict.len(), bound, len(m.host.pages))
+		if m.host.evict.len() != m.host.live {
+			t.Fatalf("host-tier queue holds %d entries for %d live pages", m.host.evict.len(), m.host.live)
 		}
 	}
 	// 24 prefix groups × 8 blocks exceed the 128-page pool on their own.
@@ -162,7 +162,7 @@ func TestEvictQueuesBounded(t *testing.T) {
 	// broken them: far more pushes than slots on every queue.
 	ts := m.TierStats()
 	if m.stats.Frees < int64(10*len(kv.pages)) || m.stats.LargeEvictions < int64(10*largePages) ||
-		ts.SwapOuts+ts.SwapIns < 10*(2*hostPages+64) {
+		ts.SwapOuts+ts.SwapIns < 10*hostPages {
 		t.Fatalf("churn too light to test the bounds: %+v, tier %+v", m.stats, ts)
 	}
 	audit(t, m)
@@ -216,5 +216,77 @@ func TestFreeByReqBounded(t *testing.T) {
 		if got := peak(n); got > base {
 			t.Errorf("freeByReq peaked at %d lists over %d requests, %d over 1000: grows with requests served", got, n, base)
 		}
+	}
+}
+
+// nullObs is a tier observer that keeps nothing: the cycle below
+// measures the tier, not what listens to it.
+type nullObs struct{ stored, evicted int }
+
+func (o *nullObs) TierStored(string, []uint64)  { o.stored++ }
+func (o *nullObs) TierEvicted(string, []uint64) { o.evicted++ }
+
+// TestTierCycleZeroAlloc pins the tier's page cycle at zero allocations:
+// on a full tier with an observer attached, spill → budget eviction →
+// store into the freed slot → lookup → pin, read and unpin → touch →
+// residency check allocates nothing once the slab, the queue and the
+// index have grown to their working size. Group a carries three blocks
+// a page with bytes (a backed arena's shape), group b one without, so
+// every slot serves both over time and its block array and byte buffers
+// are the ones it grew on an earlier tenancy; hashes rotate through a
+// ring a few times the tier, so re-spills repoint now and then.
+func TestTierCycleZeroAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is not meaningful under -short/-race runs")
+	}
+	const pageBytes, pages, ring = 4096, 64, 1021
+	tier := newHostTier(pages*pageBytes, pageBytes, []string{"a", "b"})
+	obs := &nullObs{}
+	tier.obs = obs
+	payload := make([]byte, 512)
+	blocks := make([]hostBlock, 3)
+	hashes := make([]uint64, 3)
+	k := uint64(40) // the touch below reaches 40 cycles back
+	cycle := func() {
+		k++
+		gi, now := int(k%2), Tick(k)
+		n := 3 - 2*gi
+		for i := 0; i < n; i++ {
+			hashes[i] = (3*k + uint64(i)) % ring
+			blocks[i] = hostBlock{hash: hashes[i], priority: int64(k), filled: 4}
+			if gi == 0 {
+				blocks[i].data = payload
+			}
+		}
+		if !tier.spill(gi, blocks[:n], now) {
+			t.Fatal("spill refused on an unpinned tier")
+		}
+		if hb, ok := tier.lookup(gi, hashes[0]); !ok || hb.priority != int64(k) {
+			t.Fatalf("block %x not found where it was just stored", hashes[0])
+		}
+		p := tier.pin(gi, hashes[n-1])
+		if tier.pinned(p).hash != hashes[n-1] {
+			t.Fatal("pin holds another block")
+		}
+		tier.unpin(p)
+		// The page this group stored 40 cycles ago: resident, not newest.
+		tier.touchPage(gi, 3*(k-40)%ring, now)
+		if !tier.resident(gi, hashes[:n]) {
+			t.Fatal("stored page not resident")
+		}
+	}
+	for i := 0; i < 8*pages; i++ {
+		cycle()
+	}
+	before := tier.stats
+	allocs := testing.AllocsPerRun(4*pages, cycle)
+	if allocs != 0 {
+		t.Fatalf("tier cycle allocates %.2f objects per iteration, want 0", allocs)
+	}
+	if got := tier.stats.HostEvictions - before.HostEvictions; got < 4*pages {
+		t.Fatalf("measured window evicted %d pages, want one per iteration", got)
+	}
+	if tier.live != pages || obs.stored == 0 || obs.evicted == 0 {
+		t.Fatalf("tier not full (%d of %d pages) or observer idle (%d stored, %d evicted)", tier.live, pages, obs.stored, obs.evicted)
 	}
 }

@@ -16,8 +16,9 @@ package core
 //
 // A queue over a dense ID space is slotted (initSlots): it keeps one
 // entry per slot and a push for a slot that already has one replaces
-// it in place, so the queue never outgrows the ID space. An unslotted
-// queue keeps every push; its owner bounds it with filter.
+// it in place, so the queue never outgrows the ID space (which may
+// itself grow: growSlots). An unslotted queue keeps every push; only
+// OffloadOrder's bounded top-k uses one.
 type evictQueue[E interface{ before(E) bool }] struct {
 	h []E
 	// pos[slot] is the entry's index in h plus one; 0 means the slot
@@ -30,6 +31,12 @@ type evictQueue[E interface{ before(E) bool }] struct {
 func (q *evictQueue[E]) initSlots(n int, slot func(E) int) {
 	q.pos = make([]int32, n)
 	q.slot = slot
+}
+
+// growSlots extends a slotted queue's ID space to [0, n); queued
+// entries keep their places.
+func (q *evictQueue[E]) growSlots(n int) {
+	q.pos = append(q.pos, make([]int32, n-len(q.pos))...)
 }
 
 func (q *evictQueue[E]) len() int { return len(q.h) }
@@ -68,23 +75,6 @@ func (q *evictQueue[E]) pop() E {
 	}
 	q.down(0)
 	return e
-}
-
-// filter drops every entry keep rejects and rebuilds the heap —
-// O(len), the compaction an unslotted queue's owner runs when stale
-// entries outnumber live ones.
-func (q *evictQueue[E]) filter(keep func(E) bool) {
-	check(q.pos == nil, "evictQueue: filter on a slotted queue")
-	kept := q.h[:0]
-	for _, e := range q.h {
-		if keep(e) {
-			kept = append(kept, e)
-		}
-	}
-	q.h = kept
-	for i := len(q.h)/2 - 1; i >= 0; i-- {
-		q.down(i)
-	}
 }
 
 func (q *evictQueue[E]) place(i int) {

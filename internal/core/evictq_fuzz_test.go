@@ -55,7 +55,9 @@ func checkQueue[E interface{ before(E) bool }](t *testing.T, q *evictQueue[E]) {
 //	   large-page queue): keys may also rise without a push — never
 //	   drop, the one case where a single entry per slot is seen later
 //	   than the minimum of its snapshots (see alloc.go);
-//	2: unslotted with random compactions (the host-tier queue).
+//	2: slotted over an ID space that grows a chunk at a time and
+//	   reuses freed slots, stale entries impossible, pinned entries
+//	   popped and re-pushed (the host-tier queue).
 //
 // After every op the queue's heap order and pos index are checked, and
 // a slotted queue never exceeds its slot count.
@@ -81,7 +83,7 @@ func FuzzEvictQueue(f *testing.F) {
 		case 1:
 			fuzzSlotted(t, data[1:], true)
 		default:
-			fuzzUnslotted(t, data[1:])
+			fuzzTier(t, data[1:])
 		}
 	})
 }
@@ -162,67 +164,106 @@ func fuzzSlotted(t *testing.T, data []byte, rekey bool) {
 	}
 }
 
-func fuzzUnslotted(t *testing.T, data []byte) {
+// fuzzTier is the host tier's use of the queue: slotted over slab
+// slots that are added a chunk at a time (growSlots) and reused after
+// eviction, exactly one entry per live page, re-keyed in place by a
+// touch; a pinned page that comes up is popped, stashed and re-pushed.
+// The reference keeps every snapshot and validates on pop — what the
+// tier's own queue did while it was unslotted.
+func fuzzTier(t *testing.T, data []byte) {
+	const chunk = 4
+	type pageState struct {
+		live, pinned bool
+		touch        Tick
+		seq          int64
+	}
 	var (
 		q     evictQueue[hostEvictEntry]
 		ref   lazyHeap[hostEvictEntry]
-		pages = map[int64]Tick{} // live seq → touch
-		order []int64            // live seqs, oldest first
+		pages []pageState // by slot
+		free  []int32
 		next  int64
+		nLive int
 	)
+	q.initSlots(0, hostEvictEntry.slot)
 	live := func(e hostEvictEntry) bool {
-		touch, ok := pages[e.seq]
-		return ok && touch == e.touch
+		p := pages[e.id]
+		return p.live && p.seq == e.seq && p.touch == e.touch
 	}
 	push := func(e hostEvictEntry) {
 		q.push(e)
 		heap.Push(&ref, e)
 	}
-	// victim is the eviction loop, over either queue.
-	victim := func(n func() int, pop func() hostEvictEntry) (hostEvictEntry, bool) {
-		for n() > 0 {
-			if e := pop(); live(e) {
-				return e, true
+	// victim is the tier's eviction loop, over either queue: the first
+	// live unpinned entry, pinned ones re-queued behind it.
+	victim := func(n func() int, pop func() hostEvictEntry, push func(hostEvictEntry)) (hostEvictEntry, bool) {
+		var stash []hostEvictEntry
+		var got hostEvictEntry
+		found := false
+		for n() > 0 && !found {
+			e := pop()
+			switch {
+			case !live(e): // stale: only the reference holds any
+			case pages[e.id].pinned:
+				stash = append(stash, e)
+			default:
+				got, found = e, true
 			}
 		}
-		return hostEvictEntry{}, false
+		for _, e := range stash {
+			push(e)
+		}
+		return got, found
 	}
 	for i := 0; i+1 < len(data); i += 2 {
 		now := Tick(data[i+1])
+		pick := int(data[i] >> 3)
 		switch data[i] & 7 {
-		case 0, 1: // store a new page
-			pages[next] = now
-			order = append(order, next)
-			push(hostEvictEntry{touch: now, seq: next})
+		case 0, 1: // store a new page, in a free slot or a new chunk's first
+			if len(free) == 0 {
+				pages = append(pages, make([]pageState, chunk)...)
+				q.growSlots(len(pages))
+				for s := len(pages) - 1; s >= len(pages)-chunk; s-- {
+					free = append(free, int32(s))
+				}
+			}
+			slot := free[len(free)-1]
+			free = free[:len(free)-1]
+			pages[slot] = pageState{live: true, touch: now, seq: next}
+			push(hostEvictEntry{touch: now, seq: next, id: slot})
 			next++
-		case 2: // evict
-			got, gotOK := victim(q.len, q.pop)
+			nLive++
+		case 2, 3: // evict
+			got, gotOK := victim(q.len, q.pop, q.push)
 			want, wantOK := victim(func() int { return ref.Len() }, // not ref.Len: that binds today's slice header
-				func() hostEvictEntry { return heap.Pop(&ref).(hostEvictEntry) })
+				func() hostEvictEntry { return heap.Pop(&ref).(hostEvictEntry) },
+				func(e hostEvictEntry) { heap.Push(&ref, e) })
 			if got != want || gotOK != wantOK {
 				t.Fatalf("op %d: victim %+v (%v), reference %+v (%v)", i, got, gotOK, want, wantOK)
 			}
 			if gotOK {
-				delete(pages, got.seq)
+				pages[got.id].live = false
+				free = append(free, got.id)
+				nLive--
 			}
-		case 3: // touch a live page: the old entry goes stale
-			if len(order) > 0 {
-				seq := order[int(data[i]>>3)%len(order)]
-				if touch, ok := pages[seq]; ok && touch < now {
-					pages[seq] = now
-					push(hostEvictEntry{touch: now, seq: seq})
+		case 4, 5: // touch a live page: its entry is re-keyed in place
+			if len(pages) > 0 {
+				slot := int32(pick % len(pages))
+				if p := &pages[slot]; p.live && p.touch < now {
+					p.touch = now
+					push(hostEvictEntry{touch: now, seq: p.seq, id: slot})
 				}
 			}
-		case 4: // compact: only the reference keeps its stale entries
-			q.filter(live)
-			if q.len() > len(pages) {
-				t.Fatalf("op %d: %d entries after compaction, %d live pages", i, q.len(), len(pages))
-			}
-		default: // drop a page behind the queue's back
-			if len(order) > 0 {
-				delete(pages, order[int(data[i]>>3)%len(order)])
+		default: // pin or unpin a live page
+			if len(pages) > 0 {
+				if p := &pages[pick%len(pages)]; p.live {
+					p.pinned = !p.pinned
+				}
 			}
 		}
 		checkQueue(t, &q)
+		if q.len() != nLive {
+			t.Fatalf("op %d: %d entries for %d live pages", i, q.len(), nLive)
+		}
 	}
 }

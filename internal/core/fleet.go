@@ -1,6 +1,10 @@
 package core
 
-import "jenga/internal/model"
+import (
+	"slices"
+
+	"jenga/internal/model"
+)
 
 // Fleet transfer surface: the host tier doubles as each replica's
 // share of a cluster-wide KV store. ExportPrefix serializes tier
@@ -8,11 +12,22 @@ import "jenga/internal/model"
 // local tier (where the ordinary claim path restores them over PCIe),
 // and LookupFleet extends the prefix lookup with a third presence
 // level — blocks a peer's tier holds — returning the block list a
-// fetch must move to realize the longer prefix. A TierObserver keeps
-// an external directory consistent with tier content: every hash is
-// registered when its page is stored and invalidated when its live
-// copy dies. internal/fleet builds the directory and the transfer
-// path on top; nothing here knows about replicas or links.
+// fetch must move to realize the longer prefix, each with the holder
+// the presence oracle named for it. A TierObserver keeps an external
+// directory consistent with tier content: every hash is registered
+// when its page is stored and invalidated when its live copy dies.
+// internal/fleet builds the directory and the transfer path on top;
+// nothing here knows about replicas or links.
+//
+// The whole path runs on scratch the manager owns, so a page exported,
+// imported or looked up allocates nothing once the scratch has grown:
+// an exported PageSet is a view — flat block list and page bounds in
+// manager scratch, block bytes still in the exporting tier's slots —
+// valid until the holder's next ExportPrefix; ImportPrefix copies what
+// it admits into the importing tier's own slots (the one copy a
+// transfer makes); LookupFleet's views, peer overlay and fetch list are
+// the lookup scratch plus one holder table per group, valid until the
+// next LookupFleet.
 
 // TierObserver receives host-tier content notifications. TierStored
 // fires when a page enters the tier (spill or import), TierEvicted
@@ -57,61 +72,90 @@ type PageBlock struct {
 // Transfer granularity is the whole large page, so a set fetched for
 // a few blocks may carry sibling blocks along; they are injected too
 // and warm the destination tier for free.
+//
+// A set is a view, not a copy: Blocks and Ends are the exporting
+// manager's scratch and each Data is the exporting tier's own buffer.
+// It is valid until that manager's next ExportPrefix, provided the
+// holder's tier does not change in between — a fleet fetch exports and
+// imports inside one barrier section, where it cannot. ImportPrefix
+// copies, so the same set may be imported any number of times (a
+// retried transfer) while it is valid.
 type PageSet struct {
 	Group string
-	Pages [][]PageBlock
+	// Blocks holds every page's blocks back to back; page i's are
+	// Blocks[Ends[i-1]:Ends[i]] (from 0 for the first).
+	Blocks []PageBlock
+	Ends   []int
 	// PageBytes is the accounted size of each page (the large-page
 	// transfer unit, uniform across layer types).
 	PageBytes int64
 }
 
+// NumPages is the number of pages in the set.
+func (ps *PageSet) NumPages() int { return len(ps.Ends) }
+
+// Page returns page i's blocks.
+func (ps *PageSet) Page(i int) []PageBlock {
+	lo := 0
+	if i > 0 {
+		lo = ps.Ends[i-1]
+	}
+	return ps.Blocks[lo:ps.Ends[i]]
+}
+
 // Bytes is the set's wire volume: every page costs one large page on
 // the link regardless of how many blocks it carries.
-func (ps *PageSet) Bytes() int64 { return int64(len(ps.Pages)) * ps.PageBytes }
+func (ps *PageSet) Bytes() int64 { return int64(len(ps.Ends)) * ps.PageBytes }
 
-// ExportPrefix copies the host-tier pages holding any of the given
-// block hashes (group g) into a serializable page set, deduplicated
-// by page and in first-reference order. The export is a pure read:
-// refcounts and tier state are untouched, and pages pinned by an
-// in-flight restore are skipped entirely (pin-safe — a transfer never
-// observes a page mid-restore). Reports false when nothing could be
-// exported.
+// ExportPrefix serializes the host-tier pages holding any of the given
+// block hashes (group g) into a page set, deduplicated by page and in
+// first-reference order. The export is a pure read: refcounts and tier
+// state are untouched, and pages pinned by an in-flight restore are
+// skipped entirely (pin-safe — a transfer never observes a page
+// mid-restore). Reports false when nothing could be exported. The set
+// is valid until the next ExportPrefix on this manager (see PageSet).
+//
+//jenga:hotpath
 func (m *Jenga) ExportPrefix(group string, hashes []uint64) (PageSet, bool) {
 	ps := PageSet{Group: group}
 	if m.host == nil {
 		return ps, false
 	}
-	ps.PageBytes = m.host.pageBytes
-	gi, ok := m.host.index[group]
+	h := m.host
+	ps.PageBytes = h.pageBytes
+	gi, ok := m.byName[group]
 	if !ok {
 		return ps, false
 	}
-	seen := make(map[int64]bool)
+	h.exportGen++
+	idx := h.index[gi]
+	blocks, ends := m.exportBlocks[:0], m.exportEnds[:0]
 	for _, hsh := range hashes {
-		seq, ok := gi[hsh]
-		if !ok || seen[seq] {
+		ref, ok := idx[hsh]
+		if !ok {
 			continue
 		}
-		seen[seq] = true
-		if _, pinned := m.host.pinned[seq]; pinned {
+		pg := h.page(ref.slot)
+		if pg.exported == h.exportGen {
 			continue
 		}
-		pg := m.host.pages[seq]
-		blocks := make([]PageBlock, len(pg.blocks))
+		pg.exported = h.exportGen
+		if pg.pins > 0 {
+			continue
+		}
 		for i := range pg.blocks {
 			b := &pg.blocks[i]
-			blocks[i] = PageBlock{Hash: b.hash, Priority: b.priority, Filled: b.filled}
-			if b.data != nil {
-				blocks[i].Data = append([]byte(nil), b.data...)
-			}
+			blocks = append(blocks, PageBlock{Hash: b.hash, Priority: b.priority, Filled: b.filled, Data: b.data})
 		}
-		ps.Pages = append(ps.Pages, blocks)
+		ends = append(ends, len(blocks))
 	}
-	if len(ps.Pages) == 0 {
+	m.exportBlocks, m.exportEnds = blocks, ends
+	if len(ends) == 0 {
 		return ps, false
 	}
-	m.host.stats.PeerExports += int64(len(ps.Pages))
-	m.host.stats.PeerExportBytes += ps.Bytes()
+	ps.Blocks, ps.Ends = blocks, ends
+	h.stats.PeerExports += int64(len(ends))
+	h.stats.PeerExportBytes += ps.Bytes()
 	return ps, true
 }
 
@@ -120,31 +164,35 @@ func (m *Jenga) ExportPrefix(group string, hashes []uint64) (PageSet, bool) {
 // the pages and bytes actually admitted. Pages whose blocks are all
 // already resident are deduplicated to a recency touch. The local
 // claim path then restores imported blocks over PCIe exactly like
-// locally spilled ones. ImportPrefix takes ownership of the set's
-// Data slices; callers must not reuse them.
+// locally spilled ones. The set is only read: admitted blocks are
+// copied, bytes included, into the tier's own slots.
+//
+//jenga:hotpath
 func (m *Jenga) ImportPrefix(ps PageSet, now Tick) (int, int64) {
 	if m.host == nil || !m.host.hasRoomEver() {
 		return 0, 0
 	}
-	if _, ok := m.byName[ps.Group]; !ok {
+	gi, ok := m.byName[ps.Group]
+	if !ok {
 		return 0, 0
 	}
 	pages, bytes := 0, int64(0)
-	for _, pb := range ps.Pages {
+	for i := 0; i < ps.NumPages(); i++ {
+		pb := ps.Page(i)
 		if len(pb) == 0 {
 			continue
 		}
 		blocks, hashes := m.tierBlocks[:0], m.tierHashes[:0]
-		for i := range pb {
-			blocks = append(blocks, hostBlock{hash: pb[i].Hash, priority: pb[i].Priority, filled: pb[i].Filled, data: pb[i].Data})
-			hashes = append(hashes, pb[i].Hash)
+		for k := range pb {
+			blocks = append(blocks, hostBlock{hash: pb[k].Hash, priority: pb[k].Priority, filled: pb[k].Filled, data: pb[k].Data})
+			hashes = append(hashes, pb[k].Hash)
 		}
 		m.tierBlocks, m.tierHashes = blocks, hashes
-		if m.host.resident(ps.Group, hashes) {
-			m.host.touchPage(ps.Group, hashes[0], now)
+		if m.host.resident(gi, hashes) {
+			m.host.touchPage(gi, hashes[0], now)
 			continue
 		}
-		if !m.host.store(ps.Group, blocks, now) {
+		if !m.host.store(gi, blocks, now) {
 			break
 		}
 		pages++
@@ -158,14 +206,16 @@ func (m *Jenga) ImportPrefix(ps PageSet, now Tick) (int, int64) {
 }
 
 // PeerPresence reports whether some peer replica's tier holds a live
-// copy of block (group, hash) — LookupFleet's oracle, backed by the
-// fleet directory.
-type PeerPresence func(group string, hash uint64) bool
+// copy of block (group, hash), and which — LookupFleet's oracle, backed
+// by the fleet directory.
+type PeerPresence func(group string, hash uint64) (holder int, ok bool)
 
-// FetchBlock names one block a fleet prefix fetch must move.
+// FetchBlock names one block a fleet prefix fetch must move, and the
+// holder the presence oracle named for it.
 type FetchBlock struct {
-	Group string
-	Hash  uint64
+	Group  string
+	Hash   uint64
+	Holder int
 }
 
 // LookupFleet is Lookup with a third presence level: blocks that are
@@ -176,7 +226,10 @@ type FetchBlock struct {
 // group, and the final checkpoint for Mamba — so the fleet layer can
 // fetch precisely what the claim needs. With no tier, no peers or a
 // disabled prefix cache it returns (0, nil); with peers that add
-// nothing, the prefix matches Lookup and the fetch list is empty.
+// nothing, the prefix matches Lookup and the fetch list is empty. The
+// list is manager scratch, valid until the next LookupFleet.
+//
+//jenga:hotpath
 func (m *Jenga) LookupFleet(seq *Sequence, peer PeerPresence) (int, []FetchBlock) {
 	if !m.cfg.EnablePrefixCache || m.host == nil || !m.host.hasRoomEver() || peer == nil {
 		return 0, nil
@@ -185,87 +238,52 @@ func (m *Jenga) LookupFleet(seq *Sequence, peer PeerPresence) (int, []FetchBlock
 	if maxP <= 0 {
 		return 0, nil
 	}
-	type fleetView struct {
-		g        *group
-		view     *GroupSeqView
-		peerOnly []bool         // token groups: block index → peer-supplied
-		ckHash   map[int]uint64 // Mamba: projected position → chain hash
-		ckPeer   map[int]bool   // Mamba: position → peer-supplied
-	}
-	var views []fleetView
+	views := m.lkViews[:0]
 	anyPresent := false
 	for _, g := range m.groups {
 		if g.isVision() || !g.appliesTo(seq) {
 			continue
 		}
 		v := m.buildView(g, seq.ID, seq.Tokens, true)
-		fv := fleetView{g: g, view: v}
+		// Overlay peer presence in place, on the view's block table or
+		// (Mamba) the group's checkpoint table, both in chain order so
+		// the oracle's probe order is deterministic; g.lkPeer remembers
+		// which entries a peer supplied, as holder+1.
+		present, hashes := v.Present, g.lkHashes
 		if g.spec.Kind == model.Mamba {
-			// Re-derive the checkpoint chain hashes (buildView keeps
-			// them private) and overlay peer presence on the closure.
-			storesImg := g.spec.StoresToken(true)
-			storesTxt := g.spec.StoresToken(false)
-			proj := seq.Tokens
-			if !(storesImg && storesTxt) {
-				proj = g.lkProj
+			present, hashes = g.lkCkPresent, g.lkCkHash
+			anyPresent = anyPresent || len(g.index) > 0 || m.host.groupSize(g.idx) > 0
+		}
+		g.lkPeer = slices.Grow(g.lkPeer[:0], len(hashes))[:len(hashes)]
+		clear(g.lkPeer)
+		for k, hsh := range hashes {
+			if present[k] {
+				anyPresent = true
+				continue
 			}
-			every := g.spec.Checkpoint()
-			fv.ckHash = make(map[int]uint64)
-			fv.ckPeer = make(map[int]bool)
-			h := blockHashSeed
-			for i, t := range proj {
-				h = hashChain(h, t)
-				if (i+1)%every == 0 {
-					fv.ckHash[i+1] = h
-				}
+			if holder, ok := peer(g.spec.Name, hsh); ok {
+				present[k] = true
+				g.lkPeer[k] = int32(holder) + 1
+				anyPresent = true
 			}
-			// Walk checkpoint positions in chain order rather than
-			// ranging ckHash: the peer() probe order stays
-			// deterministic.
-			local := v.CheckpointAt
-			for pos := every; pos <= len(proj); pos += every {
-				hh, ok := fv.ckHash[pos]
-				if !ok {
-					continue
-				}
-				if !local(pos) && peer(g.spec.Name, hh) {
-					fv.ckPeer[pos] = true
-					anyPresent = true
-				}
-			}
-			ckPeer := fv.ckPeer
-			v.CheckpointAt = func(pos int) bool { return local(pos) || ckPeer[pos] }
-			anyPresent = anyPresent || len(g.index) > 0 || m.host.groupSize(g.spec.Name) > 0
-		} else {
-			hashes := g.lkHashes
-			fv.peerOnly = make([]bool, len(hashes))
-			for k, hsh := range hashes {
-				if v.Present[k] {
-					anyPresent = true
-					continue
-				}
-				if peer(g.spec.Name, hsh) {
-					v.Present[k] = true
-					fv.peerOnly[k] = true
-					anyPresent = true
-				}
-			}
+		}
+		if g.spec.Kind != model.Mamba {
 			v.buildRuns()
 		}
-		views = append(views, fv)
+		views = append(views, lookupView{g, v})
 	}
+	m.lkViews = views
 	if !anyPresent {
 		return 0, nil
 	}
 	p := 0
 candidates:
 	for c := maxP; c > 0; c-- {
-		for i := range views {
-			fv := &views[i]
-			if fv.g.spec.Kind != model.Mamba && fv.view.ProjCount[c]%fv.g.tpp != 0 {
+		for _, gv := range views {
+			if gv.g.spec.Kind != model.Mamba && gv.view.ProjCount[c]%gv.g.tpp != 0 {
 				continue candidates
 			}
-			if !fv.g.pol.ValidPrefix(fv.view, c) {
+			if !gv.g.pol.ValidPrefix(gv.view, c) {
 				continue candidates
 			}
 		}
@@ -275,14 +293,13 @@ candidates:
 	if p == 0 {
 		return 0, nil
 	}
-	var fetch []FetchBlock
-	for i := range views {
-		fv := &views[i]
-		g := fv.g
-		pl := fv.view.ProjCount[p]
+	m.fleetFetch = m.fleetFetch[:0]
+	for _, gv := range views {
+		g := gv.g
+		pl := gv.view.ProjCount[p]
 		if g.spec.Kind == model.Mamba {
-			if fv.ckPeer[pl] {
-				fetch = append(fetch, FetchBlock{Group: g.spec.Name, Hash: fv.ckHash[pl]})
+			if every := g.spec.Checkpoint(); pl > 0 && pl%every == 0 {
+				m.fetchPeerOnly(g, g.lkCkHash, pl/every-1, pl/every)
 			}
 			continue
 		}
@@ -292,18 +309,20 @@ candidates:
 		if ka, ok := g.pol.(KeepAlive); ok {
 			keep = (ka.KeptBelow(pl) + g.tpp - 1) / g.tpp
 		}
-		hashes := g.lkHashes
-		add := func(b int) {
-			if b < len(fv.peerOnly) && fv.peerOnly[b] {
-				fetch = append(fetch, FetchBlock{Group: g.spec.Name, Hash: hashes[b]})
-			}
-		}
-		for b := 0; b < keep && b < lo; b++ {
-			add(b)
-		}
-		for b := lo; b < nb; b++ {
-			add(b)
+		m.fetchPeerOnly(g, g.lkHashes, 0, min(keep, lo))
+		m.fetchPeerOnly(g, g.lkHashes, lo, nb)
+	}
+	return p, m.fleetFetch
+}
+
+// fetchPeerOnly appends to the fetch list the peer-supplied entries
+// among [from, to) of g's overlay (blocks, or Mamba checkpoints).
+//
+//jenga:hotpath
+func (m *Jenga) fetchPeerOnly(g *group, hashes []uint64, from, to int) {
+	for k := from; k < to && k < len(g.lkPeer); k++ {
+		if g.lkPeer[k] != 0 {
+			m.fleetFetch = append(m.fleetFetch, FetchBlock{Group: g.spec.Name, Hash: hashes[k], Holder: int(g.lkPeer[k]) - 1})
 		}
 	}
-	return p, fetch
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -73,21 +75,21 @@ func TestFleetExportImportRoundTrip(t *testing.T) {
 	}
 
 	ps, ok := a.ExportPrefix("kv", obs.hashes())
-	if !ok || len(ps.Pages) == 0 {
-		t.Fatalf("ExportPrefix failed: ok=%v pages=%d", ok, len(ps.Pages))
+	if !ok || ps.NumPages() == 0 {
+		t.Fatalf("ExportPrefix failed: ok=%v pages=%d", ok, ps.NumPages())
 	}
-	if ps.PageBytes <= 0 || ps.Bytes() != int64(len(ps.Pages))*ps.PageBytes {
+	if ps.PageBytes <= 0 || ps.Bytes() != int64(ps.NumPages())*ps.PageBytes {
 		t.Fatalf("bad page-set accounting: %+v", ps)
 	}
 	st := a.TierStats()
-	if st.PeerExports != int64(len(ps.Pages)) || st.PeerExportBytes != ps.Bytes() {
-		t.Fatalf("export stats %+v don't match set (%d pages)", st, len(ps.Pages))
+	if st.PeerExports != int64(ps.NumPages()) || st.PeerExportBytes != ps.Bytes() {
+		t.Fatalf("export stats %+v don't match set (%d pages)", st, ps.NumPages())
 	}
 
 	b := newTieredMgr(t, flatSpec(), 1<<16, 1<<20, 4)
 	pages, bytes := b.ImportPrefix(ps, 2)
-	if pages != len(ps.Pages) || bytes != ps.Bytes() {
-		t.Fatalf("ImportPrefix = %d pages/%d bytes, want %d/%d", pages, bytes, len(ps.Pages), ps.Bytes())
+	if pages != ps.NumPages() || bytes != ps.Bytes() {
+		t.Fatalf("ImportPrefix = %d pages/%d bytes, want %d/%d", pages, bytes, ps.NumPages(), ps.Bytes())
 	}
 	bst := b.TierStats()
 	if bst.PeerImports != int64(pages) || bst.PeerImportBytes != bytes {
@@ -189,22 +191,24 @@ func TestFleetExportSkipsPinned(t *testing.T) {
 	if !ok {
 		t.Fatal("baseline export failed")
 	}
-	baseline := len(ps.Pages)
+	baseline := ps.NumPages()
 
 	// Pin every page, as a mid-claim restore would.
-	for seq := range m.host.pages {
-		m.host.pinned[seq]++
+	kv := m.byName["kv"]
+	var pins []tierPin
+	for _, h := range hashes {
+		pins = append(pins, m.host.pin(kv, h))
 	}
 	if _, ok := m.ExportPrefix("kv", hashes); ok {
 		t.Fatal("export succeeded with every page pinned")
 	}
 	// Unpin: exports flow again.
-	for seq := range m.host.pages {
-		delete(m.host.pinned, seq)
+	for _, p := range pins {
+		m.host.unpin(p)
 	}
 	ps2, ok := m.ExportPrefix("kv", hashes)
-	if !ok || len(ps2.Pages) != baseline {
-		t.Fatalf("post-unpin export = %d pages, want %d", len(ps2.Pages), baseline)
+	if !ok || ps2.NumPages() != baseline {
+		t.Fatalf("post-unpin export = %d pages, want %d", ps2.NumPages(), baseline)
 	}
 }
 
@@ -222,12 +226,12 @@ func TestFleetObserverEviction(t *testing.T) {
 		t.Fatal("one-page tier spilled many pages but evicted none")
 	}
 	for h := range obs.stored {
-		if _, ok := m.host.index["kv"][h]; !ok {
+		if _, ok := m.host.lookup(m.byName["kv"], h); !ok {
 			t.Fatalf("observer thinks %#x is stored but the index lost it", h)
 		}
 	}
 	for h := range obs.evicted {
-		if _, ok := m.host.index["kv"][h]; ok {
+		if _, ok := m.host.lookup(m.byName["kv"], h); ok {
 			t.Fatalf("observer thinks %#x was evicted but it is still resident", h)
 		}
 	}
@@ -249,14 +253,14 @@ func TestLookupFleetPeerExtension(t *testing.T) {
 	if p := b.Lookup(probe); p != 0 {
 		t.Fatalf("B local lookup = %d, want 0", p)
 	}
-	peer := func(group string, hash uint64) bool { return group == "kv" && obs.stored[hash] }
+	peer := func(group string, hash uint64) (int, bool) { return 5, group == "kv" && obs.stored[hash] }
 	p, fetch := b.LookupFleet(probe, peer)
 	if p < 32 || len(fetch) == 0 {
 		t.Fatalf("LookupFleet = %d with %d fetch blocks, want ≥ 32 with > 0", p, len(fetch))
 	}
 	for _, fb := range fetch {
-		if fb.Group != "kv" || !obs.stored[fb.Hash] {
-			t.Fatalf("fetch block %+v not held by the peer", fb)
+		if fb.Group != "kv" || !obs.stored[fb.Hash] || fb.Holder != 5 {
+			t.Fatalf("fetch block %+v not held by the peer the oracle named", fb)
 		}
 	}
 	// Nil oracle: the fleet path is off.
@@ -282,5 +286,85 @@ func TestLookupFleetPeerExtension(t *testing.T) {
 	}
 	if lp := b.Lookup(probe); lp < p {
 		t.Fatalf("post-import local Lookup = %d, want ≥ %d", lp, p)
+	}
+}
+
+// TestPageSetValidUntilNextExport: an exported set is a view into the
+// exporting manager's scratch — intact across imports elsewhere and
+// lookups on the holder, overwritten by the holder's next export.
+func TestPageSetValidUntilNextExport(t *testing.T) {
+	a := newTieredMgr(t, flatSpec(), 1<<16, 1<<20, 4)
+	obs := newRecObs()
+	a.SetTierObserver(obs)
+	stamps := spillAll(t, a)
+	hashes := obs.hashes()
+	slices.Sort(hashes)
+	if len(hashes) < 4 {
+		t.Fatalf("want ≥ 4 spilled blocks, got %d", len(hashes))
+	}
+	// The larger export first, so the second fits the grown scratch.
+	first, rest := hashes[:len(hashes)-2], hashes[len(hashes)-2:]
+
+	ps, ok := a.ExportPrefix("kv", first)
+	if !ok {
+		t.Fatal("export failed")
+	}
+	type blockCopy struct {
+		PageBlock
+		data []byte
+	}
+	var snap []blockCopy
+	for _, b := range ps.Blocks {
+		if want, ok := stamps[b.Hash]; !ok || len(b.Data) == 0 || b.Data[0] != want {
+			t.Fatalf("exported block %#x does not carry its stamped bytes", b.Hash)
+		}
+		snap = append(snap, blockCopy{b, slices.Clone(b.Data)})
+	}
+	intact := func() bool {
+		if len(ps.Blocks) != len(snap) {
+			return false
+		}
+		for i, b := range ps.Blocks {
+			if b.Hash != snap[i].Hash || b.Filled != snap[i].Filled || b.Priority != snap[i].Priority || !bytes.Equal(b.Data, snap[i].data) {
+				return false
+			}
+		}
+		return true
+	}
+
+	// Imports into a peer — twice, as a retried transfer would — and
+	// lookups on the holder leave the set alone.
+	b := newTieredMgr(t, flatSpec(), 1<<16, 1<<20, 4)
+	if pages, _ := b.ImportPrefix(ps, 1); pages != ps.NumPages() {
+		t.Fatalf("import admitted %d of %d pages", pages, ps.NumPages())
+	}
+	if pages, _ := b.ImportPrefix(ps, 2); pages != 0 {
+		t.Fatalf("re-import of a resident set admitted %d pages", pages)
+	}
+	probe := textSeq(9, 33)
+	a.Lookup(probe)
+	a.LookupFleet(probe, func(string, uint64) (int, bool) { return 1, true })
+	if !intact() {
+		t.Fatal("page set changed before the holder's next export")
+	}
+	// The importer copied: its tier does not share the holder's bytes.
+	for _, blk := range ps.Blocks {
+		hb, ok := b.host.lookup(0, blk.Hash)
+		if !ok || !bytes.Equal(hb.data, blk.Data) || &hb.data[0] == &blk.Data[0] {
+			t.Fatalf("imported block %#x missing, different, or sharing the exporter's buffer", blk.Hash)
+		}
+	}
+
+	// The next export reuses the scratch: the old set now reads as the
+	// new one.
+	ps2, ok := a.ExportPrefix("kv", rest)
+	if !ok {
+		t.Fatal("second export failed")
+	}
+	if &ps.Blocks[0] != &ps2.Blocks[0] {
+		t.Fatal("second export did not reuse the first's block array: a page set would be a per-export allocation")
+	}
+	if intact() {
+		t.Fatal("first page set still intact after the holder exported other blocks")
 	}
 }

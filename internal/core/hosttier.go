@@ -16,12 +16,26 @@ import (
 // tier, at claim time.
 //
 // The tier is pure accounting plus metadata: each spilled large page
-// records the block identities (hash, priority, last access, fill)
-// of its cached small pages, and — for backed arenas — the raw small
-// page bytes, so tests can prove a spill/restore round trip is
-// byte-exact. Everything is deterministic: spill order is the
-// eviction order, tier eviction is oldest-touch-first with the spill
-// sequence number as the tiebreak.
+// records the block identities (hash, priority, fill) of its cached
+// small pages, and — for backed arenas — the raw small page bytes, so
+// tests can prove a spill/restore round trip is byte-exact. Everything
+// is deterministic: spill order is the eviction order, tier eviction is
+// oldest-touch-first with the spill sequence number as the tiebreak.
+//
+// Storage is a slot-addressed slab. Pages live by value in chunks of
+// tierChunkPages that are added as the tier fills and never move, a
+// dropped page's slot goes on a free list, and a page's block array —
+// carved from chunked backing the same way — stays with its slot, as do
+// the blocks' byte buffers, so the next page stored there reuses all of
+// it. The index is one map per group *index*, block hash → (slot,
+// position in the page's block array): lookup, pin, touchPage and
+// resident are one integer-keyed map probe each, and a page moved in or
+// out of a full tier allocates nothing. Slots are a dense ID space, so
+// the eviction queue is slotted like the allocator's other two — one
+// entry per live page, re-keyed in place by a touch — and the only
+// allocations left are growth: a slab chunk, the queue's and the free
+// list's arrays, the index maps. Nothing is sized by the byte budget up
+// front.
 
 // hostBlock is one spilled small page's identity and (for backed
 // arenas) contents. Recency and expiry are deliberately not carried:
@@ -33,25 +47,36 @@ type hostBlock struct {
 	hash     uint64
 	priority int64
 	filled   int32
-	// data holds the small page's bytes (backed arenas only).
+	// data holds the small page's bytes (backed arenas only). Inside
+	// the tier the buffer belongs to the slot and is overwritten by the
+	// next page stored there.
 	data []byte
 }
 
-// hostPage is one spilled large page: the tier's budget unit.
+// hostPage is one slab slot: a spilled large page — the tier's budget
+// unit, accounted at one large page however many blocks it carries,
+// because the transfer granularity is the whole page — or a free slot
+// keeping its block array for the next store.
 type hostPage struct {
-	group string
-	// seq is the spill sequence number — unique, so (touch, seq) is a
-	// total order and tier eviction is deterministic.
+	// seq is the spill sequence number, -1 on a free slot — unique, so
+	// (touch, seq) is a total order and tier eviction is deterministic,
+	// and a pin handle that outlived its page never matches the slot's
+	// next tenant.
 	seq int64
 	// touch is the page's last access (restores refresh it).
 	touch Tick
+	group int32
+	// pins counts in-flight restores reading the page; a pinned page is
+	// never evicted: a restore allocates GPU pages, and that allocation
+	// may itself spill (and therefore tier-evict) — it must not evict
+	// its source.
+	pins int32
+	// exported is the tier's export generation at the page's last
+	// visit by ExportPrefix: the per-call page dedup, without a set.
+	exported int64
 	// blocks are the cached small pages the large page held at spill
-	// time.
+	// time (empty on a free slot; the capacity is the slot's).
 	blocks []hostBlock
-	// bytes is the accounted size: one large page, regardless of how
-	// many blocks it carried (the transfer granularity is the whole
-	// page).
-	bytes int64
 }
 
 // TierStats is the host tier's counter snapshot, exposed through the
@@ -87,33 +112,53 @@ type TierStats struct {
 	PeerSkips, PeerFails int64
 }
 
+// Slab growth units: pages per slab chunk, and blocks per chunk of the
+// backing the slots' block arrays are carved from.
+const (
+	tierChunkPages  = 256
+	tierChunkBlocks = 1024
+)
+
+// tierRef locates one indexed block: its page's slot and its position
+// in that page's block array.
+type tierRef struct{ slot, pos int32 }
+
+// tierPin is the handle pin returns and unpin takes: the pinned block's
+// place (slot -1: the hash was not resident, nothing is pinned) and the
+// sequence number of the page pinned there.
+type tierPin struct {
+	tierRef
+	seq int64
+}
+
 // hostTier is the byte-budgeted second memory tier.
 type hostTier struct {
 	capacity  int64
 	pageBytes int64 // large-page size: the budget and transfer unit
 	used      int64
 	nextSeq   int64
-	// pages holds every live spilled page by sequence number.
-	pages map[int64]*hostPage
-	// index maps group name → block hash → owning page sequence
-	// number. A re-spill of the same hash repoints the index; the
-	// older page's copy becomes unreachable and dies with its page.
-	index map[string]map[uint64]int64
-	// pinned pages are mid-restore and must not be evicted: a restore
-	// allocates GPU pages, and that allocation may itself spill (and
-	// therefore tier-evict) — it must not evict the source.
-	pinned map[int64]int
-	// evict orders pages by (touch, seq) for O(log n) tier eviction.
-	// Sequence numbers are not a dense ID space, so the queue is
-	// unslotted: a touch refresh pushes a second entry, the stale one
-	// is skipped on pop, and pushEvict compacts past 2× live pages.
+	exportGen int64 // ExportPrefix calls so far (hostPage.exported)
+	// names are the group names by group index, for the observer.
+	names []string
+	// chunks is the page slab: slot s is chunks[s/tierChunkPages]
+	// [s%tierChunkPages]. free lists the slots no live page occupies
+	// and live counts the ones one does.
+	chunks [][]hostPage
+	free   []int32
+	live   int
+	// blockBacking is the uncarved rest of the newest block chunk.
+	blockBacking []hostBlock
+	// index maps, per group index, block hash → the block's place. A
+	// re-spill of the same hash repoints the entry; the older page's
+	// copy becomes unreachable and dies with its page.
+	index []map[uint64]tierRef
+	// evict orders the live pages by (touch, seq), slotted by slab
+	// slot: exactly one entry per live page.
 	evict evictQueue[hostEvictEntry]
-	// Scratch: evictOne's pinned candidates; the hash list handed to
-	// the observer (which must not retain it); dropped pages, reused
-	// with their block arrays by the next store.
+	// Scratch: evictOne's pinned candidates, and the hash list handed
+	// to the observer (which must not retain it).
 	stash  []hostEvictEntry
 	hashes []uint64
-	spare  []*hostPage
 	stats  TierStats
 	// obs, when set, is notified of every content change: block hashes
 	// entering the tier (store) and leaving it (dropPage). The fleet
@@ -122,10 +167,12 @@ type hostTier struct {
 	obs TierObserver
 }
 
-// hostEvictEntry is one (touch, seq) snapshot in the eviction queue.
+// hostEvictEntry is one live page's (touch, seq) key in the eviction
+// queue; id is its slab slot.
 type hostEvictEntry struct {
 	touch Tick
 	seq   int64
+	id    int32
 }
 
 // before is (touch, seq) ascending — the seq tiebreak makes the order
@@ -137,74 +184,91 @@ func (a hostEvictEntry) before(b hostEvictEntry) bool {
 	return a.seq < b.seq
 }
 
-// newHostTier builds a tier with the given byte budget. A budget
-// below one large page can never hold a spill: hasRoomEver is false
-// and every caller treats the tier as absent.
-func newHostTier(capacity int64, pageBytes int) *hostTier {
-	return &hostTier{
+func (a hostEvictEntry) slot() int { return int(a.id) }
+
+// newHostTier builds a tier with the given byte budget over the named
+// groups. A budget below one large page can never hold a spill:
+// hasRoomEver is false and every caller treats the tier as absent.
+func newHostTier(capacity int64, pageBytes int, groups []string) *hostTier {
+	h := &hostTier{
 		capacity:  capacity,
 		pageBytes: int64(pageBytes),
-		pages:     make(map[int64]*hostPage),
-		index:     make(map[string]map[uint64]int64),
-		pinned:    make(map[int64]int),
+		names:     groups,
+		index:     make([]map[uint64]tierRef, len(groups)),
 		stats:     TierStats{HostCapacity: capacity},
 	}
+	for gi := range h.index {
+		h.index[gi] = make(map[uint64]tierRef)
+	}
+	h.evict.initSlots(0, hostEvictEntry.slot)
+	return h
 }
 
 // hasRoomEver reports whether the budget admits even one page.
 func (h *hostTier) hasRoomEver() bool { return h.capacity >= h.pageBytes }
 
-// lookup reports whether the tier holds a live copy of (group, hash).
-func (h *hostTier) lookup(group string, hash uint64) (*hostBlock, bool) {
-	gi, ok := h.index[group]
+// page returns slot's page; the pointer stays valid for the tier's
+// lifetime (chunks never move).
+func (h *hostTier) page(slot int32) *hostPage {
+	return &h.chunks[slot/tierChunkPages][slot%tierChunkPages]
+}
+
+// lookup returns the tier's live copy of (group gi, hash), if any.
+//
+//jenga:hotpath
+func (h *hostTier) lookup(gi int, hash uint64) (*hostBlock, bool) {
+	ref, ok := h.index[gi][hash]
 	if !ok {
 		return nil, false
 	}
-	seq, ok := gi[hash]
-	if !ok {
-		return nil, false
-	}
-	pg := h.pages[seq]
-	for i := range pg.blocks {
-		if pg.blocks[i].hash == hash {
-			return &pg.blocks[i], true
-		}
-	}
-	check(false, "host tier: index entry %x without block", hash)
-	return nil, false
+	return &h.page(ref.slot).blocks[ref.pos], true
 }
 
 // groupSize returns the number of live indexed blocks for a group.
-func (h *hostTier) groupSize(group string) int { return len(h.index[group]) }
+func (h *hostTier) groupSize(gi int) int { return len(h.index[gi]) }
 
-// pin marks the page owning (group, hash) as un-evictable for the
-// duration of a restore; it returns the page's sequence number, or
-// -1 when the hash is not resident. Pins nest.
-func (h *hostTier) pin(group string, hash uint64) int64 {
-	gi, ok := h.index[group]
+// pin marks the page owning (group gi, hash) as un-evictable for the
+// duration of a restore and returns its handle (slot -1 when the hash
+// is not resident). Pins nest.
+//
+//jenga:hotpath
+func (h *hostTier) pin(gi int, hash uint64) tierPin {
+	ref, ok := h.index[gi][hash]
 	if !ok {
-		return -1
+		return tierPin{tierRef: tierRef{slot: -1}}
 	}
-	seq, ok := gi[hash]
-	if !ok {
-		return -1
-	}
-	h.pinned[seq]++
-	return seq
+	pg := h.page(ref.slot)
+	pg.pins++
+	return tierPin{tierRef: ref, seq: pg.seq}
 }
 
-// unpin releases one pin on a page (a no-op for -1 or a page the
-// tier already dropped before it was ever pinned).
-func (h *hostTier) unpin(seq int64) {
-	if seq < 0 {
+// pinned returns the block a live pin holds. A later spill may repoint
+// the hash at a newer, unpinned copy; the restore reads the copy it
+// pinned, which cannot be evicted or its slot reused under it.
+//
+//jenga:hotpath
+func (h *hostTier) pinned(p tierPin) *hostBlock {
+	if p.slot < 0 {
+		check(false, "host tier: reading through a pin that holds nothing")
+	}
+	pg := h.page(p.slot)
+	if pg.seq != p.seq || pg.pins == 0 {
+		check(false, "host tier: slot %d is not pinned by page %d", p.slot, p.seq)
+	}
+	return &pg.blocks[p.pos]
+}
+
+// unpin releases one pin. A handle for a hash that was not resident, or
+// whose page has since left the slot (the sequence number no longer
+// matches), releases nothing.
+//
+//jenga:hotpath
+func (h *hostTier) unpin(p tierPin) {
+	if p.slot < 0 {
 		return
 	}
-	if n, ok := h.pinned[seq]; ok {
-		if n <= 1 {
-			delete(h.pinned, seq)
-		} else {
-			h.pinned[seq] = n - 1
-		}
+	if pg := h.page(p.slot); pg.seq == p.seq && pg.pins > 0 {
+		pg.pins--
 	}
 }
 
@@ -213,8 +277,10 @@ func (h *hostTier) unpin(seq int64) {
 // stay within budget. It reports whether the page was stored (false
 // when the budget can never fit it, or when pins block every
 // eviction candidate).
-func (h *hostTier) spill(group string, blocks []hostBlock, now Tick) bool {
-	if !h.store(group, blocks, now) {
+//
+//jenga:hotpath
+func (h *hostTier) spill(gi int, blocks []hostBlock, now Tick) bool {
+	if !h.store(gi, blocks, now) {
 		return false
 	}
 	h.stats.SwapOuts++
@@ -225,9 +291,12 @@ func (h *hostTier) spill(group string, blocks []hostBlock, now Tick) bool {
 // store is the common page-admission path behind the D2H spill and the
 // fleet import: budget eviction, indexing, recency, observer
 // registration — everything except the transfer-direction accounting,
-// which the two callers charge differently. blocks is copied, so
-// callers may build it in scratch.
-func (h *hostTier) store(group string, blocks []hostBlock, now Tick) bool {
+// which the two callers charge differently. blocks is copied, bytes
+// included, into the slot's own arrays, so callers may build it in
+// scratch and point its data at memory they do not own.
+//
+//jenga:hotpath
+func (h *hostTier) store(gi int, blocks []hostBlock, now Tick) bool {
 	if !h.hasRoomEver() || len(blocks) == 0 {
 		return false
 	}
@@ -236,47 +305,86 @@ func (h *hostTier) store(group string, blocks []hostBlock, now Tick) bool {
 			return false
 		}
 	}
-	seq := h.nextSeq
+	slot := h.takeSlot()
+	pg := h.page(slot)
+	pg.seq, pg.touch, pg.group, pg.pins = h.nextSeq, now, int32(gi), 0
 	h.nextSeq++
-	var pg *hostPage
-	if n := len(h.spare); n > 0 {
-		pg, h.spare = h.spare[n-1], h.spare[:n-1]
-	} else {
-		pg = new(hostPage)
-	}
-	*pg = hostPage{group: group, seq: seq, touch: now, blocks: append(pg.blocks[:0], blocks...), bytes: h.pageBytes}
-	h.pages[seq] = pg
-	h.pushEvict(hostEvictEntry{touch: now, seq: seq})
-	gi := h.index[group]
-	if gi == nil {
-		gi = make(map[uint64]int64)
-		h.index[group] = gi
-	}
+	pg.blocks = h.blockArray(pg.blocks, len(blocks))
+	idx := h.index[gi]
+	hashes := h.hashes[:0]
 	for i := range blocks {
-		gi[blocks[i].hash] = seq
+		b, src := &pg.blocks[i], &blocks[i]
+		b.hash, b.priority, b.filled = src.hash, src.priority, src.filled
+		b.data = append(b.data[:0], src.data...)
+		idx[b.hash] = tierRef{slot: slot, pos: int32(i)}
+		if h.obs != nil {
+			hashes = append(hashes, b.hash)
+		}
 	}
-	h.used += pg.bytes
+	h.hashes = hashes
+	h.evict.push(hostEvictEntry{touch: now, seq: pg.seq, id: slot})
+	h.live++
+	h.used += h.pageBytes
 	h.stats.HostUsed = h.used
 	if h.obs != nil {
-		h.hashes = h.hashes[:0]
-		for i := range blocks {
-			h.hashes = append(h.hashes, blocks[i].hash)
-		}
-		h.obs.TierStored(group, h.hashes)
+		h.obs.TierStored(h.names[gi], hashes)
 	}
 	return true
+}
+
+// takeSlot returns a free slot, growing the slab (and the eviction
+// queue's slot space with it) by one chunk when none is left.
+//
+//jenga:hotpath
+func (h *hostTier) takeSlot() int32 {
+	if n := len(h.free); n > 0 {
+		slot := h.free[n-1]
+		h.free = h.free[:n-1]
+		return slot
+	}
+	base := int32(len(h.chunks) * tierChunkPages)
+	//jenga:alloc-ok slab growth: one chunk per tierChunkPages pages of tier high-water, never per page
+	chunk := make([]hostPage, tierChunkPages)
+	for i := range chunk {
+		chunk[i].seq = -1
+	}
+	h.chunks = append(h.chunks, chunk)
+	h.evict.growSlots(int(base) + tierChunkPages)
+	for s := base + tierChunkPages - 1; s > base; s-- {
+		h.free = append(h.free, s)
+	}
+	return base
+}
+
+// blockArray returns an n-block array for a slot whose current array
+// is old: old itself when it is big enough — its blocks' byte buffers
+// come with it — and a fresh carve from the chunked backing otherwise.
+// Slots are reused across groups with different small-page ratios, so a
+// slot's array settles at the largest it has needed.
+//
+//jenga:hotpath
+func (h *hostTier) blockArray(old []hostBlock, n int) []hostBlock {
+	if cap(old) >= n {
+		return old[:n]
+	}
+	if len(h.blockBacking) < n {
+		//jenga:alloc-ok slab growth: one chunk per tierChunkBlocks blocks of tier high-water, never per page
+		h.blockBacking = make([]hostBlock, max(n, tierChunkBlocks))
+	}
+	arr := h.blockBacking[:n:n]
+	h.blockBacking = h.blockBacking[n:]
+	return arr
 }
 
 // resident reports whether every hash in hs is live in the tier —
 // the dedup check that makes spill-on-evict free for pages whose
 // bytes already moved to host at swap-out time.
-func (h *hostTier) resident(group string, hs []uint64) bool {
-	gi, ok := h.index[group]
-	if !ok {
-		return false
-	}
+//
+//jenga:hotpath
+func (h *hostTier) resident(gi int, hs []uint64) bool {
+	idx := h.index[gi]
 	for _, hash := range hs {
-		if _, ok := gi[hash]; !ok {
+		if _, ok := idx[hash]; !ok {
 			return false
 		}
 	}
@@ -284,40 +392,22 @@ func (h *hostTier) resident(group string, hs []uint64) bool {
 }
 
 // touchPage refreshes the owning page's last access (restore hits),
-// re-queueing it for eviction; the stale entry is skipped on pop.
+// re-keying its queue entry in place.
 //
 //jenga:hotpath
-func (h *hostTier) touchPage(group string, hash uint64, now Tick) {
-	if seq, ok := h.index[group][hash]; ok {
-		if pg := h.pages[seq]; pg.touch < now {
+func (h *hostTier) touchPage(gi int, hash uint64, now Tick) {
+	if ref, ok := h.index[gi][hash]; ok {
+		if pg := h.page(ref.slot); pg.touch < now {
 			pg.touch = now
-			h.pushEvict(hostEvictEntry{touch: now, seq: seq})
+			h.evict.push(hostEvictEntry{touch: now, seq: pg.seq, id: ref.slot})
 		}
 	}
 }
 
-// pushEvict queues e and compacts once stale entries outnumber live
-// pages: each live page has one live entry, so a compaction leaves at
-// most len(h.pages) and the next is at least as many pushes away.
-func (h *hostTier) pushEvict(e hostEvictEntry) {
-	h.evict.push(e)
-	if h.evict.len() > 2*len(h.pages)+64 {
-		h.evict.filter(h.liveEntry)
-	}
-}
-
-// liveEntry is the validate-on-pop test: the page exists and has not
-// been touched since e was pushed.
-func (h *hostTier) liveEntry(e hostEvictEntry) bool {
-	pg, ok := h.pages[e.seq]
-	return ok && pg.touch == e.touch
-}
-
 // evictOne drops the least-recently-touched unpinned page (spill
-// sequence breaks ties), reporting whether anything was dropped —
-// O(log n) amortized via validate-on-pop. Pinned candidates are
-// stashed and re-queued so a pin never loses a page its position in
-// the order.
+// sequence breaks ties), reporting whether anything was dropped.
+// Pinned candidates are stashed and re-queued so a pin never loses a
+// page its position in the order.
 //
 //jenga:hotpath
 func (h *hostTier) evictOne() bool {
@@ -325,14 +415,11 @@ func (h *hostTier) evictOne() bool {
 	dropped := false
 	for h.evict.len() > 0 {
 		e := h.evict.pop()
-		if !h.liveEntry(e) {
-			continue // stale: page gone or touched since
-		}
-		if _, p := h.pinned[e.seq]; p {
+		if h.page(e.id).pins > 0 {
 			stash = append(stash, e)
 			continue
 		}
-		h.dropPage(h.pages[e.seq])
+		h.dropPage(e.id)
 		h.stats.HostEvictions++
 		dropped = true
 		break
@@ -344,29 +431,36 @@ func (h *hostTier) evictOne() bool {
 	return dropped
 }
 
-// dropPage removes a page, deleting only the index entries that
-// still point at it (a later re-spill may have repointed some). The
-// observer hears exactly the hashes whose live copy died — repointed
-// hashes are still resident and stay registered.
-func (h *hostTier) dropPage(pg *hostPage) {
-	gi := h.index[pg.group]
+// dropPage frees slot's page — already off the eviction queue —
+// deleting only the index entries that still point at it (a later
+// re-spill may have repointed some). The observer hears exactly the
+// hashes whose live copy died — repointed hashes are still resident and
+// stay registered.
+//
+//jenga:hotpath
+func (h *hostTier) dropPage(slot int32) {
+	pg := h.page(slot)
+	idx := h.index[pg.group]
 	gone := h.hashes[:0]
 	for i := range pg.blocks {
-		if seq, ok := gi[pg.blocks[i].hash]; ok && seq == pg.seq {
-			delete(gi, pg.blocks[i].hash)
+		hash := pg.blocks[i].hash
+		if ref, ok := idx[hash]; ok && ref.slot == slot {
+			delete(idx, hash)
 			if h.obs != nil {
-				gone = append(gone, pg.blocks[i].hash)
+				gone = append(gone, hash)
 			}
 		}
 	}
 	h.hashes = gone
-	delete(h.pages, pg.seq)
-	h.used -= pg.bytes
+	pg.seq = -1
+	pg.blocks = pg.blocks[:0]
+	h.free = append(h.free, slot)
+	h.live--
+	h.used -= h.pageBytes
 	h.stats.HostUsed = h.used
 	if len(gone) > 0 {
-		h.obs.TierEvicted(pg.group, gone)
+		h.obs.TierEvicted(h.names[pg.group], gone)
 	}
-	h.spare = append(h.spare, pg)
 }
 
 // --- Jenga integration ---------------------------------------------------
@@ -484,6 +578,8 @@ func (m *Jenga) heldLargePages(r *reqState) []arena.LargePageID {
 // race that commit, so such pages are skipped. Pages whose blocks
 // are all already host-resident cost nothing (the swap-out already
 // moved them).
+//
+//jenga:hotpath
 func (m *Jenga) spillLarge(L arena.LargePageID, now Tick) bool {
 	if m.host == nil || !m.host.hasRoomEver() {
 		return false
@@ -506,8 +602,9 @@ func (m *Jenga) spillLarge(L arena.LargePageID, now Tick) bool {
 			filled:   pg.filled,
 		}
 		if m.ar.Backed() {
+			// The tier copies the bytes into the slot it stores them in.
 			if buf, err := g.view.SmallSlice(id); err == nil {
-				hb.data = append([]byte(nil), buf...)
+				hb.data = buf
 			}
 		}
 		blocks = append(blocks, hb)
@@ -517,13 +614,13 @@ func (m *Jenga) spillLarge(L arena.LargePageID, now Tick) bool {
 	if len(blocks) == 0 {
 		return false
 	}
-	if m.host.resident(g.spec.Name, hashes) {
+	if m.host.resident(g.idx, hashes) {
 		// Dedup: the bytes already live in the tier (a swap-out beat
 		// the evictor here); just refresh recency.
-		m.host.touchPage(g.spec.Name, hashes[0], now)
+		m.host.touchPage(g.idx, hashes[0], now)
 		return false
 	}
-	if !m.host.spill(g.spec.Name, blocks, now) {
+	if !m.host.spill(g.idx, blocks, now) {
 		return false
 	}
 	m.stats.SwapOuts++
@@ -534,9 +631,12 @@ func (m *Jenga) spillLarge(L arena.LargePageID, now Tick) bool {
 // restoreBlock allocates a GPU page for a host-resident block and
 // rebuilds it as a committed, published block owned by req (claim's
 // H2D path). The source host page must be pinned by the caller; the
-// host copy stays (the tier is a cache). Returns the page and
-// whether the GPU allocation succeeded.
-func (m *Jenga) restoreBlock(g *group, hb hostBlock, hash uint64, req RequestID, now Tick) (arena.SmallPageID, bool) {
+// host copy stays (the tier is a cache), which is what keeps hb — a
+// view of the tier's own block — valid across the allocation. Returns
+// the page and whether the GPU allocation succeeded.
+//
+//jenga:hotpath
+func (m *Jenga) restoreBlock(g *group, hb *hostBlock, hash uint64, req RequestID, now Tick) (arena.SmallPageID, bool) {
 	id, err := m.allocSmall(g, req)
 	if err != nil {
 		return 0, false
@@ -552,12 +652,12 @@ func (m *Jenga) restoreBlock(g *group, hb hostBlock, hash uint64, req RequestID,
 		g.index[hash] = id
 		pg.hashed = true
 	}
-	if m.ar.Backed() && hb.data != nil {
+	if m.ar.Backed() && len(hb.data) > 0 {
 		if buf, err := g.view.SmallSlice(id); err == nil {
 			copy(buf, hb.data)
 		}
 	}
-	m.host.touchPage(g.spec.Name, hash, now)
+	m.host.touchPage(g.idx, hash, now)
 	m.host.stats.SwapIns++
 	m.host.stats.RestoredBytes += int64(g.smallBytes)
 	m.stats.SwapIns++

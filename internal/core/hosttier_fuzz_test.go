@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -9,33 +10,58 @@ import (
 // as a plain slice, the index rebuilt with the same last-spill-wins
 // semantics, eviction by linear min-scan. The fuzzer drives both
 // implementations with the same byte-decoded op stream and compares
-// full contents after every op — catching index dangles, byte
-// mis-accounting, pin violations and nondeterministic eviction.
+// full contents and observer notifications after every op — catching
+// index dangles, byte mis-accounting, pin violations, nondeterministic
+// eviction and a dying page reporting hashes a re-spill repointed.
+// Pages are keyed by spill sequence number throughout; the slab's slots
+// are the real tier's own business.
 type refTier struct {
 	capacity, pageBytes int64
 	used                int64
 	nextSeq             int64
 	pages               []*refPage
-	index               map[string]map[uint64]int64
+	index               map[int]map[uint64]int64
 	pinned              map[int64]int
+	// events logs what an observer must hear, in tierEvents' form.
+	events []string
 }
 
 type refPage struct {
 	seq    int64
 	touch  Tick
-	group  string
+	group  int
 	blocks map[uint64]int32
 }
 
 func newRefTier(capacity, pageBytes int64) *refTier {
 	return &refTier{
 		capacity: capacity, pageBytes: pageBytes,
-		index:  make(map[string]map[uint64]int64),
+		index:  make(map[int]map[uint64]int64),
 		pinned: make(map[int64]int),
 	}
 }
 
-func (r *refTier) spill(group string, hashes []uint64, filled []int32, now Tick) bool {
+// tierEvents records observer notifications as "kind group sorted
+// hashes" strings.
+type tierEvents struct{ log []string }
+
+func tierEvent(kind, group string, hashes []uint64) string {
+	hs := slices.Clone(hashes)
+	slices.Sort(hs)
+	return fmt.Sprint(kind, " ", group, " ", hs)
+}
+
+func (o *tierEvents) TierStored(group string, hashes []uint64) {
+	o.log = append(o.log, tierEvent("stored", group, hashes))
+}
+
+func (o *tierEvents) TierEvicted(group string, hashes []uint64) {
+	o.log = append(o.log, tierEvent("evicted", group, hashes))
+}
+
+var fuzzTierGroups = []string{"a", "b"}
+
+func (r *refTier) spill(group int, hashes []uint64, filled []int32, now Tick) bool {
 	if r.capacity < r.pageBytes || len(hashes) == 0 {
 		return false
 	}
@@ -57,6 +83,7 @@ func (r *refTier) spill(group string, hashes []uint64, filled []int32, now Tick)
 	}
 	r.pages = append(r.pages, pg)
 	r.used += r.pageBytes
+	r.events = append(r.events, tierEvent("stored", fuzzTierGroups[group], hashes))
 	return true
 }
 
@@ -76,17 +103,23 @@ func (r *refTier) evictOne() bool {
 	}
 	pg := r.pages[vi]
 	gi := r.index[pg.group]
+	var gone []uint64
 	for h := range pg.blocks {
-		if gi[h] == pg.seq {
+		// Only the hashes still pointing at this page die with it.
+		if seq, ok := gi[h]; ok && seq == pg.seq {
 			delete(gi, h)
+			gone = append(gone, h)
 		}
+	}
+	if len(gone) > 0 {
+		r.events = append(r.events, tierEvent("evicted", fuzzTierGroups[pg.group], gone))
 	}
 	r.pages = append(r.pages[:vi], r.pages[vi+1:]...)
 	r.used -= r.pageBytes
 	return true
 }
 
-func (r *refTier) lookup(group string, hash uint64) (int32, bool) {
+func (r *refTier) lookup(group int, hash uint64) (int32, bool) {
 	gi, ok := r.index[group]
 	if !ok {
 		return 0, false
@@ -103,7 +136,7 @@ func (r *refTier) lookup(group string, hash uint64) (int32, bool) {
 	return 0, false
 }
 
-func (r *refTier) touch(group string, hash uint64, now Tick) {
+func (r *refTier) touch(group int, hash uint64, now Tick) {
 	if gi, ok := r.index[group]; ok {
 		if seq, ok := gi[hash]; ok {
 			for _, pg := range r.pages {
@@ -115,7 +148,7 @@ func (r *refTier) touch(group string, hash uint64, now Tick) {
 	}
 }
 
-func (r *refTier) pin(group string, hash uint64) int64 {
+func (r *refTier) pin(group int, hash uint64) int64 {
 	gi, ok := r.index[group]
 	if !ok {
 		return -1
@@ -147,25 +180,31 @@ func compareTiers(h *hostTier, r *refTier) error {
 	if h.used != r.used {
 		return fmt.Errorf("used %d vs ref %d", h.used, r.used)
 	}
-	if len(h.pages) != len(r.pages) {
-		return fmt.Errorf("pages %d vs ref %d", len(h.pages), len(r.pages))
+	if h.live != len(r.pages) {
+		return fmt.Errorf("pages %d vs ref %d", h.live, len(r.pages))
+	}
+	if h.evict.len() != h.live {
+		return fmt.Errorf("%d queue entries for %d live pages", h.evict.len(), h.live)
 	}
 	for group, gi := range r.index {
 		for hash, seq := range gi {
 			hb, ok := h.lookup(group, hash)
 			if !ok {
-				return fmt.Errorf("ref has %s/%x (page %d), tier misses it", group, hash, seq)
+				return fmt.Errorf("ref has %d/%x (page %d), tier misses it", group, hash, seq)
 			}
 			want, _ := r.lookup(group, hash)
 			if hb.filled != want {
-				return fmt.Errorf("%s/%x filled %d vs ref %d", group, hash, hb.filled, want)
+				return fmt.Errorf("%d/%x filled %d vs ref %d", group, hash, hb.filled, want)
 			}
 		}
 	}
 	for group, gi := range h.index {
-		for hash := range gi {
+		for hash, ref := range gi {
 			if _, ok := r.lookup(group, hash); !ok {
-				return fmt.Errorf("tier has %s/%x, ref misses it", group, hash)
+				return fmt.Errorf("tier has %d/%x, ref misses it", group, hash)
+			}
+			if pg := h.page(ref.slot); pg.seq < 0 || int(pg.group) != group || pg.blocks[ref.pos].hash != hash {
+				return fmt.Errorf("index entry %d/%x points at slot %d pos %d, which holds something else", group, hash, ref.slot, ref.pos)
 			}
 		}
 	}
@@ -173,24 +212,35 @@ func compareTiers(h *hostTier, r *refTier) error {
 }
 
 // FuzzHostTier drives the host tier and the reference with the same
-// byte-decoded op stream: spills, lookups/touches, evictions, pins and
-// unpins. Any divergence in contents, byte accounting or operation
-// outcome fails.
+// byte-decoded op stream: spills (consecutive hashes over a 16-value
+// space, so re-spills repoint hashes older pages still carry),
+// lookups/touches, evictions — a four-page budget keeps slots cycling
+// through the free list — pins, unpins, and unpins through a handle
+// already released, whose page may be gone and its slot re-tenanted.
+// Any divergence in contents, byte accounting, operation outcome or
+// observer notification fails.
 func FuzzHostTier(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 3, 1, 4, 0, 2, 0, 0, 5})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{3, 1, 0, 2, 2, 4, 1, 0, 3, 0, 5, 0, 2, 2, 2})
+	// Pin, release, evict the page, refill its slot and pin the new
+	// tenant, then release the first handle again: a no-op.
+	f.Add([]byte{0, 0, 3, 0, 4, 0, 2, 0, 0, 4, 3, 4, 5, 0, 2, 0})
+	// Spill hashes 0-2, re-spill 2-3 as a second page, evict the first:
+	// only 0 and 1 die with it, 2 stays resident in the second.
+	f.Add([]byte{0, 32, 0, 34, 2, 0, 1, 0, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const pageBytes = 64
-		tier := newHostTier(4*pageBytes, pageBytes)
+		tier := newHostTier(4*pageBytes, pageBytes, fuzzTierGroups)
 		ref := newRefTier(4*pageBytes, pageBytes)
-		groups := []string{"a", "b"}
-		var pins []int64
-		var refPins []int64
+		obs := &tierEvents{}
+		tier.obs = obs
+		var pins, spent []tierPin
+		var refPins, refSpent []int64
 		now := Tick(1)
 		for i := 0; i+1 < len(data); i += 2 {
-			op, arg := data[i]%5, data[i+1]
-			group := groups[int(arg)%len(groups)]
+			op, arg := data[i]%6, data[i+1]
+			group := int(arg) % len(fuzzTierGroups)
 			hash := uint64(arg % 16)
 			now++
 			switch op {
@@ -213,7 +263,7 @@ func FuzzHostTier(f *testing.F) {
 				hb, ok := tier.lookup(group, hash)
 				want, wok := ref.lookup(group, hash)
 				if ok != wok || (ok && hb.filled != want) {
-					t.Fatalf("op %d: lookup(%s, %x) = %v, ref %v", i, group, hash, ok, wok)
+					t.Fatalf("op %d: lookup(%d, %x) = %v, ref %v", i, group, hash, ok, wok)
 				}
 				tier.touchPage(group, hash, now)
 				ref.touch(group, hash, now)
@@ -224,21 +274,35 @@ func FuzzHostTier(f *testing.F) {
 					t.Fatalf("op %d: evictOne = %v, ref %v", i, got, want)
 				}
 			case 3: // pin
-				pins = append(pins, tier.pin(group, hash))
-				refPins = append(refPins, ref.pin(group, hash))
-				if (pins[len(pins)-1] < 0) != (refPins[len(refPins)-1] < 0) {
-					t.Fatalf("op %d: pin diverged", i)
+				p, rp := tier.pin(group, hash), ref.pin(group, hash)
+				if (p.slot < 0) != (rp < 0) || (rp >= 0 && p.seq != rp) {
+					t.Fatalf("op %d: pin = %+v, ref page %d", i, p, rp)
 				}
+				if p.slot >= 0 && tier.pinned(p).hash != hash {
+					t.Fatalf("op %d: pin %+v holds block %x, want %x", i, p, tier.pinned(p).hash, hash)
+				}
+				pins, refPins = append(pins, p), append(refPins, rp)
 			case 4: // unpin oldest outstanding pin
 				if len(pins) > 0 {
 					tier.unpin(pins[0])
 					ref.unpin(refPins[0])
+					spent, refSpent = append(spent, pins[0]), append(refSpent, refPins[0])
 					pins, refPins = pins[1:], refPins[1:]
+				}
+			case 5: // unpin through the oldest released handle again
+				if len(spent) > 0 {
+					tier.unpin(spent[0])
+					ref.unpin(refSpent[0])
+					spent, refSpent = spent[1:], refSpent[1:]
 				}
 			}
 			if err := compareTiers(tier, ref); err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
+			if !slices.Equal(obs.log, ref.events) {
+				t.Fatalf("op %d: observer heard %q, ref %q", i, obs.log, ref.events)
+			}
+			obs.log, ref.events = obs.log[:0], ref.events[:0]
 			if tier.used > tier.capacity {
 				t.Fatalf("op %d: tier over budget: %d > %d", i, tier.used, tier.capacity)
 			}

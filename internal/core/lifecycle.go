@@ -269,7 +269,7 @@ func (m *Jenga) lookupPrefix(seq *Sequence, useHost bool) int {
 			// Presence detection for Mamba handled via CheckpointAt in
 			// the candidate scan; mark possible presence cheaply.
 			anyPresent = anyPresent || len(g.index) > 0 ||
-				(useHost && m.host.groupSize(g.spec.Name) > 0)
+				(useHost && m.host.groupSize(g.idx) > 0)
 		}
 		views = append(views, lookupView{g, v})
 	}
@@ -370,27 +370,25 @@ func (m *Jenga) buildView(g *group, id RequestID, tokens []Token, useHost bool) 
 	}
 	if g.spec.Kind == model.Mamba {
 		every := g.spec.Checkpoint()
-		//jenga:alloc-ok Mamba checkpoint branch; the measured warm-lookup path is full-attention only
-		present := make(map[int]bool)
+		g.lkCkHash, g.lkCkPresent = g.lkCkHash[:0], g.lkCkPresent[:0]
 		h := blockHashSeed
 		for i, t := range proj {
 			h = hashChain(h, t)
-			if (i+1)%every == 0 {
-				if id, ok := g.index[h]; ok {
-					pg := &g.pages[id]
-					if pg.hashed && pg.hash == h && pg.status != pageEmpty {
-						present[i+1] = true
-					}
-				}
-				if !present[i+1] && useHost {
-					if _, ok := m.host.lookup(g.spec.Name, h); ok {
-						present[i+1] = true
-					}
-				}
+			if (i+1)%every != 0 {
+				continue
 			}
+			present := false
+			if id, ok := g.index[h]; ok {
+				pg := &g.pages[id]
+				present = pg.hashed && pg.hash == h && pg.status != pageEmpty
+			}
+			if !present && useHost {
+				_, present = m.host.lookup(g.idx, h)
+			}
+			g.lkCkHash = append(g.lkCkHash, h)
+			g.lkCkPresent = append(g.lkCkPresent, present)
 		}
-		//jenga:alloc-ok Mamba checkpoint branch; the measured warm-lookup path is full-attention only
-		v.CheckpointAt = func(pos int) bool { return present[pos] }
+		v.CheckpointAt = g.ckptAt
 		v.Present = nil
 		v.buildRuns()
 		return v
@@ -414,7 +412,7 @@ func (m *Jenga) buildView(g *group, id RequestID, tokens []Token, useHost bool) 
 			v.Present[k] = pg.hashed && pg.hash == h && pg.status != pageEmpty
 		}
 		if !v.Present[k] && useHost {
-			if _, ok := m.host.lookup(g.spec.Name, h); ok {
+			if _, ok := m.host.lookup(g.idx, h); ok {
 				v.Present[k] = true
 			}
 		}
@@ -717,7 +715,7 @@ func (m *Jenga) Release(seq *Sequence, cache bool) {
 func (m *Jenga) claim(seq *Sequence, r *reqState, now Tick) {
 	// An empty tier cannot assist any lookup, so skip the host passes
 	// (including the hostAssist probe below) until something spilled.
-	useHost := m.host != nil && len(m.host.pages) > 0
+	useHost := m.host != nil && m.host.live > 0
 	p := m.lookupPrefix(seq, useHost)
 	// hostAssist is the model-wide prefix the tier adds beyond what
 	// the GPU cache alone validates — the tokens a restore saves from
@@ -755,7 +753,7 @@ type pendingRestore struct {
 	block int
 	hash  uint64
 	pl    int
-	pin   int64
+	pin   tierPin
 }
 
 // claimPrefix attaches the pages of a p-token valid prefix to r. It
@@ -786,7 +784,7 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost
 			pl := replayPrefix(g, rg, seq.Tokens[:p])
 			if useHost && pl > 0 {
 				if _, ok := g.index[rg.chain]; !ok {
-					if _, hok := m.host.lookup(g.spec.Name, rg.chain); hok {
+					if _, hok := m.host.lookup(g.idx, rg.chain); hok {
 						m.claimPending = append(m.claimPending, pendingRestore{g: g, rg: rg, block: -1, hash: rg.chain, pl: pl})
 						continue
 					}
@@ -837,14 +835,11 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost
 	// because a restore's allocation can spill — and a spill's tier
 	// eviction must never drop a sibling restore's source.
 	for i := range pending {
-		pending[i].pin = m.host.pin(pending[i].g.spec.Name, pending[i].hash)
+		pending[i].pin = m.host.pin(pending[i].g.idx, pending[i].hash)
 	}
 	ok := true
 	for _, pr := range pending {
-		hb, found := m.host.lookup(pr.g.spec.Name, pr.hash)
-		check(found, "claim: pinned host block vanished mid-claim")
-		blk := *hb
-		id, allocOK := m.restoreBlock(pr.g, blk, pr.hash, r.id, now)
+		id, allocOK := m.restoreBlock(pr.g, m.host.pinned(pr.pin), pr.hash, r.id, now)
 		if !allocOK {
 			ok = false
 			break

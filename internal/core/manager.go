@@ -149,6 +149,16 @@ type group struct {
 	lkView   GroupSeqView
 	lkProj   []Token
 	lkHashes []uint64
+	// Mamba groups keep their checkpoint table here instead of block
+	// hashes: entry k is the checkpoint at projected position
+	// (k+1) × the interval — its chain hash and whether it is present.
+	// ckptAt is the view's CheckpointAt over that table, built once with
+	// the group. lkPeer is LookupFleet's overlay on either table: the
+	// holder, plus one, of each entry only a peer supplies.
+	lkCkHash    []uint64
+	lkCkPresent []bool
+	ckptAt      func(projPos int) bool
+	lkPeer      []int32
 	// Identity of the sequence the scratch above was built from
 	// (lkSeqLen 0: none). The incremental path requires the same live
 	// request on the same backing array; a live sequence's tokens are
@@ -212,11 +222,15 @@ type Jenga struct {
 	lkViews []lookupView
 	// Scratch: one tier page's blocks and hashes (spillLarge and
 	// ImportPrefix; the tier copies what it keeps), SwapOut's candidate
-	// list, claimPrefix's restore queue.
+	// list, claimPrefix's restore queue, the page set ExportPrefix hands
+	// out and LookupFleet's fetch list.
 	tierBlocks   []hostBlock
 	tierHashes   []uint64
 	tierLarge    []arena.LargePageID
 	claimPending []pendingRestore
+	exportBlocks []PageBlock
+	exportEnds   []int
+	fleetFetch   []FetchBlock
 }
 
 var _ Manager = (*Jenga)(nil)
@@ -323,11 +337,22 @@ func New(cfg Config) (*Jenga, error) {
 		}
 		g.free.init(len(g.pages))
 		g.evict.initSlots(len(g.pages), pageEntry.slot)
+		if gs.Kind == model.Mamba {
+			every := gs.Checkpoint()
+			g.ckptAt = func(projPos int) bool {
+				k := projPos/every - 1
+				return projPos%every == 0 && k >= 0 && k < len(g.lkCkPresent) && g.lkCkPresent[k]
+			}
+		}
 		m.groups = append(m.groups, g)
 		m.byName[gs.Name] = i
 	}
 	if cfg.HostTierBytes >= int64(geo.LargePageBytes) {
-		m.host = newHostTier(cfg.HostTierBytes, geo.LargePageBytes)
+		names := make([]string, len(m.groups))
+		for i, g := range m.groups {
+			names[i] = g.spec.Name
+		}
+		m.host = newHostTier(cfg.HostTierBytes, geo.LargePageBytes, names)
 	}
 	return m, nil
 }

@@ -2,25 +2,37 @@
 // cluster-wide KV store and builds live request migration on the same
 // transfer path.
 //
-// The pieces: a Directory mapping (group, block hash) → the replica
-// IDs whose host tiers hold a live copy, kept consistent through the
-// core.TierObserver callbacks (registered when a page is stored,
+// The pieces: a Directory mapping (group, block hash) → the set of
+// replicas whose host tiers hold a live copy, kept consistent through
+// the core.TierObserver callbacks (registered when a page is stored,
 // invalidated when its live copy is evicted); and a Store that wires
 // one Directory across N replica managers and runs the transfer path —
 // on a local prefix miss it asks core.LookupFleet how far peers extend
-// the prefix, exports the needed pages from the holder, and imports
-// them into the local tier, where the ordinary claim path restores
-// them. The engine charges the moved bytes as peer-link DMA
-// (gpu.StepWork.PeerBytes), not PCIe.
+// the prefix and who holds each missing block, exports the needed
+// pages from those holders, and imports them into the local tier, where
+// the ordinary claim path restores them. The engine charges the moved
+// bytes as peer-link DMA (gpu.StepWork.PeerBytes), not PCIe.
 //
-// Nothing here runs its own goroutines; the cluster's serial arrival
-// loop is the only writer during routing, and the Directory carries a
-// mutex only so the concurrent drain phase's evictions stay safe.
+// The directory is one flat map whose value is a holder bitmask: a
+// block registered, looked up or invalidated is one probe of a struct
+// key and a bit operation, and allocates nothing beyond the map's own
+// growth. Replica r's bit is bit r%64 of the cell keyed with word r/64,
+// so any replica count works and a fleet of up to 64 needs one cell a
+// block.
+//
+// Nothing here runs its own goroutines. Observer callbacks arrive from
+// the replicas' shard goroutines, concurrently, so everything they
+// touch is under the directory mutex; the transfer path (Store.Fetch)
+// runs only in the cluster's barrier sections, one call at a time, and
+// owns its scratch outright.
 //
 //jenga:concurrent the directory mutex serializes observer callbacks arriving from concurrent replica goroutines
 package fleet
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Directory tracks which replicas' host tiers hold which prefix
 // blocks. Lookup is deterministic: the lowest-numbered holder wins,
@@ -29,46 +41,58 @@ import "sync"
 // never vanishes from the directory mid-copy (the pinned-holder
 // exclusion invariant, fuzzed in FuzzFleetDirectory).
 type Directory struct {
-	mu      sync.Mutex
-	holders map[string]map[uint64][]int // group → hash → sorted replica IDs
-	pins    map[int]int                 // replica → pin depth
+	mu sync.Mutex
+	// holders maps (group, hash, word) → the holder bitmask of replicas
+	// [64·word, 64·word+64); a cell whose mask empties is deleted.
+	holders map[dirKey]uint64
+	// words is one past the highest word any replica registered under:
+	// how many cells a Lookup may have to probe.
+	words int
+	pins  map[int]int // replica → pin depth
 	// deferred holds invalidations that arrived while their replica
 	// was pinned; they apply in arrival order at the final Unpin.
 	deferred map[int][]deferredInv
 }
 
+// dirKey names one directory cell: a block and a 64-replica word.
 type dirKey struct {
 	group string
 	hash  uint64
+	word  int
+}
+
+// cell returns the key and mask bit of replica's entry for a block.
+func cell(replica int, group string, hash uint64) (dirKey, uint64) {
+	return dirKey{group, hash, replica / 64}, 1 << (replica % 64)
 }
 
 // deferredInv is one pin-deferred invalidation: a single block, or —
 // for a crash arriving mid-export — the holder's entire entry set.
 type deferredInv struct {
-	key dirKey
-	all bool
+	group string
+	hash  uint64
+	all   bool
 }
 
 // NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
 	return &Directory{
-		holders:  make(map[string]map[uint64][]int),
+		holders:  make(map[dirKey]uint64),
 		pins:     make(map[int]int),
 		deferred: make(map[int][]deferredInv),
 	}
 }
 
 // Register records that replica holds a live tier copy of each block.
+//
+//jenga:hotpath
 func (d *Directory) Register(replica int, group string, hashes []uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	gm := d.holders[group]
-	if gm == nil {
-		gm = make(map[uint64][]int)
-		d.holders[group] = gm
-	}
+	d.words = max(d.words, replica/64+1)
 	for _, h := range hashes {
-		gm[h] = insertHolder(gm[h], replica)
+		k, bit := cell(replica, group, h)
+		d.holders[k] |= bit
 	}
 }
 
@@ -76,12 +100,14 @@ func (d *Directory) Register(replica int, group string, hashes []uint64) {
 // replica is pinned (an export in flight) the removal is deferred to
 // Unpin so concurrent tier eviction cannot drop a transfer source
 // from under a reader.
+//
+//jenga:hotpath
 func (d *Directory) Invalidate(replica int, group string, hashes []uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.pins[replica] > 0 {
 		for _, h := range hashes {
-			d.deferred[replica] = append(d.deferred[replica], deferredInv{key: dirKey{group, h}})
+			d.deferred[replica] = append(d.deferred[replica], deferredInv{group: group, hash: h})
 		}
 		return
 	}
@@ -106,30 +132,21 @@ func (d *Directory) InvalidateHolder(replica int) int {
 	return d.removeHolder(replica)
 }
 
-// removeHolder drops replica from every holder list, returning the
-// entry count removed. Caller holds the mutex.
+// removeHolder clears replica's bit in every cell in one walk,
+// returning the entry count removed. Caller holds the mutex.
 func (d *Directory) removeHolder(replica int) int {
 	n := 0
-	//jenga:order-ok each (group,hash) cell is edited independently and exactly once; no cross-cell state
-	for g, gm := range d.holders {
-		//jenga:order-ok per-cell mutation of the ranged map itself; unique keys commute
-		for h, hs := range gm {
-			for i, r := range hs {
-				if r != replica {
-					continue
-				}
-				n++
-				hs = append(hs[:i], hs[i+1:]...)
-				if len(hs) == 0 {
-					delete(gm, h)
-				} else {
-					gm[h] = hs
-				}
-				break
-			}
+	word, bit := replica/64, uint64(1)<<(replica%64)
+	//jenga:order-ok each cell is edited independently and exactly once; the count is a sum
+	for k, mask := range d.holders {
+		if k.word != word || mask&bit == 0 {
+			continue
 		}
-		if len(gm) == 0 {
-			delete(d.holders, g)
+		n++
+		if mask &^= bit; mask == 0 {
+			delete(d.holders, k)
+		} else {
+			d.holders[k] = mask
 		}
 	}
 	return n
@@ -138,12 +155,18 @@ func (d *Directory) removeHolder(replica int) int {
 // Lookup returns the lowest-numbered holder of (group, hash) other
 // than exclude, or false when no peer holds it. Pass a negative
 // exclude to consider every holder.
+//
+//jenga:hotpath
 func (d *Directory) Lookup(group string, hash uint64, exclude int) (int, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, r := range d.holders[group][hash] {
-		if r != exclude {
-			return r, true
+	for w := 0; w < d.words; w++ {
+		mask := d.holders[dirKey{group, hash, w}]
+		if exclude >= 0 && exclude/64 == w {
+			mask &^= 1 << (exclude % 64)
+		}
+		if mask != 0 {
+			return 64*w + bits.TrailingZeros64(mask), true
 		}
 	}
 	return 0, false
@@ -174,7 +197,7 @@ func (d *Directory) Unpin(replica int) {
 		if inv.all {
 			d.removeHolder(replica)
 		} else {
-			d.remove(replica, inv.key.group, inv.key.hash)
+			d.remove(replica, inv.group, inv.hash)
 		}
 	}
 	delete(d.deferred, replica)
@@ -187,13 +210,10 @@ func (d *Directory) HolderLen(replica int) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := 0
-	for _, gm := range d.holders {
-		for _, hs := range gm {
-			for _, r := range hs {
-				if r == replica {
-					n++
-				}
-			}
+	word, bit := replica/64, uint64(1)<<(replica%64)
+	for k, mask := range d.holders {
+		if k.word == word && mask&bit != 0 {
+			n++
 		}
 	}
 	return n
@@ -205,47 +225,26 @@ func (d *Directory) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := 0
-	for _, gm := range d.holders {
-		for _, hs := range gm {
-			n += len(hs)
-		}
+	//jenga:order-ok a sum over all cells
+	for _, mask := range d.holders {
+		n += bits.OnesCount64(mask)
 	}
 	return n
 }
 
-// remove drops replica from (group, hash)'s holder list. Caller holds
-// the mutex.
+// remove clears replica's bit for (group, hash). Caller holds the
+// mutex.
+//
+//jenga:hotpath
 func (d *Directory) remove(replica int, group string, hash uint64) {
-	gm := d.holders[group]
-	hs := gm[hash]
-	for i, r := range hs {
-		if r == replica {
-			hs = append(hs[:i], hs[i+1:]...)
-			break
-		}
+	k, bit := cell(replica, group, hash)
+	mask, ok := d.holders[k]
+	if !ok {
+		return
 	}
-	if len(hs) == 0 {
-		delete(gm, hash)
-		if len(gm) == 0 {
-			delete(d.holders, group)
-		}
+	if mask &^= bit; mask == 0 {
+		delete(d.holders, k)
 	} else {
-		gm[hash] = hs
+		d.holders[k] = mask
 	}
-}
-
-// insertHolder adds replica to a sorted holder list, deduplicating.
-func insertHolder(hs []int, replica int) []int {
-	for i, r := range hs {
-		if r == replica {
-			return hs
-		}
-		if r > replica {
-			hs = append(hs, 0)
-			copy(hs[i+1:], hs[i:])
-			hs[i] = replica
-			return hs
-		}
-	}
-	return append(hs, replica)
 }

@@ -15,8 +15,9 @@ type refDirectory struct {
 // refInv mirrors deferredInv: one deferred block invalidation, or a
 // deferred holder-wide wipe (crash while pinned).
 type refInv struct {
-	key dirKey
-	all bool
+	group string
+	hash  uint64
+	all   bool
 }
 
 func newRefDirectory() *refDirectory {
@@ -41,26 +42,33 @@ func (d *refDirectory) register(replica int, group string, hash uint64) {
 
 func (d *refDirectory) invalidate(replica int, group string, hash uint64) {
 	if d.pins[replica] > 0 {
-		d.deferred[replica] = append(d.deferred[replica], refInv{key: dirKey{group, hash}})
+		d.deferred[replica] = append(d.deferred[replica], refInv{group: group, hash: hash})
 		return
 	}
 	delete(d.holders[group][hash], replica)
 }
 
-func (d *refDirectory) invalidateHolder(replica int) {
+// invalidateHolder returns the number of entries removed at once (0
+// for a deferred wipe), as Directory.InvalidateHolder does.
+func (d *refDirectory) invalidateHolder(replica int) int {
 	if d.pins[replica] > 0 {
 		d.deferred[replica] = append(d.deferred[replica], refInv{all: true})
-		return
+		return 0
 	}
-	d.wipeHolder(replica)
+	return d.wipeHolder(replica)
 }
 
-func (d *refDirectory) wipeHolder(replica int) {
+func (d *refDirectory) wipeHolder(replica int) int {
+	n := 0
 	for _, gm := range d.holders {
 		for _, hs := range gm {
+			if hs[replica] {
+				n++
+			}
 			delete(hs, replica)
 		}
 	}
+	return n
 }
 
 func (d *refDirectory) lookup(group string, hash uint64, exclude int) (int, bool) {
@@ -91,7 +99,7 @@ func (d *refDirectory) unpin(replica int) {
 		if inv.all {
 			d.wipeHolder(replica)
 		} else {
-			delete(d.holders[inv.key.group][inv.key.hash], replica)
+			delete(d.holders[inv.group][inv.hash], replica)
 		}
 	}
 	delete(d.deferred, replica)
@@ -122,27 +130,28 @@ func (d *refDirectory) len() int {
 // FuzzFleetDirectory drives random register/invalidate/lookup/pin/
 // unpin/crash interleavings over a small key space against the
 // map-based reference, checking after every op that (a) every
-// (group, hash, exclude) lookup agrees, (b) Len agrees, and (c) the
-// pinned-holder exclusion invariant holds: an invalidation — single
-// block or a crash's holder-wide wipe — against a pinned replica
-// never removes its entries until the final Unpin.
+// (group, hash, exclude) lookup agrees, (b) Len and every HolderLen
+// agree, (c) a crash reports the entry count the reference removed, and
+// (d) the pinned-holder exclusion invariant holds: an invalidation —
+// single block or a crash's holder-wide wipe — against a pinned replica
+// never removes its entries until the final Unpin. The four replica IDs
+// span three mask words (0, 1, 64, 130), so lowest-holder-wins and
+// exclusion are exercised across cells as well as within one.
 func FuzzFleetDirectory(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x23, 0x34, 0x40})
 	f.Add([]byte{0x30, 0x10, 0x11, 0x20, 0x40, 0x20})
 	f.Add([]byte{0x01, 0x05, 0x51})             // register two holders, crash one
 	f.Add([]byte{0x31, 0x01, 0x51, 0x01, 0x41}) // crash deferred behind a pin
 	f.Add([]byte{})
-	const (
-		replicas = 4
-		hashes   = 8
-	)
+	const hashes = 8
+	replicaIDs := []int{0, 1, 64, 130}
 	groups := []string{"a", "b"}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		d := NewDirectory()
 		ref := newRefDirectory()
 		for _, b := range ops {
 			op := int(b >> 4 % 6)
-			replica := int(b % replicas)
+			replica := replicaIDs[int(b)%len(replicaIDs)]
 			h := uint64(b>>2) % hashes
 			g := groups[int(b>>1)%len(groups)]
 			switch op {
@@ -161,20 +170,21 @@ func FuzzFleetDirectory(f *testing.F) {
 				d.Unpin(replica)
 				ref.unpin(replica)
 			case 5:
-				d.InvalidateHolder(replica)
-				ref.invalidateHolder(replica)
+				if got, want := d.InvalidateHolder(replica), ref.invalidateHolder(replica); got != want {
+					t.Fatalf("InvalidateHolder(%d) = %d, reference %d", replica, got, want)
+				}
 			}
 			if got, want := d.Len(), ref.len(); got != want {
 				t.Fatalf("Len = %d, reference %d", got, want)
 			}
-			for r := 0; r < replicas; r++ {
+			for _, r := range replicaIDs {
 				if got, want := d.HolderLen(r), ref.holderLen(r); got != want {
 					t.Fatalf("HolderLen(%d) = %d, reference %d", r, got, want)
 				}
 			}
 			for _, gg := range groups {
 				for hh := uint64(0); hh < hashes; hh++ {
-					for ex := -1; ex < replicas; ex++ {
+					for _, ex := range append([]int{-1, 2}, replicaIDs...) {
 						gr, gok := d.Lookup(gg, hh, ex)
 						wr, wok := ref.lookup(gg, hh, ex)
 						if gok != wok || (gok && gr != wr) {
@@ -187,7 +197,7 @@ func FuzzFleetDirectory(f *testing.F) {
 		}
 		// Drain every pin: deferred invalidations must all apply and
 		// the two models must still agree.
-		for r := 0; r < replicas; r++ {
+		for _, r := range replicaIDs {
 			for i := 0; i < len(ops)+1; i++ {
 				d.Unpin(r)
 				ref.unpin(r)

@@ -11,10 +11,23 @@ import "jenga/internal/core"
 // outcome plus the tokens and wire bytes moved, so the engine can
 // charge the peer link and partial results are observable instead of
 // silent.
+//
+// Fetch runs only in the cluster's barrier sections, one call at a
+// time, so the store owns its scratch outright: the holder batches and
+// the report's Holders list are reused from one Fetch to the next, and
+// a warm Fetch allocates nothing.
 type Store struct {
 	dir  *Directory
 	mgrs []core.TierManager
 	base []core.Manager // same replicas, plain Manager surface (Lookup)
+	// peers[dst] is dst's presence oracle — the directory's lowest
+	// holder other than dst — built once at Attach.
+	peers []core.PeerPresence
+	// Fetch scratch: the (holder, group) batches in first-seen order,
+	// each keeping its hash list's array, and the holder reports the
+	// returned FetchReport points at.
+	batches []batch
+	reports []HolderReport
 	// faults, when set, decides whether each transfer attempt fails;
 	// attempts bounds the per-batch retry loop (≥ 1; 1 = no retry,
 	// the historical behavior). Both are written only between runs
@@ -87,6 +100,13 @@ type HolderReport struct {
 	Bytes int64
 }
 
+// batch is the blocks one Fetch wants from one (holder, group).
+type batch struct {
+	src    int
+	group  string
+	hashes []uint64
+}
+
 // FetchReport is the full outcome of one Store.Fetch.
 type FetchReport struct {
 	// Tokens is the prefix length gained over the local lookup (0
@@ -97,7 +117,8 @@ type FetchReport struct {
 	Bytes    int64
 	Imported int64
 	// Holders details every (holder, group) batch in first-seen
-	// order; the counters tally them by outcome.
+	// order; the counters tally them by outcome. The list is the
+	// store's scratch, valid until its next Fetch.
 	Holders                  []HolderReport
 	Fetched, Skipped, Failed int
 	Retries                  int
@@ -109,6 +130,7 @@ func NewStore(n int) *Store {
 		dir:      NewDirectory(),
 		mgrs:     make([]core.TierManager, n),
 		base:     make([]core.Manager, n),
+		peers:    make([]core.PeerPresence, n),
 		attempts: 1,
 	}
 }
@@ -152,6 +174,9 @@ func (s *Store) Attach(replica int, mgr core.Manager) bool {
 	tm.SetTierObserver(&dirObserver{dir: s.dir, replica: replica})
 	s.mgrs[replica] = tm
 	s.base[replica] = mgr
+	s.peers[replica] = func(group string, hash uint64) (int, bool) {
+		return s.dir.Lookup(group, hash, replica)
+	}
 	return true
 }
 
@@ -175,17 +200,15 @@ type peerFetchNoter interface {
 // mid-restore state stays private to its replica. Batches that skip
 // or fail fall back to local recompute naturally: the destination
 // simply never sees their pages.
+//
+//jenga:hotpath
 func (s *Store) Fetch(dst int, seq *core.Sequence, now core.Tick) FetchReport {
 	var rep FetchReport
 	if dst < 0 || dst >= len(s.mgrs) || s.mgrs[dst] == nil {
 		return rep
 	}
 	tm := s.mgrs[dst]
-	peer := func(group string, hash uint64) bool {
-		_, ok := s.dir.Lookup(group, hash, dst)
-		return ok
-	}
-	p, fetch := tm.LookupFleet(seq, peer)
+	p, fetch := tm.LookupFleet(seq, s.peers[dst])
 	if len(fetch) == 0 {
 		return rep
 	}
@@ -194,26 +217,30 @@ func (s *Store) Fetch(dst int, seq *core.Sequence, now core.Tick) FetchReport {
 		return rep
 	}
 	// Batch the fetch list by (source replica, group) in first-seen
-	// order so each holder exports once per group.
-	type batchKey struct {
-		src   int
-		group string
-	}
-	var order []batchKey
-	batches := make(map[batchKey][]uint64)
+	// order so each holder exports once per group. The holder is the one
+	// the lookup's oracle named: nothing touches the directory between
+	// that probe and this point.
+	batches := s.batches[:0]
 	for _, fb := range fetch {
-		src, ok := s.dir.Lookup(fb.Group, fb.Hash, dst)
-		if !ok {
-			continue
+		i := 0
+		for i < len(batches) && (batches[i].src != fb.Holder || batches[i].group != fb.Group) {
+			i++
 		}
-		k := batchKey{src, fb.Group}
-		if _, seen := batches[k]; !seen {
-			order = append(order, k)
+		if i == len(batches) {
+			// The scratch entry past len, if any, lends its hash array.
+			var hashes []uint64
+			if i < cap(batches) {
+				hashes = batches[:i+1][i].hashes[:0]
+			}
+			batches = append(batches, batch{src: fb.Holder, group: fb.Group, hashes: hashes})
 		}
-		batches[k] = append(batches[k], fb.Hash)
+		batches[i].hashes = append(batches[i].hashes, fb.Hash)
 	}
-	for _, k := range order {
-		hr := HolderReport{Holder: k.src, Group: k.group, Blocks: len(batches[k])}
+	s.batches = batches
+	rep.Holders = s.reports[:0]
+	for i := range batches {
+		k := &batches[i]
+		hr := HolderReport{Holder: k.src, Group: k.group, Blocks: len(k.hashes)}
 		src := s.mgrs[k.src]
 		if src == nil {
 			hr.Outcome, hr.Reason = FetchSkipped, "holder detached"
@@ -222,7 +249,7 @@ func (s *Store) Fetch(dst int, seq *core.Sequence, now core.Tick) FetchReport {
 			continue
 		}
 		s.dir.Pin(k.src)
-		ps, ok := src.ExportPrefix(k.group, batches[k])
+		ps, ok := src.ExportPrefix(k.group, k.hashes)
 		s.dir.Unpin(k.src)
 		if !ok {
 			hr.Outcome, hr.Reason = FetchSkipped, "nothing to export"
@@ -259,6 +286,7 @@ func (s *Store) Fetch(dst int, seq *core.Sequence, now core.Tick) FetchReport {
 			s.stats.MaxAttempts = hr.Attempts
 		}
 	}
+	s.reports = rep.Holders
 	s.stats.Fetched += int64(rep.Fetched)
 	s.stats.Skipped += int64(rep.Skipped)
 	s.stats.Failed += int64(rep.Failed)

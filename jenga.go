@@ -401,8 +401,8 @@ var NewRouter = cluster.NewRouter
 // or rebalancing replicas hand running requests to survivors mid-
 // stream), or both. FleetDirectory is the underlying prefix directory
 // — which replica's host tier holds which prefix blocks — and PageSet
-// the serialized page-set currency replicas exchange (exported by
-// ExportPrefix, accepted by ImportPrefix on a tiered Manager).
+// the page-set currency replicas exchange (exported by ExportPrefix,
+// accepted by ImportPrefix on a tiered Manager).
 type (
 	// FleetPolicy configures the fleet store, migration and drain/
 	// rebalance schedule on a cluster.
@@ -412,8 +412,14 @@ type (
 	// FleetStore couples a FleetDirectory to every replica's host
 	// tier via tier observers.
 	FleetStore = fleet.Store
-	// PageSet is a serializable set of host-tier pages for one prefix
-	// — the unit of peer transfer and migration state.
+	// PageSet is a set of host-tier pages for one prefix — the unit of
+	// peer transfer and migration state. It is a view: a flat block
+	// list with page bounds in the exporting manager's scratch, block
+	// bytes still in the exporting tier, valid until that manager's
+	// next ExportPrefix (and only while its tier does not change).
+	// ImportPrefix copies what it admits, so a set may be imported more
+	// than once while it is valid; a caller that keeps one longer
+	// copies it.
 	PageSet = core.PageSet
 )
 
