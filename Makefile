@@ -5,7 +5,7 @@ GO ?= go
 # Pinned staticcheck (matches the CI step; bump both together).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race bench bench-json bench-scale bench-smoke chaos-smoke scale-smoke fuzz lint guard staticcheck fmt vet ci
+.PHONY: build test race debug bench bench-json bench-scale bench-smoke chaos-smoke scale-smoke fuzz lint guard staticcheck fmt vet ci
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,16 @@ test: build
 # Race pass; -short skips the full-scale experiment replays.
 race:
 	$(GO) test -race -short ./...
+
+# jengadebug pass (part of `make ci`): the build tag under which memory
+# that is handed back — a run to the engine's slab, a prompt array to
+# its generator — is poisoned before reuse, and the hand-over counts
+# are asserted to balance at every Drain and Reset (internal/debug,
+# DESIGN.md "Requests and prompts"). One -short pass over the packages
+# that lend and borrow covers TestExitMatrix, TestScenarioMatrix, the
+# recycling stream tests and the goldens.
+debug:
+	$(GO) test -tags jengadebug -short ./internal/engine ./internal/cluster ./internal/workload ./internal/bench
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -138,7 +148,12 @@ vet:
 # its second probe), the tier's eviction queue is slotted, so
 # evictQueue has no compaction (filter) to come back, and the transfer
 # path in internal/core/fleet.go runs on manager scratch, so a fresh
-# []PageBlock or map there is a per-page or per-call allocation again.
+# []PageBlock or map there is a per-page or per-call allocation again;
+# a request costs the host no object — runs come from the engine's slab
+# free list (internal/engine/runpool.go) and prompts from the
+# generator's (internal/workload/promptbuf.go holds the one allocation,
+# the free-list miss), so a &run{ or a make([]core.Token anywhere else
+# in those packages is an object per request again.
 # (The token's four bytes need no grep: internal/core pins them at
 # compile time.)
 guard:
@@ -153,7 +168,9 @@ guard:
 	@out=$$(grep -n 'map\[string\]map\[uint64\]' internal/core/hosttier.go $$(ls internal/fleet/*.go | grep -v '_test\.go$$')); if [ -n "$$out" ]; then echo "a nested string-keyed map is back in the fleet directory or the host tier:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'func (q \*evictQueue\[E\]) filter(' internal/core --include='*.go'); if [ -n "$$out" ]; then echo "evictQueue.filter (the unslotted tier queue's compaction) is back:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n -e 'make(\[\]PageBlock' -e 'make(map\[' internal/core/fleet.go); if [ -n "$$out" ]; then echo "the fleet transfer path allocates per page or per call again (internal/core/fleet.go runs on manager scratch):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn '&run{' internal/engine --include='*.go' | grep -v -e '_test\.go:' -e '^internal/engine/runpool\.go:'); if [ -n "$$out" ]; then echo "a run allocated outside the slab free list in internal/engine (runpool.go):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn 'make(\[\]core\.Token' internal/workload --include='*.go' | grep -v -e '_test\.go:' -e '^internal/workload/promptbuf\.go:'); if [ -n "$$out" ]; then echo "a prompt allocated outside the one buffer-take function in internal/workload (promptbuf.go):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn -e 'metrics\.Percentiles\?(' -e 'metrics\.Attainment(' -e 'metrics\.Goodput(' internal/serve internal/cluster internal/bench examples --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a report layer rolls up per-request records itself (engine.Rollup is the one roll-up):"; echo "$$out"; exit 1; fi
 
-ci: vet lint guard build test race chaos-smoke scale-smoke
+ci: vet lint guard build test race debug chaos-smoke scale-smoke
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi

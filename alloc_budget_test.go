@@ -117,15 +117,15 @@ func TestWarmLookupZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestServeArrivalAllocBudget bounds the per-arrival cost of the
-// online router loop (snapshot every replica, route, submit) on the
-// serve_online_arrival fixture. Unlike the decode and lookup paths
-// this one legitimately allocates, so the budget is what that measures,
-// two objects, not zero: the fixture's own request (it outlives the
-// call, so it escapes) and the run Submit creates for it, which holds
-// the request's Sequence by value. The arrival queue keeps its array
-// across pops. Anything above two is a regression that allocates per
-// replica, per prompt token or per queue operation on the routing path.
+// TestServeArrivalAllocBudget pins the per-arrival cost of the online
+// router loop (snapshot every replica, route, submit) on the
+// serve_online_arrival fixture at zero. The fixture reuses one request
+// value — Submit copies the header out, so nothing about it outlives
+// the call — the run comes from the engine's slab free list (one slab
+// of 64 per engine, taken during the warm-up here), and the arrival
+// queue keeps its array across pops. Anything above zero is a
+// regression that allocates per request, per replica, per prompt token
+// or per queue operation on the routing path.
 func TestServeArrivalAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is not meaningful under -short/-race runs")
@@ -149,9 +149,8 @@ func TestServeArrivalAllocBudget(t *testing.T) {
 		}
 		iter++
 	})
-	const budget = 2
-	if allocs > budget {
-		t.Fatalf("online arrival allocates %.2f objects per request, budget %d", allocs, budget)
+	if allocs != 0 {
+		t.Fatalf("online arrival allocates %.2f objects per request, want 0", allocs)
 	}
 }
 

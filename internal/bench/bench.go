@@ -354,6 +354,10 @@ func ServeOnlineArrival() (*Op, error) {
 		prompt[i] = core.Token{ID: int32(i + 1)}
 	}
 	base := 0
+	// One request value serves every iteration: the router takes it by
+	// pointer (through an interface, so it lives on the heap) and the
+	// engine copies the header out.
+	req := workload.Request{Prompt: prompt, OutputLen: 32}
 	op := &Op{
 		RecycleEvery: 512,
 		Recycle: func(i int) error {
@@ -368,12 +372,8 @@ func ServeOnlineArrival() (*Op, error) {
 		},
 	}
 	op.Run = func(i int) error {
-		req := workload.Request{
-			ID:        int64(i + 1),
-			Prompt:    prompt,
-			OutputLen: 32,
-			Arrival:   time.Duration(i-base) * 50 * time.Microsecond,
-		}
+		req.ID = int64(i + 1)
+		req.Arrival = time.Duration(i-base) * 50 * time.Microsecond
 		for j, e := range engines {
 			snap := e.SnapshotTotals()
 			loads[j].Live = true

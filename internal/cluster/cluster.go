@@ -332,6 +332,11 @@ type pass struct {
 	out Result
 	// shards are the replica event loops (nil for Route's dry run).
 	shards []*streamShard
+	// recycler is the source's hand-back capability (nil without one):
+	// barrier sections give it the prompts the shards' engines are done
+	// with, so a streamed run reuses prompt arrays instead of making one
+	// per request.
+	recycler workload.Recycler
 }
 
 // newPass starts a pass. Stateful built-in routers are reset, so

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"jenga/internal/core"
 	"jenga/internal/engine"
 	"jenga/internal/workload"
 )
@@ -38,7 +39,9 @@ const (
 // streamCmd is one shard-mailbox entry: a routed arrival (horizon
 // false) or a horizon barrier (horizon true). Commands reach each
 // shard in router order, so per-replica arrival order is exactly the
-// routing order.
+// routing order. The request travels by value — the mailbox hands it
+// over, the engine copies the header out of the shard's stack into a
+// pooled run — so an arrival costs the host no object.
 type streamCmd struct {
 	req     workload.Request
 	rep     int
@@ -61,6 +64,11 @@ type streamShard struct {
 	loads []Load
 	acc   *fleetAcc
 	err   error
+	// spent collects the prompts of requests that retired on this
+	// shard's replicas (the engines' prompt sinks append here, on the
+	// shard goroutine); the router hands them back to the source inside
+	// the next barrier section. Used only under a recycling source.
+	spent [][]core.Token
 }
 
 // run is the shard goroutine body. On error it keeps consuming (and
@@ -111,10 +119,7 @@ func (s *streamShard) submit(cmd streamCmd) error {
 	if err := e.AdvanceTo(cmd.req.Arrival); err != nil {
 		return replicaErr(cmd.rep, err)
 	}
-	// Submit retains the pointer and the source owns its request only
-	// until the next pull, so the engine gets its own copy.
-	req := cmd.req
-	return replicaErr(cmd.rep, e.Submit(&req))
+	return replicaErr(cmd.rep, e.Submit(&cmd.req))
 }
 
 func replicaErr(rep int, err error) error {
@@ -130,7 +135,9 @@ func replicaErr(rep int, err error) error {
 // barrier section — it may touch engines, managers, the store and the
 // directory directly (the ack is the happens-before edge). Snapshots are
 // taken at exact simulated instants, so a run is a pure function of
-// workload, config and horizon policy, whatever the shard count.
+// workload, config and horizon policy, whatever the shard count. Each
+// shard's ack also hands over the prompts of the requests that retired
+// on it since the last barrier, and they go back to the source here.
 func (p *pass) barrier(at time.Duration) error {
 	for _, s := range p.shards {
 		s.cmds <- streamCmd{at: at, horizon: true}
@@ -141,6 +148,11 @@ func (p *pass) barrier(at time.Duration) error {
 		if err == nil {
 			err = s.err
 		}
+		for i, prompt := range s.spent {
+			p.recycler.Recycle(prompt)
+			s.spent[i] = nil
+		}
+		s.spent = s.spent[:0]
 	}
 	return err
 }
@@ -158,6 +170,7 @@ func (c *Cluster) drive(src workload.Source, shards int, every time.Duration, ex
 	n := len(c.engines)
 	shards = min(max(shards, 1), n)
 	p := c.newPass()
+	p.recycler, _ = src.(workload.Recycler)
 	for _, e := range c.engines {
 		e.Reset()
 	}
@@ -182,6 +195,10 @@ func (c *Cluster) drive(src workload.Source, shards int, every time.Duration, ex
 				}
 			})
 			defer e.SetRetireSink(e.Retain)
+		}
+		if p.recycler != nil {
+			e.SetPromptSink(func(prompt []core.Token) { s.spent = append(s.spent, prompt) })
+			defer e.SetPromptSink(nil)
 		}
 	}
 	var wg sync.WaitGroup

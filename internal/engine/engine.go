@@ -220,15 +220,22 @@ const (
 	phaseDecode
 )
 
-// run is one request's runtime state.
+// run is one request's runtime state. Runs are pooled (runpool.go):
+// whoever takes one overwrites it whole, and nothing may keep a *run
+// past the step in which its request left the engine.
 type run struct {
-	req *workload.Request
+	// req is the engine's own copy of the request header; req.Prompt
+	// still points at the submitter's array, which is only ever read.
+	req workload.Request
 	seq core.Sequence
 	// owned marks seq.Tokens as a private buffer from the engine's free
 	// list; otherwise it borrows req.Prompt (or a Migrated record's
 	// slice) and is read-only. See tokbuf.go.
 	owned bool
-	ph    phase
+	// promptShared marks req.Prompt as shared with another request (a
+	// fork root and its branches): nobody may hand it back.
+	promptShared bool
+	ph           phase
 	// computed is the number of tokens with committed KV.
 	computed int
 	// cachedHit is the prefix served from cache at (re)admission.
@@ -337,9 +344,13 @@ type Engine struct {
 	tier     core.TierManager
 	tierBase core.TierStats
 
-	// tokFree is the free list of private token buffers (tokbuf.go); it
-	// survives Reset.
+	// tokFree is the free list of private token buffers (tokbuf.go) and
+	// runs the free list of runs (runpool.go); both survive Reset.
 	tokFree tokenPool
+	runs    runPool
+	// promptSink, when set, is handed the prompt of every request that
+	// retires here and shares it with nobody (SetPromptSink).
+	promptSink func([]core.Token)
 
 	// forker is the manager's copy-on-write forking capability (nil
 	// for managers without one — fan-out then degrades to running the
@@ -371,6 +382,10 @@ type tally struct {
 	pendingPeerBytes int64
 	// forkSeq numbers engine-generated branch IDs.
 	forkSeq int64
+	// promptsCollected and promptsLeft count retired requests by where
+	// their prompt went: to the prompt sink, or left to the GC
+	// (jengadebug's conservation check; see checkHandBack).
+	promptsCollected, promptsLeft int
 }
 
 // SetRetireSink replaces the sink every request's record is handed to
@@ -389,11 +404,23 @@ func (e *Engine) Retain(m RequestMetrics) {
 	}
 }
 
+// SetPromptSink installs fn to receive the prompt of every request that
+// retires on this engine, once the engine holds no reference to it: the
+// hand-back half of Submit's borrow, for a driver whose source can reuse
+// the buffer (workload.Recycler). Prompts shared between a fork root and
+// its branches are never handed over, and neither is anything CrashOut
+// or MigrateOut extracts — the prompt travels with the record. fn runs
+// on the engine's goroutine; nil, the default, leaves every prompt to
+// the GC. The sink survives Reset.
+func (e *Engine) SetPromptSink(fn func(prompt []core.Token)) { e.promptSink = fn }
+
 // retire is the one way out of the engine: whoever ends a request has
 // detached it from its queue and released its KV, and retire does the
 // rest — returns the token buffer, completes the request's record,
-// folds it into the run's tally, hands it to the sink and then emits
-// the terminal event ev.
+// folds it into the run's tally, hands it to the sink, emits the
+// terminal event ev, and last gives up the prompt and the run.
+//
+//jenga:hotpath
 func (e *Engine) retire(r *run, ev EventType) {
 	e.returnTokens(r)
 	m := RequestMetrics{
@@ -432,6 +459,13 @@ func (e *Engine) retire(r *run, ev EventType) {
 	}
 	e.sink(m)
 	e.emit(ev, r)
+	if e.promptSink != nil && !r.promptShared {
+		e.promptSink(r.req.Prompt)
+		e.promptsCollected++
+	} else {
+		e.promptsLeft++
+	}
+	e.dropRun(r)
 }
 
 // New validates the config and builds an engine.
@@ -502,13 +536,17 @@ func (e *Engine) Run(reqs []workload.Request) (*Result, error) {
 
 // reset returns the scheduler to a clean state so Run can be called
 // again on the same engine (the manager's cache is deliberately kept,
-// and so is the token free list: abandoned runs' buffers rejoin it).
+// and so are the free lists: abandoned runs and their buffers rejoin
+// them).
 func (e *Engine) reset() {
 	for _, q := range e.queues() {
 		for _, r := range q {
 			e.returnTokens(r)
+			e.dropRun(r)
 		}
 	}
+	e.recycleRuns()
+	e.checkHandBack("reset")
 	e.clock = 0
 	e.step = 0
 	e.pending.reset()
@@ -558,7 +596,7 @@ func (e *Engine) finishSampling() {
 func (e *Engine) admitArrivals() {
 	for e.pending.len() > 0 && e.pending.front().req.Arrival <= e.clock {
 		r := e.pending.popFront()
-		if e.cfg.Admission != nil && e.cfg.Admission.Decide(r.req, e.admissionState(r)) == Shed {
+		if e.cfg.Admission != nil && e.cfg.Admission.Decide(&r.req, e.admissionState(r)) == Shed {
 			e.retire(r, EventShed)
 			continue
 		}

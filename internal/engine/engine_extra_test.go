@@ -156,7 +156,7 @@ func TestGenTokenDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &run{req: &workload.Request{ID: 42}, seq: *newSeq(5)}
+	r := &run{req: workload.Request{ID: 42}, seq: *newSeq(5)}
 	a := e1.genToken(r)
 	b := e1.genToken(r)
 	if a != b {

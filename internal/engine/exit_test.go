@@ -35,20 +35,19 @@ func (s shedSet) Decide(req *workload.Request, _ AdmissionState) AdmissionDecisi
 }
 
 // exitEnv is two pressured engines (a serves, b takes migrations and
-// crash redispatches) with every sink call, every event and every run
-// they ever held on record.
+// crash redispatches) with every sink call, every event and every
+// private token buffer they ever lent on record.
 type exitEnv struct {
-	t      *testing.T
-	a, b   *Engine
-	shed   shedSet
-	log    []exitMark
-	ids    map[int64]bool
-	runs   map[*run]bool
-	handed int // private buffers MigrateOut handed over inside a record
+	t    *testing.T
+	a, b *Engine
+	shed shedSet
+	log  []exitMark
+	ids  map[int64]bool
+	bufs map[*core.Token]bool
 }
 
 func newExitEnv(t *testing.T, mode PreemptMode) *exitEnv {
-	x := &exitEnv{t: t, shed: shedSet{}, ids: map[int64]bool{}, runs: map[*run]bool{}}
+	x := &exitEnv{t: t, shed: shedSet{}, ids: map[int64]bool{}, bufs: map[*core.Token]bool{}}
 	spec := miniWindowSpec()
 	mk := func() *Engine {
 		e, err := New(Config{
@@ -96,14 +95,18 @@ func (x *exitEnv) submit(reqs []workload.Request) {
 	x.see()
 }
 
-// see records every live run. A run is visible between steps for at
-// least one step boundary (a fork child cannot retire in the step that
-// created it), so calling see around every step misses none.
+// see records every private buffer a live run holds. A run is visible
+// between steps for at least one step boundary after it takes its
+// buffer (a fork child cannot retire in the step that created it, a
+// decode takes 160 steps), so calling see around every step misses
+// none.
 func (x *exitEnv) see() {
 	for _, e := range []*Engine{x.a, x.b} {
 		for _, q := range e.queues() {
 			for _, r := range q {
-				x.runs[r] = true
+				if r.owned {
+					x.bufs[&r.seq.Tokens[:1][0]] = true
+				}
 			}
 		}
 	}
@@ -163,9 +166,6 @@ func (x *exitEnv) move(id int64, dst *Engine) {
 	if !ok {
 		x.t.Fatalf("MigrateOut(%d) missed a live request", id)
 	}
-	if m.pooled {
-		x.handed++
-	}
 	dst.MigrateIn(m)
 	x.see()
 }
@@ -182,6 +182,11 @@ func (x *exitEnv) finish(want map[int64]EventType) {
 				t.Fatal(err)
 			}
 			x.see()
+		}
+		// Runs extracted after the engine's last step (a crash) are still
+		// parked; Drain on a drained engine is the step boundary.
+		if err := e.Drain(); err != nil {
+			t.Fatal(err)
 		}
 	}
 	type history struct {
@@ -260,17 +265,38 @@ func (x *exitEnv) finish(want map[int64]EventType) {
 	if terminated != len(byID) {
 		t.Errorf("engines count %d terminated requests, %d were seen", terminated, len(byID))
 	}
-	// Token pool: every buffer lent came back, except the ones MigrateOut
-	// moved into a record — those left their (dead) run without a return
-	// and came back through the run that adopted them.
-	stillOwned := 0
-	for r := range x.runs {
-		if r.owned {
-			stillOwned++
+	// Free lists: every run taken is back, and every buffer lent is on
+	// one engine's list — its own, or the one that adopted it through a
+	// record — unless that class was already at its cap.
+	pooled := map[*core.Token]int{}
+	for _, e := range []*Engine{x.a, x.b} {
+		if p := &e.runs; p.taken != p.returned || len(p.spent) != 0 {
+			t.Errorf("%d runs taken, %d returned, %d parked", p.taken, p.returned, len(p.spent))
+		}
+		if lent := lentBuffers(e); lent != 0 {
+			t.Errorf("drained engine still lends %d buffers", lent)
+		}
+		for _, class := range e.tokFree {
+			for _, b := range class {
+				pooled[&b[:1][0]]++
+			}
 		}
 	}
-	if stillOwned != x.handed {
-		t.Errorf("%d retired runs still own a token buffer, want the %d handed over by MigrateOut", stillOwned, x.handed)
+	if len(x.bufs) == 0 {
+		t.Error("no private buffer was ever seen")
+	}
+	atCap := false
+	for _, e := range []*Engine{x.a, x.b} {
+		for _, class := range e.tokFree {
+			atCap = atCap || len(class) >= e.cfg.MaxRunning
+		}
+	}
+	for base := range x.bufs {
+		if n := pooled[base]; n > 1 {
+			t.Errorf("a token buffer is on %d free lists", n)
+		} else if n == 0 && !atCap {
+			t.Error("a token buffer was lost: on no free list, and no class is at its cap")
+		}
 	}
 }
 
@@ -280,7 +306,7 @@ func (x *exitEnv) finish(want map[int64]EventType) {
 // one terminal event per request, in that order; the record's state is
 // the event's type; E2E ≥ 0; TTFT is zero iff no first token was ever
 // emitted; Generated and Preemptions equal what the event stream says;
-// and afterwards no KV is in use and no token buffer is lost.
+// and afterwards no KV is in use and no run or token buffer is lost.
 func TestExitMatrix(t *testing.T) {
 	type scenario struct {
 		name string

@@ -59,26 +59,27 @@ func (e *Engine) Fork(parentID int64, childIDs []int64) error {
 
 // forkOne clones parent into one child branch and enters it into the
 // running set. The child request shares the parent's Prompt array
-// (read-only, like every prompt the engine holds); its token buffer
-// comes from the engine's free list.
+// (read-only, like every prompt the engine holds — and from here on
+// handed back by neither); its run and its token buffer come from the
+// engine's free lists.
 func (e *Engine) forkOne(parent *run, childID int64) error {
 	if parent.req.Group == 0 {
 		parent.req.Group = parent.req.ID
 	}
-	creq := &workload.Request{
-		ID:        childID,
-		Arrival:   e.clock,
-		Group:     parent.req.Group,
-		Prompt:    parent.req.Prompt,
-		OutputLen: parent.req.OutputLen,
-		Deadline:  parent.req.Deadline,
-		Priority:  parent.req.Priority,
-	}
 	// A child decodes from its first step, so it starts on a private
 	// buffer holding the parent's content up to the divergence point.
-	toks := append(e.takeTokens(len(creq.Prompt)+creq.OutputLen), parent.seq.Tokens...)
-	child := &run{
-		req:   creq,
+	toks := append(e.takeTokens(len(parent.req.Prompt)+parent.req.OutputLen), parent.seq.Tokens...)
+	child := e.takeRun()
+	*child = run{
+		req: workload.Request{
+			ID:        childID,
+			Arrival:   e.clock,
+			Group:     parent.req.Group,
+			Prompt:    parent.req.Prompt,
+			OutputLen: parent.req.OutputLen,
+			Deadline:  parent.req.Deadline,
+			Priority:  parent.req.Priority,
+		},
 		seq:   core.Sequence{ID: core.RequestID(childID), PromptLen: parent.seq.PromptLen, Tokens: toks},
 		owned: true,
 		ph:    phaseDecode,
@@ -98,8 +99,10 @@ func (e *Engine) forkOne(parent *run, childID int64) error {
 	}
 	if err := e.forker.Fork(&parent.seq, &child.seq, core.Tick(e.step)); err != nil {
 		e.returnTokens(child)
+		e.dropRun(child)
 		return err
 	}
+	parent.promptShared, child.promptShared = true, true
 	e.running = append(e.running, child)
 	e.emit(EventQueued, child)
 	return nil

@@ -20,12 +20,17 @@ import (
 // restore shares. The cluster layer owns policy — when to migrate,
 // where to, and how to move the pages (internal/fleet).
 
-// Migrated is one request's portable runtime state. A record is moved,
-// not copied: hand it to exactly one MigrateIn, or drop it.
+// Migrated is one request's portable runtime state. It owns what it
+// carries — the request header by value, the run's token slice, the
+// borrow of the prompt that Submit began — and is moved, not copied:
+// hand it to exactly one MigrateIn, which takes all three over, or drop
+// it, and the prompt is left to the GC (no prompt sink hears of a
+// request that retired nowhere).
 type Migrated struct {
-	// Req is the original request (the engine retained it; the
-	// destination retains it next).
-	Req *workload.Request
+	// Req is the request header as the source engine held it (its own
+	// copy: a fork may have labelled the Group). Req.Prompt is still the
+	// submitter's array, read-only as ever.
+	Req workload.Request
 	// Tokens is the sequence content at extraction: prompt plus every
 	// generated token. It is the extracted run's own slice — Req.Prompt
 	// itself for a request that had not decoded yet (and for every
@@ -38,6 +43,9 @@ type Migrated struct {
 	// recycles it at the request's exit. Records built by hand leave it
 	// false and their Tokens are only ever read.
 	pooled bool
+	// promptShared carries the run's flag: Req.Prompt is shared with a
+	// fork root or branch, wherever those now live.
+	promptShared bool
 	// DecodesDone and EverComputed restore decode progress and the
 	// recompute high-water mark (cross-replica recomputation still
 	// counts as RecomputedTokens on the destination).
@@ -103,10 +111,11 @@ func (e *Engine) MigrateOut(id int64) (Migrated, bool) {
 	}
 	e.res.MigratedOut++
 	e.emit(EventMigrated, r)
-	return Migrated{
+	m := Migrated{
 		Req:            r.req,
 		Tokens:         r.seq.Tokens,
 		pooled:         r.owned,
+		promptShared:   r.promptShared,
 		DecodesDone:    r.decodesDone,
 		EverComputed:   r.everComputed,
 		RestoredTokens: r.restoredTokens,
@@ -115,7 +124,9 @@ func (e *Engine) MigrateOut(id int64) (Migrated, bool) {
 		FirstToken:     r.firstToken,
 		Started:        started,
 		ForkDone:       r.forkDone,
-	}, true
+	}
+	e.dropRun(r)
+	return m, true
 }
 
 // MigrateIn resumes a migrated request on this engine. Started
@@ -126,10 +137,12 @@ func (e *Engine) MigrateOut(id int64) (Migrated, bool) {
 // replica's cache, its host tier or a prior fleet fetch holds, and
 // only the remainder recomputes. Unstarted requests re-join the
 // arrival queue. IDs must remain unique among this engine's live
-// requests. m.Tokens is taken over, not copied: a private buffer that
-// came out of MigrateOut is adopted (and recycled here when the request
-// leaves), anything else is borrowed read-only like a submitted prompt;
-// the caller must not use m again.
+// requests. The record is taken over: m.Req is copied into a pooled
+// run; m.Tokens is not copied — a private buffer that came out of
+// MigrateOut is adopted (and recycled here when the request leaves),
+// anything else is borrowed read-only like a submitted prompt — and the
+// prompt's borrow now ends at this engine's retire. The caller must not
+// use m again.
 //
 //jenga:hotpath
 func (e *Engine) MigrateIn(m Migrated) {
@@ -137,10 +150,12 @@ func (e *Engine) MigrateIn(m Migrated) {
 	if !m.pooled {
 		toks = borrowTokens(toks)
 	}
-	r := &run{
+	r := e.takeRun()
+	*r = run{
 		req:            m.Req,
 		seq:            core.Sequence{ID: core.RequestID(m.Req.ID), PromptLen: len(m.Req.Prompt), Tokens: toks},
 		owned:          m.pooled,
+		promptShared:   m.promptShared,
 		ph:             phasePrefill,
 		decodesDone:    m.DecodesDone,
 		everComputed:   m.EverComputed,
@@ -181,6 +196,7 @@ func (e *Engine) CrashOut() []Migrated {
 			out = append(out, Migrated{
 				Req:            r.req,
 				Tokens:         r.req.Prompt,
+				promptShared:   r.promptShared,
 				EverComputed:   r.everComputed,
 				RestoredTokens: r.restoredTokens,
 				RestoredBytes:  r.restoredBytes,
@@ -189,6 +205,7 @@ func (e *Engine) CrashOut() []Migrated {
 				Started:        i < 2, // running or waiting: arrival processed
 				ForkDone:       r.forkDone,
 			})
+			e.dropRun(r)
 		}
 	}
 	e.running = nil

@@ -260,11 +260,16 @@ func (e *Engine) snapshot(u core.Usage) Snapshot {
 // Submit enqueues one request into the streaming core. The request
 // joins the arrival queue at req.Arrival (which may be in the
 // simulated past — it is then admitted on the next step). The engine
-// retains req and reads req.Prompt in place until the request leaves
-// (no copy is made: Submit costs the same for an 8k-token prompt as
-// for a 64-token one); callers must not mutate either afterwards. The
-// engine itself never writes to the prompt's array. IDs must be unique
-// among live requests.
+// copies the request header into a pooled run and keeps no pointer to
+// req: the caller may reuse or drop it as soon as Submit returns, and
+// the engine's own bookkeeping (a fork labelling its root's Group) is
+// written to the copy. req.Prompt is the one thing borrowed: the engine
+// reads the array in place, never writes to it (no copy is made: Submit
+// costs the same for an 8k-token prompt as for a 64-token one), and
+// needs it unchanged until the request leaves — through its terminal
+// event, or inside the record MigrateOut or CrashOut returns. The
+// prompt sink (SetPromptSink) is told when that borrow ends. IDs must
+// be unique among live requests.
 //
 //jenga:hotpath
 func (e *Engine) Submit(req *workload.Request) error {
@@ -272,10 +277,12 @@ func (e *Engine) Submit(req *workload.Request) error {
 		//jenga:alloc-ok invalid-request error path
 		return fmt.Errorf("engine: request %d has output length %d", req.ID, req.OutputLen)
 	}
-	e.enqueuePending(&run{
-		req: req,
+	r := e.takeRun()
+	*r = run{
+		req: *req,
 		seq: core.Sequence{ID: core.RequestID(req.ID), PromptLen: len(req.Prompt), Tokens: borrowTokens(req.Prompt)},
-	})
+	}
+	e.enqueuePending(r)
 	return nil
 }
 
@@ -380,6 +387,7 @@ func (e *Engine) StepOnce() error {
 	if e.step%kvUtilEvery == 0 {
 		e.sampleKVUtil()
 	}
+	e.recycleRuns()
 	return nil
 }
 
@@ -412,6 +420,8 @@ func (e *Engine) Drain() error {
 		}
 	}
 	e.finishSampling()
+	e.recycleRuns() // runs extracted (MigrateOut, CrashOut) since the last step
+	e.checkHandBack("drain")
 	return nil
 }
 

@@ -136,9 +136,12 @@ func borrowScenario(t *testing.T, mode PreemptMode, reqs []workload.Request) (a,
 // TestPromptsAreBorrowedNotTouched: the engine reads req.Prompt in
 // place through preemption (recompute and swap), fan-out, migration
 // and crash/redispatch, and never writes to it — not even into the
-// array's spare capacity. Length, capacity, address and content of
-// every prompt survive, and a second pass over the same request slice
-// on fresh managers repeats the first exactly.
+// array's spare capacity — nor to the caller's request: what a fork
+// records about its root (the Group label of one that had none) goes
+// into the engine's own copy of the header. Length, capacity, address
+// and content of every prompt and every field of every request
+// survive, and a second pass over the same request slice on fresh
+// managers repeats the first exactly.
 func TestPromptsAreBorrowedNotTouched(t *testing.T) {
 	for _, mode := range []PreemptMode{PreemptRecompute, PreemptSwap} {
 		g := workload.NewGen(42)
@@ -148,6 +151,9 @@ func TestPromptsAreBorrowedNotTouched(t *testing.T) {
 		for i := range reqs {
 			if i%16 == 0 {
 				reqs[i].Fanout, reqs[i].ForkAfter = 3, 5
+			}
+			if i%32 == 0 { // an unlabelled root: its fork names the group after it
+				reqs[i].Group = 0
 			}
 			if i%3 == 0 { // room behind the prompt for a stray append to land in
 				reqs[i].Prompt = reqs[i].Prompt[:len(reqs[i].Prompt)-7]
@@ -161,10 +167,15 @@ func TestPromptsAreBorrowedNotTouched(t *testing.T) {
 		for i := range reqs {
 			marks[i] = markPrompt(reqs[i].Prompt)
 		}
+		submitted := append([]workload.Request(nil), reqs...)
 		a1, b1 := borrowScenario(t, mode, reqs)
 		for i := range reqs {
 			if got := markPrompt(reqs[i].Prompt); got != marks[i] {
 				t.Fatalf("mode %v: request %d's prompt changed: %+v, was %+v", mode, reqs[i].ID, got, marks[i])
+			}
+			if !reflect.DeepEqual(reqs[i], submitted[i]) {
+				t.Fatalf("mode %v: the engine wrote to the caller's request %d: now %+v, submitted as %+v",
+					mode, reqs[i].ID, reqs[i], submitted[i])
 			}
 		}
 		a2, b2 := borrowScenario(t, mode, reqs)
@@ -326,9 +337,10 @@ func TestMigratedTokensOwnership(t *testing.T) {
 	}
 }
 
-// TestSubmitCostIsPromptIndependent: Submit borrows the prompt, so an
-// 8k-token request costs what a 64-token one does — one object, the run
-// (its Sequence is a field of it), and nothing sized by the prompt.
+// TestSubmitCostIsPromptIndependent: Submit borrows the prompt and
+// copies the header into a pooled run, so on the pass after a Reset an
+// 8k-token request costs what a 64-token one does — no object at all,
+// and nothing sized by the prompt.
 func TestSubmitCostIsPromptIndependent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is not meaningful under -short/-race runs")
@@ -353,7 +365,7 @@ func TestSubmitCostIsPromptIndependent(t *testing.T) {
 				}
 			}
 		}
-		submit() // grow the arrival queue once; Reset keeps its capacity
+		submit() // grow the arrival queue and the run pool once; Reset keeps both
 		e.Reset()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -364,8 +376,8 @@ func TestSubmitCostIsPromptIndependent(t *testing.T) {
 	}
 	objs64, bytes64 := measure(64)
 	objs8k, bytes8k := measure(8 << 10)
-	if objs64 != runs || objs8k != objs64 || bytes8k != bytes64 {
-		t.Fatalf("%d submits: %d objects / %d B with 64-token prompts, %d / %d B with 8k-token ones; want %d objects and equal bytes",
-			runs, objs64, bytes64, objs8k, bytes8k, runs)
+	if objs64 != 0 || objs8k != 0 || bytes8k != bytes64 {
+		t.Fatalf("%d submits: %d objects / %d B with 64-token prompts, %d / %d B with 8k-token ones; want no objects and equal bytes",
+			runs, objs64, bytes64, objs8k, bytes8k)
 	}
 }

@@ -367,8 +367,7 @@ func (s *Server) Submit(ctx context.Context, req workload.Request) (*Stream, err
 	if req.Arrival < snap.Clock {
 		req.Arrival = snap.Clock
 	}
-	r := req // escapes: the engine retains the pointer
-	if err := s.eng.Submit(&r); err != nil {
+	if err := s.eng.Submit(&req); err != nil {
 		s.mu.Unlock()
 		return nil, err
 	}

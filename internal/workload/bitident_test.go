@@ -2,39 +2,51 @@ package workload
 
 import (
 	"encoding/binary"
+	"hash"
 	"hash/fnv"
 	"testing"
+
+	"jenga/internal/core"
 )
 
-// streamFNV fingerprints everything a generator decides about a
+// streamHash fingerprints everything a generator decides about a
 // stream: per request the ID, arrival, group, output length, deadline,
 // fan-out shape, and every prompt token's content and modality.
-func streamFNV(reqs []Request) uint64 {
-	h := fnv.New64a()
+type streamHash struct {
+	h hash.Hash64
+}
+
+func newStreamHash() streamHash { return streamHash{fnv.New64a()} }
+
+func (s streamHash) add(r *Request) {
 	var b [8]byte
 	put := func(v int64) {
 		binary.LittleEndian.PutUint64(b[:], uint64(v))
-		h.Write(b[:])
+		s.h.Write(b[:])
 	}
-	for i := range reqs {
-		r := &reqs[i]
-		put(r.ID)
-		put(int64(r.Arrival))
-		put(r.Group)
-		put(int64(r.OutputLen))
-		put(int64(r.Deadline))
-		put(int64(r.Fanout))
-		put(int64(r.ForkAfter))
-		put(int64(len(r.Prompt)))
-		for _, t := range r.Prompt {
-			v := int64(t.Content())
-			if t.Image() {
-				v |= 1 << 40
-			}
-			put(v)
+	put(r.ID)
+	put(int64(r.Arrival))
+	put(r.Group)
+	put(int64(r.OutputLen))
+	put(int64(r.Deadline))
+	put(int64(r.Fanout))
+	put(int64(r.ForkAfter))
+	put(int64(len(r.Prompt)))
+	for _, t := range r.Prompt {
+		v := int64(t.Content())
+		if t.Image() {
+			v |= 1 << 40
 		}
+		put(v)
 	}
-	return h.Sum64()
+}
+
+func streamFNV(reqs []Request) uint64 {
+	s := newStreamHash()
+	for i := range reqs {
+		s.add(&reqs[i])
+	}
+	return s.h.Sum64()
 }
 
 // genCase is one generator in its slice and streaming forms, with the
@@ -118,6 +130,52 @@ func TestGeneratorsBitIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestGeneratorsBitIdenticalRecycled: the same fingerprints from a
+// consumer that hands every prompt back two requests later, so that
+// most requests are written over an earlier one's array — one of another
+// length, with room to spare, wherever lengths vary. Reuse changes
+// where a prompt lives and how much capacity trails it, never a token.
+func TestGeneratorsBitIdenticalRecycled(t *testing.T) {
+	reused, roomy := 0, 0
+	for _, c := range genCases() {
+		for seed, want := range c.want {
+			src := c.src(NewGen(seed))
+			rec, ok := src.(Recycler)
+			if !ok {
+				t.Fatalf("%s: the generator source does not take prompts back", c.name)
+			}
+			sum := newStreamHash()
+			seen := map[*core.Token]bool{}
+			var held [][]core.Token
+			for {
+				r, ok := src.Next()
+				if !ok {
+					break
+				}
+				sum.add(r)
+				if base := &r.Prompt[0]; seen[base] {
+					reused++
+					if cap(r.Prompt) > len(r.Prompt) {
+						roomy++
+					}
+				} else {
+					seen[base] = true
+				}
+				if held = append(held, r.Prompt); len(held) > 2 {
+					rec.Recycle(held[0])
+					held = held[1:]
+				}
+			}
+			if got := sum.h.Sum64(); got != want {
+				t.Errorf("%s seed %d recycled: fingerprint %#016x, want %#016x", c.name, seed, got, want)
+			}
+		}
+	}
+	if reused == 0 || roomy == 0 {
+		t.Fatalf("%d prompts were written over a handed-back array, %d of them a larger one; want both", reused, roomy)
 	}
 }
 

@@ -3,6 +3,8 @@ package workload
 import (
 	"container/heap"
 	"time"
+
+	"jenga/internal/core"
 )
 
 // Source is a streaming request iterator: million-request runs pull
@@ -10,8 +12,15 @@ import (
 // front, so a workload's memory footprint is O(1) in its length. Each
 // streaming generator consumes its Gen's randomness in exactly the
 // same order as its slice counterpart — same seed, same request
-// sequence (the equivalence tests pin this). Next returns a pointer
-// the caller owns until the next call; nil, false marks exhaustion.
+// sequence (the equivalence tests pin this). nil, false marks
+// exhaustion.
+//
+// Ownership: Next returns a pointer into the source, good until the
+// next call — a consumer that keeps the request copies the header (the
+// engine's Submit does). The Prompt array behind it is handed over for
+// good: the source never touches it again unless the consumer hands it
+// back through Recycle, which the generator-backed sources offer (see
+// Recycler) and a consumer is free never to call.
 //
 // The one flow difference from the slice pipeline: slice workloads
 // typically reuse one Gen for generation and then for PoissonArrivals,
@@ -23,12 +32,17 @@ type Source interface {
 	Next() (*Request, bool)
 }
 
-// funcSource adapts a pull function to Source.
+// funcSource adapts a generator's pull function to Source; prompts
+// handed back rejoin the generator's free list.
 type funcSource struct {
+	g    *Gen
 	n    int // remaining
 	pull func() Request
 	req  Request
 }
+
+//jenga:hotpath
+func (s *funcSource) Recycle(prompt []core.Token) { s.g.recyclePrompt(prompt) }
 
 func (s *funcSource) Next() (*Request, bool) {
 	if s.n <= 0 {
@@ -42,36 +56,36 @@ func (s *funcSource) Next() (*Request, bool) {
 // MMLUProSource streams the MMLUPro workload: same seed, same request
 // sequence as the slice generator.
 func (g *Gen) MMLUProSource(n int, sharedPrefix int) Source {
-	return &funcSource{n: n, pull: func() Request { return g.mmluProOne(sharedPrefix) }}
+	return &funcSource{g: g, n: n, pull: func() Request { return g.mmluProOne(sharedPrefix) }}
 }
 
 // MMMUProSource streams the MMMUPro workload.
 func (g *Gen) MMMUProSource(n int, tokensPerImage int) Source {
-	return &funcSource{n: n, pull: func() Request { return g.mmmuProOne(tokensPerImage) }}
+	return &funcSource{g: g, n: n, pull: func() Request { return g.mmmuProOne(tokensPerImage) }}
 }
 
 // ArxivQASource streams the ArxivQA workload over a shared article
 // pool (the pool itself stays materialized — it is the prefix-sharing
 // substrate, not the stream).
 func (g *Gen) ArxivQASource(arts []Article, n int, questionLen int) Source {
-	return &funcSource{n: n, pull: func() Request { return g.arxivQAOne(arts, questionLen) }}
+	return &funcSource{g: g, n: n, pull: func() Request { return g.arxivQAOne(arts, questionLen) }}
 }
 
 // LongDocQASource streams the LongDocQA workload.
 func (g *Gen) LongDocQASource(n int) Source {
-	return &funcSource{n: n, pull: func() Request { return g.longDocQAOne() }}
+	return &funcSource{g: g, n: n, pull: func() Request { return g.longDocQAOne() }}
 }
 
 // ShareGPTSource streams the ShareGPT workload.
 func (g *Gen) ShareGPTSource(n int) Source {
-	return &funcSource{n: n, pull: func() Request { return g.shareGPTOne() }}
+	return &funcSource{g: g, n: n, pull: func() Request { return g.shareGPTOne() }}
 }
 
 // PrefixGroupsSource streams the PrefixGroups workload in the slice
 // generator's interleaved order (request i belongs to group i%groups).
 func (g *Gen) PrefixGroupsSource(groups, perGroup, prefixLen, suffixLen int) Source {
 	i := 0
-	return &funcSource{n: groups * perGroup, pull: func() Request {
+	return &funcSource{g: g, n: groups * perGroup, pull: func() Request {
 		r := g.prefixGroupsOne(i%groups, prefixLen, suffixLen)
 		i++
 		return r
@@ -85,7 +99,7 @@ func (g *Gen) ChurnGroupsSource(groups, perGroup, prefixLen, suffixLen, phases i
 	}
 	total := groups * perGroup
 	i := 0
-	return &funcSource{n: total, pull: func() Request {
+	return &funcSource{g: g, n: total, pull: func() Request {
 		r := g.churnGroupsOne(i, total, groups, prefixLen, suffixLen, phases)
 		i++
 		return r
@@ -94,7 +108,7 @@ func (g *Gen) ChurnGroupsSource(groups, perGroup, prefixLen, suffixLen, phases i
 
 // FanOutSource streams fan-out roots.
 func (g *Gen) FanOutSource(n, promptLen, forkAfter, outLen, branch int) Source {
-	return &funcSource{n: n, pull: func() Request { return g.fanOutOne(promptLen, forkAfter, outLen, branch) }}
+	return &funcSource{g: g, n: n, pull: func() Request { return g.fanOutOne(promptLen, forkAfter, outLen, branch) }}
 }
 
 // poissonSource lays exponential arrival gaps over an inner source.
@@ -114,6 +128,18 @@ func (s *poissonSource) Next() (*Request, bool) {
 	s.t += gap
 	r.Arrival = time.Duration(s.t * float64(time.Second))
 	return r, true
+}
+
+//jenga:hotpath
+func (s *poissonSource) Recycle(prompt []core.Token) { recycleTo(s.src, prompt) }
+
+// recycleTo forwards a handed-back prompt to src if it can take one.
+//
+//jenga:hotpath
+func recycleTo(src Source, prompt []core.Token) {
+	if r, ok := src.(Recycler); ok {
+		r.Recycle(prompt)
+	}
 }
 
 // PoissonSource is the streaming counterpart of PoissonArrivals: it
@@ -138,6 +164,9 @@ func (s *applySource) Next() (*Request, bool) {
 	s.fn(r)
 	return r, true
 }
+
+//jenga:hotpath
+func (s *applySource) Recycle(prompt []core.Token) { recycleTo(s.src, prompt) }
 
 // Apply returns a source that applies fn to each request as it
 // streams past — the streaming form of in-place slice passes like
@@ -207,6 +236,8 @@ type mergeSource struct {
 	srcs []Source
 	h    mergeHeap
 	out  Request
+	// last is the source the latest request came from.
+	last int
 }
 
 func (s *mergeSource) Next() (*Request, bool) {
@@ -215,6 +246,7 @@ func (s *mergeSource) Next() (*Request, bool) {
 	}
 	it := s.h.head()
 	s.out = *it.req // copy out before refilling overwrites the head's buffer
+	s.last = it.idx
 	if r, ok := s.srcs[it.idx].Next(); ok {
 		it.req = r
 		heap.Fix(&s.h, 0)
@@ -223,6 +255,14 @@ func (s *mergeSource) Next() (*Request, bool) {
 	}
 	return &s.out, true
 }
+
+// Recycle hands the prompt to the source that supplied the latest
+// request: arrays of one size class are interchangeable, and a source
+// is "latest" as often as it is pulled, so each generator's free list
+// is fed in step with what it lends.
+//
+//jenga:hotpath
+func (s *mergeSource) Recycle(prompt []core.Token) { recycleTo(s.srcs[s.last], prompt) }
 
 // MergeSources k-way-merges sources whose arrivals are each
 // non-decreasing into one stream ordered by arrival — the streaming

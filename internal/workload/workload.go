@@ -71,6 +71,9 @@ func (r *Request) PromptImages() int {
 type Gen struct {
 	rng  *rand.Rand
 	next int64
+	// prompts is the free list of handed-back prompt arrays
+	// (promptbuf.go).
+	prompts promptPool
 }
 
 // NewGen creates a generator with the given seed.
@@ -85,9 +88,10 @@ func (g *Gen) id() int64 {
 
 // fillTokens writes deterministic token contents derived from a content
 // seed into dst, so two prompts filled from the same (seed, offset)
-// share content. Every generator below draws its lengths first, makes
-// the prompt once at its exact size and fills each segment in place:
-// one allocation per request, len == cap, nothing copied or regrown.
+// share content. Every generator below draws its lengths first, takes
+// the prompt once at its exact size (takePrompt) and fills each segment
+// in place: at most one allocation per request, nothing copied or
+// regrown.
 //
 //jenga:hotpath
 func fillTokens(dst []core.Token, seed int64, offset int, image bool) {
@@ -148,8 +152,7 @@ func (g *Gen) MMLUPro(n int, sharedPrefix int) []Request {
 func (g *Gen) mmluProOne(sharedPrefix int) Request {
 	subject := g.rng.Intn(4)
 	qLen := g.clampedNormal(800, 400, 128, 3076-sharedPrefix)
-	//jenga:alloc-ok the request's prompt, made once at its exact size
-	prompt := make([]core.Token, sharedPrefix+qLen)
+	prompt := g.takePrompt(sharedPrefix + qLen)
 	fillTokens(prompt[:sharedPrefix], int64(1000+subject), 0, false)
 	fillTokens(prompt[sharedPrefix:], int64(g.id())*7919, 0, false)
 	return Request{
@@ -182,8 +185,7 @@ func (g *Gen) mmmuProOne(tokensPerImage int) Request {
 		}
 	}
 	txt := g.clampedNormal(43, 15, 8, 120)
-	//jenga:alloc-ok the request's prompt, made once at its exact size
-	prompt := make([]core.Token, images*tokensPerImage+txt)
+	prompt := g.takePrompt(images*tokensPerImage + txt)
 	for im := 0; im < images; im++ {
 		fillTokens(prompt[im*tokensPerImage:(im+1)*tokensPerImage], int64(g.id())*104729+int64(im), imageOffset, true)
 	}
@@ -207,7 +209,7 @@ func (g *Gen) Articles(count, meanLen int) []Article {
 	for i := range arts {
 		n := g.clampedNormal(float64(meanLen), float64(meanLen)/4, meanLen/4, meanLen*2)
 		seed := int64(i+1) * 6700417
-		arts[i] = Article{Seed: seed, Tokens: make([]core.Token, n)}
+		arts[i] = Article{Seed: seed, Tokens: g.takePrompt(n)}
 		fillTokens(arts[i].Tokens, seed, 0, false)
 	}
 	return arts
@@ -231,8 +233,7 @@ func (g *Gen) ArxivQA(arts []Article, n int, questionLen int) []Request {
 //jenga:hotpath
 func (g *Gen) arxivQAOne(arts []Article, questionLen int) Request {
 	a := arts[g.rng.Intn(len(arts))]
-	//jenga:alloc-ok the request's prompt, made once at its exact size
-	prompt := make([]core.Token, len(a.Tokens)+questionLen)
+	prompt := g.takePrompt(len(a.Tokens) + questionLen)
 	copy(prompt, a.Tokens)
 	fillTokens(prompt[len(a.Tokens):], int64(g.id())*131071, 0, false)
 	return Request{
@@ -258,8 +259,7 @@ func (g *Gen) LongDocQA(n int) []Request {
 func (g *Gen) longDocQAOne() Request {
 	id := g.id()
 	seed := int64(g.id()) * 2147483647
-	//jenga:alloc-ok the request's prompt, made once at its exact size
-	prompt := make([]core.Token, g.uniform(55_000, 110_000))
+	prompt := g.takePrompt(g.uniform(55_000, 110_000))
 	fillTokens(prompt, seed, 0, false)
 	return Request{ID: id, Prompt: prompt, OutputLen: g.uniform(50, 100)}
 }
@@ -281,8 +281,7 @@ func (g *Gen) ShareGPT(n int) []Request {
 func (g *Gen) shareGPTOne() Request {
 	id := g.id()
 	seed := int64(g.id()) * 524287
-	//jenga:alloc-ok the request's prompt, made once at its exact size
-	prompt := make([]core.Token, g.clampedNormal(1085, 600, 32, 8192))
+	prompt := g.takePrompt(g.clampedNormal(1085, 600, 32, 8192))
 	fillTokens(prompt, seed, 0, false)
 	return Request{ID: id, Prompt: prompt, OutputLen: g.uniform(64, 512)}
 }
@@ -323,8 +322,7 @@ func (g *Gen) prefixGroupsOne(grp, prefixLen, suffixLen int) Request {
 //
 //jenga:hotpath
 func (g *Gen) groupPrompt(seed int64, prefixLen, suffixLen int) []core.Token {
-	//jenga:alloc-ok the request's prompt, made once at its exact size
-	prompt := make([]core.Token, prefixLen+suffixLen)
+	prompt := g.takePrompt(prefixLen + suffixLen)
 	fillTokens(prompt[:prefixLen], seed, 0, false)
 	fillTokens(prompt[prefixLen:], int64(g.id())*15485863, 0, false)
 	return prompt
@@ -398,8 +396,7 @@ func (g *Gen) FanOut(n, promptLen, forkAfter, outLen, branch int) []Request {
 //jenga:hotpath
 func (g *Gen) fanOutOne(promptLen, forkAfter, outLen, branch int) Request {
 	id := g.id()
-	//jenga:alloc-ok the request's prompt, made once at its exact size
-	prompt := make([]core.Token, promptLen)
+	prompt := g.takePrompt(promptLen)
 	fillTokens(prompt, id*399989, 0, false)
 	return Request{
 		ID: id, Group: id,
