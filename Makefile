@@ -22,11 +22,14 @@ race:
 # that is handed back — a run to the engine's slab, a prompt array to
 # its generator — is poisoned before reuse, and the hand-over counts
 # are asserted to balance at every Drain and Reset (internal/debug,
-# DESIGN.md "Requests and prompts"). One -short pass over the packages
-# that lend and borrow covers TestExitMatrix, TestScenarioMatrix, the
-# recycling stream tests and the goldens.
+# DESIGN.md "Requests and prompts"), and under which core's every
+# Release and CrashReset ends with CheckInvariants (free stacks, prefix
+# index, eviction heaps, request-state slab against the page array). One
+# -short pass over core and the packages that lend and borrow covers
+# TestExitMatrix, TestScenarioMatrix, the recycling stream tests and the
+# goldens.
 debug:
-	$(GO) test -tags jengadebug -short ./internal/engine ./internal/cluster ./internal/workload ./internal/bench
+	$(GO) test -tags jengadebug -short ./internal/core ./internal/engine ./internal/cluster ./internal/workload ./internal/bench
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -78,7 +81,8 @@ scale-smoke:
 
 # Timed fuzz over the core free pool, the host-tier/map-reference
 # differential, the fork/CoW lifecycle, the eviction queue/lazy-heap
-# differential and the fleet-directory/map-reference differential (the
+# differential, the free-stack/lazy-list and prefix-index/map
+# differentials and the fleet-directory/map-reference differential (the
 # CI fuzz step): the seeded corpora always run as part of `make test`;
 # this explores beyond them.
 # `go test -fuzz` takes one target per run, so each gets its own
@@ -88,6 +92,8 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzHostTier -fuzztime 5s ./internal/core
 	$(GO) test -run NONE -fuzz FuzzForkLifecycle -fuzztime 5s ./internal/core
 	$(GO) test -run NONE -fuzz FuzzEvictQueue -fuzztime 5s ./internal/core
+	$(GO) test -run NONE -fuzz FuzzAssocStacks -fuzztime 5s ./internal/core
+	$(GO) test -run NONE -fuzz FuzzPageIndex -fuzztime 5s ./internal/core
 	$(GO) test -run NONE -fuzz FuzzFleetDirectory -fuzztime 5s ./internal/fleet
 
 # jengalint: the repo's own analyzers (internal/analysis) — the
@@ -153,7 +159,13 @@ vet:
 # free list (internal/engine/runpool.go) and prompts from the
 # generator's (internal/workload/promptbuf.go holds the one allocation,
 # the free-list miss), so a &run{ or a make([]core.Token anywhere else
-# in those packages is an object per request again.
+# in those packages is an object per request again; what core knows
+# about a page lives in arrays sized at New — the request-associated
+# free pages are stacks threaded through the page array and the prefix
+# index a flat table over it (internal/core/assoc.go, pageindex.go) — so
+# a map field in core's group other than the stacks' tops, or the lazy
+# per-request lists (freeByReq, spareLists, sweepFreeByReq) anywhere, is
+# a structure that grows while serving again.
 # (The token's four bytes need no grep: internal/core pins them at
 # compile time.)
 guard:
@@ -170,6 +182,7 @@ guard:
 	@out=$$(grep -n -e 'make(\[\]PageBlock' -e 'make(map\[' internal/core/fleet.go); if [ -n "$$out" ]; then echo "the fleet transfer path allocates per page or per call again (internal/core/fleet.go runs on manager scratch):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn '&run{' internal/engine --include='*.go' | grep -v -e '_test\.go:' -e '^internal/engine/runpool\.go:'); if [ -n "$$out" ]; then echo "a run allocated outside the slab free list in internal/engine (runpool.go):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'make(\[\]core\.Token' internal/workload --include='*.go' | grep -v -e '_test\.go:' -e '^internal/workload/promptbuf\.go:'); if [ -n "$$out" ]; then echo "a prompt allocated outside the one buffer-take function in internal/workload (promptbuf.go):"; echo "$$out"; exit 1; fi
+	@out=$$(sed -n '/^type group struct {/,/^}/p' internal/core/manager.go | grep 'map\[' | grep -v '^\s*assocTop '; grep -rn -e freeByReq -e spareLists -e sweepFreeByReq internal cmd --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a page-level structure of core.group that grows while serving is back (a map field other than assocTop, or the lazy per-request lists):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn -e 'metrics\.Percentiles\?(' -e 'metrics\.Attainment(' -e 'metrics\.Goodput(' internal/serve internal/cluster internal/bench examples --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a report layer rolls up per-request records itself (engine.Rollup is the one roll-up):"; echo "$$out"; exit 1; fi
 
 ci: vet lint guard build test race debug chaos-smoke scale-smoke

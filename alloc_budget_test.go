@@ -1,6 +1,7 @@
 package jenga_test
 
 import (
+	"runtime"
 	"testing"
 
 	"jenga"
@@ -259,5 +260,68 @@ func TestFleetFetchAllocBudget(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("fleet fetch allocates %.2f objects per request on a warm store, want 0", allocs)
+	}
+}
+
+// TestColdBatchAllocBudget pins what a cold offline batch costs the
+// host, exactly: a fresh manager and engine serve a deep_queue_batch-
+// shaped workload (long shared articles plus a question each, all
+// waiting at t=0, gemma2's two page sizes, a KV budget small enough that
+// the whole-large-page LRU evicts throughout) for less than one heap
+// object per request. Nothing in the manager scales with pages touched,
+// evictions or requests served — the free stacks, the prefix index and
+// the heaps' bounds are arrays built by NewManager — so what is left is
+// what scales with the requests live at once: request states by the
+// slab, their page tables, the engine's runs and decode buffers, each
+// recycled from then on.
+//
+// The count is the difference of two runtime.ReadMemStats, not
+// runtime/metrics' /gc/heap/allocs:objects: the runtime credits an
+// allocation to the global counters only when its mcache span is
+// refilled or a GC flushes the caches, and this pass is too small to
+// run a GC, so the metric reads low by whatever the current spans hold
+// — up to a third of the pass, differently every run. ReadMemStats
+// stops the world and flushes every cache first; its Mallocs is exact.
+func TestColdBatchAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is not meaningful under -short/-race runs")
+	}
+	const requests = 400
+	spec, err := jenga.Models.ByName("gemma2-9b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := jenga.NewWorkloadGen(42)
+	reqs := gen.ArxivQA(gen.Articles(8, 1024), requests, 64)
+	jenga.AllAtOnce(reqs)
+	mgr, err := jenga.NewManager(jenga.ManagerConfig{
+		Spec: spec, CapacityBytes: 4 << 30, EnablePrefixCache: true, RequestAware: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := jenga.NewEngine(jenga.EngineConfig{
+		Spec: spec, Manager: mgr, Device: jenga.H100(), MaxBatchTokens: 2048, MaxRunning: 32,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := eng.Run(reqs)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Finished != requests {
+		t.Fatalf("%d of %d requests finished", res.Finished, requests)
+	}
+	if st := mgr.Stats(); st.LargeEvictions < requests/4 {
+		t.Fatalf("%d large-page evictions over %d requests: the budget is not tight enough to churn the cache", st.LargeEvictions, requests)
+	}
+	if objects := after.Mallocs - before.Mallocs; objects > requests {
+		t.Fatalf("cold batch allocated %d objects for %d requests, want at most one per request", objects, requests)
+	} else {
+		t.Logf("cold batch: %d objects for %d requests", objects, requests)
 	}
 }

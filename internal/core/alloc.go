@@ -1,10 +1,6 @@
 package core
 
-import (
-	"slices"
-
-	"jenga/internal/arena"
-)
+import "jenga/internal/arena"
 
 // Eviction queues (evictq.go). Both are slotted — one entry per small
 // page of the group, one per large page, replaced in place when the
@@ -23,9 +19,9 @@ import (
 // rather than moving the golden.
 
 type pageEntry struct {
-	id      arena.SmallPageID
 	ts      Tick
 	prio    int64
+	id      arena.SmallPageID
 	expired bool
 }
 
@@ -48,8 +44,8 @@ func (a pageEntry) before(b pageEntry) bool {
 func (a pageEntry) slot() int { return int(a.id) }
 
 type largeEntry struct {
-	id      arena.LargePageID
 	ts      Tick
+	id      arena.LargePageID
 	expired bool
 }
 
@@ -110,6 +106,7 @@ func (m *Jenga) pageToUsed(g *group, id arena.SmallPageID, req RequestID) {
 	switch pg.status {
 	case pageEmpty:
 		g.free.remove(id)
+		g.unlinkAssoc(id) // while pg.assoc still names the stack
 		pg.filled, pg.dead = 0, 0
 		pg.hash, pg.complete, pg.hashed = 0, false, false
 	case pageCached:
@@ -171,10 +168,7 @@ func (m *Jenga) pageRelease(g *group, id arena.SmallPageID, cache bool, exitTS T
 	if cache && pg.complete && !pg.hashed {
 		// The block was computed while another page owned the index
 		// entry for the same content; publish now if the slot freed up.
-		if _, ok := g.index[pg.hash]; !ok {
-			g.index[pg.hash] = id
-			pg.hashed = true
-		}
+		pg.hashed = g.index.put(id)
 	}
 	if cache && pg.hashed {
 		pg.status = pageCached
@@ -198,9 +192,7 @@ func (m *Jenga) pageRelease(g *group, id arena.SmallPageID, cache bool, exitTS T
 func (m *Jenga) pageToEmpty(g *group, id arena.SmallPageID) {
 	pg := &g.pages[id]
 	if pg.hashed {
-		if cur, ok := g.index[pg.hash]; ok && cur == id {
-			delete(g.index, pg.hash)
-		}
+		g.index.del(id)
 		pg.hashed = false
 	}
 	pg.status = pageEmpty
@@ -209,12 +201,8 @@ func (m *Jenga) pageToEmpty(g *group, id arena.SmallPageID) {
 	g.free.add(id)
 	if m.cfg.RequestAware {
 		// pg.assoc may be long gone, but a preempted request resumes
-		// under its old ID, so the entry cannot be skipped; the sweep
-		// drops the lists that went dead instead.
-		g.freeByReq[pg.assoc] = append(g.assocList(pg.assoc), id)
-		if len(g.freeByReq) > 2*(len(m.reqs)+g.free.len()) {
-			m.sweepFreeByReq(g)
-		}
+		// under its old ID, so the page is linked all the same.
+		g.linkAssoc(pg.assoc, id, 1)
 	}
 	m.stats.Frees++
 	L := m.largeOf(g, id)
@@ -243,7 +231,9 @@ func (m *Jenga) reclaimLarge(g *group, L arena.LargePageID) {
 	}
 	first, n := g.view.SmallRange(L)
 	for i := 0; i < n; i++ {
-		g.free.remove(first + arena.SmallPageID(i))
+		id := first + arena.SmallPageID(i)
+		g.free.remove(id)
+		g.unlinkAssoc(id)
 	}
 	g.ownedLarge--
 	m.largeOwner[L] = -1
@@ -313,7 +303,7 @@ func (m *Jenga) allocSmall(g *group, req RequestID) (arena.SmallPageID, error) {
 	}
 	// Step 1: request-associated empty page.
 	if m.cfg.RequestAware {
-		if id, ok := m.popAssocFree(g, req); ok {
+		if id, ok := g.popAssocFree(req); ok {
 			m.pageToUsed(g, id, req)
 			return id, nil
 		}
@@ -353,73 +343,6 @@ func (m *Jenga) allocSmall(g *group, req RequestID) (arena.SmallPageID, error) {
 	return 0, ErrNoSpace
 }
 
-// popAssocFree pops an empty page associated with req (lazy list).
-//
-//jenga:hotpath
-func (m *Jenga) popAssocFree(g *group, req RequestID) (arena.SmallPageID, bool) {
-	lst := g.freeByReq[req]
-	for len(lst) > 0 {
-		id := lst[len(lst)-1]
-		lst = lst[:len(lst)-1]
-		if m.assocFree(g, id, req) {
-			g.freeByReq[req] = lst
-			return id, true
-		}
-	}
-	g.dropAssocList(req)
-	return 0, false
-}
-
-// assocFree is the validity test of a freeByReq entry. It depends on
-// the page alone, so every entry for one page is valid or stale
-// together, and a page only turns valid again through a transition
-// that appends a fresh entry — stale entries can therefore be dropped
-// at any time without changing what popAssocFree returns.
-//
-//jenga:hotpath
-func (m *Jenga) assocFree(g *group, id arena.SmallPageID, req RequestID) bool {
-	pg := &g.pages[id]
-	return pg.status == pageEmpty && pg.assoc == req &&
-		m.largeOwner[m.largeOf(g, id)] == int32(g.idx) && g.free.has(id)
-}
-
-// assocList returns req's freeByReq list to append to; a new list
-// starts on a retired backing array, so steady-state carving and
-// freeing allocate none.
-//
-//jenga:hotpath
-func (g *group) assocList(req RequestID) []arena.SmallPageID {
-	lst, ok := g.freeByReq[req]
-	if n := len(g.spareLists); !ok && n > 0 {
-		lst, g.spareLists = g.spareLists[n-1], g.spareLists[:n-1]
-	}
-	return lst
-}
-
-// dropAssocList deletes req's list and retires its backing array.
-//
-//jenga:hotpath
-func (g *group) dropAssocList(req RequestID) {
-	if lst, ok := g.freeByReq[req]; ok {
-		delete(g.freeByReq, req)
-		g.spareLists = append(g.spareLists, lst[:0])
-	}
-}
-
-// sweepFreeByReq deletes every list with no valid entry left. A free
-// page is valid for one request only, so at most g.free.len() lists
-// survive — half the size that triggers the sweep at most, which makes
-// it amortized O(1) per freed page and bounds the map by live state,
-// not by the number of requests ever served.
-func (m *Jenga) sweepFreeByReq(g *group) {
-	//jenga:order-ok each list is judged on its own pages; visit order only decides which retired array a later list reuses
-	for req, lst := range g.freeByReq {
-		if !slices.ContainsFunc(lst, func(id arena.SmallPageID) bool { return m.assocFree(g, id, req) }) {
-			g.dropAssocList(req)
-		}
-	}
-}
-
 // takeFreshLarge assigns a free large page to g, associates all its
 // small pages with req, and returns the first of them.
 //
@@ -434,7 +357,6 @@ func (m *Jenga) takeFreshLarge(g *group, req RequestID) (arena.SmallPageID, bool
 		check(false, "free large page %d has owner", L)
 	}
 	m.largeOwner[L] = int32(g.idx)
-	m.largeAssoc[L] = req
 	g.ownedLarge++
 	first, n := g.view.SmallRange(L)
 	for i := n - 1; i >= 0; i-- {
@@ -447,11 +369,7 @@ func (m *Jenga) takeFreshLarge(g *group, req RequestID) (arena.SmallPageID, bool
 		g.free.add(id)
 	}
 	if m.cfg.RequestAware && n > 1 {
-		lst := g.assocList(req) // one map access for the whole carve
-		for i := n - 1; i > 0; i-- {
-			lst = append(lst, first+arena.SmallPageID(i))
-		}
-		g.freeByReq[req] = lst
+		g.linkAssoc(req, first+1, n-1) // page 1 on top; the caller uses page 0 at once
 	}
 	return first, true
 }

@@ -2,12 +2,13 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"jenga/internal/model"
 )
 
 // These budgets need the allocator's internals (page-level primitives,
-// queue lengths, the freeByReq map), so they sit here rather than in
+// queue lengths, the free stacks' tops), so they sit here rather than in
 // the root alloc_budget_test.go, which pins what the public API can
 // reach.
 
@@ -20,7 +21,12 @@ import (
 // public Reserve creates (getReq) is not part of it. llava-ov puts two
 // page sizes in play: text KV pages fill a large page each, vision
 // pages are carved eight to one, so every iteration evicts a text page
-// to carve a vision large page and reclaims it again.
+// to carve a vision large page and reclaims it again — which is every
+// page-indexed structure at work: the evicted text block leaves the
+// prefix index and the published one enters it, each freed page is
+// pushed on its request's free stack, the carve pushes seven vision
+// pages more and the reclaim unlinks them all. None of it may cost an
+// object.
 func TestEvictCycleZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is not meaningful under -short/-race runs")
@@ -57,7 +63,9 @@ func TestEvictCycleZeroAlloc(t *testing.T) {
 		pg.hash, pg.complete, pg.hashed = uint64(k%(2*largePages))+1, true, true
 		pg.filled = int32(text.tpp)
 		text.filledSlots += int64(text.tpp)
-		text.index[pg.hash] = id
+		if !text.index.put(id) {
+			t.Fatalf("hash %d still indexed when its successor is published", pg.hash)
+		}
 		m.pageRelease(text, id, true, now, false)
 
 		vid, err := m.allocSmall(vision, req)
@@ -80,6 +88,24 @@ func TestEvictCycleZeroAlloc(t *testing.T) {
 		t.Fatalf("measured window evicted %d and reclaimed %d large pages, want one of each per iteration", evicted, reclaimed)
 	}
 	audit(t, m)
+}
+
+// TestStructSizes pins the bytes the manager keeps per page: a field
+// added to page costs every small page of every group, one added to an
+// entry every slot of a heap that fills up.
+func TestStructSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"page", unsafe.Sizeof(page{}), 56},
+		{"pageEntry", unsafe.Sizeof(pageEntry{}), 24},
+		{"largeEntry", unsafe.Sizeof(largeEntry{}), 16},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
+		}
+	}
 }
 
 // churnSpec gives the text group four small pages per large page (the
@@ -168,40 +194,38 @@ func TestEvictQueuesBounded(t *testing.T) {
 	audit(t, m)
 }
 
-// TestFreeByReqBounded: freeByReq is bounded by live state — requests
-// in flight plus free pages — not by the number of requests ever
-// served. Every eviction frees pages whose associated request is long
-// gone; those lists used to stay in the map forever.
-func TestFreeByReqBounded(t *testing.T) {
+// TestAssocStacksExact: the free stacks' map holds exactly one top per
+// request that owns a linked free page — counted from the pages, after
+// every request — so it is bounded by the pages that can be free at
+// once and not by the number of requests ever served. Every eviction
+// frees pages whose associated request is long gone; a stack lives on
+// under that request's ID until its last page is taken or reclaimed.
+func TestAssocStacksExact(t *testing.T) {
 	spec := churnSpec()
 	geo, err := spec.Geometry(model.LCMPage, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	peak := func(n int) int {
-		m, err := New(Config{
-			Spec: spec, CapacityBytes: int64(32 * geo.LargePageBytes), TokensPerPage: 4,
-			EnablePrefixCache: true, RequestAware: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := newMgr(t, spec, int64(32*geo.LargePageBytes), 4, true)
 		max := 0
+		owners := map[RequestID]bool{}
 		churn(t, m, n, 0, func() {
 			for _, g := range m.groups {
-				if l := len(g.freeByReq); l > max {
-					max = l
-				}
-				// The sweep runs when a freed page finds the map above
-				// 2 × (live requests + free pages); one request is live
-				// at a time here and no more pages can be free than exist.
-				if bound := 2 * (1 + len(g.pages)); len(g.freeByReq) > bound {
-					t.Fatalf("group %s: %d lists, bound %d", g.spec.Name, len(g.freeByReq), bound)
-				}
-				for req, lst := range g.freeByReq {
-					if len(lst) == 0 {
-						t.Fatalf("group %s: empty list kept for request %d", g.spec.Name, req)
+				clear(owners)
+				for id := range g.pages {
+					if pg := &g.pages[id]; pg.aprev != offStack {
+						owners[pg.assoc] = true
 					}
+				}
+				if len(g.assocTop) != len(owners) {
+					t.Fatalf("group %s: %d stack tops, %d requests own a linked page", g.spec.Name, len(g.assocTop), len(owners))
+				}
+				if len(owners) > g.free.len() {
+					t.Fatalf("group %s: %d requests own %d free pages", g.spec.Name, len(owners), g.free.len())
+				}
+				if len(owners) > max {
+					max = len(owners)
 				}
 			}
 		})
@@ -214,7 +238,7 @@ func TestFreeByReqBounded(t *testing.T) {
 	base := peak(1000)
 	for _, n := range []int{4000, 16000} {
 		if got := peak(n); got > base {
-			t.Errorf("freeByReq peaked at %d lists over %d requests, %d over 1000: grows with requests served", got, n, base)
+			t.Errorf("stacks peaked at %d over %d requests, %d over 1000: grows with requests served", got, n, base)
 		}
 	}
 }

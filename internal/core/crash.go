@@ -1,5 +1,7 @@
 package core
 
+import "jenga/internal/debug"
+
 // Crasher is the optional Manager capability behind fault injection:
 // CrashReset wipes every byte of managed state — GPU heap, prefix
 // cache, host tier — restarting the manager cold, as if newly
@@ -33,6 +35,9 @@ func (m *Jenga) CrashReset() error {
 	*m = *fresh
 	if obs != nil {
 		m.SetTierObserver(obs)
+	}
+	if debug.On {
+		m.mustHold()
 	}
 	return nil
 }

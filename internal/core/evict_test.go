@@ -35,7 +35,7 @@ func lastAccessOf(t *testing.T, m *Jenga, groupName string, tokens []Token, i in
 	t.Helper()
 	g := m.groups[m.byName[groupName]]
 	hashes := blockHashes(tokens, 1)
-	id, ok := g.index[hashes[i]]
+	id, ok := g.index.get(hashes[i])
 	if !ok {
 		t.Fatalf("group %s: block %d not cached", groupName, i)
 	}
@@ -357,7 +357,7 @@ func TestMambaCheckpointTouchOnHit(t *testing.T) {
 	g := m.groups[m.byName["mamba"]]
 	proj := projectInto(nil, a.Tokens, g.spec.StoresToken(true), g.spec.StoresToken(false))
 	h8 := prefixHash(proj, 8)
-	id, ok := g.index[h8]
+	id, ok := g.index.get(h8)
 	if !ok {
 		t.Fatal("checkpoint at 8 missing")
 	}
@@ -365,7 +365,7 @@ func TestMambaCheckpointTouchOnHit(t *testing.T) {
 		t.Errorf("checkpoint last access = %d, want 10 (touched at hit)", got)
 	}
 	h4 := prefixHash(proj, 4)
-	id4, ok := g.index[h4]
+	id4, ok := g.index.get(h4)
 	if !ok {
 		t.Fatal("checkpoint at 4 missing")
 	}

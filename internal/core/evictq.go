@@ -17,8 +17,12 @@ package core
 // A queue over a dense ID space is slotted (initSlots): it keeps one
 // entry per slot and a push for a slot that already has one replaces
 // it in place, so the queue never outgrows the ID space (which may
-// itself grow: growSlots). An unslotted queue keeps every push; only
-// OffloadOrder's bounded top-k uses one.
+// itself grow: growSlots) — and since it knows that bound, its array
+// grows by doubling up to it, never past: all the arrays it ever
+// abandons together are smaller than the one it ends with, where
+// append's 1.25× steps leave four to five times as much behind. An
+// unslotted queue keeps every push; only OffloadOrder's bounded top-k
+// uses one.
 type evictQueue[E interface{ before(E) bool }] struct {
 	h []E
 	// pos[slot] is the entry's index in h plus one; 0 means the slot
@@ -55,6 +59,10 @@ func (q *evictQueue[E]) push(e E) {
 			}
 			return
 		}
+	}
+	if q.pos != nil && len(q.h) == cap(q.h) {
+		//jenga:alloc-ok heap growth: at most log₂ len(pos) doublings over the queue's life
+		q.h = append(make([]E, 0, min(max(2*cap(q.h), 64), len(q.pos))), q.h...)
 	}
 	q.h = append(q.h, e)
 	q.place(len(q.h) - 1)

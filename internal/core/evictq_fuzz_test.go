@@ -18,30 +18,12 @@ func (h *lazyHeap[E]) Push(x any)        { *h = append(*h, x.(E)) }
 func (h *lazyHeap[E]) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
 // checkQueue verifies the heap order and, for a slotted queue, that
-// pos and h describe the same set.
+// pos and h describe the same set in an array that never outgrew the
+// slot count — the queue's part of CheckInvariants.
 func checkQueue[E interface{ before(E) bool }](t *testing.T, q *evictQueue[E]) {
 	t.Helper()
-	for i := 1; i < len(q.h); i++ {
-		if q.h[i].before(q.h[(i-1)/2]) {
-			t.Fatalf("heap order broken at %d", i)
-		}
-	}
-	if q.pos == nil {
-		return
-	}
-	for i, e := range q.h {
-		if got := q.pos[q.slot(e)]; int(got) != i+1 {
-			t.Fatalf("pos[%d] = %d, entry sits at %d", q.slot(e), got, i)
-		}
-	}
-	queued := 0
-	for _, p := range q.pos {
-		if p != 0 {
-			queued++
-		}
-	}
-	if queued != len(q.h) {
-		t.Fatalf("%d slots marked queued, %d entries", queued, len(q.h))
+	if err := q.check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -60,7 +42,7 @@ func checkQueue[E interface{ before(E) bool }](t *testing.T, q *evictQueue[E]) {
 //	   popped and re-pushed (the host-tier queue).
 //
 // After every op the queue's heap order and pos index are checked, and
-// a slotted queue never exceeds its slot count.
+// a slotted queue never exceeds its slot count, in entries or in array.
 func FuzzEvictQueue(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{0, 0x00, 5, 0x10, 3, 0x00, 9, 0x02, 0, 0x02, 0})

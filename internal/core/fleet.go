@@ -252,7 +252,7 @@ func (m *Jenga) LookupFleet(seq *Sequence, peer PeerPresence) (int, []FetchBlock
 		present, hashes := v.Present, g.lkHashes
 		if g.spec.Kind == model.Mamba {
 			present, hashes = g.lkCkPresent, g.lkCkHash
-			anyPresent = anyPresent || len(g.index) > 0 || m.host.groupSize(g.idx) > 0
+			anyPresent = anyPresent || g.index.len() > 0 || m.host.groupSize(g.idx) > 0
 		}
 		g.lkPeer = slices.Grow(g.lkPeer[:0], len(hashes))[:len(hashes)]
 		clear(g.lkPeer)

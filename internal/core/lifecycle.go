@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"jenga/internal/arena"
+	"jenga/internal/debug"
 	"jenga/internal/model"
 )
 
@@ -86,9 +87,13 @@ func (m *Jenga) getReq(seq *Sequence) *reqState {
 // on the request's first Reserve (or Fork) and are dead at its Release;
 // Release resets the state and parks it on m.spareReqs, and the next
 // new request takes it from there, tables at their previous capacity.
-// A state is only ever built while the list is empty, so parked plus
-// live states never exceed the most requests that were live at once,
-// and in steady state a request costs the allocator nothing.
+// A state is only ever handed out while the list is empty, so parked
+// plus live states never exceed the most requests that were live at
+// once, and in steady state a request costs the allocator nothing.
+// States are built reqSlabStates at a time, as engine's runs are: a
+// slab is two arrays, the states and all their per-group slices.
+
+const reqSlabStates = 64
 
 // takeReq registers a pristine state for a request the manager has not
 // seen: a parked one, or a new one when none is parked.
@@ -101,15 +106,29 @@ func (m *Jenga) takeReq(id RequestID) *reqState {
 		m.spareReqs[n-1] = nil
 		m.spareReqs = m.spareReqs[:n-1]
 	} else {
-		//jenga:alloc-ok free-list miss: taken only while every state ever built is live, so misses are bounded by the high-water live set, not by requests served
-		r = &reqState{g: make([]reqGroup, len(m.groups))}
-		for gi, g := range m.groups {
-			g.resetReq(&r.g[gi])
+		if len(m.reqSlab) == 0 {
+			m.growReqSlab()
 		}
+		r, m.reqSlab = &m.reqSlab[0], m.reqSlab[1:]
+		m.reqsBuilt++
 	}
 	r.id = id
 	m.reqs[id] = r
 	return r
+}
+
+// growReqSlab builds the next slab of pristine states.
+func (m *Jenga) growReqSlab() {
+	ng := len(m.groups)
+	//jenga:alloc-ok slab miss: taken only while every state handed out is live, so one slab per reqSlabStates of the live high-water, not per request
+	m.reqSlab = make([]reqState, reqSlabStates)
+	rgs := make([]reqGroup, reqSlabStates*ng)
+	for i := range m.reqSlab {
+		m.reqSlab[i].g = rgs[i*ng : (i+1)*ng : (i+1)*ng]
+		for gi, g := range m.groups {
+			g.resetReq(&m.reqSlab[i].g[gi])
+		}
+	}
 }
 
 // parkReq resets a released request's state and puts it on the free
@@ -128,7 +147,7 @@ func (m *Jenga) parkReq(r *reqState) {
 // resetReq returns rg to what a request that has touched nothing holds
 // for group g, keeping the tables' backing arrays. Entries are zeroed
 // before the tables are emptied, so slots in [len, cap) are always zero
-// and growRefs can extend a table by reslicing.
+// and growTable can extend a table by reslicing.
 //
 //jenga:hotpath
 func (g *group) resetReq(rg *reqGroup) {
@@ -149,15 +168,22 @@ func (g *group) resetReq(rg *reqGroup) {
 	}
 }
 
-// growRefs extends a page table to n entries, the new ones unheld, in
-// at most one allocation.
+// growTable extends one of the group's page tables to n entries, the
+// new ones unheld. When that takes a new array it is sized for every
+// token the sequence is known to have, so a chunked prefill does not
+// regrow the table chunk by chunk.
 //
 //jenga:hotpath
-func growRefs(refs []pageRef, n int) []pageRef {
+func (g *group) growTable(refs []pageRef, n int, tokens []Token) []pageRef {
 	if n <= len(refs) {
 		return refs
 	}
-	return slices.Grow(refs, n-len(refs))[:n]
+	if n > cap(refs) {
+		whole := max(n, (countScope(g, tokens)+g.tpp-1)/g.tpp)
+		//jenga:alloc-ok table miss: a recycled state keeps its tables, so only a state's first requests, or one longer than any it served, get here
+		refs = slices.Grow(refs, whole-len(refs))
+	}
+	return refs[:n]
 }
 
 // appliesTo reports whether a group stores KV for the sequence's model
@@ -268,7 +294,7 @@ func (m *Jenga) lookupPrefix(seq *Sequence, useHost bool) int {
 		if g.spec.Kind == model.Mamba && v.CheckpointAt != nil {
 			// Presence detection for Mamba handled via CheckpointAt in
 			// the candidate scan; mark possible presence cheaply.
-			anyPresent = anyPresent || len(g.index) > 0 ||
+			anyPresent = anyPresent || g.index.len() > 0 ||
 				(useHost && m.host.groupSize(g.idx) > 0)
 		}
 		views = append(views, lookupView{g, v})
@@ -377,11 +403,7 @@ func (m *Jenga) buildView(g *group, id RequestID, tokens []Token, useHost bool) 
 			if (i+1)%every != 0 {
 				continue
 			}
-			present := false
-			if id, ok := g.index[h]; ok {
-				pg := &g.pages[id]
-				present = pg.hashed && pg.hash == h && pg.status != pageEmpty
-			}
+			_, present := g.index.get(h)
 			if !present && useHost {
 				_, present = m.host.lookup(g.idx, h)
 			}
@@ -400,21 +422,13 @@ func (m *Jenga) buildView(g *group, id RequestID, tokens []Token, useHost bool) 
 	hashes := g.lkHashes
 	if cap(v.Present) >= len(hashes) {
 		v.Present = v.Present[:len(hashes)]
-		for k := range v.Present {
-			v.Present[k] = false
-		}
 	} else {
 		v.Present = make([]bool, len(hashes))
 	}
 	for k, h := range hashes {
-		if id, ok := g.index[h]; ok {
-			pg := &g.pages[id]
-			v.Present[k] = pg.hashed && pg.hash == h && pg.status != pageEmpty
-		}
+		_, v.Present[k] = g.index.get(h)
 		if !v.Present[k] && useHost {
-			if _, ok := m.host.lookup(g.idx, h); ok {
-				v.Present[k] = true
-			}
+			_, v.Present[k] = m.host.lookup(g.idx, h)
 		}
 	}
 	v.buildRuns()
@@ -459,7 +473,7 @@ func (m *Jenga) Reserve(seq *Sequence, upTo int, now Tick) error {
 			continue
 		}
 		lastBlock := (newProj - 1) / g.tpp
-		rg.pages = growRefs(rg.pages, lastBlock+1)
+		rg.pages = g.growTable(rg.pages, lastBlock+1, seq.Tokens)
 		// Copy-on-write boundary: the scan starts at the committed tail
 		// block, not the reserved one, because every block from there to
 		// lastBlock will receive this reservation's commits — a block
@@ -588,10 +602,7 @@ func (m *Jenga) commitGroup(g *group, rg *reqGroup, delta []Token, fullBase, pro
 			pg.complete = true
 			pg.priority = g.pol.BlockPriority(b, rg.runChain)
 			if m.cfg.EnablePrefixCache {
-				if _, ok := g.index[pg.hash]; !ok {
-					g.index[pg.hash] = rg.pages[b].id
-					pg.hashed = true
-				}
+				pg.hashed = g.index.put(rg.pages[b].id)
 			}
 		}
 	}
@@ -653,10 +664,7 @@ func (m *Jenga) finalizeCheckpoint(g *group, rg *reqGroup, i int, now Tick) {
 	pg.complete = true
 	pg.priority = g.pol.BlockPriority(i, rg.runChain)
 	pg.lastAccess = now
-	if _, ok := g.index[pg.hash]; !ok {
-		g.index[pg.hash] = rg.ckpts[i].id
-		pg.hashed = true
-	}
+	pg.hashed = g.index.put(rg.ckpts[i].id)
 }
 
 // --- Release -------------------------------------------------------------
@@ -702,6 +710,9 @@ func (m *Jenga) Release(seq *Sequence, cache bool) {
 	}
 	delete(m.reqs, seq.ID)
 	m.parkReq(r)
+	if debug.On {
+		m.mustHold()
+	}
 }
 
 // --- Prefix-cache claiming ------------------------------------------------
@@ -783,7 +794,7 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost
 		if g.spec.Kind == model.Mamba {
 			pl := replayPrefix(g, rg, seq.Tokens[:p])
 			if useHost && pl > 0 {
-				if _, ok := g.index[rg.chain]; !ok {
+				if _, ok := g.index.get(rg.chain); !ok {
 					if _, hok := m.host.lookup(g.idx, rg.chain); hok {
 						m.claimPending = append(m.claimPending, pendingRestore{g: g, rg: rg, block: -1, hash: rg.chain, pl: pl})
 						continue
@@ -814,7 +825,7 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost
 		if len(rg.pages) != 0 {
 			check(false, "claim: group %s already holds a page table", g.spec.Name)
 		}
-		rg.pages = growRefs(rg.pages, nb)
+		rg.pages = g.growTable(rg.pages, nb, seq.Tokens)
 		lo := g.pol.AccessedFrom(pl) / g.tpp
 		keepBlocks := 0
 		if ka, ok := g.pol.(KeepAlive); ok {
@@ -892,7 +903,7 @@ func replayPrefix(g *group, rg *reqGroup, prefix []Token) int {
 func (m *Jenga) claimBlocks(g *group, rg *reqGroup, req RequestID, from, to int, useHost bool) {
 	for b := from; b < to; b++ {
 		hash := g.lkHashes[b]
-		id, ok := g.index[hash]
+		id, ok := g.index.get(hash)
 		if !ok {
 			if !useHost {
 				check(false, "claim: block %d of group %s vanished", b, g.spec.Name)
@@ -918,9 +929,14 @@ func (m *Jenga) claimBlocks(g *group, rg *reqGroup, req RequestID, from, to int,
 // held pages return to the evictable cache (keeping whatever H2D work
 // already succeeded — the restored blocks are now GPU-resident and
 // the fallback claim picks them up), and the per-group claim state
-// resets to its pre-claim form.
+// resets to its pre-claim form. The groups claimPrefix skips are left
+// alone: a vision group may already hold the embeddings EncodeImages
+// allocated before this first Reserve.
 func (m *Jenga) rollbackClaim(seq *Sequence, r *reqState) {
 	for gi, g := range m.groups {
+		if g.isVision() || !g.appliesTo(seq) {
+			continue
+		}
 		rg := &r.g[gi]
 		for b := range rg.pages {
 			if rg.pages[b].held {
@@ -939,7 +955,7 @@ func (m *Jenga) claimMamba(g *group, rg *reqGroup, pl int, now Tick) {
 	if pl == 0 {
 		return
 	}
-	id, ok := g.index[rg.chain]
+	id, ok := g.index.get(rg.chain)
 	check(ok, "claimMamba: checkpoint at %d vanished", pl)
 	pg := &g.pages[id]
 	// Touch the checkpoint (the paper updates only the last cached
@@ -984,7 +1000,7 @@ func (m *Jenga) EncodeImages(seq *Sequence, uptoFull int, now Tick) error {
 		rg := &r.g[gi]
 		if rg.visCursor < uptoFull {
 			images := countScope(g, seq.Tokens[rg.visCursor:uptoFull])
-			rg.visPages = growRefs(rg.visPages, (rg.visProj+images+g.tpp-1)/g.tpp)
+			rg.visPages = g.growTable(rg.visPages, (rg.visProj+images+g.tpp-1)/g.tpp, seq.Tokens)
 		}
 		for fi := rg.visCursor; fi < uptoFull; fi++ {
 			if !seq.Tokens[fi].Image() {

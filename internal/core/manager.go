@@ -72,25 +72,30 @@ const (
 	pageCached                   // valid KV, unreferenced, evictable
 )
 
-// page is per-small-page metadata.
+// page is per-small-page metadata, 56 bytes: the wide fields first, the
+// flags packed at the end (TestStructSizes pins it).
 type page struct {
-	status pageStatus
-	ref    int32
+	// assoc is the request the page is associated with (§4.3).
+	assoc RequestID
+	// hash is the block identity once the block is complete; hashed
+	// reports the page owns the index entry for that hash, and while it
+	// does hash must not change (the index reads its keys from here).
+	hash uint64
+	// lastAccess and priority order eviction (§5.1).
+	lastAccess Tick
+	priority   int64
+	ref        int32
 	// filled is the number of token slots written (≤ tokensPerPage).
 	filled int32
 	// dead is the number of filled slots whose KV the architecture no
 	// longer needs but that share the page with live slots.
 	dead int32
-	// assoc is the request the page is associated with (§4.3).
-	assoc RequestID
-	// hash is the block identity once the block is complete; hashed
-	// reports the page owns the index entry for that hash.
-	hash     uint64
-	complete bool
-	hashed   bool
-	// lastAccess and priority order eviction (§5.1).
-	lastAccess Tick
-	priority   int64
+	// aprev and anext thread the page onto its request's free stack
+	// (assoc.go): the pages above and below it, offStack/noPage.
+	aprev, anext int32
+	status       pageStatus
+	complete     bool
+	hashed       bool
 	// expired marks cached pages holding KV outside the architecture's
 	// dependency horizon (out-of-window tokens). §3.3: such pages are
 	// prioritized for eviction over any in-window page, regardless of
@@ -113,12 +118,11 @@ type group struct {
 	pages []page // indexed by SmallPageID
 
 	// index maps published block hash → page (prefix cache).
-	index map[uint64]arena.SmallPageID
-	// freeByReq holds empty pages grouped by associated request (lazy
-	// — entries validated on pop, dead lists swept by pageToEmpty);
-	// spareLists are deleted lists' backing arrays, reused by new ones.
-	freeByReq  map[RequestID][]arena.SmallPageID
-	spareLists [][]arena.SmallPageID
+	index pageIndex
+	// assocTop is the top of each request's stack of associated empty
+	// pages (assoc.go); a request has an entry only while its stack is
+	// non-empty. The stacks themselves are threaded through pages.
+	assocTop map[RequestID]arena.SmallPageID
 	// free holds every empty page in group-owned large pages (strictly
 	// maintained): a hierarchical bitmap whose pop is O(1) and always
 	// yields the lowest free ID (deterministic §5.4 steps 1/4).
@@ -186,7 +190,6 @@ type Jenga struct {
 
 	// large-page state, indexed by LargePageID.
 	largeOwner []int32 // owning group index, -1 when free
-	largeAssoc []RequestID
 	cntUsed    []int32 // used small pages per large page
 	cntCached  []int32 // cached small pages per large page
 	// Incrementally maintained large-page eviction keys (§5.4 step 3):
@@ -203,8 +206,12 @@ type Jenga struct {
 	largeEvict evictQueue[largeEntry]
 
 	reqs map[RequestID]*reqState
-	// spareReqs is the free list of released requests' states (takeReq).
+	// spareReqs is the free list of released requests' states (takeReq);
+	// reqSlab the states of the newest slab not handed out yet, reqsBuilt
+	// how many ever were.
 	spareReqs []*reqState
+	reqSlab   []reqState
+	reqsBuilt int
 	stats     Stats
 
 	// host is the optional second memory tier (nil without one), and
@@ -289,7 +296,6 @@ func New(cfg Config) (*Jenga, error) {
 		ar:         ar,
 		byName:     make(map[string]int, len(cfg.Spec.Groups)),
 		largeOwner: make([]int32, ar.NumLargePages()),
-		largeAssoc: make([]RequestID, ar.NumLargePages()),
 		cntUsed:    make([]int32, ar.NumLargePages()),
 		cntCached:  make([]int32, ar.NumLargePages()),
 		cntExpired: make([]int32, ar.NumLargePages()),
@@ -332,9 +338,12 @@ func New(cfg Config) (*Jenga, error) {
 			tpp:        tpp,
 			ratio:      geo.Ratio[gs.Name],
 			pages:      make([]page, ar.NumLargePages()*geo.Ratio[gs.Name]),
-			index:      make(map[uint64]arena.SmallPageID),
-			freeByReq:  make(map[RequestID][]arena.SmallPageID),
+			assocTop:   make(map[RequestID]arena.SmallPageID),
 		}
+		for p := range g.pages {
+			g.pages[p].aprev, g.pages[p].anext = offStack, noPage
+		}
+		g.index.init(g.pages)
 		g.free.init(len(g.pages))
 		g.evict.initSlots(len(g.pages), pageEntry.slot)
 		if gs.Kind == model.Mamba {

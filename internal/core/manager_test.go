@@ -186,12 +186,10 @@ func audit(t *testing.T, m *Jenga) {
 		if nFree != g.free.len() {
 			t.Fatalf("group %s: free pool count %d, recount %d", g.spec.Name, g.free.len(), nFree)
 		}
-		for h, id := range g.index {
-			pg := &g.pages[id]
-			if !pg.hashed || pg.hash != h || pg.status == pageEmpty {
-				t.Fatalf("group %s: dangling index entry %x -> page %d", g.spec.Name, h, id)
-			}
-		}
+	}
+	// The page-indexed structures: stacks, prefix index, heaps, slab.
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 	u := m.Usage()
 	total := u.Used + u.Cached + u.Wasted + u.Free

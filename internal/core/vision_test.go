@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"jenga/internal/model"
@@ -110,5 +111,55 @@ func TestDropImagesBeyondLengthClamps(t *testing.T) {
 		t.Errorf("vision used = %d, want 0 after full drop", got)
 	}
 	m.Release(seq, false)
+	audit(t, m)
+}
+
+// TestFailedClaimKeepsVisionPages: a claim that rolls back must leave
+// alone the embeddings EncodeImages allocated before the request's
+// first Reserve. The whole prefix of c lives one tier down and the
+// device is full of held pages, so the restore half of the claim runs
+// out of memory; the rollback used to reset the vision group's table
+// with the rest, and the pages behind it stayed used, with no holder,
+// until CrashReset.
+func TestFailedClaimKeepsVisionPages(t *testing.T) {
+	spec := vlmSpec()
+	geo, err := spec.Geometry(model.LCMPage, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Eight large pages: a self page fills one, two vision pages do.
+	large := int64(geo.LargePageBytes)
+	m := newTieredMgr(t, spec, 8*large, 8*large, 2)
+	a := textSeq(1, 8)
+	commitSeq(t, m, a, 1) // four cached blocks
+	b := &Sequence{ID: 2}
+	for i := 0; i < 14; i++ {
+		b.Tokens = append(b.Tokens, Token{ID: int32(500 + i)})
+	}
+	if err := m.Reserve(b, 14, 2); err != nil { // four free pages, three of a's spilled
+		t.Fatal(err)
+	}
+	m.Commit(b, 14, 2)
+	c := &Sequence{ID: 3, Tokens: append(append([]Token(nil), a.Tokens...), ImageToken(1), ImageToken(2), Token{ID: 9})}
+	if err := m.EncodeImages(c, len(c.Tokens), 3); err != nil { // a's last cached block makes room
+		t.Fatal(err)
+	}
+	if p := m.Lookup(c); p != 8 {
+		t.Fatalf("lookup = %d, want a's 8 tokens, all in the host tier", p)
+	}
+	if err := m.Reserve(c, len(c.Tokens), 3); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("reserve on a full device: %v, want ErrNoSpace", err)
+	}
+	if p, in := m.CachedPrefix(c), m.TierStats().SwapIns; p != 0 || in != 0 {
+		t.Fatalf("claim kept a %d-token prefix and restored %d blocks; the restore was meant to fail", p, in)
+	}
+	if got := m.Usage().PerGroup["vision"].Used; got != 2*128 {
+		t.Fatalf("vision used after the failed claim = %d, want both embeddings (%d)", got, 2*128)
+	}
+	m.Release(c, false)
+	m.Release(b, false)
+	if u := m.UsageTotals(); u.Used != 0 || u.Used+u.Cached+u.Wasted+u.Free != m.Capacity() {
+		t.Fatalf("after every release: %+v of capacity %d (pages leaked)", u, m.Capacity())
+	}
 	audit(t, m)
 }
