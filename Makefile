@@ -5,7 +5,7 @@ GO ?= go
 # Pinned staticcheck (matches the CI step; bump both together).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race debug bench bench-json bench-scale bench-smoke chaos-smoke scale-smoke fuzz lint guard staticcheck fmt vet ci
+.PHONY: build test race debug bench bench-json bench-scale bench-smoke chaos-smoke scale-smoke perf-smoke fuzz lint guard staticcheck fmt vet ci
 
 build:
 	$(GO) build ./...
@@ -78,6 +78,16 @@ chaos-smoke:
 # it elsewhere so `make race` doesn't run it twice.
 scale-smoke:
 	$(GO) test -race -run TestScaleSmoke -v ./internal/bench/
+
+# Perf smoke (part of `make ci`, offline, ~15 s): one traced pass of the
+# benchmark's everything-on workload. The traced pass runs the workload
+# twice, bare and behind cmd/jengaperf's timing decorators, and fails
+# unless both produce identical simulated statistics; it also checks the
+# sim anchor. The decorators forward core.Manager / TierManager / Forker
+# and nothing else, so a behaviour that hides behind a new capability
+# interface diverges here, in CI, not in the benchmark.
+perf-smoke:
+	bash cmd/jengaperf/run.sh -workload online_overload -seconds 0 -trace 1
 
 # Timed fuzz over the core free pool, the host-tier/map-reference
 # differential, the fork/CoW lifecycle, the eviction queue/lazy-heap
@@ -185,5 +195,5 @@ guard:
 	@out=$$(sed -n '/^type group struct {/,/^}/p' internal/core/manager.go | grep 'map\[' | grep -v '^\s*assocTop '; grep -rn -e freeByReq -e spareLists -e sweepFreeByReq internal cmd --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a page-level structure of core.group that grows while serving is back (a map field other than assocTop, or the lazy per-request lists):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn -e 'metrics\.Percentiles\?(' -e 'metrics\.Attainment(' -e 'metrics\.Goodput(' internal/serve internal/cluster internal/bench examples --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a report layer rolls up per-request records itself (engine.Rollup is the one roll-up):"; echo "$$out"; exit 1; fi
 
-ci: vet lint guard build test race debug chaos-smoke scale-smoke
+ci: vet lint guard build test race debug chaos-smoke scale-smoke perf-smoke
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi

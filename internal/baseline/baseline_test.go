@@ -335,6 +335,55 @@ func TestVLLMManualSplit(t *testing.T) {
 	}
 }
 
+// TestFootprintSumsMemberCharges: the baselines' admission charge is the
+// sum of their members' — the flattened pool's charge for what the
+// sequence adds, prefix pages a running request holds counted once, plus
+// the static Mamba slot; for the manual split, both pools' charges.
+func TestFootprintSumsMemberCharges(t *testing.T) {
+	a := seqText(1, 33)
+	b := seqText(2, 40) // a's 33 tokens and seven more
+	sharerRuns := func(t *testing.T, m core.Manager) (cold, hot int64) {
+		t.Helper()
+		cold = m.Footprint(b)
+		m.Release(b, false)
+		if err := m.Reserve(a, len(a.Tokens), 1); err != nil {
+			t.Fatal(err)
+		}
+		m.Commit(a, len(a.Tokens), 1)
+		return cold, m.Footprint(b)
+	}
+	t.Run("paged", func(t *testing.T) {
+		p, err := NewPaged(Config{Spec: jambaMini(), CapacityBytes: 1 << 20, TokensPerPage: 2, EnablePrefixCache: true, MaxSeqs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, hot := sharerRuns(t, p)
+		if want := p.inner.Footprint(b) + p.mambaPerSeq; hot != want || p.mambaPerSeq == 0 {
+			t.Errorf("charge %d, want the pool's %d + the Mamba slot's %d", hot, want-p.mambaPerSeq, p.mambaPerSeq)
+		}
+		// 16 of b's 20 blocks are a's, in use: 128 B × 2 tokens each.
+		if cold-hot != 16*256 {
+			t.Errorf("charge %d with the prefix in use, %d cold: want 16 blocks of 256 B less", hot, cold)
+		}
+	})
+	t.Run("manual split", func(t *testing.T) {
+		m, err := NewVLLMManual(windowMini(), miniDraft(), 1<<20, 2, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms := m.(*manualSplit)
+		cold, hot := sharerRuns(t, m)
+		tc, dc := ms.target.Footprint(b), ms.draft.Footprint(b)
+		if hot != tc+dc {
+			t.Errorf("charge %d, want the pools' sum %d + %d", hot, tc, dc)
+		}
+		// Both pools hold a's 16 blocks: 512 B and 128 B per token.
+		if cold-hot != 16*2*(512+128) {
+			t.Errorf("charge %d with the prefix in use, %d cold: want 16 blocks of both pools less", hot, cold)
+		}
+	})
+}
+
 // TestJengaSharedSpecDecode: a manager built on the paired spec serves
 // both models from one heap, each group at its natural page size.
 func TestJengaSharedSpecDecode(t *testing.T) {

@@ -153,26 +153,42 @@ func TestServeStreamShardCountInvariant(t *testing.T) {
 }
 
 // Load-aware routing over epoch-stale snapshots must stay
-// statistically close to the serial per-arrival path.
+// statistically close to the serial per-arrival path. The hit rate is
+// compared as a mean over seeds: with 180 requests spread by load, one
+// placement that differs re-homes a prefix group, so at a single seed
+// the two paths' hit rates differ by more than 15% about as often as
+// not (15 of 40 seeds before admission counted shared prefix pages
+// once, 22 of 40 since; 6 and 11 with 100 µs snapshots), in either
+// direction — the mean difference over those 40 seeds is +4% and +3%.
 func TestServeStreamLeastLoadedEquivalence(t *testing.T) {
-	reqs := streamWorkload(23, time.Second)
-	serial, err := streamCluster(t, 4, LeastLoaded).ServeOnline(reqs)
-	if err != nil {
-		t.Fatal(err)
+	run := func(seed int64) (serial, stream *Result) {
+		reqs := streamWorkload(seed, time.Second)
+		serial, err := streamCluster(t, 4, LeastLoaded).ServeOnline(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err = streamCluster(t, 4, LeastLoaded).ServeStream(workload.SliceSource(reqs),
+			StreamConfig{Shards: 4, SnapshotEvery: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stream.Finished+stream.Failed+stream.Shed != len(reqs) {
+			t.Fatalf("seed %d: terminal counts %d+%d+%d != %d", seed, stream.Finished, stream.Failed, stream.Shed, len(reqs))
+		}
+		return serial, stream
 	}
-	stream, err := streamCluster(t, 4, LeastLoaded).ServeStream(workload.SliceSource(reqs),
-		StreamConfig{Shards: 4, SnapshotEvery: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stream.Finished+stream.Failed+stream.Shed != len(reqs) {
-		t.Fatalf("terminal counts %d+%d+%d != %d", stream.Finished, stream.Failed, stream.Shed, len(reqs))
-	}
+	serial, stream := run(23)
 	within(t, "finished", float64(stream.Finished), float64(serial.Finished), 0.02)
-	within(t, "hit rate", stream.HitRate, serial.HitRate, 0.15)
 	within(t, "goodput", stream.Goodput, serial.Goodput, 0.05)
 	within(t, "p99 TTFT", float64(stream.P99TTFT), float64(serial.P99TTFT), 0.25)
 	within(t, "imbalance", stream.Imbalance, serial.Imbalance, 0.10)
+	var serialHit, streamHit float64
+	for seed := int64(1); seed <= 16; seed++ {
+		serial, stream := run(seed)
+		serialHit += serial.HitRate
+		streamHit += stream.HitRate
+	}
+	within(t, "mean hit rate over 16 seeds", streamHit/16, serialHit/16, 0.15)
 }
 
 // A cluster is reusable across streamed and serial passes: the retire
@@ -266,17 +282,38 @@ func TestServeStreamFleetChaosMatchesServeOnline(t *testing.T) {
 	reqs := gen.ChurnGroups(12, 20, 512, 48, 4)
 	gen.PoissonArrivals(reqs, 300)
 	workload.SetDeadlines(reqs, time.Second)
+	// The default managers, kept: a drained fleet's managers remember no
+	// request — whatever a fetch at dispatch, an admission probe or a
+	// lookup showed them, on whichever replica, was released or crashed.
+	var mgrs []*core.Jenga
 	build := func() *Cluster {
-		c, err := New(fleetChaosConfig())
+		cfg := fleetChaosConfig()
+		cfg.NewManager = func(int) (core.Manager, error) {
+			m, err := core.New(core.Config{Spec: cfg.Spec, CapacityBytes: cfg.CapacityBytes,
+				EnablePrefixCache: true, RequestAware: true, HostTierBytes: cfg.HostTierBytes})
+			mgrs = append(mgrs, m)
+			return m, err
+		}
+		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
+	forgotten := func(name string) {
+		t.Helper()
+		for i, m := range mgrs {
+			if n := m.Remembered(); n != 0 {
+				t.Errorf("%s: replica %d's manager still remembers %d requests", name, i%4, n)
+			}
+		}
+		mgrs = nil
+	}
 	serial, err := build().ServeOnline(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	forgotten("ServeOnline")
 	if serial.Crashes != 1 || serial.Restarts != 1 || serial.Redispatched == 0 ||
 		serial.Migrations == 0 || serial.PeerHits == 0 || serial.MigrationRollbacks == 0 ||
 		serial.FetchRetries == 0 || serial.PerReplica[3].Result.MigratedOut == 0 {
@@ -289,6 +326,7 @@ func TestServeStreamFleetChaosMatchesServeOnline(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkMigrationLaw(t, "ServeStream", stream)
+		forgotten("ServeStream")
 		// Copy the reference, overwrite what legitimately differs, and
 		// compare everything else in one go.
 		want := *serial

@@ -120,6 +120,7 @@ func (m *Jenga) pageToUsed(g *group, id arena.SmallPageID, req RequestID) {
 		pg.dead = 0
 		pg.expired = false
 		g.filledSlots += int64(pg.filled)
+		m.cacheGen++
 	default:
 		check(false, "pageToUsed on used page %d", id)
 	}
@@ -129,6 +130,17 @@ func (m *Jenga) pageToUsed(g *group, id arena.SmallPageID, req RequestID) {
 	g.nUsed++
 	m.cntUsed[L]++
 	m.stats.Allocs++
+}
+
+// publish enters complete page id in the group's prefix index under its
+// hash, unless another page already holds that hash.
+//
+//jenga:hotpath
+func (m *Jenga) publish(g *group, id arena.SmallPageID) {
+	pg := &g.pages[id]
+	if pg.hashed = g.index.put(id); pg.hashed {
+		m.cacheGen++
+	}
 }
 
 // pageAddRef shares an already-used page with another request.
@@ -168,9 +180,10 @@ func (m *Jenga) pageRelease(g *group, id arena.SmallPageID, cache bool, exitTS T
 	if cache && pg.complete && !pg.hashed {
 		// The block was computed while another page owned the index
 		// entry for the same content; publish now if the slot freed up.
-		pg.hashed = g.index.put(id)
+		m.publish(g, id)
 	}
 	if cache && pg.hashed {
+		m.cacheGen++
 		pg.status = pageCached
 		pg.lastAccess = exitTS
 		pg.expired = expired
@@ -194,6 +207,7 @@ func (m *Jenga) pageToEmpty(g *group, id arena.SmallPageID) {
 	if pg.hashed {
 		g.index.del(id)
 		pg.hashed = false
+		m.cacheGen++
 	}
 	pg.status = pageEmpty
 	pg.filled, pg.dead = 0, 0

@@ -112,8 +112,13 @@ func fuzzAssocStacks(t *testing.T, data []byte) {
 		}
 		return n
 	}
+	// What a request holds it holds through its page table, as
+	// CheckInvariants counts references.
+	table := func(req RequestID) *[]pageRef { return &m.getReq(&Sequence{ID: req}).g[g.idx].pages }
 	var hash uint64
-	release := func(id arena.SmallPageID, cached bool, now Tick) {
+	release := func(req RequestID, id arena.SmallPageID, cached bool, now Tick) {
+		tab := *table(req)
+		tab[slices.Index(tab, pageRef{id: id, held: true})].held = false
 		pg := &g.pages[id]
 		if cached {
 			// A block-boundary commit: complete, content never seen before.
@@ -134,15 +139,19 @@ func fuzzAssocStacks(t *testing.T, data []byte) {
 		case 4, 5:
 			if h := held[req]; len(h) > 0 {
 				held[req] = h[1:]
-				release(h[0], op == 5, now)
+				release(req, h[0], op == 5, now)
 			}
 		case 6:
 			for _, id := range held[req] {
-				release(id, b&8 != 0, now)
+				release(req, id, b&8 != 0, now)
 			}
 			held[req] = nil
 			g.dropAssocList(req)
 			delete(ref.freeByReq, req)
+			if r, ok := m.reqs[req]; ok {
+				delete(m.reqs, req)
+				m.parkReq(r)
+			}
 		default:
 			want, wantOK := ref.pop(req)
 			got, gotOK := g.popAssocFree(req)
@@ -170,6 +179,7 @@ func fuzzAssocStacks(t *testing.T, data []byte) {
 				ref.carved(req, first, n)
 			}
 			held[req] = append(held[req], id)
+			*table(req) = append(*table(req), pageRef{id: id, held: true})
 		}
 		if err := m.CheckInvariants(); err != nil {
 			t.Fatalf("op %d: %v", i, err)
@@ -177,7 +187,7 @@ func fuzzAssocStacks(t *testing.T, data []byte) {
 	}
 	for req := range held {
 		for _, id := range held[req] {
-			release(id, false, Tick(len(data)+1))
+			release(RequestID(req), id, false, Tick(len(data)+1))
 		}
 	}
 	audit(t, m)

@@ -18,11 +18,10 @@ func textOnlySpec() *model.Spec {
 	}
 }
 
-// TestLookupKeyDiesWithRequest: the warm-lookup scratch key (request
-// ID, base pointer, first token, token at the cached boundary) is only
-// good while its request lives. The engine recycles token buffers and
-// IDs may be reused, so a second request can match the key of a
-// released one on every count while its content differs in between;
+// TestLookupKeyDiesWithRequest: a request's block hashes are only good
+// while it lives. The engine recycles token buffers and IDs may be
+// reused, so a second request can match a released one on ID, array,
+// length, first and last token while its content differs in between;
 // Lookup must hash it afresh instead of reporting the first request's
 // cached prefix.
 func TestLookupKeyDiesWithRequest(t *testing.T) {
@@ -58,18 +57,22 @@ func TestLookupKeyDiesWithRequest(t *testing.T) {
 	m.Release(b, false)
 
 	// A lookup-only request (never reserved, so Release finds no
-	// request state) drops its key all the same.
+	// request state) drops its hashes all the same, and CrashReset
+	// forgets the ones it had.
 	m.Lookup(b)
+	if sh := m.hashes[b.ID]; len(m.hashes) != 1 || sh.n != n {
+		t.Fatalf("lookup left %d hash records", len(m.hashes))
+	}
 	m.Release(b, false)
-	// CrashReset builds fresh groups, and with them fresh scratch.
+	if len(m.hashes) != 0 {
+		t.Fatal("a looked-up request's hashes outlived its Release")
+	}
 	m.Lookup(b)
 	if err := m.CrashReset(); err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range m.groups {
-		if g.lkSeqLen != 0 {
-			t.Fatalf("group %s: lookup scratch still keyed after its request was released and the manager reset", g.spec.Name)
-		}
+	if len(m.hashes) != 0 {
+		t.Fatal("a looked-up request's hashes outlived CrashReset")
 	}
 	audit(t, m)
 }

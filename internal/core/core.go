@@ -94,7 +94,10 @@ func (s *Sequence) promptBound() int {
 // and the baselines.
 type Manager interface {
 	// Lookup returns the longest model-wide cached prefix, in tokens,
-	// for the sequence's current Tokens. It does not claim pages.
+	// for the sequence's current Tokens. It does not claim pages. A
+	// manager may remember the sequence from here on (Jenga keeps its
+	// block hashes, so that no later call hashes the prompt again);
+	// Release ends that.
 	Lookup(seq *Sequence) int
 	// Reserve guarantees KV capacity for tokens [0, upTo) of seq,
 	// claiming cached prefix pages on the sequence's first reservation
@@ -109,7 +112,11 @@ type Manager interface {
 	Commit(seq *Sequence, upTo int, now Tick)
 	// Release ends the sequence's use of its pages. With cache true,
 	// fully committed pages remain as evictable prefix cache; otherwise
-	// everything returns to the free pool.
+	// everything returns to the free pool. Every sequence a manager was
+	// shown is released once it leaves — one that only ever was looked
+	// up or probed by Footprint too: that is what lets a manager keep
+	// per-request state from its first sight of a request. Releasing a
+	// sequence the manager does not know is a no-op.
 	Release(seq *Sequence, cache bool)
 	// Usage returns the current memory accounting snapshot.
 	Usage() Usage
@@ -130,11 +137,25 @@ type Manager interface {
 	DropImages(seq *Sequence, uptoFull int)
 	// SupportsVisionCache reports whether EncodeImages actually caches.
 	SupportsVisionCache() bool
-	// Footprint estimates the bytes the sequence needs resident at
-	// steady state (prompt KV per the architecture's dependency
-	// patterns, Mamba states and checkpoints, vision embeddings). The
-	// scheduler admits a request only when Footprint fits in free plus
-	// evictable memory — vLLM's can_allocate admission check.
+	// Footprint estimates the bytes admitting the sequence would newly
+	// occupy at steady state: its resident footprint (prompt KV per the
+	// architecture's dependency patterns, Mamba states and checkpoints,
+	// vision embeddings) less the pages of its cached prefix that a live
+	// request already holds in use, which a claim attaches by reference
+	// (§5.2) — PagedAttention's block table counts a shared block once.
+	// Only in-use pages are taken off: a cached page is already on the
+	// free side of the gate below and moves to used when claimed, and a
+	// block in the host tier or on a peer needs a page to be restored
+	// into. With nothing in use the value is the whole steady-state
+	// footprint, so "can this ever run on an idle engine" reads the same
+	// number it always did. The scheduler admits a request only when
+	// Footprint fits in free plus evictable memory — vLLM's
+	// can_allocate admission check, which subtracts shared blocks too.
+	// The law the tests hold every manager to: reserving and committing
+	// a fresh sequence's whole prompt never grows Usage().Used by more
+	// than the Footprint read just before. It is one method, not a
+	// capability beside it, so that everything that wraps a Manager —
+	// baselines, the benchmark's decorators — charges the same way.
 	Footprint(seq *Sequence) int64
 }
 

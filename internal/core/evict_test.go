@@ -125,7 +125,7 @@ func TestBalancedEvictionAcrossGroups(t *testing.T) {
 	// buildView reuses per-group scratch, so snapshot Present before
 	// building another view of the same group.
 	present := func(g *group, tokens []Token) []bool {
-		v := m.buildView(g, 0, tokens, false)
+		v := viewOf(m, g, tokens)
 		return append([]bool(nil), v.Present...)
 	}
 
@@ -240,7 +240,7 @@ func TestImageAtomicEviction(t *testing.T) {
 	// last-access; priority decides. Evict twice: both evictions must
 	// hit the same image.
 	evicted := func() []bool {
-		v := m.buildView(g, 0, seq.Tokens, false)
+		v := viewOf(m, g, seq.Tokens)
 		out := make([]bool, len(v.Present))
 		for k, ok := range v.Present {
 			out[k] = !ok

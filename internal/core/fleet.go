@@ -234,24 +234,24 @@ func (m *Jenga) LookupFleet(seq *Sequence, peer PeerPresence) (int, []FetchBlock
 	if !m.cfg.EnablePrefixCache || m.host == nil || !m.host.hasRoomEver() || peer == nil {
 		return 0, nil
 	}
-	maxP := len(seq.Tokens) - 1 // at least one token must run
-	if maxP <= 0 {
-		return 0, nil
+	if len(seq.Tokens) < 2 {
+		return 0, nil // at least one token must run
 	}
+	sh := m.hashesOf(seq)
 	views := m.lkViews[:0]
 	anyPresent := false
 	for _, g := range m.groups {
 		if g.isVision() || !g.appliesTo(seq) {
 			continue
 		}
-		v := m.buildView(g, seq.ID, seq.Tokens, true)
+		v := m.buildView(g, &sh.c[g.hclass], seq.Tokens, restorable)
 		// Overlay peer presence in place, on the view's block table or
 		// (Mamba) the group's checkpoint table, both in chain order so
 		// the oracle's probe order is deterministic; g.lkPeer remembers
 		// which entries a peer supplied, as holder+1.
-		present, hashes := v.Present, g.lkHashes
+		present, hashes := v.Present, sh.c[g.hclass].hashes
 		if g.spec.Kind == model.Mamba {
-			present, hashes = g.lkCkPresent, g.lkCkHash
+			present = g.lkCkPresent
 			anyPresent = anyPresent || g.index.len() > 0 || m.host.groupSize(g.idx) > 0
 		}
 		g.lkPeer = slices.Grow(g.lkPeer[:0], len(hashes))[:len(hashes)]
@@ -276,30 +276,18 @@ func (m *Jenga) LookupFleet(seq *Sequence, peer PeerPresence) (int, []FetchBlock
 	if !anyPresent {
 		return 0, nil
 	}
-	p := 0
-candidates:
-	for c := maxP; c > 0; c-- {
-		for _, gv := range views {
-			if gv.g.spec.Kind != model.Mamba && gv.view.ProjCount[c]%gv.g.tpp != 0 {
-				continue candidates
-			}
-			if !gv.g.pol.ValidPrefix(gv.view, c) {
-				continue candidates
-			}
-		}
-		p = c
-		break
-	}
+	p := longestValid(views, len(seq.Tokens)-1)
 	if p == 0 {
 		return 0, nil
 	}
 	m.fleetFetch = m.fleetFetch[:0]
 	for _, gv := range views {
 		g := gv.g
+		hashes := sh.c[g.hclass].hashes
 		pl := gv.view.ProjCount[p]
 		if g.spec.Kind == model.Mamba {
 			if every := g.spec.Checkpoint(); pl > 0 && pl%every == 0 {
-				m.fetchPeerOnly(g, g.lkCkHash, pl/every-1, pl/every)
+				m.fetchPeerOnly(g, hashes, pl/every-1, pl/every)
 			}
 			continue
 		}
@@ -309,8 +297,8 @@ candidates:
 		if ka, ok := g.pol.(KeepAlive); ok {
 			keep = (ka.KeptBelow(pl) + g.tpp - 1) / g.tpp
 		}
-		m.fetchPeerOnly(g, g.lkHashes, 0, min(keep, lo))
-		m.fetchPeerOnly(g, g.lkHashes, lo, nb)
+		m.fetchPeerOnly(g, hashes, 0, min(keep, lo))
+		m.fetchPeerOnly(g, hashes, lo, nb)
 	}
 	return p, m.fleetFetch
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"jenga/internal/arena"
@@ -275,13 +276,20 @@ func TestForkErrors(t *testing.T) {
 // copy-on-write, checkpoints and vision pages in tables a previous
 // owner filled, and a reference left behind in one shows up as a
 // refcount or accounting mismatch in the audit, or as a foreign
-// fingerprint.
+// fingerprint. Op 6 admits a fresh request that shares a live branch's
+// prefix and holds the admission charge to its law: used memory grows
+// by no more than the Footprint read just before, whatever the
+// interleaving left in use, cached or evicted.
 func FuzzForkLifecycle(f *testing.F) {
 	f.Add([]byte{0, 4, 2, 0, 1, 1, 1, 0, 3, 0})
 	f.Add([]byte{0, 8, 2, 0, 2, 0, 1, 1, 1, 2, 4, 0, 1, 0})
 	f.Add([]byte{0, 15, 2, 0, 2, 0, 2, 0, 1, 3, 1, 2, 1, 1, 3, 2, 1, 0})
 	f.Add([]byte{0, 15, 2, 0, 1, 64, 5, 0, 1, 0, 5, 1, 2, 0, 1, 65, 5, 2, 5, 3})
 	f.Add([]byte{0, 9, 0, 12, 2, 1, 5, 4, 5, 1, 1, 64, 2, 0, 5, 0, 4, 0, 0, 9})
+	f.Add([]byte{0, 15, 6, 0, 2, 0, 6, 73, 3, 0, 6, 130, 1, 1, 6, 201, 4, 0, 6, 7})
+	// The sharer's embedding evicts the cached checkpoint its prefix
+	// would have hit, between the probe and the claim.
+	f.Add([]byte("1,200(2A1C2019A1B212110C0X09YX0B1000"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := New(Config{
 			Spec: recycleSpec(), CapacityBytes: 1 << 15, TokensPerPage: 2,
@@ -360,7 +368,7 @@ func FuzzForkLifecycle(f *testing.F) {
 		}
 
 		for i := 0; i+1 < len(data) && len(live) < 24; i += 2 {
-			op, arg := data[i]%6, int(data[i+1])
+			op, arg := data[i]%7, int(data[i+1])
 			now++
 			switch op {
 			case 0: // new root
@@ -436,6 +444,27 @@ func FuzzForkLifecycle(f *testing.F) {
 					root(nextID, 1+arg%16)
 					nextID++
 				}
+			case 6: // admit a sharer of a live branch's prefix, charge checked
+				if len(live) == 0 {
+					continue
+				}
+				of := live[arg%8%len(live)].seq.Tokens
+				s := &Sequence{ID: nextID, Tokens: slices.Clone(of[:len(of)-arg/8%len(of)])}
+				nextID++
+				for k := 0; k <= arg/64; k++ {
+					s.Tokens = append(s.Tokens, TextToken(int32((int(s.ID)*911+k)%997+1)))
+				}
+				charge, before := m.Footprint(s), m.UsageTotals().Used
+				if err := serve(m, s, now); err != nil {
+					m.Release(s, false)
+					break
+				}
+				if grew := m.UsageTotals().Used - before; grew > charge {
+					t.Fatalf("request %d (%d tokens, %d claimed): used memory grew by %d, admission charged %d",
+						s.ID, len(s.Tokens), m.CachedPrefix(s), grew, charge)
+				}
+				stamp(s, m.CachedPrefix(s), len(s.Tokens))
+				live = append(live, &ref{seq: s})
 			}
 			audit(t, m)
 			verify()

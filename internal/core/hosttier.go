@@ -648,7 +648,7 @@ func (m *Jenga) restoreBlock(g *group, hb *hostBlock, hash uint64, req RequestID
 	pg.complete = true
 	pg.priority = hb.priority
 	pg.lastAccess = now
-	pg.hashed = g.index.put(id)
+	m.publish(g, id)
 	if m.ar.Backed() && len(hb.data) > 0 {
 		if buf, err := g.view.SmallSlice(id); err == nil {
 			copy(buf, hb.data)

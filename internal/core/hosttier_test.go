@@ -124,7 +124,7 @@ func TestHostTierSpillRestoreRoundTrip(t *testing.T) {
 	if p := m.Lookup(probe); p < 32 {
 		t.Fatalf("host-aware Lookup = %d, want ≥ 32", p)
 	}
-	if p := m.lookupPrefix(probe, false); p != 0 {
+	if p := m.lookupPrefix(probe, m.hashesOf(probe), resident); p != 0 {
 		t.Fatalf("GPU-only lookup = %d, want 0 (everything spilled)", p)
 	}
 
@@ -274,7 +274,7 @@ func TestSwapOutProactive(t *testing.T) {
 	// from the GPU without touching the tier.
 	probe := textSeq(2, 17)
 	probe.PromptLen = 17
-	if p := m.lookupPrefix(probe, false); p < 16 {
+	if p := m.lookupPrefix(probe, m.hashesOf(probe), resident); p < 16 {
 		t.Fatalf("GPU-only lookup after SwapOut = %d, want ≥ 16", p)
 	}
 	// Eviction now finds the bytes already in the tier: no second

@@ -2,20 +2,28 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"jenga/internal/arena"
+	"jenga/internal/debug"
 )
 
 // CheckInvariants verifies the manager's page-indexed structures against
-// the page array they describe, and returns the first violation. This
-// is the first slice of the whole-manager check (ROADMAP item 1): the
-// request-associated free stacks, the prefix index, the slotted
-// eviction heaps and the request-state slab. Every Release and
-// CrashReset ends with it in a jengadebug build; the differential
+// the page array they describe, and returns the first violation. These
+// are the first two slices of the whole-manager check (ROADMAP item 1):
+// the request-associated free stacks, the prefix index, the slotted
+// eviction heaps and the request-state slab; then page conservation,
+// reference counts against the live page tables — what the admission
+// probe's "in use" means — and the block-hash records. Every Release
+// and CrashReset ends with it in a jengadebug build; the differential
 // fuzzers and the tests' audit call it in every build. It costs
-// O(pages) and allocates only to report.
+// O(pages + live page tables) and allocates only to report, and once
+// for its reference-count scratch.
 func (m *Jenga) CheckInvariants() error {
 	for _, g := range m.groups {
+		if err := m.checkPages(g); err != nil {
+			return fmt.Errorf("core: group %s: %w", g.spec.Name, err)
+		}
 		if err := m.checkStacks(g); err != nil {
 			return fmt.Errorf("core: group %s: %w", g.spec.Name, err)
 		}
@@ -37,6 +45,101 @@ func (m *Jenga) CheckInvariants() error {
 	if got := len(m.spareReqs) + len(m.reqs); got != m.reqsBuilt {
 		return fmt.Errorf("core: %d parked + %d live request states, %d handed out by the slab",
 			len(m.spareReqs), len(m.reqs), m.reqsBuilt)
+	}
+	return m.checkHashes()
+}
+
+// checkPages: the group's counters agree with the pages' states, used,
+// cached and empty pages are all there is, and each large page's
+// counters with its pages; a page is referenced iff it is used, and by
+// exactly the live page tables that hold it — a request's blocks,
+// checkpoints, embeddings and working state.
+func (m *Jenga) checkPages(g *group) error {
+	refs := slices.Grow(m.checkRefs[:0], len(g.pages))[:len(g.pages)]
+	clear(refs)
+	m.checkRefs = refs
+	//jenga:order-ok references are summed per page; visit order cannot change a sum
+	for _, r := range m.reqs {
+		rg := &r.g[g.idx]
+		for _, table := range [3][]pageRef{rg.pages, rg.ckpts, rg.visPages} {
+			for _, ref := range table {
+				if ref.held {
+					refs[ref.id]++
+				}
+			}
+		}
+		if rg.hasWork {
+			refs[rg.work]++
+		}
+	}
+	var used, cached, empty int
+	var extra int64
+	for L := range m.largeOwner {
+		first, n := g.view.SmallRange(arena.LargePageID(L))
+		owned := m.largeOwner[L] == int32(g.idx)
+		var lUsed, lCached int32
+		for id := first; id < first+arena.SmallPageID(n); id++ {
+			pg := &g.pages[id]
+			switch pg.status {
+			case pageUsed:
+				lUsed++
+				extra += int64(pg.ref) - 1
+			case pageCached:
+				lCached++
+			case pageEmpty:
+				empty++
+			default:
+				return fmt.Errorf("page %d has status %d", id, pg.status)
+			}
+			if (pg.ref >= 1) != (pg.status == pageUsed) || pg.ref != refs[id] {
+				return fmt.Errorf("page %d (status %d) counts %d references, %d live page tables hold it", id, pg.status, pg.ref, refs[id])
+			}
+		}
+		if !owned && lUsed+lCached > 0 {
+			return fmt.Errorf("large page %d is not the group's, yet %d of its pages are used and %d cached", L, lUsed, lCached)
+		}
+		if owned && (lUsed != m.cntUsed[L] || lCached != m.cntCached[L]) {
+			return fmt.Errorf("large page %d counts %d used, %d cached pages; it has %d and %d", L, m.cntUsed[L], m.cntCached[L], lUsed, lCached)
+		}
+		used, cached = used+int(lUsed), cached+int(lCached)
+	}
+	if used != g.nUsed || cached != g.nCached || used+cached+empty != len(g.pages) || extra != g.extraRefs {
+		return fmt.Errorf("%d used (%d extra references), %d cached, %d empty of %d pages; the group counts %d used (%d extra), %d cached",
+			used, extra, cached, empty, len(g.pages), g.nUsed, g.extraRefs, g.nCached)
+	}
+	return nil
+}
+
+// checkHashes: parked plus live block-hash records are the records the
+// slab handed out; a live record holds one hash per whole stride of
+// what it folded in, a parked one nothing — and in a jengadebug build
+// only scribble.
+func (m *Jenga) checkHashes() error {
+	parked := 0
+	for sh := m.spareHashes; sh != nil; sh = sh.next {
+		if parked++; parked > m.hashRecsBuilt {
+			return fmt.Errorf("core: the parked block-hash records form a cycle")
+		}
+		for ci := range sh.c {
+			ch := &sh.c[ci]
+			if sh.n != 0 || ch.proj != 0 || len(ch.hashes) != 0 {
+				return fmt.Errorf("core: a parked block-hash record still holds %d tokens, %d hashes of class %d", sh.n, len(ch.hashes), ci)
+			}
+			if debug.On && slices.ContainsFunc(ch.hashes[:cap(ch.hashes)], func(h uint64) bool { return h != hashPoison }) {
+				return fmt.Errorf("core: a parked block-hash record's class-%d array is not scribbled", ci)
+			}
+		}
+	}
+	if got := parked + len(m.hashes); got != m.hashRecsBuilt {
+		return fmt.Errorf("core: %d parked + %d live block-hash records, %d handed out by the slab", parked, len(m.hashes), m.hashRecsBuilt)
+	}
+	//jenga:order-ok each record is judged on its own; visit order only decides which violation is reported
+	for id, sh := range m.hashes {
+		for ci, c := range m.hashClasses {
+			if ch := &sh.c[ci]; ch.proj > sh.n || len(ch.hashes) != ch.proj/c.stride {
+				return fmt.Errorf("core: request %d: %d hashes of class %d for %d of %d tokens", id, len(ch.hashes), ci, ch.proj, sh.n)
+			}
+		}
 	}
 	return nil
 }

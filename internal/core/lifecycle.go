@@ -206,7 +206,11 @@ func countScope(g *group, toks []Token) int {
 	return n
 }
 
-// Footprint implements Manager.
+// Footprint implements Manager: what admitting seq would newly occupy —
+// its steady-state footprint less the part of it a live request already
+// holds in use.
+//
+//jenga:hotpath
 func (m *Jenga) Footprint(seq *Sequence) int64 {
 	var total int64
 	for _, g := range m.groups {
@@ -240,7 +244,72 @@ func (m *Jenga) Footprint(seq *Sequence) int64 {
 		}
 		total += int64(pages) * int64(g.smallBytes)
 	}
-	return total
+	return total - m.sharedPrefixBytes(seq)
+}
+
+// sharedPrefixBytes is the part of seq's steady-state footprint that is
+// in use already: the pages its claim would attach by taking one more
+// reference (§5.2) rather than by occupying anything. The engine asks
+// again every step a candidate stays blocked, and in most of them no
+// page it could share has changed hands, so the answer is kept with the
+// request's hashes and reused while m.cacheGen stands (a jengadebug
+// build recomputes it all the same, and panics on a difference).
+//
+//jenga:hotpath
+func (m *Jenga) sharedPrefixBytes(seq *Sequence) int64 {
+	if !m.cfg.EnablePrefixCache || len(seq.Tokens) < 2 {
+		return 0
+	}
+	sh := m.hashesOf(seq)
+	if sh.sharedAt != m.cacheGen {
+		sh.shared, sh.sharedAt = m.probeShared(seq, sh), m.cacheGen
+	} else if debug.On {
+		if now := m.probeShared(seq, sh); now != sh.shared {
+			check(false, "request %d shares %d bytes in use, %d remembered from the same cache generation", seq.ID, now, sh.shared)
+		}
+	}
+	return sh.shared
+}
+
+// probeShared computes sharedPrefixBytes. A block counts only while a
+// live request holds it in use, for the prefix too: what is merely
+// cached may be gone by the time the claim runs (the candidate's own
+// embeddings are stored first and can evict it), and a claim that came
+// back shorter would then allocate what was discounted. A cached page
+// is on the free side of the admission gate already, and moves to used
+// when claimed; a block whose only copy is in the host tier or on a peer
+// needs a page to be restored into. So the prefix judged is the longest
+// model-wide one valid on in-use blocks alone — the claim attaches at
+// least that — and per token group the blocks of it that the claim
+// reads and the request still holds once its whole sequence is
+// committed are taken off (a Mamba checkpoint hit attaches no page; an
+// always-live head is not in the steady-state estimate, so it is not
+// taken off it either). With nothing in use the result is 0.
+//
+//jenga:hotpath
+func (m *Jenga) probeShared(seq *Sequence, sh *seqHashes) int64 {
+	p := m.lookupPrefix(seq, sh, inUse)
+	if p == 0 {
+		return 0
+	}
+	var shared int64
+	for _, gv := range m.lkViews {
+		g := gv.g
+		if g.spec.Kind == model.Mamba {
+			continue
+		}
+		// The claim attaches blocks from the first one it reads; those
+		// below the dependency horizon of the whole sequence are demoted
+		// again before the request reaches its steady state.
+		pl := gv.view.ProjCount[p]
+		from, nb := max(g.pol.AccessedFrom(pl), g.pol.FreeBelow(gv.view.ProjCount[len(seq.Tokens)]))/g.tpp, pl/g.tpp
+		for _, used := range gv.view.Present[min(from, nb):nb] {
+			if used {
+				shared += int64(g.smallBytes)
+			}
+		}
+	}
+	return shared
 }
 
 // CachedPrefix implements Manager: the prefix length served from cache
@@ -262,54 +331,79 @@ func (m *Jenga) CachedPrefix(seq *Sequence) int {
 //
 //jenga:hotpath
 func (m *Jenga) Lookup(seq *Sequence) int {
-	return m.lookupPrefix(seq, m.host != nil)
+	if !m.cfg.EnablePrefixCache || len(seq.Tokens) < 2 {
+		return 0 // at least one token must run
+	}
+	return m.lookupPrefix(seq, m.hashesOf(seq), m.anyTier())
 }
 
-// lookupPrefix is Lookup with host-tier presence switchable: the
-// claim fallback path re-evaluates the prefix GPU-only when a restore
-// ran out of device memory.
+// presence is what a lookup counts as a block being there.
+type presence uint8
+
+const (
+	// inUse: on the device and referenced by a live request, so nothing
+	// can evict it before a claim — the admission probe's view.
+	inUse presence = iota
+	// resident: on the device — what a claim can attach without
+	// allocating, and its fallback when a restore ran out of memory.
+	resident
+	// restorable: on the device or in the host tier.
+	restorable
+)
+
+// anyTier is the widest presence this manager has.
+func (m *Jenga) anyTier() presence {
+	if m.host != nil {
+		return restorable
+	}
+	return resident
+}
+
+// lookupPrefix is Lookup over sh, seq's block hashes, counting blocks
+// as present by the rule given. The views it judged stay in m.lkViews.
 //
 //jenga:hotpath
-func (m *Jenga) lookupPrefix(seq *Sequence, useHost bool) int {
-	if !m.cfg.EnablePrefixCache {
-		return 0
-	}
-	maxP := len(seq.Tokens) - 1 // at least one token must run
-	if maxP <= 0 {
-		return 0
-	}
+func (m *Jenga) lookupPrefix(seq *Sequence, sh *seqHashes, by presence) int {
 	views := m.lkViews[:0]
 	anyPresent := false
 	for _, g := range m.groups {
 		if g.isVision() || !g.appliesTo(seq) {
 			continue // never gates KV hits
 		}
-		v := m.buildView(g, seq.ID, seq.Tokens, useHost)
-		for _, ok := range v.Present {
-			if ok {
-				anyPresent = true
-				break
-			}
-		}
-		if g.spec.Kind == model.Mamba && v.CheckpointAt != nil {
-			// Presence detection for Mamba handled via CheckpointAt in
-			// the candidate scan; mark possible presence cheaply.
+		v := m.buildView(g, &sh.c[g.hclass], seq.Tokens, by)
+		if g.spec.Kind == model.Mamba {
+			// Checkpoint presence is read through CheckpointAt in the
+			// candidate scan; mark possible presence cheaply.
 			anyPresent = anyPresent || g.index.len() > 0 ||
-				(useHost && m.host.groupSize(g.idx) > 0)
+				(by == restorable && m.host.groupSize(g.idx) > 0)
 		}
+		anyPresent = anyPresent || slices.Contains(v.Present, true)
 		views = append(views, lookupView{g, v})
 	}
 	m.lkViews = views
 	if !anyPresent {
 		return 0
 	}
+	return longestValid(views, len(seq.Tokens)-1)
+}
+
+// longestValid returns the longest prefix of at most maxP tokens that
+// every view's policy accepts as a hit, 0 when there is none.
+//
+//jenga:hotpath
+func longestValid(views []lookupView, maxP int) int {
 candidates:
 	for p := maxP; p > 0; p-- {
 		for _, gv := range views {
 			// Hit prefixes must project to whole blocks in every token
-			// group so claiming is block-exact.
-			if gv.g.spec.Kind != model.Mamba && gv.view.ProjCount[p]%gv.g.tpp != 0 {
-				continue candidates
+			// group so claiming is block-exact. ProjCount falls by at
+			// most one per token, so no candidate nearer than the excess
+			// over a whole block can be aligned.
+			if gv.g.spec.Kind != model.Mamba {
+				if over := gv.view.ProjCount[p] % gv.g.tpp; over != 0 {
+					p -= over - 1
+					continue candidates
+				}
 			}
 			if !gv.g.pol.ValidPrefix(gv.view, p) {
 				continue candidates
@@ -327,112 +421,72 @@ type lookupView struct {
 	view *GroupSeqView
 }
 
-// buildView constructs the Lookup view of one group for sequence id.
-// With useHost, host-tier-resident blocks count as present. The view
-// is built into per-group scratch (g.lkView and friends); nothing
-// returned from Lookup outlives the call, so the warm-lookup path
-// allocates nothing.
-//
-// Presence (Present/presentRun and the Mamba checkpoint set) is
-// rebuilt in full on every call — the cache index mutates between
-// lookups, and LookupFleet overlays peer presence in place — but the
-// content-derived scratch (the projection, ProjCount and the block
-// hash chain) extends incrementally when this call sees the same live
-// request on the same backing array with the cached prefix intact.
-// A live sequence's tokens are only ever appended to, so growth keeps
-// the base pointer, the first token and the token at the cached
-// boundary stable; a different request, a moved array (the engine's
-// switch from the borrowed prompt to a private decode buffer) or a
-// truncation breaks one of them and forces a full rebuild. The key
-// proves nothing across requests — the engine recycles token buffers,
-// so an address recurs routinely, and an ID may be reused once its
-// request is gone — which is why Release drops it (CrashReset builds
-// fresh groups, and with them fresh scratch). This is what makes a
-// warm lookup over a long prompt stop rehashing the whole prefix.
+// buildView constructs the Lookup view of one group for a sequence
+// whose block hashes of the group's class are bh (hashesOf), blocks
+// counted as present by the rule given. The view is built into
+// per-group scratch (g.lkView and friends) and nothing returned from
+// Lookup outlives the call, so a lookup allocates nothing; and it is
+// presence only — one index probe per block, no token hashed. ProjCount
+// is counted out only for a group that skipped some of the tokens:
+// where every token is stored it is the identity.
 //
 //jenga:hotpath
-func (m *Jenga) buildView(g *group, id RequestID, tokens []Token, useHost bool) *GroupSeqView {
-	storesImg := g.spec.StoresToken(true)
-	storesTxt := g.spec.StoresToken(false)
-	done := 0
-	if g.lkSeqLen > 0 && g.lkSeqID == id && len(tokens) >= g.lkSeqLen &&
-		g.lkSeqBase == &tokens[0] && g.lkFirst == tokens[0] &&
-		g.lkLast == tokens[g.lkSeqLen-1] {
-		done = g.lkSeqLen
-	}
+func (m *Jenga) buildView(g *group, bh *classHashes, tokens []Token, by presence) *GroupSeqView {
 	v := &g.lkView
 	v.BlockTokens = g.tpp
-	v.CheckpointAt = nil
-	if cap(v.ProjCount) >= len(tokens)+1 {
-		v.ProjCount = v.ProjCount[:len(tokens)+1]
-	} else {
-		pc := make([]int, len(tokens)+1)
-		if done > 0 {
-			copy(pc, v.ProjCount[:done+1])
+	if bh.proj == len(tokens) {
+		for n := len(m.identity); n <= len(tokens); n++ {
+			//jenga:alloc-ok amortized: grows to the longest sequence ever looked up
+			m.identity = append(m.identity, n)
 		}
-		v.ProjCount = pc
-	}
-	v.ProjCount[0] = 0
-	n := v.ProjCount[done]
-	for i := done; i < len(tokens); i++ {
-		if g.spec.StoresToken(tokens[i].Image()) {
-			n++
-		}
-		v.ProjCount[i+1] = n
-	}
-	proj := tokens
-	if !(storesImg && storesTxt) {
-		g.lkProj = projectInto(g.lkProj[:v.ProjCount[done]], tokens[done:], storesImg, storesTxt)
-		proj = g.lkProj
-	}
-	if len(tokens) > 0 {
-		g.lkSeqID = id
-		g.lkSeqBase = &tokens[0]
-		g.lkSeqLen = len(tokens)
-		g.lkFirst = tokens[0]
-		g.lkLast = tokens[len(tokens)-1]
+		v.ProjCount = m.identity[:len(tokens)+1]
 	} else {
-		g.lkSeqLen = 0
+		if cap(g.lkProjCount) <= len(tokens) {
+			//jenga:alloc-ok amortized: grows to the longest sequence ever looked up
+			g.lkProjCount = make([]int, len(tokens)+1)
+		}
+		v.ProjCount = g.lkProjCount[:len(tokens)+1]
+		n := 0
+		for i, t := range tokens {
+			if g.spec.StoresToken(t.Image()) {
+				n++
+			}
+			v.ProjCount[i+1] = n
+		}
 	}
 	if g.spec.Kind == model.Mamba {
-		every := g.spec.Checkpoint()
-		g.lkCkHash, g.lkCkPresent = g.lkCkHash[:0], g.lkCkPresent[:0]
-		h := blockHashSeed
-		for i, t := range proj {
-			h = hashChain(h, t)
-			if (i+1)%every != 0 {
-				continue
-			}
-			_, present := g.index.get(h)
-			if !present && useHost {
-				_, present = m.host.lookup(g.idx, h)
-			}
-			g.lkCkHash = append(g.lkCkHash, h)
-			g.lkCkPresent = append(g.lkCkPresent, present)
-		}
+		g.lkCkPresent = m.fillPresent(g, g.lkCkPresent, bh.hashes, by)
 		v.CheckpointAt = g.ckptAt
 		v.Present = nil
-		v.buildRuns()
-		return v
-	}
-	if done == 0 {
-		g.lkHashes = g.lkHashes[:0]
-	}
-	g.lkHashes = extendBlockHashes(g.lkHashes, proj, g.tpp)
-	hashes := g.lkHashes
-	if cap(v.Present) >= len(hashes) {
-		v.Present = v.Present[:len(hashes)]
 	} else {
-		v.Present = make([]bool, len(hashes))
-	}
-	for k, h := range hashes {
-		_, v.Present[k] = g.index.get(h)
-		if !v.Present[k] && useHost {
-			_, v.Present[k] = m.host.lookup(g.idx, h)
-		}
+		v.Present = m.fillPresent(g, v.Present, bh.hashes, by)
+		v.CheckpointAt = nil
 	}
 	v.buildRuns()
 	return v
+}
+
+// fillPresent sizes dst to hashes and marks each entry whose block is
+// present by the rule given.
+//
+//jenga:hotpath
+func (m *Jenga) fillPresent(g *group, dst []bool, hashes []uint64, by presence) []bool {
+	if cap(dst) < len(hashes) {
+		//jenga:alloc-ok amortized: grows to the longest sequence ever looked up
+		dst = make([]bool, len(hashes))
+	}
+	dst = dst[:len(hashes)]
+	for k, h := range hashes {
+		id, ok := g.index.get(h)
+		switch {
+		case by == inUse:
+			ok = ok && g.pages[id].status == pageUsed
+		case by == restorable && !ok:
+			_, ok = m.host.lookup(g.idx, h)
+		}
+		dst[k] = ok
+	}
+	return dst
 }
 
 // --- Reserve -------------------------------------------------------------
@@ -602,7 +656,7 @@ func (m *Jenga) commitGroup(g *group, rg *reqGroup, delta []Token, fullBase, pro
 			pg.complete = true
 			pg.priority = g.pol.BlockPriority(b, rg.runChain)
 			if m.cfg.EnablePrefixCache {
-				pg.hashed = g.index.put(rg.pages[b].id)
+				m.publish(g, rg.pages[b].id)
 			}
 		}
 	}
@@ -664,7 +718,7 @@ func (m *Jenga) finalizeCheckpoint(g *group, rg *reqGroup, i int, now Tick) {
 	pg.complete = true
 	pg.priority = g.pol.BlockPriority(i, rg.runChain)
 	pg.lastAccess = now
-	pg.hashed = g.index.put(rg.ckpts[i].id)
+	m.publish(g, rg.ckpts[i].id)
 }
 
 // --- Release -------------------------------------------------------------
@@ -673,13 +727,7 @@ func (m *Jenga) finalizeCheckpoint(g *group, rg *reqGroup, i int, now Tick) {
 //
 //jenga:hotpath
 func (m *Jenga) Release(seq *Sequence, cache bool) {
-	// The warm-lookup scratch is keyed on this request: it must not
-	// survive it (see buildView), claimed or not.
-	for _, g := range m.groups {
-		if g.lkSeqID == seq.ID {
-			g.lkSeqLen = 0
-		}
-	}
+	m.dropHashes(seq.ID) // hashed or not, reserved or not
 	r, ok := m.reqs[seq.ID]
 	if !ok {
 		return
@@ -724,25 +772,32 @@ func (m *Jenga) Release(seq *Sequence, cache bool) {
 // the claim; if device memory runs out mid-restore, the claim rolls
 // back and falls back to the GPU-only prefix, which never allocates.
 func (m *Jenga) claim(seq *Sequence, r *reqState, now Tick) {
+	if len(seq.Tokens) < 2 {
+		return // nothing to claim: at least one token must run
+	}
 	// An empty tier cannot assist any lookup, so skip the host passes
 	// (including the hostAssist probe below) until something spilled.
-	useHost := m.host != nil && m.host.live > 0
-	p := m.lookupPrefix(seq, useHost)
+	useHost, by := false, resident
+	if m.host != nil && m.host.live > 0 {
+		useHost, by = true, restorable
+	}
+	sh := m.hashesOf(seq)
+	p := m.lookupPrefix(seq, sh, by)
 	// hostAssist is the model-wide prefix the tier adds beyond what
 	// the GPU cache alone validates — the tokens a restore saves from
 	// recompute. Measured before claiming (afterwards restored blocks
 	// are GPU-resident and the difference vanishes).
 	hostAssist := 0
 	if useHost && p > 0 {
-		if pGPU := m.lookupPrefix(seq, false); pGPU < p {
+		if pGPU := m.lookupPrefix(seq, sh, resident); pGPU < p {
 			hostAssist = p - pGPU
 		}
 	}
-	if p > 0 && !m.claimPrefix(seq, r, p, now, useHost) {
+	if p > 0 && !m.claimPrefix(seq, r, sh, p, now, useHost) {
 		m.rollbackClaim(seq, r)
-		p = m.lookupPrefix(seq, false)
+		p = m.lookupPrefix(seq, sh, resident)
 		if p > 0 {
-			check(m.claimPrefix(seq, r, p, now, false),
+			check(m.claimPrefix(seq, r, sh, p, now, false),
 				"claim: GPU-only fallback claim failed")
 		}
 	} else if hostAssist > 0 {
@@ -776,15 +831,14 @@ type pendingRestore struct {
 // the caller rolls back). With useHost false it is the historical
 // claim, performs no allocation, and always succeeds.
 //
-// The caller has just run lookupPrefix over the same (request, tokens),
-// which left every token group's block hashes in g.lkHashes: a chained
-// hash names its whole prefix, so the first p tokens' blocks are that
-// list's head and the claim reads them instead of hashing the prefix
-// again. Nothing here is sized by p except the request's page table,
-// which a recycled state already holds.
+// The request's block hashes sh cover the whole sequence (hashesOf): a
+// chained hash names its whole prefix, so the first p tokens' blocks
+// are that list's head and the claim reads them instead of hashing the
+// prefix again. Nothing here is sized by p except the request's page
+// table, which a recycled state already holds.
 //
 //jenga:hotpath
-func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost bool) bool {
+func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, sh *seqHashes, p int, now Tick, useHost bool) bool {
 	m.claimPending = m.claimPending[:0]
 	for gi, g := range m.groups {
 		rg := &r.g[gi]
@@ -804,24 +858,21 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost
 			m.claimMamba(g, rg, pl, now)
 			continue
 		}
-		if g.lkSeqID != seq.ID || g.lkSeqLen != len(seq.Tokens) {
-			check(false, "claim: group %s lookup scratch is not request %d's", g.spec.Name, seq.ID)
-		}
-		pl := g.lkView.ProjCount[p]
-		if pl%g.tpp != 0 {
-			check(false, "claim: group %s prefix %d not block aligned", g.spec.Name, pl)
-		}
-		nb := pl / g.tpp
+		pl := p
 		if g.spec.Scope == model.ScopeAll {
 			// Every token is stored: one run from the start, ending on
 			// the claimed prefix's last block hash.
 			rg.chain, rg.runChain, rg.lastFullIdx = blockHashSeed, blockHashSeed, p-1
-			if nb > 0 {
-				rg.chain = g.lkHashes[nb-1]
+			if p >= g.tpp {
+				rg.chain = sh.c[g.hclass].hashes[p/g.tpp-1]
 			}
 		} else {
-			replayPrefix(g, rg, seq.Tokens[:p])
+			pl = replayPrefix(g, rg, seq.Tokens[:p])
 		}
+		if pl%g.tpp != 0 {
+			check(false, "claim: group %s prefix %d not block aligned", g.spec.Name, pl)
+		}
+		nb := pl / g.tpp
 		if len(rg.pages) != 0 {
 			check(false, "claim: group %s already holds a page table", g.spec.Name)
 		}
@@ -832,8 +883,9 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, p int, now Tick, useHost
 			keepBlocks = (ka.KeptBelow(pl) + g.tpp - 1) / g.tpp
 		}
 		// The always-live head (attention sinks), then the accessed tail.
-		m.claimBlocks(g, rg, r.id, 0, min(keepBlocks, lo), useHost)
-		m.claimBlocks(g, rg, r.id, lo, nb, useHost)
+		hashes := sh.c[g.hclass].hashes
+		m.claimBlocks(g, rg, r.id, hashes, 0, min(keepBlocks, lo), useHost)
+		m.claimBlocks(g, rg, r.id, hashes, lo, nb, useHost)
 		rg.projReserved = pl
 		rg.projCommitted = pl
 		rg.demotedBlocks = lo
@@ -896,13 +948,13 @@ func replayPrefix(g *group, rg *reqGroup, prefix []Token) int {
 }
 
 // claimBlocks is claimPrefix's pass 1 over blocks [from, to) of one
-// group, hashes in g.lkHashes: a GPU-resident block is attached to
-// rg, any other is queued on m.claimPending for the restore pass.
+// group, hashes the request's: a GPU-resident block is attached to rg,
+// any other is queued on m.claimPending for the restore pass.
 //
 //jenga:hotpath
-func (m *Jenga) claimBlocks(g *group, rg *reqGroup, req RequestID, from, to int, useHost bool) {
+func (m *Jenga) claimBlocks(g *group, rg *reqGroup, req RequestID, hashes []uint64, from, to int, useHost bool) {
 	for b := from; b < to; b++ {
-		hash := g.lkHashes[b]
+		hash := hashes[b]
 		id, ok := g.index.get(hash)
 		if !ok {
 			if !useHost {
@@ -1075,6 +1127,7 @@ func (m *Jenga) DropImages(seq *Sequence, uptoFull int) {
 // of the total complete blocks.
 func (m *Jenga) Diagnose(seq *Sequence) string {
 	out := ""
+	sh := m.hashesOf(seq)
 	for _, g := range m.groups {
 		if g.isVision() || !g.appliesTo(seq) {
 			continue
@@ -1082,7 +1135,7 @@ func (m *Jenga) Diagnose(seq *Sequence) string {
 		if g.spec.Kind == model.Mamba {
 			continue
 		}
-		v := m.buildView(g, seq.ID, seq.Tokens, m.host != nil)
+		v := m.buildView(g, &sh.c[g.hclass], seq.Tokens, m.anyTier())
 		present, runEnd := 0, 0
 		for k, ok := range v.Present {
 			if ok {

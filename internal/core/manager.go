@@ -114,6 +114,7 @@ type group struct {
 	slotUnit   int // bytes per token slot across the group's layers
 	tpp        int // token slots per page (1 for Mamba)
 	ratio      int // small pages per large page
+	hclass     int // index of the group's hash class (seqhash.go)
 
 	pages []page // indexed by SmallPageID
 
@@ -141,40 +142,23 @@ type group struct {
 	// contribution to Usage.SharedBytes.
 	extraRefs int64
 
-	// Lookup scratch, reused across calls: nothing returned from
-	// Lookup outlives the call, so reuse is safe and makes the warm
-	// lookup allocation-free. The content-derived parts (ProjCount,
-	// lkProj, lkHashes) are additionally cached across calls keyed on
-	// the sequence below — a warm lookup over a prompt already seen
-	// extends the projection and hash chain incrementally instead of
-	// rehashing the whole prefix. Present/presentRun are rebuilt in
-	// full every call (the index mutates between lookups, and
-	// LookupFleet overlays peer presence in place).
-	lkView   GroupSeqView
-	lkProj   []Token
-	lkHashes []uint64
-	// Mamba groups keep their checkpoint table here instead of block
-	// hashes: entry k is the checkpoint at projected position
-	// (k+1) × the interval — its chain hash and whether it is present.
-	// ckptAt is the view's CheckpointAt over that table, built once with
-	// the group. lkPeer is LookupFleet's overlay on either table: the
-	// holder, plus one, of each entry only a peer supplies.
-	lkCkHash    []uint64
+	// Lookup scratch, reused across calls: nothing returned from Lookup
+	// outlives the call, so reuse is safe and makes the lookup
+	// allocation-free. All of it is rebuilt in full on every call: the
+	// index mutates between lookups, LookupFleet overlays peer presence
+	// in place, and what is worth keeping of a sequence's content — its
+	// block hashes — belongs to the request (seqHashes).
+	// lkProjCount backs the view's ProjCount for a sequence the group
+	// stores only part of.
+	// A Mamba group's view reads lkCkPresent through ckptAt, built once
+	// with the group: entry k is the checkpoint at projected position
+	// (k+1) × the interval. lkPeer is LookupFleet's overlay on either
+	// table: the holder, plus one, of each entry only a peer supplies.
+	lkView      GroupSeqView
+	lkProjCount []int
 	lkCkPresent []bool
 	ckptAt      func(projPos int) bool
 	lkPeer      []int32
-	// Identity of the sequence the scratch above was built from
-	// (lkSeqLen 0: none). The incremental path requires the same live
-	// request on the same backing array; a live sequence's tokens are
-	// only ever appended to, so (ID, base pointer, first/last token at
-	// the cached length) identifies an append-only extension. Release
-	// drops the key with the request: token buffers are recycled and
-	// IDs may be reused, so nothing here outlives the request.
-	lkSeqID   RequestID
-	lkSeqBase *Token
-	lkSeqLen  int
-	lkFirst   Token
-	lkLast    Token
 }
 
 func (g *group) isVision() bool { return g.spec.Kind == model.VisionEmbedding }
@@ -214,6 +198,24 @@ type Jenga struct {
 	reqsBuilt int
 	stats     Stats
 
+	// Block hashes of the requests the manager has been shown (seqhash.go):
+	// hashClasses lists the distinct ways the groups hash a sequence into
+	// blocks; hashes holds a record per request, spareHashes the released
+	// ones, hashRecSlab the records of the newest slab not handed out yet
+	// and hashRecsBuilt how many ever were; hashSlab is what is left of
+	// the newest slab of hash arrays, hashSlabLen that slab's size.
+	hashClasses   []hashClass
+	hashes        map[RequestID]*seqHashes
+	spareHashes   *seqHashes
+	hashRecSlab   []seqHashes
+	hashRecsBuilt int
+	hashSlab      []uint64
+	hashSlabLen   int
+	// cacheGen counts the changes to what a GPU-only lookup and the
+	// admission probe can see: a page entering or leaving the prefix
+	// index, an indexed page entering or leaving the used state.
+	cacheGen uint64
+
 	// host is the optional second memory tier (nil without one), and
 	// pendingH2D/pendingD2H the transfer bytes accumulated since the
 	// last DrainTransfers — the engine charges them to its PCIe term.
@@ -225,8 +227,11 @@ type Jenga struct {
 	// engine charges it to the step's HBM copy term.
 	pendingCopy int64
 
-	// lkViews is the Lookup scratch for the per-group view list.
-	lkViews []lookupView
+	// lkViews is the Lookup scratch for the per-group view list, and
+	// identity the ProjCount of every group that stores all of a
+	// sequence's tokens: identity[p] = p.
+	lkViews  []lookupView
+	identity []int
 	// Scratch: one tier page's blocks and hashes (spillLarge and
 	// ImportPrefix; the tier copies what it keeps), SwapOut's candidate
 	// list, claimPrefix's restore queue, the page set ExportPrefix hands
@@ -238,6 +243,8 @@ type Jenga struct {
 	exportBlocks []PageBlock
 	exportEnds   []int
 	fleetFetch   []FetchBlock
+	// checkRefs is CheckInvariants' per-page reference count.
+	checkRefs []int32
 }
 
 var _ Manager = (*Jenga)(nil)
@@ -302,6 +309,8 @@ func New(cfg Config) (*Jenga, error) {
 		largeTS:    make([]Tick, ar.NumLargePages()),
 		largeDirty: make([]bool, ar.NumLargePages()),
 		reqs:       make(map[RequestID]*reqState),
+		hashes:     make(map[RequestID]*seqHashes, 256),
+		cacheGen:   1,
 	}
 	for i := range m.largeOwner {
 		m.largeOwner[i] = -1
@@ -337,6 +346,7 @@ func New(cfg Config) (*Jenga, error) {
 			slotUnit:   small / tpp,
 			tpp:        tpp,
 			ratio:      geo.Ratio[gs.Name],
+			hclass:     m.hashClassOf(&gs, tpp),
 			pages:      make([]page, ar.NumLargePages()*geo.Ratio[gs.Name]),
 			assocTop:   make(map[RequestID]arena.SmallPageID),
 		}

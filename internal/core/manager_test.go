@@ -67,6 +67,14 @@ func mixedSeq(id RequestID, imgN, txtN int) *Sequence {
 // audit recomputes every counter from page states and compares with the
 // incremental bookkeeping; it also checks structural invariants. It is
 // the workhorse behind the property-based tests (DESIGN.md §4).
+// viewOf builds g's GPU-only lookup view of tokens under a throwaway
+// request. The view is the group's scratch: good until its next lookup.
+func viewOf(m *Jenga, g *group, tokens []Token) *GroupSeqView {
+	probe := &Sequence{ID: -1, Tokens: tokens}
+	defer m.Release(probe, false)
+	return m.buildView(g, &m.hashesOf(probe).c[g.hclass], tokens, resident)
+}
+
 func audit(t *testing.T, m *Jenga) {
 	t.Helper()
 	var ownedLargeTotal int64
@@ -500,7 +508,7 @@ func TestWindowHitWithEvictedEarlyTokens(t *testing.T) {
 	audit(t, m)
 
 	b := textSeq(2, 17)
-	v := m.buildView(g, 0, b.Tokens, false)
+	v := viewOf(m, g, b.Tokens)
 	// Blocks 0 and 1 exited the window at the same tick; the §5.1
 	// tie-break evicts the higher position first → block 1.
 	if v.Present[1] {
@@ -512,7 +520,7 @@ func TestWindowHitWithEvictedEarlyTokens(t *testing.T) {
 		t.Error("window policy should accept prefix 16 with early tokens evicted")
 	}
 	full := m.groups[m.byName["full"]]
-	fv := m.buildView(full, 0, b.Tokens, false)
+	fv := viewOf(m, full, b.Tokens)
 	if !full.pol.ValidPrefix(fv, 16) {
 		t.Error("full group unaffected; prefix 16 should be valid")
 	}

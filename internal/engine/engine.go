@@ -597,6 +597,9 @@ func (e *Engine) admitArrivals() {
 	for e.pending.len() > 0 && e.pending.front().req.Arrival <= e.clock {
 		r := e.pending.popFront()
 		if e.cfg.Admission != nil && e.cfg.Admission.Decide(&r.req, e.admissionState(r)) == Shed {
+			// The manager has seen the request (the policy's probe, a
+			// fleet fetch at dispatch): it leaves that way too.
+			e.cfg.Manager.Release(&r.seq, false)
 			e.retire(r, EventShed)
 			continue
 		}
@@ -636,17 +639,10 @@ func (e *Engine) runStep() bool {
 	// (nothing mutates between them).
 	if e.admPreempt && e.waiting.len() > 0 && len(e.running) > 0 {
 		for {
-			v := e.policyView()
-			idx := e.scheduler.PickWaiting(v)
-			if idx < 0 || idx >= e.waiting.len() {
-				idx = 0
-			}
+			idx, v := e.pickWaiting()
 			cand := e.waiting.items()[idx]
-			if e.admissionFits(cand) {
-				break
-			}
-			if !e.admissionFeasible(cand) {
-				break // could never fit: evicting the fleet cannot help
+			if fits, feasible := e.admissionGate(cand, v.Usage, v.Capacity); fits || !feasible {
+				break // admissible as things are, or never: evicting the fleet cannot help
 			}
 			victim := e.validVictim(e.scheduler.VictimFor(e.reqInfo(cand, true), v), cand.req.ID)
 			if victim == nil {
@@ -714,12 +710,15 @@ func (e *Engine) runStep() bool {
 	}
 
 	// Phase 3: admission of waiting requests, in the scheduler's
-	// order. A request is admitted only when its whole steady-state
-	// footprint fits in free plus evictable memory (vLLM's
-	// can_allocate check) — otherwise chunked prefill would over-admit
-	// and thrash on recompute-preemption. A policy may resolve a
-	// blocked admission by preempting a running victim (strict
-	// priority); the historical policies never do.
+	// order. A request is admitted only when what it would newly occupy
+	// at steady state fits in free plus evictable memory (vLLM's
+	// can_allocate check, shared blocks counted once) — otherwise
+	// chunked prefill would over-admit and thrash on
+	// recompute-preemption. A policy may resolve a blocked admission by
+	// preempting a running victim (strict priority); the historical
+	// policies never do. Phase 0's verdict on the same candidate does
+	// not carry over: phases 1 and 2 reserved, and may have preempted a
+	// request whose pages the candidate shares.
 	prefills := 0
 	for _, r := range e.running {
 		if r.ph == phasePrefill {
@@ -728,11 +727,15 @@ func (e *Engine) runStep() bool {
 	}
 	for budget > 0 && prefillLeft > 0 && e.waiting.len() > 0 && len(e.running) < e.cfg.MaxRunning &&
 		prefills < e.cfg.MaxPrefills {
-		idx := e.pickWaiting()
+		idx, v := e.pickWaiting()
 		r := e.waiting.items()[idx]
 		blocked := false
-		for !e.admissionFits(r) {
-			if !e.admPreempt || !e.admissionFeasible(r) {
+		for u := v.Usage; ; u = e.cfg.Manager.UsageTotals() {
+			fits, feasible := e.admissionGate(r, u, v.Capacity)
+			if fits {
+				break
+			}
+			if !e.admPreempt || !feasible {
 				blocked = true
 				break
 			}
@@ -1053,31 +1056,29 @@ func (e *Engine) validVictim(idx int, requesterID int64) *run {
 }
 
 // pickWaiting returns the index of the next admission candidate in
-// the scheduler's order, clamped defensively to the queue front.
-func (e *Engine) pickWaiting() int {
-	idx := e.scheduler.PickWaiting(e.policyView())
+// the scheduler's order, clamped defensively to the queue front, and
+// the view it was picked from.
+func (e *Engine) pickWaiting() (int, *sched.View) {
+	v := e.policyView()
+	idx := e.scheduler.PickWaiting(v)
 	if idx < 0 || idx >= e.waiting.len() {
-		return 0
+		idx = 0
 	}
-	return idx
+	return idx, v
 }
 
-// admissionFits reports whether r's whole steady-state footprint fits
-// in free plus evictable memory, keeping a 1% watermark clear.
-func (e *Engine) admissionFits(r *run) bool {
-	u := e.cfg.Manager.UsageTotals()
-	watermark := e.cfg.Manager.Capacity() / 100
-	return e.cfg.Manager.Footprint(&r.seq) <= u.Free+u.Cached-watermark
-}
-
-// admissionFeasible reports whether r could fit even on an idle
-// engine: its footprint within total capacity minus the watermark.
-// Admission-time preemption must not fire for infeasible candidates —
+// admissionGate is the admission check on candidate r against usage u
+// of a manager of the given capacity, with the manager asked once:
+// fits reports whether what r would newly occupy fits in free plus
+// evictable memory, keeping a 1% watermark clear; feasible whether it
+// would within total capacity minus the watermark. Admission-time
+// preemption must not fire for infeasible candidates —
 // recompute-preempting the entire running set could not make room, so
 // one impossible arrival must not wipe the fleet's in-flight work.
-func (e *Engine) admissionFeasible(r *run) bool {
-	capacity := e.cfg.Manager.Capacity()
-	return e.cfg.Manager.Footprint(&r.seq) <= capacity-capacity/100
+func (e *Engine) admissionGate(r *run, u core.Usage, capacity int64) (fits, feasible bool) {
+	charge := e.cfg.Manager.Footprint(&r.seq)
+	watermark := capacity / 100
+	return charge <= u.Free+u.Cached-watermark, charge <= capacity-watermark
 }
 
 // policyView repopulates the reusable scheduler view from the live
@@ -1183,7 +1184,7 @@ func (e *Engine) handleStall() bool {
 	// choice — not blindly waiting[0], or a stuck high-priority
 	// request would sink every fitting request queued behind it.
 	if len(e.running) == 0 && e.waiting.len() > 0 {
-		idx := e.pickWaiting()
+		idx, _ := e.pickWaiting()
 		r := e.waiting.items()[idx]
 		e.waiting.remove(idx)
 		e.cfg.Manager.Release(&r.seq, false)

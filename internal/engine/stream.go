@@ -301,13 +301,15 @@ func (e *Engine) enqueuePending(r *run) {
 // queue holds it (nil for an unknown ID). started says its arrival had
 // been processed — it was waiting or running, not pending — and running
 // that it was scheduled: a pending or waiting request holds no pages
-// (admission is all-or-nothing; the waiting case mirrors the stall
-// path's defensive release), so only a run detached from the running
-// set still has KV for its caller to release, swap out or hand over.
+// (admission is all-or-nothing) and is released here, so that the
+// manager forgets what a lookup, an admission probe or a fleet fetch at
+// dispatch showed it; only a run detached from the running set still
+// has KV for its caller to release, swap out or hand over.
 func (e *Engine) detach(id int64) (r *run, started, running bool) {
 	for i, r := range e.pending.items() {
 		if r.req.ID == id {
 			e.pending.remove(i)
+			e.cfg.Manager.Release(&r.seq, false)
 			return r, false, false
 		}
 	}

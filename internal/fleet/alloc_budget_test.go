@@ -170,6 +170,7 @@ func TestFetchZeroAlloc(t *testing.T) {
 		if p := mgrs[dst].Lookup(probe); p != 0 {
 			t.Fatalf("round %d: destination still holds %d tokens of the prompt", round, p)
 		}
+		mgrs[dst].Release(probe, false)
 		probe.ID, ghostProbe.ID = core.RequestID(1000+round), core.RequestID(2000+round)
 		var fr, gr FetchReport
 		var ok, failed, ssmOK int
@@ -187,6 +188,9 @@ func TestFetchZeroAlloc(t *testing.T) {
 				}
 			}
 			gr = s.Fetch(dst, ghostProbe, now)
+			// The engine's part: a request the manager was shown leaves.
+			mgrs[dst].Release(probe, false)
+			mgrs[dst].Release(ghostProbe, false)
 		})
 		if ok < 2 || ssmOK != 1 || failed != 1 || fr.Retries != 2 || fr.Tokens == 0 {
 			t.Fatalf("round %d: prompt fetch %+v: want kv and ssm batches from holder 1 and a failed one from holder 0", round, fr)

@@ -324,11 +324,16 @@ func TestServerShedStreams(t *testing.T) {
 func TestCancelAfterIsDeterministic(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s := testServer(t, 64<<20, false, Config{})
+		// Paused until the limit is set: a pump that starts at Submit can
+		// be past 24 tokens before CancelAfter runs (it was, in 1 of 12
+		// -race runs).
+		s.Pause()
 		st, err := s.Submit(context.Background(), testReqs(21, 1, 200, 100_000)[0])
 		if err != nil {
 			t.Fatal(err)
 		}
 		st.CancelAfter(24)
+		s.Resume()
 		res, err := st.Wait(context.Background())
 		if err != nil {
 			t.Fatal(err)
