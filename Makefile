@@ -24,12 +24,14 @@ race:
 # are asserted to balance at every Drain and Reset (internal/debug,
 # DESIGN.md "Requests and prompts"), and under which core's every
 # Release and CrashReset ends with CheckInvariants (free stacks, prefix
-# index, eviction heaps, request-state slab against the page array). One
-# -short pass over core and the packages that lend and borrow covers
-# TestExitMatrix, TestScenarioMatrix, the recycling stream tests and the
-# goldens.
+# index, eviction heaps, request-state slab against the page array), and
+# under which every scheduler View the engine hands out has its waiting
+# entries checked against a fresh fill. One -short pass over core, the
+# packages that lend and borrow, and the scheduler matrix (sched, serve)
+# covers TestExitMatrix, TestScenarioMatrix, the recycling stream tests,
+# the scheduler simulations and the goldens.
 debug:
-	$(GO) test -tags jengadebug -short ./internal/core ./internal/engine ./internal/cluster ./internal/workload ./internal/bench
+	$(GO) test -tags jengadebug -short ./internal/core ./internal/engine ./internal/sched ./internal/serve ./internal/cluster ./internal/workload ./internal/bench
 
 bench:
 	$(GO) test -bench=. -benchmem .

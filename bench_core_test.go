@@ -6,7 +6,7 @@ package jenga_test
 // commits their ns/op and allocs/op to BENCH_core.json so the perf
 // trajectory has data points and regressions surface in review. Run
 //
-//	go test -bench='AllocSmall|ClaimRelease|LookupWarm|CommitDecode|RunStep|FleetFetch' -benchmem .
+//	go test -bench='AllocSmall|ClaimRelease|LookupWarm|CommitDecode|RunStep|DeepQueueStep|FleetFetch' -benchmem .
 //
 // See each fixture's doc comment for the regime it pins down.
 
@@ -44,6 +44,10 @@ func BenchmarkCommitDecode(b *testing.B) { benchOp(b, bench.CommitDecode) }
 // BenchmarkRunStepSteadyState: one engine step with 32 decode-phase
 // sequences at 2k context.
 func BenchmarkRunStepSteadyState(b *testing.B) { benchOp(b, bench.RunStepSteadyState) }
+
+// BenchmarkDeepQueueStep: one engine step with 35 decode-phase
+// sequences at 2k context and 650 requests waiting behind them.
+func BenchmarkDeepQueueStep(b *testing.B) { benchOp(b, bench.DeepQueueStep) }
 
 // BenchmarkServeOnlineArrival: ServeOnline's per-arrival router-loop
 // body over an 8-replica fleet — snapshot, route, submit.

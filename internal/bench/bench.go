@@ -65,6 +65,7 @@ var All = []struct {
 	{"lookup_warm", LookupWarm},
 	{"commit_decode", CommitDecode},
 	{"run_step_steady_state", RunStepSteadyState},
+	{"deep_queue_step", DeepQueueStep},
 	{"serve_online_arrival", ServeOnlineArrival},
 	{"fleet_fetch", FleetFetch},
 }
@@ -311,6 +312,87 @@ func RunStepSteadyState() (*Op, error) {
 		RecycleEvery: 2048,
 		Recycle: func(int) error {
 			for id := nextID - seqs; id < nextID; id++ {
+				eng.Cancel(id)
+			}
+			return launch()
+		},
+	}, nil
+}
+
+// DeepQueueStep measures one engine scheduler step with 35 decode-phase
+// sequences at 2k context and 650 requests waiting behind them — the
+// offline batch regime (every request submitted at once) where each
+// scheduler call is handed a View of the whole queue. MaxRunning holds
+// the queue at its depth, so the step admits nothing and the
+// difference from RunStepSteadyState is what the queue's depth costs a
+// step. Recycle cancels everything and launches a fresh fleet and queue
+// over the same prompts, bounding context growth as RunStepSteadyState
+// does.
+func DeepQueueStep() (*Op, error) {
+	spec := textSpec("bench-deep-queue")
+	mgr, err := core.New(core.Config{
+		Spec: spec, CapacityBytes: 1 << 30, TokensPerPage: 16, RequestAware: true,
+	})
+	if err != nil {
+		return nil, err
+	}
+	const running, waiting, ctx = 35, 650, 2048
+	eng, err := engine.New(engine.Config{
+		Spec: spec, Manager: mgr,
+		MaxBatchTokens: 4096, MaxRunning: running, MaxPrefills: 8,
+		MaxSteps: 1 << 40,
+	})
+	if err != nil {
+		return nil, err
+	}
+	prompts := make([][]core.Token, running+waiting)
+	for i := range prompts {
+		prompts[i] = make([]core.Token, ctx)
+		for j := range prompts[i] {
+			prompts[i][j] = core.Token{ID: int32((i*131+j)%50_000 + 1)}
+		}
+	}
+	nextID := int64(1)
+	submit := func(prompts [][]core.Token) error {
+		for _, p := range prompts {
+			req := workload.Request{ID: nextID, OutputLen: 1 << 20, Prompt: p}
+			nextID++
+			if err := eng.Submit(&req); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	launch := func() error {
+		if err := submit(prompts[:running]); err != nil {
+			return err
+		}
+		// Warm until every running sequence is decoding, then queue the
+		// rest behind them; the next step takes them in.
+		for i := 0; i < ctx/128+running+64; i++ {
+			if err := eng.StepOnce(); err != nil {
+				return err
+			}
+		}
+		if err := submit(prompts[running:]); err != nil {
+			return err
+		}
+		if err := eng.StepOnce(); err != nil {
+			return err
+		}
+		if s := eng.SnapshotTotals(); s.Running != running || s.Waiting != waiting {
+			return fmt.Errorf("bench: %d running, %d waiting after launch, want %d, %d", s.Running, s.Waiting, running, waiting)
+		}
+		return nil
+	}
+	if err := launch(); err != nil {
+		return nil, err
+	}
+	return &Op{
+		Run:          func(int) error { return eng.StepOnce() },
+		RecycleEvery: 2048,
+		Recycle: func(int) error {
+			for id := nextID - running - waiting; id < nextID; id++ {
 				eng.Cancel(id)
 			}
 			return launch()

@@ -5,9 +5,10 @@ import "jenga/internal/arena"
 // Eviction queues (evictq.go). Both are slotted — one entry per small
 // page of the group, one per large page, replaced in place when the
 // page is pushed again — so neither outgrows len(g.pages) or
-// NumLargePages(). An entry is a snapshot of the page's eviction key
-// at its last push, validated on pop (stale → skip, large key moved →
-// re-key and continue).
+// NumLargePages(). Only a group with several small pages per large
+// page has a small-page queue (smallQueued). An entry is a snapshot of
+// the page's eviction key at its last push, validated on pop (stale →
+// skip, large key moved → re-key and continue).
 //
 // With a single entry a large page is seen at its last pushed key, not
 // at the minimum of every key it was ever pushed with. The two differ
@@ -189,13 +190,19 @@ func (m *Jenga) pageRelease(g *group, id arena.SmallPageID, cache bool, exitTS T
 		pg.expired = expired
 		g.nCached++
 		m.cacheAdd(L, exitTS, expired)
-		g.evict.push(pageEntry{id: id, ts: pg.lastAccess, prio: pg.priority, expired: expired})
-		if m.cntUsed[L] == 0 {
-			m.pushLargeCandidate(L)
+		if g.smallQueued() {
+			g.evict.push(pageEntry{id: id, ts: pg.lastAccess, prio: pg.priority, expired: expired})
 		}
-		return
+	} else {
+		m.pageToEmpty(g, id)
 	}
-	m.pageToEmpty(g, id)
+	// The page was perhaps its large page's last used one. Then the large
+	// page is evictable from here on if anything on it is cached — this
+	// page, or siblings when this one went empty (an incomplete tail
+	// block, say) — and step 3 must be able to find it.
+	if m.cntUsed[L] == 0 {
+		m.pushLargeCandidate(L)
+	}
 }
 
 // pageToEmpty returns a page to the free pool and reclaims its large
@@ -425,7 +432,8 @@ func (m *Jenga) evictLargeLRU() bool {
 }
 
 // evictOneSmall evicts the least-recently-used cached page of g,
-// reporting whether any eviction happened.
+// reporting whether any eviction happened. A ratio-1 group's queue is
+// empty, and has nothing to report when step 5 reaches it (smallQueued).
 //
 //jenga:hotpath
 func (m *Jenga) evictOneSmall(g *group) bool {

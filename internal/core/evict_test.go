@@ -1,6 +1,10 @@
 package core
 
 import (
+	"errors"
+	"maps"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"jenga/internal/model"
@@ -103,8 +107,49 @@ func TestFig10Timeline(t *testing.T) {
 	}
 }
 
-// TestBalancedEvictionAcrossGroups: §3.3 — pages of the older request
-// are evicted before any page of the newer request, in both groups.
+// evictByAlloc evicts n large pages the way a serving run does: by
+// allocating (§5.4). The pressure request p grows one block at a time,
+// and every group that stores text takes a page for the block — from a
+// free large page while there is one, then by evicting. It fails unless
+// the evictions land on exactly n, so callers choose an n the block
+// boundaries meet.
+func evictByAlloc(t *testing.T, m *Jenga, p *Sequence, n int) {
+	t.Helper()
+	want := m.Stats().LargeEvictions + int64(n)
+	for m.Stats().LargeEvictions < want {
+		for range m.cfg.TokensPerPage {
+			p.Tokens = append(p.Tokens, TextToken(int32(1_000_000+len(p.Tokens))))
+		}
+		if err := m.Reserve(p, len(p.Tokens), 1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.Stats().LargeEvictions; got != want {
+		t.Fatalf("allocation evicted %d large pages, want %d", got-want+int64(n), n)
+	}
+}
+
+// cachedBlocks spells out, block by block, which of the group's blocks
+// of tokens are cached on the device: "1" present, "0" gone.
+func cachedBlocks(m *Jenga, group string, tokens []Token) string {
+	var out []byte
+	for _, ok := range viewOf(m, m.groups[m.byName[group]], tokens).Present {
+		out = append(out, "01"[btoi(ok)])
+	}
+	return string(out)
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestBalancedEvictionAcrossGroups: §3.3 — the expired class goes
+// first, then pages of the older request before any page of the newer
+// one, in both groups. Both groups have one small page per large page,
+// so eviction is step 3's: one LRU over the large pages of every group.
 func TestBalancedEvictionAcrossGroups(t *testing.T) {
 	m := newMgr(t, windowSpec(4), 1<<20, 2, true)
 	a := textSeq(1, 17)
@@ -122,91 +167,179 @@ func TestBalancedEvictionAcrossGroups(t *testing.T) {
 	m.Release(b, true)
 	audit(t, m)
 
-	// buildView reuses per-group scratch, so snapshot Present before
-	// building another view of the same group.
-	present := func(g *group, tokens []Token) []bool {
-		v := viewOf(m, g, tokens)
-		return append([]bool(nil), v.Present...)
-	}
-
-	// Full-attention group: pure LRU with the §5.1 tie break — all of
-	// request a's pages evict before any of request b's.
-	full := m.groups[m.byName["full"]]
-	va := present(full, a.Tokens)
-	vb := present(full, b.Tokens)
-	aPages := 0
-	for _, ok := range va {
-		if ok {
-			aPages++
+	expect := func(stage, group string, s *Sequence, want string) {
+		t.Helper()
+		if got := cachedBlocks(m, group, s.Tokens); got != want {
+			t.Errorf("%s: %s blocks of request %d cached %s, want %s", stage, group, s.ID, got, want)
 		}
 	}
-	for i := 0; i < aPages; i++ {
-		if !m.evictOneSmall(full) {
-			t.Fatalf("full: expected evictable page %d", i)
-		}
+	// With 17 prompt tokens, window 4, tpp 2: expired = window blocks
+	// ending ≤ 17−2·4−4 = 5 → blocks 0,1 per request; blocks 2..7 stay
+	// live (any prompt boundary in the last window may need them). The
+	// expired class drains first, a's before b's, while every live page
+	// survives.
+	p := &Sequence{ID: 3}
+	evictByAlloc(t, m, p, 2)
+	expect("2 evictions", "window", a, "00111111")
+	expect("2 evictions", "window", b, "11111111")
+	evictByAlloc(t, m, p, 2)
+	for _, s := range []*Sequence{a, b} {
+		expect("4 evictions", "window", s, "00111111")
+		expect("4 evictions", "full", s, "11111111")
 	}
-	va = present(full, a.Tokens)
-	vb2 := present(full, b.Tokens)
-	for k, ok := range va {
-		if ok {
-			t.Errorf("full: request-a block %d survived balanced eviction", k)
-		}
-	}
-	for k := range vb2 {
-		if vb[k] != vb2[k] {
-			t.Errorf("full: request-b block %d was evicted before all of request a", k)
-		}
-	}
-
-	// Window group: two-class §3.3 order. With 17 prompt tokens, window
-	// 4, tpp 2: expired = blocks ending ≤ 17−2·4−4 = 5 → blocks 0,1 per
-	// request; blocks 2..7 stay live (any prompt boundary in the last
-	// window may need them). Four evictions drain both requests'
-	// expired classes (a's before b's) while every live page survives.
-	win := m.groups[m.byName["window"]]
-	for i := 0; i < 4; i++ {
-		if !m.evictOneSmall(win) {
-			t.Fatalf("window: expected evictable page %d", i)
-		}
-	}
-	wa := present(win, a.Tokens)
-	wb := present(win, b.Tokens)
-	for k := 0; k < 2; k++ {
-		if wa[k] || wb[k] {
-			t.Errorf("window: expired block %d should be evicted first (a=%v b=%v)",
-				k, wa[k], wb[k])
-		}
-	}
-	for k := 2; k < 8; k++ {
-		if !wa[k] || !wb[k] {
-			t.Errorf("window: live block %d must outlive every expired page (a=%v b=%v)",
-				k, wa[k], wb[k])
-		}
-	}
-	// Within the live class, LRU: request a's pages evict before b's.
-	for i := 0; i < 6; i++ {
-		m.evictOneSmall(win)
-	}
-	wa = present(win, a.Tokens)
-	wb = present(win, b.Tokens)
-	for k := 2; k < 8; k++ {
-		if wa[k] {
-			t.Errorf("window: request-a live block %d should evict before b's", k)
-		}
-		if !wb[k] {
-			t.Errorf("window: request-b live block %d evicted too early", k)
-		}
-	}
+	// Within the live class, LRU: all fourteen of request a's live pages
+	// (eight full, six window) go before any of b's.
+	evictByAlloc(t, m, p, 14)
+	expect("18 evictions", "full", a, "00000000")
+	expect("18 evictions", "window", a, "00000000")
+	expect("18 evictions", "full", b, "11111111")
+	expect("18 evictions", "window", b, "00111111")
+	audit(t, m)
+	m.Release(p, false)
 	audit(t, m)
 }
 
-// imageSpec has a cross-attention group only, so image-atomic eviction
-// can be observed in isolation.
+// miniWinSpec and miniVLMSpec are the engine tests' scaled-down
+// Ministral and LLaVA: a three-small-page "full" group beside a ratio-1
+// window group, and a ratio-1 "self" group beside a two-page vision
+// group.
+func miniWinSpec() *model.Spec {
+	return &model.Spec{
+		Name: "mini-win", Params: 100_000_000, WeightBytes: 2, HiddenSize: 256,
+		Groups: []model.KVGroup{
+			{Name: "full", Kind: model.FullAttention, Layers: 1, BytesPerToken: 256},
+			{Name: "window", Kind: model.SlidingWindow, Layers: 3, BytesPerToken: 256, Window: 64},
+		},
+	}
+}
+
+func miniVLMSpec() *model.Spec {
+	return &model.Spec{
+		Name: "mini-vlm", Params: 100_000_000, WeightBytes: 2, HiddenSize: 256,
+		Groups: []model.KVGroup{
+			{Name: "self", Kind: model.FullAttention, Layers: 4, BytesPerToken: 256},
+			{Name: "vision", Kind: model.VisionEmbedding, Layers: 1, BytesPerToken: 512, Scope: model.ScopeImage},
+		},
+		Vision: &model.VisionSpec{Params: 10_000_000, TokensPerImage: 16},
+	}
+}
+
+// TestRatioOneNeverReachesStepFive: a ratio-1 group keeps no small-page
+// queue because §5.4 step 5 never finds one of its pages cached — while
+// it holds one, that page's large page is queued and step 3 evicts it
+// (or another) first. Every model of the zoo and the two mini specs
+// churn a small manager: prompts from a few shared prefixes, an image
+// where the model stores them, decodes, cached and uncached releases.
+// A ratio-1 group's allocation reaches step 5 only when steps 1-4 found
+// nothing, and then it fails: every ErrNoSpace is such a step 5, and at
+// each one every ratio-1 group must hold no cached page. CheckInvariants
+// runs after every operation.
+func TestRatioOneNeverReachesStepFive(t *testing.T) {
+	specs := []*model.Spec{miniWinSpec(), miniVLMSpec()}
+	for _, name := range slices.Sorted(maps.Keys(model.Registry)) {
+		specs = append(specs, model.Registry[name]())
+	}
+	for _, spec := range specs {
+		t.Run(spec.Name, func(t *testing.T) {
+			geo, err := spec.Geometry(model.LCMPage, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := New(Config{
+				Spec:              spec,
+				CapacityBytes:     max(4*int64(geo.LargePageBytes), 600*int64(spec.BytesPerTokenAllLayers(false))),
+				TokensPerPage:     16,
+				EnablePrefixCache: true, RequestAware: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			images := spec.Vision != nil || slices.ContainsFunc(spec.Groups, func(g model.KVGroup) bool { return g.Scope == model.ScopeImage })
+			rng := rand.New(rand.NewSource(1))
+			var live []*Sequence
+			nextID, now, failures := RequestID(1), Tick(0), 0
+			drop := func(i int, cache bool) {
+				m.Release(live[i], cache)
+				live = slices.Delete(live, i, i+1)
+			}
+			// run reserves and commits s up to its length, failing it on
+			// ErrNoSpace.
+			run := func(i int) {
+				s := live[i]
+				err := m.EncodeImages(s, len(s.Tokens), now)
+				if err == nil {
+					err = m.Reserve(s, len(s.Tokens), now)
+				}
+				if err == nil {
+					m.Commit(s, len(s.Tokens), now)
+					m.DropImages(s, len(s.Tokens))
+					return
+				}
+				if !errors.Is(err, ErrNoSpace) {
+					t.Fatal(err)
+				}
+				failures++
+				for _, g := range m.groups {
+					if !g.smallQueued() && g.nCached != 0 {
+						t.Fatalf("step 5 reached with %d pages of ratio-1 group %s cached", g.nCached, g.spec.Name)
+					}
+				}
+				drop(i, true)
+			}
+			for op := 0; op < 400; op++ {
+				now++
+				switch k := rng.Intn(10); {
+				case len(live) < 6 && (k < 4 || len(live) == 0):
+					s := &Sequence{ID: nextID}
+					nextID++
+					family := int32(rng.Intn(4))
+					for i := []int{64, 160, 288, 544}[family]; i > 0; i-- {
+						s.Tokens = append(s.Tokens, TextToken(family<<20|int32(i)))
+					}
+					if images && rng.Intn(2) == 0 {
+						for i := 0; i < 16; i++ {
+							s.Tokens = append(s.Tokens, ImageToken(int32(nextID)<<8|int32(i)))
+						}
+					}
+					for i := rng.Intn(48); i > 0; i-- {
+						s.Tokens = append(s.Tokens, TextToken(int32(nextID)<<8|int32(i)))
+					}
+					s.PromptLen = len(s.Tokens)
+					live = append(live, s)
+					run(len(live) - 1)
+				case k < 8:
+					i := rng.Intn(len(live))
+					live[i].Tokens = append(live[i].Tokens, TextToken(int32(rng.Intn(50_000))))
+					run(i)
+				default:
+					drop(rng.Intn(len(live)), rng.Intn(4) > 0)
+				}
+				if err := m.CheckInvariants(); err != nil {
+					t.Fatalf("op %d: %v", op, err)
+				}
+			}
+			for len(live) > 0 {
+				drop(0, true)
+			}
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if failures == 0 || m.Stats().LargeEvictions == 0 {
+				t.Fatalf("%d reservations failed, %d large pages evicted: the churn must reach both", failures, m.Stats().LargeEvictions)
+			}
+		})
+	}
+}
+
+// imageSpec has one cross-attention group that stores image tokens
+// only, so image-atomic eviction can be observed in isolation. Its
+// pages are half the text group's, two to a large page: the §5.4 step-5
+// queue, the order the image priority decides, exists for it.
 func imageSpec() *model.Spec {
 	return &model.Spec{
 		Name: "img", Params: 1000, WeightBytes: 2, HiddenSize: 8,
 		Groups: []model.KVGroup{
-			{Name: "self", Kind: model.FullAttention, Layers: 1, BytesPerToken: 128, Scope: model.ScopeText},
+			{Name: "self", Kind: model.FullAttention, Layers: 1, BytesPerToken: 256, Scope: model.ScopeText},
 			{Name: "cross", Kind: model.CrossAttention, Layers: 1, BytesPerToken: 128, Scope: model.ScopeImage},
 		},
 	}
@@ -247,13 +380,16 @@ func TestImageAtomicEviction(t *testing.T) {
 		}
 		return out
 	}
-	m.evictOneSmall(g)
-	m.evictOneSmall(g)
+	for i := 0; i < 2; i++ {
+		if !m.evictOneSmall(g) {
+			t.Fatalf("eviction %d found no cached cross page", i)
+		}
+	}
 	ev := evicted()
 	img1 := ev[0] || ev[1]
 	img2 := ev[2] || ev[3]
-	if img1 && img2 {
-		t.Fatalf("eviction split across images: %v", ev)
+	if img1 == img2 {
+		t.Fatalf("two evictions should take exactly one image: %v", ev)
 	}
 	if ev[0] != ev[1] || ev[2] != ev[3] {
 		t.Fatalf("half-evicted image: %v", ev)
@@ -392,23 +528,31 @@ func TestExpiredClassEviction(t *testing.T) {
 	m.Release(seq, true)
 	audit(t, m)
 
-	// Expired: window blocks ending ≤ 40−2·4−2·2 = 28 → blocks 0..13.
-	win := m.groups[m.byName["window"]]
-	for i := 0; i < 14; i++ {
-		if !m.evictOneSmall(win) {
-			t.Fatalf("expected evictable expired page %d", i)
-		}
+	// Below the prompt's final window: window blocks ending ≤
+	// 40−2·4−2·2 = 28, blocks 0..13. Those that left the window once
+	// the commits had seen that much prompt are expired-class; the rest
+	// left it at ticks 1 and 2, older than anything live. Either way
+	// they are the first fourteen pages allocation evicts, and every
+	// full-attention page outlives them.
+	p := &Sequence{ID: 3}
+	evictByAlloc(t, m, p, 14)
+	if got, want := cachedBlocks(m, "window", seq.Tokens), "000000000000001111111111"; got != want {
+		t.Errorf("window blocks cached %s, want %s", got, want)
+	}
+	if got, want := cachedBlocks(m, "full", seq.Tokens), "111111111111111111111111"; got != want {
+		t.Errorf("full blocks cached %s, want %s", got, want)
 	}
 	probe := textSeq(2, 40)
-	if p := m.Lookup(probe); p != 38 {
-		t.Errorf("prompt hit after expired-class eviction = %d, want 38", p)
+	if hit := m.Lookup(probe); hit != 38 {
+		t.Errorf("prompt hit after expired-class eviction = %d, want 38", hit)
 	}
-	// The next eviction takes a live page; enough of them break the hit.
-	for i := 0; i < 8; i++ {
-		m.evictOneSmall(win)
+	// The next evictions take live pages; enough of them break the hit.
+	evictByAlloc(t, m, p, 8)
+	if hit := m.Lookup(probe); hit >= 38 {
+		t.Errorf("hit = %d should degrade once live window pages evict", hit)
 	}
-	if p := m.Lookup(probe); p >= 38 {
-		t.Errorf("hit = %d should degrade once live window pages evict", p)
-	}
+	audit(t, m)
+	m.Release(probe, false)
+	m.Release(p, false)
 	audit(t, m)
 }

@@ -10,17 +10,22 @@ import (
 
 // CheckInvariants verifies the manager's page-indexed structures against
 // the page array they describe, and returns the first violation. These
-// are the first two slices of the whole-manager check (ROADMAP item 1):
-// the request-associated free stacks, the prefix index, the slotted
+// are the first three slices of the whole-manager check (ROADMAP item
+// 1): the request-associated free stacks, the prefix index, the slotted
 // eviction heaps and the request-state slab; then page conservation,
 // reference counts against the live page tables — what the admission
-// probe's "in use" means — and the block-hash records. Every Release
-// and CrashReset ends with it in a jengadebug build; the differential
-// fuzzers and the tests' audit call it in every build. It costs
-// O(pages + live page tables) and allocates only to report, and once
-// for its reference-count scratch.
+// probe's "in use" means — and the block-hash records; then the LCM
+// tiling of each group's pages and the eviction orders §5.4 reads —
+// every evictable large page queued, and every cached page queued where
+// its group is evicted from. Every Release and CrashReset ends with it
+// in a jengadebug build; the differential fuzzers and the tests' audit
+// call it in every build. It costs O(pages + live page tables) and
+// allocates only to report, and once for its reference-count scratch.
 func (m *Jenga) CheckInvariants() error {
 	for _, g := range m.groups {
+		if err := m.checkLCM(g); err != nil {
+			return fmt.Errorf("core: group %s: %w", g.spec.Name, err)
+		}
 		if err := m.checkPages(g); err != nil {
 			return fmt.Errorf("core: group %s: %w", g.spec.Name, err)
 		}
@@ -30,12 +35,18 @@ func (m *Jenga) CheckInvariants() error {
 		if err := g.index.check(); err != nil {
 			return fmt.Errorf("core: group %s: %w", g.spec.Name, err)
 		}
-		if err := g.evict.check(); err != nil {
-			return fmt.Errorf("core: group %s small-page queue: %w", g.spec.Name, err)
+		if err := m.checkQueued(g); err != nil {
+			return fmt.Errorf("core: group %s: %w", g.spec.Name, err)
 		}
 	}
 	if err := m.largeEvict.check(); err != nil {
 		return fmt.Errorf("core: large-page queue: %w", err)
+	}
+	for L, owner := range m.largeOwner {
+		if owner >= 0 && m.cntUsed[L] == 0 && m.cntCached[L] > 0 && m.largeEvict.pos[L] == 0 {
+			return fmt.Errorf("core: large page %d of group %s is evictable (%d cached pages, none used) but not queued",
+				L, m.groups[owner].spec.Name, m.cntCached[L])
+		}
 	}
 	if m.host != nil {
 		if err := m.host.evict.check(); err != nil {
@@ -106,6 +117,66 @@ func (m *Jenga) checkPages(g *group) error {
 	if used != g.nUsed || cached != g.nCached || used+cached+empty != len(g.pages) || extra != g.extraRefs {
 		return fmt.Errorf("%d used (%d extra references), %d cached, %d empty of %d pages; the group counts %d used (%d extra), %d cached",
 			used, extra, cached, empty, len(g.pages), g.nUsed, g.extraRefs, g.nCached)
+	}
+	return nil
+}
+
+// checkLCM: the group's small pages tile the LCM large page exactly —
+// ratio of them, smallBytes each — and every large page the group owns
+// maps to ratio small pages of the group's array that start at the
+// large page's first byte and end inside it.
+func (m *Jenga) checkLCM(g *group) error {
+	large := m.geo.LargePageBytes
+	if g.smallBytes*g.ratio != large || g.view.Ratio() != g.ratio || g.view.SmallPageBytes() != g.smallBytes {
+		return fmt.Errorf("%d small pages of %d bytes (its view: %d of %d) for a %d-byte large page",
+			g.ratio, g.smallBytes, g.view.Ratio(), g.view.SmallPageBytes(), large)
+	}
+	for L, owner := range m.largeOwner {
+		if owner != int32(g.idx) {
+			continue
+		}
+		first, n := g.view.SmallRange(arena.LargePageID(L))
+		last := first + arena.SmallPageID(n-1)
+		if off, _ := g.view.ByteRange(first); n != g.ratio || int(last) >= len(g.pages) ||
+			off != int64(L)*int64(large) || g.view.LargeOf(first) != arena.LargePageID(L) || g.view.LargeOf(last) != arena.LargePageID(L) {
+			return fmt.Errorf("large page %d holds small pages %d..%d of %d, from byte %d", L, first, last, len(g.pages), off)
+		}
+	}
+	return nil
+}
+
+// checkQueued: every cached page is queued, at its current key, where
+// §5.4 evicts it from. A group with several small pages per large page
+// queues it in its own small-page queue (step 5). A ratio-1 group keeps
+// no such queue; its cached page's large page is queued at the page's
+// key instead (step 3) — the fact that makes the small queue redundant
+// (smallQueued).
+func (m *Jenga) checkQueued(g *group) error {
+	if !g.smallQueued() {
+		if g.evict.pos != nil || cap(g.evict.h) != 0 {
+			return fmt.Errorf("a ratio-1 group keeps a small-page queue of %d slots, %d entries", len(g.evict.pos), cap(g.evict.h))
+		}
+	} else if err := g.evict.check(); err != nil {
+		return fmt.Errorf("small-page queue: %w", err)
+	}
+	for i := range g.pages {
+		pg := &g.pages[i]
+		if pg.status != pageCached {
+			continue
+		}
+		id := arena.SmallPageID(i)
+		if g.smallQueued() {
+			want := pageEntry{id: id, ts: pg.lastAccess, prio: pg.priority, expired: pg.expired}
+			if got, ok := g.evict.at(i); !ok || got != want {
+				return fmt.Errorf("cached page %d: small-page queue holds %+v (%v), its key is %+v", id, got, ok, want)
+			}
+			continue
+		}
+		L := g.view.LargeOf(id)
+		want := largeEntry{id: L, ts: pg.lastAccess, expired: pg.expired}
+		if got, ok := m.largeEvict.at(int(L)); !ok || got != want {
+			return fmt.Errorf("cached page %d: large-page queue holds %+v (%v) for its large page, its key is %+v", id, got, ok, want)
+		}
 	}
 	return nil
 }
@@ -252,6 +323,15 @@ func (q *evictQueue[E]) check() error {
 		return fmt.Errorf("%d slots marked queued, %d entries", queued, len(q.h))
 	}
 	return nil
+}
+
+// at returns the entry a slotted queue holds for slot, if any.
+func (q *evictQueue[E]) at(slot int) (E, bool) {
+	if p := q.pos[slot]; p != 0 {
+		return q.h[p-1], true
+	}
+	var none E
+	return none, false
 }
 
 // mustHold panics on a violated invariant; the jengadebug build calls

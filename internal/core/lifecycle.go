@@ -1025,7 +1025,10 @@ func (m *Jenga) claimMamba(g *group, rg *reqGroup, pl int, now Tick) {
 		if now > m.largeTS[L] {
 			m.largeTS[L] = now
 		}
-		g.evict.push(pageEntry{id: id, ts: now, prio: pg.priority})
+		if g.smallQueued() {
+			g.evict.push(pageEntry{id: id, ts: now, prio: pg.priority, expired: pg.expired})
+		}
+		m.pushLargeCandidate(L)
 	} else {
 		pg.lastAccess = now
 	}

@@ -128,7 +128,9 @@ type group struct {
 	// maintained): a hierarchical bitmap whose pop is O(1) and always
 	// yields the lowest free ID (deterministic §5.4 steps 1/4).
 	free freePool
-	// evict orders cached pages by (lastAccess, -priority).
+	// evict orders cached pages by (lastAccess, -priority) for §5.4 step
+	// 5; only a group with more than one small page per large page has
+	// one (smallQueued).
 	evict evictQueue[pageEntry]
 
 	// counters for Usage (pages in the "used" state only for slots).
@@ -162,6 +164,17 @@ type group struct {
 }
 
 func (g *group) isVision() bool { return g.spec.Kind == model.VisionEmbedding }
+
+// smallQueued reports whether the group keeps a small-page eviction
+// queue. A ratio-1 group does not need one: its small page is its large
+// page, so a cached page's large page is evictable — it holds no used
+// page — and queued at the page's own key (pageRelease and claimMamba
+// push it; CheckInvariants asserts it). Step 3 pops the large-page
+// queue until it finds a valid entry, so while any ratio-1 group holds
+// a cached page step 3 evicts something and step 5 is not reached: a
+// ratio-1 group reaches step 5 only with nothing cached, and its empty
+// queue reports no victim, as a full one would have.
+func (g *group) smallQueued() bool { return g.ratio > 1 }
 
 // Jenga is the two-level memory manager (§4, §5).
 type Jenga struct {
@@ -355,7 +368,9 @@ func New(cfg Config) (*Jenga, error) {
 		}
 		g.index.init(g.pages)
 		g.free.init(len(g.pages))
-		g.evict.initSlots(len(g.pages), pageEntry.slot)
+		if g.smallQueued() {
+			g.evict.initSlots(len(g.pages), pageEntry.slot)
+		}
 		if gs.Kind == model.Mamba {
 			every := gs.Checkpoint()
 			g.ckptAt = func(projPos int) bool {

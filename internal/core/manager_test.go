@@ -484,9 +484,9 @@ func TestFullPrefixHitAndSharing(t *testing.T) {
 
 func TestWindowHitWithEvictedEarlyTokens(t *testing.T) {
 	// §5.2: a sliding-window layer hits even when tokens before the
-	// window are gone. Build a cache, manually evict the earliest
-	// window pages, and check the window group still validates while
-	// the full group's contiguous rule shortens the hit.
+	// window are gone. Build a cache, evict the earliest window pages
+	// through allocation, and check the window group still validates
+	// while the full group keeps every block.
 	m := newMgr(t, windowSpec(4), 1<<20, 2, true)
 	a := textSeq(1, 17)
 	// Commit chunk by chunk at increasing ticks so early window blocks
@@ -499,23 +499,20 @@ func TestWindowHitWithEvictedEarlyTokens(t *testing.T) {
 	}
 	m.Release(a, true)
 
-	// Evict window-group block 0 (tokens 0,1): they fell out of the
-	// window long ago, so they carry the oldest timestamps.
-	g := m.groups[m.byName["window"]]
-	if !m.evictOneSmall(g) {
-		t.Fatal("expected an evictable window page")
-	}
+	// The two oldest pages are window blocks 0 and 1 (tokens 0..3): they
+	// left the window at tick 2, everything else later.
+	p := &Sequence{ID: 3}
+	evictByAlloc(t, m, p, 2)
 	audit(t, m)
 
 	b := textSeq(2, 17)
+	g := m.groups[m.byName["window"]]
 	v := viewOf(m, g, b.Tokens)
-	// Blocks 0 and 1 exited the window at the same tick; the §5.1
-	// tie-break evicts the higher position first → block 1.
-	if v.Present[1] {
-		t.Fatal("block 1 should be evicted")
+	if v.Present[0] || v.Present[1] || !v.Present[2] {
+		t.Fatalf("window blocks cached %v, want blocks 0 and 1 evicted and the rest kept", v.Present)
 	}
 	// Window rule: prefix 16 needs projected tokens [12,16) → blocks
-	// 6,7 — still cached → valid despite missing block 0.
+	// 6,7 — still cached → valid despite missing blocks 0 and 1.
 	if !g.pol.ValidPrefix(v, 16) {
 		t.Error("window policy should accept prefix 16 with early tokens evicted")
 	}
@@ -524,6 +521,12 @@ func TestWindowHitWithEvictedEarlyTokens(t *testing.T) {
 	if !full.pol.ValidPrefix(fv, 16) {
 		t.Error("full group unaffected; prefix 16 should be valid")
 	}
+	if hit := m.Lookup(b); hit != 16 {
+		t.Errorf("model-wide hit = %d, want 16", hit)
+	}
+	m.Release(b, false)
+	m.Release(p, false)
+	audit(t, m)
 }
 
 func TestReleaseUnknownSequenceIsNoop(t *testing.T) {

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"jenga/internal/core"
+	"jenga/internal/debug"
 	"jenga/internal/gpu"
 	"jenga/internal/model"
 	"jenga/internal/sched"
@@ -305,8 +306,8 @@ type Engine struct {
 	clock     time.Duration
 	step      int
 
-	pending runQueue // not yet arrived (sorted by arrival)
-	waiting runQueue // arrived, not running
+	pending queue[*run] // not yet arrived (sorted by arrival)
+	waiting waitQueue   // arrived, not running
 	running []*run
 
 	// onEvent is the streaming sink (nil: no emission).
@@ -329,7 +330,7 @@ type Engine struct {
 
 	// scheduler is the resolved scheduling policy (never nil) and
 	// schedView the reusable read-only view it decides on; policyView
-	// repopulates it before every delegated decision. admPreempt
+	// refreshes it before every delegated decision. admPreempt
 	// caches whether the policy can preempt for blocked admissions,
 	// so the step loop skips that phase entirely for policies (like
 	// the default FCFS) that never do.
@@ -644,7 +645,7 @@ func (e *Engine) runStep() bool {
 			if fits, feasible := e.admissionGate(cand, v.Usage, v.Capacity); fits || !feasible {
 				break // admissible as things are, or never: evicting the fleet cannot help
 			}
-			victim := e.validVictim(e.scheduler.VictimFor(e.reqInfo(cand, true), v), cand.req.ID)
+			victim := e.validVictim(e.scheduler.VictimFor(cand.info(), v), cand.req.ID)
 			if victim == nil {
 				break
 			}
@@ -739,7 +740,7 @@ func (e *Engine) runStep() bool {
 				blocked = true
 				break
 			}
-			victim := e.victimFor(e.reqInfo(r, true))
+			victim := e.victimFor(r.info())
 			if victim == nil {
 				blocked = true
 				break
@@ -1027,7 +1028,7 @@ func (e *Engine) reserveWithPreemption(r *run, upTo int, now core.Tick) bool {
 		if err == nil {
 			return true
 		}
-		victim := e.victimFor(e.reqInfo(r, false))
+		victim := e.victimFor(e.runningInfo(r))
 		if victim == nil {
 			return false
 		}
@@ -1081,37 +1082,34 @@ func (e *Engine) admissionGate(r *run, u core.Usage, capacity int64) (fits, feas
 	return charge <= u.Free+u.Cached-watermark, charge <= capacity-watermark
 }
 
-// policyView repopulates the reusable scheduler view from the live
-// queues. Slices are reused so steady-state steps allocate nothing.
+// policyView refreshes the reusable scheduler view: the clock, memory
+// and the running set, O(running) per call. Its Waiting is the waiting
+// queue's own summaries, kept up to date as the queue changes
+// (waitQueue); a jengadebug build checks them against fresh ones here.
 func (e *Engine) policyView() *sched.View {
 	v := &e.schedView
 	v.Clock = e.clock
 	v.Step = e.step
 	v.Usage = e.cfg.Manager.UsageTotals()
 	v.Capacity = e.cfg.Manager.Capacity()
-	v.Waiting = v.Waiting[:0]
-	for _, r := range e.waiting.items() {
-		v.Waiting = append(v.Waiting, e.reqInfo(r, true))
+	if debug.On {
+		e.waiting.mustMatch()
 	}
+	v.Waiting = e.waiting.infos()
 	v.Running = v.Running[:0]
 	for _, r := range e.running {
-		v.Running = append(v.Running, e.reqInfo(r, false))
+		v.Running = append(v.Running, e.runningInfo(r))
 	}
 	return v
 }
 
-// reqInfo summarizes one run for the scheduler.
-func (e *Engine) reqInfo(r *run, waiting bool) sched.ReqInfo {
-	info := sched.ReqInfo{
-		ID:        r.req.ID,
-		Priority:  r.req.Priority,
-		Arrival:   r.req.Arrival,
-		Deadline:  r.req.Deadline,
-		Group:     r.req.Group,
-		PromptLen: r.promptLen(),
-		OutputLen: r.req.OutputLen,
-		Waiting:   waiting,
-	}
+// info summarizes r for the scheduler as a waiting request — the form
+// the View's Waiting holds and an admission candidate is judged by.
+// Everything it reads is fixed while r waits: the request header, the
+// token count (no decode runs) and computed, which is zero from the
+// moment r enters the queue, so the waiting queue keeps it from the push
+// on.
+func (r *run) info() sched.ReqInfo {
 	// Remaining work: uncommitted tokens (a recompute pass after
 	// preemption covers generated tokens too) plus undone output.
 	remTok := len(r.seq.Tokens) - r.computed
@@ -1122,15 +1120,30 @@ func (e *Engine) reqInfo(r *run, waiting bool) sched.ReqInfo {
 	if remOut < 0 {
 		remOut = 0
 	}
-	info.Remaining = remTok + remOut
-	if !waiting {
-		if r.ph == phaseDecode {
-			info.Phase = sched.PhaseDecode
-		} else {
-			info.Phase = sched.PhasePrefill
-		}
-		info.ScheduledNow = r.scheduledStep == e.step
+	return sched.ReqInfo{
+		ID:        r.req.ID,
+		Priority:  r.req.Priority,
+		Arrival:   r.req.Arrival,
+		Deadline:  r.req.Deadline,
+		Group:     r.req.Group,
+		PromptLen: r.promptLen(),
+		OutputLen: r.req.OutputLen,
+		Remaining: remTok + remOut,
+		Waiting:   true,
 	}
+}
+
+// runningInfo summarizes a running r: its info, its phase, and whether
+// its commit is in flight this step.
+func (e *Engine) runningInfo(r *run) sched.ReqInfo {
+	info := r.info()
+	info.Waiting = false
+	if r.ph == phaseDecode {
+		info.Phase = sched.PhaseDecode
+	} else {
+		info.Phase = sched.PhasePrefill
+	}
+	info.ScheduledNow = r.scheduledStep == e.step
 	return info
 }
 

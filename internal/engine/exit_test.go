@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"jenga/internal/core"
+	"jenga/internal/sched"
 	"jenga/internal/workload"
 )
 
@@ -44,9 +45,15 @@ type exitEnv struct {
 	log  []exitMark
 	ids  map[int64]bool
 	bufs map[*core.Token]bool
+	// prio, when set, gives every submitted request a priority class, so
+	// a priority scheduler has orders to choose between.
+	prio bool
 }
 
-func newExitEnv(t *testing.T, mode PreemptMode) *exitEnv {
+// newExitEnv builds the two engines under a preemption mode and, with
+// wrap non-nil, each engine's default scheduler replaced by what wrap
+// returns for it.
+func newExitEnv(t *testing.T, mode PreemptMode, wrap func(*Engine) sched.Scheduler) *exitEnv {
 	x := &exitEnv{t: t, shed: shedSet{}, ids: map[int64]bool{}, bufs: map[*core.Token]bool{}}
 	spec := miniWindowSpec()
 	mk := func() *Engine {
@@ -62,6 +69,10 @@ func newExitEnv(t *testing.T, mode PreemptMode) *exitEnv {
 			x.ids[ev.ID] = true
 			x.log = append(x.log, exitMark{ev: ev})
 		})
+		if wrap != nil {
+			e.scheduler = wrap(e)
+			e.admPreempt = sched.CanAdmissionPreempt(e.scheduler)
+		}
 		return e
 	}
 	x.a, x.b = mk(), mk()
@@ -88,6 +99,9 @@ func (x *exitEnv) submit(reqs []workload.Request) {
 	x.t.Helper()
 	for i := range reqs {
 		x.ids[reqs[i].ID] = true
+		if x.prio {
+			reqs[i].Priority = int(reqs[i].ID % 3)
+		}
 		if err := x.a.Submit(&reqs[i]); err != nil {
 			x.t.Fatal(err)
 		}
@@ -303,19 +317,17 @@ func (x *exitEnv) finish(want map[int64]EventType) {
 	}
 }
 
-// TestExitMatrix: every way a request can leave the engine goes through
-// the one retire path. For each exit, under both preemption modes and
-// on a pressured fan-out workload: exactly one sink call and exactly
-// one terminal event per request, in that order; the record's state is
-// the event's type; E2E ≥ 0; TTFT is zero iff no first token was ever
-// emitted; Generated and Preemptions equal what the event stream says;
-// and afterwards no KV is in use and no run or token buffer is lost.
-func TestExitMatrix(t *testing.T) {
-	type scenario struct {
-		name string
-		run  func(x *exitEnv) map[int64]EventType
-	}
-	scenarios := []scenario{
+// exitScenario is one way of making requests leave: it drives x and
+// names the requests expected to leave other than by finishing.
+type exitScenario struct {
+	name string
+	run  func(x *exitEnv) map[int64]EventType
+}
+
+// exitScenarios is every exit the engine has, each on the pressured
+// fan-out workload.
+func exitScenarios() []exitScenario {
+	scenarios := []exitScenario{
 		{"finish", func(x *exitEnv) map[int64]EventType {
 			x.submit(exitLoad())
 			return nil
@@ -397,12 +409,14 @@ func TestExitMatrix(t *testing.T) {
 			return map[int64]EventType{child: EventCancelled}
 		}},
 	}
-	for name, op := range map[string]func(*Engine, int64) bool{"Shed": (*Engine).Shed, "Cancel": (*Engine).Cancel} {
+	for _, name := range []string{"Shed", "Cancel"} {
+		op := map[string]func(*Engine, int64) bool{"Shed": (*Engine).Shed, "Cancel": (*Engine).Cancel}[name]
 		ev := map[string]EventType{"Shed": EventShed, "Cancel": EventCancelled}[name]
-		for from, pick := range map[string]func(*exitEnv) *run{
-			"pending": (*exitEnv).pending, "waiting": (*exitEnv).waiting, "running": (*exitEnv).decoding,
-		} {
-			scenarios = append(scenarios, scenario{fmt.Sprintf("%s/%s", name, from), func(x *exitEnv) map[int64]EventType {
+		for _, from := range []string{"pending", "waiting", "running"} {
+			pick := map[string]func(*exitEnv) *run{
+				"pending": (*exitEnv).pending, "waiting": (*exitEnv).waiting, "running": (*exitEnv).decoding,
+			}[from]
+			scenarios = append(scenarios, exitScenario{fmt.Sprintf("%s/%s", name, from), func(x *exitEnv) map[int64]EventType {
 				x.submit(exitLoad())
 				id := pick(x).req.ID
 				if !op(x.a, id) {
@@ -412,12 +426,116 @@ func TestExitMatrix(t *testing.T) {
 			}})
 		}
 	}
+	return scenarios
+}
+
+// TestExitMatrix: every way a request can leave the engine goes through
+// the one retire path. For each exit, under both preemption modes and
+// on a pressured fan-out workload: exactly one sink call and exactly
+// one terminal event per request, in that order; the record's state is
+// the event's type; E2E ≥ 0; TTFT is zero iff no first token was ever
+// emitted; Generated and Preemptions equal what the event stream says;
+// and afterwards no KV is in use and no run or token buffer is lost.
+func TestExitMatrix(t *testing.T) {
 	for _, mode := range []PreemptMode{PreemptRecompute, PreemptSwap} {
-		for _, sc := range scenarios {
+		for _, sc := range exitScenarios() {
 			t.Run(mode.String()+"/"+sc.name, func(t *testing.T) {
-				x := newExitEnv(t, mode)
+				x := newExitEnv(t, mode, nil)
 				x.finish(sc.run(x))
 			})
+		}
+	}
+}
+
+// viewCheck wraps a scheduler and, at every call, checks the View the
+// engine hands it against a fresh fill from the engine's queues — what
+// the engine once rebuilt per call: each waiting run summarized now, in
+// queue order, and the running set likewise.
+type viewCheck struct {
+	sched.Scheduler
+	t     *testing.T
+	e     *Engine
+	calls *int
+}
+
+func (c viewCheck) check(v *sched.View) {
+	c.t.Helper()
+	*c.calls++
+	runs := c.e.waiting.items()
+	if len(v.Waiting) != len(runs) || len(v.Running) != len(c.e.running) {
+		c.t.Fatalf("view shows %d waiting, %d running; the engine has %d, %d", len(v.Waiting), len(v.Running), len(runs), len(c.e.running))
+	}
+	for i, r := range runs {
+		if fresh := r.info(); v.Waiting[i] != fresh {
+			c.t.Fatalf("step %d: waiting position %d is %+v in the view, %+v filled fresh", c.e.step, i, v.Waiting[i], fresh)
+		}
+	}
+	for i, r := range c.e.running {
+		if fresh := c.e.runningInfo(r); v.Running[i] != fresh {
+			c.t.Fatalf("step %d: running position %d is %+v in the view, %+v filled fresh", c.e.step, i, v.Running[i], fresh)
+		}
+	}
+}
+
+func (c viewCheck) PickWaiting(v *sched.View) int {
+	c.check(v)
+	return c.Scheduler.PickWaiting(v)
+}
+
+func (c viewCheck) VictimFor(requester sched.ReqInfo, v *sched.View) int {
+	c.check(v)
+	return c.Scheduler.VictimFor(requester, v)
+}
+
+func (c viewCheck) PrefillBudget(v *sched.View, total int) sched.Split {
+	c.check(v)
+	return c.Scheduler.PrefillBudget(v, total)
+}
+
+func (c viewCheck) RankWaiting(cand sched.ReqInfo, v *sched.View) int {
+	c.check(v)
+	return c.Scheduler.RankWaiting(cand, v)
+}
+
+func (c viewCheck) AdmissionPreempts() bool { return sched.CanAdmissionPreempt(c.Scheduler) }
+
+// TestViewMatchesFreshFill: the waiting entries of the scheduler's View
+// are kept up to date at the queue's transitions instead of refilled per
+// call, and every call must see exactly what a refill would have shown.
+// Every built-in policy (each ordering the queue its own way, priority
+// preempting at admission) under both preemption modes, through every
+// exit of the exit matrix — arrivals, admissions, rollbacks,
+// preemptions, failures, sheds, cancels, migrations in and out, a
+// crash, forks — with prioritized requests, and the View checked at
+// every scheduler call of both engines.
+func TestViewMatchesFreshFill(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four exit matrices (seconds of simulation; a minute under -race); run without -short — a jengadebug build checks every View anyway")
+	}
+	policies := []func() sched.Scheduler{
+		sched.NewFCFS, sched.NewPriority, sched.NewSJF,
+		func() sched.Scheduler { return sched.NewFairShare(nil) },
+	}
+	for _, policy := range policies {
+		for _, mode := range []PreemptMode{PreemptRecompute, PreemptSwap} {
+			for _, sc := range exitScenarios() {
+				t.Run(policy().Name()+"/"+mode.String()+"/"+sc.name, func(t *testing.T) {
+					calls := 0
+					x := newExitEnv(t, mode, func(e *Engine) sched.Scheduler {
+						return viewCheck{Scheduler: policy(), t: t, e: e, calls: &calls}
+					})
+					x.prio = true
+					sc.run(x)
+					for _, e := range []*Engine{x.a, x.b} {
+						if err := e.Drain(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if calls == 0 {
+						t.Fatal("no scheduler call was checked")
+					}
+				})
+			}
 		}
 	}
 }

@@ -11,9 +11,10 @@ import (
 
 // The batch/online equivalence contract: Engine.Run is now a thin
 // driver over the event-emitting streaming core, and these goldens pin
-// its seeded metrics to the exact values the PR-1 pull-batch engine
-// produced — every duration to the nanosecond, every float to nine
-// digits. If a scheduler change shifts any of them, that change is not
+// its seeded metrics — every duration to the nanosecond, every float to
+// nine digits — to the values the PR-1 pull-batch engine produced, as
+// moved since only by the re-pins EXPERIMENTS.md lists with their
+// reasons. If a scheduler change shifts any of them, that change is not
 // a refactor.
 
 // goldenWorkload is the seeded scenario both goldens share: six prefix
@@ -81,40 +82,40 @@ func checkGolden(t *testing.T, res *Result, want goldenExpect) {
 }
 
 // TestRunGoldenSeeded pins the cache-hit regime (capacity fits the
-// shared prefixes) to the PR-1 numbers.
+// shared prefixes).
 func TestRunGoldenSeeded(t *testing.T) {
 	checkGolden(t, runGolden(t, 4<<20), goldenExpect{
 		steps: 364, finished: 72, failed: 0, preemptions: 0,
-		duration: 610860021, meanTTFT: 4447128, meanE2E: 69768203, tpot: 1720666,
+		duration: 610860015, meanTTFT: 4450517, meanE2E: 69794599, tpot: 1720633,
 		cached: 7600, computed: 28400, generated: 2737,
-		hitRate: "0.211111111", meanKV: "0.882433203", peakKV: "0.980266373",
+		hitRate: "0.211111111", meanKV: "0.888267758", peakKV: "0.980266373",
 		decodeBatch: "7.539944904",
 	})
 }
 
-// TestRunGoldenSeededPressure pins the memory-pressure regime (caches
-// evicted, one preemption) to the PR-1 numbers.
+// TestRunGoldenSeededPressure pins the memory-pressure regime: every
+// shared prefix is evicted before it is reused.
 func TestRunGoldenSeededPressure(t *testing.T) {
 	checkGolden(t, runGolden(t, 2<<20), goldenExpect{
-		steps: 420, finished: 72, failed: 0, preemptions: 1,
-		duration: 718772744, meanTTFT: 51702475, meanE2E: 115422445, tpot: 1674159,
-		cached: 0, computed: 36005, generated: 2737,
-		hitRate: "0.000000000", meanKV: "0.861000559", peakKV: "0.984726295",
-		decodeBatch: "6.532219570",
+		steps: 405, finished: 72, failed: 0, preemptions: 0,
+		duration: 697904698, meanTTFT: 44512645, meanE2E: 109112921, tpot: 1699816,
+		cached: 0, computed: 36000, generated: 2737,
+		hitRate: "0.000000000", meanKV: "0.887679525", peakKV: "0.984726295",
+		decodeBatch: "6.774752475",
 	})
 }
 
 // TestRunGoldenSpeculative pins the same workload served as a
-// target/draft pair under pressure (two preemptions): burst commits,
-// the verify pass's budget cost and the draft's share of every step's
-// price, all on one row.
+// target/draft pair under pressure: burst commits, the verify pass's
+// budget cost and the draft's share of every step's price, all on one
+// row.
 func TestRunGoldenSpeculative(t *testing.T) {
 	checkGolden(t, runGoldenSpec(t, miniPair(), 1280<<10), goldenExpect{
-		steps: 389, finished: 72, failed: 0, preemptions: 2,
-		duration: 2372006155, meanTTFT: 837470429, meanE2E: 922114669, tpot: 2247118,
-		cached: 32, computed: 36009, generated: 2737,
-		hitRate: "0.000887878", meanKV: "0.675206151", peakKV: "0.899550078",
-		decodeBatch: "2.658914729",
+		steps: 375, finished: 72, failed: 0, preemptions: 0,
+		duration: 2298386443, meanTTFT: 834090177, meanE2E: 918932725, tpot: 2251637,
+		cached: 0, computed: 36000, generated: 2737,
+		hitRate: "0.000000000", meanKV: "0.642206247", peakKV: "0.966353678",
+		decodeBatch: "2.751336898",
 	})
 }
 

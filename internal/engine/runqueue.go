@@ -1,80 +1,88 @@
 package engine
 
-import "slices"
+import (
+	"fmt"
+	"slices"
 
-// runQueue is the arrival (pending) and waiting queue: an ordered list
-// of runs in one backing array, live entries at buf[head:]. Taking from
-// the front advances head instead of reslicing the array away, so the
-// capacity survives a queue that keeps draining to empty — a short
-// queue then costs no allocation per request — and putting a run back
-// at the front (admission rollback, preemption) refills the slot a pop
-// vacated instead of building a new queue around it.
-type runQueue struct {
-	buf  []*run
+	"jenga/internal/sched"
+)
+
+// queue is an ordered list in one backing array, live entries at
+// buf[head:]: the arrival (pending) queue and both halves of the waiting
+// queue. Taking from the front advances head instead of reslicing the
+// array away, so the capacity survives a queue that keeps draining to
+// empty — a short queue then costs no allocation per request — and
+// putting an entry back at the front (admission rollback, preemption)
+// refills the slot a pop vacated instead of building a new queue around
+// it. Vacated slots are zeroed, so a queue of runs keeps no run alive.
+type queue[T any] struct {
+	buf  []T
 	head int
 }
 
-func (q *runQueue) len() int { return len(q.buf) - q.head }
+func (q *queue[T]) len() int { return len(q.buf) - q.head }
 
 // items is the queue in order, front first; valid until the next
 // mutation.
-func (q *runQueue) items() []*run { return q.buf[q.head:] }
+func (q *queue[T]) items() []T { return q.buf[q.head:] }
 
-// front is the first run of a non-empty queue.
-func (q *runQueue) front() *run { return q.buf[q.head] }
+// front is the first entry of a non-empty queue.
+func (q *queue[T]) front() T { return q.buf[q.head] }
 
 //jenga:hotpath
-func (q *runQueue) pushBack(r *run) {
+func (q *queue[T]) pushBack(x T) {
 	if q.head > 0 && len(q.buf) == cap(q.buf) {
 		// Full with a vacated front: slide down instead of growing.
 		n := copy(q.buf, q.buf[q.head:])
 		clear(q.buf[n:])
 		q.buf, q.head = q.buf[:n], 0
 	}
-	q.buf = append(q.buf, r)
+	q.buf = append(q.buf, x)
 }
 
 //jenga:hotpath
-func (q *runQueue) pushFront(r *run) {
+func (q *queue[T]) pushFront(x T) {
 	if q.head == 0 {
 		// No vacated slot: open a gap a quarter of the queue long, so a
 		// burst of preemptions shifts the queue once, not once each.
 		n := len(q.buf)
 		gap := n/4 + 1
-		q.buf = append(q.buf, make([]*run, gap)...)
+		q.buf = append(q.buf, make([]T, gap)...)
 		copy(q.buf[gap:], q.buf[:n])
 		clear(q.buf[:gap])
 		q.head = gap
 	}
 	q.head--
-	q.buf[q.head] = r
+	q.buf[q.head] = x
 }
 
 //jenga:hotpath
-func (q *runQueue) popFront() *run {
-	r := q.buf[q.head]
-	q.buf[q.head] = nil
+func (q *queue[T]) popFront() T {
+	x := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
 	q.head++
 	if q.head == len(q.buf) {
 		q.buf, q.head = q.buf[:0], 0
 	}
-	return r
+	return x
 }
 
-// insert places r before position i of items().
+// insert places x before position i of items().
 //
 //jenga:hotpath
-func (q *runQueue) insert(i int, r *run) {
-	q.pushBack(nil)
+func (q *queue[T]) insert(i int, x T) {
+	var zero T
+	q.pushBack(zero)
 	it := q.items()
 	copy(it[i+1:], it[i:])
-	it[i] = r
+	it[i] = x
 }
 
 // remove deletes position i of items().
 //
 //jenga:hotpath
-func (q *runQueue) remove(i int) {
+func (q *queue[T]) remove(i int) {
 	if i == 0 {
 		q.popFront()
 		return
@@ -83,7 +91,73 @@ func (q *runQueue) remove(i int) {
 }
 
 // reset empties the queue, keeping its array.
-func (q *runQueue) reset() {
+func (q *queue[T]) reset() {
 	clear(q.buf)
 	q.buf, q.head = q.buf[:0], 0
+}
+
+// waitQueue is the waiting queue: its runs, and beside them, in the same
+// order, the summaries the scheduler's View shows of them. The
+// summaries are written at the queue's own transitions — a push (an
+// arrival, a migration in, a preemption, an admission rolled back) and
+// a removal (an admission, a failure, an extraction) — which is
+// correct because nothing a summary reads changes while its run waits
+// (run.info). So a scheduler call costs O(running), whatever the queue's
+// depth, and the View's Waiting is the queue's own array: read-only.
+type waitQueue struct {
+	runs queue[*run]
+	info queue[sched.ReqInfo]
+}
+
+func (q *waitQueue) len() int { return q.runs.len() }
+
+// items is the runs in queue order; valid until the next mutation.
+func (q *waitQueue) items() []*run { return q.runs.items() }
+
+// front is the first run of a non-empty queue.
+func (q *waitQueue) front() *run { return q.runs.front() }
+
+// infos is the runs' summaries in queue order; valid until the next
+// mutation.
+func (q *waitQueue) infos() []sched.ReqInfo { return q.info.items() }
+
+//jenga:hotpath
+func (q *waitQueue) pushBack(r *run) {
+	q.runs.pushBack(r)
+	q.info.pushBack(r.info())
+}
+
+//jenga:hotpath
+func (q *waitQueue) pushFront(r *run) {
+	q.runs.pushFront(r)
+	q.info.pushFront(r.info())
+}
+
+// remove deletes position i of items().
+//
+//jenga:hotpath
+func (q *waitQueue) remove(i int) {
+	q.runs.remove(i)
+	q.info.remove(i)
+}
+
+// reset empties the queue, keeping its arrays.
+func (q *waitQueue) reset() {
+	q.runs.reset()
+	q.info.reset()
+}
+
+// mustMatch panics unless every summary equals a fresh one of its run:
+// the jengadebug check that the queue's transitions are all it takes
+// to keep the View up to date, and that no policy wrote to it.
+func (q *waitQueue) mustMatch() {
+	runs, infos := q.runs.items(), q.info.items()
+	if len(runs) != len(infos) {
+		panic(fmt.Sprintf("engine: %d waiting runs, %d summaries", len(runs), len(infos)))
+	}
+	for i, r := range runs {
+		if fresh := r.info(); infos[i] != fresh {
+			panic(fmt.Sprintf("engine: waiting position %d summarized as %+v, its run now reads %+v", i, infos[i], fresh))
+		}
+	}
 }

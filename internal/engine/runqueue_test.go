@@ -5,14 +5,14 @@ import (
 	"testing"
 )
 
-// TestRunQueueMatchesSlice drives a runQueue and a plain slice through
+// TestRunQueueMatchesSlice drives a queue of runs and a plain slice through
 // the same random operations — the slice with the reslice-and-append
 // forms the queue replaced — and requires the same order throughout,
 // that taking from a queue down to empty keeps its array, and that a
 // drained slot no longer references its run.
 func TestRunQueueMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var q runQueue
+	var q queue[*run]
 	var ref []*run
 	for op := 0; op < 20000; op++ {
 		r := &run{computed: op}

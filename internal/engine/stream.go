@@ -450,7 +450,7 @@ func (e *Engine) admissionState(r *run) AdmissionState {
 		Queued:    e.waiting.len(),
 		Running:   len(e.running),
 		Footprint: e.cfg.Manager.Footprint(&r.seq),
-		QueuePos:  e.scheduler.RankWaiting(e.reqInfo(r, true), e.policyView()),
+		QueuePos:  e.scheduler.RankWaiting(r.info(), e.policyView()),
 	}
 	if e.drainRate > 0 {
 		ahead := int64(r.promptLen())

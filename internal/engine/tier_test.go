@@ -28,8 +28,8 @@ func tieredJengaFor(t *testing.T, spec *model.Spec, capacity, hostBytes int64) c
 // explicitly zero-byte host tier must be bit-identical to the pinned
 // golden engine — the tier plumbing (TierManager capability,
 // per-step DrainTransfers, PCIe term) must add exactly nothing when
-// the tier is empty. Reuses the pressure golden (the regime with a
-// preemption, where a behavior change would show first).
+// the tier is empty. Reuses the pressure golden (the regime where the
+// evictor runs hardest, so a behavior change would show first).
 func TestRunGoldenRecomputeZeroTier(t *testing.T) {
 	spec := miniWindowSpec()
 	mgr := tieredJengaFor(t, spec, 2<<20, 0)
@@ -46,11 +46,11 @@ func TestRunGoldenRecomputeZeroTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, res, goldenExpect{
-		steps: 420, finished: 72, failed: 0, preemptions: 1,
-		duration: 718772744, meanTTFT: 51702475, meanE2E: 115422445, tpot: 1674159,
-		cached: 0, computed: 36005, generated: 2737,
-		hitRate: "0.000000000", meanKV: "0.861000559", peakKV: "0.984726295",
-		decodeBatch: "6.532219570",
+		steps: 405, finished: 72, failed: 0, preemptions: 0,
+		duration: 697904698, meanTTFT: 44512645, meanE2E: 109112921, tpot: 1699816,
+		cached: 0, computed: 36000, generated: 2737,
+		hitRate: "0.000000000", meanKV: "0.887679525", peakKV: "0.984726295",
+		decodeBatch: "6.774752475",
 	})
 	if res.SwapOuts != 0 || res.SwapIns != 0 || res.RestoredTokens != 0 || res.TierHitRate != 0 {
 		t.Fatalf("zero-byte tier moved data: %+v", res)
@@ -58,7 +58,7 @@ func TestRunGoldenRecomputeZeroTier(t *testing.T) {
 }
 
 // pressureWorkload is a shared-prefix stream whose prefix working set
-// (24 groups × 600 tokens) far exceeds the 1 MiB GPU budget: the
+// (24 groups × 600 tokens) far exceeds the 960 KiB GPU budget: the
 // evictor constantly discards one group's prefix to admit another's,
 // so without a tier nearly every arrival recomputes its shared prefix
 // from scratch, and preemption victims whose blocks were evicted
@@ -75,7 +75,7 @@ func pressureWorkload() []workload.Request {
 func runPressure(t *testing.T, mode PreemptMode, hostBytes int64) *Result {
 	t.Helper()
 	spec := miniWindowSpec()
-	mgr := tieredJengaFor(t, spec, 1<<20, hostBytes)
+	mgr := tieredJengaFor(t, spec, 960<<10, hostBytes)
 	e, err := New(Config{
 		Spec: spec, Device: smallDevice(), Manager: mgr,
 		MaxBatchTokens: 512, MaxPrefills: 2, MaxRunning: 16,

@@ -41,13 +41,17 @@ func (f *seededFaults) FailTransfer(src, dst int) bool { return f.rng.Intn(3) ==
 // counts. The constant was captured at the commit before the directory
 // became a bitmask map, the tier a slab and the transfer path
 // scratch-backed, with this same file: those three are replacements of
-// data structures, and nothing a caller can observe may move.
+// data structures, and nothing a caller can observe may move. It was
+// re-pinned once since, with the device heap cut from 24 to 16 large
+// pages, when the allocator learned to evict a large page whose last
+// used page left uncached (EXPERIMENTS.md): on 24 the script no longer
+// failed three transfers.
 func TestFetchReportPinned(t *testing.T) {
 	const (
 		replicas = 4
 		tpp      = 4
 		steps    = 600
-		want     = uint64(0xd9d8d5877cd41745)
+		want     = uint64(0x0ad460f791efc9d8)
 	)
 	spec := pinnedSpec()
 	geo, err := spec.Geometry(model.LCMPage, tpp)
@@ -58,7 +62,7 @@ func TestFetchReportPinned(t *testing.T) {
 	mgrs := make([]*core.Jenga, replicas)
 	for i := range mgrs {
 		m, err := core.New(core.Config{
-			Spec: spec, CapacityBytes: int64(24 * geo.LargePageBytes), TokensPerPage: tpp,
+			Spec: spec, CapacityBytes: int64(16 * geo.LargePageBytes), TokensPerPage: tpp,
 			EnablePrefixCache: true, RequestAware: true,
 			HostTierBytes: int64(10 * geo.LargePageBytes),
 		})

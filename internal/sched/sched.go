@@ -4,9 +4,9 @@
 // token budget splits between prefill and decode — carved out of the
 // engine behind a small deterministic Scheduler interface.
 //
-// The engine populates a read-only View (waiting queue, running set,
-// live memory usage, clock) before every decision and delegates to the
-// configured Scheduler; it never encodes a priority or arrival-order
+// The engine brings a read-only View (waiting queue, running set, live
+// memory usage, clock) up to date before every decision and delegates
+// to the configured Scheduler; it never encodes a priority or arrival-order
 // comparison itself. The FCFS built-in reproduces the engine's
 // historical behavior bit-for-bit (the golden regression tests pin
 // this); Priority, SJF and FairShare open scheduling scenarios a
@@ -71,15 +71,18 @@ type ReqInfo struct {
 	Waiting bool
 }
 
-// View is the read-only scheduler input the engine populates before
-// each decision: the live queues plus aggregate memory accounting.
-// Slices are reused across steps — policies must not retain them.
+// View is the read-only scheduler input the engine brings up to date
+// before each decision: the live queues plus aggregate memory
+// accounting. Slices are reused across steps — policies must not retain
+// them, nor write to them.
 type View struct {
 	// Clock and Step are the simulation position.
 	Clock time.Duration
 	Step  int
 	// Waiting is the admission queue in queue order (preempted
-	// requests re-enter at the front).
+	// requests re-enter at the front). The engine maintains it as the
+	// queue changes instead of refilling it per call — it is the
+	// queue's own array of summaries — so it is read-only.
 	Waiting []ReqInfo
 	// Running is the scheduled set in running order.
 	Running []ReqInfo
