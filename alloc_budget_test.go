@@ -155,6 +155,41 @@ func TestServeArrivalAllocBudget(t *testing.T) {
 	}
 }
 
+// TestBlockedAdmissionAllocBudget pins the priority admission pass that
+// passes blocked candidates at zero allocations per step, on the
+// committed blocked_admission_step fixture: marking a candidate writes
+// a flag into the waiting queue's own summaries, the re-pick reads the
+// same View, and clearing the marks walks that array — no per-pass
+// list of marked candidates, no per-pick copy of the queue. The arrival
+// each step is a pooled run over a reused prompt (as in
+// TestServeArrivalAllocBudget), admitted on a cached prefix and retired
+// within the step.
+func TestBlockedAdmissionAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is not meaningful under -short/-race runs")
+	}
+	op, err := bench.BlockedAdmissionStep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm within one recycle window (RecycleEvery is 512).
+	iter := 0
+	for ; iter < 64; iter++ {
+		if err := op.Run(iter); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(128, func() {
+		if err := op.Run(iter); err != nil {
+			t.Fatal(err)
+		}
+		iter++
+	})
+	if allocs != 0 {
+		t.Fatalf("blocked admission step allocates %.2f objects per step, want 0", allocs)
+	}
+}
+
 // TestClaimReleaseAllocBudget pins what a request costs the allocator
 // on a warm manager at zero, on two shapes. claim_release is the
 // committed fixture: a one-block prefix claim and cache-preserving

@@ -6,7 +6,7 @@ package jenga_test
 // commits their ns/op and allocs/op to BENCH_core.json so the perf
 // trajectory has data points and regressions surface in review. Run
 //
-//	go test -bench='AllocSmall|ClaimRelease|LookupWarm|CommitDecode|RunStep|DeepQueueStep|FleetFetch' -benchmem .
+//	go test -bench='AllocSmall|ClaimRelease|LookupWarm|CommitDecode|RunStep|DeepQueueStep|BlockedAdmissionStep|FleetFetch' -benchmem .
 //
 // See each fixture's doc comment for the regime it pins down.
 
@@ -48,6 +48,11 @@ func BenchmarkRunStepSteadyState(b *testing.B) { benchOp(b, bench.RunStepSteadyS
 // BenchmarkDeepQueueStep: one engine step with 35 decode-phase
 // sequences at 2k context and 650 requests waiting behind them.
 func BenchmarkDeepQueueStep(b *testing.B) { benchOp(b, bench.DeepQueueStep) }
+
+// BenchmarkBlockedAdmissionStep: one priority engine step whose
+// admission pass marks 15 blocked cold candidates before admitting a
+// request that shares the running decode's prefix.
+func BenchmarkBlockedAdmissionStep(b *testing.B) { benchOp(b, bench.BlockedAdmissionStep) }
 
 // BenchmarkServeOnlineArrival: ServeOnline's per-arrival router-loop
 // body over an 8-replica fleet — snapshot, route, submit.

@@ -20,6 +20,7 @@ import (
 	"jenga/internal/engine"
 	"jenga/internal/fleet"
 	"jenga/internal/model"
+	"jenga/internal/sched"
 	"jenga/internal/workload"
 )
 
@@ -66,6 +67,7 @@ var All = []struct {
 	{"commit_decode", CommitDecode},
 	{"run_step_steady_state", RunStepSteadyState},
 	{"deep_queue_step", DeepQueueStep},
+	{"blocked_admission_step", BlockedAdmissionStep},
 	{"serve_online_arrival", ServeOnlineArrival},
 	{"fleet_fetch", FleetFetch},
 }
@@ -398,6 +400,111 @@ func DeepQueueStep() (*Op, error) {
 			return launch()
 		},
 	}, nil
+}
+
+// BlockedAdmissionStep measures one priority-scheduled engine step whose
+// admission pass reaches a fitting candidate only past blocked ones: on
+// a 2048-token KV budget a decode holding a 512-token prefix runs, 15
+// cold 1600-token requests of the same class wait that do not fit beside
+// it (and no victim of a lower class exists), and each iteration one
+// request sharing the decode's prefix arrives behind them. The pass
+// marks each cold candidate blocked and asks the scheduler again until
+// it reaches the sharer, which is charged only its 16-token tail, is
+// admitted, and finishes in the step (one output token). Recycle
+// cancels everything and launches a fresh decode and queue, bounding
+// the decode's growth.
+func BlockedAdmissionStep() (*Op, error) {
+	spec := textSpec("bench-blocked")
+	mgr, err := core.New(core.Config{
+		Spec: spec, CapacityBytes: 512 << 10, TokensPerPage: 16,
+		EnablePrefixCache: true, RequestAware: true,
+	})
+	if err != nil {
+		return nil, err
+	}
+	eng, err := engine.New(engine.Config{
+		Spec: spec, Manager: mgr, Scheduler: sched.NewPriority(),
+		MaxBatchTokens: 4096, MaxSteps: 1 << 40,
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Finished sharers leave no record behind: the default sink would
+	// keep one per iteration.
+	eng.SetRetireSink(func(engine.RequestMetrics) {})
+	const cold, prefixLen, coldLen, tail = 15, 512, 1600, 16
+	fill := func(n, seed int) []core.Token {
+		p := make([]core.Token, n)
+		for j := range p {
+			p[j] = core.Token{ID: int32((seed*7919+j)%50_000 + 1)}
+		}
+		return p
+	}
+	holder := fill(prefixLen, 0)
+	sharer := append(append(make([]core.Token, 0, prefixLen+tail), holder...), fill(tail, 1)...)
+	colds := make([][]core.Token, cold)
+	for i := range colds {
+		colds[i] = fill(coldLen, 2+i)
+	}
+	nextID := int64(1)
+	submit := func(prompt []core.Token, outputLen int) error {
+		req := workload.Request{ID: nextID, Arrival: eng.Clock(), Prompt: prompt, OutputLen: outputLen}
+		nextID++
+		return eng.Submit(&req)
+	}
+	first := int64(0)
+	launch := func() error {
+		first = nextID
+		if err := submit(holder, 4096); err != nil { // outlives a recycle window
+			return err
+		}
+		for eng.SnapshotTotals().Running == 0 {
+			if err := eng.StepOnce(); err != nil {
+				return err
+			}
+		}
+		for _, p := range colds {
+			if err := submit(p, 4); err != nil {
+				return err
+			}
+		}
+		if err := eng.StepOnce(); err != nil {
+			return err
+		}
+		if s := eng.SnapshotTotals(); s.Running != 1 || s.Waiting != cold {
+			return fmt.Errorf("bench: %d running, %d waiting after launch, want 1, %d", s.Running, s.Waiting, cold)
+		}
+		return nil
+	}
+	if err := launch(); err != nil {
+		return nil, err
+	}
+	op := &Op{
+		// A harness that restarts i at zero (testing.Benchmark's growing
+		// rounds) can run up to twice this many steps between recycles:
+		// the decode then holds at most 1536 tokens, and the sharer's
+		// tail still fits beside it.
+		RecycleEvery: 512,
+		Recycle: func(int) error {
+			for id := first; id < nextID; id++ {
+				eng.Cancel(id)
+			}
+			return launch()
+		},
+	}
+	op.Run = func(int) error {
+		if err := submit(sharer, 1); err != nil {
+			return err
+		}
+		if err := eng.StepOnce(); err != nil {
+			return err
+		}
+		if s := eng.SnapshotTotals(); s.Waiting != cold {
+			return fmt.Errorf("bench: %d waiting after the step, want the %d blocked: the sharer was not admitted", s.Waiting, cold)
+		}
+		return nil
+	}
+	return op, nil
 }
 
 // ServeOnlineArrival measures ServeOnline's per-arrival router-loop

@@ -107,7 +107,7 @@ func matrixCells(short bool) []matrixCell {
 // timeline slices a streamed run does not keep.
 func exact(r *cluster.Result) cluster.Result {
 	c := *r
-	c.P50TTFT, c.P99TTFT, c.P50E2E, c.P99E2E, c.P99Restore = 0, 0, 0, 0, 0
+	c.P50TTFT, c.P99TTFT, c.P50E2E, c.P99E2E, c.P99Restore, c.P99QueueWait = 0, 0, 0, 0, 0, 0
 	c.PerReplica = append([]cluster.ReplicaResult(nil), r.PerReplica...)
 	for i, pr := range c.PerReplica {
 		er := *pr.Result

@@ -321,6 +321,9 @@ type pass struct {
 	// latches the one-shot scale-down.
 	drained    []bool
 	drainFired bool
+	// cands is the scratch list rebalancing and drains read a replica's
+	// migration candidates into.
+	cands []engine.MigrationCandidate
 	// cur walks the chaos plan's point events and failure streams (nil
 	// unless the pass runs barrier sections under a plan — every fault
 	// check short-circuits off).
@@ -500,6 +503,7 @@ func (c *Cluster) aggregate(p *pass, acc *fleetAcc) *Result {
 	out := &p.out
 	out.Policy, out.Replicas = c.router.Name(), len(c.engines)
 	shares := make([]float64, len(c.engines))
+	retained := 0
 	for i, e := range c.engines {
 		res := e.ResultSnapshot()
 		shares[i] = float64(p.loads[i].RoutedTokens)
@@ -511,8 +515,12 @@ func (c *Cluster) aggregate(p *pass, acc *fleetAcc) *Result {
 		})
 		out.Totals.Add(&res.Totals)
 		out.MeanKVUtil += res.MeanKVUtil
-		for j := range res.PerRequest {
-			acc.observe(&res.PerRequest[j])
+		retained += len(res.PerRequest)
+	}
+	acc.Grow(retained)
+	for _, pr := range out.PerReplica {
+		for j := range pr.Result.PerRequest {
+			acc.observe(&pr.Result.PerRequest[j])
 		}
 	}
 	out.Rates()

@@ -161,7 +161,8 @@ func (c *Cluster) drainReplicas(p *pass) {
 		p.drained[d] = true
 	}
 	for d := n - k; d < n; d++ {
-		for _, cand := range c.engines[d].MigrationCandidates() {
+		p.cands = c.engines[d].MigrationCandidates(p.cands[:0])
+		for _, cand := range p.cands {
 			if c.cfg.Fleet.Migrate {
 				if dst := c.coolestReplica(p, -1); dst >= 0 {
 					// A rolled-back migration sheds internally (the
@@ -211,7 +212,8 @@ func (c *Cluster) rebalance(p *pass) {
 	}
 	var victim int64 = -1
 	best, bestRunning := 0, false
-	for _, cand := range c.engines[hot].MigrationCandidates() {
+	p.cands = c.engines[hot].MigrationCandidates(p.cands[:0])
+	for _, cand := range p.cands {
 		better := cand.Remaining > best || (cand.Remaining == best && cand.Running && !bestRunning)
 		if victim < 0 || (cand.Running && !bestRunning) || (cand.Running == bestRunning && better) {
 			victim, best, bestRunning = cand.ID, cand.Remaining, cand.Running

@@ -331,7 +331,7 @@ func TestServeStreamFleetChaosMatchesServeOnline(t *testing.T) {
 		// compare everything else in one go.
 		want := *serial
 		want.P50TTFT, want.P99TTFT = stream.P50TTFT, stream.P99TTFT
-		want.P50E2E, want.P99E2E, want.P99Restore = stream.P50E2E, stream.P99E2E, stream.P99Restore
+		want.P50E2E, want.P99E2E, want.P99Restore, want.P99QueueWait = stream.P50E2E, stream.P99E2E, stream.P99Restore, stream.P99QueueWait
 		want.PerReplica = nil
 		got := *stream
 		got.PerReplica = nil
@@ -351,6 +351,7 @@ func TestServeStreamFleetChaosMatchesServeOnline(t *testing.T) {
 		within(t, "p50 E2E", float64(stream.P50E2E), float64(serial.P50E2E), 0.06)
 		within(t, "p99 E2E", float64(stream.P99E2E), float64(serial.P99E2E), 0.06)
 		within(t, "p99 restore", float64(stream.P99Restore), float64(serial.P99Restore), 0.06)
+		within(t, "p99 queue wait", float64(stream.P99QueueWait), float64(serial.P99QueueWait), 0.06)
 	}
 }
 

@@ -1,11 +1,10 @@
 package core
 
 // evictQueue is the one priority queue behind every eviction order in
-// the package: cached small pages per group, evictable large pages,
-// host-tier pages, and OffloadOrder's top-k. It is a typed binary
-// min-heap on E.before — no interface boxing, so push and pop allocate
-// nothing once the backing array has grown — with the same sift order
-// as container/heap.
+// the package: cached small pages per group, evictable large pages and
+// host-tier pages. It is a typed binary min-heap on E.before — no
+// interface boxing, so push and pop allocate nothing once the backing
+// array has grown — with the same sift order as container/heap.
 //
 // Entries are snapshots of a key that lives elsewhere (page metadata),
 // validated by the caller on pop: an entry whose page moved on is
@@ -14,19 +13,18 @@ package core
 // popped is the minimum valid entry however many stale ones sit around
 // it.
 //
-// A queue over a dense ID space is slotted (initSlots): it keeps one
+// The queue is slotted over a dense ID space (initSlots): it keeps one
 // entry per slot and a push for a slot that already has one replaces
 // it in place, so the queue never outgrows the ID space (which may
 // itself grow: growSlots) — and since it knows that bound, its array
 // grows by doubling up to it, never past: all the arrays it ever
 // abandons together are smaller than the one it ends with, where
-// append's 1.25× steps leave four to five times as much behind. An
-// unslotted queue keeps every push; only OffloadOrder's bounded top-k
-// uses one.
+// append's 1.25× steps leave four to five times as much behind. A queue
+// must be slotted before its first push.
 type evictQueue[E interface{ before(E) bool }] struct {
 	h []E
 	// pos[slot] is the entry's index in h plus one; 0 means the slot
-	// has no entry. nil for an unslotted queue.
+	// has no entry.
 	pos  []int32
 	slot func(E) int
 }
@@ -45,22 +43,20 @@ func (q *evictQueue[E]) growSlots(n int) {
 
 func (q *evictQueue[E]) len() int { return len(q.h) }
 
-// push adds e, or — slotted, with an entry already queued for e's slot
-// — overwrites that entry and restores heap order around it.
+// push adds e, or — with an entry already queued for e's slot —
+// overwrites that entry and restores heap order around it.
 //
 //jenga:hotpath
 func (q *evictQueue[E]) push(e E) {
-	if q.pos != nil {
-		if p := q.pos[q.slot(e)]; p != 0 {
-			i := int(p) - 1
-			q.h[i] = e
-			if !q.down(i) {
-				q.up(i)
-			}
-			return
+	if p := q.pos[q.slot(e)]; p != 0 {
+		i := int(p) - 1
+		q.h[i] = e
+		if !q.down(i) {
+			q.up(i)
 		}
+		return
 	}
-	if q.pos != nil && len(q.h) == cap(q.h) {
+	if len(q.h) == cap(q.h) {
 		//jenga:alloc-ok heap growth: at most log₂ len(pos) doublings over the queue's life
 		q.h = append(make([]E, 0, min(max(2*cap(q.h), 64), len(q.pos))), q.h...)
 	}
@@ -78,18 +74,12 @@ func (q *evictQueue[E]) pop() E {
 	q.swap(0, n)
 	e := q.h[n]
 	q.h = q.h[:n]
-	if q.pos != nil {
-		q.pos[q.slot(e)] = 0
-	}
+	q.pos[q.slot(e)] = 0
 	q.down(0)
 	return e
 }
 
-func (q *evictQueue[E]) place(i int) {
-	if q.pos != nil {
-		q.pos[q.slot(q.h[i])] = int32(i + 1)
-	}
-}
+func (q *evictQueue[E]) place(i int) { q.pos[q.slot(q.h[i])] = int32(i + 1) }
 
 func (q *evictQueue[E]) swap(i, j int) {
 	q.h[i], q.h[j] = q.h[j], q.h[i]

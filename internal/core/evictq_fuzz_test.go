@@ -17,9 +17,9 @@ func (h lazyHeap[E]) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *lazyHeap[E]) Push(x any)        { *h = append(*h, x.(E)) }
 func (h *lazyHeap[E]) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
-// checkQueue verifies the heap order and, for a slotted queue, that
-// pos and h describe the same set in an array that never outgrew the
-// slot count — the queue's part of CheckInvariants.
+// checkQueue verifies the heap order and that pos and h describe the
+// same set in an array that never outgrew the slot count — the queue's
+// part of CheckInvariants.
 func checkQueue[E interface{ before(E) bool }](t *testing.T, q *evictQueue[E]) {
 	t.Helper()
 	if err := q.check(); err != nil {
@@ -42,7 +42,7 @@ func checkQueue[E interface{ before(E) bool }](t *testing.T, q *evictQueue[E]) {
 //	   popped and re-pushed (the host-tier queue).
 //
 // After every op the queue's heap order and pos index are checked, and
-// a slotted queue never exceeds its slot count, in entries or in array.
+// the queue never exceeds its slot count, in entries or in array.
 func FuzzEvictQueue(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{0, 0x00, 5, 0x10, 3, 0x00, 9, 0x02, 0, 0x02, 0})

@@ -8,12 +8,11 @@ import (
 
 // Host-memory KV tier (§8 direction: CachedAttention, Mooncake). The
 // tier stores spilled large pages — the LCM granularity, uniform
-// across layer types, exactly what OffloadOrder advertises as the
-// transfer unit — under a byte budget. Spills happen on the eviction
-// path (evictLargeLRU copies a victim page out before discarding it)
-// and proactively on swap-based preemption (SwapOut); restores happen
-// when a prefix Lookup hits a block whose only copy lives in the
-// tier, at claim time.
+// across layer types, so one transfer unit serves every group — under
+// a byte budget. Spills happen on the eviction path (evictLargeLRU
+// copies a victim page out before discarding it) and proactively on
+// swap-based preemption (SwapOut); restores happen when a prefix Lookup
+// hits a block whose only copy lives in the tier, at claim time.
 //
 // The tier is pure accounting plus metadata: each spilled large page
 // records the block identities (hash, priority, fill) of its cached

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"jenga/internal/model"
@@ -224,8 +223,8 @@ func TestHostTierBudgetEviction(t *testing.T) {
 	if m.host == nil {
 		t.Fatal("tier not built")
 	}
-	if m.OffloadGranularity() != 512 {
-		t.Skipf("geometry changed: large page = %d", m.OffloadGranularity())
+	if m.geo.LargePageBytes != 512 {
+		t.Skipf("geometry changed: large page = %d", m.geo.LargePageBytes)
 	}
 	for i := 1; i <= 3; i++ {
 		seq := textSeq(RequestID(i), 9)
@@ -298,115 +297,24 @@ func TestSwapOutProactive(t *testing.T) {
 	audit(t, m)
 }
 
-// TestOffloadOrderExcludesInFlightCommit: a page holding blocks of a
-// reserved-but-uncommitted (or committed-but-unreleased) request is
-// pinned by that in-flight use and must never be advised for spill.
-func TestOffloadOrderExcludesInFlightCommit(t *testing.T) {
-	m := newMgr(t, windowSpec(4), 1<<15, 2, true)
-	done := textSeq(1, 17)
-	done.PromptLen = 17
-	if err := m.Reserve(done, 17, 1); err != nil {
-		t.Fatal(err)
-	}
-	m.Commit(done, 17, 1)
-	m.Release(done, true)
-
-	inflight := textSeq(2, 17)
-	inflight.Tokens[0].ID = 4242
-	if err := m.Reserve(inflight, 17, 2); err != nil {
-		t.Fatal(err)
-	}
-	// Reserved, commit still in flight: every page of the in-flight
-	// request is used, so its large pages must not be advised.
-	for _, h := range m.OffloadOrder(0) {
-		if m.cntUsed[h.LargePage] != 0 {
-			t.Fatalf("hint advises large page %d with %d in-flight pages", h.LargePage, m.cntUsed[h.LargePage])
-		}
-	}
-	// Nor spilled, even when asked directly.
-	m2 := newTieredMgr(t, flatSpec(), 1<<16, 1<<20, 4)
+// TestSpillSkipsInFlightCommit: a large page holding blocks of a
+// reserved-but-uncommitted request is pinned by that in-flight use, and
+// the spill path refuses it even when asked for it directly.
+func TestSpillSkipsInFlightCommit(t *testing.T) {
+	m := newTieredMgr(t, flatSpec(), 1<<16, 1<<20, 4)
 	busy := textSeq(3, 9)
-	if err := m2.Reserve(busy, 9, 1); err != nil {
+	if err := m.Reserve(busy, 9, 1); err != nil {
 		t.Fatal(err)
 	}
-	r := m2.reqs[busy.ID]
-	for gi := range m2.groups {
+	r := m.reqs[busy.ID]
+	for gi := range m.groups {
 		for b := range r.g[gi].pages {
 			if r.g[gi].pages[b].held {
-				L := m2.largeOf(m2.groups[gi], r.g[gi].pages[b].id)
-				if m2.spillLarge(L, 1) {
+				L := m.largeOf(m.groups[gi], r.g[gi].pages[b].id)
+				if m.spillLarge(L, 1) {
 					t.Fatalf("spillLarge moved large page %d pinned by an in-flight commit", L)
 				}
 			}
 		}
 	}
-}
-
-// TestOffloadOrderChurnInvariants hammers a manager with seeded
-// alloc/commit/release/evict churn and re-checks the ordering
-// invariants after every mutation: expired strictly before live,
-// non-decreasing LastAccess within a class, lowest-page-ID tiebreak,
-// and bounded selection being an exact prefix of the full order.
-func TestOffloadOrderChurnInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m := newMgr(t, windowSpec(4), 1<<15, 2, true)
-	live := make(map[RequestID]*Sequence)
-	next := RequestID(1)
-	for step := 0; step < 400; step++ {
-		switch op := rng.Intn(10); {
-		case op < 5: // start + commit a request
-			n := 5 + rng.Intn(40)
-			seq := textSeq(next, n)
-			seq.Tokens[0].ID = int32(rng.Intn(1 << 20))
-			seq.PromptLen = n
-			next++
-			if err := m.Reserve(seq, n, Tick(step)); err == nil {
-				m.Commit(seq, n, Tick(step))
-				live[seq.ID] = seq
-			} else {
-				m.Release(seq, false)
-			}
-		case op < 8: // release one live request
-			for id, seq := range live {
-				m.Release(seq, rng.Intn(2) == 0)
-				delete(live, id)
-				break
-			}
-		default: // direct eviction pressure
-			m.evictLargeLRU()
-		}
-		hints := m.OffloadOrder(0)
-		for i := 1; i < len(hints); i++ {
-			a, b := hints[i-1], hints[i]
-			if !a.Expired && b.Expired {
-				t.Fatalf("step %d: expired hint %d after live hint", step, i)
-			}
-			if a.Expired == b.Expired {
-				if a.LastAccess > b.LastAccess {
-					t.Fatalf("step %d: LRU order violated at %d", step, i)
-				}
-				if a.LastAccess == b.LastAccess && a.LargePage >= b.LargePage {
-					t.Fatalf("step %d: page-ID tiebreak violated at %d", step, i)
-				}
-			}
-		}
-		for _, h := range hints {
-			if m.cntUsed[h.LargePage] != 0 || m.cntCached[h.LargePage] == 0 {
-				t.Fatalf("step %d: hint advises non-evictable page %d", step, h.LargePage)
-			}
-		}
-		if len(hints) > 1 {
-			k := 1 + rng.Intn(len(hints))
-			bounded := m.OffloadOrder(k)
-			if len(bounded) != k {
-				t.Fatalf("step %d: OffloadOrder(%d) returned %d hints", step, k, len(bounded))
-			}
-			for i := range bounded {
-				if bounded[i] != hints[i] {
-					t.Fatalf("step %d: bounded order diverges from full order at %d", step, i)
-				}
-			}
-		}
-	}
-	audit(t, m)
 }

@@ -294,16 +294,13 @@ func (ix *pageIndex) check() error {
 	return nil
 }
 
-// check: heap order holds, and for a slotted queue pos and h describe
-// the same set of at most len(pos) entries, in an array no larger.
+// check: heap order holds, and pos and h describe the same set of at
+// most len(pos) entries, in an array no larger.
 func (q *evictQueue[E]) check() error {
 	for i := 1; i < len(q.h); i++ {
 		if q.h[i].before(q.h[(i-1)/2]) {
 			return fmt.Errorf("heap order broken at %d", i)
 		}
-	}
-	if q.pos == nil {
-		return nil
 	}
 	if cap(q.h) > len(q.pos) {
 		return fmt.Errorf("array of %d entries for %d slots", cap(q.h), len(q.pos))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"jenga/internal/arena"
@@ -171,7 +172,9 @@ func (g *group) resetReq(rg *reqGroup) {
 // growTable extends one of the group's page tables to n entries, the
 // new ones unheld. When that takes a new array it is sized for every
 // token the sequence is known to have, so a chunked prefill does not
-// regrow the table chunk by chunk.
+// regrow the table chunk by chunk, rounded up to a power of two: the
+// decode that follows usually fits, and so does the next request the
+// recycled state serves, if its prompt is only a little longer.
 //
 //jenga:hotpath
 func (g *group) growTable(refs []pageRef, n int, tokens []Token) []pageRef {
@@ -179,7 +182,7 @@ func (g *group) growTable(refs []pageRef, n int, tokens []Token) []pageRef {
 		return refs
 	}
 	if n > cap(refs) {
-		whole := max(n, (countScope(g, tokens)+g.tpp-1)/g.tpp)
+		whole := 1 << bits.Len(uint(max(n, (countScope(g, tokens)+g.tpp-1)/g.tpp)-1))
 		//jenga:alloc-ok table miss: a recycled state keeps its tables, so only a state's first requests, or one longer than any it served, get here
 		refs = slices.Grow(refs, whole-len(refs))
 	}

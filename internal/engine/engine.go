@@ -208,6 +208,7 @@ type Result struct {
 // the TTFT target slo (0: against per-request deadlines).
 func (r *Result) Latency(slo time.Duration) Latency {
 	roll := NewRollup(slo, true)
+	roll.Grow(len(r.PerRequest))
 	for i := range r.PerRequest {
 		roll.Observe(&r.PerRequest[i])
 	}
@@ -274,8 +275,24 @@ type run struct {
 	// preemptions counts how often this request lost its KV (carried
 	// across migration and crash redispatch, like firstToken).
 	preemptions int
-	firstToken  time.Duration
-	started     bool
+	// queueWait is the request's time in waiting queues so far: from
+	// arrival to its first admission, and from each preemption to the
+	// re-admission after it. queued marks the run as waiting in such an
+	// interval now, open since queuedAt; an admission that rolls back
+	// leaves it open.
+	queueWait  time.Duration
+	queuedAt   time.Duration
+	queued     bool
+	firstToken time.Duration
+	started    bool
+}
+
+// waited is r's queue wait up to now, the interval still open included.
+func (r *run) waited(now time.Duration) time.Duration {
+	if !r.queued {
+		return r.queueWait
+	}
+	return r.queueWait + max(now-r.queuedAt, 0)
 }
 
 // advanceCtx folds tokens [from, to) into the run's committed text and
@@ -312,10 +329,10 @@ type Engine struct {
 
 	// onEvent is the streaming sink (nil: no emission).
 	onEvent func(Event)
-	// drainRate is the device's compute-bound token rate (tokens per
-	// simulated second), the first-order term admission uses to
-	// estimate queueing delay.
-	drainRate float64
+	// roofline is the device's compute-bound token rate (tokens per
+	// simulated second): the cap on, and the cold-start value of, the
+	// drain rate admission estimates queueing delay with (drainRate).
+	roofline float64
 
 	// sink receives every request's record at its one exit (retire).
 	// Never nil: New installs the default, which retains finished
@@ -381,8 +398,12 @@ type tally struct {
 	// executed step (fleet prefix fetches, migration page moves),
 	// drained into that step's StepWork.PeerBytes and res.PeerBytes.
 	pendingPeerBytes int64
-	// forkSeq numbers engine-generated branch IDs.
-	forkSeq int64
+	// drainedTokens is the prompt tokens admitted from the waiting queue
+	// and busy the simulated time of the steps executed, idle and down
+	// time excluded: their ratio is the rate this replica has actually
+	// drained its queue at (drainRate).
+	drainedTokens int64
+	busy          time.Duration
 	// promptsCollected and promptsLeft count retired requests by where
 	// their prompt went: to the prompt sink, or left to the GC
 	// (jengadebug's conservation check; see checkHandBack).
@@ -434,6 +455,7 @@ func (e *Engine) retire(r *run, ev EventType) {
 		Priority:       r.req.Priority,
 		Tokens:         r.promptLen() + r.req.OutputLen,
 		Preemptions:    r.preemptions,
+		QueueWait:      r.waited(e.clock),
 		RestoredTokens: r.restoredTokens,
 		RestoreBytes:   r.restoredBytes,
 		RestoreTime:    e.cfg.Device.PCIeTime(r.restoredBytes),
@@ -511,9 +533,25 @@ func New(cfg Config) (*Engine, error) {
 	// 2 FLOPs per active parameter per token, compute-bound: the same
 	// first-order term the cost model charges per scheduled token.
 	if f := cfg.Device.FLOPS; f > 0 {
-		e.drainRate = f / (2 * float64(cfg.Spec.ActiveParamCount()))
+		e.roofline = f / (2 * float64(cfg.Spec.ActiveParamCount()))
 	}
 	return e, nil
+}
+
+// drainRate is the rate, in prompt tokens per simulated second, at
+// which this replica moves its waiting queue into the running set: the
+// prompt tokens it has admitted over the simulated time of the steps it
+// has executed since the last reset. A memory-bound replica admits far
+// below the compute roofline — what it can start is set by the KV its
+// running set leaves free, not by FLOPs — so the measured rate is what
+// a queueing estimate must divide by. It never exceeds the roofline,
+// and a replica that has admitted nothing yet has only the roofline to
+// go by.
+func (e *Engine) drainRate() float64 {
+	if e.drainedTokens == 0 || e.busy <= 0 {
+		return e.roofline
+	}
+	return min(float64(e.drainedTokens)/e.busy.Seconds(), e.roofline)
 }
 
 // Run simulates serving the request set to completion: the batch
@@ -604,6 +642,7 @@ func (e *Engine) admitArrivals() {
 			e.retire(r, EventShed)
 			continue
 		}
+		r.queued, r.queuedAt = true, r.req.Arrival
 		e.waiting.pushBack(r)
 		e.emit(EventQueued, r)
 	}
@@ -719,18 +758,31 @@ func (e *Engine) runStep() bool {
 	// preempting a running victim (strict priority); the historical
 	// policies never do. Phase 0's verdict on the same candidate does
 	// not carry over: phases 1 and 2 reserved, and may have preempted a
-	// request whose pages the candidate shares.
+	// request whose pages the candidate shares. A candidate that stays
+	// blocked is marked in the View and the scheduler asked again: a
+	// strict order returns the marked pick and the pass ends there; a
+	// priority order may pass it for a later candidate of its class
+	// (sched.Scheduler.PickWaiting). The marks are cleared when the
+	// pass ends.
 	prefills := 0
 	for _, r := range e.running {
 		if r.ph == phasePrefill {
 			prefills++
 		}
 	}
+	marked := false
+	var v *sched.View // nil: refill before the next pick
+	idx := 0
 	for budget > 0 && prefillLeft > 0 && e.waiting.len() > 0 && len(e.running) < e.cfg.MaxRunning &&
 		prefills < e.cfg.MaxPrefills {
-		idx, v := e.pickWaiting()
+		if v == nil {
+			idx, v = e.pickWaiting()
+		}
+		if v.Waiting[idx].Blocked {
+			break
+		}
 		r := e.waiting.items()[idx]
-		blocked := false
+		blocked, preempted := false, false
 		for u := v.Usage; ; u = e.cfg.Manager.UsageTotals() {
 			fits, feasible := e.admissionGate(r, u, v.Capacity)
 			if fits {
@@ -749,11 +801,21 @@ func (e *Engine) runStep() bool {
 				prefills--
 			}
 			e.preempt(victim)
+			preempted = true
 			idx++ // preempt prepended the victim to the waiting queue
 		}
 		if blocked {
-			break
+			e.waiting.block(idx)
+			marked = true
+			if preempted {
+				v = nil
+			} else {
+				// Nothing changed since v was filled: ask again on it.
+				idx = e.pickIn(v)
+			}
+			continue
 		}
+		v = nil
 		prefills++
 		e.running = append(e.running, r)
 		r.alive = true
@@ -781,9 +843,14 @@ func (e *Engine) runStep() bool {
 			e.waiting.pushFront(r)
 			break
 		}
+		r.queueWait, r.queued = r.waited(e.clock), false
+		e.drainedTokens += int64(r.promptLen())
 		budget -= chunk
 		prefillLeft -= chunk
 		committers = append(committers, r)
+	}
+	if marked {
+		e.waiting.unblock()
 	}
 
 	e.committers = committers
@@ -828,6 +895,7 @@ func (e *Engine) runStep() bool {
 		dt += SpecK * e.draftCost.StepTime(dw)
 	}
 	e.clock += dt
+	e.busy += dt
 	if decodeBatch > 0 {
 		e.decodeSteps++
 		e.decodeSum += int64(decodeBatch)
@@ -1061,11 +1129,16 @@ func (e *Engine) validVictim(idx int, requesterID int64) *run {
 // the view it was picked from.
 func (e *Engine) pickWaiting() (int, *sched.View) {
 	v := e.policyView()
+	return e.pickIn(v), v
+}
+
+// pickIn is pickWaiting on a view that is still up to date.
+func (e *Engine) pickIn(v *sched.View) int {
 	idx := e.scheduler.PickWaiting(v)
 	if idx < 0 || idx >= e.waiting.len() {
 		idx = 0
 	}
-	return idx, v
+	return idx
 }
 
 // admissionGate is the admission check on candidate r against usage u
@@ -1176,6 +1249,7 @@ func (e *Engine) preempt(victim *run) {
 	victim.cachedHit = 0
 	victim.encoded = false
 	victim.preemptions++
+	victim.queued, victim.queuedAt = true, e.clock
 	e.res.Preemptions++
 	e.removeRunning(victim)
 	e.waiting.pushFront(victim)

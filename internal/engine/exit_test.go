@@ -180,7 +180,19 @@ func (x *exitEnv) move(id int64, dst *Engine) {
 	if !ok {
 		x.t.Fatalf("MigrateOut(%d) missed a live request", id)
 	}
+	x.align()
 	dst.MigrateIn(m)
+	x.see()
+}
+
+// align advances b to a's clock, as a cluster's barrier advances every
+// replica to the instant of a cross-replica operation: a record that
+// changes engines then reads one time line.
+func (x *exitEnv) align() {
+	x.t.Helper()
+	if err := x.b.AdvanceTo(x.a.Clock()); err != nil {
+		x.t.Fatal(err)
+	}
 	x.see()
 }
 
@@ -237,7 +249,7 @@ func (x *exitEnv) finish(want map[int64]EventType) {
 			h.firstToken = true
 		}
 	}
-	preemptions, children := 0, 0
+	preemptions, children, waited := 0, 0, 0
 	for id, h := range byID {
 		if h.sinks != 1 || h.terminals != 1 {
 			t.Errorf("request %d: %d sink calls and %d terminal events, want one each", id, h.sinks, h.terminals)
@@ -253,6 +265,15 @@ func (x *exitEnv) finish(want map[int64]EventType) {
 		if h.rec.E2E < 0 {
 			t.Errorf("request %d: E2E %v", id, h.rec.E2E)
 		}
+		if h.rec.QueueWait < 0 || h.rec.QueueWait > h.rec.E2E {
+			t.Errorf("request %d: queue wait %v outside [0, E2E %v]", id, h.rec.QueueWait, h.rec.E2E)
+		}
+		if h.rec.State == EventFinished && h.preempted == 0 && h.rec.QueueWait > h.rec.TTFT {
+			t.Errorf("request %d: never preempted, queue wait %v above TTFT %v", id, h.rec.QueueWait, h.rec.TTFT)
+		}
+		if h.rec.QueueWait > 0 {
+			waited++
+		}
 		if (h.rec.TTFT == 0) != !h.firstToken {
 			t.Errorf("request %d: TTFT %v with first-token event seen = %v", id, h.rec.TTFT, h.firstToken)
 		}
@@ -265,8 +286,8 @@ func (x *exitEnv) finish(want map[int64]EventType) {
 			children++
 		}
 	}
-	if preemptions == 0 || children == 0 {
-		t.Errorf("scenario saw %d preemptions and %d forked children; the matrix needs both in every cell", preemptions, children)
+	if preemptions == 0 || children == 0 || waited == 0 {
+		t.Errorf("scenario saw %d preemptions, %d forked children and %d requests that queued; the matrix needs all three in every cell", preemptions, children, waited)
 	}
 	terminated := 0
 	for _, e := range []*Engine{x.a, x.b} {
@@ -369,19 +390,21 @@ func exitScenarios() []exitScenario {
 			return map[int64]EventType{gone: EventShed}
 		}},
 		{"crash", func(x *exitEnv) map[int64]EventType {
-			// Branch IDs are numbered per engine, so a branch redispatched
-			// to b could meet a branch b forks itself under the same ID:
-			// the crash comes before a forks anything.
-			reqs := exitLoad()
-			for i := range reqs[:len(reqs)/2] {
-				reqs[i].Fanout = 0
-			}
-			x.submit(reqs)
+			// Branches a forked before the crash are redispatched to b
+			// beside roots b forks itself: their IDs derive from their
+			// roots, so none collides.
+			x.submit(exitLoad())
+			x.until(func() *run {
+				for _, r := range x.a.running {
+					if r.req.ID >= forkIDBase {
+						return r
+					}
+				}
+				return nil
+			})
 			x.decoding()
 			x.waiting()
-			if x.a.forkSeq != 0 {
-				x.t.Fatal("source forked before the crash")
-			}
+			x.align()
 			for _, m := range x.a.CrashOut() {
 				x.b.MigrateIn(m)
 			}
@@ -435,7 +458,9 @@ func exitScenarios() []exitScenario {
 // one terminal event per request, in that order; the record's state is
 // the event's type; E2E ≥ 0; TTFT is zero iff no first token was ever
 // emitted; Generated and Preemptions equal what the event stream says;
-// and afterwards no KV is in use and no run or token buffer is lost.
+// QueueWait lies in [0, E2E], and within TTFT for a finished request
+// that was never preempted; and afterwards no KV is in use and no run
+// or token buffer is lost.
 func TestExitMatrix(t *testing.T) {
 	for _, mode := range []PreemptMode{PreemptRecompute, PreemptSwap} {
 		for _, sc := range exitScenarios() {
@@ -458,15 +483,24 @@ type viewCheck struct {
 	calls *int
 }
 
-func (c viewCheck) check(v *sched.View) {
+func (c viewCheck) check(v *sched.View, marksOK bool) {
 	c.t.Helper()
 	*c.calls++
+	if !marksOK {
+		for i := range v.Waiting {
+			if v.Waiting[i].Blocked {
+				c.t.Fatalf("step %d: waiting position %d is still marked blocked outside an admission pass", c.e.step, i)
+			}
+		}
+	}
 	runs := c.e.waiting.items()
 	if len(v.Waiting) != len(runs) || len(v.Running) != len(c.e.running) {
 		c.t.Fatalf("view shows %d waiting, %d running; the engine has %d, %d", len(v.Waiting), len(v.Running), len(runs), len(c.e.running))
 	}
 	for i, r := range runs {
-		if fresh := r.info(); v.Waiting[i] != fresh {
+		got := v.Waiting[i]
+		got.Blocked = false // an admission pass's mark: not part of the summary
+		if fresh := r.info(); got != fresh {
 			c.t.Fatalf("step %d: waiting position %d is %+v in the view, %+v filled fresh", c.e.step, i, v.Waiting[i], fresh)
 		}
 	}
@@ -478,22 +512,22 @@ func (c viewCheck) check(v *sched.View) {
 }
 
 func (c viewCheck) PickWaiting(v *sched.View) int {
-	c.check(v)
+	c.check(v, true)
 	return c.Scheduler.PickWaiting(v)
 }
 
 func (c viewCheck) VictimFor(requester sched.ReqInfo, v *sched.View) int {
-	c.check(v)
+	c.check(v, true)
 	return c.Scheduler.VictimFor(requester, v)
 }
 
 func (c viewCheck) PrefillBudget(v *sched.View, total int) sched.Split {
-	c.check(v)
+	c.check(v, false)
 	return c.Scheduler.PrefillBudget(v, total)
 }
 
 func (c viewCheck) RankWaiting(cand sched.ReqInfo, v *sched.View) int {
-	c.check(v)
+	c.check(v, false)
 	return c.Scheduler.RankWaiting(cand, v)
 }
 

@@ -20,9 +20,32 @@ import (
 // and shares the parent's Group label so fair-share scheduling sees
 // the whole fan-out as one tenant's siblings.
 
-// forkIDBase offsets engine-generated branch IDs (auto fan-out) far
-// above any workload-generated request ID.
-const forkIDBase = int64(1) << 40
+// forkIDBase offsets engine-generated branch IDs (auto fan-out) above
+// every fan-out root's ID, and maxFanout is the most branches one root
+// may declare. Branch i of root id is branchID(id, i), a function of the
+// root alone: every engine a branch may be migrated or redispatched to
+// mints the same ID for it, and a different one for every other root's
+// branches. The IDs of all roots' branches lie in [forkIDBase+1,
+// forkIDBase·(maxFanout+1)), far inside an int64.
+const (
+	forkIDBase = int64(1) << 40
+	maxFanout  = 1 << 10
+)
+
+// branchID is the ID of branch i (1 ≤ i < maxFanout) of the fan-out
+// root with ID root (0 ≤ root < forkIDBase).
+func branchID(root int64, i int) int64 { return forkIDBase + root*maxFanout + int64(i) }
+
+// checkFanout rejects a fan-out whose branches branchID cannot name.
+func checkFanout(req *workload.Request) error {
+	if req.Fanout < 0 || req.Fanout > maxFanout {
+		return fmt.Errorf("engine: request %d has fan-out %d (want 0 to %d)", req.ID, req.Fanout, maxFanout)
+	}
+	if req.Fanout > 1 && (req.ID < 0 || req.ID >= forkIDBase) {
+		return fmt.Errorf("engine: fan-out root %d has an ID outside [0, %d)", req.ID, forkIDBase)
+	}
+	return nil
+}
 
 // Fork clones the running decode-phase request parentID into one new
 // branch per child ID. Children share all committed KV copy-on-write,
@@ -119,8 +142,7 @@ func (e *Engine) autoFork(r *run) {
 		return
 	}
 	for i := 1; i < r.req.Fanout; i++ {
-		e.forkSeq++
-		if err := e.forkOne(r, forkIDBase+e.forkSeq); err != nil {
+		if err := e.forkOne(r, branchID(r.req.ID, i)); err != nil {
 			return
 		}
 	}

@@ -222,3 +222,91 @@ func TestForkDeterminism(t *testing.T) {
 		t.Errorf("nondeterministic fan-out: %+v vs %+v", a, b)
 	}
 }
+
+// TestBranchIDsUniqueAcrossEngines: two replicas each expand a fan-out
+// root of their own, then one's branch migrates into the other. Branch
+// IDs derive from their roots, so the destination never holds two live
+// requests under one ID — and the migrated branch finishes there under
+// its own.
+func TestBranchIDsUniqueAcrossEngines(t *testing.T) {
+	spec := miniFullSpec()
+	engines := make([]*Engine, 2)
+	branches := make([][]int64, 2)
+	for i := range engines {
+		e, err := New(Config{Spec: spec, Device: smallDevice(), Manager: jengaFor(t, spec, 16<<20, true), MaxBatchTokens: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetEventSink(func(ev Event) {
+			if ev.Type == EventQueued && ev.ID >= forkIDBase {
+				branches[i] = append(branches[i], ev.ID)
+			}
+		})
+		root := textReqs(int64(31+i), 1, 96, 48)[0]
+		root.ID = int64(i + 1)
+		root.Fanout, root.ForkAfter = 2, 2
+		if err := e.Submit(&root); err != nil {
+			t.Fatal(err)
+		}
+		for len(branches[i]) == 0 {
+			if err := e.StepOnce(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		engines[i] = e
+	}
+	m, ok := engines[0].MigrateOut(branches[0][0])
+	if !ok {
+		t.Fatal("the branch is not live on its source")
+	}
+	engines[1].MigrateIn(m)
+	seen := map[int64]bool{}
+	for _, q := range engines[1].queues() {
+		for _, r := range q {
+			if seen[r.req.ID] {
+				t.Fatalf("destination holds two live requests with ID %d (branches minted: %v, %v)", r.req.ID, branches[0], branches[1])
+			}
+			seen[r.req.ID] = true
+		}
+	}
+	for _, e := range engines {
+		if err := e.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res := engines[1].ResultSnapshot(); res.Finished != 3 {
+		t.Fatalf("destination finished %d requests, want its root, its branch and the migrated branch", res.Finished)
+	}
+}
+
+// TestSubmitRejectsFanoutOutOfRange: a fan-out branch IDs cannot be
+// derived for is an error at Submit, not a panic or a collision later.
+func TestSubmitRejectsFanoutOutOfRange(t *testing.T) {
+	spec := miniFullSpec()
+	e, err := New(Config{Spec: spec, Device: smallDevice(), Manager: jengaFor(t, spec, 16<<20, false)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := textReqs(41, 1, 32, 8)[0]
+	for _, tc := range []struct {
+		name   string
+		id     int64
+		fanout int
+		valid  bool
+	}{
+		{"no fan-out", 7, 0, true},
+		{"one branch", 8, 1, true},
+		{"widest", 9, maxFanout, true},
+		{"too wide", 10, maxFanout + 1, false},
+		{"negative", 11, -1, false},
+		{"root ID in the branch range", forkIDBase, 2, false},
+		{"negative root ID", -5, 2, false},
+		{"branch-range ID without fan-out", forkIDBase + 3, 0, true},
+	} {
+		r := ok
+		r.ID, r.Fanout = tc.id, tc.fanout
+		if err := e.Submit(&r); (err == nil) != tc.valid {
+			t.Errorf("%s: Submit error %v, want valid=%v", tc.name, err, tc.valid)
+		}
+	}
+}

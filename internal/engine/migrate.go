@@ -51,12 +51,18 @@ type Migrated struct {
 	// counts as RecomputedTokens on the destination).
 	DecodesDone  int
 	EverComputed int
-	// RestoredTokens, RestoredBytes and Preemptions carry the request's
-	// host-tier restore share and preemption count so its record
-	// survives the move.
+	// RestoredTokens, RestoredBytes, Preemptions and QueueWait carry the
+	// request's host-tier restore share, preemption count and queue wait
+	// so its record survives the move.
 	RestoredTokens int
 	RestoredBytes  int64
 	Preemptions    int
+	QueueWait      time.Duration
+	// queued carries the run's flag: the request left a waiting queue
+	// in the middle of a wait (before its first admission, or after a
+	// preemption), which goes on in the destination's queue. A request
+	// taken out of the running set starts no such wait there.
+	queued bool
 	// FirstToken is the TTFT instant if prefill completed (0 before);
 	// Started marks that the request's arrival was processed.
 	FirstToken time.Duration
@@ -76,19 +82,19 @@ type MigrationCandidate struct {
 	Running bool
 }
 
-// MigrationCandidates lists this engine's live requests in
+// MigrationCandidates appends this engine's live requests to dst in
 // deterministic order — running first (schedule order), then waiting
 // (queue order), then pending (arrival order) — so cluster rebalancing
-// picks identically across runs.
-func (e *Engine) MigrationCandidates() []MigrationCandidate {
-	out := make([]MigrationCandidate, 0, len(e.running)+e.waiting.len()+e.pending.len())
+// picks identically across runs. A caller that keeps dst across calls
+// lists candidates without allocating.
+func (e *Engine) MigrationCandidates(dst []MigrationCandidate) []MigrationCandidate {
 	for i, q := range e.queues() {
 		for _, r := range q {
 			rem := max(len(r.seq.Tokens)-r.computed, 0) + max(r.req.OutputLen-1-r.decodesDone, 0)
-			out = append(out, MigrationCandidate{ID: r.req.ID, Remaining: rem, Running: i == 0})
+			dst = append(dst, MigrationCandidate{ID: r.req.ID, Remaining: rem, Running: i == 0})
 		}
 	}
-	return out
+	return dst
 }
 
 // MigrateOut extracts the request with the given ID, releasing its KV
@@ -121,6 +127,8 @@ func (e *Engine) MigrateOut(id int64) (Migrated, bool) {
 		RestoredTokens: r.restoredTokens,
 		RestoredBytes:  r.restoredBytes,
 		Preemptions:    r.preemptions,
+		QueueWait:      r.waited(e.clock),
+		queued:         r.queued,
 		FirstToken:     r.firstToken,
 		Started:        started,
 		ForkDone:       r.forkDone,
@@ -162,6 +170,9 @@ func (e *Engine) MigrateIn(m Migrated) {
 		restoredTokens: m.RestoredTokens,
 		restoredBytes:  m.RestoredBytes,
 		preemptions:    m.Preemptions,
+		queueWait:      m.QueueWait,
+		queuedAt:       e.clock,
+		queued:         m.queued,
 		firstToken:     m.FirstToken,
 		started:        m.Started,
 		forkDone:       m.ForkDone,
@@ -201,6 +212,8 @@ func (e *Engine) CrashOut() []Migrated {
 				RestoredTokens: r.restoredTokens,
 				RestoredBytes:  r.restoredBytes,
 				Preemptions:    r.preemptions,
+				QueueWait:      r.waited(e.clock),
+				queued:         r.queued,
 				FirstToken:     r.firstToken,
 				Started:        i < 2, // running or waiting: arrival processed
 				ForkDone:       r.forkDone,

@@ -197,7 +197,7 @@ func TestMigrateUnstartedAndWaiting(t *testing.T) {
 		t.Fatalf("setup: %d waiting, want 1", snap.Waiting)
 	}
 	waitID := int64(-1)
-	for _, c := range e.MigrationCandidates() {
+	for _, c := range e.MigrationCandidates(nil) {
 		if !c.Running {
 			waitID = c.ID
 		}

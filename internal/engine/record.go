@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"time"
 
 	"jenga/internal/metrics"
@@ -41,6 +42,12 @@ type RequestMetrics struct {
 	Tokens      int
 	Generated   int
 	Preemptions int
+	// QueueWait is the time the request spent in waiting queues, on
+	// whatever engines it ran on: arrival to its first admission, plus
+	// each preemption to the re-admission after it. (An admission that
+	// rolls back never ended the wait.) It is at most E2E, and for a
+	// finished request that was never preempted at most TTFT.
+	QueueWait time.Duration
 	// RestoredTokens and RestoreBytes are the request's host-tier
 	// share: prefix tokens the tier served (beyond the GPU-only
 	// prefix) instead of recompute, and the H2D bytes that cost;
@@ -161,9 +168,12 @@ type Latency struct {
 	SLOAttainment float64
 	// P50TTFT/P99TTFT/P50E2E/P99E2E are latency percentiles over
 	// finished requests; P99Restore is the p99 per-request PCIe restore
-	// time over them — what a spilled-prefix hit costs at the tail.
+	// time over them — what a spilled-prefix hit costs at the tail — and
+	// P99QueueWait the p99 of their time in waiting queues
+	// (RequestMetrics.QueueWait).
 	P50TTFT, P99TTFT, P50E2E, P99E2E time.Duration
 	P99Restore                       time.Duration
+	P99QueueWait                     time.Duration
 }
 
 // sample is one latency distribution: every value kept (exact
@@ -202,9 +212,9 @@ func (s *sample) percentiles(ps ...float64) []time.Duration {
 
 // Rollup folds terminal records into the numbers reports derive from
 // them: counts by terminal state, how many finishes met their deadline
-// and the TTFT target, and the TTFT, E2E and restore-time distributions
-// over finished requests. One Rollup is touched by one goroutine at a
-// time; shard-local ones Merge after the join.
+// and the TTFT target, and the TTFT, E2E, restore-time and queue-wait
+// distributions over finished requests. One Rollup is touched by one
+// goroutine at a time; shard-local ones Merge after the join.
 type Rollup struct {
 	slo time.Duration
 	// Finished, Failed, Shed and Cancelled count the folded records by
@@ -212,7 +222,7 @@ type Rollup struct {
 	Finished, Failed, Shed, Cancelled int
 	Preemptions                       int
 	deadlineMet, sloMet               int
-	ttft, e2e, restore                sample
+	ttft, e2e, restore, queueWait     sample
 }
 
 // NewRollup starts a roll-up measuring SLO attainment against the TTFT
@@ -222,9 +232,22 @@ type Rollup struct {
 func NewRollup(slo time.Duration, exact bool) *Rollup {
 	r := &Rollup{slo: slo}
 	if !exact {
-		r.ttft.hist, r.e2e.hist, r.restore.hist = new(metrics.DurationHist), new(metrics.DurationHist), new(metrics.DurationHist)
+		for _, s := range []*sample{&r.ttft, &r.e2e, &r.restore, &r.queueWait} {
+			s.hist = new(metrics.DurationHist)
+		}
 	}
 	return r
+}
+
+// Grow makes room for n more finished records in an exact roll-up, so
+// folding a known record set costs one array per distribution instead
+// of a chain of ever larger ones. A histogram roll-up ignores it.
+func (r *Rollup) Grow(n int) {
+	for _, s := range []*sample{&r.ttft, &r.e2e, &r.restore, &r.queueWait} {
+		if s.hist == nil {
+			s.values = slices.Grow(s.values, n)
+		}
+	}
 }
 
 // Observe folds one terminal record.
@@ -242,6 +265,7 @@ func (r *Rollup) Observe(m *RequestMetrics) {
 		r.ttft.observe(m.TTFT)
 		r.e2e.observe(m.E2E)
 		r.restore.observe(m.RestoreTime)
+		r.queueWait.observe(m.QueueWait)
 		if m.DeadlineMet() {
 			r.deadlineMet++
 		}
@@ -263,6 +287,7 @@ func (r *Rollup) Merge(o *Rollup) {
 	r.ttft.merge(&o.ttft)
 	r.e2e.merge(&o.e2e)
 	r.restore.merge(&o.restore)
+	r.queueWait.merge(&o.queueWait)
 }
 
 // Latency derives the report numbers over a serving duration d.
@@ -281,5 +306,6 @@ func (r *Rollup) Latency(d time.Duration) Latency {
 	l.P50TTFT, l.P99TTFT = tq[0], tq[1]
 	l.P50E2E, l.P99E2E = eq[0], eq[1]
 	l.P99Restore = r.restore.percentiles(99)[0]
+	l.P99QueueWait = r.queueWait.percentiles(99)[0]
 	return l
 }

@@ -147,16 +147,33 @@ func (q *waitQueue) reset() {
 	q.info.reset()
 }
 
-// mustMatch panics unless every summary equals a fresh one of its run:
-// the jengadebug check that the queue's transitions are all it takes
-// to keep the View up to date, and that no policy wrote to it.
+// block marks position i of items() as blocked for the rest of the
+// admission pass (sched.ReqInfo.Blocked); unblock clears every mark.
+//
+//jenga:hotpath
+func (q *waitQueue) block(i int) { q.info.items()[i].Blocked = true }
+
+//jenga:hotpath
+func (q *waitQueue) unblock() {
+	infos := q.info.items()
+	for i := range infos {
+		infos[i].Blocked = false
+	}
+}
+
+// mustMatch panics unless every summary equals a fresh one of its run,
+// admission-pass marks aside: the jengadebug check that the queue's
+// transitions are all it takes to keep the View up to date, and that no
+// policy wrote to it.
 func (q *waitQueue) mustMatch() {
 	runs, infos := q.runs.items(), q.info.items()
 	if len(runs) != len(infos) {
 		panic(fmt.Sprintf("engine: %d waiting runs, %d summaries", len(runs), len(infos)))
 	}
 	for i, r := range runs {
-		if fresh := r.info(); infos[i] != fresh {
+		got := infos[i]
+		got.Blocked = false
+		if fresh := r.info(); got != fresh {
 			panic(fmt.Sprintf("engine: waiting position %d summarized as %+v, its run now reads %+v", i, infos[i], fresh))
 		}
 	}

@@ -143,8 +143,11 @@ type AdmissionState struct {
 	// the candidate request.
 	Footprint int64
 	// EstTTFT is a first-order queueing estimate of the candidate's
-	// time to first token: prompt tokens queued ahead of it (plus its
-	// own) at the device's compute-bound token rate.
+	// time to first token: the prompt tokens queued ahead of it (plus
+	// its own) over the rate this replica has drained its queue at —
+	// prompt tokens admitted per simulated second of executed steps
+	// since the last reset, capped at the device's compute roofline,
+	// and the roofline itself before anything has been admitted.
 	EstTTFT time.Duration
 	// QueuePos is the position the candidate would take in the
 	// scheduler's admission order: the number of waiting requests the
@@ -269,13 +272,18 @@ func (e *Engine) snapshot(u core.Usage) Snapshot {
 // needs it unchanged until the request leaves — through its terminal
 // event, or inside the record MigrateOut or CrashOut returns. The
 // prompt sink (SetPromptSink) is told when that borrow ends. IDs must
-// be unique among live requests.
+// be unique among live requests. A fan-out root (Fanout > 1) must have
+// an ID in [0, 2⁴⁰) and at most 1024 branches, the range its branch IDs
+// are derived over; anything else is an error.
 //
 //jenga:hotpath
 func (e *Engine) Submit(req *workload.Request) error {
 	if req.OutputLen < 1 {
 		//jenga:alloc-ok invalid-request error path
 		return fmt.Errorf("engine: request %d has output length %d", req.ID, req.OutputLen)
+	}
+	if err := checkFanout(req); err != nil {
+		return err
 	}
 	r := e.takeRun()
 	*r = run{
@@ -452,7 +460,7 @@ func (e *Engine) admissionState(r *run) AdmissionState {
 		Footprint: e.cfg.Manager.Footprint(&r.seq),
 		QueuePos:  e.scheduler.RankWaiting(r.info(), e.policyView()),
 	}
-	if e.drainRate > 0 {
+	if rate := e.drainRate(); rate > 0 {
 		ahead := int64(r.promptLen())
 		for _, w := range e.waiting.items() {
 			ahead += int64(w.promptLen())
@@ -462,7 +470,7 @@ func (e *Engine) admissionState(r *run) AdmissionState {
 				ahead += int64(rem)
 			}
 		}
-		s.EstTTFT = time.Duration(float64(ahead) / e.drainRate * float64(time.Second))
+		s.EstTTFT = time.Duration(float64(ahead) / rate * float64(time.Second))
 	}
 	return s
 }

@@ -80,14 +80,20 @@ func borrowScenario(t *testing.T, mode PreemptMode, reqs []workload.Request) (a,
 		return e
 	}
 	ea, eb := mk(), mk()
+	forks := 0
+	ea.SetEventSink(func(ev Event) {
+		if ev.Type == EventQueued && ev.ID >= forkIDBase {
+			forks++
+		}
+	})
 	for i := range reqs {
 		if err := ea.Submit(&reqs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for ea.res.Preemptions == 0 || ea.forkSeq == 0 {
+	for ea.res.Preemptions == 0 || forks == 0 {
 		if !ea.Live() {
-			t.Fatalf("source drained with %d preemptions and %d forks; the scenario needs both", ea.res.Preemptions, ea.forkSeq)
+			t.Fatalf("source drained with %d preemptions and %d forks; the scenario needs both", ea.res.Preemptions, forks)
 		}
 		if err := ea.StepOnce(); err != nil {
 			t.Fatal(err)

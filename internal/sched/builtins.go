@@ -11,7 +11,10 @@ import "fmt"
 // queue front), eviction recomputes the latest-arrived running
 // request, admission never preempts, and the step budget is shared
 // decode-first — bit-identical to the engine before the scheduling
-// layer was extracted, as the golden regression tests pin.
+// layer was extracted, as the golden regression tests pin. Arrival
+// order is the contract, so a blocked queue front blocks the pass (the
+// pick ignores Blocked marks); sjf and fairshare keep their picks strict
+// the same way.
 type fcfs struct{}
 
 // NewFCFS returns the first-come-first-served scheduler (the engine
@@ -36,7 +39,8 @@ func (fcfs) AdmissionPreempts() bool { return false }
 func (fcfs) RankWaiting(cand ReqInfo, v *View) int { return rankBy(cand, v.Waiting, compareArrival) }
 
 // priority is strict priority with arrival tiebreak — the shared
-// Compare order. It subsumes the engine's old inline priority logic
+// Compare order: classes strict; within a class, first fit in arrival
+// order. It subsumes the engine's old inline priority logic
 // (highest-priority pick, lowest-priority latest-arrival victim) and
 // extends it with admission-time preemption: a blocked admission
 // candidate may recompute-preempt a running request of strictly lower
@@ -45,6 +49,13 @@ func (fcfs) RankWaiting(cand ReqInfo, v *View) int { return rankBy(cand, v.Waiti
 // victim's work in the prefix cache, and the victim re-enters the
 // waiting queue rather than being dropped — lower classes are delayed,
 // never starved.
+//
+// Arrival is only a tie-break, so a blocked candidate does not hold
+// back the rest of its class: once the engine marks it, the next pick
+// is the earliest unmarked candidate of the highest marked class or
+// above — typically a request sharing a prefix a running request
+// holds, which is charged only the tail it adds. A class below the
+// highest marked one never starts past it.
 type priority struct{}
 
 // NewPriority returns the strict-priority scheduler.
@@ -52,7 +63,35 @@ func NewPriority() Scheduler { return priority{} }
 
 func (priority) Name() string { return "priority" }
 
-func (priority) PickWaiting(v *View) int { return pickMin(v.Waiting, Compare) }
+func (priority) PickWaiting(v *View) int {
+	best, floor, marked := 0, 0, false
+	for i := range v.Waiting {
+		c := &v.Waiting[i]
+		if Compare(*c, v.Waiting[best]) < 0 {
+			best = i
+		}
+		if c.Blocked && (!marked || c.Priority > floor) {
+			floor, marked = c.Priority, true
+		}
+	}
+	if !marked {
+		return best
+	}
+	fit := -1
+	for i := range v.Waiting {
+		c := &v.Waiting[i]
+		if c.Blocked || c.Priority < floor {
+			continue
+		}
+		if fit < 0 || Compare(*c, v.Waiting[fit]) < 0 {
+			fit = i
+		}
+	}
+	if fit < 0 {
+		return best // every eligible candidate is blocked: the pass ends
+	}
+	return fit
+}
 
 func (priority) VictimFor(requester ReqInfo, v *View) int {
 	if requester.Waiting {

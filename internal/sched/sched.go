@@ -69,6 +69,14 @@ type ReqInfo struct {
 	// Waiting is true for waiting-queue entries and admission
 	// candidates, false for running entries.
 	Waiting bool
+	// Blocked marks a waiting entry the engine already tried to admit in
+	// this admission pass and could not: it failed the memory gate and
+	// no victim could make room for it. The mark lasts one pass: the
+	// engine sets it, asks PickWaiting again, and clears every mark when
+	// the pass ends. Only that pass's PickWaiting and VictimFor calls
+	// see marks; PrefillBudget, RankWaiting, the blocked-admission
+	// preemption before the pass and the next step never do.
+	Blocked bool
 }
 
 // View is the read-only scheduler input the engine brings up to date
@@ -82,7 +90,9 @@ type View struct {
 	// Waiting is the admission queue in queue order (preempted
 	// requests re-enter at the front). The engine maintains it as the
 	// queue changes instead of refilling it per call — it is the
-	// queue's own array of summaries — so it is read-only.
+	// queue's own array of summaries — so it is read-only. During an
+	// admission pass, entries the engine could not admit carry
+	// Blocked (see PickWaiting).
 	Waiting []ReqInfo
 	// Running is the scheduled set in running order.
 	Running []ReqInfo
@@ -116,7 +126,13 @@ type Scheduler interface {
 	// Name identifies the policy in flags, results and reports.
 	Name() string
 	// PickWaiting returns the index in v.Waiting of the next admission
-	// candidate. Called only with a non-empty waiting queue.
+	// candidate. Called only with a non-empty waiting queue. Within one
+	// admission pass the engine marks each candidate it could not admit
+	// (ReqInfo.Blocked) and asks again; returning a marked entry ends the
+	// pass. A policy whose order is strict — nothing may start ahead of
+	// its pick — returns its pick whether marked or not; a policy that
+	// lets a later candidate start past a blocked one returns that
+	// candidate instead.
 	PickWaiting(v *View) int
 	// VictimFor returns the index in v.Running of the request to
 	// recompute-preempt so that requester can obtain memory, or -1 to

@@ -100,6 +100,73 @@ func TestPrioritySchedulerOrdering(t *testing.T) {
 	}
 }
 
+// TestPickWithBlockedMarks is each built-in's PickWaiting contract under
+// an admission pass's marks. Without marks every built-in picks what it
+// always did. With marks, fcfs, sjf and fairshare keep their strict
+// pick — a marked one ends the pass — while priority passes its marked
+// candidates for the earliest unmarked one of the highest marked class
+// or above, and never for a lower class.
+func TestPickWithBlockedMarks(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	// Queue order is not arrival order; Remaining orders sjf; groups
+	// 100 (heavily served) and 200 order fairshare.
+	queue := func() []ReqInfo {
+		return []ReqInfo{
+			{ID: 0, Priority: 1, Arrival: ms(4), Remaining: 40, Group: 100},
+			{ID: 1, Priority: 2, Arrival: ms(2), Remaining: 90, Group: 100},
+			{ID: 2, Priority: 0, Arrival: ms(1), Remaining: 10, Group: 200},
+			{ID: 3, Priority: 2, Arrival: ms(5), Remaining: 60, Group: 200},
+			{ID: 4, Priority: 1, Arrival: ms(3), Remaining: 20, Group: 200},
+			{ID: 5, Priority: 2, Arrival: ms(6), Remaining: 30, Group: 100},
+		}
+	}
+	running := []ReqInfo{{ID: 9, Group: 100, PromptLen: 500, OutputLen: 100}}
+	policies := []Scheduler{NewFCFS(), NewPriority(), NewSJF(), NewFairShare(nil)}
+	// unmarked is each policy's pick with no marks: the parent's answer.
+	unmarked := map[string]int{"fcfs": 2, "priority": 1, "sjf": 2, "fairshare": 3}
+	for _, tc := range []struct {
+		name   string
+		marked []int
+		// want is priority's pick; the strict policies must return their
+		// unmarked pick whatever is marked.
+		want int
+	}{
+		{"none", nil, 1},
+		{"head of the top class", []int{1}, 3},
+		{"two of the top class", []int{1, 3}, 5},
+		{"the whole top class", []int{1, 3, 5}, 1},                    // nothing of class ≥ 2 fits: the pass ends
+		{"a lower class only", []int{4}, 1},                           // the top class was never tried
+		{"top and lower classes", []int{1, 3, 5, 4}, 1},               // class 1 stays behind class 2's marks
+		{"every entry", []int{0, 1, 2, 3, 4, 5}, 1},                   // the pass ends at the strict pick
+		{"fcfs's and sjf's pick", []int{2}, 1},                        // a lower class for priority
+		{"second class after the first blocks", []int{1, 3, 5, 0}, 1}, // an unmarked class-1 entry is below the floor
+	} {
+		for _, s := range policies {
+			v := view(queue(), running)
+			for _, i := range tc.marked {
+				v.Waiting[i].Blocked = true
+			}
+			got := s.PickWaiting(v)
+			want := unmarked[s.Name()]
+			if s.Name() == "priority" {
+				want = tc.want
+			}
+			if got != want {
+				t.Errorf("%s, marks %v: pick = %d, want %d", s.Name(), tc.marked, got, want)
+			}
+			if s.Name() == "priority" && len(tc.marked) > 0 && !v.Waiting[got].Blocked {
+				top := -1 << 31
+				for _, i := range tc.marked {
+					top = max(top, v.Waiting[i].Priority)
+				}
+				if v.Waiting[got].Priority < top {
+					t.Errorf("priority, marks %v: picked class %d below the highest marked class %d", tc.marked, v.Waiting[got].Priority, top)
+				}
+			}
+		}
+	}
+}
+
 func TestSJFOrdering(t *testing.T) {
 	s := NewSJF()
 	v := view([]ReqInfo{

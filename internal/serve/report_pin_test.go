@@ -31,6 +31,7 @@ type reportPin struct {
 	PeerTokens, PeerBytes                              int64
 	Migrations                                         int
 	P99Restore                                         time.Duration
+	P99QueueWait                                       time.Duration
 	PerPriority                                        []PriorityReport
 }
 
@@ -45,7 +46,7 @@ func pinOf(r Report) reportPin {
 		TierHitRate: r.TierHitRate, RestoredTokens: r.RestoredTokens, RecomputedTokens: r.RecomputedTokens,
 		SwapOuts: r.SwapOuts, SwapIns: r.SwapIns,
 		PeerHits: r.PeerHits, PeerTokens: r.PeerTokens, PeerBytes: r.PeerBytes,
-		Migrations: r.Migrations, P99Restore: r.P99Restore,
+		Migrations: r.Migrations, P99Restore: r.P99Restore, P99QueueWait: r.P99QueueWait,
 		PerPriority: r.PerPriority,
 	}
 }
@@ -125,8 +126,13 @@ func pinnedRun(t *testing.T, mixed bool, slo time.Duration) Report {
 // 1 MiB replica behind kv admission, so with prefix pages that a
 // running request holds counted once the policy sheds 22 of 53 instead
 // of 32 and 30 finish instead of 20 — in a longer run (0.486 → 0.686
-// s) with a longer queue (p50 TTFT 18 → 114 ms). The plain rows, where
-// the gate never binds, are untouched.
+// s) with a longer queue (p50 TTFT 18 → 114 ms). They moved again when
+// priority admission stopped ending its pass at a blocked candidate: a
+// request of the blocked one's class that fits now starts past it, so
+// the queue drains sooner (p50 TTFT 114 → 2.5 ms, p99 443 → 362 ms, run
+// 0.686 → 0.505 s, goodput 35.0 → 43.6/s), and kv admission, deciding
+// against a fuller running set, sheds 26 instead of 22. The plain rows,
+// where the gate never binds, only gained P99QueueWait.
 func TestReportPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -138,35 +144,35 @@ func TestReportPinned(t *testing.T) {
 			Submitted: 50, Finished: 50,
 			Duration: 323978587, ReqPerSec: 154.33118732627847, Goodput: 135.81144484712505, SLOAttainment: 0.94,
 			P50TTFT: 2286077, P99TTFT: 3923017, P50E2E: 55534874, P99E2E: 84951209,
-			HitRate: 0.75, MeanKVUtil: 0.313812255859375, PeakKVUtil: 0.39801025390625, GeneratedTokens: 1878, PerPriority: []PriorityReport{
+			HitRate: 0.75, MeanKVUtil: 0.313812255859375, PeakKVUtil: 0.39801025390625, GeneratedTokens: 1878, P99QueueWait: 1530114, PerPriority: []PriorityReport{
 				{Priority: 0, Submitted: 50, Finished: 50, Shed: 0, P50TTFT: 2286077, P99TTFT: 3923017, Goodput: 135.81144484712505, SLOAttainment: 0.94, Preemptions: 0},
 			}}},
 		{name: "mixed/slo", mixed: true, slo: 3 * time.Millisecond, want: reportPin{
-			Submitted: 53, Finished: 30, Shed: 22, Cancelled: 1,
-			Duration: 685816828, ReqPerSec: 43.74345856675305, Goodput: 34.99476685340244, SLOAttainment: 0.26666666666666666, ShedRate: 0.41509433962264153,
-			P50TTFT: 114328364, P99TTFT: 443459270, P50E2E: 180145245, P99E2E: 483974312,
-			HitRate: 0.739352380952381, MeanKVUtil: 0.98992919921875, PeakKVUtil: 0.9990234375, Preemptions: 6, GeneratedTokens: 1176,
-			TierHitRate: 0.4723809523809524, RestoredTokens: 6200, RecomputedTokens: 29, SwapOuts: 521, SwapIns: 647, P99Restore: 13107, PerPriority: []PriorityReport{
-				{Priority: 0, Submitted: 17, Finished: 11, Shed: 5, P50TTFT: 405228843, P99TTFT: 443459270, Goodput: 10.206806998909045, SLOAttainment: 0, Preemptions: 1},
-				{Priority: 1, Submitted: 20, Finished: 14, Shed: 6, P50TTFT: 81838739, P99TTFT: 170016346, Goodput: 17.49738342670122, SLOAttainment: 0.21428571428571427, Preemptions: 5},
-				{Priority: 2, Submitted: 16, Finished: 5, Shed: 11, P50TTFT: 2052664, P99TTFT: 2783100, Goodput: 7.290576427792175, SLOAttainment: 1, Preemptions: 0},
+			Submitted: 53, Finished: 26, Shed: 26, Cancelled: 1,
+			Duration: 504879116, ReqPerSec: 51.497475684852844, Goodput: 43.57478711795241, SLOAttainment: 0.6153846153846154, ShedRate: 0.49056603773584906,
+			P50TTFT: 2505234, P99TTFT: 362039956, P50E2E: 80869655, P99E2E: 442012590,
+			HitRate: 0.7724413950829045, MeanKVUtil: 0.989013671875, PeakKVUtil: 1, Preemptions: 12, GeneratedTokens: 1072,
+			TierHitRate: 0.1732418524871355, RestoredTokens: 2424, RecomputedTokens: 48, SwapOuts: 468, SwapIns: 288, P99Restore: 32440, P99QueueWait: 359492276, PerPriority: []PriorityReport{
+				{Priority: 0, Submitted: 17, Finished: 7, Shed: 9, P50TTFT: 270770030, P99TTFT: 362039956, Goodput: 11.884032850350657, SLOAttainment: 0, Preemptions: 3},
+				{Priority: 1, Submitted: 20, Finished: 12, Shed: 8, P50TTFT: 1996327, P99TTFT: 126239316, Goodput: 19.806721417251094, SLOAttainment: 0.75, Preemptions: 9},
+				{Priority: 2, Submitted: 16, Finished: 7, Shed: 9, P50TTFT: 2331957, P99TTFT: 2809989, Goodput: 11.884032850350657, SLOAttainment: 1, Preemptions: 0},
 			}}},
 		{name: "plain/deadlines", want: reportPin{
 			Submitted: 50, Finished: 50,
 			Duration: 323978587, ReqPerSec: 154.33118732627847, Goodput: 135.81144484712505, SLOAttainment: 0.88,
 			P50TTFT: 2286077, P99TTFT: 3923017, P50E2E: 55534874, P99E2E: 84951209,
-			HitRate: 0.75, MeanKVUtil: 0.313812255859375, PeakKVUtil: 0.39801025390625, GeneratedTokens: 1878, PerPriority: []PriorityReport{
+			HitRate: 0.75, MeanKVUtil: 0.313812255859375, PeakKVUtil: 0.39801025390625, GeneratedTokens: 1878, P99QueueWait: 1530114, PerPriority: []PriorityReport{
 				{Priority: 0, Submitted: 50, Finished: 50, Shed: 0, P50TTFT: 2286077, P99TTFT: 3923017, Goodput: 135.81144484712505, SLOAttainment: 0.88, Preemptions: 0},
 			}}},
 		{name: "mixed/deadlines", mixed: true, want: reportPin{
-			Submitted: 53, Finished: 30, Shed: 22, Cancelled: 1,
-			Duration: 685816828, ReqPerSec: 43.74345856675305, Goodput: 34.99476685340244, SLOAttainment: 0.8, ShedRate: 0.41509433962264153,
-			P50TTFT: 114328364, P99TTFT: 443459270, P50E2E: 180145245, P99E2E: 483974312,
-			HitRate: 0.739352380952381, MeanKVUtil: 0.98992919921875, PeakKVUtil: 0.9990234375, Preemptions: 6, GeneratedTokens: 1176,
-			TierHitRate: 0.4723809523809524, RestoredTokens: 6200, RecomputedTokens: 29, SwapOuts: 521, SwapIns: 647, P99Restore: 13107, PerPriority: []PriorityReport{
-				{Priority: 0, Submitted: 17, Finished: 11, Shed: 5, P50TTFT: 405228843, P99TTFT: 443459270, Goodput: 10.206806998909045, SLOAttainment: 0.6363636363636364, Preemptions: 1},
-				{Priority: 1, Submitted: 20, Finished: 14, Shed: 6, P50TTFT: 81838739, P99TTFT: 170016346, Goodput: 17.49738342670122, SLOAttainment: 0.8571428571428571, Preemptions: 5},
-				{Priority: 2, Submitted: 16, Finished: 5, Shed: 11, P50TTFT: 2052664, P99TTFT: 2783100, Goodput: 7.290576427792175, SLOAttainment: 1, Preemptions: 0},
+			Submitted: 53, Finished: 26, Shed: 26, Cancelled: 1,
+			Duration: 504879116, ReqPerSec: 51.497475684852844, Goodput: 43.57478711795241, SLOAttainment: 0.8461538461538461, ShedRate: 0.49056603773584906,
+			P50TTFT: 2505234, P99TTFT: 362039956, P50E2E: 80869655, P99E2E: 442012590,
+			HitRate: 0.7724413950829045, MeanKVUtil: 0.989013671875, PeakKVUtil: 1, Preemptions: 12, GeneratedTokens: 1072,
+			TierHitRate: 0.1732418524871355, RestoredTokens: 2424, RecomputedTokens: 48, SwapOuts: 468, SwapIns: 288, P99Restore: 32440, P99QueueWait: 359492276, PerPriority: []PriorityReport{
+				{Priority: 0, Submitted: 17, Finished: 7, Shed: 9, P50TTFT: 270770030, P99TTFT: 362039956, Goodput: 11.884032850350657, SLOAttainment: 0.8571428571428571, Preemptions: 3},
+				{Priority: 1, Submitted: 20, Finished: 12, Shed: 8, P50TTFT: 1996327, P99TTFT: 126239316, Goodput: 19.806721417251094, SLOAttainment: 0.8333333333333334, Preemptions: 9},
+				{Priority: 2, Submitted: 16, Finished: 7, Shed: 9, P50TTFT: 2331957, P99TTFT: 2809989, Goodput: 11.884032850350657, SLOAttainment: 0.8571428571428571, Preemptions: 0},
 			}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -48,7 +48,9 @@ type Request struct {
 	// their own OutputLen. Parallel sampling, beam-search expansion and
 	// agentic fan-out all reduce to this shape. Requires a manager with
 	// the core.Forker capability; otherwise the request runs single-
-	// stream. 0 and 1 mean no fan-out.
+	// stream. 0 and 1 mean no fan-out. The engine derives branch IDs
+	// from the root's, so it takes at most 1024 branches of a root whose
+	// ID is in [0, 2⁴⁰) and rejects other fan-outs at submission.
 	Fanout int
 	// ForkAfter is the divergence point of a Fanout request: the number
 	// of output tokens shared by all branches before they fork. 0 forks

@@ -148,8 +148,6 @@ type (
 	KeepAlive = core.KeepAlive
 	// GroupSeqView is the read-only view policies evaluate hits on.
 	GroupSeqView = core.GroupSeqView
-	// OffloadHint is one page an offloading tier should spill (§8).
-	OffloadHint = core.OffloadHint
 	// TierManager is the optional Manager capability behind the host
 	// memory tier: swap-based preemption (SwapOut), per-step transfer
 	// draining for the PCIe cost term, and tier statistics.
