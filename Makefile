@@ -5,7 +5,7 @@ GO ?= go
 # Pinned staticcheck (matches the CI step; bump both together).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race debug bench bench-json bench-scale bench-smoke chaos-smoke scale-smoke perf-smoke fuzz lint guard staticcheck fmt vet ci
+.PHONY: build test race debug bench bench-json bench-scale bench-smoke chaos-smoke scale-smoke perf-smoke fuzz lint guard staticcheck fmt vet loc ci
 
 build:
 	$(GO) build ./...
@@ -112,8 +112,9 @@ fuzz:
 # machine-enforced determinism contract (DESIGN.md): no map-order
 # dependence in golden-affecting packages, no wall-clock/global-rand/
 # env reads in sim packages, goroutine confinement, the //jenga:hotpath
-# zero-alloc contract (interface boxing included), and comma-ok
-# capability assertions. Builds from
+# zero-alloc contract (interface boxing included), comma-ok capability
+# assertions — and no exported name under internal/ that only tests
+# use (deadexport; //jenga:api <why> keeps one on purpose). Builds from
 # the module itself (standard library only), so it runs fully offline
 # and is part of `make ci`. It is a standalone driver rather than a
 # `go vet -vettool` plugin because vet's unitchecker protocol needs
@@ -131,6 +132,15 @@ staticcheck:
 
 fmt:
 	gofmt -w .
+
+# Non-test Go lines per package directory and in total (testdata/ and
+# the benchmark's .bench_build/ left out), then the total without
+# cmd/jengaperf — the counts ROADMAP.md quotes. Informational: nothing
+# fails on a number.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path '*/testdata/*' -not -path './.bench_build/*' -exec wc -l {} + | \
+	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1; if (d !~ /^\.\/cmd\/jengaperf/) u += $$1 } \
+	END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n%6d total without cmd/jengaperf\n", t, u }'
 
 vet:
 	$(GO) vet ./...

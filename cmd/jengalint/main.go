@@ -1,8 +1,10 @@
 // Command jengalint is the repo's offline multichecker: it runs the
 // internal/analysis suite (maporder, detsource, confine, hotpath,
-// capability — the machine-enforced determinism, confinement, and
-// hot-path contracts; see DESIGN.md "Determinism contract") over the
-// given package patterns.
+// capability, deadexport — the machine-enforced determinism,
+// confinement, hot-path and dead-export contracts; see DESIGN.md
+// "Determinism contract") over the given package patterns. deadexport
+// judges references across the packages loaded, so it is exact only
+// over the whole module (./...).
 //
 //	jengalint ./...                  # the whole module (make lint)
 //	jengalint -analyzers maporder ./internal/core

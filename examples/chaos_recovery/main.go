@@ -12,8 +12,8 @@
 //     the recovery machinery reacts: the directory drops every entry
 //     naming the dead holder, its in-flight requests re-dispatch to
 //     the coolest survivors (recomputing from their prompts), and peer
-//     transfers that hit the fault window retry within a bounded
-//     budget before falling back to local recompute.
+//     transfers that fail retry within a bounded budget before falling
+//     back to local recompute.
 //
 // The crash is part of the simulation's deterministic schedule, not
 // randomness at run time: a chaos plan is a pure function of its seed,

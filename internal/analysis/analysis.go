@@ -23,6 +23,9 @@
 //	capability — type assertions to a capability interface must use the
 //	             comma-ok form so a missing capability degrades instead
 //	             of panicking.
+//	deadexport — no exported identifier under internal/ without a
+//	             non-test reference in the module, unless it carries
+//	             //jenga:api <why>.
 //
 // The pragma grammar is documented in DESIGN.md ("Determinism
 // contract") and implemented in pragma.go.
@@ -43,6 +46,9 @@ type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass) error
+	// RunModule, set instead of Run, sees every loaded package at once
+	// (one Pass each) for a check that needs the whole module's uses.
+	RunModule func([]*Pass) error
 }
 
 // Diagnostic is one finding at one position.
@@ -183,7 +189,7 @@ func isSimPkg(path string) bool {
 
 // All enumerates the suite in report order.
 func All() []*Analyzer {
-	return []*Analyzer{Maporder, Detsource, Confine, Hotpath, Capability}
+	return []*Analyzer{Maporder, Detsource, Confine, Hotpath, Capability, Deadexport}
 }
 
 // ByName resolves a comma-separated analyzer list ("" means all).
@@ -211,41 +217,54 @@ func ByName(names string) ([]*Analyzer, error) {
 	return as, nil
 }
 
-// RunAnalyzers applies each analyzer to each package and returns all
-// diagnostics sorted by position.
+// RunAnalyzers applies each analyzer to each package (a module
+// analyzer to all of them at once) and returns all diagnostics sorted
+// by position.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *token.FileSet, error) {
 	var diags []Diagnostic
-	var fset *token.FileSet
-	for _, pkg := range pkgs {
-		fset = pkg.Fset
-		pragmas := map[*ast.File]*FilePragmas{}
-		for _, a := range analyzers {
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     pkg.Fset,
-				Files:    pkg.Files,
-				Pkg:      pkg.Types,
-				Info:     pkg.Info,
-				Path:     pkg.Path,
-				pragmas:  pragmas,
-				report:   func(d Diagnostic) { diags = append(diags, d) },
+	pragmas := map[*ast.File]*FilePragmas{}
+	newPass := func(a *Analyzer, pkg *Package) *Pass {
+		return &Pass{
+			Analyzer: a,
+			Fset:     pkg.Fset,
+			Files:    pkg.Files,
+			Pkg:      pkg.Types,
+			Info:     pkg.Info,
+			Path:     pkg.Path,
+			pragmas:  pragmas,
+			report:   func(d Diagnostic) { diags = append(diags, d) },
+		}
+	}
+	for _, a := range analyzers {
+		if a.RunModule != nil {
+			passes := make([]*Pass, len(pkgs))
+			for i, pkg := range pkgs {
+				passes[i] = newPass(a, pkg)
 			}
-			if err := a.Run(pass); err != nil {
+			if err := a.RunModule(passes); err != nil {
+				return nil, nil, fmt.Errorf("%s: %w", a.Name, err)
+			}
+			continue
+		}
+		for _, pkg := range pkgs {
+			if err := a.Run(newPass(a, pkg)); err != nil {
 				return nil, nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.Path, err)
 			}
 		}
 	}
-	if fset != nil {
-		sort.SliceStable(diags, func(i, j int) bool {
-			pi, pj := fset.Position(diags[i].Pos), fset.Position(diags[j].Pos)
-			if pi.Filename != pj.Filename {
-				return pi.Filename < pj.Filename
-			}
-			if pi.Line != pj.Line {
-				return pi.Line < pj.Line
-			}
-			return pi.Column < pj.Column
-		})
+	if len(pkgs) == 0 {
+		return diags, nil, nil
 	}
+	fset := pkgs[0].Fset
+	sort.SliceStable(diags, func(i, j int) bool {
+		pi, pj := fset.Position(diags[i].Pos), fset.Position(diags[j].Pos)
+		if pi.Filename != pj.Filename {
+			return pi.Filename < pj.Filename
+		}
+		if pi.Line != pj.Line {
+			return pi.Line < pj.Line
+		}
+		return pi.Column < pj.Column
+	})
 	return diags, fset, nil
 }

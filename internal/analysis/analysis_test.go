@@ -37,6 +37,14 @@ func TestCapability(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Capability, "captest")
 }
 
+// TestDeadexport runs over a fixture module slice: an internal/ package
+// whose exports are kept by a caller outside internal/, by interfaces
+// (named, anonymous in a type assertion, standard), by //jenga:api — or
+// by nothing, a test file's reference included.
+func TestDeadexport(t *testing.T) {
+	analysistest.Run(t, "testdata", analysis.Deadexport, "deadexport")
+}
+
 // TestGatesSkipOutsidePackages pins the negative side of the package
 // gates: the same constructs the fixtures flag are legal in a package
 // outside the golden/confined/sim sets.

@@ -1,5 +1,5 @@
-// Package analysistest runs one analyzer over a fixture package under
-// testdata/src and checks its diagnostics against `// want "regexp"`
+// Package analysistest runs one analyzer over a fixture package (and
+// the packages below it) under testdata/src and checks its diagnostics against `// want "regexp"`
 // comments, mirroring golang.org/x/tools/go/analysis/analysistest on
 // the standard library only. Fixture packages are loaded through the
 // same `go list -export` loader jengalint uses, and their package path
@@ -30,12 +30,14 @@ import (
 	"jenga/internal/analysis"
 )
 
-// Run loads testdata/src/<pkgpath> and checks a's diagnostics against
-// the fixture's want comments.
+// Run loads testdata/src/<pkgpath> and every package below it, and
+// checks a's diagnostics against the fixtures' want comments.
+//
+//jenga:api the analyzer test harness: its callers are the analyzers' tests
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpath string) {
 	t.Helper()
 	dir := filepath.Join(testdata, "src", pkgpath)
-	pkgs, err := analysis.Load(dir, true, ".")
+	pkgs, err := analysis.Load(dir, true, "./...")
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}

@@ -20,9 +20,11 @@ import (
 //	//jenga:det-ok <why>       line suppression for detsource.
 //	//jenga:alloc-ok <why>     line suppression for hotpath.
 //	//jenga:cap-ok <why>       line suppression for capability.
+//	//jenga:api <why>          line suppression for deadexport: the
+//	                           declaration is API on purpose.
 //
 // Line suppressions attach to the flagged line itself or the line
-// directly above it, and every *-ok pragma must carry a non-empty
+// directly above it, and every suppression must carry a non-empty
 // justification — a bare pragma is reported instead of honored.
 type Pragma struct {
 	Kind string

@@ -69,15 +69,14 @@ func (a *Arena) Backed() bool { return a.buf != nil }
 // NumLargePages returns the number of large pages.
 func (a *Arena) NumLargePages() int { return a.numLarge }
 
-// LargePageBytes returns the large-page size.
-func (a *Arena) LargePageBytes() int { return a.largePageBytes }
-
 // UsableBytes returns the bytes addressable through large pages.
 func (a *Arena) UsableBytes() int64 {
 	return int64(a.numLarge) * int64(a.largePageBytes)
 }
 
 // LargeSlice returns the bytes of one large page (backed arenas only).
+//
+//jenga:api the large-page side of a backed arena's bytes, which SmallSlice and the kernel views re-address
 func (a *Arena) LargeSlice(id LargePageID) ([]byte, error) {
 	if a.buf == nil {
 		return nil, fmt.Errorf("arena: LargeSlice on unbacked arena")
@@ -145,12 +144,6 @@ func (v *View) Ratio() int { return v.ratio }
 // SmallPageBytes returns the small-page size.
 func (v *View) SmallPageBytes() int { return v.smallBytes }
 
-// TokensPerPage returns token slots per small page per layer.
-func (v *View) TokensPerPage() int { return v.tokens }
-
-// Layers returns the layer count of the group.
-func (v *View) Layers() int { return v.layers }
-
 // SmallRange returns the first small-page ID inside a large page and
 // the count (always Ratio).
 func (v *View) SmallRange(lp LargePageID) (first SmallPageID, n int) {
@@ -185,6 +178,8 @@ func (v *View) SmallSlice(p SmallPageID) ([]byte, error) {
 // arena base), the execution page stride (page_size_exec) and the small
 // page IDs (pageid_exec). Existing PagedAttention kernels consume
 // exactly this triple, which is the §4.2 compatibility claim.
+//
+//jenga:api the §4.2 kernel-compatibility proof the layout tests check the allocator against
 func (v *View) Kernel(layer int, pages []SmallPageID) (KernelView, error) {
 	if layer < 0 || layer >= v.layers {
 		return KernelView{}, fmt.Errorf("arena view %s: layer %d out of range [0,%d)", v.name, layer, v.layers)
@@ -230,6 +225,8 @@ func (k *KernelView) slotOffset(pageIdx, slot int) (int64, error) {
 
 // WriteFingerprint stores a token fingerprint in the slot's first 8
 // bytes, simulating the KV write of a forward pass (backed arenas only).
+//
+//jenga:api the write half of the §4.2 layout proof (see Kernel)
 func (k *KernelView) WriteFingerprint(pageIdx, slot int, fp uint64) error {
 	off, err := k.slotOffset(pageIdx, slot)
 	if err != nil {
@@ -247,6 +244,8 @@ func (k *KernelView) WriteFingerprint(pageIdx, slot int, fp uint64) error {
 
 // ReadFingerprint reads back a token fingerprint, simulating the KV
 // read of an attention kernel.
+//
+//jenga:api the read half of the §4.2 layout proof (see Kernel)
 func (k *KernelView) ReadFingerprint(pageIdx, slot int) (uint64, error) {
 	off, err := k.slotOffset(pageIdx, slot)
 	if err != nil {
@@ -262,6 +261,8 @@ func (k *KernelView) ReadFingerprint(pageIdx, slot int) (uint64, error) {
 // layer, position) used by layout tests: any aliasing of two distinct
 // (request, layer, position) triples onto the same slot changes a read
 // value and is caught.
+//
+//jenga:api the values the §4.2 layout proof writes and reads back (see Kernel)
 func TokenFingerprint(requestID uint64, layer, position int) uint64 {
 	x := requestID*0x9E3779B97F4A7C15 ^ uint64(layer)*0xBF58476D1CE4E5B9 ^ uint64(position)*0x94D049BB133111EB
 	x ^= x >> 31

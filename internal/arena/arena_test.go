@@ -219,8 +219,8 @@ func TestKernelLayerIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	pages := []SmallPageID{0, 3, 7, 9}
-	kvs := make([]KernelView, v.Layers())
-	for l := 0; l < v.Layers(); l++ {
+	kvs := make([]KernelView, v.layers)
+	for l := 0; l < v.layers; l++ {
 		kv, err := v.Kernel(l, pages)
 		if err != nil {
 			t.Fatal(err)
@@ -234,7 +234,7 @@ func TestKernelLayerIsolation(t *testing.T) {
 			}
 		}
 	}
-	for l := 0; l < v.Layers(); l++ {
+	for l := 0; l < v.layers; l++ {
 		for pi := range pages {
 			for s := 0; s < 4; s++ {
 				got, err := kvs[l].ReadFingerprint(pi, s)

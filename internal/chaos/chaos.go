@@ -2,14 +2,11 @@
 // seeded, immutable Plan of timed fault events that the cluster
 // replays against a run's simulated clock.
 //
-// Faults come in two shapes. Point events — replica crash (the GPU
-// heap, the host tier and every in-flight request die with the
-// process) and restart (the replica returns with a cold tier) — fire
-// once, at an instant. Window events — degraded PCIe/peer-link
-// bandwidth and slow-replica stragglers — hold over an interval and
-// scale the cost model's terms for every step inside it. On top of
-// the schedule, a Plan carries per-transfer failure rates for fleet
-// peer fetches and migration moves, drawn from a seeded stream.
+// Faults are point events — replica crash (the GPU heap, the host tier
+// and every in-flight request die with the process) and restart (the
+// replica returns with a cold tier) — each fired once, at an instant.
+// On top of the schedule, a Plan carries per-transfer failure rates for
+// fleet peer fetches and migration moves, drawn from a seeded stream.
 //
 // Everything is deterministic and replayable: a Plan is pure data, a
 // Cursor (Plan.Start) holds one run's replay position and its seeded
@@ -20,7 +17,7 @@
 // golden-pinned contract).
 //
 // The package is a leaf: it knows nothing about engines, replicas or
-// pages, only instants, factors and draws. The cluster layer owns
+// pages, only instants and draws. The cluster layer owns
 // applying the events (internal/cluster's ChaosPolicy).
 package chaos
 
@@ -40,12 +37,6 @@ const (
 	// KindRestart returns a crashed replica to service with a cold
 	// tier.
 	KindRestart
-	// KindDegrade scales the replica's PCIe and peer-link bandwidths
-	// by Event.PCIe/Event.Link over [At, Until).
-	KindDegrade
-	// KindStraggle multiplies the replica's step time by Event.Slow
-	// over [At, Until) — the slow-replica straggler.
-	KindStraggle
 )
 
 // String names the kind for reports.
@@ -55,10 +46,6 @@ func (k Kind) String() string {
 		return "crash"
 	case KindRestart:
 		return "restart"
-	case KindDegrade:
-		return "degrade"
-	case KindStraggle:
-		return "straggle"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -68,19 +55,8 @@ func (k Kind) String() string {
 type Event struct {
 	Kind    Kind
 	Replica int
-	// At is the fault instant; Until closes a Degrade/Straggle window
-	// (point events ignore it).
-	At, Until time.Duration
-	// PCIe and Link scale the respective link bandwidths inside a
-	// Degrade window (0 < f ≤ 1: 0.25 means a quarter of nominal).
-	// Slow multiplies step time inside a Straggle window (≥ 1).
-	PCIe, Link, Slow float64
-}
-
-// window reports whether the event holds over an interval rather than
-// firing at an instant.
-func (e Event) window() bool {
-	return e.Kind == KindDegrade || e.Kind == KindStraggle
+	// At is the fault instant.
+	At time.Duration
 }
 
 // Plan is a seeded, reproducible fault schedule. Build one with
@@ -115,23 +91,6 @@ func (p *Plan) Restart(replica int, at time.Duration) *Plan {
 	return p.add(Event{Kind: KindRestart, Replica: replica, At: at})
 }
 
-// Degrade schedules a degraded-bandwidth window on the replica: PCIe
-// and peer-link bandwidth scale by pcie and link (clamped to (0, 1];
-// pass 1 to leave a link nominal).
-func (p *Plan) Degrade(replica int, at, until time.Duration, pcie, link float64) *Plan {
-	return p.add(Event{Kind: KindDegrade, Replica: replica, At: at, Until: until,
-		PCIe: clampFactor(pcie), Link: clampFactor(link)})
-}
-
-// Straggle schedules a slow-replica window: every step on the replica
-// takes slow× its nominal time (clamped to ≥ 1).
-func (p *Plan) Straggle(replica int, at, until time.Duration, slow float64) *Plan {
-	if slow < 1 {
-		slow = 1
-	}
-	return p.add(Event{Kind: KindStraggle, Replica: replica, At: at, Until: until, Slow: slow})
-}
-
 // add inserts the event keeping Events sorted by At, stable on ties.
 func (p *Plan) add(ev Event) *Plan {
 	i := sort.Search(len(p.Events), func(i int) bool { return p.Events[i].At > ev.At })
@@ -141,68 +100,8 @@ func (p *Plan) add(ev Event) *Plan {
 	return p
 }
 
-// clampFactor forces a bandwidth factor into (0, 1]; zero or negative
-// means "not degraded" and maps to 1.
-func clampFactor(f float64) float64 {
-	if f <= 0 || f > 1 {
-		return 1
-	}
-	return f
-}
-
-// Window returns the combined degrade/straggle factors active on the
-// replica at the instant: pcie and link multiply the respective
-// bandwidths (≤ 1), slow multiplies step time (≥ 1). Overlapping
-// windows compound. Nominal is (1, 1, 1).
-func (p *Plan) Window(replica int, at time.Duration) (pcie, link, slow float64) {
-	pcie, link, slow = 1, 1, 1
-	for i := range p.Events {
-		ev := &p.Events[i]
-		if !ev.window() || ev.Replica != replica || at < ev.At || at >= ev.Until {
-			continue
-		}
-		switch ev.Kind {
-		case KindDegrade:
-			pcie *= ev.PCIe
-			link *= ev.Link
-		case KindStraggle:
-			slow *= ev.Slow
-		}
-	}
-	return pcie, link, slow
-}
-
-// Fingerprint hashes the complete schedule — seed, rates and every
-// event — so determinism tests can assert two plans are the same plan
-// and reports can identify the schedule they ran.
-func (p *Plan) Fingerprint() uint64 {
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= 1099511628211
-		}
-	}
-	mix(uint64(p.Seed))
-	mix(uint64(p.FetchFailRate * float64(1<<32)))
-	mix(uint64(p.MigrateFailRate * float64(1<<32)))
-	for i := range p.Events {
-		ev := &p.Events[i]
-		mix(uint64(ev.Kind))
-		mix(uint64(ev.Replica))
-		mix(uint64(ev.At))
-		mix(uint64(ev.Until))
-		mix(uint64(ev.PCIe * float64(1<<32)))
-		mix(uint64(ev.Link * float64(1<<32)))
-		mix(uint64(ev.Slow * float64(1<<32)))
-	}
-	return h
-}
-
 // Cursor is one run's mutable view of a plan: the replay position
-// over the point events (crash/restart) and the seeded
-// transfer-failure stream. Window events need no cursor — they are
-// pure functions of the clock (Plan.Window).
+// over the events and the seeded transfer-failure stream.
 //
 // A Cursor is not safe for concurrent use; the cluster only consults
 // it from its serial arrival loop.
@@ -215,20 +114,10 @@ type Cursor struct {
 // Start returns a fresh cursor positioned before the first event,
 // with the failure stream reset to the seed.
 func (p *Plan) Start() *Cursor {
-	c := &Cursor{plan: p, rng: uint64(p.Seed)}
-	c.skipWindows()
-	return c
+	return &Cursor{plan: p, rng: uint64(p.Seed)}
 }
 
-// skipWindows advances next past window events, which the cursor
-// never replays.
-func (c *Cursor) skipWindows() {
-	for c.next < len(c.plan.Events) && c.plan.Events[c.next].window() {
-		c.next++
-	}
-}
-
-// Peek returns the next unapplied point event without consuming it.
+// Peek returns the next unapplied event without consuming it.
 func (c *Cursor) Peek() (Event, bool) {
 	if c.next >= len(c.plan.Events) {
 		return Event{}, false
@@ -240,7 +129,6 @@ func (c *Cursor) Peek() (Event, bool) {
 func (c *Cursor) Pop() {
 	if c.next < len(c.plan.Events) {
 		c.next++
-		c.skipWindows()
 	}
 }
 

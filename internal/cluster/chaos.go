@@ -6,7 +6,6 @@ import (
 
 	"jenga/internal/chaos"
 	"jenga/internal/core"
-	"jenga/internal/engine"
 )
 
 // ChaosPolicy attaches a deterministic fault-injection plan to the
@@ -14,11 +13,10 @@ import (
 // a cluster without a plan is bit-identical to one built before chaos
 // existed.
 //
-// Degrade and straggler windows slow the affected replica's simulated
-// steps under every horizon policy; crash/restart point events and
-// transfer faults are cross-replica operations and apply in the barrier
-// sections of the every-arrival horizon (ServeOnline, and ServeStream
-// whenever a plan is attached), each at its exact simulated instant.
+// Crash/restart events and transfer faults are cross-replica operations
+// and apply in the barrier sections of the every-arrival horizon
+// (ServeOnline, and ServeStream whenever a plan is attached), each at
+// its exact simulated instant.
 type ChaosPolicy struct {
 	// Plan is the seeded fault schedule. Nil: no faults.
 	Plan *chaos.Plan
@@ -53,9 +51,6 @@ type Health uint8
 const (
 	// Healthy: serving normally.
 	Healthy Health = iota
-	// Sick: alive but inside a degraded or straggler window — routing
-	// prefers healthy replicas and falls over when a router picks it.
-	Sick
 	// Dead: crashed and not yet restarted — never routed to.
 	Dead
 )
@@ -65,8 +60,6 @@ func (h Health) String() string {
 	switch h {
 	case Healthy:
 		return "healthy"
-	case Sick:
-		return "sick"
 	case Dead:
 		return "dead"
 	default:
@@ -74,20 +67,7 @@ func (h Health) String() string {
 	}
 }
 
-// replicaFaults adapts one replica's view of the chaos plan onto the
-// engine's per-step fault hook: every step reads the plan's degrade
-// and straggler windows at the current simulated clock.
-type replicaFaults struct {
-	plan    *chaos.Plan
-	replica int
-}
-
-func (f *replicaFaults) StepFault(clock time.Duration) engine.StepFault {
-	pcie, link, slow := f.plan.Window(f.replica, clock)
-	return engine.StepFault{PCIe: pcie, Link: link, Slow: slow}
-}
-
-// applyChaos applies every pending point event with At ≤ upTo, in
+// applyChaos applies every pending event with At ≤ upTo, in
 // order, each in its own barrier section: all replicas advance to the
 // event instant first, so a crash takes exactly the progress made
 // before it and nothing after.
@@ -164,26 +144,4 @@ func (c *Cluster) restartReplica(p *pass, rep int) {
 	}
 	p.loads[rep].Health = Healthy
 	p.out.Restarts++
-}
-
-// refreshHealth re-derives each live replica's Sick/Healthy state from
-// the plan's windows at the given instant (Dead is sticky until a
-// restart event clears it). Health lives in the loads, where routers
-// read it.
-func (c *Cluster) refreshHealth(p *pass, at time.Duration) {
-	plan := c.cfg.Chaos.Plan
-	if plan == nil {
-		return
-	}
-	for j := range p.loads {
-		if p.loads[j].Health == Dead {
-			continue
-		}
-		pcie, link, slow := plan.Window(j, at)
-		if pcie != 1 || link != 1 || slow != 1 {
-			p.loads[j].Health = Sick
-		} else {
-			p.loads[j].Health = Healthy
-		}
-	}
 }

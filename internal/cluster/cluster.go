@@ -265,10 +265,6 @@ func New(cfg Config) (*Cluster, error) {
 				scheduler = s
 			}
 		}
-		var faults engine.FaultInjector
-		if cfg.Chaos.Plan != nil {
-			faults = &replicaFaults{plan: cfg.Chaos.Plan, replica: i}
-		}
 		eng, err := engine.New(engine.Config{
 			Spec:           cfg.Spec,
 			Device:         cfg.Device,
@@ -279,7 +275,6 @@ func New(cfg Config) (*Cluster, error) {
 			Admission:      cfg.Admission,
 			Scheduler:      scheduler,
 			PreemptMode:    cfg.PreemptMode,
-			Faults:         faults,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: replica %d engine: %w", i, err)
@@ -299,9 +294,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	return c, nil
 }
-
-// Router returns the active router (tests and diagnostics).
-func (c *Cluster) Router() Router { return c.router }
 
 // The horizon policy is when drive parks every shard at one simulated
 // instant (a barrier): never, at every arrival, or — any positive
@@ -381,10 +373,10 @@ func (c *Cluster) place(p *pass, r *workload.Request) int {
 		rep = 0 // defensive: a broken custom router must not panic the run
 	}
 	if p.drained[rep] || p.loads[rep].Health != Healthy {
-		// The router's pick is out of service (drained, dead, or inside a
-		// fault window — states only a barrier section sets): fall over to
-		// the coolest healthy survivor (lowest index on ties). With
-		// nowhere better to go the pick stands.
+		// The router's pick is out of service (drained or dead — states
+		// only a barrier section sets): fall over to the coolest healthy
+		// survivor (lowest index on ties). With nowhere better to go the
+		// pick stands.
 		if alt := c.coolestReplica(p, -1); alt >= 0 {
 			rep = alt
 		}
@@ -431,8 +423,8 @@ func (c *Cluster) Route(reqs []workload.Request) [][]workload.Request {
 // Serve is the batch path: the serve loop with no horizon. Routers see
 // estimate-drained loads only (Load.Live stays false), nothing reads a
 // replica before the stream ends, and every replica runs its share on
-// its own shard. Fleet and chaos point events need barrier sections and
-// do not run here (degrade and straggler windows still slow steps).
+// its own shard. Fleet and chaos events need barrier sections and do
+// not run here.
 func (c *Cluster) Serve(reqs []workload.Request) (*Result, error) {
 	return c.drive(workload.SliceSource(sortedByArrival(reqs)), len(c.engines), horizonNever, true)
 }

@@ -52,10 +52,9 @@ func (p FleetPolicy) enabled() bool {
 }
 
 // arrivalSection opens the barrier section an arrival at instant at is
-// placed in: chaos point events due by then apply at their own
-// instants, every replica advances to at, health is re-derived, and the
-// one-shot scale-down fires at the first arrival at or past its
-// deadline.
+// placed in: chaos events due by then apply at their own instants,
+// every replica advances to at, and the one-shot scale-down fires at
+// the first arrival at or past its deadline.
 func (c *Cluster) arrivalSection(p *pass, at time.Duration) error {
 	if err := c.applyChaos(p, at); err != nil {
 		return err
@@ -63,7 +62,6 @@ func (c *Cluster) arrivalSection(p *pass, at time.Duration) error {
 	if err := p.barrier(at); err != nil {
 		return err
 	}
-	c.refreshHealth(p, at)
 	if d := c.cfg.Fleet.DrainAfter; d > 0 && !p.drainFired && at >= d {
 		p.drainFired = true
 		c.drainReplicas(p)
@@ -121,28 +119,20 @@ func (c *Cluster) migrate(p *pass, src, dst int, id int64) bool {
 
 // coolestReplica returns the in-service replica with the fewest
 // outstanding tokens (lowest index on ties), excluding `exclude`
-// (pass a negative to exclude none). Healthy replicas are preferred;
-// sick ones (inside a degraded or straggler window) are a fallback;
-// dead and drained replicas are never candidates. Returns -1 when no
-// candidate is in service.
+// (pass a negative to exclude none); dead and drained replicas are
+// never candidates. Returns -1 when no candidate is in service.
 func (c *Cluster) coolestReplica(p *pass, exclude int) int {
-	pick := func(want Health) int {
-		best, bestOut := -1, int64(0)
-		for i, e := range c.engines {
-			if p.drained[i] || i == exclude || p.loads[i].Health != want {
-				continue
-			}
-			out := e.SnapshotTotals().OutstandingTokens
-			if best < 0 || out < bestOut {
-				best, bestOut = i, out
-			}
+	best, bestOut := -1, int64(0)
+	for i, e := range c.engines {
+		if p.drained[i] || i == exclude || p.loads[i].Health == Dead {
+			continue
 		}
-		return best
+		out := e.SnapshotTotals().OutstandingTokens
+		if best < 0 || out < bestOut {
+			best, bestOut = i, out
+		}
 	}
-	if best := pick(Healthy); best >= 0 {
-		return best
-	}
-	return pick(Sick)
+	return best
 }
 
 // drainReplicas evacuates the fleet's tail replicas for scale-down:

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -12,7 +13,12 @@ func onlineWorkload(seed int64, deadline time.Duration) []workload.Request {
 	gen := workload.NewGen(seed)
 	reqs := gen.PrefixGroups(15, 12, 512, 48)
 	gen.PoissonArrivals(reqs, 300)
-	gen.JitterArrivals(reqs, 2*time.Millisecond)
+	// Client-side jitter of up to 2 ms leaves the stream out of arrival
+	// order.
+	jitter := rand.New(rand.NewSource(seed))
+	for i := range reqs {
+		reqs[i].Arrival += time.Duration(jitter.Int63n(int64(2 * time.Millisecond)))
+	}
 	if deadline > 0 {
 		workload.SetDeadlines(reqs, deadline)
 	}

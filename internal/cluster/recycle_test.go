@@ -92,7 +92,7 @@ func TestStreamRecyclesPrompts(t *testing.T) {
 	source := func() workload.Source {
 		src := workload.NewGen(5).ChurnGroupsSource(12, 20, 512, 48, 4)
 		src = workload.PoissonSource(src, workload.NewGen(6), 300)
-		return workload.DeadlineSource(src, time.Second)
+		return workload.Apply(src, func(r *workload.Request) { r.Deadline = time.Second })
 	}
 	fleets := map[string]func(RouterPolicy) Config{
 		"plain": func(p RouterPolicy) Config {
@@ -149,13 +149,21 @@ func TestStreamRecyclesPrompts(t *testing.T) {
 // they have), so the engine hands back neither's; the plain requests
 // streaming past in the same run are recycled as usual.
 func TestStreamNeverRecyclesSharedPrompts(t *testing.T) {
-	const roots, branch = 24, 3
+	const total, branch = 6 * 30, 3
+	// Every fifth request of one recycling generator forks.
 	source := func() workload.Source {
-		g := workload.NewGen(9) // one Gen: request IDs stay unique
-		return workload.MergeSources(
-			workload.PoissonSource(g.FanOutSource(roots, 256, 4, 24, branch), workload.NewGen(10), 100),
-			workload.PoissonSource(g.PrefixGroupsSource(6, 30, 256, 32), workload.NewGen(11), 800),
-		)
+		src := workload.PoissonSource(workload.NewGen(9).PrefixGroupsSource(6, 30, 256, 32), workload.NewGen(11), 800)
+		return workload.Apply(src, func(r *workload.Request) {
+			if r.ID%5 == 0 {
+				r.Fanout, r.ForkAfter, r.OutputLen = branch, 4, 24
+			}
+		})
+	}
+	roots := 0
+	for _, r := range workload.Collect(source()) {
+		if r.Fanout > 1 {
+			roots++
+		}
 	}
 	serve := func(src workload.Source) *Result {
 		c, err := New(Config{Spec: testSpec(), Replicas: 2, Policy: RoundRobin, CapacityBytes: perReplicaCapacity})
@@ -174,8 +182,8 @@ func TestStreamNeverRecyclesSharedPrompts(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("recycling prompts changed the run:\nrecycled %+v\nslice    %+v", got, want)
 	}
-	if got.Finished != roots*branch+6*30 {
-		t.Fatalf("finished %d, want %d roots x %d branches + 180 plain requests", got.Finished, roots, branch)
+	if roots == 0 || got.Finished != roots*branch+total-roots {
+		t.Fatalf("finished %d, want %d roots x %d branches + %d plain requests", got.Finished, roots, branch, total-roots)
 	}
 	stillRoots := 0
 	for _, l := range probe.lent {

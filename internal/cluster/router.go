@@ -71,10 +71,9 @@ type Load struct {
 	// work: remaining prompt plus remaining output tokens.
 	OutstandingTokens int64
 	// Health is the replica's live health under a chaos plan (the
-	// every-arrival horizon; always Healthy without one). Routers may
-	// read it to avoid sick replicas — the cluster owns the field and
-	// falls requests over itself when a router picks a dead or sick
-	// replica.
+	// every-arrival horizon; always Healthy without one). The cluster
+	// owns the field and falls requests over itself when a router picks
+	// a dead replica.
 	Health Health
 }
 

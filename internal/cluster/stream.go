@@ -296,8 +296,7 @@ func (c *Cluster) routeAll(p *pass, src workload.Source, every time.Duration) er
 // mechanisms are defined against), so it matches ServeOnline exactly
 // and gains only the streamed source and bounded aggregation.
 //
-// Arrivals must be non-decreasing (PoissonSource and MergeSources
-// guarantee this). Latency percentiles come from log-bucketed
+// Arrivals must be non-decreasing (PoissonSource guarantees this). Latency percentiles come from log-bucketed
 // histograms (≤ ~4.5% relative error, exact min/max); every count, rate
 // and sum in the Result is exact.
 func (c *Cluster) ServeStream(src workload.Source, sc StreamConfig) (*Result, error) {

@@ -247,7 +247,7 @@ func TestRatioOneNeverReachesStepFive(t *testing.T) {
 			}
 			m, err := New(Config{
 				Spec:              spec,
-				CapacityBytes:     max(4*int64(geo.LargePageBytes), 600*int64(spec.BytesPerTokenAllLayers(false))),
+				CapacityBytes:     max(4*int64(geo.LargePageBytes), 600*int64(textTokenBytes(spec))),
 				TokensPerPage:     16,
 				EnablePrefixCache: true, RequestAware: true,
 			})
@@ -555,4 +555,17 @@ func TestExpiredClassEviction(t *testing.T) {
 	m.Release(probe, false)
 	m.Release(p, false)
 	audit(t, m)
+}
+
+// textTokenBytes is the KV one text token costs across the groups that
+// store it.
+func textTokenBytes(s *model.Spec) int {
+	total := 0
+	for i := range s.Groups {
+		g := &s.Groups[i]
+		if g.Kind != model.Mamba && g.Kind != model.VisionEmbedding && g.StoresToken(false) {
+			total += g.BytesPerToken * g.Layers
+		}
+	}
+	return total
 }

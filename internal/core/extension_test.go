@@ -175,35 +175,6 @@ func TestFootprintPerKind(t *testing.T) {
 	}
 }
 
-// TestDiagnose exercises the observability helper.
-func TestDiagnose(t *testing.T) {
-	m := newMgr(t, windowSpec(4), 1<<20, 2, true)
-	seq := textSeq(1, 17)
-	if err := m.Reserve(seq, 17, 1); err != nil {
-		t.Fatal(err)
-	}
-	m.Commit(seq, 17, 1)
-	m.Release(seq, true)
-	out := m.Diagnose(textSeq(2, 17))
-	if out == "" {
-		t.Fatal("expected diagnosis output")
-	}
-	for _, want := range []string{"full", "window", "contig="} {
-		if !contains(out, want) {
-			t.Errorf("diagnosis missing %q: %s", want, out)
-		}
-	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
 // TestEncodeImagesNoSpace: vision encoding failure leaves a resumable
 // cursor and a consistent manager.
 func TestEncodeImagesNoSpace(t *testing.T) {

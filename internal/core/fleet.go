@@ -1,10 +1,6 @@
 package core
 
-import (
-	"slices"
-
-	"jenga/internal/model"
-)
+import "jenga/internal/model"
 
 // Fleet transfer surface: the host tier doubles as each replica's
 // share of a cluster-wide KV store. ExportPrefix serializes tier
@@ -48,9 +44,9 @@ func (m *Jenga) SetTierObserver(obs TierObserver) {
 	}
 }
 
-// NotePeerFetch records a fleet fetch's per-holder skip and failure
-// counts into this (destination) tier's stats — pure observability,
-// no state change. A no-op without a tier.
+// NotePeerFetch implements TierManager: it records a fleet fetch's
+// per-holder skip and failure counts into this (destination) tier's
+// stats — pure observability, no state change. A no-op without a tier.
 func (m *Jenga) NotePeerFetch(skipped, failed int64) {
 	if m.host != nil {
 		m.host.stats.PeerSkips += skipped
@@ -231,57 +227,16 @@ type FetchBlock struct {
 //
 //jenga:hotpath
 func (m *Jenga) LookupFleet(seq *Sequence, peer PeerPresence) (int, []FetchBlock) {
-	if !m.cfg.EnablePrefixCache || m.host == nil || !m.host.hasRoomEver() || peer == nil {
-		return 0, nil
-	}
-	if len(seq.Tokens) < 2 {
-		return 0, nil // at least one token must run
+	if !m.cfg.EnablePrefixCache || m.host == nil || !m.host.hasRoomEver() || peer == nil || len(seq.Tokens) < 2 {
+		return 0, nil // (and at least one token must run)
 	}
 	sh := m.hashesOf(seq)
-	views := m.lkViews[:0]
-	anyPresent := false
-	for _, g := range m.groups {
-		if g.isVision() || !g.appliesTo(seq) {
-			continue
-		}
-		v := m.buildView(g, &sh.c[g.hclass], seq.Tokens, restorable)
-		// Overlay peer presence in place, on the view's block table or
-		// (Mamba) the group's checkpoint table, both in chain order so
-		// the oracle's probe order is deterministic; g.lkPeer remembers
-		// which entries a peer supplied, as holder+1.
-		present, hashes := v.Present, sh.c[g.hclass].hashes
-		if g.spec.Kind == model.Mamba {
-			present = g.lkCkPresent
-			anyPresent = anyPresent || g.index.len() > 0 || m.host.groupSize(g.idx) > 0
-		}
-		g.lkPeer = slices.Grow(g.lkPeer[:0], len(hashes))[:len(hashes)]
-		clear(g.lkPeer)
-		for k, hsh := range hashes {
-			if present[k] {
-				anyPresent = true
-				continue
-			}
-			if holder, ok := peer(g.spec.Name, hsh); ok {
-				present[k] = true
-				g.lkPeer[k] = int32(holder) + 1
-				anyPresent = true
-			}
-		}
-		if g.spec.Kind != model.Mamba {
-			v.buildRuns()
-		}
-		views = append(views, lookupView{g, v})
-	}
-	m.lkViews = views
-	if !anyPresent {
-		return 0, nil
-	}
-	p := longestValid(views, len(seq.Tokens)-1)
+	p := m.lookupPrefix(seq, sh, restorable, peer)
 	if p == 0 {
 		return 0, nil
 	}
 	m.fleetFetch = m.fleetFetch[:0]
-	for _, gv := range views {
+	for _, gv := range m.lkViews {
 		g := gv.g
 		hashes := sh.c[g.hclass].hashes
 		pl := gv.view.ProjCount[p]

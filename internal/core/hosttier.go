@@ -487,12 +487,14 @@ type TierManager interface {
 
 	// The fleet transfer surface (see fleet.go): serializing tier
 	// pages out for a peer, injecting a peer's pages, the
-	// peer-extended prefix lookup, and the content-change observer the
-	// fleet directory registers through.
+	// peer-extended prefix lookup, the content-change observer the
+	// fleet directory registers through, and the per-fetch skip and
+	// failure counts the destination tier's stats report.
 	ExportPrefix(group string, hashes []uint64) (PageSet, bool)
 	ImportPrefix(ps PageSet, now Tick) (pages int, bytes int64)
 	LookupFleet(seq *Sequence, peer PeerPresence) (p int, fetch []FetchBlock)
 	SetTierObserver(obs TierObserver)
+	NotePeerFetch(skipped, failed int64)
 }
 
 var _ TierManager = (*Jenga)(nil)

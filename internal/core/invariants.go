@@ -17,7 +17,8 @@ import (
 // probe's "in use" means — and the block-hash records; then the LCM
 // tiling of each group's pages and the eviction orders §5.4 reads —
 // every evictable large page queued, and every cached page queued where
-// its group is evicted from. Every Release and CrashReset ends with it
+// its group is evicted from; then the host tier (checkHost). Every
+// Release and CrashReset ends with it
 // in a jengadebug build; the differential fuzzers and the tests' audit
 // call it in every build. It costs O(pages + live page tables) and
 // allocates only to report, and once for its reference-count scratch.
@@ -49,8 +50,8 @@ func (m *Jenga) CheckInvariants() error {
 		}
 	}
 	if m.host != nil {
-		if err := m.host.evict.check(); err != nil {
-			return fmt.Errorf("core: host-tier queue: %w", err)
+		if err := m.checkHost(); err != nil {
+			return fmt.Errorf("core: host tier: %w", err)
 		}
 	}
 	if got := len(m.spareReqs) + len(m.reqs); got != m.reqsBuilt {
@@ -177,6 +178,69 @@ func (m *Jenga) checkQueued(g *group) error {
 		if got, ok := m.largeEvict.at(int(L)); !ok || got != want {
 			return fmt.Errorf("cached page %d: large-page queue holds %+v (%v) for its large page, its key is %+v", id, got, ok, want)
 		}
+	}
+	return nil
+}
+
+// checkHost: every index entry leads to a live page of its group whose
+// block at the entry's position carries the entry's hash; no page holds
+// negative pins, a live page is queued at its (touch, seq) and a free
+// slot (seq −1) is neither pinned nor queued; the live pages and the
+// free list are every slot, and the bytes used are one large page per
+// live page. The pins are exactly those of the pending restores of a
+// claim in flight, each on the page whose sequence number it holds —
+// none at all between calls.
+func (m *Jenga) checkHost() error {
+	h := m.host
+	if err := h.evict.check(); err != nil {
+		return fmt.Errorf("queue: %w", err)
+	}
+	slots := int32(len(h.chunks) * tierChunkPages)
+	for gi, idx := range h.index {
+		//jenga:order-ok each entry is judged on its own; visit order only decides which violation is reported
+		for hash, ref := range idx {
+			if ref.slot < 0 || ref.slot >= slots {
+				return fmt.Errorf("group %s's entry %x names slot %d of %d", h.names[gi], hash, ref.slot, slots)
+			}
+			if pg := h.page(ref.slot); pg.seq < 0 || int(pg.group) != gi || int(ref.pos) >= len(pg.blocks) || pg.blocks[ref.pos].hash != hash {
+				return fmt.Errorf("group %s's entry %x names block %d of slot %d, which does not hold it", h.names[gi], hash, ref.pos, ref.slot)
+			}
+		}
+	}
+	held := int32(0)
+	for _, pr := range m.claimPending {
+		if pr.g == nil || pr.pin.slot < 0 {
+			continue
+		}
+		if pr.pin.slot >= slots || h.page(pr.pin.slot).seq != pr.pin.seq {
+			return fmt.Errorf("a pending restore's pin on slot %d names page %d, which is not there", pr.pin.slot, pr.pin.seq)
+		}
+		held++
+	}
+	live, pins := 0, int32(0)
+	for s := range slots {
+		pg := h.page(s)
+		e, queued := h.evict.at(int(s))
+		switch {
+		case pg.pins < 0:
+			return fmt.Errorf("slot %d holds %d pins", s, pg.pins)
+		case pg.seq < 0 && (pg.pins != 0 || queued):
+			return fmt.Errorf("free slot %d holds %d pins, queued %v", s, pg.pins, queued)
+		case pg.seq >= 0 && (!queued || e.touch != pg.touch || e.seq != pg.seq):
+			return fmt.Errorf("live page %d in slot %d is not queued at its key", pg.seq, s)
+		}
+		if pg.seq >= 0 {
+			live++
+		}
+		pins += pg.pins
+	}
+	switch {
+	case pins != held:
+		return fmt.Errorf("pages hold %d pins, pending restores %d", pins, held)
+	case live != h.live || live+len(h.free) != int(slots):
+		return fmt.Errorf("%d live pages (counted %d) and %d free slots of %d", live, h.live, len(h.free), slots)
+	case h.used != int64(live)*h.pageBytes:
+		return fmt.Errorf("%d bytes used by %d pages of %d", h.used, live, h.pageBytes)
 	}
 	return nil
 }

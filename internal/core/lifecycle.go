@@ -291,7 +291,7 @@ func (m *Jenga) sharedPrefixBytes(seq *Sequence) int64 {
 //
 //jenga:hotpath
 func (m *Jenga) probeShared(seq *Sequence, sh *seqHashes) int64 {
-	p := m.lookupPrefix(seq, sh, inUse)
+	p := m.lookupPrefix(seq, sh, inUse, nil)
 	if p == 0 {
 		return 0
 	}
@@ -337,7 +337,7 @@ func (m *Jenga) Lookup(seq *Sequence) int {
 	if !m.cfg.EnablePrefixCache || len(seq.Tokens) < 2 {
 		return 0 // at least one token must run
 	}
-	return m.lookupPrefix(seq, m.hashesOf(seq), m.anyTier())
+	return m.lookupPrefix(seq, m.hashesOf(seq), m.anyTier(), nil)
 }
 
 // presence is what a lookup counts as a block being there.
@@ -363,10 +363,12 @@ func (m *Jenga) anyTier() presence {
 }
 
 // lookupPrefix is Lookup over sh, seq's block hashes, counting blocks
-// as present by the rule given. The views it judged stay in m.lkViews.
+// as present by the rule given and, with a peer oracle (LookupFleet),
+// also those only a peer replica's tier holds. The views it judged stay
+// in m.lkViews.
 //
 //jenga:hotpath
-func (m *Jenga) lookupPrefix(seq *Sequence, sh *seqHashes, by presence) int {
+func (m *Jenga) lookupPrefix(seq *Sequence, sh *seqHashes, by presence, peer PeerPresence) int {
 	views := m.lkViews[:0]
 	anyPresent := false
 	for _, g := range m.groups {
@@ -379,6 +381,31 @@ func (m *Jenga) lookupPrefix(seq *Sequence, sh *seqHashes, by presence) int {
 			// candidate scan; mark possible presence cheaply.
 			anyPresent = anyPresent || g.index.len() > 0 ||
 				(by == restorable && m.host.groupSize(g.idx) > 0)
+		}
+		if peer != nil {
+			// Overlay peer presence in place, on the view's block table or
+			// (Mamba) the group's checkpoint table, both in chain order so
+			// the oracle's probe order is deterministic; g.lkPeer remembers
+			// which entries a peer supplied, as holder+1.
+			present, hashes := v.Present, sh.c[g.hclass].hashes
+			if g.spec.Kind == model.Mamba {
+				present = g.lkCkPresent
+			}
+			g.lkPeer = slices.Grow(g.lkPeer[:0], len(hashes))[:len(hashes)]
+			clear(g.lkPeer)
+			for k, hsh := range hashes {
+				if present[k] {
+					continue
+				}
+				if holder, ok := peer(g.spec.Name, hsh); ok {
+					present[k] = true
+					g.lkPeer[k] = int32(holder) + 1
+					anyPresent = true
+				}
+			}
+			if g.spec.Kind != model.Mamba {
+				v.buildRuns()
+			}
 		}
 		anyPresent = anyPresent || slices.Contains(v.Present, true)
 		views = append(views, lookupView{g, v})
@@ -785,20 +812,20 @@ func (m *Jenga) claim(seq *Sequence, r *reqState, now Tick) {
 		useHost, by = true, restorable
 	}
 	sh := m.hashesOf(seq)
-	p := m.lookupPrefix(seq, sh, by)
+	p := m.lookupPrefix(seq, sh, by, nil)
 	// hostAssist is the model-wide prefix the tier adds beyond what
 	// the GPU cache alone validates — the tokens a restore saves from
 	// recompute. Measured before claiming (afterwards restored blocks
 	// are GPU-resident and the difference vanishes).
 	hostAssist := 0
 	if useHost && p > 0 {
-		if pGPU := m.lookupPrefix(seq, sh, resident); pGPU < p {
+		if pGPU := m.lookupPrefix(seq, sh, resident, nil); pGPU < p {
 			hostAssist = p - pGPU
 		}
 	}
 	if p > 0 && !m.claimPrefix(seq, r, sh, p, now, useHost) {
 		m.rollbackClaim(seq, r)
-		p = m.lookupPrefix(seq, sh, resident)
+		p = m.lookupPrefix(seq, sh, resident, nil)
 		if p > 0 {
 			check(m.claimPrefix(seq, r, sh, p, now, false),
 				"claim: GPU-only fallback claim failed")
@@ -1126,32 +1153,4 @@ func (m *Jenga) DropImages(seq *Sequence, uptoFull int) {
 			rg.visDropped = fullBlocksBelow
 		}
 	}
-}
-
-// Diagnose reports per-group cache coverage for a sequence (debugging
-// and observability): for each group, the number of present blocks out
-// of the total complete blocks.
-func (m *Jenga) Diagnose(seq *Sequence) string {
-	out := ""
-	sh := m.hashesOf(seq)
-	for _, g := range m.groups {
-		if g.isVision() || !g.appliesTo(seq) {
-			continue
-		}
-		if g.spec.Kind == model.Mamba {
-			continue
-		}
-		v := m.buildView(g, &sh.c[g.hclass], seq.Tokens, m.anyTier())
-		present, runEnd := 0, 0
-		for k, ok := range v.Present {
-			if ok {
-				present++
-				if runEnd == k {
-					runEnd++
-				}
-			}
-		}
-		out += fmt.Sprintf("[%s %d/%d contig=%d]", g.spec.Name, present, len(v.Present), runEnd)
-	}
-	return out
 }

@@ -411,18 +411,6 @@ func (m *Jenga) Geometry() *model.PageGeometry { return m.geo }
 // Stats returns allocator event counters.
 func (m *Jenga) Stats() Stats { return m.stats }
 
-// Arena exposes the underlying arena (for layout verification in tests).
-func (m *Jenga) Arena() *arena.Arena { return m.ar }
-
-// GroupView returns the arena view of a group (layout tests).
-func (m *Jenga) GroupView(name string) (*arena.View, error) {
-	gi, ok := m.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown group %q", name)
-	}
-	return m.groups[gi].view, nil
-}
-
 // usage folds the group's aggregate counters into its Usage slice.
 func (g *group) usage() GroupUsage {
 	live := g.filledSlots - g.deadSlots

@@ -158,20 +158,6 @@ func (m *Jenga) dropHashes(id RequestID) {
 	sh.next, m.spareHashes = m.spareHashes, sh
 }
 
-// Remembered is the number of requests the manager holds anything for,
-// page tables or block hashes: 0 once every request it was shown —
-// reserved for, or only looked up or probed — has been released.
-func (m *Jenga) Remembered() int {
-	n := len(m.reqs)
-	//jenga:order-ok a count
-	for id := range m.hashes {
-		if _, ok := m.reqs[id]; !ok {
-			n++
-		}
-	}
-	return n
-}
-
 // hashPoison is what a released request's block hashes read as in a
 // jengadebug build.
 const hashPoison uint64 = 0xDEADB10C4A5E5EED

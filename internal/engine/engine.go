@@ -123,12 +123,6 @@ type Config struct {
 	// PreemptMode selects recompute- or swap-based preemption
 	// (default recompute, the golden-pinned historical behavior).
 	PreemptMode PreemptMode
-	// Faults, when set, is consulted before every executed step: the
-	// returned factors scale the step's PCIe/peer-link DMA terms and
-	// its total duration (fault injection's degraded-link windows and
-	// slow-replica stragglers — see internal/chaos). Nil, the
-	// default, leaves every step's cost untouched.
-	Faults FaultInjector
 	// SampleEvery switches the per-step timelines on: any value above 0
 	// keeps Result.DecodeBatchTimeline (one entry per executed step)
 	// and records a Result.MemTimeline sample every N steps. 0, the
@@ -136,20 +130,6 @@ type Config struct {
 	SampleEvery int
 	// MaxSteps aborts runaway simulations. Default 2_000_000.
 	MaxSteps int
-}
-
-// StepFault scales one executed step's cost: PCIe and Link in (0, 1]
-// degrade the respective link bandwidths, Slow ≥ 1 stretches the
-// whole step (the straggler). Zero fields mean "no fault".
-type StepFault struct {
-	PCIe, Link, Slow float64
-}
-
-// FaultInjector supplies the fault factors in effect at a simulated
-// instant. Implementations must be deterministic functions of the
-// clock — the engine consults them on every executed step.
-type FaultInjector interface {
-	StepFault(clock time.Duration) StepFault
 }
 
 // MemSample is one point of the Fig. 16 memory timeline.
@@ -878,18 +858,12 @@ func (e *Engine) runStep() bool {
 		e.res.PeerBytes += e.pendingPeerBytes
 		e.pendingPeerBytes = 0
 	}
-	// Fault windows in effect at this instant (degraded links,
-	// stragglers) scale the step's DMA terms and duration.
-	if e.cfg.Faults != nil {
-		f := e.cfg.Faults.StepFault(e.clock)
-		work.PCIeFactor, work.LinkFactor, work.TimeFactor = f.PCIe, f.Link, f.Slow
-	}
 	dt := e.cost.StepTime(work)
 	if e.draftCost != nil {
 		// The draft runs first: the step's prompt chunks go through it
 		// as well, and it proposes for the verify batch in SpecK
 		// sequential one-token passes. (A pass without tokens is free.)
-		dw := gpu.StepWork{PrefillTokens: work.PrefillTokens, KernelEfficiency: work.KernelEfficiency, TimeFactor: work.TimeFactor}
+		dw := gpu.StepWork{PrefillTokens: work.PrefillTokens, KernelEfficiency: work.KernelEfficiency}
 		dt += e.draftCost.StepTime(dw)
 		dw.PrefillTokens, dw.DecodeSeqs = 0, decodeBatch
 		dt += SpecK * e.draftCost.StepTime(dw)

@@ -294,8 +294,8 @@ func (x *exitEnv) finish(want map[int64]EventType) {
 		if u := e.cfg.Manager.UsageTotals(); u.Used != 0 {
 			t.Errorf("manager still holds %d used bytes", u.Used)
 		}
-		if n := e.cfg.Manager.(*core.Jenga).Remembered(); n != 0 {
-			t.Errorf("manager still remembers %d requests: every exit releases what a probe or a lookup registered", n)
+		if err := e.cfg.Manager.(*core.Jenga).CheckInvariants(); err != nil {
+			t.Errorf("manager after every exit: %v", err)
 		}
 		res := e.ResultSnapshot()
 		terminated += res.Finished + res.Failed + res.Shed + res.Cancelled

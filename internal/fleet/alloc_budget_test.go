@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"jenga/internal/arena"
 	"jenga/internal/core"
 	"jenga/internal/model"
 )
@@ -47,13 +46,13 @@ func TestDirectoryChurnZeroAlloc(t *testing.T) {
 	for i := 0; i < 8*window; i++ {
 		churn()
 	}
-	if got := d.Len(); got != 2*batch*window {
+	if got := d.len(); got != 2*batch*window {
 		t.Fatalf("Len = %d, want the constant %d", got, 2*batch*window)
 	}
 	if allocs := testing.AllocsPerRun(2*window, churn); allocs != 0 {
 		t.Fatalf("directory churn allocates %.2f objects per iteration, want 0", allocs)
 	}
-	if got := d.Len(); got != 2*batch*window {
+	if got := d.len(); got != 2*batch*window {
 		t.Fatalf("Len = %d after the window, want the constant %d", got, 2*batch*window)
 	}
 }
@@ -155,8 +154,8 @@ func TestFetchZeroAlloc(t *testing.T) {
 	serveAndSwap(t, mgrs[0], 1, prompt[:33], 1)
 	serveAndSwap(t, mgrs[1], 2, prompt, 2)
 	ghost := tokensOf(2, 17)
-	s.Directory().Register(2, "kv", []uint64{core.PrefixHash(ghost, 4), core.PrefixHash(ghost, 8), core.PrefixHash(ghost, 12), core.PrefixHash(ghost, 16)})
-	s.Directory().Register(2, "ssm", []uint64{core.PrefixHash(ghost, 8), core.PrefixHash(ghost, 16)})
+	s.dir.Register(2, "kv", []uint64{core.PrefixHash(ghost, 4), core.PrefixHash(ghost, 8), core.PrefixHash(ghost, 12), core.PrefixHash(ghost, 16)})
+	s.dir.Register(2, "ssm", []uint64{core.PrefixHash(ghost, 8), core.PrefixHash(ghost, 16)})
 	s.SetFaults(failFrom(0), 3)
 
 	probe := &core.Sequence{PromptLen: len(prompt), Tokens: prompt}
@@ -223,27 +222,27 @@ func TestRetriedImportSameBytes(t *testing.T) {
 			t.Fatalf("Attach(%d) failed", i)
 		}
 	}
-	// Noise over the holder's whole arena: every block's bytes differ.
-	rng := rand.New(rand.NewSource(5))
-	ar := mgrs[0].Arena()
-	for L := 0; L < ar.NumLargePages(); L++ {
-		buf, err := ar.LargeSlice(arena.LargePageID(L))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng.Read(buf)
-	}
 	prompt := tokensOf(3, 33)
 	serveAndSwap(t, mgrs[0], 1, prompt, 1)
+	hashes := make([]uint64, 8)
+	for k := range hashes {
+		hashes[k] = core.PrefixHash(prompt, 4*(k+1))
+	}
+	// Noise over the holder's tier copy, written through the export
+	// view: every block's bytes differ.
+	held, ok := mgrs[0].ExportPrefix("kv", hashes)
+	if !ok {
+		t.Fatal("holder tier holds nothing of the prompt")
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, b := range held.Blocks {
+		rng.Read(b.Data)
+	}
 
 	s.SetFaults(&scriptedFaults{fails: 2}, 3)
 	fr := s.Fetch(1, &core.Sequence{ID: 2, PromptLen: len(prompt), Tokens: prompt}, 2)
 	if fr.Fetched != 1 || fr.Retries != 2 || len(fr.Holders) != 1 || fr.Holders[0].Attempts != 3 {
 		t.Fatalf("fetch report %+v: want one batch landing on its third attempt", fr)
-	}
-	hashes := make([]uint64, 8)
-	for k := range hashes {
-		hashes[k] = core.PrefixHash(prompt, 4*(k+1))
 	}
 	got, ok := mgrs[1].ExportPrefix("kv", hashes)
 	if !ok {

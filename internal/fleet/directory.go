@@ -203,35 +203,6 @@ func (d *Directory) Unpin(replica int) {
 	delete(d.deferred, replica)
 }
 
-// HolderLen returns the number of live entries naming replica as a
-// holder — the "no directory entry points at a dead holder" recovery
-// invariant's test surface.
-func (d *Directory) HolderLen(replica int) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := 0
-	word, bit := replica/64, uint64(1)<<(replica%64)
-	for k, mask := range d.holders {
-		if k.word == word && mask&bit != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Len returns the number of live (group, hash, holder) entries —
-// test and stats surface.
-func (d *Directory) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := 0
-	//jenga:order-ok a sum over all cells
-	for _, mask := range d.holders {
-		n += bits.OnesCount64(mask)
-	}
-	return n
-}
-
 // remove clears replica's bit for (group, hash). Caller holds the
 // mutex.
 //

@@ -1,6 +1,9 @@
 package fleet
 
-import "testing"
+import (
+	"math/bits"
+	"testing"
+)
 
 func TestDirectoryLowestHolderWins(t *testing.T) {
 	for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}, {1, 2, 0}} {
@@ -32,13 +35,13 @@ func TestDirectoryInvalidate(t *testing.T) {
 	if got, ok := d.Lookup("g", 2, -1); !ok || got != 0 {
 		t.Fatalf("hash 2 Lookup = %d/%v, want 0/true", got, ok)
 	}
-	if d.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", d.Len())
+	if d.len() != 1 {
+		t.Fatalf("Len = %d, want 1", d.len())
 	}
 	// Double registration is idempotent.
 	d.Register(0, "g", []uint64{2})
-	if d.Len() != 1 {
-		t.Fatalf("Len after re-register = %d, want 1", d.Len())
+	if d.len() != 1 {
+		t.Fatalf("Len after re-register = %d, want 1", d.len())
 	}
 }
 
@@ -73,4 +76,32 @@ func TestDirectoryPinDefersInvalidation(t *testing.T) {
 		t.Fatalf("Lookup = %d/%v, want 1/true", got, ok)
 	}
 	d.Unpin(1)
+}
+
+// holderLen returns the number of live entries naming replica as a
+// holder — the "no directory entry points at a dead holder" recovery
+// invariant.
+func (d *Directory) holderLen(replica int) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := 0
+	word, bit := replica/64, uint64(1)<<(replica%64)
+	for k, mask := range d.holders {
+		if k.word == word && mask&bit != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// len returns the number of live (group, hash, holder) entries.
+func (d *Directory) len() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := 0
+	//jenga:order-ok a sum over all cells
+	for _, mask := range d.holders {
+		n += bits.OnesCount64(mask)
+	}
+	return n
 }

@@ -47,7 +47,7 @@ func storeWithSpill(t *testing.T) (*Store, []core.Manager) {
 	if pages, _ := tm0.SwapOut(swapSeq); pages == 0 {
 		t.Fatal("SwapOut spilled nothing")
 	}
-	if s.Directory().Len() == 0 {
+	if s.dir.len() == 0 {
 		t.Fatal("spill did not register in the directory")
 	}
 	return s, mgrs
@@ -131,14 +131,14 @@ func TestFetchFailureIsBoundedAndObservable(t *testing.T) {
 // directory entry naming it, so later fetches skip it entirely.
 func TestStoreCrashInvalidatesHolder(t *testing.T) {
 	s, _ := storeWithSpill(t)
-	before := s.Directory().HolderLen(0)
+	before := s.dir.holderLen(0)
 	if before == 0 {
 		t.Fatal("setup: holder 0 has no entries")
 	}
 	if got := s.Crash(0); got != before {
 		t.Fatalf("Crash dropped %d entries, want %d", got, before)
 	}
-	if got := s.Directory().HolderLen(0); got != 0 {
+	if got := s.dir.holderLen(0); got != 0 {
 		t.Fatalf("dangling entries after crash: %d", got)
 	}
 	fr := s.Fetch(1, seqOf(3, 33), 3)
@@ -158,17 +158,17 @@ func TestInvalidateHolderDefersUnderPin(t *testing.T) {
 	if got := d.InvalidateHolder(1); got != 0 {
 		t.Fatalf("pinned InvalidateHolder removed %d entries immediately", got)
 	}
-	if got := d.HolderLen(1); got != 3 {
+	if got := d.holderLen(1); got != 3 {
 		t.Fatalf("pinned holder lost entries early: %d of 3 left", got)
 	}
 	if _, ok := d.Lookup("a", 2, -1); !ok {
 		t.Fatal("pinned holder vanished from Lookup")
 	}
 	d.Unpin(1)
-	if got := d.HolderLen(1); got != 0 {
+	if got := d.holderLen(1); got != 0 {
 		t.Fatalf("deferred wipe did not apply at Unpin: %d entries left", got)
 	}
-	if d.Len() != 0 {
-		t.Fatalf("directory not empty: %d", d.Len())
+	if d.len() != 0 {
+		t.Fatalf("directory not empty: %d", d.len())
 	}
 }

@@ -174,11 +174,11 @@ func FuzzFleetDirectory(f *testing.F) {
 					t.Fatalf("InvalidateHolder(%d) = %d, reference %d", replica, got, want)
 				}
 			}
-			if got, want := d.Len(), ref.len(); got != want {
+			if got, want := d.len(), ref.len(); got != want {
 				t.Fatalf("Len = %d, reference %d", got, want)
 			}
 			for _, r := range replicaIDs {
-				if got, want := d.HolderLen(r), ref.holderLen(r); got != want {
+				if got, want := d.holderLen(r), ref.holderLen(r); got != want {
 					t.Fatalf("HolderLen(%d) = %d, reference %d", r, got, want)
 				}
 			}
@@ -203,7 +203,7 @@ func FuzzFleetDirectory(f *testing.F) {
 				ref.unpin(r)
 			}
 		}
-		if got, want := d.Len(), ref.len(); got != want {
+		if got, want := d.len(), ref.len(); got != want {
 			t.Fatalf("post-drain Len = %d, reference %d", got, want)
 		}
 		for _, gg := range groups {

@@ -105,9 +105,9 @@ func TestFetchReportPinned(t *testing.T) {
 			}
 		case k == 1: // a stale entry: the directory names a holder with nothing to export
 			toks := prompt(90+rng.Intn(2), 16, 0, 0)
-			s.Directory().Register(r, "kv", []uint64{core.PrefixHash(toks, 4), core.PrefixHash(toks, 8), core.PrefixHash(toks, 12), core.PrefixHash(toks, 16)})
-			s.Directory().Register(r, "win", []uint64{core.PrefixHash(toks, 4), core.PrefixHash(toks, 8), core.PrefixHash(toks, 12), core.PrefixHash(toks, 16)})
-			s.Directory().Register(r, "ssm", []uint64{core.PrefixHash(toks, 8), core.PrefixHash(toks, 16)})
+			s.dir.Register(r, "kv", []uint64{core.PrefixHash(toks, 4), core.PrefixHash(toks, 8), core.PrefixHash(toks, 12), core.PrefixHash(toks, 16)})
+			s.dir.Register(r, "win", []uint64{core.PrefixHash(toks, 4), core.PrefixHash(toks, 8), core.PrefixHash(toks, 12), core.PrefixHash(toks, 16)})
+			s.dir.Register(r, "ssm", []uint64{core.PrefixHash(toks, 8), core.PrefixHash(toks, 16)})
 			probe := &core.Sequence{ID: core.RequestID(step), Tokens: append(toks, core.Token{ID: 7})}
 			fr := s.Fetch((r+1)%replicas, probe, now)
 			hashReport(h, fr, &outcomes)
@@ -137,10 +137,10 @@ func TestFetchReportPinned(t *testing.T) {
 				ts.HostEvictions, ts.HostUsed, ts.HostCapacity,
 				ts.PeerExports, ts.PeerImports, ts.PeerExportBytes, ts.PeerImportBytes,
 				ts.PeerSkips, ts.PeerFails)
-			fmt.Fprintf(h, "holder %d: %d\n", i, s.Directory().HolderLen(i))
+			fmt.Fprintf(h, "holder %d: %d\n", i, s.dir.holderLen(i))
 		}
 		st := s.Stats()
-		fmt.Fprintf(h, "store: %d %d %d %d %d dir %d\n", st.Fetched, st.Skipped, st.Failed, st.Retries, st.MaxAttempts, s.Directory().Len())
+		fmt.Fprintf(h, "store: %d %d %d %d %d dir %d\n", st.Fetched, st.Skipped, st.Failed, st.Retries, st.MaxAttempts, s.dir.len())
 	}
 	// The script only pins something if it went everywhere: every batch
 	// outcome, retries, and tier evictions on the surviving tiers.

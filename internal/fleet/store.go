@@ -135,9 +135,6 @@ func NewStore(n int) *Store {
 	}
 }
 
-// Directory exposes the store's directory (tests, stats).
-func (s *Store) Directory() *Directory { return s.dir }
-
 // SetFaults installs the transfer fault decider and the per-batch
 // attempt bound (values < 1 mean 1 — no retry). Pass (nil, 1) to
 // clear. Recovery-enabled clusters raise attempts so transient faults
@@ -178,13 +175,6 @@ func (s *Store) Attach(replica int, mgr core.Manager) bool {
 		return s.dir.Lookup(group, hash, replica)
 	}
 	return true
-}
-
-// peerFetchNoter is the optional destination-tier capability that
-// records skip/fail counts into tier stats (core.Jenga implements
-// it).
-type peerFetchNoter interface {
-	NotePeerFetch(skipped, failed int64)
 }
 
 // Fetch runs the fleet miss path for a sequence about to be admitted
@@ -294,9 +284,7 @@ func (s *Store) Fetch(dst int, seq *core.Sequence, now core.Tick) FetchReport {
 	// Surface non-delivering holders in the destination tier's stats:
 	// a partial fetch must be observable, not silent.
 	if rep.Skipped > 0 || rep.Failed > 0 {
-		if noter, ok := tm.(peerFetchNoter); ok {
-			noter.NotePeerFetch(int64(rep.Skipped), int64(rep.Failed))
-		}
+		tm.NotePeerFetch(int64(rep.Skipped), int64(rep.Failed))
 	}
 	if rep.Imported > 0 {
 		rep.Tokens = p - local

@@ -69,7 +69,7 @@ func TestStoreFetchMovesPrefix(t *testing.T) {
 	if pages, _ := tm.SwapOut(swapSeq); pages == 0 {
 		t.Fatal("SwapOut spilled nothing")
 	}
-	if s.Directory().Len() == 0 {
+	if s.dir.len() == 0 {
 		t.Fatal("spill did not register in the directory")
 	}
 

@@ -143,12 +143,6 @@ type StepWork struct {
 	// native kernel. The GCD-page ablation uses < 1 (§4.4: GCD paging
 	// forces non-contiguous KV layouts that efficient kernels reject).
 	KernelEfficiency float64
-	// PCIeFactor and LinkFactor scale the respective link bandwidths
-	// for this step — fault injection's degraded-link windows. 0 or 1
-	// means nominal; 0.25 means the transfer takes 4× as long.
-	// TimeFactor multiplies the whole step's duration (the
-	// slow-replica straggler); 0 or 1 means nominal.
-	PCIeFactor, LinkFactor, TimeFactor float64
 }
 
 // CostModel turns StepWork into simulated time for one model on one
@@ -192,19 +186,7 @@ func (c *CostModel) StepTime(w StepWork) time.Duration {
 	if w.CopyBytes > 0 {
 		sec += float64(w.CopyBytes) / c.Dev.MemBW
 	}
-	pcie := c.Dev.PCIeTime(w.SwapBytes)
-	if w.PCIeFactor > 0 && w.PCIeFactor != 1 {
-		pcie = time.Duration(float64(pcie) / w.PCIeFactor)
-	}
-	link := c.Dev.LinkTime(w.PeerBytes)
-	if w.LinkFactor > 0 && w.LinkFactor != 1 {
-		link = time.Duration(float64(link) / w.LinkFactor)
-	}
-	t := c.Dev.StepOverhead + pcie + link + time.Duration(sec*float64(time.Second))
-	if w.TimeFactor > 0 && w.TimeFactor != 1 {
-		t = time.Duration(float64(t) * w.TimeFactor)
-	}
-	return t
+	return c.Dev.StepOverhead + c.Dev.PCIeTime(w.SwapBytes) + c.Dev.LinkTime(w.PeerBytes) + time.Duration(sec*float64(time.Second))
 }
 
 // PCIeTime converts a host↔device transfer volume into wire time on
@@ -237,22 +219,12 @@ func (d Device) LinkTime(bytes int64) time.Duration {
 	return time.Duration(float64(bytes) / bw * float64(time.Second))
 }
 
-// DecodeKVReadBytes returns the attention KV traffic of one decode step
-// for a sequence with the given per-group projected context lengths:
-// each group reads what its dependency pattern requires — full layers
-// the whole prefix, window layers min(ctx, window), Mamba its state.
-func DecodeKVReadBytes(spec *model.Spec, projCtx map[string]int) int64 {
-	var total int64
-	for i := range spec.Groups {
-		total += groupKVReadBytes(&spec.Groups[i], projCtx[spec.Groups[i].Name])
-	}
-	return total
-}
-
-// DecodeKVReadBytesSplit is DecodeKVReadBytes with the projected
-// context given as committed (text, image) token counts: each group's
-// context follows from its scope, so per-decode cost lookups build no
-// map. The engine tracks the two counts incrementally per sequence.
+// DecodeKVReadBytesSplit returns the attention KV traffic of one
+// decode step for a sequence with the given committed (text, image)
+// token counts: each group's context follows from its scope, and each
+// group reads what its dependency pattern requires — full layers the
+// whole prefix, window layers min(ctx, window), Mamba its state. The
+// engine tracks the two counts incrementally per sequence.
 func DecodeKVReadBytesSplit(spec *model.Spec, text, img int) int64 {
 	var total int64
 	for i := range spec.Groups {

@@ -29,8 +29,7 @@ func TestKVBudgetReserveFraction(t *testing.T) {
 // decode-time KV traffic (embeddings are prefill inputs).
 func TestDecodeKVReadSkipsVision(t *testing.T) {
 	spec := model.LLaVAOneVision7B()
-	ctx := map[string]int{"self": 1000, "vision": 1000}
-	got := DecodeKVReadBytes(spec, ctx)
+	got := DecodeKVReadBytesSplit(spec, 400, 600)
 	want := int64(1000) * int64(spec.Group("self").BytesPerToken) * int64(spec.Group("self").Layers)
 	if got != want {
 		t.Errorf("kv read = %d, want %d (vision must not count)", got, want)

@@ -105,14 +105,13 @@ func TestEncoderCost(t *testing.T) {
 
 func TestDecodeKVReadBytes(t *testing.T) {
 	spec := model.Ministral8B()
-	ctx := map[string]int{"full": 90_000, "window": 90_000}
-	got := DecodeKVReadBytes(spec, ctx)
+	got := DecodeKVReadBytesSplit(spec, 90_000, 0)
 	want := int64(90_000)*4096*9 + int64(32_768)*4096*27
 	if got != want {
 		t.Errorf("kv read = %d, want %d", got, want)
 	}
 	j := model.Jamba52B()
-	got = DecodeKVReadBytes(j, map[string]int{"attn": 1000, "mamba": 1000})
+	got = DecodeKVReadBytesSplit(j, 1000, 0)
 	want = int64(1000)*4096*4 + int64(1344*4096)*28
 	if got != want {
 		t.Errorf("jamba kv read = %d, want %d", got, want)

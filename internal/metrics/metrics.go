@@ -1,6 +1,6 @@
 // Package metrics provides small statistics helpers shared by the
-// experiment runners: means, percentiles, ratios and series
-// downsampling for terminal-width output.
+// experiment runners and the roll-up: percentiles (exact and
+// histogram-streamed), ratios, and balance and fairness indices.
 package metrics
 
 import (
@@ -24,7 +24,6 @@ const histBuckets = 16 * 61
 type DurationHist struct {
 	counts   [histBuckets]int64
 	n        int64
-	sum      int64
 	min, max int64
 }
 
@@ -62,7 +61,6 @@ func (h *DurationHist) Observe(d time.Duration) {
 	}
 	h.counts[histBucket(ns)]++
 	h.n++
-	h.sum += ns
 }
 
 // Merge folds o into h (shard-local histograms into the fleet one).
@@ -80,18 +78,6 @@ func (h *DurationHist) Merge(o *DurationHist) {
 		h.counts[i] += c
 	}
 	h.n += o.n
-	h.sum += o.sum
-}
-
-// Count returns the number of observations.
-func (h *DurationHist) Count() int64 { return h.n }
-
-// Mean returns the exact mean of the observed durations.
-func (h *DurationHist) Mean() time.Duration {
-	if h.n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum / h.n)
 }
 
 // Percentile returns the nearest-rank p-th percentile, matching
@@ -122,18 +108,6 @@ func (h *DurationHist) Percentile(p float64) time.Duration {
 		}
 	}
 	return time.Duration(h.max)
-}
-
-// MeanDuration returns the arithmetic mean (0 for empty input).
-func MeanDuration(xs []time.Duration) time.Duration {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s time.Duration
-	for _, x := range xs {
-		s += x
-	}
-	return s / time.Duration(len(xs))
 }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) using
@@ -213,30 +187,6 @@ func Speedup(a, b float64) float64 {
 	return a / b
 }
 
-// MeanFloat returns the arithmetic mean of a float slice.
-func MeanFloat(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// MeanInt returns the arithmetic mean of an int slice.
-func MeanInt(xs []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0
-	for _, x := range xs {
-		s += x
-	}
-	return float64(s) / float64(len(xs))
-}
-
 // Imbalance returns the load-imbalance factor of a share vector:
 // max(xs)/mean(xs). 1.0 is perfect balance; it returns 0 for empty or
 // all-zero input.
@@ -274,33 +224,4 @@ func Jain(xs []float64) float64 {
 		return 1
 	}
 	return sum * sum / (float64(len(xs)) * sq)
-}
-
-// Downsample reduces a series to at most n points by striding, always
-// keeping the final point; it returns the original when already short.
-func Downsample(xs []float64, n int) []float64 {
-	if n <= 0 || len(xs) <= n {
-		return xs
-	}
-	out := make([]float64, 0, n)
-	stride := float64(len(xs)) / float64(n)
-	for i := 0; i < n; i++ {
-		out = append(out, xs[int(float64(i)*stride)])
-	}
-	out[len(out)-1] = xs[len(xs)-1]
-	return out
-}
-
-// DownsampleInts is Downsample for integer series.
-func DownsampleInts(xs []int, n int) []int {
-	if n <= 0 || len(xs) <= n {
-		return xs
-	}
-	out := make([]int, 0, n)
-	stride := float64(len(xs)) / float64(n)
-	for i := 0; i < n; i++ {
-		out = append(out, xs[int(float64(i)*stride)])
-	}
-	out[len(out)-1] = xs[len(xs)-1]
-	return out
 }

@@ -37,16 +37,6 @@ func TestPercentilesMatchesPercentile(t *testing.T) {
 	}
 }
 
-func TestMeanDuration(t *testing.T) {
-	if MeanDuration(nil) != 0 {
-		t.Error("empty mean should be 0")
-	}
-	got := MeanDuration([]time.Duration{time.Second, 3 * time.Second})
-	if got != 2*time.Second {
-		t.Errorf("mean = %v, want 2s", got)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []time.Duration{5, 1, 4, 2, 3} // unsorted on purpose
 	if Percentile(nil, 50) != 0 {
@@ -113,43 +103,5 @@ func TestSpeedup(t *testing.T) {
 	}
 	if Speedup(1, 0) != 0 {
 		t.Error("division by zero should yield 0")
-	}
-}
-
-func TestMeans(t *testing.T) {
-	if MeanFloat(nil) != 0 || MeanInt(nil) != 0 {
-		t.Error("empty means should be 0")
-	}
-	if MeanFloat([]float64{1, 2, 3}) != 2 {
-		t.Error("float mean wrong")
-	}
-	if MeanInt([]int{2, 4}) != 3 {
-		t.Error("int mean wrong")
-	}
-}
-
-func TestDownsample(t *testing.T) {
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	ds := Downsample(xs, 10)
-	if len(ds) != 10 {
-		t.Fatalf("len = %d, want 10", len(ds))
-	}
-	if ds[len(ds)-1] != 99 {
-		t.Error("downsample must keep the final point")
-	}
-	// Short series pass through untouched.
-	short := []float64{1, 2}
-	if got := Downsample(short, 10); len(got) != 2 {
-		t.Error("short series should pass through")
-	}
-	ints := DownsampleInts([]int{1, 2, 3, 4, 5, 6, 7, 8}, 4)
-	if len(ints) != 4 || ints[3] != 8 {
-		t.Errorf("int downsample wrong: %v", ints)
-	}
-	if got := DownsampleInts([]int{1}, 0); len(got) != 1 {
-		t.Error("n<=0 should pass through")
 	}
 }

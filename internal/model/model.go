@@ -139,16 +139,6 @@ func (g *KVGroup) PageBytes(tokensPerPage int) int {
 	return g.BytesPerToken * g.Layers * tokensPerPage
 }
 
-// PerLayerPageBytes returns the bytes one layer contributes to each
-// small page; the kernel view for layer j starts at offset
-// j*PerLayerPageBytes within every small page (§4.2, Fig. 7c).
-func (g *KVGroup) PerLayerPageBytes(tokensPerPage int) int {
-	if g.Kind == Mamba {
-		return g.StateBytes
-	}
-	return g.BytesPerToken * tokensPerPage
-}
-
 // Physical returns the physical layer count (Layers when unset).
 func (g *KVGroup) Physical() int {
 	if g.PhysicalLayers > g.Layers {
@@ -272,30 +262,6 @@ func (s *Spec) TotalLayers() int {
 		n += s.Groups[i].Layers
 	}
 	return n
-}
-
-// IsHeterogeneous reports whether the model has more than one KV group,
-// i.e. whether PagedAttention's fixed-size-embedding assumption breaks.
-func (s *Spec) IsHeterogeneous() bool {
-	return len(s.Groups) > 1
-}
-
-// BytesPerTokenAllLayers returns the KV bytes one token of the given
-// modality requires across all groups that store it — the "ideal" cost
-// used by the §3.2 waste analysis. Mamba groups are excluded (their
-// state is per-sequence, not per-token).
-func (s *Spec) BytesPerTokenAllLayers(image bool) int {
-	total := 0
-	for i := range s.Groups {
-		g := &s.Groups[i]
-		if g.Kind == Mamba || g.Kind == VisionEmbedding {
-			continue
-		}
-		if g.StoresToken(image) {
-			total += g.BytesPerToken * g.Layers
-		}
-	}
-	return total
 }
 
 // Validate checks structural invariants of the spec.

@@ -34,7 +34,7 @@ func TestByNameKnown(t *testing.T) {
 	if s.Name != "Llama-3.2-11B-Vision" {
 		t.Errorf("unexpected name %q", s.Name)
 	}
-	if !s.IsHeterogeneous() {
+	if len(s.Groups) < 2 {
 		t.Error("mllama should be heterogeneous")
 	}
 	if s.Vision == nil {
@@ -188,10 +188,26 @@ func TestStoresToken(t *testing.T) {
 	}
 }
 
+// tokenBytes is the KV one token of the given modality costs across the
+// groups that store it (Mamba state is per sequence, vision embeddings
+// are consumed by prefill).
+func tokenBytes(s *Spec, image bool) int {
+	total := 0
+	for i := range s.Groups {
+		g := &s.Groups[i]
+		if g.Kind != Mamba && g.Kind != VisionEmbedding && g.StoresToken(image) {
+			total += g.BytesPerToken * g.Layers
+		}
+	}
+	return total
+}
+
+// TestBytesPerTokenAllLayers: token scopes route a text token to the
+// self-attention layers and an image token to the cross-attention ones.
 func TestBytesPerTokenAllLayers(t *testing.T) {
 	s := Llama32Vision11B()
-	text := s.BytesPerTokenAllLayers(false)
-	img := s.BytesPerTokenAllLayers(true)
+	text := tokenBytes(s, false)
+	img := tokenBytes(s, true)
 	// 32 self layers × 4096 for text; 8 cross layers × 4096 for image.
 	if text != 32*4096 {
 		t.Errorf("text bytes/token = %d, want %d", text, 32*4096)
@@ -323,7 +339,7 @@ func TestWithDraft(t *testing.T) {
 			t.Errorf("group %d is %q (tag %q), want %q untagged", i, g.Name, g.Tag, want)
 		}
 	}
-	if pair.BytesPerTokenAllLayers(false) != target.BytesPerTokenAllLayers(false)+draft.BytesPerTokenAllLayers(false) {
+	if tokenBytes(pair, false) != tokenBytes(target, false)+tokenBytes(draft, false) {
 		t.Error("a token of the pair must cost both models' KV")
 	}
 	// One pass of the pair streams the target's weights; the draft's

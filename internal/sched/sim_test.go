@@ -220,7 +220,7 @@ func TestPriorityAdmissionPreempts(t *testing.T) {
 		burst[i].Priority = 5
 		burst[i].Arrival = 60 * time.Millisecond
 	}
-	reqs := workload.Merge(low, burst)
+	reqs := append(low, burst...)
 
 	run := func(s sched.Scheduler) *engine.Result {
 		e := simEngine(t, 1<<20, s)
@@ -270,7 +270,7 @@ func TestSJFFavorsShortWork(t *testing.T) {
 	g := workload.NewGen(5)
 	long := g.PrefixGroups(1, 2, 1500, 100)
 	short := g.PrefixGroups(1, 12, 64, 16)
-	reqs := workload.Merge(long, short)
+	reqs := append(long, short...)
 	workload.AllAtOnce(reqs)
 
 	meanShortTTFT := func(s sched.Scheduler) time.Duration {
@@ -333,7 +333,7 @@ func TestQueuePosReachesAdmission(t *testing.T) {
 	hi := g.PrefixGroups(1, 1, 600, 50)
 	hi[0].Priority = 5
 	hi[0].Arrival = 200 * time.Millisecond
-	if _, err := e.Run(workload.Merge(reqs, hi)); err != nil {
+	if _, err := e.Run(append(reqs, hi...)); err != nil {
 		t.Fatal(err)
 	}
 	var hiObs *obs

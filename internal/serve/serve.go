@@ -164,6 +164,8 @@ func (st *Stream) ID() int64 { return st.id }
 func (st *Stream) Events() <-chan engine.Event { return st.events }
 
 // Done returns a channel closed when the stream terminates.
+//
+//jenga:api a consumer that ignores Events waits for the outcome here
 func (st *Stream) Done() <-chan struct{} { return st.done }
 
 // Result returns the terminal record; ok is false while the stream is
@@ -179,6 +181,8 @@ func (st *Stream) Result() (StreamResult, bool) {
 
 // Dropped returns the number of progress events dropped because the
 // consumer lagged (terminal state is never dropped).
+//
+//jenga:api the loss a lagging consumer saw, which Events cannot report
 func (st *Stream) Dropped() int {
 	st.srv.mu.Lock()
 	defer st.srv.mu.Unlock()
@@ -573,6 +577,8 @@ func (s *Server) Drain() error {
 
 // Close stops accepting submissions and cancels every live stream,
 // releasing their KV, then waits for the pump to exit.
+//
+//jenga:api the shutdown half of New: a server not drained to the end
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -594,15 +600,6 @@ func (s *Server) Snapshot() engine.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.eng.Snapshot()
-}
-
-// EngineResult returns the wrapped engine's aggregate metrics over
-// every terminated request so far (the same structure Engine.Run
-// returns at drain time).
-func (s *Server) EngineResult() *engine.Result {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eng.ResultSnapshot()
 }
 
 // Report is the server-level serving scorecard: the engine's totals,

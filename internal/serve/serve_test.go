@@ -424,7 +424,7 @@ func TestBatchOnlineEquivalence(t *testing.T) {
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	got := s.EngineResult()
+	got := s.eng.ResultSnapshot()
 	if got.Totals != want.Totals || got.Steps != want.Steps ||
 		got.MeanTTFT != want.MeanTTFT || got.MeanE2E != want.MeanE2E || got.MeanTPOT != want.MeanTPOT ||
 		got.MeanDecodeBatch != want.MeanDecodeBatch ||

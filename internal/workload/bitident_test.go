@@ -67,27 +67,30 @@ func genCases() []genCase {
 	return []genCase{
 		{"mmlu_pro",
 			func(g *Gen) []Request { return g.MMLUPro(40, 512) },
-			func(g *Gen) Source { return g.MMLUProSource(40, 512) },
+			func(g *Gen) Source { return stream(g, 40, func() Request { return g.mmluProOne(512) }) },
 			func(g *Gen) Request { return g.mmluProOne(512) },
 			map[int64]uint64{7: 0xe976d966e3f747a6, 42: 0xee799b0c50bb609c}},
 		{"mmmu_pro",
 			func(g *Gen) []Request { return g.MMMUPro(12, 576) },
-			func(g *Gen) Source { return g.MMMUProSource(12, 576) },
+			func(g *Gen) Source { return stream(g, 12, func() Request { return g.mmmuProOne(576) }) },
 			func(g *Gen) Request { return g.mmmuProOne(576) },
 			map[int64]uint64{7: 0x133f70da6d29c044, 42: 0xc92ee12fa0005f5d}},
 		{"arxiv_qa",
 			func(g *Gen) []Request { return g.ArxivQA(g.Articles(4, 2048), 20, 64) },
-			func(g *Gen) Source { return g.ArxivQASource(g.Articles(4, 2048), 20, 64) },
+			func(g *Gen) Source {
+				arts := g.Articles(4, 2048)
+				return stream(g, 20, func() Request { return g.arxivQAOne(arts, 64) })
+			},
 			func(g *Gen) Request { return g.arxivQAOne(arts, 64) },
 			map[int64]uint64{7: 0xcf7c424c17223a06, 42: 0x9ca6f3fba108d1d7}},
 		{"longdoc_qa",
 			func(g *Gen) []Request { return g.LongDocQA(2) },
-			func(g *Gen) Source { return g.LongDocQASource(2) },
+			func(g *Gen) Source { return stream(g, 2, g.longDocQAOne) },
 			func(g *Gen) Request { return g.longDocQAOne() },
 			map[int64]uint64{7: 0xf5a0797698c74f3f, 42: 0xd5321a79e5cb3e5e}},
 		{"sharegpt",
 			func(g *Gen) []Request { return g.ShareGPT(40) },
-			func(g *Gen) Source { return g.ShareGPTSource(40) },
+			func(g *Gen) Source { return stream(g, 40, g.shareGPTOne) },
 			func(g *Gen) Request { return g.shareGPTOne() },
 			map[int64]uint64{7: 0x46507007499de707, 42: 0xe52e5d4c44dcfe59}},
 		{"prefix_groups",
@@ -102,7 +105,7 @@ func genCases() []genCase {
 			map[int64]uint64{7: 0x056a399074c84b93, 42: 0x3e2a1ee066d479db}},
 		{"fan_out", // content is a function of the request ID alone
 			func(g *Gen) []Request { return g.FanOut(10, 100, 4, 32, 3) },
-			func(g *Gen) Source { return g.FanOutSource(10, 100, 4, 32, 3) },
+			func(g *Gen) Source { return stream(g, 10, func() Request { return g.fanOutOne(100, 4, 32, 3) }) },
 			func(g *Gen) Request { return g.fanOutOne(100, 4, 32, 3) },
 			map[int64]uint64{7: 0x89be692cce2bc100, 42: 0x89be692cce2bc100}},
 	}

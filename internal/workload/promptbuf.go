@@ -21,7 +21,7 @@ import (
 // hold no reference to it any more: the next request's tokens are
 // written over it. Recycle is called from the goroutine that calls
 // Next. The generator-backed sources implement it and the combinators
-// (PoissonSource, Apply, MergeSources) forward it; SliceSource does
+// (PoissonSource, Apply) forward it; SliceSource does
 // not, because its prompts belong to whoever built the slice.
 type Recycler interface {
 	Recycle(prompt []core.Token)

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"container/heap"
 	"time"
 
 	"jenga/internal/core"
@@ -53,34 +52,6 @@ func (s *funcSource) Next() (*Request, bool) {
 	return &s.req, true
 }
 
-// MMLUProSource streams the MMLUPro workload: same seed, same request
-// sequence as the slice generator.
-func (g *Gen) MMLUProSource(n int, sharedPrefix int) Source {
-	return &funcSource{g: g, n: n, pull: func() Request { return g.mmluProOne(sharedPrefix) }}
-}
-
-// MMMUProSource streams the MMMUPro workload.
-func (g *Gen) MMMUProSource(n int, tokensPerImage int) Source {
-	return &funcSource{g: g, n: n, pull: func() Request { return g.mmmuProOne(tokensPerImage) }}
-}
-
-// ArxivQASource streams the ArxivQA workload over a shared article
-// pool (the pool itself stays materialized — it is the prefix-sharing
-// substrate, not the stream).
-func (g *Gen) ArxivQASource(arts []Article, n int, questionLen int) Source {
-	return &funcSource{g: g, n: n, pull: func() Request { return g.arxivQAOne(arts, questionLen) }}
-}
-
-// LongDocQASource streams the LongDocQA workload.
-func (g *Gen) LongDocQASource(n int) Source {
-	return &funcSource{g: g, n: n, pull: func() Request { return g.longDocQAOne() }}
-}
-
-// ShareGPTSource streams the ShareGPT workload.
-func (g *Gen) ShareGPTSource(n int) Source {
-	return &funcSource{g: g, n: n, pull: func() Request { return g.shareGPTOne() }}
-}
-
 // PrefixGroupsSource streams the PrefixGroups workload in the slice
 // generator's interleaved order (request i belongs to group i%groups).
 func (g *Gen) PrefixGroupsSource(groups, perGroup, prefixLen, suffixLen int) Source {
@@ -104,11 +75,6 @@ func (g *Gen) ChurnGroupsSource(groups, perGroup, prefixLen, suffixLen, phases i
 		i++
 		return r
 	}}
-}
-
-// FanOutSource streams fan-out roots.
-func (g *Gen) FanOutSource(n, promptLen, forkAfter, outLen, branch int) Source {
-	return &funcSource{g: g, n: n, pull: func() Request { return g.fanOutOne(promptLen, forkAfter, outLen, branch) }}
 }
 
 // poissonSource lays exponential arrival gaps over an inner source.
@@ -175,11 +141,6 @@ func Apply(src Source, fn func(*Request)) Source {
 	return &applySource{src: src, fn: fn}
 }
 
-// DeadlineSource is the streaming counterpart of SetDeadlines.
-func DeadlineSource(src Source, d time.Duration) Source {
-	return Apply(src, func(r *Request) { r.Deadline = d })
-}
-
 // sliceSource yields a materialized slice (bridging old generators
 // into streaming consumers).
 type sliceSource struct {
@@ -209,73 +170,4 @@ func Collect(src Source) []Request {
 		}
 		out = append(out, *r)
 	}
-}
-
-// mergeItem is one source's pending head inside mergeSource.
-type mergeItem struct {
-	req *Request
-	idx int // source index: the tie-break that mirrors Merge's stable sort
-}
-
-type mergeHeap []mergeItem
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	if h[i].req.Arrival != h[j].req.Arrival {
-		return h[i].req.Arrival < h[j].req.Arrival
-	}
-	return h[i].idx < h[j].idx
-}
-func (h mergeHeap) Swap(i, j int)    { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)      { *h = append(*h, x.(mergeItem)) }
-func (h *mergeHeap) Pop() any        { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-func (h mergeHeap) head() *mergeItem { return &h[0] }
-func (h mergeHeap) emptied() bool    { return len(h) == 0 }
-
-type mergeSource struct {
-	srcs []Source
-	h    mergeHeap
-	out  Request
-	// last is the source the latest request came from.
-	last int
-}
-
-func (s *mergeSource) Next() (*Request, bool) {
-	if s.h.emptied() {
-		return nil, false
-	}
-	it := s.h.head()
-	s.out = *it.req // copy out before refilling overwrites the head's buffer
-	s.last = it.idx
-	if r, ok := s.srcs[it.idx].Next(); ok {
-		it.req = r
-		heap.Fix(&s.h, 0)
-	} else {
-		heap.Pop(&s.h)
-	}
-	return &s.out, true
-}
-
-// Recycle hands the prompt to the source that supplied the latest
-// request: arrays of one size class are interchangeable, and a source
-// is "latest" as often as it is pulled, so each generator's free list
-// is fed in step with what it lends.
-//
-//jenga:hotpath
-func (s *mergeSource) Recycle(prompt []core.Token) { recycleTo(s.srcs[s.last], prompt) }
-
-// MergeSources k-way-merges sources whose arrivals are each
-// non-decreasing into one stream ordered by arrival — the streaming
-// counterpart of Merge, with ties broken by source position exactly
-// as Merge's stable sort breaks them by concatenation order. Memory
-// is O(k), not O(total requests).
-func MergeSources(srcs ...Source) Source {
-	m := &mergeSource{srcs: srcs}
-	for i, src := range srcs {
-		if r, ok := src.Next(); ok {
-			m.h = append(m.h, mergeItem{req: r, idx: i})
-		}
-	}
-	heap.Init(&m.h)
-	return m
 }

@@ -6,6 +6,12 @@ import (
 	"time"
 )
 
+// stream is the streaming form of a generator that has no exported
+// Source: its one-request body pulled n times.
+func stream(g *Gen, n int, one func() Request) Source {
+	return &funcSource{g: g, n: n, pull: one}
+}
+
 // requireSameStream asserts a streaming source reproduces its slice
 // counterpart request for request.
 func requireSameStream(t *testing.T, name string, want []Request, src Source) {
@@ -21,8 +27,9 @@ func requireSameStream(t *testing.T, name string, want []Request, src Source) {
 	}
 }
 
-// Every streaming generator must consume its Gen's randomness in
-// exactly the slice generator's order: same seed, same sequence.
+// Every generator's stream — exported or built from its one-request
+// body — must consume its Gen's randomness in exactly the slice
+// generator's order: same seed, same sequence.
 func TestSourcesMatchSliceGenerators(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -31,16 +38,16 @@ func TestSourcesMatchSliceGenerators(t *testing.T) {
 	}{
 		{"mmlu_pro",
 			func(g *Gen) []Request { return g.MMLUPro(40, 512) },
-			func(g *Gen) Source { return g.MMLUProSource(40, 512) }},
+			func(g *Gen) Source { return stream(g, 40, func() Request { return g.mmluProOne(512) }) }},
 		{"mmmu_pro",
 			func(g *Gen) []Request { return g.MMMUPro(40, 256) },
-			func(g *Gen) Source { return g.MMMUProSource(40, 256) }},
+			func(g *Gen) Source { return stream(g, 40, func() Request { return g.mmmuProOne(256) }) }},
 		{"longdoc_qa",
 			func(g *Gen) []Request { return g.LongDocQA(40) },
-			func(g *Gen) Source { return g.LongDocQASource(40) }},
+			func(g *Gen) Source { return stream(g, 40, g.longDocQAOne) }},
 		{"sharegpt",
 			func(g *Gen) []Request { return g.ShareGPT(40) },
-			func(g *Gen) Source { return g.ShareGPTSource(40) }},
+			func(g *Gen) Source { return stream(g, 40, g.shareGPTOne) }},
 		{"prefix_groups",
 			func(g *Gen) []Request { return g.PrefixGroups(4, 10, 256, 64) },
 			func(g *Gen) Source { return g.PrefixGroupsSource(4, 10, 256, 64) }},
@@ -49,7 +56,7 @@ func TestSourcesMatchSliceGenerators(t *testing.T) {
 			func(g *Gen) Source { return g.ChurnGroupsSource(4, 10, 256, 64, 3) }},
 		{"fan_out",
 			func(g *Gen) []Request { return g.FanOut(20, 256, 128, 32, 3) },
-			func(g *Gen) Source { return g.FanOutSource(20, 256, 128, 32, 3) }},
+			func(g *Gen) Source { return stream(g, 20, func() Request { return g.fanOutOne(256, 128, 32, 3) }) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -66,7 +73,7 @@ func TestArxivQASourceMatchesSlice(t *testing.T) {
 	want := gs.ArxivQA(arts, 40, 64)
 	gt := NewGen(11)
 	arts2 := gt.Articles(6, 2048)
-	requireSameStream(t, "arxiv_qa", want, gt.ArxivQASource(arts2, 40, 64))
+	requireSameStream(t, "arxiv_qa", want, stream(gt, 40, func() Request { return gt.arxivQAOne(arts2, 64) }))
 }
 
 func TestPoissonSourceMatchesPoissonArrivals(t *testing.T) {
@@ -81,47 +88,14 @@ func TestPoissonSourceMatchesPoissonArrivals(t *testing.T) {
 }
 
 func TestDeadlineSourceMatchesSetDeadlines(t *testing.T) {
-	want := NewGen(9).ShareGPT(30)
+	want := NewGen(9).PrefixGroups(3, 10, 128, 32)
 	SetDeadlines(want, 250*time.Millisecond)
-	src := DeadlineSource(NewGen(9).ShareGPTSource(30), 250*time.Millisecond)
+	src := Apply(NewGen(9).PrefixGroupsSource(3, 10, 128, 32), func(r *Request) { r.Deadline = 250 * time.Millisecond })
 	requireSameStream(t, "deadline", want, src)
 }
 
-func TestMergeSourcesMatchesMerge(t *testing.T) {
-	mk := func() ([]Request, []Request, []Request) {
-		a := NewGen(1).PrefixGroups(2, 8, 128, 32)
-		NewGen(21).PoissonArrivals(a, 300)
-		b := NewGen(2).ShareGPT(12)
-		NewGen(22).PoissonArrivals(b, 150)
-		c := NewGen(3).LongDocQA(6)
-		NewGen(23).PoissonArrivals(c, 90)
-		return a, b, c
-	}
-	a, b, c := mk()
-	want := Merge(a, b, c)
-	a2, b2, c2 := mk()
-	src := MergeSources(SliceSource(a2), SliceSource(b2), SliceSource(c2))
-	requireSameStream(t, "merge", want, src)
-}
-
-func TestMergeSourcesStreaming(t *testing.T) {
-	// The same merge built from live funcSource pipelines (whose Next
-	// reuses an internal buffer) must still be correct: the k-way merge
-	// copies the head out before refilling.
-	a := NewGen(1).PrefixGroups(2, 8, 128, 32)
-	NewGen(21).PoissonArrivals(a, 300)
-	b := NewGen(2).ShareGPT(12)
-	NewGen(22).PoissonArrivals(b, 150)
-	want := Merge(a, b)
-	src := MergeSources(
-		PoissonSource(NewGen(1).PrefixGroupsSource(2, 8, 128, 32), NewGen(21), 300),
-		PoissonSource(NewGen(2).ShareGPTSource(12), NewGen(22), 150),
-	)
-	requireSameStream(t, "merge_streaming", want, src)
-}
-
 func TestSourceExhaustion(t *testing.T) {
-	src := NewGen(1).ShareGPTSource(2)
+	src := NewGen(1).PrefixGroupsSource(1, 2, 16, 16)
 	for i := 0; i < 2; i++ {
 		if _, ok := src.Next(); !ok {
 			t.Fatalf("source exhausted after %d of 2", i)

@@ -8,7 +8,6 @@ package workload
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"jenga/internal/core"
@@ -146,9 +145,9 @@ func (g *Gen) MMLUPro(n int, sharedPrefix int) []Request {
 	return reqs
 }
 
-// mmluProOne generates one MMLUPro request — the per-request body
-// shared by the slice generator and MMLUProSource, so both consume the
-// generator's randomness in exactly the same order.
+// mmluProOne generates one MMLUPro request — the per-request body a
+// slice generator repeats and a streaming Source pulls one at a time,
+// so both forms consume the generator's randomness in the same order.
 //
 //jenga:hotpath
 func (g *Gen) mmluProOne(sharedPrefix int) Request {
@@ -443,17 +442,6 @@ func SplitByGroup(reqs []Request) map[int64][]Request {
 	return out
 }
 
-// Merge combines streams into one, ordered by arrival time (stable
-// across equal arrivals, so AllAtOnce batches keep their input order).
-func Merge(streams ...[]Request) []Request {
-	var out []Request
-	for _, s := range streams {
-		out = append(out, s...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Arrival < out[j].Arrival })
-	return out
-}
-
 // DriftLengths rescales request lengths so the mean input length drifts
 // linearly from loFactor to hiFactor across the slice — the Fig. 16
 // "dynamic" trace where workload composition changes over time.
@@ -479,19 +467,6 @@ func (g *Gen) PoissonArrivals(reqs []Request, ratePerSec float64) {
 		gap := g.rng.ExpFloat64() / ratePerSec
 		t += gap
 		reqs[i].Arrival = time.Duration(t * float64(time.Second))
-	}
-}
-
-// JitterArrivals perturbs each arrival by an independent uniform
-// offset in [0, maxJitter) — client-side scheduling noise layered over
-// any arrival process. The engine orders submissions by arrival
-// itself, so jittered streams need no re-sort.
-func (g *Gen) JitterArrivals(reqs []Request, maxJitter time.Duration) {
-	if maxJitter <= 0 {
-		return
-	}
-	for i := range reqs {
-		reqs[i].Arrival += time.Duration(g.rng.Int63n(int64(maxJitter)))
 	}
 }
 
@@ -528,16 +503,4 @@ func Span(reqs []Request) (first, last time.Duration) {
 		}
 	}
 	return first, last
-}
-
-// MeanPromptLen returns the average prompt length of a batch.
-func MeanPromptLen(reqs []Request) float64 {
-	if len(reqs) == 0 {
-		return 0
-	}
-	var s int64
-	for i := range reqs {
-		s += int64(len(reqs[i].Prompt))
-	}
-	return float64(s) / float64(len(reqs))
 }

@@ -135,17 +135,28 @@ func TestPoissonArrivalsMonotone(t *testing.T) {
 	}
 }
 
+func meanPromptLen(reqs []Request) float64 {
+	if len(reqs) == 0 {
+		return 0
+	}
+	var s int64
+	for i := range reqs {
+		s += int64(len(reqs[i].Prompt))
+	}
+	return float64(s) / float64(len(reqs))
+}
+
 func TestDriftLengths(t *testing.T) {
 	g := NewGen(6)
 	reqs := g.ShareGPT(50)
-	before := MeanPromptLen(reqs)
+	before := meanPromptLen(reqs)
 	g.DriftLengths(reqs, 0.3, 1.0)
-	after := MeanPromptLen(reqs)
+	after := meanPromptLen(reqs)
 	if after >= before {
 		t.Error("drift with factors < 1 must shrink the mean")
 	}
-	early := MeanPromptLen(reqs[:10])
-	late := MeanPromptLen(reqs[40:])
+	early := meanPromptLen(reqs[:10])
+	late := meanPromptLen(reqs[40:])
 	if early >= late {
 		t.Error("early requests should be shorter than late ones")
 	}
@@ -153,12 +164,9 @@ func TestDriftLengths(t *testing.T) {
 
 func TestShareGPTMean(t *testing.T) {
 	reqs := NewGen(8).ShareGPT(300)
-	mean := MeanPromptLen(reqs)
+	mean := meanPromptLen(reqs)
 	if mean < 800 || mean > 1400 {
 		t.Errorf("ShareGPT mean = %.0f, want ≈ 1085", mean)
-	}
-	if MeanPromptLen(nil) != 0 {
-		t.Error("empty mean should be 0")
 	}
 }
 
@@ -193,37 +201,6 @@ func TestPrefixGroupsStructure(t *testing.T) {
 	for i := 1; i < 5; i++ {
 		if reqs[i].Group == reqs[i-1].Group {
 			t.Fatalf("requests %d and %d share group %d; expected interleaving", i-1, i, reqs[i].Group)
-		}
-	}
-}
-
-func TestMergeOrdersByArrival(t *testing.T) {
-	g := NewGen(13)
-	a := g.ShareGPT(10)
-	b := g.ShareGPT(10)
-	g.PoissonArrivals(a, 50)
-	g.PoissonArrivals(b, 50)
-	merged := Merge(a, b)
-	if len(merged) != 20 {
-		t.Fatalf("merged %d requests, want 20", len(merged))
-	}
-	for i := 1; i < len(merged); i++ {
-		if merged[i].Arrival < merged[i-1].Arrival {
-			t.Fatalf("merge not in arrival order at %d", i)
-		}
-	}
-	// Stability: all-at-once streams keep input order.
-	AllAtOnce(a)
-	AllAtOnce(b)
-	flat := Merge(a, b)
-	for i := range a {
-		if flat[i].ID != a[i].ID {
-			t.Fatalf("stable merge broken: position %d has ID %d, want %d", i, flat[i].ID, a[i].ID)
-		}
-	}
-	for i := range b {
-		if flat[len(a)+i].ID != b[i].ID {
-			t.Fatalf("stable merge broken in second stream at %d", i)
 		}
 	}
 }

@@ -23,7 +23,8 @@
 //     Request.Fanout for workload-declared fan-out) clones a decoding
 //     request into branches that share all KV computed so far
 //     copy-on-write — parallel sampling, beam-search expansion and
-//     agentic fan-out without duplicating the prefix (see Forker).
+//     agentic fan-out without duplicating the prefix (JengaManager
+//     supports forking; a manager without it serves one stream).
 //   - NewFCFS/NewPriority/NewSJF/NewFairShare build scheduling
 //     policies for the engine's pluggable scheduling layer (admission
 //     order, preemption victim selection, prefill/decode budgeting);
@@ -70,7 +71,6 @@ import (
 	"jenga/internal/cluster"
 	"jenga/internal/core"
 	"jenga/internal/engine"
-	"jenga/internal/fleet"
 	"jenga/internal/gpu"
 	"jenga/internal/model"
 	"jenga/internal/sched"
@@ -84,28 +84,18 @@ type (
 	Spec = model.Spec
 	// KVGroup is one layer type (kind, layers, bytes per token, ...).
 	KVGroup = model.KVGroup
-	// Kind is a token-dependency pattern (full, window, mamba, ...).
-	Kind = model.Kind
-	// TokenScope restricts a group to text or image tokens.
-	TokenScope = model.TokenScope
-	// VisionSpec describes a multi-modal model's encoder.
-	VisionSpec = model.VisionSpec
 	// PageGeometry is the compatibility-layer sizing result.
 	PageGeometry = model.PageGeometry
 	// CompatPolicy selects LCM, GCD or MAX page sizing (§4.4).
 	CompatPolicy = model.CompatPolicy
 )
 
-// Re-exported Kind values.
+// Token-dependency patterns, token scopes and page-sizing policies.
 const (
-	FullAttention   = model.FullAttention
-	SlidingWindow   = model.SlidingWindow
-	Mamba           = model.Mamba
-	CrossAttention  = model.CrossAttention
-	VisionEmbedding = model.VisionEmbedding
-	PyramidWindow   = model.PyramidWindow
+	FullAttention  = model.FullAttention
+	SlidingWindow  = model.SlidingWindow
+	CrossAttention = model.CrossAttention
 
-	ScopeAll   = model.ScopeAll
 	ScopeText  = model.ScopeText
 	ScopeImage = model.ScopeImage
 
@@ -122,7 +112,7 @@ type (
 	// ManagerConfig configures NewManager.
 	ManagerConfig = core.Config
 	// JengaManager is the paper's two-level manager (extra methods:
-	// Stats, Geometry, GroupView, Diagnose).
+	// Stats, Geometry, CheckInvariants).
 	JengaManager = core.Jenga
 	// Sequence is the manager-facing view of one request.
 	Sequence = core.Sequence
@@ -137,8 +127,6 @@ type (
 	Tick = core.Tick
 	// Usage is a memory accounting snapshot.
 	Usage = core.Usage
-	// GroupUsage is the per-layer-type slice of Usage.
-	GroupUsage = core.GroupUsage
 	// AllocStats counts allocator events.
 	AllocStats = core.Stats
 	// Policy customizes per-layer-type prefix caching (Fig. 9).
@@ -148,21 +136,6 @@ type (
 	KeepAlive = core.KeepAlive
 	// GroupSeqView is the read-only view policies evaluate hits on.
 	GroupSeqView = core.GroupSeqView
-	// TierManager is the optional Manager capability behind the host
-	// memory tier: swap-based preemption (SwapOut), per-step transfer
-	// draining for the PCIe cost term, and tier statistics.
-	// JengaManager implements it; enable the tier with
-	// ManagerConfig.HostTierBytes.
-	TierManager = core.TierManager
-	// TierStats snapshots the host tier's counters (spills, restores,
-	// transfer bytes, restored tokens, budget evictions).
-	TierStats = core.TierStats
-	// Forker is the optional Manager capability behind stream forking:
-	// Fork clones a committed sequence into a child sharing every
-	// block copy-on-write. JengaManager implements it; Engine.Fork,
-	// Stream.Fork and Request.Fanout all require it (and degrade to
-	// single-stream serving without it).
-	Forker = core.Forker
 	// BaselineConfig configures NewPagedBaseline.
 	BaselineConfig = baseline.Config
 	// PagedBaseline is the vLLM-style homogeneous manager.
@@ -207,16 +180,10 @@ type (
 	// timelines and retained records; Result.Latency rolls the records
 	// up into goodput, SLO attainment and percentiles.
 	Result = engine.Result
-	// MemSample is one memory-timeline point.
-	MemSample = engine.MemSample
 	// VisionStrategy selects the §6.2 embedding-cache strategy.
 	VisionStrategy = engine.VisionStrategy
 	// PreemptMode selects recompute- or swap-based preemption.
 	PreemptMode = engine.PreemptMode
-	// RequestMetrics is one request's terminal record — state, TTFT,
-	// E2E, tokens generated, preemptions, host-tier restore share —
-	// completed at the engine's one exit whatever way the request left.
-	RequestMetrics = engine.RequestMetrics
 )
 
 // Vision strategies (§6.2).
@@ -253,8 +220,6 @@ type (
 	// StreamResult is a stream's terminal record (state, TTFT, E2E,
 	// tokens generated), built from the engine's RequestMetrics.
 	StreamResult = serve.StreamResult
-	// StreamState is a stream's terminal state.
-	StreamState = serve.StreamState
 	// ServingReport is the server-level scorecard: the engine's totals,
 	// the roll-up of the terminated streams' records (goodput, SLO
 	// attainment, latency percentiles) and the server's own counts
@@ -262,17 +227,11 @@ type (
 	ServingReport = serve.Report
 	// Event is one scheduler occurrence for one request.
 	Event = engine.Event
-	// EventType classifies an Event.
-	EventType = engine.EventType
 	// EngineSnapshot is the live scheduler state (queue depths, memory
 	// usage) admission and routing decide on.
 	EngineSnapshot = engine.Snapshot
 	// AdmissionPolicy decides queue-versus-shed at each arrival.
 	AdmissionPolicy = engine.AdmissionPolicy
-	// AdmissionState is the live state an AdmissionPolicy sees.
-	AdmissionState = engine.AdmissionState
-	// AdmissionDecision is an AdmissionPolicy verdict.
-	AdmissionDecision = engine.AdmissionDecision
 	// KVAdmission sheds by estimated KV demand versus live usage.
 	KVAdmission = engine.KVAdmission
 	// SLOAdmission sheds when queueing estimates bust the TTFT target
@@ -280,44 +239,25 @@ type (
 	SLOAdmission = engine.SLOAdmission
 )
 
-// Stream event types and lifecycle states.
+// Stream event types and the finished stream state.
 const (
-	EventQueued     = engine.EventQueued
 	EventFirstToken = engine.EventFirstToken
 	EventToken      = engine.EventToken
 	EventPreempted  = engine.EventPreempted
 	EventFinished   = engine.EventFinished
-	EventFailed     = engine.EventFailed
-	EventShed       = engine.EventShed
-	EventCancelled  = engine.EventCancelled
 
-	AdmitRequest = engine.Admit
-	ShedRequest  = engine.Shed
-
-	StreamActive    = serve.StateActive
-	StreamFinished  = serve.StateFinished
-	StreamFailed    = serve.StateFailed
-	StreamShed      = serve.StateShed
-	StreamCancelled = serve.StateCancelled
+	StreamFinished = serve.StateFinished
 )
 
-// ErrQueueFull (backpressure) and ErrServerClosed are Submit errors.
-var (
-	ErrQueueFull    = serve.ErrQueueFull
-	ErrServerClosed = serve.ErrClosed
-)
+// ErrQueueFull is Submit's backpressure error.
+var ErrQueueFull = serve.ErrQueueFull
 
 // NewServer builds an online serving surface over one engine replica
 // and starts its scheduler.
 func NewServer(cfg ServerConfig) (*Server, error) { return serve.New(cfg) }
 
-// AdmitAll, AdmissionChain and ParseAdmission build admission
-// policies; ParseAdmission converts a spelling ("kv+slo").
-var (
-	AdmitAll       = engine.AdmitAll
-	AdmissionChain = engine.AdmissionChain
-	ParseAdmission = engine.ParseAdmission
-)
+// AdmissionChain sheds when any of its policies sheds.
+var AdmissionChain = engine.AdmissionChain
 
 // Scheduling surface (internal/sched): the pluggable policy layer
 // behind admission order, preemption victim selection and the
@@ -327,17 +267,8 @@ var (
 type (
 	// Scheduler is the pluggable scheduling policy.
 	Scheduler = sched.Scheduler
-	// SchedView is the read-only live state a Scheduler decides on.
-	SchedView = sched.View
 	// SchedReqInfo is the scheduler-visible summary of one request.
 	SchedReqInfo = sched.ReqInfo
-	// SchedSplit is a step's decode/prefill token-budget split.
-	SchedSplit = sched.Split
-	// SchedAdmissionPreempter is the optional Scheduler capability
-	// reporting whether a policy preempts for blocked admissions.
-	SchedAdmissionPreempter = sched.AdmissionPreempter
-	// PriorityReport is one priority class's share of a ServingReport.
-	PriorityReport = serve.PriorityReport
 )
 
 // Built-in schedulers and helpers. NewFCFS is first-come-first-served
@@ -362,21 +293,16 @@ var (
 type (
 	// ClusterConfig configures NewCluster.
 	ClusterConfig = cluster.Config
-	// Cluster runs N engine replicas concurrently behind a Router.
+	// Cluster runs N engine replicas concurrently behind a request
+	// router.
 	Cluster = cluster.Cluster
 	// ClusterResult aggregates a fleet run: the replicas' totals
 	// summed, the roll-up of every finished request's record (p50/p99
 	// latency, goodput, SLO attainment) and the cluster's own fields
 	// (load imbalance, tenant fairness, migrations, the chaos toll).
 	ClusterResult = cluster.Result
-	// ClusterReplicaResult is one replica's share of a cluster run.
-	ClusterReplicaResult = cluster.ReplicaResult
-	// Router decides which replica serves each request (pluggable).
-	Router = cluster.Router
-	// RouterPolicy selects a built-in Router.
+	// RouterPolicy selects a built-in request router.
 	RouterPolicy = cluster.RouterPolicy
-	// ReplicaLoad is the router-visible per-replica load state.
-	ReplicaLoad = cluster.Load
 )
 
 // Built-in router policies.
@@ -389,75 +315,30 @@ const (
 // NewCluster builds a multi-replica serving cluster.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
 
-// NewRouter builds a built-in router.
-var NewRouter = cluster.NewRouter
-
-// Fleet memory surface (cluster-wide KV store and live request
-// migration): FleetPolicy on ClusterConfig.Fleet turns on the fleet
-// prefix store (peer replicas serve each other's spilled prefixes over
-// the interconnect instead of recomputing), live migration (draining
-// or rebalancing replicas hand running requests to survivors mid-
-// stream), or both. FleetDirectory is the underlying prefix directory
-// — which replica's host tier holds which prefix blocks — and PageSet
-// the page-set currency replicas exchange (exported by ExportPrefix,
-// accepted by ImportPrefix on a tiered Manager).
+// Fleet and chaos surface. FleetPolicy on ClusterConfig.Fleet turns on
+// the fleet prefix store (peer replicas serve each other's spilled
+// prefixes over the interconnect instead of recomputing), live
+// migration (draining or rebalancing replicas hand running requests to
+// survivors mid-stream), or both. A ChaosPlan is a seeded, reproducible
+// schedule of replica crashes and restarts plus peer-transfer failure
+// rates; ChaosPolicy on ClusterConfig.Chaos attaches one to a cluster
+// and toggles the recovery machinery (directory invalidation, bounded
+// transfer retries, re-dispatch of crashed replicas' requests to
+// survivors).
 type (
 	// FleetPolicy configures the fleet store, migration and drain/
 	// rebalance schedule on a cluster.
 	FleetPolicy = cluster.FleetPolicy
-	// FleetDirectory maps prefix blocks to the replicas holding them.
-	FleetDirectory = fleet.Directory
-	// FleetStore couples a FleetDirectory to every replica's host
-	// tier via tier observers.
-	FleetStore = fleet.Store
-	// PageSet is a set of host-tier pages for one prefix — the unit of
-	// peer transfer and migration state. It is a view: a flat block
-	// list with page bounds in the exporting manager's scratch, block
-	// bytes still in the exporting tier, valid until that manager's
-	// next ExportPrefix (and only while its tier does not change).
-	// ImportPrefix copies what it admits, so a set may be imported more
-	// than once while it is valid; a caller that keeps one longer
-	// copies it.
-	PageSet = core.PageSet
-)
-
-// NewFleetDirectory builds an empty fleet prefix directory;
-// NewFleetStore builds a store over n replicas.
-var (
-	NewFleetDirectory = fleet.NewDirectory
-	NewFleetStore     = fleet.NewStore
-)
-
-// Chaos surface (deterministic fault injection and crash recovery):
-// a ChaosPlan is a seeded, reproducible schedule of replica crashes,
-// restarts, degraded-bandwidth and straggler windows plus peer-
-// transfer failure rates; ChaosPolicy on ClusterConfig.Chaos attaches
-// one to a cluster and toggles the recovery machinery (directory
-// invalidation, bounded transfer retries, re-dispatch of crashed
-// replicas' requests to survivors).
-type (
 	// ChaosPlan is the seeded fault schedule (build with NewChaosPlan,
-	// chain Crash/Restart/Degrade/Straggle).
+	// chain Crash/Restart).
 	ChaosPlan = chaos.Plan
-	// ChaosEvent is one scheduled fault.
-	ChaosEvent = chaos.Event
 	// ChaosPolicy attaches a plan to a cluster and selects recovery.
 	ChaosPolicy = cluster.ChaosPolicy
-	// ReplicaHealth is a replica's liveness as routing sees it under a
-	// plan (Healthy, Sick inside a fault window, Dead after a crash).
-	ReplicaHealth = cluster.Health
 )
 
 // NewChaosPlan builds an empty fault plan on a seed; same seed, same
 // faults — chaos runs are reproducible bit-for-bit.
 var NewChaosPlan = chaos.NewPlan
-
-// Replica health states under a chaos plan.
-const (
-	ReplicaHealthy = cluster.Healthy
-	ReplicaSick    = cluster.Sick
-	ReplicaDead    = cluster.Dead
-)
 
 // PrefixHash hashes a prompt's first n tokens with the prefix-cache
 // block chain (custom routers key consistent hashing on it).
@@ -470,15 +351,8 @@ var (
 	ImageToken = core.ImageToken
 )
 
-// Device and cost-model surface.
-type (
-	// Device is a simulated GPU.
-	Device = gpu.Device
-	// CostModel converts step work into simulated time.
-	CostModel = gpu.CostModel
-	// StepWork describes one step's computation.
-	StepWork = gpu.StepWork
-)
+// Device is a simulated GPU.
+type Device = gpu.Device
 
 // H100 and L4 are the paper's evaluation platforms.
 var (
@@ -495,67 +369,48 @@ type (
 	Request = workload.Request
 	// WorkloadGen generates the paper's synthetic datasets.
 	WorkloadGen = workload.Gen
-	// Article is a long document in the arXiv-QA pool.
-	Article = workload.Article
 )
 
 // NewWorkloadGen creates a deterministic workload generator.
 func NewWorkloadGen(seed int64) *WorkloadGen { return workload.NewGen(seed) }
 
-// AllAtOnce zeroes arrival times (offline batch serving);
-// MergeStreams combines arrival streams in time order; SplitByGroup
+// AllAtOnce zeroes arrival times (offline batch serving); SplitByGroup
 // partitions a stream by its prefix-sharing labels; SetDeadlines
 // assigns a uniform end-to-end SLO budget; NaiveFanOut lowers fan-out
 // requests (Request.Fanout) to independent per-branch requests — the
 // workload an engine without copy-on-write forking must serve.
 var (
 	AllAtOnce    = workload.AllAtOnce
-	MergeStreams = workload.Merge
 	SplitByGroup = workload.SplitByGroup
 	SetDeadlines = workload.SetDeadlines
 	NaiveFanOut  = workload.NaiveFanOut
 )
 
-// Models exposes the paper's evaluation zoo (Table 1 and Figs. 18/19).
+// Models names the zoo models the examples use; ByName and All reach
+// the paper's whole evaluation zoo (Table 1 and Figs. 18/19).
 var Models = struct {
 	Llama31_8B       func() *Spec
-	Llama31_70B      func() *Spec
-	Llama32Vision11B func() *Spec
 	Gemma2_27B       func() *Spec
 	Gemma2_9B        func() *Spec
 	Gemma2_2B        func() *Spec
 	Ministral8B      func() *Spec
-	MinistralDraft1B func() *Spec
 	Jamba52B         func() *Spec
 	CharacterAI70B   func() *Spec
 	CharacterAI8B    func() *Spec
-	PyramidKV70B     func() *Spec
-	PyramidKV8B      func() *Spec
 	LLaVAOneVision7B func() *Spec
-	InternVL2_8B     func() *Spec
-	Phi3Vision4B     func() *Spec
-	Paligemma2_10B   func() *Spec
 	Llama32_1B       func() *Spec
 	ByName           func(string) (*Spec, error)
 	All              func() []*Spec
 }{
 	Llama31_8B:       model.Llama31_8B,
-	Llama31_70B:      model.Llama31_70B,
-	Llama32Vision11B: model.Llama32Vision11B,
 	Gemma2_27B:       model.Gemma2_27B,
 	Gemma2_9B:        model.Gemma2_9B,
 	Gemma2_2B:        model.Gemma2_2B,
 	Ministral8B:      model.Ministral8B,
-	MinistralDraft1B: model.MinistralDraft1B,
 	Jamba52B:         model.Jamba52B,
 	CharacterAI70B:   model.CharacterAI70B,
 	CharacterAI8B:    model.CharacterAI8B,
-	PyramidKV70B:     model.PyramidKV70B,
-	PyramidKV8B:      model.PyramidKV8B,
 	LLaVAOneVision7B: model.LLaVAOneVision7B,
-	InternVL2_8B:     model.InternVL2_8B,
-	Phi3Vision4B:     model.Phi3Vision4B,
-	Paligemma2_10B:   model.Paligemma2_10B,
 	Llama32_1B:       model.Llama32_1B,
 	ByName:           model.ByName,
 	All:              model.All,

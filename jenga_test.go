@@ -21,7 +21,7 @@ func TestModelsZoo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !spec.IsHeterogeneous() {
+	if len(spec.Groups) < 2 {
 		t.Error("jamba should be heterogeneous")
 	}
 	if _, err := jenga.Models.ByName("missing"); err == nil {
