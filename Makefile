@@ -24,14 +24,17 @@ race:
 # are asserted to balance at every Drain and Reset (internal/debug,
 # DESIGN.md "Requests and prompts"), and under which core's every
 # Release and CrashReset ends with CheckInvariants (free stacks, prefix
-# index, eviction heaps, request-state slab against the page array), and
+# index, eviction heaps, request-state slab against the page array, the
+# host tier), under which the fleet transfer path's borrowed views — a
+# page set, a fetch list, a fetch report's holders — are scribbled when
+# they lapse and a page set its holder voided panics on import, and
 # under which every scheduler View the engine hands out has its waiting
 # entries checked against a fresh fill. One -short pass over core, the
 # packages that lend and borrow, and the scheduler matrix (sched, serve)
 # covers TestExitMatrix, TestScenarioMatrix, the recycling stream tests,
-# the scheduler simulations and the goldens.
+# the fleet store, the scheduler simulations and the goldens.
 debug:
-	$(GO) test -tags jengadebug -short ./internal/core ./internal/engine ./internal/sched ./internal/serve ./internal/cluster ./internal/workload ./internal/bench
+	$(GO) test -tags jengadebug -short ./internal/core ./internal/engine ./internal/sched ./internal/serve ./internal/cluster ./internal/workload ./internal/bench ./internal/fleet
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -169,14 +172,16 @@ vet:
 # attainment, percentiles), and a report layer — internal/serve,
 # internal/cluster, internal/bench, an example — that calls the
 # percentile, attainment or goodput helpers of internal/metrics itself
-# is a second roll-up again; the fleet/tier path allocates nothing per
-# page — the directory is one flat map of holder bitmasks and the tier
-# index one map per group index (a map[string]map[uint64] in either is
-# the nested, string-keyed form again, with its per-cell holder slice or
-# its second probe), the tier's eviction queue is slotted, so
-# evictQueue has no compaction (filter) to come back, and the transfer
-# path in internal/core/fleet.go runs on manager scratch, so a fresh
-# []PageBlock or map there is a per-page or per-call allocation again;
+# is a second roll-up again; the fleet/tier path keeps no Go map — the
+# host tier (internal/core/hosttier.go) is flat tables sized from its
+# byte budget at New, its index an open-addressed table of block IDs,
+# the transfer path (internal/core/fleet.go) finds a group by a scan of
+# the few there are, and the fleet directory (non-test internal/fleet)
+# is one open-addressed table of holder bitmasks, so a map[ in any of
+# them is a structure that hashes strings or grows while serving again —
+# the tier's eviction queue is slotted, so evictQueue has no compaction
+# (filter) to come back, and the transfer path runs on tier scratch, so
+# a fresh []PageBlock there is a per-page or per-call allocation again;
 # a request costs the host no object — runs come from the engine's slab
 # free list (internal/engine/runpool.go) and prompts from the
 # generator's (internal/workload/promptbuf.go holds the one allocation,
@@ -199,9 +204,9 @@ guard:
 	@out=$$(grep -rn 'cluster\.Config{' internal/bench cmd/jengabench --include='*.go' | grep -v '_test\.go:'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/bench + cmd/jengabench must have exactly one cluster.Config literal (bench.Run):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'StepTime(' . --include='*.go' | grep -v -e '_test\.go:' -e '^\./internal/gpu/' -e '^\./cmd/jengaperf/' -e '^\./internal/engine/'); if [ -n "$$out" ] || [ -e internal/spec ]; then echo "the sim clock must advance only in internal/engine (no StepTime caller elsewhere, no internal/spec):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn -e 'append(\[\]core\.Token{}' -e 'func textTokens(' internal/workload --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "copy-then-grow prompt construction is back in internal/workload:"; echo "$$out"; exit 1; fi
-	@out=$$(grep -n 'map\[string\]map\[uint64\]' internal/core/hosttier.go $$(ls internal/fleet/*.go | grep -v '_test\.go$$')); if [ -n "$$out" ]; then echo "a nested string-keyed map is back in the fleet directory or the host tier:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -n 'map\[' internal/core/hosttier.go internal/core/fleet.go $$(ls internal/fleet/*.go | grep -v '_test\.go$$')); if [ -n "$$out" ]; then echo "a Go map is back on the tier path (host tier, transfer path or fleet directory; all are flat tables):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'func (q \*evictQueue\[E\]) filter(' internal/core --include='*.go'); if [ -n "$$out" ]; then echo "evictQueue.filter (the unslotted tier queue's compaction) is back:"; echo "$$out"; exit 1; fi
-	@out=$$(grep -n -e 'make(\[\]PageBlock' -e 'make(map\[' internal/core/fleet.go); if [ -n "$$out" ]; then echo "the fleet transfer path allocates per page or per call again (internal/core/fleet.go runs on manager scratch):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -n 'make(\[\]PageBlock' internal/core/fleet.go); if [ -n "$$out" ]; then echo "the fleet transfer path allocates per page or per call again (internal/core/fleet.go runs on tier scratch):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn '&run{' internal/engine --include='*.go' | grep -v -e '_test\.go:' -e '^internal/engine/runpool\.go:'); if [ -n "$$out" ]; then echo "a run allocated outside the slab free list in internal/engine (runpool.go):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'make(\[\]core\.Token' internal/workload --include='*.go' | grep -v -e '_test\.go:' -e '^internal/workload/promptbuf\.go:'); if [ -n "$$out" ]; then echo "a prompt allocated outside the one buffer-take function in internal/workload (promptbuf.go):"; echo "$$out"; exit 1; fi
 	@out=$$(sed -n '/^type group struct {/,/^}/p' internal/core/manager.go | grep 'map\[' | grep -v '^\s*assocTop '; grep -rn -e freeByReq -e spareLists -e sweepFreeByReq internal cmd --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a page-level structure of core.group that grows while serving is back (a map field other than assocTop, or the lazy per-request lists):"; echo "$$out"; exit 1; fi

@@ -109,7 +109,7 @@ func (m *Jenga) pageToUsed(g *group, id arena.SmallPageID, req RequestID) {
 		g.free.remove(id)
 		g.unlinkAssoc(id) // while pg.assoc still names the stack
 		pg.filled, pg.dead = 0, 0
-		pg.hash, pg.complete, pg.hashed = 0, false, false
+		g.hash[id], pg.complete, pg.hashed = 0, false, false
 	case pageCached:
 		// Re-claimed prefix-cache page: its content is a full valid
 		// block for the claimant, so dead slots reset.

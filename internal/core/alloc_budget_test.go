@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -44,7 +47,7 @@ func TestEvictCycleZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text, vision := m.groups[m.byName["self"]], m.groups[m.byName["vision"]]
+	text, vision := m.groups[m.groupIndex("self")], m.groups[m.groupIndex("vision")]
 	if text.ratio == vision.ratio {
 		t.Fatalf("want two page sizes, got ratio %d for both groups", text.ratio)
 	}
@@ -60,11 +63,11 @@ func TestEvictCycleZeroAlloc(t *testing.T) {
 		// Hashes rotate through a set larger than the pool, so the
 		// block evicted to make room never shares one with a live page.
 		pg := &text.pages[id]
-		pg.hash, pg.complete, pg.hashed = uint64(k%(2*largePages))+1, true, true
+		text.hash[id], pg.complete, pg.hashed = uint64(k%(2*largePages))+1, true, true
 		pg.filled = int32(text.tpp)
 		text.filledSlots += int64(text.tpp)
 		if !text.index.put(id) {
-			t.Fatalf("hash %d still indexed when its successor is published", pg.hash)
+			t.Fatalf("hash %d still indexed when its successor is published", text.hash[id])
 		}
 		m.pageRelease(text, id, true, now, false)
 
@@ -98,7 +101,7 @@ func TestStructSizes(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"page", unsafe.Sizeof(page{}), 56},
+		{"page", unsafe.Sizeof(page{}), 48},
 		{"pageEntry", unsafe.Sizeof(pageEntry{}), 24},
 		{"largeEntry", unsafe.Sizeof(largeEntry{}), 16},
 	} {
@@ -167,7 +170,7 @@ func TestEvictQueuesBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kv := m.groups[m.byName["kv"]]
+	kv := m.groups[m.groupIndex("kv")]
 	bounded := func() {
 		for _, g := range m.groups {
 			if g.evict.len() > len(g.pages) {
@@ -264,7 +267,7 @@ func TestTierCycleZeroAlloc(t *testing.T) {
 		t.Skip("allocation accounting is not meaningful under -short/-race runs")
 	}
 	const pageBytes, pages, ring = 4096, 64, 1021
-	tier := newHostTier(pages*pageBytes, pageBytes, []string{"a", "b"})
+	tier := newHostTier(pages*pageBytes, pageBytes, []string{"a", "b"}, []int{3, 1})
 	obs := &nullObs{}
 	tier.obs = obs
 	payload := make([]byte, 512)
@@ -277,19 +280,19 @@ func TestTierCycleZeroAlloc(t *testing.T) {
 		n := 3 - 2*gi
 		for i := 0; i < n; i++ {
 			hashes[i] = (3*k + uint64(i)) % ring
-			blocks[i] = hostBlock{hash: hashes[i], priority: int64(k), filled: 4}
+			blocks[i] = hostBlock{priority: int64(k), filled: 4}
 			if gi == 0 {
 				blocks[i].data = payload
 			}
 		}
-		if !tier.spill(gi, blocks[:n], now) {
+		if !tier.spill(gi, blocks[:n], hashes[:n], now) {
 			t.Fatal("spill refused on an unpinned tier")
 		}
 		if hb, ok := tier.lookup(gi, hashes[0]); !ok || hb.priority != int64(k) {
 			t.Fatalf("block %x not found where it was just stored", hashes[0])
 		}
 		p := tier.pin(gi, hashes[n-1])
-		if tier.pinned(p).hash != hashes[n-1] {
+		if b := tier.pinned(p); b != &tier.blocks[p.block] || tier.hash[p.block] != hashes[n-1] {
 			t.Fatal("pin holds another block")
 		}
 		tier.unpin(p)
@@ -312,5 +315,84 @@ func TestTierCycleZeroAlloc(t *testing.T) {
 	}
 	if tier.live != pages || obs.stored == 0 || obs.evicted == 0 {
 		t.Fatalf("tier not full (%d of %d pages) or observer idle (%d stored, %d evicted)", tier.live, pages, obs.stored, obs.evicted)
+	}
+}
+
+// TestColdTierFillZeroAlloc: a fresh manager's tier allocates nothing as
+// it fills and overflows — every table it will use was sized from the
+// budget at New. Eviction spills the GPU's cached pages into an
+// eight-page tier, past its budget, and an import of a donor tier's
+// pages adds as many again; both overflow into budget evictions, with
+// an observer attached. The counters are process-wide, so the smallest
+// of three fresh fills is the fill's own cost.
+func TestColdTierFillZeroAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is not meaningful under -short/-race runs")
+	}
+	spec := churnSpec()
+	geo, err := spec.Geometry(model.LCMPage, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const largePages, tierPages, prompts = 32, 8, 6
+	mgr := func(tier int) *Jenga {
+		m, err := New(Config{
+			Spec: spec, CapacityBytes: int64(largePages * geo.LargePageBytes), TokensPerPage: 4,
+			EnablePrefixCache: true, RequestAware: true,
+			HostTierBytes: int64(tier * geo.LargePageBytes),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	// cache commits n distinct 32-token prompts (two large pages of kv
+	// blocks each) and releases them into the GPU cache, which holds
+	// them all.
+	cache := func(m *Jenga, first int) {
+		for i := first; i < first+prompts; i++ {
+			seq := &Sequence{ID: RequestID(i)}
+			for j := 0; j < 32; j++ {
+				seq.Tokens = append(seq.Tokens, Token{ID: int32(i*64 + j + 1)})
+			}
+			commitSeq(t, m, seq, Tick(i))
+		}
+	}
+	best := uint64(math.MaxUint64)
+	for trial := 0; trial < 3; trial++ {
+		donor := mgr(4 * tierPages)
+		held := newRecObs()
+		donor.SetTierObserver(held)
+		cache(donor, 1000)
+		for donor.evictLargeLRU() {
+		}
+		hashes := held.hashes()
+		slices.Sort(hashes)
+		ps, ok := donor.ExportPrefix("kv", hashes)
+		if !ok || ps.NumPages() <= tierPages {
+			t.Fatalf("donor exports %d pages, want more than the %d-page tier", ps.NumPages(), tierPages)
+		}
+
+		m := mgr(tierPages)
+		m.SetTierObserver(&nullObs{})
+		cache(m, 1)
+		var before, after runtime.MemStats
+		procs := runtime.GOMAXPROCS(1)
+		runtime.ReadMemStats(&before)
+		for m.evictLargeLRU() {
+		}
+		imported, _ := m.ImportPrefix(ps, 100)
+		runtime.ReadMemStats(&after)
+		runtime.GOMAXPROCS(procs)
+		best = min(best, after.Mallocs-before.Mallocs)
+
+		st := m.TierStats()
+		if st.SwapOuts <= tierPages || imported != ps.NumPages() || st.HostEvictions < st.SwapOuts+int64(imported)-tierPages || m.host.live != tierPages {
+			t.Fatalf("fill spilled %d and imported %d pages into a %d-page tier, evicting %d (%d left): want both past the budget", st.SwapOuts, imported, tierPages, st.HostEvictions, m.host.live)
+		}
+		audit(t, m)
+	}
+	if best != 0 {
+		t.Fatalf("a cold tier's fill past its budget allocated %d objects, want 0", best)
 	}
 }

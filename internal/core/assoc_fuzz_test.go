@@ -101,7 +101,7 @@ func fuzzAssocStacks(t *testing.T, data []byte) {
 		t.Fatal(err)
 	}
 	m := newMgr(t, spec, int64(4*geo.LargePageBytes), 4, true)
-	g := m.groups[m.byName["kv"]]
+	g := m.groups[m.groupIndex("kv")]
 	ref := &lazyAssoc{m: m, g: g, freeByReq: map[RequestID][]arena.SmallPageID{}}
 	var held [8][]arena.SmallPageID
 	live := func() (n int) {
@@ -123,7 +123,7 @@ func fuzzAssocStacks(t *testing.T, data []byte) {
 		if cached {
 			// A block-boundary commit: complete, content never seen before.
 			hash++
-			pg.hash, pg.complete, pg.filled = hash, true, int32(g.tpp)
+			g.hash[id], pg.complete, pg.filled = hash, true, int32(g.tpp)
 			g.filledSlots += int64(g.tpp)
 		}
 		assoc := pg.assoc

@@ -27,6 +27,11 @@ func (m *Jenga) CrashReset() error {
 	var obs TierObserver
 	if m.host != nil {
 		obs = m.host.obs
+		if debug.On {
+			// The old tier's page set and fetch list die with it.
+			m.host.scribbleExport()
+			m.host.scribbleFetch()
+		}
 	}
 	fresh, err := New(m.cfg)
 	if err != nil {

@@ -37,7 +37,7 @@ func tok(letters string) []Token {
 // last-access tick.
 func lastAccessOf(t *testing.T, m *Jenga, groupName string, tokens []Token, i int) Tick {
 	t.Helper()
-	g := m.groups[m.byName[groupName]]
+	g := m.groups[m.groupIndex(groupName)]
 	hashes := blockHashes(tokens, 1)
 	id, ok := g.index.get(hashes[i])
 	if !ok {
@@ -133,7 +133,7 @@ func evictByAlloc(t *testing.T, m *Jenga, p *Sequence, n int) {
 // of tokens are cached on the device: "1" present, "0" gone.
 func cachedBlocks(m *Jenga, group string, tokens []Token) string {
 	var out []byte
-	for _, ok := range viewOf(m, m.groups[m.byName[group]], tokens).Present {
+	for _, ok := range viewOf(m, m.groups[m.groupIndex(group)], tokens).Present {
 		out = append(out, "01"[btoi(ok)])
 	}
 	return string(out)
@@ -368,7 +368,7 @@ func TestImageAtomicEviction(t *testing.T) {
 	m.Release(seq, true)
 	audit(t, m)
 
-	g := m.groups[m.byName["cross"]]
+	g := m.groups[m.groupIndex("cross")]
 	// Image 1 = cross blocks 0,1; image 2 = cross blocks 2,3. All share
 	// last-access; priority decides. Evict twice: both evictions must
 	// hit the same image.
@@ -490,7 +490,7 @@ func TestMambaCheckpointTouchOnHit(t *testing.T) {
 	}
 	m.Release(b, true)
 
-	g := m.groups[m.byName["mamba"]]
+	g := m.groups[m.groupIndex("mamba")]
 	proj := projectInto(nil, a.Tokens, g.spec.StoresToken(true), g.spec.StoresToken(false))
 	h8 := prefixHash(proj, 8)
 	id, ok := g.index.get(h8)

@@ -15,12 +15,11 @@ package core
 //
 // The queue is slotted over a dense ID space (initSlots): it keeps one
 // entry per slot and a push for a slot that already has one replaces
-// it in place, so the queue never outgrows the ID space (which may
-// itself grow: growSlots) — and since it knows that bound, its array
-// grows by doubling up to it, never past: all the arrays it ever
-// abandons together are smaller than the one it ends with, where
-// append's 1.25× steps leave four to five times as much behind. A queue
-// must be slotted before its first push.
+// it in place, so the queue never outgrows the ID space — and since it
+// knows that bound, its array grows by doubling up to it, never past:
+// all the arrays it ever abandons together are smaller than the one it
+// ends with, where append's 1.25× steps leave four to five times as
+// much behind. A queue must be slotted before its first push.
 type evictQueue[E interface{ before(E) bool }] struct {
 	h []E
 	// pos[slot] is the entry's index in h plus one; 0 means the slot
@@ -29,16 +28,12 @@ type evictQueue[E interface{ before(E) bool }] struct {
 	slot func(E) int
 }
 
-// initSlots makes the queue slotted over IDs [0, n).
-func (q *evictQueue[E]) initSlots(n int, slot func(E) int) {
+// initSlots makes the queue slotted over IDs [0, n), its array sized
+// for the first entries pushes (past them it grows by doubling).
+func (q *evictQueue[E]) initSlots(n, entries int, slot func(E) int) {
 	q.pos = make([]int32, n)
+	q.h = make([]E, 0, entries)
 	q.slot = slot
-}
-
-// growSlots extends a slotted queue's ID space to [0, n); queued
-// entries keep their places.
-func (q *evictQueue[E]) growSlots(n int) {
-	q.pos = append(q.pos, make([]int32, n-len(q.pos))...)
 }
 
 func (q *evictQueue[E]) len() int { return len(q.h) }

@@ -82,7 +82,7 @@ func fuzzSlotted(t *testing.T, data []byte, rekey bool) {
 		ref lazyHeap[largeEntry]
 		st  [slots]state
 	)
-	q.initSlots(slots, largeEntry.slot)
+	q.initSlots(slots, 0, largeEntry.slot)
 	push := func(e largeEntry) {
 		q.push(e)
 		heap.Push(&ref, e)
@@ -146,14 +146,15 @@ func fuzzSlotted(t *testing.T, data []byte, rekey bool) {
 	}
 }
 
-// fuzzTier is the host tier's use of the queue: slotted over slab
-// slots that are added a chunk at a time (growSlots) and reused after
-// eviction, exactly one entry per live page, re-keyed in place by a
-// touch; a pinned page that comes up is popped, stashed and re-pushed.
+// fuzzTier is the host tier's use of the queue: slotted over a fixed
+// set of slots, its array sized for all of them, handed out
+// lowest-unused first and reused last-in-first-out after eviction,
+// exactly one entry per live page, re-keyed in place by a touch; a
+// pinned page that comes up is popped, stashed and re-pushed.
 // The reference keeps every snapshot and validates on pop — what the
 // tier's own queue did while it was unslotted.
 func fuzzTier(t *testing.T, data []byte) {
-	const chunk = 4
+	const slots = 12
 	type pageState struct {
 		live, pinned bool
 		touch        Tick
@@ -162,12 +163,13 @@ func fuzzTier(t *testing.T, data []byte) {
 	var (
 		q     evictQueue[hostEvictEntry]
 		ref   lazyHeap[hostEvictEntry]
-		pages []pageState // by slot
+		pages [slots]pageState
 		free  []int32
+		fresh int32
 		next  int64
 		nLive int
 	)
-	q.initSlots(0, hostEvictEntry.slot)
+	q.initSlots(slots, slots, hostEvictEntry.slot)
 	live := func(e hostEvictEntry) bool {
 		p := pages[e.id]
 		return p.live && p.seq == e.seq && p.touch == e.touch
@@ -201,16 +203,18 @@ func fuzzTier(t *testing.T, data []byte) {
 		now := Tick(data[i+1])
 		pick := int(data[i] >> 3)
 		switch data[i] & 7 {
-		case 0, 1: // store a new page, in a free slot or a new chunk's first
-			if len(free) == 0 {
-				pages = append(pages, make([]pageState, chunk)...)
-				q.growSlots(len(pages))
-				for s := len(pages) - 1; s >= len(pages)-chunk; s-- {
-					free = append(free, int32(s))
-				}
+		case 0, 1: // store a new page, in the last freed slot or the lowest unused one
+			var slot int32
+			switch {
+			case len(free) > 0:
+				slot = free[len(free)-1]
+				free = free[:len(free)-1]
+			case fresh < slots:
+				slot = fresh
+				fresh++
+			default:
+				continue // full: the tier evicts before it stores
 			}
-			slot := free[len(free)-1]
-			free = free[:len(free)-1]
 			pages[slot] = pageState{live: true, touch: now, seq: next}
 			push(hostEvictEntry{touch: now, seq: next, id: slot})
 			next++
@@ -229,18 +233,14 @@ func fuzzTier(t *testing.T, data []byte) {
 				nLive--
 			}
 		case 4, 5: // touch a live page: its entry is re-keyed in place
-			if len(pages) > 0 {
-				slot := int32(pick % len(pages))
-				if p := &pages[slot]; p.live && p.touch < now {
-					p.touch = now
-					push(hostEvictEntry{touch: now, seq: p.seq, id: slot})
-				}
+			slot := int32(pick % slots)
+			if p := &pages[slot]; p.live && p.touch < now {
+				p.touch = now
+				push(hostEvictEntry{touch: now, seq: p.seq, id: slot})
 			}
 		default: // pin or unpin a live page
-			if len(pages) > 0 {
-				if p := &pages[pick%len(pages)]; p.live {
-					p.pinned = !p.pinned
-				}
+			if p := &pages[pick%slots]; p.live {
+				p.pinned = !p.pinned
 			}
 		}
 		checkQueue(t, &q)

@@ -74,7 +74,7 @@ func TestKeepAliveHoldsSinkPages(t *testing.T) {
 	}
 	m.Commit(seq, 64, 1)
 	audit(t, m)
-	g := m.groups[m.byName["sink"]]
+	g := m.groups[m.groupIndex("sink")]
 	// Held pages: sink blocks 0,1 (tokens 0..3) + window blocks.
 	r := m.reqs[seq.ID]
 	rg := &r.g[1]
@@ -136,11 +136,11 @@ func TestPolicyOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.groups[m.byName["sink"]].pol.(WindowPolicy); !ok {
+	if _, ok := m.groups[m.groupIndex("sink")].pol.(WindowPolicy); !ok {
 		t.Error("nil override must keep the default WindowPolicy")
 	}
 	m2 := newSinkMgr(t)
-	if _, ok := m2.groups[m2.byName["sink"]].pol.(sinkTestPolicy); !ok {
+	if _, ok := m2.groups[m2.groupIndex("sink")].pol.(sinkTestPolicy); !ok {
 		t.Error("override must replace the default policy")
 	}
 }

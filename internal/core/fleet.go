@@ -1,6 +1,11 @@
 package core
 
-import "jenga/internal/model"
+import (
+	"slices"
+
+	"jenga/internal/debug"
+	"jenga/internal/model"
+)
 
 // Fleet transfer surface: the host tier doubles as each replica's
 // share of a cluster-wide KV store. ExportPrefix serializes tier
@@ -15,15 +20,19 @@ import "jenga/internal/model"
 // internal/fleet builds the directory and the transfer path on top;
 // nothing here knows about replicas or links.
 //
-// The whole path runs on scratch the manager owns, so a page exported,
-// imported or looked up allocates nothing once the scratch has grown:
-// an exported PageSet is a view — flat block list and page bounds in
-// manager scratch, block bytes still in the exporting tier's slots —
-// valid until the holder's next ExportPrefix; ImportPrefix copies what
-// it admits into the importing tier's own slots (the one copy a
-// transfer makes); LookupFleet's views, peer overlay and fetch list are
-// the lookup scratch plus one holder table per group, valid until the
-// next LookupFleet.
+// The whole path runs on scratch the tier and the manager own, sized
+// with the tier, so a page exported, imported or looked up allocates
+// nothing: an exported PageSet is a view — flat block list and page
+// bounds in tier scratch, block bytes still in the exporting tier's
+// blocks — valid until the holder's next ExportPrefix; ImportPrefix
+// copies what it admits into the importing tier's own blocks (the one
+// copy a transfer makes); LookupFleet's views, peer overlay and fetch
+// list are the lookup scratch plus one holder table per group, valid
+// until the next LookupFleet. A jengadebug build scribbles each over
+// when it lapses — a set at its holder's next export or tier change, a
+// fetch list at the next lookup — and ImportPrefix panics on a set so
+// scribbled: a fetch exports and imports inside one barrier section,
+// where the holder's tier cannot change.
 
 // TierObserver receives host-tier content notifications. TierStored
 // fires when a page enters the tier (spill or import), TierEvicted
@@ -70,7 +79,7 @@ type PageBlock struct {
 // and warm the destination tier for free.
 //
 // A set is a view, not a copy: Blocks and Ends are the exporting
-// manager's scratch and each Data is the exporting tier's own buffer.
+// tier's scratch and each Data is the exporting tier's own buffer.
 // It is valid until that manager's next ExportPrefix, provided the
 // holder's tier does not change in between — a fleet fetch exports and
 // imports inside one barrier section, where it cannot. ImportPrefix
@@ -119,19 +128,23 @@ func (m *Jenga) ExportPrefix(group string, hashes []uint64) (PageSet, bool) {
 	}
 	h := m.host
 	ps.PageBytes = h.pageBytes
-	gi, ok := m.byName[group]
-	if !ok {
+	gi := m.groupIndex(group)
+	if gi < 0 {
 		return ps, false
 	}
+	if debug.On {
+		h.scribbleExport()
+	}
 	h.exportGen++
-	idx := h.index[gi]
-	blocks, ends := m.exportBlocks[:0], m.exportEnds[:0]
+	idx := &h.index[gi]
+	blocks, ends := h.exportBlocks[:0], h.exportEnds[:0]
 	for _, hsh := range hashes {
-		ref, ok := idx[hsh]
+		id, ok := idx.get(hsh)
 		if !ok {
 			continue
 		}
-		pg := h.page(ref.slot)
+		slot := id / h.stride
+		pg := &h.pages[slot]
 		if pg.exported == h.exportGen {
 			continue
 		}
@@ -139,13 +152,13 @@ func (m *Jenga) ExportPrefix(group string, hashes []uint64) (PageSet, bool) {
 		if pg.pins > 0 {
 			continue
 		}
-		for i := range pg.blocks {
-			b := &pg.blocks[i]
-			blocks = append(blocks, PageBlock{Hash: b.hash, Priority: b.priority, Filled: b.filled, Data: b.data})
+		for id, end := h.blockRange(slot); id < end; id++ {
+			b := &h.blocks[id]
+			blocks = append(blocks, PageBlock{Hash: h.hash[id], Priority: b.priority, Filled: b.filled, Data: b.data})
 		}
 		ends = append(ends, len(blocks))
 	}
-	m.exportBlocks, m.exportEnds = blocks, ends
+	h.exportBlocks, h.exportEnds = blocks, ends
 	if len(ends) == 0 {
 		return ps, false
 	}
@@ -161,15 +174,20 @@ func (m *Jenga) ExportPrefix(group string, hashes []uint64) (PageSet, bool) {
 // already resident are deduplicated to a recency touch. The local
 // claim path then restores imported blocks over PCIe exactly like
 // locally spilled ones. The set is only read: admitted blocks are
-// copied, bytes included, into the tier's own slots.
+// copied, bytes included, into the tier's own blocks. A jengadebug build
+// panics on a set its holder's tier has voided since the export.
 //
 //jenga:hotpath
 func (m *Jenga) ImportPrefix(ps PageSet, now Tick) (int, int64) {
-	if m.host == nil || !m.host.hasRoomEver() {
+	if debug.On {
+		mustBeLive(ps)
+	}
+	h := m.host
+	if h == nil || !h.hasRoomEver() {
 		return 0, 0
 	}
-	gi, ok := m.byName[ps.Group]
-	if !ok {
+	gi := m.groupIndex(ps.Group)
+	if gi < 0 {
 		return 0, 0
 	}
 	pages, bytes := 0, int64(0)
@@ -178,27 +196,36 @@ func (m *Jenga) ImportPrefix(ps PageSet, now Tick) (int, int64) {
 		if len(pb) == 0 {
 			continue
 		}
-		blocks, hashes := m.tierBlocks[:0], m.tierHashes[:0]
+		blocks, hashes := h.pageBlocks[:0], h.pageHashes[:0]
 		for k := range pb {
-			blocks = append(blocks, hostBlock{hash: pb[k].Hash, priority: pb[k].Priority, filled: pb[k].Filled, data: pb[k].Data})
+			blocks = append(blocks, hostBlock{priority: pb[k].Priority, filled: pb[k].Filled, data: pb[k].Data})
 			hashes = append(hashes, pb[k].Hash)
 		}
-		m.tierBlocks, m.tierHashes = blocks, hashes
-		if m.host.resident(gi, hashes) {
-			m.host.touchPage(gi, hashes[0], now)
+		h.pageBlocks, h.pageHashes = blocks, hashes
+		if h.resident(gi, hashes) {
+			h.touchPage(gi, hashes[0], now)
 			continue
 		}
-		if !m.host.store(gi, blocks, now) {
+		if !h.store(gi, blocks, hashes, now) {
 			break
 		}
 		pages++
-		bytes += m.host.pageBytes
+		bytes += h.pageBytes
 	}
 	if pages > 0 {
-		m.host.stats.PeerImports += int64(pages)
-		m.host.stats.PeerImportBytes += bytes
+		h.stats.PeerImports += int64(pages)
+		h.stats.PeerImportBytes += bytes
 	}
 	return pages, bytes
+}
+
+// mustBeLive panics on a page set the jengadebug build has scribbled
+// (scribbleExport): its holder exported again, changed its tier or
+// crashed after handing it out.
+func mustBeLive(ps PageSet) {
+	if slices.Contains(ps.Ends, pageSetPoison) || slices.ContainsFunc(ps.Blocks, func(b PageBlock) bool { return b.Filled == pageSetPoison }) {
+		panic("core: importing a page set its holder voided after the export (a fetch must export and import inside one barrier section)")
+	}
 }
 
 // PeerPresence reports whether some peer replica's tier holds a live
@@ -223,10 +250,13 @@ type FetchBlock struct {
 // fetch precisely what the claim needs. With no tier, no peers or a
 // disabled prefix cache it returns (0, nil); with peers that add
 // nothing, the prefix matches Lookup and the fetch list is empty. The
-// list is manager scratch, valid until the next LookupFleet.
+// list is tier scratch, valid until the next LookupFleet.
 //
 //jenga:hotpath
 func (m *Jenga) LookupFleet(seq *Sequence, peer PeerPresence) (int, []FetchBlock) {
+	if debug.On && m.host != nil {
+		m.host.scribbleFetch()
+	}
 	if !m.cfg.EnablePrefixCache || m.host == nil || !m.host.hasRoomEver() || peer == nil || len(seq.Tokens) < 2 {
 		return 0, nil // (and at least one token must run)
 	}
@@ -235,7 +265,7 @@ func (m *Jenga) LookupFleet(seq *Sequence, peer PeerPresence) (int, []FetchBlock
 	if p == 0 {
 		return 0, nil
 	}
-	m.fleetFetch = m.fleetFetch[:0]
+	m.host.fetch = m.host.fetch[:0]
 	for _, gv := range m.lkViews {
 		g := gv.g
 		hashes := sh.c[g.hclass].hashes
@@ -255,7 +285,7 @@ func (m *Jenga) LookupFleet(seq *Sequence, peer PeerPresence) (int, []FetchBlock
 		m.fetchPeerOnly(g, hashes, 0, min(keep, lo))
 		m.fetchPeerOnly(g, hashes, lo, nb)
 	}
-	return p, m.fleetFetch
+	return p, m.host.fetch
 }
 
 // fetchPeerOnly appends to the fetch list the peer-supplied entries
@@ -265,7 +295,7 @@ func (m *Jenga) LookupFleet(seq *Sequence, peer PeerPresence) (int, []FetchBlock
 func (m *Jenga) fetchPeerOnly(g *group, hashes []uint64, from, to int) {
 	for k := from; k < to && k < len(g.lkPeer); k++ {
 		if g.lkPeer[k] != 0 {
-			m.fleetFetch = append(m.fleetFetch, FetchBlock{Group: g.spec.Name, Hash: hashes[k], Holder: int(g.lkPeer[k]) - 1})
+			m.host.fetch = append(m.host.fetch, FetchBlock{Group: g.spec.Name, Hash: hashes[k], Holder: int(g.lkPeer[k]) - 1})
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"slices"
 	"testing"
+
+	"jenga/internal/debug"
 )
 
 // recObs records TierObserver notifications for assertions.
@@ -123,8 +125,7 @@ func TestFleetExportImportRoundTrip(t *testing.T) {
 			if !rg.pages[blk].held {
 				continue
 			}
-			pg := &g.pages[rg.pages[blk].id]
-			want, ok := stamps[pg.hash]
+			want, ok := stamps[g.hash[rg.pages[blk].id]]
 			if !ok {
 				continue
 			}
@@ -194,7 +195,7 @@ func TestFleetExportSkipsPinned(t *testing.T) {
 	baseline := ps.NumPages()
 
 	// Pin every page, as a mid-claim restore would.
-	kv := m.byName["kv"]
+	kv := m.groupIndex("kv")
 	var pins []tierPin
 	for _, h := range hashes {
 		pins = append(pins, m.host.pin(kv, h))
@@ -226,12 +227,12 @@ func TestFleetObserverEviction(t *testing.T) {
 		t.Fatal("one-page tier spilled many pages but evicted none")
 	}
 	for h := range obs.stored {
-		if _, ok := m.host.lookup(m.byName["kv"], h); !ok {
+		if _, ok := m.host.lookup(m.groupIndex("kv"), h); !ok {
 			t.Fatalf("observer thinks %#x is stored but the index lost it", h)
 		}
 	}
 	for h := range obs.evicted {
-		if _, ok := m.host.lookup(m.byName["kv"], h); ok {
+		if _, ok := m.host.lookup(m.groupIndex("kv"), h); ok {
 			t.Fatalf("observer thinks %#x was evicted but it is still resident", h)
 		}
 	}
@@ -258,21 +259,19 @@ func TestLookupFleetPeerExtension(t *testing.T) {
 	if p < 32 || len(fetch) == 0 {
 		t.Fatalf("LookupFleet = %d with %d fetch blocks, want ≥ 32 with > 0", p, len(fetch))
 	}
+	hashes := make([]uint64, 0, len(fetch))
 	for _, fb := range fetch {
 		if fb.Group != "kv" || !obs.stored[fb.Hash] || fb.Holder != 5 {
 			t.Fatalf("fetch block %+v not held by the peer the oracle named", fb)
 		}
+		hashes = append(hashes, fb.Hash)
 	}
-	// Nil oracle: the fleet path is off.
+	// Nil oracle: the fleet path is off (and the list above has lapsed).
 	if p, fetch := b.LookupFleet(probe, nil); p != 0 || fetch != nil {
 		t.Fatalf("nil-peer LookupFleet = %d/%v, want 0/nil", p, fetch)
 	}
 
 	// Transfer, then the same lookup is local: no fetch needed.
-	hashes := make([]uint64, 0, len(fetch))
-	for _, fb := range fetch {
-		hashes = append(hashes, fb.Hash)
-	}
 	ps, ok := a.ExportPrefix("kv", hashes)
 	if !ok {
 		t.Fatal("export failed")
@@ -366,5 +365,54 @@ func TestPageSetValidUntilNextExport(t *testing.T) {
 	}
 	if intact() {
 		t.Fatal("first page set still intact after the holder exported other blocks")
+	}
+}
+
+// TestVoidedPageSetImportPanics: in a jengadebug build a page set lapses
+// when its holder's tier changes or the holder crashes after the export
+// — a fleet fetch exports and imports inside one barrier section, where
+// neither happens — and importing it then panics instead of copying
+// whatever the holder's blocks hold by then.
+func TestVoidedPageSetImportPanics(t *testing.T) {
+	if !debug.On {
+		t.Skip("page sets are scribbled only in a jengadebug build")
+	}
+	for _, c := range []struct {
+		name string
+		void func(t *testing.T, holder *Jenga)
+	}{
+		{"holder's tier changed", func(t *testing.T, holder *Jenga) {
+			seq := textSeq(50, 9)
+			for i := range seq.Tokens {
+				seq.Tokens[i].ID += 5000 // content the tier does not hold yet
+			}
+			commitSeq(t, holder, seq, 50)
+			for holder.evictLargeLRU() {
+			}
+		}},
+		{"holder crashed", func(t *testing.T, holder *Jenga) {
+			if err := holder.CrashReset(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a := newTieredMgr(t, flatSpec(), 1<<16, 1<<20, 4)
+			obs := newRecObs()
+			a.SetTierObserver(obs)
+			spillAll(t, a)
+			ps, ok := a.ExportPrefix("kv", obs.hashes())
+			if !ok {
+				t.Fatal("export failed")
+			}
+			c.void(t, a)
+			b := newTieredMgr(t, flatSpec(), 1<<16, 1<<20, 4)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("importing a voided page set did not panic")
+				}
+			}()
+			b.ImportPrefix(ps, 2)
+		})
 	}
 }

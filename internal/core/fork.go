@@ -167,7 +167,7 @@ func (m *Jenga) forkCopyPage(g *group, id arena.SmallPageID, req RequestID) (are
 	np := &g.pages[nid]
 	np.filled = old.filled
 	np.dead = old.dead
-	np.hash = old.hash
+	g.hash[nid] = g.hash[id]
 	np.complete = old.complete
 	np.priority = old.priority
 	np.lastAccess = old.lastAccess

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"jenga/internal/arena"
+	"jenga/internal/debug"
 )
 
 // Host-memory KV tier (§8 direction: CachedAttention, Mooncake). The
@@ -21,41 +22,56 @@ import (
 // is deterministic: spill order is the eviction order, tier eviction is
 // oldest-touch-first with the spill sequence number as the tiebreak.
 //
-// Storage is a slot-addressed slab. Pages live by value in chunks of
-// tierChunkPages that are added as the tier fills and never move, a
-// dropped page's slot goes on a free list, and a page's block array —
-// carved from chunked backing the same way — stays with its slot, as do
-// the blocks' byte buffers, so the next page stored there reuses all of
-// it. The index is one map per group *index*, block hash → (slot,
-// position in the page's block array): lookup, pin, touchPage and
-// resident are one integer-keyed map probe each, and a page moved in or
-// out of a full tier allocates nothing. Slots are a dense ID space, so
-// the eviction queue is slotted like the allocator's other two — one
-// entry per live page, re-keyed in place by a touch — and the only
-// allocations left are growth: a slab chunk, the queue's and the free
-// list's arrays, the index maps. Nothing is sized by the byte budget up
-// front.
+// Everything is sized by the byte budget up front. The budget holds at
+// most HostTierBytes / LargePageBytes pages, and newHostTier allocates,
+// once, all the tier will ever use: a page record per slot, a block
+// array per slot as long as the largest small-page ratio (slot s's
+// blocks are blocks[s·stride:], so a block's ID is s·stride + its
+// position, and its hash is hash[ID]), the eviction queue's slots and
+// heap, one index per group, and the scratch of the spill, import,
+// export, fleet-lookup and swap-out paths. The index is a pageIndex
+// over the block hashes — an open-addressed table of block IDs, at most
+// half full, whose keys are read from the blocks' own hash array — so
+// lookup, pin, touchPage and resident are one short integer probe each,
+// and no Go map is left on the tier path. Slots are handed out
+// lowest-unused first and reused last-in-first-out, and the slotted
+// queue holds one entry per live page, re-keyed in place by a touch.
+//
+// The reason is the rule the GPU pages already follow: a tier under
+// pressure turns pages over at the eviction rate, and anything that
+// grows there — map buckets, slab chunks, scratch — is garbage made in
+// the middle of serving. The cost is paid at New whether or not the
+// tier ever fills: ~100 bytes a slot, ~130 a block and 8–16 a block per
+// group's index (a 2 GiB tier of gemma-2-2b's 832 KiB pages is 2,520
+// slots of one block, 0.66 MiB), and Config.Validate refuses a budget
+// whose block IDs would not fit an int32. Only a backed arena's byte
+// buffers still grow, one per block on its first use, and stay with the
+// block.
 
-// hostBlock is one spilled small page's identity and (for backed
-// arenas) contents. Recency and expiry are deliberately not carried:
+// hostBlock is one spilled small page's identity — with its hash, kept
+// beside it (hostTier.hash) — and (for backed arenas) contents.
+// Recency and expiry are deliberately not carried:
 // a restored block is immediately claimed (used) by a request, and
 // its eviction class is recomputed from scratch when that request's
 // commit/release path demotes it — host-tier residence resets a
 // block's eviction history just like a fresh commit would.
 type hostBlock struct {
-	hash     uint64
 	priority int64
 	filled   int32
+	// superseded marks a block whose hash a later store took over: its
+	// index entry moved to the newer copy, and the block stays
+	// unreachable for the rest of its page's life.
+	superseded bool
 	// data holds the small page's bytes (backed arenas only). Inside
-	// the tier the buffer belongs to the slot and is overwritten by the
-	// next page stored there.
+	// the tier the buffer belongs to the block and is overwritten by
+	// the next page stored there.
 	data []byte
 }
 
-// hostPage is one slab slot: a spilled large page — the tier's budget
-// unit, accounted at one large page however many blocks it carries,
-// because the transfer granularity is the whole page — or a free slot
-// keeping its block array for the next store.
+// hostPage is one slot's record: a spilled large page — the tier's
+// budget unit, accounted at one large page however many blocks it
+// carries, because the transfer granularity is the whole page — or a
+// free slot.
 type hostPage struct {
 	// seq is the spill sequence number, -1 on a free slot — unique, so
 	// (touch, seq) is a total order and tier eviction is deterministic,
@@ -64,18 +80,18 @@ type hostPage struct {
 	seq int64
 	// touch is the page's last access (restores refresh it).
 	touch Tick
-	group int32
+	// exported is the tier's export generation at the page's last
+	// visit by ExportPrefix: the per-call page dedup, without a set.
+	exported int64
+	group    int32
 	// pins counts in-flight restores reading the page; a pinned page is
 	// never evicted: a restore allocates GPU pages, and that allocation
 	// may itself spill (and therefore tier-evict) — it must not evict
 	// its source.
 	pins int32
-	// exported is the tier's export generation at the page's last
-	// visit by ExportPrefix: the per-call page dedup, without a set.
-	exported int64
-	// blocks are the cached small pages the large page held at spill
-	// time (empty on a free slot; the capacity is the slot's).
-	blocks []hostBlock
+	// n is the number of cached small pages the large page held at
+	// spill time: the slot's first n blocks (0 on a free slot).
+	n int32
 }
 
 // TierStats is the host tier's counter snapshot, exposed through the
@@ -111,23 +127,12 @@ type TierStats struct {
 	PeerSkips, PeerFails int64
 }
 
-// Slab growth units: pages per slab chunk, and blocks per chunk of the
-// backing the slots' block arrays are carved from.
-const (
-	tierChunkPages  = 256
-	tierChunkBlocks = 1024
-)
-
-// tierRef locates one indexed block: its page's slot and its position
-// in that page's block array.
-type tierRef struct{ slot, pos int32 }
-
 // tierPin is the handle pin returns and unpin takes: the pinned block's
-// place (slot -1: the hash was not resident, nothing is pinned) and the
-// sequence number of the page pinned there.
+// ID (-1: the hash was not resident, nothing is pinned) and the
+// sequence number of the page holding it.
 type tierPin struct {
-	tierRef
-	seq int64
+	block int32
+	seq   int64
 }
 
 // hostTier is the byte-budgeted second memory tier.
@@ -137,28 +142,45 @@ type hostTier struct {
 	used      int64
 	nextSeq   int64
 	exportGen int64 // ExportPrefix calls so far (hostPage.exported)
-	// names are the group names by group index, for the observer.
-	names []string
-	// chunks is the page slab: slot s is chunks[s/tierChunkPages]
-	// [s%tierChunkPages]. free lists the slots no live page occupies
-	// and live counts the ones one does.
-	chunks [][]hostPage
+	// names are the group names by group index, for the observer, and
+	// ratios the most blocks a page of each group holds (its small pages
+	// per large page); stride, the largest, is every slot's block count.
+	names  []string
+	ratios []int32
+	stride int32
+	// pages holds a record per slot, blocks and hash stride blocks and
+	// their hashes per slot. Slots below fresh have held a page; free
+	// stacks the ones no live page occupies now, and live counts the
+	// ones one does.
+	pages  []hostPage
+	blocks []hostBlock
+	hash   []uint64
+	fresh  int32
 	free   []int32
 	live   int
-	// blockBacking is the uncarved rest of the newest block chunk.
-	blockBacking []hostBlock
-	// index maps, per group index, block hash → the block's place. A
-	// re-spill of the same hash repoints the entry; the older page's
-	// copy becomes unreachable and dies with its page.
-	index []map[uint64]tierRef
-	// evict orders the live pages by (touch, seq), slotted by slab
-	// slot: exactly one entry per live page.
+	// index maps, per group index, block hash → the live block holding
+	// it. A re-spill of the same hash repoints the entry; the older
+	// page's copy becomes unreachable and dies with its page.
+	index []pageIndex[int32]
+	// evict orders the live pages by (touch, seq), slotted by slot:
+	// exactly one entry per live page.
 	evict evictQueue[hostEvictEntry]
-	// Scratch: evictOne's pinned candidates, and the hash list handed
-	// to the observer (which must not retain it).
-	stash  []hostEvictEntry
-	hashes []uint64
-	stats  TierStats
+	// Scratch: evictOne's pinned candidates; the hash list handed to the
+	// observer (which must not retain it); one page's blocks and hashes
+	// (spillLarge and ImportPrefix — store copies what it keeps; the
+	// hashes are the blocks' keys, in order);
+	// SwapOut's candidate pages; the page set ExportPrefix hands out
+	// (valid until the next export) and LookupFleet's fetch list (valid
+	// until the next lookup).
+	stash        []hostEvictEntry
+	notify       []uint64
+	pageBlocks   []hostBlock
+	pageHashes   []uint64
+	swapLarge    []arena.LargePageID
+	exportBlocks []PageBlock
+	exportEnds   []int
+	fetch        []FetchBlock
+	stats        TierStats
 	// obs, when set, is notified of every content change: block hashes
 	// entering the tier (store) and leaving it (dropPage). The fleet
 	// directory registers and invalidates through these callbacks; nil
@@ -167,7 +189,7 @@ type hostTier struct {
 }
 
 // hostEvictEntry is one live page's (touch, seq) key in the eviction
-// queue; id is its slab slot.
+// queue; id is its slot.
 type hostEvictEntry struct {
 	touch Tick
 	seq   int64
@@ -185,60 +207,93 @@ func (a hostEvictEntry) before(b hostEvictEntry) bool {
 
 func (a hostEvictEntry) slot() int { return int(a.id) }
 
+// tierSlots is how many pages a budget can hold at once. The caller
+// keeps slots × the largest ratio within int32 (Config.Validate).
+func tierSlots(capacity int64, pageBytes int) int64 {
+	return max(capacity, 0) / int64(pageBytes)
+}
+
 // newHostTier builds a tier with the given byte budget over the named
-// groups. A budget below one large page can never hold a spill:
-// hasRoomEver is false and every caller treats the tier as absent.
-func newHostTier(capacity int64, pageBytes int, groups []string) *hostTier {
+// groups, whose pages hold at most ratios[gi] blocks each, with every
+// table sized for the budget. A budget below one large page can never
+// hold a spill: hasRoomEver is false and every caller treats the tier as
+// absent.
+func newHostTier(capacity int64, pageBytes int, groups []string, ratios []int) *hostTier {
+	slots := int(tierSlots(capacity, pageBytes))
 	h := &hostTier{
 		capacity:  capacity,
 		pageBytes: int64(pageBytes),
 		names:     groups,
-		index:     make([]map[uint64]tierRef, len(groups)),
+		ratios:    make([]int32, len(groups)),
+		pages:     make([]hostPage, slots),
+		free:      make([]int32, 0, slots),
+		index:     make([]pageIndex[int32], len(groups)),
 		stats:     TierStats{HostCapacity: capacity},
 	}
-	for gi := range h.index {
-		h.index[gi] = make(map[uint64]tierRef)
+	for gi, r := range ratios {
+		h.ratios[gi] = int32(r)
+		h.stride = max(h.stride, int32(r))
 	}
-	h.evict.initSlots(0, hostEvictEntry.slot)
+	blocks := slots * int(h.stride)
+	h.blocks = make([]hostBlock, blocks)
+	h.hash = make([]uint64, blocks)
+	for s := range h.pages {
+		h.pages[s].seq = -1
+	}
+	for gi := range h.index {
+		h.index[gi].init(h.hash, slots*ratios[gi])
+	}
+	h.evict.initSlots(slots, slots, hostEvictEntry.slot)
+	h.stash = make([]hostEvictEntry, 0, slots)
+	h.notify = make([]uint64, 0, h.stride)
+	h.pageBlocks = make([]hostBlock, 0, h.stride)
+	h.pageHashes = make([]uint64, 0, h.stride)
+	h.swapLarge = make([]arena.LargePageID, 0, blocks)
+	h.exportBlocks = make([]PageBlock, 0, blocks)
+	h.exportEnds = make([]int, 0, slots)
+	h.fetch = make([]FetchBlock, 0, blocks)
 	return h
 }
 
 // hasRoomEver reports whether the budget admits even one page.
 func (h *hostTier) hasRoomEver() bool { return h.capacity >= h.pageBytes }
 
-// page returns slot's page; the pointer stays valid for the tier's
-// lifetime (chunks never move).
-func (h *hostTier) page(slot int32) *hostPage {
-	return &h.chunks[slot/tierChunkPages][slot%tierChunkPages]
+// blockRange returns the IDs of slot's page's blocks, [first, end).
+func (h *hostTier) blockRange(slot int32) (first, end int32) {
+	first = slot * h.stride
+	return first, first + h.pages[slot].n
 }
+
+// pageOf returns the page holding block id.
+func (h *hostTier) pageOf(id int32) *hostPage { return &h.pages[id/h.stride] }
 
 // lookup returns the tier's live copy of (group gi, hash), if any.
 //
 //jenga:hotpath
 func (h *hostTier) lookup(gi int, hash uint64) (*hostBlock, bool) {
-	ref, ok := h.index[gi][hash]
+	id, ok := h.index[gi].get(hash)
 	if !ok {
 		return nil, false
 	}
-	return &h.page(ref.slot).blocks[ref.pos], true
+	return &h.blocks[id], true
 }
 
 // groupSize returns the number of live indexed blocks for a group.
-func (h *hostTier) groupSize(gi int) int { return len(h.index[gi]) }
+func (h *hostTier) groupSize(gi int) int { return h.index[gi].len() }
 
 // pin marks the page owning (group gi, hash) as un-evictable for the
-// duration of a restore and returns its handle (slot -1 when the hash
+// duration of a restore and returns its handle (block -1 when the hash
 // is not resident). Pins nest.
 //
 //jenga:hotpath
 func (h *hostTier) pin(gi int, hash uint64) tierPin {
-	ref, ok := h.index[gi][hash]
+	id, ok := h.index[gi].get(hash)
 	if !ok {
-		return tierPin{tierRef: tierRef{slot: -1}}
+		return tierPin{block: -1}
 	}
-	pg := h.page(ref.slot)
+	pg := h.pageOf(id)
 	pg.pins++
-	return tierPin{tierRef: ref, seq: pg.seq}
+	return tierPin{block: id, seq: pg.seq}
 }
 
 // pinned returns the block a live pin holds. A later spill may repoint
@@ -247,14 +302,13 @@ func (h *hostTier) pin(gi int, hash uint64) tierPin {
 //
 //jenga:hotpath
 func (h *hostTier) pinned(p tierPin) *hostBlock {
-	if p.slot < 0 {
+	if p.block < 0 {
 		check(false, "host tier: reading through a pin that holds nothing")
 	}
-	pg := h.page(p.slot)
-	if pg.seq != p.seq || pg.pins == 0 {
-		check(false, "host tier: slot %d is not pinned by page %d", p.slot, p.seq)
+	if pg := h.pageOf(p.block); pg.seq != p.seq || pg.pins == 0 {
+		check(false, "host tier: block %d is not pinned by page %d", p.block, p.seq)
 	}
-	return &pg.blocks[p.pos]
+	return &h.blocks[p.block]
 }
 
 // unpin releases one pin. A handle for a hash that was not resident, or
@@ -263,10 +317,10 @@ func (h *hostTier) pinned(p tierPin) *hostBlock {
 //
 //jenga:hotpath
 func (h *hostTier) unpin(p tierPin) {
-	if p.slot < 0 {
+	if p.block < 0 {
 		return
 	}
-	if pg := h.page(p.slot); pg.seq == p.seq && pg.pins > 0 {
+	if pg := h.pageOf(p.block); pg.seq == p.seq && pg.pins > 0 {
 		pg.pins--
 	}
 }
@@ -278,8 +332,8 @@ func (h *hostTier) unpin(p tierPin) {
 // eviction candidate).
 //
 //jenga:hotpath
-func (h *hostTier) spill(gi int, blocks []hostBlock, now Tick) bool {
-	if !h.store(gi, blocks, now) {
+func (h *hostTier) spill(gi int, blocks []hostBlock, hashes []uint64, now Tick) bool {
+	if !h.store(gi, blocks, hashes, now) {
 		return false
 	}
 	h.stats.SwapOuts++
@@ -290,13 +344,15 @@ func (h *hostTier) spill(gi int, blocks []hostBlock, now Tick) bool {
 // store is the common page-admission path behind the D2H spill and the
 // fleet import: budget eviction, indexing, recency, observer
 // registration — everything except the transfer-direction accounting,
-// which the two callers charge differently. blocks is copied, bytes
-// included, into the slot's own arrays, so callers may build it in
-// scratch and point its data at memory they do not own.
+// which the two callers charge differently. blocks and their hashes are
+// copied, bytes included, into the slot's own blocks, so callers may
+// build them in scratch and point their data at memory they do not own.
+// A page of more blocks than its group's ratio — a peer of another
+// geometry — is refused.
 //
 //jenga:hotpath
-func (h *hostTier) store(gi int, blocks []hostBlock, now Tick) bool {
-	if !h.hasRoomEver() || len(blocks) == 0 {
+func (h *hostTier) store(gi int, blocks []hostBlock, hashes []uint64, now Tick) bool {
+	if !h.hasRoomEver() || len(blocks) == 0 || len(blocks) > int(h.ratios[gi]) {
 		return false
 	}
 	for h.used+h.pageBytes > h.capacity {
@@ -304,35 +360,37 @@ func (h *hostTier) store(gi int, blocks []hostBlock, now Tick) bool {
 			return false
 		}
 	}
+	if debug.On {
+		h.scribbleExport()
+	}
 	slot := h.takeSlot()
-	pg := h.page(slot)
-	pg.seq, pg.touch, pg.group, pg.pins = h.nextSeq, now, int32(gi), 0
+	pg := &h.pages[slot]
+	pg.seq, pg.touch, pg.group, pg.pins, pg.n = h.nextSeq, now, int32(gi), 0, int32(len(blocks))
 	h.nextSeq++
-	pg.blocks = h.blockArray(pg.blocks, len(blocks))
-	idx := h.index[gi]
-	hashes := h.hashes[:0]
+	idx := &h.index[gi]
+	base := slot * h.stride
 	for i := range blocks {
-		b, src := &pg.blocks[i], &blocks[i]
-		b.hash, b.priority, b.filled = src.hash, src.priority, src.filled
+		id := base + int32(i)
+		b, src := &h.blocks[id], &blocks[i]
+		b.priority, b.filled, b.superseded = src.priority, src.filled, false
 		b.data = append(b.data[:0], src.data...)
-		idx[b.hash] = tierRef{slot: slot, pos: int32(i)}
-		if h.obs != nil {
-			hashes = append(hashes, b.hash)
+		h.hash[id] = hashes[i]
+		if prev, took := idx.set(id); took {
+			h.blocks[prev].superseded = true
 		}
 	}
-	h.hashes = hashes
 	h.evict.push(hostEvictEntry{touch: now, seq: pg.seq, id: slot})
 	h.live++
 	h.used += h.pageBytes
 	h.stats.HostUsed = h.used
 	if h.obs != nil {
-		h.obs.TierStored(h.names[gi], hashes)
+		h.obs.TierStored(h.names[gi], h.hash[base:base+pg.n])
 	}
 	return true
 }
 
-// takeSlot returns a free slot, growing the slab (and the eviction
-// queue's slot space with it) by one chunk when none is left.
+// takeSlot returns the most recently freed slot, or the lowest one that
+// never held a page. The budget check before it guarantees there is one.
 //
 //jenga:hotpath
 func (h *hostTier) takeSlot() int32 {
@@ -341,38 +399,8 @@ func (h *hostTier) takeSlot() int32 {
 		h.free = h.free[:n-1]
 		return slot
 	}
-	base := int32(len(h.chunks) * tierChunkPages)
-	//jenga:alloc-ok slab growth: one chunk per tierChunkPages pages of tier high-water, never per page
-	chunk := make([]hostPage, tierChunkPages)
-	for i := range chunk {
-		chunk[i].seq = -1
-	}
-	h.chunks = append(h.chunks, chunk)
-	h.evict.growSlots(int(base) + tierChunkPages)
-	for s := base + tierChunkPages - 1; s > base; s-- {
-		h.free = append(h.free, s)
-	}
-	return base
-}
-
-// blockArray returns an n-block array for a slot whose current array
-// is old: old itself when it is big enough — its blocks' byte buffers
-// come with it — and a fresh carve from the chunked backing otherwise.
-// Slots are reused across groups with different small-page ratios, so a
-// slot's array settles at the largest it has needed.
-//
-//jenga:hotpath
-func (h *hostTier) blockArray(old []hostBlock, n int) []hostBlock {
-	if cap(old) >= n {
-		return old[:n]
-	}
-	if len(h.blockBacking) < n {
-		//jenga:alloc-ok slab growth: one chunk per tierChunkBlocks blocks of tier high-water, never per page
-		h.blockBacking = make([]hostBlock, max(n, tierChunkBlocks))
-	}
-	arr := h.blockBacking[:n:n]
-	h.blockBacking = h.blockBacking[n:]
-	return arr
+	h.fresh++
+	return h.fresh - 1
 }
 
 // resident reports whether every hash in hs is live in the tier —
@@ -381,9 +409,9 @@ func (h *hostTier) blockArray(old []hostBlock, n int) []hostBlock {
 //
 //jenga:hotpath
 func (h *hostTier) resident(gi int, hs []uint64) bool {
-	idx := h.index[gi]
+	idx := &h.index[gi]
 	for _, hash := range hs {
-		if _, ok := idx[hash]; !ok {
+		if _, ok := idx.get(hash); !ok {
 			return false
 		}
 	}
@@ -395,10 +423,10 @@ func (h *hostTier) resident(gi int, hs []uint64) bool {
 //
 //jenga:hotpath
 func (h *hostTier) touchPage(gi int, hash uint64, now Tick) {
-	if ref, ok := h.index[gi][hash]; ok {
-		if pg := h.page(ref.slot); pg.touch < now {
+	if id, ok := h.index[gi].get(hash); ok {
+		if pg := h.pageOf(id); pg.touch < now {
 			pg.touch = now
-			h.evict.push(hostEvictEntry{touch: now, seq: pg.seq, id: ref.slot})
+			h.evict.push(hostEvictEntry{touch: now, seq: pg.seq, id: id / h.stride})
 		}
 	}
 }
@@ -414,7 +442,7 @@ func (h *hostTier) evictOne() bool {
 	dropped := false
 	for h.evict.len() > 0 {
 		e := h.evict.pop()
-		if h.page(e.id).pins > 0 {
+		if h.pages[e.id].pins > 0 {
 			stash = append(stash, e)
 			continue
 		}
@@ -431,34 +459,57 @@ func (h *hostTier) evictOne() bool {
 }
 
 // dropPage frees slot's page — already off the eviction queue —
-// deleting only the index entries that still point at it (a later
+// deleting only the index entries that still name its blocks (a later
 // re-spill may have repointed some). The observer hears exactly the
 // hashes whose live copy died — repointed hashes are still resident and
 // stay registered.
 //
 //jenga:hotpath
 func (h *hostTier) dropPage(slot int32) {
-	pg := h.page(slot)
-	idx := h.index[pg.group]
-	gone := h.hashes[:0]
-	for i := range pg.blocks {
-		hash := pg.blocks[i].hash
-		if ref, ok := idx[hash]; ok && ref.slot == slot {
-			delete(idx, hash)
-			if h.obs != nil {
-				gone = append(gone, hash)
-			}
+	if debug.On {
+		h.scribbleExport()
+	}
+	pg := &h.pages[slot]
+	idx := &h.index[pg.group]
+	gone := h.notify[:0]
+	for id, end := h.blockRange(slot); id < end; id++ {
+		if idx.drop(id) && h.obs != nil {
+			gone = append(gone, h.hash[id])
 		}
 	}
-	h.hashes = gone
-	pg.seq = -1
-	pg.blocks = pg.blocks[:0]
+	h.notify = gone
+	pg.seq, pg.n = -1, 0
 	h.free = append(h.free, slot)
 	h.live--
 	h.used -= h.pageBytes
 	h.stats.HostUsed = h.used
 	if len(gone) > 0 {
 		h.obs.TierEvicted(h.names[pg.group], gone)
+	}
+}
+
+// pageSetPoison is what a void page set's ends and fills read as in a
+// jengadebug build.
+const pageSetPoison = -0x5EED
+
+// scribbleExport voids the page set the last ExportPrefix handed out,
+// in a jengadebug build: the holder is exporting again, or its tier is
+// changing under the view. Importing the set then panics instead of
+// copying the tier's next state.
+func (h *hostTier) scribbleExport() {
+	for i := range h.exportBlocks {
+		h.exportBlocks[i] = PageBlock{Hash: hashPoison, Priority: pageSetPoison, Filled: pageSetPoison}
+	}
+	for i := range h.exportEnds {
+		h.exportEnds[i] = pageSetPoison
+	}
+}
+
+// scribbleFetch voids the fetch list the last LookupFleet returned, in
+// a jengadebug build: a reader past its lifetime names no holder.
+func (h *hostTier) scribbleFetch() {
+	for i := range h.fetch {
+		h.fetch[i] = FetchBlock{Group: "\x00scribbled", Hash: hashPoison, Holder: pageSetPoison}
 	}
 }
 
@@ -553,9 +604,9 @@ func (m *Jenga) SwapOut(seq *Sequence) (int, int64) {
 
 // heldLargePages collects, in ascending order, the distinct large
 // pages holding any page the request currently references. The result
-// is scratch, valid until the next call.
+// is the tier's scratch, valid until the next call.
 func (m *Jenga) heldLargePages(r *reqState) []arena.LargePageID {
-	out := m.tierLarge[:0]
+	out := m.host.swapLarge[:0]
 	for gi, g := range m.groups {
 		rg := &r.g[gi]
 		for _, refs := range [2][]pageRef{rg.pages, rg.ckpts} {
@@ -568,7 +619,7 @@ func (m *Jenga) heldLargePages(r *reqState) []arena.LargePageID {
 	}
 	slices.Sort(out)
 	out = slices.Compact(out)
-	m.tierLarge = out
+	m.host.swapLarge = out
 	return out
 }
 
@@ -582,7 +633,8 @@ func (m *Jenga) heldLargePages(r *reqState) []arena.LargePageID {
 //
 //jenga:hotpath
 func (m *Jenga) spillLarge(L arena.LargePageID, now Tick) bool {
-	if m.host == nil || !m.host.hasRoomEver() {
+	h := m.host
+	if h == nil || !h.hasRoomEver() {
 		return false
 	}
 	if m.largeOwner[L] < 0 || m.cntUsed[L] != 0 || m.cntCached[L] == 0 {
@@ -590,7 +642,7 @@ func (m *Jenga) spillLarge(L arena.LargePageID, now Tick) bool {
 	}
 	g := m.groups[m.largeOwner[L]]
 	first, n := g.view.SmallRange(L)
-	blocks, hashes := m.tierBlocks[:0], m.tierHashes[:0]
+	blocks, hashes := h.pageBlocks[:0], h.pageHashes[:0]
 	for i := 0; i < n; i++ {
 		id := first + arena.SmallPageID(i)
 		pg := &g.pages[id]
@@ -598,7 +650,6 @@ func (m *Jenga) spillLarge(L arena.LargePageID, now Tick) bool {
 			continue
 		}
 		hb := hostBlock{
-			hash:     pg.hash,
 			priority: pg.priority,
 			filled:   pg.filled,
 		}
@@ -609,19 +660,19 @@ func (m *Jenga) spillLarge(L arena.LargePageID, now Tick) bool {
 			}
 		}
 		blocks = append(blocks, hb)
-		hashes = append(hashes, pg.hash)
+		hashes = append(hashes, g.hash[id])
 	}
-	m.tierBlocks, m.tierHashes = blocks, hashes
+	h.pageBlocks, h.pageHashes = blocks, hashes
 	if len(blocks) == 0 {
 		return false
 	}
-	if m.host.resident(g.idx, hashes) {
+	if h.resident(g.idx, hashes) {
 		// Dedup: the bytes already live in the tier (a swap-out beat
 		// the evictor here); just refresh recency.
-		m.host.touchPage(g.idx, hashes[0], now)
+		h.touchPage(g.idx, hashes[0], now)
 		return false
 	}
-	if !m.host.spill(g.idx, blocks, now) {
+	if !h.spill(g.idx, blocks, hashes, now) {
 		return false
 	}
 	m.stats.SwapOuts++
@@ -645,7 +696,7 @@ func (m *Jenga) restoreBlock(g *group, hb *hostBlock, hash uint64, req RequestID
 	pg := &g.pages[id]
 	pg.filled = hb.filled
 	g.filledSlots += int64(hb.filled)
-	pg.hash = hash
+	g.hash[id] = hash
 	pg.complete = true
 	pg.priority = hb.priority
 	pg.lastAccess = now

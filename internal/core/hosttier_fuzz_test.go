@@ -198,17 +198,18 @@ func compareTiers(h *hostTier, r *refTier) error {
 			}
 		}
 	}
-	for group, gi := range h.index {
-		for hash, ref := range gi {
+	for group := range h.index {
+		for _, s := range h.index[group].slots {
+			if s == 0 {
+				continue
+			}
+			hash := h.hash[s-1]
 			if _, ok := r.lookup(group, hash); !ok {
 				return fmt.Errorf("tier has %d/%x, ref misses it", group, hash)
 			}
-			if pg := h.page(ref.slot); pg.seq < 0 || int(pg.group) != group || pg.blocks[ref.pos].hash != hash {
-				return fmt.Errorf("index entry %d/%x points at slot %d pos %d, which holds something else", group, hash, ref.slot, ref.pos)
-			}
 		}
 	}
-	return nil
+	return h.check()
 }
 
 // FuzzHostTier drives the host tier and the reference with the same
@@ -229,9 +230,12 @@ func FuzzHostTier(f *testing.F) {
 	// Spill hashes 0-2, re-spill 2-3 as a second page, evict the first:
 	// only 0 and 1 die with it, 2 stays resident in the second.
 	f.Add([]byte{0, 32, 0, 34, 2, 0, 1, 0, 1, 2})
+	// Spill hash 0, pin it three times, re-spill it, evict: the newer
+	// copy goes, and the pinned older one stays live but unreachable.
+	f.Add([]byte("00909090002000"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const pageBytes = 64
-		tier := newHostTier(4*pageBytes, pageBytes, fuzzTierGroups)
+		tier := newHostTier(4*pageBytes, pageBytes, fuzzTierGroups, []int{3, 3})
 		ref := newRefTier(4*pageBytes, pageBytes)
 		obs := &tierEvents{}
 		tier.obs = obs
@@ -252,9 +256,9 @@ func FuzzHostTier(f *testing.F) {
 				for k := 0; k < n; k++ {
 					hashes[k] = (hash + uint64(k)) % 16
 					filled[k] = int32(arg) + int32(k)
-					blocks[k] = hostBlock{hash: hashes[k], filled: filled[k]}
+					blocks[k] = hostBlock{filled: filled[k]}
 				}
-				got := tier.spill(group, blocks, now)
+				got := tier.spill(group, blocks, hashes, now)
 				want := ref.spill(group, hashes, filled, now)
 				if got != want {
 					t.Fatalf("op %d: spill = %v, ref %v", i, got, want)
@@ -275,11 +279,11 @@ func FuzzHostTier(f *testing.F) {
 				}
 			case 3: // pin
 				p, rp := tier.pin(group, hash), ref.pin(group, hash)
-				if (p.slot < 0) != (rp < 0) || (rp >= 0 && p.seq != rp) {
+				if (p.block < 0) != (rp < 0) || (rp >= 0 && p.seq != rp) {
 					t.Fatalf("op %d: pin = %+v, ref page %d", i, p, rp)
 				}
-				if p.slot >= 0 && tier.pinned(p).hash != hash {
-					t.Fatalf("op %d: pin %+v holds block %x, want %x", i, p, tier.pinned(p).hash, hash)
+				if p.block >= 0 && (tier.pinned(p) != &tier.blocks[p.block] || tier.hash[p.block] != hash) {
+					t.Fatalf("op %d: pin %+v holds block %x, want %x", i, p, tier.hash[p.block], hash)
 				}
 				pins, refPins = append(pins, p), append(refPins, rp)
 			case 4: // unpin oldest outstanding pin

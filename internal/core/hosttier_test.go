@@ -65,11 +65,12 @@ func stampPages(t *testing.T, m *Jenga, seq *Sequence) map[uint64]byte {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v := byte(pg.hash)
+			hash := g.hash[rg.pages[b].id]
+			v := byte(hash)
 			for i := range buf {
 				buf[i] = v
 			}
-			stamps[pg.hash] = v
+			stamps[hash] = v
 		}
 	}
 	return stamps
@@ -149,8 +150,7 @@ func TestHostTierSpillRestoreRoundTrip(t *testing.T) {
 			if !rg.pages[b].held {
 				continue
 			}
-			pg := &g.pages[rg.pages[b].id]
-			want, ok := stamps[pg.hash]
+			want, ok := stamps[g.hash[rg.pages[b].id]]
 			if !ok {
 				continue
 			}

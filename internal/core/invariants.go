@@ -33,7 +33,7 @@ func (m *Jenga) CheckInvariants() error {
 		if err := m.checkStacks(g); err != nil {
 			return fmt.Errorf("core: group %s: %w", g.spec.Name, err)
 		}
-		if err := g.index.check(); err != nil {
+		if err := checkPrefixIndex(g); err != nil {
 			return fmt.Errorf("core: group %s: %w", g.spec.Name, err)
 		}
 		if err := m.checkQueued(g); err != nil {
@@ -182,63 +182,92 @@ func (m *Jenga) checkQueued(g *group) error {
 	return nil
 }
 
-// checkHost: every index entry leads to a live page of its group whose
-// block at the entry's position carries the entry's hash; no page holds
-// negative pins, a live page is queued at its (touch, seq) and a free
-// slot (seq −1) is neither pinned nor queued; the live pages and the
-// free list are every slot, and the bytes used are one large page per
-// live page. The pins are exactly those of the pending restores of a
-// claim in flight, each on the page whose sequence number it holds —
-// none at all between calls.
+// checkHost: the tier is sound (hostTier.check), and its pins are
+// exactly those of the pending restores of a claim in flight, each on
+// the page whose sequence number it holds — none at all between calls.
 func (m *Jenga) checkHost() error {
 	h := m.host
-	if err := h.evict.check(); err != nil {
-		return fmt.Errorf("queue: %w", err)
+	if err := h.check(); err != nil {
+		return err
 	}
-	slots := int32(len(h.chunks) * tierChunkPages)
-	for gi, idx := range h.index {
-		//jenga:order-ok each entry is judged on its own; visit order only decides which violation is reported
-		for hash, ref := range idx {
-			if ref.slot < 0 || ref.slot >= slots {
-				return fmt.Errorf("group %s's entry %x names slot %d of %d", h.names[gi], hash, ref.slot, slots)
-			}
-			if pg := h.page(ref.slot); pg.seq < 0 || int(pg.group) != gi || int(ref.pos) >= len(pg.blocks) || pg.blocks[ref.pos].hash != hash {
-				return fmt.Errorf("group %s's entry %x names block %d of slot %d, which does not hold it", h.names[gi], hash, ref.pos, ref.slot)
-			}
-		}
-	}
-	held := int32(0)
+	held, pins := int32(0), int32(0)
 	for _, pr := range m.claimPending {
-		if pr.g == nil || pr.pin.slot < 0 {
+		if pr.g == nil || pr.pin.block < 0 {
 			continue
 		}
-		if pr.pin.slot >= slots || h.page(pr.pin.slot).seq != pr.pin.seq {
-			return fmt.Errorf("a pending restore's pin on slot %d names page %d, which is not there", pr.pin.slot, pr.pin.seq)
+		if int(pr.pin.block) >= len(h.blocks) || h.pageOf(pr.pin.block).seq != pr.pin.seq {
+			return fmt.Errorf("a pending restore's pin on block %d names page %d, which is not there", pr.pin.block, pr.pin.seq)
 		}
 		held++
 	}
-	live, pins := 0, int32(0)
-	for s := range slots {
-		pg := h.page(s)
+	for s := range h.pages {
+		pins += h.pages[s].pins
+	}
+	if pins != held {
+		return fmt.Errorf("pages hold %d pins, pending restores %d", pins, held)
+	}
+	return nil
+}
+
+// check: each group's index is a sound table (pageIndex.check) whose
+// entries all name a block of one of the group's live pages, and every
+// live block is indexed exactly once, at itself — unless a later store
+// superseded it, when only a copy at least as new may hold its hash (a
+// re-spill repoints, and the superseded copy stays unreachable even
+// after the newer one dies); no page holds negative pins,
+// a live page is queued at its (touch, seq) and a free slot (seq −1)
+// holds no blocks, pins or queue entry; the live pages and the free
+// list are the slots handed out so far, and the bytes used are one large
+// page per live page.
+func (h *hostTier) check() error {
+	if err := h.evict.check(); err != nil {
+		return fmt.Errorf("queue: %w", err)
+	}
+	for gi := range h.index {
+		err := h.index[gi].check(func(id int32) error {
+			if id < 0 || int(id) >= len(h.blocks) {
+				return fmt.Errorf("entry names block %d of %d", id, len(h.blocks))
+			}
+			if slot, pos := id/h.stride, id%h.stride; h.pages[slot].seq < 0 || int(h.pages[slot].group) != gi || pos >= h.pages[slot].n {
+				return fmt.Errorf("entry names block %d of slot %d, which holds no live block of the group", pos, slot)
+			}
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("group %s's index: %w", h.names[gi], err)
+		}
+	}
+	live := 0
+	for s := range int32(len(h.pages)) {
+		pg := &h.pages[s]
 		e, queued := h.evict.at(int(s))
 		switch {
 		case pg.pins < 0:
 			return fmt.Errorf("slot %d holds %d pins", s, pg.pins)
-		case pg.seq < 0 && (pg.pins != 0 || queued):
-			return fmt.Errorf("free slot %d holds %d pins, queued %v", s, pg.pins, queued)
+		case pg.seq < 0 && (pg.pins != 0 || pg.n != 0 || queued):
+			return fmt.Errorf("free slot %d holds %d pins, %d blocks, queued %v", s, pg.pins, pg.n, queued)
 		case pg.seq >= 0 && (!queued || e.touch != pg.touch || e.seq != pg.seq):
 			return fmt.Errorf("live page %d in slot %d is not queued at its key", pg.seq, s)
+		case pg.seq >= 0 && s >= h.fresh:
+			return fmt.Errorf("live page %d in slot %d, which was never handed out (%d were)", pg.seq, s, h.fresh)
 		}
-		if pg.seq >= 0 {
-			live++
+		if pg.seq < 0 {
+			continue
 		}
-		pins += pg.pins
+		live++
+		for id, end := h.blockRange(s); id < end; id++ {
+			got, ok := h.index[pg.group].get(h.hash[id])
+			switch {
+			case !h.blocks[id].superseded && (!ok || got != id):
+				return fmt.Errorf("live block %d of slot %d (%x) is not indexed (the entry names block %d: %v)", id%h.stride, s, h.hash[id], got, ok)
+			case h.blocks[id].superseded && ok && (got == id || h.pageOf(got).seq < pg.seq):
+				return fmt.Errorf("superseded block %d of slot %d (%x) is indexed at block %d, no newer copy", id%h.stride, s, h.hash[id], got)
+			}
+		}
 	}
 	switch {
-	case pins != held:
-		return fmt.Errorf("pages hold %d pins, pending restores %d", pins, held)
-	case live != h.live || live+len(h.free) != int(slots):
-		return fmt.Errorf("%d live pages (counted %d) and %d free slots of %d", live, h.live, len(h.free), slots)
+	case live != h.live || live+len(h.free) != int(h.fresh):
+		return fmt.Errorf("%d live pages (counted %d) and %d free slots, %d handed out", live, h.live, len(h.free), h.fresh)
 	case h.used != int64(live)*h.pageBytes:
 		return fmt.Errorf("%d bytes used by %d pages of %d", h.used, live, h.pageBytes)
 	}
@@ -329,31 +358,63 @@ func (m *Jenga) checkStacks(g *group) error {
 	return nil
 }
 
-// check: the table holds exactly the hashed pages, none of them empty,
-// each found under its own hash at its own ID.
-func (ix *pageIndex) check() error {
+// checkPrefixIndex: the group's index is a sound table whose entries
+// are exactly the hashed pages, none of them empty, each found under its
+// own hash at its own ID.
+func checkPrefixIndex(g *group) error {
 	hashed := 0
-	for id := range ix.pages {
-		pg := &ix.pages[id]
+	for id := range g.pages {
+		pg := &g.pages[id]
 		if !pg.hashed {
 			continue
 		}
 		hashed++
 		if pg.status == pageEmpty {
-			return fmt.Errorf("empty page %d still owns index entry %x", id, pg.hash)
+			return fmt.Errorf("empty page %d still owns index entry %x", id, g.hash[id])
 		}
-		if got, ok := ix.get(pg.hash); !ok || int(got) != id {
-			return fmt.Errorf("hashed page %d: index lookup of %x finds page %d (%v)", id, pg.hash, got, ok)
+		if got, ok := g.index.get(g.hash[id]); !ok || int(got) != id {
+			return fmt.Errorf("hashed page %d: index lookup of %x finds page %d (%v)", id, g.hash[id], got, ok)
 		}
 	}
+	if hashed != g.index.len() {
+		return fmt.Errorf("index counts %d entries, %d pages hashed", g.index.len(), hashed)
+	}
+	return g.index.check(func(id arena.SmallPageID) error {
+		if id < 0 || int(id) >= len(g.pages) || !g.pages[id].hashed {
+			return fmt.Errorf("index entry names page %d, which owns none", id)
+		}
+		return nil
+	})
+}
+
+// check: the table itself — at most half full, n entries, and every
+// entry where a probe for its key leads (reachable from its home, the
+// only one under its key) once valid has accepted its ID.
+func (ix *pageIndex[I]) check(valid func(id I) error) error {
 	occupied := 0
 	for _, s := range ix.slots {
 		if s != 0 {
 			occupied++
 		}
 	}
-	if hashed != ix.n || occupied != ix.n {
-		return fmt.Errorf("index counts %d entries, %d slots occupied, %d pages hashed", ix.n, occupied, hashed)
+	if occupied != ix.n || 2*occupied > len(ix.slots) {
+		return fmt.Errorf("index counts %d entries, %d of its %d slots are occupied (at most half may be)", ix.n, occupied, len(ix.slots))
+	}
+	for i, s := range ix.slots {
+		if s == 0 {
+			continue
+		}
+		if err := valid(s - 1); err != nil {
+			return err
+		}
+		key := ix.keys[s-1]
+		switch j := ix.probe(key); {
+		case j == i:
+		case ix.slots[j] == 0:
+			return fmt.Errorf("entry %d in slot %d is unreachable: a probe for its key %x stops at empty slot %d", s-1, i, key, j)
+		default:
+			return fmt.Errorf("entry %d in slot %d holds key %x, which entry %d in slot %d holds too", s-1, i, key, ix.slots[j]-1, j)
+		}
 	}
 	return nil
 }

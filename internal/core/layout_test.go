@@ -95,7 +95,7 @@ func TestKernelTripleMatchesPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kv, err := m.groups[m.byName["cross"]].view.Kernel(1, []arena.SmallPageID{0, 4})
+	kv, err := m.groups[m.groupIndex("cross")].view.Kernel(1, []arena.SmallPageID{0, 4})
 	if err != nil {
 		t.Fatal(err)
 	}

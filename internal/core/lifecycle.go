@@ -682,7 +682,7 @@ func (m *Jenga) commitGroup(g *group, rg *reqGroup, delta []Token, fullBase, pro
 		g.filledSlots++
 		pos++
 		if pos%g.tpp == 0 {
-			pg.hash = rg.chain
+			g.hash[rg.pages[b].id] = rg.chain
 			pg.complete = true
 			pg.priority = g.pol.BlockPriority(b, rg.runChain)
 			if m.cfg.EnablePrefixCache {
@@ -744,7 +744,7 @@ func (m *Jenga) finalizeCheckpoint(g *group, rg *reqGroup, i int, now Tick) {
 		pg.filled = 1
 		g.filledSlots++
 	}
-	pg.hash = rg.chain
+	g.hash[rg.ckpts[i].id] = rg.chain
 	pg.complete = true
 	pg.priority = g.pol.BlockPriority(i, rg.runChain)
 	pg.lastAccess = now
@@ -994,7 +994,7 @@ func (m *Jenga) claimBlocks(g *group, rg *reqGroup, req RequestID, hashes []uint
 			continue
 		}
 		pg := &g.pages[id]
-		check(pg.hashed && pg.hash == hash, "claim: stale index entry")
+		check(pg.hashed && g.hash[id] == hash, "claim: stale index entry")
 		switch pg.status {
 		case pageCached:
 			m.pageToUsed(g, id, req)

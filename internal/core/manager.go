@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 
 	"jenga/internal/arena"
 	"jenga/internal/model"
@@ -72,15 +74,12 @@ const (
 	pageCached                   // valid KV, unreferenced, evictable
 )
 
-// page is per-small-page metadata, 56 bytes: the wide fields first, the
-// flags packed at the end (TestStructSizes pins it).
+// page is per-small-page metadata, 48 bytes: the wide fields first, the
+// flags packed at the end (TestStructSizes pins it). The page's block
+// hash is kept beside it, in group.hash.
 type page struct {
 	// assoc is the request the page is associated with (§4.3).
 	assoc RequestID
-	// hash is the block identity once the block is complete; hashed
-	// reports the page owns the index entry for that hash, and while it
-	// does hash must not change (the index reads its keys from here).
-	hash uint64
 	// lastAccess and priority order eviction (§5.1).
 	lastAccess Tick
 	priority   int64
@@ -95,7 +94,9 @@ type page struct {
 	aprev, anext int32
 	status       pageStatus
 	complete     bool
-	hashed       bool
+	// hashed reports the page owns the prefix index entry for its hash
+	// (group.hash), which must not change while it does.
+	hashed bool
 	// expired marks cached pages holding KV outside the architecture's
 	// dependency horizon (out-of-window tokens). §3.3: such pages are
 	// prioritized for eviction over any in-window page, regardless of
@@ -117,9 +118,13 @@ type group struct {
 	hclass     int // index of the group's hash class (seqhash.go)
 
 	pages []page // indexed by SmallPageID
+	// hash is each page's block identity once its block is complete —
+	// apart from the page, so the prefix index probes a dense array of
+	// its keys.
+	hash []uint64
 
 	// index maps published block hash → page (prefix cache).
-	index pageIndex
+	index pageIndex[arena.SmallPageID]
 	// assocTop is the top of each request's stack of associated empty
 	// pages (assoc.go); a request has an entry only while its stack is
 	// non-empty. The stacks themselves are threaded through pages.
@@ -183,7 +188,6 @@ type Jenga struct {
 	ar  *arena.Arena
 
 	groups []*group
-	byName map[string]int
 
 	// large-page state, indexed by LargePageID.
 	largeOwner []int32 // owning group index, -1 when free
@@ -245,17 +249,9 @@ type Jenga struct {
 	// sequence's tokens: identity[p] = p.
 	lkViews  []lookupView
 	identity []int
-	// Scratch: one tier page's blocks and hashes (spillLarge and
-	// ImportPrefix; the tier copies what it keeps), SwapOut's candidate
-	// list, claimPrefix's restore queue, the page set ExportPrefix hands
-	// out and LookupFleet's fetch list.
-	tierBlocks   []hostBlock
-	tierHashes   []uint64
-	tierLarge    []arena.LargePageID
+	// claimPending is claimPrefix's restore queue (the tier path's other
+	// scratch is the tier's own).
 	claimPending []pendingRestore
-	exportBlocks []PageBlock
-	exportEnds   []int
-	fleetFetch   []FetchBlock
 	// checkRefs is CheckInvariants' per-page reference count.
 	checkRefs []int32
 }
@@ -278,20 +274,56 @@ func DefaultPolicy(g *model.KVGroup) Policy {
 	}
 }
 
-// New builds a Jenga manager for the spec with LCM page geometry.
-func New(cfg Config) (*Jenga, error) {
-	if cfg.Spec == nil {
-		return nil, fmt.Errorf("core: nil model spec")
+// ConfigError is what Config.Validate reports: the field New cannot
+// build a manager from, and why.
+type ConfigError struct {
+	Field  string
+	Reason string
+}
+
+func (e *ConfigError) Error() string { return "core: Config." + e.Field + ": " + e.Reason }
+
+// Validate reports the first field New would refuse, as a *ConfigError.
+// New calls it first.
+func (c Config) Validate() error {
+	if c.Spec == nil {
+		return &ConfigError{"Spec", "nil model spec"}
 	}
-	if err := cfg.Spec.Validate(); err != nil {
+	if err := c.Spec.Validate(); err != nil {
+		return &ConfigError{"Spec", err.Error()}
+	}
+	if c.TokensPerPage < 0 {
+		return &ConfigError{"TokensPerPage", fmt.Sprintf("%d is negative", c.TokensPerPage)}
+	}
+	geo, err := c.Spec.Geometry(model.LCMPage, cmp.Or(c.TokensPerPage, 16))
+	if err != nil {
+		return &ConfigError{"Spec", err.Error()}
+	}
+	if large := int64(geo.LargePageBytes); c.CapacityBytes < large {
+		return &ConfigError{"CapacityBytes", fmt.Sprintf("%d is below one large page (%d bytes)", c.CapacityBytes, large)}
+	}
+	if c.HostTierBytes < 0 {
+		return &ConfigError{"HostTierBytes", fmt.Sprintf("%d is negative", c.HostTierBytes)}
+	}
+	// The tier is sized up front: its slots × the largest small-page
+	// ratio blocks must have int32 IDs.
+	stride := 0
+	for _, g := range c.Spec.Groups {
+		stride = max(stride, geo.Ratio[g.Name])
+	}
+	if slots := tierSlots(c.HostTierBytes, geo.LargePageBytes); slots > math.MaxInt32/int64(stride) {
+		return &ConfigError{"HostTierBytes", fmt.Sprintf("%d pages of %d blocks overflow the tier's int32 block IDs", slots, stride)}
+	}
+	return nil
+}
+
+// New builds a Jenga manager for the spec with LCM page geometry, after
+// validating the config.
+func New(cfg Config) (*Jenga, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.TokensPerPage == 0 {
-		cfg.TokensPerPage = 16
-	}
-	if cfg.TokensPerPage < 0 {
-		return nil, fmt.Errorf("core: negative tokensPerPage")
-	}
+	cfg.TokensPerPage = cmp.Or(cfg.TokensPerPage, 16)
 	geo, err := cfg.Spec.Geometry(model.LCMPage, cfg.TokensPerPage)
 	if err != nil {
 		return nil, err
@@ -303,18 +335,13 @@ func New(cfg Config) (*Jenga, error) {
 		ar, err = arena.New(cfg.CapacityBytes, geo.LargePageBytes)
 	}
 	if err != nil {
-		return nil, err
-	}
-	if ar.NumLargePages() == 0 {
-		return nil, fmt.Errorf("core: capacity %d below one large page (%d bytes)",
-			cfg.CapacityBytes, geo.LargePageBytes)
+		return nil, &ConfigError{"CapacityBytes", err.Error()}
 	}
 
 	m := &Jenga{
 		cfg:        cfg,
 		geo:        geo,
 		ar:         ar,
-		byName:     make(map[string]int, len(cfg.Spec.Groups)),
 		largeOwner: make([]int32, ar.NumLargePages()),
 		cntUsed:    make([]int32, ar.NumLargePages()),
 		cntCached:  make([]int32, ar.NumLargePages()),
@@ -328,7 +355,7 @@ func New(cfg Config) (*Jenga, error) {
 	for i := range m.largeOwner {
 		m.largeOwner[i] = -1
 	}
-	m.largeEvict.initSlots(ar.NumLargePages(), largeEntry.slot)
+	m.largeEvict.initSlots(ar.NumLargePages(), 0, largeEntry.slot)
 	// Free list in reverse so allocation proceeds from page 0 upward.
 	m.freeLarge = make([]arena.LargePageID, 0, ar.NumLargePages())
 	for i := ar.NumLargePages() - 1; i >= 0; i-- {
@@ -366,10 +393,11 @@ func New(cfg Config) (*Jenga, error) {
 		for p := range g.pages {
 			g.pages[p].aprev, g.pages[p].anext = offStack, noPage
 		}
-		g.index.init(g.pages)
+		g.hash = make([]uint64, len(g.pages))
+		g.index.init(g.hash, len(g.pages))
 		g.free.init(len(g.pages))
 		if g.smallQueued() {
-			g.evict.initSlots(len(g.pages), pageEntry.slot)
+			g.evict.initSlots(len(g.pages), 0, pageEntry.slot)
 		}
 		if gs.Kind == model.Mamba {
 			every := gs.Checkpoint()
@@ -379,14 +407,14 @@ func New(cfg Config) (*Jenga, error) {
 			}
 		}
 		m.groups = append(m.groups, g)
-		m.byName[gs.Name] = i
 	}
 	if cfg.HostTierBytes >= int64(geo.LargePageBytes) {
 		names := make([]string, len(m.groups))
+		ratios := make([]int, len(m.groups))
 		for i, g := range m.groups {
-			names[i] = g.spec.Name
+			names[i], ratios[i] = g.spec.Name, g.ratio
 		}
-		m.host = newHostTier(cfg.HostTierBytes, geo.LargePageBytes, names)
+		m.host = newHostTier(cfg.HostTierBytes, geo.LargePageBytes, names, ratios)
 	}
 	return m, nil
 }
@@ -455,6 +483,17 @@ func (m *Jenga) UsageTotals() Usage {
 		u.HostUsed, u.HostCapacity = m.host.used, m.host.capacity
 	}
 	return u
+}
+
+// groupIndex returns the index of the group called name, -1 when there
+// is none: a scan of the few groups, so no string is hashed.
+func (m *Jenga) groupIndex(name string) int {
+	for i, g := range m.groups {
+		if g.spec.Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // largeOf returns the large page containing small page p of group g.

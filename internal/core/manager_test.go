@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"jenga/internal/arena"
@@ -222,20 +223,56 @@ func newMgr(t *testing.T, spec *model.Spec, capacity int64, tpp int, cache bool)
 	return m
 }
 
+// TestNewErrors: every config New cannot build from fails Validate with
+// a *ConfigError naming the field at fault, and New returns that error
+// rather than panicking — including a host tier whose up-front tables
+// would overflow their int32 block IDs.
 func TestNewErrors(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Error("nil spec should error")
+	geo, err := fig6Spec().Geometry(model.LCMPage, 16)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(Config{Spec: fig6Spec(), CapacityBytes: 10}); err == nil {
-		t.Error("capacity below one large page should error")
+	large, stride := int64(geo.LargePageBytes), int64(0)
+	for _, g := range fig6Spec().Groups {
+		stride = max(stride, int64(geo.Ratio[g.Name]))
 	}
-	if _, err := New(Config{Spec: fig6Spec(), CapacityBytes: 1 << 20, TokensPerPage: -1}); err == nil {
-		t.Error("negative tokensPerPage should error")
+	valid := func(edit func(c *Config)) Config {
+		c := Config{Spec: fig6Spec(), CapacityBytes: 1 << 20, HostTierBytes: 1 << 20}
+		edit(&c)
+		return c
 	}
-	bad := fig6Spec()
-	bad.Groups[0].Layers = 0
-	if _, err := New(Config{Spec: bad, CapacityBytes: 1 << 20}); err == nil {
-		t.Error("invalid spec should error")
+	cases := []struct {
+		name  string
+		cfg   Config
+		field string
+	}{
+		{"nil spec", valid(func(c *Config) { c.Spec = nil }), "Spec"},
+		{"invalid spec", valid(func(c *Config) { c.Spec.Groups[0].Layers = 0 }), "Spec"},
+		{"negative tokens per page", valid(func(c *Config) { c.TokensPerPage = -1 }), "TokensPerPage"},
+		{"capacity below one large page", valid(func(c *Config) { c.CapacityBytes = large - 1 }), "CapacityBytes"},
+		{"negative capacity", valid(func(c *Config) { c.CapacityBytes = -1 }), "CapacityBytes"},
+		{"negative host tier", valid(func(c *Config) { c.HostTierBytes = -1 }), "HostTierBytes"},
+		{"host tier one page past int32 block IDs", valid(func(c *Config) { c.HostTierBytes = (math.MaxInt32/stride + 1) * large }), "HostTierBytes"},
+		{"host tier of the largest budget", valid(func(c *Config) { c.HostTierBytes = math.MaxInt64 }), "HostTierBytes"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var cerr *ConfigError
+			if err := c.cfg.Validate(); !errors.As(err, &cerr) || cerr.Field != c.field {
+				t.Fatalf("Validate = %v, want a *ConfigError naming %s", err, c.field)
+			}
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("New panicked: %v", p)
+				}
+			}()
+			if _, err := New(c.cfg); !errors.As(err, &cerr) || cerr.Field != c.field {
+				t.Fatalf("New = %v, want a *ConfigError naming %s", err, c.field)
+			}
+		})
+	}
+	if err := valid(func(*Config) {}).Validate(); err != nil {
+		t.Fatalf("a sound config fails Validate: %v", err)
 	}
 }
 
@@ -506,7 +543,7 @@ func TestWindowHitWithEvictedEarlyTokens(t *testing.T) {
 	audit(t, m)
 
 	b := textSeq(2, 17)
-	g := m.groups[m.byName["window"]]
+	g := m.groups[m.groupIndex("window")]
 	v := viewOf(m, g, b.Tokens)
 	if v.Present[0] || v.Present[1] || !v.Present[2] {
 		t.Fatalf("window blocks cached %v, want blocks 0 and 1 evicted and the rest kept", v.Present)
@@ -516,7 +553,7 @@ func TestWindowHitWithEvictedEarlyTokens(t *testing.T) {
 	if !g.pol.ValidPrefix(v, 16) {
 		t.Error("window policy should accept prefix 16 with early tokens evicted")
 	}
-	full := m.groups[m.byName["full"]]
+	full := m.groups[m.groupIndex("full")]
 	fv := viewOf(m, full, b.Tokens)
 	if !full.pol.ValidPrefix(fv, 16) {
 		t.Error("full group unaffected; prefix 16 should be valid")

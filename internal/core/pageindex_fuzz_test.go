@@ -7,7 +7,7 @@ import (
 	"jenga/internal/arena"
 )
 
-// FuzzPageIndex drives pageIndex and a map[uint64]SmallPageID with one
+// FuzzPageIndex drives a prefix index and a map[uint64]SmallPageID with one
 // byte-coded op stream over eight pages (sixteen slots) and requires
 // the same answer from every put and get. Each byte is op<<6 | hash<<3
 // | page: op 0 and 1 publish the page under one of eight hashes (as a
@@ -18,8 +18,8 @@ import (
 // past collisions; eight pages published fill the table to the half it
 // can ever reach.
 func FuzzPageIndex(f *testing.F) {
-	var ix pageIndex
-	ix.init(make([]page, 8))
+	var ix pageIndex[arena.SmallPageID]
+	ix.init(make([]uint64, 8), 8)
 	// Search the small hashes for four that share home slot 3, one homed
 	// at 4, two at the last slot and one at slot 0 (a run that wraps).
 	var hashes []uint64
@@ -45,8 +45,9 @@ func FuzzPageIndex(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pages := make([]page, 8)
-		var ix pageIndex
-		ix.init(pages)
+		g := &group{pages: pages, hash: make([]uint64, len(pages))}
+		g.index.init(g.hash, len(pages))
+		ix := &g.index
 		ref := map[uint64]arena.SmallPageID{}
 		for i, b := range data {
 			hash, id := hashes[b>>3&7], arena.SmallPageID(b&7)
@@ -56,7 +57,7 @@ func FuzzPageIndex(f *testing.F) {
 				if pg.hashed {
 					continue // an indexed page's hash does not change
 				}
-				pg.hash, pg.status = hash, pageUsed
+				g.hash[id], pg.status = hash, pageUsed
 				_, dup := ref[hash]
 				if !dup {
 					ref[hash] = id
@@ -67,7 +68,7 @@ func FuzzPageIndex(f *testing.F) {
 			case 2:
 				if pg.hashed {
 					ix.del(id)
-					delete(ref, pg.hash)
+					delete(ref, g.hash[id])
 					pg.hashed = false
 				}
 			default:
@@ -76,7 +77,7 @@ func FuzzPageIndex(f *testing.F) {
 					t.Fatalf("op %d: get(%x) = page %d (%v), map says %d (%v)", i, hash, got, ok, want, wantOK)
 				}
 			}
-			if err := ix.check(); err != nil {
+			if err := checkPrefixIndex(g); err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
 			if ix.len() != len(ref) {

@@ -13,12 +13,16 @@
 // the ordinary claim path restores them. The engine charges the moved
 // bytes as peer-link DMA (gpu.StepWork.PeerBytes), not PCIe.
 //
-// The directory is one flat map whose value is a holder bitmask: a
-// block registered, looked up or invalidated is one probe of a struct
-// key and a bit operation, and allocates nothing beyond the map's own
-// growth. Replica r's bit is bit r%64 of the cell keyed with word r/64,
-// so any replica count works and a fleet of up to 64 needs one cell a
-// block.
+// The directory is one open-addressed table of holder bitmasks keyed by
+// (group index, block hash, word), with no Go map anywhere: a call turns
+// its group name into an index once, by a scan of the few names seen so
+// far, so no probe hashes a string, and a block registered, looked up
+// or invalidated is one integer probe and a bit operation. Replica r's
+// bit is bit r%64 of the cell keyed with word r/64, so any replica count
+// works and a fleet of up to 64 needs one cell a block. The table
+// doubles when it would pass half full and never shrinks, so once it has
+// reached a fleet's working size nothing allocates; pin depths and
+// deferred invalidations are per-replica slices.
 //
 // Nothing here runs its own goroutines. Observer callbacks arrive from
 // the replicas' shard goroutines, concurrently, so everything they
@@ -30,6 +34,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math/bits"
 	"sync"
 )
@@ -39,48 +44,119 @@ import (
 // regardless of registration order. Pin defers invalidations for a
 // replica while one of its exports is in flight, so a transfer source
 // never vanishes from the directory mid-copy (the pinned-holder
-// exclusion invariant, fuzzed in FuzzFleetDirectory).
+// exclusion invariant, fuzzed in FuzzFleetDirectory). Replica numbers
+// are non-negative.
 type Directory struct {
 	mu sync.Mutex
-	// holders maps (group, hash, word) → the holder bitmask of replicas
-	// [64·word, 64·word+64); a cell whose mask empties is deleted.
-	holders map[dirKey]uint64
+	// groups are the group names seen so far; a cell names its group by
+	// index.
+	groups []string
+	// cells is the table: linear probing from a Fibonacci hash of the
+	// key, deletion by shifting the rest of the run back over the hole,
+	// so there are no tombstones. n cells are in use, at most half.
+	cells []dirCell
+	shift uint // 64 − log₂ len(cells)
+	n     int
 	// words is one past the highest word any replica registered under:
 	// how many cells a Lookup may have to probe.
 	words int
-	pins  map[int]int // replica → pin depth
-	// deferred holds invalidations that arrived while their replica
-	// was pinned; they apply in arrival order at the final Unpin.
-	deferred map[int][]deferredInv
+	// pins is each replica's pin depth, and deferred the invalidations
+	// that arrived while it was pinned; they apply in arrival order at
+	// the final Unpin.
+	pins     []int
+	deferred [][]deferredInv
 }
 
-// dirKey names one directory cell: a block and a 64-replica word.
-type dirKey struct {
-	group string
+// dirCell is one table cell: the holder bitmask of replicas
+// [64·word, 64·word+64) for one block. group is the group index plus
+// one; 0 marks a free cell. A cell in use never holds an empty mask:
+// the invalidation that empties it deletes it.
+type dirCell struct {
 	hash  uint64
-	word  int
-}
-
-// cell returns the key and mask bit of replica's entry for a block.
-func cell(replica int, group string, hash uint64) (dirKey, uint64) {
-	return dirKey{group, hash, replica / 64}, 1 << (replica % 64)
+	mask  uint64
+	group int32
+	word  int32
 }
 
 // deferredInv is one pin-deferred invalidation: a single block, or —
 // for a crash arriving mid-export — the holder's entire entry set.
 type deferredInv struct {
-	group string
 	hash  uint64
+	group int32
 	all   bool
 }
 
+// minCells is the table's starting size.
+const minCells = 64
+
 // NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
-	return &Directory{
-		holders:  make(map[dirKey]uint64),
-		pins:     make(map[int]int),
-		deferred: make(map[int][]deferredInv),
+	d := &Directory{}
+	d.resize(minCells)
+	return d
+}
+
+// resize rehashes every cell into a table of size cells.
+func (d *Directory) resize(size int) {
+	old := d.cells
+	d.cells = make([]dirCell, size)
+	d.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for _, c := range old {
+		if c.group != 0 {
+			d.cells[d.find(c.group, c.hash, c.word)] = c
+		}
 	}
+}
+
+// home is the first cell a probe for a key visits.
+func (d *Directory) home(group int32, hash uint64, word int32) int {
+	k := hash + uint64(group)*0x9E3779B97F4A7C15 + uint64(word)*0xC2B2AE3D27D4EB4F
+	return int((k * 0x9E3779B97F4A7C15) >> d.shift)
+}
+
+// find returns the cell holding the key, or the free cell that ends its
+// run when none does.
+//
+//jenga:hotpath
+func (d *Directory) find(group int32, hash uint64, word int32) int {
+	mask := len(d.cells) - 1
+	for i := d.home(group, hash, word); ; i = (i + 1) & mask {
+		if c := &d.cells[i]; c.group == 0 || (c.hash == hash && c.group == group && c.word == word) {
+			return i
+		}
+	}
+}
+
+// deleteAt frees cell i, shifting the rest of its run back over the
+// hole: a cell further down moves in unless its home lies cyclically
+// inside (hole, cell].
+func (d *Directory) deleteAt(i int) {
+	mask := len(d.cells) - 1
+	for j := (i + 1) & mask; d.cells[j].group != 0; j = (j + 1) & mask {
+		c := &d.cells[j]
+		if h := d.home(c.group, c.hash, c.word); (j-h)&mask >= (j-i)&mask {
+			d.cells[i] = *c
+			i = j
+		}
+	}
+	d.cells[i] = dirCell{}
+	d.n--
+}
+
+// groupIndex returns the index plus one of a group name, 0 when the
+// directory has never seen it — unless add, which gives it the next
+// one. Caller holds the mutex.
+func (d *Directory) groupIndex(name string, add bool) int32 {
+	for i, g := range d.groups {
+		if g == name {
+			return int32(i) + 1
+		}
+	}
+	if !add {
+		return 0
+	}
+	d.groups = append(d.groups, name)
+	return int32(len(d.groups))
 }
 
 // Register records that replica holds a live tier copy of each block.
@@ -90,9 +166,20 @@ func (d *Directory) Register(replica int, group string, hashes []uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.words = max(d.words, replica/64+1)
+	g, word, bit := d.groupIndex(group, true), int32(replica/64), uint64(1)<<(replica%64)
 	for _, h := range hashes {
-		k, bit := cell(replica, group, h)
-		d.holders[k] |= bit
+		i := d.find(g, h, word)
+		if c := &d.cells[i]; c.group != 0 {
+			c.mask |= bit
+			continue
+		}
+		if 2*(d.n+1) > len(d.cells) {
+			//jenga:alloc-ok table growth: doubling, at most log₂ of the fleet's peak cell count over a directory's life
+			d.resize(2 * len(d.cells))
+			i = d.find(g, h, word)
+		}
+		d.cells[i] = dirCell{hash: h, mask: bit, group: g, word: word}
+		d.n++
 	}
 }
 
@@ -105,14 +192,17 @@ func (d *Directory) Register(replica int, group string, hashes []uint64) {
 func (d *Directory) Invalidate(replica int, group string, hashes []uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.pins[replica] > 0 {
+	// An unseen group gets its index here too: deferred, the removal
+	// still applies to a registration that lands before the Unpin.
+	g := d.groupIndex(group, true)
+	if replica < len(d.pins) && d.pins[replica] > 0 {
 		for _, h := range hashes {
-			d.deferred[replica] = append(d.deferred[replica], deferredInv{group: group, hash: h})
+			d.deferred[replica] = append(d.deferred[replica], deferredInv{hash: h, group: g})
 		}
 		return
 	}
 	for _, h := range hashes {
-		d.remove(replica, group, h)
+		d.remove(replica, g, h)
 	}
 }
 
@@ -125,7 +215,7 @@ func (d *Directory) Invalidate(replica int, group string, hashes []uint64) {
 func (d *Directory) InvalidateHolder(replica int) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.pins[replica] > 0 {
+	if replica < len(d.pins) && d.pins[replica] > 0 {
 		d.deferred[replica] = append(d.deferred[replica], deferredInv{all: true})
 		return 0
 	}
@@ -133,20 +223,26 @@ func (d *Directory) InvalidateHolder(replica int) int {
 }
 
 // removeHolder clears replica's bit in every cell in one walk,
-// returning the entry count removed. Caller holds the mutex.
+// returning the entry count removed. The walk starts just past a free
+// cell, so no run wraps past its start and a deletion only ever shifts
+// cells the walk has yet to reach into the one it is at. Caller holds
+// the mutex.
 func (d *Directory) removeHolder(replica int) int {
 	n := 0
-	word, bit := replica/64, uint64(1)<<(replica%64)
-	//jenga:order-ok each cell is edited independently and exactly once; the count is a sum
-	for k, mask := range d.holders {
-		if k.word != word || mask&bit == 0 {
-			continue
-		}
-		n++
-		if mask &^= bit; mask == 0 {
-			delete(d.holders, k)
-		} else {
-			d.holders[k] = mask
+	word, bit := int32(replica/64), uint64(1)<<(replica%64)
+	mask := len(d.cells) - 1
+	start := 0
+	for d.cells[start].group != 0 {
+		start++
+	}
+	for k := 1; k <= len(d.cells); k++ {
+		i := (start + k) & mask
+		for c := &d.cells[i]; c.group != 0 && c.word == word && c.mask&bit != 0; {
+			n++
+			if c.mask &^= bit; c.mask != 0 {
+				break
+			}
+			d.deleteAt(i) // and look at whatever shifted into i
 		}
 	}
 	return n
@@ -160,8 +256,12 @@ func (d *Directory) removeHolder(replica int) int {
 func (d *Directory) Lookup(group string, hash uint64, exclude int) (int, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	g := d.groupIndex(group, false)
+	if g == 0 {
+		return 0, false
+	}
 	for w := 0; w < d.words; w++ {
-		mask := d.holders[dirKey{group, hash, w}]
+		mask := d.cells[d.find(g, hash, int32(w))].mask
 		if exclude >= 0 && exclude/64 == w {
 			mask &^= 1 << (exclude % 64)
 		}
@@ -176,6 +276,10 @@ func (d *Directory) Lookup(group string, hash uint64, exclude int) (int, bool) {
 // against it are deferred until the matching Unpin. Pins nest.
 func (d *Directory) Pin(replica int) {
 	d.mu.Lock()
+	if n := replica + 1 - len(d.pins); n > 0 {
+		d.pins = append(d.pins, make([]int, n)...)
+		d.deferred = append(d.deferred, make([][]deferredInv, n)...)
+	}
 	d.pins[replica]++
 	d.mu.Unlock()
 }
@@ -185,14 +289,12 @@ func (d *Directory) Pin(replica int) {
 func (d *Directory) Unpin(replica int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.pins[replica] == 0 {
+	if replica >= len(d.pins) || d.pins[replica] == 0 {
 		return
 	}
-	d.pins[replica]--
-	if d.pins[replica] > 0 {
+	if d.pins[replica]--; d.pins[replica] > 0 {
 		return
 	}
-	delete(d.pins, replica)
 	for _, inv := range d.deferred[replica] {
 		if inv.all {
 			d.removeHolder(replica)
@@ -200,22 +302,55 @@ func (d *Directory) Unpin(replica int) {
 			d.remove(replica, inv.group, inv.hash)
 		}
 	}
-	delete(d.deferred, replica)
+	d.deferred[replica] = d.deferred[replica][:0]
 }
 
-// remove clears replica's bit for (group, hash). Caller holds the
-// mutex.
+// remove clears replica's bit for (group index, hash). Caller holds
+// the mutex.
 //
 //jenga:hotpath
-func (d *Directory) remove(replica int, group string, hash uint64) {
-	k, bit := cell(replica, group, hash)
-	mask, ok := d.holders[k]
-	if !ok {
+func (d *Directory) remove(replica int, group int32, hash uint64) {
+	i := d.find(group, hash, int32(replica/64))
+	c := &d.cells[i]
+	if c.group == 0 {
 		return
 	}
-	if mask &^= bit; mask == 0 {
-		delete(d.holders, k)
-	} else {
-		d.holders[k] = mask
+	if c.mask &^= 1 << (replica % 64); c.mask == 0 {
+		d.deleteAt(i)
 	}
+}
+
+// check verifies the table: n cells in use, at most half of them, each
+// with a non-empty mask, a group the directory has seen and a word
+// below words, and each where a probe for its key leads — reachable
+// from its home, and the only cell of its key.
+func (d *Directory) check() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	used := 0
+	for _, c := range d.cells {
+		if c.group != 0 {
+			used++
+		}
+	}
+	if used != d.n || 2*used > len(d.cells) {
+		return fmt.Errorf("fleet: directory counts %d cells, %d of its %d are in use (at most half may be)", d.n, used, len(d.cells))
+	}
+	for i, c := range d.cells {
+		if c.group == 0 {
+			continue
+		}
+		switch j := d.find(c.group, c.hash, c.word); {
+		case c.mask == 0:
+			return fmt.Errorf("fleet: directory cell %d (%x, word %d) holds an empty mask", i, c.hash, c.word)
+		case int(c.group) > len(d.groups) || c.group < 0 || c.word < 0 || int(c.word) >= d.words:
+			return fmt.Errorf("fleet: directory cell %d names group %d of %d, word %d of %d", i, c.group-1, len(d.groups), c.word, d.words)
+		case j == i:
+		case d.cells[j].group == 0:
+			return fmt.Errorf("fleet: directory cell %d (%x) is unreachable: a probe for its key stops at free cell %d", i, c.hash, j)
+		default:
+			return fmt.Errorf("fleet: directory cells %d and %d hold one key (%x, group %d, word %d)", j, i, c.hash, c.group-1, c.word)
+		}
+	}
+	return nil
 }

@@ -129,7 +129,8 @@ func (d *refDirectory) len() int {
 
 // FuzzFleetDirectory drives random register/invalidate/lookup/pin/
 // unpin/crash interleavings over a small key space against the
-// map-based reference, checking after every op that (a) every
+// map-based reference, checking after every op that the directory's
+// table is sound (check), that (a) every
 // (group, hash, exclude) lookup agrees, (b) Len and every HolderLen
 // agree, (c) a crash reports the entry count the reference removed, and
 // (d) the pinned-holder exclusion invariant holds: an invalidation —
@@ -173,6 +174,9 @@ func FuzzFleetDirectory(f *testing.F) {
 				if got, want := d.InvalidateHolder(replica), ref.invalidateHolder(replica); got != want {
 					t.Fatalf("InvalidateHolder(%d) = %d, reference %d", replica, got, want)
 				}
+			}
+			if err := d.check(); err != nil {
+				t.Fatalf("after op %#x: %v", b, err)
 			}
 			if got, want := d.len(), ref.len(); got != want {
 				t.Fatalf("Len = %d, reference %d", got, want)

@@ -1,6 +1,9 @@
 package fleet
 
-import "jenga/internal/core"
+import (
+	"jenga/internal/core"
+	"jenga/internal/debug"
+)
 
 // Store is the cluster-wide KV store: one Directory spanning N replica
 // managers plus the peer-transfer path. Attach wires a replica's
@@ -14,8 +17,9 @@ import "jenga/internal/core"
 //
 // Fetch runs only in the cluster's barrier sections, one call at a
 // time, so the store owns its scratch outright: the holder batches and
-// the report's Holders list are reused from one Fetch to the next, and
-// a warm Fetch allocates nothing.
+// the report's Holders list are reused from one Fetch to the next (a
+// jengadebug build scribbles over the list first), and a warm Fetch
+// allocates nothing.
 type Store struct {
 	dir  *Directory
 	mgrs []core.TierManager
@@ -193,6 +197,12 @@ func (s *Store) Attach(replica int, mgr core.Manager) bool {
 //
 //jenga:hotpath
 func (s *Store) Fetch(dst int, seq *core.Sequence, now core.Tick) FetchReport {
+	if debug.On {
+		// The previous report's Holders lapse here.
+		for i := range s.reports {
+			s.reports[i] = HolderReport{Holder: -1, Group: "\x00scribbled", Blocks: -1, Outcome: FetchOutcome(0xFF), Reason: "scribbled", Attempts: -1, Bytes: -1}
+		}
+	}
 	var rep FetchReport
 	if dst < 0 || dst >= len(s.mgrs) || s.mgrs[dst] == nil {
 		return rep
