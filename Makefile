@@ -192,7 +192,11 @@ vet:
 # index a flat table over it (internal/core/assoc.go, pageindex.go) — so
 # a map field in core's group other than the stacks' tops, or the lazy
 # per-request lists (freeByReq, spareLists, sweepFreeByReq) anywhere, is
-# a structure that grows while serving again.
+# a structure that grows while serving again; and a block's hash has one
+# source, the request's record (internal/core/seqhash.go) over the chain
+# function (hash.go), so a hashChain( call in any other non-test core
+# file is a second hashing mechanism — a per-group chain, a replay —
+# again.
 # (The token's four bytes need no grep: internal/core pins them at
 # compile time.)
 guard:
@@ -210,6 +214,7 @@ guard:
 	@out=$$(grep -rn '&run{' internal/engine --include='*.go' | grep -v -e '_test\.go:' -e '^internal/engine/runpool\.go:'); if [ -n "$$out" ]; then echo "a run allocated outside the slab free list in internal/engine (runpool.go):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'make(\[\]core\.Token' internal/workload --include='*.go' | grep -v -e '_test\.go:' -e '^internal/workload/promptbuf\.go:'); if [ -n "$$out" ]; then echo "a prompt allocated outside the one buffer-take function in internal/workload (promptbuf.go):"; echo "$$out"; exit 1; fi
 	@out=$$(sed -n '/^type group struct {/,/^}/p' internal/core/manager.go | grep 'map\[' | grep -v '^\s*assocTop '; grep -rn -e freeByReq -e spareLists -e sweepFreeByReq internal cmd --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a page-level structure of core.group that grows while serving is back (a map field other than assocTop, or the lazy per-request lists):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn 'hashChain(' internal/core --include='*.go' | grep -v -e '_test\.go:' -e '^internal/core/hash\.go:' -e '^internal/core/seqhash\.go:'); if [ -n "$$out" ]; then echo "a block hash is computed outside the request's record (only internal/core/hash.go and seqhash.go may call hashChain):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn -e 'metrics\.Percentiles\?(' -e 'metrics\.Attainment(' -e 'metrics\.Goodput(' internal/serve internal/cluster internal/bench examples --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a report layer rolls up per-request records itself (engine.Rollup is the one roll-up):"; echo "$$out"; exit 1; fi
 
 ci: vet lint guard build test race debug chaos-smoke scale-smoke perf-smoke

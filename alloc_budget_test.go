@@ -14,14 +14,17 @@ import (
 // no Usage map on the sampling path, no free-pool map churn in the
 // allocator — and a speculative pair's step, which draws an acceptance,
 // appends and commits a burst of up to SpecK+1 tokens over both models'
-// groups and prices the draft's passes, adds nothing to that. The
-// engine itself keeps nothing per step (SampleEvery is 0: no timeline)
-// and the private token buffer, taken from the engine's free list at
-// the first generated token, is sized for the request's whole output;
-// the one amortized slice left is the allocator's page table, which
-// grows by doubling, so the measurement window is placed between two
-// doublings. Any regression that allocates per step or per token then
-// fails loudly.
+// groups and prices the draft's passes, adds nothing to that; nor does
+// the prefix cache, under which every commit folds the new token into
+// the request's block-hash record and publishes the blocks it
+// completes. The engine itself keeps nothing per step (SampleEvery is
+// 0: no timeline) and the private token buffer, taken from the engine's
+// free list at the first generated token, is sized for the request's
+// whole output; the amortized slices left are the allocator's page
+// table, which grows by doubling, so the measurement window is placed
+// between two doublings, and the record's hash array, cut from a slab
+// far larger than the window's few blocks. Any regression that
+// allocates per step or per token then fails loudly.
 //
 // Skipped under -short: the race-detector CI pass (-race -short) adds
 // instrumentation allocations that are not the engine's.
@@ -42,15 +45,18 @@ func TestDecodeStepZeroAlloc(t *testing.T) {
 		},
 	}
 	for _, c := range []struct {
-		name string
-		spec *jenga.Spec
+		name  string
+		spec  *jenga.Spec
+		cache bool
 	}{
-		{"plain", spec},
-		{"speculative", jenga.WithDraft(spec, draft)},
+		{"plain", spec, false},
+		{"speculative", jenga.WithDraft(spec, draft), false},
+		{"prefix cache", spec, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			mgr, err := jenga.NewManager(jenga.ManagerConfig{
 				Spec: c.spec, CapacityBytes: 64 << 20, TokensPerPage: 16, RequestAware: true,
+				EnablePrefixCache: c.cache,
 			})
 			if err != nil {
 				t.Fatal(err)

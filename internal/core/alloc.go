@@ -103,7 +103,7 @@ func (m *Jenga) cacheRemove(L arena.LargePageID, pg *page) {
 //jenga:hotpath
 func (m *Jenga) pageToUsed(g *group, id arena.SmallPageID, req RequestID) {
 	pg := &g.pages[id]
-	L := m.largeOf(g, id)
+	L := g.view.LargeOf(id)
 	switch pg.status {
 	case pageEmpty:
 		g.free.remove(id)
@@ -173,7 +173,7 @@ func (m *Jenga) pageRelease(g *group, id arena.SmallPageID, cache bool, exitTS T
 		g.extraRefs--
 		return
 	}
-	L := m.largeOf(g, id)
+	L := g.view.LargeOf(id)
 	g.nUsed--
 	m.cntUsed[L]--
 	g.filledSlots -= int64(pg.filled)
@@ -226,7 +226,7 @@ func (m *Jenga) pageToEmpty(g *group, id arena.SmallPageID) {
 		g.linkAssoc(pg.assoc, id, 1)
 	}
 	m.stats.Frees++
-	L := m.largeOf(g, id)
+	L := g.view.LargeOf(id)
 	if m.cntUsed[L] == 0 && m.cntCached[L] == 0 {
 		m.reclaimLarge(g, L)
 	}
@@ -238,7 +238,7 @@ func (m *Jenga) evictCached(g *group, id arena.SmallPageID) {
 	if pg.status != pageCached {
 		check(false, "evict on non-cached page %d", id)
 	}
-	L := m.largeOf(g, id)
+	L := g.view.LargeOf(id)
 	g.nCached--
 	m.cacheRemove(L, pg)
 	m.pageToEmpty(g, id)

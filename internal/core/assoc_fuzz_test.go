@@ -23,7 +23,7 @@ type lazyAssoc struct {
 func (l *lazyAssoc) valid(id arena.SmallPageID, req RequestID) bool {
 	pg := &l.g.pages[id]
 	return pg.status == pageEmpty && pg.assoc == req &&
-		l.m.largeOwner[l.m.largeOf(l.g, id)] == int32(l.g.idx) && l.g.free.has(id)
+		l.m.largeOwner[l.g.view.LargeOf(id)] == int32(l.g.idx) && l.g.free.has(id)
 }
 
 func (l *lazyAssoc) pop(req RequestID) (arena.SmallPageID, bool) {
@@ -175,7 +175,7 @@ func fuzzAssocStacks(t *testing.T, data []byte) {
 				t.Fatalf("op %d: request %d was given page %d with %d on top of its stack", i, req, id, got)
 			}
 			if freeLarge+int(m.stats.LargeReclaims-reclaims)-len(m.freeLarge) == 1 {
-				first, n := g.view.SmallRange(m.largeOf(g, id))
+				first, n := g.view.SmallRange(g.view.LargeOf(id))
 				ref.carved(req, first, n)
 			}
 			held[req] = append(held[req], id)

@@ -7,8 +7,8 @@ import (
 	"jenga/internal/model"
 )
 
-// textOnlySpec is flatSpec with a text-scoped group, so a claim takes
-// the replay path (a filtered group) rather than the ScopeAll shortcut.
+// textOnlySpec is flatSpec with a text-scoped group: a hash class that
+// skips tokens, so its record keeps run keys (classHashes.runs).
 func textOnlySpec() *model.Spec {
 	return &model.Spec{
 		Name: "textonly", Params: 1_000_000, WeightBytes: 2, HiddenSize: 64,
@@ -74,34 +74,6 @@ func TestLookupKeyDiesWithRequest(t *testing.T) {
 	if len(m.hashes) != 0 {
 		t.Fatal("a looked-up request's hashes outlived CrashReset")
 	}
-	audit(t, m)
-}
-
-// TestClaimMatchesReplay: claimPrefix's ScopeAll shortcut (hashing
-// state read off the lookup's block hashes) leaves exactly what the
-// token-by-token replay computes.
-func TestClaimMatchesReplay(t *testing.T) {
-	const tpp = 4
-	m := newMgr(t, windowSpec(16), 1<<20, tpp, true)
-	commitSeq(t, m, textSeq(1, 42), 1)
-	b := textSeq(2, 50)
-	if err := m.Reserve(b, len(b.Tokens), 2); err != nil {
-		t.Fatal(err)
-	}
-	p := m.CachedPrefix(b)
-	if p != 40 {
-		t.Fatalf("cached prefix %d, want 40", p)
-	}
-	for gi, g := range m.groups {
-		var want reqGroup
-		replayPrefix(g, &want, b.Tokens[:p])
-		got := m.reqs[b.ID].g[gi]
-		if got.chain != want.chain || got.runChain != want.runChain || got.lastFullIdx != want.lastFullIdx {
-			t.Errorf("group %s: claim left (%x, %x, %d), replay gives (%x, %x, %d)", g.spec.Name,
-				got.chain, got.runChain, got.lastFullIdx, want.chain, want.runChain, want.lastFullIdx)
-		}
-	}
-	m.Release(b, true)
 	audit(t, m)
 }
 

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"jenga/internal/debug"
-	"jenga/internal/model"
 )
 
 // Fleet transfer surface: the host tier doubles as each replica's
@@ -267,34 +266,20 @@ func (m *Jenga) LookupFleet(seq *Sequence, peer PeerPresence) (int, []FetchBlock
 	}
 	m.host.fetch = m.host.fetch[:0]
 	for _, gv := range m.lkViews {
-		g := gv.g
-		hashes := sh.c[g.hclass].hashes
-		pl := gv.view.ProjCount[p]
-		if g.spec.Kind == model.Mamba {
-			if every := g.spec.Checkpoint(); pl > 0 && pl%every == 0 {
-				m.fetchPeerOnly(g, hashes, pl/every-1, pl/every)
-			}
-			continue
-		}
-		nb := pl / g.tpp
-		lo := g.pol.AccessedFrom(pl) / g.tpp
-		keep := 0
-		if ka, ok := g.pol.(KeepAlive); ok {
-			keep = (ka.KeptBelow(pl) + g.tpp - 1) / g.tpp
-		}
-		m.fetchPeerOnly(g, hashes, 0, min(keep, lo))
-		m.fetchPeerOnly(g, hashes, lo, nb)
+		m.fetchPeerOnly(gv.g, sh.c[gv.g.hclass].hashes, gv.view.ProjCount[p])
 	}
 	return p, m.host.fetch
 }
 
-// fetchPeerOnly appends to the fetch list the peer-supplied entries
-// among [from, to) of g's overlay (blocks, or Mamba checkpoints).
+// fetchPeerOnly appends to the fetch list the peer-supplied entries of
+// g's overlay (blocks, or Mamba checkpoints) that a claim of pl
+// projected tokens attaches (claimSpan).
 //
 //jenga:hotpath
-func (m *Jenga) fetchPeerOnly(g *group, hashes []uint64, from, to int) {
-	for k := from; k < to && k < len(g.lkPeer); k++ {
-		if g.lkPeer[k] != 0 {
+func (m *Jenga) fetchPeerOnly(g *group, hashes []uint64, pl int) {
+	head, lo, nb := g.claimSpan(pl)
+	for k := 0; k < nb && k < len(g.lkPeer); k++ {
+		if (k < head || k >= lo) && g.lkPeer[k] != 0 {
 			m.host.fetch = append(m.host.fetch, FetchBlock{Group: g.spec.Name, Hash: hashes[k], Holder: int(g.lkPeer[k]) - 1})
 		}
 	}

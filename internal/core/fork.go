@@ -58,7 +58,8 @@ func (m *Jenga) cowPage(g *group, id arena.SmallPageID, req RequestID) (arena.Sm
 // Fork implements Forker. The shared prefix costs no new device
 // memory (SharedBytes observes the savings); only Mamba working
 // states and unfinalized checkpoint pages are copied eagerly, charged
-// as CoW copy bytes like any privatization.
+// as CoW copy bytes like any privatization. No hashing state is copied
+// (the child's record comes from its own tokens, seqhash.go).
 func (m *Jenga) Fork(parent, child *Sequence, now Tick) error {
 	pr, ok := m.reqs[parent.ID]
 	if !ok {
@@ -82,62 +83,49 @@ func (m *Jenga) Fork(parent, child *Sequence, now Tick) error {
 	for gi, g := range m.groups {
 		prg := &pr.g[gi]
 		crg := &cr.g[gi]
-		crg.projReserved = prg.projReserved
-		crg.projCommitted = prg.projCommitted
-		crg.demotedBlocks = prg.demotedBlocks
-		crg.chain = prg.chain
-		crg.runChain = prg.runChain
-		crg.lastFullIdx = prg.lastFullIdx
-		crg.projPrompt = prg.projPrompt
-		crg.baseProj = prg.baseProj
-		crg.nextCkpt = prg.nextCkpt
-		crg.ckptDone = prg.ckptDone
-		crg.visProj = prg.visProj
-		crg.visCursor = prg.visCursor
-		crg.visDropped = prg.visDropped
-		crg.dropCursor = prg.dropCursor
-		crg.dropProj = prg.dropProj
-		// The child's tables are empty (a pristine state), so appending
-		// the parent's copies them, into recycled arrays when there are any.
-		crg.pages = append(crg.pages, prg.pages...)
+		// The child takes the parent's per-group state whole, its tables
+		// copied into the child's own arrays — empty in a pristine state,
+		// recycled when there are any — and the working state copied below.
+		own := *crg
+		*crg = *prg
+		crg.pages = append(own.pages, prg.pages...)
+		crg.visPages = append(own.visPages, prg.visPages...)
+		crg.ckpts = append(own.ckpts, prg.ckpts...)
+		crg.ckptPos = append(own.ckptPos, prg.ckptPos...)
+		crg.hasWork, crg.work = false, 0
 		for b := range crg.pages {
 			if crg.pages[b].held {
 				m.pageAddRef(g, crg.pages[b].id)
 			}
 		}
-		crg.visPages = append(crg.visPages, prg.visPages...)
 		for b := range crg.visPages {
 			if crg.visPages[b].held {
 				m.pageAddRef(g, crg.visPages[b].id)
 			}
 		}
-		if len(prg.ckpts) > 0 {
-			crg.ckpts = append(crg.ckpts, prg.ckpts...)
-			crg.ckptPos = append(crg.ckptPos, prg.ckptPos...)
-			for i := range crg.ckpts {
-				if !crg.ckpts[i].held {
-					continue
-				}
-				if i < prg.ckptDone {
-					// Finalized checkpoints are immutable: share them.
-					m.pageAddRef(g, crg.ckpts[i].id)
-					continue
-				}
-				// Unfinalized checkpoint pages will be written in place
-				// when the boundary commits: the child needs its own.
-				crg.ckpts[i].held = false
-				nid, err := m.forkCopyPage(g, prg.ckpts[i].id, cr.id)
-				if err != nil {
-					// Entries beyond i are copies of the parent's refs the
-					// child never took; drop them before unwinding.
-					for j := i + 1; j < len(crg.ckpts); j++ {
-						crg.ckpts[j].held = false
-					}
-					m.Release(child, false)
-					return err
-				}
-				crg.ckpts[i] = pageRef{id: nid, held: true}
+		for i := range crg.ckpts {
+			if !crg.ckpts[i].held {
+				continue
 			}
+			if i < prg.ckptDone {
+				// Finalized checkpoints are immutable: share them.
+				m.pageAddRef(g, crg.ckpts[i].id)
+				continue
+			}
+			// Unfinalized checkpoint pages will be written in place
+			// when the boundary commits: the child needs its own.
+			crg.ckpts[i].held = false
+			nid, err := m.forkCopyPage(g, prg.ckpts[i].id, cr.id)
+			if err != nil {
+				// Entries beyond i are copies of the parent's refs the
+				// child never took; drop them before unwinding.
+				for j := i + 1; j < len(crg.ckpts); j++ {
+					crg.ckpts[j].held = false
+				}
+				m.Release(child, false)
+				return err
+			}
+			crg.ckpts[i] = pageRef{id: nid, held: true}
 		}
 		if prg.hasWork {
 			// The Mamba working state mutates every step — eager copy.

@@ -132,6 +132,48 @@ func TestForkCopyOnWrite(t *testing.T) {
 	}
 }
 
+// TestForkBranchesHashApart: forked mid-block, two branches finish the
+// shared partial block with different continuations. Each publishes the
+// block it completed under the hash of its own tokens — a fresh
+// sequence with either branch's tokens hits through that branch's
+// block — while the blocks below the fork stay one page both hold. The
+// text-scoped spec's hash class skips tokens, so its record keeps run
+// keys too.
+func TestForkBranchesHashApart(t *testing.T) {
+	for _, spec := range []*model.Spec{forkSpec(), textOnlySpec()} {
+		t.Run(spec.Name, func(t *testing.T) {
+			m := newMgr(t, spec, 1<<20, 4, true)
+			parent := textSeq(1, 10) // blocks 0 and 1 complete, block 2 holds two tokens
+			commitAll(t, m, parent, 1)
+			child := forkChild(t, m, parent, 2)
+			for i := 0; i < 4; i++ { // through block 2's boundary into block 3
+				extend(t, m, parent, Tick(2+i))
+				extend(t, m, child, Tick(2+i))
+			}
+			audit(t, m)
+			g := m.groups[0]
+			pp, cp := m.reqs[parent.ID].g[0].pages, m.reqs[child.ID].g[0].pages
+			for b := 0; b < 2; b++ {
+				if pp[b] != cp[b] || g.pages[pp[b].id].ref != 2 {
+					t.Errorf("block %d below the fork: pages %d and %d (%d references), want one page both hold",
+						b, pp[b].id, cp[b].id, g.pages[pp[b].id].ref)
+				}
+			}
+			if pp[2].id == cp[2].id {
+				t.Fatal("the branches share the block they completed apart")
+			}
+			for _, branch := range []*Sequence{parent, child} {
+				probe := &Sequence{ID: 10 + branch.ID, Tokens: slices.Clone(branch.Tokens[:13])}
+				if got := m.Lookup(probe); got != 12 {
+					t.Errorf("a fresh sequence with branch %d's tokens hits %d tokens, want 12 (through its completed block 2)", branch.ID, got)
+				}
+				m.Release(probe, false)
+			}
+			audit(t, m)
+		})
+	}
+}
+
 // TestForkLifecycleRefcounts drives every release-shaped path against
 // a live fork sibling: eviction pressure, host-tier spill, both
 // preemption flavors and cancellation must all respect the nonzero

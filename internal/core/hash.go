@@ -27,25 +27,15 @@ func hashChain(parent uint64, tok Token) uint64 {
 	return x
 }
 
-// prefixHash returns the chained hash over the first n projected
-// tokens; used to identify Mamba state checkpoints, which snapshot the
-// whole prefix at one position.
-func prefixHash(tokens []Token, n int) uint64 {
-	h := blockHashSeed
-	for i := 0; i < n && i < len(tokens); i++ {
-		h = hashChain(h, tokens[i])
-	}
-	return h
-}
-
 // PrefixHash returns the chained hash over the first n tokens (the
 // whole sequence when n exceeds it). It is the same chain prefix
 // caching publishes per block, so two requests that share a cached
 // prefix share its PrefixHash — cluster routers use it to steer
 // prefix-sharing requests to the same replica.
 func PrefixHash(tokens []Token, n int) uint64 {
-	if n > len(tokens) {
-		n = len(tokens)
+	h := blockHashSeed
+	for i := 0; i < n && i < len(tokens); i++ {
+		h = hashChain(h, tokens[i])
 	}
-	return prefixHash(tokens, n)
+	return h
 }

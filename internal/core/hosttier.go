@@ -612,7 +612,7 @@ func (m *Jenga) heldLargePages(r *reqState) []arena.LargePageID {
 		for _, refs := range [2][]pageRef{rg.pages, rg.ckpts} {
 			for _, ref := range refs {
 				if ref.held {
-					out = append(out, m.largeOf(g, ref.id))
+					out = append(out, g.view.LargeOf(ref.id))
 				}
 			}
 		}

@@ -310,7 +310,7 @@ func TestSpillSkipsInFlightCommit(t *testing.T) {
 	for gi := range m.groups {
 		for b := range r.g[gi].pages {
 			if r.g[gi].pages[b].held {
-				L := m.largeOf(m.groups[gi], r.g[gi].pages[b].id)
+				L := m.groups[gi].view.LargeOf(r.g[gi].pages[b].id)
 				if m.spillLarge(L, 1) {
 					t.Fatalf("spillLarge moved large page %d pinned by an in-flight commit", L)
 				}

@@ -6,6 +6,7 @@ import (
 
 	"jenga/internal/arena"
 	"jenga/internal/debug"
+	"jenga/internal/model"
 )
 
 // CheckInvariants verifies the manager's page-indexed structures against
@@ -17,8 +18,9 @@ import (
 // probe's "in use" means — and the block-hash records; then the LCM
 // tiling of each group's pages and the eviction orders §5.4 reads —
 // every evictable large page queued, and every cached page queued where
-// its group is evicted from; then the host tier (checkHost). Every
-// Release and CrashReset ends with it
+// its group is evicted from; then the host tier (checkHost), and the
+// held pages' hashes against their records. Every Release and
+// CrashReset ends with it
 // in a jengadebug build; the differential fuzzers and the tests' audit
 // call it in every build. It costs O(pages + live page tables) and
 // allocates only to report, and once for its reference-count scratch.
@@ -276,8 +278,10 @@ func (h *hostTier) check() error {
 
 // checkHashes: parked plus live block-hash records are the records the
 // slab handed out; a live record holds one hash per whole stride of
-// what it folded in, a parked one nothing — and in a jengadebug build
-// only scribble.
+// what it folded in (and as many run keys where the class skips tokens),
+// a parked one nothing — in a jengadebug build only scribble; and every
+// complete page a live request with a record holds, a block or a Mamba
+// checkpoint, has the hash the record gives it.
 func (m *Jenga) checkHashes() error {
 	parked := 0
 	for sh := m.spareHashes; sh != nil; sh = sh.next {
@@ -286,11 +290,12 @@ func (m *Jenga) checkHashes() error {
 		}
 		for ci := range sh.c {
 			ch := &sh.c[ci]
-			if sh.n != 0 || ch.proj != 0 || len(ch.hashes) != 0 {
-				return fmt.Errorf("core: a parked block-hash record still holds %d tokens, %d hashes of class %d", sh.n, len(ch.hashes), ci)
+			if sh.n != 0 || ch.proj != 0 || len(ch.hashes) != 0 || len(ch.runs) != 0 {
+				return fmt.Errorf("core: a parked block-hash record still holds %d tokens, %d hashes and %d run keys of class %d", sh.n, len(ch.hashes), len(ch.runs), ci)
 			}
-			if debug.On && slices.ContainsFunc(ch.hashes[:cap(ch.hashes)], func(h uint64) bool { return h != hashPoison }) {
-				return fmt.Errorf("core: a parked block-hash record's class-%d array is not scribbled", ci)
+			notPoison := func(h uint64) bool { return h != hashPoison }
+			if debug.On && (slices.ContainsFunc(ch.hashes[:cap(ch.hashes)], notPoison) || slices.ContainsFunc(ch.runs[:cap(ch.runs)], notPoison)) {
+				return fmt.Errorf("core: a parked block-hash record's class-%d arrays are not scribbled", ci)
 			}
 		}
 	}
@@ -300,8 +305,31 @@ func (m *Jenga) checkHashes() error {
 	//jenga:order-ok each record is judged on its own; visit order only decides which violation is reported
 	for id, sh := range m.hashes {
 		for ci, c := range m.hashClasses {
-			if ch := &sh.c[ci]; ch.proj > sh.n || len(ch.hashes) != ch.proj/c.stride {
-				return fmt.Errorf("core: request %d: %d hashes of class %d for %d of %d tokens", id, len(ch.hashes), ci, ch.proj, sh.n)
+			ch := &sh.c[ci]
+			if ch.proj > sh.n || len(ch.hashes) != ch.proj/c.stride || (c.scope != model.ScopeAll && len(ch.runs) != len(ch.hashes)) {
+				return fmt.Errorf("core: request %d: %d hashes, %d run keys of class %d for %d of %d tokens", id, len(ch.hashes), len(ch.runs), ci, ch.proj, sh.n)
+			}
+		}
+		r, ok := m.reqs[id]
+		if !ok {
+			continue
+		}
+		for _, g := range m.groups {
+			if g.isVision() {
+				continue
+			}
+			rg, hashes := &r.g[g.idx], sh.c[g.hclass].hashes
+			for t, table := range [2][]pageRef{rg.pages, rg.ckpts} {
+				for i, ref := range table {
+					k := i // a block's entry; a checkpoint's is its interval's
+					if t == 1 {
+						k = rg.ckptPos[i]/g.spec.Checkpoint() - 1
+					}
+					if ref.held && g.pages[ref.id].complete && (k >= len(hashes) || g.hash[ref.id] != hashes[k]) {
+						return fmt.Errorf("core: request %d, group %s, entry %d of %d in its record: held complete page %d has hash %x",
+							id, g.spec.Name, k, len(hashes), ref.id, g.hash[ref.id])
+					}
+				}
 			}
 		}
 	}

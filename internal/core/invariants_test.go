@@ -1,9 +1,55 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
+
+// TestCheckInvariantsHeldHashes: every complete page a live request
+// holds carries the hash the request's record gives its block. The
+// record is corrupted at a token block and at a finalized Mamba
+// checkpoint, and CheckInvariants must name each; the intact manager
+// passes, and so does one with a fork child that has no record yet.
+func TestCheckInvariantsHeldHashes(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(t *testing.T, m *Jenga, seq *Sequence)
+		want    string // "" means the manager must still pass
+	}{
+		{"intact", func(*testing.T, *Jenga, *Sequence) {}, ""},
+		{"fork child without a record", func(t *testing.T, m *Jenga, seq *Sequence) {
+			child := &Sequence{ID: 2, Tokens: slices.Clone(seq.Tokens)}
+			if err := m.Fork(seq, child, 2); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := m.hashes[child.ID]; ok {
+				t.Fatal("Fork built the child's record")
+			}
+		}, ""},
+		{"token block", func(t *testing.T, m *Jenga, seq *Sequence) {
+			m.hashes[seq.ID].c[m.groups[0].hclass].hashes[1]++
+		}, "group attn, entry 1 of 4"},
+		{"Mamba checkpoint", func(t *testing.T, m *Jenga, seq *Sequence) {
+			m.hashes[seq.ID].c[m.groups[1].hclass].hashes[0]++
+		}, "group mamba, entry 0 of 2"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := newMgr(t, mambaSpec(4), 1<<20, 2, true)
+			seq := textSeq(1, 9) // attention blocks 0-3 complete, checkpoints at 4 and 8
+			commitAll(t, m, seq, 1)
+			c.corrupt(t, m, seq)
+			err := m.CheckInvariants()
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("sound manager reported: %v", err)
+			case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+				t.Fatalf("got %v, want an error naming %q", err, c.want)
+			}
+		})
+	}
+}
 
 // TestCheckInvariantsHostTier corrupts one host-tier property at a time
 // on a manager whose content sits in the tier, and CheckInvariants must

@@ -27,11 +27,6 @@ type reqGroup struct {
 	// demotedBlocks is the block index below which pages have been
 	// demoted, freed, or skipped.
 	demotedBlocks int
-
-	// Incremental hashing state (projCommitted tokens consumed).
-	chain       uint64
-	runChain    uint64
-	lastFullIdx int
 	// projPrompt is the projected length of the sequence's prompt part
 	// committed so far (window KV above projPrompt−Window stays in the
 	// live eviction class; see Sequence.PromptLen).
@@ -40,7 +35,6 @@ type reqGroup struct {
 	// Mamba state.
 	hasWork  bool
 	work     arena.SmallPageID
-	baseProj int
 	nextCkpt int // next checkpoint position to pre-allocate
 	ckptDone int // checkpoints finalized so far
 	ckpts    []pageRef
@@ -156,13 +150,10 @@ func (g *group) resetReq(rg *reqGroup) {
 	clear(rg.ckpts)
 	clear(rg.visPages)
 	*rg = reqGroup{
-		pages:       rg.pages[:0],
-		ckpts:       rg.ckpts[:0],
-		ckptPos:     rg.ckptPos[:0],
-		visPages:    rg.visPages[:0],
-		chain:       blockHashSeed,
-		runChain:    blockHashSeed,
-		lastFullIdx: -1,
+		pages:    rg.pages[:0],
+		ckpts:    rg.ckpts[:0],
+		ckptPos:  rg.ckptPos[:0],
+		visPages: rg.visPages[:0],
 	}
 	if g.spec.Kind == model.Mamba {
 		rg.nextCkpt = g.spec.Checkpoint()
@@ -637,38 +628,40 @@ func (m *Jenga) Commit(seq *Sequence, upTo int, now Tick) {
 		return
 	}
 	r.lastNow = now
+	// Completed blocks are named by the request's record (skipped with the
+	// prefix cache off: nothing then reads a block's hash or priority).
+	var sh *seqHashes
+	if m.cfg.EnablePrefixCache {
+		sh = m.hashesOf(seq)
+	}
 	delta := seq.Tokens[r.committed:upTo]
 	for gi, g := range m.groups {
 		if g.isVision() || !g.appliesTo(seq) {
 			continue
 		}
-		rg := &r.g[gi]
-		m.commitGroup(g, rg, delta, r.committed, seq.promptBound(), now)
+		m.commitGroup(g, &r.g[gi], sh, delta, r.committed, seq.promptBound(), now)
 	}
 	r.committed = upTo
 }
 
+// commitGroup commits delta, the tokens from fullBase on, to group g,
+// publishing the blocks it completes under their hashes in sh.
+//
 //jenga:hotpath
-func (m *Jenga) commitGroup(g *group, rg *reqGroup, delta []Token, fullBase, promptBound int, now Tick) {
+func (m *Jenga) commitGroup(g *group, rg *reqGroup, sh *seqHashes, delta []Token, fullBase, promptBound int, now Tick) {
 	mamba := g.spec.Kind == model.Mamba
 	pos := rg.projCommitted
 	for i, t := range delta {
 		if !g.spec.StoresToken(t.Image()) {
 			continue
 		}
-		fi := fullBase + i
-		if rg.lastFullIdx != fi-1 {
-			rg.runChain = rg.chain // a new contiguous run starts here
-		}
-		rg.lastFullIdx = fi
-		rg.chain = hashChain(rg.chain, t)
-		if fi < promptBound {
+		if fullBase+i < promptBound {
 			rg.projPrompt = pos + 1
 		}
 		if mamba {
 			pos++
 			if rg.ckptDone < len(rg.ckptPos) && pos == rg.ckptPos[rg.ckptDone] {
-				m.finalizeCheckpoint(g, rg, rg.ckptDone, now)
+				m.finalizeCheckpoint(g, rg, &sh.c[g.hclass], rg.ckptDone, now)
 				rg.ckptDone++
 			}
 			continue
@@ -682,10 +675,11 @@ func (m *Jenga) commitGroup(g *group, rg *reqGroup, delta []Token, fullBase, pro
 		g.filledSlots++
 		pos++
 		if pos%g.tpp == 0 {
-			g.hash[rg.pages[b].id] = rg.chain
 			pg.complete = true
-			pg.priority = g.pol.BlockPriority(b, rg.runChain)
-			if m.cfg.EnablePrefixCache {
+			if sh != nil {
+				ch := &sh.c[g.hclass]
+				g.hash[rg.pages[b].id] = ch.hashes[b]
+				pg.priority = g.pol.BlockPriority(b, g.runKey(ch, b))
 				m.publish(g, rg.pages[b].id)
 			}
 		}
@@ -736,17 +730,18 @@ func (m *Jenga) commitGroup(g *group, rg *reqGroup, delta []Token, fullBase, pro
 
 // finalizeCheckpoint publishes the i-th Mamba state snapshot: the state
 // content at that position is copied into the pre-allocated page and
-// its prefix hash published for hits at that exact position (§5.3).
-func (m *Jenga) finalizeCheckpoint(g *group, rg *reqGroup, i int, now Tick) {
+// its prefix hash (ch's entry) published for hits there (§5.3).
+func (m *Jenga) finalizeCheckpoint(g *group, rg *reqGroup, ch *classHashes, i int, now Tick) {
 	check(rg.ckpts[i].held, "checkpoint page %d not held", i)
 	pg := &g.pages[rg.ckpts[i].id]
 	if pg.filled == 0 {
 		pg.filled = 1
 		g.filledSlots++
 	}
-	g.hash[rg.ckpts[i].id] = rg.chain
+	k := rg.ckptPos[i]/g.spec.Checkpoint() - 1
+	g.hash[rg.ckpts[i].id] = ch.hashes[k]
 	pg.complete = true
-	pg.priority = g.pol.BlockPriority(i, rg.runChain)
+	pg.priority = g.pol.BlockPriority(i, g.runKey(ch, k))
 	pg.lastAccess = now
 	m.publish(g, rg.ckpts[i].id)
 }
@@ -861,60 +856,42 @@ type pendingRestore struct {
 // the caller rolls back). With useHost false it is the historical
 // claim, performs no allocation, and always succeeds.
 //
-// The request's block hashes sh cover the whole sequence (hashesOf): a
-// chained hash names its whole prefix, so the first p tokens' blocks
-// are that list's head and the claim reads them instead of hashing the
-// prefix again. Nothing here is sized by p except the request's page
-// table, which a recycled state already holds.
+// The views of the lookup that judged p (m.lkViews) give each group's
+// projected prefix, and the request's block hashes sh cover the whole
+// sequence (hashesOf): a chained hash names its whole prefix, so the
+// prefix's blocks are that list's head. Nothing is hashed here, nor
+// sized by p but the request's page table, which a recycled state holds.
 //
 //jenga:hotpath
 func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, sh *seqHashes, p int, now Tick, useHost bool) bool {
 	m.claimPending = m.claimPending[:0]
-	for gi, g := range m.groups {
-		rg := &r.g[gi]
-		if g.isVision() || !g.appliesTo(seq) {
-			continue
-		}
+	for _, gv := range m.lkViews {
+		g := gv.g
+		rg, hashes, pl := &r.g[g.idx], sh.c[g.hclass].hashes, gv.view.ProjCount[p]
+		head, lo, nb := g.claimSpan(pl)
 		if g.spec.Kind == model.Mamba {
-			pl := replayPrefix(g, rg, seq.Tokens[:p])
-			if useHost && pl > 0 {
-				if _, ok := g.index.get(rg.chain); !ok {
-					if _, hok := m.host.lookup(g.idx, rg.chain); hok {
-						m.claimPending = append(m.claimPending, pendingRestore{g: g, rg: rg, block: -1, hash: rg.chain, pl: pl})
-						continue
-					}
-				}
+			if pl == 0 {
+				continue
 			}
-			m.claimMamba(g, rg, pl, now)
+			if nb == 0 {
+				check(false, "claim: group %s prefix %d is not a checkpoint", g.spec.Name, pl)
+			}
+			if _, ok := g.index.get(hashes[lo]); !ok && useHost {
+				// The lookup found it in the tier: restore it, as a block.
+				m.claimPending = append(m.claimPending, pendingRestore{g: g, rg: rg, block: -1, hash: hashes[lo], pl: pl})
+				continue
+			}
+			m.claimMamba(g, rg, hashes[lo], pl, now)
 			continue
-		}
-		pl := p
-		if g.spec.Scope == model.ScopeAll {
-			// Every token is stored: one run from the start, ending on
-			// the claimed prefix's last block hash.
-			rg.chain, rg.runChain, rg.lastFullIdx = blockHashSeed, blockHashSeed, p-1
-			if p >= g.tpp {
-				rg.chain = sh.c[g.hclass].hashes[p/g.tpp-1]
-			}
-		} else {
-			pl = replayPrefix(g, rg, seq.Tokens[:p])
 		}
 		if pl%g.tpp != 0 {
 			check(false, "claim: group %s prefix %d not block aligned", g.spec.Name, pl)
 		}
-		nb := pl / g.tpp
 		if len(rg.pages) != 0 {
 			check(false, "claim: group %s already holds a page table", g.spec.Name)
 		}
 		rg.pages = g.growTable(rg.pages, nb, seq.Tokens)
-		lo := g.pol.AccessedFrom(pl) / g.tpp
-		keepBlocks := 0
-		if ka, ok := g.pol.(KeepAlive); ok {
-			keepBlocks = (ka.KeptBelow(pl) + g.tpp - 1) / g.tpp
-		}
-		// The always-live head (attention sinks), then the accessed tail.
-		hashes := sh.c[g.hclass].hashes
-		m.claimBlocks(g, rg, r.id, hashes, 0, min(keepBlocks, lo), useHost)
+		m.claimBlocks(g, rg, r.id, hashes, 0, head, useHost)
 		m.claimBlocks(g, rg, r.id, hashes, lo, nb, useHost)
 		rg.projReserved = pl
 		rg.projCommitted = pl
@@ -944,7 +921,7 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, sh *seqHashes, p int, no
 			// Mamba checkpoint: park the restored page as published
 			// cache, then claim it through the normal path.
 			m.pageRelease(pr.g, id, true, now, false)
-			m.claimMamba(pr.g, pr.rg, pr.pl, now)
+			m.claimMamba(pr.g, pr.rg, pr.hash, pr.pl, now)
 		}
 	}
 	for _, pr := range pending {
@@ -954,27 +931,24 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, sh *seqHashes, p int, no
 	return ok
 }
 
-// replayPrefix brings rg's incremental hashing state — chain, runChain
-// and lastFullIdx, what commitGroup maintains token by token — to the
-// end of prefix in one pass over the full token list, and returns the
-// prefix's projected length.
+// claimSpan names the entries of g's hash class that a claim of pl
+// projected tokens attaches (and LookupFleet fetches), [0, head) and
+// [lo, nb): the always-live head (attention sinks) and the accessed
+// tail of a token group's nb blocks; a Mamba group's checkpoint at pl.
 //
 //jenga:hotpath
-func replayPrefix(g *group, rg *reqGroup, prefix []Token) int {
-	rg.chain, rg.runChain, rg.lastFullIdx = blockHashSeed, blockHashSeed, -1
-	pl := 0
-	for i, t := range prefix {
-		if !g.spec.StoresToken(t.Image()) {
-			continue
+func (g *group) claimSpan(pl int) (head, lo, nb int) {
+	if g.spec.Kind == model.Mamba {
+		if every := g.spec.Checkpoint(); pl > 0 && pl%every == 0 {
+			return 0, pl/every - 1, pl / every
 		}
-		if rg.lastFullIdx != i-1 {
-			rg.runChain = rg.chain // a new contiguous run starts here
-		}
-		rg.lastFullIdx = i
-		rg.chain = hashChain(rg.chain, t)
-		pl++
+		return 0, 0, 0
 	}
-	return pl
+	lo, nb = g.pol.AccessedFrom(pl)/g.tpp, pl/g.tpp
+	if ka, ok := g.pol.(KeepAlive); ok {
+		head = min((ka.KeptBelow(pl)+g.tpp-1)/g.tpp, lo)
+	}
+	return head, lo, nb
 }
 
 // claimBlocks is claimPrefix's pass 1 over blocks [from, to) of one
@@ -1032,12 +1006,10 @@ func (m *Jenga) rollbackClaim(seq *Sequence, r *reqState) {
 	r.restoredBytes = 0
 }
 
-// claimMamba restores the working state from a cached checkpoint.
-func (m *Jenga) claimMamba(g *group, rg *reqGroup, pl int, now Tick) {
-	if pl == 0 {
-		return
-	}
-	id, ok := g.index.get(rg.chain)
+// claimMamba restores the working state from the cached checkpoint
+// hash names, at projected position pl.
+func (m *Jenga) claimMamba(g *group, rg *reqGroup, hash uint64, pl int, now Tick) {
+	id, ok := g.index.get(hash)
 	check(ok, "claimMamba: checkpoint at %d vanished", pl)
 	pg := &g.pages[id]
 	// Touch the checkpoint (the paper updates only the last cached
@@ -1047,7 +1019,7 @@ func (m *Jenga) claimMamba(g *group, rg *reqGroup, pl int, now Tick) {
 		// old value may lower the max (a warm engine restart resets
 		// ticks, so `now` can be below it — mark dirty), the new value
 		// may raise it.
-		L := m.largeOf(g, id)
+		L := g.view.LargeOf(id)
 		if pg.lastAccess == m.largeTS[L] {
 			m.largeDirty[L] = true
 		}
@@ -1062,7 +1034,6 @@ func (m *Jenga) claimMamba(g *group, rg *reqGroup, pl int, now Tick) {
 	} else {
 		pg.lastAccess = now
 	}
-	rg.baseProj = pl
 	rg.nextCkpt = pl + g.spec.Checkpoint()
 	rg.projReserved = pl
 	rg.projCommitted = pl

@@ -495,8 +495,3 @@ func (m *Jenga) groupIndex(name string) int {
 	}
 	return -1
 }
-
-// largeOf returns the large page containing small page p of group g.
-func (m *Jenga) largeOf(g *group, p arena.SmallPageID) arena.LargePageID {
-	return g.view.LargeOf(p)
-}

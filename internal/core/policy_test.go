@@ -169,8 +169,8 @@ func TestBlockHashChaining(t *testing.T) {
 	if hd[1] == ha[1] {
 		t.Error("same block content under different prefix must differ")
 	}
-	if prefixHash(a, 4) != ha[1] {
-		t.Error("prefixHash at block boundary must equal the chained block hash")
+	if PrefixHash(a, 4) != ha[1] {
+		t.Error("PrefixHash at block boundary must equal the chained block hash")
 	}
 }
 

@@ -52,8 +52,8 @@ func serve(m *Jenga, s *Sequence, now Tick) error {
 
 // requirePristine fails unless r is, field for field, the state a new
 // manager builds for the same request: empty tables with no held
-// reference anywhere in their arrays, hashing state at the seed, Mamba's
-// next checkpoint at the first boundary.
+// reference anywhere in their arrays, Mamba's next checkpoint at the
+// first boundary.
 func requirePristine(t *testing.T, r, fresh *reqState) {
 	t.Helper()
 	got := *r
@@ -81,9 +81,6 @@ func requirePristine(t *testing.T, r, fresh *reqState) {
 	}
 	// And the fresh one is what getReq has always built.
 	want := reqState{id: r.id, g: make([]reqGroup, len(r.g))}
-	for gi := range want.g {
-		want.g[gi] = reqGroup{chain: blockHashSeed, runChain: blockHashSeed, lastFullIdx: -1}
-	}
 	want.g[1].nextCkpt = 4 // recycleSpec's Mamba group checkpoints every 4 tokens
 	if !reflect.DeepEqual(*fresh, want) {
 		t.Fatalf("fresh state:\n got  %+v\n want %+v", *fresh, want)

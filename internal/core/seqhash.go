@@ -7,18 +7,20 @@ import (
 	"jenga/internal/model"
 )
 
-// A request's blocks are hashed once. Lookup, LookupFleet, the claim's
-// lookups and Footprint's admission probe all need the chained hash of
-// every complete block of the sequence; the manager keeps them, one
-// seqHashes per request, from the first of those calls that names the
-// request to its Release — whether or not it ever reserved anything —
-// and each call folds in only the tokens appended since the last. A
-// live sequence's tokens are only ever appended to — growth may move
-// the array (the engine's switch from the borrowed prompt to a private
-// decode buffer) but never rewrites a token — and IDs are unique among
-// live requests, so a record cannot describe another request's tokens
-// as long as every request the manager was shown is released: that is
-// the caller's side of the contract (Manager.Release).
+// A request's blocks are hashed once. Lookup, LookupFleet, the claim,
+// Footprint's admission probe and Commit's publication all need the
+// chained hash of every complete block of the sequence — this record is
+// their one source (a fork child's is built by its first commit or
+// lookup); the manager keeps them, one seqHashes per request, from the
+// first of those calls that names the request to its Release — whether
+// or not it ever reserved anything — and each call folds in only the
+// tokens appended since the last. A live sequence's tokens are only
+// ever appended to — growth may move the array (the engine's switch
+// from the borrowed prompt to a private decode buffer) but never
+// rewrites a token — and IDs are unique among live requests, so a
+// record cannot describe another request's tokens as long as every
+// request the manager was shown is released: that is the caller's side
+// of the contract (Manager.Release).
 //
 // A block's hash depends on the tokens and the block size, not on the
 // layer type, so groups that store the same tokens in blocks of the
@@ -44,6 +46,12 @@ type classHashes struct {
 	chain  uint64
 	proj   int
 	hashes []uint64
+	// run is the chain where the current run of the class's tokens
+	// (consecutive positions) began, runs[k] its value for block k's run:
+	// BlockPriority's run key. Only a class that skips tokens keeps runs
+	// (group.runKey).
+	run  uint64
+	runs []uint64
 }
 
 // seqHashes is one request's block hashes: n of the sequence's tokens
@@ -61,6 +69,11 @@ type seqHashes struct {
 }
 
 const hashSlabRecords = 64
+
+// stores reports whether the class's groups store KV for t.
+func (c *hashClass) stores(t Token) bool {
+	return c.scope == model.ScopeAll || (c.scope == model.ScopeImage) == t.Image()
+}
 
 // hashClassOf returns the index of g's hash class, registering it at
 // the manager's construction; -1 for a vision-embedding group, which no
@@ -113,23 +126,45 @@ func (m *Jenga) hashesOf(seq *Sequence) *seqHashes {
 			continue
 		}
 		ch := &sh.c[ci]
-		if whole := (ch.proj + len(fresh)) / c.stride; whole > cap(ch.hashes) {
+		keepRuns := c.scope != model.ScopeAll
+		whole := (ch.proj + len(fresh)) / c.stride
+		if whole > cap(ch.hashes) {
 			ch.hashes = m.carveHashes(ch.hashes, whole)
 		}
-		h, pl := ch.chain, ch.proj
+		if keepRuns && whole > cap(ch.runs) {
+			ch.runs = m.carveHashes(ch.runs, whole)
+		}
+		// A run starts at a token of the class whose predecessor is not.
+		h, pl, run, gap := ch.chain, ch.proj, ch.run, sh.n > 0 && !c.stores(sh.last)
 		for _, t := range fresh {
-			if (c.scope == model.ScopeText && t.Image()) || (c.scope == model.ScopeImage && !t.Image()) {
+			if !c.stores(t) {
+				gap = true
 				continue
+			}
+			if gap {
+				run, gap = h, false
 			}
 			h = hashChain(h, t)
 			if pl++; pl%c.stride == 0 {
 				ch.hashes = append(ch.hashes, h)
+				if keepRuns {
+					ch.runs = append(ch.runs, run)
+				}
 			}
 		}
-		ch.chain, ch.proj = h, pl
+		ch.chain, ch.proj, ch.run = h, pl, run
 	}
 	sh.n, sh.last, sh.sharedAt = len(toks), toks[len(toks)-1], 0
 	return sh
+}
+
+// runKey is BlockPriority's run key for entry k of g's class in ch: a
+// ScopeAll class has one run, from the seed.
+func (g *group) runKey(ch *classHashes, k int) uint64 {
+	if g.spec.Scope == model.ScopeAll {
+		return blockHashSeed
+	}
+	return ch.runs[k]
 }
 
 // growHashRecSlab builds the next slab of empty records.
@@ -172,12 +207,14 @@ func (sh *seqHashes) reset() {
 	for ci := range sh.c {
 		ch := &sh.c[ci]
 		if debug.On {
-			all := ch.hashes[:cap(ch.hashes)]
-			for i := range all {
-				all[i] = hashPoison
+			for _, a := range [2][]uint64{ch.hashes, ch.runs} {
+				all := a[:cap(a)]
+				for i := range all {
+					all[i] = hashPoison
+				}
 			}
 		}
-		*ch = classHashes{chain: blockHashSeed, hashes: ch.hashes[:0]}
+		*ch = classHashes{chain: blockHashSeed, hashes: ch.hashes[:0], run: blockHashSeed, runs: ch.runs[:0]}
 	}
 	sh.n, sh.sharedAt = 0, 0
 }
