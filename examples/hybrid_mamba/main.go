@@ -24,7 +24,7 @@ func main() {
 	mamba := spec.Group("mamba")
 	fmt.Printf("%s: mamba state %s per layer = %d× the per-token attention KV\n",
 		spec.Name, mib(int64(mamba.StateBytes)), mamba.StateBytes/attn.BytesPerToken)
-	geo, err := spec.Geometry(jenga.LCMPage, 16)
+	geo, err := spec.Geometry(16)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -598,7 +598,7 @@ func FleetFetch() (*Op, error) {
 		pagesPerFamily  = prefix / 16
 		dstTierFamilies = 2
 	)
-	geo, err := spec.Geometry(model.LCMPage, 16)
+	geo, err := spec.Geometry(16)
 	if err != nil {
 		return nil, err
 	}

@@ -35,7 +35,7 @@ func TestEvictCycleZeroAlloc(t *testing.T) {
 		t.Skip("allocation accounting is not meaningful under -short/-race runs")
 	}
 	spec := model.LLaVAOneVision7B()
-	geo, err := spec.Geometry(model.LCMPage, 16)
+	geo, err := spec.Geometry(16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func churn(t *testing.T, m *Jenga, n, groups int, after func()) {
 // exactly one entry per live page.
 func TestEvictQueuesBounded(t *testing.T) {
 	spec := churnSpec()
-	geo, err := spec.Geometry(model.LCMPage, 4)
+	geo, err := spec.Geometry(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestEvictQueuesBounded(t *testing.T) {
 // under that request's ID until its last page is taken or reclaimed.
 func TestAssocStacksExact(t *testing.T) {
 	spec := churnSpec()
-	geo, err := spec.Geometry(model.LCMPage, 4)
+	geo, err := spec.Geometry(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestColdTierFillZeroAlloc(t *testing.T) {
 		t.Skip("allocation accounting is not meaningful under -short/-race runs")
 	}
 	spec := churnSpec()
-	geo, err := spec.Geometry(model.LCMPage, 4)
+	geo, err := spec.Geometry(4)
 	if err != nil {
 		t.Fatal(err)
 	}

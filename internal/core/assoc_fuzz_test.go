@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"jenga/internal/arena"
-	"jenga/internal/model"
 )
 
 // lazyAssoc is the reference: the per-request lists the free stacks
@@ -96,7 +95,7 @@ func FuzzAssocStacks(f *testing.F) {
 
 func fuzzAssocStacks(t *testing.T, data []byte) {
 	spec := churnSpec()
-	geo, err := spec.Geometry(model.LCMPage, 4)
+	geo, err := spec.Geometry(4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,22 +56,21 @@ func TestLookupKeyDiesWithRequest(t *testing.T) {
 	}
 	m.Release(b, false)
 
-	// A lookup-only request (never reserved, so Release finds no
-	// request state) drops its hashes all the same, and CrashReset
-	// forgets the ones it had.
+	// A lookup-only request (never reserved) drops its state, hashes
+	// included, all the same, and CrashReset forgets the ones it had.
 	m.Lookup(b)
-	if sh := m.hashes[b.ID]; len(m.hashes) != 1 || sh.n != n {
-		t.Fatalf("lookup left %d hash records", len(m.hashes))
+	if r, ok := m.reqs[b.ID]; !ok || len(m.reqs) != 1 || r.h.n != n {
+		t.Fatalf("lookup left %d request states", len(m.reqs))
 	}
 	m.Release(b, false)
-	if len(m.hashes) != 0 {
+	if len(m.reqs) != 0 {
 		t.Fatal("a looked-up request's hashes outlived its Release")
 	}
 	m.Lookup(b)
 	if err := m.CrashReset(); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.hashes) != 0 {
+	if len(m.reqs) != 0 {
 		t.Fatal("a looked-up request's hashes outlived CrashReset")
 	}
 	audit(t, m)

@@ -241,7 +241,7 @@ func TestRatioOneNeverReachesStepFive(t *testing.T) {
 	}
 	for _, spec := range specs {
 		t.Run(spec.Name, func(t *testing.T) {
-			geo, err := spec.Geometry(model.LCMPage, 16)
+			geo, err := spec.Geometry(16)
 			if err != nil {
 				t.Fatal(err)
 			}

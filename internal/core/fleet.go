@@ -259,7 +259,7 @@ func (m *Jenga) LookupFleet(seq *Sequence, peer PeerPresence) (int, []FetchBlock
 	if !m.cfg.EnablePrefixCache || m.host == nil || !m.host.hasRoomEver() || peer == nil || len(seq.Tokens) < 2 {
 		return 0, nil // (and at least one token must run)
 	}
-	sh := m.hashesOf(seq)
+	sh := m.hashesOf(m.getReq(seq), seq)
 	p := m.lookupPrefix(seq, sh, restorable, peer)
 	if p == 0 {
 		return 0, nil

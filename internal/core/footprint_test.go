@@ -61,7 +61,7 @@ func TestFootprintColdIsSteadyState(t *testing.T) {
 	slices.Sort(names)
 	for _, name := range names {
 		spec := model.Registry[name]()
-		geo, err := spec.Geometry(model.LCMPage, 16)
+		geo, err := spec.Geometry(16)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -103,8 +103,8 @@ func TestFootprintColdIsSteadyState(t *testing.T) {
 				}
 			}
 			audit(t, m)
-			if len(m.hashes) != 0 {
-				t.Errorf("%s: %d block-hash records outlived their requests", name, len(m.hashes))
+			if len(m.reqs) != 0 {
+				t.Errorf("%s: %d request states outlived their requests", name, len(m.reqs))
 			}
 		}
 	}
@@ -154,7 +154,7 @@ func TestFootprintCoversWhatAdmissionAdds(t *testing.T) {
 			// slides them all out again.
 			for _, shape := range [][2]int{{40, 6}, {40, 31}, {24, 3}, {64, 64}, {9, 2}} {
 				name := sc.name + "/" + sharer
-				geo, err := sc.spec.Geometry(model.LCMPage, tpp)
+				geo, err := sc.spec.Geometry(tpp)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -212,10 +212,11 @@ func TestFootprintHashesOnce(t *testing.T) {
 	m := newMgr(t, recycleSpec(), 1<<20, tpp, true)
 	seq := recycleSeq(5, 43)
 	m.Footprint(seq)
-	sh := m.hashes[seq.ID]
+	r := m.reqs[seq.ID]
+	sh := &r.h
 	check := func() {
 		t.Helper()
-		if sh != m.hashes[seq.ID] || sh.n != len(seq.Tokens) {
+		if r != m.reqs[seq.ID] || sh.n != len(seq.Tokens) {
 			t.Fatalf("record covers %d of %d tokens", sh.n, len(seq.Tokens))
 		}
 		for ci, c := range m.hashClasses {
@@ -245,7 +246,7 @@ func TestFootprintHashesOnce(t *testing.T) {
 	m.Lookup(seq)
 	check()
 	m.Release(seq, true)
-	if len(m.hashes) != 0 || m.spareHashes != sh {
+	if len(m.reqs) != 0 || m.spareReqs[len(m.spareReqs)-1] != r {
 		t.Fatal("Release did not park the record")
 	}
 	audit(t, m)

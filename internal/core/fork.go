@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"jenga/internal/arena"
+	"jenga/internal/model"
 )
 
 // Copy-on-write stream forking. Fork attaches a child sequence to a
@@ -62,19 +63,21 @@ func (m *Jenga) cowPage(g *group, id arena.SmallPageID, req RequestID) (arena.Sm
 // (the child's record comes from its own tokens, seqhash.go).
 func (m *Jenga) Fork(parent, child *Sequence, now Tick) error {
 	pr, ok := m.reqs[parent.ID]
-	if !ok {
+	if !ok || !pr.touched {
 		return fmt.Errorf("core: fork: parent request %d unknown", parent.ID)
 	}
 	if pr.reserved != pr.committed {
 		return fmt.Errorf("core: fork: parent %d has an uncommitted reservation (%d reserved, %d committed)",
 			parent.ID, pr.reserved, pr.committed)
 	}
-	if _, dup := m.reqs[child.ID]; dup {
+	// Registered first, so a mid-fork allocation failure can unwind
+	// through the normal Release path. A child only lookups registered
+	// holds nothing yet, and keeps its block hashes.
+	cr := m.getReq(child)
+	if cr.touched {
 		return fmt.Errorf("core: fork: child request %d already live", child.ID)
 	}
-	// Registered first, so a mid-fork allocation failure can unwind
-	// through the normal Release path.
-	cr := m.takeReq(child.ID)
+	cr.touched = true
 	cr.reserved = pr.reserved
 	cr.committed = pr.committed
 	cr.lastNow = now
@@ -83,49 +86,38 @@ func (m *Jenga) Fork(parent, child *Sequence, now Tick) error {
 	for gi, g := range m.groups {
 		prg := &pr.g[gi]
 		crg := &cr.g[gi]
-		// The child takes the parent's per-group state whole, its tables
-		// copied into the child's own arrays — empty in a pristine state,
-		// recycled when there are any — and the working state copied below.
-		own := *crg
+		// The child takes the parent's per-group state whole, its table
+		// copied into the child's own array — empty in a pristine state,
+		// recycled when there is one — and the working state copied below.
+		own := crg.pages
 		*crg = *prg
-		crg.pages = append(own.pages, prg.pages...)
-		crg.visPages = append(own.visPages, prg.visPages...)
-		crg.ckpts = append(own.ckpts, prg.ckpts...)
-		crg.ckptPos = append(own.ckptPos, prg.ckptPos...)
+		crg.pages = append(own, prg.pages...)
 		crg.hasWork, crg.work = false, 0
-		for b := range crg.pages {
-			if crg.pages[b].held {
-				m.pageAddRef(g, crg.pages[b].id)
-			}
-		}
-		for b := range crg.visPages {
-			if crg.visPages[b].held {
-				m.pageAddRef(g, crg.visPages[b].id)
-			}
-		}
-		for i := range crg.ckpts {
-			if !crg.ckpts[i].held {
+		for i := range crg.pages {
+			ref := &crg.pages[i]
+			if !ref.held {
 				continue
 			}
-			if i < prg.ckptDone {
-				// Finalized checkpoints are immutable: share them.
-				m.pageAddRef(g, crg.ckpts[i].id)
+			if g.spec.Kind != model.Mamba || i < prg.ckptDone {
+				// Blocks and embeddings are shared until written
+				// (copy-on-write), finalized checkpoints for good.
+				m.pageAddRef(g, ref.id)
 				continue
 			}
 			// Unfinalized checkpoint pages will be written in place
 			// when the boundary commits: the child needs its own.
-			crg.ckpts[i].held = false
-			nid, err := m.forkCopyPage(g, prg.ckpts[i].id, cr.id)
+			ref.held = false
+			nid, err := m.forkCopyPage(g, prg.pages[i].id, cr.id)
 			if err != nil {
 				// Entries beyond i are copies of the parent's refs the
 				// child never took; drop them before unwinding.
-				for j := i + 1; j < len(crg.ckpts); j++ {
-					crg.ckpts[j].held = false
+				for j := i + 1; j < len(crg.pages); j++ {
+					crg.pages[j].held = false
 				}
 				m.Release(child, false)
 				return err
 			}
-			crg.ckpts[i] = pageRef{id: nid, held: true}
+			*ref = pageRef{id: nid, held: true}
 		}
 		if prg.hasWork {
 			// The Mamba working state mutates every step — eager copy.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"jenga/internal/arena"
@@ -303,6 +304,85 @@ func TestForkErrors(t *testing.T) {
 		t.Error("fork of a parent with an uncommitted reservation should fail")
 	}
 	audit(t, m)
+}
+
+// TestForkContract pins Fork's answers about requests the manager knows
+// only from lookups, and what a refused or failed fork leaves behind.
+func TestForkContract(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(t *testing.T, m *Jenga, parent, child *Sequence)
+	}{
+		{"parent only looked up is unknown", func(t *testing.T, m *Jenga, _, child *Sequence) {
+			probe := textSeq(3, 9)
+			m.Lookup(probe)
+			if err := m.Fork(probe, child, 2); err == nil || !strings.Contains(err.Error(), "unknown") {
+				t.Fatalf("fork of a looked-up parent: %v, want it unknown", err)
+			}
+			if _, ok := m.reqs[child.ID]; ok {
+				t.Fatal("the refused fork registered the child")
+			}
+			m.Release(probe, false)
+		}},
+		{"child only looked up is accepted and keeps its record", func(t *testing.T, m *Jenga, parent, child *Sequence) {
+			m.Lookup(child)
+			r := m.reqs[child.ID]
+			if err := m.Fork(parent, child, 2); err != nil {
+				t.Fatal(err)
+			}
+			if m.reqs[child.ID] != r || r.h.n != len(child.Tokens) {
+				t.Fatalf("the child's record covers %d of %d tokens after the fork", r.h.n, len(child.Tokens))
+			}
+			extend(t, m, child, 3)
+			m.Release(child, true)
+		}},
+		{"child that reserved is refused", func(t *testing.T, m *Jenga, parent, child *Sequence) {
+			if err := m.Reserve(child, len(child.Tokens), 2); err != nil {
+				t.Fatal(err)
+			}
+			r := m.reqs[child.ID]
+			if err := m.Fork(parent, child, 2); err == nil || !strings.Contains(err.Error(), "already live") {
+				t.Fatalf("fork onto a child that reserved: %v, want it refused", err)
+			}
+			if m.reqs[child.ID] != r || r.reserved != len(child.Tokens) || m.Stats().Forks != 0 {
+				t.Fatalf("the refused fork touched the child: %d reserved, %d forks", r.reserved, m.Stats().Forks)
+			}
+			m.Release(child, false)
+		}},
+		{"failed fork leaves no record", func(t *testing.T, m *Jenga, parent, child *Sequence) {
+			// Fill the memory, so that the eager copy of the Mamba working
+			// state finds no page.
+			filler := &Sequence{ID: 9}
+			for i := range 1000 {
+				filler.Tokens = append(filler.Tokens, Token{ID: int32(5000 + i)})
+			}
+			for up := 1; m.Reserve(filler, up, 1) == nil; up++ {
+			}
+			m.Lookup(child)
+			if err := m.Fork(parent, child, 2); !errors.Is(err, ErrNoSpace) {
+				t.Fatalf("fork on a full manager: %v, want ErrNoSpace", err)
+			}
+			if _, ok := m.reqs[child.ID]; ok {
+				t.Fatal("the failed fork left the child's state")
+			}
+			m.Release(filler, false)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := newMgr(t, mambaSpec(4), 8<<11, 2, true) // eight large pages
+			parent := textSeq(1, 9)
+			commitAll(t, m, parent, 1)
+			child := &Sequence{ID: 2, Tokens: slices.Clone(parent.Tokens)}
+			c.run(t, m, parent, child)
+			audit(t, m)
+			m.Release(parent, true)
+			if len(m.reqs) != 0 {
+				t.Fatalf("%d request states live after every release", len(m.reqs))
+			}
+			audit(t, m)
+		})
+	}
 }
 
 // FuzzForkLifecycle drives random fork/extend/release sequences on a

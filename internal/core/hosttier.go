@@ -603,17 +603,18 @@ func (m *Jenga) SwapOut(seq *Sequence) (int, int64) {
 }
 
 // heldLargePages collects, in ascending order, the distinct large
-// pages holding any page the request currently references. The result
-// is the tier's scratch, valid until the next call.
+// pages holding a block or checkpoint the request references: what its
+// release can leave cached. The result is the tier's scratch, valid
+// until the next call.
 func (m *Jenga) heldLargePages(r *reqState) []arena.LargePageID {
 	out := m.host.swapLarge[:0]
 	for gi, g := range m.groups {
-		rg := &r.g[gi]
-		for _, refs := range [2][]pageRef{rg.pages, rg.ckpts} {
-			for _, ref := range refs {
-				if ref.held {
-					out = append(out, g.view.LargeOf(ref.id))
-				}
+		if g.isVision() {
+			continue
+		}
+		for _, ref := range r.g[gi].pages {
+			if ref.held {
+				out = append(out, g.view.LargeOf(ref.id))
 			}
 		}
 	}

@@ -124,7 +124,7 @@ func TestHostTierSpillRestoreRoundTrip(t *testing.T) {
 	if p := m.Lookup(probe); p < 32 {
 		t.Fatalf("host-aware Lookup = %d, want ≥ 32", p)
 	}
-	if p := m.lookupPrefix(probe, m.hashesOf(probe), resident, nil); p != 0 {
+	if p := m.lookupPrefix(probe, m.hashesOf(m.getReq(probe), probe), resident, nil); p != 0 {
 		t.Fatalf("GPU-only lookup = %d, want 0 (everything spilled)", p)
 	}
 
@@ -273,7 +273,7 @@ func TestSwapOutProactive(t *testing.T) {
 	// from the GPU without touching the tier.
 	probe := textSeq(2, 17)
 	probe.PromptLen = 17
-	if p := m.lookupPrefix(probe, m.hashesOf(probe), resident, nil); p < 16 {
+	if p := m.lookupPrefix(probe, m.hashesOf(m.getReq(probe), probe), resident, nil); p < 16 {
 		t.Fatalf("GPU-only lookup after SwapOut = %d, want ≥ 16", p)
 	}
 	// Eviction now finds the bytes already in the tier: no second
@@ -293,6 +293,22 @@ func TestSwapOutProactive(t *testing.T) {
 	}
 	if m.CachedPrefix(probe) < 16 {
 		t.Fatalf("restore claim failed: CachedPrefix = %d", m.CachedPrefix(probe))
+	}
+	audit(t, m)
+}
+
+// TestSwapOutReleasesLookedUp: SwapOut releases exactly like
+// Release(seq, true), so a sequence the manager was only shown, by a
+// lookup, leaves no state behind either.
+func TestSwapOutReleasesLookedUp(t *testing.T) {
+	m := newTieredMgr(t, flatSpec(), 1<<16, 1<<20, 4)
+	seq := textSeq(1, 17)
+	m.Lookup(seq)
+	if pages, bytes := m.SwapOut(seq); pages != 0 || bytes != 0 {
+		t.Fatalf("SwapOut of a looked-up request moved %d pages / %d bytes", pages, bytes)
+	}
+	if len(m.reqs) != 0 {
+		t.Fatalf("%d request states live after the only one was swapped out", len(m.reqs))
 	}
 	audit(t, m)
 }

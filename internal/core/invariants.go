@@ -10,19 +10,18 @@ import (
 )
 
 // CheckInvariants verifies the manager's page-indexed structures against
-// the page array they describe, and returns the first violation. These
-// are the first three slices of the whole-manager check (ROADMAP item
-// 1): the request-associated free stacks, the prefix index, the slotted
-// eviction heaps and the request-state slab; then page conservation,
-// reference counts against the live page tables — what the admission
-// probe's "in use" means — and the block-hash records; then the LCM
-// tiling of each group's pages and the eviction orders §5.4 reads —
+// the page array they describe, and returns the first violation: the
+// request-associated free stacks, the prefix index, the slotted
+// eviction heaps; page conservation and reference counts against the
+// live page tables — what the admission probe's "in use" means; the
+// LCM tiling of each group's pages and the eviction orders §5.4 reads —
 // every evictable large page queued, and every cached page queued where
-// its group is evicted from; then the host tier (checkHost), and the
-// held pages' hashes against their records. Every Release and
-// CrashReset ends with it
+// its group is evicted from; the host tier (checkHost); the request
+// states — parked + live = handed out by the slab, a parked one empty
+// (checkParked) — and the live ones' block-hash records, with the held
+// pages' hashes against them. Every Release and CrashReset ends with it
 // in a jengadebug build; the differential fuzzers and the tests' audit
-// call it in every build. It costs O(pages + live page tables) and
+// call it in every build. It costs O(pages + request states) and
 // allocates only to report, and once for its reference-count scratch.
 func (m *Jenga) CheckInvariants() error {
 	for _, g := range m.groups {
@@ -60,7 +59,38 @@ func (m *Jenga) CheckInvariants() error {
 		return fmt.Errorf("core: %d parked + %d live request states, %d handed out by the slab",
 			len(m.spareReqs), len(m.reqs), m.reqsBuilt)
 	}
+	for _, r := range m.spareReqs {
+		if err := r.checkParked(); err != nil {
+			return fmt.Errorf("core: a parked request state %w", err)
+		}
+	}
 	return m.checkHashes()
+}
+
+// checkParked: a parked state holds no page — no working state and
+// nothing in its tables' arrays — its tables are empty, and so is its
+// block-hash record, whose arrays a jengadebug build has scribbled.
+func (r *reqState) checkParked() error {
+	for gi := range r.g {
+		rg := &r.g[gi]
+		if rg.hasWork || slices.ContainsFunc(rg.pages[:cap(rg.pages)], func(ref pageRef) bool { return ref != pageRef{} }) {
+			return fmt.Errorf("still references a page of group %d", gi)
+		}
+		if len(rg.pages) != 0 {
+			return fmt.Errorf("has a table of %d entries for group %d", len(rg.pages), gi)
+		}
+	}
+	notPoison := func(h uint64) bool { return h != hashPoison }
+	for ci := range r.h.c {
+		ch := &r.h.c[ci]
+		if r.h.n != 0 || ch.proj != 0 || len(ch.hashes) != 0 || len(ch.runs) != 0 {
+			return fmt.Errorf("still holds %d tokens, %d hashes and %d run keys of class %d", r.h.n, len(ch.hashes), len(ch.runs), ci)
+		}
+		if debug.On && (slices.ContainsFunc(ch.hashes[:cap(ch.hashes)], notPoison) || slices.ContainsFunc(ch.runs[:cap(ch.runs)], notPoison)) {
+			return fmt.Errorf("has class-%d hash arrays that are not scribbled", ci)
+		}
+	}
+	return nil
 }
 
 // checkPages: the group's counters agree with the pages' states, used,
@@ -75,11 +105,9 @@ func (m *Jenga) checkPages(g *group) error {
 	//jenga:order-ok references are summed per page; visit order cannot change a sum
 	for _, r := range m.reqs {
 		rg := &r.g[g.idx]
-		for _, table := range [3][]pageRef{rg.pages, rg.ckpts, rg.visPages} {
-			for _, ref := range table {
-				if ref.held {
-					refs[ref.id]++
-				}
+		for _, ref := range rg.pages {
+			if ref.held {
+				refs[ref.id]++
 			}
 		}
 		if rg.hasWork {
@@ -276,42 +304,24 @@ func (h *hostTier) check() error {
 	return nil
 }
 
-// checkHashes: parked plus live block-hash records are the records the
-// slab handed out; a live record holds one hash per whole stride of
-// what it folded in (and as many run keys where the class skips tokens),
-// a parked one nothing — in a jengadebug build only scribble; and every
-// complete page a live request with a record holds, a block or a Mamba
-// checkpoint, has the hash the record gives it.
+// checkHashes: a live request's record holds one hash per whole stride
+// of what it folded in (and as many run keys where the class skips
+// tokens), and every complete page the request holds, a block or a
+// Mamba checkpoint, has the hash the record gives it — unless the
+// record has folded in nothing: with the prefix cache off no page is
+// hashed, and a fork child holds its parent's pages before its first
+// commit.
 func (m *Jenga) checkHashes() error {
-	parked := 0
-	for sh := m.spareHashes; sh != nil; sh = sh.next {
-		if parked++; parked > m.hashRecsBuilt {
-			return fmt.Errorf("core: the parked block-hash records form a cycle")
-		}
-		for ci := range sh.c {
-			ch := &sh.c[ci]
-			if sh.n != 0 || ch.proj != 0 || len(ch.hashes) != 0 || len(ch.runs) != 0 {
-				return fmt.Errorf("core: a parked block-hash record still holds %d tokens, %d hashes and %d run keys of class %d", sh.n, len(ch.hashes), len(ch.runs), ci)
-			}
-			notPoison := func(h uint64) bool { return h != hashPoison }
-			if debug.On && (slices.ContainsFunc(ch.hashes[:cap(ch.hashes)], notPoison) || slices.ContainsFunc(ch.runs[:cap(ch.runs)], notPoison)) {
-				return fmt.Errorf("core: a parked block-hash record's class-%d arrays are not scribbled", ci)
-			}
-		}
-	}
-	if got := parked + len(m.hashes); got != m.hashRecsBuilt {
-		return fmt.Errorf("core: %d parked + %d live block-hash records, %d handed out by the slab", parked, len(m.hashes), m.hashRecsBuilt)
-	}
 	//jenga:order-ok each record is judged on its own; visit order only decides which violation is reported
-	for id, sh := range m.hashes {
+	for id, r := range m.reqs {
+		sh := &r.h
 		for ci, c := range m.hashClasses {
 			ch := &sh.c[ci]
 			if ch.proj > sh.n || len(ch.hashes) != ch.proj/c.stride || (c.scope != model.ScopeAll && len(ch.runs) != len(ch.hashes)) {
 				return fmt.Errorf("core: request %d: %d hashes, %d run keys of class %d for %d of %d tokens", id, len(ch.hashes), len(ch.runs), ci, ch.proj, sh.n)
 			}
 		}
-		r, ok := m.reqs[id]
-		if !ok {
+		if sh.n == 0 {
 			continue
 		}
 		for _, g := range m.groups {
@@ -319,16 +329,14 @@ func (m *Jenga) checkHashes() error {
 				continue
 			}
 			rg, hashes := &r.g[g.idx], sh.c[g.hclass].hashes
-			for t, table := range [2][]pageRef{rg.pages, rg.ckpts} {
-				for i, ref := range table {
-					k := i // a block's entry; a checkpoint's is its interval's
-					if t == 1 {
-						k = rg.ckptPos[i]/g.spec.Checkpoint() - 1
-					}
-					if ref.held && g.pages[ref.id].complete && (k >= len(hashes) || g.hash[ref.id] != hashes[k]) {
-						return fmt.Errorf("core: request %d, group %s, entry %d of %d in its record: held complete page %d has hash %x",
-							id, g.spec.Name, k, len(hashes), ref.id, g.hash[ref.id])
-					}
+			for i, ref := range rg.pages {
+				k := i // a block's entry; a checkpoint's is its interval's
+				if g.spec.Kind == model.Mamba {
+					k = rg.ckptPos(g, i)/g.spec.Checkpoint() - 1
+				}
+				if ref.held && g.pages[ref.id].complete && (k >= len(hashes) || g.hash[ref.id] != hashes[k]) {
+					return fmt.Errorf("core: request %d, group %s, entry %d of %d in its record: held complete page %d has hash %x",
+						id, g.spec.Name, k, len(hashes), ref.id, g.hash[ref.id])
 				}
 			}
 		}

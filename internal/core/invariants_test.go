@@ -4,13 +4,15 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"jenga/internal/debug"
 )
 
 // TestCheckInvariantsHeldHashes: every complete page a live request
 // holds carries the hash the request's record gives its block. The
 // record is corrupted at a token block and at a finalized Mamba
 // checkpoint, and CheckInvariants must name each; the intact manager
-// passes, and so does one with a fork child that has no record yet.
+// passes, and so does one with a fork child whose record is still empty.
 func TestCheckInvariantsHeldHashes(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -23,15 +25,15 @@ func TestCheckInvariantsHeldHashes(t *testing.T) {
 			if err := m.Fork(seq, child, 2); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := m.hashes[child.ID]; ok {
+			if m.reqs[child.ID].h.n != 0 {
 				t.Fatal("Fork built the child's record")
 			}
 		}, ""},
 		{"token block", func(t *testing.T, m *Jenga, seq *Sequence) {
-			m.hashes[seq.ID].c[m.groups[0].hclass].hashes[1]++
+			m.reqs[seq.ID].h.c[m.groups[0].hclass].hashes[1]++
 		}, "group attn, entry 1 of 4"},
 		{"Mamba checkpoint", func(t *testing.T, m *Jenga, seq *Sequence) {
-			m.hashes[seq.ID].c[m.groups[1].hclass].hashes[0]++
+			m.reqs[seq.ID].h.c[m.groups[1].hclass].hashes[0]++
 		}, "group mamba, entry 0 of 2"},
 	}
 	for _, c := range cases {
@@ -40,6 +42,57 @@ func TestCheckInvariantsHeldHashes(t *testing.T) {
 			seq := textSeq(1, 9) // attention blocks 0-3 complete, checkpoints at 4 and 8
 			commitAll(t, m, seq, 1)
 			c.corrupt(t, m, seq)
+			err := m.CheckInvariants()
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("sound manager reported: %v", err)
+			case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+				t.Fatalf("got %v, want an error naming %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestCheckInvariantsParkedStates: a parked request state holds no page
+// and an empty block-hash record, which a jengadebug build has
+// scribbled. A state parked after serving blocks, checkpoints and
+// embeddings is corrupted one property at a time, and CheckInvariants
+// must name each; the intact one passes.
+func TestCheckInvariantsParkedStates(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(t *testing.T, r *reqState)
+		want    string // "" means the manager must still pass
+	}{
+		{"intact", func(*testing.T, *reqState) {}, ""},
+		{"working state", func(_ *testing.T, r *reqState) {
+			r.g[1].hasWork = true
+		}, "still references a page of group 1"},
+		{"stale table entry", func(_ *testing.T, r *reqState) {
+			r.g[0].pages[:1][0] = pageRef{id: 3, held: true}
+		}, "still references a page of group 0"},
+		{"table not emptied", func(_ *testing.T, r *reqState) {
+			r.g[2].pages = r.g[2].pages[:1]
+		}, "table of 1 entries for group 2"},
+		{"hashes left in the record", func(_ *testing.T, r *reqState) {
+			r.h.c[0].hashes = r.h.c[0].hashes[:1]
+		}, "still holds 0 tokens, 1 hashes"},
+		{"record not scribbled", func(t *testing.T, r *reqState) {
+			if !debug.On {
+				t.Skip("only a jengadebug build scribbles a parked record")
+			}
+			r.h.c[0].hashes[:1][0] = 7
+		}, "not scribbled"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := newMgr(t, recycleSpec(), 1<<20, 2, true)
+			seq := recycleSeq(1, 23)
+			if err := serve(m, seq, 1); err != nil {
+				t.Fatal(err)
+			}
+			m.Release(seq, true)
+			c.corrupt(t, m.spareReqs[0])
 			err := m.CheckInvariants()
 			switch {
 			case c.want == "" && err != nil:

@@ -20,12 +20,15 @@ type pageRef struct {
 
 // reqGroup is the per-(request, group) state.
 type reqGroup struct {
-	// pages is indexed by block number (token groups).
+	// pages is the request's one page table in the group, holding what
+	// the group's kind stores: token blocks or vision-embedding blocks,
+	// indexed by block number, or Mamba checkpoints in position order
+	// (ckptPos).
 	pages         []pageRef
 	projReserved  int
 	projCommitted int
 	// demotedBlocks is the block index below which pages have been
-	// demoted, freed, or skipped.
+	// demoted, freed, dropped or skipped.
 	demotedBlocks int
 	// projPrompt is the projected length of the sequence's prompt part
 	// committed so far (window KV above projPrompt−Window stays in the
@@ -37,21 +40,33 @@ type reqGroup struct {
 	work     arena.SmallPageID
 	nextCkpt int // next checkpoint position to pre-allocate
 	ckptDone int // checkpoints finalized so far
-	ckpts    []pageRef
-	ckptPos  []int
 
 	// Vision-embedding state (driven by EncodeImages / DropImages).
-	visPages   []pageRef
 	visProj    int // projected image tokens encoded
 	visCursor  int // full-token cursor for EncodeImages
-	visDropped int // blocks fully dropped
 	dropCursor int // full-token cursor for DropImages
 	dropProj   int
 }
 
-// reqState is the per-request manager state.
+// ckptPos is the projected position of checkpoint i of Mamba group g.
+// Checkpoint pages are appended one interval apart, the last one just
+// below nextCkpt, and a claim sets nextCkpt only while the table is
+// empty, so the position follows from the index.
+func (rg *reqGroup) ckptPos(g *group, i int) int {
+	return rg.nextCkpt - (len(rg.pages)-i)*g.spec.Checkpoint()
+}
+
+// reqState is the per-request manager state, the one record core keeps
+// for a request: from the first call that names it to its Release.
 type reqState struct {
-	id           RequestID
+	id RequestID
+	// touched reports the request reserved, committed, encoded images or
+	// was forked. A state only lookups registered (Lookup, LookupFleet,
+	// Footprint) holds block hashes and nothing else: Fork does not know
+	// it as a parent, and its Release leaves the request's associated
+	// free pages where they are, for a request that comes back under the
+	// same ID (a migration) to pop.
+	touched      bool
 	reserved     int // full-sequence tokens with KV slots reserved
 	committed    int // full-sequence tokens with valid KV
 	lastNow      Tick
@@ -64,6 +79,8 @@ type reqState struct {
 	restoredTokens int
 	restoredBytes  int64
 	g              []reqGroup
+	// h is the request's block hashes (seqhash.go).
+	h seqHashes
 }
 
 // getReq returns the sequence's state, registering a pristine one at
@@ -78,15 +95,16 @@ func (m *Jenga) getReq(seq *Sequence) *reqState {
 }
 
 // Per-request state is recycled. A request's reqState, its per-group
-// slice and each group's page, checkpoint and vision tables are built
-// on the request's first Reserve (or Fork) and are dead at its Release;
-// Release resets the state and parks it on m.spareReqs, and the next
-// new request takes it from there, tables at their previous capacity.
-// A state is only ever handed out while the list is empty, so parked
-// plus live states never exceed the most requests that were live at
-// once, and in steady state a request costs the allocator nothing.
-// States are built reqSlabStates at a time, as engine's runs are: a
-// slab is two arrays, the states and all their per-group slices.
+// slice with each group's page table, and its block-hash record are
+// taken at the manager's first sight of the request and are dead at its
+// Release; Release resets the state and parks it on m.spareReqs, and
+// the next new request takes it from there, tables and hash arrays at
+// their previous capacity. A state is only ever handed out while the
+// list is empty, so parked plus live states never exceed the most
+// requests that were live at once, and in steady state a request costs
+// the allocator nothing. States are built reqSlabStates at a time, as
+// engine's runs are: a slab is three arrays, the states, all their
+// per-group slices and all their records' per-class slices.
 
 const reqSlabStates = 64
 
@@ -114,15 +132,19 @@ func (m *Jenga) takeReq(id RequestID) *reqState {
 
 // growReqSlab builds the next slab of pristine states.
 func (m *Jenga) growReqSlab() {
-	ng := len(m.groups)
+	ng, nc := len(m.groups), len(m.hashClasses)
 	//jenga:alloc-ok slab miss: taken only while every state handed out is live, so one slab per reqSlabStates of the live high-water, not per request
 	m.reqSlab = make([]reqState, reqSlabStates)
 	rgs := make([]reqGroup, reqSlabStates*ng)
+	chs := make([]classHashes, reqSlabStates*nc)
 	for i := range m.reqSlab {
-		m.reqSlab[i].g = rgs[i*ng : (i+1)*ng : (i+1)*ng]
+		r := &m.reqSlab[i]
+		r.g = rgs[i*ng : (i+1)*ng : (i+1)*ng]
+		r.h.c = chs[i*nc : (i+1)*nc : (i+1)*nc]
 		for gi, g := range m.groups {
-			g.resetReq(&m.reqSlab[i].g[gi])
+			g.resetReq(&r.g[gi])
 		}
+		r.h.reset()
 	}
 }
 
@@ -131,53 +153,81 @@ func (m *Jenga) growReqSlab() {
 //
 //jenga:hotpath
 func (m *Jenga) parkReq(r *reqState) {
-	rgs := r.g
 	for gi, g := range m.groups {
-		g.resetReq(&rgs[gi])
+		g.resetReq(&r.g[gi])
 	}
-	*r = reqState{g: rgs}
+	r.h.reset()
+	*r = reqState{g: r.g, h: r.h}
 	m.spareReqs = append(m.spareReqs, r)
 }
 
 // resetReq returns rg to what a request that has touched nothing holds
-// for group g, keeping the tables' backing arrays. Entries are zeroed
-// before the tables are emptied, so slots in [len, cap) are always zero
+// for group g, keeping the table's backing array. Entries are zeroed
+// before the table is emptied, so slots in [len, cap) are always zero
 // and growTable can extend a table by reslicing.
 //
 //jenga:hotpath
 func (g *group) resetReq(rg *reqGroup) {
 	clear(rg.pages)
-	clear(rg.ckpts)
-	clear(rg.visPages)
-	*rg = reqGroup{
-		pages:    rg.pages[:0],
-		ckpts:    rg.ckpts[:0],
-		ckptPos:  rg.ckptPos[:0],
-		visPages: rg.visPages[:0],
-	}
+	*rg = reqGroup{pages: rg.pages[:0]}
 	if g.spec.Kind == model.Mamba {
 		rg.nextCkpt = g.spec.Checkpoint()
 	}
 }
 
-// growTable extends one of the group's page tables to n entries, the
-// new ones unheld. When that takes a new array it is sized for every
-// token the sequence is known to have, so a chunked prefill does not
-// regrow the table chunk by chunk, rounded up to a power of two: the
-// decode that follows usually fits, and so does the next request the
-// recycled state serves, if its prompt is only a little longer.
+// growTable extends a page table of group g to n entries, the new ones
+// unheld. When that takes a new array it is sized for every token the
+// sequence is known to have, so a chunked prefill does not regrow the
+// table chunk by chunk, rounded up to a power of two: the decode that
+// follows usually fits, and so does the next request the recycled state
+// serves, if its prompt is only a little longer.
 //
 //jenga:hotpath
-func (g *group) growTable(refs []pageRef, n int, tokens []Token) []pageRef {
+func (m *Jenga) growTable(g *group, refs []pageRef, n int, tokens []Token) []pageRef {
 	if n <= len(refs) {
 		return refs
 	}
 	if n > cap(refs) {
-		whole := 1 << bits.Len(uint(max(n, (countScope(g, tokens)+g.tpp-1)/g.tpp)-1))
-		//jenga:alloc-ok table miss: a recycled state keeps its tables, so only a state's first requests, or one longer than any it served, get here
-		refs = slices.Grow(refs, whole-len(refs))
+		refs = m.tableSlab.carve(refs, 1<<bits.Len(uint(max(n, (countScope(g, tokens)+g.tpp-1)/g.tpp)-1)))
 	}
 	return refs[:n]
+}
+
+// A request's arrays — its page tables and block hashes — are cut from
+// slabs the manager owns, so that a cold batch of long prompts costs the
+// allocator a slab per few hundred requests, not an array per request,
+// and neither does a state that only lookups used until a later tenant
+// reserves. A state keeps its arrays when it is recycled; one that
+// meets a longer sequence cuts a larger array and abandons the old one
+// to its slab. Sizes are rounded up to arrayQuantum so that sequences of
+// similar length do not each do that. Slabs double up to maxSlab.
+const (
+	arrayQuantum = 64
+	minSlab      = 1 << 12
+	maxSlab      = 1 << 15
+)
+
+// arraySlab is what is left of the newest slab of one element type, and
+// that slab's size.
+type arraySlab[T any] struct {
+	free []T
+	size int
+}
+
+// carve returns an array for at least n entries that holds old's, the
+// rest zero.
+//
+//jenga:hotpath
+func (s *arraySlab[T]) carve(old []T, n int) []T {
+	n = (n + arrayQuantum - 1) / arrayQuantum * arrayQuantum
+	if n > len(s.free) {
+		s.size = max(n, minSlab, min(2*s.size, maxSlab))
+		//jenga:alloc-ok slab miss: one per size entries of the live high-water's arrays, not per request
+		s.free = make([]T, s.size)
+	}
+	a := append(s.free[:0:n], old...)
+	s.free = s.free[n:]
+	return a
 }
 
 // appliesTo reports whether a group stores KV for the sequence's model
@@ -254,7 +304,7 @@ func (m *Jenga) sharedPrefixBytes(seq *Sequence) int64 {
 	if !m.cfg.EnablePrefixCache || len(seq.Tokens) < 2 {
 		return 0
 	}
-	sh := m.hashesOf(seq)
+	sh := m.hashesOf(m.getReq(seq), seq)
 	if sh.sharedAt != m.cacheGen {
 		sh.shared, sh.sharedAt = m.probeShared(seq, sh), m.cacheGen
 	} else if debug.On {
@@ -328,7 +378,7 @@ func (m *Jenga) Lookup(seq *Sequence) int {
 	if !m.cfg.EnablePrefixCache || len(seq.Tokens) < 2 {
 		return 0 // at least one token must run
 	}
-	return m.lookupPrefix(seq, m.hashesOf(seq), m.anyTier(), nil)
+	return m.lookupPrefix(seq, m.hashesOf(m.getReq(seq), seq), m.anyTier(), nil)
 }
 
 // presence is what a lookup counts as a block being there.
@@ -521,6 +571,7 @@ func (m *Jenga) Reserve(seq *Sequence, upTo int, now Tick) error {
 		return fmt.Errorf("core: reserve %d beyond sequence length %d", upTo, len(seq.Tokens))
 	}
 	r := m.getReq(seq)
+	r.touched = true
 	if !r.claimed {
 		r.claimed = true
 		if m.cfg.EnablePrefixCache {
@@ -548,7 +599,7 @@ func (m *Jenga) Reserve(seq *Sequence, upTo int, now Tick) error {
 			continue
 		}
 		lastBlock := (newProj - 1) / g.tpp
-		rg.pages = g.growTable(rg.pages, lastBlock+1, seq.Tokens)
+		rg.pages = m.growTable(g, rg.pages, lastBlock+1, seq.Tokens)
 		// Copy-on-write boundary: the scan starts at the committed tail
 		// block, not the reserved one, because every block from there to
 		// lastBlock will receive this reservation's commits — a block
@@ -605,8 +656,7 @@ func (m *Jenga) reserveMamba(g *group, rg *reqGroup, req RequestID, newProj int)
 			if err != nil {
 				return err
 			}
-			rg.ckpts = append(rg.ckpts, pageRef{id: id, held: true})
-			rg.ckptPos = append(rg.ckptPos, rg.nextCkpt)
+			rg.pages = append(rg.pages, pageRef{id: id, held: true})
 			rg.nextCkpt += every
 		}
 	}
@@ -621,6 +671,7 @@ func (m *Jenga) reserveMamba(g *group, rg *reqGroup, req RequestID, newProj int)
 //jenga:hotpath
 func (m *Jenga) Commit(seq *Sequence, upTo int, now Tick) {
 	r := m.getReq(seq)
+	r.touched = true
 	if upTo > r.reserved {
 		check(false, "commit %d beyond reserved %d for request %d", upTo, r.reserved, r.id)
 	}
@@ -632,7 +683,7 @@ func (m *Jenga) Commit(seq *Sequence, upTo int, now Tick) {
 	// prefix cache off: nothing then reads a block's hash or priority).
 	var sh *seqHashes
 	if m.cfg.EnablePrefixCache {
-		sh = m.hashesOf(seq)
+		sh = m.hashesOf(r, seq)
 	}
 	delta := seq.Tokens[r.committed:upTo]
 	for gi, g := range m.groups {
@@ -660,7 +711,7 @@ func (m *Jenga) commitGroup(g *group, rg *reqGroup, sh *seqHashes, delta []Token
 		}
 		if mamba {
 			pos++
-			if rg.ckptDone < len(rg.ckptPos) && pos == rg.ckptPos[rg.ckptDone] {
+			if rg.ckptDone < len(rg.pages) && pos == rg.ckptPos(g, rg.ckptDone) {
 				m.finalizeCheckpoint(g, rg, &sh.c[g.hclass], rg.ckptDone, now)
 				rg.ckptDone++
 			}
@@ -732,18 +783,19 @@ func (m *Jenga) commitGroup(g *group, rg *reqGroup, sh *seqHashes, delta []Token
 // content at that position is copied into the pre-allocated page and
 // its prefix hash (ch's entry) published for hits there (§5.3).
 func (m *Jenga) finalizeCheckpoint(g *group, rg *reqGroup, ch *classHashes, i int, now Tick) {
-	check(rg.ckpts[i].held, "checkpoint page %d not held", i)
-	pg := &g.pages[rg.ckpts[i].id]
+	id := rg.pages[i].id
+	check(rg.pages[i].held, "checkpoint page %d not held", i)
+	pg := &g.pages[id]
 	if pg.filled == 0 {
 		pg.filled = 1
 		g.filledSlots++
 	}
-	k := rg.ckptPos[i]/g.spec.Checkpoint() - 1
-	g.hash[rg.ckpts[i].id] = ch.hashes[k]
+	k := rg.ckptPos(g, i)/g.spec.Checkpoint() - 1
+	g.hash[id] = ch.hashes[k]
 	pg.complete = true
 	pg.priority = g.pol.BlockPriority(i, g.runKey(ch, k))
 	pg.lastAccess = now
-	m.publish(g, rg.ckpts[i].id)
+	m.publish(g, id)
 }
 
 // --- Release -------------------------------------------------------------
@@ -752,7 +804,6 @@ func (m *Jenga) finalizeCheckpoint(g *group, rg *reqGroup, ch *classHashes, i in
 //
 //jenga:hotpath
 func (m *Jenga) Release(seq *Sequence, cache bool) {
-	m.dropHashes(seq.ID) // hashed or not, reserved or not
 	r, ok := m.reqs[seq.ID]
 	if !ok {
 		return
@@ -760,26 +811,25 @@ func (m *Jenga) Release(seq *Sequence, cache bool) {
 	cache = cache && m.cfg.EnablePrefixCache
 	for gi, g := range m.groups {
 		rg := &r.g[gi]
-		for b := range rg.pages {
-			if rg.pages[b].held {
-				m.pageRelease(g, rg.pages[b].id, cache, r.lastNow, false)
-			}
-		}
-		for _, ref := range rg.visPages {
-			if ref.held {
-				m.pageRelease(g, ref.id, false, r.lastNow, false)
-			}
-		}
-		if rg.hasWork {
+		if rg.hasWork { // a Mamba working state, released before its checkpoints
 			m.pageRelease(g, rg.work, false, r.lastNow, false)
 		}
-		for i := range rg.ckpts {
-			if rg.ckpts[i].held {
-				pg := &g.pages[rg.ckpts[i].id]
-				m.pageRelease(g, rg.ckpts[i].id, cache, pg.lastAccess, false)
+		for _, ref := range rg.pages {
+			if !ref.held {
+				continue
+			}
+			switch g.spec.Kind {
+			case model.VisionEmbedding: // embeddings are never cached
+				m.pageRelease(g, ref.id, false, r.lastNow, false)
+			case model.Mamba: // a checkpoint keeps the time it was finalized or last claimed
+				m.pageRelease(g, ref.id, cache, g.pages[ref.id].lastAccess, false)
+			default:
+				m.pageRelease(g, ref.id, cache, r.lastNow, false)
 			}
 		}
-		g.dropAssocList(r.id)
+		if r.touched {
+			g.dropAssocList(r.id)
+		}
 	}
 	delete(m.reqs, seq.ID)
 	m.parkReq(r)
@@ -806,7 +856,7 @@ func (m *Jenga) claim(seq *Sequence, r *reqState, now Tick) {
 	if m.host != nil && m.host.live > 0 {
 		useHost, by = true, restorable
 	}
-	sh := m.hashesOf(seq)
+	sh := m.hashesOf(r, seq)
 	p := m.lookupPrefix(seq, sh, by, nil)
 	// hostAssist is the model-wide prefix the tier adds beyond what
 	// the GPU cache alone validates — the tokens a restore saves from
@@ -890,7 +940,7 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, sh *seqHashes, p int, no
 		if len(rg.pages) != 0 {
 			check(false, "claim: group %s already holds a page table", g.spec.Name)
 		}
-		rg.pages = g.growTable(rg.pages, nb, seq.Tokens)
+		rg.pages = m.growTable(g, rg.pages, nb, seq.Tokens)
 		m.claimBlocks(g, rg, r.id, hashes, 0, head, useHost)
 		m.claimBlocks(g, rg, r.id, hashes, lo, nb, useHost)
 		rg.projReserved = pl
@@ -1049,6 +1099,7 @@ func (m *Jenga) EncodeImages(seq *Sequence, uptoFull int, now Tick) error {
 		return fmt.Errorf("core: encode %d beyond sequence length %d", uptoFull, len(seq.Tokens))
 	}
 	r := m.getReq(seq)
+	r.touched = true
 	for gi, g := range m.groups {
 		if !g.isVision() || !g.appliesTo(seq) {
 			continue
@@ -1056,31 +1107,31 @@ func (m *Jenga) EncodeImages(seq *Sequence, uptoFull int, now Tick) error {
 		rg := &r.g[gi]
 		if rg.visCursor < uptoFull {
 			images := countScope(g, seq.Tokens[rg.visCursor:uptoFull])
-			rg.visPages = g.growTable(rg.visPages, (rg.visProj+images+g.tpp-1)/g.tpp, seq.Tokens)
+			rg.pages = m.growTable(g, rg.pages, (rg.visProj+images+g.tpp-1)/g.tpp, seq.Tokens)
 		}
 		for fi := rg.visCursor; fi < uptoFull; fi++ {
 			if !seq.Tokens[fi].Image() {
 				continue
 			}
 			b := rg.visProj / g.tpp
-			if !rg.visPages[b].held {
+			if !rg.pages[b].held {
 				id, err := m.allocSmall(g, r.id)
 				if err != nil {
 					rg.visCursor = fi
 					return err
 				}
-				rg.visPages[b] = pageRef{id: id, held: true}
-			} else if pg := &g.pages[rg.visPages[b].id]; pg.ref > 1 {
+				rg.pages[b] = pageRef{id: id, held: true}
+			} else if pg := &g.pages[rg.pages[b].id]; pg.ref > 1 {
 				// Copy-on-write: the partial embedding block is shared
 				// with a fork sibling; privatize before writing into it.
-				id, err := m.cowPage(g, rg.visPages[b].id, r.id)
+				id, err := m.cowPage(g, rg.pages[b].id, r.id)
 				if err != nil {
 					rg.visCursor = fi
 					return err
 				}
-				rg.visPages[b] = pageRef{id: id, held: true}
+				rg.pages[b] = pageRef{id: id, held: true}
 			}
-			pg := &g.pages[rg.visPages[b].id]
+			pg := &g.pages[rg.pages[b].id]
 			pg.filled++
 			g.filledSlots++
 			rg.visProj++
@@ -1096,7 +1147,7 @@ func (m *Jenga) EncodeImages(seq *Sequence, uptoFull int, now Tick) error {
 // free-on-demand strategy).
 func (m *Jenga) DropImages(seq *Sequence, uptoFull int) {
 	r, ok := m.reqs[seq.ID]
-	if !ok {
+	if !ok || !r.touched {
 		return
 	}
 	for gi, g := range m.groups {
@@ -1114,14 +1165,14 @@ func (m *Jenga) DropImages(seq *Sequence, uptoFull int) {
 		}
 		rg.dropCursor = uptoFull
 		fullBlocksBelow := rg.dropProj / g.tpp
-		for b := rg.visDropped; b < fullBlocksBelow && b < len(rg.visPages); b++ {
-			if rg.visPages[b].held {
-				m.pageRelease(g, rg.visPages[b].id, false, r.lastNow, false)
-				rg.visPages[b].held = false
+		for b := rg.demotedBlocks; b < fullBlocksBelow && b < len(rg.pages); b++ {
+			if rg.pages[b].held {
+				m.pageRelease(g, rg.pages[b].id, false, r.lastNow, false)
+				rg.pages[b].held = false
 			}
 		}
-		if fullBlocksBelow > rg.visDropped {
-			rg.visDropped = fullBlocksBelow
+		if fullBlocksBelow > rg.demotedBlocks {
+			rg.demotedBlocks = fullBlocksBelow
 		}
 	}
 }

@@ -206,28 +206,22 @@ type Jenga struct {
 	freeLarge  []arena.LargePageID
 	largeEvict evictQueue[largeEntry]
 
-	reqs map[RequestID]*reqState
-	// spareReqs is the free list of released requests' states (takeReq);
-	// reqSlab the states of the newest slab not handed out yet, reqsBuilt
-	// how many ever were.
+	// reqs holds the state of every request the manager has been shown
+	// and not released (lifecycle.go); spareReqs is the free list of
+	// released requests' states (takeReq), reqSlab the states of the
+	// newest slab not handed out yet, reqsBuilt how many ever were.
+	reqs      map[RequestID]*reqState
 	spareReqs []*reqState
 	reqSlab   []reqState
 	reqsBuilt int
 	stats     Stats
 
-	// Block hashes of the requests the manager has been shown (seqhash.go):
 	// hashClasses lists the distinct ways the groups hash a sequence into
-	// blocks; hashes holds a record per request, spareHashes the released
-	// ones, hashRecSlab the records of the newest slab not handed out yet
-	// and hashRecsBuilt how many ever were; hashSlab is what is left of
-	// the newest slab of hash arrays, hashSlabLen that slab's size.
-	hashClasses   []hashClass
-	hashes        map[RequestID]*seqHashes
-	spareHashes   *seqHashes
-	hashRecSlab   []seqHashes
-	hashRecsBuilt int
-	hashSlab      []uint64
-	hashSlabLen   int
+	// blocks (seqhash.go); hashSlab and tableSlab are where requests' hash
+	// arrays and page tables are cut from.
+	hashClasses []hashClass
+	hashSlab    arraySlab[uint64]
+	tableSlab   arraySlab[pageRef]
 	// cacheGen counts the changes to what a GPU-only lookup and the
 	// admission probe can see: a page entering or leaving the prefix
 	// index, an indexed page entering or leaving the used state.
@@ -295,7 +289,7 @@ func (c Config) Validate() error {
 	if c.TokensPerPage < 0 {
 		return &ConfigError{"TokensPerPage", fmt.Sprintf("%d is negative", c.TokensPerPage)}
 	}
-	geo, err := c.Spec.Geometry(model.LCMPage, cmp.Or(c.TokensPerPage, 16))
+	geo, err := c.Spec.Geometry(cmp.Or(c.TokensPerPage, 16))
 	if err != nil {
 		return &ConfigError{"Spec", err.Error()}
 	}
@@ -324,7 +318,7 @@ func New(cfg Config) (*Jenga, error) {
 		return nil, err
 	}
 	cfg.TokensPerPage = cmp.Or(cfg.TokensPerPage, 16)
-	geo, err := cfg.Spec.Geometry(model.LCMPage, cfg.TokensPerPage)
+	geo, err := cfg.Spec.Geometry(cfg.TokensPerPage)
 	if err != nil {
 		return nil, err
 	}
@@ -348,8 +342,7 @@ func New(cfg Config) (*Jenga, error) {
 		cntExpired: make([]int32, ar.NumLargePages()),
 		largeTS:    make([]Tick, ar.NumLargePages()),
 		largeDirty: make([]bool, ar.NumLargePages()),
-		reqs:       make(map[RequestID]*reqState),
-		hashes:     make(map[RequestID]*seqHashes, 256),
+		reqs:       make(map[RequestID]*reqState, 256),
 		cacheGen:   1,
 	}
 	for i := range m.largeOwner {

@@ -73,7 +73,7 @@ func mixedSeq(id RequestID, imgN, txtN int) *Sequence {
 func viewOf(m *Jenga, g *group, tokens []Token) *GroupSeqView {
 	probe := &Sequence{ID: -1, Tokens: tokens}
 	defer m.Release(probe, false)
-	return m.buildView(g, &m.hashesOf(probe).c[g.hclass], tokens, resident)
+	return m.buildView(g, &m.hashesOf(m.getReq(probe), probe).c[g.hclass], tokens, resident)
 }
 
 func audit(t *testing.T, m *Jenga) {
@@ -228,7 +228,7 @@ func newMgr(t *testing.T, spec *model.Spec, capacity int64, tpp int, cache bool)
 // rather than panicking — including a host tier whose up-front tables
 // would overflow their int32 block IDs.
 func TestNewErrors(t *testing.T) {
-	geo, err := fig6Spec().Geometry(model.LCMPage, 16)
+	geo, err := fig6Spec().Geometry(16)
 	if err != nil {
 		t.Fatal(err)
 	}

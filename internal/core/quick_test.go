@@ -45,7 +45,7 @@ func TestRandomOpsInvariants(t *testing.T) {
 func runRandomOps(t *testing.T, seed int64, cache bool) {
 	rng := rand.New(rand.NewSource(seed))
 	spec := heteroSpec()
-	geo, err := spec.Geometry(model.LCMPage, 2)
+	geo, err := spec.Geometry(2)
 	if err != nil {
 		t.Fatal(err)
 	}

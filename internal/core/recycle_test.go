@@ -53,35 +53,43 @@ func serve(m *Jenga, s *Sequence, now Tick) error {
 // requirePristine fails unless r is, field for field, the state a new
 // manager builds for the same request: empty tables with no held
 // reference anywhere in their arrays, Mamba's next checkpoint at the
-// first boundary.
+// first boundary, and a block-hash record holding nothing, its chains
+// at the seed.
 func requirePristine(t *testing.T, r, fresh *reqState) {
 	t.Helper()
 	got := *r
 	got.g = append([]reqGroup(nil), r.g...)
 	for gi := range got.g {
 		rg := &got.g[gi]
-		for name, refs := range map[string][]pageRef{"pages": rg.pages, "ckpts": rg.ckpts, "visPages": rg.visPages} {
-			if len(refs) != 0 {
-				t.Fatalf("group %d: recycled %s has %d entries", gi, name, len(refs))
-			}
-			for i, ref := range refs[:cap(refs)] {
-				if ref != (pageRef{}) {
-					t.Fatalf("group %d: recycled %s slot %d still reads %+v", gi, name, i, ref)
-				}
-			}
+		if len(rg.pages) != 0 {
+			t.Fatalf("group %d: recycled table has %d entries", gi, len(rg.pages))
 		}
-		if len(rg.ckptPos) != 0 {
-			t.Fatalf("group %d: recycled ckptPos has %d entries", gi, len(rg.ckptPos))
+		for i, ref := range rg.pages[:cap(rg.pages)] {
+			if ref != (pageRef{}) {
+				t.Fatalf("group %d: recycled table slot %d still reads %+v", gi, i, ref)
+			}
 		}
 		// A fresh state's tables are nil; a recycled one's are empty.
-		rg.pages, rg.ckpts, rg.ckptPos, rg.visPages = nil, nil, nil, nil
+		rg.pages = nil
+	}
+	got.h.c = append([]classHashes(nil), r.h.c...)
+	for ci := range got.h.c {
+		ch := &got.h.c[ci]
+		if len(ch.hashes) != 0 || len(ch.runs) != 0 {
+			t.Fatalf("class %d: recycled record holds %d hashes, %d run keys", ci, len(ch.hashes), len(ch.runs))
+		}
+		// A fresh record's arrays are nil; a recycled one's are empty.
+		ch.hashes, ch.runs = nil, nil
 	}
 	if !reflect.DeepEqual(got, *fresh) {
 		t.Fatalf("recycled state differs from a fresh one:\n got  %+v\n want %+v", got, *fresh)
 	}
 	// And the fresh one is what getReq has always built.
-	want := reqState{id: r.id, g: make([]reqGroup, len(r.g))}
+	want := reqState{id: r.id, g: make([]reqGroup, len(r.g)), h: seqHashes{c: make([]classHashes, len(r.h.c))}}
 	want.g[1].nextCkpt = 4 // recycleSpec's Mamba group checkpoints every 4 tokens
+	for ci := range want.h.c {
+		want.h.c[ci] = classHashes{chain: blockHashSeed, run: blockHashSeed}
+	}
 	if !reflect.DeepEqual(*fresh, want) {
 		t.Fatalf("fresh state:\n got  %+v\n want %+v", *fresh, want)
 	}
@@ -114,9 +122,9 @@ func TestReqStateRecycled(t *testing.T) {
 		extend(t, m, child, Tick(3+i))
 	}
 	used := m.reqs[child.ID]
-	if rg := used.g; len(rg[0].pages) == 0 || len(rg[1].ckpts) == 0 || len(rg[2].visPages) == 0 {
-		t.Fatalf("fixture did not use every table: %d pages, %d checkpoints, %d vision pages",
-			len(rg[0].pages), len(rg[1].ckpts), len(rg[2].visPages))
+	if rg := used.g; len(rg[0].pages) == 0 || len(rg[1].pages) == 0 || len(rg[2].pages) == 0 {
+		t.Fatalf("fixture did not use every kind of table: %d pages, %d checkpoints, %d vision pages",
+			len(rg[0].pages), len(rg[1].pages), len(rg[2].pages))
 	}
 	m.Release(child, true)
 	m.Release(parent, false)
@@ -131,8 +139,8 @@ func TestReqStateRecycled(t *testing.T) {
 	}
 	for id := RequestID(10); len(m.spareReqs) > 0; id++ {
 		r := m.takeReq(id)
-		if cap(r.g[0].pages) == 0 {
-			t.Fatal("recycled state lost its page table's array")
+		if cap(r.g[0].pages) == 0 || cap(r.h.c[0].hashes) == 0 {
+			t.Fatal("recycled state lost its page table's or its hash record's array")
 		}
 		requirePristine(t, r, ref.takeReq(id))
 	}
@@ -183,7 +191,7 @@ func TestReqStateRecycled(t *testing.T) {
 // mark, and every state ever built is parked at the end.
 func TestReqStatesBounded(t *testing.T) {
 	spec := recycleSpec()
-	geo, err := spec.Geometry(model.LCMPage, 2)
+	geo, err := spec.Geometry(2)
 	if err != nil {
 		t.Fatal(err)
 	}

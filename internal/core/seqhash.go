@@ -11,12 +11,12 @@ import (
 // Footprint's admission probe and Commit's publication all need the
 // chained hash of every complete block of the sequence — this record is
 // their one source (a fork child's is built by its first commit or
-// lookup); the manager keeps them, one seqHashes per request, from the
-// first of those calls that names the request to its Release — whether
-// or not it ever reserved anything — and each call folds in only the
-// tokens appended since the last. A live sequence's tokens are only
-// ever appended to — growth may move the array (the engine's switch
-// from the borrowed prompt to a private decode buffer) but never
+// lookup). It is part of the request's state (reqState.h), which lives
+// from the first of those calls that names the request to its Release —
+// whether or not it ever reserved anything — and each call folds in
+// only the tokens appended since the last. A live sequence's tokens are
+// only ever appended to — growth may move the array (the engine's
+// switch from the borrowed prompt to a private decode buffer) but never
 // rewrites a token — and IDs are unique among live requests, so a
 // record cannot describe another request's tokens as long as every
 // request the manager was shown is released: that is the caller's side
@@ -29,9 +29,8 @@ import (
 // per class. A Mamba group's "block" is its checkpoint interval — its
 // pages hold states, not tokens, and a hit lands on a checkpoint.
 //
-// Records are recycled like request states (takeReq): slabs of
-// hashSlabRecords, a free list, a record built only while the list is
-// empty, arrays kept across tenants.
+// A record is recycled with its request state (parkReq), its arrays
+// kept across tenants.
 
 type hashClass struct {
 	tag    string
@@ -64,11 +63,7 @@ type seqHashes struct {
 	// generation sharedAt (0: none yet).
 	shared   int64
 	sharedAt uint64
-	// next links released records (m.spareHashes).
-	next *seqHashes
 }
-
-const hashSlabRecords = 64
 
 // stores reports whether the class's groups store KV for t.
 func (c *hashClass) stores(t Token) bool {
@@ -93,24 +88,12 @@ func (m *Jenga) hashClassOf(g *model.KVGroup, tpp int) int {
 	return len(m.hashClasses) - 1
 }
 
-// hashesOf returns seq's block hashes with all of seq.Tokens folded in,
-// registering an empty record at the manager's first sight of seq.
+// hashesOf returns the block hashes of r, seq's state, with all of
+// seq.Tokens folded in.
 //
 //jenga:hotpath
-func (m *Jenga) hashesOf(seq *Sequence) *seqHashes {
-	sh, ok := m.hashes[seq.ID]
-	if !ok {
-		if sh = m.spareHashes; sh != nil {
-			m.spareHashes, sh.next = sh.next, nil
-		} else {
-			if len(m.hashRecSlab) == 0 {
-				m.growHashRecSlab()
-			}
-			sh, m.hashRecSlab = &m.hashRecSlab[0], m.hashRecSlab[1:]
-			m.hashRecsBuilt++
-		}
-		m.hashes[seq.ID] = sh
-	}
+func (m *Jenga) hashesOf(r *reqState, seq *Sequence) *seqHashes {
+	sh := &r.h
 	toks := seq.Tokens
 	if sh.n > len(toks) || (sh.n > 0 && toks[sh.n-1] != sh.last) {
 		// Not an extension of what was hashed (a caller reusing an ID it
@@ -129,10 +112,10 @@ func (m *Jenga) hashesOf(seq *Sequence) *seqHashes {
 		keepRuns := c.scope != model.ScopeAll
 		whole := (ch.proj + len(fresh)) / c.stride
 		if whole > cap(ch.hashes) {
-			ch.hashes = m.carveHashes(ch.hashes, whole)
+			ch.hashes = m.hashSlab.carve(ch.hashes, whole)
 		}
 		if keepRuns && whole > cap(ch.runs) {
-			ch.runs = m.carveHashes(ch.runs, whole)
+			ch.runs = m.hashSlab.carve(ch.runs, whole)
 		}
 		// A run starts at a token of the class whose predecessor is not.
 		h, pl, run, gap := ch.chain, ch.proj, ch.run, sh.n > 0 && !c.stores(sh.last)
@@ -167,32 +150,6 @@ func (g *group) runKey(ch *classHashes, k int) uint64 {
 	return ch.runs[k]
 }
 
-// growHashRecSlab builds the next slab of empty records.
-func (m *Jenga) growHashRecSlab() {
-	nc := len(m.hashClasses)
-	//jenga:alloc-ok slab miss: taken only while every record handed out is live, so one slab per hashSlabRecords of the live high-water, not per request
-	m.hashRecSlab = make([]seqHashes, hashSlabRecords)
-	cs := make([]classHashes, hashSlabRecords*nc)
-	for i := range m.hashRecSlab {
-		m.hashRecSlab[i].c = cs[i*nc : (i+1)*nc : (i+1)*nc]
-		m.hashRecSlab[i].reset()
-	}
-}
-
-// dropHashes forgets request id's block hashes, if it has any, and
-// parks the record.
-//
-//jenga:hotpath
-func (m *Jenga) dropHashes(id RequestID) {
-	sh, ok := m.hashes[id]
-	if !ok {
-		return
-	}
-	delete(m.hashes, id)
-	sh.reset()
-	sh.next, m.spareHashes = m.spareHashes, sh
-}
-
 // hashPoison is what a released request's block hashes read as in a
 // jengadebug build.
 const hashPoison uint64 = 0xDEADB10C4A5E5EED
@@ -216,32 +173,5 @@ func (sh *seqHashes) reset() {
 		}
 		*ch = classHashes{chain: blockHashSeed, hashes: ch.hashes[:0], run: blockHashSeed, runs: ch.runs[:0]}
 	}
-	sh.n, sh.sharedAt = 0, 0
-}
-
-// Block-hash arrays are cut from slabs the manager owns, so that a cold
-// batch of long prompts costs the allocator a slab per few hundred
-// requests, not an array per request. A record keeps its arrays when it
-// is recycled; one that meets a longer sequence cuts a larger array and
-// abandons the old one to its slab. Sizes are rounded up to
-// hashArrayQuantum so that sequences of similar length do not each do
-// that. Slabs double up to maxHashSlab.
-const (
-	hashArrayQuantum = 64
-	minHashSlab      = 1 << 12
-	maxHashSlab      = 1 << 15
-)
-
-// carveHashes returns an array for at least n block hashes that holds
-// old's.
-func (m *Jenga) carveHashes(old []uint64, n int) []uint64 {
-	n = (n + hashArrayQuantum - 1) / hashArrayQuantum * hashArrayQuantum
-	if n > len(m.hashSlab) {
-		m.hashSlabLen = max(n, minHashSlab, min(2*m.hashSlabLen, maxHashSlab))
-		//jenga:alloc-ok slab miss: one per hashSlabLen block hashes of the live high-water, not per request
-		m.hashSlab = make([]uint64, m.hashSlabLen)
-	}
-	a := append(m.hashSlab[:0:n], old...)
-	m.hashSlab = m.hashSlab[n:]
-	return a
+	*sh = seqHashes{c: sh.c}
 }

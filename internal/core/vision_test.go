@@ -123,7 +123,7 @@ func TestDropImagesBeyondLengthClamps(t *testing.T) {
 // until CrashReset.
 func TestFailedClaimKeepsVisionPages(t *testing.T) {
 	spec := vlmSpec()
-	geo, err := spec.Geometry(model.LCMPage, 2)
+	geo, err := spec.Geometry(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func AblationPageSize(w io.Writer, opt Options) error {
 		mamba.StateBytes/attn.BytesPerToken, "1344")
 	facts.AddRow("per-layer LCM ratio at 16 tokens/page",
 		mamba.StateBytes/(attn.BytesPerToken*16), "84x")
-	geo, err := spec.Geometry(model.LCMPage, opt.TokensPerPage)
+	geo, err := spec.Geometry(opt.TokensPerPage)
 	if err != nil {
 		return err
 	}

@@ -71,7 +71,7 @@ func hybridSpec() *model.Spec {
 
 func newJenga(t *testing.T, spec *model.Spec, hostPages int, backed bool) *core.Jenga {
 	t.Helper()
-	geo, err := spec.Geometry(model.LCMPage, 4)
+	geo, err := spec.Geometry(4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func TestFetchReportPinned(t *testing.T) {
 		want     = uint64(0x0ad460f791efc9d8)
 	)
 	spec := pinnedSpec()
-	geo, err := spec.Geometry(model.LCMPage, tpp)
+	geo, err := spec.Geometry(tpp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,50 +2,27 @@ package model
 
 import "testing"
 
-// TestGeometryAllPoliciesAllModels sweeps every zoo model under every
-// compatibility policy and checks the §4.4 invariants.
+// TestGeometryAllPoliciesAllModels sweeps every zoo model under the LCM
+// page policy at several page sizes and checks the §4.4 invariant: each
+// group's small pages tile the large page exactly, with no tail waste.
 func TestGeometryAllPoliciesAllModels(t *testing.T) {
 	for _, s := range All() {
-		for _, pol := range []CompatPolicy{LCMPage, GCDPage, MaxPage} {
-			g, err := s.Geometry(pol, 16)
+		for _, tokensPerPage := range []int{1, 16, 32} {
+			g, err := s.Geometry(tokensPerPage)
 			if err != nil {
-				t.Errorf("%s/%v: %v", s.Name, pol, err)
+				t.Errorf("%s/%d: %v", s.Name, tokensPerPage, err)
 				continue
 			}
-			switch pol {
-			case LCMPage:
-				for name, sz := range g.SmallPageBytes {
-					if g.LargePageBytes%sz != 0 {
-						t.Errorf("%s: LCM %d %% %d != 0", s.Name, g.LargePageBytes, sz)
-					}
-					if g.WastePerLargePage[name] != 0 {
-						t.Errorf("%s/%s: LCM tail waste", s.Name, name)
-					}
+			if len(g.SmallPageBytes) != len(s.Groups) || len(g.Ratio) != len(s.Groups) {
+				t.Errorf("%s/%d: %d small pages, %d ratios for %d groups",
+					s.Name, tokensPerPage, len(g.SmallPageBytes), len(g.Ratio), len(s.Groups))
+			}
+			for name, sz := range g.SmallPageBytes {
+				if g.LargePageBytes%sz != 0 {
+					t.Errorf("%s/%d: LCM %d %% %d != 0", s.Name, tokensPerPage, g.LargePageBytes, sz)
 				}
-			case GCDPage:
-				for name, sz := range g.SmallPageBytes {
-					if sz%g.LargePageBytes != 0 {
-						t.Errorf("%s/%s: small %d not a multiple of GCD %d",
-							s.Name, name, sz, g.LargePageBytes)
-					}
-				}
-			case MaxPage:
-				maxSeen := 0
-				for _, sz := range g.SmallPageBytes {
-					if sz > maxSeen {
-						maxSeen = sz
-					}
-				}
-				if g.LargePageBytes != maxSeen {
-					t.Errorf("%s: MAX page %d != max small %d", s.Name, g.LargePageBytes, maxSeen)
-				}
-				// Tail waste per large page is LargePage − ratio·small.
-				for name, sz := range g.SmallPageBytes {
-					want := g.LargePageBytes - g.Ratio[name]*sz
-					if g.WastePerLargePage[name] != want {
-						t.Errorf("%s/%s: MAX waste %d, want %d",
-							s.Name, name, g.WastePerLargePage[name], want)
-					}
+				if waste := g.LargePageBytes - g.Ratio[name]*sz; waste != 0 {
+					t.Errorf("%s/%d/%s: LCM tail waste %d", s.Name, tokensPerPage, name, waste)
 				}
 			}
 		}
@@ -73,15 +50,6 @@ func TestPhysicalLayers(t *testing.T) {
 	}
 	if total != 80 {
 		t.Errorf("character physical layers = %d, want 80", total)
-	}
-}
-
-func TestCompatPolicyString(t *testing.T) {
-	cases := map[CompatPolicy]string{LCMPage: "lcm", GCDPage: "gcd", MaxPage: "max", CompatPolicy(9): "policy(9)"}
-	for p, want := range cases {
-		if p.String() != want {
-			t.Errorf("%d = %q, want %q", int(p), p.String(), want)
-		}
 	}
 }
 

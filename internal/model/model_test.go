@@ -57,7 +57,7 @@ func paperExampleSpec() *Spec {
 
 func TestGeometryPaperExample(t *testing.T) {
 	s := paperExampleSpec()
-	g, err := s.Geometry(LCMPage, 1)
+	g, err := s.Geometry(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,34 +72,6 @@ func TestGeometryPaperExample(t *testing.T) {
 	}
 	if g.Ratio["self"] != 2 || g.Ratio["cross"] != 3 {
 		t.Errorf("ratios = %v, want self:2 cross:3", g.Ratio)
-	}
-	for name, w := range g.WastePerLargePage {
-		if w != 0 {
-			t.Errorf("LCM geometry should have zero tail waste, group %s has %d", name, w)
-		}
-	}
-}
-
-func TestGeometryGCDAndMax(t *testing.T) {
-	s := paperExampleSpec()
-	gcd, err := s.Geometry(GCDPage, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gcd.LargePageBytes != 128 {
-		t.Errorf("GCD page = %d, want 128", gcd.LargePageBytes)
-	}
-	mx, err := s.Geometry(MaxPage, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mx.LargePageBytes != 384 {
-		t.Errorf("MAX page = %d, want 384", mx.LargePageBytes)
-	}
-	// Under MAX, a 256-byte cross page wastes 128 bytes of each 384-byte
-	// large page.
-	if mx.WastePerLargePage["cross"] != 128 {
-		t.Errorf("MAX tail waste for cross = %d, want 128", mx.WastePerLargePage["cross"])
 	}
 }
 
@@ -121,7 +93,7 @@ func TestJambaGeometryFacts(t *testing.T) {
 	if perLayerRatio != 84 {
 		t.Errorf("per-layer LCM ratio = %d, paper says 84", perLayerRatio)
 	}
-	g, err := s.Geometry(LCMPage, 16)
+	g, err := s.Geometry(16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +109,11 @@ func TestJambaGeometryFacts(t *testing.T) {
 
 func TestGeometryErrors(t *testing.T) {
 	s := paperExampleSpec()
-	if _, err := s.Geometry(LCMPage, 0); err == nil {
+	if _, err := s.Geometry(0); err == nil {
 		t.Error("tokensPerPage 0 should error")
 	}
-	if _, err := s.Geometry(CompatPolicy(99), 1); err == nil {
-		t.Error("unknown policy should error")
-	}
 	empty := &Spec{Name: "e", Params: 1, WeightBytes: 2}
-	if _, err := empty.Geometry(LCMPage, 1); err == nil {
+	if _, err := empty.Geometry(1); err == nil {
 		t.Error("empty groups should error")
 	}
 }
@@ -263,7 +232,7 @@ func TestGeometryLCMDivisibility(t *testing.T) {
 	// For every zoo model, the LCM page must be divisible by every
 	// small page with zero tail waste (property 5 in DESIGN.md).
 	for _, s := range All() {
-		g, err := s.Geometry(LCMPage, 16)
+		g, err := s.Geometry(16)
 		if err != nil {
 			t.Errorf("%s: %v", s.Name, err)
 			continue
@@ -271,9 +240,6 @@ func TestGeometryLCMDivisibility(t *testing.T) {
 		for name, sz := range g.SmallPageBytes {
 			if g.LargePageBytes%sz != 0 {
 				t.Errorf("%s group %s: LCM %d not divisible by %d", s.Name, name, g.LargePageBytes, sz)
-			}
-			if g.WastePerLargePage[name] != 0 {
-				t.Errorf("%s group %s: nonzero LCM waste", s.Name, name)
 			}
 		}
 		if g.MaxRatio() < 1 {
@@ -347,7 +313,7 @@ func TestWithDraft(t *testing.T) {
 	if pair.WeightFootprint() != target.WeightFootprint() || pair.ActiveParamCount() != target.ActiveParamCount() {
 		t.Error("the pair's own weights are the target's")
 	}
-	if _, err := pair.Geometry(LCMPage, 16); err != nil {
+	if _, err := pair.Geometry(16); err != nil {
 		t.Errorf("pair geometry: %v", err)
 	}
 }

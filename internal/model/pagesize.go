@@ -2,37 +2,6 @@ package model
 
 import "fmt"
 
-// CompatPolicy selects how the compatibility layer sizes its large pages
-// when a model has several small-page sizes (§4.4).
-type CompatPolicy int
-
-const (
-	// LCMPage uses the least common multiple of all small-page sizes:
-	// no external fragmentation, no kernel changes (Jenga's choice).
-	LCMPage CompatPolicy = iota
-	// GCDPage uses the greatest common divisor: zero internal
-	// fragmentation but splits KV tensors across pages, which real GPU
-	// kernels pay for (modeled as a kernel-efficiency penalty).
-	GCDPage
-	// MaxPage uses the maximum small-page size: smaller types waste the
-	// tail of every page.
-	MaxPage
-)
-
-// String returns the policy name used in ablation output.
-func (p CompatPolicy) String() string {
-	switch p {
-	case LCMPage:
-		return "lcm"
-	case GCDPage:
-		return "gcd"
-	case MaxPage:
-		return "max"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
 // GCD returns the greatest common divisor of a and b (gcd(0,b)=b).
 func GCD(a, b int) int {
 	for b != 0 {
@@ -62,8 +31,6 @@ func LCM(a, b int) (int, error) {
 // the large-page size plus each group's small-page size and the number
 // of small pages per large page (the "ratio").
 type PageGeometry struct {
-	// Policy that produced this geometry.
-	Policy CompatPolicy
 	// TokensPerPage used for token-granularity groups.
 	TokensPerPage int
 	// LargePageBytes is the compatibility-layer page size.
@@ -71,13 +38,8 @@ type PageGeometry struct {
 	// SmallPageBytes maps group name to its small-page size.
 	SmallPageBytes map[string]int
 	// Ratio maps group name to LargePageBytes / SmallPageBytes
-	// (small pages per large page). For MaxPage geometry the division
-	// may be inexact; Ratio is the floor and WastePerLargePage records
-	// the remainder.
+	// (small pages per large page), an exact division.
 	Ratio map[string]int
-	// WastePerLargePage maps group name to the bytes at the tail of
-	// each large page the group cannot use (zero under LCM and GCD).
-	WastePerLargePage map[string]int
 }
 
 // MaxLCMRatio guards against pathological LCM blow-ups: the paper
@@ -85,9 +47,11 @@ type PageGeometry struct {
 // a generous cap catches config mistakes without limiting real models.
 const MaxLCMRatio = 1 << 20
 
-// Geometry computes the page geometry for the spec under a policy.
-// tokensPerPage must be ≥ 1.
-func (s *Spec) Geometry(policy CompatPolicy, tokensPerPage int) (*PageGeometry, error) {
+// Geometry computes the LCM page geometry for the spec (§4.4): the
+// large page is the least common multiple of all small-page sizes, so
+// every group tiles it exactly — no external fragmentation, no kernel
+// changes. tokensPerPage must be ≥ 1.
+func (s *Spec) Geometry(tokensPerPage int) (*PageGeometry, error) {
 	if tokensPerPage < 1 {
 		return nil, fmt.Errorf("model %s: tokensPerPage %d < 1", s.Name, tokensPerPage)
 	}
@@ -95,13 +59,11 @@ func (s *Spec) Geometry(policy CompatPolicy, tokensPerPage int) (*PageGeometry, 
 		return nil, fmt.Errorf("model %s: no KV groups", s.Name)
 	}
 	g := &PageGeometry{
-		Policy:            policy,
-		TokensPerPage:     tokensPerPage,
-		SmallPageBytes:    make(map[string]int, len(s.Groups)),
-		Ratio:             make(map[string]int, len(s.Groups)),
-		WastePerLargePage: make(map[string]int, len(s.Groups)),
+		TokensPerPage:  tokensPerPage,
+		LargePageBytes: 1,
+		SmallPageBytes: make(map[string]int, len(s.Groups)),
+		Ratio:          make(map[string]int, len(s.Groups)),
 	}
-	sizes := make([]int, 0, len(s.Groups))
 	for i := range s.Groups {
 		grp := &s.Groups[i]
 		sz := grp.PageBytes(tokensPerPage)
@@ -109,59 +71,18 @@ func (s *Spec) Geometry(policy CompatPolicy, tokensPerPage int) (*PageGeometry, 
 			return nil, fmt.Errorf("model %s group %s: non-positive page size", s.Name, grp.Name)
 		}
 		g.SmallPageBytes[grp.Name] = sz
-		sizes = append(sizes, sz)
-	}
-
-	switch policy {
-	case LCMPage:
-		lcm := sizes[0]
 		var err error
-		for _, sz := range sizes[1:] {
-			lcm, err = LCM(lcm, sz)
-			if err != nil {
-				return nil, err
-			}
+		if g.LargePageBytes, err = LCM(g.LargePageBytes, sz); err != nil {
+			return nil, err
 		}
-		g.LargePageBytes = lcm
-	case GCDPage:
-		gcd := sizes[0]
-		for _, sz := range sizes[1:] {
-			gcd = GCD(gcd, sz)
-		}
-		g.LargePageBytes = gcd
-	case MaxPage:
-		maxSz := sizes[0]
-		for _, sz := range sizes[1:] {
-			if sz > maxSz {
-				maxSz = sz
-			}
-		}
-		g.LargePageBytes = maxSz
-	default:
-		return nil, fmt.Errorf("model %s: unknown compat policy %d", s.Name, int(policy))
 	}
-
 	for name, sz := range g.SmallPageBytes {
-		switch policy {
-		case GCDPage:
-			// Under GCD, small pages are split across ceil(sz/gcd)
-			// large pages; the "ratio" is how many large pages one
-			// small page spans (stored as a negative-free count).
-			g.Ratio[name] = sz / g.LargePageBytes
-			g.WastePerLargePage[name] = 0
-		default:
-			r := g.LargePageBytes / sz
-			if r < 1 {
-				return nil, fmt.Errorf("model %s group %s: small page %d exceeds large page %d",
-					s.Name, name, sz, g.LargePageBytes)
-			}
-			if r > MaxLCMRatio {
-				return nil, fmt.Errorf("model %s group %s: ratio %d exceeds cap %d",
-					s.Name, name, r, MaxLCMRatio)
-			}
-			g.Ratio[name] = r
-			g.WastePerLargePage[name] = g.LargePageBytes - r*sz
+		r := g.LargePageBytes / sz
+		if r > MaxLCMRatio {
+			return nil, fmt.Errorf("model %s group %s: ratio %d exceeds cap %d",
+				s.Name, name, r, MaxLCMRatio)
 		}
+		g.Ratio[name] = r
 	}
 	return g, nil
 }

@@ -86,11 +86,9 @@ type (
 	KVGroup = model.KVGroup
 	// PageGeometry is the compatibility-layer sizing result.
 	PageGeometry = model.PageGeometry
-	// CompatPolicy selects LCM, GCD or MAX page sizing (§4.4).
-	CompatPolicy = model.CompatPolicy
 )
 
-// Token-dependency patterns, token scopes and page-sizing policies.
+// Token-dependency patterns and token scopes.
 const (
 	FullAttention  = model.FullAttention
 	SlidingWindow  = model.SlidingWindow
@@ -98,10 +96,6 @@ const (
 
 	ScopeText  = model.ScopeText
 	ScopeImage = model.ScopeImage
-
-	LCMPage = model.LCMPage
-	GCDPage = model.GCDPage
-	MaxPage = model.MaxPage
 )
 
 // Memory-manager surface.

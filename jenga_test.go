@@ -260,18 +260,12 @@ func TestPublicSpeculative(t *testing.T) {
 
 func TestPublicGeometry(t *testing.T) {
 	spec := jenga.Models.Jamba52B()
-	geo, err := spec.Geometry(jenga.LCMPage, 16)
+	geo, err := spec.Geometry(16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if geo.Ratio["attn"] != 588 {
 		t.Errorf("attn ratio = %d, want 588", geo.Ratio["attn"])
-	}
-	if _, err := spec.Geometry(jenga.GCDPage, 16); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := spec.Geometry(jenga.MaxPage, 16); err != nil {
-		t.Fatal(err)
 	}
 }
 
