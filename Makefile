@@ -199,7 +199,13 @@ vet:
 # again; and a request has one record in core, its reqState (block
 # hashes included), so a map[RequestID] in non-test core other than
 # Jenga.reqs and group.assocTop (the free stacks' tops) is a second
-# per-request record, probed beside the first, again.
+# per-request record, probed beside the first, again; and a run's place
+# in the engine is one field with one writer — every lifecycle move
+# goes through Engine.to (internal/engine/engine.go), which charges the
+# time spent in the state it leaves, and only the run{…} literals that
+# create a run set a first state — so an assignment to .state anywhere
+# else in non-test internal/engine is a move that skips the clock (and
+# the jengadebug edge check) again.
 # (The token's four bytes need no grep: internal/core pins them at
 # compile time.)
 guard:
@@ -219,6 +225,7 @@ guard:
 	@out=$$(sed -n '/^type group struct {/,/^}/p' internal/core/manager.go | grep 'map\[' | grep -v '^\s*assocTop '; grep -rn -e freeByReq -e spareLists -e sweepFreeByReq internal cmd --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a page-level structure of core.group that grows while serving is back (a map field other than assocTop, or the lazy per-request lists):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'hashChain(' internal/core --include='*.go' | grep -v -e '_test\.go:' -e '^internal/core/hash\.go:' -e '^internal/core/seqhash\.go:'); if [ -n "$$out" ]; then echo "a block hash is computed outside the request's record (only internal/core/hash.go and seqhash.go may call hashChain):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'map\[RequestID\]' internal/core --include='*.go' | grep -v -E -e '_test\.go:' -e '^internal/core/manager\.go:[0-9]+:\s*(reqs|assocTop)(\s+|:\s+make\()map\[RequestID\]'); if [ -n "$$out" ]; then echo "a second per-request map in internal/core (only Jenga.reqs and group.assocTop may be keyed by RequestID):"; echo "$$out"; exit 1; fi
+	@out=$$(awk '/^func /{ into = /^func \(e \*Engine\) to\(/ } !into && !/^[ \t]*\/\// && /\.state[ \t]*(,[^=]*[^=!<>:]|[-+*\/%&|^]|<<|>>|&\^)?=([^=]|$$)|\.state(\+\+|--)/ { print FILENAME ":" FNR ": " $$0 }' $$(ls internal/engine/*.go | grep -v '_test\.go$$')); if [ -n "$$out" ]; then echo "run.state is written outside Engine.to in internal/engine (every lifecycle move goes through to):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn -e 'metrics\.Percentiles\?(' -e 'metrics\.Attainment(' -e 'metrics\.Goodput(' internal/serve internal/cluster internal/bench examples --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a report layer rolls up per-request records itself (engine.Rollup is the one roll-up):"; echo "$$out"; exit 1; fi
 
 ci: vet lint guard build test race debug chaos-smoke scale-smoke perf-smoke

@@ -54,11 +54,38 @@ func main() {
 	gen.PoissonArrivals(reqs, 600)
 	jenga.SetDeadlines(reqs, 2*time.Second)
 
-	// Watch the first request's stream in detail, token by token.
+	// Submit with the server paused: a submission racing a stepping
+	// server would arrive at the live clock, not its own arrival time.
+	srv.Pause()
 	first, err := srv.Submit(context.Background(), reqs[0])
 	if err != nil {
 		log.Fatal(err)
 	}
+	// A user who gives up mid-generation: the stream is cancelled
+	// deterministically after its 24th token (a context cancelling
+	// works too — Submit's ctx wires straight to Stream.Cancel — but
+	// lands at whatever simulated instant the wall clock reaches).
+	// Every page the stream holds returns to the pool; committed pages
+	// stay reusable in the prefix cache.
+	abandonedReq := reqs[1]
+	abandonedReq.OutputLen = 100_000
+	abandoned, err := srv.Submit(context.Background(), abandonedReq)
+	if err != nil {
+		log.Fatal(err)
+	}
+	abandoned.CancelAfter(24)
+
+	// The rest of the burst; MaxQueue bounces what does not fit.
+	for _, r := range reqs[2:] {
+		if _, err := srv.Submit(context.Background(), r); err == jenga.ErrQueueFull {
+			fmt.Printf("backpressure: request %d bounced (queue full)\n", r.ID)
+		} else if err != nil {
+			log.Fatal(err)
+		}
+	}
+	srv.Resume()
+
+	// Watch the first request's stream in detail, token by token.
 	fmt.Printf("streaming request %d (%d prompt tokens, %d output tokens):\n",
 		first.ID(), len(reqs[0].Prompt), reqs[0].OutputLen)
 	for ev := range first.Events() {
@@ -74,35 +101,6 @@ func main() {
 		case jenga.EventFinished:
 			fmt.Printf("  finished at %v\n", ev.Clock.Round(time.Millisecond))
 		}
-	}
-
-	// A user who gives up mid-generation: the stream is cancelled
-	// deterministically after its 24th token (a context cancelling
-	// works too — Submit's ctx wires straight to Stream.Cancel — but
-	// lands at whatever simulated instant the wall clock reaches).
-	// Every page the stream holds returns to the pool; committed pages
-	// stay reusable in the prefix cache.
-	abandonedReq := reqs[1]
-	abandonedReq.OutputLen = 100_000
-	abandoned, err := srv.Submit(context.Background(), abandonedReq)
-	if err != nil {
-		log.Fatal(err)
-	}
-	abandoned.CancelAfter(24)
-
-	// The rest of the burst: submit everything, count admission
-	// verdicts as streams terminate.
-	streams := []*jenga.Stream{first, abandoned}
-	for _, r := range reqs[2:] {
-		st, err := srv.Submit(context.Background(), r)
-		if err == jenga.ErrQueueFull {
-			fmt.Printf("backpressure: request %d bounced (queue full)\n", r.ID)
-			continue
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		streams = append(streams, st)
 	}
 	if err := srv.Drain(); err != nil {
 		log.Fatal(err)

@@ -50,7 +50,7 @@ func blockedHeadEngine(t *testing.T, s sched.Scheduler) (e *Engine, head, sharer
 			t.Fatal(err)
 		}
 	}
-	if len(e.running) == 0 || e.running[0].req.ID != 1 || e.running[0].ph != phaseDecode {
+	if len(e.running) == 0 || e.running[0].req.ID != 1 || e.running[0].state != decoding {
 		t.Fatal("the prefix holder is not decoding when the others arrive")
 	}
 	return e, 2, 3

@@ -47,8 +47,8 @@ func TestCrashOutLosesProgressKeepsIdentity(t *testing.T) {
 		if m.EverComputed > 0 {
 			sawProgress = true
 		}
-		if m.Req.Arrival == time.Hour && m.Started {
-			t.Fatal("pending request extracted as started")
+		if m.Req.Arrival == time.Hour && m.state != pending {
+			t.Fatalf("pending request extracted in state %d", m.state)
 		}
 	}
 	if !sawProgress {

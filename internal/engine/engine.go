@@ -195,12 +195,38 @@ func (r *Result) Latency(slo time.Duration) Latency {
 	return roll.Latency(r.Duration)
 }
 
-type phase int
+// runState is a request's place in the engine. A run moves between
+// states only through Engine.to, along the edges lifecycle allows.
+type runState int8
 
 const (
-	phasePrefill phase = iota
-	phaseDecode
+	// pending: submitted, its arrival instant not reached yet.
+	pending runState = iota
+	// waiting: in the waiting queue since its arrival, a preemption
+	// (recompute or swap alike) or a migration out of another engine's
+	// waiting queue. The time spent here is RequestMetrics.QueueWait.
+	waiting
+	// migrating: in the waiting queue after MigrateIn took it from
+	// another engine's running set, by migration or crash redispatch.
+	migrating
+	// prefilling and decoding: in the running set.
+	prefilling
+	decoding
+	// done: retired.
+	done
+	numStates
 )
+
+// lifecycle is the table of allowed moves, lifecycle[from][to]. An
+// admission rolled back (its first chunk could not be reserved) is no
+// move: the run never left waiting or migrating.
+var lifecycle = [numStates][numStates]bool{
+	pending:    {waiting: true, done: true},
+	waiting:    {prefilling: true, done: true},
+	migrating:  {prefilling: true, done: true},
+	prefilling: {decoding: true, waiting: true, migrating: true, done: true},
+	decoding:   {waiting: true, migrating: true, done: true},
+}
 
 // run is one request's runtime state. Runs are pooled (runpool.go):
 // whoever takes one overwrites it whole, and nothing may keep a *run
@@ -217,7 +243,12 @@ type run struct {
 	// promptShared marks req.Prompt as shared with another request (a
 	// fork root and its branches): nobody may hand it back.
 	promptShared bool
-	ph           phase
+	// state is where the run is, since enteredAt; spent is the time the
+	// request has spent in each state before that, on every engine it
+	// ran on.
+	state     runState
+	enteredAt time.Duration
+	spent     [numStates]time.Duration
 	// computed is the number of tokens with committed KV.
 	computed int
 	// cachedHit is the prefix served from cache at (re)admission.
@@ -237,10 +268,6 @@ type run struct {
 	// `computed` tokens, maintained incrementally as KV commits so the
 	// per-decode KV-read cost never rescans the context.
 	ctxText, ctxImg int
-	// alive reports membership in Engine.running (an O(1) stand-in for
-	// scanning the running list when a preemption may have removed the
-	// run mid-step).
-	alive bool
 	// everComputed is the high-water mark of computed: prefill work
 	// below it is recomputation (preemption waste), which the host
 	// tier avoids by restoring instead.
@@ -255,41 +282,65 @@ type run struct {
 	// preemptions counts how often this request lost its KV (carried
 	// across migration and crash redispatch, like firstToken).
 	preemptions int
-	// queueWait is the request's time in waiting queues so far: from
-	// arrival to its first admission, and from each preemption to the
-	// re-admission after it. queued marks the run as waiting in such an
-	// interval now, open since queuedAt; an admission that rolls back
-	// leaves it open.
-	queueWait  time.Duration
-	queuedAt   time.Duration
-	queued     bool
-	firstToken time.Duration
-	started    bool
+	firstToken  time.Duration
 }
 
-// waited is r's queue wait up to now, the interval still open included.
-func (r *run) waited(now time.Duration) time.Duration {
-	if !r.queued {
-		return r.queueWait
+// to moves r to state next at now, charging the time since it entered
+// its current state to that state. It is the only writer of run.state
+// outside the run{…} literals that create one (make guard).
+//
+//jenga:hotpath
+func (e *Engine) to(r *run, next runState, now time.Duration) {
+	if debug.On {
+		checkMove(r, next)
 	}
-	return r.queueWait + max(now-r.queuedAt, 0)
+	e.moves[r.state][next]++
+	r.settle(now)
+	r.state = next
 }
 
-// advanceCtx folds tokens [from, to) into the run's committed text and
-// image counts.
-func (r *run) advanceCtx(from, to int) {
-	for i := from; i < to && i < len(r.seq.Tokens); i++ {
+// checkMove panics on a move lifecycle does not allow, or from a state
+// no live run can be in (a recycled run still in use).
+func checkMove(r *run, next runState) {
+	if r.state < 0 || r.state >= numStates || !lifecycle[r.state][next] {
+		panic(fmt.Sprintf("engine: request %d cannot move from state %d to %d", r.req.ID, r.state, next))
+	}
+}
+
+// settle closes r's open interval at now, charging it to r's state.
+func (r *run) settle(now time.Duration) {
+	r.spent[r.state] += max(now-r.enteredAt, 0)
+	r.enteredAt = now
+}
+
+// running reports whether r is in the running set, and so holds KV.
+func (r *run) running() bool { return r.state == prefilling || r.state == decoding }
+
+// remaining is r's unserved work: uncommitted tokens (a recompute pass
+// after preemption covers generated tokens too) plus undone output.
+func (r *run) remaining() int {
+	return max(len(r.seq.Tokens)-r.computed, 0) + max(r.req.OutputLen-1-r.decodesDone, 0)
+}
+
+// commitTo advances computed to n: tokens [computed, n) join the
+// committed text and image counts, and the high-water mark follows.
+func (r *run) commitTo(n int) {
+	for i := r.computed; i < n && i < len(r.seq.Tokens); i++ {
 		if r.seq.Tokens[i].Image() {
 			r.ctxImg++
 		} else {
 			r.ctxText++
 		}
 	}
+	r.computed = n
+	r.everComputed = max(r.everComputed, n)
 }
 
-// resetCtx clears the committed-context counters (preemption and
-// admission rollback set computed back to zero).
-func (r *run) resetCtx() { r.ctxText, r.ctxImg = 0, 0 }
+// rewind drops r's KV progress back to none: a preemption, or an
+// admission rolled back.
+func (r *run) rewind() {
+	r.computed, r.cachedHit, r.ctxText, r.ctxImg, r.encoded = 0, 0, 0, 0, false
+}
 
 func (r *run) promptLen() int { return len(r.req.Prompt) }
 
@@ -388,6 +439,8 @@ type tally struct {
 	// their prompt went: to the prompt sink, or left to the GC
 	// (jengadebug's conservation check; see checkHandBack).
 	promptsCollected, promptsLeft int
+	// moves counts the lifecycle moves made, moves[from][to].
+	moves [numStates][numStates]int
 }
 
 // SetRetireSink replaces the sink every request's record is handed to
@@ -425,6 +478,7 @@ func (e *Engine) SetPromptSink(fn func(prompt []core.Token)) { e.promptSink = fn
 //jenga:hotpath
 func (e *Engine) retire(r *run, ev EventType) {
 	e.returnTokens(r)
+	e.to(r, done, e.clock)
 	m := RequestMetrics{
 		ID:             r.req.ID,
 		State:          ev,
@@ -435,7 +489,7 @@ func (e *Engine) retire(r *run, ev EventType) {
 		Priority:       r.req.Priority,
 		Tokens:         r.promptLen() + r.req.OutputLen,
 		Preemptions:    r.preemptions,
-		QueueWait:      r.waited(e.clock),
+		QueueWait:      r.spent[waiting],
 		RestoredTokens: r.restoredTokens,
 		RestoreBytes:   r.restoredBytes,
 		RestoreTime:    e.cfg.Device.PCIeTime(r.restoredBytes),
@@ -622,7 +676,7 @@ func (e *Engine) admitArrivals() {
 			e.retire(r, EventShed)
 			continue
 		}
-		r.queued, r.queuedAt = true, r.req.Arrival
+		e.to(r, waiting, r.req.Arrival)
 		e.waiting.pushBack(r)
 		e.emit(EventQueued, r)
 	}
@@ -677,18 +731,15 @@ func (e *Engine) runStep() bool {
 	// proposals plus the bonus position, which is scheduled whole or
 	// not at all. The running list can shrink mid-loop
 	// (reserveWithPreemption), so iterate a reused snapshot and skip
-	// runs a preemption removed.
+	// runs a preemption removed (it left decoding for waiting).
 	pass := 1
 	if e.draftCost != nil {
 		pass = SpecK + 1
 	}
 	e.stepScratch = append(e.stepScratch[:0], e.running...)
 	for _, r := range e.stepScratch {
-		if r.ph != phaseDecode || budget < pass || decodeLeft < pass {
+		if r.state != decoding || budget < pass || decodeLeft < pass {
 			continue
-		}
-		if !r.alive {
-			continue // preempted by an earlier iteration of this loop
 		}
 		e.ownTokens(r)
 		gain := 1
@@ -718,7 +769,7 @@ func (e *Engine) runStep() bool {
 	// Prefill continuation never preempts — it waits for decodes to
 	// drain or for the decode path to preempt on its behalf.
 	for _, r := range e.running {
-		if r.ph != phasePrefill || budget <= 0 || prefillLeft <= 0 {
+		if r.state != prefilling || budget <= 0 || prefillLeft <= 0 {
 			continue
 		}
 		chunk := e.schedulePrefill(r, min(budget, prefillLeft), now, &work)
@@ -746,7 +797,7 @@ func (e *Engine) runStep() bool {
 	// pass ends.
 	prefills := 0
 	for _, r := range e.running {
-		if r.ph == phasePrefill {
+		if r.state == prefilling {
 			prefills++
 		}
 	}
@@ -777,7 +828,7 @@ func (e *Engine) runStep() bool {
 				blocked = true
 				break
 			}
-			if victim.ph == phasePrefill {
+			if victim.state == prefilling {
 				prefills--
 			}
 			e.preempt(victim)
@@ -798,11 +849,7 @@ func (e *Engine) runStep() bool {
 		v = nil
 		prefills++
 		e.running = append(e.running, r)
-		r.alive = true
 		e.waiting.remove(idx)
-		if !r.started {
-			r.started = true
-		}
 		chunk := e.schedulePrefill(r, min(budget, prefillLeft), now, &work)
 		if chunk == 0 {
 			// Could not reserve the first chunk: admission is
@@ -812,18 +859,15 @@ func (e *Engine) runStep() bool {
 			// cache: the claim may have attached previously cached (or
 			// host-tier-restored) complete blocks, and destroying them
 			// here would force the next admission attempt to restore
-			// or recompute the identical content again.
+			// or recompute the identical content again. The run never
+			// left its state, so its wait goes on.
 			e.running = e.running[:len(e.running)-1]
-			r.alive = false
 			e.cfg.Manager.Release(&r.seq, true)
-			r.computed = 0
-			r.resetCtx()
-			r.cachedHit = 0
-			r.encoded = false
+			r.rewind()
 			e.waiting.pushFront(r)
 			break
 		}
-		r.queueWait, r.queued = r.waited(e.clock), false
+		e.to(r, prefilling, e.clock)
 		e.drainedTokens += int64(r.promptLen())
 		budget -= chunk
 		prefillLeft -= chunk
@@ -879,18 +923,14 @@ func (e *Engine) runStep() bool {
 	}
 	for _, r := range committers {
 		e.cfg.Manager.Commit(&r.seq, r.pendingTarget, now)
-		if r.ph == phasePrefill {
+		if r.state == prefilling {
 			e.res.ComputedPromptTokens += int64(r.pendingTarget - r.computed)
 			// Work below the run's high-water mark was computed once
 			// already: recomputation, the waste swap preemption avoids.
 			if rec := min(r.pendingTarget, r.everComputed) - r.computed; rec > 0 {
 				e.res.RecomputedTokens += int64(rec)
 			}
-			r.advanceCtx(r.computed, r.pendingTarget)
-			r.computed = r.pendingTarget
-			if r.computed > r.everComputed {
-				r.everComputed = r.computed
-			}
+			r.commitTo(r.pendingTarget)
 			if e.cfg.Vision == VisionFreeOnDemand && e.cfg.Manager.SupportsVisionCache() {
 				e.cfg.Manager.DropImages(&r.seq, r.computed)
 			}
@@ -898,7 +938,7 @@ func (e *Engine) runStep() bool {
 			// tokens too, so completion is against the full sequence.
 			if r.computed >= len(r.seq.Tokens) {
 				// Prefill complete: first output token produced now.
-				r.ph = phaseDecode
+				e.to(r, decoding, e.clock)
 				if r.firstToken == 0 {
 					r.firstToken = e.clock
 					e.emit(EventFirstToken, r)
@@ -909,11 +949,7 @@ func (e *Engine) runStep() bool {
 			}
 		} else {
 			gain := r.pendingTarget - r.computed
-			r.advanceCtx(r.computed, r.pendingTarget)
-			r.computed = r.pendingTarget
-			if r.computed > r.everComputed {
-				r.everComputed = r.computed
-			}
+			r.commitTo(r.pendingTarget)
 			r.decodesDone += gain
 			e.res.GeneratedTokens += int64(gain)
 			if r.firstToken == 0 {
@@ -969,19 +1005,9 @@ func (e *Engine) schedulePrefill(r *run, budget int, now core.Tick, work *gpu.St
 		}
 	}
 
-	start := r.computed
-	if start < r.cachedHit {
-		start = r.cachedHit
-	}
+	start := max(r.computed, r.cachedHit)
 	// Recompute passes after preemption cover generated tokens too.
-	total := len(r.seq.Tokens)
-	chunk := total - start
-	if chunk > budget {
-		chunk = budget
-	}
-	if chunk < 0 {
-		chunk = 0
-	}
+	chunk := max(min(len(r.seq.Tokens)-start, budget), 0)
 	target := start + chunk
 	if err := e.cfg.Manager.Reserve(&r.seq, target, now); err != nil {
 		return 0
@@ -998,11 +1024,7 @@ func (e *Engine) schedulePrefill(r *run, budget int, now core.Tick, work *gpu.St
 	}
 	if claimed > r.computed {
 		e.res.CachedPromptTokens += int64(claimed - r.computed)
-		r.advanceCtx(r.computed, claimed)
-		r.computed = claimed
-		if r.computed > r.everComputed {
-			r.everComputed = r.computed
-		}
+		r.commitTo(claimed)
 		// The claim runs once per (re)admission; fold its host-tier
 		// restore share into the run's record and the run totals.
 		// This branch only runs after the first chunk reserved
@@ -1157,16 +1179,6 @@ func (e *Engine) policyView() *sched.View {
 // moment r enters the queue, so the waiting queue keeps it from the push
 // on.
 func (r *run) info() sched.ReqInfo {
-	// Remaining work: uncommitted tokens (a recompute pass after
-	// preemption covers generated tokens too) plus undone output.
-	remTok := len(r.seq.Tokens) - r.computed
-	if remTok < 0 {
-		remTok = 0
-	}
-	remOut := r.req.OutputLen - 1 - r.decodesDone
-	if remOut < 0 {
-		remOut = 0
-	}
 	return sched.ReqInfo{
 		ID:        r.req.ID,
 		Priority:  r.req.Priority,
@@ -1175,7 +1187,7 @@ func (r *run) info() sched.ReqInfo {
 		Group:     r.req.Group,
 		PromptLen: r.promptLen(),
 		OutputLen: r.req.OutputLen,
-		Remaining: remTok + remOut,
+		Remaining: r.remaining(),
 		Waiting:   true,
 	}
 }
@@ -1185,7 +1197,7 @@ func (r *run) info() sched.ReqInfo {
 func (e *Engine) runningInfo(r *run) sched.ReqInfo {
 	info := r.info()
 	info.Waiting = false
-	if r.ph == phaseDecode {
+	if r.state == decoding {
 		info.Phase = sched.PhaseDecode
 	} else {
 		info.Phase = sched.PhasePrefill
@@ -1195,15 +1207,7 @@ func (e *Engine) runningInfo(r *run) sched.ReqInfo {
 }
 
 // clampBudget bounds a scheduler-returned budget share to [0, total].
-func clampBudget(share, total int) int {
-	if share > total {
-		return total
-	}
-	if share < 0 {
-		return 0
-	}
-	return share
-}
+func clampBudget(share, total int) int { return min(max(share, 0), total) }
 
 // preempt releases a sequence's memory and requeues it. In recompute
 // mode the victim's pages return to the evictable prefix cache; in
@@ -1217,13 +1221,9 @@ func (e *Engine) preempt(victim *run) {
 	} else {
 		e.cfg.Manager.Release(&victim.seq, true)
 	}
-	victim.ph = phasePrefill
-	victim.computed = 0
-	victim.resetCtx()
-	victim.cachedHit = 0
-	victim.encoded = false
+	e.to(victim, waiting, e.clock)
+	victim.rewind()
 	victim.preemptions++
-	victim.queued, victim.queuedAt = true, e.clock
 	e.res.Preemptions++
 	e.removeRunning(victim)
 	e.waiting.pushFront(victim)
@@ -1285,7 +1285,6 @@ func (e *Engine) finishRun(r *run) {
 }
 
 func (e *Engine) removeRunning(r *run) {
-	r.alive = false
 	for i, c := range e.running {
 		if c == r {
 			e.running = append(e.running[:i], e.running[i+1:]...)

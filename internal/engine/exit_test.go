@@ -161,6 +161,18 @@ func (x *exitEnv) waiting() *run {
 	})
 }
 
+// prefilling is a running request between prefill chunks.
+func (x *exitEnv) prefilling() *run {
+	return x.until(func() *run {
+		for _, r := range x.a.running {
+			if r.state == prefilling {
+				return r
+			}
+		}
+		return nil
+	})
+}
+
 // decoding is a running request that owns a token buffer.
 func (x *exitEnv) decoding() *run {
 	return x.until(func() *run {
@@ -376,7 +388,16 @@ func exitScenarios() []exitScenario {
 			x.submit(exitLoad())
 			x.move(x.pending().req.ID, x.b)
 			x.move(x.waiting().req.ID, x.b)
+			x.move(x.prefilling().req.ID, x.b)
 			x.move(x.decoding().req.ID, x.b)
+			return nil
+		}},
+		{"preempt/prefilling", func(x *exitEnv) map[int64]EventType {
+			// Between steps nothing is in flight: what a decode
+			// reservation does when its policy's victim is a prefill (the
+			// longest remaining work, under SJF).
+			x.submit(exitLoad())
+			x.a.preempt(x.prefilling())
 			return nil
 		}},
 		{"migrate/rollback", func(x *exitEnv) map[int64]EventType {
@@ -435,9 +456,10 @@ func exitScenarios() []exitScenario {
 	for _, name := range []string{"Shed", "Cancel"} {
 		op := map[string]func(*Engine, int64) bool{"Shed": (*Engine).Shed, "Cancel": (*Engine).Cancel}[name]
 		ev := map[string]EventType{"Shed": EventShed, "Cancel": EventCancelled}[name]
-		for _, from := range []string{"pending", "waiting", "running"} {
+		for _, from := range []string{"pending", "waiting", "prefilling", "running"} {
 			pick := map[string]func(*exitEnv) *run{
-				"pending": (*exitEnv).pending, "waiting": (*exitEnv).waiting, "running": (*exitEnv).decoding,
+				"pending": (*exitEnv).pending, "waiting": (*exitEnv).waiting,
+				"prefilling": (*exitEnv).prefilling, "running": (*exitEnv).decoding,
 			}[from]
 			scenarios = append(scenarios, exitScenario{fmt.Sprintf("%s/%s", name, from), func(x *exitEnv) map[int64]EventType {
 				x.submit(exitLoad())
@@ -460,14 +482,35 @@ func exitScenarios() []exitScenario {
 // emitted; Generated and Preemptions equal what the event stream says;
 // QueueWait lies in [0, E2E], and within TTFT for a finished request
 // that was never preempted; and afterwards no KV is in use and no run
-// or token buffer is lost.
+// or token buffer is lost. Across the cells of one preemption mode,
+// every lifecycle edge occurs and no other move does.
 func TestExitMatrix(t *testing.T) {
 	for _, mode := range []PreemptMode{PreemptRecompute, PreemptSwap} {
+		var moves [numStates][numStates]int
+		ran := 0
 		for _, sc := range exitScenarios() {
 			t.Run(mode.String()+"/"+sc.name, func(t *testing.T) {
 				x := newExitEnv(t, mode, nil)
 				x.finish(sc.run(x))
+				for _, e := range []*Engine{x.a, x.b} {
+					for from := range moves {
+						for to := range moves[from] {
+							moves[from][to] += e.moves[from][to]
+						}
+					}
+				}
+				ran++
 			})
+		}
+		if ran < len(exitScenarios()) {
+			continue // a -run filter left cells out
+		}
+		for from := range moves {
+			for to, n := range moves[from] {
+				if lifecycle[from][to] != (n > 0) {
+					t.Errorf("%s: move %d → %d: allowed %v, made %d times", mode, from, to, lifecycle[from][to], n)
+				}
+			}
 		}
 	}
 }

@@ -69,7 +69,7 @@ func (e *Engine) Fork(parentID int64, childIDs []int64) error {
 	if parent == nil {
 		return fmt.Errorf("engine: fork: request %d is not running", parentID)
 	}
-	if parent.ph != phaseDecode {
+	if parent.state != decoding {
 		return fmt.Errorf("engine: fork: request %d is still prefilling", parentID)
 	}
 	for _, id := range childIDs {
@@ -103,9 +103,10 @@ func (e *Engine) forkOne(parent *run, childID int64) error {
 			Deadline:  parent.req.Deadline,
 			Priority:  parent.req.Priority,
 		},
-		seq:   core.Sequence{ID: core.RequestID(childID), PromptLen: parent.seq.PromptLen, Tokens: toks},
-		owned: true,
-		ph:    phaseDecode,
+		seq:       core.Sequence{ID: core.RequestID(childID), PromptLen: parent.seq.PromptLen, Tokens: toks},
+		owned:     true,
+		state:     decoding,
+		enteredAt: e.clock,
 		// The child starts exactly where the parent stands: everything
 		// committed so far is shared, nothing needs recomputing.
 		computed:      parent.computed,
@@ -116,8 +117,6 @@ func (e *Engine) forkOne(parent *run, childID int64) error {
 		ctxText:       parent.ctxText,
 		ctxImg:        parent.ctxImg,
 		everComputed:  parent.everComputed,
-		alive:         true,
-		started:       true,
 		forkDone:      true, // children of a Fanout root never re-fork
 	}
 	if err := e.forker.Fork(&parent.seq, &child.seq, core.Tick(e.step)); err != nil {

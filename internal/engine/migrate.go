@@ -51,22 +51,21 @@ type Migrated struct {
 	// counts as RecomputedTokens on the destination).
 	DecodesDone  int
 	EverComputed int
-	// RestoredTokens, RestoredBytes, Preemptions and QueueWait carry the
-	// request's host-tier restore share, preemption count and queue wait
-	// so its record survives the move.
+	// RestoredTokens, RestoredBytes and Preemptions carry the request's
+	// host-tier restore share and preemption count so its record
+	// survives the move.
 	RestoredTokens int
 	RestoredBytes  int64
 	Preemptions    int
-	QueueWait      time.Duration
-	// queued carries the run's flag: the request left a waiting queue
-	// in the middle of a wait (before its first admission, or after a
-	// preemption), which goes on in the destination's queue. A request
-	// taken out of the running set starts no such wait there.
-	queued bool
-	// FirstToken is the TTFT instant if prefill completed (0 before);
-	// Started marks that the request's arrival was processed.
+	// state is where the request resumes — pending, waiting, or
+	// migrating for one taken out of the running set — and spent its
+	// time in each state, closed at the source's clock; MigrateIn
+	// reopens the interval at its own. A record built by hand resumes
+	// pending.
+	state runState
+	spent [numStates]time.Duration
+	// FirstToken is the TTFT instant if prefill completed (0 before).
 	FirstToken time.Duration
-	Started    bool
 	// ForkDone marks an already-expanded fan-out root.
 	ForkDone bool
 }
@@ -88,10 +87,9 @@ type MigrationCandidate struct {
 // picks identically across runs. A caller that keeps dst across calls
 // lists candidates without allocating.
 func (e *Engine) MigrationCandidates(dst []MigrationCandidate) []MigrationCandidate {
-	for i, q := range e.queues() {
+	for _, q := range e.queues() {
 		for _, r := range q {
-			rem := max(len(r.seq.Tokens)-r.computed, 0) + max(r.req.OutputLen-1-r.decodesDone, 0)
-			dst = append(dst, MigrationCandidate{ID: r.req.ID, Remaining: rem, Running: i == 0})
+			dst = append(dst, MigrationCandidate{ID: r.req.ID, Remaining: r.remaining(), Running: r.running()})
 		}
 	}
 	return dst
@@ -104,20 +102,34 @@ func (e *Engine) MigrationCandidates(dst []MigrationCandidate) []MigrationCandid
 // stream continues on the destination; EventMigrated marks the
 // hand-off point). Reports false for unknown IDs.
 func (e *Engine) MigrateOut(id int64) (Migrated, bool) {
-	r, started, running := e.detach(id)
+	r := e.detach(id)
 	if r == nil {
 		return Migrated{}, false
 	}
-	if running {
+	if r.running() {
 		if e.tier != nil {
 			e.tier.SwapOut(&r.seq)
 		} else {
 			e.cfg.Manager.Release(&r.seq, true)
 		}
 	}
+	m := e.record(r)
 	e.res.MigratedOut++
 	e.emit(EventMigrated, r)
-	m := Migrated{
+	e.dropRun(r)
+	return m, true
+}
+
+// record is r's portable state for a request leaving this engine. It
+// closes r's open interval at this engine's clock: a run taken out of
+// the running set moves to migrating, any other keeps its state.
+func (e *Engine) record(r *run) Migrated {
+	if r.running() {
+		e.to(r, migrating, e.clock)
+	} else {
+		r.settle(e.clock)
+	}
+	return Migrated{
 		Req:            r.req,
 		Tokens:         r.seq.Tokens,
 		pooled:         r.owned,
@@ -127,30 +139,26 @@ func (e *Engine) MigrateOut(id int64) (Migrated, bool) {
 		RestoredTokens: r.restoredTokens,
 		RestoredBytes:  r.restoredBytes,
 		Preemptions:    r.preemptions,
-		QueueWait:      r.waited(e.clock),
-		queued:         r.queued,
+		state:          r.state,
+		spent:          r.spent,
 		FirstToken:     r.firstToken,
-		Started:        started,
 		ForkDone:       r.forkDone,
 	}
-	e.dropRun(r)
-	return m, true
 }
 
-// MigrateIn resumes a migrated request on this engine. Started
-// requests join the waiting queue directly (arrival was already
-// processed on the source — admission is not re-run, mirroring how a
-// preempted request never re-sheds) and re-enter through the prefill
-// path: the first chunk's prefix claim restores whatever this
-// replica's cache, its host tier or a prior fleet fetch holds, and
-// only the remainder recomputes. Unstarted requests re-join the
-// arrival queue. IDs must remain unique among this engine's live
-// requests. The record is taken over: m.Req is copied into a pooled
-// run; m.Tokens is not copied — a private buffer that came out of
-// MigrateOut is adopted (and recycled here when the request leaves),
-// anything else is borrowed read-only like a submitted prompt — and the
-// prompt's borrow now ends at this engine's retire. The caller must not
-// use m again.
+// MigrateIn resumes a migrated request on this engine. A request whose
+// arrival was processed joins the waiting queue directly (admission is
+// not re-run, mirroring how a preempted request never re-sheds) and
+// re-enters through the prefill path: the first chunk's prefix claim
+// restores whatever this replica's cache, its host tier or a prior
+// fleet fetch holds, and only the remainder recomputes. A pending one
+// re-joins the arrival queue. IDs must remain unique among this
+// engine's live requests. The record is taken over: m.Req is copied
+// into a pooled run; m.Tokens is not copied — a private buffer that
+// came out of MigrateOut is adopted (and recycled here when the request
+// leaves), anything else is borrowed read-only like a submitted prompt
+// — and the prompt's borrow now ends at this engine's retire. The
+// caller must not use m again.
 //
 //jenga:hotpath
 func (e *Engine) MigrateIn(m Migrated) {
@@ -164,21 +172,19 @@ func (e *Engine) MigrateIn(m Migrated) {
 		seq:            core.Sequence{ID: core.RequestID(m.Req.ID), PromptLen: len(m.Req.Prompt), Tokens: toks},
 		owned:          m.pooled,
 		promptShared:   m.promptShared,
-		ph:             phasePrefill,
+		state:          m.state,
+		enteredAt:      e.clock,
+		spent:          m.spent,
 		decodesDone:    m.DecodesDone,
 		everComputed:   m.EverComputed,
 		restoredTokens: m.RestoredTokens,
 		restoredBytes:  m.RestoredBytes,
 		preemptions:    m.Preemptions,
-		queueWait:      m.QueueWait,
-		queuedAt:       e.clock,
-		queued:         m.queued,
 		firstToken:     m.FirstToken,
-		started:        m.Started,
 		forkDone:       m.ForkDone,
 	}
 	e.res.MigratedIn++
-	if !m.Started {
+	if m.state == pending {
 		e.enqueuePending(r)
 		return
 	}
@@ -201,23 +207,12 @@ func (e *Engine) MigrateIn(m Migrated) {
 // (core.Crasher); CrashOut only empties the engine's queues.
 func (e *Engine) CrashOut() []Migrated {
 	out := make([]Migrated, 0, len(e.running)+e.waiting.len()+e.pending.len())
-	for i, q := range e.queues() {
+	for _, q := range e.queues() {
 		for _, r := range q {
-			e.returnTokens(r)
-			out = append(out, Migrated{
-				Req:            r.req,
-				Tokens:         r.req.Prompt,
-				promptShared:   r.promptShared,
-				EverComputed:   r.everComputed,
-				RestoredTokens: r.restoredTokens,
-				RestoredBytes:  r.restoredBytes,
-				Preemptions:    r.preemptions,
-				QueueWait:      r.waited(e.clock),
-				queued:         r.queued,
-				FirstToken:     r.firstToken,
-				Started:        i < 2, // running or waiting: arrival processed
-				ForkDone:       r.forkDone,
-			})
+			e.returnTokens(r) // generated tokens die with the process
+			m := e.record(r)
+			m.Tokens, m.DecodesDone = r.req.Prompt, 0
+			out = append(out, m)
 			e.dropRun(r)
 		}
 	}

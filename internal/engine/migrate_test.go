@@ -70,7 +70,7 @@ func TestMigrateRunningRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("MigrateOut missed a running request")
 	}
-	if !m.Started || m.DecodesDone < 3 || m.FirstToken <= 0 {
+	if m.state != migrating || m.DecodesDone < 3 || m.FirstToken <= 0 {
 		t.Fatalf("extracted state: %+v", m)
 	}
 	// The newest decode token is appended at its consuming step, so the
@@ -152,9 +152,8 @@ func TestMigrateRunningRoundTrip(t *testing.T) {
 }
 
 // TestMigrateUnstartedAndWaiting covers the two no-KV extraction paths:
-// a pending (not yet arrived) request migrates with Started=false and
-// re-enters the destination's arrival queue; a waiting request migrates
-// with Started=true.
+// a pending (not yet arrived) request migrates pending and re-enters the
+// destination's arrival queue; a waiting request migrates waiting.
 func TestMigrateUnstartedAndWaiting(t *testing.T) {
 	reqs := textReqs(22, 2, 150, 8)
 	reqs[1].Arrival = time.Hour // never reached before migration
@@ -165,8 +164,8 @@ func TestMigrateUnstartedAndWaiting(t *testing.T) {
 		}
 	}
 	m, ok := a.MigrateOut(reqs[1].ID)
-	if !ok || m.Started {
-		t.Fatalf("pending extraction: ok=%v started=%v", ok, m.Started)
+	if !ok || m.state != pending {
+		t.Fatalf("pending extraction: ok=%v state=%d", ok, m.state)
 	}
 	m.Req.Arrival = 0
 	b := migrateEngine(t, 0)
@@ -203,7 +202,7 @@ func TestMigrateUnstartedAndWaiting(t *testing.T) {
 		}
 	}
 	mw, ok := e.MigrateOut(waitID)
-	if !ok || !mw.Started || mw.DecodesDone != 0 {
+	if !ok || mw.state != waiting || mw.DecodesDone != 0 {
 		t.Fatalf("waiting extraction: ok=%v %+v", ok, mw)
 	}
 	// Unknown IDs are rejected everywhere.

@@ -85,7 +85,7 @@ func scribbleRun(r *run) {
 	*r = run{
 		req:           workload.Request{ID: math.MinInt64, Arrival: math.MinInt64, OutputLen: math.MinInt, Fanout: math.MinInt},
 		seq:           core.Sequence{ID: math.MinInt64, PromptLen: math.MinInt},
-		ph:            -1,
+		state:         -1,
 		computed:      math.MinInt,
 		decodesDone:   math.MinInt,
 		pendingTarget: math.MinInt,

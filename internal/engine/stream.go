@@ -247,15 +247,7 @@ func (e *Engine) snapshot(u core.Usage) Snapshot {
 		s.OutstandingTokens += int64(r.promptLen() + r.req.OutputLen)
 	}
 	for _, r := range e.running {
-		remPrompt := len(r.seq.Tokens) - r.computed
-		if remPrompt < 0 {
-			remPrompt = 0
-		}
-		remOut := r.req.OutputLen - 1 - r.decodesDone
-		if remOut < 0 {
-			remOut = 0
-		}
-		s.OutstandingTokens += int64(remPrompt + remOut)
+		s.OutstandingTokens += int64(r.remaining())
 	}
 	return s
 }
@@ -287,8 +279,10 @@ func (e *Engine) Submit(req *workload.Request) error {
 	}
 	r := e.takeRun()
 	*r = run{
-		req: *req,
-		seq: core.Sequence{ID: core.RequestID(req.ID), PromptLen: len(req.Prompt), Tokens: borrowTokens(req.Prompt)},
+		req:       *req,
+		seq:       core.Sequence{ID: core.RequestID(req.ID), PromptLen: len(req.Prompt), Tokens: borrowTokens(req.Prompt)},
+		state:     pending,
+		enteredAt: e.clock,
 	}
 	e.enqueuePending(r)
 	return nil
@@ -306,35 +300,34 @@ func (e *Engine) enqueuePending(r *run) {
 }
 
 // detach removes the live request with the given ID from whichever
-// queue holds it (nil for an unknown ID). started says its arrival had
-// been processed — it was waiting or running, not pending — and running
-// that it was scheduled: a pending or waiting request holds no pages
-// (admission is all-or-nothing) and is released here, so that the
-// manager forgets what a lookup, an admission probe or a fleet fetch at
-// dispatch showed it; only a run detached from the running set still
-// has KV for its caller to release, swap out or hand over.
-func (e *Engine) detach(id int64) (r *run, started, running bool) {
+// queue holds it (nil for an unknown ID), leaving its state as it was.
+// A pending or waiting request holds no pages (admission is
+// all-or-nothing) and is released here, so that the manager forgets what
+// a lookup, an admission probe or a fleet fetch at dispatch showed it;
+// only a run detached from the running set (r.running()) still has KV
+// for its caller to release, swap out or hand over.
+func (e *Engine) detach(id int64) *run {
 	for i, r := range e.pending.items() {
 		if r.req.ID == id {
 			e.pending.remove(i)
 			e.cfg.Manager.Release(&r.seq, false)
-			return r, false, false
+			return r
 		}
 	}
 	for i, r := range e.waiting.items() {
 		if r.req.ID == id {
 			e.waiting.remove(i)
 			e.cfg.Manager.Release(&r.seq, false)
-			return r, true, false
+			return r
 		}
 	}
 	for _, r := range e.running {
 		if r.req.ID == id {
 			e.removeRunning(r)
-			return r, true, true
+			return r
 		}
 	}
-	return nil, false, false
+	return nil
 }
 
 // terminate ends the live request with the given ID with terminal event
@@ -343,11 +336,11 @@ func (e *Engine) detach(id int64) (r *run, started, running bool) {
 // normal completion), everything else to the free pool. Reports
 // whether the ID was live.
 func (e *Engine) terminate(id int64, ev EventType) bool {
-	r, _, running := e.detach(id)
+	r := e.detach(id)
 	if r == nil {
 		return false
 	}
-	if running {
+	if r.running() {
 		e.cfg.Manager.Release(&r.seq, true)
 	}
 	e.retire(r, ev)
