@@ -205,7 +205,11 @@ vet:
 # time spent in the state it leaves, and only the run{…} literals that
 # create a run set a first state — so an assignment to .state anywhere
 # else in non-test internal/engine is a move that skips the clock (and
-# the jengadebug edge check) again.
+# the jengadebug edge check) again; and a request has one record from
+# Submit to the client — a stream's result is the engine's
+# RequestMetrics, its State an engine.EventType — so a type StreamState
+# or a map[engine.EventType] in non-test internal/serve is a second
+# spelling of the terminal states again.
 # (The token's four bytes need no grep: internal/core pins them at
 # compile time.)
 guard:
@@ -227,6 +231,7 @@ guard:
 	@out=$$(grep -rn 'map\[RequestID\]' internal/core --include='*.go' | grep -v -E -e '_test\.go:' -e '^internal/core/manager\.go:[0-9]+:\s*(reqs|assocTop)(\s+|:\s+make\()map\[RequestID\]'); if [ -n "$$out" ]; then echo "a second per-request map in internal/core (only Jenga.reqs and group.assocTop may be keyed by RequestID):"; echo "$$out"; exit 1; fi
 	@out=$$(awk '/^func /{ into = /^func \(e \*Engine\) to\(/ } !into && !/^[ \t]*\/\// && /\.state[ \t]*(,[^=]*[^=!<>:]|[-+*\/%&|^]|<<|>>|&\^)?=([^=]|$$)|\.state(\+\+|--)/ { print FILENAME ":" FNR ": " $$0 }' $$(ls internal/engine/*.go | grep -v '_test\.go$$')); if [ -n "$$out" ]; then echo "run.state is written outside Engine.to in internal/engine (every lifecycle move goes through to):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn -e 'metrics\.Percentiles\?(' -e 'metrics\.Attainment(' -e 'metrics\.Goodput(' internal/serve internal/cluster internal/bench examples --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a report layer rolls up per-request records itself (engine.Rollup is the one roll-up):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn -e 'type StreamState' -e 'map\[engine\.EventType\]' internal/serve --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "internal/serve re-spells the engine's terminal states (a stream's result is the engine's record, its State an engine.EventType):"; echo "$$out"; exit 1; fi
 
 ci: vet lint guard build test race debug chaos-smoke scale-smoke perf-smoke
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi

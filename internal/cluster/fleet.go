@@ -107,11 +107,11 @@ func (c *Cluster) migrate(p *pass, src, dst int, id int64) bool {
 		p.out.MigrationRollbacks++
 		c.engines[src].MigrateIn(m)
 		if p.drained[src] {
-			c.engines[src].Shed(m.Req.ID)
+			c.engines[src].Shed(m.ID())
 		}
 		return false
 	}
-	c.fleetFetch(dst, m.Req.ID, len(m.Req.Prompt), m.Tokens)
+	c.fleetFetch(dst, m.ID(), len(m.Prompt()), m.Tokens)
 	c.engines[dst].MigrateIn(m)
 	p.out.Migrations++
 	return true

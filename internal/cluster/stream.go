@@ -3,6 +3,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -71,29 +72,39 @@ type streamShard struct {
 	spent [][]core.Token
 }
 
-// run is the shard goroutine body. On error it keeps consuming (and
-// acking horizons) so the router never blocks; the router sees the
-// error at the next barrier or after the join.
+// run is the shard goroutine body. On an error, or a panic, it keeps
+// consuming (and acking horizons) so the router never blocks; the
+// router sees the error at the next barrier or after the join.
 func (s *streamShard) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for cmd := range s.cmds {
-		switch {
-		case cmd.horizon:
-			for _, rep := range s.owned {
-				if s.err == nil {
-					s.err = s.publish(rep, cmd.at)
-				}
-			}
-			s.ack <- struct{}{}
-		case s.err == nil:
-			s.err = s.submit(cmd)
+		if !cmd.horizon {
+			s.guard(cmd.rep, func() error { return s.submit(cmd) })
+			continue
 		}
+		for _, rep := range s.owned {
+			s.guard(rep, func() error { return s.publish(rep, cmd.at) })
+		}
+		s.ack <- struct{}{}
 	}
 	for _, rep := range s.owned {
-		if s.err == nil {
-			s.err = replicaErr(rep, s.engines[rep].Drain())
-		}
+		s.guard(rep, func() error { return replicaErr(rep, s.engines[rep].Drain()) })
 	}
+}
+
+// guard runs f, work on replica rep, unless the shard has failed
+// already, and keeps f's error as the shard's — or its panic, as an
+// error naming the replica, with the stack.
+func (s *streamShard) guard(rep int, f func() error) {
+	if s.err != nil {
+		return
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			s.err = fmt.Errorf("cluster: replica %d: panic: %v\n%s", rep, v, debug.Stack())
+		}
+	}()
+	s.err = f()
 }
 
 // publish advances replica rep exactly to the horizon and publishes its
@@ -165,7 +176,7 @@ func (p *pass) barrier(at time.Duration) error {
 // into one Result. With exact set the engines retain per-request
 // records (Result.PerRequest, exact percentiles); otherwise they retire
 // into per-shard histograms and memory stays bounded at any request
-// count. Every exit closes the mailboxes and joins the shards.
+// count.
 func (c *Cluster) drive(src workload.Source, shards int, every time.Duration, exact bool) (*Result, error) {
 	n := len(c.engines)
 	shards = min(max(shards, 1), n)
@@ -201,22 +212,7 @@ func (c *Cluster) drive(src workload.Source, shards int, every time.Duration, ex
 			defer e.SetPromptSink(nil)
 		}
 	}
-	var wg sync.WaitGroup
-	for _, s := range p.shards {
-		wg.Add(1)
-		go s.run(&wg)
-	}
-	err := c.routeAll(p, src, every)
-	for _, s := range p.shards {
-		close(s.cmds)
-	}
-	wg.Wait()
-	for _, s := range p.shards {
-		if err == nil {
-			err = s.err
-		}
-	}
-	if err != nil {
+	if err := c.runShards(p, src, every); err != nil {
 		return nil, err
 	}
 	acc := p.shards[0].acc
@@ -224,6 +220,34 @@ func (c *Cluster) drive(src workload.Source, shards int, every time.Duration, ex
 		acc.merge(s.acc)
 	}
 	return c.aggregate(p, acc), nil
+}
+
+// runShards starts the shards, routes the stream to them (routeAll) and
+// joins them. Every exit — a router-side panic included, which it
+// reports as an error with the stack — closes the mailboxes and waits
+// for the shards; the router's error comes first, then the shards' in
+// shard order.
+func (c *Cluster) runShards(p *pass, src workload.Source, every time.Duration) (err error) {
+	var wg sync.WaitGroup
+	for _, s := range p.shards {
+		wg.Add(1)
+		go s.run(&wg)
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("cluster: panic: %v\n%s", v, debug.Stack())
+		}
+		for _, s := range p.shards {
+			close(s.cmds)
+		}
+		wg.Wait()
+		for _, s := range p.shards {
+			if err == nil {
+				err = s.err
+			}
+		}
+	}()
+	return c.routeAll(p, src, every)
 }
 
 // routeAll is drive's serial part: everything between starting the

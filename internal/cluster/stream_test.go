@@ -381,12 +381,44 @@ type failingCrasher struct{ core.Manager }
 
 func (failingCrasher) CrashReset() error { return errors.New("no cold restart") }
 
+// panickingReserve is a manager whose 50th Reserve panics.
+type panickingReserve struct {
+	core.Manager
+	calls int
+}
+
+func (m *panickingReserve) Reserve(seq *core.Sequence, upTo int, now core.Tick) error {
+	if m.calls++; m.calls == 50 {
+		panic("reserve 50")
+	}
+	return m.Manager.Reserve(seq, upTo, now)
+}
+
 // Every way the serve loop can fail returns the error promptly and
 // leaves no goroutine behind: drive closes the mailboxes and joins the
 // shards on every exit.
 func TestDriveErrorPathsJoinShards(t *testing.T) {
 	nonMonotone := streamWorkload(2, 0)[:40]
 	nonMonotone[20].Arrival = nonMonotone[19].Arrival - time.Millisecond
+	// panicky is a cluster whose replica 1 panics mid-step.
+	panicky := func() *Cluster {
+		cfg := Config{Spec: testSpec(), Replicas: 3, Policy: RoundRobin, CapacityBytes: perReplicaCapacity}
+		cfg.NewManager = func(i int) (core.Manager, error) {
+			m, err := core.New(core.Config{
+				Spec: cfg.Spec, CapacityBytes: cfg.CapacityBytes,
+				EnablePrefixCache: true, RequestAware: true,
+			})
+			if err != nil || i != 1 {
+				return m, err
+			}
+			return &panickingReserve{Manager: m}, nil
+		}
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
 	cases := []struct {
 		name, want string
 		run        func() error
@@ -419,6 +451,14 @@ func TestDriveErrorPathsJoinShards(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, err = c.ServeOnline(streamWorkload(2, 0))
+			return err
+		}},
+		{"manager panics mid-stream (ServeStream, 3 shards)", "replica 1: panic: reserve 50", func() error {
+			_, err := panicky().ServeStream(workload.SliceSource(streamWorkload(2, 0)), StreamConfig{Shards: 3})
+			return err
+		}},
+		{"manager panics mid-stream (ServeOnline)", "replica 1: panic: reserve 50", func() error {
+			_, err := panicky().ServeOnline(streamWorkload(2, 0))
 			return err
 		}},
 	}

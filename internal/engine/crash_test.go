@@ -37,17 +37,17 @@ func TestCrashOutLosesProgressKeepsIdentity(t *testing.T) {
 	}
 	sawProgress := false
 	for _, m := range lost {
-		if len(m.Tokens) != len(m.Req.Prompt) {
+		if len(m.Tokens) != len(m.req.Prompt) {
 			t.Fatalf("request %d extracted %d tokens, want prompt-only %d",
-				m.Req.ID, len(m.Tokens), len(m.Req.Prompt))
+				m.req.ID, len(m.Tokens), len(m.req.Prompt))
 		}
-		if m.DecodesDone != 0 {
-			t.Fatalf("request %d kept %d decodes across a crash", m.Req.ID, m.DecodesDone)
+		if m.decodesDone != 0 {
+			t.Fatalf("request %d kept %d decodes across a crash", m.req.ID, m.decodesDone)
 		}
-		if m.EverComputed > 0 {
+		if m.everComputed > 0 {
 			sawProgress = true
 		}
-		if m.Req.Arrival == time.Hour && m.state != pending {
+		if m.req.Arrival == time.Hour && m.state != pending {
 			t.Fatalf("pending request extracted in state %d", m.state)
 		}
 	}
@@ -69,8 +69,8 @@ func TestCrashOutLosesProgressKeepsIdentity(t *testing.T) {
 	for _, m := range lost {
 		// A redispatched request whose first token already streamed
 		// must not re-announce it on the survivor.
-		if m.FirstToken > 0 {
-			firstTokens[m.Req.ID]++
+		if m.firstToken > 0 {
+			firstTokens[m.req.ID]++
 		}
 		b.MigrateIn(m)
 	}

@@ -228,33 +228,57 @@ var lifecycle = [numStates][numStates]bool{
 	decoding:   {waiting: true, migrating: true, done: true},
 }
 
-// run is one request's runtime state. Runs are pooled (runpool.go):
-// whoever takes one overwrites it whole, and nothing may keep a *run
-// past the step in which its request left the engine.
-type run struct {
+// carried is the part of a request's runtime state that travels with
+// it between engines. A Migrated record holds it whole, so neither a
+// migration nor a crash redispatch loses a fact the request's terminal
+// record reports, and a new such fact is one field here.
+type carried struct {
 	// req is the engine's own copy of the request header; req.Prompt
 	// still points at the submitter's array, which is only ever read.
 	req workload.Request
+	// promptShared marks req.Prompt as shared with another request (a
+	// fork root and its branches): nobody may hand it back.
+	promptShared bool
+	// forkDone marks that the request's Fanout expansion already fired
+	// (set on forked children at creation so they never re-fork).
+	forkDone bool
+	// state is where the request is, since run.enteredAt; spent is the
+	// time it spent in each state before that, on every engine it ran on.
+	state runState
+	spent [numStates]time.Duration
+	// decodesDone counts completed decode steps (need OutputLen-1).
+	decodesDone int
+	// everComputed is the high-water mark of run.computed: prefill work
+	// below it is recomputation (preemption waste), which the host tier
+	// avoids by restoring instead.
+	everComputed int
+	// firstToken is the TTFT instant (0 before prefill completed).
+	firstToken time.Duration
+	// restoredTokens and restoredBytes accumulate the request's
+	// host-tier restore share across (re)admissions; preemptions counts
+	// how often it lost its KV.
+	restoredTokens int
+	restoredBytes  int64
+	preemptions    int
+}
+
+// run is one request's runtime state on this engine: what it carries,
+// plus what lives only as long as its stay here. Runs are pooled
+// (runpool.go): whoever takes one overwrites it whole, and nothing may
+// keep a *run past the step in which its request left the engine.
+type run struct {
+	carried
 	seq core.Sequence
 	// owned marks seq.Tokens as a private buffer from the engine's free
 	// list; otherwise it borrows req.Prompt (or a Migrated record's
 	// slice) and is read-only. See tokbuf.go.
 	owned bool
-	// promptShared marks req.Prompt as shared with another request (a
-	// fork root and its branches): nobody may hand it back.
-	promptShared bool
-	// state is where the run is, since enteredAt; spent is the time the
-	// request has spent in each state before that, on every engine it
-	// ran on.
-	state     runState
+	// enteredAt is when the request entered its current state.
 	enteredAt time.Duration
-	spent     [numStates]time.Duration
 	// computed is the number of tokens with committed KV.
 	computed int
 	// cachedHit is the prefix served from cache at (re)admission.
 	cachedHit int
-	// decodesDone counts completed decode steps (need OutputLen-1).
-	decodesDone int
 	// encoded marks that the vision encoder ran for the current
 	// prefill pass (resets on preemption).
 	encoded bool
@@ -268,21 +292,6 @@ type run struct {
 	// `computed` tokens, maintained incrementally as KV commits so the
 	// per-decode KV-read cost never rescans the context.
 	ctxText, ctxImg int
-	// everComputed is the high-water mark of computed: prefill work
-	// below it is recomputation (preemption waste), which the host
-	// tier avoids by restoring instead.
-	everComputed int
-	// restoredTokens and restoredBytes accumulate the run's host-tier
-	// restore share across (re)admissions.
-	restoredTokens int
-	restoredBytes  int64
-	// forkDone marks that the run's Fanout expansion already fired
-	// (set on forked children at creation so they never re-fork).
-	forkDone bool
-	// preemptions counts how often this request lost its KV (carried
-	// across migration and crash redispatch, like firstToken).
-	preemptions int
-	firstToken  time.Duration
 }
 
 // to moves r to state next at now, charging the time since it entered
@@ -544,6 +553,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Device.Name == "" {
 		cfg.Device = gpu.H100()
+	}
+	if cfg.PreemptMode != PreemptRecompute && cfg.PreemptMode != PreemptSwap {
+		return nil, fmt.Errorf("engine: unknown preempt mode %d", cfg.PreemptMode)
 	}
 	e := &Engine{
 		cfg:       cfg,

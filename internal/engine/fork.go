@@ -94,30 +94,32 @@ func (e *Engine) forkOne(parent *run, childID int64) error {
 	toks := append(e.takeTokens(len(parent.req.Prompt)+parent.req.OutputLen), parent.seq.Tokens...)
 	child := e.takeRun()
 	*child = run{
-		req: workload.Request{
-			ID:        childID,
-			Arrival:   e.clock,
-			Group:     parent.req.Group,
-			Prompt:    parent.req.Prompt,
-			OutputLen: parent.req.OutputLen,
-			Deadline:  parent.req.Deadline,
-			Priority:  parent.req.Priority,
-		},
-		seq:       core.Sequence{ID: core.RequestID(childID), PromptLen: parent.seq.PromptLen, Tokens: toks},
-		owned:     true,
-		state:     decoding,
-		enteredAt: e.clock,
 		// The child starts exactly where the parent stands: everything
 		// committed so far is shared, nothing needs recomputing.
+		carried: carried{
+			req: workload.Request{
+				ID:        childID,
+				Arrival:   e.clock,
+				Group:     parent.req.Group,
+				Prompt:    parent.req.Prompt,
+				OutputLen: parent.req.OutputLen,
+				Deadline:  parent.req.Deadline,
+				Priority:  parent.req.Priority,
+			},
+			state:        decoding,
+			decodesDone:  parent.decodesDone,
+			everComputed: parent.everComputed,
+			forkDone:     true, // children of a Fanout root never re-fork
+		},
+		seq:           core.Sequence{ID: core.RequestID(childID), PromptLen: parent.seq.PromptLen, Tokens: toks},
+		owned:         true,
+		enteredAt:     e.clock,
 		computed:      parent.computed,
 		cachedHit:     parent.cachedHit,
-		decodesDone:   parent.decodesDone,
 		encoded:       parent.encoded,
 		scheduledStep: e.step, // not preemptible in the fork step
 		ctxText:       parent.ctxText,
 		ctxImg:        parent.ctxImg,
-		everComputed:  parent.everComputed,
-		forkDone:      true, // children of a Fanout root never re-fork
 	}
 	if err := e.forker.Fork(&parent.seq, &child.seq, core.Tick(e.step)); err != nil {
 		e.returnTokens(child)

@@ -1,24 +1,18 @@
 package engine
 
-import (
-	"time"
-
-	"jenga/internal/core"
-	"jenga/internal/workload"
-)
+import "jenga/internal/core"
 
 // Live request migration: MigrateOut extracts a request from this
 // engine — swapping its KV to the host tier so the fleet transfer
 // path can carry the pages — and MigrateIn resumes it on another
 // engine, re-entering through the ordinary re-admission path (prefix
 // claim first, recompute only what neither the destination's tier nor
-// a fleet fetch restored). The extracted state is exactly what
-// preemption already preserves plus the request's metrics continuity:
-// generated tokens (decode content is deterministic in (ID, position),
-// so a resumed decode produces identical output), the recompute
-// high-water mark, the first-token instant and the accumulated
-// restore shares. The cluster layer owns policy — when to migrate,
-// where to, and how to move the pages (internal/fleet).
+// a fleet fetch restored). The extracted state is the run's carried
+// part, whole, plus its tokens: generated tokens (decode content is
+// deterministic in (ID, position), so a resumed decode produces
+// identical output) and everything the request's record reports. The
+// cluster layer owns policy — when to migrate, where to, and how to move
+// the pages (internal/fleet).
 
 // Migrated is one request's portable runtime state. It owns what it
 // carries — the request header by value, the run's token slice, the
@@ -27,12 +21,16 @@ import (
 // it, and the prompt is left to the GC (no prompt sink hears of a
 // request that retired nowhere).
 type Migrated struct {
-	// Req is the request header as the source engine held it (its own
-	// copy: a fork may have labelled the Group). Req.Prompt is still the
-	// submitter's array, read-only as ever.
-	Req workload.Request
+	// carried is the run's, as the source engine held it, with its open
+	// interval closed at the source's clock: state is where the request
+	// resumes — pending, waiting, or migrating for one taken out of the
+	// running set — and MigrateIn reopens the interval at its own. Its
+	// req is the source's own copy of the header (a fork may have
+	// labelled the Group); req.Prompt is still the submitter's array,
+	// read-only as ever.
+	carried
 	// Tokens is the sequence content at extraction: prompt plus every
-	// generated token. It is the extracted run's own slice — Req.Prompt
+	// generated token. It is the extracted run's own slice — the prompt
 	// itself for a request that had not decoded yet (and for every
 	// CrashOut record), the source engine's private buffer otherwise —
 	// so holders may read it (to fetch the prefix's pages, say) but
@@ -40,35 +38,16 @@ type Migrated struct {
 	Tokens []core.Token
 	// pooled marks Tokens as a private engine buffer whose ownership
 	// travels with the record: MigrateIn adopts it and the destination
-	// recycles it at the request's exit. Records built by hand leave it
-	// false and their Tokens are only ever read.
+	// recycles it at the request's exit.
 	pooled bool
-	// promptShared carries the run's flag: Req.Prompt is shared with a
-	// fork root or branch, wherever those now live.
-	promptShared bool
-	// DecodesDone and EverComputed restore decode progress and the
-	// recompute high-water mark (cross-replica recomputation still
-	// counts as RecomputedTokens on the destination).
-	DecodesDone  int
-	EverComputed int
-	// RestoredTokens, RestoredBytes and Preemptions carry the request's
-	// host-tier restore share and preemption count so its record
-	// survives the move.
-	RestoredTokens int
-	RestoredBytes  int64
-	Preemptions    int
-	// state is where the request resumes — pending, waiting, or
-	// migrating for one taken out of the running set — and spent its
-	// time in each state, closed at the source's clock; MigrateIn
-	// reopens the interval at its own. A record built by hand resumes
-	// pending.
-	state runState
-	spent [numStates]time.Duration
-	// FirstToken is the TTFT instant if prefill completed (0 before).
-	FirstToken time.Duration
-	// ForkDone marks an already-expanded fan-out root.
-	ForkDone bool
 }
+
+// ID is the migrating request's ID.
+func (m *Migrated) ID() int64 { return m.req.ID }
+
+// Prompt is the migrating request's prompt, the submitter's array:
+// read-only.
+func (m *Migrated) Prompt() []core.Token { return m.req.Prompt }
 
 // MigrationCandidate summarizes one live request for migration policy.
 type MigrationCandidate struct {
@@ -121,29 +100,16 @@ func (e *Engine) MigrateOut(id int64) (Migrated, bool) {
 }
 
 // record is r's portable state for a request leaving this engine. It
-// closes r's open interval at this engine's clock: a run taken out of
-// the running set moves to migrating, any other keeps its state.
+// closes r's open interval at this engine's clock — a run taken out of
+// the running set moves to migrating, any other keeps its state — and
+// takes what r carries whole.
 func (e *Engine) record(r *run) Migrated {
 	if r.running() {
 		e.to(r, migrating, e.clock)
 	} else {
 		r.settle(e.clock)
 	}
-	return Migrated{
-		Req:            r.req,
-		Tokens:         r.seq.Tokens,
-		pooled:         r.owned,
-		promptShared:   r.promptShared,
-		DecodesDone:    r.decodesDone,
-		EverComputed:   r.everComputed,
-		RestoredTokens: r.restoredTokens,
-		RestoredBytes:  r.restoredBytes,
-		Preemptions:    r.preemptions,
-		state:          r.state,
-		spent:          r.spent,
-		FirstToken:     r.firstToken,
-		ForkDone:       r.forkDone,
-	}
+	return Migrated{carried: r.carried, Tokens: r.seq.Tokens, pooled: r.owned}
 }
 
 // MigrateIn resumes a migrated request on this engine. A request whose
@@ -153,8 +119,8 @@ func (e *Engine) record(r *run) Migrated {
 // restores whatever this replica's cache, its host tier or a prior
 // fleet fetch holds, and only the remainder recomputes. A pending one
 // re-joins the arrival queue. IDs must remain unique among this
-// engine's live requests. The record is taken over: m.Req is copied
-// into a pooled run; m.Tokens is not copied — a private buffer that
+// engine's live requests. The record is taken over: what it carries is
+// copied into a pooled run; m.Tokens is not copied — a private buffer that
 // came out of MigrateOut is adopted (and recycled here when the request
 // leaves), anything else is borrowed read-only like a submitted prompt
 // — and the prompt's borrow now ends at this engine's retire. The
@@ -168,20 +134,10 @@ func (e *Engine) MigrateIn(m Migrated) {
 	}
 	r := e.takeRun()
 	*r = run{
-		req:            m.Req,
-		seq:            core.Sequence{ID: core.RequestID(m.Req.ID), PromptLen: len(m.Req.Prompt), Tokens: toks},
-		owned:          m.pooled,
-		promptShared:   m.promptShared,
-		state:          m.state,
-		enteredAt:      e.clock,
-		spent:          m.spent,
-		decodesDone:    m.DecodesDone,
-		everComputed:   m.EverComputed,
-		restoredTokens: m.RestoredTokens,
-		restoredBytes:  m.RestoredBytes,
-		preemptions:    m.Preemptions,
-		firstToken:     m.FirstToken,
-		forkDone:       m.ForkDone,
+		carried:   m.carried,
+		seq:       core.Sequence{ID: core.RequestID(m.req.ID), PromptLen: len(m.req.Prompt), Tokens: toks},
+		owned:     m.pooled,
+		enteredAt: e.clock,
 	}
 	e.res.MigratedIn++
 	if m.state == pending {
@@ -199,19 +155,21 @@ func (e *Engine) MigrateIn(m Migrated) {
 // swapped out (there is no process left to serialize pages) and no
 // events are emitted (a crashed process emits nothing); the cluster
 // decides whether the extracted requests are re-dispatched to
-// survivors — recompute from the prompt; EverComputed is preserved so
-// the survivor's recompute counts as RecomputedTokens, the crash's
-// waste — or counted lost. Each record's Tokens is its request's
-// prompt itself; generated tokens died with the process, and their
-// buffers rejoin the free list. The caller owns wiping the manager
-// (core.Crasher); CrashOut only empties the engine's queues.
+// survivors — recompute from the prompt; the rest of what the request
+// carries is kept, so the survivor's recompute counts as
+// RecomputedTokens, the crash's waste — or counted lost. What dies with
+// the device is reset: each record's Tokens is its request's prompt
+// itself (generated tokens died with the process, and their buffers
+// rejoin the free list) and its decode progress is zero. The caller
+// owns wiping the manager (core.Crasher); CrashOut only empties the
+// engine's queues.
 func (e *Engine) CrashOut() []Migrated {
 	out := make([]Migrated, 0, len(e.running)+e.waiting.len()+e.pending.len())
 	for _, q := range e.queues() {
 		for _, r := range q {
 			e.returnTokens(r) // generated tokens die with the process
 			m := e.record(r)
-			m.Tokens, m.DecodesDone = r.req.Prompt, 0
+			m.Tokens, m.decodesDone = r.req.Prompt, 0
 			out = append(out, m)
 			e.dropRun(r)
 		}

@@ -70,12 +70,12 @@ func TestMigrateRunningRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("MigrateOut missed a running request")
 	}
-	if m.state != migrating || m.DecodesDone < 3 || m.FirstToken <= 0 {
+	if m.state != migrating || m.decodesDone < 3 || m.firstToken <= 0 {
 		t.Fatalf("extracted state: %+v", m)
 	}
 	// The newest decode token is appended at its consuming step, so the
 	// sequence holds the prompt plus one token per completed decode.
-	if want := len(req.Prompt) + m.DecodesDone; len(m.Tokens) != want {
+	if want := len(req.Prompt) + m.decodesDone; len(m.Tokens) != want {
 		t.Fatalf("extracted %d tokens, want %d", len(m.Tokens), want)
 	}
 	if a.Live() {
@@ -105,7 +105,7 @@ func TestMigrateRunningRoundTrip(t *testing.T) {
 	if err := c.Submit(&reqC); err != nil {
 		t.Fatal(err)
 	}
-	stepToGenerated(t, c, 1+m.DecodesDone)
+	stepToGenerated(t, c, 1+m.decodesDone)
 	mc, ok := c.MigrateOut(reqC.ID)
 	if !ok || len(mc.Tokens) != len(m.Tokens) {
 		t.Fatalf("control extraction: ok=%v %d tokens vs %d", ok, len(mc.Tokens), len(m.Tokens))
@@ -143,8 +143,8 @@ func TestMigrateRunningRoundTrip(t *testing.T) {
 	}
 	// TTFT continuity: the destination keeps the source's first-token
 	// instant rather than re-measuring.
-	if res.PerRequest[0].TTFT != m.FirstToken {
-		t.Fatalf("TTFT %v, want the migrated instant %v", res.PerRequest[0].TTFT, m.FirstToken)
+	if res.PerRequest[0].TTFT != m.firstToken {
+		t.Fatalf("TTFT %v, want the migrated instant %v", res.PerRequest[0].TTFT, m.firstToken)
 	}
 	if u := b.cfg.Manager.Usage(); u.Used != 0 {
 		t.Fatalf("destination leaked held memory: %+v", u)
@@ -167,7 +167,7 @@ func TestMigrateUnstartedAndWaiting(t *testing.T) {
 	if !ok || m.state != pending {
 		t.Fatalf("pending extraction: ok=%v state=%d", ok, m.state)
 	}
-	m.Req.Arrival = 0
+	m.req.Arrival = 0
 	b := migrateEngine(t, 0)
 	b.MigrateIn(m)
 	if err := b.Drain(); err != nil {
@@ -202,7 +202,7 @@ func TestMigrateUnstartedAndWaiting(t *testing.T) {
 		}
 	}
 	mw, ok := e.MigrateOut(waitID)
-	if !ok || mw.state != waiting || mw.DecodesDone != 0 {
+	if !ok || mw.state != waiting || mw.decodesDone != 0 {
 		t.Fatalf("waiting extraction: ok=%v %+v", ok, mw)
 	}
 	// Unknown IDs are rejected everywhere.

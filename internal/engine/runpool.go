@@ -83,15 +83,17 @@ func (e *Engine) recycleRuns() {
 // index out of range) instead of the slot's next tenant.
 func scribbleRun(r *run) {
 	*r = run{
-		req:           workload.Request{ID: math.MinInt64, Arrival: math.MinInt64, OutputLen: math.MinInt, Fanout: math.MinInt},
+		carried: carried{
+			req:          workload.Request{ID: math.MinInt64, Arrival: math.MinInt64, OutputLen: math.MinInt, Fanout: math.MinInt},
+			state:        -1,
+			decodesDone:  math.MinInt,
+			everComputed: math.MinInt,
+			firstToken:   math.MinInt64,
+		},
 		seq:           core.Sequence{ID: math.MinInt64, PromptLen: math.MinInt},
-		state:         -1,
 		computed:      math.MinInt,
-		decodesDone:   math.MinInt,
 		pendingTarget: math.MinInt,
 		scheduledStep: math.MinInt,
-		everComputed:  math.MinInt,
-		firstToken:    math.MinInt64,
 	}
 }
 

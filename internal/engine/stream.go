@@ -279,9 +279,8 @@ func (e *Engine) Submit(req *workload.Request) error {
 	}
 	r := e.takeRun()
 	*r = run{
-		req:       *req,
+		carried:   carried{req: *req, state: pending},
 		seq:       core.Sequence{ID: core.RequestID(req.ID), PromptLen: len(req.Prompt), Tokens: borrowTokens(req.Prompt)},
-		state:     pending,
 		enteredAt: e.clock,
 	}
 	e.enqueuePending(r)

@@ -18,7 +18,7 @@
 // (MaxQueue) rejects with ErrQueueFull — the caller's signal to slow
 // down. At arrival time, the engine's AdmissionPolicy (configured on
 // the wrapped engine.Config) sheds by estimated KV demand versus live
-// usage or by SLO estimates; shed streams terminate with StateShed.
+// usage or by SLO estimates; shed streams terminate with EventShed.
 // Slow event consumers never block the scheduler: channel sends are
 // non-blocking, dropped progress events are counted on the stream, and
 // the terminal state is always available from Result after the channel
@@ -69,67 +69,13 @@ type Config struct {
 	SLOTTFT time.Duration
 }
 
-// StreamState is a stream's terminal state.
-type StreamState int
-
-const (
-	// StateActive: the stream has not terminated yet.
-	StateActive StreamState = iota
-	// StateFinished: the full output was generated.
-	StateFinished
-	// StateFailed: the request could never run (context exceeds
-	// capacity) or the engine aborted.
-	StateFailed
-	// StateShed: the admission policy dropped the request at arrival.
-	StateShed
-	// StateCancelled: the stream was cancelled (Cancel or context).
-	StateCancelled
-)
-
-// String names the state.
-func (s StreamState) String() string {
-	switch s {
-	case StateActive:
-		return "active"
-	case StateFinished:
-		return "finished"
-	case StateFailed:
-		return "failed"
-	case StateShed:
-		return "shed"
-	case StateCancelled:
-		return "cancelled"
-	default:
-		return fmt.Sprintf("StreamState(%d)", int(s))
-	}
-}
-
 // StreamResult is a stream's terminal record: the engine's record of
-// the request (engine.RequestMetrics) in the server's vocabulary. After
-// an engine abort it carries only ID, State, Generated, Priority and Err.
+// the request as the engine retired it, State its terminal event. After
+// an engine abort the server writes it instead, with only ID, State
+// (EventFailed), Priority and Generated set, and Err the engine error.
 type StreamResult struct {
-	// ID is the request ID.
-	ID int64
-	// State is the terminal state.
-	State StreamState
-	// Arrival is the simulated arrival instant.
-	Arrival time.Duration
-	// TTFT and E2E are the stream's latencies (TTFT zero when no first
-	// token was produced, E2E measured to the terminal event).
-	TTFT, E2E time.Duration
-	// Generated is the number of output tokens produced.
-	Generated int
-	// Preemptions counts recompute-preemptions the stream suffered.
-	Preemptions int
-	// DeadlineMet reports whether the stream finished within its
-	// request's Deadline (true when no deadline was set and the stream
-	// finished).
-	DeadlineMet bool
-	// Priority echoes the request's scheduling class; Report groups
-	// its per-priority breakdown by it.
-	Priority int
-	// Err carries the engine error when State is StateFailed because
-	// the simulation aborted.
+	engine.RequestMetrics
+	// Err is the engine error that aborted the simulation, if one did.
 	Err error
 }
 
@@ -465,33 +411,20 @@ func (s *Server) accept(priority int) {
 	c.submitted++
 }
 
-// streamStates maps the engine's terminal events onto stream states.
-var streamStates = map[engine.EventType]StreamState{
-	engine.EventFinished:  StateFinished,
-	engine.EventFailed:    StateFailed,
-	engine.EventShed:      StateShed,
-	engine.EventCancelled: StateCancelled,
-}
-
-// handleRecord is the engine's retire sink: it turns a request's record
-// into its stream's result and folds it into the report. The terminal
-// event follows immediately (handleEvent) and closes the stream.
+// handleRecord is the engine's retire sink: a request's record is its
+// stream's result, and it is folded into the report. The terminal event
+// follows immediately (handleEvent) and closes the stream.
 func (s *Server) handleRecord(m engine.RequestMetrics) {
 	if st := s.streams[m.ID]; st != nil {
-		s.record(st, &m, StreamResult{
-			ID: m.ID, State: streamStates[m.State], Arrival: m.Arrival,
-			TTFT: m.TTFT, E2E: m.E2E,
-			Generated: m.Generated, Preemptions: m.Preemptions,
-			DeadlineMet: m.DeadlineMet(), Priority: m.Priority,
-		})
+		s.record(st, StreamResult{RequestMetrics: m})
 	}
 }
 
 // record stores a terminated stream's result and rolls its record up.
-func (s *Server) record(st *Stream, m *engine.RequestMetrics, res StreamResult) {
+func (s *Server) record(st *Stream, res StreamResult) {
 	st.result = res
-	s.total.Observe(m)
-	s.classes[st.priority].roll.Observe(m)
+	s.total.Observe(&st.result.RequestMetrics)
+	s.classes[st.priority].roll.Observe(&st.result.RequestMetrics)
 }
 
 // handleEvent routes one engine event to its stream. Called
@@ -536,8 +469,8 @@ func (s *Server) finalize(st *Stream, ev engine.Event) {
 // engine will never retire them, so the server writes their records.
 func (s *Server) failAll(err error) {
 	for id, st := range s.streams {
-		m := engine.RequestMetrics{ID: id, State: engine.EventFailed, Priority: st.priority}
-		s.record(st, &m, StreamResult{ID: id, State: StateFailed, Generated: st.generated, Priority: st.priority, Err: err})
+		m := engine.RequestMetrics{ID: id, State: engine.EventFailed, Priority: st.priority, Generated: st.generated}
+		s.record(st, StreamResult{RequestMetrics: m, Err: err})
 		s.finalize(st, engine.Event{Type: engine.EventFailed, ID: id})
 	}
 }

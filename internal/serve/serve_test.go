@@ -95,7 +95,7 @@ func TestServerStreamsTokens(t *testing.T) {
 		if !ok {
 			t.Fatalf("stream %d: no result after channel close", st.ID())
 		}
-		if res.State != StateFinished || res.Generated != out || gen != out {
+		if res.State != engine.EventFinished || res.Generated != out || gen != out {
 			t.Fatalf("stream %d: state %v generated %d/%d, want finished %d", st.ID(), res.State, res.Generated, gen, out)
 		}
 		if res.TTFT <= 0 || res.E2E < res.TTFT {
@@ -144,7 +144,7 @@ func TestSpeculativeStream(t *testing.T) {
 		}
 		last, bursts, widest = ev.Generated, bursts+1, max(widest, burst)
 	}
-	if res, ok := st.Result(); !ok || res.State != StateFinished || res.Generated != out || last != out {
+	if res, ok := st.Result(); !ok || res.State != engine.EventFinished || res.Generated != out || last != out {
 		t.Fatalf("result %+v (events ended at %d), want finished at exactly %d", res, last, out)
 	}
 	if st.Dropped() != 0 || bursts >= out || widest < 2 {
@@ -167,7 +167,7 @@ func TestSpeculativeStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.State != StateCancelled || res.Generated < 8 || res.Generated >= 50_000 {
+	if res.State != engine.EventCancelled || res.Generated < 8 || res.Generated >= 50_000 {
 		t.Fatalf("victim %+v, want cancelled mid-generation", res)
 	}
 	if err := s.Drain(); err != nil {
@@ -195,7 +195,7 @@ func TestResultAfterEventsClose(t *testing.T) {
 		}
 		for range st.Events() {
 		}
-		if res, ok := st.Result(); !ok || res.State != StateFinished {
+		if res, ok := st.Result(); !ok || res.State != engine.EventFinished {
 			t.Fatalf("iteration %d: result %+v ok=%v right after the event channel closed", i, res, ok)
 		}
 	}
@@ -240,13 +240,13 @@ func TestServerContextCancelReleasesKV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.State != StateCancelled {
+	if res.State != engine.EventCancelled {
 		t.Fatalf("victim state %v, want cancelled", res.State)
 	}
 	if res.Generated < 8 || res.Generated >= 50_000 {
 		t.Fatalf("victim generated %d, want mid-generation", res.Generated)
 	}
-	if bres, err := bystander.Wait(context.Background()); err != nil || bres.State != StateFinished {
+	if bres, err := bystander.Wait(context.Background()); err != nil || bres.State != engine.EventFinished {
 		t.Fatalf("bystander %+v err %v, want finished", bres, err)
 	}
 	if err := s.Drain(); err != nil {
@@ -290,7 +290,7 @@ func TestServerBackpressure(t *testing.T) {
 }
 
 // TestServerShedStreams: an admission policy on the wrapped engine
-// sheds an impossible request; its stream terminates StateShed.
+// sheds an impossible request; its stream terminates engine.EventShed.
 func TestServerShedStreams(t *testing.T) {
 	s := testServer(t, 1<<20, false, Config{
 		Engine: engine.Config{Admission: engine.KVAdmission{}},
@@ -307,7 +307,7 @@ func TestServerShedStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.State != StateShed {
+	if res.State != engine.EventShed {
 		t.Fatalf("state %v, want shed", res.State)
 	}
 	if err := s.Drain(); err != nil {
@@ -338,7 +338,7 @@ func TestCancelAfterIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.State != StateCancelled || res.Generated != 24 {
+		if res.State != engine.EventCancelled || res.Generated != 24 {
 			t.Fatalf("run %d: state %v generated %d, want cancelled at exactly 24", i, res.State, res.Generated)
 		}
 		if err := s.Drain(); err != nil {
@@ -370,7 +370,7 @@ func TestServerClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, ok := st.Result()
-	if !ok || res.State != StateCancelled {
+	if !ok || res.State != engine.EventCancelled {
 		t.Fatalf("stream after Close: %+v ok=%v, want cancelled", res, ok)
 	}
 }
@@ -661,14 +661,14 @@ func TestStreamFork(t *testing.T) {
 			}
 		}
 		res, ok := k.Result()
-		if !ok || res.State != StateCancelled || res.Generated != 60 {
+		if !ok || res.State != engine.EventCancelled || res.Generated != 60 {
 			t.Fatalf("branch %d: %+v ok=%v, want cancelled at exactly 60", k.ID(), res, ok)
 		}
 		if !sawFirst || res.TTFT <= 0 {
 			t.Errorf("branch %d: first token missing (saw=%v TTFT=%v)", k.ID(), sawFirst, res.TTFT)
 		}
 	}
-	if res, err := root.Wait(context.Background()); err != nil || res.State != StateCancelled || res.Generated != 40 {
+	if res, err := root.Wait(context.Background()); err != nil || res.State != engine.EventCancelled || res.Generated != 40 {
 		t.Fatalf("root: %+v err %v, want cancelled at exactly 40", res, err)
 	}
 	if err := s.Drain(); err != nil {

@@ -211,8 +211,9 @@ type (
 	// Stream is the per-request handle Submit returns; its channel
 	// carries the request's scheduler events.
 	Stream = serve.Stream
-	// StreamResult is a stream's terminal record (state, TTFT, E2E,
-	// tokens generated), built from the engine's RequestMetrics.
+	// StreamResult is a stream's terminal record: the engine's record of
+	// the request (State its terminal event, TTFT, E2E, tokens
+	// generated) plus the error of an engine abort.
 	StreamResult = serve.StreamResult
 	// ServingReport is the server-level scorecard: the engine's totals,
 	// the roll-up of the terminated streams' records (goodput, SLO
@@ -233,14 +234,13 @@ type (
 	SLOAdmission = engine.SLOAdmission
 )
 
-// Stream event types and the finished stream state.
+// Stream event types; a finished stream's result has State
+// EventFinished.
 const (
 	EventFirstToken = engine.EventFirstToken
 	EventToken      = engine.EventToken
 	EventPreempted  = engine.EventPreempted
 	EventFinished   = engine.EventFinished
-
-	StreamFinished = serve.StateFinished
 )
 
 // ErrQueueFull is Submit's backpressure error.

@@ -190,7 +190,7 @@ func TestPublicOnlineServing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.State != jenga.StreamFinished || !res.DeadlineMet {
+		if res.State != jenga.EventFinished || !res.DeadlineMet() {
 			t.Fatalf("stream %d: %+v, want finished within deadline", st.ID(), res)
 		}
 	}
