@@ -19,9 +19,10 @@ race:
 	$(GO) test -race -short ./...
 
 # jengadebug pass (part of `make ci`): the build tag under which memory
-# that is handed back — a run to the engine's slab, a prompt array to
-# its generator — is poisoned before reuse, and the hand-over counts
-# are asserted to balance at every Drain and Reset (internal/debug,
+# that is handed back — a run to the engine's slab, an Out token buffer
+# to the engine's free list, a prompt array to its generator — is
+# poisoned before reuse, and the hand-over counts (runs, token buffers,
+# prompts) are asserted to balance at every Drain and Reset (internal/debug,
 # DESIGN.md "Requests and prompts"), and under which core's every
 # Release and CrashReset ends with CheckInvariants (free stacks, prefix
 # index, eviction heaps, request-state slab against the page array, the
@@ -156,7 +157,11 @@ vet:
 # engine borrows prompts and recycles decode buffers
 # (internal/engine/tokbuf.go holds the one allocation, the free-list
 # miss), and a fresh []core.Token anywhere else in it is a per-request
-# copy again; internal/cluster has one serve loop — one placement step
+# copy again; a run's sequence borrows its prompt for the run's whole
+# life — decode appends to the engine's Out buffer alone, and a fork
+# child copies only its parent's Out — so an append( in non-test
+# internal/engine whose last argument spreads a .Prompt or seq.Tokens
+# is the per-request prompt copy into a decode buffer again; internal/cluster has one serve loop — one placement step
 # (the only router.Route call site) and one file that may use
 # goroutines and channels — and a second of either is a second loop;
 # internal/bench and cmd/jengabench build clusters in one place,
@@ -216,6 +221,7 @@ guard:
 	@out=$$(grep -rln '"container/heap"' internal/core --include='*.go' | grep -v '_test\.go$$'); if [ -n "$$out" ]; then echo "container/heap (boxing) is back in internal/core:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'func project(' internal/core --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "core.project (a per-claim copy of the prefix) is back in internal/core:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn -e 'append(\[\]core\.Token(nil)' -e 'make(\[\]core\.Token' internal/engine --include='*.go' | grep -v -e '_test\.go:' -e '^internal/engine/tokbuf\.go:'); if [ -n "$$out" ]; then echo "token copies outside the free-list miss in internal/engine:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE 'append\(.*(\.Prompt|seq\.Tokens)\.\.\.\)' internal/engine --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a prompt is spread into a buffer in internal/engine (a run borrows req.Prompt as seq.Tokens for its whole life; only seq.Out is the engine's):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'router\.Route(' internal/cluster --include='*.go' | grep -v '_test\.go:'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/cluster must have exactly one router.Route call site (the placement step):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rl '^//jenga:concurrent' internal/cluster --include='*.go' | grep -v '_test\.go$$'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/cluster must have exactly one //jenga:concurrent file (the serve loop):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'cluster\.Config{' internal/bench cmd/jengabench --include='*.go' | grep -v '_test\.go:'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/bench + cmd/jengabench must have exactly one cluster.Config literal (bench.Run):"; echo "$$out"; exit 1; fi

@@ -224,16 +224,18 @@ func (p *Paged) advance(seq *core.Sequence, tr *seqTrack, upTo int) {
 	if upTo <= tr.seen {
 		return
 	}
-	delta := seq.Tokens[tr.seen:upTo]
+	head, tail := seq.Span(tr.seen, upTo)
 	for gi := range p.spec.Groups {
 		g := &p.spec.Groups[gi]
 		if g.Kind == model.VisionEmbedding {
 			continue
 		}
 		add := 0
-		for _, t := range delta {
-			if g.StoresToken(t.Image()) {
-				add++
+		for _, part := range [2][]core.Token{head, tail} {
+			for _, t := range part {
+				if g.StoresToken(t.Image()) {
+					add++
+				}
 			}
 		}
 		if add == 0 {

@@ -69,24 +69,25 @@ func (c *Cluster) arrivalSection(p *pass, at time.Duration) error {
 	return nil
 }
 
-// fleetFetch runs the fleet-store miss path for tokens about to be
-// admitted on replica rep: if the directory says peers extend rep's
-// local prefix, the pages move into rep's host tier now and the wire
-// bytes are charged to rep's next step as peer-link DMA. Barrier
-// sections run one at a time, so the cluster's one fetch sequence is
-// free on entry; the tokens are only borrowed for the call.
+// fleetFetch runs the fleet-store miss path for a request about to be
+// admitted on replica rep, whose sequence is prompt followed by out: if
+// the directory says peers extend rep's local prefix, the pages move
+// into rep's host tier now and the wire bytes are charged to rep's next
+// step as peer-link DMA. Barrier sections run one at a time, so the
+// cluster's one fetch sequence is free on entry; the tokens are only
+// borrowed for the call.
 //
 //jenga:hotpath
-func (c *Cluster) fleetFetch(rep int, id int64, promptLen int, tokens []core.Token) {
-	if c.store == nil || len(tokens) == 0 {
+func (c *Cluster) fleetFetch(rep int, id int64, prompt, out []core.Token) {
+	if c.store == nil || len(prompt)+len(out) == 0 {
 		return
 	}
-	c.fetchSeq = core.Sequence{ID: core.RequestID(id), PromptLen: promptLen, Tokens: tokens}
+	c.fetchSeq = core.Sequence{ID: core.RequestID(id), PromptLen: len(prompt), Tokens: prompt, Out: out}
 	now := core.Tick(c.engines[rep].SnapshotTotals().Step)
 	if fr := c.store.Fetch(rep, &c.fetchSeq, now); fr.Bytes > 0 {
 		c.engines[rep].RecordPeerFetch(fr.Tokens, fr.Bytes)
 	}
-	c.fetchSeq.Tokens = nil
+	c.fetchSeq.Tokens, c.fetchSeq.Out = nil, nil
 }
 
 // migrate moves one live request from replica src to replica dst:
@@ -111,7 +112,7 @@ func (c *Cluster) migrate(p *pass, src, dst int, id int64) bool {
 		}
 		return false
 	}
-	c.fleetFetch(dst, m.ID(), len(m.Prompt()), m.Tokens)
+	c.fleetFetch(dst, m.ID(), m.Prompt(), m.Out)
 	c.engines[dst].MigrateIn(m)
 	p.out.Migrations++
 	return true

@@ -71,9 +71,14 @@ type Sequence struct {
 	// Tag selects which model's KV groups apply when one manager serves
 	// multiple models (§6.1); empty matches untagged groups only.
 	Tag string
-	// Tokens holds the prompt followed by generated tokens; the engine
-	// appends as decoding progresses.
+	// The sequence's content is Tokens followed by Out. The engine
+	// borrows the request's prompt as Tokens, read-only and never
+	// copied, and appends generated tokens to Out, a buffer it owns; a
+	// hand-built sequence may hold everything in Tokens and leave Out
+	// nil. The manager reads the two only through Len and Span, so where
+	// the boundary lies makes no difference to it.
 	Tokens []Token
+	Out    []Token
 	// PromptLen is the number of leading prompt tokens (0 = all).
 	// Prefix-cache hits land at prompt boundaries, so window KV inside
 	// the prompt's final window stays in the live eviction class even
@@ -82,10 +87,36 @@ type Sequence struct {
 	PromptLen int
 }
 
+// Len is the sequence's length: len(Tokens) + len(Out).
+func (s *Sequence) Len() int { return len(s.Tokens) + len(s.Out) }
+
+// Span returns the sequence's tokens [lo, hi) as the part of them in
+// Tokens and the part in Out, without copying: either may be empty.
+//
+//jenga:hotpath
+func (s *Sequence) Span(lo, hi int) (head, tail []Token) {
+	n := len(s.Tokens)
+	switch {
+	case hi <= n:
+		return s.Tokens[lo:hi], nil
+	case lo >= n:
+		return nil, s.Out[lo-n : hi-n]
+	}
+	return s.Tokens[lo:], s.Out[:hi-n]
+}
+
+// at returns the sequence's i-th token.
+func (s *Sequence) at(i int) Token {
+	if i < len(s.Tokens) {
+		return s.Tokens[i]
+	}
+	return s.Out[i-len(s.Tokens)]
+}
+
 // promptBound returns the effective prompt length.
 func (s *Sequence) promptBound() int {
-	if s.PromptLen <= 0 || s.PromptLen > len(s.Tokens) {
-		return len(s.Tokens)
+	if n := s.Len(); s.PromptLen <= 0 || s.PromptLen > n {
+		return n
 	}
 	return s.PromptLen
 }
@@ -94,7 +125,7 @@ func (s *Sequence) promptBound() int {
 // and the baselines.
 type Manager interface {
 	// Lookup returns the longest model-wide cached prefix, in tokens,
-	// for the sequence's current Tokens. It does not claim pages. A
+	// for the sequence's current content. It does not claim pages. A
 	// manager may remember the sequence from here on (Jenga keeps its
 	// block hashes, so that no later call hashes the prompt again);
 	// Release ends that.

@@ -256,7 +256,7 @@ func (m *Jenga) LookupFleet(seq *Sequence, peer PeerPresence) (int, []FetchBlock
 	if debug.On && m.host != nil {
 		m.host.scribbleFetch()
 	}
-	if !m.cfg.EnablePrefixCache || m.host == nil || !m.host.hasRoomEver() || peer == nil || len(seq.Tokens) < 2 {
+	if !m.cfg.EnablePrefixCache || m.host == nil || !m.host.hasRoomEver() || peer == nil || seq.Len() < 2 {
 		return 0, nil // (and at least one token must run)
 	}
 	sh := m.hashesOf(m.getReq(seq), seq)

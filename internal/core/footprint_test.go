@@ -17,7 +17,7 @@ func steadyState(m *Jenga, seq *Sequence) int64 {
 		if !g.appliesTo(seq) {
 			continue
 		}
-		proj := countScope(g, seq.Tokens)
+		proj := countScope(g, seq, 0, seq.Len())
 		if proj == 0 {
 			continue
 		}

@@ -183,12 +183,12 @@ func (g *group) resetReq(rg *reqGroup) {
 // serves, if its prompt is only a little longer.
 //
 //jenga:hotpath
-func (m *Jenga) growTable(g *group, refs []pageRef, n int, tokens []Token) []pageRef {
+func (m *Jenga) growTable(g *group, refs []pageRef, n int, seq *Sequence) []pageRef {
 	if n <= len(refs) {
 		return refs
 	}
 	if n > cap(refs) {
-		refs = m.tableSlab.carve(refs, 1<<bits.Len(uint(max(n, (countScope(g, tokens)+g.tpp-1)/g.tpp)-1)))
+		refs = m.tableSlab.carve(refs, 1<<bits.Len(uint(max(n, (countScope(g, seq, 0, seq.Len())+g.tpp-1)/g.tpp)-1)))
 	}
 	return refs[:n]
 }
@@ -236,15 +236,20 @@ func (g *group) appliesTo(seq *Sequence) bool {
 	return g.spec.Tag == "" || g.spec.Tag == seq.Tag
 }
 
-// countScope counts tokens in toks that group g stores.
-func countScope(g *group, toks []Token) int {
+// countScope counts the tokens in seq's [lo, hi) that group g stores.
+//
+//jenga:hotpath
+func countScope(g *group, seq *Sequence, lo, hi int) int {
 	if g.spec.Scope == model.ScopeAll {
-		return len(toks)
+		return hi - lo
 	}
+	head, tail := seq.Span(lo, hi)
 	n := 0
-	for _, t := range toks {
-		if g.spec.StoresToken(t.Image()) {
-			n++
+	for _, part := range [2][]Token{head, tail} {
+		for _, t := range part {
+			if g.spec.StoresToken(t.Image()) {
+				n++
+			}
 		}
 	}
 	return n
@@ -261,7 +266,7 @@ func (m *Jenga) Footprint(seq *Sequence) int64 {
 		if !g.appliesTo(seq) {
 			continue
 		}
-		proj := countScope(g, seq.Tokens)
+		proj := countScope(g, seq, 0, seq.Len())
 		if proj == 0 {
 			continue
 		}
@@ -301,7 +306,7 @@ func (m *Jenga) Footprint(seq *Sequence) int64 {
 //
 //jenga:hotpath
 func (m *Jenga) sharedPrefixBytes(seq *Sequence) int64 {
-	if !m.cfg.EnablePrefixCache || len(seq.Tokens) < 2 {
+	if !m.cfg.EnablePrefixCache || seq.Len() < 2 {
 		return 0
 	}
 	sh := m.hashesOf(m.getReq(seq), seq)
@@ -346,7 +351,7 @@ func (m *Jenga) probeShared(seq *Sequence, sh *seqHashes) int64 {
 		// below the dependency horizon of the whole sequence are demoted
 		// again before the request reaches its steady state.
 		pl := gv.view.ProjCount[p]
-		from, nb := max(g.pol.AccessedFrom(pl), g.pol.FreeBelow(gv.view.ProjCount[len(seq.Tokens)]))/g.tpp, pl/g.tpp
+		from, nb := max(g.pol.AccessedFrom(pl), g.pol.FreeBelow(gv.view.ProjCount[seq.Len()]))/g.tpp, pl/g.tpp
 		for _, used := range gv.view.Present[min(from, nb):nb] {
 			if used {
 				shared += int64(g.smallBytes)
@@ -375,7 +380,7 @@ func (m *Jenga) CachedPrefix(seq *Sequence) int {
 //
 //jenga:hotpath
 func (m *Jenga) Lookup(seq *Sequence) int {
-	if !m.cfg.EnablePrefixCache || len(seq.Tokens) < 2 {
+	if !m.cfg.EnablePrefixCache || seq.Len() < 2 {
 		return 0 // at least one token must run
 	}
 	return m.lookupPrefix(seq, m.hashesOf(m.getReq(seq), seq), m.anyTier(), nil)
@@ -416,7 +421,7 @@ func (m *Jenga) lookupPrefix(seq *Sequence, sh *seqHashes, by presence, peer Pee
 		if g.isVision() || !g.appliesTo(seq) {
 			continue // never gates KV hits
 		}
-		v := m.buildView(g, &sh.c[g.hclass], seq.Tokens, by)
+		v := m.buildView(g, &sh.c[g.hclass], seq, by)
 		if g.spec.Kind == model.Mamba {
 			// Checkpoint presence is read through CheckpointAt in the
 			// candidate scan; mark possible presence cheaply.
@@ -455,7 +460,7 @@ func (m *Jenga) lookupPrefix(seq *Sequence, sh *seqHashes, by presence, peer Pee
 	if !anyPresent {
 		return 0
 	}
-	return longestValid(views, len(seq.Tokens)-1)
+	return longestValid(views, seq.Len()-1)
 }
 
 // longestValid returns the longest prefix of at most maxP tokens that
@@ -502,27 +507,31 @@ type lookupView struct {
 // where every token is stored it is the identity.
 //
 //jenga:hotpath
-func (m *Jenga) buildView(g *group, bh *classHashes, tokens []Token, by presence) *GroupSeqView {
+func (m *Jenga) buildView(g *group, bh *classHashes, seq *Sequence, by presence) *GroupSeqView {
 	v := &g.lkView
 	v.BlockTokens = g.tpp
-	if bh.proj == len(tokens) {
-		for n := len(m.identity); n <= len(tokens); n++ {
+	if ln := seq.Len(); bh.proj == ln {
+		for n := len(m.identity); n <= ln; n++ {
 			//jenga:alloc-ok amortized: grows to the longest sequence ever looked up
 			m.identity = append(m.identity, n)
 		}
-		v.ProjCount = m.identity[:len(tokens)+1]
+		v.ProjCount = m.identity[:ln+1]
 	} else {
-		if cap(g.lkProjCount) <= len(tokens) {
+		if cap(g.lkProjCount) <= ln {
 			//jenga:alloc-ok amortized: grows to the longest sequence ever looked up
-			g.lkProjCount = make([]int, len(tokens)+1)
+			g.lkProjCount = make([]int, ln+1)
 		}
-		v.ProjCount = g.lkProjCount[:len(tokens)+1]
-		n := 0
-		for i, t := range tokens {
-			if g.spec.StoresToken(t.Image()) {
-				n++
+		v.ProjCount = g.lkProjCount[:ln+1]
+		head, tail := seq.Span(0, ln)
+		i, n := 0, 0
+		for _, part := range [2][]Token{head, tail} {
+			for _, t := range part {
+				if g.spec.StoresToken(t.Image()) {
+					n++
+				}
+				i++
+				v.ProjCount[i] = n
 			}
-			v.ProjCount[i+1] = n
 		}
 	}
 	if g.spec.Kind == model.Mamba {
@@ -566,9 +575,9 @@ func (m *Jenga) fillPresent(g *group, dst []bool, hashes []uint64, by presence) 
 //
 //jenga:hotpath
 func (m *Jenga) Reserve(seq *Sequence, upTo int, now Tick) error {
-	if upTo > len(seq.Tokens) {
+	if upTo > seq.Len() {
 		//jenga:alloc-ok caller-bug error path, never taken on the measured steady state
-		return fmt.Errorf("core: reserve %d beyond sequence length %d", upTo, len(seq.Tokens))
+		return fmt.Errorf("core: reserve %d beyond sequence length %d", upTo, seq.Len())
 	}
 	r := m.getReq(seq)
 	r.touched = true
@@ -581,13 +590,12 @@ func (m *Jenga) Reserve(seq *Sequence, upTo int, now Tick) error {
 	if upTo <= r.reserved {
 		return nil
 	}
-	delta := seq.Tokens[r.reserved:upTo]
 	for gi, g := range m.groups {
 		if g.isVision() || !g.appliesTo(seq) {
 			continue // vision is driven by EncodeImages
 		}
 		rg := &r.g[gi]
-		add := countScope(g, delta)
+		add := countScope(g, seq, r.reserved, upTo)
 		if add == 0 {
 			continue
 		}
@@ -599,7 +607,7 @@ func (m *Jenga) Reserve(seq *Sequence, upTo int, now Tick) error {
 			continue
 		}
 		lastBlock := (newProj - 1) / g.tpp
-		rg.pages = m.growTable(g, rg.pages, lastBlock+1, seq.Tokens)
+		rg.pages = m.growTable(g, rg.pages, lastBlock+1, seq)
 		// Copy-on-write boundary: the scan starts at the committed tail
 		// block, not the reserved one, because every block from there to
 		// lastBlock will receive this reservation's commits — a block
@@ -685,53 +693,58 @@ func (m *Jenga) Commit(seq *Sequence, upTo int, now Tick) {
 	if m.cfg.EnablePrefixCache {
 		sh = m.hashesOf(r, seq)
 	}
-	delta := seq.Tokens[r.committed:upTo]
+	head, tail := seq.Span(r.committed, upTo)
 	for gi, g := range m.groups {
 		if g.isVision() || !g.appliesTo(seq) {
 			continue
 		}
-		m.commitGroup(g, &r.g[gi], sh, delta, r.committed, seq.promptBound(), now)
+		m.commitGroup(g, &r.g[gi], sh, head, tail, r.committed, seq.promptBound(), now)
 	}
 	r.committed = upTo
 }
 
-// commitGroup commits delta, the tokens from fullBase on, to group g,
-// publishing the blocks it completes under their hashes in sh.
+// commitGroup commits the tokens from fullBase on — head then tail,
+// the two parts of Sequence.Span — to group g, publishing the blocks it
+// completes under their hashes in sh.
 //
 //jenga:hotpath
-func (m *Jenga) commitGroup(g *group, rg *reqGroup, sh *seqHashes, delta []Token, fullBase, promptBound int, now Tick) {
+func (m *Jenga) commitGroup(g *group, rg *reqGroup, sh *seqHashes, head, tail []Token, fullBase, promptBound int, now Tick) {
 	mamba := g.spec.Kind == model.Mamba
 	pos := rg.projCommitted
-	for i, t := range delta {
-		if !g.spec.StoresToken(t.Image()) {
-			continue
-		}
-		if fullBase+i < promptBound {
-			rg.projPrompt = pos + 1
-		}
-		if mamba {
-			pos++
-			if rg.ckptDone < len(rg.pages) && pos == rg.ckptPos(g, rg.ckptDone) {
-				m.finalizeCheckpoint(g, rg, &sh.c[g.hclass], rg.ckptDone, now)
-				rg.ckptDone++
+	i := fullBase - 1
+	for _, part := range [2][]Token{head, tail} {
+		for _, t := range part {
+			i++
+			if !g.spec.StoresToken(t.Image()) {
+				continue
 			}
-			continue
-		}
-		b := pos / g.tpp
-		if b >= len(rg.pages) || !rg.pages[b].held {
-			check(false, "commit into unreserved block %d", b)
-		}
-		pg := &g.pages[rg.pages[b].id]
-		pg.filled++
-		g.filledSlots++
-		pos++
-		if pos%g.tpp == 0 {
-			pg.complete = true
-			if sh != nil {
-				ch := &sh.c[g.hclass]
-				g.hash[rg.pages[b].id] = ch.hashes[b]
-				pg.priority = g.pol.BlockPriority(b, g.runKey(ch, b))
-				m.publish(g, rg.pages[b].id)
+			if i < promptBound {
+				rg.projPrompt = pos + 1
+			}
+			if mamba {
+				pos++
+				if rg.ckptDone < len(rg.pages) && pos == rg.ckptPos(g, rg.ckptDone) {
+					m.finalizeCheckpoint(g, rg, &sh.c[g.hclass], rg.ckptDone, now)
+					rg.ckptDone++
+				}
+				continue
+			}
+			b := pos / g.tpp
+			if b >= len(rg.pages) || !rg.pages[b].held {
+				check(false, "commit into unreserved block %d", b)
+			}
+			pg := &g.pages[rg.pages[b].id]
+			pg.filled++
+			g.filledSlots++
+			pos++
+			if pos%g.tpp == 0 {
+				pg.complete = true
+				if sh != nil {
+					ch := &sh.c[g.hclass]
+					g.hash[rg.pages[b].id] = ch.hashes[b]
+					pg.priority = g.pol.BlockPriority(b, g.runKey(ch, b))
+					m.publish(g, rg.pages[b].id)
+				}
 			}
 		}
 	}
@@ -847,7 +860,7 @@ func (m *Jenga) Release(seq *Sequence, cache bool) {
 // the claim; if device memory runs out mid-restore, the claim rolls
 // back and falls back to the GPU-only prefix, which never allocates.
 func (m *Jenga) claim(seq *Sequence, r *reqState, now Tick) {
-	if len(seq.Tokens) < 2 {
+	if seq.Len() < 2 {
 		return // nothing to claim: at least one token must run
 	}
 	// An empty tier cannot assist any lookup, so skip the host passes
@@ -940,7 +953,7 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, sh *seqHashes, p int, no
 		if len(rg.pages) != 0 {
 			check(false, "claim: group %s already holds a page table", g.spec.Name)
 		}
-		rg.pages = m.growTable(g, rg.pages, nb, seq.Tokens)
+		rg.pages = m.growTable(g, rg.pages, nb, seq)
 		m.claimBlocks(g, rg, r.id, hashes, 0, head, useHost)
 		m.claimBlocks(g, rg, r.id, hashes, lo, nb, useHost)
 		rg.projReserved = pl
@@ -1095,8 +1108,8 @@ func (m *Jenga) claimMamba(g *group, rg *reqGroup, hash uint64, pl int, now Tick
 // pages for every image token among the first uptoFull tokens. The
 // engine calls it after running the (simulated) vision encoder.
 func (m *Jenga) EncodeImages(seq *Sequence, uptoFull int, now Tick) error {
-	if uptoFull > len(seq.Tokens) {
-		return fmt.Errorf("core: encode %d beyond sequence length %d", uptoFull, len(seq.Tokens))
+	if uptoFull > seq.Len() {
+		return fmt.Errorf("core: encode %d beyond sequence length %d", uptoFull, seq.Len())
 	}
 	r := m.getReq(seq)
 	r.touched = true
@@ -1106,11 +1119,11 @@ func (m *Jenga) EncodeImages(seq *Sequence, uptoFull int, now Tick) error {
 		}
 		rg := &r.g[gi]
 		if rg.visCursor < uptoFull {
-			images := countScope(g, seq.Tokens[rg.visCursor:uptoFull])
-			rg.pages = m.growTable(g, rg.pages, (rg.visProj+images+g.tpp-1)/g.tpp, seq.Tokens)
+			images := countScope(g, seq, rg.visCursor, uptoFull)
+			rg.pages = m.growTable(g, rg.pages, (rg.visProj+images+g.tpp-1)/g.tpp, seq)
 		}
 		for fi := rg.visCursor; fi < uptoFull; fi++ {
-			if !seq.Tokens[fi].Image() {
+			if !seq.at(fi).Image() {
 				continue
 			}
 			b := rg.visProj / g.tpp
@@ -1155,11 +1168,11 @@ func (m *Jenga) DropImages(seq *Sequence, uptoFull int) {
 			continue
 		}
 		rg := &r.g[gi]
-		if uptoFull > len(seq.Tokens) {
-			uptoFull = len(seq.Tokens)
+		if uptoFull > seq.Len() {
+			uptoFull = seq.Len()
 		}
 		for fi := rg.dropCursor; fi < uptoFull; fi++ {
-			if seq.Tokens[fi].Image() {
+			if seq.at(fi).Image() {
 				rg.dropProj++
 			}
 		}

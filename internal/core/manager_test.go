@@ -73,7 +73,7 @@ func mixedSeq(id RequestID, imgN, txtN int) *Sequence {
 func viewOf(m *Jenga, g *group, tokens []Token) *GroupSeqView {
 	probe := &Sequence{ID: -1, Tokens: tokens}
 	defer m.Release(probe, false)
-	return m.buildView(g, &m.hashesOf(m.getReq(probe), probe).c[g.hclass], tokens, resident)
+	return m.buildView(g, &m.hashesOf(m.getReq(probe), probe).c[g.hclass], probe, resident)
 }
 
 func audit(t *testing.T, m *Jenga) {

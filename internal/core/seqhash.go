@@ -15,12 +15,15 @@ import (
 // from the first of those calls that names the request to its Release —
 // whether or not it ever reserved anything — and each call folds in
 // only the tokens appended since the last. A live sequence's tokens are
-// only ever appended to — growth may move the array (the engine's
-// switch from the borrowed prompt to a private decode buffer) but never
+// only ever appended to — growth may move Out's array but never
 // rewrites a token — and IDs are unique among live requests, so a
 // record cannot describe another request's tokens as long as every
 // request the manager was shown is released: that is the caller's side
-// of the contract (Manager.Release).
+// of the contract (Manager.Release). A token that changed under KV the
+// request has committed is that contract broken — the sequence reads a
+// buffer its owner already handed back — and a jengadebug build panics
+// on it (the engine poisons returned token buffers) instead of hashing
+// the sequence afresh.
 //
 // A block's hash depends on the tokens and the block size, not on the
 // layer type, so groups that store the same tokens in blocks of the
@@ -89,28 +92,31 @@ func (m *Jenga) hashClassOf(g *model.KVGroup, tpp int) int {
 }
 
 // hashesOf returns the block hashes of r, seq's state, with all of
-// seq.Tokens folded in.
+// seq's tokens folded in.
 //
 //jenga:hotpath
 func (m *Jenga) hashesOf(r *reqState, seq *Sequence) *seqHashes {
 	sh := &r.h
-	toks := seq.Tokens
-	if sh.n > len(toks) || (sh.n > 0 && toks[sh.n-1] != sh.last) {
+	ln := seq.Len()
+	if sh.n > ln || (sh.n > 0 && seq.at(sh.n-1) != sh.last) {
+		if debug.On && sh.n <= min(ln, r.committed) {
+			check(false, "request %d's token %d changed under its committed KV: the sequence reads a handed-back buffer", r.id, sh.n-1)
+		}
 		// Not an extension of what was hashed (a caller reusing an ID it
 		// never released, a truncated sequence): start over.
 		sh.reset()
 	}
-	if sh.n == len(toks) {
+	if sh.n == ln {
 		return sh
 	}
-	fresh := toks[sh.n:]
+	head, tail := seq.Span(sh.n, ln)
 	for ci, c := range m.hashClasses {
 		if c.tag != "" && c.tag != seq.Tag {
 			continue
 		}
 		ch := &sh.c[ci]
 		keepRuns := c.scope != model.ScopeAll
-		whole := (ch.proj + len(fresh)) / c.stride
+		whole := (ch.proj + ln - sh.n) / c.stride
 		if whole > cap(ch.hashes) {
 			ch.hashes = m.hashSlab.carve(ch.hashes, whole)
 		}
@@ -119,25 +125,27 @@ func (m *Jenga) hashesOf(r *reqState, seq *Sequence) *seqHashes {
 		}
 		// A run starts at a token of the class whose predecessor is not.
 		h, pl, run, gap := ch.chain, ch.proj, ch.run, sh.n > 0 && !c.stores(sh.last)
-		for _, t := range fresh {
-			if !c.stores(t) {
-				gap = true
-				continue
-			}
-			if gap {
-				run, gap = h, false
-			}
-			h = hashChain(h, t)
-			if pl++; pl%c.stride == 0 {
-				ch.hashes = append(ch.hashes, h)
-				if keepRuns {
-					ch.runs = append(ch.runs, run)
+		for _, part := range [2][]Token{head, tail} {
+			for _, t := range part {
+				if !c.stores(t) {
+					gap = true
+					continue
+				}
+				if gap {
+					run, gap = h, false
+				}
+				h = hashChain(h, t)
+				if pl++; pl%c.stride == 0 {
+					ch.hashes = append(ch.hashes, h)
+					if keepRuns {
+						ch.runs = append(ch.runs, run)
+					}
 				}
 			}
 		}
 		ch.chain, ch.proj, ch.run = h, pl, run
 	}
-	sh.n, sh.last, sh.sharedAt = len(toks), toks[len(toks)-1], 0
+	sh.n, sh.last, sh.sharedAt = ln, seq.at(ln-1), 0
 	return sh
 }
 

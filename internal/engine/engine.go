@@ -268,11 +268,9 @@ type carried struct {
 // keep a *run past the step in which its request left the engine.
 type run struct {
 	carried
+	// seq borrows req.Prompt as its Tokens and holds the generated
+	// tail in Out, a buffer from the engine's free list. See tokbuf.go.
 	seq core.Sequence
-	// owned marks seq.Tokens as a private buffer from the engine's free
-	// list; otherwise it borrows req.Prompt (or a Migrated record's
-	// slice) and is read-only. See tokbuf.go.
-	owned bool
 	// enteredAt is when the request entered its current state.
 	enteredAt time.Duration
 	// computed is the number of tokens with committed KV.
@@ -328,17 +326,20 @@ func (r *run) running() bool { return r.state == prefilling || r.state == decodi
 // remaining is r's unserved work: uncommitted tokens (a recompute pass
 // after preemption covers generated tokens too) plus undone output.
 func (r *run) remaining() int {
-	return max(len(r.seq.Tokens)-r.computed, 0) + max(r.req.OutputLen-1-r.decodesDone, 0)
+	return max(r.seq.Len()-r.computed, 0) + max(r.req.OutputLen-1-r.decodesDone, 0)
 }
 
 // commitTo advances computed to n: tokens [computed, n) join the
 // committed text and image counts, and the high-water mark follows.
 func (r *run) commitTo(n int) {
-	for i := r.computed; i < n && i < len(r.seq.Tokens); i++ {
-		if r.seq.Tokens[i].Image() {
-			r.ctxImg++
-		} else {
-			r.ctxText++
+	head, tail := r.seq.Span(r.computed, max(min(n, r.seq.Len()), r.computed))
+	for _, part := range [2][]core.Token{head, tail} {
+		for _, t := range part {
+			if t.Image() {
+				r.ctxImg++
+			} else {
+				r.ctxText++
+			}
 		}
 	}
 	r.computed = n
@@ -402,10 +403,10 @@ type Engine struct {
 	tier     core.TierManager
 	tierBase core.TierStats
 
-	// tokFree is the free list of private token buffers (tokbuf.go) and
-	// runs the free list of runs (runpool.go); both survive Reset.
-	tokFree tokenPool
-	runs    runPool
+	// tok is the free list of Out buffers (tokbuf.go) and runs the free
+	// list of runs (runpool.go); both survive Reset.
+	tok  tokenPool
+	runs runPool
 	// promptSink, when set, is handed the prompt of every request that
 	// retires here and shares it with nobody (SetPromptSink).
 	promptSink func([]core.Token)
@@ -756,15 +757,15 @@ func (e *Engine) runStep() bool {
 		e.ownTokens(r)
 		gain := 1
 		if e.draftCost != nil {
-			gain = min(acceptedDrafts(r.req.ID, len(r.seq.Tokens))+1, r.req.OutputLen-1-r.decodesDone)
+			gain = min(acceptedDrafts(r.req.ID, r.seq.Len())+1, r.req.OutputLen-1-r.decodesDone)
 		}
 		for i := 0; i < gain; i++ {
-			r.seq.Tokens = append(r.seq.Tokens, e.genToken(r))
+			r.seq.Out = append(r.seq.Out, e.genToken(r))
 		}
-		target := len(r.seq.Tokens)
+		target := r.seq.Len()
 		if !e.reserveWithPreemption(r, target, now) {
 			// Roll the speculative append back and wait for memory.
-			r.seq.Tokens = r.seq.Tokens[:target-gain]
+			r.seq.Out = r.seq.Out[:len(r.seq.Out)-gain]
 			continue
 		}
 		r.pendingTarget = target
@@ -948,7 +949,7 @@ func (e *Engine) runStep() bool {
 			}
 			// After a preemption the recompute pass covers generated
 			// tokens too, so completion is against the full sequence.
-			if r.computed >= len(r.seq.Tokens) {
+			if r.computed >= r.seq.Len() {
 				// Prefill complete: first output token produced now.
 				e.to(r, decoding, e.clock)
 				if r.firstToken == 0 {
@@ -1019,7 +1020,7 @@ func (e *Engine) schedulePrefill(r *run, budget int, now core.Tick, work *gpu.St
 
 	start := max(r.computed, r.cachedHit)
 	// Recompute passes after preemption cover generated tokens too.
-	chunk := max(min(len(r.seq.Tokens)-start, budget), 0)
+	chunk := max(min(r.seq.Len()-start, budget), 0)
 	target := start + chunk
 	if err := e.cfg.Manager.Reserve(&r.seq, target, now); err != nil {
 		return 0
@@ -1277,7 +1278,7 @@ func (e *Engine) handleStall() bool {
 	}
 	var worst *run
 	for _, r := range e.running {
-		if worst == nil || len(r.seq.Tokens) > len(worst.seq.Tokens) {
+		if worst == nil || r.seq.Len() > worst.seq.Len() {
 			worst = r
 		}
 	}
@@ -1309,7 +1310,7 @@ func (e *Engine) removeRunning(r *run) {
 // step (content derived from request id and position so prefix caching
 // across identical requests behaves consistently).
 func (e *Engine) genToken(r *run) core.Token {
-	pos := len(r.seq.Tokens)
+	pos := r.seq.Len()
 	x := uint64(r.req.ID)*0x9E3779B97F4A7C15 + uint64(pos)*0xBF58476D1CE4E5B9
 	x ^= x >> 29
 	return core.Token{ID: int32(x%50000 + 1)}

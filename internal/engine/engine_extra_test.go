@@ -165,7 +165,7 @@ func TestGenTokenDeterministic(t *testing.T) {
 	if a.Image() || a.Content() < 1 || a.Content() > 50000 {
 		t.Errorf("generated token = image %v, content %d; want a text token in [1, 50000]", a.Image(), a.Content())
 	}
-	r.seq.Tokens = append(r.seq.Tokens, a)
+	r.seq.Out = append(r.seq.Out, a)
 	c := e1.genToken(r)
 	if c == a {
 		t.Error("next position should generally differ")

@@ -109,7 +109,7 @@ func (x *exitEnv) submit(reqs []workload.Request) {
 	x.see()
 }
 
-// see records every private buffer a live run holds. A run is visible
+// see records every Out buffer a live run holds. A run is visible
 // between steps for at least one step boundary after it takes its
 // buffer (a fork child cannot retire in the step that created it, a
 // decode takes 160 steps), so calling see around every step misses
@@ -118,8 +118,8 @@ func (x *exitEnv) see() {
 	for _, e := range []*Engine{x.a, x.b} {
 		for _, q := range e.queues() {
 			for _, r := range q {
-				if r.owned {
-					x.bufs[&r.seq.Tokens[:1][0]] = true
+				if r.seq.Out != nil {
+					x.bufs[&r.seq.Out[:1][0]] = true
 				}
 			}
 		}
@@ -177,7 +177,7 @@ func (x *exitEnv) prefilling() *run {
 func (x *exitEnv) decoding() *run {
 	return x.until(func() *run {
 		for _, r := range x.a.running {
-			if r.owned && r.decodesDone > 1 {
+			if r.seq.Out != nil && r.decodesDone > 1 {
 				return r
 			}
 		}
@@ -315,18 +315,22 @@ func (x *exitEnv) finish(want map[int64]EventType) {
 	if terminated != len(byID) {
 		t.Errorf("engines count %d terminated requests, %d were seen", terminated, len(byID))
 	}
-	// Free lists: every run taken is back, and every buffer lent is on
-	// one engine's list — its own, or the one that adopted it through a
-	// record — unless that class was already at its cap.
+	// Free lists: every run taken is back, every buffer lent is back by
+	// its engine's count, and every buffer seen is on one engine's list
+	// — its own, or the one that adopted it through a record — unless
+	// that list was already at its cap.
 	pooled := map[*core.Token]int{}
 	for _, e := range []*Engine{x.a, x.b} {
 		if p := &e.runs; p.taken != p.returned || len(p.spent) != 0 {
 			t.Errorf("%d runs taken, %d returned, %d parked", p.taken, p.returned, len(p.spent))
 		}
+		if p := &e.tok; p.lent != p.back {
+			t.Errorf("%d token buffers lent, %d back", p.lent, p.back)
+		}
 		if lent := lentBuffers(e); lent != 0 {
 			t.Errorf("drained engine still lends %d buffers", lent)
 		}
-		for _, class := range e.tokFree {
+		for _, class := range e.tok.free {
 			for _, b := range class {
 				pooled[&b[:1][0]]++
 			}
@@ -337,15 +341,13 @@ func (x *exitEnv) finish(want map[int64]EventType) {
 	}
 	atCap := false
 	for _, e := range []*Engine{x.a, x.b} {
-		for _, class := range e.tokFree {
-			atCap = atCap || len(class) >= e.cfg.MaxRunning
-		}
+		atCap = atCap || e.tok.idle >= e.cfg.MaxRunning
 	}
 	for base := range x.bufs {
 		if n := pooled[base]; n > 1 {
 			t.Errorf("a token buffer is on %d free lists", n)
 		} else if n == 0 && !atCap {
-			t.Error("a token buffer was lost: on no free list, and no class is at its cap")
+			t.Error("a token buffer was lost: on no free list, and no list is at its cap")
 		}
 	}
 }

@@ -83,15 +83,15 @@ func (e *Engine) Fork(parentID int64, childIDs []int64) error {
 // forkOne clones parent into one child branch and enters it into the
 // running set. The child request shares the parent's Prompt array
 // (read-only, like every prompt the engine holds — and from here on
-// handed back by neither); its run and its token buffer come from the
-// engine's free lists.
+// handed back by neither), and its sequence borrows it as the parent's
+// does; its run and its Out buffer come from the engine's free lists.
 func (e *Engine) forkOne(parent *run, childID int64) error {
 	if parent.req.Group == 0 {
 		parent.req.Group = parent.req.ID
 	}
-	// A child decodes from its first step, so it starts on a private
-	// buffer holding the parent's content up to the divergence point.
-	toks := append(e.takeTokens(len(parent.req.Prompt)+parent.req.OutputLen), parent.seq.Tokens...)
+	// The child's generated tail starts as the parent's, up to the
+	// divergence point: the one part of the parent's content it copies.
+	out := append(e.takeTokens(parent.req.OutputLen-1), parent.seq.Out...)
 	child := e.takeRun()
 	*child = run{
 		// The child starts exactly where the parent stands: everything
@@ -111,8 +111,7 @@ func (e *Engine) forkOne(parent *run, childID int64) error {
 			everComputed: parent.everComputed,
 			forkDone:     true, // children of a Fanout root never re-fork
 		},
-		seq:           core.Sequence{ID: core.RequestID(childID), PromptLen: parent.seq.PromptLen, Tokens: toks},
-		owned:         true,
+		seq:           core.Sequence{ID: core.RequestID(childID), PromptLen: parent.seq.PromptLen, Tokens: parent.seq.Tokens, Out: out},
 		enteredAt:     e.clock,
 		computed:      parent.computed,
 		cachedHit:     parent.cachedHit,

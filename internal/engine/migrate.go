@@ -8,18 +8,18 @@ import "jenga/internal/core"
 // engine, re-entering through the ordinary re-admission path (prefix
 // claim first, recompute only what neither the destination's tier nor
 // a fleet fetch restored). The extracted state is the run's carried
-// part, whole, plus its tokens: generated tokens (decode content is
+// part, whole, plus its generated tokens (decode content is
 // deterministic in (ID, position), so a resumed decode produces
 // identical output) and everything the request's record reports. The
 // cluster layer owns policy — when to migrate, where to, and how to move
 // the pages (internal/fleet).
 
 // Migrated is one request's portable runtime state. It owns what it
-// carries — the request header by value, the run's token slice, the
+// carries — the request header by value, the run's Out buffer, the
 // borrow of the prompt that Submit began — and is moved, not copied:
 // hand it to exactly one MigrateIn, which takes all three over, or drop
-// it, and the prompt is left to the GC (no prompt sink hears of a
-// request that retired nowhere).
+// it, and the prompt and the buffer are left to the GC (no prompt sink
+// hears of a request that retired nowhere).
 type Migrated struct {
 	// carried is the run's, as the source engine held it, with its open
 	// interval closed at the source's clock: state is where the request
@@ -29,17 +29,14 @@ type Migrated struct {
 	// labelled the Group); req.Prompt is still the submitter's array,
 	// read-only as ever.
 	carried
-	// Tokens is the sequence content at extraction: prompt plus every
-	// generated token. It is the extracted run's own slice — the prompt
-	// itself for a request that had not decoded yet (and for every
-	// CrashOut record), the source engine's private buffer otherwise —
-	// so holders may read it (to fetch the prefix's pages, say) but
+	// Out is the request's generated tokens at extraction, which follow
+	// its prompt (Prompt) in the sequence: the source engine's Out
+	// buffer, whose ownership travels with the record — MigrateIn adopts
+	// it and the destination recycles it at the request's exit — or nil
+	// for a request that had not decoded yet and for every CrashOut
+	// record. Holders may read it (to fetch the prefix's pages, say) but
 	// must not write to it or keep it past MigrateIn.
-	Tokens []core.Token
-	// pooled marks Tokens as a private engine buffer whose ownership
-	// travels with the record: MigrateIn adopts it and the destination
-	// recycles it at the request's exit.
-	pooled bool
+	Out []core.Token
 }
 
 // ID is the migrating request's ID.
@@ -109,7 +106,10 @@ func (e *Engine) record(r *run) Migrated {
 	} else {
 		r.settle(e.clock)
 	}
-	return Migrated{carried: r.carried, Tokens: r.seq.Tokens, pooled: r.owned}
+	if r.seq.Out != nil {
+		e.tok.back++ // handed on with the record
+	}
+	return Migrated{carried: r.carried, Out: r.seq.Out}
 }
 
 // MigrateIn resumes a migrated request on this engine. A request whose
@@ -120,23 +120,20 @@ func (e *Engine) record(r *run) Migrated {
 // fleet fetch holds, and only the remainder recomputes. A pending one
 // re-joins the arrival queue. IDs must remain unique among this
 // engine's live requests. The record is taken over: what it carries is
-// copied into a pooled run; m.Tokens is not copied — a private buffer that
-// came out of MigrateOut is adopted (and recycled here when the request
-// leaves), anything else is borrowed read-only like a submitted prompt
-// — and the prompt's borrow now ends at this engine's retire. The
-// caller must not use m again.
+// copied into a pooled run, m.Out is adopted, not copied (and recycled
+// here when the request leaves), the prompt is borrowed read-only as
+// Submit borrows it, and the prompt's borrow now ends at this engine's
+// retire. The caller must not use m again.
 //
 //jenga:hotpath
 func (e *Engine) MigrateIn(m Migrated) {
-	toks := m.Tokens
-	if !m.pooled {
-		toks = borrowTokens(toks)
+	if m.Out != nil {
+		e.tok.lent++
 	}
 	r := e.takeRun()
 	*r = run{
 		carried:   m.carried,
-		seq:       core.Sequence{ID: core.RequestID(m.req.ID), PromptLen: len(m.req.Prompt), Tokens: toks},
-		owned:     m.pooled,
+		seq:       core.Sequence{ID: core.RequestID(m.req.ID), PromptLen: len(m.req.Prompt), Tokens: borrowTokens(m.req.Prompt), Out: m.Out},
 		enteredAt: e.clock,
 	}
 	e.res.MigratedIn++
@@ -158,9 +155,9 @@ func (e *Engine) MigrateIn(m Migrated) {
 // survivors — recompute from the prompt; the rest of what the request
 // carries is kept, so the survivor's recompute counts as
 // RecomputedTokens, the crash's waste — or counted lost. What dies with
-// the device is reset: each record's Tokens is its request's prompt
-// itself (generated tokens died with the process, and their buffers
-// rejoin the free list) and its decode progress is zero. The caller
+// the device is reset: each record's Out is nil (generated tokens died
+// with the process, and their buffers rejoin the free list) and its
+// decode progress is zero. The caller
 // owns wiping the manager (core.Crasher); CrashOut only empties the
 // engine's queues.
 func (e *Engine) CrashOut() []Migrated {
@@ -169,7 +166,7 @@ func (e *Engine) CrashOut() []Migrated {
 		for _, r := range q {
 			e.returnTokens(r) // generated tokens die with the process
 			m := e.record(r)
-			m.Tokens, m.decodesDone = r.req.Prompt, 0
+			m.decodesDone = 0
 			out = append(out, m)
 			e.dropRun(r)
 		}

@@ -75,8 +75,8 @@ func TestMigrateRunningRoundTrip(t *testing.T) {
 	}
 	// The newest decode token is appended at its consuming step, so the
 	// sequence holds the prompt plus one token per completed decode.
-	if want := len(req.Prompt) + m.decodesDone; len(m.Tokens) != want {
-		t.Fatalf("extracted %d tokens, want %d", len(m.Tokens), want)
+	if len(m.Out) != m.decodesDone {
+		t.Fatalf("extracted %d generated tokens, want %d", len(m.Out), m.decodesDone)
 	}
 	if a.Live() {
 		t.Fatal("source still live after migrating its only request")
@@ -107,12 +107,12 @@ func TestMigrateRunningRoundTrip(t *testing.T) {
 	}
 	stepToGenerated(t, c, 1+m.decodesDone)
 	mc, ok := c.MigrateOut(reqC.ID)
-	if !ok || len(mc.Tokens) != len(m.Tokens) {
-		t.Fatalf("control extraction: ok=%v %d tokens vs %d", ok, len(mc.Tokens), len(m.Tokens))
+	if !ok || len(mc.Out) != len(m.Out) {
+		t.Fatalf("control extraction: ok=%v %d tokens vs %d", ok, len(mc.Out), len(m.Out))
 	}
-	for i := range m.Tokens {
-		if m.Tokens[i] != mc.Tokens[i] {
-			t.Fatalf("token %d diverged across engines: %v vs %v", i, m.Tokens[i], mc.Tokens[i])
+	for i := range m.Out {
+		if m.Out[i] != mc.Out[i] {
+			t.Fatalf("token %d diverged across engines: %v vs %v", i, m.Out[i], mc.Out[i])
 		}
 	}
 

@@ -99,13 +99,18 @@ func scribbleRun(r *run) {
 
 // checkHandBack is the jengadebug conservation check at Drain and
 // reset, when nothing is live: every run taken is back on the free
-// list, and every retired request's prompt went one of two ways.
+// list, every Out buffer lent is back (returned, dropped at the cap or
+// handed on by MigrateOut), and every retired request's prompt went
+// one of two ways.
 func (e *Engine) checkHandBack(when string) {
 	if !debug.On {
 		return
 	}
 	if p := &e.runs; p.taken != p.returned || len(p.spent) != 0 {
 		panic(fmt.Sprintf("engine: %s: %d runs taken, %d returned, %d parked", when, p.taken, p.returned, len(p.spent)))
+	}
+	if p := &e.tok; p.lent != p.back {
+		panic(fmt.Sprintf("engine: %s: %d token buffers lent, %d back", when, p.lent, p.back))
 	}
 	if retired := e.res.Finished + e.res.Failed + e.res.Shed + e.res.Cancelled; e.promptsCollected+e.promptsLeft != retired {
 		panic(fmt.Sprintf("engine: %s: %d requests retired, %d prompts collected + %d left to the GC", when, retired, e.promptsCollected, e.promptsLeft))

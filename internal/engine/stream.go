@@ -458,7 +458,7 @@ func (e *Engine) admissionState(r *run) AdmissionState {
 			ahead += int64(w.promptLen())
 		}
 		for _, c := range e.running {
-			if rem := len(c.seq.Tokens) - c.computed; rem > 0 {
+			if rem := c.seq.Len() - c.computed; rem > 0 {
 				ahead += int64(rem)
 			}
 		}

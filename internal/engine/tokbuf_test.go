@@ -2,12 +2,15 @@ package engine
 
 import (
 	"hash/fnv"
+	"math/bits"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"jenga/internal/core"
+	"jenga/internal/debug"
 	"jenga/internal/workload"
 )
 
@@ -40,7 +43,7 @@ func markPrompt(p []core.Token) promptMark {
 
 // poolStats counts the engine's idle buffers and their capacity.
 func poolStats(e *Engine) (bufs, tokens int) {
-	for _, class := range e.tokFree {
+	for _, class := range e.tok.free {
 		bufs += len(class)
 		for _, b := range class {
 			tokens += cap(b)
@@ -49,12 +52,12 @@ func poolStats(e *Engine) (bufs, tokens int) {
 	return
 }
 
-// lentBuffers counts live runs holding a private buffer.
+// lentBuffers counts live runs holding an Out buffer.
 func lentBuffers(e *Engine) int {
 	n := 0
 	for _, q := range e.queues() {
 		for _, r := range q {
-			if r.owned {
+			if r.seq.Out != nil {
 				n++
 			}
 		}
@@ -101,7 +104,7 @@ func borrowScenario(t *testing.T, mode PreemptMode, reqs []workload.Request) (a,
 	}
 	migrated := false
 	for _, r := range ea.running {
-		if r.owned && r.decodesDone > 0 {
+		if r.seq.Out != nil && r.decodesDone > 0 {
 			m, ok := ea.MigrateOut(r.req.ID)
 			if !ok {
 				t.Fatal("MigrateOut missed a running request")
@@ -237,7 +240,7 @@ func TestTokenPoolBounded(t *testing.T) {
 	check := func(when string, highWater int) {
 		t.Helper()
 		largest := 0
-		for k, class := range e.tokFree {
+		for k, class := range e.tok.free {
 			if len(class) > highWater {
 				t.Fatalf("%s: class %d holds %d buffers, running set peaked at %d", when, k, len(class), highWater)
 			}
@@ -255,7 +258,7 @@ func TestTokenPoolBounded(t *testing.T) {
 		t.Fatalf("run: %+v", res)
 	}
 	if hw < 4 || hw >= maxRunning {
-		t.Fatalf("running set peaked at %d: want a real running set that stays under the %d-per-class cap", hw, maxRunning)
+		t.Fatalf("running set peaked at %d: want a real running set that stays under the %d-buffer cap", hw, maxRunning)
 	}
 	if lent := lentBuffers(e); lent != 0 {
 		t.Fatalf("%d buffers still lent after the drain", lent)
@@ -279,11 +282,11 @@ func TestTokenPoolBounded(t *testing.T) {
 	check("after a reset and a second run", hw)
 }
 
-// TestMigratedTokensOwnership: MigrateOut moves the run's slice into
-// the record — the private buffer for a decoding request, the prompt
-// itself for one that never decoded — and MigrateIn adopts it. A
-// failed migration that hands the record back to its source therefore
-// costs no copy, and the buffer returns to a free list exactly once.
+// TestMigratedTokensOwnership: MigrateOut moves the run's Out buffer
+// into the record — nil for a request that never decoded — and
+// MigrateIn adopts it and borrows the prompt again. A failed migration
+// that hands the record back to its source therefore costs no copy, and
+// the buffer returns to a free list exactly once.
 func TestMigratedTokensOwnership(t *testing.T) {
 	reqs := textReqs(21, 2, 200, 20)
 	reqs[1].Arrival = time.Hour
@@ -296,23 +299,23 @@ func TestMigratedTokensOwnership(t *testing.T) {
 	stepToGenerated(t, e, 4)
 
 	m, ok := e.MigrateOut(reqs[0].ID)
-	if !ok || !m.pooled || &m.Tokens[0] == &reqs[0].Prompt[0] {
-		t.Fatalf("decoding request: ok=%v pooled=%v, want its private buffer", ok, m.pooled)
+	if !ok || len(m.Out) == 0 {
+		t.Fatalf("decoding request: ok=%v, %d generated tokens, want its Out buffer", ok, len(m.Out))
 	}
-	private := &m.Tokens[0]
+	private := &m.Out[0]
 	if bufs, _ := poolStats(e); bufs != 0 || lentBuffers(e) != 0 {
 		t.Fatalf("after MigrateOut: %d pooled, %d lent; the buffer should have left with the record", bufs, lentBuffers(e))
 	}
 	pending, ok := e.MigrateOut(reqs[1].ID)
-	if !ok || pending.pooled || &pending.Tokens[0] != &reqs[1].Prompt[0] {
-		t.Fatalf("pending request: ok=%v pooled=%v, want the prompt itself", ok, pending.pooled)
+	if !ok || pending.Out != nil {
+		t.Fatalf("pending request: ok=%v, Out %v, want no buffer", ok, pending.Out)
 	}
 
 	// The migration fails: both records go back to the source.
 	e.MigrateIn(m)
 	e.MigrateIn(pending)
-	if got := e.waiting.items()[e.waiting.len()-1].seq.Tokens; &got[0] != private {
-		t.Fatal("MigrateIn copied the buffer instead of adopting it")
+	if got := e.waiting.items()[e.waiting.len()-1].seq; &got.Out[0] != private || &got.Tokens[0] != &reqs[0].Prompt[0] {
+		t.Fatal("MigrateIn copied the buffer or the prompt instead of adopting and borrowing them")
 	}
 	reqs[1].Arrival = 0 // nothing reads it again before the drain
 	if err := e.Drain(); err != nil {
@@ -328,7 +331,7 @@ func TestMigratedTokensOwnership(t *testing.T) {
 		t.Fatalf("after the drain: %d pooled, %d lent", bufs, lentBuffers(e))
 	}
 	seen := false
-	for _, class := range e.tokFree {
+	for _, class := range e.tok.free {
 		for _, b := range class {
 			if &b[:1][0] == private {
 				if seen {
@@ -386,4 +389,104 @@ func TestSubmitCostIsPromptIndependent(t *testing.T) {
 		t.Fatalf("%d submits: %d objects / %d B with 64-token prompts, %d / %d B with 8k-token ones; want no objects and equal bytes",
 			runs, objs64, bytes64, objs8k, bytes8k)
 	}
+}
+
+// TestTokenMemoryFollowsOutput: a run's sequence borrows its prompt for
+// the run's whole life — decode appends to the engine's Out buffer
+// alone, and a fork child borrows its root's prompt and copies only the
+// parent's Out — so token memory is sized by outputs, not prompts.
+// After a deep queue of 4k-token shared prompts drains, the free list
+// holds no more than MaxRunning buffers of the largest output's class.
+func TestTokenMemoryFollowsOutput(t *testing.T) {
+	spec := miniFullSpec()
+	const maxRunning = 32
+	e, err := New(Config{
+		Spec: spec, Device: smallDevice(), Manager: jengaFor(t, spec, 64<<20, true),
+		MaxBatchTokens: 4096, MaxPrefills: 4, MaxRunning: maxRunning,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := workload.NewGen(3).PrefixGroups(4, 48, 4000, 96)
+	prompts := map[int64][]core.Token{}
+	maxOut := 0
+	for i := range reqs {
+		reqs[i].OutputLen = 2 + i*37%150
+		if i%24 == 0 {
+			reqs[i].Fanout, reqs[i].ForkAfter = 3, 4
+		}
+		maxOut = max(maxOut, reqs[i].OutputLen)
+		prompts[reqs[i].ID] = reqs[i].Prompt
+		if err := e.Submit(&reqs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	children, decoded := map[int64]bool{}, 0
+	for e.Live() {
+		if err := e.StepOnce(); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range e.queues() {
+			for _, r := range q {
+				if &r.seq.Tokens[:1][0] != &r.req.Prompt[:1][0] || len(r.seq.Tokens) != len(r.req.Prompt) {
+					t.Fatalf("request %d: its sequence's prompt part is not its prompt's array", r.req.ID)
+				}
+				if len(r.seq.Out) > 0 {
+					decoded++
+				}
+				if r.req.ID >= forkIDBase {
+					root := prompts[(r.req.ID-forkIDBase)/maxFanout]
+					if &r.seq.Tokens[:1][0] != &root[:1][0] {
+						t.Fatalf("branch %d copied its root's prompt", r.req.ID)
+					}
+					children[r.req.ID] = true
+				}
+			}
+		}
+	}
+	if res := e.ResultSnapshot(); res.Finished != len(reqs)+len(children) {
+		t.Fatalf("finished %d of %d requests and branches", res.Finished, len(reqs)+len(children))
+	}
+	if len(children) == 0 || decoded == 0 {
+		t.Fatalf("saw %d branches and %d decoding runs; the test needs both", len(children), decoded)
+	}
+	bufs, tokens := poolStats(e)
+	if limit := maxRunning * (1 << bits.Len(uint(maxOut-1))); bufs == 0 || tokens > limit {
+		t.Fatalf("free list holds %d buffers of %d tokens in all; want some, and at most %d (%d × the largest output's class)",
+			bufs, tokens, limit, maxRunning)
+	}
+}
+
+// TestLapsedOutTripsExtensionCheck: a jengadebug build poisons an Out
+// buffer as it is returned, so a sequence still reading it — a use
+// after the hand-back — no longer extends the block hashes the manager
+// keeps for the request's committed KV, and core's extension check
+// panics instead of hashing the poison afresh.
+func TestLapsedOutTripsExtensionCheck(t *testing.T) {
+	if !debug.On {
+		t.Skip("only a jengadebug build poisons returned token buffers")
+	}
+	spec := miniFullSpec()
+	mgr := jengaFor(t, spec, 32<<20, true)
+	e, err := New(Config{Spec: spec, Device: smallDevice(), Manager: mgr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := textReqs(5, 1, 64, 40)
+	if err := e.Submit(&reqs[0]); err != nil {
+		t.Fatal(err)
+	}
+	stepToGenerated(t, e, 20)
+	r := e.running[0]
+	lapsed := r.seq // kept past its buffer's return
+	if r.computed != lapsed.Len() || len(lapsed.Out) == 0 {
+		t.Fatalf("committed %d of %d tokens, %d generated: want a decode committed up to its last token", r.computed, lapsed.Len(), len(lapsed.Out))
+	}
+	e.returnTokens(r)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "changed under its committed KV") {
+			t.Fatalf("a lapsed Out read went unnoticed (recovered %q)", msg)
+		}
+	}()
+	mgr.Lookup(&lapsed)
 }
