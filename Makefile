@@ -214,7 +214,12 @@ vet:
 # Submit to the client — a stream's result is the engine's
 # RequestMetrics, its State an engine.EventType — so a type StreamState
 # or a map[engine.EventType] in non-test internal/serve is a second
-# spelling of the terminal states again.
+# spelling of the terminal states again; and the fleet has one
+# consistency rule, the barrier section — a fetch exports and imports
+# inside one, where no eviction or crash can run between the two — so a
+# Pin or Unpin method on fleet.Directory, or a pins or deferred field in
+# it, in non-test internal/fleet is a second protocol that defers
+# invalidations behind in-flight exports again.
 # (The token's four bytes need no grep: internal/core pins them at
 # compile time.)
 guard:
@@ -238,6 +243,7 @@ guard:
 	@out=$$(awk '/^func /{ into = /^func \(e \*Engine\) to\(/ } !into && !/^[ \t]*\/\// && /\.state[ \t]*(,[^=]*[^=!<>:]|[-+*\/%&|^]|<<|>>|&\^)?=([^=]|$$)|\.state(\+\+|--)/ { print FILENAME ":" FNR ": " $$0 }' $$(ls internal/engine/*.go | grep -v '_test\.go$$')); if [ -n "$$out" ]; then echo "run.state is written outside Engine.to in internal/engine (every lifecycle move goes through to):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn -e 'metrics\.Percentiles\?(' -e 'metrics\.Attainment(' -e 'metrics\.Goodput(' internal/serve internal/cluster internal/bench examples --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a report layer rolls up per-request records itself (engine.Rollup is the one roll-up):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn -e 'type StreamState' -e 'map\[engine\.EventType\]' internal/serve --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "internal/serve re-spells the engine's terminal states (a stream's result is the engine's record, its State an engine.EventType):"; echo "$$out"; exit 1; fi
+	@out=$$(files=$$(ls internal/fleet/*.go | grep -v '_test\.go$$'); grep -nE 'func \(([A-Za-z_]+ )?\*Directory\) (Pin|Unpin)\(' $$files; sed -n '/^type Directory struct {/,/^}/p' $$files | grep -E '^[[:space:]]*([A-Za-z_]+,[[:space:]]*)*(pins|deferred)([[:space:],]|$$)'); if [ -n "$$out" ]; then echo "fleet.Directory defers invalidations behind pins again (the barrier section is the fleet's one consistency rule; an invalidation acts at once):"; echo "$$out"; exit 1; fi
 
 ci: vet lint guard build test race debug chaos-smoke scale-smoke perf-smoke
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi

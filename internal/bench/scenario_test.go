@@ -45,9 +45,9 @@ func (c *terminalCounter) sink(_ int, ev engine.Event) {
 func checkTerminalOnce(t *testing.T, s Scenario, res *cluster.Result, c *terminalCounter) {
 	t.Helper()
 	n := s.RequestCount()
-	if got := res.Finished + res.Failed + res.Shed + res.LostRequests; got != n {
-		t.Fatalf("finished %d + failed %d + shed %d + lost %d = %d, submitted %d",
-			res.Finished, res.Failed, res.Shed, res.LostRequests, got, n)
+	if got := res.Finished + res.Failed + res.Shed + res.Cancelled + res.LostRequests; got != n {
+		t.Fatalf("finished %d + failed %d + shed %d + cancelled %d + lost %d = %d, submitted %d",
+			res.Finished, res.Failed, res.Shed, res.Cancelled, res.LostRequests, got, n)
 	}
 	if len(c.seen) != n-res.LostRequests {
 		t.Fatalf("%d requests reached a terminal event, want %d (%d submitted, %d lost)",

@@ -114,10 +114,11 @@ func (ps *PageSet) Bytes() int64 { return int64(len(ps.Ends)) * ps.PageBytes }
 // ExportPrefix serializes the host-tier pages holding any of the given
 // block hashes (group g) into a page set, deduplicated by page and in
 // first-reference order. The export is a pure read: refcounts and tier
-// state are untouched, and pages pinned by an in-flight restore are
-// skipped entirely (pin-safe — a transfer never observes a page
-// mid-restore). Reports false when nothing could be exported. The set
-// is valid until the next ExportPrefix on this manager (see PageSet).
+// state are untouched. No page it reads is pinned: a tier pin lives
+// only inside a claim's restores, and a fleet fetch exports in a
+// barrier section, between calls (a jengadebug build panics on a pinned
+// page). Reports false when nothing could be exported. The set is valid
+// until the next ExportPrefix on this manager (see PageSet).
 //
 //jenga:hotpath
 func (m *Jenga) ExportPrefix(group string, hashes []uint64) (PageSet, bool) {
@@ -148,8 +149,8 @@ func (m *Jenga) ExportPrefix(group string, hashes []uint64) (PageSet, bool) {
 			continue
 		}
 		pg.exported = h.exportGen
-		if pg.pins > 0 {
-			continue
+		if debug.On && pg.pins > 0 {
+			panic("core: exporting a tier page a restore has pinned (a fleet fetch exports between calls, in a barrier section)")
 		}
 		for id, end := h.blockRange(slot); id < end; id++ {
 			b := &h.blocks[id]

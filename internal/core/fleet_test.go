@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"slices"
+	"strings"
 	"testing"
 
 	"jenga/internal/debug"
@@ -180,8 +181,12 @@ func TestFleetImportDedup(t *testing.T) {
 	audit(t, b)
 }
 
-// TestFleetExportSkipsPinned: a page pinned by an in-flight restore is
-// never exported.
+// TestFleetExportSkipsPinned: a tier pin lives only inside a claim's
+// restores, so an export, which a fleet fetch runs between calls, never
+// meets a pinned page. After a Reserve that restores from the tier,
+// CheckInvariants holds (pins equal the restores still pending: none),
+// no tier page is pinned, and ExportPrefix returns every page it
+// returned before the restore.
 func TestFleetExportSkipsPinned(t *testing.T) {
 	m := newTieredMgr(t, flatSpec(), 1<<16, 1<<20, 4)
 	obs := newRecObs()
@@ -194,23 +199,48 @@ func TestFleetExportSkipsPinned(t *testing.T) {
 	}
 	baseline := ps.NumPages()
 
-	// Pin every page, as a mid-claim restore would.
-	kv := m.groupIndex("kv")
-	var pins []tierPin
-	for _, h := range hashes {
-		pins = append(pins, m.host.pin(kv, h))
+	seq := textSeq(2, 33)
+	seq.PromptLen = 33
+	if err := m.Reserve(seq, 33, 2); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := m.ExportPrefix("kv", hashes); ok {
-		t.Fatal("export succeeded with every page pinned")
+	if st := m.TierStats(); st.SwapIns == 0 {
+		t.Fatalf("the reserve restored nothing from the tier: %+v", st)
 	}
-	// Unpin: exports flow again.
-	for _, p := range pins {
-		m.host.unpin(p)
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for s := range m.host.pages {
+		if pins := m.host.pages[s].pins; pins != 0 {
+			t.Fatalf("tier slot %d holds %d pins after the reserve returned", s, pins)
+		}
 	}
 	ps2, ok := m.ExportPrefix("kv", hashes)
 	if !ok || ps2.NumPages() != baseline {
-		t.Fatalf("post-unpin export = %d pages, want %d", ps2.NumPages(), baseline)
+		t.Fatalf("post-restore export = %d pages, want %d", ps2.NumPages(), baseline)
 	}
+}
+
+// TestExportPinnedPagePanics: a jengadebug build panics on an export
+// that meets a pinned tier page, which only an export run inside a
+// claim, outside any barrier section, could do.
+func TestExportPinnedPagePanics(t *testing.T) {
+	if !debug.On {
+		t.Skip("only a jengadebug build checks exports for pinned pages")
+	}
+	m := newTieredMgr(t, flatSpec(), 1<<16, 1<<20, 4)
+	obs := newRecObs()
+	m.SetTierObserver(obs)
+	spillAll(t, m)
+	hashes := obs.hashes()
+	pin := m.host.pin(m.groupIndex("kv"), hashes[0])
+	defer m.host.unpin(pin)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "pinned") {
+			t.Fatalf("exporting a pinned page went unnoticed (recovered %q)", msg)
+		}
+	}()
+	m.ExportPrefix("kv", hashes)
 }
 
 // TestFleetObserverEviction: budget evictions notify TierEvicted for

@@ -26,7 +26,7 @@ func AblationCheckpoint(w io.Writer, opt Options) error {
 		spec.Groups = append([]model.KVGroup{}, base.Groups...)
 		spec.Groups[1].CheckpointEvery = every
 		mgr, err := core.New(core.Config{
-			Spec: &spec, CapacityBytes: 40 << 30, TokensPerPage: opt.TokensPerPage,
+			Spec: &spec, CapacityBytes: 40 << 30, TokensPerPage: tokensPerPage,
 			EnablePrefixCache: true, RequestAware: true,
 		})
 		if err != nil {

@@ -39,7 +39,7 @@ func AblationPageSize(w io.Writer, opt Options) error {
 		mamba.StateBytes/attn.BytesPerToken, "1344")
 	facts.AddRow("per-layer LCM ratio at 16 tokens/page",
 		mamba.StateBytes/(attn.BytesPerToken*16), "84x")
-	geo, err := spec.Geometry(opt.TokensPerPage)
+	geo, err := spec.Geometry(tokensPerPage)
 	if err != nil {
 		return err
 	}
@@ -61,7 +61,7 @@ func AblationPageSize(w io.Writer, opt Options) error {
 
 	runWith := func(s *model.Spec, eff float64) (*engine.Result, error) {
 		mgr, err := core.New(core.Config{
-			Spec: s, CapacityBytes: budget, TokensPerPage: opt.TokensPerPage,
+			Spec: s, CapacityBytes: budget, TokensPerPage: tokensPerPage,
 			RequestAware: true,
 		})
 		if err != nil {
@@ -81,7 +81,7 @@ func AblationPageSize(w io.Writer, opt Options) error {
 	maxSpec.Name += "-maxpage"
 	maxSpec.Groups = append([]model.KVGroup{}, spec.Groups...)
 	mambaPage := mamba.StateBytes * mamba.Layers
-	maxSpec.Groups[0].BytesPerToken = mambaPage / (attn.Layers * opt.TokensPerPage)
+	maxSpec.Groups[0].BytesPerToken = mambaPage / (attn.Layers * tokensPerPage)
 	maxRes, err := runWith(&maxSpec, 1.0)
 	if err != nil {
 		return fmt.Errorf("ablation max: %w", err)

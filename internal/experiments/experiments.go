@@ -30,8 +30,6 @@ type Options struct {
 	Scale float64
 	// Seed feeds every workload generator. Zero means 42.
 	Seed int64
-	// TokensPerPage is the page granularity. Zero means 16.
-	TokensPerPage int
 	// CSVDir, when set, additionally writes each table as a CSV file
 	// (named from the table title) for replotting.
 	CSVDir string
@@ -44,11 +42,12 @@ func (o Options) norm() Options {
 	if o.Seed == 0 {
 		o.Seed = 42
 	}
-	if o.TokensPerPage <= 0 {
-		o.TokensPerPage = 16
-	}
 	return o
 }
+
+// tokensPerPage is the page granularity of every manager the
+// experiments build.
+const tokensPerPage = 16
 
 // vlmReserve is the runtime reserve fraction for VLM serving: the
 // vision encoder's activation workspace for thousands of image tokens
@@ -96,25 +95,25 @@ func IDs() []string {
 // newJenga builds a Jenga manager sized for the model on the device.
 // reserve overrides the runtime reserve fraction (0 = default); VLM
 // experiments reserve more for vision-encoder activation workspace.
-func newJenga(spec *model.Spec, dev gpu.Device, opt Options, cache bool, reserve float64) (core.Manager, error) {
+func newJenga(spec *model.Spec, dev gpu.Device, cache bool, reserve float64) (core.Manager, error) {
 	budget, err := gpu.KVBudget(spec, dev, reserve)
 	if err != nil {
 		return nil, err
 	}
 	return core.New(core.Config{
-		Spec: spec, CapacityBytes: budget, TokensPerPage: opt.TokensPerPage,
+		Spec: spec, CapacityBytes: budget, TokensPerPage: tokensPerPage,
 		EnablePrefixCache: cache, RequestAware: true,
 	})
 }
 
 // newPaged builds the vLLM-style baseline sized for the model.
-func newPaged(spec *model.Spec, dev gpu.Device, opt Options, cache bool, maxSeqs int, reserve float64) (core.Manager, error) {
+func newPaged(spec *model.Spec, dev gpu.Device, cache bool, maxSeqs int, reserve float64) (core.Manager, error) {
 	budget, err := gpu.KVBudget(spec, dev, reserve)
 	if err != nil {
 		return nil, err
 	}
 	return baseline.NewPaged(baseline.Config{
-		Spec: spec, CapacityBytes: budget, TokensPerPage: opt.TokensPerPage,
+		Spec: spec, CapacityBytes: budget, TokensPerPage: tokensPerPage,
 		EnablePrefixCache: cache, MaxSeqs: maxSeqs,
 	})
 }

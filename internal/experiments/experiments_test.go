@@ -84,7 +84,7 @@ func TestAblationGeometryFacts(t *testing.T) {
 
 func TestOptionsNormalization(t *testing.T) {
 	o := Options{}.norm()
-	if o.Scale != 1 || o.Seed != 42 || o.TokensPerPage != 16 {
+	if o.Scale != 1 || o.Seed != 42 {
 		t.Errorf("defaults wrong: %+v", o)
 	}
 	if n := (Options{Scale: 0.01}).norm().n(100); n != 4 {

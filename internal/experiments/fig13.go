@@ -20,8 +20,6 @@ type fig13Entry struct {
 	load func(g *workload.Gen, n int) []workload.Request
 	// baseN is the paper-scale request count before Options.Scale.
 	baseN int
-	// cache enables prefix caching on both managers.
-	cache bool
 	// maxSeqs sizes the baseline's static Mamba pool.
 	maxSeqs int
 	// vision marks VLM rows (Jenga gets the embedding cache).
@@ -32,18 +30,15 @@ type fig13Entry struct {
 	paper string
 }
 
-func mmluLoad(outMin int) func(g *workload.Gen, n int) []workload.Request {
-	return func(g *workload.Gen, n int) []workload.Request {
-		reqs := g.MMLUPro(n, 1024)
-		workload.AllAtOnce(reqs)
-		_ = outMin
-		return reqs
-	}
+func mmluLoad(g *workload.Gen, n int) []workload.Request {
+	reqs := g.MMLUPro(n, 1024)
+	workload.AllAtOnce(reqs)
+	return reqs
 }
 
 // arxivLoad builds one question per unique article (the Fig. 13
 // long-context workload; cross-request sharing is Fig. 17's subject).
-// Answers over long documents are long-form (outMin..outMax).
+// Answers over long documents are long-form: 400 to 799 tokens.
 func arxivLoad(meanLen int) func(g *workload.Gen, n int) []workload.Request {
 	maxLen := meanLen + meanLen/4 // model context limit caps articles
 	return func(g *workload.Gen, n int) []workload.Request {
@@ -72,25 +67,25 @@ func mmmuLoad(tokensPerImage int) func(g *workload.Gen, n int) []workload.Reques
 
 func fig13H100() []fig13Entry {
 	return []fig13Entry{
-		{label: "mllama", spec: model.Llama32Vision11B(), load: mmmuLoad(1601), baseN: 128, cache: false, vision: true, reserve: vlmReserve, paper: "1.71x"},
-		{label: "Gemma-2", spec: model.Gemma2_27B(), load: arxivLoad(9000), baseN: 40, cache: false, paper: "1.26x"},
-		{label: "Ministral*", spec: model.Ministral8B(), load: arxivLoad(90000), baseN: 18, cache: false, paper: "2.08x"},
-		{label: "Jamba", spec: model.Jamba52B(), load: mmluLoad(64), baseN: 160, cache: false, maxSeqs: 64, paper: "1.78x"},
-		{label: "character", spec: model.CharacterAI70B(), load: mmluLoad(64), baseN: 160, cache: false, paper: "4.92x"},
-		{label: "PyramidKV", spec: model.PyramidKV70B(), load: mmluLoad(64), baseN: 160, cache: false, paper: "1.50x"},
-		{label: "Llama", spec: model.Llama31_70B(), load: mmluLoad(64), baseN: 96, cache: false, paper: "1.03x"},
+		{label: "mllama", spec: model.Llama32Vision11B(), load: mmmuLoad(1601), baseN: 128, vision: true, reserve: vlmReserve, paper: "1.71x"},
+		{label: "Gemma-2", spec: model.Gemma2_27B(), load: arxivLoad(9000), baseN: 40, paper: "1.26x"},
+		{label: "Ministral*", spec: model.Ministral8B(), load: arxivLoad(90000), baseN: 18, paper: "2.08x"},
+		{label: "Jamba", spec: model.Jamba52B(), load: mmluLoad, baseN: 160, maxSeqs: 64, paper: "1.78x"},
+		{label: "character", spec: model.CharacterAI70B(), load: mmluLoad, baseN: 160, paper: "4.92x"},
+		{label: "PyramidKV", spec: model.PyramidKV70B(), load: mmluLoad, baseN: 160, paper: "1.50x"},
+		{label: "Llama", spec: model.Llama31_70B(), load: mmluLoad, baseN: 96, paper: "1.03x"},
 	}
 }
 
 func fig13L4() []fig13Entry {
 	return []fig13Entry{
-		{label: "mllama*", spec: quantized(model.Llama32Vision11B()), load: mmmuLoad(1601), baseN: 48, cache: false, vision: true, reserve: vlmReserve, paper: "1.54x"},
-		{label: "Gemma-2", spec: model.Gemma2_9B(), load: arxivLoad(6000), baseN: 24, cache: false, paper: "1.44x"},
-		{label: "Ministral*", spec: quantized(model.Ministral8B()), load: arxivLoad(90000), baseN: 10, cache: false, paper: "3.29x"},
-		{label: "Jamba", spec: model.Jamba52B(), load: mmluLoad(64), baseN: 8, cache: false, maxSeqs: 8, paper: "OOM"},
-		{label: "character", spec: model.CharacterAI8B(), load: mmluLoad(64), baseN: 128, cache: false, paper: "1.76x"},
-		{label: "PyramidKV", spec: model.PyramidKV8B(), load: mmluLoad(64), baseN: 128, cache: false, paper: "1.08x"},
-		{label: "Llama", spec: model.Llama31_8B(), load: mmluLoad(64), baseN: 96, cache: false, paper: "1.08x"},
+		{label: "mllama*", spec: quantized(model.Llama32Vision11B()), load: mmmuLoad(1601), baseN: 48, vision: true, reserve: vlmReserve, paper: "1.54x"},
+		{label: "Gemma-2", spec: model.Gemma2_9B(), load: arxivLoad(6000), baseN: 24, paper: "1.44x"},
+		{label: "Ministral*", spec: quantized(model.Ministral8B()), load: arxivLoad(90000), baseN: 10, paper: "3.29x"},
+		{label: "Jamba", spec: model.Jamba52B(), load: mmluLoad, baseN: 8, maxSeqs: 8, paper: "OOM"},
+		{label: "character", spec: model.CharacterAI8B(), load: mmluLoad, baseN: 128, paper: "1.76x"},
+		{label: "PyramidKV", spec: model.PyramidKV8B(), load: mmluLoad, baseN: 128, paper: "1.08x"},
+		{label: "Llama", spec: model.Llama31_8B(), load: mmluLoad, baseN: 96, paper: "1.08x"},
 	}
 }
 
@@ -141,14 +136,16 @@ func fig13Row(e fig13Entry, dev gpu.Device, opt Options) ([]any, error) {
 				c.Vision = engine.VisionReuseKV
 			}
 		}
+		// Prefix caching is off on both managers: the figure compares
+		// memory layouts, and reuse is Fig. 17's subject.
 		if jenga {
-			m, err := newJenga(e.spec, dev, opt, e.cache, e.reserve)
+			m, err := newJenga(e.spec, dev, false, e.reserve)
 			if err != nil {
 				return nil, err
 			}
 			return serve(e.spec, dev, m, reqs, mod)
 		}
-		m, err := newPaged(e.spec, dev, opt, e.cache, e.maxSeqs, e.reserve)
+		m, err := newPaged(e.spec, dev, false, e.maxSeqs, e.reserve)
 		if err != nil {
 			return nil, err
 		}

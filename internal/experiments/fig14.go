@@ -46,7 +46,7 @@ func Fig14(w io.Writer, opt Options) error {
 			g.PoissonArrivals(reqs, rate)
 			return reqs
 		}
-		vm, err := newPaged(spec, dev, opt, true, 0, vlmReserve)
+		vm, err := newPaged(spec, dev, true, 0, vlmReserve)
 		if err != nil {
 			return err
 		}
@@ -61,7 +61,7 @@ func Fig14(w io.Writer, opt Options) error {
 		if err != nil {
 			return fmt.Errorf("fig14 vllm rate %.1f: %w", rate, err)
 		}
-		jm, err := newJenga(spec, dev, opt, true, vlmReserve)
+		jm, err := newJenga(spec, dev, true, vlmReserve)
 		if err != nil {
 			return err
 		}

@@ -62,9 +62,9 @@ func Fig15(w io.Writer, opt Options) error {
 		var mgr core.Manager
 		var err error
 		if s.jenga {
-			mgr, err = newJenga(spec, dev, opt, s.cache, 0)
+			mgr, err = newJenga(spec, dev, s.cache, 0)
 		} else {
-			mgr, err = newPaged(spec, dev, opt, s.cache, 0, 0)
+			mgr, err = newPaged(spec, dev, s.cache, 0, 0)
 		}
 		if err != nil {
 			return err

@@ -59,9 +59,9 @@ func Fig16(w io.Writer, opt Options) error {
 			var mgr core.Manager
 			if jenga {
 				name = "Jenga"
-				mgr, err = newJenga(spec, dev, opt, false, 0)
+				mgr, err = newJenga(spec, dev, false, 0)
 			} else {
-				mgr, err = newPaged(spec, dev, opt, false, 0, 0)
+				mgr, err = newPaged(spec, dev, false, 0, 0)
 			}
 			if err != nil {
 				return err

@@ -57,9 +57,9 @@ func Fig17(w io.Writer, opt Options) error {
 		run := func(jenga bool) (hit float64, toks float64, err error) {
 			var mgr core.Manager
 			if jenga {
-				mgr, err = newJenga(spec, dev, opt, true, 0)
+				mgr, err = newJenga(spec, dev, true, 0)
 			} else {
-				mgr, err = newPaged(spec, dev, opt, true, 0, 0)
+				mgr, err = newPaged(spec, dev, true, 0, 0)
 			}
 			if err != nil {
 				return 0, 0, err

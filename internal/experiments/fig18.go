@@ -47,7 +47,7 @@ func Fig18(w io.Writer, opt Options) error {
 			workload.AllAtOnce(reqs)
 			return reqs
 		}
-		vm, err := newPaged(spec, dev, opt, false, 0, vlmReserve)
+		vm, err := newPaged(spec, dev, false, 0, vlmReserve)
 		if err != nil {
 			return err
 		}
@@ -58,7 +58,7 @@ func Fig18(w io.Writer, opt Options) error {
 		if err != nil {
 			return fmt.Errorf("fig18 vllm %s: %w", spec.Name, err)
 		}
-		jm, err := newJenga(spec, dev, opt, false, vlmReserve)
+		jm, err := newJenga(spec, dev, false, vlmReserve)
 		if err != nil {
 			return err
 		}

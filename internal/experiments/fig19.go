@@ -35,13 +35,13 @@ func Fig19(w io.Writer, opt Options) error {
 	}
 	entries := []entry{
 		{label: "Gemma2", target: model.Gemma2_27B(), draft: model.Gemma2_2B(),
-			load: mmluLoad(64), baseN: 64, paper: "1.12x"},
+			load: mmluLoad, baseN: 64, paper: "1.12x"},
 		{label: "Ministral*", target: model.Ministral8B(), draft: model.MinistralDraft1B(),
 			load: arxivLoad(60000), baseN: 12, paper: "1.07x"},
 		{label: "character", target: model.CharacterAI70B(), draft: model.Llama32_1B(),
-			load: mmluLoad(64), baseN: 64, paper: "3.30x"},
+			load: mmluLoad, baseN: 64, paper: "3.30x"},
 		{label: "Llama", target: model.Llama31_70B(), draft: model.Llama32_1B(),
-			load: mmluLoad(64), baseN: 48, paper: "0.97x"},
+			load: mmluLoad, baseN: 48, paper: "0.97x"},
 	}
 
 	tbl := trace.NewTable("Fig. 19 speculative decoding throughput (H100)",
@@ -62,15 +62,15 @@ func Fig19(w io.Writer, opt Options) error {
 			build func() (core.Manager, error)
 		}{
 			{"vmax", func() (core.Manager, error) {
-				return baseline.NewVLLMMax(e.target, e.draft, budget, opt.TokensPerPage, false)
+				return baseline.NewVLLMMax(e.target, e.draft, budget, tokensPerPage, false)
 			}},
 			{"manual", func() (core.Manager, error) {
-				return baseline.NewVLLMManual(e.target, e.draft, budget, opt.TokensPerPage, false)
+				return baseline.NewVLLMManual(e.target, e.draft, budget, tokensPerPage, false)
 			}},
 			// Jenga needs no strategy: the pair is a model like any other.
 			{"jenga", func() (core.Manager, error) {
 				return core.New(core.Config{
-					Spec: pair, CapacityBytes: budget, TokensPerPage: opt.TokensPerPage, RequestAware: true,
+					Spec: pair, CapacityBytes: budget, TokensPerPage: tokensPerPage, RequestAware: true,
 				})
 			}},
 		}

@@ -35,9 +35,9 @@ func TestShapeFig15DecodeBatch(t *testing.T) {
 		var mgr core.Manager
 		var err error
 		if jenga {
-			mgr, err = newJenga(spec, dev, Options{}.norm(), true, 0)
+			mgr, err = newJenga(spec, dev, true, 0)
 		} else {
-			mgr, err = newPaged(spec, dev, Options{}.norm(), false, 0, 0)
+			mgr, err = newPaged(spec, dev, false, 0, 0)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -86,9 +86,9 @@ func TestShapeFig16Waste(t *testing.T) {
 		var mgr core.Manager
 		var err error
 		if jenga {
-			mgr, err = newJenga(spec, dev, Options{}.norm(), false, 0)
+			mgr, err = newJenga(spec, dev, false, 0)
 		} else {
-			mgr, err = newPaged(spec, dev, Options{}.norm(), false, 0, 0)
+			mgr, err = newPaged(spec, dev, false, 0, 0)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -159,9 +159,9 @@ func TestShapeHomogeneousNoOverhead(t *testing.T) {
 		var mgr core.Manager
 		var err error
 		if jenga {
-			mgr, err = newJenga(spec, dev, Options{}.norm(), false, 0)
+			mgr, err = newJenga(spec, dev, false, 0)
 		} else {
-			mgr, err = newPaged(spec, dev, Options{}.norm(), false, 0, 0)
+			mgr, err = newPaged(spec, dev, false, 0, 0)
 		}
 		if err != nil {
 			t.Fatal(err)

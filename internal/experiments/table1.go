@@ -33,7 +33,7 @@ func Table1(w io.Writer, opt Options) error {
 	tbl := trace.NewTable("Table 1: models and datasets (★ = FP8)",
 		"model", "dataset", "H100", "L4", "KV groups", "LCM page MiB", "max ratio")
 	for _, r := range rows {
-		geo, err := r.spec.Geometry(opt.TokensPerPage)
+		geo, err := r.spec.Geometry(tokensPerPage)
 		if err != nil {
 			return err
 		}

@@ -45,7 +45,7 @@ func WasteAnalysis(w io.Writer, opt Options) error {
 
 	for _, c := range cases {
 		analytic := analyticWaste(c.spec, c.text, c.image)
-		measured, err := measuredWaste(c.spec, c.text, c.image, opt)
+		measured, err := measuredWaste(c.spec, c.text, c.image)
 		if err != nil {
 			return fmt.Errorf("waste %s: %w", c.spec.Name, err)
 		}
@@ -103,8 +103,8 @@ func analyticWaste(spec *model.Spec, text, image int) float64 {
 
 // measuredWaste runs one request through the baseline manager and
 // reads Usage().
-func measuredWaste(spec *model.Spec, text, image int, opt Options) (float64, error) {
-	mgr, err := newPaged(spec, bigDevice(spec), opt, false, 1, 0)
+func measuredWaste(spec *model.Spec, text, image int) (float64, error) {
+	mgr, err := newPaged(spec, bigDevice(spec), false, 1, 0)
 	if err != nil {
 		return 0, err
 	}

@@ -21,14 +21,19 @@
 // bit is bit r%64 of the cell keyed with word r/64, so any replica count
 // works and a fleet of up to 64 needs one cell a block. The table
 // doubles when it would pass half full and never shrinks, so once it has
-// reached a fleet's working size nothing allocates; pin depths and
-// deferred invalidations are per-replica slices.
+// reached a fleet's working size nothing allocates.
+//
+// One rule keeps the fleet consistent: cross-replica state is touched
+// only inside the cluster's barrier sections, where every replica is
+// parked. Store.Fetch exports from each holder and imports into the
+// destination inside one section, so no eviction, crash or restore runs
+// between the two; that is why an invalidation acts at once and an
+// export never meets a page a restore holds.
 //
 // Nothing here runs its own goroutines. Observer callbacks arrive from
 // the replicas' shard goroutines, concurrently, so everything they
 // touch is under the directory mutex; the transfer path (Store.Fetch)
-// runs only in the cluster's barrier sections, one call at a time, and
-// owns its scratch outright.
+// runs one call at a time and owns its scratch outright.
 //
 //jenga:concurrent the directory mutex serializes observer callbacks arriving from concurrent replica goroutines
 package fleet
@@ -41,11 +46,7 @@ import (
 
 // Directory tracks which replicas' host tiers hold which prefix
 // blocks. Lookup is deterministic: the lowest-numbered holder wins,
-// regardless of registration order. Pin defers invalidations for a
-// replica while one of its exports is in flight, so a transfer source
-// never vanishes from the directory mid-copy (the pinned-holder
-// exclusion invariant, fuzzed in FuzzFleetDirectory). Replica numbers
-// are non-negative.
+// regardless of registration order. Replica numbers are non-negative.
 type Directory struct {
 	mu sync.Mutex
 	// groups are the group names seen so far; a cell names its group by
@@ -60,11 +61,6 @@ type Directory struct {
 	// words is one past the highest word any replica registered under:
 	// how many cells a Lookup may have to probe.
 	words int
-	// pins is each replica's pin depth, and deferred the invalidations
-	// that arrived while it was pinned; they apply in arrival order at
-	// the final Unpin.
-	pins     []int
-	deferred [][]deferredInv
 }
 
 // dirCell is one table cell: the holder bitmask of replicas
@@ -76,14 +72,6 @@ type dirCell struct {
 	mask  uint64
 	group int32
 	word  int32
-}
-
-// deferredInv is one pin-deferred invalidation: a single block, or —
-// for a crash arriving mid-export — the holder's entire entry set.
-type deferredInv struct {
-	hash  uint64
-	group int32
-	all   bool
 }
 
 // minCells is the table's starting size.
@@ -183,22 +171,15 @@ func (d *Directory) Register(replica int, group string, hashes []uint64) {
 	}
 }
 
-// Invalidate removes replica as a holder of each block. While the
-// replica is pinned (an export in flight) the removal is deferred to
-// Unpin so concurrent tier eviction cannot drop a transfer source
-// from under a reader.
+// Invalidate removes replica as a holder of each block. A group the
+// directory has never seen holds nothing to remove.
 //
 //jenga:hotpath
 func (d *Directory) Invalidate(replica int, group string, hashes []uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// An unseen group gets its index here too: deferred, the removal
-	// still applies to a registration that lands before the Unpin.
-	g := d.groupIndex(group, true)
-	if replica < len(d.pins) && d.pins[replica] > 0 {
-		for _, h := range hashes {
-			d.deferred[replica] = append(d.deferred[replica], deferredInv{hash: h, group: g})
-		}
+	g := d.groupIndex(group, false)
+	if g == 0 {
 		return
 	}
 	for _, h := range hashes {
@@ -207,27 +188,14 @@ func (d *Directory) Invalidate(replica int, group string, hashes []uint64) {
 }
 
 // InvalidateHolder removes every entry naming replica as a holder —
-// the crash path: the replica's tier died with its process, so each
-// of its entries is dangling. While the replica is pinned (an export
-// in flight) the wipe is deferred to the final Unpin, ordered after
-// any invalidations deferred before it. Returns the number of entries
-// removed immediately (a deferred wipe reports 0 and applies later).
+// the crash path: the replica's tier died with its process, so each of
+// its entries is dangling — and returns how many it removed. It clears
+// replica's bit in every cell in one walk. The walk starts just past a
+// free cell, so no run wraps past its start and a deletion only ever
+// shifts cells the walk has yet to reach into the one it is at.
 func (d *Directory) InvalidateHolder(replica int) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if replica < len(d.pins) && d.pins[replica] > 0 {
-		d.deferred[replica] = append(d.deferred[replica], deferredInv{all: true})
-		return 0
-	}
-	return d.removeHolder(replica)
-}
-
-// removeHolder clears replica's bit in every cell in one walk,
-// returning the entry count removed. The walk starts just past a free
-// cell, so no run wraps past its start and a deletion only ever shifts
-// cells the walk has yet to reach into the one it is at. Caller holds
-// the mutex.
-func (d *Directory) removeHolder(replica int) int {
 	n := 0
 	word, bit := int32(replica/64), uint64(1)<<(replica%64)
 	mask := len(d.cells) - 1
@@ -270,39 +238,6 @@ func (d *Directory) Lookup(group string, hash uint64, exclude int) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Pin marks replica as an in-flight transfer source: invalidations
-// against it are deferred until the matching Unpin. Pins nest.
-func (d *Directory) Pin(replica int) {
-	d.mu.Lock()
-	if n := replica + 1 - len(d.pins); n > 0 {
-		d.pins = append(d.pins, make([]int, n)...)
-		d.deferred = append(d.deferred, make([][]deferredInv, n)...)
-	}
-	d.pins[replica]++
-	d.mu.Unlock()
-}
-
-// Unpin releases one Pin; the last release applies any deferred
-// invalidations.
-func (d *Directory) Unpin(replica int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if replica >= len(d.pins) || d.pins[replica] == 0 {
-		return
-	}
-	if d.pins[replica]--; d.pins[replica] > 0 {
-		return
-	}
-	for _, inv := range d.deferred[replica] {
-		if inv.all {
-			d.removeHolder(replica)
-		} else {
-			d.remove(replica, inv.group, inv.hash)
-		}
-	}
-	d.deferred[replica] = d.deferred[replica][:0]
 }
 
 // remove clears replica's bit for (group index, hash). Caller holds

@@ -45,39 +45,12 @@ func TestDirectoryInvalidate(t *testing.T) {
 	if d.len() != 1 {
 		t.Fatalf("Len after re-register = %d, want 1", d.len())
 	}
-}
-
-func TestDirectoryPinDefersInvalidation(t *testing.T) {
-	d := NewDirectory()
-	d.Register(0, "g", []uint64{7})
-	d.Pin(0)
-	d.Invalidate(0, "g", []uint64{7})
-	// Pinned: the entry survives (an export may be reading it).
-	if got, ok := d.Lookup("g", 7, -1); !ok || got != 0 {
-		t.Fatalf("pinned Lookup = %d/%v, want 0/true", got, ok)
+	// A group the directory has never seen has nothing to invalidate,
+	// and does not become a group by being named.
+	d.Invalidate(0, "unseen", []uint64{2})
+	if got, ok := d.Lookup("g", 2, -1); !ok || got != 0 || d.len() != 1 || len(d.groups) != 1 {
+		t.Fatalf("invalidating an unseen group changed the directory: Lookup %d/%v, Len %d, groups %q", got, ok, d.len(), d.groups)
 	}
-	// Nested pins: only the last Unpin applies the deferral.
-	d.Pin(0)
-	d.Unpin(0)
-	if _, ok := d.Lookup("g", 7, -1); !ok {
-		t.Fatal("entry vanished while still pinned once")
-	}
-	d.Unpin(0)
-	if _, ok := d.Lookup("g", 7, -1); ok {
-		t.Fatal("deferred invalidation never applied")
-	}
-	// Unpin without a pin is a no-op.
-	d.Unpin(0)
-	// Invalidation of an unpinned replica applies immediately even
-	// while another replica is pinned.
-	d.Register(0, "g", []uint64{8})
-	d.Register(1, "g", []uint64{8})
-	d.Pin(1)
-	d.Invalidate(0, "g", []uint64{8})
-	if got, ok := d.Lookup("g", 8, -1); !ok || got != 1 {
-		t.Fatalf("Lookup = %d/%v, want 1/true", got, ok)
-	}
-	d.Unpin(1)
 }
 
 // holderLen returns the number of live entries naming replica as a

@@ -146,29 +146,3 @@ func TestStoreCrashInvalidatesHolder(t *testing.T) {
 		t.Fatalf("fetch from crashed holder: %+v", fr)
 	}
 }
-
-// TestInvalidateHolderDefersUnderPin: a crash invalidation arriving
-// while the holder is pinned (export in flight) applies only at the
-// final Unpin, after earlier deferred invalidations.
-func TestInvalidateHolderDefersUnderPin(t *testing.T) {
-	d := NewDirectory()
-	d.Register(1, "a", []uint64{1, 2, 3})
-	d.Pin(1)
-	d.Invalidate(1, "a", []uint64{1})
-	if got := d.InvalidateHolder(1); got != 0 {
-		t.Fatalf("pinned InvalidateHolder removed %d entries immediately", got)
-	}
-	if got := d.holderLen(1); got != 3 {
-		t.Fatalf("pinned holder lost entries early: %d of 3 left", got)
-	}
-	if _, ok := d.Lookup("a", 2, -1); !ok {
-		t.Fatal("pinned holder vanished from Lookup")
-	}
-	d.Unpin(1)
-	if got := d.holderLen(1); got != 0 {
-		t.Fatalf("deferred wipe did not apply at Unpin: %d entries left", got)
-	}
-	if d.len() != 0 {
-		t.Fatalf("directory not empty: %d", d.len())
-	}
-}

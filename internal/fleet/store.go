@@ -21,9 +21,9 @@ import (
 // jengadebug build scribbles over the list first), and a warm Fetch
 // allocates nothing.
 type Store struct {
-	dir  *Directory
-	mgrs []core.TierManager
-	base []core.Manager // same replicas, plain Manager surface (Lookup)
+	dir *Directory
+	// mgrs[r] is replica r's manager, nil until Attach wires it.
+	mgrs []tierManager
 	// peers[dst] is dst's presence oracle — the directory's lowest
 	// holder other than dst — built once at Attach.
 	peers []core.PeerPresence
@@ -39,6 +39,14 @@ type Store struct {
 	faults   TransferFaults
 	attempts int
 	stats    StoreStats
+}
+
+// tierManager is a manager with a host tier the store can move pages
+// through: Lookup from the plain surface, the transfer path from the
+// TierManager capability.
+type tierManager interface {
+	core.Manager
+	core.TierManager
 }
 
 // TransferFaults decides whether one peer-transfer attempt from
@@ -132,8 +140,7 @@ type FetchReport struct {
 func NewStore(n int) *Store {
 	return &Store{
 		dir:      NewDirectory(),
-		mgrs:     make([]core.TierManager, n),
-		base:     make([]core.Manager, n),
+		mgrs:     make([]tierManager, n),
 		peers:    make([]core.PeerPresence, n),
 		attempts: 1,
 	}
@@ -168,13 +175,12 @@ func (s *Store) Crash(replica int) int {
 // TierManager capability (or without a configured host tier) simply
 // never contribute: Attach is a no-op and reports false.
 func (s *Store) Attach(replica int, mgr core.Manager) bool {
-	tm, ok := mgr.(core.TierManager)
+	tm, ok := mgr.(tierManager)
 	if !ok || replica < 0 || replica >= len(s.mgrs) {
 		return false
 	}
 	tm.SetTierObserver(&dirObserver{dir: s.dir, replica: replica})
 	s.mgrs[replica] = tm
-	s.base[replica] = mgr
 	s.peers[replica] = func(group string, hash uint64) (int, bool) {
 		return s.dir.Lookup(group, hash, replica)
 	}
@@ -189,11 +195,12 @@ func (s *Store) Attach(replica int, mgr core.Manager) bool {
 // failed, with the per-batch attempt count — plus the prefix tokens
 // gained over the local lookup and the wire bytes to charge (timed-out
 // attempts burn wire time too: the pages were in flight when the
-// transfer died). Transfer sources are directory-pinned for the
-// duration of their export, and pinned tier pages are never exported —
-// mid-restore state stays private to its replica. Batches that skip
-// or fail fall back to local recompute naturally: the destination
-// simply never sees their pages.
+// transfer died). Fetch runs inside one barrier section, so every
+// export and its import see the same tiers: no eviction, crash or
+// restore runs between them. The directory names only attached
+// replicas, since only Attach installs the observer that registers
+// blocks. Batches that skip or fail fall back to local recompute
+// naturally: the destination simply never sees their pages.
 //
 //jenga:hotpath
 func (s *Store) Fetch(dst int, seq *core.Sequence, now core.Tick) FetchReport {
@@ -212,7 +219,7 @@ func (s *Store) Fetch(dst int, seq *core.Sequence, now core.Tick) FetchReport {
 	if len(fetch) == 0 {
 		return rep
 	}
-	local := s.base[dst].Lookup(seq)
+	local := tm.Lookup(seq)
 	if p <= local {
 		return rep
 	}
@@ -241,16 +248,7 @@ func (s *Store) Fetch(dst int, seq *core.Sequence, now core.Tick) FetchReport {
 	for i := range batches {
 		k := &batches[i]
 		hr := HolderReport{Holder: k.src, Group: k.group, Blocks: len(k.hashes)}
-		src := s.mgrs[k.src]
-		if src == nil {
-			hr.Outcome, hr.Reason = FetchSkipped, "holder detached"
-			rep.Holders = append(rep.Holders, hr)
-			rep.Skipped++
-			continue
-		}
-		s.dir.Pin(k.src)
-		ps, ok := src.ExportPrefix(k.group, k.hashes)
-		s.dir.Unpin(k.src)
+		ps, ok := s.mgrs[k.src].ExportPrefix(k.group, k.hashes)
 		if !ok {
 			hr.Outcome, hr.Reason = FetchSkipped, "nothing to export"
 			rep.Holders = append(rep.Holders, hr)
