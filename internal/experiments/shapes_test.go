@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -178,21 +180,32 @@ func TestShapeHomogeneousNoOverhead(t *testing.T) {
 	}
 }
 
-// TestExperimentOutputDeterministic: identical options give
-// byte-identical tables.
+// TestExperimentOutputDeterministic renders every registered experiment
+// at scale 0.1, seed 42, in IDs() order, and compares the result byte
+// for byte with testdata/exp_scale01.golden. A refactor of the drivers
+// must leave every printed number unchanged.
 func TestExperimentOutputDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two fig15 runs; skipped with -short")
+		t.Skip("runs every experiment; skipped with -short")
 	}
-	var a, b strings.Builder
-	opt := Options{Scale: 0.1, Seed: 5}
-	if err := Fig15(&a, opt); err != nil {
+	var sb strings.Builder
+	opt := Options{Scale: 0.1, Seed: 42}
+	for _, id := range IDs() {
+		if err := Registry[id](&sb, opt); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "exp_scale01.golden"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Fig15(&b, opt); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Error("fig15 output not deterministic")
+	if got := sb.String(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("output differs from the golden at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("output has %d lines, the golden %d", len(gl), len(wl))
 	}
 }
