@@ -219,7 +219,14 @@ vet:
 # inside one, where no eviction or crash can run between the two — so a
 # Pin or Unpin method on fleet.Directory, or a pins or deferred field in
 # it, in non-test internal/fleet is a second protocol that defers
-# invalidations behind in-flight exports again.
+# invalidations behind in-flight exports again; and every paper
+# experiment is a list of runs built in one place — run.serve
+# (internal/experiments/experiments.go) is the one engine.New call in
+# non-test internal/experiments, and a second is a driver hand-building
+# its engine again; and no knob stays without a caller — a Headroom or
+# Slack field, a WithPrefillReserve or withReserve, or a Route method
+# on *Cluster (the placement dry run) in non-test internal/ is a
+# settable value or path that nothing sets back again.
 # (The token's four bytes need no grep: internal/core pins them at
 # compile time.)
 guard:
@@ -244,6 +251,8 @@ guard:
 	@out=$$(grep -rn -e 'metrics\.Percentiles\?(' -e 'metrics\.Attainment(' -e 'metrics\.Goodput(' internal/serve internal/cluster internal/bench examples --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a report layer rolls up per-request records itself (engine.Rollup is the one roll-up):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn -e 'type StreamState' -e 'map\[engine\.EventType\]' internal/serve --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "internal/serve re-spells the engine's terminal states (a stream's result is the engine's record, its State an engine.EventType):"; echo "$$out"; exit 1; fi
 	@out=$$(files=$$(ls internal/fleet/*.go | grep -v '_test\.go$$'); grep -nE 'func \(([A-Za-z_]+ )?\*Directory\) (Pin|Unpin)\(' $$files; sed -n '/^type Directory struct {/,/^}/p' $$files | grep -E '^[[:space:]]*([A-Za-z_]+,[[:space:]]*)*(pins|deferred)([[:space:],]|$$)'); if [ -n "$$out" ]; then echo "fleet.Directory defers invalidations behind pins again (the barrier section is the fleet's one consistency rule; an invalidation acts at once):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn 'engine\.New(' internal/experiments --include='*.go' | grep -v '_test\.go:'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ] || ! awk '/^func \(r run\) serve\(/,/^}/' internal/experiments/experiments.go | grep -q 'engine\.New('; then echo "non-test internal/experiments must have exactly one engine.New call, in run.serve (every experiment is a list of runs):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE -e '^[[:space:]]*(Headroom|Slack)([[:space:]]|,)' -e '\b(WithPrefillReserve|withReserve)\b' -e 'func \(([A-Za-z_]+ )?\*Cluster\) Route\(' internal --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a deleted knob is back in non-test internal/ (KVAdmission.Headroom, SLOAdmission.Slack, WithPrefillReserve/withReserve, Cluster.Route):"; echo "$$out"; exit 1; fi
 
 ci: vet lint guard build test race debug chaos-smoke scale-smoke perf-smoke
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi

@@ -97,7 +97,7 @@ func scorecards() []scorecard {
 	stream.SLOTTFT, stream.Deadline, stream.PrioClasses = 250*time.Millisecond, 2*time.Second, 2
 	stream.Admission = engine.AdmissionChain(engine.KVAdmission{}, engine.SLOAdmission{TTFT: stream.SLOTTFT})
 	var policies []variant
-	for _, sc := range []sched.Scheduler{sched.NewFCFS(), sched.NewPriority(), sched.NewSJF(), sched.NewFairShare(nil)} {
+	for _, sc := range []sched.Scheduler{sched.NewFCFS(), sched.NewPriority(), sched.NewSJF(), sched.NewFairShare()} {
 		policies = append(policies,
 			// Recompute rows run untiered: the baseline the trajectory
 			// has compared swap against since before the host tier.

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -17,8 +18,9 @@ import (
 
 // TestScenarioHostileConfigs feeds out-of-range and nonsensical configs
 // to every constructor a caller reaches. Each row ends in an error (the
-// rows that name one must return it) or in a run that accounts for every
-// request it was given — never in a panic, a hang or a silent remap.
+// rows that name one must return it, typed as a *core.ConfigError
+// through any wrapping) or in a run that accounts for every request it
+// was given — never in a panic, a hang or a silent remap.
 func TestScenarioHostileConfigs(t *testing.T) {
 	spec, err := model.ByName("gemma2-2b")
 	if err != nil {
@@ -123,6 +125,9 @@ func TestScenarioHostileConfigs(t *testing.T) {
 			case row.wantErr != "":
 				if err == nil || !strings.Contains(err.Error(), row.wantErr) {
 					t.Fatalf("error %v, want one containing %q", err, row.wantErr)
+				}
+				if cerr := (*core.ConfigError)(nil); !errors.As(err, &cerr) {
+					t.Fatalf("error %v is not a *core.ConfigError", err)
 				}
 			case err != nil:
 				t.Fatalf("error %v, want a run that accounts for every request", err)

@@ -39,7 +39,7 @@ func matrixCells(short bool) []matrixCell {
 	}
 	var cells []matrixCell
 	for _, router := range []cluster.RouterPolicy{cluster.RoundRobin, cluster.LeastLoaded, cluster.PrefixAffinity} {
-		for _, sc := range []sched.Scheduler{sched.NewFCFS(), sched.NewPriority(), sched.NewSJF(), sched.NewFairShare(nil)} {
+		for _, sc := range []sched.Scheduler{sched.NewFCFS(), sched.NewPriority(), sched.NewSJF(), sched.NewFairShare()} {
 			for _, swap := range []bool{false, true} {
 				for _, fleet := range []cluster.FleetPolicy{
 					{},
@@ -72,7 +72,7 @@ func matrixCells(short bool) []matrixCell {
 		Name: "bench-matrix-draft", Params: 100_000, WeightBytes: 2, HiddenSize: 16,
 		Groups: []model.KVGroup{{Name: "kv", Kind: model.FullAttention, Layers: 1, BytesPerToken: 64, Scope: model.ScopeText}},
 	})
-	for i, sc := range []sched.Scheduler{sched.NewFCFS(), sched.NewPriority(), sched.NewSJF(), sched.NewFairShare(nil)} {
+	for i, sc := range []sched.Scheduler{sched.NewFCFS(), sched.NewPriority(), sched.NewSJF(), sched.NewFairShare()} {
 		for _, all := range []bool{false, true} {
 			s := base
 			s.Spec, s.Router, s.Scheduler = pair, cluster.PrefixAffinity, sc

@@ -73,11 +73,6 @@ type Config struct {
 	// engine: recompute (default, historical) or swap (preemption
 	// victims move to the host tier and resume by restore).
 	PreemptMode engine.PreemptMode
-	// MaxBatchTokens, MaxRunning and MaxPrefills forward to each
-	// replica's engine.Config.
-	MaxBatchTokens int
-	MaxRunning     int
-	MaxPrefills    int
 	// AffinityPrefixTokens is the prompt prefix length PrefixAffinity
 	// hashes (default 256).
 	AffinityPrefixTokens int
@@ -215,10 +210,10 @@ type Cluster struct {
 // New validates the config and builds the replicas.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Spec == nil {
-		return nil, fmt.Errorf("cluster: model spec is required")
+		return nil, &core.ConfigError{Config: "cluster.Config", Field: "Spec", Reason: "model spec is required"}
 	}
 	if cfg.Replicas < 1 {
-		return nil, fmt.Errorf("cluster: need at least 1 replica, got %d", cfg.Replicas)
+		return nil, &core.ConfigError{Config: "cluster.Config", Field: "Replicas", Reason: fmt.Sprintf("need at least 1 replica, got %d", cfg.Replicas)}
 	}
 	if cfg.Device.Name == "" {
 		cfg.Device = gpu.H100()
@@ -266,15 +261,12 @@ func New(cfg Config) (*Cluster, error) {
 			}
 		}
 		eng, err := engine.New(engine.Config{
-			Spec:           cfg.Spec,
-			Device:         cfg.Device,
-			Manager:        mgr,
-			MaxBatchTokens: cfg.MaxBatchTokens,
-			MaxRunning:     cfg.MaxRunning,
-			MaxPrefills:    cfg.MaxPrefills,
-			Admission:      cfg.Admission,
-			Scheduler:      scheduler,
-			PreemptMode:    cfg.PreemptMode,
+			Spec:        cfg.Spec,
+			Device:      cfg.Device,
+			Manager:     mgr,
+			Admission:   cfg.Admission,
+			Scheduler:   scheduler,
+			PreemptMode: cfg.PreemptMode,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: replica %d engine: %w", i, err)
@@ -325,7 +317,7 @@ type pass struct {
 	// (crashes, redispatches, rollbacks, …) straight into it and
 	// aggregate fills in the rest.
 	out Result
-	// shards are the replica event loops (nil for Route's dry run).
+	// shards are the replica event loops.
 	shards []*streamShard
 	// recycler is the source's hand-back capability (nil without one):
 	// barrier sections give it the prompts the shards' engines are done
@@ -335,8 +327,8 @@ type pass struct {
 }
 
 // newPass starts a pass. Stateful built-in routers are reset, so
-// placement is a pure function of the stream and a Route followed by a
-// serve call sees the identical assignment (a custom stateful Router
+// placement is a pure function of the stream and two serve calls over
+// one stream see the identical assignment (a custom stateful Router
 // keeps its own state across passes and forfeits that guarantee).
 func (c *Cluster) newPass() *pass {
 	if r, ok := c.router.(resettable); ok {
@@ -403,21 +395,6 @@ func sortedByArrival(reqs []workload.Request) []workload.Request {
 	stream := append([]workload.Request(nil), reqs...)
 	sort.SliceStable(stream, func(i, j int) bool { return stream[i].Arrival < stream[j].Arrival })
 	return stream
-}
-
-// Route partitions a request stream across replicas in arrival order
-// without running it, returning one slice per replica: a dry run of the
-// placement step Serve performs, so tests and tools can inspect
-// placement.
-func (c *Cluster) Route(reqs []workload.Request) [][]workload.Request {
-	p := c.newPass()
-	assigned := make([][]workload.Request, len(c.engines))
-	stream := sortedByArrival(reqs)
-	for i := range stream {
-		rep := c.place(p, &stream[i])
-		assigned[rep] = append(assigned[rep], stream[i])
-	}
-	return assigned
 }
 
 // Serve is the batch path: the serve loop with no horizon. Routers see

@@ -60,7 +60,7 @@ type Load struct {
 	Outstanding float64
 	// Live reports whether the fields below hold the replica's real
 	// scheduler state (a horizon has published it) rather than zero
-	// values (Serve and Route, which have no horizon).
+	// values (Serve, which has no horizon).
 	Live bool
 	// Usage is the replica's live KV memory accounting.
 	Usage core.Usage
@@ -94,7 +94,7 @@ type Router interface {
 // tails); vnodes is the number of ring points per replica (default 64).
 func NewRouter(p RouterPolicy, replicas, prefixTokens, vnodes int) (Router, error) {
 	if replicas < 1 {
-		return nil, fmt.Errorf("cluster: need at least 1 replica, got %d", replicas)
+		return nil, &core.ConfigError{Config: "cluster.Config", Field: "Replicas", Reason: fmt.Sprintf("need at least 1 replica, got %d", replicas)}
 	}
 	switch p {
 	case RoundRobin:
@@ -110,14 +110,14 @@ func NewRouter(p RouterPolicy, replicas, prefixTokens, vnodes int) (Router, erro
 		}
 		return newAffinityRouter(replicas, prefixTokens, vnodes), nil
 	default:
-		return nil, fmt.Errorf("cluster: unknown router policy %d", int(p))
+		return nil, &core.ConfigError{Config: "cluster.Config", Field: "Policy", Reason: fmt.Sprintf("unknown router policy %d", int(p))}
 	}
 }
 
 // resettable is implemented by stateful built-in routers so every
-// Route pass over a stream starts from the same state — placement is
-// then a pure function of the stream, and inspecting placement with
-// Cluster.Route before Serve sees exactly what Serve will do.
+// pass over a stream starts from the same state — placement is then a
+// pure function of the stream, and a second serve call over one
+// stream places every request where the first did.
 type resettable interface{ reset() }
 
 // roundRobinRouter cycles through replicas.

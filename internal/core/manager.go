@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"strings"
 
 	"jenga/internal/arena"
 	"jenga/internal/model"
@@ -268,36 +269,43 @@ func DefaultPolicy(g *model.KVGroup) Policy {
 	}
 }
 
-// ConfigError is what Config.Validate reports: the field New cannot
-// build a manager from, and why.
+// ConfigError is the one typed error a constructor returns for a
+// config it cannot build from: which config ("core.Config",
+// "engine.Config", "cluster.Config"), the field at fault, and why.
+// Config.Validate reports it here; engine.New, cluster.New and
+// cluster.NewRouter report it for their own configs.
 type ConfigError struct {
+	Config string
 	Field  string
 	Reason string
 }
 
-func (e *ConfigError) Error() string { return "core: Config." + e.Field + ": " + e.Reason }
+func (e *ConfigError) Error() string {
+	pkg, typ, _ := strings.Cut(e.Config, ".")
+	return pkg + ": " + typ + "." + e.Field + ": " + e.Reason
+}
 
 // Validate reports the first field New would refuse, as a *ConfigError.
 // New calls it first.
 func (c Config) Validate() error {
 	if c.Spec == nil {
-		return &ConfigError{"Spec", "nil model spec"}
+		return &ConfigError{"core.Config", "Spec", "nil model spec"}
 	}
 	if err := c.Spec.Validate(); err != nil {
-		return &ConfigError{"Spec", err.Error()}
+		return &ConfigError{"core.Config", "Spec", err.Error()}
 	}
 	if c.TokensPerPage < 0 {
-		return &ConfigError{"TokensPerPage", fmt.Sprintf("%d is negative", c.TokensPerPage)}
+		return &ConfigError{"core.Config", "TokensPerPage", fmt.Sprintf("%d is negative", c.TokensPerPage)}
 	}
 	geo, err := c.Spec.Geometry(cmp.Or(c.TokensPerPage, 16))
 	if err != nil {
-		return &ConfigError{"Spec", err.Error()}
+		return &ConfigError{"core.Config", "Spec", err.Error()}
 	}
 	if large := int64(geo.LargePageBytes); c.CapacityBytes < large {
-		return &ConfigError{"CapacityBytes", fmt.Sprintf("%d is below one large page (%d bytes)", c.CapacityBytes, large)}
+		return &ConfigError{"core.Config", "CapacityBytes", fmt.Sprintf("%d is below one large page (%d bytes)", c.CapacityBytes, large)}
 	}
 	if c.HostTierBytes < 0 {
-		return &ConfigError{"HostTierBytes", fmt.Sprintf("%d is negative", c.HostTierBytes)}
+		return &ConfigError{"core.Config", "HostTierBytes", fmt.Sprintf("%d is negative", c.HostTierBytes)}
 	}
 	// The tier is sized up front: its slots × the largest small-page
 	// ratio blocks must have int32 IDs.
@@ -306,7 +314,7 @@ func (c Config) Validate() error {
 		stride = max(stride, geo.Ratio[g.Name])
 	}
 	if slots := tierSlots(c.HostTierBytes, geo.LargePageBytes); slots > math.MaxInt32/int64(stride) {
-		return &ConfigError{"HostTierBytes", fmt.Sprintf("%d pages of %d blocks overflow the tier's int32 block IDs", slots, stride)}
+		return &ConfigError{"core.Config", "HostTierBytes", fmt.Sprintf("%d pages of %d blocks overflow the tier's int32 block IDs", slots, stride)}
 	}
 	return nil
 }
@@ -329,7 +337,7 @@ func New(cfg Config) (*Jenga, error) {
 		ar, err = arena.New(cfg.CapacityBytes, geo.LargePageBytes)
 	}
 	if err != nil {
-		return nil, &ConfigError{"CapacityBytes", err.Error()}
+		return nil, &ConfigError{"core.Config", "CapacityBytes", err.Error()}
 	}
 
 	m := &Jenga{

@@ -34,9 +34,6 @@ type KVAdmission struct {
 	// MaxQueue is the waiting-queue depth beyond which a
 	// memory-blocked request is shed instead of queued (default 64).
 	MaxQueue int
-	// Headroom scales the free-plus-evictable budget a footprint is
-	// compared against (default 1.0).
-	Headroom float64
 }
 
 // Name implements AdmissionPolicy.
@@ -48,14 +45,10 @@ func (p KVAdmission) Decide(req *workload.Request, s AdmissionState) AdmissionDe
 	if maxQueue <= 0 {
 		maxQueue = 64
 	}
-	headroom := p.Headroom
-	if headroom <= 0 {
-		headroom = 1.0
-	}
-	if s.Footprint > int64(headroom*float64(s.Capacity)) {
+	if s.Footprint > s.Capacity {
 		return Shed
 	}
-	if s.Footprint > int64(headroom*float64(s.Usage.Free+s.Usage.Cached)) && s.Queued >= maxQueue {
+	if s.Footprint > s.Usage.Free+s.Usage.Cached && s.Queued >= maxQueue {
 		return Shed
 	}
 	return Admit
@@ -69,9 +62,6 @@ type SLOAdmission struct {
 	// TTFT is the time-to-first-token target compared against the
 	// queueing estimate (0 disables the global target).
 	TTFT time.Duration
-	// Slack scales the target before comparison (default 1.0); >1
-	// admits borderline requests, <1 sheds early.
-	Slack float64
 }
 
 // Name implements AdmissionPolicy.
@@ -81,14 +71,10 @@ func (p SLOAdmission) Name() string { return "slo" }
 // set) is enforced alongside the global TTFT target: a request that
 // cannot even start before its end-to-end budget expires is shed.
 func (p SLOAdmission) Decide(req *workload.Request, s AdmissionState) AdmissionDecision {
-	slack := p.Slack
-	if slack <= 0 {
-		slack = 1.0
-	}
-	if p.TTFT > 0 && s.EstTTFT > time.Duration(slack*float64(p.TTFT)) {
+	if p.TTFT > 0 && s.EstTTFT > p.TTFT {
 		return Shed
 	}
-	if req.Deadline > 0 && s.EstTTFT > time.Duration(slack*float64(req.Deadline)) {
+	if req.Deadline > 0 && s.EstTTFT > req.Deadline {
 		return Shed
 	}
 	return Admit

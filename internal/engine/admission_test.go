@@ -200,3 +200,46 @@ func TestSLOEstimateDrainsAtMeasuredRate(t *testing.T) {
 		t.Fatalf("reset engine drains at %v, want the roofline %v", e.drainRate(), e.roofline)
 	}
 }
+
+// TestAdmissionBoundaries pins where KVAdmission and SLOAdmission turn
+// from admit to shed: a footprint equal to the capacity, or to what is
+// free plus evictable with the queue at MaxQueue, admits, and so does
+// an estimate equal to the TTFT target or the request's deadline; one
+// unit past any of them sheds.
+func TestAdmissionBoundaries(t *testing.T) {
+	kv := KVAdmission{MaxQueue: 4}
+	const capacity = 1000
+	room := core.Usage{Free: 300, Cached: 100} // 400 bytes free plus evictable
+	slo := SLOAdmission{TTFT: 50 * time.Millisecond}
+	const deadline = 80 * time.Millisecond
+	for _, c := range []struct {
+		name   string
+		policy AdmissionPolicy
+		req    workload.Request
+		state  AdmissionState
+		want   AdmissionDecision
+	}{
+		{"kv footprint == capacity", kv, workload.Request{},
+			AdmissionState{Usage: core.Usage{Free: capacity}, Capacity: capacity, Footprint: capacity}, Admit},
+		{"kv footprint == capacity+1", kv, workload.Request{},
+			AdmissionState{Usage: core.Usage{Free: capacity}, Capacity: capacity, Footprint: capacity + 1}, Shed},
+		{"kv footprint == free+cached, queue at MaxQueue", kv, workload.Request{},
+			AdmissionState{Usage: room, Capacity: capacity, Footprint: 400, Queued: 4}, Admit},
+		{"kv footprint == free+cached+1, queue at MaxQueue", kv, workload.Request{},
+			AdmissionState{Usage: room, Capacity: capacity, Footprint: 401, Queued: 4}, Shed},
+		{"kv footprint == free+cached+1, queue below MaxQueue", kv, workload.Request{},
+			AdmissionState{Usage: room, Capacity: capacity, Footprint: 401, Queued: 3}, Admit},
+		{"slo estimate == TTFT", slo, workload.Request{},
+			AdmissionState{EstTTFT: 50 * time.Millisecond}, Admit},
+		{"slo estimate == TTFT+1", slo, workload.Request{},
+			AdmissionState{EstTTFT: 50*time.Millisecond + 1}, Shed},
+		{"slo estimate == deadline", SLOAdmission{}, workload.Request{Deadline: deadline},
+			AdmissionState{EstTTFT: deadline}, Admit},
+		{"slo estimate == deadline+1", SLOAdmission{}, workload.Request{Deadline: deadline},
+			AdmissionState{EstTTFT: deadline + 1}, Shed},
+	} {
+		if got := c.policy.Decide(&c.req, c.state); got != c.want {
+			t.Errorf("%s: %v, want %v", c.name, got, c.want)
+		}
+	}
+}

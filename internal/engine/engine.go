@@ -537,8 +537,11 @@ func (e *Engine) retire(r *run, ev EventType) {
 
 // New validates the config and builds an engine.
 func New(cfg Config) (*Engine, error) {
-	if cfg.Spec == nil || cfg.Manager == nil {
-		return nil, fmt.Errorf("engine: spec and manager are required")
+	if cfg.Spec == nil {
+		return nil, &core.ConfigError{Config: "engine.Config", Field: "Spec", Reason: "model spec is required"}
+	}
+	if cfg.Manager == nil {
+		return nil, &core.ConfigError{Config: "engine.Config", Field: "Manager", Reason: "manager is required"}
 	}
 	if cfg.MaxBatchTokens <= 0 {
 		cfg.MaxBatchTokens = 2048
@@ -556,7 +559,8 @@ func New(cfg Config) (*Engine, error) {
 		cfg.Device = gpu.H100()
 	}
 	if cfg.PreemptMode != PreemptRecompute && cfg.PreemptMode != PreemptSwap {
-		return nil, fmt.Errorf("engine: unknown preempt mode %d", cfg.PreemptMode)
+		return nil, &core.ConfigError{Config: "engine.Config", Field: "PreemptMode",
+			Reason: fmt.Sprintf("unknown preempt mode %d", cfg.PreemptMode)}
 	}
 	e := &Engine{
 		cfg:       cfg,
@@ -565,8 +569,8 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if draft := cfg.Spec.Draft; draft != nil {
 		if cfg.MaxBatchTokens < SpecK+1 {
-			return nil, fmt.Errorf("engine: MaxBatchTokens %d cannot hold one %d-token verify pass of %s",
-				cfg.MaxBatchTokens, SpecK+1, cfg.Spec.Name)
+			return nil, &core.ConfigError{Config: "engine.Config", Field: "MaxBatchTokens",
+				Reason: fmt.Sprintf("%d cannot hold one %d-token verify pass of %s", cfg.MaxBatchTokens, SpecK+1, cfg.Spec.Name)}
 		}
 		e.draftCost = &gpu.CostModel{Dev: cfg.Device, Spec: draft}
 	}

@@ -593,7 +593,7 @@ func TestViewMatchesFreshFill(t *testing.T) {
 	}
 	policies := []func() sched.Scheduler{
 		sched.NewFCFS, sched.NewPriority, sched.NewSJF,
-		func() sched.Scheduler { return sched.NewFairShare(nil) },
+		func() sched.Scheduler { return sched.NewFairShare() },
 	}
 	for _, policy := range policies {
 		for _, mode := range []PreemptMode{PreemptRecompute, PreemptSwap} {

@@ -258,9 +258,25 @@ func TestSpeculativeConfigValidation(t *testing.T) {
 	}
 }
 
+// halfDecode is FCFS with half of each step's budget held back from
+// decode while prefill work (a waiting request or a running prefill)
+// exists: a custom PrefillBudget.
+type halfDecode struct{ sched.Scheduler }
+
+func (h halfDecode) PrefillBudget(v *sched.View, total int) sched.Split {
+	busy := len(v.Waiting) > 0
+	for i := range v.Running {
+		busy = busy || v.Running[i].Phase == sched.PhasePrefill
+	}
+	if !busy {
+		return sched.DefaultSplit(total)
+	}
+	return sched.Split{Decode: total - total/2, Prefill: total}
+}
+
 // TestSpeculativeVerifyPassIsWhole: a verify pass is scheduled whole
-// or not at all. With an 8-token step and half of it reserved for
-// prefill, the decode share (4) is below one pass (5) for as long as
+// or not at all. With an 8-token step and half of it held back from
+// decode, the decode share (4) is below one pass (5) for as long as
 // prefill work exists, so no run decodes until the last prompt is in —
 // and every pass that does run fits its step.
 func TestSpeculativeVerifyPassIsWhole(t *testing.T) {
@@ -273,7 +289,7 @@ func TestSpeculativeVerifyPassIsWhole(t *testing.T) {
 	}
 	res := runEngine(t, Config{
 		Spec: miniPair(), Device: smallDevice(), Manager: jengaFor(t, miniPair(), 8<<20, false),
-		MaxBatchTokens: 8, Scheduler: sched.WithPrefillReserve(sched.NewFCFS(), 0.5), SampleEvery: 1,
+		MaxBatchTokens: 8, Scheduler: halfDecode{sched.NewFCFS()}, SampleEvery: 1,
 	}, reqs)
 	if res.Finished != 3 || res.GeneratedTokens != wantGenerated(reqs) {
 		t.Fatalf("finished %d of 3, generated %d of %d", res.Finished, res.GeneratedTokens, wantGenerated(reqs))

@@ -54,43 +54,22 @@ func AblationPageSize(w io.Writer, opt Options) error {
 		workload.AllAtOnce(reqs)
 		return reqs
 	}
-	budget, err := gpu.KVBudget(spec, dev, 0)
-	if err != nil {
-		return err
-	}
-
-	runWith := func(s *model.Spec, eff float64) (*engine.Result, error) {
-		mgr, err := core.New(core.Config{
-			Spec: s, CapacityBytes: budget, TokensPerPage: tokensPerPage,
-			RequestAware: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return serve(s, dev, mgr, load(), func(c *engine.Config) {
-			c.KernelEfficiency = eff
-		})
-	}
-
-	lcm, err := runWith(spec, 1.0)
-	if err != nil {
-		return fmt.Errorf("ablation lcm: %w", err)
-	}
 	// MAX: pad the attention page to the Mamba page size.
 	maxSpec := *spec
 	maxSpec.Name += "-maxpage"
 	maxSpec.Groups = append([]model.KVGroup{}, spec.Groups...)
 	mambaPage := mamba.StateBytes * mamba.Layers
 	maxSpec.Groups[0].BytesPerToken = mambaPage / (attn.Layers * tokensPerPage)
-	maxRes, err := runWith(&maxSpec, 1.0)
-	if err != nil {
-		return fmt.Errorf("ablation max: %w", err)
-	}
+	lcmRun := run{spec: spec, dev: dev, eng: engine.Config{KernelEfficiency: 1.0}}
+	maxRun, gcdRun := lcmRun, lcmRun
+	maxRun.spec = &maxSpec
 	// GCD: LCM-equivalent memory at reduced kernel efficiency.
-	gcd, err := runWith(spec, 0.55)
+	gcdRun.eng.KernelEfficiency = 0.55
+	res, err := serveEach(load, []run{lcmRun, maxRun, gcdRun})
 	if err != nil {
-		return fmt.Errorf("ablation gcd: %w", err)
+		return fmt.Errorf("ablation-page: %w", err)
 	}
+	lcm, maxRes, gcd := res[0], res[1], res[2]
 
 	tbl := trace.NewTable("§4.4 page-size policy ablation (Jamba, MMLU-pro)",
 		"policy", "req/s", "vs LCM", "note")

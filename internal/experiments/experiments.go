@@ -92,46 +92,94 @@ func IDs() []string {
 	return ids
 }
 
-// newJenga builds a Jenga manager sized for the model on the device.
-// reserve overrides the runtime reserve fraction (0 = default); VLM
-// experiments reserve more for vision-encoder activation workspace.
-func newJenga(spec *model.Spec, dev gpu.Device, cache bool, reserve float64) (core.Manager, error) {
-	budget, err := gpu.KVBudget(spec, dev, reserve)
+// managerKind is the memory manager a run serves under.
+type managerKind int
+
+const (
+	kindJenga      managerKind = iota // Jenga's two-level LCM allocator
+	kindPaged                         // the vLLM-style PagedAttention baseline
+	kindVLLMMax                       // §7.4: one page size, set by the target
+	kindVLLMManual                    // §7.4: SmartSpec's static target/draft split
+)
+
+// run is one engine simulation of a paper experiment. The paper runs
+// every compared memory manager under one identical engine (§7), so a
+// driver is a list of runs, and this is the one place that builds their
+// managers and engines.
+type run struct {
+	spec *model.Spec
+	dev  gpu.Device
+	kind managerKind
+	// cache turns the manager's prefix caching on.
+	cache bool
+	// reserve overrides the runtime reserve fraction (0 = gpu default).
+	reserve float64
+	// maxSeqs sizes the paged baseline's Mamba pool (0 = its default).
+	maxSeqs int
+	// target is a speculative pair's target (spec is the pair), which
+	// the vLLM-max and vLLM-manual baselines page apart from the draft.
+	target *model.Spec
+	// eng holds only the engine knobs the figure sets; serve fills in
+	// the model, device and manager.
+	eng engine.Config
+}
+
+// manager builds the run's memory manager on the model's KV budget.
+func (r run) manager() (core.Manager, error) {
+	budget, err := gpu.KVBudget(r.spec, r.dev, r.reserve)
 	if err != nil {
 		return nil, err
+	}
+	switch r.kind {
+	case kindPaged:
+		return baseline.NewPaged(baseline.Config{
+			Spec: r.spec, CapacityBytes: budget, TokensPerPage: tokensPerPage,
+			EnablePrefixCache: r.cache, MaxSeqs: r.maxSeqs,
+		})
+	case kindVLLMMax:
+		return baseline.NewVLLMMax(r.target, r.spec.Draft, budget, tokensPerPage, r.cache)
+	case kindVLLMManual:
+		return baseline.NewVLLMManual(r.target, r.spec.Draft, budget, tokensPerPage, r.cache)
 	}
 	return core.New(core.Config{
-		Spec: spec, CapacityBytes: budget, TokensPerPage: tokensPerPage,
-		EnablePrefixCache: cache, RequestAware: true,
+		Spec: r.spec, CapacityBytes: budget, TokensPerPage: tokensPerPage,
+		EnablePrefixCache: r.cache, RequestAware: true,
 	})
 }
 
-// newPaged builds the vLLM-style baseline sized for the model.
-func newPaged(spec *model.Spec, dev gpu.Device, cache bool, maxSeqs int, reserve float64) (core.Manager, error) {
-	budget, err := gpu.KVBudget(spec, dev, reserve)
+// serve runs reqs through one engine over a fresh manager.
+func (r run) serve(reqs []workload.Request) (*engine.Result, error) {
+	mgr, err := r.manager()
 	if err != nil {
 		return nil, err
 	}
-	return baseline.NewPaged(baseline.Config{
-		Spec: spec, CapacityBytes: budget, TokensPerPage: tokensPerPage,
-		EnablePrefixCache: cache, MaxSeqs: maxSeqs,
-	})
-}
-
-// serve runs one engine simulation.
-func serve(spec *model.Spec, dev gpu.Device, mgr core.Manager, reqs []workload.Request, mod func(*engine.Config)) (*engine.Result, error) {
-	cfg := engine.Config{
-		Spec: spec, Device: dev, Manager: mgr,
-		MaxBatchTokens: 2048, MaxRunning: 256,
-	}
-	if mod != nil {
-		mod(&cfg)
-	}
-	e, err := engine.New(cfg)
+	r.eng.Spec, r.eng.Device, r.eng.Manager = r.spec, r.dev, mgr
+	e, err := engine.New(r.eng)
 	if err != nil {
 		return nil, err
 	}
 	return e.Run(reqs)
+}
+
+// vs is the comparison most figures make: the run under the paged
+// baseline, then the same run under Jenga.
+func vs(r run) []run {
+	vllm, jenga := r, r
+	vllm.kind, jenga.kind = kindPaged, kindJenga
+	return []run{vllm, jenga}
+}
+
+// serveEach serves a fresh load() under each run, in order.
+func serveEach(load func() []workload.Request, runs []run) ([]*engine.Result, error) {
+	out := make([]*engine.Result, len(runs))
+	for i, r := range runs {
+		res, err := r.serve(load())
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res
+	}
+	return out, nil
 }
 
 // quantized returns a copy of the spec with fp8 weights (the Table 1

@@ -22,10 +22,9 @@ type fig13Entry struct {
 	baseN int
 	// maxSeqs sizes the baseline's static Mamba pool.
 	maxSeqs int
-	// vision marks VLM rows (Jenga gets the embedding cache).
+	// vision marks VLM rows: the encoder's cross-attention KV, and the
+	// larger runtime reserve (vlmReserve).
 	vision bool
-	// reserve overrides the runtime reserve fraction (VLM rows).
-	reserve float64
 	// paper is the paper's reported speedup for reference.
 	paper string
 }
@@ -67,7 +66,7 @@ func mmmuLoad(tokensPerImage int) func(g *workload.Gen, n int) []workload.Reques
 
 func fig13H100() []fig13Entry {
 	return []fig13Entry{
-		{label: "mllama", spec: model.Llama32Vision11B(), load: mmmuLoad(1601), baseN: 128, vision: true, reserve: vlmReserve, paper: "1.71x"},
+		{label: "mllama", spec: model.Llama32Vision11B(), load: mmmuLoad(1601), baseN: 128, vision: true, paper: "1.71x"},
 		{label: "Gemma-2", spec: model.Gemma2_27B(), load: arxivLoad(9000), baseN: 40, paper: "1.26x"},
 		{label: "Ministral*", spec: model.Ministral8B(), load: arxivLoad(90000), baseN: 18, paper: "2.08x"},
 		{label: "Jamba", spec: model.Jamba52B(), load: mmluLoad, baseN: 160, maxSeqs: 64, paper: "1.78x"},
@@ -79,7 +78,7 @@ func fig13H100() []fig13Entry {
 
 func fig13L4() []fig13Entry {
 	return []fig13Entry{
-		{label: "mllama*", spec: quantized(model.Llama32Vision11B()), load: mmmuLoad(1601), baseN: 48, vision: true, reserve: vlmReserve, paper: "1.54x"},
+		{label: "mllama*", spec: quantized(model.Llama32Vision11B()), load: mmmuLoad(1601), baseN: 48, vision: true, paper: "1.54x"},
 		{label: "Gemma-2", spec: model.Gemma2_9B(), load: arxivLoad(6000), baseN: 24, paper: "1.44x"},
 		{label: "Ministral*", spec: quantized(model.Ministral8B()), load: arxivLoad(90000), baseN: 10, paper: "3.29x"},
 		{label: "Jamba", spec: model.Jamba52B(), load: mmluLoad, baseN: 8, maxSeqs: 8, paper: "OOM"},
@@ -114,52 +113,32 @@ func Fig13(w io.Writer, opt Options) error {
 	return nil
 }
 
+// runs are the row's paged-baseline and Jenga runs. Prefix caching is
+// off on both: the figure compares memory layouts, and reuse is
+// Fig. 17's subject.
+func (e fig13Entry) runs(dev gpu.Device) []run {
+	// Real prefill token budgets are large (vLLM defaults to the
+	// model's context length); several prompts prefill in one step.
+	r := run{spec: e.spec, dev: dev, maxSeqs: e.maxSeqs, eng: engine.Config{MaxBatchTokens: 8192, MaxPrefills: 4}}
+	if e.vision {
+		// mllama's encoder feeds cross-attention KV, computed once per
+		// request by every engine.
+		r.reserve, r.eng.Vision = vlmReserve, engine.VisionReuseKV
+	}
+	return vs(r)
+}
+
 func fig13Row(e fig13Entry, dev gpu.Device, opt Options) ([]any, error) {
 	// OOM detection first (Jamba on L4).
 	if _, err := gpu.KVBudget(e.spec, dev, 0); err != nil {
 		return []any{e.label, "OOM", "OOM", "-", e.paper, "-", "-"}, nil
 	}
-
 	n := opt.n(e.baseN)
-	run := func(jenga bool) (*engine.Result, error) {
-		g := workload.NewGen(opt.Seed)
-		reqs := e.load(g, n)
-		mod := func(c *engine.Config) {
-			// Real prefill token budgets are large (vLLM defaults to
-			// the model's context length); several prompts prefill in
-			// one step.
-			c.MaxBatchTokens = 8192
-			c.MaxPrefills = 4
-			if e.vision {
-				// mllama's encoder feeds cross-attention KV, computed
-				// once per request by every engine.
-				c.Vision = engine.VisionReuseKV
-			}
-		}
-		// Prefix caching is off on both managers: the figure compares
-		// memory layouts, and reuse is Fig. 17's subject.
-		if jenga {
-			m, err := newJenga(e.spec, dev, false, e.reserve)
-			if err != nil {
-				return nil, err
-			}
-			return serve(e.spec, dev, m, reqs, mod)
-		}
-		m, err := newPaged(e.spec, dev, false, e.maxSeqs, e.reserve)
-		if err != nil {
-			return nil, err
-		}
-		return serve(e.spec, dev, m, reqs, mod)
-	}
-
-	vres, err := run(false)
+	res, err := serveEach(func() []workload.Request { return e.load(workload.NewGen(opt.Seed), n) }, e.runs(dev))
 	if err != nil {
 		return nil, err
 	}
-	jres, err := run(true)
-	if err != nil {
-		return nil, err
-	}
+	vres, jres := res[0], res[1]
 	return []any{
 		e.label,
 		fmt.Sprintf("%.3f", vres.ReqPerSec),

@@ -34,8 +34,14 @@ func Fig14(w io.Writer, opt Options) error {
 	tbl := trace.NewTable("Fig. 14 latency vs request rate (mllama, H100; times in s)",
 		"rate req/s", "vLLM E2EL", "Jenga E2EL", "vLLM TTFT", "Jenga TTFT", "vLLM TPOT", "Jenga TPOT")
 
+	runs := vs(run{spec: spec, dev: dev, cache: true, reserve: vlmReserve, eng: engine.Config{
+		Vision: engine.VisionReuseKV,
+		// Latency serving uses small chunks so prefill work cannot
+		// stall in-flight decodes (SARATHI-style TPOT protection).
+		MaxBatchTokens: 4096, MaxPrefills: 2,
+	}})
 	for _, rate := range rates {
-		load := func() []workload.Request {
+		res, err := serveEach(func() []workload.Request {
 			g := workload.NewGen(opt.Seed)
 			reqs := g.MMMUPro(n, 1601)
 			for i := range reqs {
@@ -45,30 +51,11 @@ func Fig14(w io.Writer, opt Options) error {
 			}
 			g.PoissonArrivals(reqs, rate)
 			return reqs
-		}
-		vm, err := newPaged(spec, dev, true, 0, vlmReserve)
+		}, runs)
 		if err != nil {
-			return err
+			return fmt.Errorf("fig14 rate %.1f: %w", rate, err)
 		}
-		mod := func(c *engine.Config) {
-			c.Vision = engine.VisionReuseKV
-			// Latency serving uses small chunks so prefill work cannot
-			// stall in-flight decodes (SARATHI-style TPOT protection).
-			c.MaxBatchTokens = 4096
-			c.MaxPrefills = 2
-		}
-		vres, err := serve(spec, dev, vm, load(), mod)
-		if err != nil {
-			return fmt.Errorf("fig14 vllm rate %.1f: %w", rate, err)
-		}
-		jm, err := newJenga(spec, dev, true, vlmReserve)
-		if err != nil {
-			return err
-		}
-		jres, err := serve(spec, dev, jm, load(), mod)
-		if err != nil {
-			return fmt.Errorf("fig14 jenga rate %.1f: %w", rate, err)
-		}
+		vres, jres := res[0], res[1]
 		tbl.AddRow(rate,
 			fmt.Sprintf("%.2f", vres.MeanE2E.Seconds()),
 			fmt.Sprintf("%.2f", jres.MeanE2E.Seconds()),

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"jenga/internal/core"
 	"jenga/internal/engine"
 	"jenga/internal/gpu"
 	"jenga/internal/model"
@@ -25,10 +24,7 @@ import (
 // tokens — emulated here by truncating its outputs.
 func Fig15(w io.Writer, opt Options) error {
 	opt = opt.norm()
-	spec := model.Ministral8B()
-	dev := gpu.H100()
 	n := opt.n(20)
-
 	load := func(outputScale float64) []workload.Request {
 		g := workload.NewGen(opt.Seed)
 		reqs := g.LongDocQA(n)
@@ -42,38 +38,11 @@ func Fig15(w io.Writer, opt Options) error {
 		return reqs
 	}
 
-	type system struct {
-		name        string
-		jenga       bool
-		cache       bool
-		outputScale float64
-	}
-	systems := []system{
-		{name: "vLLM", cache: false, outputScale: 1},
-		{name: "SGLang", cache: true, outputScale: 1}, // radix-style caching
-		{name: "TGI", cache: false, outputScale: 0.6}, // no --ignore-eos
-		{name: "Jenga", jenga: true, cache: true, outputScale: 1},
-	}
-
 	tbl := trace.NewTable("Fig. 15 decode batch size (Ministral, 20 long-doc requests)",
 		"system", "mean decode batch", "decode steps", "finished", "timeline")
 	var series []trace.Series
-	for _, s := range systems {
-		var mgr core.Manager
-		var err error
-		if s.jenga {
-			mgr, err = newJenga(spec, dev, s.cache, 0)
-		} else {
-			mgr, err = newPaged(spec, dev, s.cache, 0, 0)
-		}
-		if err != nil {
-			return err
-		}
-		res, err := serve(spec, dev, mgr, load(s.outputScale), func(c *engine.Config) {
-			c.MaxBatchTokens = 8192
-			c.MaxPrefills = 4
-			c.SampleEvery = 1 // keeps the per-step decode timeline
-		})
+	for _, s := range fig15Systems() {
+		res, err := s.run.serve(load(s.outputScale))
 		if err != nil {
 			return fmt.Errorf("fig15 %s: %w", s.name, err)
 		}
@@ -103,4 +72,28 @@ func Fig15(w io.Writer, opt Options) error {
 		}
 	}
 	return emit(w, opt, tbl)
+}
+
+// fig15System is one of Fig. 15's four systems.
+type fig15System struct {
+	name string
+	run  run
+	// outputScale shortens every output (TGI's missing --ignore-eos).
+	outputScale float64
+}
+
+// fig15Systems are Fig. 15's systems: Ministral on H100, several
+// prompts prefilling per step, the per-step decode timeline kept.
+func fig15Systems() []fig15System {
+	paged := run{spec: model.Ministral8B(), dev: gpu.H100(), kind: kindPaged,
+		eng: engine.Config{MaxBatchTokens: 8192, MaxPrefills: 4, SampleEvery: 1}}
+	sglang, jenga := paged, paged
+	sglang.cache = true // radix-style caching
+	jenga.kind, jenga.cache = kindJenga, true
+	return []fig15System{
+		{"vLLM", paged, 1},
+		{"SGLang", sglang, 1},
+		{"TGI", paged, 0.6}, // no --ignore-eos
+		{"Jenga", jenga, 1},
+	}
 }

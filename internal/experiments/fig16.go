@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"jenga/internal/core"
 	"jenga/internal/engine"
 	"jenga/internal/gpu"
 	"jenga/internal/model"
@@ -25,15 +24,14 @@ import (
 // workload (27.8%–54.5% of allocated KV is self-attention).
 func Fig16(w io.Writer, opt Options) error {
 	opt = opt.norm()
-	spec := model.Ministral8B()
-	dev := gpu.H100()
 	n := opt.n(16)
-	budget, err := gpu.KVBudget(spec, dev, 0)
+	base := fig16Run()
+	budget, err := gpu.KVBudget(base.spec, base.dev, 0)
 	if err != nil {
 		return err
 	}
-	weights := spec.WeightFootprint()
-	reserve := dev.MemBytes - weights - budget
+	weights := base.spec.WeightFootprint()
+	reserve := base.dev.MemBytes - weights - budget
 
 	load := func(dynamic bool) []workload.Request {
 		g := workload.NewGen(opt.Seed)
@@ -54,23 +52,9 @@ func Fig16(w io.Writer, opt Options) error {
 		if dynamic {
 			traceName = "dynamic"
 		}
-		for _, jenga := range []bool{false, true} {
-			name := "vLLM"
-			var mgr core.Manager
-			if jenga {
-				name = "Jenga"
-				mgr, err = newJenga(spec, dev, false, 0)
-			} else {
-				mgr, err = newPaged(spec, dev, false, 0, 0)
-			}
-			if err != nil {
-				return err
-			}
-			res, err := serve(spec, dev, mgr, load(dynamic), func(c *engine.Config) {
-				c.SampleEvery = 4
-				c.MaxBatchTokens = 8192
-				c.MaxPrefills = 4
-			})
+		for i, r := range vs(base) {
+			name, jenga := [...]string{"vLLM", "Jenga"}[i], r.kind == kindJenga
+			res, err := r.serve(load(dynamic))
 			if err != nil {
 				return fmt.Errorf("fig16 %s/%s: %w", name, traceName, err)
 			}
@@ -125,4 +109,12 @@ func Fig16(w io.Writer, opt Options) error {
 		}
 	}
 	return emit(w, opt, tbl)
+}
+
+// fig16Run is Fig. 16's run before its manager is chosen: Ministral on
+// H100 with prefix caching off, sampling the memory breakdown every
+// four steps.
+func fig16Run() run {
+	return run{spec: model.Ministral8B(), dev: gpu.H100(),
+		eng: engine.Config{SampleEvery: 4, MaxBatchTokens: 8192, MaxPrefills: 4}}
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math/rand"
 
-	"jenga/internal/core"
 	"jenga/internal/engine"
 	"jenga/internal/gpu"
 	"jenga/internal/metrics"
@@ -33,6 +32,13 @@ func Fig17(w io.Writer, opt Options) error {
 	tbl := trace.NewTable("Fig. 17 prefix caching vs number of articles (Gemma-2 27B, H100)",
 		"articles", "vLLM hit %", "Jenga hit %", "hit ratio", "vLLM tok/s", "Jenga tok/s", "speedup")
 
+	runs := vs(run{spec: spec, dev: dev, cache: true, eng: engine.Config{
+		MaxBatchTokens: 8192, MaxPrefills: 2,
+		// Equal batch ceilings isolate the eviction-policy comparison:
+		// the question is what each manager keeps cached, not how many
+		// requests it can run.
+		MaxRunning: 4,
+	}})
 	for _, articles := range []int{2, 4, 8, 16, 24} {
 		load := func() []workload.Request {
 			g := workload.NewGen(opt.Seed)
@@ -54,37 +60,12 @@ func Fig17(w io.Writer, opt Options) error {
 			g.PoissonArrivals(reqs, 1.0)
 			return reqs
 		}
-		run := func(jenga bool) (hit float64, toks float64, err error) {
-			var mgr core.Manager
-			if jenga {
-				mgr, err = newJenga(spec, dev, true, 0)
-			} else {
-				mgr, err = newPaged(spec, dev, true, 0, 0)
-			}
-			if err != nil {
-				return 0, 0, err
-			}
-			res, err := serve(spec, dev, mgr, load(), func(c *engine.Config) {
-				c.MaxBatchTokens = 8192
-				c.MaxPrefills = 2
-				// Equal batch ceilings isolate the eviction-policy
-				// comparison: the question is what each manager keeps
-				// cached, not how many requests it can run.
-				c.MaxRunning = 4
-			})
-			if err != nil {
-				return 0, 0, err
-			}
-			return res.HitRate, res.TokensPerSec, nil
-		}
-		vHit, vToks, err := run(false)
+		res, err := serveEach(load, runs)
 		if err != nil {
-			return fmt.Errorf("fig17 vllm %d articles: %w", articles, err)
+			return fmt.Errorf("fig17 %d articles: %w", articles, err)
 		}
-		jHit, jToks, err := run(true)
-		if err != nil {
-			return fmt.Errorf("fig17 jenga %d articles: %w", articles, err)
-		}
+		vHit, vToks := res[0].HitRate, res[0].TokensPerSec
+		jHit, jToks := res[1].HitRate, res[1].TokensPerSec
 		tbl.AddRow(articles,
 			fmt.Sprintf("%.1f", vHit*100),
 			fmt.Sprintf("%.1f", jHit*100),

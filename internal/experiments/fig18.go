@@ -47,28 +47,14 @@ func Fig18(w io.Writer, opt Options) error {
 			workload.AllAtOnce(reqs)
 			return reqs
 		}
-		vm, err := newPaged(spec, dev, false, 0, vlmReserve)
+		runs := vs(run{spec: spec, dev: dev, reserve: vlmReserve, eng: engine.Config{MaxBatchTokens: 1024}})
+		runs[0].eng.Vision = engine.VisionNone
+		runs[1].eng.Vision = engine.VisionFreeOnDemand
+		res, err := serveEach(load, runs)
 		if err != nil {
-			return err
+			return fmt.Errorf("fig18 %s: %w", spec.Name, err)
 		}
-		vres, err := serve(spec, dev, vm, load(), func(c *engine.Config) {
-			c.Vision = engine.VisionNone
-			c.MaxBatchTokens = 1024
-		})
-		if err != nil {
-			return fmt.Errorf("fig18 vllm %s: %w", spec.Name, err)
-		}
-		jm, err := newJenga(spec, dev, false, vlmReserve)
-		if err != nil {
-			return err
-		}
-		jres, err := serve(spec, dev, jm, load(), func(c *engine.Config) {
-			c.Vision = engine.VisionFreeOnDemand
-			c.MaxBatchTokens = 1024
-		})
-		if err != nil {
-			return fmt.Errorf("fig18 jenga %s: %w", spec.Name, err)
-		}
+		vres, jres := res[0], res[1]
 		tbl.AddRow(spec.Name,
 			fmt.Sprintf("%.3f", vres.ReqPerSec),
 			fmt.Sprintf("%.3f", jres.ReqPerSec),

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"jenga/internal/baseline"
-	"jenga/internal/core"
 	"jenga/internal/gpu"
 	"jenga/internal/metrics"
 	"jenga/internal/model"
@@ -51,41 +49,20 @@ func Fig19(w io.Writer, opt Options) error {
 	for _, e := range entries {
 		// Both models' weights occupy the device; the rest is KV.
 		pair := model.WithDraft(e.target, e.draft)
-		budget, err := gpu.KVBudget(pair, dev, 0)
-		if err != nil {
+		if _, err := gpu.KVBudget(pair, dev, 0); err != nil {
 			tbl.AddRow(e.label, "OOM", "OOM", "OOM", "-", e.paper)
 			continue
 		}
 		n := opt.n(e.baseN)
-		managers := [...]struct {
-			name  string
-			build func() (core.Manager, error)
-		}{
-			{"vmax", func() (core.Manager, error) {
-				return baseline.NewVLLMMax(e.target, e.draft, budget, tokensPerPage, false)
-			}},
-			{"manual", func() (core.Manager, error) {
-				return baseline.NewVLLMManual(e.target, e.draft, budget, tokensPerPage, false)
-			}},
-			// Jenga needs no strategy: the pair is a model like any other.
-			{"jenga", func() (core.Manager, error) {
-				return core.New(core.Config{
-					Spec: pair, CapacityBytes: budget, TokensPerPage: tokensPerPage, RequestAware: true,
-				})
-			}},
-		}
-		var rps [len(managers)]float64
-		for i, m := range managers {
-			mgr, err := m.build()
+		// Jenga needs no strategy: the pair is a model like any other.
+		var rps [3]float64
+		for i, kind := range []managerKind{kindVLLMMax, kindVLLMManual, kindJenga} {
+			res, err := run{spec: pair, dev: dev, kind: kind, target: e.target}.serve(e.load(workload.NewGen(opt.Seed), n))
 			if err != nil {
-				return fmt.Errorf("fig19 %s %s: %w", e.label, m.name, err)
-			}
-			res, err := serve(pair, dev, mgr, e.load(workload.NewGen(opt.Seed), n), nil)
-			if err != nil {
-				return fmt.Errorf("fig19 %s %s: %w", e.label, m.name, err)
+				return fmt.Errorf("fig19 %s manager %d: %w", e.label, kind, err)
 			}
 			if res.Finished != n {
-				return fmt.Errorf("fig19 %s %s: %d of %d requests finished", e.label, m.name, res.Finished, n)
+				return fmt.Errorf("fig19 %s manager %d: %d of %d requests finished", e.label, kind, res.Finished, n)
 			}
 			rps[i] = res.ReqPerSec
 		}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"jenga/internal/core"
 	"jenga/internal/engine"
 	"jenga/internal/gpu"
 	"jenga/internal/model"
@@ -16,7 +15,7 @@ import (
 // Shape-regression tests: these pin the qualitative results recorded in
 // EXPERIMENTS.md so a refactor cannot silently lose a reproduced shape.
 // They run the underlying simulations directly (not the table
-// renderers) with the same configurations at full scale.
+// renderers) with the drivers' own runs at full scale.
 
 // TestShapeFig15DecodeBatch locks the Fig. 15 result: Jenga's mean
 // decode batch beats the flat baseline by ≥1.4× and finishes in fewer
@@ -25,36 +24,18 @@ func TestShapeFig15DecodeBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale simulation; skipped with -short")
 	}
-	spec := model.Ministral8B()
-	dev := gpu.H100()
 	load := func() []workload.Request {
 		g := workload.NewGen(42)
 		reqs := g.LongDocQA(20)
 		workload.AllAtOnce(reqs)
 		return reqs
 	}
-	run := func(jenga bool) *engine.Result {
-		var mgr core.Manager
-		var err error
-		if jenga {
-			mgr, err = newJenga(spec, dev, true, 0)
-		} else {
-			mgr, err = newPaged(spec, dev, false, 0, 0)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := serve(spec, dev, mgr, load(), func(c *engine.Config) {
-			c.MaxBatchTokens = 8192
-			c.MaxPrefills = 4
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	systems := fig15Systems()
+	res, err := serveEach(load, []run{systems[0].run, systems[3].run}) // vLLM, Jenga
+	if err != nil {
+		t.Fatal(err)
 	}
-	v := run(false)
-	j := run(true)
+	v, j := res[0], res[1]
 	if v.Finished != 20 || j.Finished != 20 {
 		t.Fatalf("finished: vllm %d jenga %d", v.Finished, j.Finished)
 	}
@@ -71,9 +52,8 @@ func TestShapeFig16Waste(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale simulation; skipped with -short")
 	}
-	spec := model.Ministral8B()
-	dev := gpu.H100()
-	budget, err := gpu.KVBudget(spec, dev, 0)
+	base := fig16Run()
+	budget, err := gpu.KVBudget(base.spec, base.dev, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,25 +64,11 @@ func TestShapeFig16Waste(t *testing.T) {
 		workload.AllAtOnce(reqs)
 		return reqs
 	}
-	wasteFrac := func(jenga bool) float64 {
-		var mgr core.Manager
-		var err error
-		if jenga {
-			mgr, err = newJenga(spec, dev, false, 0)
-		} else {
-			mgr, err = newPaged(spec, dev, false, 0, 0)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := serve(spec, dev, mgr, load(), func(c *engine.Config) {
-			c.SampleEvery = 4
-			c.MaxBatchTokens = 8192
-			c.MaxPrefills = 4
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	res, err := serveEach(load, vs(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wasteFrac := func(res *engine.Result) float64 {
 		var wasted float64
 		n := 0
 		for _, s := range res.MemTimeline {
@@ -117,8 +83,7 @@ func TestShapeFig16Waste(t *testing.T) {
 		}
 		return wasted / float64(n) / float64(budget)
 	}
-	v := wasteFrac(false)
-	j := wasteFrac(true)
+	v, j := wasteFrac(res[0]), wasteFrac(res[1])
 	if v < 0.15 {
 		t.Errorf("baseline waste = %.1f%%, want > 15%% (paper 38.2%%)", v*100)
 	}
@@ -149,33 +114,19 @@ func TestShapeWasteTableExact(t *testing.T) {
 // TestShapeHomogeneousNoOverhead locks the Fig. 13 Llama row: on a
 // self-attention-only model, Jenga and the baseline are identical.
 func TestShapeHomogeneousNoOverhead(t *testing.T) {
-	spec := model.Llama31_8B()
-	dev := gpu.L4()
+	entries := fig13L4()
+	llama := entries[len(entries)-1]
 	load := func() []workload.Request {
 		g := workload.NewGen(42)
 		reqs := g.MMLUPro(48, 1024)
 		workload.AllAtOnce(reqs)
 		return reqs
 	}
-	run := func(jenga bool) float64 {
-		var mgr core.Manager
-		var err error
-		if jenga {
-			mgr, err = newJenga(spec, dev, false, 0)
-		} else {
-			mgr, err = newPaged(spec, dev, false, 0, 0)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := serve(spec, dev, mgr, load(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.ReqPerSec
+	res, err := serveEach(load, llama.runs(gpu.L4()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	v, j := run(false), run(true)
-	if ratio := j / v; ratio < 0.99 || ratio > 1.01 {
+	if ratio := res[1].ReqPerSec / res[0].ReqPerSec; ratio < 0.99 || ratio > 1.01 {
 		t.Errorf("homogeneous overhead: jenga/vllm = %.3f, want ≈ 1.00", ratio)
 	}
 }

@@ -104,7 +104,7 @@ func analyticWaste(spec *model.Spec, text, image int) float64 {
 // measuredWaste runs one request through the baseline manager and
 // reads Usage().
 func measuredWaste(spec *model.Spec, text, image int) (float64, error) {
-	mgr, err := newPaged(spec, bigDevice(spec), false, 1, 0)
+	mgr, err := run{spec: spec, dev: bigDevice(spec), kind: kindPaged, maxSeqs: 1}.manager()
 	if err != nil {
 		return 0, err
 	}

@@ -1,7 +1,5 @@
 package sched
 
-import "fmt"
-
 // Built-in schedulers. FCFS is the engine default and reproduces the
 // historical hard-coded behavior exactly; Priority, SJF and FairShare
 // are drop-in alternatives.
@@ -169,56 +167,30 @@ func (sjf) AdmissionPreempts() bool { return false }
 
 func (sjf) RankWaiting(cand ReqInfo, v *View) int { return rankBy(cand, v.Waiting, compareSJF) }
 
-// fairShare serves tenants (workload.Request.Group labels) by
-// weighted max-min share of live KV-backed work: the next admission
-// goes to the waiting request whose group currently has the least
-// weighted in-flight token footprint (running prompt plus output
-// tokens, divided by the group's weight), so one tenant's burst
+// fairShare serves tenants (workload.Request.Group labels) by max-min
+// share of live KV-backed work: the next admission goes to the waiting
+// request whose group currently has the least in-flight token
+// footprint (running prompt plus output tokens), so one tenant's burst
 // cannot occupy every slot while another tenant waits — a flood
 // raises its own group's share and loses every subsequent pick to the
 // underserved group. Within a group, the shared priority/arrival
 // order applies. Eviction reverses the rule: memory pressure
 // recomputes the latest request of the most-served group first.
-type fairShare struct {
-	weights map[int64]float64
-}
+type fairShare struct{}
 
-// NewFairShare returns the weighted fair-share scheduler. weights maps
-// a Group label to its relative share (a group with weight 2 may hold
-// twice the in-flight work of a weight-1 group before losing picks);
-// absent or non-positive entries default to 1. A nil map gives every
-// group equal weight. Group 0 (unlabeled requests) is one shared
-// group.
-func NewFairShare(weights map[int64]float64) Scheduler {
-	w := make(map[int64]float64, len(weights))
-	for g, x := range weights {
-		if x > 0 {
-			w[g] = x
-		}
-	}
-	return fairShare{weights: w}
-}
+// NewFairShare returns the fair-share scheduler. Every group weighs
+// the same; group 0 (unlabeled requests) is one shared group.
+func NewFairShare() Scheduler { return fairShare{} }
 
-func (f fairShare) Name() string { return "fairshare" }
+func (fairShare) Name() string { return "fairshare" }
 
-func (f fairShare) weight(group int64) float64 {
-	if w, ok := f.weights[group]; ok {
-		return w
-	}
-	return 1
-}
-
-// shares folds the running set into each group's weighted in-flight
-// token footprint in one pass, so pick and victim decisions cost
+// shares folds the running set into each group's in-flight token
+// footprint in one pass, so pick and victim decisions cost
 // O(running + waiting) instead of rescanning Running per comparison.
-func (f fairShare) shares(v *View) map[int64]float64 {
-	m := make(map[int64]float64, 8)
+func (fairShare) shares(v *View) map[int64]int {
+	m := make(map[int64]int, 8)
 	for i := range v.Running {
-		m[v.Running[i].Group] += float64(v.Running[i].PromptLen + v.Running[i].OutputLen)
-	}
-	//jenga:order-ok each group's cell is divided exactly once; weight() is a pure read of f.weights
-	for g := range m {
-		m[g] /= f.weight(g)
+		m[v.Running[i].Group] += v.Running[i].PromptLen + v.Running[i].OutputLen
 	}
 	return m
 }
@@ -270,45 +242,4 @@ func (f fairShare) RankWaiting(cand ReqInfo, v *View) int {
 		}
 	}
 	return n
-}
-
-// withReserve wraps a scheduler with a prefill budget reserve: when
-// prefill work exists, a fraction of the step budget is withheld from
-// decode so waiting prompts always make progress — the
-// chunked-prefill TTFT-versus-TPOT knob. With no prefill work, decode
-// keeps the whole budget.
-type withReserve struct {
-	Scheduler
-	frac float64
-}
-
-// WithPrefillReserve wraps s so PrefillBudget withholds frac of the
-// step token budget from decode whenever prefill work (a waiting
-// request or a running prefill) exists. frac is clamped to [0, 1);
-// 0 returns s unchanged.
-func WithPrefillReserve(s Scheduler, frac float64) Scheduler {
-	if frac <= 0 {
-		return s
-	}
-	if frac >= 1 {
-		frac = 0.99
-	}
-	return withReserve{Scheduler: s, frac: frac}
-}
-
-func (w withReserve) Name() string { return fmt.Sprintf("%s:%g", w.Scheduler.Name(), w.frac) }
-
-// AdmissionPreempts forwards the wrapped scheduler's capability (an
-// embedded interface does not promote optional methods).
-func (w withReserve) AdmissionPreempts() bool { return CanAdmissionPreempt(w.Scheduler) }
-
-func (w withReserve) PrefillBudget(v *View, total int) Split {
-	if !hasPrefillWork(v) {
-		return DefaultSplit(total)
-	}
-	decode := total - int(w.frac*float64(total))
-	if decode < 0 {
-		decode = 0
-	}
-	return Split{Decode: decode, Prefill: total}
 }

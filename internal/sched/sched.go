@@ -12,7 +12,7 @@
 // this); Priority, SJF and FairShare open scheduling scenarios a
 // single baked-in policy cannot: strict-priority serving with
 // admission-time preemption, shortest-remaining-first latency shaping,
-// and weighted fair sharing across tenant prefix groups.
+// and fair sharing across tenant prefix groups.
 //
 // Determinism contract: a Scheduler must be a pure function of the
 // View (no hidden mutable state, no randomness, no wall-clock reads).
@@ -253,19 +253,4 @@ func rankBy(cand ReqInfo, waiting []ReqInfo, cmp func(a, b ReqInfo) int) int {
 		}
 	}
 	return n
-}
-
-// hasPrefillWork reports whether any waiting request or running
-// prefill-phase request exists — the condition under which reserving
-// prefill budget changes anything.
-func hasPrefillWork(v *View) bool {
-	if len(v.Waiting) > 0 {
-		return true
-	}
-	for i := range v.Running {
-		if v.Running[i].Phase == PhasePrefill {
-			return true
-		}
-	}
-	return false
 }

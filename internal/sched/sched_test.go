@@ -121,7 +121,7 @@ func TestPickWithBlockedMarks(t *testing.T) {
 		}
 	}
 	running := []ReqInfo{{ID: 9, Group: 100, PromptLen: 500, OutputLen: 100}}
-	policies := []Scheduler{NewFCFS(), NewPriority(), NewSJF(), NewFairShare(nil)}
+	policies := []Scheduler{NewFCFS(), NewPriority(), NewSJF(), NewFairShare()}
 	// unmarked is each policy's pick with no marks: the parent's answer.
 	unmarked := map[string]int{"fcfs": 2, "priority": 1, "sjf": 2, "fairshare": 3}
 	for _, tc := range []struct {
@@ -200,10 +200,8 @@ func TestAdmissionPreemptCapability(t *testing.T) {
 		s    Scheduler
 		want bool
 	}{
-		{NewFCFS(), false}, {NewSJF(), false}, {NewFairShare(nil), false},
+		{NewFCFS(), false}, {NewSJF(), false}, {NewFairShare(), false},
 		{NewPriority(), true},
-		{WithPrefillReserve(NewPriority(), 0.25), true},
-		{WithPrefillReserve(NewFCFS(), 0.25), false},
 	} {
 		if got := CanAdmissionPreempt(c.s); got != c.want {
 			t.Errorf("CanAdmissionPreempt(%s) = %v, want %v", c.s.Name(), got, c.want)
@@ -212,7 +210,7 @@ func TestAdmissionPreemptCapability(t *testing.T) {
 }
 
 func TestFairShareServesUnderservedGroup(t *testing.T) {
-	s := NewFairShare(nil)
+	s := NewFairShare()
 	running := []ReqInfo{
 		{ID: 1, Group: 100, PromptLen: 400, OutputLen: 100},
 		{ID: 2, Group: 100, PromptLen: 400, OutputLen: 100},
@@ -236,19 +234,19 @@ func TestFairShareServesUnderservedGroup(t *testing.T) {
 }
 
 func TestFairShareWeights(t *testing.T) {
-	// Group 100 holds twice the tokens but has weight 4: its weighted
-	// share is half of group 200's, so it still wins the pick.
-	s := NewFairShare(map[int64]float64{100: 4})
+	// Every group weighs the same: group 100 holds twice group 200's
+	// in-flight tokens, so group 200's later arrival wins the pick.
+	s := NewFairShare()
 	running := []ReqInfo{
 		{ID: 1, Group: 100, PromptLen: 800, OutputLen: 0},
 		{ID: 2, Group: 200, PromptLen: 400, OutputLen: 0},
 	}
 	v := view([]ReqInfo{
-		{ID: 3, Group: 200, Arrival: 1 * time.Millisecond},
-		{ID: 4, Group: 100, Arrival: 2 * time.Millisecond},
+		{ID: 3, Group: 100, Arrival: 1 * time.Millisecond},
+		{ID: 4, Group: 200, Arrival: 2 * time.Millisecond},
 	}, running)
 	if got := s.PickWaiting(v); got != 1 {
-		t.Errorf("pick = %d, want 1 (weight 4 quarters group 100's share)", got)
+		t.Errorf("pick = %d, want 1 (group 200 holds fewer in-flight tokens)", got)
 	}
 }
 
@@ -267,23 +265,18 @@ func TestRankWaiting(t *testing.T) {
 	}
 }
 
+// TestWithPrefillReserve: no built-in withholds budget from decode —
+// every one returns DefaultSplit whether or not prefill work exists.
+// A different split is a custom Scheduler's PrefillBudget.
 func TestWithPrefillReserve(t *testing.T) {
-	s := WithPrefillReserve(NewFCFS(), 0.25)
-	if s.Name() != "fcfs:0.25" {
-		t.Errorf("name = %q", s.Name())
-	}
-	// No prefill work: decode keeps the whole budget.
 	idle := view(nil, []ReqInfo{{ID: 1, Phase: PhaseDecode}})
-	if got := s.PrefillBudget(idle, 100); got != (Split{Decode: 100, Prefill: 100}) {
-		t.Errorf("idle split = %+v", got)
-	}
-	// Prefill work exists: a quarter of the budget is withheld.
-	busy := view([]ReqInfo{{ID: 2}}, nil)
-	if got := s.PrefillBudget(busy, 100); got != (Split{Decode: 75, Prefill: 100}) {
-		t.Errorf("busy split = %+v", got)
-	}
-	if WithPrefillReserve(NewFCFS(), 0) != NewFCFS() {
-		t.Error("zero reserve must return the scheduler unchanged")
+	busy := view([]ReqInfo{{ID: 2}}, []ReqInfo{{ID: 1, Phase: PhasePrefill}})
+	for _, s := range []Scheduler{NewFCFS(), NewPriority(), NewSJF(), NewFairShare()} {
+		for _, v := range []*View{idle, busy} {
+			if got := s.PrefillBudget(v, 100); got != DefaultSplit(100) {
+				t.Errorf("%s: split = %+v, want %+v", s.Name(), got, DefaultSplit(100))
+			}
+		}
 	}
 }
 
@@ -294,7 +287,7 @@ func TestSchedulerNames(t *testing.T) {
 		want string
 	}{
 		{NewFCFS(), "fcfs"}, {NewPriority(), "priority"}, {NewSJF(), "sjf"},
-		{NewFairShare(nil), "fairshare"}, {WithPrefillReserve(NewSJF(), 0.25), "sjf:0.25"},
+		{NewFairShare(), "fairshare"},
 	} {
 		if c.s.Name() != c.want {
 			t.Errorf("Name() = %q, want %q", c.s.Name(), c.want)

@@ -60,7 +60,7 @@ func simEngine(t *testing.T, capacity int64, s sched.Scheduler) *engine.Engine {
 // builtins enumerates the policy matrix.
 func builtins() []sched.Scheduler {
 	return []sched.Scheduler{
-		sched.NewFCFS(), sched.NewPriority(), sched.NewSJF(), sched.NewFairShare(nil),
+		sched.NewFCFS(), sched.NewPriority(), sched.NewSJF(), sched.NewFairShare(),
 	}
 }
 
@@ -192,7 +192,7 @@ func TestFairShareBoundsGroupWait(t *testing.T) {
 		return worst / (sum / float64(len(means))), metrics.Jain(xs)
 	}
 	fcfsRatio, fcfsJain := stats(run(sched.NewFCFS()))
-	fairRatio, fairJain := stats(run(sched.NewFairShare(nil)))
+	fairRatio, fairJain := stats(run(sched.NewFairShare()))
 	if fairRatio > 1.25 {
 		t.Errorf("fairshare worst tenant waits %.2f× the fleet mean, want ≤ 1.25×", fairRatio)
 	}

@@ -27,7 +27,7 @@
 //     supports forking; a manager without it serves one stream).
 //   - NewFCFS/NewPriority/NewSJF/NewFairShare build scheduling
 //     policies for the engine's pluggable scheduling layer (admission
-//     order, preemption victim selection, prefill/decode budgeting);
+//     order, preemption victims; each splits a step decode-first);
 //     every config surface accepts a Scheduler and defaults to FCFS.
 //   - WithDraft pairs a target with a draft model: the pair is a Spec
 //     like any other, a manager built on it serves both models from
@@ -269,17 +269,15 @@ type (
 // (the default); NewPriority adds strict priority with admission-time
 // preemption of lower classes; NewSJF is shortest-remaining-first
 // with a deadline-aware tiebreak; NewFairShare serves tenant groups
-// by weighted max-min share. WithPrefillReserve adds the
-// chunked-prefill budget reserve to any scheduler; CompareSchedule is
+// by max-min share, every group weighing the same. CompareSchedule is
 // the shared priority/arrival comparator custom policies can build
 // on.
 var (
-	NewFCFS            = sched.NewFCFS
-	NewPriority        = sched.NewPriority
-	NewSJF             = sched.NewSJF
-	NewFairShare       = sched.NewFairShare
-	WithPrefillReserve = sched.WithPrefillReserve
-	CompareSchedule    = sched.Compare
+	NewFCFS         = sched.NewFCFS
+	NewPriority     = sched.NewPriority
+	NewSJF          = sched.NewSJF
+	NewFairShare    = sched.NewFairShare
+	CompareSchedule = sched.Compare
 )
 
 // Cluster serving surface (scale-out: N engine replicas behind a

@@ -294,9 +294,7 @@ func TestPublicScheduler(t *testing.T) {
 	spec := jenga.Models.CharacterAI8B()
 	dev := jenga.Device{Name: "test", MemBytes: 1 << 32, FLOPS: 50e12, MemBW: 500e9}
 	for _, scheduler := range []jenga.Scheduler{
-		jenga.NewFCFS(), jenga.NewPriority(), jenga.NewSJF(),
-		jenga.NewFairShare(map[int64]float64{1: 2}),
-		jenga.WithPrefillReserve(jenga.NewFCFS(), 0.25),
+		jenga.NewFCFS(), jenga.NewPriority(), jenga.NewSJF(), jenga.NewFairShare(),
 	} {
 		mgr, err := jenga.NewManager(jenga.ManagerConfig{
 			Spec: spec, CapacityBytes: 1 << 28, RequestAware: true,
