@@ -26,9 +26,11 @@ race:
 # DESIGN.md "Requests and prompts"), and under which core's every
 # Release and CrashReset ends with CheckInvariants (free stacks, prefix
 # index, eviction heaps, request-state slab against the page array, the
-# host tier), under which the fleet transfer path's borrowed views — a
-# page set, a fetch list, a fetch report's holders — are scribbled when
-# they lapse and a page set its holder voided panics on import, and
+# host tier, the free large pages), under which the fleet transfer
+# path's borrowed views — a page set, a fetch list, a fetch report's
+# holders — are scribbled when they lapse and a page set its holder
+# voided panics on import, under which a released host-tier pin is
+# scribbled so a restore reading through it panics, and
 # under which every scheduler View the engine hands out has its waiting
 # entries checked against a fresh fill. One -short pass over core, the
 # packages that lend and borrow, and the scheduler matrix (sched, serve)
@@ -226,7 +228,15 @@ vet:
 # its engine again; and no knob stays without a caller — a Headroom or
 # Slack field, a WithPrefillReserve or withReserve, or a Route method
 # on *Cluster (the placement dry run) in non-test internal/ is a
-# settable value or path that nothing sets back again.
+# settable value or path that nothing sets back again; and a large
+# page's state is one 16-byte record and a small page's 32 — the
+# largePage array with the free large pages a high-water mark plus a
+# stack threaded through it, and the free-stack links in a per-group
+# side array only a stacked group allocates (internal/core/manager.go)
+# — so a largeOwner, cntUsed, cntCached, cntExpired, largeTS,
+# largeDirty or freeLarge in non-test internal/core, or an assoc, aprev
+# or anext field in type page, is the parallel arrays or the per-page
+# links of every group again.
 # (The token's four bytes need no grep: internal/core pins them at
 # compile time.)
 guard:
@@ -252,6 +262,7 @@ guard:
 	@out=$$(grep -rn -e 'type StreamState' -e 'map\[engine\.EventType\]' internal/serve --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "internal/serve re-spells the engine's terminal states (a stream's result is the engine's record, its State an engine.EventType):"; echo "$$out"; exit 1; fi
 	@out=$$(files=$$(ls internal/fleet/*.go | grep -v '_test\.go$$'); grep -nE 'func \(([A-Za-z_]+ )?\*Directory\) (Pin|Unpin)\(' $$files; sed -n '/^type Directory struct {/,/^}/p' $$files | grep -E '^[[:space:]]*([A-Za-z_]+,[[:space:]]*)*(pins|deferred)([[:space:],]|$$)'); if [ -n "$$out" ]; then echo "fleet.Directory defers invalidations behind pins again (the barrier section is the fleet's one consistency rule; an invalidation acts at once):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'engine\.New(' internal/experiments --include='*.go' | grep -v '_test\.go:'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ] || ! awk '/^func \(r run\) serve\(/,/^}/' internal/experiments/experiments.go | grep -q 'engine\.New('; then echo "non-test internal/experiments must have exactly one engine.New call, in run.serve (every experiment is a list of runs):"; echo "$$out"; exit 1; fi
+	@out=$$(files=$$(ls internal/core/*.go | grep -v '_test\.go$$'); grep -nwE 'largeOwner|cntUsed|cntCached|cntExpired|largeTS|largeDirty|freeLarge' $$files; sed -n '/^type page struct {/,/^}/p' $$files | grep -E '^[[:space:]]*([A-Za-z_][A-Za-z0-9_]*,[[:space:]]*)*(assoc|aprev|anext)([[:space:],]|$$)'); if [ -n "$$out" ]; then echo "core's per-page state is spread out again (the large-page arrays or the free list the largePage record and its returned stack replace, or free-stack links in type page, which live in group.links):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE -e '^[[:space:]]*(Headroom|Slack)([[:space:]]|,)' -e '\b(WithPrefillReserve|withReserve)\b' -e 'func \(([A-Za-z_]+ )?\*Cluster\) Route\(' internal --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a deleted knob is back in non-test internal/ (KVAdmission.Headroom, SLOAdmission.Slack, WithPrefillReserve/withReserve, Cluster.Route):"; echo "$$out"; exit 1; fi
 
 ci: vet lint guard build test race debug chaos-smoke scale-smoke perf-smoke

@@ -70,12 +70,13 @@ func (a largeEntry) slot() int { return int(a.id) }
 // keeping the large page's eviction key (cached/expired counts, max
 // last-access) current without a rescan.
 func (m *Jenga) cacheAdd(L arena.LargePageID, ts Tick, expired bool) {
-	m.cntCached[L]++
+	lp := &m.large[L]
+	lp.cached++
 	if expired {
-		m.cntExpired[L]++
+		lp.expired++
 	}
-	if ts > m.largeTS[L] {
-		m.largeTS[L] = ts
+	if ts > lp.ts {
+		lp.ts = ts
 	}
 }
 
@@ -85,15 +86,15 @@ func (m *Jenga) cacheAdd(L arena.LargePageID, ts Tick, expired bool) {
 // dirty; largeTimestamp recomputes it lazily if the page is ever read
 // as an eviction candidate again.
 func (m *Jenga) cacheRemove(L arena.LargePageID, pg *page) {
-	m.cntCached[L]--
+	lp := &m.large[L]
+	lp.cached--
 	if pg.expired {
-		m.cntExpired[L]--
+		lp.expired--
 	}
-	if m.cntCached[L] == 0 {
-		m.largeTS[L] = 0
-		m.largeDirty[L] = false
-	} else if pg.lastAccess == m.largeTS[L] {
-		m.largeDirty[L] = true
+	if lp.cached == 0 {
+		lp.ts, lp.dirty = 0, false
+	} else if pg.lastAccess == lp.ts {
+		lp.dirty = true
 	}
 }
 
@@ -107,7 +108,9 @@ func (m *Jenga) pageToUsed(g *group, id arena.SmallPageID, req RequestID) {
 	switch pg.status {
 	case pageEmpty:
 		g.free.remove(id)
-		g.unlinkAssoc(id) // while pg.assoc still names the stack
+		if g.stacked() {
+			g.unlinkAssoc(id) // while its link still names the stack
+		}
 		pg.filled, pg.dead = 0, 0
 		g.hash[id], pg.complete, pg.hashed = 0, false, false
 	case pageCached:
@@ -127,9 +130,11 @@ func (m *Jenga) pageToUsed(g *group, id arena.SmallPageID, req RequestID) {
 	}
 	pg.status = pageUsed
 	pg.ref = 1
-	pg.assoc = req
+	if g.stacked() {
+		g.links[id].req = req
+	}
 	g.nUsed++
-	m.cntUsed[L]++
+	m.large[L].used++
 	m.stats.Allocs++
 }
 
@@ -175,7 +180,7 @@ func (m *Jenga) pageRelease(g *group, id arena.SmallPageID, cache bool, exitTS T
 	}
 	L := g.view.LargeOf(id)
 	g.nUsed--
-	m.cntUsed[L]--
+	m.large[L].used--
 	g.filledSlots -= int64(pg.filled)
 	g.deadSlots -= int64(pg.dead)
 	if cache && pg.complete && !pg.hashed {
@@ -200,13 +205,15 @@ func (m *Jenga) pageRelease(g *group, id arena.SmallPageID, cache bool, exitTS T
 	// page is evictable from here on if anything on it is cached — this
 	// page, or siblings when this one went empty (an incomplete tail
 	// block, say) — and step 3 must be able to find it.
-	if m.cntUsed[L] == 0 {
+	if m.large[L].used == 0 {
 		m.pushLargeCandidate(L)
 	}
 }
 
 // pageToEmpty returns a page to the free pool and reclaims its large
-// page if it became entirely empty.
+// page if it became entirely empty. A page of a group without stacks
+// (stacked) goes on none: in a ratio-1 group the page's large page has
+// just emptied, and its reclaim would unlink it in the same call.
 //
 //jenga:hotpath
 func (m *Jenga) pageToEmpty(g *group, id arena.SmallPageID) {
@@ -220,14 +227,15 @@ func (m *Jenga) pageToEmpty(g *group, id arena.SmallPageID) {
 	pg.filled, pg.dead = 0, 0
 	pg.complete = false
 	g.free.add(id)
-	if m.cfg.RequestAware {
-		// pg.assoc may be long gone, but a preempted request resumes
-		// under its old ID, so the page is linked all the same.
-		g.linkAssoc(pg.assoc, id, 1)
+	if g.stacked() {
+		// The associated request may be long gone, but a preempted
+		// request resumes under its old ID, so the page is linked all
+		// the same.
+		g.linkAssoc(g.links[id].req, id, 1)
 	}
 	m.stats.Frees++
 	L := g.view.LargeOf(id)
-	if m.cntUsed[L] == 0 && m.cntCached[L] == 0 {
+	if lp := &m.large[L]; lp.used == 0 && lp.cached == 0 {
 		m.reclaimLarge(g, L)
 	}
 }
@@ -247,18 +255,22 @@ func (m *Jenga) evictCached(g *group, id arena.SmallPageID) {
 // reclaimLarge returns a fully empty large page to the LCM allocator —
 // the payoff of request-aware placement (§4.3).
 func (m *Jenga) reclaimLarge(g *group, L arena.LargePageID) {
-	if m.largeOwner[L] != int32(g.idx) {
+	if m.large[L].owner != int8(g.idx) {
 		check(false, "reclaim of foreign large page %d", L)
 	}
 	first, n := g.view.SmallRange(L)
 	for i := 0; i < n; i++ {
 		id := first + arena.SmallPageID(i)
 		g.free.remove(id)
-		g.unlinkAssoc(id)
+		if g.stacked() {
+			g.unlinkAssoc(id)
+		}
 	}
 	g.ownedLarge--
-	m.largeOwner[L] = -1
-	m.freeLarge = append(m.freeLarge, L)
+	// Nothing on the page is used or cached, so its record is all zero
+	// but the owner; push it on the returned stack.
+	m.large[L] = largePage{ts: Tick(m.largeTop) + 1, owner: -1}
+	m.largeTop = int32(L)
 	m.stats.LargeReclaims++
 }
 
@@ -282,11 +294,12 @@ func (m *Jenga) pushLargeCandidate(L arena.LargePageID) {
 // only a dirty max (its holder left the cached set since the last
 // read) triggers a rescan of the large page's small pages.
 func (m *Jenga) largeTimestamp(L arena.LargePageID) (Tick, bool, bool) {
-	if m.largeOwner[L] < 0 || m.cntUsed[L] != 0 || m.cntCached[L] == 0 {
+	lp := &m.large[L]
+	if lp.owner < 0 || lp.used != 0 || lp.cached == 0 {
 		return 0, false, false
 	}
-	if m.largeDirty[L] {
-		g := m.groups[m.largeOwner[L]]
+	if lp.dirty {
+		g := m.groups[lp.owner]
 		first, n := g.view.SmallRange(L)
 		var ts Tick
 		for i := 0; i < n; i++ {
@@ -295,10 +308,9 @@ func (m *Jenga) largeTimestamp(L arena.LargePageID) (Tick, bool, bool) {
 				ts = pg.lastAccess
 			}
 		}
-		m.largeTS[L] = ts
-		m.largeDirty[L] = false
+		lp.ts, lp.dirty = ts, false
 	}
-	return m.largeTS[L], m.cntExpired[L] == m.cntCached[L], true
+	return lp.ts, lp.expired == lp.cached, true
 }
 
 // --- §5.4 allocation ----------------------------------------------------
@@ -369,15 +381,21 @@ func (m *Jenga) allocSmall(g *group, req RequestID) (arena.SmallPageID, error) {
 //
 //jenga:hotpath
 func (m *Jenga) takeFreshLarge(g *group, req RequestID) (arena.SmallPageID, bool) {
-	if len(m.freeLarge) == 0 {
+	var L arena.LargePageID
+	switch {
+	case m.largeTop >= 0:
+		L = arena.LargePageID(m.largeTop)
+		m.largeTop = int32(m.large[L].ts) - 1
+	case int(m.largeFresh) < len(m.large):
+		L = arena.LargePageID(m.largeFresh)
+		m.largeFresh++
+	default:
 		return 0, false
 	}
-	L := m.freeLarge[len(m.freeLarge)-1]
-	m.freeLarge = m.freeLarge[:len(m.freeLarge)-1]
-	if m.largeOwner[L] != -1 {
+	if m.large[L].owner != -1 {
 		check(false, "free large page %d has owner", L)
 	}
-	m.largeOwner[L] = int32(g.idx)
+	m.large[L] = largePage{owner: int8(g.idx)}
 	g.ownedLarge++
 	first, n := g.view.SmallRange(L)
 	for i := n - 1; i >= 0; i-- {
@@ -386,10 +404,12 @@ func (m *Jenga) takeFreshLarge(g *group, req RequestID) (arena.SmallPageID, bool
 		pg.status = pageEmpty
 		pg.ref, pg.filled, pg.dead = 0, 0, 0
 		pg.hashed = false
-		pg.assoc = req
 		g.free.add(id)
+		if g.stacked() {
+			g.links[id].req = req
+		}
 	}
-	if m.cfg.RequestAware && n > 1 {
+	if g.stacked() {
 		g.linkAssoc(req, first+1, n-1) // page 1 on top; the caller uses page 0 at once
 	}
 	return first, true
@@ -410,7 +430,7 @@ func (m *Jenga) evictLargeLRU() bool {
 			m.largeEvict.push(largeEntry{id: e.id, ts: ts, expired: expired})
 			continue // stale key: retry with fresh position
 		}
-		og := m.groups[m.largeOwner[e.id]]
+		og := m.groups[m.large[e.id].owner]
 		// Tiered spill (§8): copy the victim page out to the host tier
 		// before discarding, so the evicted bytes survive one tier down
 		// and a later prefix Lookup restores them instead of
@@ -425,7 +445,7 @@ func (m *Jenga) evictLargeLRU() bool {
 			}
 		}
 		m.stats.LargeEvictions++
-		// pageToEmpty → reclaimLarge put it on freeLarge.
+		// pageToEmpty → reclaimLarge put it on the returned stack.
 		return true
 	}
 	return false

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"runtime"
 	"slices"
@@ -26,10 +27,11 @@ import (
 // pages are carved eight to one, so every iteration evicts a text page
 // to carve a vision large page and reclaims it again — which is every
 // page-indexed structure at work: the evicted text block leaves the
-// prefix index and the published one enters it, each freed page is
-// pushed on its request's free stack, the carve pushes seven vision
-// pages more and the reclaim unlinks them all. None of it may cost an
-// object.
+// prefix index and the published one enters it, each freed vision page
+// is pushed on its request's free stack (a text page, ratio 1, keeps
+// none), the carve pushes seven vision pages more and the reclaim
+// unlinks them all, and every reclaimed large page goes on the returned
+// stack. None of it may cost an object.
 func TestEvictCycleZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is not meaningful under -short/-race runs")
@@ -101,13 +103,74 @@ func TestStructSizes(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"page", unsafe.Sizeof(page{}), 48},
+		{"page", unsafe.Sizeof(page{}), 32},
+		{"assocLink", unsafe.Sizeof(assocLink{}), 16},
+		{"largePage", unsafe.Sizeof(largePage{}), 16},
 		{"pageEntry", unsafe.Sizeof(pageEntry{}), 24},
 		{"largeEntry", unsafe.Sizeof(largeEntry{}), 16},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
 		}
+	}
+}
+
+// TestPageMetadataBytes pins what the manager's construction costs per
+// large page, in bytes allocated by New: page records, block hashes,
+// prefix index, large-page records and the large-page queue's slots,
+// with the prefix cache and request-aware placement on. The one-group
+// text spec is fleet_stream's (two layers, ratio 1, 64 MiB: 16,384
+// pages); churnSpec adds a ratio-4 group, which keeps free-stack links.
+func TestPageMetadataBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is not meaningful under -short/-race runs")
+	}
+	text := &model.Spec{
+		Name: "text", Params: 1_000_000, WeightBytes: 2, HiddenSize: 64,
+		Groups: []model.KVGroup{
+			{Name: "kv", Kind: model.FullAttention, Layers: 2, BytesPerToken: 128, Scope: model.ScopeText},
+		},
+	}
+	for _, c := range []struct {
+		name     string
+		spec     *model.Spec
+		tpp      int
+		capacity int64
+		limit    float64
+	}{
+		{"one-group text", text, 16, 64 << 20, 70},
+		{"churn", churnSpec(), 4, 0, 345},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			geo, err := c.spec.Geometry(c.tpp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			capacity := cmp.Or(c.capacity, int64(16384*geo.LargePageBytes))
+			best := uint64(math.MaxUint64)
+			var m *Jenga
+			for trial := 0; trial < 3; trial++ {
+				var before, after runtime.MemStats
+				procs := runtime.GOMAXPROCS(1)
+				runtime.ReadMemStats(&before)
+				m, err = New(Config{
+					Spec: c.spec, CapacityBytes: capacity, TokensPerPage: c.tpp,
+					EnablePrefixCache: true, RequestAware: true,
+				})
+				runtime.ReadMemStats(&after)
+				runtime.GOMAXPROCS(procs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				best = min(best, after.TotalAlloc-before.TotalAlloc)
+			}
+			n := m.ar.NumLargePages()
+			if got := float64(best) / float64(n); got > c.limit {
+				t.Errorf("New allocates %d bytes for %d large pages: %.1f per large page, want at most %.0f", best, n, got, c.limit)
+			} else {
+				t.Logf("%d bytes for %d large pages: %.1f per large page", best, n, got)
+			}
+		})
 	}
 }
 
@@ -216,9 +279,9 @@ func TestAssocStacksExact(t *testing.T) {
 		churn(t, m, n, 0, func() {
 			for _, g := range m.groups {
 				clear(owners)
-				for id := range g.pages {
-					if pg := &g.pages[id]; pg.aprev != offStack {
-						owners[pg.assoc] = true
+				for _, l := range g.links {
+					if l.prev != offStack {
+						owners[l.req] = true
 					}
 				}
 				if len(g.assocTop) != len(owners) {
@@ -295,7 +358,7 @@ func TestTierCycleZeroAlloc(t *testing.T) {
 		if b := tier.pinned(p); b != &tier.blocks[p.block] || tier.hash[p.block] != hashes[n-1] {
 			t.Fatal("pin holds another block")
 		}
-		tier.unpin(p)
+		tier.unpin(&p)
 		// The page this group stored 40 cycles ago: resident, not newest.
 		tier.touchPage(gi, 3*(k-40)%ring, now)
 		if !tier.resident(gi, hashes[:n]) {

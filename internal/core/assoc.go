@@ -3,17 +3,19 @@ package core
 import "jenga/internal/arena"
 
 // Request-associated free pages (§4.3, §5.4 step 1): one LIFO stack per
-// (group, request), threaded through the pages — anext is the page
-// below, aprev the page above, g.assocTop names the top. A page is
+// (group, request), threaded through the group's links — next is the
+// page below, prev the page above, g.assocTop names the top. A page is
 // pushed where it becomes empty in a large page its group owns
 // (pageToEmpty, takeFreshLarge) and unlinked where that ends
 // (pageToUsed, reclaimLarge), so a linked page is always empty, in
 // g.free and associated with its stack's request, and the pop is a map
 // read. Release drops its request's stack; the pages stay free for
-// §5.4 step 4.
+// §5.4 step 4. Only a stacked group keeps links, so only it may link
+// and unlink; any other's assocTop stays empty, and the pop and the drop
+// find nothing there.
 const (
-	noPage   int32 = -1 // anext of a bottom page, aprev of a top page
-	offStack int32 = -2 // aprev of a page on no stack
+	noPage   int32 = -1 // next of a bottom page, prev of a top page
+	offStack int32 = -2 // prev of a page on no stack
 )
 
 // linkAssoc pushes pages first+n-1 … first, in that order, on req's
@@ -26,10 +28,9 @@ func (g *group) linkAssoc(req RequestID, first arena.SmallPageID, n int) {
 		below = int32(top)
 	}
 	for id := int32(first) + int32(n) - 1; id >= int32(first); id-- {
-		pg := &g.pages[id]
-		pg.aprev, pg.anext = noPage, below
+		g.links[id].prev, g.links[id].next = noPage, below
 		if below != noPage {
-			g.pages[below].aprev = id
+			g.links[below].prev = id
 		}
 		below = id
 	}
@@ -37,27 +38,27 @@ func (g *group) linkAssoc(req RequestID, first arena.SmallPageID, n int) {
 }
 
 // unlinkAssoc takes page id out of its request's stack, if it is on
-// one, wherever in it the page sits. pg.assoc must still name that
+// one, wherever in it the page sits. Its link must still name that
 // request.
 //
 //jenga:hotpath
 func (g *group) unlinkAssoc(id arena.SmallPageID) {
-	pg := &g.pages[id]
-	if pg.aprev == offStack {
+	l := &g.links[id]
+	if l.prev == offStack {
 		return
 	}
-	if pg.anext != noPage {
-		g.pages[pg.anext].aprev = pg.aprev
+	if l.next != noPage {
+		g.links[l.next].prev = l.prev
 	}
 	switch {
-	case pg.aprev != noPage:
-		g.pages[pg.aprev].anext = pg.anext
-	case pg.anext != noPage:
-		g.assocTop[pg.assoc] = arena.SmallPageID(pg.anext)
+	case l.prev != noPage:
+		g.links[l.prev].next = l.next
+	case l.next != noPage:
+		g.assocTop[l.req] = arena.SmallPageID(l.next)
 	default:
-		delete(g.assocTop, pg.assoc)
+		delete(g.assocTop, l.req)
 	}
-	pg.aprev, pg.anext = offStack, noPage
+	l.prev, l.next = offStack, noPage
 }
 
 // dropAssocList forgets req's stack.
@@ -69,9 +70,9 @@ func (g *group) dropAssocList(req RequestID) {
 		return
 	}
 	for id := int32(top); id != noPage; {
-		pg := &g.pages[id]
-		id = pg.anext
-		pg.aprev, pg.anext = offStack, noPage
+		l := &g.links[id]
+		id = l.next
+		l.prev, l.next = offStack, noPage
 	}
 	delete(g.assocTop, req)
 }

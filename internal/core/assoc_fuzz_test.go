@@ -20,9 +20,8 @@ type lazyAssoc struct {
 }
 
 func (l *lazyAssoc) valid(id arena.SmallPageID, req RequestID) bool {
-	pg := &l.g.pages[id]
-	return pg.status == pageEmpty && pg.assoc == req &&
-		l.m.largeOwner[l.g.view.LargeOf(id)] == int32(l.g.idx) && l.g.free.has(id)
+	return l.g.pages[id].status == pageEmpty && l.g.links[id].req == req &&
+		l.m.large[l.g.view.LargeOf(id)].owner == int8(l.g.idx) && l.g.free.has(id)
 }
 
 func (l *lazyAssoc) pop(req RequestID) (arena.SmallPageID, bool) {
@@ -58,25 +57,31 @@ func (l *lazyAssoc) carved(req RequestID, first arena.SmallPageID, n int) {
 	}
 }
 
-// FuzzAssocStacks drives one group of a real manager at page level —
-// allocSmall, pageRelease, the stack drop of a Release — with one
-// byte-coded op stream, mirrors every transition that used to append to
-// a lazy list into the reference, and requires the stacks and the lists
-// to name the same page before every allocation's §5.4 step 1. Eight
-// request IDs share four large pages of four small pages, so a stream
-// reaches carves, frees into a partial large page, reclaims, step-4
-// takes of another request's page, whole-large-page and single-page
-// evictions of cached pages (whose frees land on long-gone requests'
-// stacks), releases, and requests that come back under a released ID.
-// Each byte is op<<5 | arg: ops 0-3 allocate for request arg%8, 4 and 5
-// free that request's oldest page (5: into the cache), 6 releases the
-// request (arg bit 3: into the cache), 7 is another allocation.
+// FuzzAssocStacks drives a real manager at page level — allocSmall,
+// pageRelease, the stack drop of a Release — with one byte-coded op
+// stream, mirrors every transition of the kv group that used to append
+// to a lazy list into the reference, and requires the stacks and the
+// lists to name the same page before every allocation's §5.4 step 1.
+// Eight request IDs share four large pages: four kv pages each, or one
+// pad page (churnSpec), so a stream reaches carves, frees into a
+// partial large page, reclaims, step-4 takes of another request's page,
+// whole-large-page and single-page evictions of cached pages (whose
+// frees land on long-gone requests' stacks), releases, requests that
+// come back under a released ID, and a ratio-1 group beside the
+// stacked one — keeping no stack, taking and returning whole large
+// pages, evicting the kv group's and evicted by it. Each byte is
+// op<<5 | arg: ops 0-3 allocate a kv page for request arg%8, 7 a pad
+// page, 4 and 5 free that request's oldest kv page (arg bit 4: pad
+// page; 5: into the cache), 6 releases the request (arg bit 3: into
+// the cache).
 func FuzzAssocStacks(f *testing.F) {
 	const (
 		alloc = 0 << 5
 		free  = 4 << 5
 		cache = 5 << 5
 		rel   = 6 << 5
+		pad   = 7 << 5
+		onPad = 16
 	)
 	f.Add([]byte{alloc | 1, alloc | 1, free | 1, alloc | 1})
 	// A duplicate entry: request 0's page is freed (listed under 0),
@@ -90,6 +95,14 @@ func FuzzAssocStacks(f *testing.F) {
 	f.Add([]byte{alloc | 2, alloc | 2, free | 2, free | 2, alloc | 2, alloc | 2, rel | 2, alloc | 2})
 	f.Add([]byte{alloc | 0, alloc | 0, alloc | 0, alloc | 0, cache | 0, cache | 0, cache | 0, cache | 0,
 		alloc | 1, alloc | 2, alloc | 3, alloc | 0, alloc | 0, alloc | 5, rel | 8 | 1, alloc | 6, alloc | 6, alloc | 6, alloc | 6, alloc | 6})
+	// Both groups: kv caches half a large page with two pages still on
+	// 0's stack, pad takes the other three and caches two; kv's step 3
+	// evicts its own page (the stack goes with it), then a pad page,
+	// and pad's evicts the other; a pad page freed uncached goes back
+	// to the returned stack, and kv carves it and, last, a pad page
+	// cached by a release.
+	f.Add([]byte{alloc | 0, alloc | 0, cache | 0, cache | 0, pad | 1, pad | 2, pad | 3, cache | onPad | 1, cache | onPad | 2,
+		alloc | 4, alloc | 4, alloc | 4, alloc | 4, alloc | 4, pad | 5, free | onPad | 3, alloc | 0, rel | 8 | 5, alloc | 6})
 	f.Fuzz(fuzzAssocStacks)
 }
 
@@ -100,12 +113,15 @@ func fuzzAssocStacks(t *testing.T, data []byte) {
 		t.Fatal(err)
 	}
 	m := newMgr(t, spec, int64(4*geo.LargePageBytes), 4, true)
-	g := m.groups[m.groupIndex("kv")]
-	ref := &lazyAssoc{m: m, g: g, freeByReq: map[RequestID][]arena.SmallPageID{}}
-	var held [8][]arena.SmallPageID
+	kv, pad := m.groups[m.groupIndex("kv")], m.groups[m.groupIndex("pad")]
+	if !kv.stacked() || pad.stacked() {
+		t.Fatalf("kv (ratio %d) stacked %v, pad (ratio %d) stacked %v: want one group of each", kv.ratio, kv.stacked(), pad.ratio, pad.stacked())
+	}
+	ref := &lazyAssoc{m: m, g: kv, freeByReq: map[RequestID][]arena.SmallPageID{}}
+	var held [2][8][]arena.SmallPageID // by group index
 	live := func() (n int) {
-		for _, h := range held {
-			if len(h) > 0 {
+		for req := range held[kv.idx] {
+			if len(held[kv.idx][req])+len(held[pad.idx][req]) > 0 {
 				n++
 			}
 		}
@@ -113,10 +129,10 @@ func fuzzAssocStacks(t *testing.T, data []byte) {
 	}
 	// What a request holds it holds through its page table, as
 	// CheckInvariants counts references.
-	table := func(req RequestID) *[]pageRef { return &m.getReq(&Sequence{ID: req}).g[g.idx].pages }
+	table := func(g *group, req RequestID) *[]pageRef { return &m.getReq(&Sequence{ID: req}).g[g.idx].pages }
 	var hash uint64
-	release := func(req RequestID, id arena.SmallPageID, cached bool, now Tick) {
-		tab := *table(req)
+	release := func(g *group, req RequestID, id arena.SmallPageID, cached bool, now Tick) {
+		tab := *table(g, req)
 		tab[slices.Index(tab, pageRef{id: id, held: true})].held = false
 		pg := &g.pages[id]
 		if cached {
@@ -125,46 +141,69 @@ func fuzzAssocStacks(t *testing.T, data []byte) {
 			g.hash[id], pg.complete, pg.filled = hash, true, int32(g.tpp)
 			g.filledSlots += int64(g.tpp)
 		}
-		assoc := pg.assoc
+		if g != kv {
+			m.pageRelease(g, id, cached, now, false)
+			return
+		}
+		assoc := kv.links[id].req
 		m.pageRelease(g, id, cached, now, false)
 		if pg.status == pageEmpty {
 			ref.freed(assoc, id, live())
 		}
 	}
-	before := make([]page, len(g.pages))
+	owned := func() int { return kv.ownedLarge + pad.ownedLarge }
+	before := make([]page, len(kv.pages))
+	beforeLinks := make([]assocLink, len(kv.links))
 	for i, b := range data {
 		req, now := RequestID(b&7), Tick(i+1)
 		switch op := b >> 5; op {
 		case 4, 5:
-			if h := held[req]; len(h) > 0 {
-				held[req] = h[1:]
-				release(req, h[0], op == 5, now)
+			g := kv
+			if b&16 != 0 {
+				g = pad
+			}
+			if h := held[g.idx][req]; len(h) > 0 {
+				held[g.idx][req] = h[1:]
+				release(g, req, h[0], op == 5, now)
 			}
 		case 6:
-			for _, id := range held[req] {
-				release(req, id, b&8 != 0, now)
+			for _, g := range []*group{kv, pad} {
+				for _, id := range held[g.idx][req] {
+					release(g, req, id, b&8 != 0, now)
+				}
+				held[g.idx][req] = nil
+				g.dropAssocList(req)
 			}
-			held[req] = nil
-			g.dropAssocList(req)
 			delete(ref.freeByReq, req)
 			if r, ok := m.reqs[req]; ok {
 				delete(m.reqs, req)
 				m.parkReq(r)
 			}
 		default:
-			want, wantOK := ref.pop(req)
-			got, gotOK := g.popAssocFree(req)
-			if got != want || gotOK != wantOK {
-				t.Fatalf("op %d: request %d pops page %d (%v), the lazy lists %d (%v)", i, req, got, gotOK, want, wantOK)
+			g := kv
+			if op == 7 {
+				g = pad
 			}
-			copy(before, g.pages)
-			freeLarge, reclaims := len(m.freeLarge), m.stats.LargeReclaims
+			var want, got arena.SmallPageID
+			var wantOK, gotOK bool
+			if got, gotOK = g.popAssocFree(req); g == kv {
+				want, wantOK = ref.pop(req)
+			}
+			if got != want || gotOK != wantOK {
+				t.Fatalf("op %d: request %d pops %s page %d (%v), the lazy lists %d (%v)", i, req, g.spec.Name, got, gotOK, want, wantOK)
+			}
+			copy(before, kv.pages)
+			copy(beforeLinks, kv.links)
+			// Large pages taken: those owned more, and those reclaimed
+			// on the way.
+			taken := owned() + int(m.stats.LargeReclaims)
 			id, err := m.allocSmall(g, req)
+			taken = owned() + int(m.stats.LargeReclaims) - taken
 			// What the allocation evicted on the way was freed, in
 			// page order, under the request each page was last used by.
 			for p := range before {
-				if before[p].status == pageCached && g.pages[p].status != pageCached {
-					ref.freed(before[p].assoc, arena.SmallPageID(p), live())
+				if before[p].status == pageCached && kv.pages[p].status != pageCached {
+					ref.freed(beforeLinks[p].req, arena.SmallPageID(p), live())
 				}
 			}
 			if err != nil {
@@ -173,20 +212,22 @@ func fuzzAssocStacks(t *testing.T, data []byte) {
 			if gotOK && id != got {
 				t.Fatalf("op %d: request %d was given page %d with %d on top of its stack", i, req, id, got)
 			}
-			if freeLarge+int(m.stats.LargeReclaims-reclaims)-len(m.freeLarge) == 1 {
-				first, n := g.view.SmallRange(g.view.LargeOf(id))
+			if g == kv && taken == 1 {
+				first, n := kv.view.SmallRange(kv.view.LargeOf(id))
 				ref.carved(req, first, n)
 			}
-			held[req] = append(held[req], id)
-			*table(req) = append(*table(req), pageRef{id: id, held: true})
+			held[g.idx][req] = append(held[g.idx][req], id)
+			*table(g, req) = append(*table(g, req), pageRef{id: id, held: true})
 		}
 		if err := m.CheckInvariants(); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
-	for req := range held {
-		for _, id := range held[req] {
-			release(RequestID(req), id, false, Tick(len(data)+1))
+	for _, g := range []*group{kv, pad} {
+		for req := range held[g.idx] {
+			for _, id := range held[g.idx][req] {
+				release(g, RequestID(req), id, false, Tick(len(data)+1))
+			}
 		}
 	}
 	audit(t, m)

@@ -234,7 +234,7 @@ func TestExportPinnedPagePanics(t *testing.T) {
 	spillAll(t, m)
 	hashes := obs.hashes()
 	pin := m.host.pin(m.groupIndex("kv"), hashes[0])
-	defer m.host.unpin(pin)
+	defer m.host.unpin(&pin)
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, "pinned") {
 			t.Fatalf("exporting a pinned page went unnoticed (recovered %q)", msg)

@@ -128,12 +128,18 @@ type TierStats struct {
 }
 
 // tierPin is the handle pin returns and unpin takes: the pinned block's
-// ID (-1: the hash was not resident, nothing is pinned) and the
-// sequence number of the page holding it.
+// ID (-1: the hash was not resident, nothing is pinned; pinPoison: a
+// jengadebug build's released handle) and the sequence number of the
+// page holding it.
 type tierPin struct {
 	block int32
 	seq   int64
 }
+
+// pinPoison is the block a jengadebug build scribbles into a handle
+// unpin released: pinned panics on it even while another pin holds the
+// page, and unpin releases nothing through it.
+const pinPoison int32 = -0x5EED
 
 // hostTier is the byte-budgeted second memory tier.
 type hostTier struct {
@@ -302,6 +308,9 @@ func (h *hostTier) pin(gi int, hash uint64) tierPin {
 //
 //jenga:hotpath
 func (h *hostTier) pinned(p tierPin) *hostBlock {
+	if p.block == pinPoison {
+		check(false, "host tier: reading through a released pin")
+	}
 	if p.block < 0 {
 		check(false, "host tier: reading through a pin that holds nothing")
 	}
@@ -313,15 +322,18 @@ func (h *hostTier) pinned(p tierPin) *hostBlock {
 
 // unpin releases one pin. A handle for a hash that was not resident, or
 // whose page has since left the slot (the sequence number no longer
-// matches), releases nothing.
+// matches), releases nothing. A jengadebug build scribbles the handle
+// (pinPoison), so a read through it after its release panics.
 //
 //jenga:hotpath
-func (h *hostTier) unpin(p tierPin) {
-	if p.block < 0 {
-		return
+func (h *hostTier) unpin(p *tierPin) {
+	if p.block >= 0 {
+		if pg := h.pageOf(p.block); pg.seq == p.seq && pg.pins > 0 {
+			pg.pins--
+		}
 	}
-	if pg := h.pageOf(p.block); pg.seq == p.seq && pg.pins > 0 {
-		pg.pins--
+	if debug.On {
+		*p = tierPin{block: pinPoison, seq: -1}
 	}
 }
 
@@ -638,10 +650,11 @@ func (m *Jenga) spillLarge(L arena.LargePageID, now Tick) bool {
 	if h == nil || !h.hasRoomEver() {
 		return false
 	}
-	if m.largeOwner[L] < 0 || m.cntUsed[L] != 0 || m.cntCached[L] == 0 {
+	lp := &m.large[L]
+	if lp.owner < 0 || lp.used != 0 || lp.cached == 0 {
 		return false
 	}
-	g := m.groups[m.largeOwner[L]]
+	g := m.groups[lp.owner]
 	first, n := g.view.SmallRange(L)
 	blocks, hashes := h.pageBlocks[:0], h.pageHashes[:0]
 	for i := 0; i < n; i++ {

@@ -288,14 +288,16 @@ func FuzzHostTier(f *testing.F) {
 				pins, refPins = append(pins, p), append(refPins, rp)
 			case 4: // unpin oldest outstanding pin
 				if len(pins) > 0 {
-					tier.unpin(pins[0])
-					ref.unpin(refPins[0])
+					// spent keeps a copy: the unpinned handle itself is
+					// scribbled in a jengadebug build.
 					spent, refSpent = append(spent, pins[0]), append(refSpent, refPins[0])
+					tier.unpin(&pins[0])
+					ref.unpin(refPins[0])
 					pins, refPins = pins[1:], refPins[1:]
 				}
 			case 5: // unpin through the oldest released handle again
 				if len(spent) > 0 {
-					tier.unpin(spent[0])
+					tier.unpin(&spent[0])
 					ref.unpin(refSpent[0])
 					spent, refSpent = spent[1:], refSpent[1:]
 				}

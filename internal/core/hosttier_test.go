@@ -1,8 +1,10 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
+	"jenga/internal/debug"
 	"jenga/internal/model"
 )
 
@@ -333,4 +335,28 @@ func TestSpillSkipsInFlightCommit(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLapsedPinTripsPinnedCheck: a jengadebug build scribbles a tier pin
+// as unpin releases it, so a restore still reading through the handle —
+// a use after the release — panics, even while a second pin on the same
+// page keeps the page's count above zero, where the count alone would
+// let the read through.
+func TestLapsedPinTripsPinnedCheck(t *testing.T) {
+	if !debug.On {
+		t.Skip("only a jengadebug build poisons released tier pins")
+	}
+	tier := newHostTier(4*64, 64, []string{"kv"}, []int{1})
+	if !tier.spill(0, []hostBlock{{filled: 1}}, []uint64{7}, 1) {
+		t.Fatal("spill refused on an empty tier")
+	}
+	lapsed, held := tier.pin(0, 7), tier.pin(0, 7)
+	defer tier.unpin(&held)
+	tier.unpin(&lapsed)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "released pin") {
+			t.Fatalf("a read through a released pin went unnoticed (recovered %q)", msg)
+		}
+	}()
+	tier.pinned(lapsed)
 }

@@ -12,8 +12,9 @@ import (
 // CheckInvariants verifies the manager's page-indexed structures against
 // the page array they describe, and returns the first violation: the
 // request-associated free stacks, the prefix index, the slotted
-// eviction heaps; page conservation and reference counts against the
-// live page tables — what the admission probe's "in use" means; the
+// eviction heaps, the free large pages; page conservation and
+// reference counts against the live page tables — what the admission
+// probe's "in use" means; the
 // LCM tiling of each group's pages and the eviction orders §5.4 reads —
 // every evictable large page queued, and every cached page queued where
 // its group is evicted from; the host tier (checkHost); the request
@@ -44,11 +45,14 @@ func (m *Jenga) CheckInvariants() error {
 	if err := m.largeEvict.check(); err != nil {
 		return fmt.Errorf("core: large-page queue: %w", err)
 	}
-	for L, owner := range m.largeOwner {
-		if owner >= 0 && m.cntUsed[L] == 0 && m.cntCached[L] > 0 && m.largeEvict.pos[L] == 0 {
+	for L := range m.large {
+		if lp := &m.large[L]; lp.owner >= 0 && lp.used == 0 && lp.cached > 0 && m.largeEvict.pos[L] == 0 {
 			return fmt.Errorf("core: large page %d of group %s is evictable (%d cached pages, none used) but not queued",
-				L, m.groups[owner].spec.Name, m.cntCached[L])
+				L, m.groups[lp.owner].spec.Name, lp.cached)
 		}
+	}
+	if err := m.checkFreeLarge(); err != nil {
+		return fmt.Errorf("core: free large pages: %w", err)
 	}
 	if m.host != nil {
 		if err := m.checkHost(); err != nil {
@@ -116,10 +120,11 @@ func (m *Jenga) checkPages(g *group) error {
 	}
 	var used, cached, empty int
 	var extra int64
-	for L := range m.largeOwner {
+	for L := range m.large {
 		first, n := g.view.SmallRange(arena.LargePageID(L))
-		owned := m.largeOwner[L] == int32(g.idx)
-		var lUsed, lCached int32
+		lp := &m.large[L]
+		owned := lp.owner == int8(g.idx)
+		var lUsed, lCached int
 		for id := first; id < first+arena.SmallPageID(n); id++ {
 			pg := &g.pages[id]
 			switch pg.status {
@@ -140,10 +145,10 @@ func (m *Jenga) checkPages(g *group) error {
 		if !owned && lUsed+lCached > 0 {
 			return fmt.Errorf("large page %d is not the group's, yet %d of its pages are used and %d cached", L, lUsed, lCached)
 		}
-		if owned && (lUsed != m.cntUsed[L] || lCached != m.cntCached[L]) {
-			return fmt.Errorf("large page %d counts %d used, %d cached pages; it has %d and %d", L, m.cntUsed[L], m.cntCached[L], lUsed, lCached)
+		if owned && (lUsed != int(lp.used) || lCached != int(lp.cached)) {
+			return fmt.Errorf("large page %d counts %d used, %d cached pages; it has %d and %d", L, lp.used, lp.cached, lUsed, lCached)
 		}
-		used, cached = used+int(lUsed), cached+int(lCached)
+		used, cached = used+lUsed, cached+lCached
 	}
 	if used != g.nUsed || cached != g.nCached || used+cached+empty != len(g.pages) || extra != g.extraRefs {
 		return fmt.Errorf("%d used (%d extra references), %d cached, %d empty of %d pages; the group counts %d used (%d extra), %d cached",
@@ -162,8 +167,8 @@ func (m *Jenga) checkLCM(g *group) error {
 		return fmt.Errorf("%d small pages of %d bytes (its view: %d of %d) for a %d-byte large page",
 			g.ratio, g.smallBytes, g.view.Ratio(), g.view.SmallPageBytes(), large)
 	}
-	for L, owner := range m.largeOwner {
-		if owner != int32(g.idx) {
+	for L := range m.large {
+		if m.large[L].owner != int8(g.idx) {
 			continue
 		}
 		first, n := g.view.SmallRange(arena.LargePageID(L))
@@ -344,42 +349,51 @@ func (m *Jenga) checkHashes() error {
 	return nil
 }
 
-// checkStacks: every stack is reachable from its top with mutually
-// consistent links, holds only pages that are empty, free, in a large
-// page the group owns and associated with the stack's request, and the
-// stacks together hold exactly the linked pages — so no page is on two,
-// and no map entry names an empty stack. The converse (every such page
-// is linked) holds only until its request's Release drops the stack,
-// and never for the page a carve hands straight to its caller.
+// checkStacks: a group keeps stacks (links and their tops) exactly when
+// it places pages by request with more than one small page per large
+// page, so a ratio-1 group has no stack top. Every stack is reachable
+// from its top with mutually consistent links, holds only pages that
+// are empty, free, in a large page the group owns and associated with
+// the stack's request, and the stacks together hold exactly the linked
+// pages — so no page is on two, and no map entry names an empty stack.
+// The converse (every such page is linked) holds only until its
+// request's Release drops the stack, and never for the page a carve
+// hands straight to its caller.
 func (m *Jenga) checkStacks(g *group) error {
-	linked := 0
-	for id := range g.pages {
-		pg := &g.pages[id]
-		if pg.aprev != offStack {
-			linked++
-		} else if pg.anext != noPage {
-			return fmt.Errorf("page %d is off every stack but links to %d", id, pg.anext)
-		}
+	if want := m.cfg.RequestAware && g.ratio > 1; g.stacked() != want || (g.links != nil && len(g.links) != len(g.pages)) {
+		return fmt.Errorf("%d links for %d pages of ratio %d, request-aware %v", len(g.links), len(g.pages), g.ratio, m.cfg.RequestAware)
 	}
-	if !m.cfg.RequestAware && (linked > 0 || len(g.assocTop) > 0) {
-		return fmt.Errorf("%d linked pages, %d stacks without request-aware placement", linked, len(g.assocTop))
+	if !g.stacked() {
+		if len(g.assocTop) > 0 {
+			return fmt.Errorf("%d stack tops in a group that keeps no stacks", len(g.assocTop))
+		}
+		return nil
+	}
+	linked := 0
+	for id := range g.links {
+		l := &g.links[id]
+		if l.prev != offStack {
+			linked++
+		} else if l.next != noPage {
+			return fmt.Errorf("page %d is off every stack but links to %d", id, l.next)
+		}
 	}
 	walked := 0
 	//jenga:order-ok each stack is judged on its own pages; visit order only decides which violation is reported
 	for req, top := range g.assocTop {
 		above := noPage
-		for id := int32(top); id != noPage; id = g.pages[id].anext {
+		for id := int32(top); id != noPage; id = g.links[id].next {
 			if id < 0 || int(id) >= len(g.pages) {
 				return fmt.Errorf("request %d's stack links to page %d of %d", req, id, len(g.pages))
 			}
-			pg := &g.pages[id]
+			pg, l := &g.pages[id], &g.links[id]
 			sid := arena.SmallPageID(id)
 			switch {
-			case pg.aprev != above:
-				return fmt.Errorf("request %d's stack: page %d has %d above it, reached from %d", req, id, pg.aprev, above)
-			case pg.status != pageEmpty || pg.assoc != req:
-				return fmt.Errorf("request %d's stack holds page %d (status %d, associated with %d)", req, id, pg.status, pg.assoc)
-			case !g.free.has(sid) || m.largeOwner[g.view.LargeOf(sid)] != int32(g.idx):
+			case l.prev != above:
+				return fmt.Errorf("request %d's stack: page %d has %d above it, reached from %d", req, id, l.prev, above)
+			case pg.status != pageEmpty || l.req != req:
+				return fmt.Errorf("request %d's stack holds page %d (status %d, associated with %d)", req, id, pg.status, l.req)
+			case !g.free.has(sid) || m.large[g.view.LargeOf(sid)].owner != int8(g.idx):
 				return fmt.Errorf("request %d's stack holds page %d, which is not free in a large page of the group", req, id)
 			}
 			if walked++; walked > linked {
@@ -390,6 +404,58 @@ func (m *Jenga) checkStacks(g *group) error {
 	}
 	if walked != linked {
 		return fmt.Errorf("%d pages linked, %d reachable from a stack top", linked, walked)
+	}
+	return nil
+}
+
+// checkFreeLarge: the free large pages are the returned stack and every
+// ID from largeFresh up. The stack holds only IDs below largeFresh, each
+// once, and is exactly the unowned pages there; a free page's record
+// holds nothing but its stack link, and the owned pages are the ones
+// the groups count.
+func (m *Jenga) checkFreeLarge() error {
+	if m.largeFresh < 0 || int(m.largeFresh) > len(m.large) {
+		return fmt.Errorf("%d of %d pages handed out", m.largeFresh, len(m.large))
+	}
+	returned := 0
+	for L := m.largeTop; L != -1; L = int32(m.large[L].ts) - 1 {
+		if L < 0 || L >= m.largeFresh {
+			return fmt.Errorf("the returned stack holds page %d; %d were handed out", L, m.largeFresh)
+		}
+		if owner := m.large[L].owner; owner >= 0 {
+			return fmt.Errorf("the returned stack holds page %d, which group %d owns", L, owner)
+		}
+		if returned++; returned > int(m.largeFresh) {
+			return fmt.Errorf("the returned stack holds more than the %d pages handed out (a cycle, or a page on it twice)", m.largeFresh)
+		}
+	}
+	unowned, owned := 0, 0
+	for L := range m.large {
+		lp := m.large[L]
+		if lp.owner >= 0 {
+			owned++
+			if L >= int(m.largeFresh) {
+				return fmt.Errorf("page %d is owned by group %d, but only %d were handed out", L, lp.owner, m.largeFresh)
+			}
+			continue
+		}
+		if L < int(m.largeFresh) {
+			unowned++
+			lp.ts = 0 // the stack link
+		}
+		if lp != (largePage{owner: -1}) {
+			return fmt.Errorf("free page %d records %+v", L, lp)
+		}
+	}
+	if unowned != returned {
+		return fmt.Errorf("%d unowned pages below %d, %d on the returned stack", unowned, m.largeFresh, returned)
+	}
+	groups := 0
+	for _, g := range m.groups {
+		groups += g.ownedLarge
+	}
+	if owned != groups {
+		return fmt.Errorf("%d pages owned, the groups count %d", owned, groups)
 	}
 	return nil
 }

@@ -249,3 +249,68 @@ func TestCheckInvariantsHostTier(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckInvariantsFreeLarge: the free large pages are the returned
+// stack plus every page from the high-water mark up, and only a stacked
+// group has free-stack tops. One property at a time is corrupted on a
+// manager with pages owned, returned and never handed out, and
+// CheckInvariants must name each; the untouched manager passes.
+func TestCheckInvariantsFreeLarge(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(m *Jenga)
+		want    string // "" means the manager must still pass
+	}{
+		{"intact", func(*Jenga) {}, ""},
+		{"a returned page owned", func(m *Jenga) {
+			m.large[m.largeTop].owner = 0
+		}, "which group 0 owns"},
+		{"a returned page dropped", func(m *Jenga) {
+			m.largeTop = int32(m.large[m.largeTop].ts) - 1
+		}, "on the returned stack"},
+		{"a page on the stack twice", func(m *Jenga) {
+			m.large[m.largeTop].ts = Tick(m.largeTop) + 1
+		}, "a cycle, or a page on it twice"},
+		{"a fresh page on the stack", func(m *Jenga) {
+			m.large[m.largeFresh].ts = Tick(m.largeTop) + 1
+			m.largeTop = m.largeFresh
+		}, "the returned stack holds page"},
+		{"a free page records a count", func(m *Jenga) {
+			m.large[len(m.large)-1].cached = 1
+		}, "free page"},
+		{"a ratio-1 group with a stack top", func(m *Jenga) {
+			m.groups[m.groupIndex("pad")].assocTop[7] = 0
+		}, "group pad: 1 stack tops in a group that keeps no stacks"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			spec := churnSpec()
+			geo, err := spec.Geometry(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := newMgr(t, spec, int64(32*geo.LargePageBytes), 4, false)
+			var seqs []*Sequence
+			for i := range 3 {
+				seq := &Sequence{ID: RequestID(i + 1)}
+				for j := range 32 { // two large pages of kv blocks
+					seq.Tokens = append(seq.Tokens, Token{ID: int32(i*64 + j + 1)})
+				}
+				commitAll(t, m, seq, Tick(i+1))
+				seqs = append(seqs, seq)
+			}
+			m.Release(seqs[1], false)
+			if m.largeTop < 0 || int(m.largeFresh) >= len(m.large) {
+				t.Fatalf("returned stack top %d, %d of %d pages handed out: want pages in all three states", m.largeTop, m.largeFresh, len(m.large))
+			}
+			c.corrupt(m)
+			err = m.CheckInvariants()
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("sound manager reported: %v", err)
+			case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+				t.Fatalf("got %v, want an error naming %q", err, c.want)
+			}
+		})
+	}
+}

@@ -987,8 +987,8 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, sh *seqHashes, p int, no
 			m.claimMamba(pr.g, pr.rg, pr.hash, pr.pl, now)
 		}
 	}
-	for _, pr := range pending {
-		m.host.unpin(pr.pin)
+	for i := range pending {
+		m.host.unpin(&pending[i].pin)
 	}
 	clear(pending) // drop the request-state pointers the scratch holds
 	return ok
@@ -1083,12 +1083,13 @@ func (m *Jenga) claimMamba(g *group, rg *reqGroup, hash uint64, pl int, now Tick
 		// ticks, so `now` can be below it — mark dirty), the new value
 		// may raise it.
 		L := g.view.LargeOf(id)
-		if pg.lastAccess == m.largeTS[L] {
-			m.largeDirty[L] = true
+		lp := &m.large[L]
+		if pg.lastAccess == lp.ts {
+			lp.dirty = true
 		}
 		pg.lastAccess = now
-		if now > m.largeTS[L] {
-			m.largeTS[L] = now
+		if now > lp.ts {
+			lp.ts = now
 		}
 		if g.smallQueued() {
 			g.evict.push(pageEntry{id: id, ts: now, prio: pg.priority, expired: pg.expired})

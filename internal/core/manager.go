@@ -75,12 +75,11 @@ const (
 	pageCached                   // valid KV, unreferenced, evictable
 )
 
-// page is per-small-page metadata, 48 bytes: the wide fields first, the
+// page is per-small-page metadata, 32 bytes: the wide fields first, the
 // flags packed at the end (TestStructSizes pins it). The page's block
-// hash is kept beside it, in group.hash.
+// hash is kept beside it, in group.hash, and its free-stack link, where
+// the group keeps stacks, in group.links.
 type page struct {
-	// assoc is the request the page is associated with (§4.3).
-	assoc RequestID
 	// lastAccess and priority order eviction (§5.1).
 	lastAccess Tick
 	priority   int64
@@ -89,12 +88,9 @@ type page struct {
 	filled int32
 	// dead is the number of filled slots whose KV the architecture no
 	// longer needs but that share the page with live slots.
-	dead int32
-	// aprev and anext thread the page onto its request's free stack
-	// (assoc.go): the pages above and below it, offStack/noPage.
-	aprev, anext int32
-	status       pageStatus
-	complete     bool
+	dead     int32
+	status   pageStatus
+	complete bool
 	// hashed reports the page owns the prefix index entry for its hash
 	// (group.hash), which must not change while it does.
 	hashed bool
@@ -103,6 +99,34 @@ type page struct {
 	// prioritized for eviction over any in-window page, regardless of
 	// recency.
 	expired bool
+}
+
+// assocLink is a small page's place in the request-aware free stacks
+// (assoc.go), 16 bytes: the request the page is associated with (§4.3),
+// and the pages above and below it on that request's stack
+// (offStack/noPage).
+type assocLink struct {
+	req        RequestID
+	prev, next int32
+}
+
+// largePage is one large page's allocator state, 16 bytes
+// (TestStructSizes pins it): the small pages of its owner's that are
+// used, cached, and cached with expired KV, and its §5.4 step-3
+// eviction key. ts is the max last-access among the cached pages, and
+// dirty marks a ts whose max-holder left the cached set (recomputed
+// lazily by largeTimestamp); together they make eviction-key reads
+// O(1) instead of a rescan of every small page in the large page.
+// Config.Validate bounds the ratio by used's range and the group count
+// by owner's.
+type largePage struct {
+	// ts is the eviction key while the page is owned. A returned free
+	// page caches nothing, and its ts links the returned stack instead
+	// (takeFreshLarge): the page below it plus one, 0 at the bottom.
+	ts                    Tick
+	used, cached, expired uint16
+	owner                 int8 // owning group index, -1 when free
+	dirty                 bool
 }
 
 // group is the per-layer-type allocator + evictor state.
@@ -126,9 +150,14 @@ type group struct {
 
 	// index maps published block hash → page (prefix cache).
 	index pageIndex[arena.SmallPageID]
-	// assocTop is the top of each request's stack of associated empty
-	// pages (assoc.go); a request has an entry only while its stack is
-	// non-empty. The stacks themselves are threaded through pages.
+	// links threads the request-aware free stacks (assoc.go), one entry
+	// per page, and assocTop is the top of each request's stack; a
+	// request has an entry only while its stack is non-empty. Only a
+	// group that places pages by request with more than one small page
+	// per large page keeps links (stacked), and any other's assocTop
+	// stays empty: a ratio-1 page that empties empties its large page,
+	// which is reclaimed at once.
+	links    []assocLink
 	assocTop map[RequestID]arena.SmallPageID
 	// free holds every empty page in group-owned large pages (strictly
 	// maintained): a hierarchical bitmap whose pop is O(1) and always
@@ -182,6 +211,9 @@ func (g *group) isVision() bool { return g.spec.Kind == model.VisionEmbedding }
 // queue reports no victim, as a full one would have.
 func (g *group) smallQueued() bool { return g.ratio > 1 }
 
+// stacked reports whether the group keeps request-aware free stacks.
+func (g *group) stacked() bool { return g.links != nil }
+
 // Jenga is the two-level memory manager (§4, §5).
 type Jenga struct {
 	cfg Config
@@ -190,21 +222,15 @@ type Jenga struct {
 
 	groups []*group
 
-	// large-page state, indexed by LargePageID.
-	largeOwner []int32 // owning group index, -1 when free
-	cntUsed    []int32 // used small pages per large page
-	cntCached  []int32 // cached small pages per large page
-	// Incrementally maintained large-page eviction keys (§5.4 step 3):
-	// cntExpired counts cached pages holding expired KV, largeTS is the
-	// max last-access among cached pages, and largeDirty marks a
-	// largeTS whose max-holder left the cached set (recomputed lazily
-	// by largeTimestamp). Together they make eviction-key reads O(1)
-	// instead of a rescan of every small page in the large page.
-	cntExpired []int32
-	largeTS    []Tick
-	largeDirty []bool
-
-	freeLarge  []arena.LargePageID
+	// large is each large page's state, indexed by LargePageID. The
+	// free large pages are the IDs from largeFresh up, never handed out,
+	// and the returned stack from largeTop (-1: empty), threaded
+	// through the returned pages' records; takeFreshLarge pops the
+	// stack before it hands out largeFresh, so pages go out 0, 1, 2, …
+	// under every returned one.
+	large      []largePage
+	largeFresh int32
+	largeTop   int32
 	largeEvict evictQueue[largeEntry]
 
 	// reqs holds the state of every request the manager has been shown
@@ -294,12 +320,22 @@ func (c Config) Validate() error {
 	if err := c.Spec.Validate(); err != nil {
 		return &ConfigError{"core.Config", "Spec", err.Error()}
 	}
+	// A large page's record names its owner in an int8 and counts its
+	// small pages in uint16s (largePage).
+	if n := len(c.Spec.Groups); n > math.MaxInt8 {
+		return &ConfigError{"core.Config", "Spec", fmt.Sprintf("%d groups, more than a large page's owner field holds (%d)", n, math.MaxInt8)}
+	}
 	if c.TokensPerPage < 0 {
 		return &ConfigError{"core.Config", "TokensPerPage", fmt.Sprintf("%d is negative", c.TokensPerPage)}
 	}
 	geo, err := c.Spec.Geometry(cmp.Or(c.TokensPerPage, 16))
 	if err != nil {
 		return &ConfigError{"core.Config", "Spec", err.Error()}
+	}
+	for _, g := range c.Spec.Groups {
+		if r := geo.Ratio[g.Name]; r > math.MaxUint16 {
+			return &ConfigError{"core.Config", "Spec", fmt.Sprintf("group %s has %d small pages per large page, more than a large page's counters hold (%d)", g.Name, r, math.MaxUint16)}
+		}
 	}
 	if large := int64(geo.LargePageBytes); c.CapacityBytes < large {
 		return &ConfigError{"core.Config", "CapacityBytes", fmt.Sprintf("%d is below one large page (%d bytes)", c.CapacityBytes, large)}
@@ -341,27 +377,18 @@ func New(cfg Config) (*Jenga, error) {
 	}
 
 	m := &Jenga{
-		cfg:        cfg,
-		geo:        geo,
-		ar:         ar,
-		largeOwner: make([]int32, ar.NumLargePages()),
-		cntUsed:    make([]int32, ar.NumLargePages()),
-		cntCached:  make([]int32, ar.NumLargePages()),
-		cntExpired: make([]int32, ar.NumLargePages()),
-		largeTS:    make([]Tick, ar.NumLargePages()),
-		largeDirty: make([]bool, ar.NumLargePages()),
-		reqs:       make(map[RequestID]*reqState, 256),
-		cacheGen:   1,
+		cfg:      cfg,
+		geo:      geo,
+		ar:       ar,
+		large:    make([]largePage, ar.NumLargePages()),
+		largeTop: -1,
+		reqs:     make(map[RequestID]*reqState, 256),
+		cacheGen: 1,
 	}
-	for i := range m.largeOwner {
-		m.largeOwner[i] = -1
+	for i := range m.large {
+		m.large[i].owner = -1
 	}
 	m.largeEvict.initSlots(ar.NumLargePages(), 0, largeEntry.slot)
-	// Free list in reverse so allocation proceeds from page 0 upward.
-	m.freeLarge = make([]arena.LargePageID, 0, ar.NumLargePages())
-	for i := ar.NumLargePages() - 1; i >= 0; i-- {
-		m.freeLarge = append(m.freeLarge, arena.LargePageID(i))
-	}
 
 	for i := range cfg.Spec.Groups {
 		gs := cfg.Spec.Groups[i]
@@ -391,8 +418,11 @@ func New(cfg Config) (*Jenga, error) {
 			pages:      make([]page, ar.NumLargePages()*geo.Ratio[gs.Name]),
 			assocTop:   make(map[RequestID]arena.SmallPageID),
 		}
-		for p := range g.pages {
-			g.pages[p].aprev, g.pages[p].anext = offStack, noPage
+		if cfg.RequestAware && g.ratio > 1 {
+			g.links = make([]assocLink, len(g.pages))
+			for p := range g.links {
+				g.links[p].prev, g.links[p].next = offStack, noPage
+			}
 		}
 		g.hash = make([]uint64, len(g.pages))
 		g.index.init(g.hash, len(g.pages))

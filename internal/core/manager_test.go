@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -78,64 +79,70 @@ func viewOf(m *Jenga, g *group, tokens []Token) *GroupSeqView {
 
 func audit(t *testing.T, m *Jenga) {
 	t.Helper()
-	var ownedLargeTotal int64
-	for L := range m.largeOwner {
-		var used, cached, expired int32
+	var ownedLargeTotal int
+	for L := range m.large {
+		lp := &m.large[L]
+		if lp.owner < 0 {
+			continue // a free page's record: checkFreeLarge
+		}
+		var used, cached, expired int
 		var maxTS Tick
-		if m.largeOwner[L] >= 0 {
-			g := m.groups[m.largeOwner[L]]
-			first, n := g.view.SmallRange(arena.LargePageID(L))
-			for i := 0; i < n; i++ {
-				pg := &g.pages[first+arena.SmallPageID(i)]
-				switch pg.status {
-				case pageUsed:
-					used++
-				case pageCached:
-					cached++
-					if pg.expired {
-						expired++
-					}
-					if pg.lastAccess > maxTS {
-						maxTS = pg.lastAccess
-					}
+		g := m.groups[lp.owner]
+		first, n := g.view.SmallRange(arena.LargePageID(L))
+		for i := 0; i < n; i++ {
+			pg := &g.pages[first+arena.SmallPageID(i)]
+			switch pg.status {
+			case pageUsed:
+				used++
+			case pageCached:
+				cached++
+				if pg.expired {
+					expired++
+				}
+				if pg.lastAccess > maxTS {
+					maxTS = pg.lastAccess
 				}
 			}
-			ownedLargeTotal++
 		}
-		if used != m.cntUsed[L] || cached != m.cntCached[L] {
+		ownedLargeTotal++
+		if used != int(lp.used) || cached != int(lp.cached) {
 			t.Fatalf("large %d: cnt used/cached = %d/%d, recount %d/%d",
-				L, m.cntUsed[L], m.cntCached[L], used, cached)
+				L, lp.used, lp.cached, used, cached)
 		}
 		// The incremental eviction key: expired count is exact; the
 		// cached max last-access is exact when clean and an upper bound
 		// while dirty (the max-holder left, pending a lazy rescan).
-		if expired != m.cntExpired[L] {
-			t.Fatalf("large %d: cntExpired = %d, recount %d", L, m.cntExpired[L], expired)
+		if expired != int(lp.expired) {
+			t.Fatalf("large %d: expired = %d, recount %d", L, lp.expired, expired)
 		}
 		if cached == 0 {
-			if m.largeTS[L] != 0 || m.largeDirty[L] {
-				t.Fatalf("large %d: uncached but largeTS/dirty = %d/%v", L, m.largeTS[L], m.largeDirty[L])
+			if lp.ts != 0 || lp.dirty {
+				t.Fatalf("large %d: uncached but ts/dirty = %d/%v", L, lp.ts, lp.dirty)
 			}
-		} else if m.largeDirty[L] {
-			if m.largeTS[L] < maxTS {
-				t.Fatalf("large %d: dirty largeTS = %d below true max %d", L, m.largeTS[L], maxTS)
+		} else if lp.dirty {
+			if lp.ts < maxTS {
+				t.Fatalf("large %d: dirty ts = %d below true max %d", L, lp.ts, maxTS)
 			}
-		} else if m.largeTS[L] != maxTS {
-			t.Fatalf("large %d: clean largeTS = %d, true max %d", L, m.largeTS[L], maxTS)
+		} else if lp.ts != maxTS {
+			t.Fatalf("large %d: clean ts = %d, true max %d", L, lp.ts, maxTS)
 		}
-		if m.largeOwner[L] >= 0 && used == 0 && cached == 0 {
+		if used == 0 && cached == 0 {
 			t.Fatalf("large %d: fully empty but still owned (reclaim missed)", L)
 		}
 	}
-	if int(ownedLargeTotal)+len(m.freeLarge) != m.ar.NumLargePages() {
-		t.Fatalf("large pages: %d owned + %d free != %d total",
-			ownedLargeTotal, len(m.freeLarge), m.ar.NumLargePages())
+	returned := 0
+	for L := m.largeTop; L >= 0 && returned <= len(m.large); L = int32(m.large[L].ts) - 1 {
+		returned++
+	}
+	if free := returned + len(m.large) - int(m.largeFresh); ownedLargeTotal+free != m.ar.NumLargePages() {
+		t.Fatalf("large pages: %d owned + %d free (%d returned, %d of %d handed out) != %d total",
+			ownedLargeTotal, free, returned, m.largeFresh, len(m.large), m.ar.NumLargePages())
 	}
 	for _, g := range m.groups {
 		var nUsed, nCached, owned int
 		var filled, dead, extra int64
-		for L := range m.largeOwner {
-			if m.largeOwner[L] != int32(g.idx) {
+		for L := range m.large {
+			if m.large[L].owner != int8(g.idx) {
 				continue
 			}
 			owned++
@@ -188,7 +195,7 @@ func audit(t *testing.T, m *Jenga) {
 			if pg.status != pageEmpty {
 				t.Fatalf("group %s: free pool holds non-empty page %d", g.spec.Name, id)
 			}
-			if m.largeOwner[g.view.LargeOf(id)] != int32(g.idx) {
+			if m.large[g.view.LargeOf(id)].owner != int8(g.idx) {
 				t.Fatalf("group %s: free page %d in foreign large page", g.spec.Name, id)
 			}
 		}
@@ -254,6 +261,20 @@ func TestNewErrors(t *testing.T) {
 		{"negative host tier", valid(func(c *Config) { c.HostTierBytes = -1 }), "HostTierBytes"},
 		{"host tier one page past int32 block IDs", valid(func(c *Config) { c.HostTierBytes = (math.MaxInt32/stride + 1) * large }), "HostTierBytes"},
 		{"host tier of the largest budget", valid(func(c *Config) { c.HostTierBytes = math.MaxInt64 }), "HostTierBytes"},
+		{"small-page ratio past a large page's uint16 counters", valid(func(c *Config) {
+			// 65,536 token bytes set the LCM; one byte a token is 65,536
+			// small pages of one a large page.
+			c.Spec.Groups = append(c.Spec.Groups,
+				model.KVGroup{Name: "wide", Kind: model.FullAttention, Layers: 1, BytesPerToken: 1 << 16, Scope: model.ScopeText},
+				model.KVGroup{Name: "thin", Kind: model.FullAttention, Layers: 1, BytesPerToken: 1, Scope: model.ScopeText})
+			c.TokensPerPage = 1
+			c.CapacityBytes = 1 << 30
+		}), "Spec"},
+		{"more groups than a large page's int8 owner", valid(func(c *Config) {
+			for i := len(c.Spec.Groups); i <= math.MaxInt8; i++ {
+				c.Spec.Groups = append(c.Spec.Groups, model.KVGroup{Name: fmt.Sprintf("g%d", i), Kind: model.FullAttention, Layers: 1, BytesPerToken: 64, Scope: model.ScopeText})
+			}
+		}), "Spec"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
