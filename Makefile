@@ -236,7 +236,11 @@ vet:
 # — so a largeOwner, cntUsed, cntCached, cntExpired, largeTS,
 # largeDirty or freeLarge in non-test internal/core, or an assoc, aprev
 # or anext field in type page, is the parallel arrays or the per-page
-# links of every group again.
+# links of every group again; and the eviction queue
+# (internal/core/evictq.go) reaches an entry's slot, key and order
+# through the entry type's own methods, so a func-valued field in type
+# evictQueue in non-test internal/core is the slot func — an indirect
+# call on every heap swap — again.
 # (The token's four bytes need no grep: internal/core pins them at
 # compile time.)
 guard:
@@ -263,6 +267,7 @@ guard:
 	@out=$$(files=$$(ls internal/fleet/*.go | grep -v '_test\.go$$'); grep -nE 'func \(([A-Za-z_]+ )?\*Directory\) (Pin|Unpin)\(' $$files; sed -n '/^type Directory struct {/,/^}/p' $$files | grep -E '^[[:space:]]*([A-Za-z_]+,[[:space:]]*)*(pins|deferred)([[:space:],]|$$)'); if [ -n "$$out" ]; then echo "fleet.Directory defers invalidations behind pins again (the barrier section is the fleet's one consistency rule; an invalidation acts at once):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'engine\.New(' internal/experiments --include='*.go' | grep -v '_test\.go:'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ] || ! awk '/^func \(r run\) serve\(/,/^}/' internal/experiments/experiments.go | grep -q 'engine\.New('; then echo "non-test internal/experiments must have exactly one engine.New call, in run.serve (every experiment is a list of runs):"; echo "$$out"; exit 1; fi
 	@out=$$(files=$$(ls internal/core/*.go | grep -v '_test\.go$$'); grep -nwE 'largeOwner|cntUsed|cntCached|cntExpired|largeTS|largeDirty|freeLarge' $$files; sed -n '/^type page struct {/,/^}/p' $$files | grep -E '^[[:space:]]*([A-Za-z_][A-Za-z0-9_]*,[[:space:]]*)*(assoc|aprev|anext)([[:space:],]|$$)'); if [ -n "$$out" ]; then echo "core's per-page state is spread out again (the large-page arrays or the free list the largePage record and its returned stack replace, or free-stack links in type page, which live in group.links):"; echo "$$out"; exit 1; fi
+	@out=$$(sed -n '/^type evictQueue\[/,/^}/p' $$(ls internal/core/*.go | grep -v '_test\.go$$') | grep -v '^[[:space:]]*//' | grep -n 'func'); if [ -n "$$out" ]; then echo "type evictQueue has a func-valued field again (the entry types' methods give slot, key and order; a func field is an indirect call per swap):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE -e '^[[:space:]]*(Headroom|Slack)([[:space:]]|,)' -e '\b(WithPrefillReserve|withReserve)\b' -e 'func \(([A-Za-z_]+ )?\*Cluster\) Route\(' internal --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a deleted knob is back in non-test internal/ (KVAdmission.Headroom, SLOAdmission.Slack, WithPrefillReserve/withReserve, Cluster.Route):"; echo "$$out"; exit 1; fi
 
 ci: vet lint guard build test race debug chaos-smoke scale-smoke perf-smoke

@@ -65,25 +65,40 @@ func Load(dir string, includeTests bool, patterns ...string) ([]*Package, error)
 	if err != nil {
 		return nil, err
 	}
+	// The plain package's export data is the one every import resolves
+	// against — except in an external test package, which sees its
+	// package under test with the in-package test files (an
+	// export_test.go) and every dependency of it recompiled against that
+	// ("q [p.test]" in forTest[p]).
 	exports := map[string]string{}
+	forTest := map[string]map[string]string{}
 	for _, p := range universe {
-		// Skip the synthetic per-test recompilations ("p [p.test]")
-		// and test binaries: the plain package's export data is the
-		// one every import resolves against.
-		if p.ForTest != "" || strings.HasSuffix(p.ImportPath, ".test") || p.Export == "" {
-			continue
+		switch {
+		case strings.HasSuffix(p.ImportPath, ".test") || p.Export == "":
+		case p.ForTest != "":
+			if forTest[p.ForTest] == nil {
+				forTest[p.ForTest] = map[string]string{}
+			}
+			forTest[p.ForTest][strings.Fields(p.ImportPath)[0]] = p.Export
+		default:
+			exports[p.ImportPath] = p.Export
 		}
-		exports[p.ImportPath] = p.Export
 	}
 
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		e, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(e)
-	})
+	importerFor := func(variants map[string]string) types.Importer {
+		return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			e, ok := variants[path]
+			if !ok {
+				e, ok = exports[path]
+			}
+			if !ok {
+				return nil, fmt.Errorf("no export data for %q", path)
+			}
+			return os.Open(e)
+		})
+	}
+	imp := importerFor(nil)
 
 	var pkgs []*Package
 	for _, t := range targets {
@@ -100,7 +115,11 @@ func Load(dir string, includeTests bool, patterns ...string) ([]*Package, error)
 			if len(names) == 0 {
 				continue
 			}
-			pkg, err := check(fset, imp, paths[i], t.Dir, names)
+			unitImp := imp
+			if i > 0 && forTest[t.ImportPath] != nil {
+				unitImp = importerFor(forTest[t.ImportPath])
+			}
+			pkg, err := check(fset, unitImp, paths[i], t.Dir, names)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,10 @@
 package core
 
-import "jenga/internal/arena"
+import (
+	"cmp"
+
+	"jenga/internal/arena"
+)
 
 // Eviction queues (evictq.go). Both are slotted — one entry per small
 // page of the group, one per large page, replaced in place when the
@@ -44,6 +48,38 @@ func (a pageEntry) before(b pageEntry) bool {
 
 func (a pageEntry) slot() int { return int(a.id) }
 
+func (a pageEntry) key() evictKey { return evictKey{tick: a.ts, class: evictClass(a.expired)} }
+
+func (a pageEntry) tie() pageTie { return pageTie{prio: a.prio, id: a.id} }
+
+// pageTie is what the run keeps of a pageEntry: (priority desc, id asc).
+type pageTie struct {
+	prio int64
+	id   arena.SmallPageID
+}
+
+func (a pageTie) cmp(b pageTie) int {
+	if a.prio != b.prio {
+		return cmp.Compare(b.prio, a.prio)
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+func (a pageTie) slot() int { return int(a.id) }
+
+func (a pageTie) entry(k evictKey) pageEntry {
+	return pageEntry{ts: k.tick, prio: a.prio, id: a.id, expired: k.class == 0}
+}
+
+// evictClass is an expired entry's segment class, 0 — it evicts first
+// (§3.3) — or a live one's, 1.
+func evictClass(expired bool) uint8 {
+	if expired {
+		return 0
+	}
+	return 1
+}
+
 type largeEntry struct {
 	ts      Tick
 	id      arena.LargePageID
@@ -63,6 +99,21 @@ func (a largeEntry) before(b largeEntry) bool {
 }
 
 func (a largeEntry) slot() int { return int(a.id) }
+
+func (a largeEntry) key() evictKey { return evictKey{tick: a.ts, class: evictClass(a.expired)} }
+
+func (a largeEntry) tie() largeSlot { return largeSlot(a.id) }
+
+// largeSlot is what the run keeps of a largeEntry: its ID, 4 bytes.
+type largeSlot int32
+
+func (a largeSlot) cmp(b largeSlot) int { return cmp.Compare(a, b) }
+
+func (a largeSlot) slot() int { return int(a) }
+
+func (a largeSlot) entry(k evictKey) largeEntry {
+	return largeEntry{ts: k.tick, id: arena.LargePageID(a), expired: k.class == 0}
+}
 
 // --- page state transitions -------------------------------------------
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"jenga/internal/arena"
 	"jenga/internal/model"
 )
 
@@ -24,14 +25,19 @@ import (
 // commit performs, pageRelease — because the per-request state a
 // public Reserve creates (getReq) is not part of it. llava-ov puts two
 // page sizes in play: text KV pages fill a large page each, vision
-// pages are carved eight to one, so every iteration evicts a text page
+// pages are carved eight to one, so every iteration evicts text pages
 // to carve a vision large page and reclaims it again — which is every
 // page-indexed structure at work: the evicted text block leaves the
 // prefix index and the published one enters it, each freed vision page
 // is pushed on its request's free stack (a text page, ratio 1, keeps
 // none), the carve pushes seven vision pages more and the reclaim
 // unlinks them all, and every reclaimed large page goes on the returned
-// stack. None of it may cost an object.
+// stack. The large-page queue works its steady state too: each
+// iteration releases a batch of text pages at one tick into its run's
+// open segment and closes the last one, which sorts it, and re-keys a
+// page cached a few ticks back, as a claim's touch does, leaving a dead
+// entry in a closed segment — so the ring fills, at its slot bound,
+// and is compacted. None of it may cost an object.
 func TestEvictCycleZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is not meaningful under -short/-race runs")
@@ -41,7 +47,7 @@ func TestEvictCycleZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const largePages = 64
+	const largePages, batch, back = 64, 3, 4
 	m, err := New(Config{
 		Spec: spec, CapacityBytes: int64(largePages * geo.LargePageBytes), TokensPerPage: 16,
 		EnablePrefixCache: true, RequestAware: true,
@@ -50,28 +56,58 @@ func TestEvictCycleZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	text, vision := m.groups[m.groupIndex("self")], m.groups[m.groupIndex("vision")]
-	if text.ratio == vision.ratio {
-		t.Fatalf("want two page sizes, got ratio %d for both groups", text.ratio)
+	if text.ratio == vision.ratio || text.ratio != 1 {
+		t.Fatalf("want a ratio-1 text group and a second page size, got ratios %d and %d", text.ratio, vision.ratio)
 	}
-	var k int64
+	var (
+		k, hash int64
+		ids     [batch]arena.SmallPageID
+		recent  [back]arena.SmallPageID // the batches' first pages, by tick
+	)
+	q := &m.largeEvict
+	var compactions, sorted int
 	cycle := func() {
 		k++
 		req, now := RequestID(k), Tick(k)
-		id, err := m.allocSmall(text, req)
-		if err != nil {
-			t.Fatal(err)
+		for i := range ids {
+			id, err := m.allocSmall(text, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A block-boundary commit: the page is complete and
+			// published. Hashes rotate through a set larger than the
+			// pool, so the block evicted to make room never shares one
+			// with a live page.
+			hash++
+			pg := &text.pages[id]
+			text.hash[id], pg.complete, pg.hashed = uint64(hash%(4*largePages))+1, true, true
+			pg.filled = int32(text.tpp)
+			text.filledSlots += int64(text.tpp)
+			if !text.index.put(id) {
+				t.Fatalf("hash %d still indexed when its successor is published", text.hash[id])
+			}
+			ids[i] = id
 		}
-		// A block-boundary commit: the page is complete and published.
-		// Hashes rotate through a set larger than the pool, so the
-		// block evicted to make room never shares one with a live page.
-		pg := &text.pages[id]
-		text.hash[id], pg.complete, pg.hashed = uint64(k%(2*largePages))+1, true, true
-		pg.filled = int32(text.tpp)
-		text.filledSlots += int64(text.tpp)
-		if !text.index.put(id) {
-			t.Fatalf("hash %d still indexed when its successor is published", text.hash[id])
+		// Released highest ID first, the order the open segment sorts.
+		slices.SortFunc(ids[:], func(a, b arena.SmallPageID) int { return cmp.Compare(b, a) })
+		base := q.base
+		for _, id := range ids {
+			m.pageRelease(text, id, true, now, false)
 		}
-		m.pageRelease(text, id, true, now, false)
+		if last := q.segs[len(q.segs)-1]; q.open && last.tick == now && q.base+q.n-last.start == batch {
+			sorted++ // this batch's segment: the next tick's first push sorts it
+		}
+		// A claim's touch: a page released a few ticks back, sitting in
+		// a closed segment, is re-keyed to now.
+		if id := recent[k%back]; k > back && text.pages[id].status == pageCached && text.pages[id].lastAccess == now-back {
+			text.pages[id].lastAccess = now
+			m.large[text.view.LargeOf(id)].ts = now
+			m.pushLargeCandidate(text.view.LargeOf(id))
+		}
+		recent[k%back] = ids[0]
+		if q.base < base { // only a compaction rebases the ring (its pops only advance it)
+			compactions++
+		}
 
 		vid, err := m.allocSmall(vision, req)
 		if err != nil {
@@ -82,7 +118,10 @@ func TestEvictCycleZeroAlloc(t *testing.T) {
 	for i := 0; i < 8*largePages; i++ {
 		cycle()
 	}
-	before := m.stats
+	if len(q.run) != largePages {
+		t.Fatalf("after warm-up the ring has %d positions for %d slots, want it at its bound", len(q.run), largePages)
+	}
+	before, compactions, sorted := m.stats, 0, 0
 	allocs := testing.AllocsPerRun(4*largePages, cycle)
 	if allocs != 0 {
 		t.Fatalf("eviction cycle allocates %.2f objects per iteration, want 0", allocs)
@@ -91,6 +130,9 @@ func TestEvictCycleZeroAlloc(t *testing.T) {
 	reclaimed := m.stats.LargeReclaims - before.LargeReclaims
 	if evicted < 4*largePages || reclaimed < 4*largePages {
 		t.Fatalf("measured window evicted %d and reclaimed %d large pages, want one of each per iteration", evicted, reclaimed)
+	}
+	if compactions == 0 || sorted < 4*largePages {
+		t.Fatalf("measured window compacted the ring %d times and left %d batches of %d to sort, want some and every one", compactions, sorted, batch)
 	}
 	audit(t, m)
 }
@@ -108,6 +150,9 @@ func TestStructSizes(t *testing.T) {
 		{"largePage", unsafe.Sizeof(largePage{}), 16},
 		{"pageEntry", unsafe.Sizeof(pageEntry{}), 24},
 		{"largeEntry", unsafe.Sizeof(largeEntry{}), 16},
+		{"largeSlot", unsafe.Sizeof(largeSlot(0)), 4},
+		{"pageTie", unsafe.Sizeof(pageTie{}), 16},
+		{"segment", unsafe.Sizeof(segment{}), 24},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)

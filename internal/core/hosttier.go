@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"jenga/internal/arena"
@@ -170,7 +171,7 @@ type hostTier struct {
 	index []pageIndex[int32]
 	// evict orders the live pages by (touch, seq), slotted by slot:
 	// exactly one entry per live page.
-	evict evictQueue[hostEvictEntry]
+	evict evictQueue[hostEvictEntry, hostTie]
 	// Scratch: evictOne's pinned candidates; the hash list handed to the
 	// observer (which must not retain it); one page's blocks and hashes
 	// (spillLarge and ImportPrefix — store copies what it keeps; the
@@ -213,6 +214,25 @@ func (a hostEvictEntry) before(b hostEvictEntry) bool {
 
 func (a hostEvictEntry) slot() int { return int(a.id) }
 
+func (a hostEvictEntry) key() evictKey { return evictKey{tick: a.touch} }
+
+func (a hostEvictEntry) tie() hostTie { return hostTie{seq: a.seq, id: a.id} }
+
+// hostTie is what a run would keep of a hostEvictEntry; the tier's
+// queue is heap-only (newHostTier).
+type hostTie struct {
+	seq int64
+	id  int32
+}
+
+func (a hostTie) cmp(b hostTie) int { return cmp.Compare(a.seq, b.seq) }
+
+func (a hostTie) slot() int { return int(a.id) }
+
+func (a hostTie) entry(k evictKey) hostEvictEntry {
+	return hostEvictEntry{touch: k.tick, seq: a.seq, id: a.id}
+}
+
 // tierSlots is how many pages a budget can hold at once. The caller
 // keeps slots × the largest ratio within int32 (Config.Validate).
 func tierSlots(capacity int64, pageBytes int) int64 {
@@ -249,7 +269,7 @@ func newHostTier(capacity int64, pageBytes int, groups []string, ratios []int) *
 	for gi := range h.index {
 		h.index[gi].init(h.hash, slots*ratios[gi])
 	}
-	h.evict.initSlots(slots, slots, hostEvictEntry.slot)
+	h.evict.initSlots(slots, slots)
 	h.stash = make([]hostEvictEntry, 0, slots)
 	h.notify = make([]uint64, 0, h.stride)
 	h.pageBlocks = make([]hostBlock, 0, h.stride)

@@ -189,8 +189,8 @@ func (m *Jenga) checkLCM(g *group) error {
 // (smallQueued).
 func (m *Jenga) checkQueued(g *group) error {
 	if !g.smallQueued() {
-		if g.evict.pos != nil || cap(g.evict.h) != 0 {
-			return fmt.Errorf("a ratio-1 group keeps a small-page queue of %d slots, %d entries", len(g.evict.pos), cap(g.evict.h))
+		if g.evict.pos != nil || g.evict.len() != 0 || cap(g.evict.heap) != 0 {
+			return fmt.Errorf("a ratio-1 group keeps a small-page queue of %d slots, %d entries", len(g.evict.pos), g.evict.len())
 		}
 	} else if err := g.evict.check(); err != nil {
 		return fmt.Errorf("small-page queue: %w", err)
@@ -521,40 +521,106 @@ func (ix *pageIndex[I]) check(valid func(id I) error) error {
 	return nil
 }
 
-// check: heap order holds, and pos and h describe the same set of at
-// most len(pos) entries, in an array no larger.
-func (q *evictQueue[E]) check() error {
-	for i := 1; i < len(q.h); i++ {
-		if q.h[i].before(q.h[(i-1)/2]) {
+// check: the run's segments hold strictly increasing keys, each
+// closed one its live tie keys strictly increasing and the open one no
+// dead entry; the heap is in order; pos and the two parts describe the
+// same entries, in both directions; and the run and heap arrays
+// together are no larger than the slot count.
+func (q *evictQueue[E, T]) check() error {
+	if c := cap(q.run) + cap(q.heap); c > len(q.pos) {
+		return fmt.Errorf("run of %d and heap of %d entries for %d slots", cap(q.run), cap(q.heap), len(q.pos))
+	}
+	if len(q.run) != cap(q.run) || cap(q.segs) > len(q.pos) {
+		return fmt.Errorf("ring of %d/%d positions, %d segments' room for %d slots", len(q.run), cap(q.run), cap(q.segs), len(q.pos))
+	}
+	if q.n > len(q.run) || q.live > q.n || (len(q.run) > 0 && q.head >= len(q.run)) {
+		return fmt.Errorf("ring of %d positions holds %d (%d live) from %d", len(q.run), q.n, q.live, q.head)
+	}
+	if q.live == 0 && (q.n != 0 || len(q.segs) != 0 || q.open) {
+		return fmt.Errorf("empty run keeps %d positions, %d segments, open %v", q.n, len(q.segs), q.open)
+	}
+	if q.n > 0 && (q.first >= len(q.segs) || q.segs[q.first].start > q.base) {
+		return fmt.Errorf("head %d is not in segment %d of %d", q.base, q.first, len(q.segs))
+	}
+	live := 0
+	for j := q.first; j < len(q.segs); j++ {
+		s := &q.segs[j]
+		end := q.base + q.n
+		if j+1 < len(q.segs) {
+			end = q.segs[j+1].start
+			if !s.key().before(q.segs[j+1].key()) {
+				return fmt.Errorf("segment %d's key %+v does not precede segment %d's %+v", j, s.key(), j+1, q.segs[j+1].key())
+			}
+		}
+		if j > q.first && s.start <= q.segs[j-1].start || s.start >= end {
+			return fmt.Errorf("segment %d spans [%d, %d)", j, s.start, end)
+		}
+		open := q.open && j == len(q.segs)-1
+		var prev T
+		seen := false
+		for a := max(s.start, q.base); a < end; a++ {
+			p := q.phys(a - q.base)
+			t := q.run[p]
+			if q.pos[t.slot()] != int32(p+1) {
+				if open {
+					return fmt.Errorf("open segment holds a dead entry for slot %d at %d", t.slot(), p)
+				}
+				continue
+			}
+			live++
+			if seen && !open && prev.cmp(t) >= 0 {
+				return fmt.Errorf("run order broken at %d in segment %d", p, j)
+			}
+			if e := t.entry(s.key()); e.key() != s.key() || e.slot() != t.slot() {
+				return fmt.Errorf("slot %d's entry %+v does not round-trip through segment %+v", t.slot(), e, s.key())
+			}
+			prev, seen = t, true
+		}
+	}
+	if live != q.live {
+		return fmt.Errorf("run counts %d live entries, holds %d", q.live, live)
+	}
+	for i := 1; i < len(q.heap); i++ {
+		if q.heap[i].before(q.heap[(i-1)/2]) {
 			return fmt.Errorf("heap order broken at %d", i)
 		}
 	}
-	if cap(q.h) > len(q.pos) {
-		return fmt.Errorf("array of %d entries for %d slots", cap(q.h), len(q.pos))
-	}
-	for i, e := range q.h {
-		if got := q.pos[q.slot(e)]; int(got) != i+1 {
-			return fmt.Errorf("pos[%d] = %d, entry sits at %d", q.slot(e), got, i)
-		}
-	}
 	queued := 0
-	for _, p := range q.pos {
-		if p != 0 {
-			queued++
+	for s, p := range q.pos {
+		switch {
+		case p > 0:
+			if l := int(p) - 1 - q.head; int(p) > len(q.run) || q.run[p-1].slot() != s || (l+len(q.run))%len(q.run) >= q.n {
+				return fmt.Errorf("pos[%d] = %d names no run entry of the slot", s, p)
+			}
+		case p < 0:
+			if i := int(-p) - 1; i >= len(q.heap) || q.heap[i].slot() != s {
+				return fmt.Errorf("pos[%d] = %d names no heap entry of the slot", s, p)
+			}
+		default:
+			continue
 		}
+		queued++
 	}
-	if queued != len(q.h) {
-		return fmt.Errorf("%d slots marked queued, %d entries", queued, len(q.h))
+	if queued != q.len() {
+		return fmt.Errorf("%d slots marked queued, %d entries", queued, q.len())
 	}
 	return nil
 }
 
 // at returns the entry a slotted queue holds for slot, if any.
-func (q *evictQueue[E]) at(slot int) (E, bool) {
-	if p := q.pos[slot]; p != 0 {
-		return q.h[p-1], true
-	}
+func (q *evictQueue[E, T]) at(slot int) (E, bool) {
 	var none E
+	switch p := q.pos[slot]; {
+	case p < 0:
+		return q.heap[-p-1], true
+	case p > 0:
+		a := q.absolute(int(p) - 1)
+		j := q.first
+		for j+1 < len(q.segs) && q.segs[j+1].start <= a {
+			j++
+		}
+		return q.run[p-1].entry(q.segs[j].key()), true
+	}
 	return none, false
 }
 

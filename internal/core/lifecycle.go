@@ -240,16 +240,25 @@ func (g *group) appliesTo(seq *Sequence) bool {
 //
 //jenga:hotpath
 func countScope(g *group, seq *Sequence, lo, hi int) int {
-	if g.spec.Scope == model.ScopeAll {
+	switch g.spec.Scope {
+	case model.ScopeAll:
 		return hi - lo
+	case model.ScopeImage:
+		return countImages(seq, lo, hi)
 	}
+	return hi - lo - countImages(seq, lo, hi)
+}
+
+// countImages counts the image tokens in seq's [lo, hi), summing their
+// sign bits without a branch.
+//
+//jenga:hotpath
+func countImages(seq *Sequence, lo, hi int) int {
 	head, tail := seq.Span(lo, hi)
 	n := 0
 	for _, part := range [2][]Token{head, tail} {
 		for _, t := range part {
-			if g.spec.StoresToken(t.Image()) {
-				n++
-			}
+			n += int(uint32(t.ID) >> 31)
 		}
 	}
 	return n
@@ -709,47 +718,32 @@ func (m *Jenga) Commit(seq *Sequence, upTo int, now Tick) {
 //
 //jenga:hotpath
 func (m *Jenga) commitGroup(g *group, rg *reqGroup, sh *seqHashes, head, tail []Token, fullBase, promptBound int, now Tick) {
-	mamba := g.spec.Kind == model.Mamba
 	pos := rg.projCommitted
-	i := fullBase - 1
+	i := fullBase // the sequence index of part[0]
 	for _, part := range [2][]Token{head, tail} {
-		for _, t := range part {
-			i++
-			if !g.spec.StoresToken(t.Image()) {
-				continue
-			}
-			if i < promptBound {
-				rg.projPrompt = pos + 1
-			}
-			if mamba {
-				pos++
-				if rg.ckptDone < len(rg.pages) && pos == rg.ckptPos(g, rg.ckptDone) {
-					m.finalizeCheckpoint(g, rg, &sh.c[g.hclass], rg.ckptDone, now)
-					rg.ckptDone++
+		for j := 0; j < len(part); {
+			// part[j:k] is the next run of tokens the group stores.
+			k := len(part)
+			if g.spec.Scope != model.ScopeAll {
+				img := g.spec.Scope == model.ScopeImage
+				for j < len(part) && part[j].Image() != img {
+					j++
 				}
-				continue
-			}
-			b := pos / g.tpp
-			if b >= len(rg.pages) || !rg.pages[b].held {
-				check(false, "commit into unreserved block %d", b)
-			}
-			pg := &g.pages[rg.pages[b].id]
-			pg.filled++
-			g.filledSlots++
-			pos++
-			if pos%g.tpp == 0 {
-				pg.complete = true
-				if sh != nil {
-					ch := &sh.c[g.hclass]
-					g.hash[rg.pages[b].id] = ch.hashes[b]
-					pg.priority = g.pol.BlockPriority(b, g.runKey(ch, b))
-					m.publish(g, rg.pages[b].id)
+				for k = j; k < len(part) && part[k].Image() == img; k++ {
 				}
 			}
+			if n := k - j; n > 0 {
+				if c := min(promptBound-(i+j), n); c > 0 {
+					rg.projPrompt = pos + c
+				}
+				pos = m.commitRun(g, rg, sh, pos, n, now)
+			}
+			j = k
 		}
+		i += len(part)
 	}
 	rg.projCommitted = pos
-	if mamba {
+	if g.spec.Kind == model.Mamba {
 		return
 	}
 	// Demote blocks that fell outside the dependency horizon (§5.3).
@@ -790,6 +784,54 @@ func (m *Jenga) commitGroup(g *group, rg *reqGroup, sh *seqHashes, head, tail []
 			pg.dead = int32(db)
 		}
 	}
+}
+
+// commitRun commits n stored tokens from projected position pos to
+// group g and returns the position after them. A paged group fills its
+// blocks a page at a time, counting down to each block's end, and
+// publishes each block it completes; a Mamba group steps from one
+// checkpoint to the next.
+//
+//jenga:hotpath
+func (m *Jenga) commitRun(g *group, rg *reqGroup, sh *seqHashes, pos, n int, now Tick) int {
+	if g.spec.Kind == model.Mamba {
+		for n > 0 {
+			step := n
+			if rg.ckptDone < len(rg.pages) {
+				if d := rg.ckptPos(g, rg.ckptDone) - pos; d > 0 && d < n {
+					step = d
+				}
+			}
+			pos, n = pos+step, n-step
+			if rg.ckptDone < len(rg.pages) && pos == rg.ckptPos(g, rg.ckptDone) {
+				m.finalizeCheckpoint(g, rg, &sh.c[g.hclass], rg.ckptDone, now)
+				rg.ckptDone++
+			}
+		}
+		return pos
+	}
+	b, left := pos/g.tpp, g.tpp-pos%g.tpp
+	for n > 0 {
+		if b >= len(rg.pages) || !rg.pages[b].held {
+			check(false, "commit into unreserved block %d", b)
+		}
+		take := min(left, n)
+		pg := &g.pages[rg.pages[b].id]
+		pg.filled += int32(take)
+		g.filledSlots += int64(take)
+		pos, n = pos+take, n-take
+		if left -= take; left == 0 {
+			pg.complete = true
+			if sh != nil {
+				ch := &sh.c[g.hclass]
+				g.hash[rg.pages[b].id] = ch.hashes[b]
+				pg.priority = g.pol.BlockPriority(b, g.runKey(ch, b))
+				m.publish(g, rg.pages[b].id)
+			}
+			b, left = b+1, g.tpp
+		}
+	}
+	return pos
 }
 
 // finalizeCheckpoint publishes the i-th Mamba state snapshot: the state
@@ -1119,36 +1161,56 @@ func (m *Jenga) EncodeImages(seq *Sequence, uptoFull int, now Tick) error {
 			continue
 		}
 		rg := &r.g[gi]
-		if rg.visCursor < uptoFull {
-			images := countScope(g, seq, rg.visCursor, uptoFull)
-			rg.pages = m.growTable(g, rg.pages, (rg.visProj+images+g.tpp-1)/g.tpp, seq)
+		if rg.visCursor >= uptoFull {
+			rg.visCursor = uptoFull
+			continue
 		}
-		for fi := rg.visCursor; fi < uptoFull; fi++ {
-			if !seq.at(fi).Image() {
-				continue
-			}
-			b := rg.visProj / g.tpp
-			if !rg.pages[b].held {
-				id, err := m.allocSmall(g, r.id)
-				if err != nil {
-					rg.visCursor = fi
-					return err
+		images := countImages(seq, rg.visCursor, uptoFull)
+		rg.pages = m.growTable(g, rg.pages, (rg.visProj+images+g.tpp-1)/g.tpp, seq)
+		// Image runs fill their blocks a page at a time: left counts down
+		// to the current block's end. The first token of a block finds
+		// its page missing or shared; the rest find it private.
+		b, left := rg.visProj/g.tpp, g.tpp-rg.visProj%g.tpp
+		head, tail := seq.Span(rg.visCursor, uptoFull)
+		fi := rg.visCursor // the sequence index of part[0]
+		for _, part := range [2][]Token{head, tail} {
+			for j := 0; j < len(part); {
+				if !part[j].Image() {
+					j++
+					continue
 				}
-				rg.pages[b] = pageRef{id: id, held: true}
-			} else if pg := &g.pages[rg.pages[b].id]; pg.ref > 1 {
-				// Copy-on-write: the partial embedding block is shared
-				// with a fork sibling; privatize before writing into it.
-				id, err := m.cowPage(g, rg.pages[b].id, r.id)
-				if err != nil {
-					rg.visCursor = fi
-					return err
+				if !rg.pages[b].held {
+					id, err := m.allocSmall(g, r.id)
+					if err != nil {
+						rg.visCursor = fi + j
+						return err
+					}
+					rg.pages[b] = pageRef{id: id, held: true}
+				} else if pg := &g.pages[rg.pages[b].id]; pg.ref > 1 {
+					// Copy-on-write: the partial embedding block is shared
+					// with a fork sibling; privatize before writing into it.
+					id, err := m.cowPage(g, rg.pages[b].id, r.id)
+					if err != nil {
+						rg.visCursor = fi + j
+						return err
+					}
+					rg.pages[b] = pageRef{id: id, held: true}
 				}
-				rg.pages[b] = pageRef{id: id, held: true}
+				k := j
+				for k < len(part) && k-j < left && part[k].Image() {
+					k++
+				}
+				take := k - j
+				pg := &g.pages[rg.pages[b].id]
+				pg.filled += int32(take)
+				g.filledSlots += int64(take)
+				rg.visProj += take
+				if left -= take; left == 0 {
+					b, left = b+1, g.tpp
+				}
+				j = k
 			}
-			pg := &g.pages[rg.pages[b].id]
-			pg.filled++
-			g.filledSlots++
-			rg.visProj++
+			fi += len(part)
 		}
 		rg.visCursor = uptoFull
 	}
@@ -1172,10 +1234,8 @@ func (m *Jenga) DropImages(seq *Sequence, uptoFull int) {
 		if uptoFull > seq.Len() {
 			uptoFull = seq.Len()
 		}
-		for fi := rg.dropCursor; fi < uptoFull; fi++ {
-			if seq.at(fi).Image() {
-				rg.dropProj++
-			}
+		if rg.dropCursor < uptoFull {
+			rg.dropProj += countImages(seq, rg.dropCursor, uptoFull)
 		}
 		rg.dropCursor = uptoFull
 		fullBlocksBelow := rg.dropProj / g.tpp

@@ -166,7 +166,7 @@ type group struct {
 	// evict orders cached pages by (lastAccess, -priority) for §5.4 step
 	// 5; only a group with more than one small page per large page has
 	// one (smallQueued).
-	evict evictQueue[pageEntry]
+	evict evictQueue[pageEntry, pageTie]
 
 	// counters for Usage (pages in the "used" state only for slots).
 	ownedLarge  int
@@ -231,7 +231,7 @@ type Jenga struct {
 	large      []largePage
 	largeFresh int32
 	largeTop   int32
-	largeEvict evictQueue[largeEntry]
+	largeEvict evictQueue[largeEntry, largeSlot]
 
 	// reqs holds the state of every request the manager has been shown
 	// and not released (lifecycle.go); spareReqs is the free list of
@@ -388,7 +388,7 @@ func New(cfg Config) (*Jenga, error) {
 	for i := range m.large {
 		m.large[i].owner = -1
 	}
-	m.largeEvict.initSlots(ar.NumLargePages(), 0, largeEntry.slot)
+	m.largeEvict.initSlots(ar.NumLargePages(), 0)
 
 	for i := range cfg.Spec.Groups {
 		gs := cfg.Spec.Groups[i]
@@ -428,7 +428,7 @@ func New(cfg Config) (*Jenga, error) {
 		g.index.init(g.hash, len(g.pages))
 		g.free.init(len(g.pages))
 		if g.smallQueued() {
-			g.evict.initSlots(len(g.pages), 0, pageEntry.slot)
+			g.evict.initSlots(len(g.pages), 0)
 		}
 		if gs.Kind == model.Mamba {
 			every := gs.Checkpoint()

@@ -123,11 +123,31 @@ func (m *Jenga) hashesOf(r *reqState, seq *Sequence) *seqHashes {
 		if keepRuns && whole > cap(ch.runs) {
 			ch.runs = m.hashSlab.carve(ch.runs, whole)
 		}
+		// left counts down the class's tokens to the current block's end.
+		h, pl, run, left := ch.chain, ch.proj, ch.run, c.stride-ch.proj%c.stride
+		if !keepRuns {
+			// Every token is the class's: hash block by block.
+			for _, part := range [2][]Token{head, tail} {
+				for len(part) > 0 {
+					n := min(left, len(part))
+					for _, t := range part[:n] {
+						h = hashChain(h, t)
+					}
+					part, pl = part[n:], pl+n
+					if left -= n; left == 0 {
+						ch.hashes = append(ch.hashes, h)
+						left = c.stride
+					}
+				}
+			}
+			ch.chain, ch.proj = h, pl
+			continue
+		}
 		// A run starts at a token of the class whose predecessor is not.
-		h, pl, run, gap := ch.chain, ch.proj, ch.run, sh.n > 0 && !c.stores(sh.last)
+		img, gap := c.scope == model.ScopeImage, sh.n > 0 && !c.stores(sh.last)
 		for _, part := range [2][]Token{head, tail} {
 			for _, t := range part {
-				if !c.stores(t) {
+				if t.Image() != img {
 					gap = true
 					continue
 				}
@@ -135,11 +155,11 @@ func (m *Jenga) hashesOf(r *reqState, seq *Sequence) *seqHashes {
 					run, gap = h, false
 				}
 				h = hashChain(h, t)
-				if pl++; pl%c.stride == 0 {
+				pl++
+				if left--; left == 0 {
 					ch.hashes = append(ch.hashes, h)
-					if keepRuns {
-						ch.runs = append(ch.runs, run)
-					}
+					ch.runs = append(ch.runs, run)
+					left = c.stride
 				}
 			}
 		}

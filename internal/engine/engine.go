@@ -242,9 +242,14 @@ type carried struct {
 	// forkDone marks that the request's Fanout expansion already fired
 	// (set on forked children at creation so they never re-fork).
 	forkDone bool
-	// state is where the request is, since run.enteredAt; spent is the
-	// time it spent in each state before that, on every engine it ran on.
+	// state is where the request is, since run.enteredAt.
 	state runState
+	// images is the prompt's image-token count, counted once at Submit:
+	// the prompt is borrowed and never changes. An int32 after state
+	// fills padding, so the run stays 336 bytes.
+	images int32
+	// spent is the time the request spent in each state before it
+	// entered the current one, on every engine it ran on.
 	spent [numStates]time.Duration
 	// decodesDone counts completed decode steps (need OutputLen-1).
 	decodesDone int
@@ -997,7 +1002,7 @@ func (e *Engine) schedulePrefill(r *run, budget int, now core.Tick, work *gpu.St
 		// First chunk after (re)admission: consult the prefix cache.
 		r.cachedHit = e.cfg.Manager.Lookup(&r.seq)
 	}
-	images := r.req.PromptImages()
+	images := int(r.images)
 	encoderTokens := 0
 	if images > 0 && e.cfg.Spec.Vision != nil {
 		switch {

@@ -110,6 +110,7 @@ func (e *Engine) forkOne(parent *run, childID int64) error {
 			decodesDone:  parent.decodesDone,
 			everComputed: parent.everComputed,
 			forkDone:     true, // children of a Fanout root never re-fork
+			images:       parent.images,
 		},
 		seq:           core.Sequence{ID: core.RequestID(childID), PromptLen: parent.seq.PromptLen, Tokens: parent.seq.Tokens, Out: out},
 		enteredAt:     e.clock,

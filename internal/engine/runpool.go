@@ -89,6 +89,7 @@ func scribbleRun(r *run) {
 			decodesDone:  math.MinInt,
 			everComputed: math.MinInt,
 			firstToken:   math.MinInt64,
+			images:       math.MinInt32,
 		},
 		seq:           core.Sequence{ID: math.MinInt64, PromptLen: math.MinInt},
 		computed:      math.MinInt,

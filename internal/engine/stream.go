@@ -279,7 +279,7 @@ func (e *Engine) Submit(req *workload.Request) error {
 	}
 	r := e.takeRun()
 	*r = run{
-		carried:   carried{req: *req, state: pending},
+		carried:   carried{req: *req, state: pending, images: int32(req.PromptImages())},
 		seq:       core.Sequence{ID: core.RequestID(req.ID), PromptLen: len(req.Prompt), Tokens: borrowTokens(req.Prompt)},
 		enteredAt: e.clock,
 	}
