@@ -32,7 +32,7 @@ race:
 # voided panics on import, under which a released host-tier pin is
 # scribbled so a restore reading through it panics, and
 # under which every scheduler View the engine hands out has its waiting
-# entries checked against a fresh fill. One -short pass over core, the
+# and running entries checked against a fresh fill. One -short pass over core, the
 # packages that lend and borrow, and the scheduler matrix (sched, serve)
 # covers TestExitMatrix, TestScenarioMatrix, the recycling stream tests,
 # the fleet store, the scheduler simulations and the goldens.
@@ -241,6 +241,18 @@ vet:
 # through the entry type's own methods, so a func-valued field in type
 # evictQueue in non-test internal/core is the slot func — an indirect
 # call on every heap swap — again.
+# And the scheduler's View is kept, not rebuilt: the running set keeps
+# its summaries beside its runs (internal/engine/runqueue.go, runSet)
+# as the waiting queue does, so a loop over e.running inside policyView
+# is the per-call O(running) rebuild again; the built-in policies read
+# the View's summaries in place, so an unexported function or func type
+# in non-test internal/sched taking a ReqInfo by value (a, b ReqInfo) is
+# two 72-byte copies per comparison again (the exported Compare keeps
+# its by-value signature and wraps the pointer form); and a generator
+# fills each group's shared prefix once (internal/workload's
+# groupPrefix) and copies it into each prompt, so a
+# fillTokens(prompt[:prefixLen] or fillTokens(prompt[:sharedPrefix] in
+# non-test internal/workload is the per-request refill again.
 # (The token's four bytes need no grep: internal/core pins them at
 # compile time.)
 guard:
@@ -269,6 +281,9 @@ guard:
 	@out=$$(files=$$(ls internal/core/*.go | grep -v '_test\.go$$'); grep -nwE 'largeOwner|cntUsed|cntCached|cntExpired|largeTS|largeDirty|freeLarge' $$files; sed -n '/^type page struct {/,/^}/p' $$files | grep -E '^[[:space:]]*([A-Za-z_][A-Za-z0-9_]*,[[:space:]]*)*(assoc|aprev|anext)([[:space:],]|$$)'); if [ -n "$$out" ]; then echo "core's per-page state is spread out again (the large-page arrays or the free list the largePage record and its returned stack replace, or free-stack links in type page, which live in group.links):"; echo "$$out"; exit 1; fi
 	@out=$$(sed -n '/^type evictQueue\[/,/^}/p' $$(ls internal/core/*.go | grep -v '_test\.go$$') | grep -v '^[[:space:]]*//' | grep -n 'func'); if [ -n "$$out" ]; then echo "type evictQueue has a func-valued field again (the entry types' methods give slot, key and order; a func field is an indirect call per swap):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE -e '^[[:space:]]*(Headroom|Slack)([[:space:]]|,)' -e '\b(WithPrefillReserve|withReserve)\b' -e 'func \(([A-Za-z_]+ )?\*Cluster\) Route\(' internal --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a deleted knob is back in non-test internal/ (KVAdmission.Headroom, SLOAdmission.Slack, WithPrefillReserve/withReserve, Cluster.Route):"; echo "$$out"; exit 1; fi
+	@files=$$(ls internal/engine/*.go | grep -v '_test\.go$$'); out=$$(awk '/^func \(e \*Engine\) policyView\(/,/^}/' $$files | grep -nE 'for .*e\.running'); if [ -n "$$out" ] || ! grep -q '^func (e \*Engine) policyView(' $$files; then echo "policyView loops over the running set again (its Running is the running set's own summaries, runSet), or policyView is gone from non-test internal/engine:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE 'func( [a-z][A-Za-z0-9_]*)?\([^)]*[A-Za-z_] ReqInfo[,)]' internal/sched --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "an unexported comparator in internal/sched takes a ReqInfo by value again (the built-ins read the View's summaries through pointers):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn -e 'fillTokens(prompt\[:prefixLen\]' -e 'fillTokens(prompt\[:sharedPrefix\]' internal/workload --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a group's shared prefix is filled per request again in internal/workload (groupPrefix fills it once per generator):"; echo "$$out"; exit 1; fi
 
 ci: vet lint guard build test race debug chaos-smoke scale-smoke perf-smoke
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi

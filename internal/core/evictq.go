@@ -34,9 +34,15 @@ import "slices"
 // more entries than there are slots. Each grows up to what the other
 // leaves — the heap by doubling, the ring and its segments fourfold, so
 // that a queue filling all 16,384 slots of a replica allocates no more
-// often than the heap did alone — and a heap that needs slots the ring
-// holds shrinks the ring to its live entries first. A queue must be
-// slotted before its first push.
+// often than the heap did alone, the ring never past seven eighths of
+// the slots — and a heap that needs slots the ring holds shrinks the
+// ring to its live entries first. A ring at its bound is compacted when
+// that frees an eighth of it; until then a push it has no room for goes
+// to the heap, which always has an eighth of the slots to grow into. So
+// a compaction reads the ring once per ring/8 entries it reclaims, not
+// once per dead entry — unless the queue holds so nearly every slot's
+// entry that the heap is full too. A queue must be slotted before its
+// first push.
 type evictQueue[E evictEntry[E, T], T evictTie[E, T]] struct {
 	// pos[slot] is 1 + the entry's ring position (> 0), −1 − its heap
 	// index (< 0), or 0: the slot has no entry.
@@ -52,6 +58,9 @@ type evictQueue[E evictEntry[E, T], T evictTie[E, T]] struct {
 	first         int  // segs[first] holds the head
 	open          bool // the last segment is unsorted and takes appends
 	heap          []E
+	// scanned counts the ring positions compactions have read, over the
+	// queue's life: their whole cost, which the tests bound per push.
+	scanned int
 }
 
 // evictKey is an entry's segment key: its class (0 orders first:
@@ -183,17 +192,23 @@ func (q *evictQueue[E, T]) phys(l int) int {
 }
 
 // runRoom makes room for one more position in the ring — by growing it
-// within the slots the heap leaves, else by compacting its dead
-// entries out — and reports whether it could.
+// within the slots the heap leaves (an eighth at least), else by
+// compacting its dead entries out — and reports whether it could. A
+// ring at its bound is compacted when that frees an eighth of it; with
+// fewer dead entries the push goes to the heap instead, as long as the
+// heap has a slot for it, since compacting the ring for each dead entry
+// would read the whole ring per push. Only a queue holding nearly every
+// slot's entry leaves the heap no slot: then the ring is compacted for
+// what it has.
 func (q *evictQueue[E, T]) runRoom() bool {
 	if q.n < len(q.run) {
 		return true
 	}
-	if c := min(max(4*len(q.run), 256), len(q.pos)-cap(q.heap)); c > len(q.run) {
+	if c := min(max(4*len(q.run), 256), len(q.pos)-max(cap(q.heap), len(q.pos)/8)); c > len(q.run) {
 		q.compact(c)
 		return true
 	}
-	if q.n > q.live {
+	if dead := q.n - q.live; dead > 0 && (8*dead >= len(q.run) || len(q.heap) >= len(q.pos)-len(q.run)) {
 		q.compact(len(q.run))
 		return true
 	}
@@ -349,6 +364,7 @@ func (q *evictQueue[E, T]) place(lo, hi int) {
 // position 0, into an array of c positions (a new one if c is not the
 // ring's length), and rebases the segments, dropping any left empty.
 func (q *evictQueue[E, T]) compact(c int) {
+	q.scanned += q.n
 	w := 0
 	segs := q.segs[:0]
 	for j := q.first; j < len(q.segs); j++ {

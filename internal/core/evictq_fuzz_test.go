@@ -390,3 +390,67 @@ func fuzzTier(t *testing.T, data []byte, heapOnly bool) {
 		}
 	}
 }
+
+// TestRekeyChurnCompactsLinearly: a ring at its slot bound, full of live
+// entries, under a churn that re-keys them to newer ticks — a claim's
+// touch, over and over — leaves one dead entry per push. Compacting the
+// whole ring for each of them read it once per push; the queue compacts
+// only when that frees an eighth of the ring and sends the pushes in
+// between to the heap, so the positions compaction reads stay a constant
+// per push. The heap got its room the way a warm restart gives it: a
+// burst of older keys, since popped.
+func TestRekeyChurnCompactsLinearly(t *testing.T) {
+	const slots, older, churn, perTick = 4096, 1024, 40_000, 4
+	var q evictQueue[largeEntry, largeSlot]
+	q.initSlots(slots, 0)
+	tick := Tick(100)
+	push := func(id int) {
+		q.push(largeEntry{id: arena.LargePageID(id), ts: tick})
+	}
+	for id := 0; id < slots-2*older; id++ {
+		if id%perTick == 0 {
+			tick++
+		}
+		push(id)
+	}
+	for id := slots - 2*older; id < slots-older; id++ {
+		q.push(largeEntry{id: arena.LargePageID(id), ts: 1})
+	}
+	for i := 0; i < older; i++ {
+		if e := q.pop(); e.ts != 1 {
+			t.Fatalf("pop %d took %+v, want the older burst first", i, e)
+		}
+	}
+	for id := slots - 2*older; id < slots-older; id++ {
+		if id%perTick == 0 {
+			tick++
+		}
+		push(id)
+	}
+	live := slots - older
+	if len(q.run) != live || q.live != live || cap(q.heap) < older {
+		t.Fatalf("ring of %d positions holds %d live entries, heap room %d; want a full ring of %d beside a heap of %d", len(q.run), q.live, cap(q.heap), live, older)
+	}
+	scanned := q.scanned
+	for k := 0; k < churn; k++ {
+		if k%perTick == 0 {
+			tick++
+		}
+		push(k * 7919 % live)
+	}
+	if per := float64(q.scanned-scanned) / churn; per > 16 {
+		t.Fatalf("compaction read %.1f ring positions per re-keying push, want at most 16", per)
+	}
+	checkQueue(t, &q)
+	prev := largeEntry{}
+	for n := 0; q.len() > 0; n++ {
+		e := q.pop()
+		if n > 0 && e.before(prev) {
+			t.Fatalf("pop %d: %+v after %+v", n, e, prev)
+		}
+		prev = e
+		if n >= live {
+			t.Fatalf("more than %d entries popped", live)
+		}
+	}
+}

@@ -50,7 +50,7 @@ func blockedHeadEngine(t *testing.T, s sched.Scheduler) (e *Engine, head, sharer
 			t.Fatal(err)
 		}
 	}
-	if len(e.running) == 0 || e.running[0].req.ID != 1 || e.running[0].state != decoding {
+	if e.running.len() == 0 || e.running.items()[0].req.ID != 1 || e.running.items()[0].state != decoding {
 		t.Fatal("the prefix holder is not decoding when the others arrive")
 	}
 	return e, 2, 3
@@ -74,7 +74,7 @@ func TestPriorityAdmissionPassesBlockedHead(t *testing.T) {
 		t.Run(tc.s.Name(), func(t *testing.T) {
 			e, head, sharer := blockedHeadEngine(t, tc.s)
 			state := map[int64]string{}
-			for _, r := range e.running {
+			for _, r := range e.running.items() {
 				state[r.req.ID] = "running"
 			}
 			for _, r := range e.waiting.items() {

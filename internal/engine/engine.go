@@ -245,8 +245,10 @@ type carried struct {
 	// state is where the request is, since run.enteredAt.
 	state runState
 	// images is the prompt's image-token count, counted once at Submit:
-	// the prompt is borrowed and never changes. An int32 after state
-	// fills padding, so the run stays 336 bytes.
+	// the prompt is borrowed and never changes. Only a spec with a vision
+	// encoder reads it (schedulePrefill), so a text spec never counts
+	// and carries 0. An int32 after state fills padding, so the run
+	// stays 336 bytes.
 	images int32
 	// spent is the time the request spent in each state before it
 	// entered the current one, on every engine it ran on.
@@ -285,6 +287,10 @@ type run struct {
 	// encoded marks that the vision encoder ran for the current
 	// prefill pass (resets on preemption).
 	encoded bool
+	// slot is the run's position in the running set while it runs
+	// (runSet), where the scheduler's summary of it sits. An int32
+	// after encoded fills padding, so the run stays 336 bytes.
+	slot int32
 	// pendingTarget is the commit target set during scheduling.
 	pendingTarget int
 	// scheduledStep is the step that last scheduled this run; a run
@@ -371,7 +377,7 @@ type Engine struct {
 
 	pending queue[*run] // not yet arrived (sorted by arrival)
 	waiting waitQueue   // arrived, not running
-	running []*run
+	running runSet      // admitted: prefilling or decoding
 
 	// onEvent is the streaming sink (nil: no emission).
 	onEvent func(Event)
@@ -646,7 +652,7 @@ func (e *Engine) reset() {
 	e.step = 0
 	e.pending.reset()
 	e.waiting.reset()
-	e.running = nil
+	e.running.reset()
 	e.tally = tally{}
 	if e.tier != nil {
 		e.tierBase = e.tier.TierStats()
@@ -658,7 +664,7 @@ func (e *Engine) reset() {
 // (arrival order). Everything in the first two has had its arrival
 // processed.
 func (e *Engine) queues() [3][]*run {
-	return [3][]*run{e.running, e.waiting.items(), e.pending.items()}
+	return [3][]*run{e.running.items(), e.waiting.items(), e.pending.items()}
 }
 
 // sampleKVUtil records the fraction of KV capacity holding live or
@@ -733,7 +739,7 @@ func (e *Engine) runStep() bool {
 	// entirely via the cached AdmissionPreempter capability; one view
 	// fill serves both the pick and the victim call of an iteration
 	// (nothing mutates between them).
-	if e.admPreempt && e.waiting.len() > 0 && len(e.running) > 0 {
+	if e.admPreempt && e.waiting.len() > 0 && e.running.len() > 0 {
 		for {
 			idx, v := e.pickWaiting()
 			cand := e.waiting.items()[idx]
@@ -753,12 +759,15 @@ func (e *Engine) runStep() bool {
 	// proposals plus the bonus position, which is scheduled whole or
 	// not at all. The running list can shrink mid-loop
 	// (reserveWithPreemption), so iterate a reused snapshot and skip
-	// runs a preemption removed (it left decoding for waiting).
+	// runs a preemption removed (it left decoding for waiting). The
+	// appended tokens are work left to serve from the moment they are
+	// appended: the run's summary counts them before the reservation
+	// asks for a victim, and drops them again with a rollback.
 	pass := 1
 	if e.draftCost != nil {
 		pass = SpecK + 1
 	}
-	e.stepScratch = append(e.stepScratch[:0], e.running...)
+	e.stepScratch = append(e.stepScratch[:0], e.running.items()...)
 	for _, r := range e.stepScratch {
 		if r.state != decoding || budget < pass || decodeLeft < pass {
 			continue
@@ -775,10 +784,13 @@ func (e *Engine) runStep() bool {
 		if !e.reserveWithPreemption(r, target, now) {
 			// Roll the speculative append back and wait for memory.
 			r.seq.Out = r.seq.Out[:len(r.seq.Out)-gain]
+			e.running.of(r).Remaining = r.remaining()
 			continue
 		}
 		r.pendingTarget = target
 		r.scheduledStep = e.step
+		in := e.running.of(r)
+		in.Remaining, in.ScheduledNow = r.remaining(), true
 		committers = append(committers, r)
 		budget -= pass
 		decodeLeft -= pass
@@ -790,7 +802,7 @@ func (e *Engine) runStep() bool {
 	// Phase 2: prefill chunks for running prefill-phase sequences.
 	// Prefill continuation never preempts — it waits for decodes to
 	// drain or for the decode path to preempt on its behalf.
-	for _, r := range e.running {
+	for _, r := range e.running.items() {
 		if r.state != prefilling || budget <= 0 || prefillLeft <= 0 {
 			continue
 		}
@@ -799,6 +811,9 @@ func (e *Engine) runStep() bool {
 			budget -= chunk
 			prefillLeft -= chunk
 			committers = append(committers, r)
+			// The chunk's prefix claim may have committed tokens.
+			in := e.running.of(r)
+			in.Remaining, in.ScheduledNow = r.remaining(), true
 		}
 	}
 
@@ -818,7 +833,7 @@ func (e *Engine) runStep() bool {
 	// (sched.Scheduler.PickWaiting). The marks are cleared when the
 	// pass ends.
 	prefills := 0
-	for _, r := range e.running {
+	for _, r := range e.running.items() {
 		if r.state == prefilling {
 			prefills++
 		}
@@ -826,7 +841,7 @@ func (e *Engine) runStep() bool {
 	marked := false
 	var v *sched.View // nil: refill before the next pick
 	idx := 0
-	for budget > 0 && prefillLeft > 0 && e.waiting.len() > 0 && len(e.running) < e.cfg.MaxRunning &&
+	for budget > 0 && prefillLeft > 0 && e.waiting.len() > 0 && e.running.len() < e.cfg.MaxRunning &&
 		prefills < e.cfg.MaxPrefills {
 		if v == nil {
 			idx, v = e.pickWaiting()
@@ -870,7 +885,6 @@ func (e *Engine) runStep() bool {
 		}
 		v = nil
 		prefills++
-		e.running = append(e.running, r)
 		e.waiting.remove(idx)
 		chunk := e.schedulePrefill(r, min(budget, prefillLeft), now, &work)
 		if chunk == 0 {
@@ -882,14 +896,15 @@ func (e *Engine) runStep() bool {
 			// host-tier-restored) complete blocks, and destroying them
 			// here would force the next admission attempt to restore
 			// or recompute the identical content again. The run never
-			// left its state, so its wait goes on.
-			e.running = e.running[:len(e.running)-1]
+			// left its state, so its wait goes on, and it never joined
+			// the running set: no scheduler call falls between the two.
 			e.cfg.Manager.Release(&r.seq, true)
 			r.rewind()
 			e.waiting.pushFront(r)
 			break
 		}
 		e.to(r, prefilling, e.clock)
+		e.running.add(r, e.step)
 		e.drainedTokens += int64(r.promptLen())
 		budget -= chunk
 		prefillLeft -= chunk
@@ -988,6 +1003,12 @@ func (e *Engine) runStep() bool {
 			if r.decodesDone >= r.req.OutputLen-1 {
 				e.finishRun(r)
 			}
+		}
+		if r.running() {
+			// Committed: its work left, its phase, and no commit in
+			// flight any more (no scheduler call remains in this step).
+			in := e.running.of(r)
+			in.Remaining, in.Phase, in.ScheduledNow = r.remaining(), r.phase(), false
 		}
 	}
 	return true
@@ -1114,7 +1135,9 @@ func (e *Engine) reserveWithPreemption(r *run, upTo int, now core.Tick) bool {
 		if err == nil {
 			return true
 		}
-		victim := e.victimFor(e.runningInfo(r))
+		in := e.running.of(r)
+		in.Remaining = r.remaining() // the tokens phase 1 appended
+		victim := e.victimFor(*in)
 		if victim == nil {
 			return false
 		}
@@ -1132,10 +1155,10 @@ func (e *Engine) victimFor(requester sched.ReqInfo) *run {
 // this step are all treated as "no victim", so a broken custom policy
 // degrades to a failed reservation instead of corrupting the step.
 func (e *Engine) validVictim(idx int, requesterID int64) *run {
-	if idx < 0 || idx >= len(e.running) {
+	if idx < 0 || idx >= e.running.len() {
 		return nil
 	}
-	victim := e.running[idx]
+	victim := e.running.items()[idx]
 	if victim.req.ID == requesterID || victim.scheduledStep == e.step {
 		return nil
 	}
@@ -1173,10 +1196,11 @@ func (e *Engine) admissionGate(r *run, u core.Usage, capacity int64) (fits, feas
 	return charge <= u.Free+u.Cached-watermark, charge <= capacity-watermark
 }
 
-// policyView refreshes the reusable scheduler view: the clock, memory
-// and the running set, O(running) per call. Its Waiting is the waiting
-// queue's own summaries, kept up to date as the queue changes
-// (waitQueue); a jengadebug build checks them against fresh ones here.
+// policyView refreshes the reusable scheduler view's scalars — the
+// clock and memory — in O(1) per call. Its Waiting and Running are the
+// waiting queue's and the running set's own summaries, kept up to date
+// as the queue and the runs change (waitQueue, runSet); a jengadebug
+// build checks both against fresh ones here.
 func (e *Engine) policyView() *sched.View {
 	v := &e.schedView
 	v.Clock = e.clock
@@ -1185,12 +1209,10 @@ func (e *Engine) policyView() *sched.View {
 	v.Capacity = e.cfg.Manager.Capacity()
 	if debug.On {
 		e.waiting.mustMatch()
+		e.running.mustMatch(e.step)
 	}
 	v.Waiting = e.waiting.infos()
-	v.Running = v.Running[:0]
-	for _, r := range e.running {
-		v.Running = append(v.Running, e.runningInfo(r))
-	}
+	v.Running = e.running.infos()
 	return v
 }
 
@@ -1214,18 +1236,23 @@ func (r *run) info() sched.ReqInfo {
 	}
 }
 
-// runningInfo summarizes a running r: its info, its phase, and whether
-// its commit is in flight this step.
-func (e *Engine) runningInfo(r *run) sched.ReqInfo {
+// runningInfo summarizes a running r as of step: its info, its phase,
+// and whether its commit is in flight (it was scheduled in step). The
+// running set keeps it from admission on (runSet).
+func (r *run) runningInfo(step int) sched.ReqInfo {
 	info := r.info()
 	info.Waiting = false
-	if r.state == decoding {
-		info.Phase = sched.PhaseDecode
-	} else {
-		info.Phase = sched.PhasePrefill
-	}
-	info.ScheduledNow = r.scheduledStep == e.step
+	info.Phase = r.phase()
+	info.ScheduledNow = r.scheduledStep == step
 	return info
+}
+
+// phase is r's phase in the scheduler's terms.
+func (r *run) phase() sched.Phase {
+	if r.state == decoding {
+		return sched.PhaseDecode
+	}
+	return sched.PhasePrefill
 }
 
 // clampBudget bounds a scheduler-returned budget share to [0, total].
@@ -1247,7 +1274,7 @@ func (e *Engine) preempt(victim *run) {
 	victim.rewind()
 	victim.preemptions++
 	e.res.Preemptions++
-	e.removeRunning(victim)
+	e.running.remove(victim)
 	e.waiting.pushFront(victim)
 	e.emit(EventPreempted, victim)
 }
@@ -1256,7 +1283,7 @@ func (e *Engine) preempt(victim *run) {
 // the simulation is irrecoverably stuck.
 func (e *Engine) handleStall() bool {
 	// Future arrivals: fast-forward.
-	if len(e.running) == 0 && e.waiting.len() == 0 && e.pending.len() > 0 {
+	if e.running.len() == 0 && e.waiting.len() == 0 && e.pending.len() > 0 {
 		e.clock = e.pending.front().req.Arrival
 		e.globalStalls = 0
 		return true
@@ -1266,7 +1293,7 @@ func (e *Engine) handleStall() bool {
 	// candidate is the one admission actually tried — pickWaiting's
 	// choice — not blindly waiting[0], or a stuck high-priority
 	// request would sink every fitting request queued behind it.
-	if len(e.running) == 0 && e.waiting.len() > 0 {
+	if e.running.len() == 0 && e.waiting.len() > 0 {
 		idx, _ := e.pickWaiting()
 		r := e.waiting.items()[idx]
 		e.waiting.remove(idx)
@@ -1275,7 +1302,7 @@ func (e *Engine) handleStall() bool {
 		e.globalStalls = 0
 		return true
 	}
-	if len(e.running) == 0 {
+	if e.running.len() == 0 {
 		return false
 	}
 	// Running sequences globally stuck: the decode path already
@@ -1286,13 +1313,13 @@ func (e *Engine) handleStall() bool {
 		return true
 	}
 	var worst *run
-	for _, r := range e.running {
+	for _, r := range e.running.items() {
 		if worst == nil || r.seq.Len() > worst.seq.Len() {
 			worst = r
 		}
 	}
 	e.cfg.Manager.Release(&worst.seq, false)
-	e.removeRunning(worst)
+	e.running.remove(worst)
 	e.retire(worst, EventFailed)
 	e.globalStalls = 0
 	return true
@@ -1302,17 +1329,8 @@ func (e *Engine) handleStall() bool {
 // to the evictable prefix cache.
 func (e *Engine) finishRun(r *run) {
 	e.cfg.Manager.Release(&r.seq, true)
-	e.removeRunning(r)
+	e.running.remove(r)
 	e.retire(r, EventFinished)
-}
-
-func (e *Engine) removeRunning(r *run) {
-	for i, c := range e.running {
-		if c == r {
-			e.running = append(e.running[:i], e.running[i+1:]...)
-			return
-		}
-	}
 }
 
 // genToken produces the deterministic "generated" token for a decode

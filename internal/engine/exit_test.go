@@ -81,7 +81,8 @@ func newExitEnv(t *testing.T, mode PreemptMode, wrap func(*Engine) sched.Schedul
 
 // exitLoad is a shared-prefix stream whose prompts alone are several
 // times the 1 MiB budget and whose decodes grow into it (preemptions in
-// either mode), every eighth request a fan-out root.
+// either mode), every eighth request a fan-out root — every other one
+// unlabeled, so that its fork labels it with its own ID.
 func exitLoad() []workload.Request {
 	g := workload.NewGen(42)
 	reqs := g.PrefixGroups(12, 6, 600, 64)
@@ -90,6 +91,9 @@ func exitLoad() []workload.Request {
 		reqs[i].OutputLen = 160
 		if i%8 == 0 {
 			reqs[i].Fanout, reqs[i].ForkAfter = 3, 4
+		}
+		if i%16 == 0 {
+			reqs[i].Group = 0
 		}
 	}
 	return reqs
@@ -164,7 +168,7 @@ func (x *exitEnv) waiting() *run {
 // prefilling is a running request between prefill chunks.
 func (x *exitEnv) prefilling() *run {
 	return x.until(func() *run {
-		for _, r := range x.a.running {
+		for _, r := range x.a.running.items() {
 			if r.state == prefilling {
 				return r
 			}
@@ -176,7 +180,7 @@ func (x *exitEnv) prefilling() *run {
 // decoding is a running request that owns a token buffer.
 func (x *exitEnv) decoding() *run {
 	return x.until(func() *run {
-		for _, r := range x.a.running {
+		for _, r := range x.a.running.items() {
 			if r.seq.Out != nil && r.decodesDone > 1 {
 				return r
 			}
@@ -418,7 +422,7 @@ func exitScenarios() []exitScenario {
 			// roots, so none collides.
 			x.submit(exitLoad())
 			x.until(func() *run {
-				for _, r := range x.a.running {
+				for _, r := range x.a.running.items() {
 					if r.req.ID >= forkIDBase {
 						return r
 					}
@@ -442,7 +446,7 @@ func exitScenarios() []exitScenario {
 			// Cancel a branch in the step that forked it: it leaves with
 			// no token of its own, so no first token and TTFT zero.
 			child := x.until(func() *run {
-				for _, r := range x.a.running {
+				for _, r := range x.a.running.items() {
 					if r.req.ID >= forkIDBase && r.firstToken == 0 {
 						return r
 					}
@@ -539,8 +543,8 @@ func (c viewCheck) check(v *sched.View, marksOK bool) {
 		}
 	}
 	runs := c.e.waiting.items()
-	if len(v.Waiting) != len(runs) || len(v.Running) != len(c.e.running) {
-		c.t.Fatalf("view shows %d waiting, %d running; the engine has %d, %d", len(v.Waiting), len(v.Running), len(runs), len(c.e.running))
+	if len(v.Waiting) != len(runs) || len(v.Running) != c.e.running.len() {
+		c.t.Fatalf("view shows %d waiting, %d running; the engine has %d, %d", len(v.Waiting), len(v.Running), len(runs), c.e.running.len())
 	}
 	for i, r := range runs {
 		got := v.Waiting[i]
@@ -549,8 +553,8 @@ func (c viewCheck) check(v *sched.View, marksOK bool) {
 			c.t.Fatalf("step %d: waiting position %d is %+v in the view, %+v filled fresh", c.e.step, i, v.Waiting[i], fresh)
 		}
 	}
-	for i, r := range c.e.running {
-		if fresh := c.e.runningInfo(r); v.Running[i] != fresh {
+	for i, r := range c.e.running.items() {
+		if fresh := r.runningInfo(c.e.step); v.Running[i] != fresh {
 			c.t.Fatalf("step %d: running position %d is %+v in the view, %+v filled fresh", c.e.step, i, v.Running[i], fresh)
 		}
 	}
@@ -578,9 +582,11 @@ func (c viewCheck) RankWaiting(cand sched.ReqInfo, v *sched.View) int {
 
 func (c viewCheck) AdmissionPreempts() bool { return sched.CanAdmissionPreempt(c.Scheduler) }
 
-// TestViewMatchesFreshFill: the waiting entries of the scheduler's View
-// are kept up to date at the queue's transitions instead of refilled per
-// call, and every call must see exactly what a refill would have shown.
+// TestViewMatchesFreshFill: the waiting and running entries of the
+// scheduler's View are kept up to date where the queue and the runs
+// change instead of refilled per call, and every call must see exactly
+// what a refill would have shown — each running run's remaining work,
+// phase, commit in flight and group included.
 // Every built-in policy (each ordering the queue its own way, priority
 // preempting at admission) under both preemption modes, through every
 // exit of the exit matrix — arrivals, admissions, rollbacks,

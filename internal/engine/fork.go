@@ -60,7 +60,7 @@ func (e *Engine) Fork(parentID int64, childIDs []int64) error {
 		return fmt.Errorf("engine: manager %T does not support forking", e.cfg.Manager)
 	}
 	var parent *run
-	for _, r := range e.running {
+	for _, r := range e.running.items() {
 		if r.req.ID == parentID {
 			parent = r
 			break
@@ -88,6 +88,7 @@ func (e *Engine) Fork(parentID int64, childIDs []int64) error {
 func (e *Engine) forkOne(parent *run, childID int64) error {
 	if parent.req.Group == 0 {
 		parent.req.Group = parent.req.ID
+		e.running.of(parent).Group = parent.req.Group
 	}
 	// The child's generated tail starts as the parent's, up to the
 	// divergence point: the one part of the parent's content it copies.
@@ -95,7 +96,10 @@ func (e *Engine) forkOne(parent *run, childID int64) error {
 	child := e.takeRun()
 	*child = run{
 		// The child starts exactly where the parent stands: everything
-		// committed so far is shared, nothing needs recomputing.
+		// committed so far is shared, nothing needs recomputing. It has
+		// no commit in flight (scheduledStep stays 0): a fork runs in the
+		// commit loop or between steps, after the step's last scheduler
+		// call, and the child is first scheduled in the next step.
 		carried: carried{
 			req: workload.Request{
 				ID:        childID,
@@ -112,14 +116,13 @@ func (e *Engine) forkOne(parent *run, childID int64) error {
 			forkDone:     true, // children of a Fanout root never re-fork
 			images:       parent.images,
 		},
-		seq:           core.Sequence{ID: core.RequestID(childID), PromptLen: parent.seq.PromptLen, Tokens: parent.seq.Tokens, Out: out},
-		enteredAt:     e.clock,
-		computed:      parent.computed,
-		cachedHit:     parent.cachedHit,
-		encoded:       parent.encoded,
-		scheduledStep: e.step, // not preemptible in the fork step
-		ctxText:       parent.ctxText,
-		ctxImg:        parent.ctxImg,
+		seq:       core.Sequence{ID: core.RequestID(childID), PromptLen: parent.seq.PromptLen, Tokens: parent.seq.Tokens, Out: out},
+		enteredAt: e.clock,
+		computed:  parent.computed,
+		cachedHit: parent.cachedHit,
+		encoded:   parent.encoded,
+		ctxText:   parent.ctxText,
+		ctxImg:    parent.ctxImg,
 	}
 	if err := e.forker.Fork(&parent.seq, &child.seq, core.Tick(e.step)); err != nil {
 		e.returnTokens(child)
@@ -127,7 +130,7 @@ func (e *Engine) forkOne(parent *run, childID int64) error {
 		return err
 	}
 	parent.promptShared, child.promptShared = true, true
-	e.running = append(e.running, child)
+	e.running.add(child, e.step)
 	e.emit(EventQueued, child)
 	return nil
 }

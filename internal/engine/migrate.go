@@ -161,7 +161,7 @@ func (e *Engine) MigrateIn(m Migrated) {
 // owns wiping the manager (core.Crasher); CrashOut only empties the
 // engine's queues.
 func (e *Engine) CrashOut() []Migrated {
-	out := make([]Migrated, 0, len(e.running)+e.waiting.len()+e.pending.len())
+	out := make([]Migrated, 0, e.running.len()+e.waiting.len()+e.pending.len())
 	for _, q := range e.queues() {
 		for _, r := range q {
 			e.returnTokens(r) // generated tokens die with the process
@@ -171,7 +171,7 @@ func (e *Engine) CrashOut() []Migrated {
 			e.dropRun(r)
 		}
 	}
-	e.running = nil
+	e.running.reset()
 	e.waiting.reset()
 	e.pending.reset()
 	e.pendingPeerBytes = 0

@@ -40,7 +40,7 @@ func TestRunPoolBounded(t *testing.T) {
 			if err := e.Submit(&reqs[i]); err != nil {
 				t.Fatal(err)
 			}
-			highWater = max(highWater, e.pending.len()+e.waiting.len()+len(e.running))
+			highWater = max(highWater, e.pending.len()+e.waiting.len()+e.running.len())
 		}
 		return highWater
 	}

@@ -102,8 +102,9 @@ func (q *queue[T]) reset() {
 // arrival, a migration in, a preemption, an admission rolled back) and
 // a removal (an admission, a failure, an extraction) — which is
 // correct because nothing a summary reads changes while its run waits
-// (run.info). So a scheduler call costs O(running), whatever the queue's
-// depth, and the View's Waiting is the queue's own array: read-only.
+// (run.info). So a scheduler call costs nothing per waiting request,
+// whatever the queue's depth, and the View's Waiting is the queue's own
+// array: read-only. The running set does the same (runSet).
 type waitQueue struct {
 	runs queue[*run]
 	info queue[sched.ReqInfo]
@@ -175,6 +176,78 @@ func (q *waitQueue) mustMatch() {
 		got.Blocked = false
 		if fresh := r.info(); got != fresh {
 			panic(fmt.Sprintf("engine: waiting position %d summarized as %+v, its run now reads %+v", i, infos[i], fresh))
+		}
+	}
+}
+
+// runSet is the running set: its runs in running order and beside them,
+// in the same order, the summaries the scheduler's View shows of them.
+// Unlike a waiting run, a running one changes while it runs — it is
+// scheduled, it commits, it moves from prefill to decode, a fork labels
+// its group — so the engine rewrites a run's summary where it changes,
+// reaching it through run.slot, the run's position here. A scheduler
+// call then costs nothing per running request, and the View's Running
+// is the set's own array: read-only.
+type runSet struct {
+	runs []*run
+	info []sched.ReqInfo
+}
+
+func (s *runSet) len() int { return len(s.runs) }
+
+// items is the runs in running order; valid until the next mutation.
+func (s *runSet) items() []*run { return s.runs }
+
+// infos is the runs' summaries in running order; valid until the next
+// mutation.
+func (s *runSet) infos() []sched.ReqInfo { return s.info }
+
+// add appends r, summarized as of step.
+//
+//jenga:hotpath
+func (s *runSet) add(r *run, step int) {
+	r.slot = int32(len(s.runs))
+	s.runs = append(s.runs, r)
+	s.info = append(s.info, r.runningInfo(step))
+}
+
+// of is r's summary; r must be in the set.
+//
+//jenga:hotpath
+func (s *runSet) of(r *run) *sched.ReqInfo { return &s.info[r.slot] }
+
+// remove takes r out of the set; the runs after it move up a place.
+//
+//jenga:hotpath
+func (s *runSet) remove(r *run) {
+	i := int(r.slot)
+	s.runs = slices.Delete(s.runs, i, i+1)
+	s.info = slices.Delete(s.info, i, i+1)
+	for j := i; j < len(s.runs); j++ {
+		s.runs[j].slot = int32(j)
+	}
+}
+
+// reset empties the set, keeping its arrays.
+func (s *runSet) reset() {
+	clear(s.runs)
+	s.runs, s.info = s.runs[:0], s.info[:0]
+}
+
+// mustMatch panics unless every run sits at its slot and every summary
+// equals a fresh one of its run as of step: the jengadebug check that
+// the engine rewrites a running run's summary wherever the run changes,
+// and that no policy wrote to it.
+func (s *runSet) mustMatch(step int) {
+	if len(s.runs) != len(s.info) {
+		panic(fmt.Sprintf("engine: %d running runs, %d summaries", len(s.runs), len(s.info)))
+	}
+	for i, r := range s.runs {
+		if int(r.slot) != i {
+			panic(fmt.Sprintf("engine: running position %d holds request %d, whose slot reads %d", i, r.req.ID, r.slot))
+		}
+		if fresh := r.runningInfo(step); s.info[i] != fresh {
+			panic(fmt.Sprintf("engine: running position %d summarized as %+v, its run now reads %+v", i, s.info[i], fresh))
 		}
 	}
 }

@@ -207,7 +207,7 @@ func (e *Engine) Reset() { e.reset() }
 // Live reports whether any submitted request has not yet reached a
 // terminal state.
 func (e *Engine) Live() bool {
-	return e.pending.len()+e.waiting.len()+len(e.running) > 0
+	return e.pending.len()+e.waiting.len()+e.running.len() > 0
 }
 
 // Clock returns the current simulated time.
@@ -236,7 +236,7 @@ func (e *Engine) snapshot(u core.Usage) Snapshot {
 		Step:     e.step,
 		Pending:  e.pending.len(),
 		Waiting:  e.waiting.len(),
-		Running:  len(e.running),
+		Running:  e.running.len(),
 		Usage:    u,
 		Capacity: e.cfg.Manager.Capacity(),
 	}
@@ -246,7 +246,7 @@ func (e *Engine) snapshot(u core.Usage) Snapshot {
 	for _, r := range e.waiting.items() {
 		s.OutstandingTokens += int64(r.promptLen() + r.req.OutputLen)
 	}
-	for _, r := range e.running {
+	for _, r := range e.running.items() {
 		s.OutstandingTokens += int64(r.remaining())
 	}
 	return s
@@ -279,9 +279,12 @@ func (e *Engine) Submit(req *workload.Request) error {
 	}
 	r := e.takeRun()
 	*r = run{
-		carried:   carried{req: *req, state: pending, images: int32(req.PromptImages())},
+		carried:   carried{req: *req, state: pending},
 		seq:       core.Sequence{ID: core.RequestID(req.ID), PromptLen: len(req.Prompt), Tokens: borrowTokens(req.Prompt)},
 		enteredAt: e.clock,
+	}
+	if e.cfg.Spec.Vision != nil {
+		r.images = int32(req.PromptImages())
 	}
 	e.enqueuePending(r)
 	return nil
@@ -320,9 +323,9 @@ func (e *Engine) detach(id int64) *run {
 			return r
 		}
 	}
-	for _, r := range e.running {
+	for _, r := range e.running.items() {
 		if r.req.ID == id {
-			e.removeRunning(r)
+			e.running.remove(r)
 			return r
 		}
 	}
@@ -364,7 +367,7 @@ func (e *Engine) StepOnce() error {
 		return fmt.Errorf("engine: exceeded %d steps (stuck?)", e.cfg.MaxSteps)
 	}
 	e.admitArrivals()
-	if len(e.running) == 0 && e.waiting.len() == 0 && e.pending.len() > 0 {
+	if e.running.len() == 0 && e.waiting.len() == 0 && e.pending.len() > 0 {
 		e.clock = e.pending.front().req.Arrival
 		e.admitArrivals()
 	}
@@ -399,7 +402,7 @@ func (e *Engine) StepOnce() error {
 // before routing against their live state.
 func (e *Engine) AdvanceTo(t time.Duration) error {
 	for e.Live() && e.clock < t {
-		if len(e.running) == 0 && e.waiting.len() == 0 && e.pending.front().req.Arrival > t {
+		if e.running.len() == 0 && e.waiting.len() == 0 && e.pending.front().req.Arrival > t {
 			break
 		}
 		if err := e.StepOnce(); err != nil {
@@ -448,7 +451,7 @@ func (e *Engine) admissionState(r *run) AdmissionState {
 		Usage:     e.cfg.Manager.UsageTotals(),
 		Capacity:  e.cfg.Manager.Capacity(),
 		Queued:    e.waiting.len(),
-		Running:   len(e.running),
+		Running:   e.running.len(),
 		Footprint: e.cfg.Manager.Footprint(&r.seq),
 		QueuePos:  e.scheduler.RankWaiting(r.info(), e.policyView()),
 	}
@@ -457,7 +460,7 @@ func (e *Engine) admissionState(r *run) AdmissionState {
 		for _, w := range e.waiting.items() {
 			ahead += int64(w.promptLen())
 		}
-		for _, c := range e.running {
+		for _, c := range e.running.items() {
 			if rem := c.seq.Len() - c.computed; rem > 0 {
 				ahead += int64(rem)
 			}

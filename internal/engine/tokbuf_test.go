@@ -103,7 +103,7 @@ func borrowScenario(t *testing.T, mode PreemptMode, reqs []workload.Request) (a,
 		}
 	}
 	migrated := false
-	for _, r := range ea.running {
+	for _, r := range ea.running.items() {
 		if r.seq.Out != nil && r.decodesDone > 0 {
 			m, ok := ea.MigrateOut(r.req.ID)
 			if !ok {
@@ -230,7 +230,7 @@ func TestTokenPoolBounded(t *testing.T) {
 		for e.Live() && e.step != stopAt {
 			// Every buffer a step takes goes to a request that was
 			// already running when the step began.
-			highWater = max(highWater, len(e.running))
+			highWater = max(highWater, e.running.len())
 			if err := e.StepOnce(); err != nil {
 				t.Fatal(err)
 			}
@@ -477,7 +477,7 @@ func TestLapsedOutTripsExtensionCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	stepToGenerated(t, e, 20)
-	r := e.running[0]
+	r := e.running.items()[0]
 	lapsed := r.seq // kept past its buffer's return
 	if r.computed != lapsed.Len() || len(lapsed.Out) == 0 {
 		t.Fatalf("committed %d of %d tokens, %d generated: want a decode committed up to its last token", r.computed, lapsed.Len(), len(lapsed.Out))

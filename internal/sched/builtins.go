@@ -27,14 +27,14 @@ func (fcfs) VictimFor(requester ReqInfo, v *View) int {
 	if requester.Waiting {
 		return -1 // admission never preempts under FCFS
 	}
-	return victimMax(requester, v.Running, compareArrival, nil)
+	return victimMax(&requester, v.Running, compareArrival, nil)
 }
 
 func (fcfs) PrefillBudget(_ *View, total int) Split { return DefaultSplit(total) }
 
 func (fcfs) AdmissionPreempts() bool { return false }
 
-func (fcfs) RankWaiting(cand ReqInfo, v *View) int { return rankBy(cand, v.Waiting, compareArrival) }
+func (fcfs) RankWaiting(cand ReqInfo, v *View) int { return rankBy(&cand, v.Waiting, compareArrival) }
 
 // priority is strict priority with arrival tiebreak — the shared
 // Compare order: classes strict; within a class, first fit in arrival
@@ -65,7 +65,7 @@ func (priority) PickWaiting(v *View) int {
 	best, floor, marked := 0, 0, false
 	for i := range v.Waiting {
 		c := &v.Waiting[i]
-		if Compare(*c, v.Waiting[best]) < 0 {
+		if compare(c, &v.Waiting[best]) < 0 {
 			best = i
 		}
 		if c.Blocked && (!marked || c.Priority > floor) {
@@ -81,7 +81,7 @@ func (priority) PickWaiting(v *View) int {
 		if c.Blocked || c.Priority < floor {
 			continue
 		}
-		if fit < 0 || Compare(*c, v.Waiting[fit]) < 0 {
+		if fit < 0 || compare(c, &v.Waiting[fit]) < 0 {
 			fit = i
 		}
 	}
@@ -94,20 +94,20 @@ func (priority) PickWaiting(v *View) int {
 func (priority) VictimFor(requester ReqInfo, v *View) int {
 	if requester.Waiting {
 		// Admission-time preemption: strictly lower classes only.
-		return victimMax(requester, v.Running, Compare, func(c ReqInfo) bool {
+		return victimMax(&requester, v.Running, compare, func(c *ReqInfo) bool {
 			return c.Priority < requester.Priority
 		})
 	}
 	// Decode-path preemption keeps the historical rule: the last
 	// request in schedule order loses its memory, whatever its class.
-	return victimMax(requester, v.Running, Compare, nil)
+	return victimMax(&requester, v.Running, compare, nil)
 }
 
 func (priority) PrefillBudget(_ *View, total int) Split { return DefaultSplit(total) }
 
 func (priority) AdmissionPreempts() bool { return true }
 
-func (priority) RankWaiting(cand ReqInfo, v *View) int { return rankBy(cand, v.Waiting, Compare) }
+func (priority) RankWaiting(cand ReqInfo, v *View) int { return rankBy(&cand, v.Waiting, compare) }
 
 // sjf is shortest-remaining-work-first with a deadline-aware
 // tiebreak: the waiting request with the fewest tokens left to serve
@@ -129,7 +129,7 @@ func (sjf) Name() string { return "sjf" }
 // absolute instants Arrival+Deadline (a request with a tight budget
 // that arrived late can be less urgent than one with a loose budget
 // that arrived long ago) — then the shared comparator.
-func compareSJF(a, b ReqInfo) int {
+func compareSJF(a, b *ReqInfo) int {
 	if a.Remaining != b.Remaining {
 		if a.Remaining < b.Remaining {
 			return -1
@@ -149,7 +149,7 @@ func compareSJF(a, b ReqInfo) int {
 			return 1
 		}
 	}
-	return Compare(a, b)
+	return compare(a, b)
 }
 
 func (sjf) PickWaiting(v *View) int { return pickMin(v.Waiting, compareSJF) }
@@ -158,14 +158,14 @@ func (sjf) VictimFor(requester ReqInfo, v *View) int {
 	if requester.Waiting {
 		return -1
 	}
-	return victimMax(requester, v.Running, compareSJF, nil)
+	return victimMax(&requester, v.Running, compareSJF, nil)
 }
 
 func (sjf) PrefillBudget(_ *View, total int) Split { return DefaultSplit(total) }
 
 func (sjf) AdmissionPreempts() bool { return false }
 
-func (sjf) RankWaiting(cand ReqInfo, v *View) int { return rankBy(cand, v.Waiting, compareSJF) }
+func (sjf) RankWaiting(cand ReqInfo, v *View) int { return rankBy(&cand, v.Waiting, compareSJF) }
 
 // fairShare serves tenants (workload.Request.Group labels) by max-min
 // share of live KV-backed work: the next admission goes to the waiting
@@ -201,7 +201,7 @@ func (f fairShare) PickWaiting(v *View) int {
 	bestShare := sh[v.Waiting[0].Group]
 	for i := 1; i < len(v.Waiting); i++ {
 		s := sh[v.Waiting[i].Group]
-		if s < bestShare || (s == bestShare && Compare(v.Waiting[i], v.Waiting[best]) < 0) {
+		if s < bestShare || (s == bestShare && compare(&v.Waiting[i], &v.Waiting[best]) < 0) {
 			best, bestShare = i, s
 		}
 	}
@@ -215,7 +215,7 @@ func (f fairShare) VictimFor(requester ReqInfo, v *View) int {
 	// Evict from the most-served group; the shared reverse order picks
 	// within it.
 	sh := f.shares(v)
-	return victimMax(requester, v.Running, func(a, b ReqInfo) int {
+	return victimMax(&requester, v.Running, func(a, b *ReqInfo) int {
 		sa, sb := sh[a.Group], sh[b.Group]
 		if sa != sb {
 			if sa < sb {
@@ -223,7 +223,7 @@ func (f fairShare) VictimFor(requester ReqInfo, v *View) int {
 			}
 			return 1
 		}
-		return Compare(a, b)
+		return compare(a, b)
 	}, nil)
 }
 
@@ -237,7 +237,7 @@ func (f fairShare) RankWaiting(cand ReqInfo, v *View) int {
 	n := 0
 	for i := range v.Waiting {
 		s := sh[v.Waiting[i].Group]
-		if s < candShare || (s == candShare && Compare(v.Waiting[i], cand) <= 0) {
+		if s < candShare || (s == candShare && compare(&v.Waiting[i], &cand) <= 0) {
 			n++
 		}
 	}

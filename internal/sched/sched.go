@@ -94,7 +94,9 @@ type View struct {
 	// admission pass, entries the engine could not admit carry
 	// Blocked (see PickWaiting).
 	Waiting []ReqInfo
-	// Running is the scheduled set in running order.
+	// Running is the scheduled set in running order, likewise the
+	// running set's own array of summaries, updated where a run changes
+	// (scheduled, committed, moved to decode): read-only.
 	Running []ReqInfo
 	// Usage is the manager's aggregate memory accounting (PerGroup is
 	// nil — scheduling decisions must not cost a map per call).
@@ -183,7 +185,11 @@ func CanAdmissionPreempt(s Scheduler) bool {
 // candidate, so queue order decides). Victim selection is the same
 // comparator reversed: the last request in schedule order is evicted
 // first.
-func Compare(a, b ReqInfo) int {
+func Compare(a, b ReqInfo) int { return compare(&a, &b) }
+
+// compare is Compare on the entries in place: the built-ins read the
+// View's arrays through pointers, never copying a summary to compare it.
+func compare(a, b *ReqInfo) int {
 	if a.Priority != b.Priority {
 		if a.Priority > b.Priority {
 			return -1
@@ -195,7 +201,7 @@ func Compare(a, b ReqInfo) int {
 
 // compareArrival orders by arrival alone (the priority-blind FCFS
 // core): earlier first, 0 on equal arrivals.
-func compareArrival(a, b ReqInfo) int {
+func compareArrival(a, b *ReqInfo) int {
 	if a.Arrival != b.Arrival {
 		if a.Arrival < b.Arrival {
 			return -1
@@ -207,13 +213,13 @@ func compareArrival(a, b ReqInfo) int {
 
 // pickMin returns the first index of entries minimizing cmp (the next
 // request in schedule order); -1 when entries is empty.
-func pickMin(entries []ReqInfo, cmp func(a, b ReqInfo) int) int {
+func pickMin(entries []ReqInfo, cmp func(a, b *ReqInfo) int) int {
 	if len(entries) == 0 {
 		return -1
 	}
 	best := 0
 	for i := 1; i < len(entries); i++ {
-		if cmp(entries[i], entries[best]) < 0 {
+		if cmp(&entries[i], &entries[best]) < 0 {
 			best = i
 		}
 	}
@@ -225,17 +231,17 @@ func pickMin(entries []ReqInfo, cmp func(a, b ReqInfo) int) int {
 // the requester and entries whose commits are in flight; -1 when no
 // entry is eligible. eligible may further restrict candidates (nil
 // admits all).
-func victimMax(requester ReqInfo, running []ReqInfo, cmp func(a, b ReqInfo) int, eligible func(ReqInfo) bool) int {
+func victimMax(requester *ReqInfo, running []ReqInfo, cmp func(a, b *ReqInfo) int, eligible func(*ReqInfo) bool) int {
 	best := -1
 	for i := range running {
 		c := &running[i]
 		if c.ScheduledNow || c.ID == requester.ID {
 			continue
 		}
-		if eligible != nil && !eligible(*c) {
+		if eligible != nil && !eligible(c) {
 			continue
 		}
-		if best < 0 || cmp(*c, running[best]) > 0 {
+		if best < 0 || cmp(c, &running[best]) > 0 {
 			best = i
 		}
 	}
@@ -245,10 +251,10 @@ func victimMax(requester ReqInfo, running []ReqInfo, cmp func(a, b ReqInfo) int,
 // rankBy counts the waiting entries ordered at-or-ahead of cand under
 // cmp (ties count as ahead: an equal entry already in the queue keeps
 // its place).
-func rankBy(cand ReqInfo, waiting []ReqInfo, cmp func(a, b ReqInfo) int) int {
+func rankBy(cand *ReqInfo, waiting []ReqInfo, cmp func(a, b *ReqInfo) int) int {
 	n := 0
 	for i := range waiting {
-		if cmp(waiting[i], cand) <= 0 {
+		if cmp(&waiting[i], cand) <= 0 {
 			n++
 		}
 	}

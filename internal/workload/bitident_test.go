@@ -96,7 +96,7 @@ func genCases() []genCase {
 		{"prefix_groups",
 			func(g *Gen) []Request { return g.PrefixGroups(4, 5, 128, 32) },
 			func(g *Gen) Source { return g.PrefixGroupsSource(4, 5, 128, 32) },
-			func(g *Gen) Request { return g.prefixGroupsOne(1, 128, 32) },
+			func(g *Gen) Request { return g.prefixGroupsOne(4, 1, 128, 32) },
 			map[int64]uint64{7: 0x7c762ad333d6b2a0, 42: 0xf4195bac0883a53c}},
 		{"churn_groups",
 			func(g *Gen) []Request { return g.ChurnGroups(6, 5, 128, 32, 3) },
@@ -197,4 +197,85 @@ func TestGeneratorsAllocateOnlyThePrompt(t *testing.T) {
 		}
 	}
 	_ = sink
+}
+
+// TestGroupPrefixesMatchFill: a group's shared prefix is filled once
+// per generator and copied into each prompt, and every prompt must hold
+// exactly what filling it in place would have written — the prefix from
+// the group's content seed, the suffix from the request's own. Checked
+// per request, token by token, for PrefixGroups, ChurnGroups and
+// MMLUPro, in slice form and streamed through a source that hands every
+// prompt back two requests later (so most prompts are written over an
+// earlier one's array), and for two shapes drawn from one Gen in turn.
+func TestGroupPrefixesMatchFill(t *testing.T) {
+	type shape struct {
+		name      string
+		prefix    int
+		suffixMul int64 // the suffix's content seed is (ID−1)·suffixMul
+		slice     func(g *Gen) []Request
+		src       func(g *Gen) Source
+	}
+	shapes := []shape{
+		{"prefix_groups", 128, 15485863,
+			func(g *Gen) []Request { return g.PrefixGroups(4, 6, 128, 32) },
+			func(g *Gen) Source { return g.PrefixGroupsSource(4, 6, 128, 32) }},
+		{"churn_groups", 96, 15485863,
+			func(g *Gen) []Request { return g.ChurnGroups(6, 5, 96, 40, 3) },
+			func(g *Gen) Source { return g.ChurnGroupsSource(6, 5, 96, 40, 3) }},
+		{"mmlu_pro", 512, 7919,
+			func(g *Gen) []Request { return g.MMLUPro(30, 512) },
+			func(g *Gen) Source { return stream(g, 30, func() Request { return g.mmluProOne(512) }) }},
+	}
+	check := func(t *testing.T, s shape, form string, r *Request) {
+		t.Helper()
+		want := make([]core.Token, len(r.Prompt))
+		fillTokens(want[:s.prefix], r.Group, 0, false)
+		fillTokens(want[s.prefix:], (r.ID-1)*s.suffixMul, 0, false)
+		for i := range want {
+			if r.Prompt[i] != want[i] {
+				t.Fatalf("%s %s: request %d token %d is %v, a per-request fill writes %v", s.name, form, r.ID, i, r.Prompt[i], want[i])
+			}
+		}
+	}
+	for _, s := range shapes {
+		for _, seed := range []int64{7, 42} {
+			reqs := s.slice(NewGen(seed))
+			for i := range reqs {
+				check(t, s, "slice", &reqs[i])
+			}
+			src := s.src(NewGen(seed))
+			rec := src.(Recycler)
+			var held [][]core.Token
+			n := 0
+			for r, ok := src.Next(); ok; r, ok = src.Next() {
+				check(t, s, "recycled stream", r)
+				if held = append(held, r.Prompt); len(held) > 2 {
+					rec.Recycle(held[0])
+					held = held[1:]
+				}
+				n++
+			}
+			if n != len(reqs) {
+				t.Fatalf("%s: the stream yielded %d requests, the slice %d", s.name, n, len(reqs))
+			}
+		}
+	}
+	// Shapes from one Gen in turn — two prefix lengths of one base, more
+	// groups of a length already filled, another base — each refilling
+	// the memo for its own prefixes.
+	g := NewGen(3)
+	for round := 0; round < 3; round++ {
+		for _, r := range g.PrefixGroups(2, 2, 64, 8) {
+			check(t, shape{name: "alternating", prefix: 64, suffixMul: 15485863}, "slice", &r)
+		}
+		for _, r := range g.PrefixGroups(5, 1, 64, 8) {
+			check(t, shape{name: "alternating", prefix: 64, suffixMul: 15485863}, "slice", &r)
+		}
+		for _, r := range g.PrefixGroups(5, 1, 32, 8) {
+			check(t, shape{name: "alternating", prefix: 32, suffixMul: 15485863}, "slice", &r)
+		}
+		for _, r := range g.MMLUPro(3, 64) {
+			check(t, shape{name: "alternating", prefix: 64, suffixMul: 7919}, "slice", &r)
+		}
+	}
 }

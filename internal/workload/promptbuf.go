@@ -68,6 +68,14 @@ func (g *Gen) takePrompt(n int) []core.Token {
 	return make([]core.Token, n)
 }
 
+// takeMemo returns a fresh array of n tokens for a generator's group
+// prefixes (groupPrefix). It is the Gen's own, made once per generator
+// shape: never lent as a prompt, never handed back, so the free list and
+// its hand-over counts never see it.
+func takeMemo(n int) []core.Token {
+	return make([]core.Token, n)
+}
+
 // recyclePrompt puts a handed-back array on the free list.
 //
 //jenga:hotpath

@@ -57,7 +57,7 @@ func (s *funcSource) Next() (*Request, bool) {
 func (g *Gen) PrefixGroupsSource(groups, perGroup, prefixLen, suffixLen int) Source {
 	i := 0
 	return &funcSource{g: g, n: groups * perGroup, pull: func() Request {
-		r := g.prefixGroupsOne(i%groups, prefixLen, suffixLen)
+		r := g.prefixGroupsOne(groups, i%groups, prefixLen, suffixLen)
 		i++
 		return r
 	}}

@@ -75,6 +75,20 @@ type Gen struct {
 	// prompts is the free list of handed-back prompt arrays
 	// (promptbuf.go).
 	prompts promptPool
+	// prefix holds the group prefixes of the last shape a generator
+	// call asked for (groupPrefix).
+	prefix prefixMemo
+}
+
+// prefixMemo is every group's shared prefix for one generator shape,
+// filled once: group i's n tokens are toks[i*n:(i+1)*n], content from
+// seed base+i at offset 0 — exactly what filling each prompt's prefix
+// in place would write, since fill content is a function of (seed,
+// offset, position) alone.
+type prefixMemo struct {
+	base int64
+	n    int
+	toks []core.Token
 }
 
 // NewGen creates a generator with the given seed.
@@ -91,8 +105,9 @@ func (g *Gen) id() int64 {
 // seed into dst, so two prompts filled from the same (seed, offset)
 // share content. Every generator below draws its lengths first, takes
 // the prompt once at its exact size (takePrompt) and fills each segment
-// in place: at most one allocation per request, nothing copied or
-// regrown.
+// in place — a group's shared prefix is copied from the generator's
+// memo instead (groupPrefix) — at most one allocation per request,
+// nothing regrown.
 //
 //jenga:hotpath
 func fillTokens(dst []core.Token, seed int64, offset int, image bool) {
@@ -134,6 +149,14 @@ func (g *Gen) uniform(lo, hi int) int {
 	return lo + g.rng.Intn(hi-lo+1)
 }
 
+// mmluSubjects is how many few-shot subjects MMLUPro draws from, and
+// mmluSeedBase the content seed of the first: subject s's prefix is
+// filled from seed mmluSeedBase+s, which is also its Group label.
+const (
+	mmluSubjects       = 4
+	mmluSeedBase int64 = 1000
+)
+
 // MMLUPro generates text-only exam questions: a shared few-shot
 // instruction prefix (subject-wise) followed by a unique question. The
 // dataset's maximum length is 3076 tokens (§7.1).
@@ -151,13 +174,13 @@ func (g *Gen) MMLUPro(n int, sharedPrefix int) []Request {
 //
 //jenga:hotpath
 func (g *Gen) mmluProOne(sharedPrefix int) Request {
-	subject := g.rng.Intn(4)
+	subject := g.rng.Intn(mmluSubjects)
 	qLen := g.clampedNormal(800, 400, 128, 3076-sharedPrefix)
 	prompt := g.takePrompt(sharedPrefix + qLen)
-	fillTokens(prompt[:sharedPrefix], int64(1000+subject), 0, false)
+	copy(prompt, g.groupPrefix(mmluSeedBase, mmluSubjects, subject, sharedPrefix))
 	fillTokens(prompt[sharedPrefix:], int64(g.id())*7919, 0, false)
 	return Request{
-		ID: g.id(), Group: int64(1000 + subject), Prompt: prompt,
+		ID: g.id(), Group: mmluSeedBase + int64(subject), Prompt: prompt,
 		// MMLU-pro is chain-of-thought: answers are long.
 		OutputLen: g.uniform(256, 768),
 	}
@@ -299,7 +322,7 @@ func (g *Gen) PrefixGroups(groups, perGroup, prefixLen, suffixLen int) []Request
 	reqs := make([]Request, 0, groups*perGroup)
 	for i := 0; i < perGroup; i++ {
 		for grp := 0; grp < groups; grp++ {
-			reqs = append(reqs, g.prefixGroupsOne(grp, prefixLen, suffixLen))
+			reqs = append(reqs, g.prefixGroupsOne(groups, grp, prefixLen, suffixLen))
 		}
 	}
 	return reqs
@@ -309,24 +332,52 @@ func (g *Gen) PrefixGroups(groups, perGroup, prefixLen, suffixLen int) []Request
 // (shared by slice and streaming forms; see mmluProOne).
 //
 //jenga:hotpath
-func (g *Gen) prefixGroupsOne(grp, prefixLen, suffixLen int) Request {
-	seed := int64(7_000_000 + grp)
-	prompt := g.groupPrompt(seed, prefixLen, suffixLen)
+func (g *Gen) prefixGroupsOne(groups, grp, prefixLen, suffixLen int) Request {
+	prompt := g.groupPrompt(groups, grp, prefixLen, suffixLen)
 	return Request{
-		ID: g.id(), Group: seed, Prompt: prompt,
+		ID: g.id(), Group: groupSeedBase + int64(grp), Prompt: prompt,
 		OutputLen: g.uniform(16, 64),
 	}
 }
 
-// groupPrompt builds a PrefixGroups/ChurnGroups prompt: the group's
-// shared prefix (content from seed) and a unique suffix.
+// groupSeedBase is the content seed of PrefixGroups' and ChurnGroups'
+// group 0: group grp's prefix is filled from seed groupSeedBase+grp,
+// which is also its Group label.
+const groupSeedBase int64 = 7_000_000
+
+// groupPrompt builds a PrefixGroups/ChurnGroups prompt: group grp's
+// shared prefix, of groups in all, and a unique suffix.
 //
 //jenga:hotpath
-func (g *Gen) groupPrompt(seed int64, prefixLen, suffixLen int) []core.Token {
+func (g *Gen) groupPrompt(groups, grp, prefixLen, suffixLen int) []core.Token {
 	prompt := g.takePrompt(prefixLen + suffixLen)
-	fillTokens(prompt[:prefixLen], seed, 0, false)
+	copy(prompt, g.groupPrefix(groupSeedBase, groups, grp, prefixLen))
 	fillTokens(prompt[prefixLen:], int64(g.id())*15485863, 0, false)
 	return prompt
+}
+
+// groupPrefix returns group grp's shared prefix of n tokens, content
+// seed base+grp, for a generator of groups groups. The first request of
+// a shape fills every group's prefix into one array (takeMemo); later
+// ones copy from it instead of refilling it per request. The memo is the
+// Gen's and read-only: a prompt gets a copy, never the memo itself.
+//
+//jenga:hotpath
+func (g *Gen) groupPrefix(base int64, groups, grp, n int) []core.Token {
+	m := &g.prefix
+	if m.base != base || m.n != n || len(m.toks) < groups*n {
+		g.fillPrefixes(base, groups, n)
+	}
+	return m.toks[grp*n : (grp+1)*n]
+}
+
+// fillPrefixes fills the memo with the prefixes of groups groups: the
+// one fill each group's prefix gets while its shape lasts.
+func (g *Gen) fillPrefixes(base int64, groups, n int) {
+	g.prefix = prefixMemo{base: base, n: n, toks: takeMemo(groups * n)}
+	for i := 0; i < groups; i++ {
+		fillTokens(g.prefix.toks[i*n:(i+1)*n], base+int64(i), 0, false)
+	}
 }
 
 // ChurnGroups generates the replica-churn workload: the same shared
@@ -370,10 +421,9 @@ func (g *Gen) churnGroupsOne(i, total, groups, prefixLen, suffixLen, phases int)
 	} else {
 		grp = g.rng.Intn(groups)
 	}
-	seed := int64(7_000_000 + grp)
-	prompt := g.groupPrompt(seed, prefixLen, suffixLen)
+	prompt := g.groupPrompt(groups, grp, prefixLen, suffixLen)
 	return Request{
-		ID: g.id(), Group: seed, Prompt: prompt,
+		ID: g.id(), Group: groupSeedBase + int64(grp), Prompt: prompt,
 		OutputLen: g.uniform(16, 64),
 	}
 }
