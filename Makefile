@@ -261,6 +261,7 @@ guard:
 	@out=$$(grep -rn -e 'append(\[\]core\.Token(nil)' -e 'make(\[\]core\.Token' internal/engine --include='*.go' | grep -v -e '_test\.go:' -e '^internal/engine/tokbuf\.go:'); if [ -n "$$out" ]; then echo "token copies outside the free-list miss in internal/engine:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'append\(.*(\.Prompt|seq\.Tokens)\.\.\.\)' internal/engine --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a prompt is spread into a buffer in internal/engine (a run borrows req.Prompt as seq.Tokens for its whole life; only seq.Out is the engine's):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'router\.Route(' internal/cluster --include='*.go' | grep -v '_test\.go:'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/cluster must have exactly one router.Route call site (the placement step):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn '\.Recycle(' internal/cluster --include='*.go' | grep -v '_test\.go:'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/cluster must have exactly one .Recycle( call site (pass.recycle, the drain before every Next; a barrier hands back no prompts):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rl '^//jenga:concurrent' internal/cluster --include='*.go' | grep -v '_test\.go$$'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/cluster must have exactly one //jenga:concurrent file (the serve loop):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'cluster\.Config{' internal/bench cmd/jengabench --include='*.go' | grep -v '_test\.go:'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/bench + cmd/jengabench must have exactly one cluster.Config literal (bench.Run):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'StepTime(' . --include='*.go' | grep -v -e '_test\.go:' -e '^\./internal/gpu/' -e '^\./cmd/jengaperf/' -e '^\./internal/engine/'); if [ -n "$$out" ] || [ -e internal/spec ]; then echo "the sim clock must advance only in internal/engine (no StepTime caller elsewhere, no internal/spec):"; echo "$$out"; exit 1; fi

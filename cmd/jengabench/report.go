@@ -185,10 +185,9 @@ type header struct {
 
 	// The measuring host (the scale scorecard's finish hook fills
 	// these: wall-clock shard scaling is bounded by physical cores).
-	SnapshotEveryMs float64 `json:"snapshot_every_ms,omitempty"`
-	NumCPU          int     `json:"num_cpu,omitempty"`
-	Gomaxprocs      int     `json:"gomaxprocs,omitempty"`
-	Note            string  `json:"note,omitempty"`
+	NumCPU     int    `json:"num_cpu,omitempty"`
+	Gomaxprocs int    `json:"gomaxprocs,omitempty"`
+	Note       string `json:"note,omitempty"`
 }
 
 // headerOf flattens the scenario a scorecard's variants share.

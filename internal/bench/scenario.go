@@ -26,9 +26,10 @@ const (
 	Online Horizon = iota
 	// Offline is Serve: no horizon, routers see estimate-drained loads.
 	Offline
-	// Stream is ServeStream at Scenario.Shards event loops: a horizon
-	// every snapshot epoch, or every arrival under a fleet or chaos
-	// config.
+	// Stream is ServeStream at Scenario.Shards event loops: no horizon
+	// for a load-oblivious router (affinity, round robin), a horizon
+	// every snapshot epoch for least-loaded, or every arrival under a
+	// fleet or chaos config.
 	Stream
 )
 

@@ -19,12 +19,15 @@
 // Serve, ServeOnline and ServeStream differ only in the loop's horizon
 // policy — when every shard is parked at one simulated instant so the
 // router may read live replica state and run cross-replica operations:
-// never (Serve: routers see estimate-drained loads, Load.Live false),
-// at every arrival (ServeOnline, and any fleet or chaos config: live
-// per-arrival state, fleet store, migration, crash recovery), or at
-// every SnapshotEvery of simulated time (ServeStream: epoch snapshots).
-// Engines are goroutine-confined to their shard; the router touches
-// them only inside a barrier section, after every shard has acked.
+// never (Serve, and ServeStream with a load-oblivious built-in router:
+// routers see estimate-drained loads, Load.Live false), at every
+// arrival (ServeOnline, and any fleet or chaos config: live per-arrival
+// state, fleet store, migration, crash recovery), or at every
+// SnapshotEvery of simulated time (ServeStream with a router that reads
+// loads: epoch snapshots). Engines are goroutine-confined to their
+// shard; the router touches them only inside a barrier section, after
+// every shard has acked. Retired prompts go back to a recycling source
+// through per-shard locked lists, with no barrier.
 package cluster
 
 import (
@@ -288,8 +291,11 @@ func New(cfg Config) (*Cluster, error) {
 }
 
 // The horizon policy is when drive parks every shard at one simulated
-// instant (a barrier): never, at every arrival, or — any positive
-// value — every that much simulated time.
+// instant (a barrier): never (Serve, and ServeStream with a
+// load-oblivious built-in router), at every arrival (ServeOnline, and
+// ServeStream with a fleet or chaos config), or — any positive value,
+// ServeStream with a router that reads loads — every that much
+// simulated time.
 const (
 	horizonNever        time.Duration = -1
 	horizonEveryArrival time.Duration = 0
@@ -320,10 +326,15 @@ type pass struct {
 	// shards are the replica event loops.
 	shards []*streamShard
 	// recycler is the source's hand-back capability (nil without one):
-	// barrier sections give it the prompts the shards' engines are done
-	// with, so a streamed run reuses prompt arrays instead of making one
-	// per request.
+	// recycle gives it the prompts the shards' engines are done with, so
+	// a streamed run reuses prompt arrays instead of making one per
+	// request. spent is the list recycle swaps with a shard's.
 	recycler workload.Recycler
+	spent    [][]core.Token
+	// barriers counts the barriers the pass fired: none with no
+	// horizon, one per epoch crossed, or one per arrival plus one per
+	// rebalance and chaos event.
+	barriers int
 }
 
 // newPass starts a pass. Stateful built-in routers are reset, so
@@ -403,7 +414,7 @@ func sortedByArrival(reqs []workload.Request) []workload.Request {
 // its own shard. Fleet and chaos events need barrier sections and do
 // not run here.
 func (c *Cluster) Serve(reqs []workload.Request) (*Result, error) {
-	return c.drive(workload.SliceSource(sortedByArrival(reqs)), len(c.engines), horizonNever, true)
+	return c.drive(c.newPass(), workload.SliceSource(sortedByArrival(reqs)), len(c.engines), horizonNever, true)
 }
 
 // ServeOnline drives the fleet as an online event-driven system in
@@ -416,7 +427,7 @@ func (c *Cluster) Serve(reqs []workload.Request) (*Result, error) {
 // and restart events run in the barrier sections this horizon opens,
 // each at its exact simulated instant.
 func (c *Cluster) ServeOnline(reqs []workload.Request) (*Result, error) {
-	return c.drive(workload.SliceSource(sortedByArrival(reqs)), 1, horizonEveryArrival, true)
+	return c.drive(c.newPass(), workload.SliceSource(sortedByArrival(reqs)), 1, horizonEveryArrival, true)
 }
 
 // groupAcc is one tenant's exact served-work accumulator.

@@ -130,7 +130,7 @@ func TestStreamRecyclesPrompts(t *testing.T) {
 					t.Fatalf("%v/%s/%d shards: recycling prompts changed the run:\nrecycled %+v\nslice    %+v", policy, name, shards, got, want)
 				}
 				// What is still lent at the end retired after the last
-				// barrier, or was lost in the crash.
+				// Next, or was lost in the crash.
 				if probe.recycled == 0 || probe.reissued == 0 || probe.recycled+len(probe.lent) != probe.issued {
 					t.Fatalf("%v/%s/%d shards: %d prompts issued (%d on a reused array), %d handed back, %d still lent",
 						policy, name, shards, probe.issued, probe.reissued, probe.recycled, len(probe.lent))

@@ -44,10 +44,11 @@ func (p RouterPolicy) String() string {
 // cluster maintains it: RoutedTokens grows with every assignment and
 // Outstanding additionally drains at the replica's nominal serving
 // rate as simulated arrival time advances. Under a horizon policy
-// (ServeOnline, ServeStream) the Live fields additionally carry the
-// replica's actual scheduler state as of the last horizon — the
-// arrival instant itself for ServeOnline — so routers decide on
-// measured usage and queue depth instead of estimates.
+// (ServeOnline; ServeStream with a load-aware router, or with a fleet
+// or chaos config) the Live fields additionally carry the replica's
+// actual scheduler state as of the last horizon — the arrival instant
+// itself for ServeOnline — so routers decide on measured usage and
+// queue depth instead of estimates.
 type Load struct {
 	// Replica is the replica index.
 	Replica int
@@ -60,7 +61,8 @@ type Load struct {
 	Outstanding float64
 	// Live reports whether the fields below hold the replica's real
 	// scheduler state (a horizon has published it) rather than zero
-	// values (Serve, which has no horizon).
+	// values (no horizon: Serve, and ServeStream with a load-oblivious
+	// built-in router).
 	Live bool
 	// Usage is the replica's live KV memory accounting.
 	Usage core.Usage
@@ -120,12 +122,21 @@ func NewRouter(p RouterPolicy, replicas, prefixTokens, vnodes int) (Router, erro
 // stream places every request where the first did.
 type resettable interface{ reset() }
 
+// loadOblivious is implemented by the built-in routers that never read
+// a Load: placement is then a pure function of the stream, so
+// ServeStream runs them with no horizon, as Serve does — a barrier
+// would publish snapshots nobody reads. A custom Router is not assumed
+// oblivious, even one that wraps a built-in.
+type loadOblivious interface{ loadOblivious() }
+
 // roundRobinRouter cycles through replicas.
 type roundRobinRouter struct{ next int }
 
 func (r *roundRobinRouter) Name() string { return RoundRobin.String() }
 
 func (r *roundRobinRouter) reset() { r.next = 0 }
+
+func (r *roundRobinRouter) loadOblivious() {}
 
 //jenga:hotpath
 func (r *roundRobinRouter) Route(_ *workload.Request, loads []Load) int {
@@ -200,6 +211,8 @@ func newAffinityRouter(replicas, prefixTokens, vnodes int) *affinityRouter {
 }
 
 func (r *affinityRouter) Name() string { return PrefixAffinity.String() }
+
+func (r *affinityRouter) loadOblivious() {}
 
 func (r *affinityRouter) Route(req *workload.Request, loads []Load) int {
 	h := core.PrefixHash(req.Prompt, r.prefixTokens)

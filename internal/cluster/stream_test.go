@@ -119,23 +119,38 @@ func TestServeStreamMatchesServeOnlineAffinity(t *testing.T) {
 	within(t, "p99 restore", float64(stream.P99Restore), float64(serial.P99Restore), 0.06)
 }
 
+// customRouter wraps a built-in router in a type the cluster does not
+// know: ServeStream cannot tell it ignores loads, so it keeps the epoch
+// snapshots.
+type customRouter struct{ Router }
+
 // The conservative-horizon protocol makes the run a pure function of
 // the workload and config: any shard count, same result — for
 // load-aware routers too, since snapshots are published at exact
-// epoch instants.
+// epoch instants. And a load-oblivious router's result does not depend
+// on the horizon either: wrapped as a custom router, which runs at
+// epochs instead of with none, it gives the bare router's Result.
 func TestServeStreamShardCountInvariant(t *testing.T) {
 	reqs := streamWorkload(5, time.Second)
-	run := func(shards int, policy RouterPolicy) *Result {
-		res, err := streamCluster(t, 4, policy).ServeStream(workload.SliceSource(reqs), StreamConfig{Shards: shards})
+	run := func(shards int, policy RouterPolicy, custom bool) *Result {
+		c := streamCluster(t, 4, policy)
+		if custom {
+			r, err := NewRouter(policy, 4, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.router = customRouter{r}
+		}
+		res, err := c.ServeStream(workload.SliceSource(reqs), StreamConfig{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	for _, policy := range []RouterPolicy{LeastLoaded, PrefixAffinity} {
-		base := run(1, policy)
+	for _, policy := range []RouterPolicy{LeastLoaded, PrefixAffinity, RoundRobin} {
+		base := run(1, policy, false)
 		for _, shards := range []int{2, 4, 7} { // 7 clamps to the replica count
-			got := run(shards, policy)
+			got := run(shards, policy, false)
 			if got.Finished != base.Finished || got.Duration != base.Duration ||
 				got.HitRate != base.HitRate || got.P99TTFT != base.P99TTFT ||
 				got.P99E2E != base.P99E2E || got.Imbalance != base.Imbalance ||
@@ -148,6 +163,94 @@ func TestServeStreamShardCountInvariant(t *testing.T) {
 						policy, shards, i, got.PerReplica[i].Requests, base.PerReplica[i].Requests)
 				}
 			}
+		}
+		for _, shards := range []int{1, 4} {
+			if got := run(shards, policy, true); !reflect.DeepEqual(got, base) {
+				t.Errorf("policy %v wrapped as a custom router, shards %d:\n%+v\nvs the bare router\n%+v", policy, shards, got, base)
+			}
+		}
+	}
+}
+
+// streamBarriers runs ServeStream's pass over src and returns how many
+// barriers it fired.
+func streamBarriers(t *testing.T, c *Cluster, src workload.Source, sc StreamConfig) int {
+	t.Helper()
+	p := c.newPass()
+	if _, err := c.drive(p, src, sc.Shards, c.streamHorizon(sc.SnapshotEvery), false); err != nil {
+		t.Fatal(err)
+	}
+	return p.barriers
+}
+
+// A streamed pass parks its shards only when something reads what the
+// barrier publishes: never under a load-oblivious built-in router, once
+// per epoch crossed under a router that reads loads, and at every
+// arrival, every rebalance and every chaos event under a fleet or chaos
+// config. The first rows are the fleet_stream benchmark's shape: 16
+// replicas on 2 shards, 64 prefix groups at 4,000 req/s — 64,000
+// requests and 1,600 epochs of 10 ms unless -short.
+func TestStreamBarriersPerHorizon(t *testing.T) {
+	perGroup := 1000
+	if testing.Short() {
+		perGroup = 40
+	}
+	scaled := func() workload.Source {
+		src := workload.NewGen(42).PrefixGroupsSource(64, perGroup, 512, 48)
+		return workload.PoissonSource(src, workload.NewGen(43), 4000)
+	}
+	epochs := 0
+	for epoch, src := int64(-1), scaled(); ; {
+		r, ok := src.Next()
+		if !ok {
+			break
+		}
+		if e := int64(r.Arrival / defaultSnapshotEvery); e > epoch {
+			epoch = e
+			epochs++
+		}
+	}
+	t.Logf("%d requests cross %d epochs", 64*perGroup, epochs)
+	affinity := func() Router { return newAffinityRouter(16, 256, 64) }
+	for _, tc := range []struct {
+		name   string
+		router Router
+		want   int
+	}{
+		{"affinity", affinity(), 0},
+		{"roundrobin", &roundRobinRouter{}, 0},
+		{"leastloaded", &leastLoadedRouter{}, epochs},
+		{"custom(affinity)", customRouter{affinity()}, epochs},
+	} {
+		c, err := New(Config{Spec: testSpec(), Replicas: 16, Router: tc.router, CapacityBytes: 64 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := streamBarriers(t, c, scaled(), StreamConfig{Shards: 2}); got != tc.want {
+			t.Errorf("%s: %d barriers over %d requests, want %d", tc.name, got, 64*perGroup, tc.want)
+		}
+	}
+
+	reqs := streamWorkload(3, time.Second)
+	arrivals := len(reqs)
+	for _, tc := range []struct {
+		name   string
+		config func(*Config)
+		want   int
+	}{
+		{"store", func(cfg *Config) { cfg.Chaos = ChaosPolicy{}; cfg.Fleet = FleetPolicy{Store: true} }, arrivals},
+		{"store+rebalance", func(cfg *Config) { cfg.Chaos = ChaosPolicy{} }, 2 * arrivals},
+		{"chaos", func(cfg *Config) { cfg.Fleet = FleetPolicy{} }, arrivals + 2},
+		{"store+rebalance+chaos", func(*Config) {}, 2*arrivals + 2},
+	} {
+		cfg := fleetChaosConfig()
+		tc.config(&cfg)
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := streamBarriers(t, c, workload.SliceSource(reqs), StreamConfig{Shards: 4}); got != tc.want {
+			t.Errorf("%s: %d barriers over %d arrivals, want %d", tc.name, got, arrivals, tc.want)
 		}
 	}
 }

@@ -43,9 +43,10 @@
 //     pluggable request router (round-robin, least-loaded,
 //     prefix-affinity). One serve loop, three horizon policies:
 //     Serve routes on estimates (batch), ServeOnline against live
-//     replica state at every arrival, ServeStream against epoch
-//     snapshots over a streamed workload; fleet and chaos configs
-//     run under the last two.
+//     replica state at every arrival, ServeStream over a streamed
+//     workload — with no horizon for a load-oblivious router, against
+//     epoch snapshots for one that reads loads; fleet and chaos
+//     configs run under the last two.
 //
 // Quick start:
 //
