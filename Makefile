@@ -253,6 +253,13 @@ vet:
 # groupPrefix) and copies it into each prompt, so a
 # fillTokens(prompt[:prefixLen] or fillTokens(prompt[:sharedPrefix] in
 # non-test internal/workload is the per-request refill again.
+# And what a layer type keeps has one formula, model.Spec.KVBytes (the
+# cost model, the PagedAttention baseline and the §3.2 waste analysis
+# read it), so a case model.SlidingWindow or model.PyramidWindow in
+# non-test code outside internal/model and internal/core is a second
+# copy of the window clamp again; and image tokens have one counter,
+# core.CountImages, so a .Image() call in non-test internal/ outside
+# internal/core is a per-token modality walk again.
 # (The token's four bytes need no grep: internal/core pins them at
 # compile time.)
 guard:
@@ -285,6 +292,8 @@ guard:
 	@files=$$(ls internal/engine/*.go | grep -v '_test\.go$$'); out=$$(awk '/^func \(e \*Engine\) policyView\(/,/^}/' $$files | grep -nE 'for .*e\.running'); if [ -n "$$out" ] || ! grep -q '^func (e \*Engine) policyView(' $$files; then echo "policyView loops over the running set again (its Running is the running set's own summaries, runSet), or policyView is gone from non-test internal/engine:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'func( [a-z][A-Za-z0-9_]*)?\([^)]*[A-Za-z_] ReqInfo[,)]' internal/sched --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "an unexported comparator in internal/sched takes a ReqInfo by value again (the built-ins read the View's summaries through pointers):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn -e 'fillTokens(prompt\[:prefixLen\]' -e 'fillTokens(prompt\[:sharedPrefix\]' internal/workload --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a group's shared prefix is filled per request again in internal/workload (groupPrefix fills it once per generator):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE 'case[^:]*model\.(SlidingWindow|PyramidWindow)' . --include='*.go' | grep -v -e '_test\.go:' -e '^\./internal/model/' -e '^\./internal/core/'); if [ -n "$$out" ]; then echo "a window clamp outside internal/model and internal/core (what a layer type keeps is model.Spec.KVBytes):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn '\.Image()' internal --include='*.go' | grep -v -e '_test\.go:' -e '^internal/core/'); if [ -n "$$out" ]; then echo "a per-token image walk in non-test internal/ outside internal/core (image tokens are counted by core.CountImages):"; echo "$$out"; exit 1; fi
 
 ci: vet lint guard build test race debug chaos-smoke scale-smoke perf-smoke
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi

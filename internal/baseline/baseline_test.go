@@ -408,3 +408,127 @@ func TestJengaSharedSpecDecode(t *testing.T) {
 		t.Errorf("draft group usage = %+v, want 8×128 used", g)
 	}
 }
+
+// scopedMambaMini has a Mamba group over text only beside an
+// image-scoped cross group: a sequence needs the state only once a text
+// token arrives.
+func scopedMambaMini() *model.Spec {
+	return &model.Spec{
+		Name: "scoped-mamba-mini", Params: 1000, WeightBytes: 2, HiddenSize: 8,
+		Groups: []model.KVGroup{
+			{Name: "attn", Kind: model.FullAttention, Layers: 1, BytesPerToken: 128},
+			{Name: "cross", Kind: model.CrossAttention, Layers: 1, BytesPerToken: 64, Scope: model.ScopeImage},
+			{Name: "mamba", Kind: model.Mamba, Layers: 2, StateBytes: 1024, Scope: model.ScopeText},
+		},
+	}
+}
+
+// kvBytesByToken is Spec.KVBytes's reference: every token, image ones
+// first, is added to each group whose scope stores it, and a window
+// group stops counting at its window. Mamba groups hold their state at
+// any context; vision embeddings hold nothing.
+func kvBytesByToken(spec *model.Spec, text, image int) int64 {
+	held := make([]int, len(spec.Groups))
+	for i := 0; i < image+text; i++ {
+		for gi := range spec.Groups {
+			g := &spec.Groups[gi]
+			if !g.StoresToken(i < image) {
+				continue
+			}
+			if (g.Kind == model.SlidingWindow || g.Kind == model.PyramidWindow) && held[gi] == g.Window {
+				continue
+			}
+			held[gi]++
+		}
+	}
+	var total int64
+	for gi := range spec.Groups {
+		g := &spec.Groups[gi]
+		switch g.Kind {
+		case model.Mamba:
+			total += int64(g.StateBytes) * int64(g.Layers)
+		case model.VisionEmbedding:
+		default:
+			total += int64(held[gi]) * int64(g.BytesPerToken) * int64(g.Layers)
+		}
+	}
+	return total
+}
+
+// TestKVBytesMatchesPerTokenReference runs Spec.KVBytes — what the cost
+// model charges a decode step, what the §3.2 analysis and this
+// baseline's Used call needed — against the per-token reference over
+// every zoo spec and this package's test specs, at context 0 and on
+// both sides of every window, text only, image only and mixed.
+func TestKVBytesMatchesPerTokenReference(t *testing.T) {
+	specs := append(model.All(), mllamaMini(), windowMini(), jambaMini(), scopedMambaMini(), miniDraft())
+	for _, spec := range specs {
+		counts := []int{0, 1, 7}
+		for i := range spec.Groups {
+			if w := spec.Groups[i].Window; w > 0 {
+				counts = append(counts, w-1, w, w+1)
+			}
+		}
+		for _, n := range counts {
+			for _, c := range [][2]int{{n, 0}, {0, n}, {n, n}, {n, 3}} {
+				if got, want := spec.KVBytes(c[0], c[1]), kvBytesByToken(spec, c[0], c[1]); got != want {
+					t.Errorf("%s: KVBytes(%d text, %d image) = %d, want %d", spec.Name, c[0], c[1], got, want)
+				}
+			}
+		}
+	}
+	// Pinned decode reads: Ministral's 27 window layers clamp at 32,768
+	// tokens; Jamba reads its 28 Mamba states beside 4 attention layers;
+	// LLaVA's vision embeddings are prefill inputs and read nothing.
+	llava := model.LLaVAOneVision7B()
+	self := llava.Group("self")
+	for _, c := range []struct {
+		spec        *model.Spec
+		text, image int
+		want        int64
+	}{
+		{model.Ministral8B(), 90_000, 0, int64(90_000)*4096*9 + int64(32_768)*4096*27},
+		{model.Jamba52B(), 1000, 0, int64(1000)*4096*4 + int64(1344*4096)*28},
+		{llava, 400, 600, int64(1000) * int64(self.BytesPerToken) * int64(self.Layers)},
+	} {
+		if got := c.spec.KVBytes(c.text, c.image); got != c.want {
+			t.Errorf("%s: KVBytes(%d, %d) = %d, want %d", c.spec.Name, c.text, c.image, got, c.want)
+		}
+	}
+}
+
+// TestPagedScopedMambaWaitsForItsModality: a Mamba group scoped to text
+// needs no state while a sequence holds only image tokens, and its
+// static slot counts as waste until the first text token commits. The
+// numbers are the per-group token walk's that Spec.KVBytes replaced.
+func TestPagedScopedMambaWaitsForItsModality(t *testing.T) {
+	p, err := NewPaged(Config{Spec: scopedMambaMini(), CapacityBytes: 1 << 20, TokensPerPage: 2, MaxSeqs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := seqMixed(1, 6, 5)
+	check := func(step string, used, wasted, attnUsed, attnWasted, poolUsed int64) {
+		t.Helper()
+		u := conserved(t, p)
+		attn, pool := u.PerGroup[FlattenedGroupName], u.PerGroup["mamba-pool"]
+		if u.Used != used || u.Wasted != wasted || attn.Used != attnUsed || attn.Wasted != attnWasted ||
+			pool.Used != poolUsed || pool.Wasted != 2*2048-poolUsed {
+			t.Errorf("%s: used %d wasted %d, flat %+v, pool %+v; want used %d wasted %d, flat used %d wasted %d, pool used %d",
+				step, u.Used, u.Wasted, attn, pool, used, wasted, attnUsed, attnWasted, poolUsed)
+		}
+	}
+	check("idle", 0, 4096, 0, 0, 0)
+	if err := p.Reserve(s, 6, 1); err != nil {
+		t.Fatal(err)
+	}
+	check("six image tokens reserved", 0, 5248, 0, 1152, 0)
+	p.Commit(s, 6, 1)
+	check("image prefix committed", 1152, 4096, 1152, 0, 0)
+	if err := p.Reserve(s, 11, 2); err != nil {
+		t.Fatal(err)
+	}
+	p.Commit(s, 11, 2)
+	check("five text tokens committed", 3840, 2560, 1792, 512, 2048)
+	p.Release(s, false)
+	check("released", 0, 4096, 0, 0, 0)
+}

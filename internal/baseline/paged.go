@@ -49,18 +49,6 @@ func Flatten(spec *model.Spec) *model.Spec {
 	return flat
 }
 
-// mambaBytesPerSeq returns the per-sequence recurrent state footprint.
-func mambaBytesPerSeq(spec *model.Spec) int64 {
-	var b int64
-	for i := range spec.Groups {
-		g := &spec.Groups[i]
-		if g.Kind == model.Mamba {
-			b += int64(g.StateBytes) * int64(g.Layers)
-		}
-	}
-	return b
-}
-
 // Config configures the PagedAttention baseline.
 type Config struct {
 	// Spec is the true (heterogeneous) model architecture.
@@ -77,13 +65,12 @@ type Config struct {
 	MaxSeqs int
 }
 
-// seqTrack records what a live sequence actually needs, per true group,
-// so the baseline's waste (allocated-but-dead KV) can be measured.
+// seqTrack is what the baseline knows of a live sequence: how many of
+// its text and image tokens hold KV, from which the true architecture's
+// need follows (Spec.KVBytes), and whether it holds a static Mamba slot.
 type seqTrack struct {
-	seen      int   // full tokens consumed by the tracker
-	proj      []int // per-true-group projected committed counts
-	needed    int64 // ideal bytes per the true architecture
-	mambaSlot bool
+	text, image int
+	mambaSlot   bool
 }
 
 // Paged is the PagedAttention baseline manager.
@@ -91,12 +78,17 @@ type Paged struct {
 	spec  *model.Spec
 	inner *core.Jenga
 
-	mambaPerSeq int64
-	mambaSlots  int
+	// mambaPerSeq is a sequence's Mamba states, all groups; mambaText
+	// and mambaImage are the part of it in groups scoped to one
+	// modality, which a sequence needs only once it holds a token of
+	// that modality.
+	mambaPerSeq, mambaText, mambaImage int64
+	mambaSlots                         int
 
-	seqs        map[core.RequestID]*seqTrack
-	neededAttn  int64
-	activeMamba int
+	seqs map[core.RequestID]seqTrack
+	// attnNeeded and mambaNeeded sum need over the live sequences.
+	attnNeeded, mambaNeeded int64
+	activeMamba             int
 }
 
 var _ core.Manager = (*Paged)(nil)
@@ -109,7 +101,8 @@ func NewPaged(cfg Config) (*Paged, error) {
 	if cfg.MaxSeqs == 0 {
 		cfg.MaxSeqs = 64
 	}
-	perSeq := mambaBytesPerSeq(cfg.Spec)
+	// At zero context a spec keeps only its Mamba states.
+	perSeq := cfg.Spec.KVBytes(0, 0)
 	slots := 0
 	var pool int64
 	if perSeq > 0 {
@@ -130,13 +123,27 @@ func NewPaged(cfg Config) (*Paged, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Paged{
+	p := &Paged{
 		spec:        cfg.Spec,
 		inner:       inner,
 		mambaPerSeq: perSeq,
 		mambaSlots:  slots,
-		seqs:        make(map[core.RequestID]*seqTrack),
-	}, nil
+		seqs:        make(map[core.RequestID]seqTrack),
+	}
+	for i := range cfg.Spec.Groups {
+		g := &cfg.Spec.Groups[i]
+		if g.Kind != model.Mamba {
+			continue
+		}
+		state := int64(g.StateBytes) * int64(g.Layers)
+		switch g.Scope {
+		case model.ScopeText:
+			p.mambaText += state
+		case model.ScopeImage:
+			p.mambaImage += state
+		}
+	}
+	return p, nil
 }
 
 // Lookup implements core.Manager.
@@ -148,26 +155,26 @@ func (p *Paged) CachedPrefix(seq *core.Sequence) int { return p.inner.CachedPref
 // Reserve implements core.Manager. For Mamba models a static slot must
 // be available — the vLLM v0.6.3 static-partition behavior.
 func (p *Paged) Reserve(seq *core.Sequence, upTo int, now core.Tick) error {
-	tr := p.track(seq)
-	if p.mambaPerSeq > 0 && !tr.mambaSlot {
+	if tr := p.seqs[seq.ID]; p.mambaPerSeq > 0 && !tr.mambaSlot {
 		if p.activeMamba >= p.mambaSlots {
 			return core.ErrNoSpace
 		}
 		tr.mambaSlot = true
 		p.activeMamba++
+		p.seqs[seq.ID] = tr
 	}
 	if err := p.inner.Reserve(seq, upTo, now); err != nil {
 		return err
 	}
 	// A prefix hit skips tokens without a Commit call; account for them.
-	p.advance(seq, tr, p.inner.CachedPrefix(seq))
+	p.advance(seq, p.inner.CachedPrefix(seq))
 	return nil
 }
 
 // Commit implements core.Manager.
 func (p *Paged) Commit(seq *core.Sequence, upTo int, now core.Tick) {
 	p.inner.Commit(seq, upTo, now)
-	p.advance(seq, p.track(seq), upTo)
+	p.advance(seq, upTo)
 }
 
 // Release implements core.Manager.
@@ -177,7 +184,9 @@ func (p *Paged) Release(seq *core.Sequence, cache bool) {
 	if !ok {
 		return
 	}
-	p.neededAttn -= tr.needed
+	attn, mamba := p.need(tr)
+	p.attnNeeded -= attn
+	p.mambaNeeded -= mamba
 	if tr.mambaSlot {
 		p.activeMamba--
 	}
@@ -202,63 +211,46 @@ func (p *Paged) Footprint(seq *core.Sequence) int64 {
 
 // Capacity implements core.Manager.
 func (p *Paged) Capacity() int64 {
-	return p.inner.Capacity() + p.mambaPerSeq*int64(p.mambaSlots)
+	return p.inner.Capacity() + p.mambaPool()
 }
 
 // Stats exposes the inner allocator's counters.
 func (p *Paged) Stats() core.Stats { return p.inner.Stats() }
 
-// track returns (creating if needed) the sequence tracker.
-func (p *Paged) track(seq *core.Sequence) *seqTrack {
-	tr, ok := p.seqs[seq.ID]
-	if !ok {
-		tr = &seqTrack{proj: make([]int, len(p.spec.Groups))}
-		p.seqs[seq.ID] = tr
+// need is what a sequence needs per the true architecture, split into
+// attention KV and Mamba states: nothing before its first token, and a
+// Mamba group scoped to one modality needs its state only once a token
+// of that modality arrives.
+func (p *Paged) need(tr seqTrack) (attn, mamba int64) {
+	if tr.text+tr.image == 0 {
+		return 0, 0
 	}
-	return tr
+	mamba = p.mambaPerSeq
+	if tr.text == 0 {
+		mamba -= p.mambaText
+	}
+	if tr.image == 0 {
+		mamba -= p.mambaImage
+	}
+	return p.spec.KVBytes(tr.text, tr.image) - p.mambaPerSeq, mamba
 }
 
-// advance updates the per-true-group needed-bytes accounting through
-// full-token position upTo.
-func (p *Paged) advance(seq *core.Sequence, tr *seqTrack, upTo int) {
-	if upTo <= tr.seen {
+// advance moves seq's committed counts through full-token position
+// upTo and the running sums with them.
+func (p *Paged) advance(seq *core.Sequence, upTo int) {
+	tr := p.seqs[seq.ID]
+	seen := tr.text + tr.image
+	if upTo <= seen {
 		return
 	}
-	head, tail := seq.Span(tr.seen, upTo)
-	for gi := range p.spec.Groups {
-		g := &p.spec.Groups[gi]
-		if g.Kind == model.VisionEmbedding {
-			continue
-		}
-		add := 0
-		for _, part := range [2][]core.Token{head, tail} {
-			for _, t := range part {
-				if g.StoresToken(t.Image()) {
-					add++
-				}
-			}
-		}
-		if add == 0 {
-			continue
-		}
-		old := tr.proj[gi]
-		tr.proj[gi] = old + add
-		var inc int64
-		unit := int64(g.BytesPerToken) * int64(g.Layers)
-		switch g.Kind {
-		case model.SlidingWindow, model.PyramidWindow:
-			inc = int64(min(tr.proj[gi], g.Window)-min(old, g.Window)) * unit
-		case model.Mamba:
-			if old == 0 {
-				inc = int64(g.StateBytes) * int64(g.Layers)
-			}
-		default:
-			inc = int64(add) * unit
-		}
-		tr.needed += inc
-		p.neededAttn += inc
-	}
-	tr.seen = upTo
+	attn, mamba := p.need(tr)
+	img := core.CountImages(seq.Span(seen, upTo))
+	tr.image += img
+	tr.text += upTo - seen - img
+	nextAttn, nextMamba := p.need(tr)
+	p.attnNeeded += nextAttn - attn
+	p.mambaNeeded += nextMamba - mamba
+	p.seqs[seq.ID] = tr
 }
 
 // Usage implements core.Manager. The inner manager reports every
@@ -267,19 +259,19 @@ func (p *Paged) advance(seq *core.Sequence, tr *seqTrack, upTo int) {
 // stored in layers of the other modality, idle Mamba slots) as waste —
 // the quantity Fig. 16 plots in red.
 func (p *Paged) Usage() core.Usage {
-	t := p.totals(p.inner.UsageTotals())
-	u := t.u
+	in := p.inner.UsageTotals()
+	u, deadAttn := p.totals(in)
 	u.PerGroup = map[string]core.GroupUsage{
 		FlattenedGroupName: {
-			Used:   t.attnNeeded,
+			Used:   p.attnNeeded,
 			Cached: u.Cached,
-			Wasted: t.deadAttn + t.inWasted,
+			Wasted: deadAttn + in.Wasted,
 		},
 	}
 	if p.mambaPerSeq > 0 {
 		u.PerGroup["mamba-pool"] = core.GroupUsage{
-			Used:   t.mambaNeeded,
-			Wasted: t.mambaPool - t.mambaNeeded,
+			Used:   p.mambaNeeded,
+			Wasted: p.mambaPool() - p.mambaNeeded,
 		}
 	}
 	return u
@@ -287,41 +279,22 @@ func (p *Paged) Usage() core.Usage {
 
 // UsageTotals implements core.Manager (the PerGroup-free hot-path form).
 func (p *Paged) UsageTotals() core.Usage {
-	return p.totals(p.inner.UsageTotals()).u
-}
-
-// pagedTotals carries the re-labeled snapshot plus the intermediate
-// quantities Usage's PerGroup breakdown reports.
-type pagedTotals struct {
-	u                                            core.Usage
-	attnNeeded, mambaNeeded, mambaPool, deadAttn int64
-	inWasted                                     int64
+	u, _ := p.totals(p.inner.UsageTotals())
+	return u
 }
 
 // totals folds the inner manager's aggregates into the baseline's
-// re-labeled view.
-func (p *Paged) totals(in core.Usage) pagedTotals {
-	t := pagedTotals{mambaPool: p.mambaPerSeq * int64(p.mambaSlots), inWasted: in.Wasted}
-	for _, tr := range p.seqs {
-		for gi := range p.spec.Groups {
-			g := &p.spec.Groups[gi]
-			if g.Kind == model.Mamba {
-				if tr.proj[gi] > 0 {
-					t.mambaNeeded += int64(g.StateBytes) * int64(g.Layers)
-				}
-			}
-		}
-	}
-	t.attnNeeded = p.neededAttn - t.mambaNeeded
-	t.deadAttn = in.Used - t.attnNeeded
-	if t.deadAttn < 0 {
-		t.deadAttn = 0
-	}
-	t.u = core.Usage{
-		Used:   t.attnNeeded + t.mambaNeeded,
+// re-labeled view, and returns the committed KV no live sequence needs
+// (deadAttn), which Usage's PerGroup breakdown reports.
+func (p *Paged) totals(in core.Usage) (u core.Usage, deadAttn int64) {
+	deadAttn = max(in.Used-p.attnNeeded, 0)
+	return core.Usage{
+		Used:   p.attnNeeded + p.mambaNeeded,
 		Cached: in.Cached,
-		Wasted: t.deadAttn + in.Wasted + (t.mambaPool - t.mambaNeeded),
+		Wasted: deadAttn + in.Wasted + p.mambaPool() - p.mambaNeeded,
 		Free:   in.Free,
-	}
-	return t
+	}, deadAttn
 }
+
+// mambaPool is the static Mamba partition's size.
+func (p *Paged) mambaPool() int64 { return p.mambaPerSeq * int64(p.mambaSlots) }

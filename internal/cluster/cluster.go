@@ -22,9 +22,9 @@
 // never (Serve, and ServeStream with a load-oblivious built-in router:
 // routers see estimate-drained loads, Load.Live false), at every
 // arrival (ServeOnline, and any fleet or chaos config: live per-arrival
-// state, fleet store, migration, crash recovery), or at every
-// SnapshotEvery of simulated time (ServeStream with a router that reads
-// loads: epoch snapshots). Engines are goroutine-confined to their
+// state, fleet store, migration, crash recovery), or every 10 ms of
+// simulated time (ServeStream with a router that reads loads: epoch
+// snapshots). Engines are goroutine-confined to their
 // shard; the router touches them only inside a barrier section, after
 // every shard has acked. Retired prompts go back to a recycling source
 // through per-shard locked lists, with no barrier.

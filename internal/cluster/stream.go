@@ -12,23 +12,14 @@ import (
 	"jenga/internal/workload"
 )
 
-// StreamConfig tunes ServeStream's sharded event loops.
+// StreamConfig tunes ServeStream's sharded event loops. The epoch
+// length of a router that reads loads is not a setting: it is
+// snapshotEvery.
 type StreamConfig struct {
 	// Shards is the number of replica event-loop goroutines; replica i
 	// runs on shard i mod Shards. 0 or negative defaults to 1; values
 	// above the replica count are clamped (an empty shard is useless).
 	Shards int
-	// SnapshotEvery is the load-snapshot epoch length K in simulated
-	// time for a router that reads loads (LeastLoaded, or any custom
-	// Router): replicas publish their SnapshotTotals at every multiple
-	// of K, and the router reads those epoch snapshots instead of
-	// force-advancing all engines per arrival. Smaller K is fresher
-	// load state but more synchronization; 0 defaults to 10ms. It does
-	// not apply to a load-oblivious built-in router (PrefixAffinity,
-	// RoundRobin), which runs with no snapshots at all, nor to a
-	// cluster with a fleet or chaos config, which synchronizes at every
-	// arrival (those mechanisms are defined per arrival).
-	SnapshotEvery time.Duration
 }
 
 const (
@@ -43,8 +34,18 @@ const (
 	// an epoch's arrivals at that rate (~20 per shard per 10 ms), so the
 	// load-aware path rarely blocks inside an epoch either, and one
 	// depth serves every horizon.
-	mailboxDepth         = 32
-	defaultSnapshotEvery = 10 * time.Millisecond
+	mailboxDepth = 32
+	// snapshotEvery is the load-snapshot epoch length K in simulated
+	// time for a router that reads loads (LeastLoaded, or any custom
+	// Router): replicas publish their SnapshotTotals at every multiple
+	// of K, and the router reads those epoch snapshots instead of
+	// force-advancing all engines per arrival. Smaller K is fresher load
+	// state but more synchronization. It does not apply to a
+	// load-oblivious built-in router (PrefixAffinity, RoundRobin), which
+	// runs with no snapshots at all, nor to a cluster with a fleet or
+	// chaos config, which synchronizes at every arrival (those
+	// mechanisms are defined per arrival).
+	snapshotEvery = 10 * time.Millisecond
 )
 
 // streamCmd is one shard-mailbox entry: a routed arrival (horizon
@@ -348,35 +349,32 @@ func (c *Cluster) routeAll(p *pass, src workload.Source, every time.Duration) er
 // the ServeOnline request sequence — per-replica results are
 // bit-identical to ServeOnline's at any shard count. A router that reads
 // loads (least-loaded, or any custom Router) reads snapshots published
-// every SnapshotEvery of simulated time instead of force-advancing every
-// engine at every arrival — O(replicas × epochs) snapshot work instead
-// of O(replicas × arrivals) — and sees epoch-stale state (staleness <
-// K), so its placements are statistically — not bit — equivalent. A
-// cluster with a fleet or chaos config keeps ServeOnline's every-arrival
-// horizon (that is what those mechanisms are defined against), so it
-// matches ServeOnline exactly and gains only the streamed source and
-// bounded aggregation.
+// every K = 10 ms of simulated time (snapshotEvery) instead of
+// force-advancing every engine at every arrival — O(replicas × epochs)
+// snapshot work instead of O(replicas × arrivals) — and sees
+// epoch-stale state (staleness < K), so its placements are
+// statistically — not bit — equivalent. A cluster with a fleet or chaos
+// config keeps ServeOnline's every-arrival horizon (that is what those
+// mechanisms are defined against), so it matches ServeOnline exactly
+// and gains only the streamed source and bounded aggregation.
 //
 // Arrivals must be non-decreasing (PoissonSource guarantees this).
 // Latency percentiles come from log-bucketed histograms (≤ ~4.5%
 // relative error, exact min/max); every count, rate and sum in the
 // Result is exact.
 func (c *Cluster) ServeStream(src workload.Source, sc StreamConfig) (*Result, error) {
-	return c.drive(c.newPass(), src, sc.Shards, c.streamHorizon(sc.SnapshotEvery), false)
+	return c.drive(c.newPass(), src, sc.Shards, c.streamHorizon(), false)
 }
 
 // streamHorizon is ServeStream's horizon policy: every arrival for a
 // fleet or chaos config, none for a load-oblivious built-in router, and
-// epochs of snapshotEvery (default 10ms) otherwise.
-func (c *Cluster) streamHorizon(snapshotEvery time.Duration) time.Duration {
+// epochs of snapshotEvery otherwise.
+func (c *Cluster) streamHorizon() time.Duration {
 	if c.cfg.Fleet.enabled() || c.cfg.Chaos.enabled() {
 		return horizonEveryArrival
 	}
 	if _, ok := c.router.(loadOblivious); ok {
 		return horizonNever
-	}
-	if snapshotEvery <= 0 {
-		return defaultSnapshotEvery
 	}
 	return snapshotEvery
 }

@@ -177,7 +177,7 @@ func TestServeStreamShardCountInvariant(t *testing.T) {
 func streamBarriers(t *testing.T, c *Cluster, src workload.Source, sc StreamConfig) int {
 	t.Helper()
 	p := c.newPass()
-	if _, err := c.drive(p, src, sc.Shards, c.streamHorizon(sc.SnapshotEvery), false); err != nil {
+	if _, err := c.drive(p, src, sc.Shards, c.streamHorizon(), false); err != nil {
 		t.Fatal(err)
 	}
 	return p.barriers
@@ -205,7 +205,7 @@ func TestStreamBarriersPerHorizon(t *testing.T) {
 		if !ok {
 			break
 		}
-		if e := int64(r.Arrival / defaultSnapshotEvery); e > epoch {
+		if e := int64(r.Arrival / snapshotEvery); e > epoch {
 			epoch = e
 			epochs++
 		}
@@ -270,8 +270,8 @@ func TestServeStreamLeastLoadedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stream, err = streamCluster(t, 4, LeastLoaded).ServeStream(workload.SliceSource(reqs),
-			StreamConfig{Shards: 4, SnapshotEvery: time.Millisecond})
+		c := streamCluster(t, 4, LeastLoaded)
+		stream, err = c.drive(c.newPass(), workload.SliceSource(reqs), 4, time.Millisecond, false)
 		if err != nil {
 			t.Fatal(err)
 		}

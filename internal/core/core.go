@@ -64,6 +64,22 @@ func (t Token) Image() bool { return t.ID < 0 }
 // Content returns t's content identity, in [0, 1<<31).
 func (t Token) Content() int32 { return t.ID &^ tokenImageBit }
 
+// CountImages counts the image tokens in parts, summing their sign bits
+// without a branch: CountImages(prompt), or CountImages(seq.Span(lo,
+// hi)) for a sequence's [lo, hi). It is the one image-token count
+// outside core's own token walks.
+//
+//jenga:hotpath
+func CountImages(parts ...[]Token) int {
+	n := 0
+	for _, part := range parts {
+		for _, t := range part {
+			n += int(uint32(t.ID) >> 31)
+		}
+	}
+	return n
+}
+
 // Sequence is the manager-facing view of one request.
 type Sequence struct {
 	// ID must be unique among concurrently live sequences.

@@ -244,24 +244,9 @@ func countScope(g *group, seq *Sequence, lo, hi int) int {
 	case model.ScopeAll:
 		return hi - lo
 	case model.ScopeImage:
-		return countImages(seq, lo, hi)
+		return CountImages(seq.Span(lo, hi))
 	}
-	return hi - lo - countImages(seq, lo, hi)
-}
-
-// countImages counts the image tokens in seq's [lo, hi), summing their
-// sign bits without a branch.
-//
-//jenga:hotpath
-func countImages(seq *Sequence, lo, hi int) int {
-	head, tail := seq.Span(lo, hi)
-	n := 0
-	for _, part := range [2][]Token{head, tail} {
-		for _, t := range part {
-			n += int(uint32(t.ID) >> 31)
-		}
-	}
-	return n
+	return hi - lo - CountImages(seq.Span(lo, hi))
 }
 
 // Footprint implements Manager: what admitting seq would newly occupy —
@@ -1165,7 +1150,7 @@ func (m *Jenga) EncodeImages(seq *Sequence, uptoFull int, now Tick) error {
 			rg.visCursor = uptoFull
 			continue
 		}
-		images := countImages(seq, rg.visCursor, uptoFull)
+		images := CountImages(seq.Span(rg.visCursor, uptoFull))
 		rg.pages = m.growTable(g, rg.pages, (rg.visProj+images+g.tpp-1)/g.tpp, seq)
 		// Image runs fill their blocks a page at a time: left counts down
 		// to the current block's end. The first token of a block finds
@@ -1235,7 +1220,7 @@ func (m *Jenga) DropImages(seq *Sequence, uptoFull int) {
 			uptoFull = seq.Len()
 		}
 		if rg.dropCursor < uptoFull {
-			rg.dropProj += countImages(seq, rg.dropCursor, uptoFull)
+			rg.dropProj += CountImages(seq.Span(rg.dropCursor, uptoFull))
 		}
 		rg.dropCursor = uptoFull
 		fullBlocksBelow := rg.dropProj / g.tpp

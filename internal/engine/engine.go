@@ -343,16 +343,10 @@ func (r *run) remaining() int {
 // commitTo advances computed to n: tokens [computed, n) join the
 // committed text and image counts, and the high-water mark follows.
 func (r *run) commitTo(n int) {
-	head, tail := r.seq.Span(r.computed, max(min(n, r.seq.Len()), r.computed))
-	for _, part := range [2][]core.Token{head, tail} {
-		for _, t := range part {
-			if t.Image() {
-				r.ctxImg++
-			} else {
-				r.ctxText++
-			}
-		}
-	}
+	hi := max(min(n, r.seq.Len()), r.computed)
+	img := core.CountImages(r.seq.Span(r.computed, hi))
+	r.ctxImg += img
+	r.ctxText += hi - r.computed - img
 	r.computed = n
 	r.everComputed = max(r.everComputed, n)
 }
@@ -796,7 +790,7 @@ func (e *Engine) runStep() bool {
 		decodeLeft -= pass
 		decodeBatch++
 		work.DecodeSeqs += pass
-		work.KVReadBytes += gpu.DecodeKVReadBytesSplit(e.cfg.Spec, r.ctxText, r.ctxImg)
+		work.KVReadBytes += e.cfg.Spec.KVBytes(r.ctxText, r.ctxImg)
 	}
 
 	// Phase 2: prefill chunks for running prefill-phase sequences.
@@ -1042,7 +1036,9 @@ func (e *Engine) schedulePrefill(r *run, budget int, now core.Tick, work *gpu.St
 		default:
 			// No embedding cache: the encoder re-runs for every chunk
 			// that still needs image embeddings (§7.4 / Fig. 18).
-			if e.imagesRemaining(r) {
+			// Generated tokens are text, so image tokens are left to
+			// prefill exactly when fewer than the prompt's are committed.
+			if r.ctxImg < images {
 				encoderTokens = images
 			}
 		}
@@ -1107,22 +1103,12 @@ func (e *Engine) schedulePrefill(r *run, budget int, now core.Tick, work *gpu.St
 	}
 	computeTokens := target - r.computed
 	work.PrefillTokens += computeTokens
-	work.KVReadBytes += gpu.DecodeKVReadBytesSplit(e.cfg.Spec, r.ctxText, r.ctxImg)
+	work.KVReadBytes += e.cfg.Spec.KVBytes(r.ctxText, r.ctxImg)
 	if computeTokens == 0 {
 		// Nothing to compute (full-prompt hit): commit advances state.
 		return 1
 	}
 	return computeTokens
-}
-
-// imagesRemaining reports whether un-prefilled image tokens remain.
-func (e *Engine) imagesRemaining(r *run) bool {
-	for i := r.computed; i < r.promptLen(); i++ {
-		if r.req.Prompt[i].Image() {
-			return true
-		}
-	}
-	return false
 }
 
 // reserveWithPreemption tries to reserve KV for r, recompute-

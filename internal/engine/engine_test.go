@@ -262,6 +262,24 @@ func TestVisionEncoderRuns(t *testing.T) {
 	if cached.Duration >= uncached.Duration {
 		t.Errorf("embedding cache should be faster: %v vs %v", cached.Duration, uncached.Duration)
 	}
+
+	// One request, 40 image tokens then 60 text, in chunks of 32: only
+	// the two chunks that start with image tokens left to prefill run
+	// the encoder; the text-only chunks after them do not.
+	req := workload.Request{ID: 1, OutputLen: 3}
+	for i := 0; i < 100; i++ {
+		tok := core.TextToken(int32(i + 1))
+		if i < 40 {
+			tok = core.ImageToken(int32(i + 1))
+		}
+		req.Prompt = append(req.Prompt, tok)
+	}
+	one := runEngine(t, Config{Spec: spec, Device: smallDevice(),
+		Manager: pagedFor(t, spec, 32<<20, false), MaxBatchTokens: 32,
+		Vision: VisionNone}, []workload.Request{req})
+	if one.EncoderRuns != 2 {
+		t.Errorf("uncached encoder runs for 40 image + 60 text tokens in chunks of 32 = %d, want 2", one.EncoderRuns)
+	}
 }
 
 // TestVisionReuseKVZeroVisionMemory: strategy B keeps vision memory at

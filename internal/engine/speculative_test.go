@@ -324,7 +324,7 @@ func TestSpeculativeStepPricing(t *testing.T) {
 				t.Fatalf("first token at %v, want target + draft prefill = %v", ev.Clock, clock)
 			}
 		case EventToken:
-			clock += target.StepTime(gpu.StepWork{DecodeSeqs: SpecK + 1, KVReadBytes: gpu.DecodeKVReadBytesSplit(pair, ctx, 0)}) +
+			clock += target.StepTime(gpu.StepWork{DecodeSeqs: SpecK + 1, KVReadBytes: pair.KVBytes(ctx, 0)}) +
 				SpecK*draft.StepTime(gpu.StepWork{DecodeSeqs: 1})
 			if ev.Clock != clock {
 				t.Fatalf("burst ending at %d generated: clock %v, want %v", ev.Generated, ev.Clock, clock)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"jenga/internal/baseline"
 	"jenga/internal/core"
 	"jenga/internal/gpu"
 	"jenga/internal/model"
@@ -59,46 +60,15 @@ func WasteAnalysis(w io.Writer, opt Options) error {
 
 // analyticWaste computes 1 − needed/allocated for one request under
 // flat PagedAttention allocation (§3.2's formula generalized to every
-// layer kind).
+// layer kind): the true architecture needs spec.KVBytes, and the
+// baseline allocates the flattened spec's KV plus one Mamba state per
+// group — all a spec keeps at zero context.
 func analyticWaste(spec *model.Spec, text, image int) float64 {
-	var allocated, needed float64
-	perTokFlat := 0
-	for i := range spec.Groups {
-		g := &spec.Groups[i]
-		if g.Kind == model.Mamba || g.Kind == model.VisionEmbedding {
-			continue
-		}
-		perTokFlat += g.BytesPerToken * g.Physical()
-	}
-	allocated = float64((text + image) * perTokFlat)
-	for i := range spec.Groups {
-		g := &spec.Groups[i]
-		proj := 0
-		if g.StoresToken(false) {
-			proj += text
-		}
-		if g.StoresToken(true) {
-			proj += image
-		}
-		switch g.Kind {
-		case model.Mamba:
-			needed += float64(g.StateBytes * g.Layers)
-			allocated += float64(g.StateBytes * g.Layers)
-		case model.SlidingWindow, model.PyramidWindow:
-			if proj > g.Window {
-				proj = g.Window
-			}
-			needed += float64(proj * g.BytesPerToken * g.Layers)
-		case model.VisionEmbedding:
-			// Not stored by PagedAttention.
-		default:
-			needed += float64(proj * g.BytesPerToken * g.Layers)
-		}
-	}
+	allocated := baseline.Flatten(spec).KVBytes(text, image) + spec.KVBytes(0, 0)
 	if allocated == 0 {
 		return 0
 	}
-	return 1 - needed/allocated
+	return 1 - float64(spec.KVBytes(text, image))/float64(allocated)
 }
 
 // measuredWaste runs one request through the baseline manager and

@@ -218,45 +218,3 @@ func (d Device) LinkTime(bytes int64) time.Duration {
 	}
 	return time.Duration(float64(bytes) / bw * float64(time.Second))
 }
-
-// DecodeKVReadBytesSplit returns the attention KV traffic of one
-// decode step for a sequence with the given committed (text, image)
-// token counts: each group's context follows from its scope, and each
-// group reads what its dependency pattern requires — full layers the
-// whole prefix, window layers min(ctx, window), Mamba its state. The
-// engine tracks the two counts incrementally per sequence.
-func DecodeKVReadBytesSplit(spec *model.Spec, text, img int) int64 {
-	var total int64
-	for i := range spec.Groups {
-		g := &spec.Groups[i]
-		var ctx int
-		switch g.Scope {
-		case model.ScopeText:
-			ctx = text
-		case model.ScopeImage:
-			ctx = img
-		default:
-			ctx = text + img
-		}
-		total += groupKVReadBytes(g, ctx)
-	}
-	return total
-}
-
-// groupKVReadBytes is one group's decode read traffic at context ctx.
-func groupKVReadBytes(g *model.KVGroup, ctx int) int64 {
-	switch g.Kind {
-	case model.Mamba:
-		return int64(g.StateBytes) * int64(g.Layers)
-	case model.SlidingWindow, model.PyramidWindow:
-		if ctx > g.Window {
-			ctx = g.Window
-		}
-		return int64(ctx) * int64(g.BytesPerToken) * int64(g.Layers)
-	case model.VisionEmbedding:
-		// Embeddings are consumed by prefill, not decode.
-		return 0
-	default:
-		return int64(ctx) * int64(g.BytesPerToken) * int64(g.Layers)
-	}
-}

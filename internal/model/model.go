@@ -264,6 +264,39 @@ func (s *Spec) TotalLayers() int {
 	return n
 }
 
+// KVBytes returns the KV an architecture keeps for a context of text
+// text tokens and image image tokens. Each group reads the tokens in
+// its scope: full layers keep all of them, window layers the last
+// Window, a Mamba group one state (at any context, zero included) and
+// a vision-embedding group nothing, since prefill consumes embeddings.
+// It is what one decode step reads (the cost model) and what a manager
+// needs to hold for the context (§3.2's waste, the PagedAttention
+// baseline's Used).
+func (s *Spec) KVBytes(text, image int) int64 {
+	var total int64
+	for i := range s.Groups {
+		g := &s.Groups[i]
+		ctx := text + image
+		switch g.Scope {
+		case ScopeText:
+			ctx = text
+		case ScopeImage:
+			ctx = image
+		}
+		switch g.Kind {
+		case Mamba:
+			total += int64(g.StateBytes) * int64(g.Layers)
+			continue
+		case VisionEmbedding:
+			continue
+		case SlidingWindow, PyramidWindow:
+			ctx = min(ctx, g.Window)
+		}
+		total += int64(ctx) * int64(g.BytesPerToken) * int64(g.Layers)
+	}
+	return total
+}
+
 // Validate checks structural invariants of the spec.
 func (s *Spec) Validate() error {
 	if s.Name == "" {

@@ -58,15 +58,7 @@ type Request struct {
 }
 
 // PromptImages counts image tokens in the prompt.
-func (r *Request) PromptImages() int {
-	n := 0
-	for _, t := range r.Prompt {
-		if t.Image() {
-			n++
-		}
-	}
-	return n
-}
+func (r *Request) PromptImages() int { return core.CountImages(r.Prompt) }
 
 // Gen is a deterministic request generator.
 type Gen struct {

@@ -45,8 +45,8 @@
 //     Serve routes on estimates (batch), ServeOnline against live
 //     replica state at every arrival, ServeStream over a streamed
 //     workload — with no horizon for a load-oblivious router, against
-//     epoch snapshots for one that reads loads; fleet and chaos
-//     configs run under the last two.
+//     load snapshots taken every 10 ms of simulated time for one that
+//     reads loads; fleet and chaos configs run under the last two.
 //
 // Quick start:
 //
