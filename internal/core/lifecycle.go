@@ -743,8 +743,8 @@ func (m *Jenga) commitGroup(g *group, rg *reqGroup, sh *seqHashes, head, tail []
 	// Policies with an always-live head region (attention sinks) keep
 	// those pages held regardless of the window.
 	keep := 0
-	if ka, ok := g.pol.(KeepAlive); ok {
-		keep = ka.KeptBelow(pos)
+	if g.keep != nil {
+		keep = g.keep.KeptBelow(pos)
 	}
 	for b := rg.demotedBlocks; b < fullBlocksBelow; b++ {
 		if rg.pages[b].held {
@@ -1035,8 +1035,8 @@ func (g *group) claimSpan(pl int) (head, lo, nb int) {
 		return 0, 0, 0
 	}
 	lo, nb = g.pol.AccessedFrom(pl)/g.tpp, pl/g.tpp
-	if ka, ok := g.pol.(KeepAlive); ok {
-		head = min((ka.KeptBelow(pl)+g.tpp-1)/g.tpp, lo)
+	if g.keep != nil {
+		head = min((g.keep.KeptBelow(pl)+g.tpp-1)/g.tpp, lo)
 	}
 	return head, lo, nb
 }

@@ -134,6 +134,10 @@ type group struct {
 	idx  int
 	spec model.KVGroup
 	pol  Policy
+	// keep is pol's KeepAlive extension, nil when it has none: resolved
+	// once here, since an interface assertion on the hot path may grow
+	// the runtime's type-assertion cache (a heap allocation) at random.
+	keep KeepAlive
 	view *arena.View
 
 	smallBytes int // small-page size
@@ -418,6 +422,7 @@ func New(cfg Config) (*Jenga, error) {
 			pages:      make([]page, ar.NumLargePages()*geo.Ratio[gs.Name]),
 			assocTop:   make(map[RequestID]arena.SmallPageID),
 		}
+		g.keep, _ = pol.(KeepAlive)
 		if cfg.RequestAware && g.ratio > 1 {
 			g.links = make([]assocLink, len(g.pages))
 			for p := range g.links {

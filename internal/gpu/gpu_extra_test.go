@@ -25,6 +25,17 @@ func TestKVBudgetReserveFraction(t *testing.T) {
 	}
 }
 
+// TestDecodeKVReadSkipsVision: vision-embedding groups contribute no
+// decode-time KV traffic (embeddings are prefill inputs).
+func TestDecodeKVReadSkipsVision(t *testing.T) {
+	spec := model.LLaVAOneVision7B()
+	got := spec.KVBytes(400, 600)
+	want := int64(1000) * int64(spec.Group("self").BytesPerToken) * int64(spec.Group("self").Layers)
+	if got != want {
+		t.Errorf("kv read = %d, want %d (vision must not count)", got, want)
+	}
+}
+
 // TestStepTimeExtraWeightBytes: a draft model riding along adds its
 // weight traffic to the bandwidth term.
 func TestStepTimeExtraWeightBytes(t *testing.T) {

@@ -102,3 +102,21 @@ func TestEncoderCost(t *testing.T) {
 		t.Error("vision encoder must add time")
 	}
 }
+
+// TestDecodeKVReadBytes: the per-sequence decode read the engine puts
+// into StepWork.KVReadBytes is Spec.KVBytes — full layers the whole
+// prefix, window layers min(ctx, window), Mamba its state.
+func TestDecodeKVReadBytes(t *testing.T) {
+	spec := model.Ministral8B()
+	got := spec.KVBytes(90_000, 0)
+	want := int64(90_000)*4096*9 + int64(32_768)*4096*27
+	if got != want {
+		t.Errorf("kv read = %d, want %d", got, want)
+	}
+	j := model.Jamba52B()
+	got = j.KVBytes(1000, 0)
+	want = int64(1000)*4096*4 + int64(1344*4096)*28
+	if got != want {
+		t.Errorf("jamba kv read = %d, want %d", got, want)
+	}
+}
