@@ -5,7 +5,7 @@ GO ?= go
 # Pinned staticcheck (matches the CI step; bump both together).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race debug bench bench-json bench-scale bench-smoke chaos-smoke scale-smoke perf-smoke fuzz lint guard staticcheck fmt vet loc ci
+.PHONY: build test race debug bench bench-json bench-scale bench-smoke chaos-smoke scale-smoke perf-smoke fuzz lint guard staticcheck fmt vet loc loc-check ci
 
 build:
 	$(GO) build ./...
@@ -30,7 +30,8 @@ race:
 # path's borrowed views — a page set, a fetch list, a fetch report's
 # holders — are scribbled when they lapse and a page set its holder
 # voided panics on import, under which a released host-tier pin is
-# scribbled so a restore reading through it panics, and
+# scribbled so a restore reading through it panics, under which each
+# Lookup's longest valid prefix is recomputed by the linear scan, and
 # under which every scheduler View the engine hands out has its waiting
 # and running entries checked against a fresh fill. One -short pass over core, the
 # packages that lend and borrow, and the scheduler matrix (sched, serve)
@@ -142,11 +143,26 @@ fmt:
 # Non-test Go lines per package directory and in total (testdata/ and
 # the benchmark's .bench_build/ left out), then the total without
 # cmd/jengaperf — the counts ROADMAP.md quotes. Informational: nothing
-# fails on a number.
+# fails on a number; loc-check does.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' -not -path '*/testdata/*' -not -path './.bench_build/*' -exec wc -l {} + | \
 	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1; if (d !~ /^\.\/cmd\/jengaperf/) u += $$1 } \
 	END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n%6d total without cmd/jengaperf\n", t, u }'
+
+# Line ceilings (part of `make ci`): LOC holds each package's ceiling,
+# in loc's format. A package over its ceiling fails, and so does one
+# more than 50 lines under it, so a cut is banked by lowering the line
+# in the same diff; a package with no line in LOC, or a line for a
+# package that is gone, fails too. A PR that must grow a package raises
+# its line and says why in CHANGES.md.
+loc-check:
+	@$(MAKE) -s loc | awk 'FNR == NR { ceil[$$2] = $$1; next } \
+	$$2 == "total" { next } \
+	{ seen[$$2] = 1 } \
+	!($$2 in ceil) { printf "loc-check: %s has %d lines and no ceiling in LOC\n", $$2, $$1; bad = 1; next } \
+	$$1 > ceil[$$2] { printf "loc-check: %s has %d lines, over its ceiling of %d\n", $$2, $$1, ceil[$$2]; bad = 1 } \
+	$$1 < ceil[$$2] - 50 { printf "loc-check: %s has %d lines, %d under its ceiling of %d: lower the line in LOC\n", $$2, $$1, ceil[$$2] - $$1, ceil[$$2]; bad = 1 } \
+	END { for (d in ceil) if (!(d in seen)) { printf "loc-check: LOC names %s, which has no Go lines\n", d; bad = 1 }; exit bad }' LOC -
 
 vet:
 	$(GO) vet ./...
@@ -295,5 +311,5 @@ guard:
 	@out=$$(grep -rnE 'case[^:]*model\.(SlidingWindow|PyramidWindow)' . --include='*.go' | grep -v -e '_test\.go:' -e '^\./internal/model/' -e '^\./internal/core/'); if [ -n "$$out" ]; then echo "a window clamp outside internal/model and internal/core (what a layer type keeps is model.Spec.KVBytes):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn '\.Image()' internal --include='*.go' | grep -v -e '_test\.go:' -e '^internal/core/'); if [ -n "$$out" ]; then echo "a per-token image walk in non-test internal/ outside internal/core (image tokens are counted by core.CountImages):"; echo "$$out"; exit 1; fi
 
-ci: vet lint guard build test race debug chaos-smoke scale-smoke perf-smoke
+ci: vet lint guard loc-check build test race debug chaos-smoke scale-smoke perf-smoke
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi

@@ -139,7 +139,7 @@ func (m *Jenga) cacheAdd(L arena.LargePageID, ts Tick, expired bool) {
 func (m *Jenga) cacheRemove(L arena.LargePageID, pg *page) {
 	lp := &m.large[L]
 	lp.cached--
-	if pg.expired {
+	if pg.has(pageExpired) {
 		lp.expired--
 	}
 	if lp.cached == 0 {
@@ -163,7 +163,8 @@ func (m *Jenga) pageToUsed(g *group, id arena.SmallPageID, req RequestID) {
 			g.unlinkAssoc(id) // while its link still names the stack
 		}
 		pg.filled, pg.dead = 0, 0
-		g.hash[id], pg.complete, pg.hashed = 0, false, false
+		g.hash[id] = 0
+		pg.set(pageComplete|pageHashed, false)
 	case pageCached:
 		// Re-claimed prefix-cache page: its content is a full valid
 		// block for the claimant, so dead slots reset.
@@ -173,7 +174,7 @@ func (m *Jenga) pageToUsed(g *group, id arena.SmallPageID, req RequestID) {
 		g.nCached--
 		m.cacheRemove(L, pg)
 		pg.dead = 0
-		pg.expired = false
+		pg.set(pageExpired, false)
 		g.filledSlots += int64(pg.filled)
 		m.cacheGen++
 	default:
@@ -195,7 +196,8 @@ func (m *Jenga) pageToUsed(g *group, id arena.SmallPageID, req RequestID) {
 //jenga:hotpath
 func (m *Jenga) publish(g *group, id arena.SmallPageID) {
 	pg := &g.pages[id]
-	if pg.hashed = g.index.put(id); pg.hashed {
+	if g.index.put(id) {
+		pg.set(pageHashed, true)
 		m.cacheGen++
 	}
 }
@@ -234,16 +236,16 @@ func (m *Jenga) pageRelease(g *group, id arena.SmallPageID, cache bool, exitTS T
 	m.large[L].used--
 	g.filledSlots -= int64(pg.filled)
 	g.deadSlots -= int64(pg.dead)
-	if cache && pg.complete && !pg.hashed {
+	if cache && pg.has(pageComplete) && !pg.has(pageHashed) {
 		// The block was computed while another page owned the index
 		// entry for the same content; publish now if the slot freed up.
 		m.publish(g, id)
 	}
-	if cache && pg.hashed {
+	if cache && pg.has(pageHashed) {
 		m.cacheGen++
 		pg.status = pageCached
 		pg.lastAccess = exitTS
-		pg.expired = expired
+		pg.set(pageExpired, expired)
 		g.nCached++
 		m.cacheAdd(L, exitTS, expired)
 		if g.smallQueued() {
@@ -269,14 +271,13 @@ func (m *Jenga) pageRelease(g *group, id arena.SmallPageID, cache bool, exitTS T
 //jenga:hotpath
 func (m *Jenga) pageToEmpty(g *group, id arena.SmallPageID) {
 	pg := &g.pages[id]
-	if pg.hashed {
+	if pg.has(pageHashed) {
 		g.index.del(id)
-		pg.hashed = false
 		m.cacheGen++
 	}
 	pg.status = pageEmpty
 	pg.filled, pg.dead = 0, 0
-	pg.complete = false
+	pg.set(pageComplete|pageHashed, false)
 	g.free.add(id)
 	if g.stacked() {
 		// The associated request may be long gone, but a preempted
@@ -454,7 +455,7 @@ func (m *Jenga) takeFreshLarge(g *group, req RequestID) (arena.SmallPageID, bool
 		pg := &g.pages[id]
 		pg.status = pageEmpty
 		pg.ref, pg.filled, pg.dead = 0, 0, 0
-		pg.hashed = false
+		pg.set(pageHashed, false)
 		g.free.add(id)
 		if g.stacked() {
 			g.links[id].req = req
@@ -511,7 +512,7 @@ func (m *Jenga) evictOneSmall(g *group) bool {
 	for g.evict.len() > 0 {
 		e := g.evict.pop()
 		pg := &g.pages[e.id]
-		if pg.status != pageCached || pg.lastAccess != e.ts || pg.priority != e.prio || pg.expired != e.expired {
+		if pg.status != pageCached || pg.lastAccess != e.ts || pg.priority != e.prio || pg.has(pageExpired) != e.expired {
 			continue // stale
 		}
 		m.evictCached(g, e.id)

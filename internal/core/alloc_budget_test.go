@@ -81,8 +81,9 @@ func TestEvictCycleZeroAlloc(t *testing.T) {
 			// with a live page.
 			hash++
 			pg := &text.pages[id]
-			text.hash[id], pg.complete, pg.hashed = uint64(hash%(4*largePages))+1, true, true
-			pg.filled = int32(text.tpp)
+			text.hash[id] = uint64(hash%(4*largePages)) + 1
+			pg.set(pageComplete|pageHashed, true)
+			pg.filled = uint8(text.tpp)
 			text.filledSlots += int64(text.tpp)
 			if !text.index.put(id) {
 				t.Fatalf("hash %d still indexed when its successor is published", text.hash[id])
@@ -161,7 +162,7 @@ func TestStructSizes(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"page", unsafe.Sizeof(page{}), 32},
+		{"page", unsafe.Sizeof(page{}), 24},
 		{"assocLink", unsafe.Sizeof(assocLink{}), 16},
 		{"largePage", unsafe.Sizeof(largePage{}), 16},
 		{"pageEntry", unsafe.Sizeof(pageEntry{}), 24},
@@ -199,8 +200,8 @@ func TestPageMetadataBytes(t *testing.T) {
 		capacity int64
 		limit    float64
 	}{
-		{"one-group text", text, 16, 64 << 20, 70},
-		{"churn", churnSpec(), 4, 0, 345},
+		{"one-group text", text, 16, 64 << 20, 62},
+		{"churn", churnSpec(), 4, 0, 305},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			geo, err := c.spec.Geometry(c.tpp)

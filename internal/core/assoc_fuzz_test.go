@@ -138,7 +138,8 @@ func fuzzAssocStacks(t *testing.T, data []byte) {
 		if cached {
 			// A block-boundary commit: complete, content never seen before.
 			hash++
-			g.hash[id], pg.complete, pg.filled = hash, true, int32(g.tpp)
+			g.hash[id], pg.filled = hash, uint8(g.tpp)
+			pg.set(pageComplete, true)
 			g.filledSlots += int64(g.tpp)
 		}
 		if g != kv {

@@ -61,7 +61,7 @@ func trueLargeKey(m *Jenga, L arena.LargePageID) (largeEntry, bool) {
 	for i := 0; i < n; i++ {
 		if pg := &g.pages[first+arena.SmallPageID(i)]; pg.status == pageCached {
 			e.ts = max(e.ts, pg.lastAccess)
-			e.expired = e.expired && pg.expired
+			e.expired = e.expired && pg.has(pageExpired)
 		}
 	}
 	return e, true

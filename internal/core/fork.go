@@ -148,7 +148,7 @@ func (m *Jenga) forkCopyPage(g *group, id arena.SmallPageID, req RequestID) (are
 	np.filled = old.filled
 	np.dead = old.dead
 	g.hash[nid] = g.hash[id]
-	np.complete = old.complete
+	np.set(pageComplete, old.has(pageComplete))
 	np.priority = old.priority
 	np.lastAccess = old.lastAccess
 	g.filledSlots += int64(old.filled)

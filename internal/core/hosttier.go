@@ -680,12 +680,12 @@ func (m *Jenga) spillLarge(L arena.LargePageID, now Tick) bool {
 	for i := 0; i < n; i++ {
 		id := first + arena.SmallPageID(i)
 		pg := &g.pages[id]
-		if pg.status != pageCached || !pg.hashed {
+		if pg.status != pageCached || !pg.has(pageHashed) {
 			continue
 		}
 		hb := hostBlock{
 			priority: pg.priority,
-			filled:   pg.filled,
+			filled:   int32(pg.filled),
 		}
 		if m.ar.Backed() {
 			// The tier copies the bytes into the slot it stores them in.
@@ -728,10 +728,10 @@ func (m *Jenga) restoreBlock(g *group, hb *hostBlock, hash uint64, req RequestID
 		return 0, false
 	}
 	pg := &g.pages[id]
-	pg.filled = hb.filled
+	pg.filled = uint8(hb.filled)
 	g.filledSlots += int64(hb.filled)
 	g.hash[id] = hash
-	pg.complete = true
+	pg.set(pageComplete, true)
 	pg.priority = hb.priority
 	pg.lastAccess = now
 	m.publish(g, id)

@@ -60,7 +60,7 @@ func stampPages(t *testing.T, m *Jenga, seq *Sequence) map[uint64]byte {
 				continue
 			}
 			pg := &g.pages[rg.pages[b].id]
-			if !pg.complete {
+			if !pg.has(pageComplete) {
 				continue
 			}
 			buf, err := g.view.SmallSlice(rg.pages[b].id)

@@ -202,14 +202,14 @@ func (m *Jenga) checkQueued(g *group) error {
 		}
 		id := arena.SmallPageID(i)
 		if g.smallQueued() {
-			want := pageEntry{id: id, ts: pg.lastAccess, prio: pg.priority, expired: pg.expired}
+			want := pageEntry{id: id, ts: pg.lastAccess, prio: pg.priority, expired: pg.has(pageExpired)}
 			if got, ok := g.evict.at(i); !ok || got != want {
 				return fmt.Errorf("cached page %d: small-page queue holds %+v (%v), its key is %+v", id, got, ok, want)
 			}
 			continue
 		}
 		L := g.view.LargeOf(id)
-		want := largeEntry{id: L, ts: pg.lastAccess, expired: pg.expired}
+		want := largeEntry{id: L, ts: pg.lastAccess, expired: pg.has(pageExpired)}
 		if got, ok := m.largeEvict.at(int(L)); !ok || got != want {
 			return fmt.Errorf("cached page %d: large-page queue holds %+v (%v) for its large page, its key is %+v", id, got, ok, want)
 		}
@@ -339,7 +339,7 @@ func (m *Jenga) checkHashes() error {
 				if g.spec.Kind == model.Mamba {
 					k = rg.ckptPos(g, i)/g.spec.Checkpoint() - 1
 				}
-				if ref.held && g.pages[ref.id].complete && (k >= len(hashes) || g.hash[ref.id] != hashes[k]) {
+				if ref.held && g.pages[ref.id].has(pageComplete) && (k >= len(hashes) || g.hash[ref.id] != hashes[k]) {
 					return fmt.Errorf("core: request %d, group %s, entry %d of %d in its record: held complete page %d has hash %x",
 						id, g.spec.Name, k, len(hashes), ref.id, g.hash[ref.id])
 				}
@@ -467,7 +467,7 @@ func checkPrefixIndex(g *group) error {
 	hashed := 0
 	for id := range g.pages {
 		pg := &g.pages[id]
-		if !pg.hashed {
+		if !pg.has(pageHashed) {
 			continue
 		}
 		hashed++
@@ -482,7 +482,7 @@ func checkPrefixIndex(g *group) error {
 		return fmt.Errorf("index counts %d entries, %d pages hashed", g.index.len(), hashed)
 	}
 	return g.index.check(func(id arena.SmallPageID) error {
-		if id < 0 || int(id) >= len(g.pages) || !g.pages[id].hashed {
+		if id < 0 || int(id) >= len(g.pages) || !g.pages[id].has(pageHashed) {
 			return fmt.Errorf("index entry names page %d, which owns none", id)
 		}
 		return nil
@@ -630,4 +630,25 @@ func (m *Jenga) mustHold() {
 	if err := m.CheckInvariants(); err != nil {
 		panic(err)
 	}
+}
+
+// longestValidLinear is longestValid without the skips: every
+// candidate from maxP down is tried in turn, rejected where a token
+// group's projection is not whole blocks and asked of every view's
+// policy otherwise. A jengadebug build checks each Lookup's answer
+// against it.
+func longestValidLinear(views []lookupView, maxP int) int {
+candidates:
+	for p := maxP; p > 0; p-- {
+		for _, gv := range views {
+			if gv.g.spec.Kind != model.Mamba && gv.view.ProjCount[p]%gv.g.tpp != 0 {
+				continue candidates
+			}
+			if !gv.g.pol.ValidPrefix(gv.view, p) {
+				continue candidates
+			}
+		}
+		return p
+	}
+	return 0
 }

@@ -458,12 +458,15 @@ func (m *Jenga) lookupPrefix(seq *Sequence, sh *seqHashes, by presence, peer Pee
 }
 
 // longestValid returns the longest prefix of at most maxP tokens that
-// every view's policy accepts as a hit, 0 when there is none.
+// every view's policy accepts as a hit, 0 when there is none. A view
+// that rejects a candidate names the next one (GroupSeqView.below), so
+// the scan costs O(rejections), not O(tokens between maxP and the hit).
 //
 //jenga:hotpath
 func longestValid(views []lookupView, maxP int) int {
+	p := maxP
 candidates:
-	for p := maxP; p > 0; p-- {
+	for p > 0 {
 		for _, gv := range views {
 			// Hit prefixes must project to whole blocks in every token
 			// group so claiming is block-exact. ProjCount falls by at
@@ -471,17 +474,24 @@ candidates:
 			// over a whole block can be aligned.
 			if gv.g.spec.Kind != model.Mamba {
 				if over := gv.view.ProjCount[p] % gv.g.tpp; over != 0 {
-					p -= over - 1
+					p -= over
 					continue candidates
 				}
 			}
+			gv.view.miss = -1
 			if !gv.g.pol.ValidPrefix(gv.view, p) {
+				p = gv.view.below(p)
 				continue candidates
 			}
 		}
-		return p
+		break
 	}
-	return 0
+	if debug.On {
+		if want := longestValidLinear(views, maxP); p != want {
+			check(false, "longestValid found %d, the linear scan %d", p, want)
+		}
+	}
+	return p
 }
 
 // lookupView pairs a group with its Lookup view; lookupPrefix reuses
@@ -764,9 +774,9 @@ func (m *Jenga) commitGroup(g *group, rg *reqGroup, sh *seqHashes, head, tail []
 	// Dead slots in the boundary block share a page with live slots.
 	if db := freeBelow % g.tpp; db > 0 && fullBlocksBelow < len(rg.pages) && rg.pages[fullBlocksBelow].held {
 		pg := &g.pages[rg.pages[fullBlocksBelow].id]
-		if int32(db) > pg.dead {
-			g.deadSlots += int64(int32(db) - pg.dead)
-			pg.dead = int32(db)
+		if db > int(pg.dead) {
+			g.deadSlots += int64(db - int(pg.dead))
+			pg.dead = uint8(db)
 		}
 	}
 }
@@ -802,11 +812,11 @@ func (m *Jenga) commitRun(g *group, rg *reqGroup, sh *seqHashes, pos, n int, now
 		}
 		take := min(left, n)
 		pg := &g.pages[rg.pages[b].id]
-		pg.filled += int32(take)
+		pg.filled += uint8(take)
 		g.filledSlots += int64(take)
 		pos, n = pos+take, n-take
 		if left -= take; left == 0 {
-			pg.complete = true
+			pg.set(pageComplete, true)
 			if sh != nil {
 				ch := &sh.c[g.hclass]
 				g.hash[rg.pages[b].id] = ch.hashes[b]
@@ -832,7 +842,7 @@ func (m *Jenga) finalizeCheckpoint(g *group, rg *reqGroup, ch *classHashes, i in
 	}
 	k := rg.ckptPos(g, i)/g.spec.Checkpoint() - 1
 	g.hash[id] = ch.hashes[k]
-	pg.complete = true
+	pg.set(pageComplete, true)
 	pg.priority = g.pol.BlockPriority(i, g.runKey(ch, k))
 	pg.lastAccess = now
 	m.publish(g, id)
@@ -1058,7 +1068,7 @@ func (m *Jenga) claimBlocks(g *group, rg *reqGroup, req RequestID, hashes []uint
 			continue
 		}
 		pg := &g.pages[id]
-		check(pg.hashed && g.hash[id] == hash, "claim: stale index entry")
+		check(pg.has(pageHashed) && g.hash[id] == hash, "claim: stale index entry")
 		switch pg.status {
 		case pageCached:
 			m.pageToUsed(g, id, req)
@@ -1119,7 +1129,7 @@ func (m *Jenga) claimMamba(g *group, rg *reqGroup, hash uint64, pl int, now Tick
 			lp.ts = now
 		}
 		if g.smallQueued() {
-			g.evict.push(pageEntry{id: id, ts: now, prio: pg.priority, expired: pg.expired})
+			g.evict.push(pageEntry{id: id, ts: now, prio: pg.priority, expired: pg.has(pageExpired)})
 		}
 		m.pushLargeCandidate(L)
 	} else {
@@ -1187,7 +1197,7 @@ func (m *Jenga) EncodeImages(seq *Sequence, uptoFull int, now Tick) error {
 				}
 				take := k - j
 				pg := &g.pages[rg.pages[b].id]
-				pg.filled += int32(take)
+				pg.filled += uint8(take)
 				g.filledSlots += int64(take)
 				rg.visProj += take
 				if left -= take; left == 0 {

@@ -17,7 +17,8 @@ type Config struct {
 	// CapacityBytes is the KV-cache memory budget (weights and runtime
 	// reserve already subtracted by the caller).
 	CapacityBytes int64
-	// TokensPerPage is the token-group page granularity (default 16).
+	// TokensPerPage is the token-group page granularity (default 16,
+	// at most 255).
 	TokensPerPage int
 	// EnablePrefixCache keeps released pages as evictable cache and
 	// publishes block hashes.
@@ -75,30 +76,52 @@ const (
 	pageCached                   // valid KV, unreferenced, evictable
 )
 
-// page is per-small-page metadata, 32 bytes: the wide fields first, the
-// flags packed at the end (TestStructSizes pins it). The page's block
-// hash is kept beside it, in group.hash, and its free-stack link, where
-// the group keeps stacks, in group.links.
+// page is per-small-page metadata, 24 bytes: the wide fields first,
+// the byte-wide counters and flags packed at the end (TestStructSizes
+// pins it). The page's block hash is kept beside it, in group.hash, and
+// its free-stack link, where the group keeps stacks, in group.links.
 type page struct {
 	// lastAccess and priority order eviction (§5.1).
 	lastAccess Tick
 	priority   int64
 	ref        int32
-	// filled is the number of token slots written (≤ tokensPerPage).
-	filled int32
+	// filled is the number of token slots written (≤ tokensPerPage,
+	// which Config.Validate bounds by the field's range).
+	filled uint8
 	// dead is the number of filled slots whose KV the architecture no
 	// longer needs but that share the page with live slots.
-	dead     int32
-	status   pageStatus
-	complete bool
-	// hashed reports the page owns the prefix index entry for its hash
-	// (group.hash), which must not change while it does.
-	hashed bool
-	// expired marks cached pages holding KV outside the architecture's
-	// dependency horizon (out-of-window tokens). §3.3: such pages are
-	// prioritized for eviction over any in-window page, regardless of
-	// recency.
-	expired bool
+	dead   uint8
+	status pageStatus
+	flags  pageFlags
+}
+
+// pageFlags are a page's one-bit states, read and written through
+// page.has and page.set.
+type pageFlags uint8
+
+const (
+	// pageComplete marks a page whose block is fully written.
+	pageComplete pageFlags = 1 << iota
+	// pageHashed reports the page owns the prefix index entry for its
+	// hash (group.hash), which must not change while it does.
+	pageHashed
+	// pageExpired marks cached pages holding KV outside the
+	// architecture's dependency horizon (out-of-window tokens). §3.3:
+	// such pages are prioritized for eviction over any in-window page,
+	// regardless of recency.
+	pageExpired
+)
+
+// has reports whether every flag in f is set.
+func (pg *page) has(f pageFlags) bool { return pg.flags&f == f }
+
+// set sets the flags in f when on, and clears them otherwise.
+func (pg *page) set(f pageFlags, on bool) {
+	if on {
+		pg.flags |= f
+	} else {
+		pg.flags &^= f
+	}
 }
 
 // assocLink is a small page's place in the request-aware free stacks
@@ -331,6 +354,10 @@ func (c Config) Validate() error {
 	}
 	if c.TokensPerPage < 0 {
 		return &ConfigError{"core.Config", "TokensPerPage", fmt.Sprintf("%d is negative", c.TokensPerPage)}
+	}
+	// A page counts its filled and dead slots in uint8s (page).
+	if c.TokensPerPage > math.MaxUint8 {
+		return &ConfigError{"core.Config", "TokensPerPage", fmt.Sprintf("%d is more than a page's slot counters hold (%d)", c.TokensPerPage, math.MaxUint8)}
 	}
 	geo, err := c.Spec.Geometry(cmp.Or(c.TokensPerPage, 16))
 	if err != nil {

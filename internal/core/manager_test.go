@@ -96,7 +96,7 @@ func audit(t *testing.T, m *Jenga) {
 				used++
 			case pageCached:
 				cached++
-				if pg.expired {
+				if pg.has(pageExpired) {
 					expired++
 				}
 				if pg.lastAccess > maxTS {
@@ -163,7 +163,7 @@ func audit(t *testing.T, m *Jenga) {
 					if pg.ref != 0 {
 						t.Fatalf("group %s: cached page with refs", g.spec.Name)
 					}
-					if !pg.hashed {
+					if !pg.has(pageHashed) {
 						t.Fatalf("group %s: cached page without index entry", g.spec.Name)
 					}
 				case pageEmpty:
@@ -256,6 +256,7 @@ func TestNewErrors(t *testing.T) {
 		{"nil spec", valid(func(c *Config) { c.Spec = nil }), "Spec"},
 		{"invalid spec", valid(func(c *Config) { c.Spec.Groups[0].Layers = 0 }), "Spec"},
 		{"negative tokens per page", valid(func(c *Config) { c.TokensPerPage = -1 }), "TokensPerPage"},
+		{"tokens per page past a page's uint8 counters", valid(func(c *Config) { c.TokensPerPage = 256 }), "TokensPerPage"},
 		{"capacity below one large page", valid(func(c *Config) { c.CapacityBytes = large - 1 }), "CapacityBytes"},
 		{"negative capacity", valid(func(c *Config) { c.CapacityBytes = -1 }), "CapacityBytes"},
 		{"negative host tier", valid(func(c *Config) { c.HostTierBytes = -1 }), "HostTierBytes"},

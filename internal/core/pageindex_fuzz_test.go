@@ -54,7 +54,7 @@ func FuzzPageIndex(f *testing.F) {
 			pg := &pages[id]
 			switch b >> 6 {
 			case 0, 1:
-				if pg.hashed {
+				if pg.has(pageHashed) {
 					continue // an indexed page's hash does not change
 				}
 				g.hash[id], pg.status = hash, pageUsed
@@ -62,14 +62,15 @@ func FuzzPageIndex(f *testing.F) {
 				if !dup {
 					ref[hash] = id
 				}
-				if pg.hashed = ix.put(id); pg.hashed == dup {
-					t.Fatalf("op %d: put(page %d, %x) = %v with the hash held: %v", i, id, hash, pg.hashed, dup)
+				pg.set(pageHashed, ix.put(id))
+				if pg.has(pageHashed) == dup {
+					t.Fatalf("op %d: put(page %d, %x) = %v with the hash held: %v", i, id, hash, pg.has(pageHashed), dup)
 				}
 			case 2:
-				if pg.hashed {
+				if pg.has(pageHashed) {
 					ix.del(id)
 					delete(ref, g.hash[id])
-					pg.hashed = false
+					pg.set(pageHashed, false)
 				}
 			default:
 				got, ok := ix.get(hash)

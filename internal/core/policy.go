@@ -17,6 +17,8 @@ package core
 //     hold KV the architecture will never read again and can be freed
 //     or demoted to evictable cache.
 
+import "slices"
+
 // Policy customizes prefix caching and eviction for one layer type.
 type Policy interface {
 	// AccessedFrom returns the lowest projected position whose KV the
@@ -29,6 +31,15 @@ type Policy interface {
 	FreeBelow(projLen int) int
 	// ValidPrefix reports whether a model-wide prefix of p full-sequence
 	// tokens is a valid cache hit for this layer type.
+	//
+	// Lookup asks it at falling p. When v.RangeCached failures reject p,
+	// every shorter prefix whose projection still reaches the highest
+	// block they found absent is skipped as rejected too. So a policy
+	// judging by RangeCached asks, at a shorter prefix, ranges that
+	// start no later and end at the projected prefix length or at a
+	// fixed bound below it, and rejects whenever they stay uncached:
+	// [0,pl), [pl−W,pl) and [0,min(S,pl)) all qualify. A rejection with
+	// no failed range (CheckpointAt, say) rules out p alone.
 	ValidPrefix(v *GroupSeqView, p int) bool
 	// BlockPriority returns the eviction tie-break value for block b.
 	// runChain is the hash-chain value at the start of the current
@@ -48,7 +59,8 @@ type KeepAlive interface {
 }
 
 // GroupSeqView is a read-only projection of one sequence onto one
-// group, built during Lookup. Policies use it to evaluate hit rules.
+// group, built during Lookup. Policies use it to evaluate hit rules;
+// RangeCached notes its misses in it for Lookup's skip.
 type GroupSeqView struct {
 	// ProjCount[p] is the number of projected tokens among the first p
 	// full-sequence tokens (length fullLen+1).
@@ -58,45 +70,66 @@ type GroupSeqView struct {
 	// Present[k] reports whether complete block k is in the prefix
 	// cache (live page with a published hash).
 	Present []bool
-	// presentRun[k] is the number of consecutive present blocks ending
-	// at k (0 when block k is absent).
-	presentRun []int
+	// nextAbsent[k] is the lowest absent block at or after k,
+	// len(Present) when every block from k on is present.
+	nextAbsent []int
+	// miss is the highest block a failed RangeCached found absent since
+	// Lookup last reset it to -1 (the lowest absent block of each failed
+	// range).
+	miss int
 	// CheckpointAt reports whether a Mamba state checkpoint exists at
 	// exactly projPos projected tokens. Nil for non-Mamba groups.
 	CheckpointAt func(projPos int) bool
 }
 
-// buildRuns fills presentRun from Present, reusing its capacity (views
+// buildRuns fills nextAbsent from Present, reusing its capacity (views
 // built into per-group Lookup scratch rebuild it on every call).
 func (v *GroupSeqView) buildRuns() {
-	if cap(v.presentRun) >= len(v.Present) {
-		v.presentRun = v.presentRun[:len(v.Present)]
+	n := len(v.Present)
+	if cap(v.nextAbsent) >= n {
+		v.nextAbsent = v.nextAbsent[:n]
 	} else {
-		v.presentRun = make([]int, len(v.Present))
+		v.nextAbsent = make([]int, n)
 	}
-	run := 0
-	for k, ok := range v.Present {
-		if ok {
-			run++
-		} else {
-			run = 0
+	next := n
+	for k := n - 1; k >= 0; k-- {
+		if !v.Present[k] {
+			next = k
 		}
-		v.presentRun[k] = run
+		v.nextAbsent[k] = next
 	}
 }
 
 // RangeCached reports whether projected tokens [lo, hi) are all cached,
 // at block granularity (tokens in incomplete tail blocks never count).
+// A miss records the range's lowest absent block for Lookup's skip.
 func (v *GroupSeqView) RangeCached(lo, hi int) bool {
 	if hi <= lo {
 		return true
 	}
-	firstBlock := lo / v.BlockTokens
-	lastBlock := (hi - 1) / v.BlockTokens
-	if lastBlock >= len(v.Present) {
-		return false // range extends past the last complete block
+	first, last := lo/v.BlockTokens, (hi-1)/v.BlockTokens
+	absent := first // blocks past the last complete one are never cached
+	if first < len(v.nextAbsent) {
+		absent = v.nextAbsent[first]
 	}
-	return v.presentRun[lastBlock] >= lastBlock-firstBlock+1
+	if absent > last {
+		return true
+	}
+	v.miss = max(v.miss, absent)
+	return false
+}
+
+// below returns the next Lookup candidate after the view's policy
+// rejected prefix p: the longest shorter prefix whose projection ends
+// at or before the block the rejection recorded absent, which every
+// prefix in between still reaches (Policy.ValidPrefix's contract), or
+// p−1 when the rejection recorded none.
+func (v *GroupSeqView) below(p int) int {
+	if v.miss < 0 {
+		return p - 1
+	}
+	i, _ := slices.BinarySearch(v.ProjCount[:p], v.miss*v.BlockTokens+1)
+	return i - 1
 }
 
 // FullPolicy is classic self-attention: every prefix token is read

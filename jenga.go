@@ -104,7 +104,8 @@ type (
 	// Manager is the KV memory-management contract (Jenga and the
 	// PagedAttention baseline both implement it).
 	Manager = core.Manager
-	// ManagerConfig configures NewManager.
+	// ManagerConfig configures NewManager. TokensPerPage is at most
+	// 255: a page counts its slots in bytes.
 	ManagerConfig = core.Config
 	// JengaManager is the paper's two-level manager (extra methods:
 	// Stats, Geometry, CheckInvariants).
@@ -124,7 +125,10 @@ type (
 	Usage = core.Usage
 	// AllocStats counts allocator events.
 	AllocStats = core.Stats
-	// Policy customizes per-layer-type prefix caching (Fig. 9).
+	// Policy customizes per-layer-type prefix caching (Fig. 9). Lookup
+	// skips the shorter prefixes a ValidPrefix rejection rules out, so a
+	// policy judging by RangeCached keeps ValidPrefix's contract: a
+	// range asked at a shorter prefix never starts later.
 	Policy = core.Policy
 	// KeepAlive is the optional Policy extension for always-live head
 	// regions (attention sinks).
