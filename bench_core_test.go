@@ -2,7 +2,7 @@ package jenga_test
 
 // Core hot-path micro-benchmarks: the allocator and engine paths the
 // step loop exercises on every scheduled token. The fixtures live in
-// internal/bench and are shared with `jengabench -bench-core`, which
+// internal/bench and are shared with `jengabench -scorecard core`, which
 // commits their ns/op and allocs/op to BENCH_core.json so the perf
 // trajectory has data points and regressions surface in review. Run
 //

@@ -48,7 +48,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -56,20 +56,32 @@ func main() {
 
 // run is main behind an error return, so the profile defers fire before
 // the process exits.
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("jengabench", flag.ExitOnError)
 	var (
-		exp   = flag.String("exp", "", "experiment ID to run (or 'all')")
-		list  = flag.Bool("list", false, "list experiment IDs and scorecards")
-		scale = flag.Float64("scale", 1.0, "experiment request-count scale factor")
-		seed  = flag.Int64("seed", 42, "experiment workload seed")
-		csv   = flag.String("csv", "", "directory to also write experiment tables as CSV")
+		exp   = fs.String("exp", "", "experiment ID to run (or 'all')")
+		list  = fs.Bool("list", false, "list experiment IDs and scorecards")
+		scale = fs.Float64("scale", 1.0, "experiment request-count scale factor")
+		seed  = fs.Int64("seed", 42, "experiment workload seed")
+		csv   = fs.String("csv", "", "directory to also write experiment tables as CSV")
 
-		card       = flag.String("scorecard", "", "scorecard to run: a name from -list, or 'all' (every one but scale)")
-		benchJSON  = flag.String("bench-json", "", "directory whose BENCH_serving.json / BENCH_core.json the scorecards update")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
+		card       = fs.String("scorecard", "", "scorecard to run: a name from -list, or 'all' (every one but scale)")
+		benchJSON  = fs.String("bench-json", "", "directory whose BENCH_serving.json / BENCH_core.json the scorecards update")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile at exit to this file")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 with the usage
+	// A flag the chosen mode does not read is an error, not a no-op.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range []string{"exp", "list", "csv", "scale", "seed"} {
+		if *card != "" && set[name] {
+			return fmt.Errorf("-scorecard does not combine with -%s", name)
+		}
+	}
+	if *card == "" && set["bench-json"] {
+		return fmt.Errorf("-bench-json needs -scorecard")
+	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -96,9 +108,6 @@ func run() error {
 		}()
 	}
 	if *card != "" {
-		if *exp != "" || *list || *csv != "" {
-			return fmt.Errorf("-scorecard does not combine with -exp, -list or -csv")
-		}
 		return runScorecards(*card, *benchJSON)
 	}
 	if *list || *exp == "" {

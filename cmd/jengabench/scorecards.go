@@ -10,12 +10,14 @@ import (
 
 	"jenga/internal/bench"
 	"jenga/internal/cluster"
+	"jenga/internal/core"
 	"jenga/internal/engine"
 	"jenga/internal/gpu"
 	"jenga/internal/metrics"
 	"jenga/internal/model"
 	"jenga/internal/sched"
 	"jenga/internal/trace"
+	"jenga/internal/workload"
 )
 
 // A scorecard is a named table of measurements: one base scenario and
@@ -249,28 +251,48 @@ func scaleRow(s bench.Scenario, _ label) (row, error) {
 	return r, nil
 }
 
-// fanoutRow merges two engine-level runs of one mode: memory columns
-// from a single root with every branch live at once, traffic columns
-// from the scenario's Poisson roots.
+// fanoutRow merges two single-replica runs of one mode: memory columns
+// (peak live KV and fork counters) from one root with every branch live
+// at once, traffic columns from the scenario's Poisson roots. Naive
+// lowers each root to fanBranch independent requests; prefix caching is
+// on in both modes, so the delta is what only forking shares.
 func fanoutRow(s bench.Scenario, l label) (row, error) {
-	traffic := bench.FanoutOptions{
-		Scenario: s, ForkAfter: fanForkAfter, OutputLen: fanOutputLen, Branch: fanBranch,
-		Naive: l.Mode == "naive",
+	serve := func(roots int, rate float64) (*engine.Result, core.Stats, error) {
+		gen := workload.NewGen(s.Seed)
+		reqs := gen.FanOut(roots, s.PrefixLen, fanForkAfter, fanOutputLen, fanBranch)
+		if rate > 0 {
+			gen.PoissonArrivals(reqs, rate)
+		}
+		if l.Mode == "naive" {
+			reqs = workload.NaiveFanOut(reqs)
+		}
+		mgr, eng, err := bench.Replica{
+			Spec: s.Spec, Device: s.Device, CapacityBytes: s.CapacityBytes, PrefixCache: true,
+			Engine: engine.Config{SampleEvery: 1},
+		}.Build()
+		if err != nil {
+			return nil, core.Stats{}, err
+		}
+		res, err := eng.Run(reqs)
+		return res, mgr.(*core.Jenga).Stats(), err
 	}
-	mem := traffic
-	mem.Requests, mem.Rate = 1, 0
-	m, err := bench.RunFanout(mem)
+	m, st, err := serve(1, 0)
 	if err != nil {
 		return row{}, err
 	}
-	t, err := bench.RunFanout(traffic)
+	t, _, err := serve(s.Requests, s.Rate)
 	if err != nil {
 		return row{}, err
 	}
+	var peak int64
+	for _, sample := range m.MemTimeline {
+		peak = max(peak, sample.Usage.Used)
+	}
+	lat := t.Latency(0)
 	return row{
-		PeakKVBytes: m.PeakKVBytes, KVBytesPerBranch: m.KVBytesPerBranch,
-		Forks: m.Forks, CowCopies: m.CowCopies, CowCopyBytes: m.CowCopyBytes,
-		ReqPerSec: t.ReqPerSec, P50TTFTMs: ms(t.P50TTFT), P99TTFTMs: ms(t.P99TTFT),
+		PeakKVBytes: peak, KVBytesPerBranch: float64(peak) / fanBranch,
+		Forks: st.Forks, CowCopies: st.CowCopies, CowCopyBytes: st.CowCopyBytes,
+		ReqPerSec: t.ReqPerSec, P50TTFTMs: ms(lat.P50TTFT), P99TTFTMs: ms(lat.P99TTFT),
 		Finished: t.Finished, Failed: m.Failed + t.Failed,
 	}, nil
 }

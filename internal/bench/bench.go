@@ -1,6 +1,6 @@
 // Package bench defines the allocator/engine hot-path micro-benchmark
 // fixtures shared by the root benchmark suite (bench_core_test.go) and
-// cmd/jengabench -bench-core, so the committed BENCH_core.json
+// jengabench -scorecard core, so the committed BENCH_core.json
 // trajectory measures exactly the code paths the CI benchmarks run.
 //
 // Each fixture returns a setup-complete Op whose Run executes one
@@ -36,7 +36,7 @@ type Op struct {
 
 // Loop drives one fixture under b, excluding steady-state recycles
 // from timing and allocation accounting — the single harness behind
-// both the root benchmark suite and jengabench -bench-core, so the
+// both the root benchmark suite and jengabench -scorecard core, so the
 // committed trajectory and the CI benchmarks cannot measure different
 // regimes.
 func Loop(b *testing.B, op *Op) {
@@ -270,18 +270,9 @@ func CommitDecode() (*Op, error) {
 // wave over the same prompts, bounding context growth so the
 // measurement never drifts into preemption thrash.
 func RunStepSteadyState() (*Op, error) {
-	spec := textSpec("bench-step")
-	mgr, err := core.New(core.Config{
-		Spec: spec, CapacityBytes: 1 << 30, TokensPerPage: 16, RequestAware: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	eng, err := engine.New(engine.Config{
-		Spec: spec, Manager: mgr,
-		MaxBatchTokens: 4096, MaxRunning: 64, MaxPrefills: 8,
-		MaxSteps: 1 << 40,
-	})
+	_, eng, err := Replica{Spec: textSpec("bench-step"), CapacityBytes: 1 << 30, Engine: engine.Config{
+		MaxBatchTokens: 4096, MaxRunning: 64, MaxPrefills: 8, MaxSteps: 1 << 40,
+	}}.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -331,19 +322,10 @@ func RunStepSteadyState() (*Op, error) {
 // over the same prompts, bounding context growth as RunStepSteadyState
 // does.
 func DeepQueueStep() (*Op, error) {
-	spec := textSpec("bench-deep-queue")
-	mgr, err := core.New(core.Config{
-		Spec: spec, CapacityBytes: 1 << 30, TokensPerPage: 16, RequestAware: true,
-	})
-	if err != nil {
-		return nil, err
-	}
 	const running, waiting, ctx = 35, 650, 2048
-	eng, err := engine.New(engine.Config{
-		Spec: spec, Manager: mgr,
-		MaxBatchTokens: 4096, MaxRunning: running, MaxPrefills: 8,
-		MaxSteps: 1 << 40,
-	})
+	_, eng, err := Replica{Spec: textSpec("bench-deep-queue"), CapacityBytes: 1 << 30, Engine: engine.Config{
+		MaxBatchTokens: 4096, MaxRunning: running, MaxPrefills: 8, MaxSteps: 1 << 40,
+	}}.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -414,18 +396,9 @@ func DeepQueueStep() (*Op, error) {
 // cancels everything and launches a fresh decode and queue, bounding
 // the decode's growth.
 func BlockedAdmissionStep() (*Op, error) {
-	spec := textSpec("bench-blocked")
-	mgr, err := core.New(core.Config{
-		Spec: spec, CapacityBytes: 512 << 10, TokensPerPage: 16,
-		EnablePrefixCache: true, RequestAware: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	eng, err := engine.New(engine.Config{
-		Spec: spec, Manager: mgr, Scheduler: sched.NewPriority(),
-		MaxBatchTokens: 4096, MaxSteps: 1 << 40,
-	})
+	_, eng, err := Replica{Spec: textSpec("bench-blocked"), CapacityBytes: 512 << 10, PrefixCache: true, Engine: engine.Config{
+		Scheduler: sched.NewPriority(), MaxBatchTokens: 4096, MaxSteps: 1 << 40,
+	}}.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -513,18 +486,11 @@ func BlockedAdmissionStep() (*Op, error) {
 // amortizes into epochs. Recycle resets the fleet so the pending-queue
 // insert never drifts out of the near-empty regime routing runs in.
 func ServeOnlineArrival() (*Op, error) {
-	spec := textSpec("bench-arrival")
+	replica := Replica{Spec: textSpec("bench-arrival"), CapacityBytes: 64 << 20, PrefixCache: true}
 	const replicas = 8
 	engines := make([]*engine.Engine, replicas)
 	for i := range engines {
-		mgr, err := core.New(core.Config{
-			Spec: spec, CapacityBytes: 64 << 20, TokensPerPage: 16,
-			EnablePrefixCache: true, RequestAware: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		eng, err := engine.New(engine.Config{Spec: spec, Manager: mgr})
+		_, eng, err := replica.Build()
 		if err != nil {
 			return nil, err
 		}
@@ -676,24 +642,13 @@ type SimResult struct {
 	Wall         time.Duration
 }
 
-// SimThroughput runs a compact single-replica serving scenario (96
-// shared-prefix requests, Gemma-2 2B geometry, default Jenga manager)
-// and returns its simulated throughput plus the wall time the
-// simulation itself took — the absolute end-to-end anchor committed
-// next to the per-op numbers.
+// SimThroughput serves a compact workload (96 shared-prefix requests
+// at 200 req/s) on one Replica (Gemma-2 2B geometry, 2 GiB of Jenga
+// KV with prefix caching) and returns its simulated throughput plus
+// the wall time building and serving the replica took — the absolute
+// end-to-end anchor committed next to the per-op numbers.
 func SimThroughput() (SimResult, error) {
 	spec, err := model.ByName("gemma2-2b")
-	if err != nil {
-		return SimResult{}, err
-	}
-	mgr, err := core.New(core.Config{
-		Spec: spec, CapacityBytes: 2 << 30,
-		EnablePrefixCache: true, RequestAware: true,
-	})
-	if err != nil {
-		return SimResult{}, err
-	}
-	eng, err := engine.New(engine.Config{Spec: spec, Manager: mgr})
 	if err != nil {
 		return SimResult{}, err
 	}
@@ -701,7 +656,7 @@ func SimThroughput() (SimResult, error) {
 	reqs := gen.PrefixGroups(8, 12, 1024, 128)
 	gen.PoissonArrivals(reqs, 200)
 	start := time.Now()
-	res, err := eng.Run(reqs)
+	res, err := Replica{Spec: spec, CapacityBytes: 2 << 30, PrefixCache: true}.Serve(reqs)
 	if err != nil {
 		return SimResult{}, err
 	}

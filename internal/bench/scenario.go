@@ -7,14 +7,107 @@ import (
 	"sync/atomic"
 	"time"
 
+	"jenga/internal/baseline"
 	"jenga/internal/chaos"
 	"jenga/internal/cluster"
+	"jenga/internal/core"
 	"jenga/internal/engine"
 	"jenga/internal/gpu"
 	"jenga/internal/model"
 	"jenga/internal/sched"
 	"jenga/internal/workload"
 )
+
+// Manager is the memory manager a Replica serves under.
+type Manager int
+
+const (
+	Jenga      Manager = iota // Jenga's two-level LCM allocator
+	Paged                     // the vLLM-style PagedAttention baseline
+	VLLMMax                   // §7.4: one page size, set by the target
+	VLLMManual                // §7.4: SmartSpec's static target/draft split
+)
+
+// TokensPerPage is the page granularity of every manager a Replica
+// builds.
+const TokensPerPage = 16
+
+// Replica is one engine over one fresh memory manager. The paper runs
+// every compared memory manager under one identical engine (§7), so a
+// figure is a list of Replicas, the engine fixtures, the sim anchor and
+// the fan-out scorecard are Replicas, and Build is the one place they
+// build an engine; a fleet is a Scenario.
+type Replica struct {
+	// Spec and Device describe the replica (zero Device means H100).
+	Spec    *model.Spec
+	Device  gpu.Device
+	Manager Manager
+	// CapacityBytes is the manager's KV budget; 0 means the device's
+	// budget, gpu.KVBudget at the Reserve fraction (0 = gpu default).
+	CapacityBytes int64
+	Reserve       float64
+	// PrefixCache turns the manager's prefix caching on.
+	PrefixCache bool
+	// MaxSeqs sizes the paged baseline's Mamba pool (0 = its default).
+	MaxSeqs int
+	// Target is a speculative pair's target (Spec is the pair), which
+	// VLLMMax and VLLMManual page apart from the draft.
+	Target *model.Spec
+	// Engine holds the engine limits and policies; Build fills in the
+	// model, device and manager.
+	Engine engine.Config
+}
+
+// NewManager builds the replica's memory manager.
+func (r Replica) NewManager() (core.Manager, error) {
+	capacity := r.CapacityBytes
+	if capacity == 0 {
+		dev := r.Device
+		if dev.Name == "" {
+			dev = gpu.H100()
+		}
+		budget, err := gpu.KVBudget(r.Spec, dev, r.Reserve)
+		if err != nil {
+			return nil, err
+		}
+		capacity = budget
+	}
+	switch r.Manager {
+	case Paged:
+		return baseline.NewPaged(baseline.Config{
+			Spec: r.Spec, CapacityBytes: capacity, TokensPerPage: TokensPerPage,
+			EnablePrefixCache: r.PrefixCache, MaxSeqs: r.MaxSeqs,
+		})
+	case VLLMMax:
+		return baseline.NewVLLMMax(r.Target, r.Spec.Draft, capacity, TokensPerPage, r.PrefixCache)
+	case VLLMManual:
+		return baseline.NewVLLMManual(r.Target, r.Spec.Draft, capacity, TokensPerPage, r.PrefixCache)
+	}
+	return core.New(core.Config{
+		Spec: r.Spec, CapacityBytes: capacity, TokensPerPage: TokensPerPage,
+		EnablePrefixCache: r.PrefixCache, RequestAware: true,
+	})
+}
+
+// Build builds the replica's manager and an engine over it.
+func (r Replica) Build() (core.Manager, *engine.Engine, error) {
+	mgr, err := r.NewManager()
+	if err != nil {
+		return nil, nil, err
+	}
+	r.Engine.Spec, r.Engine.Device, r.Engine.Manager = r.Spec, r.Device, mgr
+	eng, err := engine.New(r.Engine)
+	return mgr, eng, err
+}
+
+// Serve runs reqs through a freshly built replica.
+func (r Replica) Serve(reqs []workload.Request) (*engine.Result, error) {
+	_, eng, err := r.Build()
+	if err != nil {
+		return nil, err
+	}
+	return eng.Run(reqs)
+}
 
 // Horizon selects which of the cluster's three serve entry points — the
 // three horizon policies of its one serve loop — a Scenario drives.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"jenga/internal/bench"
 	"jenga/internal/core"
 	"jenga/internal/model"
 	"jenga/internal/trace"
@@ -26,7 +27,7 @@ func AblationCheckpoint(w io.Writer, opt Options) error {
 		spec.Groups = append([]model.KVGroup{}, base.Groups...)
 		spec.Groups[1].CheckpointEvery = every
 		mgr, err := core.New(core.Config{
-			Spec: &spec, CapacityBytes: 40 << 30, TokensPerPage: tokensPerPage,
+			Spec: &spec, CapacityBytes: 40 << 30, TokensPerPage: bench.TokensPerPage,
 			EnablePrefixCache: true, RequestAware: true,
 		})
 		if err != nil {

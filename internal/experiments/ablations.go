@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"jenga/internal/bench"
 	"jenga/internal/core"
 	"jenga/internal/engine"
 	"jenga/internal/gpu"
@@ -39,7 +40,7 @@ func AblationPageSize(w io.Writer, opt Options) error {
 		mamba.StateBytes/attn.BytesPerToken, "1344")
 	facts.AddRow("per-layer LCM ratio at 16 tokens/page",
 		mamba.StateBytes/(attn.BytesPerToken*16), "84x")
-	geo, err := spec.Geometry(tokensPerPage)
+	geo, err := spec.Geometry(bench.TokensPerPage)
 	if err != nil {
 		return err
 	}
@@ -59,13 +60,13 @@ func AblationPageSize(w io.Writer, opt Options) error {
 	maxSpec.Name += "-maxpage"
 	maxSpec.Groups = append([]model.KVGroup{}, spec.Groups...)
 	mambaPage := mamba.StateBytes * mamba.Layers
-	maxSpec.Groups[0].BytesPerToken = mambaPage / (attn.Layers * tokensPerPage)
-	lcmRun := run{spec: spec, dev: dev, eng: engine.Config{KernelEfficiency: 1.0}}
+	maxSpec.Groups[0].BytesPerToken = mambaPage / (attn.Layers * bench.TokensPerPage)
+	lcmRun := bench.Replica{Spec: spec, Device: dev, Engine: engine.Config{KernelEfficiency: 1.0}}
 	maxRun, gcdRun := lcmRun, lcmRun
-	maxRun.spec = &maxSpec
+	maxRun.Spec = &maxSpec
 	// GCD: LCM-equivalent memory at reduced kernel efficiency.
-	gcdRun.eng.KernelEfficiency = 0.55
-	res, err := serveEach(load, []run{lcmRun, maxRun, gcdRun})
+	gcdRun.Engine.KernelEfficiency = 0.55
+	res, err := serveEach(load, []bench.Replica{lcmRun, maxRun, gcdRun})
 	if err != nil {
 		return fmt.Errorf("ablation-page: %w", err)
 	}

@@ -1,8 +1,8 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation (§7), shared by cmd/jengabench and the root
-// benchmark suite. Each runner builds the workload, runs every
-// compared memory manager under the identical engine, and prints the
-// same rows/series the paper reports.
+// benchmark suite. Each runner builds the workload, serves it on one
+// bench.Replica per compared memory manager — the identical engine
+// under each — and prints the same rows/series the paper reports.
 //
 // Absolute numbers come from the simulated cost model, so they differ
 // from the paper's H100/L4 measurements; the shapes — who wins, by
@@ -14,10 +14,8 @@ import (
 	"io"
 	"sort"
 
-	"jenga/internal/baseline"
-	"jenga/internal/core"
+	"jenga/internal/bench"
 	"jenga/internal/engine"
-	"jenga/internal/gpu"
 	"jenga/internal/model"
 	"jenga/internal/trace"
 	"jenga/internal/workload"
@@ -44,10 +42,6 @@ func (o Options) norm() Options {
 	}
 	return o
 }
-
-// tokensPerPage is the page granularity of every manager the
-// experiments build.
-const tokensPerPage = 16
 
 // vlmReserve is the runtime reserve fraction for VLM serving: the
 // vision encoder's activation workspace for thousands of image tokens
@@ -92,88 +86,19 @@ func IDs() []string {
 	return ids
 }
 
-// managerKind is the memory manager a run serves under.
-type managerKind int
-
-const (
-	kindJenga      managerKind = iota // Jenga's two-level LCM allocator
-	kindPaged                         // the vLLM-style PagedAttention baseline
-	kindVLLMMax                       // §7.4: one page size, set by the target
-	kindVLLMManual                    // §7.4: SmartSpec's static target/draft split
-)
-
-// run is one engine simulation of a paper experiment. The paper runs
-// every compared memory manager under one identical engine (§7), so a
-// driver is a list of runs, and this is the one place that builds their
-// managers and engines.
-type run struct {
-	spec *model.Spec
-	dev  gpu.Device
-	kind managerKind
-	// cache turns the manager's prefix caching on.
-	cache bool
-	// reserve overrides the runtime reserve fraction (0 = gpu default).
-	reserve float64
-	// maxSeqs sizes the paged baseline's Mamba pool (0 = its default).
-	maxSeqs int
-	// target is a speculative pair's target (spec is the pair), which
-	// the vLLM-max and vLLM-manual baselines page apart from the draft.
-	target *model.Spec
-	// eng holds only the engine knobs the figure sets; serve fills in
-	// the model, device and manager.
-	eng engine.Config
-}
-
-// manager builds the run's memory manager on the model's KV budget.
-func (r run) manager() (core.Manager, error) {
-	budget, err := gpu.KVBudget(r.spec, r.dev, r.reserve)
-	if err != nil {
-		return nil, err
-	}
-	switch r.kind {
-	case kindPaged:
-		return baseline.NewPaged(baseline.Config{
-			Spec: r.spec, CapacityBytes: budget, TokensPerPage: tokensPerPage,
-			EnablePrefixCache: r.cache, MaxSeqs: r.maxSeqs,
-		})
-	case kindVLLMMax:
-		return baseline.NewVLLMMax(r.target, r.spec.Draft, budget, tokensPerPage, r.cache)
-	case kindVLLMManual:
-		return baseline.NewVLLMManual(r.target, r.spec.Draft, budget, tokensPerPage, r.cache)
-	}
-	return core.New(core.Config{
-		Spec: r.spec, CapacityBytes: budget, TokensPerPage: tokensPerPage,
-		EnablePrefixCache: r.cache, RequestAware: true,
-	})
-}
-
-// serve runs reqs through one engine over a fresh manager.
-func (r run) serve(reqs []workload.Request) (*engine.Result, error) {
-	mgr, err := r.manager()
-	if err != nil {
-		return nil, err
-	}
-	r.eng.Spec, r.eng.Device, r.eng.Manager = r.spec, r.dev, mgr
-	e, err := engine.New(r.eng)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(reqs)
-}
-
-// vs is the comparison most figures make: the run under the paged
-// baseline, then the same run under Jenga.
-func vs(r run) []run {
+// vs is the comparison most figures make: the replica under the paged
+// baseline, then the same replica under Jenga.
+func vs(r bench.Replica) []bench.Replica {
 	vllm, jenga := r, r
-	vllm.kind, jenga.kind = kindPaged, kindJenga
-	return []run{vllm, jenga}
+	vllm.Manager, jenga.Manager = bench.Paged, bench.Jenga
+	return []bench.Replica{vllm, jenga}
 }
 
-// serveEach serves a fresh load() under each run, in order.
-func serveEach(load func() []workload.Request, runs []run) ([]*engine.Result, error) {
-	out := make([]*engine.Result, len(runs))
-	for i, r := range runs {
-		res, err := r.serve(load())
+// serveEach serves a fresh load() on each replica, in order.
+func serveEach(load func() []workload.Request, replicas []bench.Replica) ([]*engine.Result, error) {
+	out := make([]*engine.Result, len(replicas))
+	for i, r := range replicas {
+		res, err := r.Serve(load())
 		if err != nil {
 			return nil, err
 		}

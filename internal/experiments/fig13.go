@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"jenga/internal/bench"
 	"jenga/internal/engine"
 	"jenga/internal/gpu"
 	"jenga/internal/metrics"
@@ -113,17 +114,17 @@ func Fig13(w io.Writer, opt Options) error {
 	return nil
 }
 
-// runs are the row's paged-baseline and Jenga runs. Prefix caching is
-// off on both: the figure compares memory layouts, and reuse is
+// runs are the row's paged-baseline and Jenga replicas. Prefix caching
+// is off on both: the figure compares memory layouts, and reuse is
 // Fig. 17's subject.
-func (e fig13Entry) runs(dev gpu.Device) []run {
+func (e fig13Entry) runs(dev gpu.Device) []bench.Replica {
 	// Real prefill token budgets are large (vLLM defaults to the
 	// model's context length); several prompts prefill in one step.
-	r := run{spec: e.spec, dev: dev, maxSeqs: e.maxSeqs, eng: engine.Config{MaxBatchTokens: 8192, MaxPrefills: 4}}
+	r := bench.Replica{Spec: e.spec, Device: dev, MaxSeqs: e.maxSeqs, Engine: engine.Config{MaxBatchTokens: 8192, MaxPrefills: 4}}
 	if e.vision {
 		// mllama's encoder feeds cross-attention KV, computed once per
 		// request by every engine.
-		r.reserve, r.eng.Vision = vlmReserve, engine.VisionReuseKV
+		r.Reserve, r.Engine.Vision = vlmReserve, engine.VisionReuseKV
 	}
 	return vs(r)
 }

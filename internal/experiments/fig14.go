@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"jenga/internal/bench"
 	"jenga/internal/engine"
 	"jenga/internal/gpu"
 	"jenga/internal/model"
@@ -34,7 +35,7 @@ func Fig14(w io.Writer, opt Options) error {
 	tbl := trace.NewTable("Fig. 14 latency vs request rate (mllama, H100; times in s)",
 		"rate req/s", "vLLM E2EL", "Jenga E2EL", "vLLM TTFT", "Jenga TTFT", "vLLM TPOT", "Jenga TPOT")
 
-	runs := vs(run{spec: spec, dev: dev, cache: true, reserve: vlmReserve, eng: engine.Config{
+	runs := vs(bench.Replica{Spec: spec, Device: dev, PrefixCache: true, Reserve: vlmReserve, Engine: engine.Config{
 		Vision: engine.VisionReuseKV,
 		// Latency serving uses small chunks so prefill work cannot
 		// stall in-flight decodes (SARATHI-style TPOT protection).

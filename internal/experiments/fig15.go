@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"jenga/internal/bench"
 	"jenga/internal/engine"
 	"jenga/internal/gpu"
 	"jenga/internal/model"
@@ -42,7 +43,7 @@ func Fig15(w io.Writer, opt Options) error {
 		"system", "mean decode batch", "decode steps", "finished", "timeline")
 	var series []trace.Series
 	for _, s := range fig15Systems() {
-		res, err := s.run.serve(load(s.outputScale))
+		res, err := s.replica.Serve(load(s.outputScale))
 		if err != nil {
 			return fmt.Errorf("fig15 %s: %w", s.name, err)
 		}
@@ -76,8 +77,8 @@ func Fig15(w io.Writer, opt Options) error {
 
 // fig15System is one of Fig. 15's four systems.
 type fig15System struct {
-	name string
-	run  run
+	name    string
+	replica bench.Replica
 	// outputScale shortens every output (TGI's missing --ignore-eos).
 	outputScale float64
 }
@@ -85,11 +86,11 @@ type fig15System struct {
 // fig15Systems are Fig. 15's systems: Ministral on H100, several
 // prompts prefilling per step, the per-step decode timeline kept.
 func fig15Systems() []fig15System {
-	paged := run{spec: model.Ministral8B(), dev: gpu.H100(), kind: kindPaged,
-		eng: engine.Config{MaxBatchTokens: 8192, MaxPrefills: 4, SampleEvery: 1}}
+	paged := bench.Replica{Spec: model.Ministral8B(), Device: gpu.H100(), Manager: bench.Paged,
+		Engine: engine.Config{MaxBatchTokens: 8192, MaxPrefills: 4, SampleEvery: 1}}
 	sglang, jenga := paged, paged
-	sglang.cache = true // radix-style caching
-	jenga.kind, jenga.cache = kindJenga, true
+	sglang.PrefixCache = true // radix-style caching
+	jenga.Manager, jenga.PrefixCache = bench.Jenga, true
 	return []fig15System{
 		{"vLLM", paged, 1},
 		{"SGLang", sglang, 1},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"jenga/internal/bench"
 	"jenga/internal/engine"
 	"jenga/internal/gpu"
 	"jenga/internal/model"
@@ -25,13 +26,13 @@ import (
 func Fig16(w io.Writer, opt Options) error {
 	opt = opt.norm()
 	n := opt.n(16)
-	base := fig16Run()
-	budget, err := gpu.KVBudget(base.spec, base.dev, 0)
+	base := fig16Replica()
+	budget, err := gpu.KVBudget(base.Spec, base.Device, 0)
 	if err != nil {
 		return err
 	}
-	weights := base.spec.WeightFootprint()
-	reserve := base.dev.MemBytes - weights - budget
+	weights := base.Spec.WeightFootprint()
+	reserve := base.Device.MemBytes - weights - budget
 
 	load := func(dynamic bool) []workload.Request {
 		g := workload.NewGen(opt.Seed)
@@ -53,8 +54,8 @@ func Fig16(w io.Writer, opt Options) error {
 			traceName = "dynamic"
 		}
 		for i, r := range vs(base) {
-			name, jenga := [...]string{"vLLM", "Jenga"}[i], r.kind == kindJenga
-			res, err := r.serve(load(dynamic))
+			name, jenga := [...]string{"vLLM", "Jenga"}[i], r.Manager == bench.Jenga
+			res, err := r.Serve(load(dynamic))
 			if err != nil {
 				return fmt.Errorf("fig16 %s/%s: %w", name, traceName, err)
 			}
@@ -111,10 +112,10 @@ func Fig16(w io.Writer, opt Options) error {
 	return emit(w, opt, tbl)
 }
 
-// fig16Run is Fig. 16's run before its manager is chosen: Ministral on
-// H100 with prefix caching off, sampling the memory breakdown every
-// four steps.
-func fig16Run() run {
-	return run{spec: model.Ministral8B(), dev: gpu.H100(),
-		eng: engine.Config{SampleEvery: 4, MaxBatchTokens: 8192, MaxPrefills: 4}}
+// fig16Replica is Fig. 16's replica before its manager is chosen:
+// Ministral on H100 with prefix caching off, sampling the memory
+// breakdown every four steps.
+func fig16Replica() bench.Replica {
+	return bench.Replica{Spec: model.Ministral8B(), Device: gpu.H100(),
+		Engine: engine.Config{SampleEvery: 4, MaxBatchTokens: 8192, MaxPrefills: 4}}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 
+	"jenga/internal/bench"
 	"jenga/internal/engine"
 	"jenga/internal/gpu"
 	"jenga/internal/metrics"
@@ -32,7 +33,7 @@ func Fig17(w io.Writer, opt Options) error {
 	tbl := trace.NewTable("Fig. 17 prefix caching vs number of articles (Gemma-2 27B, H100)",
 		"articles", "vLLM hit %", "Jenga hit %", "hit ratio", "vLLM tok/s", "Jenga tok/s", "speedup")
 
-	runs := vs(run{spec: spec, dev: dev, cache: true, eng: engine.Config{
+	runs := vs(bench.Replica{Spec: spec, Device: dev, PrefixCache: true, Engine: engine.Config{
 		MaxBatchTokens: 8192, MaxPrefills: 2,
 		// Equal batch ceilings isolate the eviction-policy comparison:
 		// the question is what each manager keeps cached, not how many

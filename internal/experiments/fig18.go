@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"jenga/internal/bench"
 	"jenga/internal/engine"
 	"jenga/internal/gpu"
 	"jenga/internal/metrics"
@@ -47,9 +48,9 @@ func Fig18(w io.Writer, opt Options) error {
 			workload.AllAtOnce(reqs)
 			return reqs
 		}
-		runs := vs(run{spec: spec, dev: dev, reserve: vlmReserve, eng: engine.Config{MaxBatchTokens: 1024}})
-		runs[0].eng.Vision = engine.VisionNone
-		runs[1].eng.Vision = engine.VisionFreeOnDemand
+		runs := vs(bench.Replica{Spec: spec, Device: dev, Reserve: vlmReserve, Engine: engine.Config{MaxBatchTokens: 1024}})
+		runs[0].Engine.Vision = engine.VisionNone
+		runs[1].Engine.Vision = engine.VisionFreeOnDemand
 		res, err := serveEach(load, runs)
 		if err != nil {
 			return fmt.Errorf("fig18 %s: %w", spec.Name, err)

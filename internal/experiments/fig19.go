@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"jenga/internal/bench"
 	"jenga/internal/gpu"
 	"jenga/internal/metrics"
 	"jenga/internal/model"
@@ -56,8 +57,8 @@ func Fig19(w io.Writer, opt Options) error {
 		n := opt.n(e.baseN)
 		// Jenga needs no strategy: the pair is a model like any other.
 		var rps [3]float64
-		for i, kind := range []managerKind{kindVLLMMax, kindVLLMManual, kindJenga} {
-			res, err := run{spec: pair, dev: dev, kind: kind, target: e.target}.serve(e.load(workload.NewGen(opt.Seed), n))
+		for i, kind := range []bench.Manager{bench.VLLMMax, bench.VLLMManual, bench.Jenga} {
+			res, err := bench.Replica{Spec: pair, Device: dev, Manager: kind, Target: e.target}.Serve(e.load(workload.NewGen(opt.Seed), n))
 			if err != nil {
 				return fmt.Errorf("fig19 %s manager %d: %w", e.label, kind, err)
 			}

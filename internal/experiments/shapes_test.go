@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"jenga/internal/bench"
 	"jenga/internal/engine"
 	"jenga/internal/gpu"
 	"jenga/internal/model"
@@ -31,7 +32,7 @@ func TestShapeFig15DecodeBatch(t *testing.T) {
 		return reqs
 	}
 	systems := fig15Systems()
-	res, err := serveEach(load, []run{systems[0].run, systems[3].run}) // vLLM, Jenga
+	res, err := serveEach(load, []bench.Replica{systems[0].replica, systems[3].replica}) // vLLM, Jenga
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +53,8 @@ func TestShapeFig16Waste(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale simulation; skipped with -short")
 	}
-	base := fig16Run()
-	budget, err := gpu.KVBudget(base.spec, base.dev, 0)
+	base := fig16Replica()
+	budget, err := gpu.KVBudget(base.Spec, base.Device, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

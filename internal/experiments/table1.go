@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"jenga/internal/bench"
 	"jenga/internal/gpu"
 	"jenga/internal/model"
 	"jenga/internal/trace"
@@ -33,7 +34,7 @@ func Table1(w io.Writer, opt Options) error {
 	tbl := trace.NewTable("Table 1: models and datasets (★ = FP8)",
 		"model", "dataset", "H100", "L4", "KV groups", "LCM page MiB", "max ratio")
 	for _, r := range rows {
-		geo, err := r.spec.Geometry(tokensPerPage)
+		geo, err := r.spec.Geometry(bench.TokensPerPage)
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"jenga/internal/baseline"
+	"jenga/internal/bench"
 	"jenga/internal/core"
 	"jenga/internal/gpu"
 	"jenga/internal/model"
@@ -74,7 +75,7 @@ func analyticWaste(spec *model.Spec, text, image int) float64 {
 // measuredWaste runs one request through the baseline manager and
 // reads Usage().
 func measuredWaste(spec *model.Spec, text, image int) (float64, error) {
-	mgr, err := run{spec: spec, dev: bigDevice(spec), kind: kindPaged, maxSeqs: 1}.manager()
+	mgr, err := bench.Replica{Spec: spec, Device: bigDevice(spec), Manager: bench.Paged, MaxSeqs: 1}.NewManager()
 	if err != nil {
 		return 0, err
 	}
