@@ -178,8 +178,12 @@ vet:
 # copy again; a run's sequence borrows its prompt for the run's whole
 # life — decode appends to the engine's Out buffer alone, and a fork
 # child copies only its parent's Out — so an append( in non-test
-# internal/engine whose last argument spreads a .Prompt or seq.Tokens
-# is the per-request prompt copy into a decode buffer again; internal/cluster has one serve loop — one placement step
+# internal/engine whose last argument spreads a .Prompt, a .Shared or
+# seq.Tokens is the per-request prompt copy into a decode buffer again;
+# a request's Shared head (an ArxivQA article) is the generator's and
+# read by every request over it, so a promptSink( call in non-test
+# internal/engine handed a Shared is a hand-back of memory other
+# requests still read; internal/cluster has one serve loop — one placement step
 # (the only router.Route call site) and one file that may use
 # goroutines and channels — and a second of either is a second loop;
 # internal/bench and cmd/jengabench build clusters in one place,
@@ -283,7 +287,8 @@ guard:
 	@out=$$(grep -rln '"container/heap"' internal/core --include='*.go' | grep -v '_test\.go$$'); if [ -n "$$out" ]; then echo "container/heap (boxing) is back in internal/core:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'func project(' internal/core --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "core.project (a per-claim copy of the prefix) is back in internal/core:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn -e 'append(\[\]core\.Token(nil)' -e 'make(\[\]core\.Token' internal/engine --include='*.go' | grep -v -e '_test\.go:' -e '^internal/engine/tokbuf\.go:'); if [ -n "$$out" ]; then echo "token copies outside the free-list miss in internal/engine:"; echo "$$out"; exit 1; fi
-	@out=$$(grep -rnE 'append\(.*(\.Prompt|seq\.Tokens)\.\.\.\)' internal/engine --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a prompt is spread into a buffer in internal/engine (a run borrows req.Prompt as seq.Tokens for its whole life; only seq.Out is the engine's):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE 'append\(.*(\.Prompt|\.Shared|seq\.Tokens)\.\.\.\)' internal/engine --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a prompt is spread into a buffer in internal/engine (a run borrows req.Shared and req.Prompt as seq.Shared and seq.Tokens for its whole life; only seq.Out is the engine's):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE 'promptSink\(.*Shared' internal/engine --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "the prompt sink is handed a Shared head in internal/engine (the head is the generator's, read by other requests; only the request's own Prompt goes back):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'router\.Route(' internal/cluster --include='*.go' | grep -v '_test\.go:'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/cluster must have exactly one router.Route call site (the placement step):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn '\.Recycle(' internal/cluster --include='*.go' | grep -v '_test\.go:'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/cluster must have exactly one .Recycle( call site (pass.recycle, the drain before every Next; a barrier hands back no prompts):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rl '^//jenga:concurrent' internal/cluster --include='*.go' | grep -v '_test\.go$$'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/cluster must have exactly one //jenga:concurrent file (the serve loop):"; echo "$$out"; exit 1; fi

@@ -87,7 +87,7 @@ func main() {
 
 	// Watch the first request's stream in detail, token by token.
 	fmt.Printf("streaming request %d (%d prompt tokens, %d output tokens):\n",
-		first.ID(), len(reqs[0].Prompt), reqs[0].OutputLen)
+		first.ID(), reqs[0].PromptLen(), reqs[0].OutputLen)
 	for ev := range first.Events() {
 		switch ev.Type {
 		case jenga.EventFirstToken:

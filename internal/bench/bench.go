@@ -537,7 +537,7 @@ func ServeOnlineArrival() (*Op, error) {
 			loads[j].OutstandingTokens = snap.OutstandingTokens
 		}
 		rep := router.Route(&req, loads)
-		work := int64(len(req.Prompt) + req.OutputLen)
+		work := int64(req.PromptLen() + req.OutputLen)
 		loads[rep].Requests++
 		loads[rep].RoutedTokens += work
 		return engines[rep].Submit(&req)

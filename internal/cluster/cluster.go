@@ -384,7 +384,7 @@ func (c *Cluster) place(p *pass, r *workload.Request) int {
 			rep = alt
 		}
 	}
-	work := int64(len(r.Prompt) + r.OutputLen)
+	work := int64(r.PromptLen() + r.OutputLen)
 	l := &p.loads[rep]
 	l.Requests++
 	l.RoutedTokens += work

@@ -70,7 +70,8 @@ func (c *Cluster) arrivalSection(p *pass, at time.Duration) error {
 }
 
 // fleetFetch runs the fleet-store miss path for a request about to be
-// admitted on replica rep, whose sequence is prompt followed by out: if
+// admitted on replica rep, whose sequence is its prompt — its shared
+// head, then its own part — followed by out: if
 // the directory says peers extend rep's local prefix, the pages move
 // into rep's host tier now and the wire bytes are charged to rep's next
 // step as peer-link DMA. Barrier sections run one at a time, so the
@@ -78,16 +79,16 @@ func (c *Cluster) arrivalSection(p *pass, at time.Duration) error {
 // borrowed for the call.
 //
 //jenga:hotpath
-func (c *Cluster) fleetFetch(rep int, id int64, prompt, out []core.Token) {
-	if c.store == nil || len(prompt)+len(out) == 0 {
+func (c *Cluster) fleetFetch(rep int, id int64, shared, prompt, out []core.Token) {
+	if c.store == nil || len(shared)+len(prompt)+len(out) == 0 {
 		return
 	}
-	c.fetchSeq = core.Sequence{ID: core.RequestID(id), PromptLen: len(prompt), Tokens: prompt, Out: out}
+	c.fetchSeq = core.Sequence{ID: core.RequestID(id), PromptLen: len(shared) + len(prompt), Shared: shared, Tokens: prompt, Out: out}
 	now := core.Tick(c.engines[rep].SnapshotTotals().Step)
 	if fr := c.store.Fetch(rep, &c.fetchSeq, now); fr.Bytes > 0 {
 		c.engines[rep].RecordPeerFetch(fr.Tokens, fr.Bytes)
 	}
-	c.fetchSeq.Tokens, c.fetchSeq.Out = nil, nil
+	c.fetchSeq.Shared, c.fetchSeq.Tokens, c.fetchSeq.Out = nil, nil, nil
 }
 
 // migrate moves one live request from replica src to replica dst:
@@ -112,7 +113,8 @@ func (c *Cluster) migrate(p *pass, src, dst int, id int64) bool {
 		}
 		return false
 	}
-	c.fleetFetch(dst, m.ID(), m.Prompt(), m.Out)
+	shared, own := m.Prompt()
+	c.fleetFetch(dst, m.ID(), shared, own, m.Out)
 	c.engines[dst].MigrateIn(m)
 	p.out.Migrations++
 	return true

@@ -215,7 +215,7 @@ func (r *affinityRouter) Name() string { return PrefixAffinity.String() }
 func (r *affinityRouter) loadOblivious() {}
 
 func (r *affinityRouter) Route(req *workload.Request, loads []Load) int {
-	h := core.PrefixHash(req.Prompt, r.prefixTokens)
+	h := core.PrefixHash(r.prefixTokens, req.Shared, req.Prompt)
 	i := sort.Search(len(r.ring), func(i int) bool { return r.ring[i].hash >= h })
 	if i == len(r.ring) {
 		i = 0 // wrap around the ring

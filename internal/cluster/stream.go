@@ -319,7 +319,7 @@ func (c *Cluster) routeAll(p *pass, src workload.Source, every time.Duration) er
 		}
 		rep := c.place(p, r)
 		if sections {
-			c.fleetFetch(rep, r.ID, r.Prompt, nil)
+			c.fleetFetch(rep, r.ID, r.Shared, r.Prompt, nil)
 		}
 		p.shards[rep%len(p.shards)].cmds <- streamCmd{req: *r, rep: rep}
 		if sections && c.rebalancing() {

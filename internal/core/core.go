@@ -87,12 +87,15 @@ type Sequence struct {
 	// Tag selects which model's KV groups apply when one manager serves
 	// multiple models (§6.1); empty matches untagged groups only.
 	Tag string
-	// The sequence's content is Tokens followed by Out. The engine
-	// borrows the request's prompt as Tokens, read-only and never
-	// copied, and appends generated tokens to Out, a buffer it owns; a
-	// hand-built sequence may hold everything in Tokens and leave Out
-	// nil. The manager reads the two only through Len and Span, so where
-	// the boundary lies makes no difference to it.
+	// The sequence's content is Shared, then Tokens, then Out. The
+	// engine borrows the request's prompt as Shared — a head other
+	// requests read too, such as an article — and Tokens, the request's
+	// own tail, both read-only and never copied, and appends generated
+	// tokens to Out, a buffer it owns; a hand-built sequence may hold
+	// everything in Tokens and leave the other two nil. The manager reads
+	// the three only through Len, Span and at, so where the boundaries
+	// lie makes no difference to it.
+	Shared []Token
 	Tokens []Token
 	Out    []Token
 	// PromptLen is the number of leading prompt tokens (0 = all).
@@ -103,27 +106,32 @@ type Sequence struct {
 	PromptLen int
 }
 
-// Len is the sequence's length: len(Tokens) + len(Out).
-func (s *Sequence) Len() int { return len(s.Tokens) + len(s.Out) }
+// Len is the sequence's length: len(Shared) + len(Tokens) + len(Out).
+func (s *Sequence) Len() int { return len(s.Shared) + len(s.Tokens) + len(s.Out) }
 
-// Span returns the sequence's tokens [lo, hi) as the part of them in
-// Tokens and the part in Out, without copying: either may be empty.
+// Span returns the sequence's tokens [lo, hi) as the parts of them in
+// Shared, Tokens and Out, without copying: any may be empty.
 //
 //jenga:hotpath
-func (s *Sequence) Span(lo, hi int) (head, tail []Token) {
-	n := len(s.Tokens)
-	switch {
-	case hi <= n:
-		return s.Tokens[lo:hi], nil
-	case lo >= n:
-		return nil, s.Out[lo-n : hi-n]
+func (s *Sequence) Span(lo, hi int) (shared, own, out []Token) {
+	a := len(s.Shared)
+	if lo < a {
+		shared, lo = s.Shared[lo:min(hi, a)], a
 	}
-	return s.Tokens[lo:], s.Out[:hi-n]
+	lo, hi = lo-a, max(hi-a, 0)
+	n := len(s.Tokens)
+	if hi <= n {
+		return shared, s.Tokens[lo:hi], nil
+	}
+	return shared, s.Tokens[min(lo, n):], s.Out[max(lo, n)-n : hi-n]
 }
 
 // at returns the sequence's i-th token.
 func (s *Sequence) at(i int) Token {
-	if i < len(s.Tokens) {
+	if i < len(s.Shared) {
+		return s.Shared[i]
+	}
+	if i -= len(s.Shared); i < len(s.Tokens) {
 		return s.Tokens[i]
 	}
 	return s.Out[i-len(s.Tokens)]

@@ -492,7 +492,7 @@ func TestMambaCheckpointTouchOnHit(t *testing.T) {
 
 	g := m.groups[m.groupIndex("mamba")]
 	proj := projectInto(nil, a.Tokens, g.spec.StoresToken(true), g.spec.StoresToken(false))
-	h8 := PrefixHash(proj, 8)
+	h8 := PrefixHash(8, proj)
 	id, ok := g.index.get(h8)
 	if !ok {
 		t.Fatal("checkpoint at 8 missing")
@@ -500,7 +500,7 @@ func TestMambaCheckpointTouchOnHit(t *testing.T) {
 	if got := g.pages[id].lastAccess; got != 10 {
 		t.Errorf("checkpoint last access = %d, want 10 (touched at hit)", got)
 	}
-	h4 := PrefixHash(proj, 4)
+	h4 := PrefixHash(4, proj)
 	id4, ok := g.index.get(h4)
 	if !ok {
 		t.Fatal("checkpoint at 4 missing")

@@ -27,15 +27,18 @@ func hashChain(parent uint64, tok Token) uint64 {
 	return x
 }
 
-// PrefixHash returns the chained hash over the first n tokens (the
-// whole sequence when n exceeds it). It is the same chain prefix
-// caching publishes per block, so two requests that share a cached
-// prefix share its PrefixHash — cluster routers use it to steer
-// prefix-sharing requests to the same replica.
-func PrefixHash(tokens []Token, n int) uint64 {
+// PrefixHash returns the chained hash over the first n tokens of parts
+// read as one sequence (all of them when n exceeds it). It is the same
+// chain prefix caching publishes per block, so two requests that share
+// a cached prefix share its PrefixHash — cluster routers use it to
+// steer prefix-sharing requests to the same replica.
+func PrefixHash(n int, parts ...[]Token) uint64 {
 	h := blockHashSeed
-	for i := 0; i < n && i < len(tokens); i++ {
-		h = hashChain(h, tokens[i])
+	for _, part := range parts {
+		for i := 0; i < n && i < len(part); i++ {
+			h = hashChain(h, part[i])
+		}
+		n -= len(part)
 	}
 	return h
 }

@@ -526,9 +526,9 @@ func (m *Jenga) buildView(g *group, bh *classHashes, seq *Sequence, by presence)
 			g.lkProjCount = make([]int, ln+1)
 		}
 		v.ProjCount = g.lkProjCount[:ln+1]
-		head, tail := seq.Span(0, ln)
+		shared, own, out := seq.Span(0, ln)
 		i, n := 0, 0
-		for _, part := range [2][]Token{head, tail} {
+		for _, part := range [3][]Token{shared, own, out} {
 			for _, t := range part {
 				if g.spec.StoresToken(t.Image()) {
 					n++
@@ -697,25 +697,25 @@ func (m *Jenga) Commit(seq *Sequence, upTo int, now Tick) {
 	if m.cfg.EnablePrefixCache {
 		sh = m.hashesOf(r, seq)
 	}
-	head, tail := seq.Span(r.committed, upTo)
+	shared, own, out := seq.Span(r.committed, upTo)
 	for gi, g := range m.groups {
 		if g.isVision() || !g.appliesTo(seq) {
 			continue
 		}
-		m.commitGroup(g, &r.g[gi], sh, head, tail, r.committed, seq.promptBound(), now)
+		m.commitGroup(g, &r.g[gi], sh, shared, own, out, r.committed, seq.promptBound(), now)
 	}
 	r.committed = upTo
 }
 
-// commitGroup commits the tokens from fullBase on — head then tail,
-// the two parts of Sequence.Span — to group g, publishing the blocks it
-// completes under their hashes in sh.
+// commitGroup commits the tokens from fullBase on — shared, own, out,
+// the three parts of Sequence.Span — to group g, publishing the blocks
+// it completes under their hashes in sh.
 //
 //jenga:hotpath
-func (m *Jenga) commitGroup(g *group, rg *reqGroup, sh *seqHashes, head, tail []Token, fullBase, promptBound int, now Tick) {
+func (m *Jenga) commitGroup(g *group, rg *reqGroup, sh *seqHashes, shared, own, out []Token, fullBase, promptBound int, now Tick) {
 	pos := rg.projCommitted
 	i := fullBase // the sequence index of part[0]
-	for _, part := range [2][]Token{head, tail} {
+	for _, part := range [3][]Token{shared, own, out} {
 		for j := 0; j < len(part); {
 			// part[j:k] is the next run of tokens the group stores.
 			k := len(part)
@@ -1166,9 +1166,9 @@ func (m *Jenga) EncodeImages(seq *Sequence, uptoFull int, now Tick) error {
 		// to the current block's end. The first token of a block finds
 		// its page missing or shared; the rest find it private.
 		b, left := rg.visProj/g.tpp, g.tpp-rg.visProj%g.tpp
-		head, tail := seq.Span(rg.visCursor, uptoFull)
+		shared, own, out := seq.Span(rg.visCursor, uptoFull)
 		fi := rg.visCursor // the sequence index of part[0]
-		for _, part := range [2][]Token{head, tail} {
+		for _, part := range [3][]Token{shared, own, out} {
 			for j := 0; j < len(part); {
 				if !part[j].Image() {
 					j++

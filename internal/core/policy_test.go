@@ -169,7 +169,7 @@ func TestBlockHashChaining(t *testing.T) {
 	if hd[1] == ha[1] {
 		t.Error("same block content under different prefix must differ")
 	}
-	if PrefixHash(a, 4) != ha[1] {
+	if PrefixHash(4, a) != ha[1] {
 		t.Error("PrefixHash at block boundary must equal the chained block hash")
 	}
 }

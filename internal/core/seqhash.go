@@ -109,7 +109,7 @@ func (m *Jenga) hashesOf(r *reqState, seq *Sequence) *seqHashes {
 	if sh.n == ln {
 		return sh
 	}
-	head, tail := seq.Span(sh.n, ln)
+	shared, own, out := seq.Span(sh.n, ln)
 	for ci, c := range m.hashClasses {
 		if c.tag != "" && c.tag != seq.Tag {
 			continue
@@ -127,7 +127,7 @@ func (m *Jenga) hashesOf(r *reqState, seq *Sequence) *seqHashes {
 		h, pl, run, left := ch.chain, ch.proj, ch.run, c.stride-ch.proj%c.stride
 		if !keepRuns {
 			// Every token is the class's: hash block by block.
-			for _, part := range [2][]Token{head, tail} {
+			for _, part := range [3][]Token{shared, own, out} {
 				for len(part) > 0 {
 					n := min(left, len(part))
 					for _, t := range part[:n] {
@@ -145,7 +145,7 @@ func (m *Jenga) hashesOf(r *reqState, seq *Sequence) *seqHashes {
 		}
 		// A run starts at a token of the class whose predecessor is not.
 		img, gap := c.scope == model.ScopeImage, sh.n > 0 && !c.stores(sh.last)
-		for _, part := range [2][]Token{head, tail} {
+		for _, part := range [3][]Token{shared, own, out} {
 			for _, t := range part {
 				if t.Image() != img {
 					gap = true

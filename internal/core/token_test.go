@@ -61,10 +61,10 @@ func TestHashPinned(t *testing.T) {
 		}
 		toks = append(toks, tok)
 	}
-	if got := PrefixHash(toks, 40); got != 0x74e2ce29e45fd37a {
+	if got := PrefixHash(40, toks); got != 0x74e2ce29e45fd37a {
 		t.Errorf("PrefixHash(40) = %#016x", got)
 	}
-	if got := PrefixHash(toks, 1000); got != 0x35fc3b37e088254a {
+	if got := PrefixHash(1000, toks); got != 0x35fc3b37e088254a {
 		t.Errorf("PrefixHash(all) = %#016x", got)
 	}
 	want := []uint64{0xab107b19306befaa, 0xb17f3c1820d4f83e, 0x476a79abdbaaf80c,

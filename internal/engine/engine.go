@@ -33,6 +33,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"jenga/internal/core"
@@ -233,8 +234,9 @@ var lifecycle = [numStates][numStates]bool{
 // migration nor a crash redispatch loses a fact the request's terminal
 // record reports, and a new such fact is one field here.
 type carried struct {
-	// req is the engine's own copy of the request header; req.Prompt
-	// still points at the submitter's array, which is only ever read.
+	// req is the engine's own copy of the request header; req.Shared
+	// and req.Prompt still point at the submitter's arrays, which are
+	// only ever read.
 	req workload.Request
 	// promptShared marks req.Prompt as shared with another request (a
 	// fork root and its branches): nobody may hand it back.
@@ -248,7 +250,7 @@ type carried struct {
 	// the prompt is borrowed and never changes. Only a spec with a vision
 	// encoder reads it (schedulePrefill), so a text spec never counts
 	// and carries 0. An int32 after state fills padding, so the run
-	// stays 336 bytes.
+	// stays 384 bytes.
 	images int32
 	// spent is the time the request spent in each state before it
 	// entered the current one, on every engine it ran on.
@@ -275,8 +277,9 @@ type carried struct {
 // keep a *run past the step in which its request left the engine.
 type run struct {
 	carried
-	// seq borrows req.Prompt as its Tokens and holds the generated
-	// tail in Out, a buffer from the engine's free list. See tokbuf.go.
+	// seq borrows req.Shared and req.Prompt as its Shared and Tokens
+	// and holds the generated tail in Out, a buffer from the engine's
+	// free list. See tokbuf.go.
 	seq core.Sequence
 	// enteredAt is when the request entered its current state.
 	enteredAt time.Duration
@@ -289,7 +292,7 @@ type run struct {
 	encoded bool
 	// slot is the run's position in the running set while it runs
 	// (runSet), where the scheduler's summary of it sits. An int32
-	// after encoded fills padding, so the run stays 336 bytes.
+	// after encoded fills padding, so the run stays 384 bytes.
 	slot int32
 	// pendingTarget is the commit target set during scheduling.
 	pendingTarget int
@@ -357,7 +360,7 @@ func (r *run) rewind() {
 	r.computed, r.cachedHit, r.ctxText, r.ctxImg, r.encoded = 0, 0, 0, 0, false
 }
 
-func (r *run) promptLen() int { return len(r.req.Prompt) }
+func (r *run) promptLen() int { return r.seq.PromptLen }
 
 // Engine executes one simulation run.
 type Engine struct {
@@ -477,7 +480,9 @@ func (e *Engine) Retain(m RequestMetrics) {
 // SetPromptSink installs fn to receive the prompt of every request that
 // retires on this engine, once the engine holds no reference to it: the
 // hand-back half of Submit's borrow, for a driver whose source can reuse
-// the buffer (workload.Recycler). Prompts shared between a fork root and
+// the buffer (workload.Recycler). fn gets the request's own Prompt
+// alone, never its Shared head, which the generator lends to every
+// request over it. Prompts shared between a fork root and
 // its branches are never handed over, and neither is anything CrashOut
 // or MigrateOut extracts — the prompt travels with the record. fn runs
 // on the engine's goroutine; nil, the default, leaves every prompt to
@@ -618,6 +623,10 @@ func (e *Engine) drainRate() float64 {
 // model a warmed-up replica.
 func (e *Engine) Run(reqs []workload.Request) (*Result, error) {
 	e.reset()
+	// Every request is pending at once and may finish: size both arrays
+	// for all of them up front instead of regrowing them.
+	e.pending.buf = slices.Grow(e.pending.buf, len(reqs))
+	e.res.PerRequest = slices.Grow(e.res.PerRequest, len(reqs))
 	for i := range reqs {
 		if err := e.Submit(&reqs[i]); err != nil {
 			return nil, err

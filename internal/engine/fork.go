@@ -105,6 +105,7 @@ func (e *Engine) forkOne(parent *run, childID int64) error {
 				ID:        childID,
 				Arrival:   e.clock,
 				Group:     parent.req.Group,
+				Shared:    parent.req.Shared,
 				Prompt:    parent.req.Prompt,
 				OutputLen: parent.req.OutputLen,
 				Deadline:  parent.req.Deadline,
@@ -116,7 +117,7 @@ func (e *Engine) forkOne(parent *run, childID int64) error {
 			forkDone:     true, // children of a Fanout root never re-fork
 			images:       parent.images,
 		},
-		seq:       core.Sequence{ID: core.RequestID(childID), PromptLen: parent.seq.PromptLen, Tokens: parent.seq.Tokens, Out: out},
+		seq:       core.Sequence{ID: core.RequestID(childID), PromptLen: parent.seq.PromptLen, Shared: parent.seq.Shared, Tokens: parent.seq.Tokens, Out: out},
 		enteredAt: e.clock,
 		computed:  parent.computed,
 		cachedHit: parent.cachedHit,

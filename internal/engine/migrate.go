@@ -26,8 +26,8 @@ type Migrated struct {
 	// resumes — pending, waiting, or migrating for one taken out of the
 	// running set — and MigrateIn reopens the interval at its own. Its
 	// req is the source's own copy of the header (a fork may have
-	// labelled the Group); req.Prompt is still the submitter's array,
-	// read-only as ever.
+	// labelled the Group); req.Shared and req.Prompt are still the
+	// submitter's arrays, read-only as ever.
 	carried
 	// Out is the request's generated tokens at extraction, which follow
 	// its prompt (Prompt) in the sequence: the source engine's Out
@@ -42,9 +42,10 @@ type Migrated struct {
 // ID is the migrating request's ID.
 func (m *Migrated) ID() int64 { return m.req.ID }
 
-// Prompt is the migrating request's prompt, the submitter's array:
+// Prompt is the migrating request's prompt in its two parts, the
+// shared head and the request's own part — the submitter's arrays:
 // read-only.
-func (m *Migrated) Prompt() []core.Token { return m.req.Prompt }
+func (m *Migrated) Prompt() (shared, own []core.Token) { return m.req.Shared, m.req.Prompt }
 
 // MigrationCandidate summarizes one live request for migration policy.
 type MigrationCandidate struct {
@@ -133,7 +134,7 @@ func (e *Engine) MigrateIn(m Migrated) {
 	r := e.takeRun()
 	*r = run{
 		carried:   m.carried,
-		seq:       core.Sequence{ID: core.RequestID(m.req.ID), PromptLen: len(m.req.Prompt), Tokens: borrowTokens(m.req.Prompt), Out: m.Out},
+		seq:       borrowPrompt(&m.req, m.Out),
 		enteredAt: e.clock,
 	}
 	e.res.MigratedIn++

@@ -258,12 +258,14 @@ func (e *Engine) snapshot(u core.Usage) Snapshot {
 // copies the request header into a pooled run and keeps no pointer to
 // req: the caller may reuse or drop it as soon as Submit returns, and
 // the engine's own bookkeeping (a fork labelling its root's Group) is
-// written to the copy. req.Prompt is the one thing borrowed: the engine
-// reads the array in place, never writes to it (no copy is made: Submit
-// costs the same for an 8k-token prompt as for a 64-token one), and
-// needs it unchanged until the request leaves — through its terminal
-// event, or inside the record MigrateOut or CrashOut returns. The
-// prompt sink (SetPromptSink) is told when that borrow ends. IDs must
+// written to the copy. The prompt, req.Shared then req.Prompt, is the
+// one thing borrowed: the engine reads both arrays in place, never
+// writes to them (no copy is made: Submit costs the same for an
+// 8k-token prompt as for a 64-token one), and needs them unchanged
+// until the request leaves — through its terminal event, or inside the
+// record MigrateOut or CrashOut returns. The prompt sink
+// (SetPromptSink) is told when the borrow of req.Prompt ends; the
+// Shared head is never handed back, since other requests read it. IDs must
 // be unique among live requests. A fan-out root (Fanout > 1) must have
 // an ID in [0, 2⁴⁰) and at most 1024 branches, the range its branch IDs
 // are derived over; anything else is an error.
@@ -280,7 +282,7 @@ func (e *Engine) Submit(req *workload.Request) error {
 	r := e.takeRun()
 	*r = run{
 		carried:   carried{req: *req, state: pending},
-		seq:       core.Sequence{ID: core.RequestID(req.ID), PromptLen: len(req.Prompt), Tokens: borrowTokens(req.Prompt)},
+		seq:       borrowPrompt(req, nil),
 		enteredAt: e.clock,
 	}
 	if e.cfg.Spec.Vision != nil {

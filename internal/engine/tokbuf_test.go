@@ -346,6 +346,74 @@ func TestMigratedTokensOwnership(t *testing.T) {
 	}
 }
 
+// TestFirstDecodesAllocateBySlab: a burst of first decodes — MaxRunning
+// requests each taking an Out buffer while the free list is empty —
+// costs one allocation per slab of tokenSlab buffers, not one per
+// request. Every buffer is its own and cap-clamped, so an append past
+// its end moves it instead of writing into the next one; handed back,
+// the free list and the slab's rest keep at most MaxRunning idle
+// buffers between them. A slab holds at most slabTokens tokens, so a
+// long output's miss makes its one buffer and no idle rest.
+func TestFirstDecodesAllocateBySlab(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is not meaningful under -short/-race runs")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, maxRunning := range []int{1, 31, 32, 33, 100, 256} {
+		spec := miniFullSpec()
+		e, err := New(Config{Spec: spec, Device: smallDevice(), Manager: jengaFor(t, spec, 32<<20, false), MaxRunning: maxRunning})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bufs := make([][]core.Token, maxRunning)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range bufs {
+			bufs[i] = e.takeTokens(200)
+		}
+		runtime.ReadMemStats(&after)
+		if got, want := after.Mallocs-before.Mallocs, uint64((maxRunning+tokenSlab-1)/tokenSlab); got > want {
+			t.Errorf("MaxRunning %d: %d first decodes made %d allocations, want at most %d", maxRunning, maxRunning, got, want)
+		}
+		for i, b := range bufs {
+			if len(b) != 0 || cap(b) != 256 {
+				t.Fatalf("MaxRunning %d: buffer %d has len %d, cap %d; want an empty 256-token buffer", maxRunning, i, len(b), cap(b))
+			}
+			bufs[i] = b[:cap(b)]
+			for j := range bufs[i] {
+				bufs[i][j] = core.TextToken(int32(i + 1))
+			}
+		}
+		for i, b := range bufs {
+			if moved := append(b, core.TextToken(0)); &moved[0] == &b[0] {
+				t.Fatalf("MaxRunning %d: buffer %d grew in place past its capacity", maxRunning, i)
+			}
+			for _, tok := range b {
+				if tok != core.TextToken(int32(i+1)) {
+					t.Fatalf("MaxRunning %d: buffer %d overlaps another", maxRunning, i)
+				}
+			}
+		}
+		for _, b := range bufs {
+			r := &run{}
+			r.seq.Out = b[:0]
+			e.returnTokens(r)
+		}
+		pooled, _ := poolStats(e)
+		if p := &e.tok; p.idle > maxRunning || pooled+len(p.slab)>>p.slabClass != p.idle || p.lent != p.back {
+			t.Errorf("MaxRunning %d: %d idle (%d pooled, %d tokens left in the slab), %d lent, %d back", maxRunning, p.idle, pooled, len(p.slab), p.lent, p.back)
+		}
+	}
+	spec := miniFullSpec()
+	e, err := New(Config{Spec: spec, Device: smallDevice(), Manager: jengaFor(t, spec, 32<<20, false)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if long := e.takeTokens(slabTokens); cap(long) != slabTokens || len(e.tok.slab) != 0 || e.tok.idle != 0 {
+		t.Errorf("a %d-token output took a %d-token buffer and left %d tokens in the slab; want its one buffer and nothing idle", slabTokens, cap(long), len(e.tok.slab))
+	}
+}
+
 // TestSubmitCostIsPromptIndependent: Submit borrows the prompt and
 // copies the header into a pooled run, so on the pass after a Reset an
 // 8k-token request costs what a 64-token one does — no object at all,

@@ -46,9 +46,7 @@ func arxivLoad(meanLen int) func(g *workload.Gen, n int) []workload.Request {
 		reqs := make([]workload.Request, 0, n)
 		for i := 0; i < n; i++ {
 			r := g.ArxivQA(arts[i:i+1], 1, 150)[0]
-			if len(r.Prompt) > maxLen {
-				r.Prompt = r.Prompt[:maxLen]
-			}
+			r.Truncate(maxLen)
 			r.OutputLen = 400 + (i*37)%400
 			reqs = append(reqs, r)
 		}

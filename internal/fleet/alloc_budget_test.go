@@ -154,8 +154,8 @@ func TestFetchZeroAlloc(t *testing.T) {
 	serveAndSwap(t, mgrs[0], 1, prompt[:33], 1)
 	serveAndSwap(t, mgrs[1], 2, prompt, 2)
 	ghost := tokensOf(2, 17)
-	s.dir.Register(2, "kv", []uint64{core.PrefixHash(ghost, 4), core.PrefixHash(ghost, 8), core.PrefixHash(ghost, 12), core.PrefixHash(ghost, 16)})
-	s.dir.Register(2, "ssm", []uint64{core.PrefixHash(ghost, 8), core.PrefixHash(ghost, 16)})
+	s.dir.Register(2, "kv", []uint64{core.PrefixHash(4, ghost), core.PrefixHash(8, ghost), core.PrefixHash(12, ghost), core.PrefixHash(16, ghost)})
+	s.dir.Register(2, "ssm", []uint64{core.PrefixHash(8, ghost), core.PrefixHash(16, ghost)})
 	s.SetFaults(failFrom(0), 3)
 
 	probe := &core.Sequence{PromptLen: len(prompt), Tokens: prompt}
@@ -223,7 +223,7 @@ func TestRetriedImportSameBytes(t *testing.T) {
 	serveAndSwap(t, mgrs[0], 1, prompt, 1)
 	hashes := make([]uint64, 8)
 	for k := range hashes {
-		hashes[k] = core.PrefixHash(prompt, 4*(k+1))
+		hashes[k] = core.PrefixHash(4*(k+1), prompt)
 	}
 	// Noise over the holder's tier copy, written through the export
 	// view: every block's bytes differ.

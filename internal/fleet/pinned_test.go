@@ -105,9 +105,9 @@ func TestFetchReportPinned(t *testing.T) {
 			}
 		case k == 1: // a stale entry: the directory names a holder with nothing to export
 			toks := prompt(90+rng.Intn(2), 16, 0, 0)
-			s.dir.Register(r, "kv", []uint64{core.PrefixHash(toks, 4), core.PrefixHash(toks, 8), core.PrefixHash(toks, 12), core.PrefixHash(toks, 16)})
-			s.dir.Register(r, "win", []uint64{core.PrefixHash(toks, 4), core.PrefixHash(toks, 8), core.PrefixHash(toks, 12), core.PrefixHash(toks, 16)})
-			s.dir.Register(r, "ssm", []uint64{core.PrefixHash(toks, 8), core.PrefixHash(toks, 16)})
+			s.dir.Register(r, "kv", []uint64{core.PrefixHash(4, toks), core.PrefixHash(8, toks), core.PrefixHash(12, toks), core.PrefixHash(16, toks)})
+			s.dir.Register(r, "win", []uint64{core.PrefixHash(4, toks), core.PrefixHash(8, toks), core.PrefixHash(12, toks), core.PrefixHash(16, toks)})
+			s.dir.Register(r, "ssm", []uint64{core.PrefixHash(8, toks), core.PrefixHash(16, toks)})
 			probe := &core.Sequence{ID: core.RequestID(step), Tokens: append(toks, core.Token{ID: 7})}
 			fr := s.Fetch((r+1)%replicas, probe, now)
 			hashReport(h, fr, &outcomes)

@@ -11,7 +11,8 @@ import (
 
 // streamHash fingerprints everything a generator decides about a
 // stream: per request the ID, arrival, group, output length, deadline,
-// fan-out shape, and every prompt token's content and modality.
+// fan-out shape, and every prompt token's content and modality — the
+// whole prompt, Shared head then Prompt, as one sequence.
 type streamHash struct {
 	h hash.Hash64
 }
@@ -31,13 +32,15 @@ func (s streamHash) add(r *Request) {
 	put(int64(r.Deadline))
 	put(int64(r.Fanout))
 	put(int64(r.ForkAfter))
-	put(int64(len(r.Prompt)))
-	for _, t := range r.Prompt {
-		v := int64(t.Content())
-		if t.Image() {
-			v |= 1 << 40
+	put(int64(r.PromptLen()))
+	for _, part := range [2][]core.Token{r.Shared, r.Prompt} {
+		for _, t := range part {
+			v := int64(t.Content())
+			if t.Image() {
+				v |= 1 << 40
+			}
+			put(v)
 		}
-		put(v)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 
 // Recycler is the optional capability of a Source whose prompts can be
 // reused: Recycle hands back the array of a prompt an earlier Next
-// returned. The caller — and everything it passed the request to — must
+// returned — its Prompt, never its Shared head. The caller — and everything it passed the request to — must
 // hold no reference to it any more: the next request's tokens are
 // written over it. Recycle is called from the goroutine that calls
 // Next. The generator-backed sources implement it and the combinators

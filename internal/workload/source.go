@@ -19,7 +19,9 @@ import (
 // engine's Submit does). The Prompt array behind it is handed over for
 // good: the source never touches it again unless the consumer hands it
 // back through Recycle, which the generator-backed sources offer (see
-// Recycler) and a consumer is free never to call.
+// Recycler) and a consumer is free never to call. A Shared head is
+// only lent: it is the generator's, read by every request over it, and
+// never handed back.
 //
 // The one flow difference from the slice pipeline: slice workloads
 // typically reuse one Gen for generation and then for PoissonArrivals,

@@ -8,12 +8,15 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"jenga/internal/core"
 )
 
 // Request is one serving request: a prompt plus a target output length.
+// The prompt is Shared followed by Prompt; PromptLen, PromptImages and
+// Truncate read and cut the two as one sequence.
 type Request struct {
 	// ID is unique within a run.
 	ID int64
@@ -24,7 +27,15 @@ type Request struct {
 	// 0 means unlabeled. Routers and stream-splitting helpers use it;
 	// the engine ignores it.
 	Group int64
-	// Prompt is the input token sequence (text and image tokens).
+	// Shared is the prompt's head that other requests read too — an
+	// ArxivQA request's article — borrowed from the generator and
+	// read-only for everyone: no consumer writes to it or hands it back
+	// (a Recycler takes Prompt alone). nil when the prompt is all the
+	// request's own.
+	Shared []core.Token
+	// Prompt is the request's own part of the input token sequence (text
+	// and image tokens), which follows Shared: the whole of it unless
+	// the request has a Shared head.
 	Prompt []core.Token
 	// OutputLen is the number of tokens to generate (the engine runs
 	// with the paper's --ignore-eos semantics: exactly this many).
@@ -57,8 +68,22 @@ type Request struct {
 	ForkAfter int
 }
 
-// PromptImages counts image tokens in the prompt.
-func (r *Request) PromptImages() int { return core.CountImages(r.Prompt) }
+// PromptLen is the length of the whole prompt, Shared then Prompt.
+func (r *Request) PromptLen() int { return len(r.Shared) + len(r.Prompt) }
+
+// PromptImages counts image tokens in the whole prompt.
+func (r *Request) PromptImages() int { return core.CountImages(r.Shared, r.Prompt) }
+
+// Truncate cuts the whole prompt to its first n tokens (no-op when it
+// is no longer): the one way to shorten a request whose prompt has a
+// Shared head, which a cut of Prompt alone would leave whole.
+func (r *Request) Truncate(n int) {
+	if n < len(r.Shared) {
+		r.Shared, r.Prompt = r.Shared[:n], r.Prompt[:0]
+	} else if n -= len(r.Shared); n < len(r.Prompt) {
+		r.Prompt = r.Prompt[:n]
+	}
+}
 
 // Gen is a deterministic request generator.
 type Gen struct {
@@ -234,7 +259,9 @@ func (g *Gen) Articles(count, meanLen int) []Article {
 // ArxivQA asks questions about articles from a pool: each request is
 // one article followed by a fresh question — the Fig. 17 prefix-caching
 // workload, and with a large meanLen the Ministral long-context
-// workload (average length 92408, §7.2).
+// workload (average length 92408, §7.2). A request borrows its article
+// as its Shared head, read-only and never copied, and owns only its
+// question, the Prompt: the pool is not written while they live.
 func (g *Gen) ArxivQA(arts []Article, n int, questionLen int) []Request {
 	reqs := make([]Request, 0, n)
 	for i := 0; i < n; i++ {
@@ -249,11 +276,10 @@ func (g *Gen) ArxivQA(arts []Article, n int, questionLen int) []Request {
 //jenga:hotpath
 func (g *Gen) arxivQAOne(arts []Article, questionLen int) Request {
 	a := arts[g.rng.Intn(len(arts))]
-	prompt := g.takePrompt(len(a.Tokens) + questionLen)
-	copy(prompt, a.Tokens)
-	fillTokens(prompt[len(a.Tokens):], int64(g.id())*131071, 0, false)
+	question := g.takePrompt(questionLen)
+	fillTokens(question, int64(g.id())*131071, 0, false)
 	return Request{
-		ID: g.id(), Group: a.Seed, Prompt: prompt,
+		ID: g.id(), Group: a.Seed, Shared: slices.Clip(a.Tokens), Prompt: question,
 		OutputLen: g.uniform(100, 300),
 	}
 }
@@ -491,13 +517,7 @@ func (g *Gen) DriftLengths(reqs []Request, loFactor, hiFactor float64) {
 	n := len(reqs)
 	for i := range reqs {
 		f := loFactor + (hiFactor-loFactor)*float64(i)/float64(max(n-1, 1))
-		keep := int(float64(len(reqs[i].Prompt)) * f)
-		if keep < 16 {
-			keep = 16
-		}
-		if keep < len(reqs[i].Prompt) {
-			reqs[i].Prompt = reqs[i].Prompt[:keep]
-		}
+		reqs[i].Truncate(max(int(float64(reqs[i].PromptLen())*f), 16))
 	}
 }
 

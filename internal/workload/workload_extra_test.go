@@ -66,18 +66,19 @@ func TestArxivQAPromptIsArticlePlusQuestion(t *testing.T) {
 	arts := g.Articles(1, 500)
 	reqs := g.ArxivQA(arts, 2, 64)
 	for _, r := range reqs {
-		if len(r.Prompt) != len(arts[0].Tokens)+64 {
-			t.Fatalf("prompt len %d != article %d + question 64", len(r.Prompt), len(arts[0].Tokens))
+		p := fullPrompt(&r)
+		if len(p) != len(arts[0].Tokens)+64 {
+			t.Fatalf("prompt len %d != article %d + question 64", len(p), len(arts[0].Tokens))
 		}
 		for j, tok := range arts[0].Tokens {
-			if r.Prompt[j] != tok {
+			if p[j] != tok {
 				t.Fatalf("prompt diverges from article at %d", j)
 			}
 		}
 	}
 	// Questions are unique across requests.
-	q0 := reqs[0].Prompt[len(arts[0].Tokens):]
-	q1 := reqs[1].Prompt[len(arts[0].Tokens):]
+	q0 := fullPrompt(&reqs[0])[len(arts[0].Tokens):]
+	q1 := fullPrompt(&reqs[1])[len(arts[0].Tokens):]
 	same := true
 	for j := range q0 {
 		if q0[j] != q1[j] {

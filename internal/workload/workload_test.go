@@ -80,10 +80,11 @@ func TestArxivQASharing(t *testing.T) {
 outer:
 	for i := range reqs {
 		for j := i + 1; j < len(reqs); j++ {
-			if len(reqs[i].Prompt) >= 64 && len(reqs[j].Prompt) >= 64 {
+			pi, pj := fullPrompt(&reqs[i]), fullPrompt(&reqs[j])
+			if len(pi) >= 64 && len(pj) >= 64 {
 				same := true
 				for k := 0; k < 64; k++ {
-					if reqs[i].Prompt[k] != reqs[j].Prompt[k] {
+					if pi[k] != pj[k] {
 						same = false
 						break
 					}

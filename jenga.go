@@ -337,8 +337,9 @@ type (
 // faults — chaos runs are reproducible bit-for-bit.
 var NewChaosPlan = chaos.NewPlan
 
-// PrefixHash hashes a prompt's first n tokens with the prefix-cache
-// block chain (custom routers key consistent hashing on it).
+// PrefixHash hashes the first n tokens of a prompt's parts — a
+// request's Shared head, then its Prompt — with the prefix-cache block
+// chain (custom routers key consistent hashing on it).
 var PrefixHash = core.PrefixHash
 
 // TextToken and ImageToken build a Token from the low 31 bits of a

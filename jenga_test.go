@@ -146,8 +146,8 @@ func TestPublicClusterServe(t *testing.T) {
 		t.Errorf("PerReplica has %d entries, want 4", len(res.PerReplica))
 	}
 	// Same prefix hash → same replica, via the exported hash.
-	h1 := jenga.PrefixHash(reqs[0].Prompt, 256)
-	h7 := jenga.PrefixHash(reqs[7].Prompt, 256) // same group, next round
+	h1 := jenga.PrefixHash(256, reqs[0].Prompt)
+	h7 := jenga.PrefixHash(256, reqs[7].Prompt) // same group, next round
 	if reqs[0].Group == reqs[7].Group && h1 != h7 {
 		t.Error("shared prefixes must share PrefixHash")
 	}
