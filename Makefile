@@ -271,9 +271,14 @@ vet:
 # two 72-byte copies per comparison again (the exported Compare keeps
 # its by-value signature and wraps the pointer form); and a generator
 # fills each group's shared prefix once (internal/workload's
-# groupPrefix) and copies it into each prompt, so a
+# groupPrefix) and lends it to each request as its Shared head, so a
 # fillTokens(prompt[:prefixLen] or fillTokens(prompt[:sharedPrefix] in
-# non-test internal/workload is the per-request refill again.
+# non-test internal/workload is the per-request refill again, and a
+# copy(prompt, g.groupPrefix( there is the per-request copy again; and
+# a cluster's records reach the fleet roll-up one way, the shards'
+# retire sinks (internal/cluster/stream.go), and its engines retain
+# none, so a .PerRequest read in non-test internal/cluster is a second
+# feed, or the retained records, again.
 # And what a layer type keeps has one formula, model.Spec.KVBytes (the
 # cost model, the PagedAttention baseline and the §3.2 waste analysis
 # read it), so a case model.SlidingWindow or model.PyramidWindow in
@@ -314,6 +319,8 @@ guard:
 	@files=$$(ls internal/engine/*.go | grep -v '_test\.go$$'); out=$$(awk '/^func \(e \*Engine\) policyView\(/,/^}/' $$files | grep -nE 'for .*e\.running'); if [ -n "$$out" ] || ! grep -q '^func (e \*Engine) policyView(' $$files; then echo "policyView loops over the running set again (its Running is the running set's own summaries, runSet), or policyView is gone from non-test internal/engine:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'func( [a-z][A-Za-z0-9_]*)?\([^)]*[A-Za-z_] ReqInfo[,)]' internal/sched --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "an unexported comparator in internal/sched takes a ReqInfo by value again (the built-ins read the View's summaries through pointers):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn -e 'fillTokens(prompt\[:prefixLen\]' -e 'fillTokens(prompt\[:sharedPrefix\]' internal/workload --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a group's shared prefix is filled per request again in internal/workload (groupPrefix fills it once per generator):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn 'copy(prompt, g\.groupPrefix(' internal/workload --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a group's shared prefix is copied into each prompt again in internal/workload (a request borrows it as its Shared head):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn '\.PerRequest' internal/cluster --include='*.go' | grep -v -e '_test\.go:' -e '^[^:]*:[0-9]*:[[:space:]]*//'); if [ -n "$$out" ]; then echo "non-test internal/cluster reads .PerRequest (finished records reach the fleet roll-up through the shards' retire sinks alone):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'case[^:]*model\.(SlidingWindow|PyramidWindow)' . --include='*.go' | grep -v -e '_test\.go:' -e '^\./internal/model/' -e '^\./internal/core/'); if [ -n "$$out" ]; then echo "a window clamp outside internal/model and internal/core (what a layer type keeps is model.Spec.KVBytes):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn '\.Image()' internal --include='*.go' | grep -v -e '_test\.go:' -e '^internal/core/'); if [ -n "$$out" ]; then echo "a per-token image walk in non-test internal/ outside internal/core (image tokens are counted by core.CountImages):"; echo "$$out"; exit 1; fi
 

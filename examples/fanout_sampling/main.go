@@ -120,10 +120,16 @@ func main() {
 	rootReq.OutputLen = 100_000 // open-ended; every branch is bounded below
 	rootReq.Arrival = 0
 
+	// Submit paused and ask the server to freeze the simulation at the
+	// step boundary after the 32nd token, so the fork point does not
+	// depend on how fast this client reads its events.
+	srv.Pause()
 	root, err := srv.Submit(context.Background(), rootReq)
 	if err != nil {
 		log.Fatal(err)
 	}
+	root.PauseAfter(32)
+	srv.Resume()
 	// Stream until the trajectory looks promising, then branch.
 	for ev := range root.Events() {
 		if (ev.Type == jenga.EventFirstToken || ev.Type == jenga.EventToken) &&
@@ -131,7 +137,6 @@ func main() {
 			break
 		}
 	}
-	srv.Pause() // freeze the simulation at a step boundary to fork
 	kids, err := root.Fork(3)
 	if err != nil {
 		log.Fatal(err)

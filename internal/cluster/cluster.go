@@ -31,8 +31,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"jenga/internal/chaos"
@@ -123,7 +124,9 @@ type ReplicaResult struct {
 	Requests int
 	// RoutedTokens is the work routed here (prompt + output tokens).
 	RoutedTokens int64
-	// Result is the replica engine's full result.
+	// Result is the replica engine's result. Its PerRequest is empty:
+	// a cluster's engines retire their records into the fleet roll-up
+	// (Result.Latency) and retain none.
 	Result *engine.Result
 }
 
@@ -401,10 +404,15 @@ func (c *Cluster) place(p *pass, r *workload.Request) int {
 	return rep
 }
 
-// sortedByArrival returns a copy of reqs stably sorted by arrival.
+// sortedByArrival returns reqs itself when it is in arrival order, else
+// a stably sorted copy: the serve loop only reads the caller's slice.
 func sortedByArrival(reqs []workload.Request) []workload.Request {
-	stream := append([]workload.Request(nil), reqs...)
-	sort.SliceStable(stream, func(i, j int) bool { return stream[i].Arrival < stream[j].Arrival })
+	byArrival := func(a, b workload.Request) int { return cmp.Compare(a.Arrival, b.Arrival) }
+	if slices.IsSortedFunc(reqs, byArrival) {
+		return reqs
+	}
+	stream := slices.Clone(reqs)
+	slices.SortStableFunc(stream, byArrival)
 	return stream
 }
 
@@ -438,10 +446,9 @@ type groupAcc struct {
 }
 
 // fleetAcc is what finished requests fold into: the shared roll-up and
-// the per-tenant sums behind the cluster's fairness fields. Streamed
-// runs feed one per shard from the engines' retire sinks (touched only
-// by that shard's goroutine) and merge them after the join;
-// slice-backed runs feed it from engine.Result.PerRequest.
+// the per-tenant sums behind the cluster's fairness fields. Every pass
+// feeds one per shard from the engines' retire sinks, its one feed, and
+// merges them after the join.
 type fleetAcc struct {
 	*engine.Rollup
 	groups map[int64]*groupAcc
@@ -456,9 +463,13 @@ func (a *fleetAcc) group(id int64) *groupAcc {
 	return g
 }
 
-// observe folds one finished request.
-func (a *fleetAcc) observe(m *engine.RequestMetrics) {
-	a.Observe(m)
+// retire is the retire sink of a shard's engines: it folds a finished
+// request's record.
+func (a *fleetAcc) retire(m engine.RequestMetrics) {
+	if m.State != engine.EventFinished {
+		return
+	}
+	a.Observe(&m)
 	g := a.group(m.Group)
 	g.tokens += int64(m.Tokens)
 	g.finished++
@@ -476,14 +487,12 @@ func (a *fleetAcc) merge(o *fleetAcc) {
 	}
 }
 
-// aggregate folds the drained replicas into the fleet view. acc already
-// holds whatever the retire sinks streamed; per-request records the
-// engines retained instead (slice-backed runs) fold in here.
+// aggregate folds the drained replicas into the fleet view; acc holds
+// every finished request's record, folded by the retire sinks.
 func (c *Cluster) aggregate(p *pass, acc *fleetAcc) *Result {
 	out := &p.out
 	out.Policy, out.Replicas = c.router.Name(), len(c.engines)
 	shares := make([]float64, len(c.engines))
-	retained := 0
 	for i, e := range c.engines {
 		res := e.ResultSnapshot()
 		shares[i] = float64(p.loads[i].RoutedTokens)
@@ -495,13 +504,6 @@ func (c *Cluster) aggregate(p *pass, acc *fleetAcc) *Result {
 		})
 		out.Totals.Add(&res.Totals)
 		out.MeanKVUtil += res.MeanKVUtil
-		retained += len(res.PerRequest)
-	}
-	acc.Grow(retained)
-	for _, pr := range out.PerReplica {
-		for j := range pr.Result.PerRequest {
-			acc.observe(&pr.Result.PerRequest[j])
-		}
 	}
 	out.Rates()
 	out.Latency = acc.Latency(out.Duration)

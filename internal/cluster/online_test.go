@@ -1,11 +1,16 @@
 package cluster
 
 import (
+	"cmp"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"jenga/internal/core"
 	"jenga/internal/engine"
+	"jenga/internal/gpu"
 	"jenga/internal/workload"
 )
 
@@ -205,5 +210,89 @@ func TestServeOnlineWarmCache(t *testing.T) {
 	}
 	if warm.HitRate <= cold.HitRate {
 		t.Errorf("warm hit rate %.3f not above cold %.3f", warm.HitRate, cold.HitRate)
+	}
+}
+
+// TestServeOnlineOneReplicaMatchesEngineRun: with one replica the fleet
+// roll-up, fed record by record from the retire sink, reads exactly the
+// TTFT and E2E percentiles that Engine.Run's retained records give.
+func TestServeOnlineOneReplicaMatchesEngineRun(t *testing.T) {
+	reqs := onlineWorkload(17, 0)
+	res, err := testCluster(t, 1, RoundRobin, perReplicaCapacity).ServeOnline(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec()
+	mgr, err := core.New(core.Config{
+		Spec: spec, CapacityBytes: perReplicaCapacity, EnablePrefixCache: true, RequestAware: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(engine.Config{Spec: spec, Device: gpu.H100(), Manager: mgr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := eng.Run(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run.Latency(0)
+	if res.Finished != run.Finished || len(run.PerRequest) != run.Finished || res.Finished == 0 {
+		t.Fatalf("cluster finished %d, engine %d with %d records", res.Finished, run.Finished, len(run.PerRequest))
+	}
+	got := res.Latency
+	if got.P50TTFT != want.P50TTFT || got.P99TTFT != want.P99TTFT || got.P50E2E != want.P50E2E || got.P99E2E != want.P99E2E {
+		t.Fatalf("cluster TTFT p50/p99 %v/%v E2E p50/p99 %v/%v, engine %v/%v %v/%v",
+			got.P50TTFT, got.P99TTFT, got.P50E2E, got.P99E2E, want.P50TTFT, want.P99TTFT, want.P50E2E, want.P99E2E)
+	}
+	for _, pr := range res.PerReplica {
+		if len(pr.Result.PerRequest) != 0 {
+			t.Fatalf("replica %d retained %d records; the fleet roll-up takes them", pr.Replica, len(pr.Result.PerRequest))
+		}
+	}
+}
+
+// TestServeLeavesCallerSlice: Serve and ServeOnline only read the
+// caller's slice — element by element it is what it was, sorted or not —
+// and an unsorted slice is served in arrival order, as its sorted copy
+// is.
+func TestServeLeavesCallerSlice(t *testing.T) {
+	byArrival := func(a, b workload.Request) int { return cmp.Compare(a.Arrival, b.Arrival) }
+	unsorted := onlineWorkload(5, 0)
+	if slices.IsSortedFunc(unsorted, byArrival) {
+		t.Fatal("the jittered workload is already in arrival order")
+	}
+	sorted := slices.Clone(unsorted)
+	slices.SortStableFunc(sorted, byArrival)
+	for _, serve := range []struct {
+		name string
+		run  func(c *Cluster, reqs []workload.Request) (*Result, error)
+	}{
+		{"Serve", (*Cluster).Serve},
+		{"ServeOnline", (*Cluster).ServeOnline},
+	} {
+		var results [2]*Result
+		for i, reqs := range [2][]workload.Request{sorted, unsorted} {
+			before := make([]workload.Request, len(reqs))
+			for j, r := range reqs {
+				r.Shared, r.Prompt = slices.Clone(r.Shared), slices.Clone(r.Prompt)
+				before[j] = r
+			}
+			res, err := serve.run(testCluster(t, 3, LeastLoaded, perReplicaCapacity), reqs)
+			if err != nil {
+				t.Fatalf("%s: %v", serve.name, err)
+			}
+			for j := range reqs {
+				if !reflect.DeepEqual(reqs[j], before[j]) {
+					t.Fatalf("%s: the caller's request %d changed: now ID %d at %v, was ID %d at %v (or its prompt changed)",
+						serve.name, j, reqs[j].ID, reqs[j].Arrival, before[j].ID, before[j].Arrival)
+				}
+			}
+			results[i] = res
+		}
+		if s, u := results[0], results[1]; s.Latency != u.Latency || s.Totals != u.Totals || s.Imbalance != u.Imbalance {
+			t.Fatalf("%s: an unsorted slice served differently from its sorted copy:\n%+v\n%+v", serve.name, u, s)
+		}
 	}
 }

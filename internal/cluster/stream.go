@@ -208,10 +208,10 @@ func (p *pass) recycle() {
 // newPass): pulls arrivals from src (non-decreasing), fires a barrier
 // when the horizon policy every says so, places each arrival and sends
 // it to its replica's shard; at EOF the shards drain their replicas and
-// the results fold into one Result. With exact set the engines retain
-// per-request records (Result.PerRequest, exact percentiles); otherwise
-// they retire into per-shard histograms and memory stays bounded at any
-// request count.
+// the results fold into one Result. Engines retire finished records
+// into their shard's fleetAcc and retain none; exact only picks its
+// Rollup's kind: exact percentiles, or histograms whose memory stays
+// bounded at any request count.
 func (c *Cluster) drive(p *pass, src workload.Source, shards int, every time.Duration, exact bool) (*Result, error) {
 	n := len(c.engines)
 	shards = min(max(shards, 1), n)
@@ -232,15 +232,10 @@ func (c *Cluster) drive(p *pass, src workload.Source, shards int, every time.Dur
 	for rep, e := range c.engines {
 		s := p.shards[rep%shards]
 		s.owned = append(s.owned, rep)
-		if !exact {
-			// Sink calls run on the owning shard's goroutine.
-			e.SetRetireSink(func(m engine.RequestMetrics) {
-				if m.State == engine.EventFinished {
-					s.acc.observe(&m)
-				}
-			})
-			defer e.SetRetireSink(e.Retain)
-		}
+		// Sink calls run on the owning shard's goroutine, or on the
+		// router's inside a barrier section.
+		e.SetRetireSink(s.acc.retire)
+		defer e.SetRetireSink(e.Retain)
 		if p.recycler != nil {
 			e.SetPromptSink(s.retired)
 			defer e.SetPromptSink(nil)

@@ -88,14 +88,15 @@ type Stream struct {
 	done   chan struct{}
 
 	// Owned by the pump (under srv.mu) until done closes. generated
-	// follows the token events (CancelAfter reads it between them);
-	// everything else about how the request went arrives with its
-	// record at the terminal instant.
+	// follows the token events (CancelAfter and PauseAfter read it
+	// between them); everything else about how the request went arrives
+	// with its record at the terminal instant.
 	priority    int
 	outputLen   int
 	generated   int
 	dropped     int
 	cancelAfter int
+	pauseAfter  int
 	result      StreamResult
 }
 
@@ -171,6 +172,25 @@ func (st *Stream) CancelAfter(n int) {
 		s.pendingCancels = append(s.pendingCancels, st.id)
 	}
 	s.cond.Broadcast()
+}
+
+// PauseAfter pauses the server (as Pause) at the step boundary right
+// after this stream's n-th output token, however fast the consumer
+// drains events — before the next step if n tokens exist already. It
+// fires once. Submit under Pause, set PauseAfter, Resume, and fork on
+// reading the n-th token: the fork lands on the same step every run.
+func (st *Stream) PauseAfter(n int) {
+	s := st.srv
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case <-st.done:
+	default:
+		st.pauseAfter = max(n, 1)
+		if st.generated >= st.pauseAfter {
+			st.pauseAfter, s.paused = 0, true
+		}
+	}
 }
 
 // Fork splits the stream into n additional branches that share all KV
@@ -438,6 +458,10 @@ func (s *Server) handleEvent(ev engine.Event) {
 		st.generated = ev.Generated
 		if st.cancelAfter > 0 && st.generated >= st.cancelAfter {
 			s.pendingCancels = append(s.pendingCancels, st.id)
+		}
+		if st.pauseAfter > 0 && st.generated >= st.pauseAfter {
+			st.pauseAfter = 0
+			s.paused = true // the pump finishes this step and waits
 		}
 	}
 	if ev.Type.Terminal() {

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -701,5 +702,64 @@ func TestStreamForkQueued(t *testing.T) {
 	}
 	if rep := s.Report(); rep.Finished != 1 {
 		t.Fatalf("report %+v, want the root finished despite the failed fork", rep)
+	}
+}
+
+// TestPauseAfterFixesTheForkPoint: the interactive fork of
+// examples/fanout_sampling — submit paused, PauseAfter(32), resume, read
+// events to the 32nd token, fork — lands on the same step every run,
+// however slowly the client reads: each of 20 runs, with a consumer
+// that sleeps on every event, sees the same usage at the fork and the
+// same branch outcomes.
+func TestPauseAfterFixesTheForkPoint(t *testing.T) {
+	const forkAt = 32
+	type outcome struct {
+		atFork core.Usage
+		ttft   [3]time.Duration
+	}
+	var first outcome
+	for run := 0; run < 20; run++ {
+		s := testServer(t, 64<<20, true, Config{})
+		s.Pause()
+		root, err := s.Submit(context.Background(), testReqs(61, 1, 256, 100_000)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.PauseAfter(forkAt)
+		s.Resume()
+		for ev := range root.Events() {
+			time.Sleep(100 * time.Microsecond) // a consumer slower than the pump
+			if (ev.Type == engine.EventFirstToken || ev.Type == engine.EventToken) && ev.Generated >= forkAt {
+				break
+			}
+		}
+		kids, err := root.Fork(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := outcome{atFork: s.Snapshot().Usage}
+		if got.atFork.SharedBytes <= 0 {
+			t.Fatalf("run %d: no shared KV at the fork: %+v", run, got.atFork)
+		}
+		root.CancelAfter(80)
+		for _, k := range kids {
+			k.CancelAfter(80)
+		}
+		s.Resume()
+		for i, k := range kids {
+			res, err := k.Wait(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.ttft[i] = res.TTFT
+		}
+		if err := s.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = got
+		} else if !reflect.DeepEqual(got, first) {
+			t.Fatalf("run %d forked at %+v, run 0 at %+v", run, got, first)
+		}
 	}
 }

@@ -203,7 +203,8 @@ func TestGeneratorsAllocateOnlyThePrompt(t *testing.T) {
 }
 
 // TestGroupPrefixesMatchFill: a group's shared prefix is filled once
-// per generator and copied into each prompt, and every prompt must hold
+// per generator and lent to each request as its Shared head, and every
+// whole prompt (Shared ++ Prompt) must hold
 // exactly what filling it in place would have written — the prefix from
 // the group's content seed, the suffix from the request's own. Checked
 // per request, token by token, for PrefixGroups, ChurnGroups and
@@ -231,12 +232,13 @@ func TestGroupPrefixesMatchFill(t *testing.T) {
 	}
 	check := func(t *testing.T, s shape, form string, r *Request) {
 		t.Helper()
-		want := make([]core.Token, len(r.Prompt))
+		prompt := fullPrompt(r)
+		want := make([]core.Token, len(prompt))
 		fillTokens(want[:s.prefix], r.Group, 0, false)
 		fillTokens(want[s.prefix:], (r.ID-1)*s.suffixMul, 0, false)
 		for i := range want {
-			if r.Prompt[i] != want[i] {
-				t.Fatalf("%s %s: request %d token %d is %v, a per-request fill writes %v", s.name, form, r.ID, i, r.Prompt[i], want[i])
+			if prompt[i] != want[i] {
+				t.Fatalf("%s %s: request %d token %d is %v, a per-request fill writes %v", s.name, form, r.ID, i, prompt[i], want[i])
 			}
 		}
 	}

@@ -9,11 +9,12 @@ func TestChurnGroupsDeterministic(t *testing.T) {
 		t.Fatalf("lengths differ: %d vs %d (want %d)", len(a), len(b), 8*16)
 	}
 	for i := range a {
-		if a[i].ID != b[i].ID || a[i].Group != b[i].Group || len(a[i].Prompt) != len(b[i].Prompt) {
+		pa, pb := fullPrompt(&a[i]), fullPrompt(&b[i])
+		if a[i].ID != b[i].ID || a[i].Group != b[i].Group || len(pa) != len(pb) {
 			t.Fatalf("request %d differs across identical seeds", i)
 		}
-		for j := range a[i].Prompt {
-			if a[i].Prompt[j] != b[i].Prompt[j] {
+		for j := range pa {
+			if pa[j] != pb[j] {
 				t.Fatalf("request %d token %d differs", i, j)
 			}
 		}
@@ -27,8 +28,9 @@ func TestChurnGroupsSharesPrefixContentWithPrefixGroups(t *testing.T) {
 	byGroup := make(map[int64][]int32)
 	for _, r := range plain {
 		ids := make([]int32, prefixLen)
+		p := fullPrompt(&r)
 		for i := 0; i < prefixLen; i++ {
-			ids[i] = r.Prompt[i].ID
+			ids[i] = p[i].ID
 		}
 		byGroup[r.Group] = ids
 	}
@@ -37,10 +39,11 @@ func TestChurnGroupsSharesPrefixContentWithPrefixGroups(t *testing.T) {
 		if !ok {
 			t.Fatalf("churn group %d not generated by PrefixGroups", r.Group)
 		}
+		p := fullPrompt(&r)
 		for i := 0; i < prefixLen; i++ {
-			if r.Prompt[i].ID != want[i] {
+			if p[i].ID != want[i] {
 				t.Fatalf("group %d prefix token %d: churn %d, prefix-groups %d",
-					r.Group, i, r.Prompt[i].ID, want[i])
+					r.Group, i, p[i].ID, want[i])
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package workload
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"jenga/internal/core"
 )
@@ -91,6 +92,103 @@ func TestArxivQASharedHeadMatchesCopy(t *testing.T) {
 		}
 		if cutInArticle == 0 {
 			t.Fatalf("seed %d: no drift cut reached into the article", seed)
+		}
+	}
+}
+
+// groupHeadWant is what a group request's Shared head must hold: n
+// tokens filled from the group's content seed, its Group label.
+func groupHeadWant(r *Request, n int) []core.Token {
+	want := make([]core.Token, n)
+	fillTokens(want, r.Group, 0, false)
+	return want
+}
+
+// TestGroupHeadsOutliveShapeChanges: a head lent under one generator
+// shape reads its own content after the Gen has switched shapes — more
+// groups, another prefix length, another seed base, and back — because
+// every switch fills a fresh memo and never refills the one lent heads
+// point into. Each head is clipped, so an append through it cannot
+// write into a neighbouring group's prefix.
+func TestGroupHeadsOutliveShapeChanges(t *testing.T) {
+	type lent struct {
+		reqs []Request
+		n    int
+	}
+	g := NewGen(5)
+	var all []lent
+	for round := 0; round < 2; round++ {
+		all = append(all,
+			lent{g.PrefixGroups(3, 2, 64, 8), 64},
+			lent{g.PrefixGroups(6, 1, 64, 8), 64},
+			lent{g.ChurnGroups(4, 2, 48, 8, 2), 48},
+			lent{g.MMLUPro(4, 96), 96},
+			lent{g.PrefixGroups(2, 2, 64, 8), 64})
+	}
+	for i, l := range all {
+		for j := range l.reqs {
+			r := &l.reqs[j]
+			if !slices.Equal(r.Shared, groupHeadWant(r, l.n)) {
+				t.Fatalf("shape %d request %d (group %d): the head no longer reads its group's prefix", i, j, r.Group)
+			}
+			if cap(r.Shared) != len(r.Shared) {
+				t.Fatalf("shape %d request %d: head has cap %d beyond its len %d", i, j, cap(r.Shared), len(r.Shared))
+			}
+		}
+	}
+}
+
+// overlaps reports whether two token arrays share memory.
+func overlaps(a, b []core.Token) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	size := unsafe.Sizeof(core.Token{})
+	a0, b0 := uintptr(unsafe.Pointer(&a[:1][0])), uintptr(unsafe.Pointer(&b[:1][0]))
+	return a0 < b0+uintptr(cap(b))*size && b0 < a0+uintptr(cap(a))*size
+}
+
+// TestRecycledSuffixNeverAliasesHead: under a consumer that hands every
+// Prompt back two requests later, no suffix the free list lends is ever
+// a head's memory, and every head still reads its group's prefix after
+// the stream. The content check bites in a jengadebug build (make
+// debug), where a handed-back array is poisoned: an alias would show
+// there as well as in the address check.
+func TestRecycledSuffixNeverAliasesHead(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		n    int
+		src  func(g *Gen) Source
+	}{
+		{"prefix_groups", 128, func(g *Gen) Source { return g.PrefixGroupsSource(5, 12, 128, 24) }},
+		{"churn_groups", 96, func(g *Gen) Source { return g.ChurnGroupsSource(6, 10, 96, 40, 3) }},
+		{"mmlu_pro", 256, func(g *Gen) Source { return stream(g, 60, func() Request { return g.mmluProOne(256) }) }},
+	} {
+		src := c.src(NewGen(11))
+		rec := src.(Recycler)
+		var seen []Request
+		var held [][]core.Token
+		recycled := 0
+		for r, ok := src.Next(); ok; r, ok = src.Next() {
+			for i := range seen {
+				if overlaps(r.Prompt, seen[i].Shared) {
+					t.Fatalf("%s: request %d's suffix lies in request %d's head", c.name, r.ID, seen[i].ID)
+				}
+			}
+			seen = append(seen, *r)
+			if held = append(held, r.Prompt); len(held) > 2 {
+				rec.Recycle(held[0])
+				held = held[1:]
+				recycled++
+			}
+		}
+		if recycled == 0 {
+			t.Fatalf("%s: nothing was handed back", c.name)
+		}
+		for i := range seen {
+			if !slices.Equal(seen[i].Shared, groupHeadWant(&seen[i], c.n)) {
+				t.Fatalf("%s: request %d's head changed after the stream handed suffixes back", c.name, seen[i].ID)
+			}
 		}
 	}
 }

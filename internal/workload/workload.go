@@ -122,9 +122,9 @@ func (g *Gen) id() int64 {
 // seed into dst, so two prompts filled from the same (seed, offset)
 // share content. Every generator below draws its lengths first, takes
 // the prompt once at its exact size (takePrompt) and fills each segment
-// in place — a group's shared prefix is copied from the generator's
-// memo instead (groupPrefix) — at most one allocation per request,
-// nothing regrown.
+// in place — a group's shared prefix is lent from the generator's memo
+// instead, as the request's Shared head (groupPrefix) — at most one
+// allocation per request, nothing regrown.
 //
 //jenga:hotpath
 func fillTokens(dst []core.Token, seed int64, offset int, image bool) {
@@ -176,7 +176,8 @@ const (
 
 // MMLUPro generates text-only exam questions: a shared few-shot
 // instruction prefix (subject-wise) followed by a unique question. The
-// dataset's maximum length is 3076 tokens (§7.1).
+// dataset's maximum length is 3076 tokens (§7.1). A request borrows its
+// subject's prefix as its Shared head and owns only its question.
 func (g *Gen) MMLUPro(n int, sharedPrefix int) []Request {
 	reqs := make([]Request, 0, n)
 	for i := 0; i < n; i++ {
@@ -193,11 +194,11 @@ func (g *Gen) MMLUPro(n int, sharedPrefix int) []Request {
 func (g *Gen) mmluProOne(sharedPrefix int) Request {
 	subject := g.rng.Intn(mmluSubjects)
 	qLen := g.clampedNormal(800, 400, 128, 3076-sharedPrefix)
-	prompt := g.takePrompt(sharedPrefix + qLen)
-	copy(prompt, g.groupPrefix(mmluSeedBase, mmluSubjects, subject, sharedPrefix))
-	fillTokens(prompt[sharedPrefix:], int64(g.id())*7919, 0, false)
+	head := g.groupPrefix(mmluSeedBase, mmluSubjects, subject, sharedPrefix)
+	question := g.takePrompt(qLen)
+	fillTokens(question, int64(g.id())*7919, 0, false)
 	return Request{
-		ID: g.id(), Group: mmluSeedBase + int64(subject), Prompt: prompt,
+		ID: g.id(), Group: mmluSeedBase + int64(subject), Shared: head, Prompt: question,
 		// MMLU-pro is chain-of-thought: answers are long.
 		OutputLen: g.uniform(256, 768),
 	}
@@ -335,7 +336,8 @@ func (g *Gen) shareGPTOne() Request {
 // arrival process laid over them alternates prefix classes the way
 // concurrent tenants do. With many groups and a per-replica cache too
 // small to hold them all, router choice dominates the aggregate prefix
-// hit rate.
+// hit rate. A request borrows its group's prefix as its Shared head and
+// owns only its suffix.
 func (g *Gen) PrefixGroups(groups, perGroup, prefixLen, suffixLen int) []Request {
 	reqs := make([]Request, 0, groups*perGroup)
 	for i := 0; i < perGroup; i++ {
@@ -351,9 +353,9 @@ func (g *Gen) PrefixGroups(groups, perGroup, prefixLen, suffixLen int) []Request
 //
 //jenga:hotpath
 func (g *Gen) prefixGroupsOne(groups, grp, prefixLen, suffixLen int) Request {
-	prompt := g.groupPrompt(groups, grp, prefixLen, suffixLen)
+	head, suffix := g.groupPrompt(groups, grp, prefixLen, suffixLen)
 	return Request{
-		ID: g.id(), Group: groupSeedBase + int64(grp), Prompt: prompt,
+		ID: g.id(), Group: groupSeedBase + int64(grp), Shared: head, Prompt: suffix,
 		OutputLen: g.uniform(16, 64),
 	}
 }
@@ -364,21 +366,23 @@ func (g *Gen) prefixGroupsOne(groups, grp, prefixLen, suffixLen int) Request {
 const groupSeedBase int64 = 7_000_000
 
 // groupPrompt builds a PrefixGroups/ChurnGroups prompt: group grp's
-// shared prefix, of groups in all, and a unique suffix.
+// shared prefix, of groups in all, as the borrowed head, and a unique
+// suffix, the request's own.
 //
 //jenga:hotpath
-func (g *Gen) groupPrompt(groups, grp, prefixLen, suffixLen int) []core.Token {
-	prompt := g.takePrompt(prefixLen + suffixLen)
-	copy(prompt, g.groupPrefix(groupSeedBase, groups, grp, prefixLen))
-	fillTokens(prompt[prefixLen:], int64(g.id())*15485863, 0, false)
-	return prompt
+func (g *Gen) groupPrompt(groups, grp, prefixLen, suffixLen int) (head, suffix []core.Token) {
+	head = g.groupPrefix(groupSeedBase, groups, grp, prefixLen)
+	suffix = g.takePrompt(suffixLen)
+	fillTokens(suffix, int64(g.id())*15485863, 0, false)
+	return head, suffix
 }
 
 // groupPrefix returns group grp's shared prefix of n tokens, content
 // seed base+grp, for a generator of groups groups. The first request of
 // a shape fills every group's prefix into one array (takeMemo); later
-// ones copy from it instead of refilling it per request. The memo is the
-// Gen's and read-only: a prompt gets a copy, never the memo itself.
+// ones borrow it as their Shared head instead of refilling it per
+// request. The memo is the Gen's and read-only: the head is clipped, so
+// no append through it writes into the next group's prefix.
 //
 //jenga:hotpath
 func (g *Gen) groupPrefix(base int64, groups, grp, n int) []core.Token {
@@ -386,11 +390,13 @@ func (g *Gen) groupPrefix(base int64, groups, grp, n int) []core.Token {
 	if m.base != base || m.n != n || len(m.toks) < groups*n {
 		g.fillPrefixes(base, groups, n)
 	}
-	return m.toks[grp*n : (grp+1)*n]
+	return slices.Clip(m.toks[grp*n : (grp+1)*n])
 }
 
 // fillPrefixes fills the memo with the prefixes of groups groups: the
-// one fill each group's prefix gets while its shape lasts.
+// one fill each group's prefix gets while its shape lasts. The memo is
+// always a fresh array, never the last shape's refilled, so a head lent
+// under an earlier shape keeps its content for as long as it lives.
 func (g *Gen) fillPrefixes(base int64, groups, n int) {
 	g.prefix = prefixMemo{base: base, n: n, toks: takeMemo(groups * n)}
 	for i := 0; i < groups; i++ {
@@ -439,9 +445,9 @@ func (g *Gen) churnGroupsOne(i, total, groups, prefixLen, suffixLen, phases int)
 	} else {
 		grp = g.rng.Intn(groups)
 	}
-	prompt := g.groupPrompt(groups, grp, prefixLen, suffixLen)
+	head, suffix := g.groupPrompt(groups, grp, prefixLen, suffixLen)
 	return Request{
-		ID: g.id(), Group: groupSeedBase + int64(grp), Prompt: prompt,
+		ID: g.id(), Group: groupSeedBase + int64(grp), Shared: head, Prompt: suffix,
 		OutputLen: g.uniform(16, 64),
 	}
 }

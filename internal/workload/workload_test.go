@@ -12,11 +12,12 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal("length mismatch")
 	}
 	for i := range a {
-		if len(a[i].Prompt) != len(b[i].Prompt) || a[i].OutputLen != b[i].OutputLen {
+		pa, pb := fullPrompt(&a[i]), fullPrompt(&b[i])
+		if len(pa) != len(pb) || a[i].OutputLen != b[i].OutputLen {
 			t.Fatalf("request %d differs across identical seeds", i)
 		}
-		for j := range a[i].Prompt {
-			if a[i].Prompt[j] != b[i].Prompt[j] {
+		for j := range pa {
+			if pa[j] != pb[j] {
 				t.Fatalf("token %d of request %d differs", j, i)
 			}
 		}
@@ -27,10 +28,12 @@ func TestMMLUProSharedPrefix(t *testing.T) {
 	reqs := NewGen(1).MMLUPro(40, 256)
 	// Requests of the same subject share the first 256 tokens.
 	shared := 0
+	first := fullPrompt(&reqs[0])
 	for i := 1; i < len(reqs); i++ {
 		same := true
+		p := fullPrompt(&reqs[i])
 		for j := 0; j < 256; j++ {
-			if reqs[i].Prompt[j] != reqs[0].Prompt[j] {
+			if p[j] != first[j] {
 				same = false
 				break
 			}
@@ -43,8 +46,8 @@ func TestMMLUProSharedPrefix(t *testing.T) {
 		t.Error("expected some requests to share the subject prefix")
 	}
 	for _, r := range reqs {
-		if len(r.Prompt) > 3076 {
-			t.Errorf("MMLU-pro prompt %d exceeds max 3076", len(r.Prompt))
+		if r.PromptLen() > 3076 {
+			t.Errorf("MMLU-pro prompt %d exceeds max 3076", r.PromptLen())
 		}
 		if r.PromptImages() != 0 {
 			t.Error("MMLU-pro is text-only")
@@ -187,13 +190,15 @@ func TestPrefixGroupsStructure(t *testing.T) {
 		}
 		// All requests in a group share the 128-token prefix exactly;
 		// suffixes are unique.
+		p0 := fullPrompt(&rs[0])
 		for i := 1; i < len(rs); i++ {
+			pi := fullPrompt(&rs[i])
 			for j := 0; j < 128; j++ {
-				if rs[i].Prompt[j] != rs[0].Prompt[j] {
+				if pi[j] != p0[j] {
 					t.Fatalf("group %d request %d diverges from shared prefix at token %d", grp, i, j)
 				}
 			}
-			if rs[i].Prompt[128] == rs[0].Prompt[128] {
+			if pi[128] == p0[128] {
 				t.Fatalf("group %d request %d suffix collides with request 0", grp, i)
 			}
 		}

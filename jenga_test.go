@@ -101,9 +101,7 @@ func TestPublicEngineRun(t *testing.T) {
 	g := jenga.NewWorkloadGen(3)
 	reqs := g.MMLUPro(8, 128)
 	for i := range reqs {
-		if len(reqs[i].Prompt) > 500 {
-			reqs[i].Prompt = reqs[i].Prompt[:500]
-		}
+		reqs[i].Truncate(500)
 		reqs[i].OutputLen = 8
 	}
 	jenga.AllAtOnce(reqs)
@@ -146,8 +144,8 @@ func TestPublicClusterServe(t *testing.T) {
 		t.Errorf("PerReplica has %d entries, want 4", len(res.PerReplica))
 	}
 	// Same prefix hash → same replica, via the exported hash.
-	h1 := jenga.PrefixHash(256, reqs[0].Prompt)
-	h7 := jenga.PrefixHash(256, reqs[7].Prompt) // same group, next round
+	h1 := jenga.PrefixHash(256, reqs[0].Shared, reqs[0].Prompt)
+	h7 := jenga.PrefixHash(256, reqs[7].Shared, reqs[7].Prompt) // same group, next round
 	if reqs[0].Group == reqs[7].Group && h1 != h7 {
 		t.Error("shared prefixes must share PrefixHash")
 	}
