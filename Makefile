@@ -5,7 +5,7 @@ GO ?= go
 # Pinned staticcheck (matches the CI step; bump both together).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race debug bench bench-json bench-scale bench-smoke chaos-smoke scale-smoke perf-smoke fuzz lint guard staticcheck fmt vet loc loc-check ci
+.PHONY: build test race debug bench bench-json bench-scale bench-smoke chaos-smoke scale-smoke perf-smoke examples fuzz lint guard staticcheck fmt vet loc loc-check ci
 
 build:
 	$(GO) build ./...
@@ -97,6 +97,23 @@ scale-smoke:
 # interface diverges here, in CI, not in the benchmark.
 perf-smoke:
 	bash cmd/jengaperf/run.sh -workload online_overload -seconds 0 -trace 1
+
+# Tours (part of `make ci`, about two seconds with the build): every
+# program under examples/ is built once and run twice. A tour that exits
+# non-zero fails, and so does one whose two runs print different output
+# once lines naming wall-clock time (`wall`) are dropped: a tour runs in
+# simulated time, so what it prints is a function of its code alone.
+# Builds and outputs live in a temporary directory removed on exit.
+examples:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/" ./examples/... && \
+	for bin in "$$dir"/*; do \
+		for i in 1 2; do \
+			"$$bin" > "$$bin.out$$i" 2>&1 || { echo "examples: $${bin##*/} exited non-zero:"; cat "$$bin.out$$i"; exit 1; }; \
+			grep -iv wall "$$bin.out$$i" > "$$bin.cmp$$i" || true; \
+		done; \
+		diff "$$bin.cmp1" "$$bin.cmp2" > /dev/null || { echo "examples: two runs of $${bin##*/} printed different output:"; diff "$$bin.cmp1" "$$bin.cmp2"; exit 1; }; \
+	done
 
 # Timed fuzz over the core free pool, the host-tier/map-reference
 # differential, the fork/CoW lifecycle, the eviction queue/lazy-heap
@@ -324,5 +341,5 @@ guard:
 	@out=$$(grep -rnE 'case[^:]*model\.(SlidingWindow|PyramidWindow)' . --include='*.go' | grep -v -e '_test\.go:' -e '^\./internal/model/' -e '^\./internal/core/'); if [ -n "$$out" ]; then echo "a window clamp outside internal/model and internal/core (what a layer type keeps is model.Spec.KVBytes):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn '\.Image()' internal --include='*.go' | grep -v -e '_test\.go:' -e '^internal/core/'); if [ -n "$$out" ]; then echo "a per-token image walk in non-test internal/ outside internal/core (image tokens are counted by core.CountImages):"; echo "$$out"; exit 1; fi
 
-ci: vet lint guard loc-check build test race debug chaos-smoke scale-smoke perf-smoke
+ci: vet lint guard loc-check build test race debug chaos-smoke scale-smoke perf-smoke examples
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi

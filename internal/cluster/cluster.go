@@ -252,14 +252,13 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	c := &Cluster{cfg: cfg, router: router}
-	managers := make([]core.Manager, 0, cfg.Replicas)
+	c := &Cluster{cfg: cfg, router: router, managers: make([]core.Manager, 0, cfg.Replicas)}
 	for i := 0; i < cfg.Replicas; i++ {
 		mgr, err := newMgr(i)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: replica %d manager: %w", i, err)
 		}
-		managers = append(managers, mgr)
+		c.managers = append(c.managers, mgr)
 		scheduler := cfg.Scheduler
 		if cfg.NewScheduler != nil {
 			if s := cfg.NewScheduler(i); s != nil {
@@ -283,8 +282,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		c.engines = append(c.engines, eng)
 	}
-	c.managers = managers
-	c.attachFleet(managers)
+	c.attachFleet(c.managers)
 	// 2 FLOPs per active parameter per token, compute-bound: the same
 	// first-order term the cost model charges per scheduled token.
 	if f := cfg.Device.FLOPS; f > 0 {
@@ -422,7 +420,7 @@ func sortedByArrival(reqs []workload.Request) []workload.Request {
 // its own shard. Fleet and chaos events need barrier sections and do
 // not run here.
 func (c *Cluster) Serve(reqs []workload.Request) (*Result, error) {
-	return c.drive(c.newPass(), workload.SliceSource(sortedByArrival(reqs)), len(c.engines), horizonNever, true)
+	return c.drive(c.newPass(), workload.SliceSource(sortedByArrival(reqs)), len(c.engines), horizonNever, len(reqs))
 }
 
 // ServeOnline drives the fleet as an online event-driven system in
@@ -435,7 +433,7 @@ func (c *Cluster) Serve(reqs []workload.Request) (*Result, error) {
 // and restart events run in the barrier sections this horizon opens,
 // each at its exact simulated instant.
 func (c *Cluster) ServeOnline(reqs []workload.Request) (*Result, error) {
-	return c.drive(c.newPass(), workload.SliceSource(sortedByArrival(reqs)), 1, horizonEveryArrival, true)
+	return c.drive(c.newPass(), workload.SliceSource(sortedByArrival(reqs)), 1, horizonEveryArrival, len(reqs))
 }
 
 // groupAcc is one tenant's exact served-work accumulator.

@@ -143,13 +143,7 @@ func (c *Cluster) coolestReplica(p *pass, exclude int) int {
 // surviving replica (Migrate) or is shed (otherwise).
 func (c *Cluster) drainReplicas(p *pass) {
 	n := len(c.engines)
-	k := c.cfg.Fleet.DrainReplicas
-	if k <= 0 {
-		k = 1
-	}
-	if k > n-1 {
-		k = n - 1
-	}
+	k := min(max(c.cfg.Fleet.DrainReplicas, 1), n-1)
 	for d := n - k; d < n; d++ {
 		p.drained[d] = true
 	}

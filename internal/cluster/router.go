@@ -220,12 +220,7 @@ func (r *affinityRouter) Route(req *workload.Request, loads []Load) int {
 	if i == len(r.ring) {
 		i = 0 // wrap around the ring
 	}
-	rep := r.ring[i].replica
-	if rep >= len(loads) {
-		// Ring built for more replicas than the cluster has; fold.
-		rep %= len(loads)
-	}
-	return rep
+	return r.ring[i].replica % len(loads) // a ring built for more replicas than the cluster has folds
 }
 
 // mix64 is the splitmix64 finalizer — a cheap, well-distributed hash

@@ -35,6 +35,9 @@ const (
 	// load-aware path rarely blocks inside an epoch either, and one
 	// depth serves every horizon.
 	mailboxDepth = 32
+	// streamed is drive's size for a ServeStream pass, whose source has
+	// no length.
+	streamed = -1
 	// snapshotEvery is the load-snapshot epoch length K in simulated
 	// time for a router that reads loads (LeastLoaded, or any custom
 	// Router): replicas publish their SnapshotTotals at every multiple
@@ -209,10 +212,12 @@ func (p *pass) recycle() {
 // when the horizon policy every says so, places each arrival and sends
 // it to its replica's shard; at EOF the shards drain their replicas and
 // the results fold into one Result. Engines retire finished records
-// into their shard's fleetAcc and retain none; exact only picks its
-// Rollup's kind: exact percentiles, or histograms whose memory stays
-// bounded at any request count.
-func (c *Cluster) drive(p *pass, src workload.Source, shards int, every time.Duration, exact bool) (*Result, error) {
+// into their shard's fleetAcc and retain none. size is the length of
+// the slice an exact pass (Serve, ServeOnline) serves: its roll-ups
+// keep every latency in samples sized from it up front. A streamed
+// pass has no length; its roll-ups fold latencies into histograms whose
+// memory stays bounded at any request count.
+func (c *Cluster) drive(p *pass, src workload.Source, shards int, every time.Duration, size int) (*Result, error) {
 	n := len(c.engines)
 	shards = min(max(shards, 1), n)
 	p.recycler, _ = src.(workload.Recycler)
@@ -221,12 +226,18 @@ func (c *Cluster) drive(p *pass, src workload.Source, shards int, every time.Dur
 	}
 	p.shards = make([]*streamShard, shards)
 	for i := range p.shards {
+		roll := engine.NewRollup(c.cfg.SLOTTFT, size != streamed)
+		share := size / shards // about what the shard's replicas finish
+		if i == 0 {
+			share = size // shard 0 takes in the others' records after the join
+		}
+		roll.Grow(share)
 		p.shards[i] = &streamShard{
 			engines: c.engines,
 			cmds:    make(chan streamCmd, mailboxDepth),
 			ack:     make(chan struct{}, 1),
 			loads:   p.loads,
-			acc:     &fleetAcc{Rollup: engine.NewRollup(c.cfg.SLOTTFT, exact), groups: make(map[int64]*groupAcc)},
+			acc:     &fleetAcc{Rollup: roll, groups: make(map[int64]*groupAcc)},
 		}
 	}
 	for rep, e := range c.engines {
@@ -358,7 +369,7 @@ func (c *Cluster) routeAll(p *pass, src workload.Source, every time.Duration) er
 // relative error, exact min/max); every count, rate and sum in the
 // Result is exact.
 func (c *Cluster) ServeStream(src workload.Source, sc StreamConfig) (*Result, error) {
-	return c.drive(c.newPass(), src, sc.Shards, c.streamHorizon(), false)
+	return c.drive(c.newPass(), src, sc.Shards, c.streamHorizon(), streamed)
 }
 
 // streamHorizon is ServeStream's horizon policy: every arrival for a

@@ -177,7 +177,7 @@ func TestServeStreamShardCountInvariant(t *testing.T) {
 func streamBarriers(t *testing.T, c *Cluster, src workload.Source, sc StreamConfig) int {
 	t.Helper()
 	p := c.newPass()
-	if _, err := c.drive(p, src, sc.Shards, c.streamHorizon(), false); err != nil {
+	if _, err := c.drive(p, src, sc.Shards, c.streamHorizon(), streamed); err != nil {
 		t.Fatal(err)
 	}
 	return p.barriers
@@ -271,7 +271,7 @@ func TestServeStreamLeastLoadedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := streamCluster(t, 4, LeastLoaded)
-		stream, err = c.drive(c.newPass(), workload.SliceSource(reqs), 4, time.Millisecond, false)
+		stream, err = c.drive(c.newPass(), workload.SliceSource(reqs), 4, time.Millisecond, streamed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ package jenga_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -26,6 +27,21 @@ func TestModelsZoo(t *testing.T) {
 	}
 	if _, err := jenga.Models.ByName("missing"); err == nil {
 		t.Error("unknown model should error")
+	}
+	// Each named field is its registry entry.
+	for name, field := range map[string]func() *jenga.Spec{
+		"character-70b": jenga.Models.CharacterAI70B,
+		"llava-ov":      jenga.Models.LLaVAOneVision7B,
+		"llama-1b":      jenga.Models.Llama32_1B,
+		"ministral":     jenga.Models.Ministral8B,
+	} {
+		want, err := jenga.Models.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := field(); !reflect.DeepEqual(got, want) {
+			t.Errorf("Models field for %q is %s, want ByName's %s", name, got.Name, want.Name)
+		}
 	}
 }
 
@@ -217,42 +233,150 @@ func TestPublicOnlineServing(t *testing.T) {
 }
 
 // TestPublicSpeculative: a WithDraft pair is served by the ordinary
-// manager and engine constructors, every request finishing in bursts.
+// engine constructor over the shared Jenga heap and over the two §7.4
+// baselines (vLLM-max, the manual split), every request finishing in
+// bursts under each.
 func TestPublicSpeculative(t *testing.T) {
-	pair := jenga.WithDraft(jenga.Models.Gemma2_9B(), jenga.Models.Gemma2_2B())
-	mgr, err := jenga.NewManager(jenga.ManagerConfig{Spec: pair, CapacityBytes: 1 << 30, TokensPerPage: 16, RequestAware: true})
-	if err != nil {
-		t.Fatal(err)
+	target, draft := jenga.Models.Gemma2_9B(), jenga.Models.Gemma2_2B()
+	pair := jenga.WithDraft(target, draft)
+	for _, m := range []struct {
+		name  string
+		build func() (jenga.Manager, error)
+	}{
+		{"jenga", func() (jenga.Manager, error) {
+			return jenga.NewManager(jenga.ManagerConfig{Spec: pair, CapacityBytes: 1 << 30, TokensPerPage: 16, RequestAware: true})
+		}},
+		{"vllm-max", func() (jenga.Manager, error) { return jenga.NewVLLMMax(target, draft, 1<<30, 16, false) }},
+		{"vllm-manual", func() (jenga.Manager, error) { return jenga.NewVLLMManual(target, draft, 1<<30, 16, false) }},
+	} {
+		mgr, err := m.build()
+		if err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		eng, err := jenga.NewEngine(jenga.EngineConfig{
+			Spec: pair, Manager: mgr, SampleEvery: 1,
+			Device: jenga.Device{Name: "t", MemBytes: 1 << 32, FLOPS: 50e12, MemBW: 500e9},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := jenga.NewWorkloadGen(4)
+		reqs := g.ShareGPT(4)
+		for i := range reqs {
+			if len(reqs[i].Prompt) > 300 {
+				reqs[i].Prompt = reqs[i].Prompt[:300]
+			}
+			reqs[i].OutputLen = 12
+		}
+		jenga.AllAtOnce(reqs)
+		res, err := eng.Run(reqs)
+		if err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		if res.Finished != 4 || res.GeneratedTokens != 4*11 {
+			t.Errorf("%s: finished %d of 4, generated %d tokens, want %d", m.name, res.Finished, res.GeneratedTokens, 4*11)
+		}
+		passes := 0
+		for _, b := range res.DecodeBatchTimeline {
+			passes += b
+		}
+		if passes >= 4*11 || passes*(jenga.SpecK+1) < 4*11 {
+			t.Errorf("%s: %d verify passes for %d tokens: want bursts of 1 to %d", m.name, passes, 4*11, jenga.SpecK+1)
+		}
 	}
-	eng, err := jenga.NewEngine(jenga.EngineConfig{
-		Spec: pair, Manager: mgr, SampleEvery: 1,
-		Device: jenga.Device{Name: "t", MemBytes: 1 << 32, FLOPS: 50e12, MemBW: 500e9},
+}
+
+// TestPublicVisionStrategies: with chunked prefill and no embedding
+// cache the vision encoder re-runs for every chunk that still holds
+// image tokens; free-on-demand and reuse-KV run it once per request.
+func TestPublicVisionStrategies(t *testing.T) {
+	spec := jenga.Models.LLaVAOneVision7B()
+	const chunk = 1024
+	for _, v := range []struct {
+		name     string
+		strategy jenga.VisionStrategy
+		onePer   bool // one encoder run per request
+	}{
+		{"none", jenga.VisionNone, false},
+		{"free-on-demand", jenga.VisionFreeOnDemand, true},
+		{"reuse-kv", jenga.VisionReuseKV, true},
+	} {
+		mgr, err := jenga.NewManager(jenga.ManagerConfig{Spec: spec, CapacityBytes: 4 << 30, RequestAware: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := jenga.NewEngine(jenga.EngineConfig{
+			Spec: spec, Device: jenga.H100(), Manager: mgr, MaxBatchTokens: chunk, Vision: v.strategy,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs := jenga.NewWorkloadGen(3).MMMUPro(3, spec.Vision.TokensPerImage)
+		// Every chunk that reaches an image token re-runs the encoder
+		// without a cache: at least ceil(image tokens / chunk) of them.
+		minChunks := 0
+		for _, r := range reqs {
+			images := 0
+			for _, tok := range r.Prompt {
+				if tok.Image() {
+					images++
+				}
+			}
+			minChunks += (images + chunk - 1) / chunk
+		}
+		jenga.AllAtOnce(reqs)
+		res, err := eng.Run(reqs)
+		if err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		if res.Finished != len(reqs) {
+			t.Fatalf("%s: finished %d of %d", v.name, res.Finished, len(reqs))
+		}
+		if v.onePer && res.EncoderRuns != res.Finished {
+			t.Errorf("%s: %d encoder runs for %d requests, want one each", v.name, res.EncoderRuns, res.Finished)
+		}
+		if !v.onePer && (minChunks <= len(reqs) || res.EncoderRuns < minChunks) {
+			t.Errorf("%s: %d encoder runs for %d requests, want one per image chunk (at least %d)", v.name, res.EncoderRuns, res.Finished, minChunks)
+		}
+	}
+}
+
+// TestPublicFleetAndChaos: the fleet store, migration and a crash-restart
+// plan with recovery run through the facade. The plan's crash and
+// restart both apply, the crashed replica's in-flight requests move to
+// survivors, and every submitted request is accounted for.
+func TestPublicFleetAndChaos(t *testing.T) {
+	g := jenga.NewWorkloadGen(42)
+	reqs := g.ChurnGroups(11, 11, 512, 128, 4)
+	g.PoissonArrivals(reqs, 150)
+	// Crash 40% through the burst and restart at 75%, mid-stream.
+	var plan *jenga.ChaosPlan = jenga.NewChaosPlan(7).
+		Crash(2, reqs[len(reqs)*2/5].Arrival).
+		Restart(2, reqs[len(reqs)*3/4].Arrival)
+	c, err := jenga.NewCluster(jenga.ClusterConfig{
+		Spec: jenga.Models.Gemma2_2B(), Replicas: 3,
+		CapacityBytes: 256 << 20, HostTierBytes: 1 << 30,
+		PreemptMode: jenga.PreemptSwap, SLOTTFT: 750 * time.Millisecond,
+		Fleet: jenga.FleetPolicy{Store: true, Migrate: true},
+		Chaos: jenga.ChaosPolicy{Plan: plan, Recover: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := jenga.NewWorkloadGen(4)
-	reqs := g.ShareGPT(4)
-	for i := range reqs {
-		if len(reqs[i].Prompt) > 300 {
-			reqs[i].Prompt = reqs[i].Prompt[:300]
-		}
-		reqs[i].OutputLen = 12
-	}
-	jenga.AllAtOnce(reqs)
-	res, err := eng.Run(reqs)
+	var res *jenga.ClusterResult
+	res, err = c.ServeOnline(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Finished != 4 || res.GeneratedTokens != 4*11 {
-		t.Errorf("finished %d of 4, generated %d tokens, want %d", res.Finished, res.GeneratedTokens, 4*11)
+	if res.Crashes != 1 || res.Restarts != 1 {
+		t.Errorf("crashes/restarts = %d/%d, want 1/1", res.Crashes, res.Restarts)
 	}
-	passes := 0
-	for _, b := range res.DecodeBatchTimeline {
-		passes += b
+	if res.Redispatched == 0 {
+		t.Error("recovery redispatched nothing: the crash missed the burst")
 	}
-	if passes >= 4*11 || passes*(jenga.SpecK+1) < 4*11 {
-		t.Errorf("%d verify passes for %d tokens: want bursts of 1 to %d", passes, 4*11, jenga.SpecK+1)
+	if got := res.Finished + res.Shed + res.Failed + res.LostRequests; got != len(reqs) {
+		t.Errorf("finished %d + shed %d + failed %d + lost %d = %d, want all %d requests",
+			res.Finished, res.Shed, res.Failed, res.LostRequests, got, len(reqs))
 	}
 }
 
