@@ -302,7 +302,13 @@ vet:
 # non-test code outside internal/model and internal/core is a second
 # copy of the window clamp again; and image tokens have one counter,
 # core.CountImages, so a .Image() call in non-test internal/ outside
-# internal/core is a per-token modality walk again.
+# internal/core is a per-token modality walk again; and a request's
+# block hashes are read through one accessor, classHashes.at (runAt for
+# run keys, internal/core/seqhash.go), which takes the entries of a
+# borrowed Shared head from the manager's memo of it and the rest from
+# the request's own array, so indexing .hashes[, .runs[, .head[ or
+# .headRuns[ in any other non-test core file reads an entry at the
+# wrong offset for a request over a head again.
 # (The token's four bytes need no grep: internal/core pins them at
 # compile time.)
 guard:
@@ -340,6 +346,7 @@ guard:
 	@out=$$(grep -rn '\.PerRequest' internal/cluster --include='*.go' | grep -v -e '_test\.go:' -e '^[^:]*:[0-9]*:[[:space:]]*//'); if [ -n "$$out" ]; then echo "non-test internal/cluster reads .PerRequest (finished records reach the fleet roll-up through the shards' retire sinks alone):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'case[^:]*model\.(SlidingWindow|PyramidWindow)' . --include='*.go' | grep -v -e '_test\.go:' -e '^\./internal/model/' -e '^\./internal/core/'); if [ -n "$$out" ]; then echo "a window clamp outside internal/model and internal/core (what a layer type keeps is model.Spec.KVBytes):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn '\.Image()' internal --include='*.go' | grep -v -e '_test\.go:' -e '^internal/core/'); if [ -n "$$out" ]; then echo "a per-token image walk in non-test internal/ outside internal/core (image tokens are counted by core.CountImages):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE '\.(hashes|runs|head|headRuns)\[' internal/core --include='*.go' | grep -v -e '_test\.go:' -e '^internal/core/seqhash\.go:'); if [ -n "$$out" ]; then echo "a request's block-hash or run-key array is indexed outside internal/core/seqhash.go (every read goes through classHashes.at or runAt, which take a borrowed head's entries from its memo):"; echo "$$out"; exit 1; fi
 
 ci: vet lint guard loc-check build test race debug chaos-smoke scale-smoke perf-smoke examples
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi

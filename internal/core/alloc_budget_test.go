@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"testing"
@@ -163,6 +164,7 @@ func TestStructSizes(t *testing.T) {
 		got, want uintptr
 	}{
 		{"page", unsafe.Sizeof(page{}), 24},
+		{"pageRef", unsafe.Sizeof(pageRef{}), 4},
 		{"assocLink", unsafe.Sizeof(assocLink{}), 16},
 		{"largePage", unsafe.Sizeof(largePage{}), 16},
 		{"pageEntry", unsafe.Sizeof(pageEntry{}), 24},
@@ -179,8 +181,8 @@ func TestStructSizes(t *testing.T) {
 
 // TestPageMetadataBytes pins what the manager's construction costs per
 // large page, in bytes allocated by New: page records, block hashes,
-// prefix index, large-page records and the large-page queue's slots,
-// with the prefix cache and request-aware placement on. The one-group
+// prefix index, large-page records and the large-page queue's slots
+// (and the first slab of head memos, a few KiB in all), with the prefix cache and request-aware placement on. The one-group
 // text spec is fleet_stream's (two layers, ratio 1, 64 MiB: 16,384
 // pages); churnSpec adds a ratio-4 group, which keeps free-stack links.
 func TestPageMetadataBytes(t *testing.T) {
@@ -234,6 +236,46 @@ func TestPageMetadataBytes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRequestStateBytes pins what a request over a borrowed head costs
+// the manager's array slabs: N requests over one ~8k-token head, each
+// with a tail of its own, are looked up, reserved and committed on
+// gemma2-9b. The head's block hashes are carved once, for its memo, and
+// each request carves one arrayQuantum of entries for its own blocks;
+// its page tables cost four bytes an entry, one table per group, sized
+// as growTable sizes a table for the whole sequence.
+func TestRequestStateBytes(t *testing.T) {
+	const n, headLen, tailLen, tpp = 64, 8197, 48, 16
+	m := newMgr(t, model.Gemma2_9B(), 8<<30, tpp, true)
+	head := make([]Token, headLen)
+	for i := range head {
+		head[i] = TextToken(int32(i%50000 + 1))
+	}
+	for i := range n {
+		s := &Sequence{ID: RequestID(i + 1), Shared: head, Tokens: make([]Token, tailLen)}
+		for j := range s.Tokens {
+			s.Tokens[j] = TextToken(int32(60000 + i*tailLen + j))
+		}
+		m.Lookup(s)
+		if err := m.Reserve(s, s.Len(), Tick(i+1)); err != nil {
+			t.Fatal(err)
+		}
+		m.Commit(s, s.Len(), Tick(i+1))
+	}
+	audit(t, m)
+	headBlocks, blocks := headLen/tpp, (headLen+tailLen)/tpp
+	if own := blocks - headBlocks; own > arrayQuantum || len(m.heads) != 1 {
+		t.Fatalf("fixture: %d blocks past the head and %d memos, want at most %d and 1", own, len(m.heads), arrayQuantum)
+	}
+	hashBytes, wantHash := m.hashSlab.carved*8, (headBlocks+n*arrayQuantum)*8
+	table := 1 << bits.Len(uint((headLen+tailLen+tpp-1)/tpp-1))
+	tableBytes, wantTable := m.tableSlab.carved*int(unsafe.Sizeof(pageRef{})), n*len(m.groups)*table*4
+	if hashBytes != wantHash || tableBytes != wantTable {
+		t.Fatalf("carved %d bytes of block hashes and %d of page tables for %d requests, want %d and %d", hashBytes, tableBytes, n, wantHash, wantTable)
+	}
+	t.Logf("%d requests over a %d-token head: %d bytes of block hashes (%.0f a request) and %d of page tables (%.0f a request)",
+		n, headLen, hashBytes, float64(hashBytes)/n, tableBytes, float64(tableBytes)/n)
 }
 
 // churnSpec gives the text group four small pages per large page (the

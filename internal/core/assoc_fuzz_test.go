@@ -133,7 +133,7 @@ func fuzzAssocStacks(t *testing.T, data []byte) {
 	var hash uint64
 	release := func(g *group, req RequestID, id arena.SmallPageID, cached bool, now Tick) {
 		tab := *table(g, req)
-		tab[slices.Index(tab, pageRef{id: id, held: true})].held = false
+		tab[slices.Index(tab, heldRef(id))] = pageRef{}
 		pg := &g.pages[id]
 		if cached {
 			// A block-boundary commit: complete, content never seen before.
@@ -218,7 +218,7 @@ func fuzzAssocStacks(t *testing.T, data []byte) {
 				ref.carved(req, first, n)
 			}
 			held[g.idx][req] = append(held[g.idx][req], id)
-			*table(g, req) = append(*table(g, req), pageRef{id: id, held: true})
+			*table(g, req) = append(*table(g, req), heldRef(id))
 		}
 		if err := m.CheckInvariants(); err != nil {
 			t.Fatalf("op %d: %v", i, err)

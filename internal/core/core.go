@@ -92,9 +92,12 @@ type Sequence struct {
 	// requests read too, such as an article — and Tokens, the request's
 	// own tail, both read-only and never copied, and appends generated
 	// tokens to Out, a buffer it owns; a hand-built sequence may hold
-	// everything in Tokens and leave the other two nil. The manager reads
-	// the three only through Len, Span and at, so where the boundaries
-	// lie makes no difference to it.
+	// everything in Tokens and leave the other two nil. Where the
+	// boundaries lie makes no difference to any answer. Shared's whole
+	// blocks are hashed once per manager, not once per request: the
+	// manager keeps one record of them for every live sequence over the
+	// same array, length and Tag. So Shared must not change while any
+	// live sequence on the manager names it.
 	Shared []Token
 	Tokens []Token
 	Out    []Token

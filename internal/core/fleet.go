@@ -267,21 +267,22 @@ func (m *Jenga) LookupFleet(seq *Sequence, peer PeerPresence) (int, []FetchBlock
 	}
 	m.host.fetch = m.host.fetch[:0]
 	for _, gv := range m.lkViews {
-		m.fetchPeerOnly(gv.g, sh.c[gv.g.hclass].hashes, gv.view.ProjCount[p])
+		m.fetchPeerOnly(gv.g, &sh.c[gv.g.hclass], gv.view.ProjCount[p])
 	}
 	return p, m.host.fetch
 }
 
 // fetchPeerOnly appends to the fetch list the peer-supplied entries of
 // g's overlay (blocks, or Mamba checkpoints) that a claim of pl
-// projected tokens attaches (claimSpan).
+// projected tokens attaches (claimSpan), ch the request's hashes of
+// g's class.
 //
 //jenga:hotpath
-func (m *Jenga) fetchPeerOnly(g *group, hashes []uint64, pl int) {
+func (m *Jenga) fetchPeerOnly(g *group, ch *classHashes, pl int) {
 	head, lo, nb := g.claimSpan(pl)
 	for k := 0; k < nb && k < len(g.lkPeer); k++ {
 		if (k < head || k >= lo) && g.lkPeer[k] != 0 {
-			m.host.fetch = append(m.host.fetch, FetchBlock{Group: g.spec.Name, Hash: hashes[k], Holder: int(g.lkPeer[k]) - 1})
+			m.host.fetch = append(m.host.fetch, FetchBlock{Group: g.spec.Name, Hash: ch.at(k), Holder: int(g.lkPeer[k]) - 1})
 		}
 	}
 }

@@ -123,14 +123,14 @@ func TestFleetExportImportRoundTrip(t *testing.T) {
 	for gi, g := range b.groups {
 		rg := &r.g[gi]
 		for blk := range rg.pages {
-			if !rg.pages[blk].held {
+			if !rg.pages[blk].held() {
 				continue
 			}
-			want, ok := stamps[g.hash[rg.pages[blk].id]]
+			want, ok := stamps[g.hash[rg.pages[blk].id()]]
 			if !ok {
 				continue
 			}
-			buf, err := g.view.SmallSlice(rg.pages[blk].id)
+			buf, err := g.view.SmallSlice(rg.pages[blk].id())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -95,29 +95,29 @@ func (m *Jenga) Fork(parent, child *Sequence, now Tick) error {
 		crg.hasWork, crg.work = false, 0
 		for i := range crg.pages {
 			ref := &crg.pages[i]
-			if !ref.held {
+			if !ref.held() {
 				continue
 			}
 			if g.spec.Kind != model.Mamba || i < prg.ckptDone {
 				// Blocks and embeddings are shared until written
 				// (copy-on-write), finalized checkpoints for good.
-				m.pageAddRef(g, ref.id)
+				m.pageAddRef(g, ref.id())
 				continue
 			}
 			// Unfinalized checkpoint pages will be written in place
 			// when the boundary commits: the child needs its own.
-			ref.held = false
-			nid, err := m.forkCopyPage(g, prg.pages[i].id, cr.id)
+			*ref = pageRef{}
+			nid, err := m.forkCopyPage(g, prg.pages[i].id(), cr.id)
 			if err != nil {
 				// Entries beyond i are copies of the parent's refs the
 				// child never took; drop them before unwinding.
 				for j := i + 1; j < len(crg.pages); j++ {
-					crg.pages[j].held = false
+					crg.pages[j] = pageRef{}
 				}
 				m.Release(child, false)
 				return err
 			}
-			*ref = pageRef{id: nid, held: true}
+			*ref = heldRef(nid)
 		}
 		if prg.hasWork {
 			// The Mamba working state mutates every step — eager copy.

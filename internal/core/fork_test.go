@@ -155,12 +155,12 @@ func TestForkBranchesHashApart(t *testing.T) {
 			g := m.groups[0]
 			pp, cp := m.reqs[parent.ID].g[0].pages, m.reqs[child.ID].g[0].pages
 			for b := 0; b < 2; b++ {
-				if pp[b] != cp[b] || g.pages[pp[b].id].ref != 2 {
+				if pp[b] != cp[b] || g.pages[pp[b].id()].ref != 2 {
 					t.Errorf("block %d below the fork: pages %d and %d (%d references), want one page both hold",
-						b, pp[b].id, cp[b].id, g.pages[pp[b].id].ref)
+						b, pp[b].id(), cp[b].id(), g.pages[pp[b].id()].ref)
 				}
 			}
-			if pp[2].id == cp[2].id {
+			if pp[2].id() == cp[2].id() {
 				t.Fatal("the branches share the block they completed apart")
 			}
 			for _, branch := range []*Sequence{parent, child} {
@@ -437,10 +437,10 @@ func FuzzForkLifecycle(f *testing.F) {
 			rg := &r.g[0]
 			for pos := from; pos < to; pos++ {
 				pr := rg.pages[pos/g.tpp]
-				if !pr.held {
+				if !pr.held() {
 					continue
 				}
-				kv, err := g.view.Kernel(0, []arena.SmallPageID{pr.id})
+				kv, err := g.view.Kernel(0, []arena.SmallPageID{pr.id()})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -457,10 +457,10 @@ func FuzzForkLifecycle(f *testing.F) {
 				rg := &r.g[0]
 				for pos := 0; pos < r.committed; pos++ {
 					pr := rg.pages[pos/g.tpp]
-					if !pr.held {
+					if !pr.held() {
 						t.Fatalf("req %d: committed block %d not held", rf.seq.ID, pos/g.tpp)
 					}
-					kv, err := g.view.Kernel(0, []arena.SmallPageID{pr.id})
+					kv, err := g.view.Kernel(0, []arena.SmallPageID{pr.id()})
 					if err != nil {
 						t.Fatal(err)
 					}

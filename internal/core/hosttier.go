@@ -645,8 +645,8 @@ func (m *Jenga) heldLargePages(r *reqState) []arena.LargePageID {
 			continue
 		}
 		for _, ref := range r.g[gi].pages {
-			if ref.held {
-				out = append(out, g.view.LargeOf(ref.id))
+			if ref.held() {
+				out = append(out, g.view.LargeOf(ref.id()))
 			}
 		}
 	}

@@ -56,18 +56,18 @@ func stampPages(t *testing.T, m *Jenga, seq *Sequence) map[uint64]byte {
 	for gi, g := range m.groups {
 		rg := &r.g[gi]
 		for b := range rg.pages {
-			if !rg.pages[b].held {
+			if !rg.pages[b].held() {
 				continue
 			}
-			pg := &g.pages[rg.pages[b].id]
+			pg := &g.pages[rg.pages[b].id()]
 			if !pg.has(pageComplete) {
 				continue
 			}
-			buf, err := g.view.SmallSlice(rg.pages[b].id)
+			buf, err := g.view.SmallSlice(rg.pages[b].id())
 			if err != nil {
 				t.Fatal(err)
 			}
-			hash := g.hash[rg.pages[b].id]
+			hash := g.hash[rg.pages[b].id()]
 			v := byte(hash)
 			for i := range buf {
 				buf[i] = v
@@ -149,14 +149,14 @@ func TestHostTierSpillRestoreRoundTrip(t *testing.T) {
 	for gi, g := range m.groups {
 		rg := &r.g[gi]
 		for b := range rg.pages {
-			if !rg.pages[b].held {
+			if !rg.pages[b].held() {
 				continue
 			}
-			want, ok := stamps[g.hash[rg.pages[b].id]]
+			want, ok := stamps[g.hash[rg.pages[b].id()]]
 			if !ok {
 				continue
 			}
-			buf, err := g.view.SmallSlice(rg.pages[b].id)
+			buf, err := g.view.SmallSlice(rg.pages[b].id())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -327,8 +327,8 @@ func TestSpillSkipsInFlightCommit(t *testing.T) {
 	r := m.reqs[busy.ID]
 	for gi := range m.groups {
 		for b := range r.g[gi].pages {
-			if r.g[gi].pages[b].held {
-				L := m.groups[gi].view.LargeOf(r.g[gi].pages[b].id)
+			if r.g[gi].pages[b].held() {
+				L := m.groups[gi].view.LargeOf(r.g[gi].pages[b].id())
 				if m.spillLarge(L, 1) {
 					t.Fatalf("spillLarge moved large page %d pinned by an in-flight commit", L)
 				}

@@ -73,24 +73,33 @@ func (m *Jenga) CheckInvariants() error {
 
 // checkParked: a parked state holds no page — no working state and
 // nothing in its tables' arrays — its tables are empty, and so is its
-// block-hash record, whose arrays a jengadebug build has scribbled.
+// block-hash record (checkEmpty).
 func (r *reqState) checkParked() error {
 	for gi := range r.g {
 		rg := &r.g[gi]
-		if rg.hasWork || slices.ContainsFunc(rg.pages[:cap(rg.pages)], func(ref pageRef) bool { return ref != pageRef{} }) {
+		if rg.hasWork || slices.ContainsFunc(rg.pages[:cap(rg.pages)], func(ref pageRef) bool { return ref != (pageRef{}) }) {
 			return fmt.Errorf("still references a page of group %d", gi)
 		}
 		if len(rg.pages) != 0 {
 			return fmt.Errorf("has a table of %d entries for group %d", len(rg.pages), gi)
 		}
 	}
-	notPoison := func(h uint64) bool { return h != hashPoison }
-	for ci := range r.h.c {
-		ch := &r.h.c[ci]
-		if r.h.n != 0 || ch.proj != 0 || len(ch.hashes) != 0 || len(ch.runs) != 0 {
-			return fmt.Errorf("still holds %d tokens, %d hashes and %d run keys of class %d", r.h.n, len(ch.hashes), len(ch.runs), ci)
+	return r.h.checkEmpty()
+}
+
+// checkEmpty: an empty record — a parked state's or a spare memo's —
+// names no memo and holds no token, hash or run key, and a jengadebug
+// build has scribbled its arrays.
+func (sh *seqHashes) checkEmpty() error {
+	if sh.head != nil {
+		return fmt.Errorf("still names the memo of a %d-token head", sh.head.key.n)
+	}
+	for ci := range sh.c {
+		ch := &sh.c[ci]
+		if runs := len(ch.headRuns) + len(ch.runs); sh.n != 0 || ch.proj != 0 || ch.blocks() != 0 || runs != 0 {
+			return fmt.Errorf("still holds %d tokens, %d hashes and %d run keys of class %d", sh.n, ch.blocks(), runs, ci)
 		}
-		if debug.On && (slices.ContainsFunc(ch.hashes[:cap(ch.hashes)], notPoison) || slices.ContainsFunc(ch.runs[:cap(ch.runs)], notPoison)) {
+		if debug.On && !ch.scribbled() {
 			return fmt.Errorf("has class-%d hash arrays that are not scribbled", ci)
 		}
 	}
@@ -110,8 +119,8 @@ func (m *Jenga) checkPages(g *group) error {
 	for _, r := range m.reqs {
 		rg := &r.g[g.idx]
 		for _, ref := range rg.pages {
-			if ref.held {
-				refs[ref.id]++
+			if ref.held() {
+				refs[ref.id()]++
 			}
 		}
 		if rg.hasWork {
@@ -315,15 +324,23 @@ func (h *hostTier) check() error {
 // Mamba checkpoint, has the hash the record gives it — unless the
 // record has folded in nothing: with the prefix cache off no page is
 // hashed, and a fork child holds its parent's pages before its first
-// commit.
+// commit. A record that names a head memo reads the entries of a memo
+// the manager keeps, and the memos are checked by checkHeads.
 func (m *Jenga) checkHashes() error {
 	//jenga:order-ok each record is judged on its own; visit order only decides which violation is reported
 	for id, r := range m.reqs {
 		sh := &r.h
-		for ci, c := range m.hashClasses {
-			ch := &sh.c[ci]
-			if ch.proj > sh.n || len(ch.hashes) != ch.proj/c.stride || (c.scope != model.ScopeAll && len(ch.runs) != len(ch.hashes)) {
-				return fmt.Errorf("core: request %d: %d hashes, %d run keys of class %d for %d of %d tokens", id, len(ch.hashes), len(ch.runs), ci, ch.proj, sh.n)
+		if err := m.checkCounts(sh); err != nil {
+			return fmt.Errorf("core: request %d: %w", id, err)
+		}
+		if hm := sh.head; hm != nil {
+			if m.heads[hm.key] != hm {
+				return fmt.Errorf("core: request %d names the memo of a %d-token head the manager does not keep", id, hm.key.n)
+			}
+			for ci := range sh.c {
+				if ch, hc := &sh.c[ci], &hm.h.c[ci]; !slices.Equal(ch.head, hc.hashes) || !slices.Equal(ch.headRuns, hc.runs) {
+					return fmt.Errorf("core: request %d: class %d's head entries are not its memo's", id, ci)
+				}
 			}
 		}
 		if sh.n == 0 {
@@ -333,17 +350,63 @@ func (m *Jenga) checkHashes() error {
 			if g.isVision() {
 				continue
 			}
-			rg, hashes := &r.g[g.idx], sh.c[g.hclass].hashes
+			rg, ch := &r.g[g.idx], &sh.c[g.hclass]
 			for i, ref := range rg.pages {
 				k := i // a block's entry; a checkpoint's is its interval's
 				if g.spec.Kind == model.Mamba {
 					k = rg.ckptPos(g, i)/g.spec.Checkpoint() - 1
 				}
-				if ref.held && g.pages[ref.id].has(pageComplete) && (k >= len(hashes) || g.hash[ref.id] != hashes[k]) {
+				if ref.held() && g.pages[ref.id()].has(pageComplete) && (k >= ch.blocks() || g.hash[ref.id()] != ch.at(k)) {
 					return fmt.Errorf("core: request %d, group %s, entry %d of %d in its record: held complete page %d has hash %x",
-						id, g.spec.Name, k, len(hashes), ref.id, g.hash[ref.id])
+						id, g.spec.Name, k, ch.blocks(), ref.id(), g.hash[ref.id()])
 				}
 			}
+		}
+	}
+	return m.checkHeads()
+}
+
+// checkCounts: a record holds one hash per whole stride of what it
+// folded in, and as many run keys where the class skips tokens.
+func (m *Jenga) checkCounts(sh *seqHashes) error {
+	for ci, c := range m.hashClasses {
+		ch := &sh.c[ci]
+		runs := len(ch.headRuns) + len(ch.runs)
+		if ch.proj > sh.n || ch.blocks() != ch.proj/c.stride || (c.scope != model.ScopeAll && runs != ch.blocks()) {
+			return fmt.Errorf("%d hashes, %d run keys of class %d for %d of %d tokens", ch.blocks(), runs, ci, ch.proj, sh.n)
+		}
+	}
+	return nil
+}
+
+// checkHeads: every head memo the manager keeps is filed under its own
+// key, has folded in its whole head and is named by as many live
+// records as it counts, at least one — so a manager with no live
+// request keeps none — and every spare memo is empty (checkEmpty).
+func (m *Jenga) checkHeads() error {
+	//jenga:order-ok each memo is judged on its own; visit order only decides which violation is reported
+	for key, hm := range m.heads {
+		named := 0
+		//jenga:order-ok a count
+		for _, r := range m.reqs {
+			if r.h.head == hm {
+				named++
+			}
+		}
+		if hm.key != key || hm.h.n != key.n || hm.refs != named || named == 0 {
+			return fmt.Errorf("core: the memo filed for a %d-token head is keyed by %d tokens, covers %d, counts %d references and is named by %d live records",
+				key.n, hm.key.n, hm.h.n, hm.refs, named)
+		}
+		if err := m.checkCounts(&hm.h); err != nil {
+			return fmt.Errorf("core: the memo of a %d-token head: %w", key.n, err)
+		}
+	}
+	for hm := m.spareHeads; hm != nil; hm = hm.next {
+		if hm.refs != 0 || hm.key != (headKey{}) {
+			return fmt.Errorf("core: a spare head memo counts %d references to a %d-token head", hm.refs, hm.key.n)
+		}
+		if err := hm.h.checkEmpty(); err != nil {
+			return fmt.Errorf("core: a spare head memo %w", err)
 		}
 	}
 	return nil

@@ -69,7 +69,7 @@ func TestCheckInvariantsParkedStates(t *testing.T) {
 			r.g[1].hasWork = true
 		}, "still references a page of group 1"},
 		{"stale table entry", func(_ *testing.T, r *reqState) {
-			r.g[0].pages[:1][0] = pageRef{id: 3, held: true}
+			r.g[0].pages[:1][0] = heldRef(3)
 		}, "still references a page of group 0"},
 		{"table not emptied", func(_ *testing.T, r *reqState) {
 			r.g[2].pages = r.g[2].pages[:1]

@@ -43,12 +43,12 @@ func TestBackedLayoutUnderChurn(t *testing.T) {
 		for gi, g := range m.groups {
 			rg := &r.g[gi]
 			for b, ref := range rg.pages {
-				if !ref.held {
+				if !ref.held() {
 					continue
 				}
-				pg := &g.pages[ref.id]
+				pg := &g.pages[ref.id()]
 				for layer := 0; layer < g.spec.Layers; layer++ {
-					kv, err := g.view.Kernel(layer, []arena.SmallPageID{ref.id})
+					kv, err := g.view.Kernel(layer, []arena.SmallPageID{ref.id()})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -57,7 +57,7 @@ func TestBackedLayoutUnderChurn(t *testing.T) {
 						if err := kv.WriteFingerprint(0, s, fp); err != nil {
 							t.Fatal(err)
 						}
-						expected[slotKey{g.spec.Name, ref.id, layer, s}] = fp
+						expected[slotKey{g.spec.Name, ref.id(), layer, s}] = fp
 					}
 				}
 			}
@@ -75,17 +75,17 @@ func TestBackedLayoutUnderChurn(t *testing.T) {
 			for gi, g := range m.groups {
 				rg := &r.g[gi]
 				for _, ref := range rg.pages {
-					if !ref.held {
+					if !ref.held() {
 						continue
 					}
-					pg := &g.pages[ref.id]
+					pg := &g.pages[ref.id()]
 					for layer := 0; layer < g.spec.Layers; layer++ {
-						kv, err := g.view.Kernel(layer, []arena.SmallPageID{ref.id})
+						kv, err := g.view.Kernel(layer, []arena.SmallPageID{ref.id()})
 						if err != nil {
 							t.Fatal(err)
 						}
 						for s := 0; s < int(pg.filled); s++ {
-							want, ok := expected[slotKey{g.spec.Name, ref.id, layer, s}]
+							want, ok := expected[slotKey{g.spec.Name, ref.id(), layer, s}]
 							if !ok {
 								continue
 							}
@@ -95,7 +95,7 @@ func TestBackedLayoutUnderChurn(t *testing.T) {
 							}
 							if got != want {
 								t.Fatalf("%s: seq %d group %s page %d layer %d slot %d: %#x != %#x (bytes reused under a live page)",
-									label, seq.ID, g.spec.Name, ref.id, layer, s, got, want)
+									label, seq.ID, g.spec.Name, ref.id(), layer, s, got, want)
 							}
 						}
 					}

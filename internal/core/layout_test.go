@@ -47,14 +47,14 @@ func TestBackedLayoutFingerprints(t *testing.T) {
 			}
 			for layer := 0; layer < g.spec.Layers; layer++ {
 				for b0, ref := range rg.pages {
-					if !ref.held {
+					if !ref.held() {
 						continue
 					}
-					kv, err := g.view.Kernel(layer, []arena.SmallPageID{ref.id})
+					kv, err := g.view.Kernel(layer, []arena.SmallPageID{ref.id()})
 					if err != nil {
 						t.Fatal(err)
 					}
-					pg := &g.pages[ref.id]
+					pg := &g.pages[ref.id()]
 					for slot := 0; slot < int(pg.filled); slot++ {
 						pos := b0*g.tpp + slot
 						fp := arena.TokenFingerprint(uint64(s.ID)<<32|uint64(gi), layer, pos)

@@ -10,13 +10,23 @@ import (
 	"jenga/internal/model"
 )
 
-// pageRef is a request's handle on one block's page. held is false for
-// blocks the request skipped (below a window at claim time) or has
-// already demoted.
+// pageRef is a request's handle on one block's page, four bytes: v is
+// the page's ID plus one while the request holds it, and 0 for blocks
+// the request skipped (below a window at claim time) or has already
+// demoted. So the zero ref is unheld, and a zeroed table (resetReq,
+// growTable's reslice) holds nothing. An unheld ref names no page.
 type pageRef struct {
-	id   arena.SmallPageID
-	held bool
+	v arena.SmallPageID
 }
+
+// heldRef is the handle on page id, held.
+func heldRef(id arena.SmallPageID) pageRef { return pageRef{v: id + 1} }
+
+// held reports whether the request holds the block's page.
+func (r pageRef) held() bool { return r.v != 0 }
+
+// id is the page a held ref names.
+func (r pageRef) id() arena.SmallPageID { return r.v - 1 }
 
 // reqGroup is the per-(request, group) state.
 type reqGroup struct {
@@ -156,7 +166,7 @@ func (m *Jenga) parkReq(r *reqState) {
 	for gi, g := range m.groups {
 		g.resetReq(&r.g[gi])
 	}
-	r.h.reset()
+	m.resetHashes(&r.h)
 	*r = reqState{g: r.g, h: r.h}
 	m.spareReqs = append(m.spareReqs, r)
 }
@@ -207,11 +217,12 @@ const (
 	maxSlab      = 1 << 15
 )
 
-// arraySlab is what is left of the newest slab of one element type, and
-// that slab's size.
+// arraySlab is what is left of the newest slab of one element type,
+// that slab's size, and the entries carved from all of them so far.
 type arraySlab[T any] struct {
-	free []T
-	size int
+	free   []T
+	size   int
+	carved int
 }
 
 // carve returns an array for at least n entries that holds old's, the
@@ -226,7 +237,7 @@ func (s *arraySlab[T]) carve(old []T, n int) []T {
 		s.free = make([]T, s.size)
 	}
 	a := append(s.free[:0:n], old...)
-	s.free = s.free[n:]
+	s.free, s.carved = s.free[n:], s.carved+n
 	return a
 }
 
@@ -427,17 +438,17 @@ func (m *Jenga) lookupPrefix(seq *Sequence, sh *seqHashes, by presence, peer Pee
 			// (Mamba) the group's checkpoint table, both in chain order so
 			// the oracle's probe order is deterministic; g.lkPeer remembers
 			// which entries a peer supplied, as holder+1.
-			present, hashes := v.Present, sh.c[g.hclass].hashes
+			present, ch := v.Present, &sh.c[g.hclass]
 			if g.spec.Kind == model.Mamba {
 				present = g.lkCkPresent
 			}
-			g.lkPeer = slices.Grow(g.lkPeer[:0], len(hashes))[:len(hashes)]
+			g.lkPeer = slices.Grow(g.lkPeer[:0], ch.blocks())[:ch.blocks()]
 			clear(g.lkPeer)
-			for k, hsh := range hashes {
+			for k := range g.lkPeer {
 				if present[k] {
 					continue
 				}
-				if holder, ok := peer(g.spec.Name, hsh); ok {
+				if holder, ok := peer(g.spec.Name, ch.at(k)); ok {
 					present[k] = true
 					g.lkPeer[k] = int32(holder) + 1
 					anyPresent = true
@@ -539,28 +550,30 @@ func (m *Jenga) buildView(g *group, bh *classHashes, seq *Sequence, by presence)
 		}
 	}
 	if g.spec.Kind == model.Mamba {
-		g.lkCkPresent = m.fillPresent(g, g.lkCkPresent, bh.hashes, by)
+		g.lkCkPresent = m.fillPresent(g, g.lkCkPresent, bh, by)
 		v.CheckpointAt = g.ckptAt
 		v.Present = nil
 	} else {
-		v.Present = m.fillPresent(g, v.Present, bh.hashes, by)
+		v.Present = m.fillPresent(g, v.Present, bh, by)
 		v.CheckpointAt = nil
 	}
 	v.buildRuns()
 	return v
 }
 
-// fillPresent sizes dst to hashes and marks each entry whose block is
-// present by the rule given.
+// fillPresent sizes dst to ch's entries and marks each entry whose
+// block is present by the rule given.
 //
 //jenga:hotpath
-func (m *Jenga) fillPresent(g *group, dst []bool, hashes []uint64, by presence) []bool {
-	if cap(dst) < len(hashes) {
+func (m *Jenga) fillPresent(g *group, dst []bool, ch *classHashes, by presence) []bool {
+	n := ch.blocks()
+	if cap(dst) < n {
 		//jenga:alloc-ok amortized: grows to the longest sequence ever looked up
-		dst = make([]bool, len(hashes))
+		dst = make([]bool, n)
 	}
-	dst = dst[:len(hashes)]
-	for k, h := range hashes {
+	dst = dst[:n]
+	for k := range dst {
+		h := ch.at(k)
 		id, ok := g.index.get(h)
 		switch {
 		case by == inUse:
@@ -625,13 +638,13 @@ func (m *Jenga) Reserve(seq *Sequence, upTo int, now Tick) error {
 			b0 = rb
 		}
 		for b := b0; b <= lastBlock; b++ {
-			if rg.pages[b].held {
-				if pg := &g.pages[rg.pages[b].id]; pg.ref > 1 {
-					id, err := m.cowPage(g, rg.pages[b].id, r.id)
+			if rg.pages[b].held() {
+				if pg := &g.pages[rg.pages[b].id()]; pg.ref > 1 {
+					id, err := m.cowPage(g, rg.pages[b].id(), r.id)
 					if err != nil {
 						return err
 					}
-					rg.pages[b] = pageRef{id: id, held: true}
+					rg.pages[b] = heldRef(id)
 				}
 				continue // partial block page from a previous chunk
 			}
@@ -639,7 +652,7 @@ func (m *Jenga) Reserve(seq *Sequence, upTo int, now Tick) error {
 			if err != nil {
 				return err
 			}
-			rg.pages[b] = pageRef{id: id, held: true}
+			rg.pages[b] = heldRef(id)
 		}
 		rg.projReserved = newProj
 	}
@@ -668,7 +681,7 @@ func (m *Jenga) reserveMamba(g *group, rg *reqGroup, req RequestID, newProj int)
 			if err != nil {
 				return err
 			}
-			rg.pages = append(rg.pages, pageRef{id: id, held: true})
+			rg.pages = append(rg.pages, heldRef(id))
 			rg.nextCkpt += every
 		}
 	}
@@ -757,23 +770,23 @@ func (m *Jenga) commitGroup(g *group, rg *reqGroup, sh *seqHashes, shared, own, 
 		keep = g.keep.KeptBelow(pos)
 	}
 	for b := rg.demotedBlocks; b < fullBlocksBelow; b++ {
-		if rg.pages[b].held {
+		if rg.pages[b].held() {
 			if b*g.tpp < keep {
 				continue // always-live head page stays held
 			}
 			// Out-of-window KV: cached for shorter-prefix hits but
 			// first in line for eviction (§3.3, §5.3).
 			expired := (b+1)*g.tpp <= expireBelow
-			m.pageRelease(g, rg.pages[b].id, m.cfg.EnablePrefixCache, now, expired)
-			rg.pages[b].held = false
+			m.pageRelease(g, rg.pages[b].id(), m.cfg.EnablePrefixCache, now, expired)
+			rg.pages[b] = pageRef{}
 		}
 	}
 	if fullBlocksBelow > rg.demotedBlocks {
 		rg.demotedBlocks = fullBlocksBelow
 	}
 	// Dead slots in the boundary block share a page with live slots.
-	if db := freeBelow % g.tpp; db > 0 && fullBlocksBelow < len(rg.pages) && rg.pages[fullBlocksBelow].held {
-		pg := &g.pages[rg.pages[fullBlocksBelow].id]
+	if db := freeBelow % g.tpp; db > 0 && fullBlocksBelow < len(rg.pages) && rg.pages[fullBlocksBelow].held() {
+		pg := &g.pages[rg.pages[fullBlocksBelow].id()]
 		if db > int(pg.dead) {
 			g.deadSlots += int64(db - int(pg.dead))
 			pg.dead = uint8(db)
@@ -807,11 +820,11 @@ func (m *Jenga) commitRun(g *group, rg *reqGroup, sh *seqHashes, pos, n int, now
 	}
 	b, left := pos/g.tpp, g.tpp-pos%g.tpp
 	for n > 0 {
-		if b >= len(rg.pages) || !rg.pages[b].held {
+		if b >= len(rg.pages) || !rg.pages[b].held() {
 			check(false, "commit into unreserved block %d", b)
 		}
 		take := min(left, n)
-		pg := &g.pages[rg.pages[b].id]
+		pg := &g.pages[rg.pages[b].id()]
 		pg.filled += uint8(take)
 		g.filledSlots += int64(take)
 		pos, n = pos+take, n-take
@@ -819,9 +832,9 @@ func (m *Jenga) commitRun(g *group, rg *reqGroup, sh *seqHashes, pos, n int, now
 			pg.set(pageComplete, true)
 			if sh != nil {
 				ch := &sh.c[g.hclass]
-				g.hash[rg.pages[b].id] = ch.hashes[b]
+				g.hash[rg.pages[b].id()] = ch.at(b)
 				pg.priority = g.pol.BlockPriority(b, g.runKey(ch, b))
-				m.publish(g, rg.pages[b].id)
+				m.publish(g, rg.pages[b].id())
 			}
 			b, left = b+1, g.tpp
 		}
@@ -833,15 +846,15 @@ func (m *Jenga) commitRun(g *group, rg *reqGroup, sh *seqHashes, pos, n int, now
 // content at that position is copied into the pre-allocated page and
 // its prefix hash (ch's entry) published for hits there (§5.3).
 func (m *Jenga) finalizeCheckpoint(g *group, rg *reqGroup, ch *classHashes, i int, now Tick) {
-	id := rg.pages[i].id
-	check(rg.pages[i].held, "checkpoint page %d not held", i)
+	id := rg.pages[i].id()
+	check(rg.pages[i].held(), "checkpoint page %d not held", i)
 	pg := &g.pages[id]
 	if pg.filled == 0 {
 		pg.filled = 1
 		g.filledSlots++
 	}
 	k := rg.ckptPos(g, i)/g.spec.Checkpoint() - 1
-	g.hash[id] = ch.hashes[k]
+	g.hash[id] = ch.at(k)
 	pg.set(pageComplete, true)
 	pg.priority = g.pol.BlockPriority(i, g.runKey(ch, k))
 	pg.lastAccess = now
@@ -865,16 +878,16 @@ func (m *Jenga) Release(seq *Sequence, cache bool) {
 			m.pageRelease(g, rg.work, false, r.lastNow, false)
 		}
 		for _, ref := range rg.pages {
-			if !ref.held {
+			if !ref.held() {
 				continue
 			}
 			switch g.spec.Kind {
 			case model.VisionEmbedding: // embeddings are never cached
-				m.pageRelease(g, ref.id, false, r.lastNow, false)
+				m.pageRelease(g, ref.id(), false, r.lastNow, false)
 			case model.Mamba: // a checkpoint keeps the time it was finalized or last claimed
-				m.pageRelease(g, ref.id, cache, g.pages[ref.id].lastAccess, false)
+				m.pageRelease(g, ref.id(), cache, g.pages[ref.id()].lastAccess, false)
 			default:
-				m.pageRelease(g, ref.id, cache, r.lastNow, false)
+				m.pageRelease(g, ref.id(), cache, r.lastNow, false)
 			}
 		}
 		if r.touched {
@@ -967,7 +980,7 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, sh *seqHashes, p int, no
 	m.claimPending = m.claimPending[:0]
 	for _, gv := range m.lkViews {
 		g := gv.g
-		rg, hashes, pl := &r.g[g.idx], sh.c[g.hclass].hashes, gv.view.ProjCount[p]
+		rg, ch, pl := &r.g[g.idx], &sh.c[g.hclass], gv.view.ProjCount[p]
 		head, lo, nb := g.claimSpan(pl)
 		if g.spec.Kind == model.Mamba {
 			if pl == 0 {
@@ -976,12 +989,12 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, sh *seqHashes, p int, no
 			if nb == 0 {
 				check(false, "claim: group %s prefix %d is not a checkpoint", g.spec.Name, pl)
 			}
-			if _, ok := g.index.get(hashes[lo]); !ok && useHost {
+			if _, ok := g.index.get(ch.at(lo)); !ok && useHost {
 				// The lookup found it in the tier: restore it, as a block.
-				m.claimPending = append(m.claimPending, pendingRestore{g: g, rg: rg, block: -1, hash: hashes[lo], pl: pl})
+				m.claimPending = append(m.claimPending, pendingRestore{g: g, rg: rg, block: -1, hash: ch.at(lo), pl: pl})
 				continue
 			}
-			m.claimMamba(g, rg, hashes[lo], pl, now)
+			m.claimMamba(g, rg, ch.at(lo), pl, now)
 			continue
 		}
 		if pl%g.tpp != 0 {
@@ -991,8 +1004,8 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, sh *seqHashes, p int, no
 			check(false, "claim: group %s already holds a page table", g.spec.Name)
 		}
 		rg.pages = m.growTable(g, rg.pages, nb, seq)
-		m.claimBlocks(g, rg, r.id, hashes, 0, head, useHost)
-		m.claimBlocks(g, rg, r.id, hashes, lo, nb, useHost)
+		m.claimBlocks(g, rg, r.id, ch, 0, head, useHost)
+		m.claimBlocks(g, rg, r.id, ch, lo, nb, useHost)
 		rg.projReserved = pl
 		rg.projCommitted = pl
 		rg.demotedBlocks = lo
@@ -1016,7 +1029,7 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, sh *seqHashes, p int, no
 		}
 		r.restoredBytes += int64(pr.g.smallBytes)
 		if pr.block >= 0 {
-			pr.rg.pages[pr.block] = pageRef{id: id, held: true}
+			pr.rg.pages[pr.block] = heldRef(id)
 		} else {
 			// Mamba checkpoint: park the restored page as published
 			// cache, then claim it through the normal path.
@@ -1052,13 +1065,14 @@ func (g *group) claimSpan(pl int) (head, lo, nb int) {
 }
 
 // claimBlocks is claimPrefix's pass 1 over blocks [from, to) of one
-// group, hashes the request's: a GPU-resident block is attached to rg,
-// any other is queued on m.claimPending for the restore pass.
+// group, ch the request's hashes of its class: a GPU-resident block is
+// attached to rg, any other is queued on m.claimPending for the restore
+// pass.
 //
 //jenga:hotpath
-func (m *Jenga) claimBlocks(g *group, rg *reqGroup, req RequestID, hashes []uint64, from, to int, useHost bool) {
+func (m *Jenga) claimBlocks(g *group, rg *reqGroup, req RequestID, ch *classHashes, from, to int, useHost bool) {
 	for b := from; b < to; b++ {
-		hash := hashes[b]
+		hash := ch.at(b)
 		id, ok := g.index.get(hash)
 		if !ok {
 			if !useHost {
@@ -1077,7 +1091,7 @@ func (m *Jenga) claimBlocks(g *group, rg *reqGroup, req RequestID, hashes []uint
 		default:
 			check(false, "claim: empty page in index")
 		}
-		rg.pages[b] = pageRef{id: id, held: true}
+		rg.pages[b] = heldRef(id)
 	}
 }
 
@@ -1095,9 +1109,9 @@ func (m *Jenga) rollbackClaim(seq *Sequence, r *reqState) {
 		}
 		rg := &r.g[gi]
 		for b := range rg.pages {
-			if rg.pages[b].held {
-				pg := &g.pages[rg.pages[b].id]
-				m.pageRelease(g, rg.pages[b].id, m.cfg.EnablePrefixCache, pg.lastAccess, false)
+			if rg.pages[b].held() {
+				pg := &g.pages[rg.pages[b].id()]
+				m.pageRelease(g, rg.pages[b].id(), m.cfg.EnablePrefixCache, pg.lastAccess, false)
 			}
 		}
 		g.resetReq(rg)
@@ -1174,29 +1188,29 @@ func (m *Jenga) EncodeImages(seq *Sequence, uptoFull int, now Tick) error {
 					j++
 					continue
 				}
-				if !rg.pages[b].held {
+				if !rg.pages[b].held() {
 					id, err := m.allocSmall(g, r.id)
 					if err != nil {
 						rg.visCursor = fi + j
 						return err
 					}
-					rg.pages[b] = pageRef{id: id, held: true}
-				} else if pg := &g.pages[rg.pages[b].id]; pg.ref > 1 {
+					rg.pages[b] = heldRef(id)
+				} else if pg := &g.pages[rg.pages[b].id()]; pg.ref > 1 {
 					// Copy-on-write: the partial embedding block is shared
 					// with a fork sibling; privatize before writing into it.
-					id, err := m.cowPage(g, rg.pages[b].id, r.id)
+					id, err := m.cowPage(g, rg.pages[b].id(), r.id)
 					if err != nil {
 						rg.visCursor = fi + j
 						return err
 					}
-					rg.pages[b] = pageRef{id: id, held: true}
+					rg.pages[b] = heldRef(id)
 				}
 				k := j
 				for k < len(part) && k-j < left && part[k].Image() {
 					k++
 				}
 				take := k - j
-				pg := &g.pages[rg.pages[b].id]
+				pg := &g.pages[rg.pages[b].id()]
 				pg.filled += uint8(take)
 				g.filledSlots += int64(take)
 				rg.visProj += take
@@ -1235,9 +1249,9 @@ func (m *Jenga) DropImages(seq *Sequence, uptoFull int) {
 		rg.dropCursor = uptoFull
 		fullBlocksBelow := rg.dropProj / g.tpp
 		for b := rg.demotedBlocks; b < fullBlocksBelow && b < len(rg.pages); b++ {
-			if rg.pages[b].held {
-				m.pageRelease(g, rg.pages[b].id, false, r.lastNow, false)
-				rg.pages[b].held = false
+			if rg.pages[b].held() {
+				m.pageRelease(g, rg.pages[b].id(), false, r.lastNow, false)
+				rg.pages[b] = pageRef{}
 			}
 		}
 		if fullBlocksBelow > rg.demotedBlocks {

@@ -276,6 +276,14 @@ type Jenga struct {
 	hashClasses []hashClass
 	hashSlab    arraySlab[uint64]
 	tableSlab   arraySlab[pageRef]
+	// heads holds the memo of every Shared head a live record continues,
+	// spareHeads the list of dropped ones and headSlab the newest slab's
+	// unused ones (seqhash.go); a head shorter than headMin tokens gets
+	// none.
+	heads      map[headKey]*headMemo
+	spareHeads *headMemo
+	headSlab   []headMemo
+	headMin    int
 	// cacheGen counts the changes to what a GPU-only lookup and the
 	// admission probe can see: a page entering or leaving the prefix
 	// index, an indexed page entering or leaving the used state.
@@ -414,6 +422,7 @@ func New(cfg Config) (*Jenga, error) {
 		large:    make([]largePage, ar.NumLargePages()),
 		largeTop: -1,
 		reqs:     make(map[RequestID]*reqState, 256),
+		heads:    make(map[headKey]*headMemo, headSlabMemos),
 		cacheGen: 1,
 	}
 	for i := range m.large {
@@ -470,6 +479,13 @@ func New(cfg Config) (*Jenga, error) {
 			}
 		}
 		m.groups = append(m.groups, g)
+	}
+	m.headMin = math.MaxInt
+	for _, c := range m.hashClasses {
+		m.headMin = min(m.headMin, c.stride)
+	}
+	if cfg.EnablePrefixCache {
+		m.growHeadSlab()
 	}
 	if cfg.HostTierBytes >= int64(geo.LargePageBytes) {
 		names := make([]string, len(m.groups))

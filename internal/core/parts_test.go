@@ -47,7 +47,7 @@ func partsTrace(t *testing.T, layout func(id RequestID) *Sequence) []string {
 			note("reserve %d: %v", at, m.Reserve(seq, at, now))
 			m.Commit(seq, at, now)
 			m.DropImages(seq, at)
-			note("hashes %v", m.reqs[seq.ID].h.c)
+			note("hashes %v", logicalHashes(&m.reqs[seq.ID].h))
 			note("footprint %d cached %d usage %+v", m.Footprint(seq), m.CachedPrefix(seq), m.UsageTotals())
 		}
 	}
@@ -60,6 +60,27 @@ func partsTrace(t *testing.T, layout func(id RequestID) *Sequence) []string {
 	m.Release(b, false)
 	note("done: usage %+v invariants %v", m.UsageTotals(), m.CheckInvariants())
 	return trace
+}
+
+// logicalHashes is a record's per-class state as its readers see it:
+// the chain, the tokens folded in, every entry and every run key read
+// through at and runAt, and the run — the same whether the entries are
+// the record's own or a head memo's.
+func logicalHashes(sh *seqHashes) []string {
+	var out []string
+	for ci := range sh.c {
+		ch := &sh.c[ci]
+		hashes := make([]uint64, ch.blocks())
+		for k := range hashes {
+			hashes[k] = ch.at(k)
+		}
+		runs := make([]uint64, len(ch.headRuns)+len(ch.runs))
+		for k := range runs {
+			runs[k] = ch.runAt(k)
+		}
+		out = append(out, fmt.Sprintf("{%d %d %v %d %v}", ch.chain, ch.proj, hashes, ch.run, runs))
+	}
+	return out
 }
 
 // TestSequencePartsAreInvisible: the manager reads a sequence only
