@@ -309,6 +309,19 @@ vet:
 # the request's own array, so indexing .hashes[, .runs[, .head[ or
 # .headRuns[ in any other non-test core file reads an entry at the
 # wrong offset for a request over a head again.
+# And a request holds a block one way: every layer kind's pages go
+# through the reservation path (internal/core/lifecycle.go) — a token
+# group's blocks and a vision group's embeddings through reserveBlocks,
+# a Mamba group's working state and checkpoints through reserveMamba —
+# beside a fork's eager copy (forkCopyPage) and a tier restore
+# (restoreBlock), so an allocSmall( call in any other non-test core
+# function, or a cowPage( call outside reserveBlocks, is a layer kind's
+# own allocate or copy-on-write loop again (EncodeImages had one); and
+# a Mamba lookup reads its checkpoints through the view's Present like
+# every other group's blocks, its table indexed by checkpoint, and a
+# host tier exists only with room for a page, so a CheckpointAt,
+# ckptPos or hasRoomEver in non-test core is the Mamba side path or the
+# tier's dead room test again.
 # (The token's four bytes need no grep: internal/core pins them at
 # compile time.)
 guard:
@@ -347,6 +360,7 @@ guard:
 	@out=$$(grep -rnE 'case[^:]*model\.(SlidingWindow|PyramidWindow)' . --include='*.go' | grep -v -e '_test\.go:' -e '^\./internal/model/' -e '^\./internal/core/'); if [ -n "$$out" ]; then echo "a window clamp outside internal/model and internal/core (what a layer type keeps is model.Spec.KVBytes):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn '\.Image()' internal --include='*.go' | grep -v -e '_test\.go:' -e '^internal/core/'); if [ -n "$$out" ]; then echo "a per-token image walk in non-test internal/ outside internal/core (image tokens are counted by core.CountImages):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE '\.(hashes|runs|head|headRuns)\[' internal/core --include='*.go' | grep -v -e '_test\.go:' -e '^internal/core/seqhash\.go:'); if [ -n "$$out" ]; then echo "a request's block-hash or run-key array is indexed outside internal/core/seqhash.go (every read goes through classHashes.at or runAt, which take a borrowed head's entries from its memo):"; echo "$$out"; exit 1; fi
+	@files=$$(ls internal/core/*.go | grep -v '_test\.go$$'); out=$$(awk '/^[ \t]*\/\// { next } { body = $$0 } /^func /{ fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn); if (!sub(/^[^{]*\{/, "", body)) body = "" } (body ~ /allocSmall\(/ && fn !~ /^(reserveBlocks|reserveMamba|forkCopyPage|restoreBlock)$$/) || (body ~ /cowPage\(/ && fn != "reserveBlocks") { print FILENAME ":" FNR ": in " fn ": " $$0 }' $$files; grep -nwE 'CheckpointAt|ckptPos|hasRoomEver' $$files); if [ -n "$$out" ]; then echo "a block is held outside the reservation path in non-test internal/core (allocSmall only in reserveBlocks, reserveMamba, forkCopyPage and restoreBlock; cowPage only in reserveBlocks), or the Mamba side path or the tier's room test is back (CheckpointAt, ckptPos, hasRoomEver):"; echo "$$out"; exit 1; fi
 
 ci: vet lint guard loc-check build test race debug chaos-smoke scale-smoke perf-smoke examples
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi

@@ -183,7 +183,7 @@ func (m *Jenga) ImportPrefix(ps PageSet, now Tick) (int, int64) {
 		mustBeLive(ps)
 	}
 	h := m.host
-	if h == nil || !h.hasRoomEver() {
+	if h == nil {
 		return 0, 0
 	}
 	gi := m.groupIndex(ps.Group)
@@ -257,7 +257,7 @@ func (m *Jenga) LookupFleet(seq *Sequence, peer PeerPresence) (int, []FetchBlock
 	if debug.On && m.host != nil {
 		m.host.scribbleFetch()
 	}
-	if !m.cfg.EnablePrefixCache || m.host == nil || !m.host.hasRoomEver() || peer == nil || seq.Len() < 2 {
+	if !m.cfg.EnablePrefixCache || m.host == nil || peer == nil || seq.Len() < 2 {
 		return 0, nil // (and at least one token must run)
 	}
 	sh := m.hashesOf(m.getReq(seq), seq)

@@ -241,9 +241,9 @@ func tierSlots(capacity int64, pageBytes int) int64 {
 
 // newHostTier builds a tier with the given byte budget over the named
 // groups, whose pages hold at most ratios[gi] blocks each, with every
-// table sized for the budget. A budget below one large page can never
-// hold a spill: hasRoomEver is false and every caller treats the tier as
-// absent.
+// table sized for the budget. New builds none for a budget below one
+// large page, so a manager's tier, where it has one, holds at least one
+// page.
 func newHostTier(capacity int64, pageBytes int, groups []string, ratios []int) *hostTier {
 	slots := int(tierSlots(capacity, pageBytes))
 	h := &hostTier{
@@ -280,9 +280,6 @@ func newHostTier(capacity int64, pageBytes int, groups []string, ratios []int) *
 	h.fetch = make([]FetchBlock, 0, blocks)
 	return h
 }
-
-// hasRoomEver reports whether the budget admits even one page.
-func (h *hostTier) hasRoomEver() bool { return h.capacity >= h.pageBytes }
 
 // blockRange returns the IDs of slot's page's blocks, [first, end).
 func (h *hostTier) blockRange(slot int32) (first, end int32) {
@@ -384,7 +381,7 @@ func (h *hostTier) spill(gi int, blocks []hostBlock, hashes []uint64, now Tick) 
 //
 //jenga:hotpath
 func (h *hostTier) store(gi int, blocks []hostBlock, hashes []uint64, now Tick) bool {
-	if !h.hasRoomEver() || len(blocks) == 0 || len(blocks) > int(h.ratios[gi]) {
+	if len(blocks) == 0 || len(blocks) > int(h.ratios[gi]) {
 		return false
 	}
 	for h.used+h.pageBytes > h.capacity {
@@ -619,7 +616,7 @@ func (m *Jenga) SwapOut(seq *Sequence) (int, int64) {
 		return 0, 0
 	}
 	var candidates []arena.LargePageID
-	if m.host != nil && m.host.hasRoomEver() && m.cfg.EnablePrefixCache {
+	if m.host != nil && m.cfg.EnablePrefixCache {
 		candidates = m.heldLargePages(r)
 	}
 	now := r.lastNow // Release recycles r
@@ -667,7 +664,7 @@ func (m *Jenga) heldLargePages(r *reqState) []arena.LargePageID {
 //jenga:hotpath
 func (m *Jenga) spillLarge(L arena.LargePageID, now Tick) bool {
 	h := m.host
-	if h == nil || !h.hasRoomEver() {
+	if h == nil {
 		return false
 	}
 	lp := &m.large[L]

@@ -351,11 +351,7 @@ func (m *Jenga) checkHashes() error {
 				continue
 			}
 			rg, ch := &r.g[g.idx], &sh.c[g.hclass]
-			for i, ref := range rg.pages {
-				k := i // a block's entry; a checkpoint's is its interval's
-				if g.spec.Kind == model.Mamba {
-					k = rg.ckptPos(g, i)/g.spec.Checkpoint() - 1
-				}
+			for k, ref := range rg.pages {
 				if ref.held() && g.pages[ref.id()].has(pageComplete) && (k >= ch.blocks() || g.hash[ref.id()] != ch.at(k)) {
 					return fmt.Errorf("core: request %d, group %s, entry %d of %d in its record: held complete page %d has hash %x",
 						id, g.spec.Name, k, ch.blocks(), ref.id(), g.hash[ref.id()])
@@ -696,15 +692,15 @@ func (m *Jenga) mustHold() {
 }
 
 // longestValidLinear is longestValid without the skips: every
-// candidate from maxP down is tried in turn, rejected where a token
-// group's projection is not whole blocks and asked of every view's
+// candidate from maxP down is tried in turn, rejected where a group's
+// projection is not whole table entries and asked of every view's
 // policy otherwise. A jengadebug build checks each Lookup's answer
 // against it.
 func longestValidLinear(views []lookupView, maxP int) int {
 candidates:
 	for p := maxP; p > 0; p-- {
 		for _, gv := range views {
-			if gv.g.spec.Kind != model.Mamba && gv.view.ProjCount[p]%gv.g.tpp != 0 {
+			if gv.view.ProjCount[p]%gv.view.BlockTokens != 0 {
 				continue candidates
 			}
 			if !gv.g.pol.ValidPrefix(gv.view, p) {

@@ -13,7 +13,7 @@ import (
 // pageRef is a request's handle on one block's page, four bytes: v is
 // the page's ID plus one while the request holds it, and 0 for blocks
 // the request skipped (below a window at claim time) or has already
-// demoted. So the zero ref is unheld, and a zeroed table (resetReq,
+// demoted. So the zero ref is unheld, and a zeroed table (reqGroup.reset,
 // growTable's reslice) holds nothing. An unheld ref names no page.
 type pageRef struct {
 	v arena.SmallPageID
@@ -30,10 +30,10 @@ func (r pageRef) id() arena.SmallPageID { return r.v - 1 }
 
 // reqGroup is the per-(request, group) state.
 type reqGroup struct {
-	// pages is the request's one page table in the group, holding what
-	// the group's kind stores: token blocks or vision-embedding blocks,
-	// indexed by block number, or Mamba checkpoints in position order
-	// (ckptPos).
+	// pages is the request's one page table in the group, indexed by
+	// entry: entry k holds what the group's kind stores for projected
+	// positions [k, k+1) × its stride — a token block, a vision-embedding
+	// block, or the Mamba state checkpointed at (k+1) × the interval.
 	pages         []pageRef
 	projReserved  int
 	projCommitted int
@@ -45,25 +45,17 @@ type reqGroup struct {
 	// live eviction class; see Sequence.PromptLen).
 	projPrompt int
 
-	// Mamba state.
+	// Mamba state: the working state, and the checkpoints below ckptDone
+	// that are finalized (or were skipped by the claim).
 	hasWork  bool
 	work     arena.SmallPageID
-	nextCkpt int // next checkpoint position to pre-allocate
-	ckptDone int // checkpoints finalized so far
+	ckptDone int
 
-	// Vision-embedding state (driven by EncodeImages / DropImages).
-	visProj    int // projected image tokens encoded
+	// Vision-embedding state (driven by EncodeImages / DropImages): the
+	// embeddings are the group's reserved and committed projection.
 	visCursor  int // full-token cursor for EncodeImages
 	dropCursor int // full-token cursor for DropImages
 	dropProj   int
-}
-
-// ckptPos is the projected position of checkpoint i of Mamba group g.
-// Checkpoint pages are appended one interval apart, the last one just
-// below nextCkpt, and a claim sets nextCkpt only while the table is
-// empty, so the position follows from the index.
-func (rg *reqGroup) ckptPos(g *group, i int) int {
-	return rg.nextCkpt - (len(rg.pages)-i)*g.spec.Checkpoint()
 }
 
 // reqState is the per-request manager state, the one record core keeps
@@ -151,9 +143,6 @@ func (m *Jenga) growReqSlab() {
 		r := &m.reqSlab[i]
 		r.g = rgs[i*ng : (i+1)*ng : (i+1)*ng]
 		r.h.c = chs[i*nc : (i+1)*nc : (i+1)*nc]
-		for gi, g := range m.groups {
-			g.resetReq(&r.g[gi])
-		}
 		r.h.reset()
 	}
 }
@@ -163,26 +152,23 @@ func (m *Jenga) growReqSlab() {
 //
 //jenga:hotpath
 func (m *Jenga) parkReq(r *reqState) {
-	for gi, g := range m.groups {
-		g.resetReq(&r.g[gi])
+	for gi := range r.g {
+		r.g[gi].reset()
 	}
 	m.resetHashes(&r.h)
 	*r = reqState{g: r.g, h: r.h}
 	m.spareReqs = append(m.spareReqs, r)
 }
 
-// resetReq returns rg to what a request that has touched nothing holds
-// for group g, keeping the table's backing array. Entries are zeroed
-// before the table is emptied, so slots in [len, cap) are always zero
-// and growTable can extend a table by reslicing.
+// reset returns rg to what a request that has touched nothing holds,
+// keeping the table's backing array. Entries are zeroed before the table
+// is emptied, so slots in [len, cap) are always zero and growTable can
+// extend a table by reslicing.
 //
 //jenga:hotpath
-func (g *group) resetReq(rg *reqGroup) {
+func (rg *reqGroup) reset() {
 	clear(rg.pages)
 	*rg = reqGroup{pages: rg.pages[:0]}
-	if g.spec.Kind == model.Mamba {
-		rg.nextCkpt = g.spec.Checkpoint()
-	}
 }
 
 // growTable extends a page table of group g to n entries, the new ones
@@ -198,7 +184,7 @@ func (m *Jenga) growTable(g *group, refs []pageRef, n int, seq *Sequence) []page
 		return refs
 	}
 	if n > cap(refs) {
-		refs = m.tableSlab.carve(refs, 1<<bits.Len(uint(max(n, (countScope(g, seq, 0, seq.Len())+g.tpp-1)/g.tpp)-1)))
+		refs = m.tableSlab.carve(refs, 1<<bits.Len(uint(max(n, (countScope(g, seq, 0, seq.Len())+g.stride-1)/g.stride)-1)))
 	}
 	return refs[:n]
 }
@@ -289,11 +275,7 @@ func (m *Jenga) Footprint(seq *Sequence) int64 {
 			}
 			// +1 page of slack for the chunk crossing the window edge.
 			pages = (keep+g.tpp-1)/g.tpp + 1
-		case model.VisionEmbedding:
-			// Embeddings for every image token exist right after
-			// encoding (§6.2a), before consumption frees them.
-			pages = (proj + g.tpp - 1) / g.tpp
-		default:
+		default: // vision embeddings too: all exist right after encoding (§6.2a)
 			pages = (proj + g.tpp - 1) / g.tpp
 		}
 		total += int64(pages) * int64(g.smallBytes)
@@ -427,36 +409,23 @@ func (m *Jenga) lookupPrefix(seq *Sequence, sh *seqHashes, by presence, peer Pee
 			continue // never gates KV hits
 		}
 		v := m.buildView(g, &sh.c[g.hclass], seq, by)
-		if g.spec.Kind == model.Mamba {
-			// Checkpoint presence is read through CheckpointAt in the
-			// candidate scan; mark possible presence cheaply.
-			anyPresent = anyPresent || g.index.len() > 0 ||
-				(by == restorable && m.host.groupSize(g.idx) > 0)
-		}
 		if peer != nil {
-			// Overlay peer presence in place, on the view's block table or
-			// (Mamba) the group's checkpoint table, both in chain order so
-			// the oracle's probe order is deterministic; g.lkPeer remembers
+			// Overlay peer presence in place, in chain order so the
+			// oracle's probe order is deterministic; g.lkPeer remembers
 			// which entries a peer supplied, as holder+1.
-			present, ch := v.Present, &sh.c[g.hclass]
-			if g.spec.Kind == model.Mamba {
-				present = g.lkCkPresent
-			}
+			ch := &sh.c[g.hclass]
 			g.lkPeer = slices.Grow(g.lkPeer[:0], ch.blocks())[:ch.blocks()]
 			clear(g.lkPeer)
 			for k := range g.lkPeer {
-				if present[k] {
+				if v.Present[k] {
 					continue
 				}
 				if holder, ok := peer(g.spec.Name, ch.at(k)); ok {
-					present[k] = true
+					v.Present[k] = true
 					g.lkPeer[k] = int32(holder) + 1
-					anyPresent = true
 				}
 			}
-			if g.spec.Kind != model.Mamba {
-				v.buildRuns()
-			}
+			v.buildRuns()
 		}
 		anyPresent = anyPresent || slices.Contains(v.Present, true)
 		views = append(views, lookupView{g, v})
@@ -479,15 +448,14 @@ func longestValid(views []lookupView, maxP int) int {
 candidates:
 	for p > 0 {
 		for _, gv := range views {
-			// Hit prefixes must project to whole blocks in every token
-			// group so claiming is block-exact. ProjCount falls by at
-			// most one per token, so no candidate nearer than the excess
-			// over a whole block can be aligned.
-			if gv.g.spec.Kind != model.Mamba {
-				if over := gv.view.ProjCount[p] % gv.g.tpp; over != 0 {
-					p -= over
-					continue candidates
-				}
+			// Hit prefixes must project to whole entries — blocks, or
+			// Mamba checkpoints — in every group so claiming is
+			// block-exact. ProjCount falls by at most one per token, so no
+			// candidate nearer than the excess over a whole entry can be
+			// aligned.
+			if over := gv.view.ProjCount[p] % gv.view.BlockTokens; over != 0 {
+				p -= over
+				continue candidates
 			}
 			gv.view.miss = -1
 			if !gv.g.pol.ValidPrefix(gv.view, p) {
@@ -524,7 +492,7 @@ type lookupView struct {
 //jenga:hotpath
 func (m *Jenga) buildView(g *group, bh *classHashes, seq *Sequence, by presence) *GroupSeqView {
 	v := &g.lkView
-	v.BlockTokens = g.tpp
+	v.BlockTokens = g.stride
 	if ln := seq.Len(); bh.proj == ln {
 		for n := len(m.identity); n <= ln; n++ {
 			//jenga:alloc-ok amortized: grows to the longest sequence ever looked up
@@ -549,14 +517,7 @@ func (m *Jenga) buildView(g *group, bh *classHashes, seq *Sequence, by presence)
 			}
 		}
 	}
-	if g.spec.Kind == model.Mamba {
-		g.lkCkPresent = m.fillPresent(g, g.lkCkPresent, bh, by)
-		v.CheckpointAt = g.ckptAt
-		v.Present = nil
-	} else {
-		v.Present = m.fillPresent(g, v.Present, bh, by)
-		v.CheckpointAt = nil
-	}
+	v.Present = m.fillPresent(g, v.Present, bh, by)
 	v.buildRuns()
 	return v
 }
@@ -616,53 +577,61 @@ func (m *Jenga) Reserve(seq *Sequence, upTo int, now Tick) error {
 		if add == 0 {
 			continue
 		}
-		newProj := rg.projReserved + add
+		var err error
 		if g.spec.Kind == model.Mamba {
-			if err := m.reserveMamba(g, rg, r.id, newProj); err != nil {
-				return err
-			}
-			continue
+			err = m.reserveMamba(g, rg, r.id, seq, rg.projReserved+add)
+		} else {
+			err = m.reserveBlocks(g, rg, r.id, seq, rg.projReserved+add)
 		}
-		lastBlock := (newProj - 1) / g.tpp
-		rg.pages = m.growTable(g, rg.pages, lastBlock+1, seq)
-		// Copy-on-write boundary: the scan starts at the committed tail
-		// block, not the reserved one, because every block from there to
-		// lastBlock will receive this reservation's commits — a block
-		// still shared with a fork sibling (ref > 1) must be privatized
-		// before those writes land. Blocks between the committed and
-		// reserved positions are always held, so with no sharing the
-		// extra iterations fall through the held-page skip and behavior
-		// is identical to scanning from projReserved.
-		b0 := rg.projCommitted / g.tpp
-		if rb := rg.projReserved / g.tpp; rb < b0 {
-			b0 = rb
+		if err != nil {
+			return err
 		}
-		for b := b0; b <= lastBlock; b++ {
-			if rg.pages[b].held() {
-				if pg := &g.pages[rg.pages[b].id()]; pg.ref > 1 {
-					id, err := m.cowPage(g, rg.pages[b].id(), r.id)
-					if err != nil {
-						return err
-					}
-					rg.pages[b] = heldRef(id)
-				}
-				continue // partial block page from a previous chunk
-			}
-			id, err := m.allocSmall(g, r.id)
-			if err != nil {
-				return err
-			}
-			rg.pages[b] = heldRef(id)
-		}
-		rg.projReserved = newProj
 	}
 	r.reserved = upTo
 	return nil
 }
 
-// reserveMamba ensures a working state page exists and pre-allocates
-// checkpoint pages for the boundaries this reservation will cross.
-func (m *Jenga) reserveMamba(g *group, rg *reqGroup, req RequestID, newProj int) error {
+// reserveBlocks holds a private page for every block of g's table that
+// projected positions up to newProj reach and that the commits after
+// rg's committed position will write: a missing block gets a fresh page,
+// and one still shared with a fork sibling (ref > 1) is privatized
+// before those writes land (copy-on-write). The scan starts at the
+// committed tail block, not the reserved one, for that reason; blocks
+// between the two are always held, so with no sharing the extra
+// iterations fall through the held-page skip. Blocks are taken in
+// ascending order.
+//
+//jenga:hotpath
+func (m *Jenga) reserveBlocks(g *group, rg *reqGroup, req RequestID, seq *Sequence, newProj int) error {
+	lastBlock := (newProj - 1) / g.tpp
+	rg.pages = m.growTable(g, rg.pages, lastBlock+1, seq)
+	for b := min(rg.projCommitted, rg.projReserved) / g.tpp; b <= lastBlock; b++ {
+		var id arena.SmallPageID
+		var err error
+		switch ref := rg.pages[b]; {
+		case !ref.held():
+			id, err = m.allocSmall(g, req)
+		case g.pages[ref.id()].ref > 1:
+			id, err = m.cowPage(g, ref.id(), req)
+		default:
+			continue // a private page from a previous chunk
+		}
+		if err != nil {
+			return err
+		}
+		rg.pages[b] = heldRef(id)
+	}
+	rg.projReserved = newProj
+	return nil
+}
+
+// reserveMamba ensures a working state page exists and, with the prefix
+// cache on, pre-allocates a page for every checkpoint up to newProj that
+// is not finalized yet: the pages the commits crossing those boundaries
+// write the state into.
+//
+//jenga:hotpath
+func (m *Jenga) reserveMamba(g *group, rg *reqGroup, req RequestID, seq *Sequence, newProj int) error {
 	if !rg.hasWork {
 		id, err := m.allocSmall(g, req)
 		if err != nil {
@@ -675,14 +644,16 @@ func (m *Jenga) reserveMamba(g *group, rg *reqGroup, req RequestID, newProj int)
 		g.filledSlots++
 	}
 	if m.cfg.EnablePrefixCache {
-		every := g.spec.Checkpoint()
-		for rg.nextCkpt <= newProj {
+		rg.pages = m.growTable(g, rg.pages, newProj/g.stride, seq)
+		for k := rg.ckptDone; k < len(rg.pages); k++ {
+			if rg.pages[k].held() {
+				continue
+			}
 			id, err := m.allocSmall(g, req)
 			if err != nil {
 				return err
 			}
-			rg.pages = append(rg.pages, heldRef(id))
-			rg.nextCkpt += every
+			rg.pages[k] = heldRef(id)
 		}
 	}
 	rg.projReserved = newProj
@@ -797,23 +768,20 @@ func (m *Jenga) commitGroup(g *group, rg *reqGroup, sh *seqHashes, shared, own, 
 // commitRun commits n stored tokens from projected position pos to
 // group g and returns the position after them. A paged group fills its
 // blocks a page at a time, counting down to each block's end, and
-// publishes each block it completes; a Mamba group steps from one
-// checkpoint to the next.
+// publishes each block it completes (sh nil: none); a Mamba group steps
+// from one reserved checkpoint to the next.
 //
 //jenga:hotpath
 func (m *Jenga) commitRun(g *group, rg *reqGroup, sh *seqHashes, pos, n int, now Tick) int {
 	if g.spec.Kind == model.Mamba {
 		for n > 0 {
-			step := n
-			if rg.ckptDone < len(rg.pages) {
-				if d := rg.ckptPos(g, rg.ckptDone) - pos; d > 0 && d < n {
-					step = d
-				}
+			step, next, reserved := n, (rg.ckptDone+1)*g.stride, rg.ckptDone < len(rg.pages)
+			if d := next - pos; reserved && d > 0 && d < n {
+				step = d
 			}
 			pos, n = pos+step, n-step
-			if rg.ckptDone < len(rg.pages) && pos == rg.ckptPos(g, rg.ckptDone) {
-				m.finalizeCheckpoint(g, rg, &sh.c[g.hclass], rg.ckptDone, now)
-				rg.ckptDone++
+			if reserved && pos == next {
+				m.finalizeCheckpoint(g, rg, &sh.c[g.hclass], now)
 			}
 		}
 		return pos
@@ -842,23 +810,25 @@ func (m *Jenga) commitRun(g *group, rg *reqGroup, sh *seqHashes, pos, n int, now
 	return pos
 }
 
-// finalizeCheckpoint publishes the i-th Mamba state snapshot: the state
-// content at that position is copied into the pre-allocated page and
-// its prefix hash (ch's entry) published for hits there (§5.3).
-func (m *Jenga) finalizeCheckpoint(g *group, rg *reqGroup, ch *classHashes, i int, now Tick) {
-	id := rg.pages[i].id()
-	check(rg.pages[i].held(), "checkpoint page %d not held", i)
+// finalizeCheckpoint publishes the next Mamba state snapshot, entry
+// ckptDone: the state content at that position is copied into the
+// pre-allocated page and its prefix hash (ch's entry) published for hits
+// there (§5.3).
+func (m *Jenga) finalizeCheckpoint(g *group, rg *reqGroup, ch *classHashes, now Tick) {
+	k := rg.ckptDone
+	check(rg.pages[k].held(), "checkpoint page %d not held", k)
+	id := rg.pages[k].id()
 	pg := &g.pages[id]
 	if pg.filled == 0 {
 		pg.filled = 1
 		g.filledSlots++
 	}
-	k := rg.ckptPos(g, i)/g.spec.Checkpoint() - 1
 	g.hash[id] = ch.at(k)
 	pg.set(pageComplete, true)
-	pg.priority = g.pol.BlockPriority(i, g.runKey(ch, k))
+	pg.priority = g.pol.BlockPriority(k, g.runKey(ch, k))
 	pg.lastAccess = now
 	m.publish(g, id)
+	rg.ckptDone++
 }
 
 // --- Release -------------------------------------------------------------
@@ -1114,14 +1084,16 @@ func (m *Jenga) rollbackClaim(seq *Sequence, r *reqState) {
 				m.pageRelease(g, rg.pages[b].id(), m.cfg.EnablePrefixCache, pg.lastAccess, false)
 			}
 		}
-		g.resetReq(rg)
+		rg.reset()
 	}
 	r.restoredTokens = 0
 	r.restoredBytes = 0
 }
 
 // claimMamba restores the working state from the cached checkpoint
-// hash names, at projected position pl.
+// hash names, at projected position pl: the checkpoints below it are
+// done, and the table's entries for them stay unheld, as a window
+// group's skipped blocks do.
 func (m *Jenga) claimMamba(g *group, rg *reqGroup, hash uint64, pl int, now Tick) {
 	id, ok := g.index.get(hash)
 	check(ok, "claimMamba: checkpoint at %d vanished", pl)
@@ -1129,19 +1101,12 @@ func (m *Jenga) claimMamba(g *group, rg *reqGroup, hash uint64, pl int, now Tick
 	// Touch the checkpoint (the paper updates only the last cached
 	// state's access time) and re-queue it with the fresh timestamp.
 	if pg.status == pageCached {
-		// Re-keying a cached page re-keys its large page: losing the
-		// old value may lower the max (a warm engine restart resets
-		// ticks, so `now` can be below it — mark dirty), the new value
-		// may raise it.
+		// Re-keying a cached page re-keys its large page, as the page
+		// leaving the cached set and entering it again would.
 		L := g.view.LargeOf(id)
-		lp := &m.large[L]
-		if pg.lastAccess == lp.ts {
-			lp.dirty = true
-		}
+		m.cacheRemove(L, pg)
 		pg.lastAccess = now
-		if now > lp.ts {
-			lp.ts = now
-		}
+		m.cacheAdd(L, now, pg.has(pageExpired))
 		if g.smallQueued() {
 			g.evict.push(pageEntry{id: id, ts: now, prio: pg.priority, expired: pg.has(pageExpired)})
 		}
@@ -1149,16 +1114,19 @@ func (m *Jenga) claimMamba(g *group, rg *reqGroup, hash uint64, pl int, now Tick
 	} else {
 		pg.lastAccess = now
 	}
-	rg.nextCkpt = pl + g.spec.Checkpoint()
+	rg.ckptDone = pl / g.stride
 	rg.projReserved = pl
 	rg.projCommitted = pl
 }
 
 // --- Vision embeddings (§6.2) ----------------------------------------------
 
-// EncodeImages implements Manager: allocates and fills vision-embedding
-// pages for every image token among the first uptoFull tokens. The
-// engine calls it after running the (simulated) vision encoder.
+// EncodeImages implements Manager: reserves and fills vision-embedding
+// pages for every image token among the first uptoFull tokens, as
+// Reserve and Commit do a token group's blocks (the embeddings are never
+// hashed). The engine calls it after running the (simulated) vision
+// encoder, while admitting the request: on an error it releases the
+// request.
 func (m *Jenga) EncodeImages(seq *Sequence, uptoFull int, now Tick) error {
 	if uptoFull > seq.Len() {
 		return fmt.Errorf("core: encode %d beyond sequence length %d", uptoFull, seq.Len())
@@ -1166,60 +1134,16 @@ func (m *Jenga) EncodeImages(seq *Sequence, uptoFull int, now Tick) error {
 	r := m.getReq(seq)
 	r.touched = true
 	for gi, g := range m.groups {
-		if !g.isVision() || !g.appliesTo(seq) {
-			continue
-		}
 		rg := &r.g[gi]
-		if rg.visCursor >= uptoFull {
-			rg.visCursor = uptoFull
+		if !g.isVision() || !g.appliesTo(seq) || rg.visCursor >= uptoFull {
 			continue
 		}
-		images := CountImages(seq.Span(rg.visCursor, uptoFull))
-		rg.pages = m.growTable(g, rg.pages, (rg.visProj+images+g.tpp-1)/g.tpp, seq)
-		// Image runs fill their blocks a page at a time: left counts down
-		// to the current block's end. The first token of a block finds
-		// its page missing or shared; the rest find it private.
-		b, left := rg.visProj/g.tpp, g.tpp-rg.visProj%g.tpp
-		shared, own, out := seq.Span(rg.visCursor, uptoFull)
-		fi := rg.visCursor // the sequence index of part[0]
-		for _, part := range [3][]Token{shared, own, out} {
-			for j := 0; j < len(part); {
-				if !part[j].Image() {
-					j++
-					continue
-				}
-				if !rg.pages[b].held() {
-					id, err := m.allocSmall(g, r.id)
-					if err != nil {
-						rg.visCursor = fi + j
-						return err
-					}
-					rg.pages[b] = heldRef(id)
-				} else if pg := &g.pages[rg.pages[b].id()]; pg.ref > 1 {
-					// Copy-on-write: the partial embedding block is shared
-					// with a fork sibling; privatize before writing into it.
-					id, err := m.cowPage(g, rg.pages[b].id(), r.id)
-					if err != nil {
-						rg.visCursor = fi + j
-						return err
-					}
-					rg.pages[b] = heldRef(id)
-				}
-				k := j
-				for k < len(part) && k-j < left && part[k].Image() {
-					k++
-				}
-				take := k - j
-				pg := &g.pages[rg.pages[b].id()]
-				pg.filled += uint8(take)
-				g.filledSlots += int64(take)
-				rg.visProj += take
-				if left -= take; left == 0 {
-					b, left = b+1, g.tpp
-				}
-				j = k
+		if images := countScope(g, seq, rg.visCursor, uptoFull); images > 0 {
+			if err := m.reserveBlocks(g, rg, r.id, seq, rg.projReserved+images); err != nil {
+				return err
 			}
-			fi += len(part)
+			shared, own, out := seq.Span(rg.visCursor, uptoFull)
+			m.commitGroup(g, rg, nil, shared, own, out, rg.visCursor, seq.promptBound(), now)
 		}
 		rg.visCursor = uptoFull
 	}

@@ -34,31 +34,25 @@ func TestLongestValidMatchesLinearScan(t *testing.T) {
 	sets := [][]string{{"full"}, {"window"}, {"image"}, {"mamba"}, {"sink"}, {"full", "window", "image", "mamba", "sink"}}
 
 	// view builds one group's view of a sequence whose image mask is
-	// images, each complete block (or Mamba checkpoint) present with
-	// probability density.
+	// images, each complete block (or Mamba checkpoint: a Mamba view's
+	// entries are its policy's interval apart) present with probability
+	// density.
 	view := func(s viewSpec, tpp int, images []bool, density float64) lookupView {
-		if s.kind == model.Mamba {
-			tpp = 1
+		pol, stride := s.pol(tpp), tpp
+		if mp, ok := pol.(MambaPolicy); ok {
+			tpp, stride = 1, mp.Every
 		}
-		g := &group{spec: model.KVGroup{Kind: s.kind, Scope: s.scope}, pol: s.pol(tpp), tpp: tpp}
-		v := &GroupSeqView{BlockTokens: tpp, ProjCount: make([]int, len(images)+1)}
+		g := &group{spec: model.KVGroup{Kind: s.kind, Scope: s.scope}, pol: pol, tpp: tpp, stride: stride}
+		v := &GroupSeqView{BlockTokens: stride, ProjCount: make([]int, len(images)+1)}
 		for i, img := range images {
 			v.ProjCount[i+1] = v.ProjCount[i]
 			if s.scope == model.ScopeAll || (s.scope == model.ScopeImage) == img {
 				v.ProjCount[i+1]++
 			}
 		}
-		if s.kind == model.Mamba {
-			ckpt := map[int]bool{}
-			for pl := 0; pl <= v.ProjCount[len(images)]; pl++ {
-				ckpt[pl] = rng.Float64() < density
-			}
-			v.CheckpointAt = func(pl int) bool { return ckpt[pl] }
-		} else {
-			v.Present = make([]bool, v.ProjCount[len(images)]/tpp)
-			for k := range v.Present {
-				v.Present[k] = rng.Float64() < density
-			}
+		v.Present = make([]bool, v.ProjCount[len(images)]/stride)
+		for k := range v.Present {
+			v.Present[k] = rng.Float64() < density
 		}
 		v.buildRuns()
 		return lookupView{g, v}

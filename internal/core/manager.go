@@ -168,6 +168,9 @@ type group struct {
 	tpp        int // token slots per page (1 for Mamba)
 	ratio      int // small pages per large page
 	hclass     int // index of the group's hash class (seqhash.go)
+	// stride is the projected tokens per page-table entry, its hash
+	// class's stride: tpp, or a Mamba group's checkpoint interval.
+	stride int
 
 	pages []page // indexed by SmallPageID
 	// hash is each page's block identity once its block is complete —
@@ -213,15 +216,11 @@ type group struct {
 	// in place, and what is worth keeping of a sequence's content — its
 	// block hashes — belongs to the request (seqHashes).
 	// lkProjCount backs the view's ProjCount for a sequence the group
-	// stores only part of.
-	// A Mamba group's view reads lkCkPresent through ckptAt, built once
-	// with the group: entry k is the checkpoint at projected position
-	// (k+1) × the interval. lkPeer is LookupFleet's overlay on either
-	// table: the holder, plus one, of each entry only a peer supplies.
+	// stores only part of, and lkPeer is LookupFleet's overlay on the
+	// view's Present: the holder, plus one, of each entry only a peer
+	// supplies.
 	lkView      GroupSeqView
 	lkProjCount []int
-	lkCkPresent []bool
-	ckptAt      func(projPos int) bool
 	lkPeer      []int32
 }
 
@@ -432,9 +431,9 @@ func New(cfg Config) (*Jenga, error) {
 
 	for i := range cfg.Spec.Groups {
 		gs := cfg.Spec.Groups[i]
-		tpp := cfg.TokensPerPage
+		tpp, stride := cfg.TokensPerPage, cfg.TokensPerPage
 		if gs.Kind == model.Mamba {
-			tpp = 1
+			tpp, stride = 1, gs.Checkpoint()
 		}
 		small := geo.SmallPageBytes[gs.Name]
 		view, err := ar.View(gs.Name, small, gs.Layers, tpp)
@@ -454,7 +453,8 @@ func New(cfg Config) (*Jenga, error) {
 			slotUnit:   small / tpp,
 			tpp:        tpp,
 			ratio:      geo.Ratio[gs.Name],
-			hclass:     m.hashClassOf(&gs, tpp),
+			hclass:     m.hashClassOf(&gs, stride),
+			stride:     stride,
 			pages:      make([]page, ar.NumLargePages()*geo.Ratio[gs.Name]),
 			assocTop:   make(map[RequestID]arena.SmallPageID),
 		}
@@ -470,13 +470,6 @@ func New(cfg Config) (*Jenga, error) {
 		g.free.init(len(g.pages))
 		if g.smallQueued() {
 			g.evict.initSlots(len(g.pages), 0)
-		}
-		if gs.Kind == model.Mamba {
-			every := gs.Checkpoint()
-			g.ckptAt = func(projPos int) bool {
-				k := projPos/every - 1
-				return projPos%every == 0 && k >= 0 && k < len(g.lkCkPresent) && g.lkCkPresent[k]
-			}
 		}
 		m.groups = append(m.groups, g)
 	}

@@ -38,8 +38,8 @@ type Policy interface {
 	// judging by RangeCached asks, at a shorter prefix, ranges that
 	// start no later and end at the projected prefix length or at a
 	// fixed bound below it, and rejects whenever they stay uncached:
-	// [0,pl), [pl−W,pl) and [0,min(S,pl)) all qualify. A rejection with
-	// no failed range (CheckpointAt, say) rules out p alone.
+	// [0,pl), [pl−W,pl), Mamba's [pl−1,pl) and [0,min(S,pl)) all
+	// qualify. A rejection with no failed range rules out p alone.
 	ValidPrefix(v *GroupSeqView, p int) bool
 	// BlockPriority returns the eviction tie-break value for block b.
 	// runChain is the hash-chain value at the start of the current
@@ -65,10 +65,12 @@ type GroupSeqView struct {
 	// ProjCount[p] is the number of projected tokens among the first p
 	// full-sequence tokens (length fullLen+1).
 	ProjCount []int
-	// BlockTokens is the group's tokens-per-page.
+	// BlockTokens is the projected tokens per entry of the group's page
+	// table: its tokens per page, or a Mamba group's checkpoint interval.
 	BlockTokens int
-	// Present[k] reports whether complete block k is in the prefix
-	// cache (live page with a published hash).
+	// Present[k] reports whether entry k — complete block k, or the Mamba
+	// checkpoint after (k+1) × BlockTokens projected tokens — is in the
+	// prefix cache (live page with a published hash).
 	Present []bool
 	// nextAbsent[k] is the lowest absent block at or after k,
 	// len(Present) when every block from k on is present.
@@ -77,9 +79,6 @@ type GroupSeqView struct {
 	// Lookup last reset it to -1 (the lowest absent block of each failed
 	// range).
 	miss int
-	// CheckpointAt reports whether a Mamba state checkpoint exists at
-	// exactly projPos projected tokens. Nil for non-Mamba groups.
-	CheckpointAt func(projPos int) bool
 }
 
 // buildRuns fills nextAbsent from Present, reusing its capacity (views
@@ -212,16 +211,11 @@ func (MambaPolicy) AccessedFrom(projLen int) int {
 func (MambaPolicy) FreeBelow(projLen int) int { return projLen }
 
 // ValidPrefix implements Policy: p hits iff its projected length is a
-// checkpoint multiple whose state is cached (or zero).
+// checkpoint multiple whose state is cached (or zero). The view's entry
+// for the checkpoint at pl is the one holding projected token pl−1.
 func (m MambaPolicy) ValidPrefix(v *GroupSeqView, p int) bool {
 	pl := v.ProjCount[p]
-	if pl == 0 {
-		return true
-	}
-	if m.Every <= 0 || pl%m.Every != 0 || v.CheckpointAt == nil {
-		return false
-	}
-	return v.CheckpointAt(pl)
+	return pl == 0 || (m.Every > 0 && pl%m.Every == 0 && v.RangeCached(pl-1, pl))
 }
 
 // BlockPriority implements Policy: later checkpoints are evicted first.

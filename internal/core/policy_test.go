@@ -65,8 +65,9 @@ func TestWindowPolicyAccessedAndFree(t *testing.T) {
 }
 
 func TestMambaPolicyValidPrefix(t *testing.T) {
-	present := map[int]bool{8: true}
-	v := &GroupSeqView{BlockTokens: 1, CheckpointAt: func(p int) bool { return present[p] }}
+	// Checkpoints every 8 tokens: the one at 8 (entry 0) is cached, the
+	// one at 16 (entry 1) is not.
+	v := &GroupSeqView{BlockTokens: 8, Present: []bool{true, false}}
 	v.ProjCount = make([]int, 21)
 	for i := range v.ProjCount {
 		v.ProjCount[i] = i

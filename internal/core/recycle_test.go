@@ -86,7 +86,6 @@ func requirePristine(t *testing.T, r, fresh *reqState) {
 	}
 	// And the fresh one is what getReq has always built.
 	want := reqState{id: r.id, g: make([]reqGroup, len(r.g)), h: seqHashes{c: make([]classHashes, len(r.h.c))}}
-	want.g[1].nextCkpt = 4 // recycleSpec's Mamba group checkpoints every 4 tokens
 	for ci := range want.h.c {
 		want.h.c[ci] = classHashes{chain: blockHashSeed, run: blockHashSeed}
 	}

@@ -135,17 +135,15 @@ func (c *hashClass) stores(t Token) bool {
 	return c.scope == model.ScopeAll || (c.scope == model.ScopeImage) == t.Image()
 }
 
-// hashClassOf returns the index of g's hash class, registering it at
-// the manager's construction; -1 for a vision-embedding group, which no
+// hashClassOf returns the index of the hash class of g, whose table
+// entries are stride projected tokens apart, registering it at the
+// manager's construction; -1 for a vision-embedding group, which no
 // lookup reads.
-func (m *Jenga) hashClassOf(g *model.KVGroup, tpp int) int {
-	c := hashClass{tag: g.Tag, scope: g.Scope, stride: tpp}
-	switch g.Kind {
-	case model.VisionEmbedding:
+func (m *Jenga) hashClassOf(g *model.KVGroup, stride int) int {
+	if g.Kind == model.VisionEmbedding {
 		return -1
-	case model.Mamba:
-		c.stride = g.Checkpoint()
 	}
+	c := hashClass{tag: g.Tag, scope: g.Scope, stride: stride}
 	if i := slices.Index(m.hashClasses, c); i >= 0 {
 		return i
 	}
