@@ -27,9 +27,8 @@ race:
 # Release and CrashReset ends with CheckInvariants (free stacks, prefix
 # index, eviction heaps, request-state slab against the page array, the
 # host tier, the free large pages), under which the fleet transfer
-# path's borrowed views — a page set, a fetch list, a fetch report's
-# holders — are scribbled when they lapse and a page set its holder
-# voided panics on import, under which a released host-tier pin is
+# path's borrowed views — a page set, a fetch list — are scribbled when
+# they lapse and a page set its holder voided panics on import, under which a released host-tier pin is
 # scribbled so a restore reading through it panics, under which each
 # Lookup's longest valid prefix is recomputed by the linear scan, and
 # under which every scheduler View the engine hands out has its waiting
@@ -322,6 +321,17 @@ vet:
 # host tier exists only with room for a page, so a CheckpointAt,
 # ckptPos or hasRoomEver in non-test core is the Mamba side path or the
 # tier's dead room test again.
+# And the tier/fleet path carries what its callers read: a fleet fetch
+# reports tokens and bytes, each batch's outcome is a StoreStats count,
+# a page enters the tier through hostTier.admit (the touch of a resident
+# page or a store), the tier's byte counts live in its used and capacity
+# fields (TierStats reads them), and a claim spans a Mamba group's
+# checkpoint through the policy like any group's blocks, so a
+# HolderReport, FetchOutcome, MaxAttempts or FetchSkips in non-test
+# internal/, a hostTier.spill or a stats.HostUsed write in non-test
+# internal/core, or a claimSpan that names model.Mamba is the per-holder
+# report, the second admission path, the copied byte count or the Mamba
+# branch again.
 # (The token's four bytes need no grep: internal/core pins them at
 # compile time.)
 guard:
@@ -361,6 +371,7 @@ guard:
 	@out=$$(grep -rn '\.Image()' internal --include='*.go' | grep -v -e '_test\.go:' -e '^internal/core/'); if [ -n "$$out" ]; then echo "a per-token image walk in non-test internal/ outside internal/core (image tokens are counted by core.CountImages):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE '\.(hashes|runs|head|headRuns)\[' internal/core --include='*.go' | grep -v -e '_test\.go:' -e '^internal/core/seqhash\.go:'); if [ -n "$$out" ]; then echo "a request's block-hash or run-key array is indexed outside internal/core/seqhash.go (every read goes through classHashes.at or runAt, which take a borrowed head's entries from its memo):"; echo "$$out"; exit 1; fi
 	@files=$$(ls internal/core/*.go | grep -v '_test\.go$$'); out=$$(awk '/^[ \t]*\/\// { next } { body = $$0 } /^func /{ fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn); if (!sub(/^[^{]*\{/, "", body)) body = "" } (body ~ /allocSmall\(/ && fn !~ /^(reserveBlocks|reserveMamba|forkCopyPage|restoreBlock)$$/) || (body ~ /cowPage\(/ && fn != "reserveBlocks") { print FILENAME ":" FNR ": in " fn ": " $$0 }' $$files; grep -nwE 'CheckpointAt|ckptPos|hasRoomEver' $$files); if [ -n "$$out" ]; then echo "a block is held outside the reservation path in non-test internal/core (allocSmall only in reserveBlocks, reserveMamba, forkCopyPage and restoreBlock; cowPage only in reserveBlocks), or the Mamba side path or the tier's room test is back (CheckpointAt, ckptPos, hasRoomEver):"; echo "$$out"; exit 1; fi
+	@files=$$(ls internal/core/*.go | grep -v '_test\.go$$'); out=$$(grep -rnwE 'HolderReport|FetchOutcome|MaxAttempts|FetchSkips' internal --include='*.go' | grep -v '_test\.go:'; grep -nE -e 'func \(h \*hostTier\) spill\(' -e 'stats\.HostUsed =' $$files; awk '/^func \(g \*group\) claimSpan\(/,/^}/ { if (/model\.Mamba/) print FILENAME ":" FNR ": " $$0 }' $$files); if [ -n "$$out" ]; then echo "the tier/fleet path carries what no caller reads again (HolderReport, FetchOutcome, MaxAttempts or FetchSkips in non-test internal/), a page enters the tier a second way or its byte count is copied (hostTier.spill, a stats.HostUsed write in non-test internal/core), or claimSpan has a Mamba branch again:"; echo "$$out"; exit 1; fi
 
 ci: vet lint guard loc-check build test race debug chaos-smoke scale-smoke perf-smoke examples
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi

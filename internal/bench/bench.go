@@ -611,8 +611,8 @@ func FleetFetch() (*Op, error) {
 		probe, now := probes[n%families], core.Tick(n+2)
 		probe.ID = core.RequestID(100 + n)
 		n++
-		if fr := store.Fetch(dst, probe, now); fr.Tokens != prefix || fr.Fetched != 1 {
-			return fmt.Errorf("bench: fetch moved %d tokens in %d batches, want %d in 1", fr.Tokens, fr.Fetched, prefix)
+		if fr := store.Fetch(dst, probe, now); fr.Tokens != prefix || store.Stats().Fetched != int64(n) {
+			return fmt.Errorf("bench: fetch %d moved %d tokens, %d batches fetched so far, want %d tokens and one batch a fetch", n, fr.Tokens, store.Stats().Fetched, prefix)
 		}
 		if err := mgrs[dst].Reserve(probe, len(probe.Tokens), now); err != nil {
 			return err

@@ -180,11 +180,11 @@ type Result struct {
 	// mid-transfer and rolled back to their source replica.
 	DirInvalidations   int
 	MigrationRollbacks int
-	// FetchRetries, FetchFailures and FetchSkips are the fleet store's
+	// FetchRetries and FetchFailures are the fleet store's
 	// peer-transfer outcome counts for this run (zero without the
-	// store): retried attempts, holder batches that exhausted the
-	// retry bound, and batches skipped before any transfer.
-	FetchRetries, FetchFailures, FetchSkips int64
+	// store): retried attempts, and holder batches that exhausted the
+	// retry bound.
+	FetchRetries, FetchFailures int64
 	// PerReplica holds each replica's share, indexed by replica.
 	PerReplica []ReplicaResult
 }
@@ -525,7 +525,6 @@ func (c *Cluster) aggregate(p *pass, acc *fleetAcc) *Result {
 		ss := c.store.Stats()
 		out.FetchRetries = ss.Retries - p.storeBase.Retries
 		out.FetchFailures = ss.Failed - p.storeBase.Failed
-		out.FetchSkips = ss.Skipped - p.storeBase.Skipped
 	}
 	return out
 }

@@ -452,8 +452,8 @@ func TestTierCycleZeroAlloc(t *testing.T) {
 				blocks[i].data = payload
 			}
 		}
-		if !tier.spill(gi, blocks[:n], hashes[:n], now) {
-			t.Fatal("spill refused on an unpinned tier")
+		if !tier.store(gi, blocks[:n], hashes[:n], now) {
+			t.Fatal("store refused on an unpinned tier")
 		}
 		if hb, ok := tier.lookup(gi, hashes[0]); !ok || hb.priority != int64(k) {
 			t.Fatalf("block %x not found where it was just stored", hashes[0])

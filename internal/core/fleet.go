@@ -202,15 +202,14 @@ func (m *Jenga) ImportPrefix(ps PageSet, now Tick) (int, int64) {
 			hashes = append(hashes, pb[k].Hash)
 		}
 		h.pageBlocks, h.pageHashes = blocks, hashes
-		if h.resident(gi, hashes) {
-			h.touchPage(gi, hashes[0], now)
-			continue
-		}
-		if !h.store(gi, blocks, hashes, now) {
+		stored, ok := h.admit(gi, blocks, hashes, now)
+		if !ok {
 			break
 		}
-		pages++
-		bytes += h.pageBytes
+		if stored {
+			pages++
+			bytes += h.pageBytes
+		}
 	}
 	if pages > 0 {
 		h.stats.PeerImports += int64(pages)

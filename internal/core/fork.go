@@ -92,7 +92,7 @@ func (m *Jenga) Fork(parent, child *Sequence, now Tick) error {
 		own := crg.pages
 		*crg = *prg
 		crg.pages = append(own, prg.pages...)
-		crg.hasWork, crg.work = false, 0
+		crg.work = pageRef{}
 		for i := range crg.pages {
 			ref := &crg.pages[i]
 			if !ref.held() {
@@ -119,15 +119,14 @@ func (m *Jenga) Fork(parent, child *Sequence, now Tick) error {
 			}
 			*ref = heldRef(nid)
 		}
-		if prg.hasWork {
+		if prg.work.held() {
 			// The Mamba working state mutates every step — eager copy.
-			nid, err := m.forkCopyPage(g, prg.work, cr.id)
+			nid, err := m.forkCopyPage(g, prg.work.id(), cr.id)
 			if err != nil {
 				m.Release(child, false)
 				return err
 			}
-			crg.work = nid
-			crg.hasWork = true
+			crg.work = heldRef(nid)
 		}
 	}
 	m.stats.Forks++

@@ -254,7 +254,6 @@ func newHostTier(capacity int64, pageBytes int, groups []string, ratios []int) *
 		pages:     make([]hostPage, slots),
 		free:      make([]int32, 0, slots),
 		index:     make([]pageIndex[int32], len(groups)),
-		stats:     TierStats{HostCapacity: capacity},
 	}
 	for gi, r := range ratios {
 		h.ratios[gi] = int32(r)
@@ -354,30 +353,30 @@ func (h *hostTier) unpin(p *tierPin) {
 	}
 }
 
-// spill stores one large page's cached blocks as a new host page,
-// evicting the least-recently-touched unpinned pages as needed to
-// stay within budget. It reports whether the page was stored (false
-// when the budget can never fit it, or when pins block every
-// eviction candidate).
+// admit is the one way a page enters the tier, behind the D2H spill
+// and the fleet import: a page whose blocks are all resident already is
+// only touched (stored=false, ok=true), and any other goes to store
+// (stored=ok=whether store took it).
 //
 //jenga:hotpath
-func (h *hostTier) spill(gi int, blocks []hostBlock, hashes []uint64, now Tick) bool {
-	if !h.store(gi, blocks, hashes, now) {
-		return false
+func (h *hostTier) admit(gi int, blocks []hostBlock, hashes []uint64, now Tick) (stored, ok bool) {
+	if h.resident(gi, hashes) {
+		h.touchPage(gi, hashes[0], now)
+		return false, true
 	}
-	h.stats.SwapOuts++
-	h.stats.SpilledBytes += h.pageBytes
-	return true
+	stored = h.store(gi, blocks, hashes, now)
+	return stored, stored
 }
 
-// store is the common page-admission path behind the D2H spill and the
-// fleet import: budget eviction, indexing, recency, observer
-// registration — everything except the transfer-direction accounting,
-// which the two callers charge differently. blocks and their hashes are
-// copied, bytes included, into the slot's own blocks, so callers may
-// build them in scratch and point their data at memory they do not own.
-// A page of more blocks than its group's ratio — a peer of another
-// geometry — is refused.
+// store is admit's primitive for a page not yet resident: budget
+// eviction, indexing, recency, observer registration — everything
+// except the transfer-direction accounting, which admit's two callers
+// charge differently. It reports false when the budget can never fit
+// the page, or when pins block every eviction candidate. blocks and
+// their hashes are copied, bytes included, into the slot's own blocks,
+// so callers may build them in scratch and point their data at memory
+// they do not own. A page of more blocks than its group's ratio — a
+// peer of another geometry — is refused.
 //
 //jenga:hotpath
 func (h *hostTier) store(gi int, blocks []hostBlock, hashes []uint64, now Tick) bool {
@@ -411,7 +410,6 @@ func (h *hostTier) store(gi int, blocks []hostBlock, hashes []uint64, now Tick) 
 	h.evict.push(hostEvictEntry{touch: now, seq: pg.seq, id: slot})
 	h.live++
 	h.used += h.pageBytes
-	h.stats.HostUsed = h.used
 	if h.obs != nil {
 		h.obs.TierStored(h.names[gi], h.hash[base:base+pg.n])
 	}
@@ -511,7 +509,6 @@ func (h *hostTier) dropPage(slot int32) {
 	h.free = append(h.free, slot)
 	h.live--
 	h.used -= h.pageBytes
-	h.stats.HostUsed = h.used
 	if len(gone) > 0 {
 		h.obs.TierEvicted(h.names[pg.group], gone)
 	}
@@ -584,7 +581,9 @@ func (m *Jenga) TierStats() TierStats {
 	if m.host == nil {
 		return TierStats{}
 	}
-	return m.host.stats
+	st := m.host.stats
+	st.HostUsed, st.HostCapacity = m.host.used, m.host.capacity
+	return st
 }
 
 // DrainTransfers implements TierManager.
@@ -697,15 +696,11 @@ func (m *Jenga) spillLarge(L arena.LargePageID, now Tick) bool {
 	if len(blocks) == 0 {
 		return false
 	}
-	if h.resident(g.idx, hashes) {
-		// Dedup: the bytes already live in the tier (a swap-out beat
-		// the evictor here); just refresh recency.
-		h.touchPage(g.idx, hashes[0], now)
+	if stored, _ := h.admit(g.idx, blocks, hashes, now); !stored {
 		return false
 	}
-	if !h.spill(g.idx, blocks, hashes, now) {
-		return false
-	}
+	h.stats.SwapOuts++
+	h.stats.SpilledBytes += h.pageBytes
 	m.stats.SwapOuts++
 	m.pendingD2H += int64(m.geo.LargePageBytes)
 	return true

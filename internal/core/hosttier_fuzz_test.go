@@ -258,10 +258,10 @@ func FuzzHostTier(f *testing.F) {
 					filled[k] = int32(arg) + int32(k)
 					blocks[k] = hostBlock{filled: filled[k]}
 				}
-				got := tier.spill(group, blocks, hashes, now)
+				got := tier.store(group, blocks, hashes, now)
 				want := ref.spill(group, hashes, filled, now)
 				if got != want {
-					t.Fatalf("op %d: spill = %v, ref %v", i, got, want)
+					t.Fatalf("op %d: store = %v, ref %v", i, got, want)
 				}
 			case 1: // lookup + touch
 				hb, ok := tier.lookup(group, hash)
@@ -311,9 +311,6 @@ func FuzzHostTier(f *testing.F) {
 			obs.log, ref.events = obs.log[:0], ref.events[:0]
 			if tier.used > tier.capacity {
 				t.Fatalf("op %d: tier over budget: %d > %d", i, tier.used, tier.capacity)
-			}
-			if tier.stats.HostUsed != tier.used {
-				t.Fatalf("op %d: stats.HostUsed %d != used %d", i, tier.stats.HostUsed, tier.used)
 			}
 		}
 	})

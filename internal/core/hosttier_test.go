@@ -347,8 +347,8 @@ func TestLapsedPinTripsPinnedCheck(t *testing.T) {
 		t.Skip("only a jengadebug build poisons released tier pins")
 	}
 	tier := newHostTier(4*64, 64, []string{"kv"}, []int{1})
-	if !tier.spill(0, []hostBlock{{filled: 1}}, []uint64{7}, 1) {
-		t.Fatal("spill refused on an empty tier")
+	if !tier.store(0, []hostBlock{{filled: 1}}, []uint64{7}, 1) {
+		t.Fatal("store refused on an empty tier")
 	}
 	lapsed, held := tier.pin(0, 7), tier.pin(0, 7)
 	defer tier.unpin(&held)
@@ -359,4 +359,45 @@ func TestLapsedPinTripsPinnedCheck(t *testing.T) {
 		}
 	}()
 	tier.pinned(lapsed)
+}
+
+// TestHostTierAdmit: admit is the one way a page enters the tier. A page
+// whose blocks are all resident is only touched — nothing is stored, and
+// the page moves behind the others in the eviction order; a new page is
+// stored; a page of more blocks than its group's ratio is refused.
+func TestHostTierAdmit(t *testing.T) {
+	cases := []struct {
+		name               string
+		hashes             []uint64
+		wantStored, wantOK bool
+		wantLive           int
+		evicted            uint64 // the page the next eviction drops
+	}{
+		{"resident page is touched", []uint64{1}, false, true, 2, 2},
+		{"new page is stored", []uint64{3}, true, true, 3, 1},
+		{"over-ratio page is refused", []uint64{4, 5}, false, false, 2, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tier := newHostTier(4*64, 64, []string{"kv"}, []int{1})
+			for i, hash := range []uint64{1, 2} {
+				if !tier.store(0, []hostBlock{{filled: 1}}, []uint64{hash}, Tick(i+1)) {
+					t.Fatalf("store of page %d refused on an empty tier", hash)
+				}
+			}
+			blocks := make([]hostBlock, len(tc.hashes))
+			if stored, ok := tier.admit(0, blocks, tc.hashes, 3); stored != tc.wantStored || ok != tc.wantOK {
+				t.Fatalf("admit = (stored %v, ok %v), want (%v, %v)", stored, ok, tc.wantStored, tc.wantOK)
+			}
+			if tier.live != tc.wantLive {
+				t.Fatalf("live = %d, want %d", tier.live, tc.wantLive)
+			}
+			if !tier.evictOne() {
+				t.Fatal("nothing to evict")
+			}
+			if _, ok := tier.lookup(0, tc.evicted); ok {
+				t.Fatalf("eviction kept page %d, want it dropped first", tc.evicted)
+			}
+		})
+	}
 }

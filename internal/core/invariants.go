@@ -77,7 +77,7 @@ func (m *Jenga) CheckInvariants() error {
 func (r *reqState) checkParked() error {
 	for gi := range r.g {
 		rg := &r.g[gi]
-		if rg.hasWork || slices.ContainsFunc(rg.pages[:cap(rg.pages)], func(ref pageRef) bool { return ref != (pageRef{}) }) {
+		if rg.work.held() || slices.ContainsFunc(rg.pages[:cap(rg.pages)], func(ref pageRef) bool { return ref != (pageRef{}) }) {
 			return fmt.Errorf("still references a page of group %d", gi)
 		}
 		if len(rg.pages) != 0 {
@@ -123,8 +123,8 @@ func (m *Jenga) checkPages(g *group) error {
 				refs[ref.id()]++
 			}
 		}
-		if rg.hasWork {
-			refs[rg.work]++
+		if rg.work.held() {
+			refs[rg.work.id()]++
 		}
 	}
 	var used, cached, empty int

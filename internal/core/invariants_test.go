@@ -66,7 +66,7 @@ func TestCheckInvariantsParkedStates(t *testing.T) {
 	}{
 		{"intact", func(*testing.T, *reqState) {}, ""},
 		{"working state", func(_ *testing.T, r *reqState) {
-			r.g[1].hasWork = true
+			r.g[1].work = heldRef(0)
 		}, "still references a page of group 1"},
 		{"stale table entry", func(_ *testing.T, r *reqState) {
 			r.g[0].pages[:1][0] = heldRef(3)

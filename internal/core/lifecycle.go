@@ -47,8 +47,7 @@ type reqGroup struct {
 
 	// Mamba state: the working state, and the checkpoints below ckptDone
 	// that are finalized (or were skipped by the claim).
-	hasWork  bool
-	work     arena.SmallPageID
+	work     pageRef
 	ckptDone int
 
 	// Vision-embedding state (driven by EncodeImages / DropImages): the
@@ -632,13 +631,12 @@ func (m *Jenga) reserveBlocks(g *group, rg *reqGroup, req RequestID, seq *Sequen
 //
 //jenga:hotpath
 func (m *Jenga) reserveMamba(g *group, rg *reqGroup, req RequestID, seq *Sequence, newProj int) error {
-	if !rg.hasWork {
+	if !rg.work.held() {
 		id, err := m.allocSmall(g, req)
 		if err != nil {
 			return err
 		}
-		rg.work = id
-		rg.hasWork = true
+		rg.work = heldRef(id)
 		pg := &g.pages[id]
 		pg.filled = 1 // the working state occupies the page
 		g.filledSlots++
@@ -844,8 +842,8 @@ func (m *Jenga) Release(seq *Sequence, cache bool) {
 	cache = cache && m.cfg.EnablePrefixCache
 	for gi, g := range m.groups {
 		rg := &r.g[gi]
-		if rg.hasWork { // a Mamba working state, released before its checkpoints
-			m.pageRelease(g, rg.work, false, r.lastNow, false)
+		if rg.work.held() { // a Mamba working state, released before its checkpoints
+			m.pageRelease(g, rg.work.id(), false, r.lastNow, false)
 		}
 		for _, ref := range rg.pages {
 			if !ref.held() {
@@ -918,15 +916,14 @@ func (m *Jenga) claim(seq *Sequence, r *reqState, now Tick) {
 	r.committed = p
 }
 
-// pendingRestore is one host-tier block a claim must bring back:
-// block ≥ 0 names a token-group block, block < 0 a Mamba checkpoint
-// at projected position pl. pin is the source page's tier pin.
+// pendingRestore is one host-tier block a claim must bring back: entry
+// block of rg's table, a token block or a Mamba checkpoint. pin is the
+// source page's tier pin.
 type pendingRestore struct {
 	g     *group
 	rg    *reqGroup
 	block int
 	hash  uint64
-	pl    int
 	pin   tierPin
 }
 
@@ -952,26 +949,23 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, sh *seqHashes, p int, no
 		g := gv.g
 		rg, ch, pl := &r.g[g.idx], &sh.c[g.hclass], gv.view.ProjCount[p]
 		head, lo, nb := g.claimSpan(pl)
-		if g.spec.Kind == model.Mamba {
-			if pl == 0 {
-				continue
-			}
-			if nb == 0 {
-				check(false, "claim: group %s prefix %d is not a checkpoint", g.spec.Name, pl)
-			}
-			if _, ok := g.index.get(ch.at(lo)); !ok && useHost {
-				// The lookup found it in the tier: restore it, as a block.
-				m.claimPending = append(m.claimPending, pendingRestore{g: g, rg: rg, block: -1, hash: ch.at(lo), pl: pl})
-				continue
-			}
-			m.claimMamba(g, rg, ch.at(lo), pl, now)
-			continue
-		}
-		if pl%g.tpp != 0 {
+		if pl%g.stride != 0 {
 			check(false, "claim: group %s prefix %d not block aligned", g.spec.Name, pl)
 		}
 		if len(rg.pages) != 0 {
 			check(false, "claim: group %s already holds a page table", g.spec.Name)
+		}
+		if g.spec.Kind == model.Mamba {
+			if pl == 0 {
+				continue
+			}
+			if _, ok := g.index.get(ch.at(lo)); !ok && useHost {
+				// The lookup found it in the tier: restore it, as a block.
+				m.claimPending = append(m.claimPending, pendingRestore{g: g, rg: rg, block: lo, hash: ch.at(lo)})
+				continue
+			}
+			m.claimMamba(g, rg, lo, ch.at(lo), now)
+			continue
 		}
 		rg.pages = m.growTable(g, rg.pages, nb, seq)
 		m.claimBlocks(g, rg, r.id, ch, 0, head, useHost)
@@ -998,13 +992,13 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, sh *seqHashes, p int, no
 			break
 		}
 		r.restoredBytes += int64(pr.g.smallBytes)
-		if pr.block >= 0 {
+		if pr.g.spec.Kind != model.Mamba {
 			pr.rg.pages[pr.block] = heldRef(id)
 		} else {
 			// Mamba checkpoint: park the restored page as published
 			// cache, then claim it through the normal path.
 			m.pageRelease(pr.g, id, true, now, false)
-			m.claimMamba(pr.g, pr.rg, pr.hash, pr.pl, now)
+			m.claimMamba(pr.g, pr.rg, pr.block, pr.hash, now)
 		}
 	}
 	for i := range pending {
@@ -1017,17 +1011,13 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, sh *seqHashes, p int, no
 // claimSpan names the entries of g's hash class that a claim of pl
 // projected tokens attaches (and LookupFleet fetches), [0, head) and
 // [lo, nb): the always-live head (attention sinks) and the accessed
-// tail of a token group's nb blocks; a Mamba group's checkpoint at pl.
+// tail of the nb entries below pl — a token group's blocks, or a Mamba
+// group's checkpoint at pl (the policy accesses only the latest state,
+// so the span is that one entry at a checkpoint and empty elsewhere).
 //
 //jenga:hotpath
 func (g *group) claimSpan(pl int) (head, lo, nb int) {
-	if g.spec.Kind == model.Mamba {
-		if every := g.spec.Checkpoint(); pl > 0 && pl%every == 0 {
-			return 0, pl/every - 1, pl / every
-		}
-		return 0, 0, 0
-	}
-	lo, nb = g.pol.AccessedFrom(pl)/g.tpp, pl/g.tpp
+	lo, nb = g.pol.AccessedFrom(pl)/g.stride, pl/g.stride
 	if g.keep != nil {
 		head = min((g.keep.KeptBelow(pl)+g.tpp-1)/g.tpp, lo)
 	}
@@ -1091,12 +1081,12 @@ func (m *Jenga) rollbackClaim(seq *Sequence, r *reqState) {
 }
 
 // claimMamba restores the working state from the cached checkpoint
-// hash names, at projected position pl: the checkpoints below it are
-// done, and the table's entries for them stay unheld, as a window
-// group's skipped blocks do.
-func (m *Jenga) claimMamba(g *group, rg *reqGroup, hash uint64, pl int, now Tick) {
+// hash names, entry k of the table: the checkpoints up to it are done,
+// and the table's entries for them stay unheld, as a window group's
+// skipped blocks do.
+func (m *Jenga) claimMamba(g *group, rg *reqGroup, k int, hash uint64, now Tick) {
 	id, ok := g.index.get(hash)
-	check(ok, "claimMamba: checkpoint at %d vanished", pl)
+	check(ok, "claimMamba: checkpoint %d vanished", k)
 	pg := &g.pages[id]
 	// Touch the checkpoint (the paper updates only the last cached
 	// state's access time) and re-queue it with the fresh timestamp.
@@ -1114,9 +1104,9 @@ func (m *Jenga) claimMamba(g *group, rg *reqGroup, hash uint64, pl int, now Tick
 	} else {
 		pg.lastAccess = now
 	}
-	rg.ckptDone = pl / g.stride
-	rg.projReserved = pl
-	rg.projCommitted = pl
+	rg.ckptDone = k + 1
+	rg.projReserved = rg.ckptDone * g.stride
+	rg.projCommitted = rg.projReserved
 }
 
 // --- Vision embeddings (§6.2) ----------------------------------------------

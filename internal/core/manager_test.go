@@ -451,7 +451,7 @@ func TestMambaLifecycle(t *testing.T) {
 	audit(t, m)
 	r := m.reqs[seq.ID]
 	rg := &r.g[1]
-	if !rg.hasWork {
+	if !rg.work.held() {
 		t.Fatal("mamba group should hold a working state page")
 	}
 	// Checkpoints at 4 and 8 finalized (position 12 not reached).

@@ -172,30 +172,24 @@ func TestFetchZeroAlloc(t *testing.T) {
 		mgrs[dst].Release(probe, false)
 		probe.ID, ghostProbe.ID = core.RequestID(1000+round), core.RequestID(2000+round)
 		var fr, gr FetchReport
-		var ok, failed, ssmOK int
+		var before, mid, after StoreStats
 		allocs := allocsOf(func() {
+			before = s.Stats()
 			fr = s.Fetch(dst, probe, now)
-			for _, hr := range fr.Holders {
-				switch {
-				case hr.Outcome == FetchOK && hr.Group == "ssm":
-					ssmOK++
-					ok++
-				case hr.Outcome == FetchOK:
-					ok++
-				case hr.Outcome == FetchFailed:
-					failed++
-				}
-			}
+			mid = s.Stats()
 			gr = s.Fetch(dst, ghostProbe, now)
+			after = s.Stats()
 			// The engine's part: a request the manager was shown leaves.
 			mgrs[dst].Release(probe, false)
 			mgrs[dst].Release(ghostProbe, false)
 		})
-		if ok < 2 || ssmOK != 1 || failed != 1 || fr.Retries != 2 || fr.Tokens == 0 {
-			t.Fatalf("round %d: prompt fetch %+v: want kv and ssm batches from holder 1 and a failed one from holder 0", round, fr)
+		// Holder 0's transfers all fail, so the two fetched batches are
+		// holder 1's, one per group: kv and ssm.
+		if d := delta(mid, before); d != (StoreStats{Fetched: 2, Failed: 1, Retries: 2}) || fr.Tokens == 0 {
+			t.Fatalf("round %d: prompt fetch %+v moved store stats by %+v: want kv and ssm batches from holder 1 and a failed one from holder 0", round, fr, d)
 		}
-		if gr.Skipped != 2 || gr.Fetched != 0 || gr.Bytes != 0 {
-			t.Fatalf("round %d: ghost fetch %+v: want two skipped batches", round, gr)
+		if d := delta(after, mid); d != (StoreStats{Skipped: 2}) || gr.Bytes != 0 {
+			t.Fatalf("round %d: ghost fetch %+v moved store stats by %+v: want two skipped batches", round, gr, d)
 		}
 		if round >= warm {
 			total += allocs
@@ -238,8 +232,8 @@ func TestRetriedImportSameBytes(t *testing.T) {
 
 	s.SetFaults(&scriptedFaults{fails: 2}, 3)
 	fr := s.Fetch(1, &core.Sequence{ID: 2, PromptLen: len(prompt), Tokens: prompt}, 2)
-	if fr.Fetched != 1 || fr.Retries != 2 || len(fr.Holders) != 1 || fr.Holders[0].Attempts != 3 {
-		t.Fatalf("fetch report %+v: want one batch landing on its third attempt", fr)
+	if st := s.Stats(); fr.Tokens == 0 || st != (StoreStats{Fetched: 1, Retries: 2}) {
+		t.Fatalf("fetch %+v, store stats %+v: want one batch landing on its third attempt", fr, st)
 	}
 	got, ok := mgrs[1].ExportPrefix("kv", hashes)
 	if !ok {

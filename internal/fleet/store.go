@@ -1,25 +1,22 @@
 package fleet
 
-import (
-	"jenga/internal/core"
-	"jenga/internal/debug"
-)
+import "jenga/internal/core"
 
 // Store is the cluster-wide KV store: one Directory spanning N replica
 // managers plus the peer-transfer path. Attach wires a replica's
 // manager into the directory (its tier notifies stores and evictions
 // through a TierObserver); Fetch runs the miss path — extend the local
 // prefix with peer-held blocks, export the pages from their holders,
-// import them into the local tier — and reports every holder's
-// outcome plus the tokens and wire bytes moved, so the engine can
-// charge the peer link and partial results are observable instead of
-// silent.
+// import them into the local tier — and reports the tokens and wire
+// bytes moved, so the engine can charge the peer link. Every holder
+// batch's outcome is counted in StoreStats and, for a batch that
+// delivered nothing, in the destination tier's stats, so partial
+// results are observable instead of silent.
 //
 // Fetch runs only in the cluster's barrier sections, one call at a
-// time, so the store owns its scratch outright: the holder batches and
-// the report's Holders list are reused from one Fetch to the next (a
-// jengadebug build scribbles over the list first), and a warm Fetch
-// allocates nothing.
+// time, so the store owns its scratch outright: the holder batches are
+// reused from one Fetch to the next, and a warm Fetch allocates
+// nothing.
 type Store struct {
 	dir *Directory
 	// mgrs[r] is replica r's manager, nil until Attach wires it.
@@ -28,10 +25,8 @@ type Store struct {
 	// holder other than dst — built once at Attach.
 	peers []core.PeerPresence
 	// Fetch scratch: the (holder, group) batches in first-seen order,
-	// each keeping its hash list's array, and the holder reports the
-	// returned FetchReport points at.
+	// each keeping its hash list's array.
 	batches []batch
-	reports []HolderReport
 	// faults, when set, decides whether each transfer attempt fails;
 	// attempts bounds the per-batch retry loop (≥ 1; 1 = no retry,
 	// the historical behavior). Both are written only between runs
@@ -60,56 +55,11 @@ type TransferFaults interface {
 // the store was built — the retry-bound and failure-visibility
 // surface for cluster results.
 type StoreStats struct {
-	// Fetched/Skipped/Failed count holder batches by outcome;
-	// Retries counts failed attempts that were retried.
+	// Fetched/Skipped/Failed count holder batches by outcome: imported;
+	// skipped, the holder having nothing left to export by transfer time
+	// (tier churn beat the fetch); failed, every transfer attempt having
+	// faulted. Retries counts failed attempts that were retried.
 	Fetched, Skipped, Failed, Retries int64
-	// MaxAttempts is the largest attempt count any single batch used
-	// (never exceeds the configured bound).
-	MaxAttempts int
-}
-
-// FetchOutcome classifies one holder batch's result.
-type FetchOutcome uint8
-
-const (
-	// FetchOK: the holder's pages were exported and imported.
-	FetchOK FetchOutcome = iota
-	// FetchSkipped: the holder had nothing left to export by transfer
-	// time (tier churn beat the fetch) — fall back to local recompute.
-	FetchSkipped
-	// FetchFailed: every transfer attempt faulted — fall back to
-	// local recompute.
-	FetchFailed
-)
-
-// String names the outcome for reports.
-func (o FetchOutcome) String() string {
-	switch o {
-	case FetchOK:
-		return "fetched"
-	case FetchSkipped:
-		return "skipped"
-	case FetchFailed:
-		return "failed"
-	default:
-		return "unknown"
-	}
-}
-
-// HolderReport is one (holder, group) batch's outcome within a Fetch.
-type HolderReport struct {
-	Holder  int
-	Group   string
-	Blocks  int
-	Outcome FetchOutcome
-	// Reason explains a skip or failure ("" for FetchOK).
-	Reason string
-	// Attempts is how many transfer attempts ran (≥ 1 once the export
-	// succeeded; 0 for batches skipped before any transfer).
-	Attempts int
-	// Bytes is the wire volume this batch charged — imported pages
-	// plus every timed-out attempt's wasted transfer.
-	Bytes int64
 }
 
 // batch is the blocks one Fetch wants from one (holder, group).
@@ -119,21 +69,12 @@ type batch struct {
 	hashes []uint64
 }
 
-// FetchReport is the full outcome of one Store.Fetch.
+// FetchReport is what one Store.Fetch moved: Tokens is the prefix
+// length gained over the local lookup (0 when nothing landed), Bytes
+// the total peer-link wire volume to charge, failed attempts included.
 type FetchReport struct {
-	// Tokens is the prefix length gained over the local lookup (0
-	// when nothing landed); Bytes the total peer-link wire volume to
-	// charge, failed attempts included; Imported the successfully
-	// injected share of Bytes.
-	Tokens   int
-	Bytes    int64
-	Imported int64
-	// Holders details every (holder, group) batch in first-seen
-	// order; the counters tally them by outcome. The list is the
-	// store's scratch, valid until its next Fetch.
-	Holders                  []HolderReport
-	Fetched, Skipped, Failed int
-	Retries                  int
+	Tokens int
+	Bytes  int64
 }
 
 // NewStore returns a store for n replicas with an empty directory.
@@ -191,25 +132,19 @@ func (s *Store) Attach(replica int, mgr core.Manager) bool {
 // on replica dst: if peers extend the locally cached prefix, export
 // the needed pages from their holders and import them into dst's host
 // tier, so dst's own claim restores them like locally spilled pages.
-// The report carries every holder's outcome — fetched, skipped or
-// failed, with the per-batch attempt count — plus the prefix tokens
-// gained over the local lookup and the wire bytes to charge (timed-out
-// attempts burn wire time too: the pages were in flight when the
-// transfer died). Fetch runs inside one barrier section, so every
-// export and its import see the same tiers: no eviction, crash or
-// restore runs between them. The directory names only attached
-// replicas, since only Attach installs the observer that registers
-// blocks. Batches that skip or fail fall back to local recompute
-// naturally: the destination simply never sees their pages.
+// The report carries the prefix tokens gained over the local lookup and
+// the wire bytes to charge (timed-out attempts burn wire time too: the
+// pages were in flight when the transfer died); each holder batch's
+// outcome — fetched, skipped or failed — lands in the store's stats.
+// Fetch runs inside one barrier section, so every export and its import
+// see the same tiers: no eviction, crash or restore runs between them.
+// The directory names only attached replicas, since only Attach
+// installs the observer that registers blocks. Batches that skip or
+// fail fall back to local recompute naturally: the destination simply
+// never sees their pages.
 //
 //jenga:hotpath
 func (s *Store) Fetch(dst int, seq *core.Sequence, now core.Tick) FetchReport {
-	if debug.On {
-		// The previous report's Holders lapse here.
-		for i := range s.reports {
-			s.reports[i] = HolderReport{Holder: -1, Group: "\x00scribbled", Blocks: -1, Outcome: FetchOutcome(0xFF), Reason: "scribbled", Attempts: -1, Bytes: -1}
-		}
-	}
 	var rep FetchReport
 	if dst < 0 || dst >= len(s.mgrs) || s.mgrs[dst] == nil {
 		return rep
@@ -244,57 +179,38 @@ func (s *Store) Fetch(dst int, seq *core.Sequence, now core.Tick) FetchReport {
 		batches[i].hashes = append(batches[i].hashes, fb.Hash)
 	}
 	s.batches = batches
-	rep.Holders = s.reports[:0]
+	var skipped, failed, imported int64
 	for i := range batches {
 		k := &batches[i]
-		hr := HolderReport{Holder: k.src, Group: k.group, Blocks: len(k.hashes)}
 		ps, ok := s.mgrs[k.src].ExportPrefix(k.group, k.hashes)
 		if !ok {
-			hr.Outcome, hr.Reason = FetchSkipped, "nothing to export"
-			rep.Holders = append(rep.Holders, hr)
-			rep.Skipped++
+			skipped++
 			continue
 		}
-		for {
-			hr.Attempts++
-			if s.faults != nil && s.faults.FailTransfer(k.src, dst) {
-				hr.Bytes += ps.Bytes()
-				if hr.Attempts >= s.attempts {
-					hr.Outcome, hr.Reason = FetchFailed, "transfer timeout"
-					break
-				}
-				rep.Retries++
-				continue
+		for attempt := 1; ; attempt++ {
+			if s.faults == nil || !s.faults.FailTransfer(k.src, dst) {
+				_, b := tm.ImportPrefix(ps, now)
+				rep.Bytes += b
+				imported += b
+				s.stats.Fetched++
+				break
 			}
-			_, b := tm.ImportPrefix(ps, now)
-			hr.Bytes += b
-			rep.Imported += b
-			hr.Outcome = FetchOK
-			break
-		}
-		rep.Holders = append(rep.Holders, hr)
-		switch hr.Outcome {
-		case FetchOK:
-			rep.Fetched++
-		case FetchFailed:
-			rep.Failed++
-		}
-		rep.Bytes += hr.Bytes
-		if hr.Attempts > s.stats.MaxAttempts {
-			s.stats.MaxAttempts = hr.Attempts
+			rep.Bytes += ps.Bytes()
+			if attempt >= s.attempts {
+				failed++
+				break
+			}
+			s.stats.Retries++
 		}
 	}
-	s.reports = rep.Holders
-	s.stats.Fetched += int64(rep.Fetched)
-	s.stats.Skipped += int64(rep.Skipped)
-	s.stats.Failed += int64(rep.Failed)
-	s.stats.Retries += int64(rep.Retries)
+	s.stats.Skipped += skipped
+	s.stats.Failed += failed
 	// Surface non-delivering holders in the destination tier's stats:
 	// a partial fetch must be observable, not silent.
-	if rep.Skipped > 0 || rep.Failed > 0 {
-		tm.NotePeerFetch(int64(rep.Skipped), int64(rep.Failed))
+	if skipped > 0 || failed > 0 {
+		tm.NotePeerFetch(skipped, failed)
 	}
-	if rep.Imported > 0 {
+	if imported > 0 {
 		rep.Tokens = p - local
 	}
 	return rep

@@ -82,16 +82,11 @@ func TestStoreFetchMovesPrefix(t *testing.T) {
 	if fr.Tokens < 32 || fr.Bytes == 0 {
 		t.Fatalf("Fetch = %d tokens/%d bytes, want ≥ 32 tokens and > 0 bytes", fr.Tokens, fr.Bytes)
 	}
-	if fr.Fetched == 0 || fr.Failed != 0 || len(fr.Holders) == 0 {
-		t.Fatalf("fetch report: %+v", fr)
+	if st := s.Stats(); st.Fetched == 0 || st.Skipped != 0 || st.Failed != 0 || st.Retries != 0 {
+		t.Fatalf("fault-free fetch: store stats %+v, want every batch fetched on its first attempt", st)
 	}
-	for _, hr := range fr.Holders {
-		if hr.Outcome != FetchOK || hr.Attempts != 1 || hr.Holder != 0 {
-			t.Fatalf("holder report: %+v", hr)
-		}
-	}
-	if fr.Imported != fr.Bytes {
-		t.Fatalf("fault-free fetch: imported %d ≠ wire %d", fr.Imported, fr.Bytes)
+	if ts := tm.TierStats(); ts.PeerExports == 0 {
+		t.Fatalf("holder 0 exported nothing: %+v", ts)
 	}
 	if p := mgrs[1].Lookup(probe); p < 32 {
 		t.Fatalf("post-fetch local lookup = %d, want ≥ 32", p)
@@ -100,8 +95,8 @@ func TestStoreFetchMovesPrefix(t *testing.T) {
 	if !ok {
 		t.Fatal("manager 1 has no tier capability")
 	}
-	if ts := tm1.TierStats(); ts.PeerImports == 0 {
-		t.Fatalf("replica 1 tier stats: %+v", ts)
+	if ts := tm1.TierStats(); ts.PeerImports == 0 || ts.PeerImportBytes != fr.Bytes {
+		t.Fatalf("fault-free fetch: replica 1 imported %d bytes, wire %d: %+v", ts.PeerImportBytes, fr.Bytes, ts)
 	}
 
 	// A second fetch for the same prefix is a no-op: it is local now.
