@@ -332,6 +332,11 @@ vet:
 # internal/core, or a claimSpan that names model.Mamba is the per-holder
 # report, the second admission path, the copied byte count or the Mamba
 # branch again.
+# And a request's page table in a group covers entries [base, end) —
+# a window group's starts at the first block its claim reads and slides
+# up past the blocks its window has left — so only reqGroup's own methods
+# index it and everything else reads at, set and end: a .table[ in any
+# other non-test core function reads an entry at the wrong offset again.
 # (The token's four bytes need no grep: internal/core pins them at
 # compile time.)
 guard:
@@ -372,6 +377,7 @@ guard:
 	@out=$$(grep -rnE '\.(hashes|runs|head|headRuns)\[' internal/core --include='*.go' | grep -v -e '_test\.go:' -e '^internal/core/seqhash\.go:'); if [ -n "$$out" ]; then echo "a request's block-hash or run-key array is indexed outside internal/core/seqhash.go (every read goes through classHashes.at or runAt, which take a borrowed head's entries from its memo):"; echo "$$out"; exit 1; fi
 	@files=$$(ls internal/core/*.go | grep -v '_test\.go$$'); out=$$(awk '/^[ \t]*\/\// { next } { body = $$0 } /^func /{ fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn); if (!sub(/^[^{]*\{/, "", body)) body = "" } (body ~ /allocSmall\(/ && fn !~ /^(reserveBlocks|reserveMamba|forkCopyPage|restoreBlock)$$/) || (body ~ /cowPage\(/ && fn != "reserveBlocks") { print FILENAME ":" FNR ": in " fn ": " $$0 }' $$files; grep -nwE 'CheckpointAt|ckptPos|hasRoomEver' $$files); if [ -n "$$out" ]; then echo "a block is held outside the reservation path in non-test internal/core (allocSmall only in reserveBlocks, reserveMamba, forkCopyPage and restoreBlock; cowPage only in reserveBlocks), or the Mamba side path or the tier's room test is back (CheckpointAt, ckptPos, hasRoomEver):"; echo "$$out"; exit 1; fi
 	@files=$$(ls internal/core/*.go | grep -v '_test\.go$$'); out=$$(grep -rnwE 'HolderReport|FetchOutcome|MaxAttempts|FetchSkips' internal --include='*.go' | grep -v '_test\.go:'; grep -nE -e 'func \(h \*hostTier\) spill\(' -e 'stats\.HostUsed =' $$files; awk '/^func \(g \*group\) claimSpan\(/,/^}/ { if (/model\.Mamba/) print FILENAME ":" FNR ": " $$0 }' $$files); if [ -n "$$out" ]; then echo "the tier/fleet path carries what no caller reads again (HolderReport, FetchOutcome, MaxAttempts or FetchSkips in non-test internal/), a page enters the tier a second way or its byte count is copied (hostTier.spill, a stats.HostUsed write in non-test internal/core), or claimSpan has a Mamba branch again:"; echo "$$out"; exit 1; fi
+	@files=$$(ls internal/core/*.go | grep -v '_test\.go$$'); out=$$(awk 'FNR == 1 { own = 0 } /^[ \t]*\/\// { next } /^func / { own = /^func \([A-Za-z_]+ \*reqGroup\) / } !own && /\.table\[/ { print FILENAME ":" FNR ": " $$0 } /^}/ { own = 0 }' $$files); if [ -n "$$out" ]; then echo "a request's page table is indexed outside reqGroup's methods in non-test internal/core (it covers entries [base, end); read it through at, set and end):"; echo "$$out"; exit 1; fi
 
 ci: vet lint guard loc-check build test race debug chaos-smoke scale-smoke perf-smoke examples
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi

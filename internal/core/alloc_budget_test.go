@@ -242,9 +242,13 @@ func TestPageMetadataBytes(t *testing.T) {
 // the manager's array slabs: N requests over one ~8k-token head, each
 // with a tail of its own, are looked up, reserved and committed on
 // gemma2-9b. The head's block hashes are carved once, for its memo, and
-// each request carves one arrayQuantum of entries for its own blocks;
-// its page tables cost four bytes an entry, one table per group, sized
-// as growTable sizes a table for the whole sequence.
+// each request carves its own blocks' entries at the next power of two,
+// at least minHashArray. Its page tables cost four bytes an entry, one
+// table per group: a full-attention table is sized for the whole
+// sequence, as is the window table of the first request, which reserves
+// its whole prompt before any block of it is demoted; every later
+// request claims the head and starts its window table at the claim's
+// first accessed block, sized for the window's blocks plus two.
 func TestRequestStateBytes(t *testing.T) {
 	const n, headLen, tailLen, tpp = 64, 8197, 48, 16
 	m := newMgr(t, model.Gemma2_9B(), 8<<30, tpp, true)
@@ -264,13 +268,20 @@ func TestRequestStateBytes(t *testing.T) {
 		m.Commit(s, s.Len(), Tick(i+1))
 	}
 	audit(t, m)
-	headBlocks, blocks := headLen/tpp, (headLen+tailLen)/tpp
-	if own := blocks - headBlocks; own > arrayQuantum || len(m.heads) != 1 {
-		t.Fatalf("fixture: %d blocks past the head and %d memos, want at most %d and 1", own, len(m.heads), arrayQuantum)
+	window := 0
+	for _, g := range m.groups {
+		window = max(window, g.spec.Window)
 	}
-	hashBytes, wantHash := m.hashSlab.carved*8, (headBlocks+n*arrayQuantum)*8
-	table := 1 << bits.Len(uint((headLen+tailLen+tpp-1)/tpp-1))
-	tableBytes, wantTable := m.tableSlab.carved*int(unsafe.Sizeof(pageRef{})), n*len(m.groups)*table*4
+	pow2 := func(k int) int { return 1 << bits.Len(uint(k-1)) }
+	headBlocks, blocks := headLen/tpp, (headLen+tailLen)/tpp
+	if own := blocks - headBlocks; own > minHashArray || len(m.heads) != 1 || len(m.groups) != 2 || window == 0 {
+		t.Fatalf("fixture: %d blocks past the head, %d memos, %d groups, window %d; want at most %d, 1, 2 and a window",
+			own, len(m.heads), len(m.groups), window, minHashArray)
+	}
+	hashBytes, wantHash := m.hashSlab.carved*8, (pow2(headBlocks)+n*minHashArray)*8
+	whole := pow2((headLen + tailLen + tpp - 1) / tpp)
+	claimed := pow2(window/tpp + 2) // the claim itself holds window/tpp blocks
+	tableBytes, wantTable := m.tableSlab.carved*int(unsafe.Sizeof(pageRef{})), (n*whole+whole+(n-1)*claimed)*4
 	if hashBytes != wantHash || tableBytes != wantTable {
 		t.Fatalf("carved %d bytes of block hashes and %d of page tables for %d requests, want %d and %d", hashBytes, tableBytes, n, wantHash, wantTable)
 	}

@@ -129,7 +129,7 @@ func fuzzAssocStacks(t *testing.T, data []byte) {
 	}
 	// What a request holds it holds through its page table, as
 	// CheckInvariants counts references.
-	table := func(g *group, req RequestID) *[]pageRef { return &m.getReq(&Sequence{ID: req}).g[g.idx].pages }
+	table := func(g *group, req RequestID) *[]pageRef { return &m.getReq(&Sequence{ID: req}).g[g.idx].table }
 	var hash uint64
 	release := func(g *group, req RequestID, id arena.SmallPageID, cached bool, now Tick) {
 		tab := *table(g, req)

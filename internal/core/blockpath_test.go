@@ -55,10 +55,11 @@ func TestMambaClaimThenExtend(t *testing.T) {
 	for _, s := range []*Sequence{b, child} {
 		r := m.reqs[s.ID]
 		rg, ch := &r.g[g.idx], &r.h.c[g.hclass]
-		if rg.ckptDone != 4 || len(rg.pages) != 4 {
-			t.Fatalf("request %d: ckptDone %d, table of %d entries; want 4 and 4", s.ID, rg.ckptDone, len(rg.pages))
+		if rg.ckptDone != 4 || rg.end() != 4 {
+			t.Fatalf("request %d: ckptDone %d, table of %d entries; want 4 and 4", s.ID, rg.ckptDone, rg.end())
 		}
-		for k, ref := range rg.pages {
+		for k := range rg.end() {
+			ref := rg.at(k)
 			if held := ref.held(); held != (k >= 2) {
 				t.Fatalf("request %d: entry %d held %v; the claim at checkpoint 2 holds only the entries from 2", s.ID, k, held)
 			}
@@ -71,8 +72,8 @@ func TestMambaClaimThenExtend(t *testing.T) {
 			}
 		}
 	}
-	if r, c := m.reqs[b.ID].g[g.idx].pages, m.reqs[child.ID].g[g.idx].pages; r[2] != c[2] || r[3] == c[3] {
-		t.Fatalf("parent entries %v, child's %v: the fork shares checkpoint 2, each branch writes its own 3", r, c)
+	if r, c := &m.reqs[b.ID].g[g.idx], &m.reqs[child.ID].g[g.idx]; r.at(2) != c.at(2) || r.at(3) == c.at(3) {
+		t.Fatalf("parent entries %v, child's %v: the fork shares checkpoint 2, each branch writes its own 3", r.table, c.table)
 	}
 	// a finalizes 0 and 1; b finalizes 2 and then 3, as does the child.
 	if want := []int{0, 1, 2, 3, 3}; !slices.Equal(rec.blocks, want) {
@@ -150,8 +151,8 @@ func TestEncodeImagesForkCopyOnWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr := &m.reqs[parent.ID].g[g.idx]
-	if want := []pageRef{heldRef(0), heldRef(1)}; !slices.Equal(pr.pages, want) {
-		t.Fatalf("a two-block encode holds %v, want %v", pr.pages, want)
+	if want := []pageRef{heldRef(0), heldRef(1)}; !slices.Equal(pr.table, want) || pr.base != 0 {
+		t.Fatalf("a two-block encode holds %v from entry %d, want %v from 0", pr.table, pr.base, want)
 	}
 	if f0, f1 := g.pages[0].filled, g.pages[1].filled; f0 != 4 || f1 != 2 {
 		t.Fatalf("embedding blocks filled %d and %d, want 4 and 2", f0, f1)
@@ -167,10 +168,10 @@ func TestEncodeImagesForkCopyOnWrite(t *testing.T) {
 	if got := m.Stats().CowCopies - base; got != 1 {
 		t.Fatalf("the child's encode made %d copy-on-write copies, want 1", got)
 	}
-	if cr.pages[0] != pr.pages[0] || cr.pages[1] == pr.pages[1] {
-		t.Fatalf("parent holds %v, child %v: only the partly filled block is privatized", pr.pages, cr.pages)
+	if cr.at(0) != pr.at(0) || cr.at(1) == pr.at(1) {
+		t.Fatalf("parent holds %v, child %v: only the partly filled block is privatized", pr.table, cr.table)
 	}
-	if pf, cf := g.pages[pr.pages[1].id()].filled, g.pages[cr.pages[1].id()].filled; pf != 2 || cf != 4 {
+	if pf, cf := g.pages[pr.at(1).id()].filled, g.pages[cr.at(1).id()].filled; pf != 2 || cf != 4 {
 		t.Fatalf("the shared block's fill: parent %d, child %d; want 2 and 4", pf, cf)
 	}
 	if got := m.Usage().PerGroup["vision"].Used; got != (4+2+4)*128 {

@@ -78,10 +78,10 @@ func TestKeepAliveHoldsSinkPages(t *testing.T) {
 	// Held pages: sink blocks 0,1 (tokens 0..3) + window blocks.
 	r := m.reqs[seq.ID]
 	rg := &r.g[1]
-	if !rg.pages[0].held() || !rg.pages[1].held() {
+	if !rg.at(0).held() || !rg.at(1).held() {
 		t.Error("sink blocks must stay held after the window slides past")
 	}
-	if rg.pages[5].held() {
+	if rg.at(5).held() {
 		t.Error("mid-sequence block should be demoted")
 	}
 	// Sink group used slots: 4 sink tokens + 8 window tokens = 12.
@@ -117,7 +117,7 @@ func TestKeepAliveClaimCoversSink(t *testing.T) {
 	}
 	r := m.reqs[rep.ID]
 	rg := &r.g[1]
-	if !rg.pages[0].held() || !rg.pages[1].held() {
+	if !rg.at(0).held() || !rg.at(1).held() {
 		t.Error("claim must re-hold the sink head blocks")
 	}
 	m.Commit(rep, 64, 2)

@@ -122,15 +122,16 @@ func TestFleetExportImportRoundTrip(t *testing.T) {
 	checked := 0
 	for gi, g := range b.groups {
 		rg := &r.g[gi]
-		for blk := range rg.pages {
-			if !rg.pages[blk].held() {
+		for blk := rg.base; blk < rg.end(); blk++ {
+			ref := rg.at(blk)
+			if !ref.held() {
 				continue
 			}
-			want, ok := stamps[g.hash[rg.pages[blk].id()]]
+			want, ok := stamps[g.hash[ref.id()]]
 			if !ok {
 				continue
 			}
-			buf, err := g.view.SmallSlice(rg.pages[blk].id())
+			buf, err := g.view.SmallSlice(ref.id())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -86,19 +86,20 @@ func (m *Jenga) Fork(parent, child *Sequence, now Tick) error {
 	for gi, g := range m.groups {
 		prg := &pr.g[gi]
 		crg := &cr.g[gi]
-		// The child takes the parent's per-group state whole, its table
-		// copied into the child's own array — empty in a pristine state,
-		// recycled when there is one — and the working state copied below.
-		own := crg.pages
+		// The child takes the parent's per-group state whole, the span
+		// of its table copied into the child's own array — empty in a
+		// pristine state, recycled when there is one — and the working
+		// state copied below.
+		own := crg.table
 		*crg = *prg
-		crg.pages = append(own, prg.pages...)
+		crg.table = append(own, prg.table...)
 		crg.work = pageRef{}
-		for i := range crg.pages {
-			ref := &crg.pages[i]
+		for k := crg.base; k < crg.end(); k++ {
+			ref := crg.at(k)
 			if !ref.held() {
 				continue
 			}
-			if g.spec.Kind != model.Mamba || i < prg.ckptDone {
+			if g.spec.Kind != model.Mamba || k < prg.ckptDone {
 				// Blocks and embeddings are shared until written
 				// (copy-on-write), finalized checkpoints for good.
 				m.pageAddRef(g, ref.id())
@@ -106,18 +107,18 @@ func (m *Jenga) Fork(parent, child *Sequence, now Tick) error {
 			}
 			// Unfinalized checkpoint pages will be written in place
 			// when the boundary commits: the child needs its own.
-			*ref = pageRef{}
-			nid, err := m.forkCopyPage(g, prg.pages[i].id(), cr.id)
+			crg.set(k, pageRef{})
+			nid, err := m.forkCopyPage(g, ref.id(), cr.id)
 			if err != nil {
-				// Entries beyond i are copies of the parent's refs the
+				// Entries beyond k are copies of the parent's refs the
 				// child never took; drop them before unwinding.
-				for j := i + 1; j < len(crg.pages); j++ {
-					crg.pages[j] = pageRef{}
+				for j := k + 1; j < crg.end(); j++ {
+					crg.set(j, pageRef{})
 				}
 				m.Release(child, false)
 				return err
 			}
-			*ref = heldRef(nid)
+			crg.set(k, heldRef(nid))
 		}
 		if prg.work.held() {
 			// The Mamba working state mutates every step — eager copy.

@@ -153,14 +153,14 @@ func TestForkBranchesHashApart(t *testing.T) {
 			}
 			audit(t, m)
 			g := m.groups[0]
-			pp, cp := m.reqs[parent.ID].g[0].pages, m.reqs[child.ID].g[0].pages
+			pp, cp := &m.reqs[parent.ID].g[0], &m.reqs[child.ID].g[0]
 			for b := 0; b < 2; b++ {
-				if pp[b] != cp[b] || g.pages[pp[b].id()].ref != 2 {
+				if pp.at(b) != cp.at(b) || g.pages[pp.at(b).id()].ref != 2 {
 					t.Errorf("block %d below the fork: pages %d and %d (%d references), want one page both hold",
-						b, pp[b].id(), cp[b].id(), g.pages[pp[b].id()].ref)
+						b, pp.at(b).id(), cp.at(b).id(), g.pages[pp.at(b).id()].ref)
 				}
 			}
-			if pp[2].id() == cp[2].id() {
+			if pp.at(2).id() == cp.at(2).id() {
 				t.Fatal("the branches share the block they completed apart")
 			}
 			for _, branch := range []*Sequence{parent, child} {
@@ -436,7 +436,7 @@ func FuzzForkLifecycle(f *testing.F) {
 			r := m.reqs[s.ID]
 			rg := &r.g[0]
 			for pos := from; pos < to; pos++ {
-				pr := rg.pages[pos/g.tpp]
+				pr := rg.at(pos / g.tpp)
 				if !pr.held() {
 					continue
 				}
@@ -456,7 +456,7 @@ func FuzzForkLifecycle(f *testing.F) {
 				r := m.reqs[rf.seq.ID]
 				rg := &r.g[0]
 				for pos := 0; pos < r.committed; pos++ {
-					pr := rg.pages[pos/g.tpp]
+					pr := rg.at(pos / g.tpp)
 					if !pr.held() {
 						t.Fatalf("req %d: committed block %d not held", rf.seq.ID, pos/g.tpp)
 					}

@@ -640,7 +640,7 @@ func (m *Jenga) heldLargePages(r *reqState) []arena.LargePageID {
 		if g.isVision() {
 			continue
 		}
-		for _, ref := range r.g[gi].pages {
+		for _, ref := range r.g[gi].table {
 			if ref.held() {
 				out = append(out, g.view.LargeOf(ref.id()))
 			}

@@ -55,19 +55,19 @@ func stampPages(t *testing.T, m *Jenga, seq *Sequence) map[uint64]byte {
 	stamps := make(map[uint64]byte)
 	for gi, g := range m.groups {
 		rg := &r.g[gi]
-		for b := range rg.pages {
-			if !rg.pages[b].held() {
+		for _, ref := range rg.table {
+			if !ref.held() {
 				continue
 			}
-			pg := &g.pages[rg.pages[b].id()]
+			pg := &g.pages[ref.id()]
 			if !pg.has(pageComplete) {
 				continue
 			}
-			buf, err := g.view.SmallSlice(rg.pages[b].id())
+			buf, err := g.view.SmallSlice(ref.id())
 			if err != nil {
 				t.Fatal(err)
 			}
-			hash := g.hash[rg.pages[b].id()]
+			hash := g.hash[ref.id()]
 			v := byte(hash)
 			for i := range buf {
 				buf[i] = v
@@ -148,15 +148,16 @@ func TestHostTierSpillRestoreRoundTrip(t *testing.T) {
 	checked := 0
 	for gi, g := range m.groups {
 		rg := &r.g[gi]
-		for b := range rg.pages {
-			if !rg.pages[b].held() {
+		for b := rg.base; b < rg.end(); b++ {
+			ref := rg.at(b)
+			if !ref.held() {
 				continue
 			}
-			want, ok := stamps[g.hash[rg.pages[b].id()]]
+			want, ok := stamps[g.hash[ref.id()]]
 			if !ok {
 				continue
 			}
-			buf, err := g.view.SmallSlice(rg.pages[b].id())
+			buf, err := g.view.SmallSlice(ref.id())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,9 +327,9 @@ func TestSpillSkipsInFlightCommit(t *testing.T) {
 	}
 	r := m.reqs[busy.ID]
 	for gi := range m.groups {
-		for b := range r.g[gi].pages {
-			if r.g[gi].pages[b].held() {
-				L := m.groups[gi].view.LargeOf(r.g[gi].pages[b].id())
+		for _, ref := range r.g[gi].table {
+			if ref.held() {
+				L := m.groups[gi].view.LargeOf(ref.id())
 				if m.spillLarge(L, 1) {
 					t.Fatalf("spillLarge moved large page %d pinned by an in-flight commit", L)
 				}

@@ -72,19 +72,26 @@ func (m *Jenga) CheckInvariants() error {
 }
 
 // checkParked: a parked state holds no page — no working state and
-// nothing in its tables' arrays — its tables are empty, and so is its
-// block-hash record (checkEmpty).
+// nothing in its tables' arrays — its tables are empty and start at
+// entry 0, and so is its block-hash record (checkEmpty).
 func (r *reqState) checkParked() error {
 	for gi := range r.g {
-		rg := &r.g[gi]
-		if rg.work.held() || slices.ContainsFunc(rg.pages[:cap(rg.pages)], func(ref pageRef) bool { return ref != (pageRef{}) }) {
-			return fmt.Errorf("still references a page of group %d", gi)
-		}
-		if len(rg.pages) != 0 {
-			return fmt.Errorf("has a table of %d entries for group %d", len(rg.pages), gi)
+		if err := r.g[gi].checkParked(gi); err != nil {
+			return err
 		}
 	}
 	return r.h.checkEmpty()
+}
+
+// checkParked is reqState.checkParked for the state of group gi.
+func (rg *reqGroup) checkParked(gi int) error {
+	if rg.work.held() || slices.ContainsFunc(rg.table[:cap(rg.table)], func(ref pageRef) bool { return ref != (pageRef{}) }) {
+		return fmt.Errorf("still references a page of group %d", gi)
+	}
+	if len(rg.table) != 0 || rg.base != 0 {
+		return fmt.Errorf("has a table of %d entries for group %d, from entry %d", len(rg.table), gi, rg.base)
+	}
+	return nil
 }
 
 // checkEmpty: an empty record — a parked state's or a spare memo's —
@@ -118,7 +125,7 @@ func (m *Jenga) checkPages(g *group) error {
 	//jenga:order-ok references are summed per page; visit order cannot change a sum
 	for _, r := range m.reqs {
 		rg := &r.g[g.idx]
-		for _, ref := range rg.pages {
+		for _, ref := range rg.table {
 			if ref.held() {
 				refs[ref.id()]++
 			}
@@ -351,8 +358,8 @@ func (m *Jenga) checkHashes() error {
 				continue
 			}
 			rg, ch := &r.g[g.idx], &sh.c[g.hclass]
-			for k, ref := range rg.pages {
-				if ref.held() && g.pages[ref.id()].has(pageComplete) && (k >= ch.blocks() || g.hash[ref.id()] != ch.at(k)) {
+			for k := rg.base; k < rg.end(); k++ {
+				if ref := rg.at(k); ref.held() && g.pages[ref.id()].has(pageComplete) && (k >= ch.blocks() || g.hash[ref.id()] != ch.at(k)) {
 					return fmt.Errorf("core: request %d, group %s, entry %d of %d in its record: held complete page %d has hash %x",
 						id, g.spec.Name, k, ch.blocks(), ref.id(), g.hash[ref.id()])
 				}

@@ -69,10 +69,10 @@ func TestCheckInvariantsParkedStates(t *testing.T) {
 			r.g[1].work = heldRef(0)
 		}, "still references a page of group 1"},
 		{"stale table entry", func(_ *testing.T, r *reqState) {
-			r.g[0].pages[:1][0] = heldRef(3)
+			r.g[0].table[:1][0] = heldRef(3)
 		}, "still references a page of group 0"},
 		{"table not emptied", func(_ *testing.T, r *reqState) {
-			r.g[2].pages = r.g[2].pages[:1]
+			r.g[2].table = r.g[2].table[:1]
 		}, "table of 1 entries for group 2"},
 		{"hashes left in the record", func(_ *testing.T, r *reqState) {
 			r.h.c[0].hashes = r.h.c[0].hashes[:1]

@@ -42,7 +42,8 @@ func TestBackedLayoutUnderChurn(t *testing.T) {
 		r := m.reqs[seq.ID]
 		for gi, g := range m.groups {
 			rg := &r.g[gi]
-			for b, ref := range rg.pages {
+			for b := rg.base; b < rg.end(); b++ {
+				ref := rg.at(b)
 				if !ref.held() {
 					continue
 				}
@@ -74,7 +75,7 @@ func TestBackedLayoutUnderChurn(t *testing.T) {
 			}
 			for gi, g := range m.groups {
 				rg := &r.g[gi]
-				for _, ref := range rg.pages {
+				for _, ref := range rg.table {
 					if !ref.held() {
 						continue
 					}

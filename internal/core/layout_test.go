@@ -46,7 +46,8 @@ func TestBackedLayoutFingerprints(t *testing.T) {
 				continue
 			}
 			for layer := 0; layer < g.spec.Layers; layer++ {
-				for b0, ref := range rg.pages {
+				for b0 := rg.base; b0 < rg.end(); b0++ {
+					ref := rg.at(b0)
 					if !ref.held() {
 						continue
 					}

@@ -30,11 +30,16 @@ func (r pageRef) id() arena.SmallPageID { return r.v - 1 }
 
 // reqGroup is the per-(request, group) state.
 type reqGroup struct {
-	// pages is the request's one page table in the group, indexed by
-	// entry: entry k holds what the group's kind stores for projected
-	// positions [k, k+1) × its stride — a token block, a vision-embedding
-	// block, or the Mamba state checkpointed at (k+1) × the interval.
-	pages         []pageRef
+	// table is the request's one page table in the group, over entries
+	// [base, end()): entry k holds what the group's kind stores for
+	// projected positions [k, k+1) × its stride — a token block, a
+	// vision-embedding block, or the Mamba state checkpointed at (k+1) ×
+	// the interval. Entries below base are unheld: a window group's table
+	// starts at its claim's first accessed block and slides up past the
+	// blocks its window has left (growTable). Only reqGroup's methods
+	// index it; everything else reads at, set and end.
+	table         []pageRef
+	base          int
 	projReserved  int
 	projCommitted int
 	// demotedBlocks is the block index below which pages have been
@@ -56,6 +61,26 @@ type reqGroup struct {
 	dropCursor int // full-token cursor for DropImages
 	dropProj   int
 }
+
+// at is entry k's ref; an entry outside [base, end) is unheld.
+//
+//jenga:hotpath
+func (rg *reqGroup) at(k int) pageRef {
+	if i := k - rg.base; uint(i) < uint(len(rg.table)) {
+		return rg.table[i]
+	}
+	return pageRef{}
+}
+
+// set stores ref as entry k; an entry outside [base, end) panics.
+//
+//jenga:hotpath
+func (rg *reqGroup) set(k int, ref pageRef) { rg.table[k-rg.base] = ref }
+
+// end is one past the table's last entry.
+//
+//jenga:hotpath
+func (rg *reqGroup) end() int { return rg.base + len(rg.table) }
 
 // reqState is the per-request manager state, the one record core keeps
 // for a request: from the first call that names it to its Release.
@@ -166,26 +191,53 @@ func (m *Jenga) parkReq(r *reqState) {
 //
 //jenga:hotpath
 func (rg *reqGroup) reset() {
-	clear(rg.pages)
-	*rg = reqGroup{pages: rg.pages[:0]}
+	clear(rg.table)
+	*rg = reqGroup{table: rg.table[:0]}
 }
 
-// growTable extends a page table of group g to n entries, the new ones
-// unheld. When that takes a new array it is sized for every token the
-// sequence is known to have, so a chunked prefill does not regrow the
-// table chunk by chunk, rounded up to a power of two: the decode that
-// follows usually fits, and so does the next request the recycled state
-// serves, if its prompt is only a little longer.
+// growTable extends rg, a request's table in group g, to end at entry
+// n, the new entries unheld. When the array is too short the table first
+// slides down to its lowest held entry (to from, the first entry the
+// caller writes, when none below it is held), zeroing the slots it
+// vacates; only if that is not enough does it take a new array from s,
+// sized for what the request can hold at once over the whole sequence
+// (tableEntries), never less than it needs now, rounded up to a power of
+// two: a chunked prefill does not regrow the table chunk by chunk, the
+// decode that follows usually fits, and so does the next request the
+// recycled state serves, if its prompt is only a little longer.
 //
 //jenga:hotpath
-func (m *Jenga) growTable(g *group, refs []pageRef, n int, seq *Sequence) []pageRef {
-	if n <= len(refs) {
-		return refs
+func (rg *reqGroup) growTable(s *arraySlab[pageRef], g *group, n, from int, sc *seqScope) {
+	if n-rg.base > cap(rg.table) {
+		k := rg.base
+		for k < min(from, rg.end()) && !rg.table[k-rg.base].held() {
+			k++
+		}
+		if d := k - rg.base; d > 0 {
+			kept := copy(rg.table, rg.table[d:])
+			clear(rg.table[kept:])
+			rg.table, rg.base = rg.table[:kept], k
+		}
+		if need := n - rg.base; need > cap(rg.table) {
+			rg.table = s.carve(rg.table, 1<<bits.Len(uint(max(need, g.tableEntries(sc.proj(g)))-1)))
+		}
 	}
-	if n > cap(refs) {
-		refs = m.tableSlab.carve(refs, 1<<bits.Len(uint(max(n, (countScope(g, seq, 0, seq.Len())+g.stride-1)/g.stride)-1)))
+	if n > rg.end() {
+		rg.table = rg.table[:n-rg.base]
 	}
-	return refs[:n]
+}
+
+// tableEntries is how many entries of g's table a request holds at once
+// over proj projected tokens: all of them, but in a group that demotes
+// below its dependency horizon and keeps no always-live head, the live
+// span above the horizon plus the block it cuts and the reservation
+// ahead. A Mamba group's checkpoints stay held to the end.
+func (g *group) tableEntries(proj int) int {
+	whole := (proj + g.stride - 1) / g.stride
+	if g.keep != nil || g.spec.Kind == model.Mamba {
+		return whole
+	}
+	return min(whole, (proj-g.pol.FreeBelow(proj))/g.stride+2)
 }
 
 // A request's arrays — its page tables and block hashes — are cut from
@@ -194,10 +246,11 @@ func (m *Jenga) growTable(g *group, refs []pageRef, n int, seq *Sequence) []page
 // and neither does a state that only lookups used until a later tenant
 // reserves. A state keeps its arrays when it is recycled; one that
 // meets a longer sequence cuts a larger array and abandons the old one
-// to its slab. Sizes are rounded up to arrayQuantum so that sequences of
-// similar length do not each do that. Slabs double up to maxSlab.
+// to its slab. Callers size what they carve to a power of two (a hash
+// array to at least minHashArray entries), so sequences of similar
+// length do not each do that. Slabs double up to maxSlab.
 const (
-	arrayQuantum = 64
+	minHashArray = 8
 	minSlab      = 1 << 12
 	maxSlab      = 1 << 15
 )
@@ -210,12 +263,10 @@ type arraySlab[T any] struct {
 	carved int
 }
 
-// carve returns an array for at least n entries that holds old's, the
-// rest zero.
+// carve returns an array of n entries that holds old's, the rest zero.
 //
 //jenga:hotpath
 func (s *arraySlab[T]) carve(old []T, n int) []T {
-	n = (n + arrayQuantum - 1) / arrayQuantum * arrayQuantum
 	if n > len(s.free) {
 		s.size = max(n, minSlab, min(2*s.size, maxSlab))
 		//jenga:alloc-ok slab miss: one per size entries of the live high-water's arrays, not per request
@@ -245,6 +296,32 @@ func countScope(g *group, seq *Sequence, lo, hi int) int {
 	return hi - lo - CountImages(seq.Span(lo, hi))
 }
 
+// seqScope is a sequence's projected length per group, its image tokens
+// counted at most once (Footprint, growTable).
+type seqScope struct {
+	seq    *Sequence
+	images int // -1 until counted
+}
+
+func wholeSeq(seq *Sequence) seqScope { return seqScope{seq: seq, images: -1} }
+
+// proj is the number of the sequence's tokens group g stores.
+//
+//jenga:hotpath
+func (s *seqScope) proj(g *group) int {
+	n := s.seq.Len()
+	if g.spec.Scope == model.ScopeAll {
+		return n
+	}
+	if s.images < 0 {
+		s.images = CountImages(s.seq.Span(0, n))
+	}
+	if g.spec.Scope == model.ScopeImage {
+		return s.images
+	}
+	return n - s.images
+}
+
 // Footprint implements Manager: what admitting seq would newly occupy —
 // its steady-state footprint less the part of it a live request already
 // holds in use.
@@ -252,11 +329,12 @@ func countScope(g *group, seq *Sequence, lo, hi int) int {
 //jenga:hotpath
 func (m *Jenga) Footprint(seq *Sequence) int64 {
 	var total int64
+	sc := wholeSeq(seq)
 	for _, g := range m.groups {
 		if !g.appliesTo(seq) {
 			continue
 		}
-		proj := countScope(g, seq, 0, seq.Len())
+		proj := sc.proj(g)
 		if proj == 0 {
 			continue
 		}
@@ -567,6 +645,7 @@ func (m *Jenga) Reserve(seq *Sequence, upTo int, now Tick) error {
 	if upTo <= r.reserved {
 		return nil
 	}
+	sc := wholeSeq(seq)
 	for gi, g := range m.groups {
 		if g.isVision() || !g.appliesTo(seq) {
 			continue // vision is driven by EncodeImages
@@ -578,9 +657,9 @@ func (m *Jenga) Reserve(seq *Sequence, upTo int, now Tick) error {
 		}
 		var err error
 		if g.spec.Kind == model.Mamba {
-			err = m.reserveMamba(g, rg, r.id, seq, rg.projReserved+add)
+			err = m.reserveMamba(g, rg, r.id, &sc, rg.projReserved+add)
 		} else {
-			err = m.reserveBlocks(g, rg, r.id, seq, rg.projReserved+add)
+			err = m.reserveBlocks(g, rg, r.id, &sc, rg.projReserved+add)
 		}
 		if err != nil {
 			return err
@@ -601,13 +680,13 @@ func (m *Jenga) Reserve(seq *Sequence, upTo int, now Tick) error {
 // ascending order.
 //
 //jenga:hotpath
-func (m *Jenga) reserveBlocks(g *group, rg *reqGroup, req RequestID, seq *Sequence, newProj int) error {
-	lastBlock := (newProj - 1) / g.tpp
-	rg.pages = m.growTable(g, rg.pages, lastBlock+1, seq)
-	for b := min(rg.projCommitted, rg.projReserved) / g.tpp; b <= lastBlock; b++ {
+func (m *Jenga) reserveBlocks(g *group, rg *reqGroup, req RequestID, sc *seqScope, newProj int) error {
+	lastBlock, from := (newProj-1)/g.tpp, min(rg.projCommitted, rg.projReserved)/g.tpp
+	rg.growTable(&m.tableSlab, g, lastBlock+1, from, sc)
+	for b := from; b <= lastBlock; b++ {
 		var id arena.SmallPageID
 		var err error
-		switch ref := rg.pages[b]; {
+		switch ref := rg.at(b); {
 		case !ref.held():
 			id, err = m.allocSmall(g, req)
 		case g.pages[ref.id()].ref > 1:
@@ -618,7 +697,7 @@ func (m *Jenga) reserveBlocks(g *group, rg *reqGroup, req RequestID, seq *Sequen
 		if err != nil {
 			return err
 		}
-		rg.pages[b] = heldRef(id)
+		rg.set(b, heldRef(id))
 	}
 	rg.projReserved = newProj
 	return nil
@@ -630,7 +709,7 @@ func (m *Jenga) reserveBlocks(g *group, rg *reqGroup, req RequestID, seq *Sequen
 // write the state into.
 //
 //jenga:hotpath
-func (m *Jenga) reserveMamba(g *group, rg *reqGroup, req RequestID, seq *Sequence, newProj int) error {
+func (m *Jenga) reserveMamba(g *group, rg *reqGroup, req RequestID, sc *seqScope, newProj int) error {
 	if !rg.work.held() {
 		id, err := m.allocSmall(g, req)
 		if err != nil {
@@ -642,16 +721,16 @@ func (m *Jenga) reserveMamba(g *group, rg *reqGroup, req RequestID, seq *Sequenc
 		g.filledSlots++
 	}
 	if m.cfg.EnablePrefixCache {
-		rg.pages = m.growTable(g, rg.pages, newProj/g.stride, seq)
-		for k := rg.ckptDone; k < len(rg.pages); k++ {
-			if rg.pages[k].held() {
+		rg.growTable(&m.tableSlab, g, newProj/g.stride, rg.ckptDone, sc)
+		for k := rg.ckptDone; k < rg.end(); k++ {
+			if rg.at(k).held() {
 				continue
 			}
 			id, err := m.allocSmall(g, req)
 			if err != nil {
 				return err
 			}
-			rg.pages[k] = heldRef(id)
+			rg.set(k, heldRef(id))
 		}
 	}
 	rg.projReserved = newProj
@@ -739,24 +818,23 @@ func (m *Jenga) commitGroup(g *group, rg *reqGroup, sh *seqHashes, shared, own, 
 		keep = g.keep.KeptBelow(pos)
 	}
 	for b := rg.demotedBlocks; b < fullBlocksBelow; b++ {
-		if rg.pages[b].held() {
+		if ref := rg.at(b); ref.held() {
 			if b*g.tpp < keep {
 				continue // always-live head page stays held
 			}
 			// Out-of-window KV: cached for shorter-prefix hits but
 			// first in line for eviction (§3.3, §5.3).
 			expired := (b+1)*g.tpp <= expireBelow
-			m.pageRelease(g, rg.pages[b].id(), m.cfg.EnablePrefixCache, now, expired)
-			rg.pages[b] = pageRef{}
+			m.pageRelease(g, ref.id(), m.cfg.EnablePrefixCache, now, expired)
+			rg.set(b, pageRef{})
 		}
 	}
 	if fullBlocksBelow > rg.demotedBlocks {
 		rg.demotedBlocks = fullBlocksBelow
 	}
 	// Dead slots in the boundary block share a page with live slots.
-	if db := freeBelow % g.tpp; db > 0 && fullBlocksBelow < len(rg.pages) && rg.pages[fullBlocksBelow].held() {
-		pg := &g.pages[rg.pages[fullBlocksBelow].id()]
-		if db > int(pg.dead) {
+	if db, ref := freeBelow%g.tpp, rg.at(fullBlocksBelow); db > 0 && ref.held() {
+		if pg := &g.pages[ref.id()]; db > int(pg.dead) {
 			g.deadSlots += int64(db - int(pg.dead))
 			pg.dead = uint8(db)
 		}
@@ -773,7 +851,7 @@ func (m *Jenga) commitGroup(g *group, rg *reqGroup, sh *seqHashes, shared, own, 
 func (m *Jenga) commitRun(g *group, rg *reqGroup, sh *seqHashes, pos, n int, now Tick) int {
 	if g.spec.Kind == model.Mamba {
 		for n > 0 {
-			step, next, reserved := n, (rg.ckptDone+1)*g.stride, rg.ckptDone < len(rg.pages)
+			step, next, reserved := n, (rg.ckptDone+1)*g.stride, rg.ckptDone < rg.end()
 			if d := next - pos; reserved && d > 0 && d < n {
 				step = d
 			}
@@ -786,11 +864,12 @@ func (m *Jenga) commitRun(g *group, rg *reqGroup, sh *seqHashes, pos, n int, now
 	}
 	b, left := pos/g.tpp, g.tpp-pos%g.tpp
 	for n > 0 {
-		if b >= len(rg.pages) || !rg.pages[b].held() {
+		ref := rg.at(b)
+		if !ref.held() {
 			check(false, "commit into unreserved block %d", b)
 		}
 		take := min(left, n)
-		pg := &g.pages[rg.pages[b].id()]
+		pg := &g.pages[ref.id()]
 		pg.filled += uint8(take)
 		g.filledSlots += int64(take)
 		pos, n = pos+take, n-take
@@ -798,9 +877,9 @@ func (m *Jenga) commitRun(g *group, rg *reqGroup, sh *seqHashes, pos, n int, now
 			pg.set(pageComplete, true)
 			if sh != nil {
 				ch := &sh.c[g.hclass]
-				g.hash[rg.pages[b].id()] = ch.at(b)
+				g.hash[ref.id()] = ch.at(b)
 				pg.priority = g.pol.BlockPriority(b, g.runKey(ch, b))
-				m.publish(g, rg.pages[b].id())
+				m.publish(g, ref.id())
 			}
 			b, left = b+1, g.tpp
 		}
@@ -814,8 +893,9 @@ func (m *Jenga) commitRun(g *group, rg *reqGroup, sh *seqHashes, pos, n int, now
 // there (§5.3).
 func (m *Jenga) finalizeCheckpoint(g *group, rg *reqGroup, ch *classHashes, now Tick) {
 	k := rg.ckptDone
-	check(rg.pages[k].held(), "checkpoint page %d not held", k)
-	id := rg.pages[k].id()
+	ref := rg.at(k)
+	check(ref.held(), "checkpoint page %d not held", k)
+	id := ref.id()
 	pg := &g.pages[id]
 	if pg.filled == 0 {
 		pg.filled = 1
@@ -845,7 +925,7 @@ func (m *Jenga) Release(seq *Sequence, cache bool) {
 		if rg.work.held() { // a Mamba working state, released before its checkpoints
 			m.pageRelease(g, rg.work.id(), false, r.lastNow, false)
 		}
-		for _, ref := range rg.pages {
+		for _, ref := range rg.table {
 			if !ref.held() {
 				continue
 			}
@@ -945,6 +1025,7 @@ type pendingRestore struct {
 //jenga:hotpath
 func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, sh *seqHashes, p int, now Tick, useHost bool) bool {
 	m.claimPending = m.claimPending[:0]
+	sc := wholeSeq(seq)
 	for _, gv := range m.lkViews {
 		g := gv.g
 		rg, ch, pl := &r.g[g.idx], &sh.c[g.hclass], gv.view.ProjCount[p]
@@ -952,7 +1033,7 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, sh *seqHashes, p int, no
 		if pl%g.stride != 0 {
 			check(false, "claim: group %s prefix %d not block aligned", g.spec.Name, pl)
 		}
-		if len(rg.pages) != 0 {
+		if len(rg.table) != 0 {
 			check(false, "claim: group %s already holds a page table", g.spec.Name)
 		}
 		if g.spec.Kind == model.Mamba {
@@ -967,7 +1048,10 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, sh *seqHashes, p int, no
 			m.claimMamba(g, rg, lo, ch.at(lo), now)
 			continue
 		}
-		rg.pages = m.growTable(g, rg.pages, nb, seq)
+		if head == 0 {
+			rg.base = lo // the table starts at the first block the claim reads
+		}
+		rg.growTable(&m.tableSlab, g, nb, rg.base, &sc)
 		m.claimBlocks(g, rg, r.id, ch, 0, head, useHost)
 		m.claimBlocks(g, rg, r.id, ch, lo, nb, useHost)
 		rg.projReserved = pl
@@ -993,7 +1077,7 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, sh *seqHashes, p int, no
 		}
 		r.restoredBytes += int64(pr.g.smallBytes)
 		if pr.g.spec.Kind != model.Mamba {
-			pr.rg.pages[pr.block] = heldRef(id)
+			pr.rg.set(pr.block, heldRef(id))
 		} else {
 			// Mamba checkpoint: park the restored page as published
 			// cache, then claim it through the normal path.
@@ -1051,7 +1135,7 @@ func (m *Jenga) claimBlocks(g *group, rg *reqGroup, req RequestID, ch *classHash
 		default:
 			check(false, "claim: empty page in index")
 		}
-		rg.pages[b] = heldRef(id)
+		rg.set(b, heldRef(id))
 	}
 }
 
@@ -1068,10 +1152,9 @@ func (m *Jenga) rollbackClaim(seq *Sequence, r *reqState) {
 			continue
 		}
 		rg := &r.g[gi]
-		for b := range rg.pages {
-			if rg.pages[b].held() {
-				pg := &g.pages[rg.pages[b].id()]
-				m.pageRelease(g, rg.pages[b].id(), m.cfg.EnablePrefixCache, pg.lastAccess, false)
+		for _, ref := range rg.table {
+			if ref.held() {
+				m.pageRelease(g, ref.id(), m.cfg.EnablePrefixCache, g.pages[ref.id()].lastAccess, false)
 			}
 		}
 		rg.reset()
@@ -1123,13 +1206,14 @@ func (m *Jenga) EncodeImages(seq *Sequence, uptoFull int, now Tick) error {
 	}
 	r := m.getReq(seq)
 	r.touched = true
+	sc := wholeSeq(seq)
 	for gi, g := range m.groups {
 		rg := &r.g[gi]
 		if !g.isVision() || !g.appliesTo(seq) || rg.visCursor >= uptoFull {
 			continue
 		}
 		if images := countScope(g, seq, rg.visCursor, uptoFull); images > 0 {
-			if err := m.reserveBlocks(g, rg, r.id, seq, rg.projReserved+images); err != nil {
+			if err := m.reserveBlocks(g, rg, r.id, &sc, rg.projReserved+images); err != nil {
 				return err
 			}
 			shared, own, out := seq.Span(rg.visCursor, uptoFull)
@@ -1162,10 +1246,10 @@ func (m *Jenga) DropImages(seq *Sequence, uptoFull int) {
 		}
 		rg.dropCursor = uptoFull
 		fullBlocksBelow := rg.dropProj / g.tpp
-		for b := rg.demotedBlocks; b < fullBlocksBelow && b < len(rg.pages); b++ {
-			if rg.pages[b].held() {
-				m.pageRelease(g, rg.pages[b].id(), false, r.lastNow, false)
-				rg.pages[b] = pageRef{}
+		for b := rg.demotedBlocks; b < min(fullBlocksBelow, rg.end()); b++ {
+			if ref := rg.at(b); ref.held() {
+				m.pageRelease(g, ref.id(), false, r.lastNow, false)
+				rg.set(b, pageRef{})
 			}
 		}
 		if fullBlocksBelow > rg.demotedBlocks {

@@ -61,16 +61,16 @@ func requirePristine(t *testing.T, r, fresh *reqState) {
 	got.g = append([]reqGroup(nil), r.g...)
 	for gi := range got.g {
 		rg := &got.g[gi]
-		if len(rg.pages) != 0 {
-			t.Fatalf("group %d: recycled table has %d entries", gi, len(rg.pages))
+		if len(rg.table) != 0 || rg.base != 0 {
+			t.Fatalf("group %d: recycled table has %d entries from entry %d", gi, len(rg.table), rg.base)
 		}
-		for i, ref := range rg.pages[:cap(rg.pages)] {
+		for i, ref := range rg.table[:cap(rg.table)] {
 			if ref != (pageRef{}) {
 				t.Fatalf("group %d: recycled table slot %d still reads %+v", gi, i, ref)
 			}
 		}
 		// A fresh state's tables are nil; a recycled one's are empty.
-		rg.pages = nil
+		rg.table = nil
 	}
 	got.h.c = append([]classHashes(nil), r.h.c...)
 	for ci := range got.h.c {
@@ -121,9 +121,9 @@ func TestReqStateRecycled(t *testing.T) {
 		extend(t, m, child, Tick(3+i))
 	}
 	used := m.reqs[child.ID]
-	if rg := used.g; len(rg[0].pages) == 0 || len(rg[1].pages) == 0 || len(rg[2].pages) == 0 {
+	if rg := used.g; len(rg[0].table) == 0 || len(rg[1].table) == 0 || len(rg[2].table) == 0 {
 		t.Fatalf("fixture did not use every kind of table: %d pages, %d checkpoints, %d vision pages",
-			len(rg[0].pages), len(rg[1].pages), len(rg[2].pages))
+			len(rg[0].table), len(rg[1].table), len(rg[2].table))
 	}
 	m.Release(child, true)
 	m.Release(parent, false)
@@ -138,7 +138,7 @@ func TestReqStateRecycled(t *testing.T) {
 	}
 	for id := RequestID(10); len(m.spareReqs) > 0; id++ {
 		r := m.takeReq(id)
-		if cap(r.g[0].pages) == 0 || cap(r.h.c[0].hashes) == 0 {
+		if cap(r.g[0].table) == 0 || cap(r.h.c[0].hashes) == 0 {
 			t.Fatal("recycled state lost its page table's or its hash record's array")
 		}
 		requirePristine(t, r, ref.takeReq(id))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"jenga/internal/debug"
@@ -192,10 +193,10 @@ func (m *Jenga) fold(sh *seqHashes, tag string, parts [3][]Token) {
 		keepRuns := c.scope != model.ScopeAll
 		own := (ch.proj+add)/c.stride - len(ch.head)
 		if own > cap(ch.hashes) {
-			ch.hashes = m.hashSlab.carve(ch.hashes, own)
+			ch.hashes = m.hashSlab.carve(ch.hashes, hashArrayLen(own))
 		}
 		if keepRuns && own > cap(ch.runs) {
-			ch.runs = m.hashSlab.carve(ch.runs, own)
+			ch.runs = m.hashSlab.carve(ch.runs, hashArrayLen(own))
 		}
 		// left counts down the class's tokens to the current block's end.
 		h, pl, run, left := ch.chain, ch.proj, ch.run, c.stride-ch.proj%c.stride
@@ -240,6 +241,12 @@ func (m *Jenga) fold(sh *seqHashes, tag string, parts [3][]Token) {
 		ch.chain, ch.proj, ch.run = h, pl, run
 	}
 }
+
+// hashArrayLen is what a record carves for n entries of its own: the
+// next power of two, at least minHashArray.
+//
+//jenga:hotpath
+func hashArrayLen(n int) int { return max(minHashArray, 1<<bits.Len(uint(n-1))) }
 
 // borrowHead points sh, an empty record, at the memo of seq's Shared
 // head — built on the manager's first sight of the head — and leaves
