@@ -5,7 +5,7 @@ GO ?= go
 # Pinned staticcheck (matches the CI step; bump both together).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race debug bench bench-json bench-scale bench-smoke chaos-smoke scale-smoke perf-smoke examples fuzz lint guard staticcheck fmt vet loc loc-check ci
+.PHONY: build test race debug bench bench-json bench-scale bench-smoke chaos-smoke scale-smoke perf-smoke pairs examples fuzz lint guard staticcheck fmt vet loc loc-check ci
 
 build:
 	$(GO) build ./...
@@ -96,6 +96,37 @@ scale-smoke:
 # interface diverges here, in CI, not in the benchmark.
 perf-smoke:
 	bash cmd/jengaperf/run.sh -workload online_overload -seconds 0 -trace 1
+
+# The ten-pair protocol behind every perf claim: BASE (a revision) is
+# checked out with git worktree under .bench_build/base, and each of N
+# pairs runs the benchmark's `cmd/jengaperf/run.sh -workload W` once on
+# BASE and once on the working tree, the side that goes first
+# alternating from pair to pair (about a minute a pair). `jengabench
+# -pairs` then prints, per metric, both medians, the change, the pairs
+# the change won and BASE's interquartile range, marks a gain that is
+# better in 9 of 10 pairs by more than that range, says whether every
+# simulated statistic and the fingerprint match across sides (a report,
+# not a gate: a change may move them on purpose), and appends one JSON
+# line to BENCH_pairs.jsonl, the per-change trajectory. The worktree is
+# removed on exit; the runs' outputs stay in .bench_build/pairs.
+#   make pairs BASE=<rev> W=<workload> [N=10] [SEED=<seed>]
+N ?= 10
+pairs:
+	@test -n "$(BASE)" && test -n "$(W)" || { echo "usage: make pairs BASE=<rev> W=<workload> [N=10] [SEED=<seed>]"; exit 2; }
+	@set -e; base=.bench_build/base; out=.bench_build/pairs; \
+	rev=$$(git rev-parse --verify "$(BASE)^{commit}"); \
+	tree=$$(git rev-parse HEAD)$$(test -z "$$(git status --porcelain -- . ':!BENCH_pairs.jsonl')" || echo +dirty); \
+	git worktree remove --force $$base 2>/dev/null || rm -rf $$base; rm -rf $$out; mkdir -p $$out; \
+	git worktree prune; git worktree add --detach $$base $$rev > /dev/null; trap "git worktree remove --force $$base" EXIT; \
+	for i in $$(seq 1 $(N)); do \
+		order="base change"; [ $$((i % 2)) -eq 1 ] || order="change base"; \
+		for side in $$order; do \
+			dir=.; [ $$side = change ] || dir=$$base; \
+			bash $$dir/cmd/jengaperf/run.sh -workload $(W) $(if $(SEED),-seed $(SEED)) > $$out/$$side.$$i.out 2>&1 || { cat $$out/$$side.$$i.out; exit 1; }; \
+		done; \
+		echo "pairs: $$i of $(N) done"; \
+	done; \
+	$(GO) run ./cmd/jengabench -pairs $$out -base $$rev -tree $$tree -jsonl BENCH_pairs.jsonl
 
 # Tours (part of `make ci`, about two seconds with the build): every
 # program under examples/ is built once and run twice. A tour that exits
@@ -337,6 +368,13 @@ vet:
 # up past the blocks its window has left — so only reqGroup's own methods
 # index it and everything else reads at, set and end: a .table[ in any
 # other non-test core function reads an entry at the wrong offset again.
+# And a page's §5.1 eviction priority is kept only where something reads
+# it — a group's small-page queue or the host tier — in group.prio, which
+# New makes only for such a group or manager, and one helper
+# (group.setPriority) asks the policy and stores the answer, so a
+# priority field in type page, or a .BlockPriority in any other non-test
+# core function, is 8 bytes a page that nothing reads, or a policy call
+# per completed block whose answer is dropped, again.
 # (The token's four bytes need no grep: internal/core pins them at
 # compile time.)
 guard:
@@ -378,6 +416,7 @@ guard:
 	@files=$$(ls internal/core/*.go | grep -v '_test\.go$$'); out=$$(awk '/^[ \t]*\/\// { next } { body = $$0 } /^func /{ fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn); if (!sub(/^[^{]*\{/, "", body)) body = "" } (body ~ /allocSmall\(/ && fn !~ /^(reserveBlocks|reserveMamba|forkCopyPage|restoreBlock)$$/) || (body ~ /cowPage\(/ && fn != "reserveBlocks") { print FILENAME ":" FNR ": in " fn ": " $$0 }' $$files; grep -nwE 'CheckpointAt|ckptPos|hasRoomEver' $$files); if [ -n "$$out" ]; then echo "a block is held outside the reservation path in non-test internal/core (allocSmall only in reserveBlocks, reserveMamba, forkCopyPage and restoreBlock; cowPage only in reserveBlocks), or the Mamba side path or the tier's room test is back (CheckpointAt, ckptPos, hasRoomEver):"; echo "$$out"; exit 1; fi
 	@files=$$(ls internal/core/*.go | grep -v '_test\.go$$'); out=$$(grep -rnwE 'HolderReport|FetchOutcome|MaxAttempts|FetchSkips' internal --include='*.go' | grep -v '_test\.go:'; grep -nE -e 'func \(h \*hostTier\) spill\(' -e 'stats\.HostUsed =' $$files; awk '/^func \(g \*group\) claimSpan\(/,/^}/ { if (/model\.Mamba/) print FILENAME ":" FNR ": " $$0 }' $$files); if [ -n "$$out" ]; then echo "the tier/fleet path carries what no caller reads again (HolderReport, FetchOutcome, MaxAttempts or FetchSkips in non-test internal/), a page enters the tier a second way or its byte count is copied (hostTier.spill, a stats.HostUsed write in non-test internal/core), or claimSpan has a Mamba branch again:"; echo "$$out"; exit 1; fi
 	@files=$$(ls internal/core/*.go | grep -v '_test\.go$$'); out=$$(awk 'FNR == 1 { own = 0 } /^[ \t]*\/\// { next } /^func / { own = /^func \([A-Za-z_]+ \*reqGroup\) / } !own && /\.table\[/ { print FILENAME ":" FNR ": " $$0 } /^}/ { own = 0 }' $$files); if [ -n "$$out" ]; then echo "a request's page table is indexed outside reqGroup's methods in non-test internal/core (it covers entries [base, end); read it through at, set and end):"; echo "$$out"; exit 1; fi
+	@files=$$(ls internal/core/*.go | grep -v '_test\.go$$'); out=$$(sed -n '/^type page struct {/,/^}/p' $$files | grep -E '^[[:space:]]*([A-Za-z_][A-Za-z0-9_]*,[[:space:]]*)*(priority|prio)([[:space:],]|$$)'; awk '/^[ \t]*\/\// { next } { body = $$0 } /^func /{ fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn); if (!sub(/^[^{]*\{/, "", body)) body = "" } body ~ /\.BlockPriority([^A-Za-z0-9_]|$$)/ && fn != "setPriority" { print FILENAME ":" FNR ": in " fn ": " $$0 }' $$files); if [ -n "$$out" ]; then echo "a page's eviction priority is kept where nothing reads it again (a priority field in type page, or a BlockPriority call outside group.setPriority, the one place that stores into group.prio, which only a small-page-queued group or a tiered manager keeps):"; echo "$$out"; exit 1; fi
 
 ci: vet lint guard loc-check build test race debug chaos-smoke scale-smoke perf-smoke examples
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi

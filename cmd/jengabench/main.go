@@ -25,6 +25,12 @@
 //
 // -cpuprofile/-memprofile capture pprof profiles of whatever ran.
 //
+// Pairs (-pairs) compare a parent and a change over the jengaperf runs
+// `make pairs` leaves in a directory: per metric, both medians, the
+// change, the pairs won and the parent's interquartile range; whether
+// every simulated statistic and the fingerprint match; with -jsonl, one
+// JSON line appended to the trajectory file (BENCH_pairs.jsonl).
+//
 // Usage:
 //
 //	jengabench -list
@@ -33,6 +39,7 @@
 //	jengabench -scorecard stream
 //	jengabench -scorecard all -bench-json .
 //	jengabench -scorecard scale -bench-json . -cpuprofile scale.prof
+//	jengabench -pairs .bench_build/pairs -base <rev> -tree <rev> -jsonl BENCH_pairs.jsonl
 package main
 
 import (
@@ -69,6 +76,11 @@ func run(args []string) error {
 		benchJSON  = fs.String("bench-json", "", "directory whose BENCH_serving.json / BENCH_core.json the scorecards update")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile at exit to this file")
+
+		pairs     = fs.String("pairs", "", "directory of `make pairs` jengaperf outputs (base.<i>.out, change.<i>.out) to compare")
+		pairBase  = fs.String("base", "", "with -pairs: the parent revision the base runs built")
+		pairTree  = fs.String("tree", "", "with -pairs: the revision the change runs built")
+		pairsLine = fs.String("jsonl", "", "with -pairs: file the comparison's JSON line is appended to")
 	)
 	fs.Parse(args) // ExitOnError: a bad flag exits 2 with the usage
 	// A flag the chosen mode does not read is an error, not a no-op.
@@ -81,6 +93,16 @@ func run(args []string) error {
 	}
 	if *card == "" && set["bench-json"] {
 		return fmt.Errorf("-bench-json needs -scorecard")
+	}
+	for _, name := range []string{"exp", "list", "csv", "scale", "seed", "scorecard", "bench-json"} {
+		if *pairs != "" && set[name] {
+			return fmt.Errorf("-pairs does not combine with -%s", name)
+		}
+	}
+	for _, name := range []string{"base", "tree", "jsonl"} {
+		if *pairs == "" && set[name] {
+			return fmt.Errorf("-%s needs -pairs", name)
+		}
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -109,6 +131,9 @@ func run(args []string) error {
 	}
 	if *card != "" {
 		return runScorecards(*card, *benchJSON)
+	}
+	if *pairs != "" {
+		return runPairs(*pairs, *pairBase, *pairTree, *pairsLine)
 	}
 	if *list || *exp == "" {
 		fmt.Println("available experiments:")

@@ -21,6 +21,10 @@ func TestFlagCombinations(t *testing.T) {
 		{[]string{"-scorecard", "fanout", "-list"}, "-list"},
 		{[]string{"-scorecard", "fanout", "-csv", dir}, "-csv"},
 		{[]string{"-exp", "table1", "-bench-json", dir}, "-bench-json"},
+		{[]string{"-pairs", dir, "-seed", "7"}, "-seed"},
+		{[]string{"-pairs", dir, "-scorecard", "fanout"}, "-scorecard"},
+		{[]string{"-scorecard", "fanout", "-jsonl", dir}, "-jsonl"},
+		{[]string{"-exp", "table1", "-base", "HEAD"}, "-base"},
 		{[]string{"-scorecard", "fanout", "-bench-json", dir}, ""},
 	} {
 		err := run(c.args)

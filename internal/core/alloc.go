@@ -249,7 +249,7 @@ func (m *Jenga) pageRelease(g *group, id arena.SmallPageID, cache bool, exitTS T
 		g.nCached++
 		m.cacheAdd(L, exitTS, expired)
 		if g.smallQueued() {
-			g.evict.push(pageEntry{id: id, ts: pg.lastAccess, prio: pg.priority, expired: expired})
+			g.evict.push(pageEntry{id: id, ts: pg.lastAccess, prio: g.prio[id], expired: expired})
 		}
 	} else {
 		m.pageToEmpty(g, id)
@@ -512,7 +512,7 @@ func (m *Jenga) evictOneSmall(g *group) bool {
 	for g.evict.len() > 0 {
 		e := g.evict.pop()
 		pg := &g.pages[e.id]
-		if pg.status != pageCached || pg.lastAccess != e.ts || pg.priority != e.prio || pg.has(pageExpired) != e.expired {
+		if pg.status != pageCached || pg.lastAccess != e.ts || g.prio[e.id] != e.prio || pg.has(pageExpired) != e.expired {
 			continue // stale
 		}
 		m.evictCached(g, e.id)

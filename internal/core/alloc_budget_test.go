@@ -102,7 +102,7 @@ func TestEvictCycleZeroAlloc(t *testing.T) {
 		// turned away — in the heap.
 		inRun, inHeap := 0, 0
 		if last := q.segs[len(q.segs)-1]; q.open && last.tick == now {
-			inRun = q.base + q.n - last.start
+			inRun = q.base + q.n - int(last.start)
 		}
 		for _, e := range q.heap {
 			if e.ts == now {
@@ -163,7 +163,7 @@ func TestStructSizes(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"page", unsafe.Sizeof(page{}), 24},
+		{"page", unsafe.Sizeof(page{}), 16},
 		{"pageRef", unsafe.Sizeof(pageRef{}), 4},
 		{"assocLink", unsafe.Sizeof(assocLink{}), 16},
 		{"largePage", unsafe.Sizeof(largePage{}), 16},
@@ -171,7 +171,7 @@ func TestStructSizes(t *testing.T) {
 		{"largeEntry", unsafe.Sizeof(largeEntry{}), 16},
 		{"largeSlot", unsafe.Sizeof(largeSlot(0)), 4},
 		{"pageTie", unsafe.Sizeof(pageTie{}), 16},
-		{"segment", unsafe.Sizeof(segment{}), 24},
+		{"segment", unsafe.Sizeof(segment{}), 16},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
@@ -184,7 +184,8 @@ func TestStructSizes(t *testing.T) {
 // prefix index, large-page records and the large-page queue's slots
 // (and the first slab of head memos, a few KiB in all), with the prefix cache and request-aware placement on. The one-group
 // text spec is fleet_stream's (two layers, ratio 1, 64 MiB: 16,384
-// pages); churnSpec adds a ratio-4 group, which keeps free-stack links.
+// pages), whose ratio-1 group keeps no eviction priorities; churnSpec
+// adds a ratio-4 group, which keeps free-stack links and priorities.
 func TestPageMetadataBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is not meaningful under -short/-race runs")
@@ -202,7 +203,7 @@ func TestPageMetadataBytes(t *testing.T) {
 		capacity int64
 		limit    float64
 	}{
-		{"one-group text", text, 16, 64 << 20, 62},
+		{"one-group text", text, 16, 64 << 20, 55},
 		{"churn", churnSpec(), 4, 0, 305},
 	} {
 		t.Run(c.name, func(t *testing.T) {

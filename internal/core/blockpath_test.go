@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -24,13 +25,24 @@ func (p *prioRecorder) BlockPriority(b int, run uint64) int64 {
 // and sets ckptDone to n; the commits that follow finalize entries n,
 // n+1, … under the record's hashes for them, a fork in between shares
 // the finalized ones, and BlockPriority gets each checkpoint's absolute
-// index, as a token group's blocks get theirs.
+// index, as a token group's blocks get theirs — where something reads
+// the answer: with a host tier, which carries it. The ratio-1 Mamba
+// group keeps no small-page queue, so without a tier it is never asked.
 func TestMambaClaimThenExtend(t *testing.T) {
+	for _, tier := range []int64{0, 1 << 20} {
+		t.Run(fmt.Sprintf("tier=%d", tier), func(t *testing.T) { mambaClaimThenExtend(t, tier) })
+	}
+}
+
+func mambaClaimThenExtend(t *testing.T, tier int64) {
 	rec := &prioRecorder{MambaPolicy: MambaPolicy{Every: 4}}
-	m, err := New(Config{Spec: mambaSpec(4), CapacityBytes: 1 << 20, TokensPerPage: 2,
+	m, err := New(Config{Spec: mambaSpec(4), CapacityBytes: 1 << 20, TokensPerPage: 2, HostTierBytes: tier,
 		EnablePrefixCache: true, RequestAware: true, PolicyOverride: map[string]Policy{"mamba": rec}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if (m.host != nil) != (tier > 0) {
+		t.Fatalf("a %d-byte tier builds a host tier: %v", tier, m.host != nil)
 	}
 	g := m.groups[m.groupIndex("mamba")]
 	a := textSeq(1, 11) // checkpoints 0 and 1, at 4 and 8
@@ -76,7 +88,11 @@ func TestMambaClaimThenExtend(t *testing.T) {
 		t.Fatalf("parent entries %v, child's %v: the fork shares checkpoint 2, each branch writes its own 3", r.table, c.table)
 	}
 	// a finalizes 0 and 1; b finalizes 2 and then 3, as does the child.
-	if want := []int{0, 1, 2, 3, 3}; !slices.Equal(rec.blocks, want) {
+	want := []int{0, 1, 2, 3, 3}
+	if m.host == nil {
+		want = nil
+	}
+	if !slices.Equal(rec.blocks, want) {
 		t.Fatalf("BlockPriority asked for blocks %v, want %v", rec.blocks, want)
 	}
 	m.Release(b, true)

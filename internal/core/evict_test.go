@@ -569,3 +569,64 @@ func textTokenBytes(s *model.Spec) int {
 	}
 	return total
 }
+
+// TestPriorityKeptWhereRead: a group keeps its pages' eviction
+// priorities exactly where something reads them — its own small-page
+// queue (smallQueued) or the host tier, which carries them out and back
+// — for every zoo model, with the tier off and on. A churn of distinct
+// prompts through a cache of about three prompts' charge then evicts,
+// spilling exactly when there is a tier, and the manager stays sound.
+func TestPriorityKeptWhereRead(t *testing.T) {
+	const tpp, requests, prompt = 16, 48, 160
+	for _, spec := range model.All() {
+		geo, err := spec.Geometry(tpp)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		seq := func(id RequestID) *Sequence {
+			s := &Sequence{ID: id}
+			for i := 0; i < prompt; i++ {
+				s.Tokens = append(s.Tokens, Token{ID: int32(int(id)*1009+i)%50000 + 1})
+			}
+			return s
+		}
+		// The cache holds about three prompts' charge.
+		probe, err := New(Config{Spec: spec, CapacityBytes: 64 * int64(geo.LargePageBytes), TokensPerPage: tpp})
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		capacity := max(3*probe.Footprint(seq(0)), 4*int64(geo.LargePageBytes))
+		for _, tier := range []int64{0, 8 * int64(geo.LargePageBytes)} {
+			m, err := New(Config{Spec: spec, CapacityBytes: capacity, TokensPerPage: tpp,
+				EnablePrefixCache: true, RequestAware: true, HostTierBytes: tier})
+			if err != nil {
+				t.Fatalf("%s tier=%d: %v", spec.Name, tier, err)
+			}
+			for _, g := range m.groups {
+				if want := g.smallQueued() || m.host != nil; (g.prio != nil) != want {
+					t.Errorf("%s tier=%d group %s (ratio %d): keeps priorities %v, want %v", spec.Name, tier, g.spec.Name, g.ratio, g.prio != nil, want)
+				}
+			}
+			served := 0
+			for id := RequestID(1); id <= requests; id++ {
+				s := seq(id)
+				m.Lookup(s)
+				if err := m.Reserve(s, prompt, Tick(id)); err != nil {
+					if !errors.Is(err, ErrNoSpace) {
+						t.Fatalf("%s tier=%d: %v", spec.Name, tier, err)
+					}
+					m.Release(s, false)
+					continue
+				}
+				m.Commit(s, prompt, Tick(id))
+				m.Release(s, true)
+				served++
+			}
+			st := m.Stats()
+			if served < requests/2 || st.SmallEvictions+st.LargeEvictions+st.SwapOuts == 0 || (tier > 0) != (st.SwapOuts > 0) {
+				t.Errorf("%s tier=%d: the churn served %d of %d requests, evicted %d pages and spilled %d", spec.Name, tier, served, requests, st.SmallEvictions+st.LargeEvictions, st.SwapOuts)
+			}
+			audit(t, m)
+		}
+	}
+}

@@ -94,12 +94,19 @@ type evictTie[E, T any] interface {
 }
 
 // segment is one key's stretch of the run, from absolute index start to
-// the next segment's start (the last: to the ring's end).
+// the next segment's start (the last: to the ring's end), 16 bytes
+// (TestStructSizes pins it). start fits an int32 because the head's
+// absolute index never reaches rebaseAt (advance), and a queue has
+// fewer slots than that.
 type segment struct {
 	tick  Tick
-	start int
+	start int32
 	class uint8
 }
+
+// rebaseAt is the absolute index at which the run's head is rebased to
+// 0 (advance): one compaction, a read of the ring, per 2^30 pops.
+const rebaseAt = 1 << 30
 
 func (s *segment) key() evictKey { return evictKey{s.tick, s.class} }
 
@@ -110,6 +117,7 @@ func (s *segment) key() evictKey { return evictKey{s.tick, s.class} }
 // pass on online_overload), where a run would leave each re-keyed
 // entry dead in a full ring.
 func (q *evictQueue[E, T]) initSlots(n, heapEntries int) {
+	check(n < rebaseAt, "an eviction queue over %d slots", n)
 	q.pos = make([]int32, n)
 	q.heap = make([]E, 0, heapEntries)
 }
@@ -228,7 +236,7 @@ func (q *evictQueue[E, T]) appendRun(e E) {
 		if len(q.segs) == cap(q.segs) {
 			q.segRoom()
 		}
-		q.segs = append(q.segs, segment{tick: k.tick, start: q.base + q.n, class: k.class})
+		q.segs = append(q.segs, segment{tick: k.tick, start: int32(q.base + q.n), class: k.class})
 		q.open = true
 	}
 	p := q.phys(q.n)
@@ -261,7 +269,7 @@ func (q *evictQueue[E, T]) runRemove(p int) {
 		return
 	}
 	last := &q.segs[len(q.segs)-1]
-	if !q.open || q.absolute(p) < last.start {
+	if !q.open || q.absolute(p) < int(last.start) {
 		return
 	}
 	end := q.phys(q.n - 1)
@@ -270,7 +278,7 @@ func (q *evictQueue[E, T]) runRemove(p int) {
 		q.pos[q.run[p].slot()] = int32(p + 1)
 	}
 	q.n--
-	if last.start == q.base+q.n { // the open segment emptied
+	if int(last.start) == q.base+q.n { // the open segment emptied
 		q.segs = q.segs[:len(q.segs)-1]
 		q.open = false
 	}
@@ -288,7 +296,7 @@ func (q *evictQueue[E, T]) absolute(p int) int {
 // segment first when the head reaches it; the run must hold one.
 func (q *evictQueue[E, T]) skipDead() {
 	for {
-		if q.open && q.base >= q.segs[len(q.segs)-1].start {
+		if q.open && q.base >= int(q.segs[len(q.segs)-1].start) {
 			q.sortOpen()
 		}
 		if q.pos[q.run[q.head].slot()] == int32(q.head+1) {
@@ -305,8 +313,11 @@ func (q *evictQueue[E, T]) advance() {
 	}
 	q.base++
 	q.n--
-	for q.first+1 < len(q.segs) && q.segs[q.first+1].start <= q.base {
+	for q.first+1 < len(q.segs) && int(q.segs[q.first+1].start) <= q.base {
 		q.first++
+	}
+	if q.base == rebaseAt {
+		q.compact(len(q.run))
 	}
 }
 
@@ -323,8 +334,8 @@ func (q *evictQueue[E, T]) reset() {
 // compacted so that it does not wrap.
 func (q *evictQueue[E, T]) sortOpen() {
 	last := &q.segs[len(q.segs)-1]
-	k := q.base + q.n - last.start
-	p := q.phys(last.start - q.base)
+	k := q.base + q.n - int(last.start)
+	p := q.phys(int(last.start) - q.base)
 	if wrap := p + k - len(q.run); wrap > 0 {
 		if len(q.run)-q.n >= k {
 			tmp := q.run[wrap : wrap+k]
@@ -337,7 +348,7 @@ func (q *evictQueue[E, T]) sortOpen() {
 			return
 		}
 		q.compact(len(q.run))
-		p = q.segs[len(q.segs)-1].start
+		p = int(q.segs[len(q.segs)-1].start)
 	}
 	sortTies(q.run[p : p+k])
 	q.place(p, p+k)
@@ -371,10 +382,10 @@ func (q *evictQueue[E, T]) compact(c int) {
 		s := q.segs[j]
 		end := q.n
 		if j+1 < len(q.segs) {
-			end = q.segs[j+1].start - q.base
+			end = int(q.segs[j+1].start) - q.base
 		}
 		from := w
-		for l := max(s.start-q.base, 0); l < end; l++ {
+		for l := max(int(s.start)-q.base, 0); l < end; l++ {
 			p := q.phys(l)
 			if t := q.run[p]; q.pos[t.slot()] == int32(p+1) {
 				q.run[q.phys(w)] = t
@@ -382,7 +393,7 @@ func (q *evictQueue[E, T]) compact(c int) {
 			}
 		}
 		if w > from { // the open segment holds no dead entry: never dropped
-			s.start = from
+			s.start = int32(from)
 			segs = append(segs, s)
 		}
 	}

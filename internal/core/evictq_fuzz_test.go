@@ -454,3 +454,57 @@ func TestRekeyChurnCompactsLinearly(t *testing.T) {
 		}
 	}
 }
+
+// TestEvictQueueRebase: a run segment keeps its start in an int32, which
+// holds because the head's absolute index is rebased to 0 when it
+// reaches rebaseAt. A queue takes rounds of evictions and a batch of
+// pushes at the next tick, a replacement in a closed segment among
+// them; once its ring has stopped growing — growth compacts, which
+// rebases too — its head is moved to just below rebaseAt, and the
+// rounds go on across it. Every victim is checked against the lazy
+// reference, and the queue after every round.
+func TestEvictQueueRebase(t *testing.T) {
+	const slots, warm, below, batch = 64, 16, 40, 6
+	h := newSlotted(t, slots, true)
+	now := Tick(1)
+	for id := 0; id < slots; id++ {
+		h.enter(arena.LargePageID(id), now, false)
+		if id%batch == batch-1 {
+			now++
+		}
+	}
+	crossed, scanned := -1, 0
+	for op := 0; op < warm+4*below; op++ {
+		if op == warm {
+			shift := rebaseAt - below - h.q.base
+			h.q.base += shift
+			for j := range h.q.segs {
+				h.q.segs[j].start += int32(shift)
+			}
+			h.check(op)
+			scanned = h.q.scanned
+		}
+		now++
+		for k := 0; k < batch; k++ {
+			h.evict(op)
+		}
+		for k := 0; k < batch; k++ {
+			h.enter(arena.LargePageID((op*batch+k*11)%slots), now, k == batch-1)
+		}
+		h.check(op)
+		if h.q.live == 0 {
+			t.Fatalf("op %d: the run emptied, which resets its head", op)
+		}
+		if op >= warm && crossed < 0 && h.q.base < rebaseAt-below {
+			crossed, scanned = op, h.q.scanned-scanned
+		}
+		if h.q.base >= rebaseAt {
+			t.Fatalf("op %d: the head's absolute index is %d, past %d", op, h.q.base, rebaseAt)
+		}
+	}
+	// The one compaction between the shift and the crossing is the
+	// rebase: a read of the ring's positions.
+	if crossed < 0 || scanned > len(h.q.run) {
+		t.Fatalf("the head was rebased at op %d (-1: never), reading %d positions of a ring of %d", crossed, scanned, len(h.q.run))
+	}
+}

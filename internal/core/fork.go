@@ -149,7 +149,9 @@ func (m *Jenga) forkCopyPage(g *group, id arena.SmallPageID, req RequestID) (are
 	np.dead = old.dead
 	g.hash[nid] = g.hash[id]
 	np.set(pageComplete, old.has(pageComplete))
-	np.priority = old.priority
+	if g.prio != nil {
+		g.prio[nid] = g.prio[id]
+	}
 	np.lastAccess = old.lastAccess
 	g.filledSlots += int64(old.filled)
 	g.deadSlots += int64(old.dead)

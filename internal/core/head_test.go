@@ -58,13 +58,22 @@ func publishedHashes(m *Jenga) string {
 		n := 0
 		for id := range g.pages {
 			if g.pages[id].has(pageHashed) {
-				fmt.Fprint(f, id, g.hash[id], g.pages[id].priority)
+				fmt.Fprint(f, id, g.hash[id], priorityOf(g, id))
 				n++
 			}
 		}
 		fmt.Fprintf(&b, "%s:%d:%x ", g.spec.Name, n, f.Sum64())
 	}
 	return b.String()
+}
+
+// priorityOf is page id's eviction priority, 0 where its group keeps
+// none (group.prio).
+func priorityOf(g *group, id int) int64 {
+	if g.prio == nil {
+		return 0
+	}
+	return g.prio[id]
 }
 
 // headTrace serves five requests over one 13-token head (text, images,

@@ -680,7 +680,7 @@ func (m *Jenga) spillLarge(L arena.LargePageID, now Tick) bool {
 			continue
 		}
 		hb := hostBlock{
-			priority: pg.priority,
+			priority: g.prio[id],
 			filled:   int32(pg.filled),
 		}
 		if m.ar.Backed() {
@@ -724,7 +724,7 @@ func (m *Jenga) restoreBlock(g *group, hb *hostBlock, hash uint64, req RequestID
 	g.filledSlots += int64(hb.filled)
 	g.hash[id] = hash
 	pg.set(pageComplete, true)
-	pg.priority = hb.priority
+	g.prio[id] = hb.priority
 	pg.lastAccess = now
 	m.publish(g, id)
 	if m.ar.Backed() && len(hb.data) > 0 {

@@ -218,7 +218,7 @@ func (m *Jenga) checkQueued(g *group) error {
 		}
 		id := arena.SmallPageID(i)
 		if g.smallQueued() {
-			want := pageEntry{id: id, ts: pg.lastAccess, prio: pg.priority, expired: pg.has(pageExpired)}
+			want := pageEntry{id: id, ts: pg.lastAccess, prio: g.prio[id], expired: pg.has(pageExpired)}
 			if got, ok := g.evict.at(i); !ok || got != want {
 				return fmt.Errorf("cached page %d: small-page queue holds %+v (%v), its key is %+v", id, got, ok, want)
 			}
@@ -605,7 +605,7 @@ func (q *evictQueue[E, T]) check() error {
 	if q.live == 0 && (q.n != 0 || len(q.segs) != 0 || q.open) {
 		return fmt.Errorf("empty run keeps %d positions, %d segments, open %v", q.n, len(q.segs), q.open)
 	}
-	if q.n > 0 && (q.first >= len(q.segs) || q.segs[q.first].start > q.base) {
+	if q.n > 0 && (q.first >= len(q.segs) || int(q.segs[q.first].start) > q.base) {
 		return fmt.Errorf("head %d is not in segment %d of %d", q.base, q.first, len(q.segs))
 	}
 	live := 0
@@ -613,18 +613,18 @@ func (q *evictQueue[E, T]) check() error {
 		s := &q.segs[j]
 		end := q.base + q.n
 		if j+1 < len(q.segs) {
-			end = q.segs[j+1].start
+			end = int(q.segs[j+1].start)
 			if !s.key().before(q.segs[j+1].key()) {
 				return fmt.Errorf("segment %d's key %+v does not precede segment %d's %+v", j, s.key(), j+1, q.segs[j+1].key())
 			}
 		}
-		if j > q.first && s.start <= q.segs[j-1].start || s.start >= end {
+		if j > q.first && s.start <= q.segs[j-1].start || int(s.start) >= end {
 			return fmt.Errorf("segment %d spans [%d, %d)", j, s.start, end)
 		}
 		open := q.open && j == len(q.segs)-1
 		var prev T
 		seen := false
-		for a := max(s.start, q.base); a < end; a++ {
+		for a := max(int(s.start), q.base); a < end; a++ {
 			p := q.phys(a - q.base)
 			t := q.run[p]
 			if q.pos[t.slot()] != int32(p+1) {
@@ -682,7 +682,7 @@ func (q *evictQueue[E, T]) at(slot int) (E, bool) {
 	case p > 0:
 		a := q.absolute(int(p) - 1)
 		j := q.first
-		for j+1 < len(q.segs) && q.segs[j+1].start <= a {
+		for j+1 < len(q.segs) && int(q.segs[j+1].start) <= a {
 			j++
 		}
 		return q.run[p-1].entry(q.segs[j].key()), true

@@ -878,7 +878,7 @@ func (m *Jenga) commitRun(g *group, rg *reqGroup, sh *seqHashes, pos, n int, now
 			if sh != nil {
 				ch := &sh.c[g.hclass]
 				g.hash[ref.id()] = ch.at(b)
-				pg.priority = g.pol.BlockPriority(b, g.runKey(ch, b))
+				g.setPriority(ref.id(), ch, b)
 				m.publish(g, ref.id())
 			}
 			b, left = b+1, g.tpp
@@ -903,10 +903,19 @@ func (m *Jenga) finalizeCheckpoint(g *group, rg *reqGroup, ch *classHashes, now 
 	}
 	g.hash[id] = ch.at(k)
 	pg.set(pageComplete, true)
-	pg.priority = g.pol.BlockPriority(k, g.runKey(ch, k))
+	g.setPriority(id, ch, k)
 	pg.lastAccess = now
 	m.publish(g, id)
 	rg.ckptDone++
+}
+
+// setPriority stores the §5.1 tie-break value of entry k of ch, the
+// block page id completes, where the group keeps one (group.prio): a
+// group nothing reads it in asks its policy for none.
+func (g *group) setPriority(id arena.SmallPageID, ch *classHashes, k int) {
+	if g.prio != nil {
+		g.prio[id] = g.pol.BlockPriority(k, g.runKey(ch, k))
+	}
 }
 
 // --- Release -------------------------------------------------------------
@@ -1181,7 +1190,7 @@ func (m *Jenga) claimMamba(g *group, rg *reqGroup, k int, hash uint64, now Tick)
 		pg.lastAccess = now
 		m.cacheAdd(L, now, pg.has(pageExpired))
 		if g.smallQueued() {
-			g.evict.push(pageEntry{id: id, ts: now, prio: pg.priority, expired: pg.has(pageExpired)})
+			g.evict.push(pageEntry{id: id, ts: now, prio: g.prio[id], expired: pg.has(pageExpired)})
 		}
 		m.pushLargeCandidate(L)
 	} else {

@@ -76,14 +76,14 @@ const (
 	pageCached                   // valid KV, unreferenced, evictable
 )
 
-// page is per-small-page metadata, 24 bytes: the wide fields first,
+// page is per-small-page metadata, 16 bytes: the wide fields first,
 // the byte-wide counters and flags packed at the end (TestStructSizes
-// pins it). The page's block hash is kept beside it, in group.hash, and
-// its free-stack link, where the group keeps stacks, in group.links.
+// pins it). The page's block hash is kept beside it, in group.hash, its
+// eviction priority, where something reads it, in group.prio, and its
+// free-stack link, where the group keeps stacks, in group.links.
 type page struct {
-	// lastAccess and priority order eviction (§5.1).
+	// lastAccess orders eviction (§5.1).
 	lastAccess Tick
-	priority   int64
 	ref        int32
 	// filled is the number of token slots written (≤ tokensPerPage,
 	// which Config.Validate bounds by the field's range).
@@ -177,6 +177,12 @@ type group struct {
 	// apart from the page, so the prefix index probes a dense array of
 	// its keys.
 	hash []uint64
+	// prio is each page's §5.1 tie-break value (Policy.BlockPriority),
+	// set where its block is completed. Only step 5's queue
+	// (smallQueued) and the host tier read it, so only a group with the
+	// one or a manager with the other keeps it; elsewhere it is nil and
+	// no priority is asked for (setPriority).
+	prio []int64
 
 	// index maps published block hash → page (prefix cache).
 	index pageIndex[arena.SmallPageID]
@@ -193,7 +199,7 @@ type group struct {
 	// maintained): a hierarchical bitmap whose pop is O(1) and always
 	// yields the lowest free ID (deterministic §5.4 steps 1/4).
 	free freePool
-	// evict orders cached pages by (lastAccess, -priority) for §5.4 step
+	// evict orders cached pages by (lastAccess, -prio) for §5.4 step
 	// 5; only a group with more than one small page per large page has
 	// one (smallQueued).
 	evict evictQueue[pageEntry, pageTie]
@@ -429,6 +435,7 @@ func New(cfg Config) (*Jenga, error) {
 	}
 	m.largeEvict.initSlots(ar.NumLargePages(), 0)
 
+	tiered := cfg.HostTierBytes >= int64(geo.LargePageBytes)
 	for i := range cfg.Spec.Groups {
 		gs := cfg.Spec.Groups[i]
 		tpp, stride := cfg.TokensPerPage, cfg.TokensPerPage
@@ -466,6 +473,9 @@ func New(cfg Config) (*Jenga, error) {
 			}
 		}
 		g.hash = make([]uint64, len(g.pages))
+		if g.smallQueued() || tiered {
+			g.prio = make([]int64, len(g.pages))
+		}
 		g.index.init(g.hash, len(g.pages))
 		g.free.init(len(g.pages))
 		if g.smallQueued() {
@@ -480,7 +490,7 @@ func New(cfg Config) (*Jenga, error) {
 	if cfg.EnablePrefixCache {
 		m.growHeadSlab()
 	}
-	if cfg.HostTierBytes >= int64(geo.LargePageBytes) {
+	if tiered {
 		names := make([]string, len(m.groups))
 		ratios := make([]int, len(m.groups))
 		for i, g := range m.groups {
