@@ -19,11 +19,12 @@ race:
 	$(GO) test -race -short ./...
 
 # jengadebug pass (part of `make ci`): the build tag under which memory
-# that is handed back — a run to the engine's slab, an Out token buffer
-# to the engine's free list, a prompt array to its generator — is
-# poisoned before reuse, and the hand-over counts (runs, token buffers,
-# prompts) are asserted to balance at every Drain and Reset (internal/debug,
-# DESIGN.md "Requests and prompts"), and under which core's every
+# that is handed back — a run to the engine's slab, an Out or a filled
+# prompt buffer to the engine's free lists — is poisoned before reuse,
+# and the hand-over counts (runs, Out and prompt buffers) are asserted
+# to balance at every Drain and Reset (internal/debug, DESIGN.md
+# "Requests and prompts"), under which core's record recounts a
+# request's image tokens at every read of its count, and under which core's every
 # Release and CrashReset ends with CheckInvariants (free stacks, prefix
 # index, eviction heaps, request-state slab against the page array, the
 # host tier, the free large pages), under which the fleet transfer
@@ -34,7 +35,7 @@ race:
 # under which every scheduler View the engine hands out has its waiting
 # and running entries checked against a fresh fill. One -short pass over core, the
 # packages that lend and borrow, and the scheduler matrix (sched, serve)
-# covers TestExitMatrix, TestScenarioMatrix, the recycling stream tests,
+# covers TestExitMatrix, TestScenarioMatrix, the recipe stream tests,
 # the fleet store, the scheduler simulations and the goldens.
 debug:
 	$(GO) test -tags jengadebug -short ./internal/core ./internal/engine ./internal/sched ./internal/serve ./internal/cluster ./internal/workload ./internal/bench ./internal/fleet
@@ -148,7 +149,8 @@ examples:
 # Timed fuzz over the core free pool, the host-tier/map-reference
 # differential, the fork/CoW lifecycle, the eviction queue/lazy-heap
 # differential, the free-stack/lazy-list and prefix-index/map
-# differentials and the fleet-directory/map-reference differential (the
+# differentials, the fleet-directory/map-reference differential and the
+# prompt recipes' partial fills (the
 # CI fuzz step): the seeded corpora always run as part of `make test`;
 # this explores beyond them.
 # `go test -fuzz` takes one target per run, so each gets its own
@@ -161,6 +163,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzAssocStacks -fuzztime 5s ./internal/core
 	$(GO) test -run NONE -fuzz FuzzPageIndex -fuzztime 5s ./internal/core
 	$(GO) test -run NONE -fuzz FuzzFleetDirectory -fuzztime 5s ./internal/fleet
+	$(GO) test -run NONE -fuzz FuzzContentFill -fuzztime 5s ./internal/workload
 
 # jengalint: the repo's own analyzers (internal/analysis) — the
 # machine-enforced determinism contract (DESIGN.md): no map-order
@@ -227,10 +230,14 @@ vet:
 # child copies only its parent's Out — so an append( in non-test
 # internal/engine whose last argument spreads a .Prompt, a .Shared or
 # seq.Tokens is the per-request prompt copy into a decode buffer again;
-# a request's Shared head (an ArxivQA article) is the generator's and
-# read by every request over it, so a promptSink( call in non-test
-# internal/engine handed a Shared is a hand-back of memory other
-# requests still read; internal/cluster has one serve loop — one placement step
+# a generated prompt is a recipe until its request arrives, filled once
+# into a buffer of the engine's prompt pool (internal/engine's
+# fillPrompt) — a migration or a crash redispatch adopts that buffer,
+# a fork reads it — so a .Fill( in any other non-test internal/engine
+# function is a second fill, or a pending request holding tokens, again,
+# and since no generator lends an array any more, a takePrompt,
+# recyclePrompt, Recycler or promptSink (SetPromptSink) in non-test code
+# is the hand-back path back; internal/cluster has one serve loop — one placement step
 # (the only router.Route call site) and one file that may use
 # goroutines and channels — and a second of either is a second loop;
 # internal/bench and cmd/jengabench build clusters in one place,
@@ -239,8 +246,8 @@ vet:
 # only caller of the cost model's StepTime (internal/gpu defines it,
 # cmd/jengaperf times it), and internal/spec, the second step loop that
 # speculative decoding used to be, stays deleted; internal/workload
-# makes each prompt once at its exact size and fills it in place
-# (fillTokens), and a textTokens helper or an append onto a fresh
+# emits a request's own part as a recipe and fills only the heads it
+# shares (fillTokens), and a textTokens helper or an append onto a fresh
 # []core.Token is the copy-then-grow construction again; per-request
 # records are rolled up in one place, engine.Rollup (goodput, SLO
 # attainment, percentiles), and a report layer — internal/serve,
@@ -257,10 +264,10 @@ vet:
 # (filter) to come back, and the transfer path runs on tier scratch, so
 # a fresh []PageBlock there is a per-page or per-call allocation again;
 # a request costs the host no object — runs come from the engine's slab
-# free list (internal/engine/runpool.go) and prompts from the
-# generator's (internal/workload/promptbuf.go holds the one allocation,
-# the free-list miss), so a &run{ or a make([]core.Token anywhere else
-# in those packages is an object per request again; what core knows
+# free list (internal/engine/runpool.go), and a generator allocates only
+# the heads its requests share (internal/workload's headTokens), so a
+# &run{ outside runpool.go, or a make([]core.Token in any other non-test
+# internal/workload function, is an object per request again; what core knows
 # about a page lives in arrays sized at New — the request-associated
 # free pages are stacks threaded through the page array and the prefix
 # index a flat table over it (internal/core/assoc.go, pageindex.go) — so
@@ -382,9 +389,9 @@ guard:
 	@out=$$(grep -rn 'func project(' internal/core --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "core.project (a per-claim copy of the prefix) is back in internal/core:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn -e 'append(\[\]core\.Token(nil)' -e 'make(\[\]core\.Token' internal/engine --include='*.go' | grep -v -e '_test\.go:' -e '^internal/engine/tokbuf\.go:'); if [ -n "$$out" ]; then echo "token copies outside the free-list miss in internal/engine:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'append\(.*(\.Prompt|\.Shared|seq\.Tokens)\.\.\.\)' internal/engine --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a prompt is spread into a buffer in internal/engine (a run borrows req.Shared and req.Prompt as seq.Shared and seq.Tokens for its whole life; only seq.Out is the engine's):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -rnE 'promptSink\(.*Shared' internal/engine --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "the prompt sink is handed a Shared head in internal/engine (the head is the generator's, read by other requests; only the request's own Prompt goes back):"; echo "$$out"; exit 1; fi
+	@out=$$(awk '/^[ \t]*\/\// { next } { body = $$0 } /^func /{ fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn); if (!sub(/^[^{]*\{/, "", body)) body = "" } body ~ /\.Fill\(/ && fn != "fillPrompt" { print FILENAME ":" FNR ": in " fn ": " $$0 }' $$(ls internal/engine/*.go | grep -v '_test\.go$$')); if [ -n "$$out" ]; then echo "a prompt recipe is filled outside fillPrompt in internal/engine (a request's own part is filled once, at its arrival; MigrateIn adopts the buffer, a fork reads it):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE '\b(takePrompt|recyclePrompt|Recycler)\b|[pP]romptSink' internal cmd examples *.go --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "the prompt hand-back path is back (a generated prompt is a recipe the engine fills at arrival; no generator lends an array, so nothing hands one back):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'router\.Route(' internal/cluster --include='*.go' | grep -v '_test\.go:'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/cluster must have exactly one router.Route call site (the placement step):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -rn '\.Recycle(' internal/cluster --include='*.go' | grep -v '_test\.go:'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/cluster must have exactly one .Recycle( call site (pass.recycle, the drain before every Next; a barrier hands back no prompts):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rl '^//jenga:concurrent' internal/cluster --include='*.go' | grep -v '_test\.go$$'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/cluster must have exactly one //jenga:concurrent file (the serve loop):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'cluster\.Config{' internal/bench cmd/jengabench --include='*.go' | grep -v '_test\.go:'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/bench + cmd/jengabench must have exactly one cluster.Config literal (bench.Run):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'StepTime(' . --include='*.go' | grep -v -e '_test\.go:' -e '^\./internal/gpu/' -e '^\./cmd/jengaperf/' -e '^\./internal/engine/'); if [ -n "$$out" ] || [ -e internal/spec ]; then echo "the sim clock must advance only in internal/engine (no StepTime caller elsewhere, no internal/spec):"; echo "$$out"; exit 1; fi
@@ -393,7 +400,7 @@ guard:
 	@out=$$(grep -rn 'func (q \*evictQueue\[E\]) filter(' internal/core --include='*.go'); if [ -n "$$out" ]; then echo "evictQueue.filter (the unslotted tier queue's compaction) is back:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -n 'make(\[\]PageBlock' internal/core/fleet.go); if [ -n "$$out" ]; then echo "the fleet transfer path allocates per page or per call again (internal/core/fleet.go runs on tier scratch):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn '&run{' internal/engine --include='*.go' | grep -v -e '_test\.go:' -e '^internal/engine/runpool\.go:'); if [ -n "$$out" ]; then echo "a run allocated outside the slab free list in internal/engine (runpool.go):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -rn 'make(\[\]core\.Token' internal/workload --include='*.go' | grep -v -e '_test\.go:' -e '^internal/workload/promptbuf\.go:'); if [ -n "$$out" ]; then echo "a prompt allocated outside the one buffer-take function in internal/workload (promptbuf.go):"; echo "$$out"; exit 1; fi
+	@out=$$(awk '/^[ \t]*\/\// { next } { body = $$0 } /^func /{ fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn); if (!sub(/^[^{]*\{/, "", body)) body = "" } body ~ /make\(\[\]core\.Token/ && fn != "headTokens" { print FILENAME ":" FNR ": in " fn ": " $$0 }' $$(ls internal/workload/*.go | grep -v '_test\.go$$')); if [ -n "$$out" ]; then echo "a token array allocated outside the shared-head memo in internal/workload (headTokens; a request's own part is a recipe):"; echo "$$out"; exit 1; fi
 	@out=$$(sed -n '/^type group struct {/,/^}/p' internal/core/manager.go | grep 'map\[' | grep -v '^\s*assocTop '; grep -rn -e freeByReq -e spareLists -e sweepFreeByReq internal cmd --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a page-level structure of core.group that grows while serving is back (a map field other than assocTop, or the lazy per-request lists):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'hashChain(' internal/core --include='*.go' | grep -v -e '_test\.go:' -e '^internal/core/hash\.go:' -e '^internal/core/seqhash\.go:'); if [ -n "$$out" ]; then echo "a block hash is computed outside the request's record (only internal/core/hash.go and seqhash.go may call hashChain):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'map\[RequestID\]' internal/core --include='*.go' | grep -v -E -e '_test\.go:' -e '^internal/core/manager\.go:[0-9]+:\s*(reqs|assocTop)(\s+|:\s+make\()map\[RequestID\]'); if [ -n "$$out" ]; then echo "a second per-request map in internal/core (only Jenga.reqs and group.assocTop may be keyed by RequestID):"; echo "$$out"; exit 1; fi

@@ -116,7 +116,7 @@ func main() {
 	}
 	gen := jenga.NewWorkloadGen(11)
 	rootReq := gen.ShareGPT(1)[0]
-	rootReq.Prompt = rootReq.Prompt[:promptLen]
+	rootReq.Truncate(promptLen)
 	rootReq.OutputLen = 100_000 // open-ended; every branch is bounded below
 	rootReq.Arrival = 0
 

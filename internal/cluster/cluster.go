@@ -205,8 +205,11 @@ type Cluster struct {
 	// plus the peer-transfer path (see internal/fleet).
 	store *fleet.Store
 	// fetchSeq is fleetFetch's sequence: the store's miss path takes a
-	// *core.Sequence, and one built per call would escape.
+	// *core.Sequence, and one built per call would escape. fetchOwn is
+	// the scratch it fills a recipe's tokens into (a request routed but
+	// not yet arrived, whose engine has not filled them).
 	fetchSeq core.Sequence
+	fetchOwn []core.Token
 	// drainRate is the nominal per-replica serving rate (tokens per
 	// simulated second) used to decay Load.Outstanding between
 	// arrivals: the cost model's compute-bound token rate.
@@ -326,12 +329,6 @@ type pass struct {
 	out Result
 	// shards are the replica event loops.
 	shards []*streamShard
-	// recycler is the source's hand-back capability (nil without one):
-	// recycle gives it the prompts the shards' engines are done with, so
-	// a streamed run reuses prompt arrays instead of making one per
-	// request. spent is the list recycle swaps with a shard's.
-	recycler workload.Recycler
-	spent    [][]core.Token
 	// barriers counts the barriers the pass fired: none with no
 	// horizon, one per epoch crossed, or one per arrival plus one per
 	// rebalance and chaos event.

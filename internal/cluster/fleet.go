@@ -5,6 +5,7 @@ import (
 
 	"jenga/internal/core"
 	"jenga/internal/fleet"
+	"jenga/internal/workload"
 )
 
 // FleetPolicy configures the cluster-wide KV store and live request
@@ -69,21 +70,25 @@ func (c *Cluster) arrivalSection(p *pass, at time.Duration) error {
 	return nil
 }
 
-// fleetFetch runs the fleet-store miss path for a request about to be
+// fleetFetch runs the fleet-store miss path for req about to be
 // admitted on replica rep, whose sequence is its prompt — its shared
-// head, then its own part — followed by out: if
-// the directory says peers extend rep's local prefix, the pages move
-// into rep's host tier now and the wire bytes are charged to rep's next
-// step as peer-link DMA. Barrier sections run one at a time, so the
-// cluster's one fetch sequence is free on entry; the tokens are only
-// borrowed for the call.
+// head, then its own part, own if an engine filled it already and else
+// read from the header (a recipe is filled into the cluster's scratch)
+// — followed by out: if the directory says peers extend rep's local
+// prefix, the pages move into rep's host tier now and the wire bytes
+// are charged to rep's next step as peer-link DMA. Barrier sections run
+// one at a time, so the cluster's one fetch sequence and its scratch
+// are free on entry; the tokens are only borrowed for the call.
 //
 //jenga:hotpath
-func (c *Cluster) fleetFetch(rep int, id int64, shared, prompt, out []core.Token) {
-	if c.store == nil || len(shared)+len(prompt)+len(out) == 0 {
+func (c *Cluster) fleetFetch(rep int, req *workload.Request, own, out []core.Token) {
+	if c.store == nil || req.PromptLen()+len(out) == 0 {
 		return
 	}
-	c.fetchSeq = core.Sequence{ID: core.RequestID(id), PromptLen: len(shared) + len(prompt), Shared: shared, Tokens: prompt, Out: out}
+	if own == nil {
+		own, c.fetchOwn = req.OwnTokens(req.OwnLen(), c.fetchOwn)
+	}
+	c.fetchSeq = core.Sequence{ID: core.RequestID(req.ID), PromptLen: req.PromptLen(), Shared: req.Shared, Tokens: own, Out: out}
 	now := core.Tick(c.engines[rep].SnapshotTotals().Step)
 	if fr := c.store.Fetch(rep, &c.fetchSeq, now); fr.Bytes > 0 {
 		c.engines[rep].RecordPeerFetch(fr.Tokens, fr.Bytes)
@@ -113,8 +118,8 @@ func (c *Cluster) migrate(p *pass, src, dst int, id int64) bool {
 		}
 		return false
 	}
-	shared, own := m.Prompt()
-	c.fleetFetch(dst, m.ID(), shared, own, m.Out)
+	req, own := m.Prompt()
+	c.fleetFetch(dst, req, own, m.Out)
 	c.engines[dst].MigrateIn(m)
 	p.out.Migrations++
 	return true

@@ -190,6 +190,10 @@ type ringPoint struct {
 type affinityRouter struct {
 	prefixTokens int
 	ring         []ringPoint
+	// own is the scratch Route fills the part of a recipe's tokens the
+	// prefix reaches past the Shared head into: a routed request has not
+	// arrived, so no engine has filled them.
+	own []core.Token
 }
 
 func newAffinityRouter(replicas, prefixTokens, vnodes int) *affinityRouter {
@@ -215,7 +219,11 @@ func (r *affinityRouter) Name() string { return PrefixAffinity.String() }
 func (r *affinityRouter) loadOblivious() {}
 
 func (r *affinityRouter) Route(req *workload.Request, loads []Load) int {
-	h := core.PrefixHash(r.prefixTokens, req.Shared, req.Prompt)
+	var own []core.Token
+	if n := r.prefixTokens - len(req.Shared); n > 0 {
+		own, r.own = req.OwnTokens(n, r.own)
+	}
+	h := core.PrefixHash(r.prefixTokens, req.Shared, own)
 	i := sort.Search(len(r.ring), func(i int) bool { return r.ring[i].hash >= h })
 	if i == len(r.ring) {
 		i = 0 // wrap around the ring

@@ -100,7 +100,7 @@ func TestLeastLoadedBalance(t *testing.T) {
 	loads := testLoads(replicas)
 	for i := range reqs {
 		rep := r.Route(&reqs[i], loads)
-		work := int64(len(reqs[i].Prompt) + reqs[i].OutputLen)
+		work := int64(reqs[i].PromptLen() + reqs[i].OutputLen)
 		loads[rep].Requests++
 		loads[rep].RoutedTokens += work
 		loads[rep].Outstanding += float64(work)

@@ -1,4 +1,4 @@
-//jenga:concurrent the one serve loop: replica shards, bounded mailboxes, the horizon barrier channels and the prompt hand-back lists
+//jenga:concurrent the one serve loop: replica shards, bounded mailboxes and the horizon barrier channels
 package cluster
 
 import (
@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"jenga/internal/core"
 	"jenga/internal/engine"
 	"jenga/internal/workload"
 )
@@ -25,8 +24,7 @@ type StreamConfig struct {
 const (
 	// mailboxDepth bounds each shard's command queue (routed arrivals
 	// plus horizons), and so how far the router can run ahead of a
-	// shard. Every queued arrival holds a prompt array the source cannot
-	// reuse yet, and with no horizon nothing else stops the router: at
+	// shard; with no horizon nothing else stops the router: at
 	// 256 a barrier-free prefix-affinity stream (16 replicas, 2 shards,
 	// 64,000 requests at 4,000 req/s) made a third more host objects per
 	// request than the epoch-barrier run it replaced, and a 4% larger
@@ -79,21 +77,6 @@ type streamShard struct {
 	loads []Load
 	acc   *fleetAcc
 	err   error
-	// spent collects the prompts of requests that retired on this
-	// shard's replicas: the engines' prompt sinks append here (on the
-	// shard goroutine, or the router's inside a barrier section), and
-	// the router empties it into the source before every Next. mu
-	// guards it, so the hand-back needs no barrier. Used only under a
-	// recycling source.
-	mu    sync.Mutex
-	spent [][]core.Token
-}
-
-// retired is the prompt sink of the shard's engines.
-func (s *streamShard) retired(prompt []core.Token) {
-	s.mu.Lock()
-	s.spent = append(s.spent, prompt)
-	s.mu.Unlock()
 }
 
 // run is the shard goroutine body. On an error, or a panic, it keeps
@@ -186,26 +169,6 @@ func (p *pass) barrier(at time.Duration) error {
 	return err
 }
 
-// recycle hands the prompts the shards' engines are done with back to
-// the source. routeAll calls it before every Next, whatever the
-// horizon, so the source can write the arrival it is about to make over
-// an array retired a moment ago. Each shard's list is swapped for the
-// pass's emptied one under the shard's lock and handed back outside it.
-func (p *pass) recycle() {
-	if p.recycler == nil {
-		return
-	}
-	for _, s := range p.shards {
-		s.mu.Lock()
-		s.spent, p.spent = p.spent[:0], s.spent
-		s.mu.Unlock()
-		for i, prompt := range p.spent {
-			p.recycler.Recycle(prompt)
-			p.spent[i] = nil
-		}
-	}
-}
-
 // drive is the serve loop behind Serve, ServeOnline and ServeStream: a
 // conservative parallel discrete-event simulation. It runs pass p (from
 // newPass): pulls arrivals from src (non-decreasing), fires a barrier
@@ -220,7 +183,6 @@ func (p *pass) recycle() {
 func (c *Cluster) drive(p *pass, src workload.Source, shards int, every time.Duration, size int) (*Result, error) {
 	n := len(c.engines)
 	shards = min(max(shards, 1), n)
-	p.recycler, _ = src.(workload.Recycler)
 	for _, e := range c.engines {
 		e.Reset()
 	}
@@ -247,10 +209,6 @@ func (c *Cluster) drive(p *pass, src workload.Source, shards int, every time.Dur
 		// router's inside a barrier section.
 		e.SetRetireSink(s.acc.retire)
 		defer e.SetRetireSink(e.Retain)
-		if p.recycler != nil {
-			e.SetPromptSink(s.retired)
-			defer e.SetPromptSink(nil)
-		}
 	}
 	if err := c.runShards(p, src, every); err != nil {
 		return nil, err
@@ -303,7 +261,6 @@ func (c *Cluster) routeAll(p *pass, src workload.Source, every time.Duration) er
 	}
 	epoch := int64(-1)
 	for {
-		p.recycle()
 		r, ok := src.Next()
 		if !ok {
 			break
@@ -325,7 +282,7 @@ func (c *Cluster) routeAll(p *pass, src workload.Source, every time.Duration) er
 		}
 		rep := c.place(p, r)
 		if sections {
-			c.fleetFetch(rep, r.ID, r.Shared, r.Prompt, nil)
+			c.fleetFetch(rep, r, nil, nil)
 		}
 		p.shards[rep%len(p.shards)].cmds <- streamCmd{req: *r, rep: rep}
 		if sections && c.rebalancing() {

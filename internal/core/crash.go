@@ -33,7 +33,7 @@ func (m *Jenga) CrashReset() error {
 			m.host.scribbleFetch()
 		}
 	}
-	fresh, err := New(m.cfg)
+	fresh, err := newManager(m.cfg, m.host)
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,13 @@
 package core
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestCrashResetColdRestart: CrashReset wipes the GPU heap, the
-// prefix cache and the host tier — the manager restarts cold — while
+// prefix cache and the host tier — the manager restarts cold, its tier
+// emptied in its own tables to exactly a new tier's state — while
 // preserving pointer identity and the installed tier observer, so a
 // restarted replica's new spills keep feeding the fleet directory
 // through the same wiring.
@@ -19,8 +23,16 @@ func TestCrashResetColdRestart(t *testing.T) {
 		t.Fatal("setup: observer saw no stores")
 	}
 
+	tier := m.host
 	if err := m.CrashReset(); err != nil {
 		t.Fatal(err)
+	}
+	// The restart empties the dead process's tier in place: the same
+	// tables, holding exactly what a new manager's tier holds.
+	fresh := newTieredMgr(t, flatSpec(), 1<<16, 1<<20, 4).host
+	fresh.obs = obs
+	if m.host != tier || !reflect.DeepEqual(*m.host, *fresh) {
+		t.Fatalf("the restarted tier is not the old one emptied to a new one's state (same tier %v)", m.host == tier)
 	}
 	st := m.TierStats()
 	if st.HostUsed != 0 || st.SwapOuts != 0 || st.SpilledBytes != 0 {

@@ -122,6 +122,13 @@ func (q *evictQueue[E, T]) initSlots(n, heapEntries int) {
 	q.heap = make([]E, 0, heapEntries)
 }
 
+// clear empties the queue in place: the state initSlots leaves, in its
+// slot and heap arrays.
+func (q *evictQueue[E, T]) clear() {
+	clear(q.pos)
+	*q = evictQueue[E, T]{pos: q.pos, heap: q.heap[:0]}
+}
+
 func (q *evictQueue[E, T]) len() int { return q.live + len(q.heap) }
 
 // push adds e, replacing the entry queued for e's slot, if any.

@@ -251,3 +251,86 @@ func TestFootprintHashesOnce(t *testing.T) {
 	}
 	audit(t, m)
 }
+
+// TestFootprintCountsImagesOnce: on llava-ov — text KV plus a
+// vision-embedding cache, so Footprint projects the sequence onto an
+// image-scoped group — a request's Footprint at every point of its life
+// equals the answer of a scan over the whole sequence, while its record
+// counts each token's modality once: before admission, between chunks
+// of a chunked prefill that encodes the images and drops each chunk's
+// consumed embeddings, through a decode that appends image tokens as
+// well as text, and for a fork child and its parent after the fork. (A jengadebug build recounts the sequence at
+// every read of the record's count.)
+func TestFootprintCountsImagesOnce(t *testing.T) {
+	spec := model.LLaVAOneVision7B()
+	m := newMgr(t, spec, 2<<30, 16, true)
+	seq := chargeSeq(1, "", 3, 4, spec.Vision.TokensPerImage, 70)
+	seq.PromptLen = len(seq.Tokens)
+	check := func(what string, s *Sequence) {
+		t.Helper()
+		scan := wholeSeq(s, nil)
+		if got, want := m.Footprint(s), m.footprint(&scan); got != want {
+			t.Fatalf("%s: request %d's Footprint is %d, a scan of its sequence gives %d", what, s.ID, got, want)
+		}
+		if r, images := m.reqs[s.ID], CountImages(s.Span(0, s.Len())); r != nil && r.imagesOf > 0 && (r.imagesOf != s.Len() || r.images != images) {
+			t.Fatalf("%s: request %d's record counts %d image tokens among %d, want %d among %d", what, s.ID, r.images, r.imagesOf, images, s.Len())
+		}
+	}
+	check("before admission", seq) // no record yet: a scan, and the probe makes one
+	check("probed again", seq)
+	if r := m.reqs[seq.ID]; r == nil || r.imagesOf != seq.Len() {
+		t.Fatal("the second probe did not count the sequence's images into the record")
+	}
+	now := Tick(1)
+	if err := m.EncodeImages(seq, len(seq.Tokens), now); err != nil {
+		t.Fatal(err)
+	}
+	check("encoded", seq)
+	for upTo := 512; ; upTo += 512 {
+		upTo = min(upTo, len(seq.Tokens))
+		now++
+		if err := m.Reserve(seq, upTo, now); err != nil {
+			t.Fatal(err)
+		}
+		m.Commit(seq, upTo, now)
+		m.DropImages(seq, upTo)
+		check("prefill chunk", seq)
+		if upTo == len(seq.Tokens) {
+			break
+		}
+	}
+	// Decode appends text, and now and then an image token, whose
+	// embedding is encoded first: the record's count must take it in.
+	decode := func(s *Sequence, steps int) {
+		t.Helper()
+		for i := 0; i < steps; i++ {
+			now++
+			tok := TextToken(int32(s.ID)*1000 + int32(len(s.Out)) + 1)
+			if i%4 == 3 {
+				tok = ImageToken(tok.Content())
+			}
+			s.Out = append(s.Out, tok)
+			if err := m.EncodeImages(s, s.Len(), now); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Reserve(s, s.Len(), now); err != nil {
+				t.Fatal(err)
+			}
+			m.Commit(s, s.Len(), now)
+			check("decode", s)
+		}
+	}
+	decode(seq, 20)
+	child := &Sequence{ID: 2, PromptLen: seq.PromptLen, Tokens: seq.Tokens, Out: slices.Clone(seq.Out)}
+	now++
+	if err := m.Fork(seq, child, now); err != nil {
+		t.Fatal(err)
+	}
+	check("forked child", child)
+	check("fork parent", seq)
+	decode(child, 10)
+	decode(seq, 5)
+	m.Release(child, true)
+	m.Release(seq, true)
+	audit(t, m)
+}

@@ -280,6 +280,27 @@ func newHostTier(capacity int64, pageBytes int, groups []string, ratios []int) *
 	return h
 }
 
+// clear empties the tier in place, back to the state newHostTier
+// builds, in the tables it made: every page, pin and index entry
+// dropped, counters and scratch reset, the observer detached.
+func (h *hostTier) clear() {
+	*h = hostTier{
+		capacity: h.capacity, pageBytes: h.pageBytes, names: h.names, ratios: h.ratios, stride: h.stride,
+		pages: h.pages, blocks: h.blocks, hash: h.hash, free: h.free[:0], index: h.index, evict: h.evict,
+		stash: h.stash[:0], notify: h.notify[:0], pageBlocks: h.pageBlocks[:0], pageHashes: h.pageHashes[:0],
+		swapLarge: h.swapLarge[:0], exportBlocks: h.exportBlocks[:0], exportEnds: h.exportEnds[:0], fetch: h.fetch[:0],
+	}
+	for s := range h.pages {
+		h.pages[s] = hostPage{seq: -1}
+	}
+	clear(h.blocks)
+	clear(h.hash)
+	for gi := range h.index {
+		h.index[gi].clear()
+	}
+	h.evict.clear()
+}
+
 // blockRange returns the IDs of slot's page's blocks, [first, end).
 func (h *hostTier) blockRange(slot int32) (first, end int32) {
 	first = slot * h.stride

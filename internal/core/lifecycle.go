@@ -104,7 +104,14 @@ type reqState struct {
 	// volume the restores moved (RestoreCost reads both).
 	restoredTokens int
 	restoredBytes  int64
-	g              []reqGroup
+	// images counts the image tokens among the sequence's first
+	// imagesOf: a call that projects the sequence onto an image- or
+	// text-scoped group (seqScope) extends the count over the tokens
+	// appended since, so — a live sequence's tokens being only ever
+	// appended to — each is counted once for the request's life, the
+	// prompt's at its first such call.
+	images, imagesOf int
+	g                []reqGroup
 	// h is the request's block hashes (seqhash.go).
 	h seqHashes
 }
@@ -297,13 +304,16 @@ func countScope(g *group, seq *Sequence, lo, hi int) int {
 }
 
 // seqScope is a sequence's projected length per group, its image tokens
-// counted at most once (Footprint, growTable).
+// counted at most once per call (Footprint, growTable) — through the
+// request's record r, which counts only the tokens appended since its
+// last count, or without a record (r nil) by a scan of the sequence.
 type seqScope struct {
 	seq    *Sequence
+	r      *reqState
 	images int // -1 until counted
 }
 
-func wholeSeq(seq *Sequence) seqScope { return seqScope{seq: seq, images: -1} }
+func wholeSeq(seq *Sequence, r *reqState) seqScope { return seqScope{seq: seq, r: r, images: -1} }
 
 // proj is the number of the sequence's tokens group g stores.
 //
@@ -314,12 +324,35 @@ func (s *seqScope) proj(g *group) int {
 		return n
 	}
 	if s.images < 0 {
-		s.images = CountImages(s.seq.Span(0, n))
+		s.images = s.countImages()
 	}
 	if g.spec.Scope == model.ScopeImage {
 		return s.images
 	}
 	return n - s.images
+}
+
+// countImages counts the sequence's image tokens, through the record
+// when there is one (a jengadebug build recounts them all and panics on
+// a difference: a token changed under the count).
+//
+//jenga:hotpath
+func (s *seqScope) countImages() int {
+	seq, r, n := s.seq, s.r, s.seq.Len()
+	if r == nil {
+		return CountImages(seq.Span(0, n))
+	}
+	if n < r.imagesOf { // not an extension: a truncated sequence
+		r.images, r.imagesOf = 0, 0
+	}
+	r.images += CountImages(seq.Span(r.imagesOf, n))
+	r.imagesOf = n
+	if debug.On {
+		if all := CountImages(seq.Span(0, n)); all != r.images {
+			check(false, "request %d's sequence holds %d image tokens, its record counted %d", r.id, all, r.images)
+		}
+	}
+	return r.images
 }
 
 // Footprint implements Manager: what admitting seq would newly occupy —
@@ -328,8 +361,16 @@ func (s *seqScope) proj(g *group) int {
 //
 //jenga:hotpath
 func (m *Jenga) Footprint(seq *Sequence) int64 {
+	sc := wholeSeq(seq, m.reqs[seq.ID])
+	return m.footprint(&sc)
+}
+
+// footprint is Footprint over sc, the sequence's scope.
+//
+//jenga:hotpath
+func (m *Jenga) footprint(sc *seqScope) int64 {
 	var total int64
-	sc := wholeSeq(seq)
+	seq := sc.seq
 	for _, g := range m.groups {
 		if !g.appliesTo(seq) {
 			continue
@@ -645,7 +686,7 @@ func (m *Jenga) Reserve(seq *Sequence, upTo int, now Tick) error {
 	if upTo <= r.reserved {
 		return nil
 	}
-	sc := wholeSeq(seq)
+	sc := wholeSeq(seq, r)
 	for gi, g := range m.groups {
 		if g.isVision() || !g.appliesTo(seq) {
 			continue // vision is driven by EncodeImages
@@ -1034,7 +1075,7 @@ type pendingRestore struct {
 //jenga:hotpath
 func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, sh *seqHashes, p int, now Tick, useHost bool) bool {
 	m.claimPending = m.claimPending[:0]
-	sc := wholeSeq(seq)
+	sc := wholeSeq(seq, r)
 	for _, gv := range m.lkViews {
 		g := gv.g
 		rg, ch, pl := &r.g[g.idx], &sh.c[g.hclass], gv.view.ProjCount[p]
@@ -1215,7 +1256,7 @@ func (m *Jenga) EncodeImages(seq *Sequence, uptoFull int, now Tick) error {
 	}
 	r := m.getReq(seq)
 	r.touched = true
-	sc := wholeSeq(seq)
+	sc := wholeSeq(seq, r)
 	for gi, g := range m.groups {
 		rg := &r.g[gi]
 		if !g.isVision() || !g.appliesTo(seq) || rg.visCursor >= uptoFull {

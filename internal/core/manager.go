@@ -401,7 +401,13 @@ func (c Config) Validate() error {
 
 // New builds a Jenga manager for the spec with LCM page geometry, after
 // validating the config.
-func New(cfg Config) (*Jenga, error) {
+func New(cfg Config) (*Jenga, error) { return newManager(cfg, nil) }
+
+// newManager is New, its host tier — when the config has one — host
+// emptied in place where host is not nil: CrashReset's restart keeps
+// the dead process's tier tables, sized for the same budget, instead
+// of allocating a second set while the first is still referenced.
+func newManager(cfg Config, host *hostTier) (*Jenga, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -490,7 +496,11 @@ func New(cfg Config) (*Jenga, error) {
 	if cfg.EnablePrefixCache {
 		m.growHeadSlab()
 	}
-	if tiered {
+	switch {
+	case tiered && host != nil:
+		host.clear()
+		m.host = host
+	case tiered:
 		names := make([]string, len(m.groups))
 		ratios := make([]int, len(m.groups))
 		for i, g := range m.groups {

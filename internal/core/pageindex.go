@@ -36,6 +36,12 @@ func (ix *pageIndex[I]) init(keys []uint64, entries int) {
 	ix.n = 0
 }
 
+// clear empties the table, keeping its size and keys.
+func (ix *pageIndex[I]) clear() {
+	clear(ix.slots)
+	ix.n = 0
+}
+
 func (ix *pageIndex[I]) len() int { return ix.n }
 
 func (ix *pageIndex[I]) home(hash uint64) int {

@@ -164,8 +164,10 @@ func (m *Jenga) hashesOf(r *reqState, seq *Sequence) *seqHashes {
 			check(false, "request %d's token %d changed under its committed KV: the sequence reads a handed-back buffer", r.id, sh.n-1)
 		}
 		// Not an extension of what was hashed (a caller reusing an ID it
-		// never released, a truncated sequence): start over.
+		// never released, a truncated sequence): start over, the image
+		// count too.
 		m.resetHashes(sh)
+		r.images, r.imagesOf = 0, 0
 	}
 	if sh.n == ln {
 		return sh

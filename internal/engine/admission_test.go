@@ -174,7 +174,7 @@ func TestSLOEstimateDrainsAtMeasuredRate(t *testing.T) {
 	if e.waiting.len() == 0 {
 		t.Fatal("the backlog drained: the arrival needs a queue ahead of it")
 	}
-	arrival := workload.Request{ID: 999, Arrival: e.Clock(), Prompt: reqs[0].Prompt, OutputLen: 4}
+	arrival := workload.Request{ID: 999, Arrival: e.Clock(), Prompt: reqs[0].Prompt, Own: reqs[0].Own, OutputLen: 4}
 	probe.armed = true
 	shed := false
 	e.SetEventSink(func(ev Event) {

@@ -236,21 +236,22 @@ var lifecycle = [numStates][numStates]bool{
 type carried struct {
 	// req is the engine's own copy of the request header; req.Shared
 	// and req.Prompt still point at the submitter's arrays, which are
-	// only ever read.
+	// only ever read, and req.Own is the recipe the run's prompt buffer
+	// is filled from at arrival.
 	req workload.Request
-	// promptShared marks req.Prompt as shared with another request (a
-	// fork root and its branches): nobody may hand it back.
+	// promptShared marks the run's prompt buffer as shared with another
+	// request (a fork root and its branches): nobody may return it.
 	promptShared bool
 	// forkDone marks that the request's Fanout expansion already fired
 	// (set on forked children at creation so they never re-fork).
 	forkDone bool
 	// state is where the request is, since run.enteredAt.
 	state runState
-	// images is the prompt's image-token count, counted once at Submit:
-	// the prompt is borrowed and never changes. Only a spec with a vision
+	// images is the prompt's image-token count, counted once at Submit
+	// (a recipe's without filling it): the prompt never changes. Only a spec with a vision
 	// encoder reads it (schedulePrefill), so a text spec never counts
 	// and carries 0. An int32 after state fills padding, so the run
-	// stays 384 bytes.
+	// stays 416 bytes.
 	images int32
 	// spent is the time the request spent in each state before it
 	// entered the current one, on every engine it ran on.
@@ -277,9 +278,10 @@ type carried struct {
 // keep a *run past the step in which its request left the engine.
 type run struct {
 	carried
-	// seq borrows req.Shared and req.Prompt as its Shared and Tokens
-	// and holds the generated tail in Out, a buffer from the engine's
-	// free list. See tokbuf.go.
+	// seq borrows req.Shared as its Shared, holds the own part in
+	// Tokens — req.Prompt borrowed, or from arrival on a buffer from the
+	// prompt pool filled from req.Own — and the generated tail in Out, a
+	// buffer from the engine's free list. See tokbuf.go.
 	seq core.Sequence
 	// enteredAt is when the request entered its current state.
 	enteredAt time.Duration
@@ -292,7 +294,7 @@ type run struct {
 	encoded bool
 	// slot is the run's position in the running set while it runs
 	// (runSet), where the scheduler's summary of it sits. An int32
-	// after encoded fills padding, so the run stays 384 bytes.
+	// after encoded fills padding, so the run stays 416 bytes.
 	slot int32
 	// pendingTarget is the commit target set during scheduling.
 	pendingTarget int
@@ -338,9 +340,11 @@ func (r *run) settle(now time.Duration) {
 func (r *run) running() bool { return r.state == prefilling || r.state == decoding }
 
 // remaining is r's unserved work: uncommitted tokens (a recompute pass
-// after preemption covers generated tokens too) plus undone output.
+// after preemption covers generated tokens too) plus undone output. It
+// reads the prompt's length, not seq.Len(): a pending run's own part is
+// not filled yet.
 func (r *run) remaining() int {
-	return max(r.seq.Len()-r.computed, 0) + max(r.req.OutputLen-1-r.decodesDone, 0)
+	return max(r.promptLen()+len(r.seq.Out)-r.computed, 0) + max(r.req.OutputLen-1-r.decodesDone, 0)
 }
 
 // commitTo advances computed to n: tokens [computed, n) join the
@@ -411,13 +415,12 @@ type Engine struct {
 	tier     core.TierManager
 	tierBase core.TierStats
 
-	// tok is the free list of Out buffers (tokbuf.go) and runs the free
-	// list of runs (runpool.go); both survive Reset.
-	tok  tokenPool
-	runs runPool
-	// promptSink, when set, is handed the prompt of every request that
-	// retires here and shares it with nobody (SetPromptSink).
-	promptSink func([]core.Token)
+	// tok and prompts are the free lists of Out and prompt buffers
+	// (tokbuf.go) and runs the free list of runs (runpool.go); all three
+	// survive Reset.
+	tok     tokenPool
+	prompts promptPool
+	runs    runPool
 
 	// forker is the manager's copy-on-write forking capability (nil
 	// for managers without one — fan-out then degrades to running the
@@ -453,10 +456,6 @@ type tally struct {
 	// drained its queue at (drainRate).
 	drainedTokens int64
 	busy          time.Duration
-	// promptsCollected and promptsLeft count retired requests by where
-	// their prompt went: to the prompt sink, or left to the GC
-	// (jengadebug's conservation check; see checkHandBack).
-	promptsCollected, promptsLeft int
 	// moves counts the lifecycle moves made, moves[from][to].
 	moves [numStates][numStates]int
 }
@@ -477,23 +476,11 @@ func (e *Engine) Retain(m RequestMetrics) {
 	}
 }
 
-// SetPromptSink installs fn to receive the prompt of every request that
-// retires on this engine, once the engine holds no reference to it: the
-// hand-back half of Submit's borrow, for a driver whose source can reuse
-// the buffer (workload.Recycler). fn gets the request's own Prompt
-// alone, never its Shared head, which the generator lends to every
-// request over it. Prompts shared between a fork root and
-// its branches are never handed over, and neither is anything CrashOut
-// or MigrateOut extracts — the prompt travels with the record. fn runs
-// on the engine's goroutine; nil, the default, leaves every prompt to
-// the GC. The sink survives Reset.
-func (e *Engine) SetPromptSink(fn func(prompt []core.Token)) { e.promptSink = fn }
-
 // retire is the one way out of the engine: whoever ends a request has
 // detached it from its queue and released its KV, and retire does the
 // rest — returns the token buffer, completes the request's record,
 // folds it into the run's tally, hands it to the sink, emits the
-// terminal event ev, and last gives up the prompt and the run.
+// terminal event ev, and last returns the prompt buffer and the run.
 //
 //jenga:hotpath
 func (e *Engine) retire(r *run, ev EventType) {
@@ -536,12 +523,7 @@ func (e *Engine) retire(r *run, ev EventType) {
 	}
 	e.sink(m)
 	e.emit(ev, r)
-	if e.promptSink != nil && !r.promptShared {
-		e.promptSink(r.req.Prompt)
-		e.promptsCollected++
-	} else {
-		e.promptsLeft++
-	}
+	e.returnPrompt(r)
 	e.dropRun(r)
 }
 
@@ -623,10 +605,12 @@ func (e *Engine) drainRate() float64 {
 // model a warmed-up replica.
 func (e *Engine) Run(reqs []workload.Request) (*Result, error) {
 	e.reset()
-	// Every request is pending at once and may finish: size both arrays
-	// for all of them up front instead of regrowing them.
+	// Every request is pending at once and may finish: size both arrays,
+	// and carve the runs, for all of them up front instead of growing
+	// them piecemeal.
 	e.pending.buf = slices.Grow(e.pending.buf, len(reqs))
 	e.res.PerRequest = slices.Grow(e.res.PerRequest, len(reqs))
+	e.growRuns(len(reqs))
 	for i := range reqs {
 		if err := e.Submit(&reqs[i]); err != nil {
 			return nil, err
@@ -646,6 +630,7 @@ func (e *Engine) reset() {
 	for _, q := range e.queues() {
 		for _, r := range q {
 			e.returnTokens(r)
+			e.returnPrompt(r)
 			e.dropRun(r)
 		}
 	}
@@ -695,11 +680,15 @@ func (e *Engine) finishSampling() {
 	}
 }
 
-// admitArrivals moves arrived requests into the waiting queue,
-// applying the admission policy at each request's arrival instant.
+// admitArrivals moves arrived requests into the waiting queue, filling
+// each one's prompt and then applying the admission policy at its
+// arrival instant. The queue grows once for the step's arrivals, so a
+// burst (a batch all at t=0) does not regrow it by doubling.
 func (e *Engine) admitArrivals() {
+	e.waiting.grow(e.arriving(-1))
 	for e.pending.len() > 0 && e.pending.front().req.Arrival <= e.clock {
 		r := e.pending.popFront()
+		e.fillPrompt(r)
 		if e.cfg.Admission != nil && e.cfg.Admission.Decide(&r.req, e.admissionState(r)) == Shed {
 			// The manager has seen the request (the policy's probe, a
 			// fleet fetch at dispatch): it leaves that way too.

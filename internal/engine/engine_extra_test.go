@@ -93,7 +93,7 @@ func TestArrivalFastForward(t *testing.T) {
 	g := workload.NewGen(25)
 	reqs := g.ShareGPT(3)
 	for i := range reqs {
-		reqs[i].Prompt = reqs[i].Prompt[:50]
+		reqs[i].Truncate(50)
 		reqs[i].OutputLen = 4
 		reqs[i].Arrival = 0
 	}

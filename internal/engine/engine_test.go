@@ -68,13 +68,29 @@ func textReqs(seed int64, n, promptLen, outLen int) []workload.Request {
 	g := workload.NewGen(seed)
 	reqs := g.ShareGPT(n)
 	for i := range reqs {
-		if len(reqs[i].Prompt) > promptLen {
-			reqs[i].Prompt = reqs[i].Prompt[:promptLen]
-		}
+		reqs[i].Truncate(promptLen)
 		reqs[i].OutputLen = outLen
 	}
 	workload.AllAtOnce(reqs)
 	return reqs
+}
+
+// handBuilt turns every request's own part into hand-built tokens: its
+// recipe filled into Prompt, as a caller that builds its prompts passes
+// them.
+func handBuilt(reqs []workload.Request) []workload.Request {
+	for i := range reqs {
+		r := &reqs[i]
+		r.Prompt, _ = r.OwnTokens(r.OwnLen(), nil)
+		r.Own = workload.Content{}
+	}
+	return reqs
+}
+
+// longPrompt is n hand-built tokens of a LongDocQA document.
+func longPrompt(n int) []core.Token {
+	toks, _ := workload.NewGen(9).LongDocQA(1)[0].OwnTokens(n, nil)
+	return toks
 }
 
 func runEngine(t *testing.T, cfg Config, reqs []workload.Request) *Result {
@@ -181,7 +197,7 @@ func TestImpossibleRequestFails(t *testing.T) {
 	mgr := jengaFor(t, spec, 256<<10, false)
 	reqs := textReqs(4, 2, 100, 5)
 	// Request 0: a prompt far beyond capacity.
-	reqs[0].Prompt = workload.NewGen(9).LongDocQA(1)[0].Prompt[:20000]
+	reqs[0].Prompt, reqs[0].Own = longPrompt(20000), workload.Content{}
 	res := runEngine(t, Config{Spec: spec, Device: smallDevice(), Manager: mgr, MaxBatchTokens: 1024}, reqs)
 	if res.Failed != 1 {
 		t.Errorf("failed = %d, want 1", res.Failed)
@@ -346,9 +362,7 @@ func TestPoissonLatencyGrowsWithRate(t *testing.T) {
 		g := workload.NewGen(12)
 		reqs := g.ShareGPT(20)
 		for i := range reqs {
-			if len(reqs[i].Prompt) > 200 {
-				reqs[i].Prompt = reqs[i].Prompt[:200]
-			}
+			reqs[i].Truncate(200)
 			reqs[i].OutputLen = 10
 		}
 		g.PoissonArrivals(reqs, rate)

@@ -372,7 +372,7 @@ func exitScenarios() []exitScenario {
 			return nil
 		}},
 		{"fail/idle-admission", func(x *exitEnv) map[int64]EventType {
-			huge := workload.Request{ID: 9001, OutputLen: 4, Prompt: workload.NewGen(9).LongDocQA(1)[0].Prompt[:20000]}
+			huge := workload.Request{ID: 9001, OutputLen: 4, Prompt: longPrompt(20000)}
 			x.submit(append(exitLoad(), huge))
 			return map[int64]EventType{9001: EventFailed}
 		}},

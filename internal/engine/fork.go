@@ -81,10 +81,11 @@ func (e *Engine) Fork(parentID int64, childIDs []int64) error {
 }
 
 // forkOne clones parent into one child branch and enters it into the
-// running set. The child request shares the parent's Prompt array
-// (read-only, like every prompt the engine holds — and from here on
-// handed back by neither), and its sequence borrows it as the parent's
-// does; its run and its Out buffer come from the engine's free lists.
+// running set. The child request shares the parent's prompt — its
+// arrays and its filled buffer alike, read-only like every prompt the
+// engine holds, and from here on returned to the pool by neither — and
+// its sequence reads it as the parent's does; its run and its Out
+// buffer come from the engine's free lists.
 func (e *Engine) forkOne(parent *run, childID int64) error {
 	if parent.req.Group == 0 {
 		parent.req.Group = parent.req.ID
@@ -107,6 +108,7 @@ func (e *Engine) forkOne(parent *run, childID int64) error {
 				Group:     parent.req.Group,
 				Shared:    parent.req.Shared,
 				Prompt:    parent.req.Prompt,
+				Own:       parent.req.Own,
 				OutputLen: parent.req.OutputLen,
 				Deadline:  parent.req.Deadline,
 				Priority:  parent.req.Priority,
@@ -131,6 +133,9 @@ func (e *Engine) forkOne(parent *run, childID int64) error {
 		return err
 	}
 	parent.promptShared, child.promptShared = true, true
+	if child.ownsPrompt() {
+		e.prompts.lent++
+	}
 	e.running.add(child, e.step)
 	e.emit(EventQueued, child)
 	return nil

@@ -87,14 +87,14 @@ func TestImagesCountedAtSubmit(t *testing.T) {
 	})
 }
 
-// TestRunSize pins the run record: the engine allocates runs 64 to a
-// slab, and 8 bytes more per run moved the slab up a size class — a
-// quarter of a megabyte on hetero_churn, which submits its 6,000
-// requests up front. The prompt's two borrowed parts cost a slice
-// header each in the request and in the sequence; 384 bytes times 64
-// runs is itself a size class.
+// TestRunSize pins the run record: a stream allocates runs 64 to a
+// slab, and Run all of its requests' in one (hetero_churn submits its
+// 6,000 up front). The prompt's two borrowed parts cost a slice header
+// each in the request and in the sequence, and the own part's recipe
+// (workload.Content) 32 bytes in the request; 416 bytes times 64 runs
+// fits its size class within 3%.
 func TestRunSize(t *testing.T) {
-	if got := unsafe.Sizeof(run{}); got != 384 {
-		t.Errorf("run is %d bytes, want 384", got)
+	if got := unsafe.Sizeof(run{}); got != 416 {
+		t.Errorf("run is %d bytes, want 416", got)
 	}
 }

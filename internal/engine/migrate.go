@@ -1,6 +1,9 @@
 package engine
 
-import "jenga/internal/core"
+import (
+	"jenga/internal/core"
+	"jenga/internal/workload"
+)
 
 // Live request migration: MigrateOut extracts a request from this
 // engine — swapping its KV to the host tier so the fleet transfer
@@ -15,11 +18,10 @@ import "jenga/internal/core"
 // the pages (internal/fleet).
 
 // Migrated is one request's portable runtime state. It owns what it
-// carries — the request header by value, the run's Out buffer, the
-// borrow of the prompt that Submit began — and is moved, not copied:
-// hand it to exactly one MigrateIn, which takes all three over, or drop
-// it, and the prompt and the buffer are left to the GC (no prompt sink
-// hears of a request that retired nowhere).
+// carries — the request header by value, the run's prompt and Out
+// buffers, the borrow of the prompt's arrays that Submit began — and is
+// moved, not copied: hand it to exactly one MigrateIn, which takes it
+// all over, or drop it, and the buffers are left to the GC.
 type Migrated struct {
 	// carried is the run's, as the source engine held it, with its open
 	// interval closed at the source's clock: state is where the request
@@ -29,8 +31,13 @@ type Migrated struct {
 	// labelled the Group); req.Shared and req.Prompt are still the
 	// submitter's arrays, read-only as ever.
 	carried
+	// prompt is the request's own part as the source engine filled it
+	// at arrival, a buffer whose ownership travels with the record as
+	// Out's does (nil for a request that had not arrived, and for
+	// hand-built tokens, which are req.Prompt).
+	prompt []core.Token
 	// Out is the request's generated tokens at extraction, which follow
-	// its prompt (Prompt) in the sequence: the source engine's Out
+	// its prompt in the sequence: the source engine's Out
 	// buffer, whose ownership travels with the record — MigrateIn adopts
 	// it and the destination recycles it at the request's exit — or nil
 	// for a request that had not decoded yet and for every CrashOut
@@ -42,10 +49,12 @@ type Migrated struct {
 // ID is the migrating request's ID.
 func (m *Migrated) ID() int64 { return m.req.ID }
 
-// Prompt is the migrating request's prompt in its two parts, the
-// shared head and the request's own part — the submitter's arrays:
+// Prompt is the migrating request's prompt: its header, whose Shared
+// is the head and whose Prompt or Own the request's own part, and that
+// part's tokens if the source engine filled them (nil otherwise: read
+// them from the header, workload.Request.OwnTokens). Both are
 // read-only.
-func (m *Migrated) Prompt() (shared, own []core.Token) { return m.req.Shared, m.req.Prompt }
+func (m *Migrated) Prompt() (req *workload.Request, own []core.Token) { return &m.req, m.prompt }
 
 // MigrationCandidate summarizes one live request for migration policy.
 type MigrationCandidate struct {
@@ -110,7 +119,12 @@ func (e *Engine) record(r *run) Migrated {
 	if r.seq.Out != nil {
 		e.tok.back++ // handed on with the record
 	}
-	return Migrated{carried: r.carried, Out: r.seq.Out}
+	m := Migrated{carried: r.carried, Out: r.seq.Out}
+	if r.ownsPrompt() {
+		e.prompts.back++
+		m.prompt = r.seq.Tokens
+	}
+	return m
 }
 
 // MigrateIn resumes a migrated request on this engine. A request whose
@@ -121,20 +135,24 @@ func (e *Engine) record(r *run) Migrated {
 // fleet fetch holds, and only the remainder recomputes. A pending one
 // re-joins the arrival queue. IDs must remain unique among this
 // engine's live requests. The record is taken over: what it carries is
-// copied into a pooled run, m.Out is adopted, not copied (and recycled
-// here when the request leaves), the prompt is borrowed read-only as
-// Submit borrows it, and the prompt's borrow now ends at this engine's
-// retire. The caller must not use m again.
+// copied into a pooled run, its prompt and Out buffers are adopted, not
+// copied (and returned here when the request leaves), the prompt's
+// arrays are borrowed read-only as Submit borrows them, and their
+// borrow now ends at this engine's retire. The caller must not use m
+// again.
 //
 //jenga:hotpath
 func (e *Engine) MigrateIn(m Migrated) {
 	if m.Out != nil {
 		e.tok.lent++
 	}
+	if m.prompt != nil {
+		e.prompts.lent++
+	}
 	r := e.takeRun()
 	*r = run{
 		carried:   m.carried,
-		seq:       borrowPrompt(&m.req, m.Out),
+		seq:       borrowPrompt(&m.req, m.prompt, m.Out),
 		enteredAt: e.clock,
 	}
 	e.res.MigratedIn++
@@ -158,7 +176,8 @@ func (e *Engine) MigrateIn(m Migrated) {
 // RecomputedTokens, the crash's waste — or counted lost. What dies with
 // the device is reset: each record's Out is nil (generated tokens died
 // with the process, and their buffers rejoin the free list) and its
-// decode progress is zero. The caller
+// decode progress is zero; a filled prompt travels with the record, as
+// MigrateOut's does. The caller
 // owns wiping the manager (core.Crasher); CrashOut only empties the
 // engine's queues.
 func (e *Engine) CrashOut() []Migrated {

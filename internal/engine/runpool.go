@@ -12,9 +12,9 @@ import (
 // Run ownership. A run holds its request by value — Submit copies the
 // caller's header, MigrateIn the record's — so a request costs the host
 // no object of its own, and the run itself comes from an engine-local
-// free list filled a slab at a time: submitting N requests up front
-// costs N/runSlab objects, a stream costs what its in-flight high-water
-// mark does. A run that leaves the engine (retire, MigrateOut, CrashOut,
+// free list filled a slab at a time: Run carves one slab for the N
+// requests it submits up front, a stream costs what its in-flight
+// high-water mark does over runSlab. A run that leaves the engine (retire, MigrateOut, CrashOut,
 // reset) is parked on spent and rejoins the free list, zeroed, at the
 // next step boundary — never inside the step that ended it, where
 // stepScratch and committers may still point at it and a fork later in
@@ -39,18 +39,31 @@ type runPool struct {
 func (e *Engine) takeRun() *run {
 	p := &e.runs
 	if len(p.free) == 0 {
-		//jenga:alloc-ok free-list miss: one slab per runSlab runs in flight at once, so misses are bounded by the in-flight high-water mark, not by requests served
-		slab := make([]run, runSlab)
-		for i := range slab {
-			p.free = append(p.free, &slab[runSlab-1-i])
-		}
-		p.slabs++
+		e.growRuns(runSlab)
 	}
 	r := p.free[len(p.free)-1]
 	p.free[len(p.free)-1] = nil
 	p.free = p.free[:len(p.free)-1]
 	p.taken++
 	return r
+}
+
+// growRuns makes the free list hold at least n runs, carving the ones
+// it lacks in one slab.
+//
+//jenga:hotpath
+func (e *Engine) growRuns(n int) {
+	p := &e.runs
+	short := n - len(p.free)
+	if short <= 0 {
+		return
+	}
+	//jenga:alloc-ok free-list miss: one slab per runSlab runs in flight at once, or one for a batch's requests, so misses are bounded by the in-flight high-water mark, not by requests served
+	slab := make([]run, short)
+	for i := range slab {
+		p.free = append(p.free, &slab[short-1-i])
+	}
+	p.slabs++
 }
 
 // dropRun parks a run that has left the engine until the step boundary.
@@ -100,9 +113,8 @@ func scribbleRun(r *run) {
 
 // checkHandBack is the jengadebug conservation check at Drain and
 // reset, when nothing is live: every run taken is back on the free
-// list, every Out buffer lent is back (returned, dropped at the cap or
-// handed on by MigrateOut), and every retired request's prompt went
-// one of two ways.
+// list, and every Out and prompt buffer lent is back (returned, dropped
+// at the cap, kept by a fork or handed on by MigrateOut or CrashOut).
 func (e *Engine) checkHandBack(when string) {
 	if !debug.On {
 		return
@@ -113,7 +125,7 @@ func (e *Engine) checkHandBack(when string) {
 	if p := &e.tok; p.lent != p.back {
 		panic(fmt.Sprintf("engine: %s: %d token buffers lent, %d back", when, p.lent, p.back))
 	}
-	if retired := e.res.Finished + e.res.Failed + e.res.Shed + e.res.Cancelled; e.promptsCollected+e.promptsLeft != retired {
-		panic(fmt.Sprintf("engine: %s: %d requests retired, %d prompts collected + %d left to the GC", when, retired, e.promptsCollected, e.promptsLeft))
+	if p := &e.prompts; p.lent != p.back {
+		panic(fmt.Sprintf("engine: %s: %d prompt buffers lent, %d back", when, p.lent, p.back))
 	}
 }

@@ -25,9 +25,7 @@ func TestRunPoolBounded(t *testing.T) {
 	g := workload.NewGen(7)
 	reqs := g.ShareGPT(5000)
 	for i := range reqs {
-		if n := 16 << (i % 6); len(reqs[i].Prompt) > n { // 16 … 512 prompt tokens
-			reqs[i].Prompt = reqs[i].Prompt[:n]
-		}
+		reqs[i].Truncate(16 << (i % 6)) // 16 … 512 prompt tokens
 		reqs[i].OutputLen = 2 + i%63
 	}
 	g.PoissonArrivals(reqs, 800)

@@ -40,6 +40,15 @@ func (q *queue[T]) pushBack(x T) {
 	q.buf = append(q.buf, x)
 }
 
+// grow makes room for n more entries: none when the array has it,
+// vacated front slots included (pushBack slides into them), else one
+// growth for all n.
+func (q *queue[T]) grow(n int) {
+	if cap(q.buf)-q.len() < n {
+		q.buf = slices.Grow(q.buf, n)
+	}
+}
+
 //jenga:hotpath
 func (q *queue[T]) pushFront(x T) {
 	if q.head == 0 {
@@ -126,6 +135,12 @@ func (q *waitQueue) infos() []sched.ReqInfo { return q.info.items() }
 func (q *waitQueue) pushBack(r *run) {
 	q.runs.pushBack(r)
 	q.info.pushBack(r.info())
+}
+
+// grow makes room for n more runs without regrowing.
+func (q *waitQueue) grow(n int) {
+	q.runs.grow(n)
+	q.info.grow(n)
 }
 
 //jenga:hotpath

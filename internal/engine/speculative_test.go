@@ -158,7 +158,7 @@ func TestSpeculativePreemptionUnderPressure(t *testing.T) {
 // hold is failed rather than wedging the requests behind it.
 func TestSpeculativeImpossibleRequestFails(t *testing.T) {
 	reqs := textReqs(33, 2, 100, 4)
-	reqs[0].Prompt = workload.NewGen(9).LongDocQA(1)[0].Prompt[:20000]
+	reqs[0].Prompt, reqs[0].Own = longPrompt(20000), workload.Content{}
 	res := runEngine(t, Config{Spec: miniPair(), Device: smallDevice(), Manager: jengaFor(t, miniPair(), 400<<10, false), MaxBatchTokens: 1024}, reqs)
 	if res.Failed != 1 || res.Finished != 1 {
 		t.Errorf("finished/failed = %d/%d, want 1/1", res.Finished, res.Failed)
@@ -314,7 +314,7 @@ func TestSpeculativeStepPricing(t *testing.T) {
 	target, draft := gpu.CostModel{Dev: dev, Spec: pair}, gpu.CostModel{Dev: dev, Spec: pair.Draft}
 	reqs := textReqs(36, 1, 120, 30)
 	events, res := collectEvents(t, Config{Spec: pair, Device: dev, Manager: jengaFor(t, pair, 8<<20, false), MaxBatchTokens: 512}, reqs)
-	prompt := len(reqs[0].Prompt)
+	prompt := reqs[0].PromptLen()
 	clock := target.StepTime(gpu.StepWork{PrefillTokens: prompt}) + draft.StepTime(gpu.StepWork{PrefillTokens: prompt})
 	ctx := prompt
 	for _, ev := range events {

@@ -258,15 +258,14 @@ func (e *Engine) snapshot(u core.Usage) Snapshot {
 // copies the request header into a pooled run and keeps no pointer to
 // req: the caller may reuse or drop it as soon as Submit returns, and
 // the engine's own bookkeeping (a fork labelling its root's Group) is
-// written to the copy. The prompt, req.Shared then req.Prompt, is the
-// one thing borrowed: the engine reads both arrays in place, never
-// writes to them (no copy is made: Submit costs the same for an
-// 8k-token prompt as for a 64-token one), and needs them unchanged
-// until the request leaves — through its terminal event, or inside the
-// record MigrateOut or CrashOut returns. The prompt sink
-// (SetPromptSink) is told when the borrow of req.Prompt ends; the
-// Shared head is never handed back, since other requests read it. IDs must
-// be unique among live requests. A fan-out root (Fanout > 1) must have
+// written to the copy. The prompt's arrays, req.Shared and a hand-built
+// req.Prompt, are the one thing borrowed: the engine reads them in
+// place, never writes to them (no copy is made: Submit costs the same
+// for an 8k-token prompt as for a 64-token one), and needs them
+// unchanged until the request leaves — through its terminal event, or
+// inside the record MigrateOut or CrashOut returns. A recipe (req.Own)
+// is copied with the header and filled at the request's arrival into a
+// buffer of the engine's own. IDs must be unique among live requests. A fan-out root (Fanout > 1) must have
 // an ID in [0, 2⁴⁰) and at most 1024 branches, the range its branch IDs
 // are derived over; anything else is an error.
 //
@@ -282,7 +281,7 @@ func (e *Engine) Submit(req *workload.Request) error {
 	r := e.takeRun()
 	*r = run{
 		carried:   carried{req: *req, state: pending},
-		seq:       borrowPrompt(req, nil),
+		seq:       borrowPrompt(req, nil, nil),
 		enteredAt: e.clock,
 	}
 	if e.cfg.Spec.Vision != nil {

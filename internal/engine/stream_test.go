@@ -222,7 +222,7 @@ func TestKVAdmissionSheds(t *testing.T) {
 	spec := miniWindowSpec()
 	mgr := jengaFor(t, spec, 1<<20, false)
 	reqs := textReqs(5, 3, 128, 8)
-	huge := workload.Request{ID: 999, Prompt: goldenWorkload()[0].Prompt, OutputLen: 4}
+	huge := workload.Request{ID: 999, Prompt: handBuilt(goldenWorkload()[:1])[0].Prompt, OutputLen: 4}
 	for len(huge.Prompt) < 40_000 {
 		huge.Prompt = append(huge.Prompt, huge.Prompt...)
 	}

@@ -9,23 +9,27 @@ import (
 	"jenga/internal/workload"
 )
 
-// Token ownership. A run's sequence has three parts with two owners
-// (core.Sequence). seq.Shared and seq.Tokens are the caller's
-// req.Shared and req.Prompt — a head other requests share (an article)
-// and the request's own tail — borrowed for the run's whole life,
-// cap-clamped, so a stray append reallocates instead of writing into
-// the caller's arrays, and only ever read: no path copies a prompt, not
-// decode, not a fork, not a migration, and the prompt sink gets the
-// tail alone (make guard). seq.Out, the generated tail, is the engine's:
-// a private buffer with room for the request's OutputLen−1 decode
-// steps, taken when the first generated token is appended (ownTokens)
-// and given back at every exit (returnTokens). A fork child borrows its
-// parent's prompt as well and copies only the parent's Out; a Migrated
-// record carries Out to its destination, which adopts it. Buffers come
-// from an engine-local free list keyed by power-of-two capacity, a miss
-// carving tokenSlab of them at a time from one array, so token memory
-// follows the outputs of the requests holding one — not their prompts,
-// and not the number of requests submitted or finished.
+// Token ownership. A run's sequence has three parts (core.Sequence).
+// seq.Shared is the caller's req.Shared, a head other requests share
+// (an article), borrowed for the run's whole life, cap-clamped, so a
+// stray append reallocates instead of writing into the caller's array,
+// and only ever read. seq.Tokens is the request's own part: hand-built
+// tokens (req.Prompt) are borrowed the same way, and a generator's
+// recipe (req.Own) stays a recipe while the request is pending — a run
+// waiting to arrive holds no tokens — and is filled at its arrival
+// (fillPrompt) into a buffer from the engine's prompt pool, which takes
+// it back at the request's exit (returnPrompt). seq.Out, the generated
+// tail, is the engine's too: a private buffer with room for the
+// request's OutputLen−1 decode steps, taken when the first generated
+// token is appended (ownTokens) and given back at every exit
+// (returnTokens). No path copies a prompt, not decode, not a fork, not
+// a migration (make guard): a fork child reads its parent's prompt and
+// copies only the parent's Out, and a Migrated record carries a filled
+// prompt and Out to its destination, which adopts both. Out buffers
+// come from an engine-local free list keyed by power-of-two capacity, a
+// miss carving tokenSlab of them at a time from one array, so token
+// memory follows the requests holding a buffer — not the number of
+// requests submitted or finished.
 
 // minTokenClass is the smallest buffer class: 64 tokens, below which a
 // class of its own saves less than it costs in buffers that cannot
@@ -146,11 +150,116 @@ func (e *Engine) returnTokens(r *run) {
 	}
 }
 
-// borrowPrompt is the sequence of a run holding req: the prompt's two
-// parts, each borrowed as a read-only view, then out.
-func borrowPrompt(req *workload.Request, out []core.Token) core.Sequence {
+// borrowPrompt is the sequence of a run holding req: the Shared head
+// borrowed as a read-only view, then own — the tokens of req's own part
+// when the engine filled them, else req.Prompt, borrowed as the head is
+// (nil for a recipe not filled yet) — then out.
+func borrowPrompt(req *workload.Request, own, out []core.Token) core.Sequence {
+	if own == nil {
+		own = slices.Clip(req.Prompt)
+	}
 	return core.Sequence{
 		ID: core.RequestID(req.ID), PromptLen: req.PromptLen(),
-		Shared: slices.Clip(req.Shared), Tokens: slices.Clip(req.Prompt), Out: out,
+		Shared: slices.Clip(req.Shared), Tokens: own, Out: out,
 	}
+}
+
+// promptSlab is the fewest buffers a prompt-pool miss makes at once.
+const promptSlab = 8
+
+// promptPool is the engine's free list of prompt buffers, the filled own
+// parts of generated requests; it survives Reset.
+type promptPool struct {
+	// free's class k holds buffers of capacity 1<<k, or within [1<<k,
+	// 1<<(k+1)) for one adopted through MigrateIn; a request of n tokens
+	// takes from class bits.Len(n−1) alone. A class's capacity is the
+	// number of buffers this engine made in it: returnPrompt keeps no
+	// more, so buffers adopted through MigrateIn cannot pile up here, and
+	// a return never grows the list.
+	free [bits.UintSize][][]core.Token
+	// slabs counts misses; lent counts the runs that came to hold a
+	// buffer — filled here, adopted, or shared by a fork child — and back
+	// those that stopped: returned, kept from the list (a fork's shared
+	// buffer) or handed on in a Migrated record (the jengadebug balance;
+	// see checkHandBack).
+	slabs, lent, back int
+}
+
+// fillPrompt gives r, arriving, the tokens of its own part: a recipe is
+// filled into a buffer from the prompt pool, whose miss makes one slab
+// for every arrival of this step in the class; hand-built tokens were
+// borrowed at Submit already.
+//
+//jenga:hotpath
+func (e *Engine) fillPrompt(r *run) {
+	n := r.req.Own.Len()
+	if n == 0 {
+		return
+	}
+	p := &e.prompts
+	p.lent++
+	k := bits.Len(uint(n - 1))
+	free := p.free[k]
+	if len(free) == 0 {
+		count := max(e.arriving(k)+1, promptSlab)
+		//jenga:alloc-ok prompt-pool miss: one slab for the step's arrivals in the class, and the list with room for every buffer of the class, made only while every buffer of the class is lent, so misses are bounded by the prompts live at once, not by requests served
+		slab, list := make([]core.Token, count<<k), make([][]core.Token, count, cap(free)+count)
+		for i := range list {
+			list[i] = slab[i<<k : (i+1)<<k : (i+1)<<k]
+		}
+		free = list
+		p.slabs++
+	}
+	buf := free[len(free)-1]
+	free[len(free)-1] = nil
+	p.free[k] = free[:len(free)-1]
+	r.req.Own.Fill(buf[:n])
+	r.seq.Tokens = buf[:n]
+}
+
+// arriving counts the requests still pending whose arrival this step
+// processes — with k ≥ 0, those of them whose own part takes a class-k
+// prompt buffer.
+func (e *Engine) arriving(k int) int {
+	count := 0
+	for _, r := range e.pending.items() {
+		if r.req.Arrival > e.clock {
+			break
+		}
+		if n := r.req.Own.Len(); k < 0 || n > 0 && bits.Len(uint(n-1)) == k {
+			count++
+		}
+	}
+	return count
+}
+
+// ownsPrompt reports whether r holds a prompt buffer: a filled recipe.
+func (r *run) ownsPrompt() bool { return r.req.Own.Len() > 0 && r.seq.Tokens != nil }
+
+// returnPrompt ends r's hold on its prompt buffer, which goes back to
+// the pool — poisoned first in a jengadebug build, so a sequence still
+// reading it trips core's extension check — unless a fork shares it,
+// when it is left to the GC: its other readers may outlive r here or on
+// another engine.
+//
+//jenga:hotpath
+func (e *Engine) returnPrompt(r *run) {
+	if !r.ownsPrompt() {
+		return
+	}
+	buf := r.seq.Tokens
+	r.seq.Tokens = nil
+	p := &e.prompts
+	p.back++
+	buf = buf[:cap(buf)]
+	k := bits.Len(uint(len(buf))) - 1
+	if r.promptShared || len(p.free[k]) == cap(p.free[k]) {
+		return
+	}
+	if debug.On {
+		for i := range buf {
+			buf[i] = tokenPoison
+		}
+	}
+	p.free[k] = append(p.free[k], buf)
 }

@@ -142,8 +142,8 @@ func borrowScenario(t *testing.T, mode PreemptMode, reqs []workload.Request) (a,
 	return a, b
 }
 
-// TestPromptsAreBorrowedNotTouched: the engine reads req.Prompt in
-// place through preemption (recompute and swap), fan-out, migration
+// TestPromptsAreBorrowedNotTouched: the engine reads a hand-built
+// req.Prompt in place through preemption (recompute and swap), fan-out, migration
 // and crash/redispatch, and never writes to it — not even into the
 // array's spare capacity — nor to the caller's request: what a fork
 // records about its root (the Group label of one that had none) goes
@@ -154,7 +154,7 @@ func borrowScenario(t *testing.T, mode PreemptMode, reqs []workload.Request) (a,
 func TestPromptsAreBorrowedNotTouched(t *testing.T) {
 	for _, mode := range []PreemptMode{PreemptRecompute, PreemptSwap} {
 		g := workload.NewGen(42)
-		reqs := g.PrefixGroups(24, 8, 600, 64)
+		reqs := handBuilt(g.PrefixGroups(24, 8, 600, 64))
 		g.PoissonArrivals(reqs, 400)
 		spare := 0
 		for i := range reqs {
@@ -213,10 +213,7 @@ func TestTokenPoolBounded(t *testing.T) {
 	g := workload.NewGen(7)
 	reqs := g.ShareGPT(5000)
 	for i := range reqs {
-		n := 16 << (i % 6) // 16 … 512 prompt tokens
-		if len(reqs[i].Prompt) > n {
-			reqs[i].Prompt = reqs[i].Prompt[:n]
-		}
+		reqs[i].Truncate(16 << (i % 6)) // 16 … 512 prompt tokens
 		reqs[i].OutputLen = 2 + i%63
 	}
 	g.PoissonArrivals(reqs, 200)
@@ -282,11 +279,11 @@ func TestTokenPoolBounded(t *testing.T) {
 	check("after a reset and a second run", hw)
 }
 
-// TestMigratedTokensOwnership: MigrateOut moves the run's Out buffer
-// into the record — nil for a request that never decoded — and
-// MigrateIn adopts it and borrows the prompt again. A failed migration
-// that hands the record back to its source therefore costs no copy, and
-// the buffer returns to a free list exactly once.
+// TestMigratedTokensOwnership: MigrateOut moves the run's Out and
+// filled prompt buffers into the record — nil for a request that never
+// decoded, and for one that never arrived — and MigrateIn adopts both.
+// A failed migration that hands the record back to its source therefore
+// costs no copy, and each buffer returns to a free list exactly once.
 func TestMigratedTokensOwnership(t *testing.T) {
 	reqs := textReqs(21, 2, 200, 20)
 	reqs[1].Arrival = time.Hour
@@ -302,20 +299,20 @@ func TestMigratedTokensOwnership(t *testing.T) {
 	if !ok || len(m.Out) == 0 {
 		t.Fatalf("decoding request: ok=%v, %d generated tokens, want its Out buffer", ok, len(m.Out))
 	}
-	private := &m.Out[0]
+	private, filled := &m.Out[0], &m.prompt[0]
 	if bufs, _ := poolStats(e); bufs != 0 || lentBuffers(e) != 0 {
 		t.Fatalf("after MigrateOut: %d pooled, %d lent; the buffer should have left with the record", bufs, lentBuffers(e))
 	}
 	pending, ok := e.MigrateOut(reqs[1].ID)
-	if !ok || pending.Out != nil {
-		t.Fatalf("pending request: ok=%v, Out %v, want no buffer", ok, pending.Out)
+	if !ok || pending.Out != nil || pending.prompt != nil {
+		t.Fatalf("pending request: ok=%v, Out %v, prompt %d tokens, want no buffer", ok, pending.Out, len(pending.prompt))
 	}
 
 	// The migration fails: both records go back to the source.
 	e.MigrateIn(m)
 	e.MigrateIn(pending)
-	if got := e.waiting.items()[e.waiting.len()-1].seq; &got.Out[0] != private || &got.Tokens[0] != &reqs[0].Prompt[0] {
-		t.Fatal("MigrateIn copied the buffer or the prompt instead of adopting and borrowing them")
+	if got := e.waiting.items()[e.waiting.len()-1].seq; &got.Out[0] != private || &got.Tokens[0] != filled {
+		t.Fatal("MigrateIn copied the Out or prompt buffer instead of adopting them")
 	}
 	reqs[1].Arrival = 0 // nothing reads it again before the drain
 	if err := e.Drain(); err != nil {
@@ -475,7 +472,7 @@ func TestTokenMemoryFollowsOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := workload.NewGen(3).PrefixGroups(4, 48, 4000, 96)
+	reqs := handBuilt(workload.NewGen(3).PrefixGroups(4, 48, 4000, 96))
 	prompts := map[int64][]core.Token{}
 	maxOut := 0
 	for i := range reqs {

@@ -56,13 +56,18 @@ func testReqs(seed int64, n, promptLen, outLen int) []workload.Request {
 	g := workload.NewGen(seed)
 	reqs := g.ShareGPT(n)
 	for i := range reqs {
-		if len(reqs[i].Prompt) > promptLen {
-			reqs[i].Prompt = reqs[i].Prompt[:promptLen]
-		}
+		reqs[i].Truncate(promptLen)
 		reqs[i].OutputLen = outLen
 		reqs[i].Arrival = 0
 	}
 	return reqs
+}
+
+// handBuilt turns r's own part into hand-built tokens: its recipe
+// filled into Prompt, which a test may then grow.
+func handBuilt(r *workload.Request) {
+	r.Prompt, _ = r.OwnTokens(r.OwnLen(), nil)
+	r.Own = workload.Content{}
 }
 
 // TestServerStreamsTokens submits a few requests and checks that each
@@ -297,6 +302,7 @@ func TestServerShedStreams(t *testing.T) {
 		Engine: engine.Config{Admission: engine.KVAdmission{}},
 	})
 	huge := testReqs(8, 1, 100, 4)[0]
+	handBuilt(&huge)
 	for len(huge.Prompt) < 40_000 {
 		huge.Prompt = append(huge.Prompt, huge.Prompt...)
 	}
@@ -521,6 +527,7 @@ func TestReportAllShed(t *testing.T) {
 	})
 	huge := testReqs(8, 3, 100, 4)
 	for i := range huge {
+		handBuilt(&huge[i])
 		for len(huge[i].Prompt) < 40_000 {
 			huge[i].Prompt = append(huge[i].Prompt, huge[i].Prompt...)
 		}

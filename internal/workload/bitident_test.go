@@ -12,7 +12,8 @@ import (
 // streamHash fingerprints everything a generator decides about a
 // stream: per request the ID, arrival, group, output length, deadline,
 // fan-out shape, and every prompt token's content and modality — the
-// whole prompt, Shared head then Prompt, as one sequence.
+// whole prompt, Shared head then the own part (its recipe filled), as
+// one sequence.
 type streamHash struct {
 	h hash.Hash64
 }
@@ -33,7 +34,7 @@ func (s streamHash) add(r *Request) {
 	put(int64(r.Fanout))
 	put(int64(r.ForkAfter))
 	put(int64(r.PromptLen()))
-	for _, part := range [2][]core.Token{r.Shared, r.Prompt} {
+	for _, part := range [2][]core.Token{r.Shared, own(r)} {
 		for _, t := range part {
 			v := int64(t.Content())
 			if t.Image() {
@@ -118,7 +119,8 @@ func genCases() []genCase {
 // and Source form at two seeds, to fingerprints taken before the
 // generators filled prompts in place: the same RNG draws in the same
 // order, the same g.id() sequence, the same token contents and
-// modalities. Each prompt is exactly as large as its content.
+// modalities, now read by filling each request's recipe. No generated
+// request carries tokens of its own (Prompt).
 func TestGeneratorsBitIdentical(t *testing.T) {
 	for _, c := range genCases() {
 		for seed, want := range c.want {
@@ -130,8 +132,8 @@ func TestGeneratorsBitIdentical(t *testing.T) {
 					t.Errorf("%s seed %d %s form: fingerprint %#016x, want %#016x", c.name, seed, form, got, want)
 				}
 				for i := range reqs {
-					if p := reqs[i].Prompt; len(p) != cap(p) {
-						t.Fatalf("%s seed %d %s form: request %d prompt has len %d, cap %d", c.name, seed, form, i, len(p), cap(p))
+					if p := reqs[i].Prompt; p != nil {
+						t.Fatalf("%s seed %d %s form: request %d holds a %d-token Prompt; a generator emits a recipe", c.name, seed, form, i, len(p))
 					}
 				}
 			}
@@ -139,64 +141,19 @@ func TestGeneratorsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestGeneratorsBitIdenticalRecycled: the same fingerprints from a
-// consumer that hands every prompt back two requests later, so that
-// most requests are written over an earlier one's array — one of another
-// length, with room to spare, wherever lengths vary. Reuse changes
-// where a prompt lives and how much capacity trails it, never a token.
-func TestGeneratorsBitIdenticalRecycled(t *testing.T) {
-	reused, roomy := 0, 0
-	for _, c := range genCases() {
-		for seed, want := range c.want {
-			src := c.src(NewGen(seed))
-			rec, ok := src.(Recycler)
-			if !ok {
-				t.Fatalf("%s: the generator source does not take prompts back", c.name)
-			}
-			sum := newStreamHash()
-			seen := map[*core.Token]bool{}
-			var held [][]core.Token
-			for {
-				r, ok := src.Next()
-				if !ok {
-					break
-				}
-				sum.add(r)
-				if base := &r.Prompt[0]; seen[base] {
-					reused++
-					if cap(r.Prompt) > len(r.Prompt) {
-						roomy++
-					}
-				} else {
-					seen[base] = true
-				}
-				if held = append(held, r.Prompt); len(held) > 2 {
-					rec.Recycle(held[0])
-					held = held[1:]
-				}
-			}
-			if got := sum.h.Sum64(); got != want {
-				t.Errorf("%s seed %d recycled: fingerprint %#016x, want %#016x", c.name, seed, got, want)
-			}
-		}
-	}
-	if reused == 0 || roomy == 0 {
-		t.Fatalf("%d prompts were written over a handed-back array, %d of them a larger one; want both", reused, roomy)
-	}
-}
-
-// TestGeneratorsAllocateOnlyThePrompt: one request costs one heap
-// allocation, its prompt — no temporary per segment, no regrowth, no
-// copy of a shared article or prefix beyond the prompt itself.
-func TestGeneratorsAllocateOnlyThePrompt(t *testing.T) {
+// TestGeneratedRequestAllocatesNothing: a generated request costs no
+// heap allocation — its own part is a recipe, and a shared article or
+// group prefix is lent, not copied (a shape's prefixes are filled once,
+// in the warm-up call AllocsPerRun makes first).
+func TestGeneratedRequestAllocatesNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is not meaningful under -short/-race runs")
 	}
 	var sink Request
 	for _, c := range genCases() {
 		g := NewGen(7)
-		if allocs := testing.AllocsPerRun(20, func() { sink = c.one(g) }); allocs != 1 {
-			t.Errorf("%s: %.1f allocations per request, want 1 (the prompt)", c.name, allocs)
+		if allocs := testing.AllocsPerRun(20, func() { sink = c.one(g) }); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per request, want 0", c.name, allocs)
 		}
 	}
 	_ = sink
@@ -208,9 +165,8 @@ func TestGeneratorsAllocateOnlyThePrompt(t *testing.T) {
 // exactly what filling it in place would have written — the prefix from
 // the group's content seed, the suffix from the request's own. Checked
 // per request, token by token, for PrefixGroups, ChurnGroups and
-// MMLUPro, in slice form and streamed through a source that hands every
-// prompt back two requests later (so most prompts are written over an
-// earlier one's array), and for two shapes drawn from one Gen in turn.
+// MMLUPro, in slice and streamed form, and for two shapes drawn from
+// one Gen in turn.
 func TestGroupPrefixesMatchFill(t *testing.T) {
 	type shape struct {
 		name      string
@@ -249,15 +205,9 @@ func TestGroupPrefixesMatchFill(t *testing.T) {
 				check(t, s, "slice", &reqs[i])
 			}
 			src := s.src(NewGen(seed))
-			rec := src.(Recycler)
-			var held [][]core.Token
 			n := 0
 			for r, ok := src.Next(); ok; r, ok = src.Next() {
-				check(t, s, "recycled stream", r)
-				if held = append(held, r.Prompt); len(held) > 2 {
-					rec.Recycle(held[0])
-					held = held[1:]
-				}
+				check(t, s, "stream", r)
 				n++
 			}
 			if n != len(reqs) {

@@ -3,15 +3,21 @@ package workload
 import (
 	"slices"
 	"testing"
-	"unsafe"
 
 	"jenga/internal/core"
 )
 
-// fullPrompt is r's whole prompt, Shared head then Prompt, as one fresh
-// slice.
+// own is r's own part as tokens: Prompt, or Own filled into a fresh
+// array.
+func own(r *Request) []core.Token {
+	toks, _ := r.OwnTokens(r.OwnLen(), nil)
+	return toks
+}
+
+// fullPrompt is r's whole prompt, Shared head then its own part, as one
+// fresh slice.
 func fullPrompt(r *Request) []core.Token {
-	return append(slices.Clip(r.Shared), r.Prompt...)
+	return append(slices.Clip(r.Shared), own(r)...)
 }
 
 // copiedArxivQA is ArxivQA as it was before requests borrowed their
@@ -61,10 +67,10 @@ func TestArxivQASharedHeadMatchesCopy(t *testing.T) {
 				t.Fatalf("seed %d request %d: header %d/%d/%d, want %d/%d/%d", seed, i, g.ID, g.Group, g.OutputLen, w.ID, w.Group, w.OutputLen)
 			}
 			if !slices.Equal(fullPrompt(g), w.Prompt) || g.PromptLen() != len(w.Prompt) {
-				t.Fatalf("seed %d request %d: Shared ++ Prompt differs from the copied prompt", seed, i)
+				t.Fatalf("seed %d request %d: Shared ++ own part differs from the copied prompt", seed, i)
 			}
-			if len(g.Prompt) != questionLen || !slices.ContainsFunc(arts, func(a Article) bool { return &a.Tokens[0] == &g.Shared[0] }) {
-				t.Fatalf("seed %d request %d: want the article's own array as the head and the question alone as the Prompt", seed, i)
+			if g.OwnLen() != questionLen || !slices.ContainsFunc(arts, func(a Article) bool { return &a.Tokens[0] == &g.Shared[0] }) {
+				t.Fatalf("seed %d request %d: want the article's own array as the head and the question alone as the own part", seed, i)
 			}
 			if cap(g.Shared) != len(g.Shared) {
 				t.Fatalf("seed %d request %d: the head has room after it (cap %d, len %d); an append would write into the article", seed, i, cap(g.Shared), len(g.Shared))
@@ -86,7 +92,7 @@ func TestArxivQASharedHeadMatchesCopy(t *testing.T) {
 			if !slices.Equal(fullPrompt(&got[i]), want[i].Prompt) {
 				t.Fatalf("seed %d request %d: DriftLengths kept %d tokens, the copied prompt %d", seed, i, got[i].PromptLen(), len(want[i].Prompt))
 			}
-			if len(got[i].Prompt) == 0 {
+			if got[i].OwnLen() == 0 {
 				cutInArticle++
 			}
 		}
@@ -133,61 +139,6 @@ func TestGroupHeadsOutliveShapeChanges(t *testing.T) {
 			}
 			if cap(r.Shared) != len(r.Shared) {
 				t.Fatalf("shape %d request %d: head has cap %d beyond its len %d", i, j, cap(r.Shared), len(r.Shared))
-			}
-		}
-	}
-}
-
-// overlaps reports whether two token arrays share memory.
-func overlaps(a, b []core.Token) bool {
-	if cap(a) == 0 || cap(b) == 0 {
-		return false
-	}
-	size := unsafe.Sizeof(core.Token{})
-	a0, b0 := uintptr(unsafe.Pointer(&a[:1][0])), uintptr(unsafe.Pointer(&b[:1][0]))
-	return a0 < b0+uintptr(cap(b))*size && b0 < a0+uintptr(cap(a))*size
-}
-
-// TestRecycledSuffixNeverAliasesHead: under a consumer that hands every
-// Prompt back two requests later, no suffix the free list lends is ever
-// a head's memory, and every head still reads its group's prefix after
-// the stream. The content check bites in a jengadebug build (make
-// debug), where a handed-back array is poisoned: an alias would show
-// there as well as in the address check.
-func TestRecycledSuffixNeverAliasesHead(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		n    int
-		src  func(g *Gen) Source
-	}{
-		{"prefix_groups", 128, func(g *Gen) Source { return g.PrefixGroupsSource(5, 12, 128, 24) }},
-		{"churn_groups", 96, func(g *Gen) Source { return g.ChurnGroupsSource(6, 10, 96, 40, 3) }},
-		{"mmlu_pro", 256, func(g *Gen) Source { return stream(g, 60, func() Request { return g.mmluProOne(256) }) }},
-	} {
-		src := c.src(NewGen(11))
-		rec := src.(Recycler)
-		var seen []Request
-		var held [][]core.Token
-		recycled := 0
-		for r, ok := src.Next(); ok; r, ok = src.Next() {
-			for i := range seen {
-				if overlaps(r.Prompt, seen[i].Shared) {
-					t.Fatalf("%s: request %d's suffix lies in request %d's head", c.name, r.ID, seen[i].ID)
-				}
-			}
-			seen = append(seen, *r)
-			if held = append(held, r.Prompt); len(held) > 2 {
-				rec.Recycle(held[0])
-				held = held[1:]
-				recycled++
-			}
-		}
-		if recycled == 0 {
-			t.Fatalf("%s: nothing was handed back", c.name)
-		}
-		for i := range seen {
-			if !slices.Equal(seen[i].Shared, groupHeadWant(&seen[i], c.n)) {
-				t.Fatalf("%s: request %d's head changed after the stream handed suffixes back", c.name, seen[i].ID)
 			}
 		}
 	}

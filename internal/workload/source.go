@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"time"
-
-	"jenga/internal/core"
-)
+import "time"
 
 // Source is a streaming request iterator: million-request runs pull
 // requests one at a time instead of materializing the whole slice up
@@ -16,12 +12,11 @@ import (
 //
 // Ownership: Next returns a pointer into the source, good until the
 // next call — a consumer that keeps the request copies the header (the
-// engine's Submit does). The Prompt array behind it is handed over for
-// good: the source never touches it again unless the consumer hands it
-// back through Recycle, which the generator-backed sources offer (see
-// Recycler) and a consumer is free never to call. A Shared head is
-// only lent: it is the generator's, read by every request over it, and
-// never handed back.
+// engine's Submit does). A generated request's own part is a recipe in
+// the header (Request.Own), so there is no prompt array to hand over or
+// back: whoever needs the tokens fills them into a buffer of its own
+// (the engine, at the request's arrival). A Shared head is only lent:
+// it is the generator's, read by every request over it.
 //
 // The one flow difference from the slice pipeline: slice workloads
 // typically reuse one Gen for generation and then for PoissonArrivals,
@@ -33,17 +28,12 @@ type Source interface {
 	Next() (*Request, bool)
 }
 
-// funcSource adapts a generator's pull function to Source; prompts
-// handed back rejoin the generator's free list.
+// funcSource adapts a generator's pull function to Source.
 type funcSource struct {
-	g    *Gen
 	n    int // remaining
 	pull func() Request
 	req  Request
 }
-
-//jenga:hotpath
-func (s *funcSource) Recycle(prompt []core.Token) { s.g.recyclePrompt(prompt) }
 
 func (s *funcSource) Next() (*Request, bool) {
 	if s.n <= 0 {
@@ -58,7 +48,7 @@ func (s *funcSource) Next() (*Request, bool) {
 // generator's interleaved order (request i belongs to group i%groups).
 func (g *Gen) PrefixGroupsSource(groups, perGroup, prefixLen, suffixLen int) Source {
 	i := 0
-	return &funcSource{g: g, n: groups * perGroup, pull: func() Request {
+	return &funcSource{n: groups * perGroup, pull: func() Request {
 		r := g.prefixGroupsOne(groups, i%groups, prefixLen, suffixLen)
 		i++
 		return r
@@ -72,7 +62,7 @@ func (g *Gen) ChurnGroupsSource(groups, perGroup, prefixLen, suffixLen, phases i
 	}
 	total := groups * perGroup
 	i := 0
-	return &funcSource{g: g, n: total, pull: func() Request {
+	return &funcSource{n: total, pull: func() Request {
 		r := g.churnGroupsOne(i, total, groups, prefixLen, suffixLen, phases)
 		i++
 		return r
@@ -98,18 +88,6 @@ func (s *poissonSource) Next() (*Request, bool) {
 	return r, true
 }
 
-//jenga:hotpath
-func (s *poissonSource) Recycle(prompt []core.Token) { recycleTo(s.src, prompt) }
-
-// recycleTo forwards a handed-back prompt to src if it can take one.
-//
-//jenga:hotpath
-func recycleTo(src Source, prompt []core.Token) {
-	if r, ok := src.(Recycler); ok {
-		r.Recycle(prompt)
-	}
-}
-
 // PoissonSource is the streaming counterpart of PoissonArrivals: it
 // assigns exponential inter-arrival gaps at ratePerSec as requests
 // flow through. Same-seeded Gens produce the same gap sequence in
@@ -132,9 +110,6 @@ func (s *applySource) Next() (*Request, bool) {
 	s.fn(r)
 	return r, true
 }
-
-//jenga:hotpath
-func (s *applySource) Recycle(prompt []core.Token) { recycleTo(s.src, prompt) }
 
 // Apply returns a source that applies fn to each request as it
 // streams past — the streaming form of in-place slice passes like

@@ -9,7 +9,7 @@ import (
 // stream is the streaming form of a generator that has no exported
 // Source: its one-request body pulled n times.
 func stream(g *Gen, n int, one func() Request) Source {
-	return &funcSource{g: g, n: n, pull: one}
+	return &funcSource{n: n, pull: one}
 }
 
 // requireSameStream asserts a streaming source reproduces its slice

@@ -2,7 +2,11 @@
 // processes of the paper's evaluation (§7.1). Generators match each
 // dataset's published token-length statistics; token contents are
 // deterministic functions of a seed so prefix-sharing structure (same
-// article → same tokens) is exact and runs are reproducible.
+// article → same tokens) is exact and runs are reproducible. A
+// generated prompt is a recipe until its request arrives: a request
+// carries its own part as a 32-byte Content that the reader fills
+// where it needs the tokens (the engine at arrival), and only the heads
+// requests share — an article, a group's prefix — exist as arrays.
 package workload
 
 import (
@@ -15,8 +19,10 @@ import (
 )
 
 // Request is one serving request: a prompt plus a target output length.
-// The prompt is Shared followed by Prompt; PromptLen, PromptImages and
-// Truncate read and cut the two as one sequence.
+// The prompt is Shared followed by the request's own part, which is
+// either hand-built tokens (Prompt) or a generator's recipe for them
+// (Own), never both; PromptLen, PromptImages and Truncate read and cut
+// the whole as one sequence.
 type Request struct {
 	// ID is unique within a run.
 	ID int64
@@ -29,14 +35,18 @@ type Request struct {
 	Group int64
 	// Shared is the prompt's head that other requests read too — an
 	// ArxivQA request's article — borrowed from the generator and
-	// read-only for everyone: no consumer writes to it or hands it back
-	// (a Recycler takes Prompt alone). nil when the prompt is all the
-	// request's own.
+	// read-only for everyone: no consumer writes to it. nil when the
+	// prompt is all the request's own.
 	Shared []core.Token
 	// Prompt is the request's own part of the input token sequence (text
-	// and image tokens), which follows Shared: the whole of it unless
-	// the request has a Shared head.
+	// and image tokens), which follows Shared, when it is built by hand.
+	// A generator leaves it nil and sets Own instead.
 	Prompt []core.Token
+	// Own is the request's own part as a generator's recipe: its tokens
+	// exist only where a reader fills them (Content.Fill, OwnTokens) —
+	// the engine at the request's arrival — so a request waiting to
+	// arrive costs 32 bytes, not its prompt. The zero value is no part.
+	Own Content
 	// OutputLen is the number of tokens to generate (the engine runs
 	// with the paper's --ignore-eos semantics: exactly this many).
 	OutputLen int
@@ -68,30 +78,92 @@ type Request struct {
 	ForkAfter int
 }
 
-// PromptLen is the length of the whole prompt, Shared then Prompt.
-func (r *Request) PromptLen() int { return len(r.Shared) + len(r.Prompt) }
+// PromptLen is the length of the whole prompt: Shared, then the own
+// part.
+func (r *Request) PromptLen() int { return len(r.Shared) + r.OwnLen() }
 
-// PromptImages counts image tokens in the whole prompt.
-func (r *Request) PromptImages() int { return core.CountImages(r.Shared, r.Prompt) }
+// OwnLen is the length of the request's own part, Prompt or Own.
+func (r *Request) OwnLen() int { return len(r.Prompt) + int(r.Own.n) }
+
+// PromptImages counts image tokens in the whole prompt; a recipe's are
+// counted without filling it.
+func (r *Request) PromptImages() int {
+	return core.CountImages(r.Shared, r.Prompt) + r.Own.imageTokens()
+}
 
 // Truncate cuts the whole prompt to its first n tokens (no-op when it
 // is no longer): the one way to shorten a request whose prompt has a
-// Shared head, which a cut of Prompt alone would leave whole.
+// Shared head, which a cut of the own part alone would leave whole.
 func (r *Request) Truncate(n int) {
 	if n < len(r.Shared) {
-		r.Shared, r.Prompt = r.Shared[:n], r.Prompt[:0]
-	} else if n -= len(r.Shared); n < len(r.Prompt) {
-		r.Prompt = r.Prompt[:n]
+		r.Shared, n = r.Shared[:n], 0
+	} else {
+		n -= len(r.Shared)
 	}
+	r.Prompt = r.Prompt[:min(n, len(r.Prompt))]
+	r.Own.n = int32(min(n, int(r.Own.n)))
+}
+
+// OwnTokens returns the first n tokens of the request's own part (all
+// of them when n is larger): Prompt's, read in place, or Own's, filled
+// into buf, which is grown when it is too short. grown is buf as it is
+// now, for the caller to keep for its next fill.
+//
+//jenga:hotpath
+func (r *Request) OwnTokens(n int, buf []core.Token) (own, grown []core.Token) {
+	if r.Own.n == 0 {
+		return r.Prompt[:min(n, len(r.Prompt))], buf
+	}
+	n = min(n, int(r.Own.n))
+	//jenga:alloc-ok a reader's scratch grows to the longest part it has filled, then is reused
+	buf = slices.Grow(buf[:0], n)[:n]
+	r.Own.Fill(buf)
+	return buf, buf
+}
+
+// Content is a generated prompt part held as its recipe, 32 bytes
+// whatever the part's length: images images of imageLen image tokens
+// each, image i filled from seed imageSeed + i·imageSeedStride, then
+// text filled from textSeed, n tokens in all (a cut may end the part
+// inside an image). Fill writes exactly what the generator once filled
+// in place, since fill content is a function of (seed, offset,
+// position) alone.
+type Content struct {
+	textSeed, imageSeed int64
+	images, imageLen    int32
+	n                   int32
+}
+
+// imageSeedStride is the seed distance between an MMMUPro prompt's
+// consecutive images: image i's seed is (id+i)·104729 + i for the i-th
+// of the IDs the generator draws per image.
+const imageSeedStride = 104729 + 1
+
+// textContent is a text-only part of n tokens filled from seed.
+func textContent(seed int64, n int) Content { return Content{textSeed: seed, n: int32(n)} }
+
+// Len is the part's length in tokens.
+func (c *Content) Len() int { return int(c.n) }
+
+// imageTokens counts the image tokens among the part's n.
+func (c *Content) imageTokens() int { return min(int(c.n), int(c.images)*int(c.imageLen)) }
+
+// Fill writes the part's first len(dst) tokens into dst, len(dst) ≤
+// Len(): any prefix of the part fills to the same cut of the whole.
+//
+//jenga:hotpath
+func (c *Content) Fill(dst []core.Token) {
+	img, per := min(len(dst), int(c.images)*int(c.imageLen)), int(c.imageLen)
+	for im, lo := 0, 0; lo < img; im, lo = im+1, lo+per {
+		fillTokens(dst[lo:min(lo+per, img)], c.imageSeed+int64(im)*imageSeedStride, imageOffset, true)
+	}
+	fillTokens(dst[img:], c.textSeed, 0, false)
 }
 
 // Gen is a deterministic request generator.
 type Gen struct {
 	rng  *rand.Rand
 	next int64
-	// prompts is the free list of handed-back prompt arrays
-	// (promptbuf.go).
-	prompts promptPool
 	// prefix holds the group prefixes of the last shape a generator
 	// call asked for (groupPrefix).
 	prefix prefixMemo
@@ -120,11 +192,12 @@ func (g *Gen) id() int64 {
 
 // fillTokens writes deterministic token contents derived from a content
 // seed into dst, so two prompts filled from the same (seed, offset)
-// share content. Every generator below draws its lengths first, takes
-// the prompt once at its exact size (takePrompt) and fills each segment
-// in place — a group's shared prefix is lent from the generator's memo
-// instead, as the request's Shared head (groupPrefix) — at most one
-// allocation per request, nothing regrown.
+// share content. Every generator below draws its lengths first and
+// emits the request's own part as a recipe (Content) that Fill turns
+// into these tokens when a reader needs them; the heads other requests
+// share — an article, a group's prefix — are filled once, as arrays
+// (headTokens), and lent as Shared. A generated request allocates
+// nothing.
 //
 //jenga:hotpath
 func fillTokens(dst []core.Token, seed int64, offset int, image bool) {
@@ -195,10 +268,9 @@ func (g *Gen) mmluProOne(sharedPrefix int) Request {
 	subject := g.rng.Intn(mmluSubjects)
 	qLen := g.clampedNormal(800, 400, 128, 3076-sharedPrefix)
 	head := g.groupPrefix(mmluSeedBase, mmluSubjects, subject, sharedPrefix)
-	question := g.takePrompt(qLen)
-	fillTokens(question, int64(g.id())*7919, 0, false)
+	question := textContent(g.id()*7919, qLen)
 	return Request{
-		ID: g.id(), Group: mmluSeedBase + int64(subject), Shared: head, Prompt: question,
+		ID: g.id(), Group: mmluSeedBase + int64(subject), Shared: head, Own: question,
 		// MMLU-pro is chain-of-thought: answers are long.
 		OutputLen: g.uniform(256, 768),
 	}
@@ -227,13 +299,17 @@ func (g *Gen) mmmuProOne(tokensPerImage int) Request {
 		}
 	}
 	txt := g.clampedNormal(43, 15, 8, 120)
-	prompt := g.takePrompt(images*tokensPerImage + txt)
-	for im := 0; im < images; im++ {
-		fillTokens(prompt[im*tokensPerImage:(im+1)*tokensPerImage], int64(g.id())*104729+int64(im), imageOffset, true)
+	// Each image draws an ID: image i's seed is (base+i)·104729 + i.
+	base := g.id()
+	for im := 1; im < images; im++ {
+		g.id()
 	}
-	fillTokens(prompt[images*tokensPerImage:], int64(g.id())*31, 0, false)
+	prompt := Content{
+		textSeed: g.id() * 31, imageSeed: base * 104729,
+		images: int32(images), imageLen: int32(tokensPerImage), n: int32(images*tokensPerImage + txt),
+	}
 	return Request{
-		ID: g.id(), Prompt: prompt,
+		ID: g.id(), Own: prompt,
 		// MMMU-pro answers include chain-of-thought reasoning.
 		OutputLen: g.uniform(128, 384),
 	}
@@ -251,7 +327,7 @@ func (g *Gen) Articles(count, meanLen int) []Article {
 	for i := range arts {
 		n := g.clampedNormal(float64(meanLen), float64(meanLen)/4, meanLen/4, meanLen*2)
 		seed := int64(i+1) * 6700417
-		arts[i] = Article{Seed: seed, Tokens: g.takePrompt(n)}
+		arts[i] = Article{Seed: seed, Tokens: headTokens(n)}
 		fillTokens(arts[i].Tokens, seed, 0, false)
 	}
 	return arts
@@ -262,7 +338,7 @@ func (g *Gen) Articles(count, meanLen int) []Article {
 // workload, and with a large meanLen the Ministral long-context
 // workload (average length 92408, §7.2). A request borrows its article
 // as its Shared head, read-only and never copied, and owns only its
-// question, the Prompt: the pool is not written while they live.
+// question, Own: the pool is not written while they live.
 func (g *Gen) ArxivQA(arts []Article, n int, questionLen int) []Request {
 	reqs := make([]Request, 0, n)
 	for i := 0; i < n; i++ {
@@ -277,10 +353,9 @@ func (g *Gen) ArxivQA(arts []Article, n int, questionLen int) []Request {
 //jenga:hotpath
 func (g *Gen) arxivQAOne(arts []Article, questionLen int) Request {
 	a := arts[g.rng.Intn(len(arts))]
-	question := g.takePrompt(questionLen)
-	fillTokens(question, int64(g.id())*131071, 0, false)
+	question := textContent(g.id()*131071, questionLen)
 	return Request{
-		ID: g.id(), Group: a.Seed, Shared: slices.Clip(a.Tokens), Prompt: question,
+		ID: g.id(), Group: a.Seed, Shared: slices.Clip(a.Tokens), Own: question,
 		OutputLen: g.uniform(100, 300),
 	}
 }
@@ -301,10 +376,9 @@ func (g *Gen) LongDocQA(n int) []Request {
 //jenga:hotpath
 func (g *Gen) longDocQAOne() Request {
 	id := g.id()
-	seed := int64(g.id()) * 2147483647
-	prompt := g.takePrompt(g.uniform(55_000, 110_000))
-	fillTokens(prompt, seed, 0, false)
-	return Request{ID: id, Prompt: prompt, OutputLen: g.uniform(50, 100)}
+	seed := g.id() * 2147483647
+	prompt := textContent(seed, g.uniform(55_000, 110_000))
+	return Request{ID: id, Own: prompt, OutputLen: g.uniform(50, 100)}
 }
 
 // ShareGPT generates conversational prompts with the dataset's ~1085
@@ -323,10 +397,9 @@ func (g *Gen) ShareGPT(n int) []Request {
 //jenga:hotpath
 func (g *Gen) shareGPTOne() Request {
 	id := g.id()
-	seed := int64(g.id()) * 524287
-	prompt := g.takePrompt(g.clampedNormal(1085, 600, 32, 8192))
-	fillTokens(prompt, seed, 0, false)
-	return Request{ID: id, Prompt: prompt, OutputLen: g.uniform(64, 512)}
+	seed := g.id() * 524287
+	prompt := textContent(seed, g.clampedNormal(1085, 600, 32, 8192))
+	return Request{ID: id, Own: prompt, OutputLen: g.uniform(64, 512)}
 }
 
 // PrefixGroups generates the cluster-routing workload: groups distinct
@@ -355,7 +428,7 @@ func (g *Gen) PrefixGroups(groups, perGroup, prefixLen, suffixLen int) []Request
 func (g *Gen) prefixGroupsOne(groups, grp, prefixLen, suffixLen int) Request {
 	head, suffix := g.groupPrompt(groups, grp, prefixLen, suffixLen)
 	return Request{
-		ID: g.id(), Group: groupSeedBase + int64(grp), Shared: head, Prompt: suffix,
+		ID: g.id(), Group: groupSeedBase + int64(grp), Shared: head, Own: suffix,
 		OutputLen: g.uniform(16, 64),
 	}
 }
@@ -370,16 +443,14 @@ const groupSeedBase int64 = 7_000_000
 // suffix, the request's own.
 //
 //jenga:hotpath
-func (g *Gen) groupPrompt(groups, grp, prefixLen, suffixLen int) (head, suffix []core.Token) {
+func (g *Gen) groupPrompt(groups, grp, prefixLen, suffixLen int) (head []core.Token, suffix Content) {
 	head = g.groupPrefix(groupSeedBase, groups, grp, prefixLen)
-	suffix = g.takePrompt(suffixLen)
-	fillTokens(suffix, int64(g.id())*15485863, 0, false)
-	return head, suffix
+	return head, textContent(g.id()*15485863, suffixLen)
 }
 
 // groupPrefix returns group grp's shared prefix of n tokens, content
 // seed base+grp, for a generator of groups groups. The first request of
-// a shape fills every group's prefix into one array (takeMemo); later
+// a shape fills every group's prefix into one array (headTokens); later
 // ones borrow it as their Shared head instead of refilling it per
 // request. The memo is the Gen's and read-only: the head is clipped, so
 // no append through it writes into the next group's prefix.
@@ -398,10 +469,18 @@ func (g *Gen) groupPrefix(base int64, groups, grp, n int) []core.Token {
 // always a fresh array, never the last shape's refilled, so a head lent
 // under an earlier shape keeps its content for as long as it lives.
 func (g *Gen) fillPrefixes(base int64, groups, n int) {
-	g.prefix = prefixMemo{base: base, n: n, toks: takeMemo(groups * n)}
+	g.prefix = prefixMemo{base: base, n: n, toks: headTokens(groups * n)}
 	for i := 0; i < groups; i++ {
 		fillTokens(g.prefix.toks[i*n:(i+1)*n], base+int64(i), 0, false)
 	}
+}
+
+// headTokens returns a fresh array of n tokens for a head other
+// requests share — an article, a shape's group prefixes — which the
+// generator fills once and lends, read-only, as requests' Shared. It is
+// the package's one token allocation: a request's own part is a recipe.
+func headTokens(n int) []core.Token {
+	return make([]core.Token, n)
 }
 
 // ChurnGroups generates the replica-churn workload: the same shared
@@ -447,7 +526,7 @@ func (g *Gen) churnGroupsOne(i, total, groups, prefixLen, suffixLen, phases int)
 	}
 	head, suffix := g.groupPrompt(groups, grp, prefixLen, suffixLen)
 	return Request{
-		ID: g.id(), Group: groupSeedBase + int64(grp), Shared: head, Prompt: suffix,
+		ID: g.id(), Group: groupSeedBase + int64(grp), Shared: head, Own: suffix,
 		OutputLen: g.uniform(16, 64),
 	}
 }
@@ -471,11 +550,9 @@ func (g *Gen) FanOut(n, promptLen, forkAfter, outLen, branch int) []Request {
 //jenga:hotpath
 func (g *Gen) fanOutOne(promptLen, forkAfter, outLen, branch int) Request {
 	id := g.id()
-	prompt := g.takePrompt(promptLen)
-	fillTokens(prompt, id*399989, 0, false)
 	return Request{
 		ID: id, Group: id,
-		Prompt:    prompt,
+		Own:       textContent(id*399989, promptLen),
 		OutputLen: outLen,
 		Fanout:    branch, ForkAfter: forkAfter,
 	}

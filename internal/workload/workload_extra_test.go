@@ -11,9 +11,10 @@ import (
 func TestMMMUImagesAreContiguousRuns(t *testing.T) {
 	reqs := NewGen(9).MMMUPro(10, 256)
 	for _, r := range reqs {
+		prompt := own(&r)
 		runs := 0
 		inRun := false
-		for _, tok := range r.Prompt {
+		for _, tok := range prompt {
 			if tok.Image() && !inRun {
 				runs++
 				inRun = true
@@ -26,11 +27,11 @@ func TestMMMUImagesAreContiguousRuns(t *testing.T) {
 		}
 		// Each run should be an exact multiple of the image size.
 		count := 0
-		for i, tok := range r.Prompt {
+		for i, tok := range prompt {
 			if tok.Image() {
 				count++
 			}
-			if (!tok.Image() || i == len(r.Prompt)-1) && count > 0 {
+			if (!tok.Image() || i == len(prompt)-1) && count > 0 {
 				if count%256 != 0 {
 					t.Fatalf("image run of %d tokens is not a multiple of 256", count)
 				}

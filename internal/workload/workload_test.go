@@ -61,7 +61,7 @@ func TestMMMUProStatistics(t *testing.T) {
 	for _, r := range reqs {
 		i := r.PromptImages()
 		img += int64(i)
-		txt += int64(len(r.Prompt) - i)
+		txt += int64(r.OwnLen() - i)
 	}
 	meanImg := float64(img) / 50
 	meanTxt := float64(txt) / 50
@@ -107,8 +107,8 @@ outer:
 func TestLongDocQARange(t *testing.T) {
 	reqs := NewGen(4).LongDocQA(20)
 	for _, r := range reqs {
-		if len(r.Prompt) < 55_000 || len(r.Prompt) > 110_000 {
-			t.Errorf("input %d outside [55k, 110k]", len(r.Prompt))
+		if n := r.OwnLen(); n < 55_000 || n > 110_000 {
+			t.Errorf("input %d outside [55k, 110k]", n)
 		}
 		if r.OutputLen < 50 || r.OutputLen > 100 {
 			t.Errorf("output %d outside [50, 100]", r.OutputLen)
@@ -145,7 +145,7 @@ func meanPromptLen(reqs []Request) float64 {
 	}
 	var s int64
 	for i := range reqs {
-		s += int64(len(reqs[i].Prompt))
+		s += int64(reqs[i].OwnLen())
 	}
 	return float64(s) / float64(len(reqs))
 }
@@ -218,8 +218,8 @@ func TestFanOutShape(t *testing.T) {
 	}
 	seen := map[int64]bool{}
 	for i, r := range reqs {
-		if len(r.Prompt) != 128 || r.OutputLen != 96 {
-			t.Errorf("root %d: prompt %d out %d", i, len(r.Prompt), r.OutputLen)
+		if r.OwnLen() != 128 || r.OutputLen != 96 {
+			t.Errorf("root %d: prompt %d out %d", i, r.OwnLen(), r.OutputLen)
 		}
 		if r.Fanout != 8 || r.ForkAfter != 32 {
 			t.Errorf("root %d: fanout %d forkAfter %d", i, r.Fanout, r.ForkAfter)
@@ -233,8 +233,7 @@ func TestFanOutShape(t *testing.T) {
 		seen[r.ID] = true
 	}
 	// Distinct roots have distinct prompts.
-	if reqs[0].Prompt[0] == reqs[1].Prompt[0] && reqs[0].Prompt[1] == reqs[1].Prompt[1] &&
-		reqs[0].Prompt[2] == reqs[1].Prompt[2] {
+	if p0, p1 := own(&reqs[0]), own(&reqs[1]); p0[0] == p1[0] && p0[1] == p1[1] && p0[2] == p1[2] {
 		t.Error("roots should not share prompt content")
 	}
 }
@@ -263,11 +262,12 @@ func TestNaiveFanOutExpansion(t *testing.T) {
 	// Clones mirror their root's prompt, arrival and group.
 	root, clone := out[0], out[1]
 	if clone.Group != root.Group || clone.Arrival != root.Arrival ||
-		clone.OutputLen != root.OutputLen || len(clone.Prompt) != len(root.Prompt) {
+		clone.OutputLen != root.OutputLen || clone.OwnLen() != root.OwnLen() {
 		t.Errorf("clone diverges from root: %+v vs %+v", clone, root)
 	}
-	for i := range root.Prompt {
-		if clone.Prompt[i] != root.Prompt[i] {
+	rootPrompt, clonePrompt := own(&root), own(&clone)
+	for i := range rootPrompt {
+		if clonePrompt[i] != rootPrompt[i] {
 			t.Fatalf("clone prompt differs at %d", i)
 		}
 	}

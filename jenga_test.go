@@ -160,8 +160,10 @@ func TestPublicClusterServe(t *testing.T) {
 		t.Errorf("PerReplica has %d entries, want 4", len(res.PerReplica))
 	}
 	// Same prefix hash → same replica, via the exported hash.
-	h1 := jenga.PrefixHash(256, reqs[0].Shared, reqs[0].Prompt)
-	h7 := jenga.PrefixHash(256, reqs[7].Shared, reqs[7].Prompt) // same group, next round
+	own0, _ := reqs[0].OwnTokens(256, nil)
+	own7, _ := reqs[7].OwnTokens(256, nil)
+	h1 := jenga.PrefixHash(256, reqs[0].Shared, own0)
+	h7 := jenga.PrefixHash(256, reqs[7].Shared, own7) // same group, next round
 	if reqs[0].Group == reqs[7].Group && h1 != h7 {
 		t.Error("shared prefixes must share PrefixHash")
 	}
@@ -263,9 +265,7 @@ func TestPublicSpeculative(t *testing.T) {
 		g := jenga.NewWorkloadGen(4)
 		reqs := g.ShareGPT(4)
 		for i := range reqs {
-			if len(reqs[i].Prompt) > 300 {
-				reqs[i].Prompt = reqs[i].Prompt[:300]
-			}
+			reqs[i].Truncate(300)
 			reqs[i].OutputLen = 12
 		}
 		jenga.AllAtOnce(reqs)
@@ -316,13 +316,7 @@ func TestPublicVisionStrategies(t *testing.T) {
 		// without a cache: at least ceil(image tokens / chunk) of them.
 		minChunks := 0
 		for _, r := range reqs {
-			images := 0
-			for _, tok := range r.Prompt {
-				if tok.Image() {
-					images++
-				}
-			}
-			minChunks += (images + chunk - 1) / chunk
+			minChunks += (r.PromptImages() + chunk - 1) / chunk
 		}
 		jenga.AllAtOnce(reqs)
 		res, err := eng.Run(reqs)
