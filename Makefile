@@ -382,6 +382,13 @@ vet:
 # priority field in type page, or a .BlockPriority in any other non-test
 # core function, is 8 bytes a page that nothing reads, or a policy call
 # per completed block whose answer is dropped, again.
+# And a layer type is its policy: core reads a group's Kind once, where
+# New builds the group (newManager, which marks a Mamba group and the
+# vision cache, DefaultPolicy and hashClassOf), and what a request holds
+# and is charged (group.held), what expires and what a claim attaches
+# all come from the group's Policy, so a .Kind, a .spec.Window or a
+# model kind constant in any other non-test core function is a per-kind
+# formula that a custom policy's group does not follow again.
 # (The token's four bytes need no grep: internal/core pins them at
 # compile time.)
 guard:
@@ -424,6 +431,7 @@ guard:
 	@files=$$(ls internal/core/*.go | grep -v '_test\.go$$'); out=$$(grep -rnwE 'HolderReport|FetchOutcome|MaxAttempts|FetchSkips' internal --include='*.go' | grep -v '_test\.go:'; grep -nE -e 'func \(h \*hostTier\) spill\(' -e 'stats\.HostUsed =' $$files; awk '/^func \(g \*group\) claimSpan\(/,/^}/ { if (/model\.Mamba/) print FILENAME ":" FNR ": " $$0 }' $$files); if [ -n "$$out" ]; then echo "the tier/fleet path carries what no caller reads again (HolderReport, FetchOutcome, MaxAttempts or FetchSkips in non-test internal/), a page enters the tier a second way or its byte count is copied (hostTier.spill, a stats.HostUsed write in non-test internal/core), or claimSpan has a Mamba branch again:"; echo "$$out"; exit 1; fi
 	@files=$$(ls internal/core/*.go | grep -v '_test\.go$$'); out=$$(awk 'FNR == 1 { own = 0 } /^[ \t]*\/\// { next } /^func / { own = /^func \([A-Za-z_]+ \*reqGroup\) / } !own && /\.table\[/ { print FILENAME ":" FNR ": " $$0 } /^}/ { own = 0 }' $$files); if [ -n "$$out" ]; then echo "a request's page table is indexed outside reqGroup's methods in non-test internal/core (it covers entries [base, end); read it through at, set and end):"; echo "$$out"; exit 1; fi
 	@files=$$(ls internal/core/*.go | grep -v '_test\.go$$'); out=$$(sed -n '/^type page struct {/,/^}/p' $$files | grep -E '^[[:space:]]*([A-Za-z_][A-Za-z0-9_]*,[[:space:]]*)*(priority|prio)([[:space:],]|$$)'; awk '/^[ \t]*\/\// { next } { body = $$0 } /^func /{ fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn); if (!sub(/^[^{]*\{/, "", body)) body = "" } body ~ /\.BlockPriority([^A-Za-z0-9_]|$$)/ && fn != "setPriority" { print FILENAME ":" FNR ": in " fn ": " $$0 }' $$files); if [ -n "$$out" ]; then echo "a page's eviction priority is kept where nothing reads it again (a priority field in type page, or a BlockPriority call outside group.setPriority, the one place that stores into group.prio, which only a small-page-queued group or a tiered manager keeps):"; echo "$$out"; exit 1; fi
+	@files=$$(ls internal/core/*.go | grep -v '_test\.go$$'); out=$$(awk 'FNR == 1 || /^(type|var|const) / { fn = "" } /^[ \t]*\/\// { next } { body = $$0 } /^func /{ fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn); if (!sub(/^[^{]*\{/, "", body)) body = "" } body ~ /\.Kind([^A-Za-z0-9_]|$$)|\.spec\.Window([^A-Za-z0-9_]|$$)|model\.(FullAttention|SlidingWindow|PyramidWindow|Mamba|CrossAttention|VisionEmbedding)([^A-Za-z0-9_]|$$)/ && fn !~ /^(newManager|hashClassOf|DefaultPolicy)$$/ { print FILENAME ":" FNR ": in " fn ": " $$0 }' $$files); if [ -n "$$out" ]; then echo "non-test internal/core reads a group's Kind or declared Window outside New (newManager), hashClassOf and DefaultPolicy (every other path reads the group's policy and its recurrent and vision flags):"; echo "$$out"; exit 1; fi
 
 ci: vet lint guard loc-check build test race debug chaos-smoke scale-smoke perf-smoke examples
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi

@@ -126,6 +126,43 @@ func TestKeepAliveClaimCoversSink(t *testing.T) {
 	audit(t, m)
 }
 
+// TestExpiryReadsThePolicy: the blocks a prompt's commit demotes are
+// marked expired (§3.3) only two pages and more below twice the window
+// its policy reads under the prompt end, whatever window the group
+// declares. A WindowPolicy{32} over a group declared with Window 8 keeps
+// the blocks inside 2×32 of a 128-token prompt's end in the live
+// eviction class.
+func TestExpiryReadsThePolicy(t *testing.T) {
+	const tpp, n, window = 4, 128, 32
+	m, err := New(Config{
+		Spec: windowSpec(8), CapacityBytes: 1 << 20, TokensPerPage: tpp,
+		EnablePrefixCache: true, RequestAware: true,
+		PolicyOverride: map[string]Policy{"window": WindowPolicy{Window: window}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := textSeq(1, n)
+	seq.PromptLen = n
+	if err := serve(m, seq, 1); err != nil {
+		t.Fatal(err)
+	}
+	g := m.groups[m.groupIndex("window")]
+	ch := &m.reqs[seq.ID].h.c[g.hclass]
+	for b := 0; b < (n-window)/tpp; b++ {
+		id, ok := g.index.get(ch.at(b))
+		if !ok || g.pages[id].status != pageCached {
+			t.Fatalf("block %d below the window is not cached", b)
+		}
+		want := (b+1)*tpp <= n-2*window-2*tpp
+		if expired := g.pages[id].has(pageExpired); expired != want {
+			t.Errorf("block %d (tokens %d-%d of a %d-token prompt, window %d): expired %v, want %v", b, b*tpp, (b+1)*tpp, n, window, expired, want)
+		}
+	}
+	m.Release(seq, true)
+	audit(t, m)
+}
+
 // TestPolicyOverrideReplacesDefault: a nil override entry is ignored;
 // a real one replaces the kind-derived policy.
 func TestPolicyOverride(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 
@@ -11,7 +12,14 @@ import (
 // pages were counted once — the whole steady-state footprint of the
 // sequence, whatever is resident. Footprint must equal it whenever
 // nothing is in use.
-func steadyState(m *Jenga, seq *Sequence) int64 {
+func steadyState(m *Jenga, seq *Sequence) int64 { return overrideSteady(m, seq, nil) }
+
+// overrideSteady is steadyState with the groups policies names charged
+// by their policy rather than their kind: the live span above the
+// policy's horizon, a page of slack for the block the horizon cuts
+// (every override here slides), and the always-live head pages below
+// it.
+func overrideSteady(m *Jenga, seq *Sequence, policies map[string]Policy) int64 {
 	var total int64
 	for _, g := range m.groups {
 		if !g.appliesTo(seq) {
@@ -22,14 +30,22 @@ func steadyState(m *Jenga, seq *Sequence) int64 {
 			continue
 		}
 		pages := (proj + g.tpp - 1) / g.tpp
-		switch g.spec.Kind {
-		case model.Mamba:
-			pages = 1
-			if m.cfg.EnablePrefixCache {
-				pages += proj / g.spec.Checkpoint()
+		if pol, ok := policies[g.spec.Name]; ok {
+			horizon := pol.FreeBelow(proj)
+			pages = (proj-horizon+g.tpp-1)/g.tpp + 1
+			if k, ok := pol.(KeepAlive); ok {
+				pages += min((k.KeptBelow(proj)+g.tpp-1)/g.tpp, horizon/g.tpp)
 			}
-		case model.SlidingWindow, model.PyramidWindow:
-			pages = (min(proj, g.spec.Window)+g.tpp-1)/g.tpp + 1
+		} else {
+			switch g.spec.Kind {
+			case model.Mamba:
+				pages = 1
+				if m.cfg.EnablePrefixCache {
+					pages += proj / g.spec.Checkpoint()
+				}
+			case model.SlidingWindow, model.PyramidWindow:
+				pages = (min(proj, g.spec.Window)+g.tpp-1)/g.tpp + 1
+			}
 		}
 		total += int64(pages) * int64(g.smallBytes)
 	}
@@ -126,40 +142,57 @@ func admitWhole(t *testing.T, m *Jenga, seq *Sequence, now Tick) (charge, grew i
 // admission charge: serving a fresh sequence's whole prompt never grows
 // used memory by more than the Footprint read just before — whatever of
 // its prefix a sharer holds, cached or in use, and whatever the sharer
-// is: running, finished, preempted to the host tier, forked. And the
-// law is not met by never discounting: with a running sharer the charge
-// is below the steady state wherever the model has KV to share.
+// is: running, finished, preempted to the host tier, forked — and
+// whatever policy a group is given in place of its kind's: an
+// attention-sink head of several pages, a window wider than the one
+// declared. And the law is not met by never discounting: with a running
+// sharer the charge is below the steady state wherever the model has KV
+// to share.
 func TestFootprintCoversWhatAdmissionAdds(t *testing.T) {
-	const tpp = 4
+	// The custom_policy example's shape: a 1,024-token window declared
+	// and kept, a 64-token sink, 16 tokens a page, a 4,000-token prompt.
+	example := sinkSpec()
+	example.Groups[1].Window = 1024
 	specs := []struct {
 		name     string
 		spec     *model.Spec
 		perImage int
 		policies map[string]Policy
+		tpp      int      // 0: 4
+		pages    int      // large pages of device memory and of host tier, 0: 64
+		shapes   [][2]int // prefix and suffix lengths, nil: the shapes below
 	}{
-		{"full", forkSpec(), 0, nil},
-		{"textonly", textOnlySpec(), 0, nil},
-		{"window", windowSpec(16), 0, nil},
-		{"mamba", mambaSpec(8), 0, nil},
-		{"fig6", fig6Spec(), 8, nil},
-		{"vision", vlmSpec(), 8, nil},
-		{"kv+mamba+vision", recycleSpec(), 4, nil},
-		{"sinks", sinkSpec(), 0, map[string]Policy{"sink": sinkTestPolicy{sink: 4, window: 8}}},
+		{name: "full", spec: forkSpec()},
+		{name: "textonly", spec: textOnlySpec()},
+		{name: "window", spec: windowSpec(16)},
+		{name: "mamba", spec: mambaSpec(8)},
+		{name: "fig6", spec: fig6Spec(), perImage: 8},
+		{name: "vision", spec: vlmSpec(), perImage: 8},
+		{name: "kv+mamba+vision", spec: recycleSpec(), perImage: 4},
+		{name: "sinks", spec: sinkSpec(), policies: map[string]Policy{"sink": sinkTestPolicy{sink: 4, window: 8}}},
+		{name: "multi-page sink", spec: sinkSpec(), policies: map[string]Policy{"sink": sinkTestPolicy{sink: 16, window: 8}}},
+		{name: "wider window", spec: sinkSpec(), policies: map[string]Policy{"sink": WindowPolicy{Window: 32}}},
+		{name: "custom_policy example", spec: example, policies: map[string]Policy{"sink": sinkTestPolicy{sink: 64, window: 1024}},
+			tpp: 16, pages: 1024, shapes: [][2]int{{3960, 40}, {2000, 2000}}},
 	}
 	for _, sc := range specs {
-		for _, sharer := range []string{"none", "running", "finished", "preempted", "forked"} {
+		tpp, pages, shapes := cmp.Or(sc.tpp, 4), int64(cmp.Or(sc.pages, 64)), sc.shapes
+		if shapes == nil {
 			// Prefix and suffix lengths around the window (16) and the
 			// checkpoint interval (8): a suffix shorter than the window
 			// keeps claimed blocks in the final window, a longer one
 			// slides them all out again.
-			for _, shape := range [][2]int{{40, 6}, {40, 31}, {24, 3}, {64, 64}, {9, 2}} {
+			shapes = [][2]int{{40, 6}, {40, 31}, {24, 3}, {64, 64}, {9, 2}}
+		}
+		for _, sharer := range []string{"none", "running", "finished", "preempted", "forked"} {
+			for _, shape := range shapes {
 				name := sc.name + "/" + sharer
 				geo, err := sc.spec.Geometry(tpp)
 				if err != nil {
 					t.Fatal(err)
 				}
-				m, err := New(Config{Spec: sc.spec, CapacityBytes: 64 * int64(geo.LargePageBytes), TokensPerPage: tpp,
-					EnablePrefixCache: true, RequestAware: true, HostTierBytes: 64 * int64(geo.LargePageBytes), PolicyOverride: sc.policies})
+				m, err := New(Config{Spec: sc.spec, CapacityBytes: pages * int64(geo.LargePageBytes), TokensPerPage: tpp,
+					EnablePrefixCache: true, RequestAware: true, HostTierBytes: pages * int64(geo.LargePageBytes), PolicyOverride: sc.policies})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -182,7 +215,7 @@ func TestFootprintCoversWhatAdmissionAdds(t *testing.T) {
 				case "forked":
 					forkChild(t, m, prefix, 3)
 				}
-				steady := steadyState(m, cand)
+				steady := overrideSteady(m, cand, sc.policies)
 				charge, grew := admitWhole(t, m, cand, 2)
 				if grew > charge {
 					t.Errorf("%s, %d+%d tokens: used memory grew by %d, admission charged %d (steady state %d)", name, shape[0], shape[1], grew, charge, steady)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"jenga/internal/arena"
-	"jenga/internal/model"
 )
 
 // Copy-on-write stream forking. Fork attaches a child sequence to a
@@ -99,7 +98,7 @@ func (m *Jenga) Fork(parent, child *Sequence, now Tick) error {
 			if !ref.held() {
 				continue
 			}
-			if g.spec.Kind != model.Mamba || k < prg.ckptDone {
+			if !g.recurrent || k < prg.ckptDone {
 				// Blocks and embeddings are shared until written
 				// (copy-on-write), finalized checkpoints for good.
 				m.pageAddRef(g, ref.id())

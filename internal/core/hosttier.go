@@ -658,7 +658,7 @@ func (m *Jenga) SwapOut(seq *Sequence) (int, int64) {
 func (m *Jenga) heldLargePages(r *reqState) []arena.LargePageID {
 	out := m.host.swapLarge[:0]
 	for gi, g := range m.groups {
-		if g.isVision() {
+		if g.vision {
 			continue
 		}
 		for _, ref := range r.g[gi].table {

@@ -354,7 +354,7 @@ func (m *Jenga) checkHashes() error {
 			continue
 		}
 		for _, g := range m.groups {
-			if g.isVision() {
+			if g.vision {
 				continue
 			}
 			rg, ch := &r.g[g.idx], &sh.c[g.hclass]

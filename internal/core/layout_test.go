@@ -42,7 +42,7 @@ func TestBackedLayoutFingerprints(t *testing.T) {
 		r := m.reqs[s.ID]
 		for gi, g := range m.groups {
 			rg := &r.g[gi]
-			if g.spec.Kind == model.Mamba || g.isVision() {
+			if g.spec.Kind == model.Mamba || g.vision {
 				continue
 			}
 			for layer := 0; layer < g.spec.Layers; layer++ {

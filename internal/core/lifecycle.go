@@ -46,8 +46,8 @@ type reqGroup struct {
 	// demoted, freed, dropped or skipped.
 	demotedBlocks int
 	// projPrompt is the projected length of the sequence's prompt part
-	// committed so far (window KV above projPrompt−Window stays in the
-	// live eviction class; see Sequence.PromptLen).
+	// committed so far (KV above two dependency horizons below it stays
+	// in the live eviction class; see Sequence.PromptLen).
 	projPrompt int
 
 	// Mamba state: the working state, and the checkpoints below ckptDone
@@ -241,7 +241,7 @@ func (rg *reqGroup) growTable(s *arraySlab[pageRef], g *group, n, from int, sc *
 // ahead. A Mamba group's checkpoints stay held to the end.
 func (g *group) tableEntries(proj int) int {
 	whole := (proj + g.stride - 1) / g.stride
-	if g.keep != nil || g.spec.Kind == model.Mamba {
+	if g.keep != nil || g.recurrent {
 		return whole
 	}
 	return min(whole, (proj-g.pol.FreeBelow(proj))/g.stride+2)
@@ -356,8 +356,8 @@ func (s *seqScope) countImages() int {
 }
 
 // Footprint implements Manager: what admitting seq would newly occupy —
-// its steady-state footprint less the part of it a live request already
-// holds in use.
+// the pages it holds in each group at its steady state (held) less
+// those a live request already holds in use.
 //
 //jenga:hotpath
 func (m *Jenga) Footprint(seq *Sequence) int64 {
@@ -370,35 +370,39 @@ func (m *Jenga) Footprint(seq *Sequence) int64 {
 //jenga:hotpath
 func (m *Jenga) footprint(sc *seqScope) int64 {
 	var total int64
-	seq := sc.seq
 	for _, g := range m.groups {
-		if !g.appliesTo(seq) {
+		if !g.appliesTo(sc.seq) {
 			continue
 		}
-		proj := sc.proj(g)
-		if proj == 0 {
-			continue
+		if proj := sc.proj(g); proj > 0 {
+			total += int64(g.held(proj, m.cfg.EnablePrefixCache)) * int64(g.smallBytes)
 		}
-		pages := 0
-		switch g.spec.Kind {
-		case model.Mamba:
-			pages = 1 // working state
-			if m.cfg.EnablePrefixCache {
-				pages += proj / g.spec.Checkpoint()
-			}
-		case model.SlidingWindow, model.PyramidWindow:
-			keep := proj
-			if keep > g.spec.Window {
-				keep = g.spec.Window
-			}
-			// +1 page of slack for the chunk crossing the window edge.
-			pages = (keep+g.tpp-1)/g.tpp + 1
-		default: // vision embeddings too: all exist right after encoding (§6.2a)
-			pages = (proj + g.tpp - 1) / g.tpp
-		}
-		total += int64(pages) * int64(g.smallBytes)
 	}
-	return total - m.sharedPrefixBytes(seq)
+	return total - m.sharedPrefixBytes(sc.seq)
+}
+
+// held is how many pages a request holds in g once p projected tokens
+// are committed: a Mamba group's working state and, with the prefix
+// cache (ckpts), a checkpoint per stride; any other group's live span
+// above its policy's horizon, a page of slack for the block a sliding
+// horizon cuts, and the always-live head pages under the horizon.
+// Vision embeddings all exist right after encoding (§6.2a).
+func (g *group) held(p int, ckpts bool) int {
+	if g.recurrent {
+		if ckpts {
+			return 1 + p/g.stride
+		}
+		return 1
+	}
+	horizon := g.pol.FreeBelow(p)
+	pages := (p - horizon + g.tpp - 1) / g.tpp
+	if g.slides {
+		pages++
+	}
+	if g.keep != nil {
+		pages += min((g.keep.KeptBelow(p)+g.tpp-1)/g.tpp, horizon/g.tpp)
+	}
+	return pages
 }
 
 // sharedPrefixBytes is the part of seq's steady-state footprint that is
@@ -434,11 +438,13 @@ func (m *Jenga) sharedPrefixBytes(seq *Sequence) int64 {
 // when claimed; a block whose only copy is in the host tier or on a peer
 // needs a page to be restored into. So the prefix judged is the longest
 // model-wide one valid on in-use blocks alone — the claim attaches at
-// least that — and per token group the blocks of it that the claim
-// reads and the request still holds once its whole sequence is
-// committed are taken off (a Mamba checkpoint hit attaches no page; an
-// always-live head is not in the steady-state estimate, so it is not
-// taken off it either). With nothing in use the result is 0.
+// least that — and per group the blocks of it that the claim attaches
+// and the request still holds once its whole sequence is committed are
+// taken off: an always-live head, and the blocks from the first one the
+// claim reads that are above the dependency horizon of the whole
+// sequence (a Mamba group's horizon is the sequence's end, so a
+// checkpoint hit, which attaches no page, takes nothing off). With
+// nothing in use the result is 0.
 //
 //jenga:hotpath
 func (m *Jenga) probeShared(seq *Sequence, sh *seqHashes) int64 {
@@ -448,18 +454,14 @@ func (m *Jenga) probeShared(seq *Sequence, sh *seqHashes) int64 {
 	}
 	var shared int64
 	for _, gv := range m.lkViews {
-		g := gv.g
-		if g.spec.Kind == model.Mamba {
-			continue
-		}
-		// The claim attaches blocks from the first one it reads; those
-		// below the dependency horizon of the whole sequence are demoted
-		// again before the request reaches its steady state.
-		pl := gv.view.ProjCount[p]
-		from, nb := max(g.pol.AccessedFrom(pl), g.pol.FreeBelow(gv.view.ProjCount[seq.Len()]))/g.tpp, pl/g.tpp
-		for _, used := range gv.view.Present[min(from, nb):nb] {
-			if used {
-				shared += int64(g.smallBytes)
+		g, v := gv.g, gv.view
+		head, lo, nb := g.claimSpan(v.ProjCount[p])
+		from := min(max(lo, g.pol.FreeBelow(v.ProjCount[seq.Len()])/g.stride), nb)
+		for _, span := range [2][]bool{v.Present[:head], v.Present[from:nb]} {
+			for _, used := range span {
+				if used {
+					shared += int64(g.smallBytes)
+				}
 			}
 		}
 	}
@@ -523,7 +525,7 @@ func (m *Jenga) lookupPrefix(seq *Sequence, sh *seqHashes, by presence, peer Pee
 	views := m.lkViews[:0]
 	anyPresent := false
 	for _, g := range m.groups {
-		if g.isVision() || !g.appliesTo(seq) {
+		if g.vision || !g.appliesTo(seq) {
 			continue // never gates KV hits
 		}
 		v := m.buildView(g, &sh.c[g.hclass], seq, by)
@@ -688,7 +690,7 @@ func (m *Jenga) Reserve(seq *Sequence, upTo int, now Tick) error {
 	}
 	sc := wholeSeq(seq, r)
 	for gi, g := range m.groups {
-		if g.isVision() || !g.appliesTo(seq) {
+		if g.vision || !g.appliesTo(seq) {
 			continue // vision is driven by EncodeImages
 		}
 		rg := &r.g[gi]
@@ -697,7 +699,7 @@ func (m *Jenga) Reserve(seq *Sequence, upTo int, now Tick) error {
 			continue
 		}
 		var err error
-		if g.spec.Kind == model.Mamba {
+		if g.recurrent {
 			err = m.reserveMamba(g, rg, r.id, &sc, rg.projReserved+add)
 		} else {
 			err = m.reserveBlocks(g, rg, r.id, &sc, rg.projReserved+add)
@@ -801,7 +803,7 @@ func (m *Jenga) Commit(seq *Sequence, upTo int, now Tick) {
 	}
 	shared, own, out := seq.Span(r.committed, upTo)
 	for gi, g := range m.groups {
-		if g.isVision() || !g.appliesTo(seq) {
+		if g.vision || !g.appliesTo(seq) {
 			continue
 		}
 		m.commitGroup(g, &r.g[gi], sh, shared, own, out, r.committed, seq.promptBound(), now)
@@ -840,7 +842,7 @@ func (m *Jenga) commitGroup(g *group, rg *reqGroup, sh *seqHashes, shared, own, 
 		i += len(part)
 	}
 	rg.projCommitted = pos
-	if g.spec.Kind == model.Mamba {
+	if g.recurrent {
 		return
 	}
 	// Demote blocks that fell outside the dependency horizon (§5.3).
@@ -850,8 +852,8 @@ func (m *Jenga) commitGroup(g *group, rg *reqGroup, sh *seqHashes, shared, own, 
 	// at prompt boundaries — and a shared-prefix boundary (e.g. the
 	// document before a per-request question) can sit anywhere within
 	// that window, needing its own window below it. KV below 2×Window
-	// under the prompt end is truly expired.
-	expireBelow := rg.projPrompt - 2*g.spec.Window - 2*g.tpp
+	// under the prompt end — two horizons down — is truly expired.
+	expireBelow := g.pol.FreeBelow(g.pol.FreeBelow(rg.projPrompt)) - 2*g.tpp
 	// Policies with an always-live head region (attention sinks) keep
 	// those pages held regardless of the window.
 	keep := 0
@@ -890,7 +892,7 @@ func (m *Jenga) commitGroup(g *group, rg *reqGroup, sh *seqHashes, shared, own, 
 //
 //jenga:hotpath
 func (m *Jenga) commitRun(g *group, rg *reqGroup, sh *seqHashes, pos, n int, now Tick) int {
-	if g.spec.Kind == model.Mamba {
+	if g.recurrent {
 		for n > 0 {
 			step, next, reserved := n, (rg.ckptDone+1)*g.stride, rg.ckptDone < rg.end()
 			if d := next - pos; reserved && d > 0 && d < n {
@@ -979,14 +981,11 @@ func (m *Jenga) Release(seq *Sequence, cache bool) {
 			if !ref.held() {
 				continue
 			}
-			switch g.spec.Kind {
-			case model.VisionEmbedding: // embeddings are never cached
-				m.pageRelease(g, ref.id(), false, r.lastNow, false)
-			case model.Mamba: // a checkpoint keeps the time it was finalized or last claimed
-				m.pageRelease(g, ref.id(), cache, g.pages[ref.id()].lastAccess, false)
-			default:
-				m.pageRelease(g, ref.id(), cache, r.lastNow, false)
+			at := r.lastNow
+			if g.recurrent { // a checkpoint keeps the time it was finalized or last claimed
+				at = g.pages[ref.id()].lastAccess
 			}
+			m.pageRelease(g, ref.id(), cache && !g.vision, at, false) // embeddings are never cached
 		}
 		if r.touched {
 			g.dropAssocList(r.id)
@@ -1086,7 +1085,7 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, sh *seqHashes, p int, no
 		if len(rg.table) != 0 {
 			check(false, "claim: group %s already holds a page table", g.spec.Name)
 		}
-		if g.spec.Kind == model.Mamba {
+		if g.recurrent {
 			if pl == 0 {
 				continue
 			}
@@ -1126,7 +1125,7 @@ func (m *Jenga) claimPrefix(seq *Sequence, r *reqState, sh *seqHashes, p int, no
 			break
 		}
 		r.restoredBytes += int64(pr.g.smallBytes)
-		if pr.g.spec.Kind != model.Mamba {
+		if !pr.g.recurrent {
 			pr.rg.set(pr.block, heldRef(id))
 		} else {
 			// Mamba checkpoint: park the restored page as published
@@ -1198,7 +1197,7 @@ func (m *Jenga) claimBlocks(g *group, rg *reqGroup, req RequestID, ch *classHash
 // allocated before this first Reserve.
 func (m *Jenga) rollbackClaim(seq *Sequence, r *reqState) {
 	for gi, g := range m.groups {
-		if g.isVision() || !g.appliesTo(seq) {
+		if g.vision || !g.appliesTo(seq) {
 			continue
 		}
 		rg := &r.g[gi]
@@ -1259,7 +1258,7 @@ func (m *Jenga) EncodeImages(seq *Sequence, uptoFull int, now Tick) error {
 	sc := wholeSeq(seq, r)
 	for gi, g := range m.groups {
 		rg := &r.g[gi]
-		if !g.isVision() || !g.appliesTo(seq) || rg.visCursor >= uptoFull {
+		if !g.vision || !g.appliesTo(seq) || rg.visCursor >= uptoFull {
 			continue
 		}
 		if images := countScope(g, seq, rg.visCursor, uptoFull); images > 0 {
@@ -1284,7 +1283,7 @@ func (m *Jenga) DropImages(seq *Sequence, uptoFull int) {
 		return
 	}
 	for gi, g := range m.groups {
-		if !g.isVision() || !g.appliesTo(seq) {
+		if !g.vision || !g.appliesTo(seq) {
 			continue
 		}
 		rg := &r.g[gi]

@@ -30,8 +30,9 @@ type Config struct {
 	// Disabled only by the ablation benchmark.
 	RequestAware bool
 	// PolicyOverride, when non-nil, replaces the default policy derived
-	// from a group's Kind (keyed by group name). This is the hook the
-	// paper describes for plugging in new attention variants.
+	// from a group's Kind (keyed by group name): the hook the paper
+	// describes for plugging in new attention variants. The policy then
+	// decides what the group holds and what admission charges for it.
 	PolicyOverride map[string]Policy
 	// HostTierBytes is the host-memory KV tier budget (§8 tiered
 	// offload). When at least one large page fits, whole-large-page
@@ -162,6 +163,11 @@ type group struct {
 	// the runtime's type-assertion cache (a heap allocation) at random.
 	keep KeepAlive
 	view *arena.View
+	// recurrent marks a Mamba group (a working state and checkpoints,
+	// not blocks) and vision the vision-embedding cache: what New reads
+	// off the group's Kind, which nothing after it reads. slides marks a
+	// policy that frees KV below a horizon.
+	recurrent, vision, slides bool
 
 	smallBytes int // small-page size
 	slotUnit   int // bytes per token slot across the group's layers
@@ -229,8 +235,6 @@ type group struct {
 	lkProjCount []int
 	lkPeer      []int32
 }
-
-func (g *group) isVision() bool { return g.spec.Kind == model.VisionEmbedding }
 
 // smallQueued reports whether the group keeps a small-page eviction
 // queue. A ratio-1 group does not need one: its small page is its large
@@ -444,8 +448,9 @@ func newManager(cfg Config, host *hostTier) (*Jenga, error) {
 	tiered := cfg.HostTierBytes >= int64(geo.LargePageBytes)
 	for i := range cfg.Spec.Groups {
 		gs := cfg.Spec.Groups[i]
+		recurrent := gs.Kind == model.Mamba
 		tpp, stride := cfg.TokensPerPage, cfg.TokensPerPage
-		if gs.Kind == model.Mamba {
+		if recurrent {
 			tpp, stride = 1, gs.Checkpoint()
 		}
 		small := geo.SmallPageBytes[gs.Name]
@@ -462,6 +467,9 @@ func newManager(cfg Config, host *hostTier) (*Jenga, error) {
 			spec:       gs,
 			pol:        pol,
 			view:       view,
+			recurrent:  recurrent,
+			vision:     gs.Kind == model.VisionEmbedding,
+			slides:     pol.FreeBelow(math.MaxInt32) > 0, // frees KV below the longest sequence
 			smallBytes: small,
 			slotUnit:   small / tpp,
 			tpp:        tpp,
@@ -518,7 +526,7 @@ func (m *Jenga) Capacity() int64 { return m.ar.UsableBytes() }
 // a vision-embedding group.
 func (m *Jenga) SupportsVisionCache() bool {
 	for _, g := range m.groups {
-		if g.isVision() {
+		if g.vision {
 			return true
 		}
 	}

@@ -16,6 +16,9 @@ package core
 //   - FreeBelow is the dependency horizon: projected positions below it
 //     hold KV the architecture will never read again and can be freed
 //     or demoted to evictable cache.
+//
+// Core reads a group's Kind once, at New (its default policy, whether
+// it is a Mamba group or the vision cache); all else comes from here.
 
 import "slices"
 
@@ -49,9 +52,10 @@ type Policy interface {
 
 // KeepAlive is an optional Policy extension for layer types whose live
 // set is not a contiguous suffix of the prefix. Pages covering
-// projected positions below KeptBelow stay held (never demoted) even
-// when they fall below FreeBelow — e.g. StreamingLLM-style attention
-// sinks, which always read the first few tokens plus a sliding window.
+// projected positions below KeptBelow stay held (never demoted), and
+// are charged at admission, even when they fall below FreeBelow — e.g.
+// StreamingLLM-style attention sinks, which always read the first few
+// tokens plus a sliding window.
 type KeepAlive interface {
 	// KeptBelow returns the projected position bound of the
 	// always-live head region given projLen committed tokens.
@@ -160,31 +164,17 @@ type WindowPolicy struct {
 
 // AccessedFrom implements Policy (Fig. 9b): only tokens inside the
 // window are accessed.
-func (p WindowPolicy) AccessedFrom(projLen int) int {
-	if projLen <= p.Window {
-		return 0
-	}
-	return projLen - p.Window
-}
+func (p WindowPolicy) AccessedFrom(projLen int) int { return p.FreeBelow(projLen) }
 
 // FreeBelow implements Policy: KV outside the window is dead.
-func (p WindowPolicy) FreeBelow(projLen int) int {
-	if projLen <= p.Window {
-		return 0
-	}
-	return projLen - p.Window
-}
+func (p WindowPolicy) FreeBelow(projLen int) int { return max(projLen-p.Window, 0) }
 
 // ValidPrefix implements Policy: a prefix hits if the window-suffix of
 // the prefix is cached, even when earlier tokens are evicted (§5.2's
 // [token1̶ token2 token3] example).
 func (p WindowPolicy) ValidPrefix(v *GroupSeqView, prefix int) bool {
 	pl := v.ProjCount[prefix]
-	lo := 0
-	if pl > p.Window {
-		lo = pl - p.Window
-	}
-	return v.RangeCached(lo, pl)
+	return v.RangeCached(p.FreeBelow(pl), pl)
 }
 
 // BlockPriority implements Policy.
