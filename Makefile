@@ -389,6 +389,10 @@ vet:
 # all come from the group's Policy, so a .Kind, a .spec.Window or a
 # model kind constant in any other non-test core function is a per-kind
 # formula that a custom policy's group does not follow again.
+# And a batch request is its caller's header until it arrives:
+# admitArrivals takes its run then, carving once for a step's arrivals,
+# so a Submit( or growRuns( call in Engine.Run is the up-front run per
+# request (6,000 of them alive for a whole hetero_churn pass) again.
 # (The token's four bytes need no grep: internal/core pins them at
 # compile time.)
 guard:
@@ -397,6 +401,7 @@ guard:
 	@out=$$(grep -rn -e 'append(\[\]core\.Token(nil)' -e 'make(\[\]core\.Token' internal/engine --include='*.go' | grep -v -e '_test\.go:' -e '^internal/engine/tokbuf\.go:'); if [ -n "$$out" ]; then echo "token copies outside the free-list miss in internal/engine:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'append\(.*(\.Prompt|\.Shared|seq\.Tokens)\.\.\.\)' internal/engine --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "a prompt is spread into a buffer in internal/engine (a run borrows req.Shared and req.Prompt as seq.Shared and seq.Tokens for its whole life; only seq.Out is the engine's):"; echo "$$out"; exit 1; fi
 	@out=$$(awk '/^[ \t]*\/\// { next } { body = $$0 } /^func /{ fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn); if (!sub(/^[^{]*\{/, "", body)) body = "" } body ~ /\.Fill\(/ && fn != "fillPrompt" { print FILENAME ":" FNR ": in " fn ": " $$0 }' $$(ls internal/engine/*.go | grep -v '_test\.go$$')); if [ -n "$$out" ]; then echo "a prompt recipe is filled outside fillPrompt in internal/engine (a request's own part is filled once, at its arrival; MigrateIn adopts the buffer, a fork reads it):"; echo "$$out"; exit 1; fi
+	@out=$$(awk 'FNR == 1 || /^(type|var|const) / { fn = "" } /^[ \t]*\/\// { next } { body = $$0 } /^func /{ fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn); if (!sub(/^[^{]*\{/, "", body)) body = "" } body ~ /(^|[^A-Za-z0-9_])(Submit|growRuns)\(/ && fn == "Run" { print FILENAME ":" FNR ": in " fn ": " $$0 }' $$(ls internal/engine/*.go | grep -v '_test\.go$$')); if [ -n "$$out" ]; then echo "Engine.Run submits its requests or carves their runs up front again in internal/engine (a batch request is its caller's header until it arrives; admitArrivals takes its run then):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE '\b(takePrompt|recyclePrompt|Recycler)\b|[pP]romptSink' internal cmd examples *.go --include='*.go' | grep -v '_test\.go:'); if [ -n "$$out" ]; then echo "the prompt hand-back path is back (a generated prompt is a recipe the engine fills at arrival; no generator lends an array, so nothing hands one back):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'router\.Route(' internal/cluster --include='*.go' | grep -v '_test\.go:'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/cluster must have exactly one router.Route call site (the placement step):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rl '^//jenga:concurrent' internal/cluster --include='*.go' | grep -v '_test\.go$$'); if [ "$$(echo "$$out" | grep -c .)" -ne 1 ]; then echo "internal/cluster must have exactly one //jenga:concurrent file (the serve loop):"; echo "$$out"; exit 1; fi

@@ -21,8 +21,9 @@
 // per-token, preemption, terminal states), Cancel releases a request's
 // KV mid-flight, and a pluggable AdmissionPolicy sheds work at arrival
 // when memory or SLO headroom is gone. Engine.Run is the thin batch
-// driver over that core — submit everything, step until drained — so
-// offline experiments and online serving share one scheduler.
+// driver over that core — submit each request at its arrival, step until
+// drained — so offline experiments and online serving share one
+// scheduler.
 //
 // An Engine is goroutine-confined: it owns its Manager and all run
 // state, and nothing in it is safe for concurrent use. Concurrency
@@ -164,7 +165,8 @@ type Result struct {
 	MemTimeline         []MemSample
 	// PerRequest holds the finished requests' records in finish order —
 	// what the default retire sink (Retain) keeps. Empty once
-	// SetRetireSink has installed another sink.
+	// SetRetireSink has installed another sink. Run's is the engine's
+	// own array, which it never writes to again; ResultSnapshot's a copy.
 	PerRequest []RequestMetrics
 	// MeanKVUtil and PeakKVUtil are the mean and peak fraction of KV
 	// capacity holding live or cached KV, sampled every kvUtilEvery
@@ -376,7 +378,8 @@ type Engine struct {
 	clock     time.Duration
 	step      int
 
-	pending queue[*run] // not yet arrived (sorted by arrival)
+	pending queue[*run] // submitted, not yet arrived (sorted by arrival)
+	batch   batch       // Run's requests not yet arrived, in its caller's slice
 	waiting waitQueue   // arrived, not running
 	running runSet      // admitted: prefilling or decoding
 
@@ -598,28 +601,45 @@ func (e *Engine) drainRate() float64 {
 }
 
 // Run simulates serving the request set to completion: the batch
-// driver over the streaming core — every request is submitted up
-// front, then the core steps until drained. Run is restartable: each
-// call starts from a clean scheduler state, but the Manager keeps
+// driver over the streaming core, with the result Submit of every
+// request and Drain would give. Every request is checked up front, as
+// Submit checks it, so an invalid one fails Run before the first step;
+// then each request is submitted at its arrival, in stable arrival
+// order: a request not yet arrived is its caller's header alone, read in
+// reqs, which must not change while Run runs. The Result's PerRequest is
+// the engine's own array, not a copy — records are only ever appended,
+// so nothing writes the caller's elements again. Run is restartable:
+// each call starts from a clean scheduler state, but the Manager keeps
 // whatever prefix cache earlier runs left behind, so back-to-back runs
 // model a warmed-up replica.
 func (e *Engine) Run(reqs []workload.Request) (*Result, error) {
 	e.reset()
-	// Every request is pending at once and may finish: size both arrays,
-	// and carve the runs, for all of them up front instead of growing
-	// them piecemeal.
-	e.pending.buf = slices.Grow(e.pending.buf, len(reqs))
-	e.res.PerRequest = slices.Grow(e.res.PerRequest, len(reqs))
-	e.growRuns(len(reqs))
 	for i := range reqs {
-		if err := e.Submit(&reqs[i]); err != nil {
+		if err := checkRequest(&reqs[i]); err != nil {
 			return nil, err
 		}
 	}
+	// Every request may finish: size the records for all of them up
+	// front instead of growing them piecemeal.
+	e.res.PerRequest = slices.Grow(e.res.PerRequest, len(reqs))
+	e.batch = newBatch(reqs)
 	if err := e.Drain(); err != nil {
+		e.spill()
 		return nil, err
 	}
 	return e.result(), nil
+}
+
+// spill submits what is left of Run's batch, so that a Run stopped by
+// an error leaves the engine as Submit of every request would have, and
+// reads its caller's slice no more. Nothing but the batch can have been
+// submitted during Run (an event sink may only Cancel or Shed), so the
+// batch's order is the arrival queue's.
+func (e *Engine) spill() {
+	for ; e.batch.len() > 0; e.batch.pop() {
+		e.enqueuePending(e.newRun(e.batch.at(0), 0))
+	}
+	e.batch = batch{}
 }
 
 // reset returns the scheduler to a clean state so Run can be called
@@ -639,6 +659,7 @@ func (e *Engine) reset() {
 	e.clock = 0
 	e.step = 0
 	e.pending.reset()
+	e.batch = batch{}
 	e.waiting.reset()
 	e.running.reset()
 	e.tally = tally{}
@@ -682,12 +703,14 @@ func (e *Engine) finishSampling() {
 
 // admitArrivals moves arrived requests into the waiting queue, filling
 // each one's prompt and then applying the admission policy at its
-// arrival instant. The queue grows once for the step's arrivals, so a
-// burst (a batch all at t=0) does not regrow it by doubling.
+// arrival instant. The queue grows once for the step's arrivals, and the
+// run free list once for the step's batch arrivals, so a burst (a batch
+// all at t=0) neither regrows the queue by doubling nor carves a slab
+// per 64 runs.
 func (e *Engine) admitArrivals() {
 	e.waiting.grow(e.arriving(-1))
-	for e.pending.len() > 0 && e.pending.front().req.Arrival <= e.clock {
-		r := e.pending.popFront()
+	e.growRuns(e.batch.arriving(e.clock, -1))
+	for r := e.arrive(); r != nil; r = e.arrive() {
 		e.fillPrompt(r)
 		if e.cfg.Admission != nil && e.cfg.Admission.Decide(&r.req, e.admissionState(r)) == Shed {
 			// The manager has seen the request (the policy's probe, a
@@ -700,6 +723,24 @@ func (e *Engine) admitArrivals() {
 		e.waiting.pushBack(r)
 		e.emit(EventQueued, r)
 	}
+}
+
+// arrive takes the next request whose arrival the clock has reached, or
+// nil: the arrival queue's front or, with a run taken for it, the
+// batch's, whichever arrives first — the batch on a tie, since Run
+// submitted it before anything else.
+func (e *Engine) arrive() *run {
+	if e.batch.len() > 0 {
+		req := e.batch.at(0)
+		if req.Arrival <= e.clock && (e.pending.len() == 0 || req.Arrival <= e.pending.front().req.Arrival) {
+			e.batch.pop()
+			return e.newRun(req, 0) // pending since Run began, at clock 0
+		}
+	}
+	if e.pending.len() > 0 && e.pending.front().req.Arrival <= e.clock {
+		return e.pending.popFront()
+	}
+	return nil
 }
 
 // runStep schedules and executes one engine step. Reports whether any
@@ -1267,8 +1308,8 @@ func (e *Engine) preempt(victim *run) {
 // the simulation is irrecoverably stuck.
 func (e *Engine) handleStall() bool {
 	// Future arrivals: fast-forward.
-	if e.running.len() == 0 && e.waiting.len() == 0 && e.pending.len() > 0 {
-		e.clock = e.pending.front().req.Arrival
+	if e.running.len() == 0 && e.waiting.len() == 0 && e.unarrived() > 0 {
+		e.clock = e.nextArrival()
 		e.globalStalls = 0
 		return true
 	}
@@ -1328,12 +1369,16 @@ func (e *Engine) genToken(r *run) core.Token {
 }
 
 // result copies the tally's Result out and derives what is not
-// accumulated in place.
+// accumulated in place. Its PerRequest is the engine's records, clipped
+// so that an append the engine makes later writes where no holder of the
+// result can read, and never nil.
 func (e *Engine) result() *Result {
 	res := e.res
 	res.Duration, res.Steps = e.clock, e.step
-	// A copy, never nil: the engine keeps appending to its own.
-	res.PerRequest = append([]RequestMetrics{}, res.PerRequest...)
+	res.PerRequest = slices.Clip(res.PerRequest)
+	if res.PerRequest == nil {
+		res.PerRequest = []RequestMetrics{}
+	}
 	if e.kvUtilN > 0 {
 		res.MeanKVUtil = e.kvUtilSum / float64(e.kvUtilN)
 	}

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -121,31 +123,118 @@ func TestRunGoldenSpeculative(t *testing.T) {
 
 // TestRunMatchesManualDrive proves the batch driver is nothing but the
 // streaming core: submitting the same workload by hand and stepping
-// the core to drain reproduces Run's result exactly.
+// the core to drain reproduces Run's Result exactly, every record of
+// PerRequest included — over the golden workload, a batch out of
+// arrival order with ties, image prompts, fan-out roots and an
+// admission policy that sheds. Run takes each request at its arrival
+// and Submit at once, so what this pins is that the two reach every
+// step with the same runs in the same order.
 func TestRunMatchesManualDrive(t *testing.T) {
-	spec := miniWindowSpec()
-	want := runGolden(t, 4<<20)
-
-	mgr := jengaFor(t, spec, 4<<20, true)
-	e, err := New(Config{Spec: spec, Device: smallDevice(), Manager: mgr, MaxBatchTokens: 512, MaxPrefills: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := goldenWorkload()
-	e.Reset()
-	for i := range reqs {
-		if err := e.Submit(&reqs[i]); err != nil {
-			t.Fatal(err)
+	golden := func(*testing.T) []workload.Request { return goldenWorkload() }
+	shed := shedSet{}
+	for i, r := range goldenWorkload() {
+		if i%7 == 0 {
+			shed[r.ID] = true
 		}
 	}
-	if err := e.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	got := e.ResultSnapshot()
-	if got.Steps != want.Steps || got.Duration != want.Duration ||
-		got.Finished != want.Finished || got.CachedPromptTokens != want.CachedPromptTokens ||
-		got.GeneratedTokens != want.GeneratedTokens || got.MeanTTFT != want.MeanTTFT ||
-		got.MeanKVUtil != want.MeanKVUtil {
-		t.Errorf("manual drive diverged from Run: got %+v want %+v", got, want)
+	for _, tc := range []struct {
+		name     string
+		spec     *model.Spec
+		capacity int64
+		cfg      Config
+		reqs     func(*testing.T) []workload.Request
+		check    func(*testing.T, *Result)
+	}{
+		{name: "golden", spec: miniWindowSpec(), capacity: 4 << 20, reqs: golden},
+		{name: "unsorted with ties", spec: miniWindowSpec(), capacity: 4 << 20, reqs: func(t *testing.T) []workload.Request {
+			reqs := goldenWorkload()
+			slices.Reverse(reqs)
+			for i := range reqs {
+				reqs[i].Arrival = reqs[i].Arrival.Truncate(20 * time.Millisecond)
+			}
+			ties := 0
+			for i := range reqs[1:] {
+				if reqs[i].Arrival == reqs[i+1].Arrival {
+					ties++
+				}
+			}
+			if b := newBatch(reqs); b.order == nil || ties < 10 {
+				t.Fatalf("%d ties, indexed %v: the batch does not cover the case", ties, b.order != nil)
+			}
+			return reqs
+		}},
+		{name: "images", spec: miniVLMSpec(), capacity: 8 << 20, cfg: Config{Vision: VisionFreeOnDemand}, reqs: func(*testing.T) []workload.Request {
+			g := workload.NewGen(5)
+			reqs := append(g.MMMUPro(30, 64), g.ShareGPT(30)...)
+			for i := range reqs {
+				reqs[i].Truncate(512)
+				reqs[i].OutputLen = 4 + i%20
+			}
+			g.PoissonArrivals(reqs, 200)
+			return reqs
+		}, check: func(t *testing.T, res *Result) {
+			if res.EncoderRuns == 0 {
+				t.Fatal("no encoder run: the batch does not cover the case")
+			}
+		}},
+		{name: "fan-out", spec: miniFullSpec(), capacity: 8 << 20, reqs: func(*testing.T) []workload.Request {
+			reqs := goldenWorkload()
+			for i := range reqs {
+				if i%6 == 0 {
+					reqs[i].Fanout, reqs[i].ForkAfter = 3, 2
+				}
+			}
+			return reqs
+		}, check: func(t *testing.T, res *Result) {
+			if res.Finished <= 72 {
+				t.Fatalf("%d finished of 72 requests: no branch ran", res.Finished)
+			}
+		}},
+		{name: "shedding", spec: miniWindowSpec(), capacity: 4 << 20, cfg: Config{Admission: shed}, reqs: golden,
+			check: func(t *testing.T, res *Result) {
+				if res.Shed == 0 || res.Finished == 0 {
+					t.Fatalf("shed %d, finished %d: the policy does not shed some and admit others", res.Shed, res.Finished)
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *Engine {
+				cfg := tc.cfg
+				cfg.Spec, cfg.Device, cfg.Manager = tc.spec, smallDevice(), jengaFor(t, tc.spec, tc.capacity, true)
+				cfg.MaxBatchTokens, cfg.MaxPrefills = 512, 2
+				e, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			want, err := build().Run(tc.reqs(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := build()
+			reqs := tc.reqs(t)
+			for i := range reqs {
+				if err := e.Submit(&reqs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			got := e.ResultSnapshot()
+			if len(got.PerRequest) == 0 || !reflect.DeepEqual(got, want) {
+				i := 0
+				for i < min(len(got.PerRequest), len(want.PerRequest)) && got.PerRequest[i] == want.PerRequest[i] {
+					i++
+				}
+				g, w := *got, *want
+				g.PerRequest, w.PerRequest = nil, nil
+				t.Errorf("manual drive diverged from Run, first at record %d of %d (Run: %d):\n got %+v\nwant %+v", i, len(got.PerRequest), len(want.PerRequest), g, w)
+			}
+			if tc.check != nil {
+				tc.check(t, want)
+			}
+		})
 	}
 }

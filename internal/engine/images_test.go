@@ -87,12 +87,14 @@ func TestImagesCountedAtSubmit(t *testing.T) {
 	})
 }
 
-// TestRunSize pins the run record: a stream allocates runs 64 to a
-// slab, and Run all of its requests' in one (hetero_churn submits its
-// 6,000 up front). The prompt's two borrowed parts cost a slice header
-// each in the request and in the sequence, and the own part's recipe
-// (workload.Content) 32 bytes in the request; 416 bytes times 64 runs
-// fits its size class within 3%.
+// TestRunSize pins the run record: a stream and a Run alike allocate
+// runs 64 to a slab, for the requests in flight at once (a Run takes a
+// request's run at its arrival; a burst arriving at one instant, like
+// deep_queue_batch's 1,600 at t=0, takes one slab of its size). The
+// prompt's two borrowed parts cost a slice header each in the request
+// and in the sequence, and the own part's recipe (workload.Content) 32
+// bytes in the request; 416 bytes times 64 runs fits its size class
+// within 3%.
 func TestRunSize(t *testing.T) {
 	if got := unsafe.Sizeof(run{}); got != 416 {
 		t.Errorf("run is %d bytes, want 416", got)

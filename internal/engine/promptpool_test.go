@@ -24,11 +24,12 @@ func (p stepProbe) PrefillBudget(v *sched.View, total int) sched.Split {
 }
 
 // TestPendingHoldsNoTokens: in a Run with arrivals spread over time,
-// fan-out roots among them, a request holds no prompt tokens until it
-// arrives, and from then on its one buffer, filled with exactly its
-// recipe's tokens: after every step the engine holds one prompt buffer
-// per arrived request (a fork's branches each count the root's buffer
-// they read), and once drained none.
+// fan-out roots among them, a request holds no run and no prompt tokens
+// until it arrives — it is its caller's header in Run's batch — and from
+// then on its one buffer, filled with exactly its recipe's tokens: after
+// every step the engine holds one run and one prompt buffer per arrived
+// request (a fork's branches each count the root's buffer they read),
+// and once drained none.
 func TestPendingHoldsNoTokens(t *testing.T) {
 	spec := miniFullSpec()
 	g := workload.NewGen(17)
@@ -45,11 +46,9 @@ func TestPendingHoldsNoTokens(t *testing.T) {
 	steps, sawPending, sawFork := 0, false, false
 	check := func() {
 		steps++
-		for _, r := range e.pending.items() {
-			sawPending = true
-			if r.seq.Tokens != nil {
-				t.Fatalf("step %d: pending request %d holds %d prompt tokens", e.step, r.req.ID, len(r.seq.Tokens))
-			}
+		sawPending = sawPending || e.batch.len() > 0
+		if n := e.pending.len(); n > 0 {
+			t.Fatalf("step %d: %d requests of the batch hold a run before they arrive", e.step, n)
 		}
 		arrived := 0
 		for _, q := range [2][]*run{e.running.items(), e.waiting.items()} {
@@ -64,6 +63,9 @@ func TestPendingHoldsNoTokens(t *testing.T) {
 		}
 		if held := e.prompts.lent - e.prompts.back; held != arrived {
 			t.Fatalf("step %d: %d prompt buffers held for %d arrived requests", e.step, held, arrived)
+		}
+		if held := e.runs.taken - e.runs.returned - len(e.runs.spent); held != arrived {
+			t.Fatalf("step %d: %d runs held for %d arrived requests", e.step, held, arrived)
 		}
 	}
 	var err error
@@ -90,9 +92,10 @@ func TestPendingHoldsNoTokens(t *testing.T) {
 // the request. 1,600 requests arriving at t=0, their own parts spread
 // over six power-of-two classes, are filled from at most eight slabs —
 // one per class, sized for the step's arrivals in it — each the class's
-// token array and its free list; and once every class has buffers,
-// requests that arrive, fill, finish and return theirs allocate
-// nothing.
+// token array and its free list; a lone arrival's slab holds promptSlab
+// buffers, or in a large class only what fits in slabTokens; and once
+// every class has buffers, requests that arrive, fill, finish and return
+// theirs allocate nothing.
 func TestPromptFillAllocs(t *testing.T) {
 	spec := miniFullSpec()
 	newEngine := func() *Engine {
@@ -146,6 +149,25 @@ func TestPromptFillAllocs(t *testing.T) {
 			if want, _ := r.req.OwnTokens(r.req.OwnLen(), nil); !slices.Equal(r.seq.Tokens, want) {
 				t.Fatalf("request %d was filled with other tokens than its recipe's", r.req.ID)
 			}
+		}
+	})
+
+	t.Run("slab size", func(t *testing.T) {
+		e := newEngine()
+		docs := workload.NewGen(9).LongDocQA(2)
+		docs[0].Truncate(100)  // class 7: eight 512-byte buffers
+		docs[1].Truncate(6000) // class 13: eight would be 256 KB; slabTokens holds two
+		for i := range docs {
+			docs[i].OutputLen = 2
+			if err := e.Submit(&docs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if small, large := cap(e.prompts.free[7]), cap(e.prompts.free[13]); small != promptSlab || large != 2 {
+			t.Fatalf("a lone arrival made %d buffers of 128 tokens and %d of 8,192, want %d and 2", small, large, promptSlab)
 		}
 	})
 

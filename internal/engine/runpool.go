@@ -10,11 +10,15 @@ import (
 )
 
 // Run ownership. A run holds its request by value — Submit copies the
-// caller's header, MigrateIn the record's — so a request costs the host
-// no object of its own, and the run itself comes from an engine-local
-// free list filled a slab at a time: Run carves one slab for the N
-// requests it submits up front, a stream costs what its in-flight
-// high-water mark does over runSlab. A run that leaves the engine (retire, MigrateOut, CrashOut,
+// caller's header, MigrateIn the record's, and Run its batch request's
+// at the request's arrival — so a request costs the host no object of
+// its own, and the run itself comes from an engine-local free list
+// filled a slab at a time. A request takes its run when it enters the
+// engine, a batch request at its arrival, and a step's batch arrivals
+// short of the free list are carved in one slab: a stream and a Run
+// alike cost what their in-flight high-water mark does over runSlab,
+// and a burst at one instant (deep_queue_batch's 1,600 at t=0) one
+// slab. A run that leaves the engine (retire, MigrateOut, CrashOut,
 // reset) is parked on spent and rejoins the free list, zeroed, at the
 // next step boundary — never inside the step that ended it, where
 // stepScratch and committers may still point at it and a fork later in
@@ -49,7 +53,7 @@ func (e *Engine) takeRun() *run {
 }
 
 // growRuns makes the free list hold at least n runs, carving the ones
-// it lacks in one slab.
+// it lacks, and never fewer than runSlab, in one slab.
 //
 //jenga:hotpath
 func (e *Engine) growRuns(n int) {
@@ -58,7 +62,8 @@ func (e *Engine) growRuns(n int) {
 	if short <= 0 {
 		return
 	}
-	//jenga:alloc-ok free-list miss: one slab per runSlab runs in flight at once, or one for a batch's requests, so misses are bounded by the in-flight high-water mark, not by requests served
+	short = max(short, runSlab)
+	//jenga:alloc-ok free-list miss: one slab of at least runSlab runs, for the runs in flight at once, or for a step's batch arrivals all at once, so misses are bounded by the in-flight high-water mark, not by requests served
 	slab := make([]run, short)
 	for i := range slab {
 		p.free = append(p.free, &slab[short-1-i])

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+	"time"
 
 	"jenga/internal/sched"
+	"jenga/internal/workload"
 )
 
 // queue is an ordered list in one backing array, live entries at
@@ -103,6 +106,84 @@ func (q *queue[T]) remove(i int) {
 func (q *queue[T]) reset() {
 	clear(q.buf)
 	q.buf, q.head = q.buf[:0], 0
+}
+
+// batch is the part of Run's request set that has not arrived yet, read
+// in the caller's slice: a request of it costs the engine nothing until
+// its arrival, when admitArrivals takes a run for it. Requests are taken
+// in stable arrival order — the order Submit-all would have queued them
+// in — through order, the positions of reqs in that order, which is nil
+// while reqs is that order itself and none was taken out of turn
+// (detach), so a sorted batch costs no index.
+type batch struct {
+	reqs  []workload.Request
+	order []int32
+	// next is how many requests, in arrival order, were taken.
+	next int
+}
+
+// newBatch is reqs as a batch, indexed only when not sorted by arrival.
+func newBatch(reqs []workload.Request) batch {
+	b := batch{reqs: reqs}
+	for i := 1; i < len(reqs); i++ {
+		if reqs[i].Arrival < reqs[i-1].Arrival {
+			b.index()
+			slices.SortStableFunc(b.order, func(x, y int32) int { return cmp.Compare(reqs[x].Arrival, reqs[y].Arrival) })
+			break
+		}
+	}
+	return b
+}
+
+// index makes order explicit: reqs' positions as they stand.
+func (b *batch) index() {
+	b.order = make([]int32, len(b.reqs))
+	for i := range b.order {
+		b.order[i] = int32(i)
+	}
+}
+
+// len is how many requests are left to take.
+func (b *batch) len() int {
+	if b.order != nil {
+		return len(b.order) - b.next
+	}
+	return len(b.reqs) - b.next
+}
+
+// at is the i-th request left to take, in arrival order.
+func (b *batch) at(i int) *workload.Request {
+	i += b.next
+	if b.order != nil {
+		i = int(b.order[i])
+	}
+	return &b.reqs[i]
+}
+
+// pop takes the first request left; remove takes the i-th out of turn.
+func (b *batch) pop() { b.next++ }
+
+func (b *batch) remove(i int) {
+	if b.order == nil {
+		b.index()
+	}
+	b.order = slices.Delete(b.order, b.next+i, b.next+i+1)
+}
+
+// arriving counts the requests left whose arrival is at or before now —
+// with k ≥ 0, those of them whose own part takes a class-k prompt buffer.
+func (b *batch) arriving(now time.Duration, k int) int {
+	count := 0
+	for i := range b.len() {
+		req := b.at(i)
+		if req.Arrival > now {
+			break
+		}
+		if inClass(req, k) {
+			count++
+		}
+	}
+	return count
 }
 
 // waitQueue is the waiting queue: its runs, and beside them, in the same

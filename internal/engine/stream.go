@@ -12,8 +12,8 @@ import (
 // This file is the engine's event-driven streaming core: the push-event
 // API (Submit / Cancel / StepOnce / events) that online serving layers
 // drive directly. Engine.Run is a thin batch driver over it — submit
-// everything, step until drained — so batch and online serving share
-// one scheduler with identical deterministic behavior.
+// each request at its arrival, step until drained — so batch and online
+// serving share one scheduler with identical deterministic behavior.
 //
 // The core stays goroutine-confined: Submit, Cancel, StepOnce and
 // Snapshot must all be called from the goroutine (or under the lock)
@@ -184,7 +184,9 @@ type AdmissionPolicy interface {
 
 // SetEventSink installs fn as the engine's event callback. fn is
 // invoked synchronously during StepOnce/Cancel; it must not call back
-// into the engine. A nil fn disables emission (the default).
+// into the engine, save to Cancel or Shed a request that has not
+// arrived yet (which nothing in a step holds). A nil fn disables
+// emission (the default).
 func (e *Engine) SetEventSink(fn func(Event)) { e.onEvent = fn }
 
 // emit sends one event for r to the sink, if installed.
@@ -207,7 +209,23 @@ func (e *Engine) Reset() { e.reset() }
 // Live reports whether any submitted request has not yet reached a
 // terminal state.
 func (e *Engine) Live() bool {
-	return e.pending.len()+e.waiting.len()+e.running.len() > 0
+	return e.unarrived()+e.waiting.len()+e.running.len() > 0
+}
+
+// unarrived counts the requests whose arrival was not processed yet:
+// submitted ones (the arrival queue) and what is left of Run's batch.
+func (e *Engine) unarrived() int { return e.pending.len() + e.batch.len() }
+
+// nextArrival is the earliest arrival instant not processed yet; there
+// must be one (unarrived() > 0).
+func (e *Engine) nextArrival() time.Duration {
+	switch {
+	case e.batch.len() == 0:
+		return e.pending.front().req.Arrival
+	case e.pending.len() == 0:
+		return e.batch.at(0).Arrival
+	}
+	return min(e.pending.front().req.Arrival, e.batch.at(0).Arrival)
 }
 
 // Clock returns the current simulated time.
@@ -234,7 +252,7 @@ func (e *Engine) snapshot(u core.Usage) Snapshot {
 	s := Snapshot{
 		Clock:    e.clock,
 		Step:     e.step,
-		Pending:  e.pending.len(),
+		Pending:  e.unarrived(),
 		Waiting:  e.waiting.len(),
 		Running:  e.running.len(),
 		Usage:    u,
@@ -242,6 +260,10 @@ func (e *Engine) snapshot(u core.Usage) Snapshot {
 	}
 	for _, r := range e.pending.items() {
 		s.OutstandingTokens += int64(r.promptLen() + r.req.OutputLen)
+	}
+	for i := range e.batch.len() {
+		req := e.batch.at(i)
+		s.OutstandingTokens += int64(req.PromptLen() + req.OutputLen)
 	}
 	for _, r := range e.waiting.items() {
 		s.OutstandingTokens += int64(r.promptLen() + r.req.OutputLen)
@@ -271,24 +293,40 @@ func (e *Engine) snapshot(u core.Usage) Snapshot {
 //
 //jenga:hotpath
 func (e *Engine) Submit(req *workload.Request) error {
+	if err := checkRequest(req); err != nil {
+		return err
+	}
+	e.enqueuePending(e.newRun(req, e.clock))
+	return nil
+}
+
+// checkRequest is what Submit, and Run for every request up front,
+// refuse a request for.
+//
+//jenga:hotpath
+func checkRequest(req *workload.Request) error {
 	if req.OutputLen < 1 {
 		//jenga:alloc-ok invalid-request error path
 		return fmt.Errorf("engine: request %d has output length %d", req.ID, req.OutputLen)
 	}
-	if err := checkFanout(req); err != nil {
-		return err
-	}
+	return checkFanout(req)
+}
+
+// newRun takes a run holding a copy of req's header, pending since
+// enteredAt: a submitted request's, or a batch request's at its arrival.
+//
+//jenga:hotpath
+func (e *Engine) newRun(req *workload.Request, enteredAt time.Duration) *run {
 	r := e.takeRun()
 	*r = run{
 		carried:   carried{req: *req, state: pending},
 		seq:       borrowPrompt(req, nil, nil),
-		enteredAt: e.clock,
+		enteredAt: enteredAt,
 	}
 	if e.cfg.Spec.Vision != nil {
 		r.images = int32(req.PromptImages())
 	}
-	e.enqueuePending(r)
-	return nil
+	return r
 }
 
 // enqueuePending inserts r into the arrival queue: stable by arrival,
@@ -303,16 +341,26 @@ func (e *Engine) enqueuePending(r *run) {
 }
 
 // detach removes the live request with the given ID from whichever
-// queue holds it (nil for an unknown ID), leaving its state as it was.
-// A pending or waiting request holds no pages (admission is
-// all-or-nothing) and is released here, so that the manager forgets what
-// a lookup, an admission probe or a fleet fetch at dispatch showed it;
-// only a run detached from the running set (r.running()) still has KV
-// for its caller to release, swap out or hand over.
+// queue holds it (nil for an unknown ID), leaving its state as it was; a
+// request of Run's batch that has not arrived gets the run it would have
+// held since Run began. A pending or waiting request holds no pages
+// (admission is all-or-nothing) and is released here, so that the
+// manager forgets what a lookup, an admission probe or a fleet fetch at
+// dispatch showed it; only a run detached from the running set
+// (r.running()) still has KV for its caller to release, swap out or hand
+// over.
 func (e *Engine) detach(id int64) *run {
 	for i, r := range e.pending.items() {
 		if r.req.ID == id {
 			e.pending.remove(i)
+			e.cfg.Manager.Release(&r.seq, false)
+			return r
+		}
+	}
+	for i := range e.batch.len() {
+		if req := e.batch.at(i); req.ID == id {
+			e.batch.remove(i)
+			r := e.newRun(req, 0)
 			e.cfg.Manager.Release(&r.seq, false)
 			return r
 		}
@@ -368,8 +416,8 @@ func (e *Engine) StepOnce() error {
 		return fmt.Errorf("engine: exceeded %d steps (stuck?)", e.cfg.MaxSteps)
 	}
 	e.admitArrivals()
-	if e.running.len() == 0 && e.waiting.len() == 0 && e.pending.len() > 0 {
-		e.clock = e.pending.front().req.Arrival
+	if e.running.len() == 0 && e.waiting.len() == 0 && e.unarrived() > 0 {
+		e.clock = e.nextArrival()
 		e.admitArrivals()
 	}
 	progressed := e.runStep()
@@ -403,7 +451,7 @@ func (e *Engine) StepOnce() error {
 // before routing against their live state.
 func (e *Engine) AdvanceTo(t time.Duration) error {
 	for e.Live() && e.clock < t {
-		if e.running.len() == 0 && e.waiting.len() == 0 && e.pending.front().req.Arrival > t {
+		if e.running.len() == 0 && e.waiting.len() == 0 && e.nextArrival() > t {
 			break
 		}
 		if err := e.StepOnce(); err != nil {
@@ -439,8 +487,13 @@ func (e *Engine) FinishSampling() { e.finishSampling() }
 
 // ResultSnapshot assembles the metrics accumulated so far — for online
 // sessions, the aggregate over every terminated request at this
-// instant. Batch Run returns the same structure at drain time.
-func (e *Engine) ResultSnapshot() *Result { return e.result() }
+// instant. Batch Run returns the same structure at drain time. Its
+// PerRequest is a copy: the engine goes on appending to its own.
+func (e *Engine) ResultSnapshot() *Result {
+	res := e.result()
+	res.PerRequest = append([]RequestMetrics{}, res.PerRequest...)
+	return res
+}
 
 // admissionState builds the policy input for candidate r. Usage comes
 // from UsageTotals: policies decide on aggregates, and arrival-time

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -339,5 +341,73 @@ func TestParseAdmission(t *testing.T) {
 	}
 	if _, err := ParseAdmission("bogus", 0); err == nil {
 		t.Fatal("bogus policy accepted")
+	}
+}
+
+// TestCancelShedBeforeArrival: an event sink may end a request that has
+// not arrived. During a Run that request is its caller's header in the
+// batch, never a run, yet Cancel and Shed of it give what they give on
+// the Submit path: the same return value, the same record to the retire
+// sink and the same terminal event, at the same place in the stream —
+// and the rest of the run is the same too.
+func TestCancelShedBeforeArrival(t *testing.T) {
+	spec := miniWindowSpec()
+	reqs := goldenWorkload()
+	cancelID, shedID := reqs[40].ID, reqs[50].ID
+	drive := func(run bool) (log []exitMark, answers []bool) {
+		e, err := New(Config{Spec: spec, Device: smallDevice(), Manager: jengaFor(t, spec, 4<<20, true), MaxBatchTokens: 512, MaxPrefills: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetRetireSink(func(m RequestMetrics) { log = append(log, exitMark{sink: true, rec: m}) })
+		e.SetEventSink(func(ev Event) {
+			log = append(log, exitMark{ev: ev})
+			if ev.Type != EventQueued || ev.ID != reqs[0].ID {
+				return
+			}
+			if run {
+				batched := map[int64]bool{}
+				for i := range e.batch.len() {
+					batched[e.batch.at(i).ID] = true
+				}
+				if !batched[cancelID] || !batched[shedID] || e.pending.len() != 0 {
+					t.Fatalf("requests %d and %d not both left in the batch (%d runs pending)", cancelID, shedID, e.pending.len())
+				}
+			}
+			answers = append(answers, e.Cancel(cancelID), e.Shed(shedID), e.Cancel(cancelID))
+		})
+		mine := slices.Clone(reqs)
+		if run {
+			if _, err := e.Run(mine); err != nil {
+				t.Fatal(err)
+			}
+			return log, answers
+		}
+		for i := range mine {
+			if err := e.Submit(&mine[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		return log, answers
+	}
+	gotLog, gotAnswers := drive(true)
+	wantLog, wantAnswers := drive(false)
+	if !slices.Equal(gotAnswers, []bool{true, true, false}) || !slices.Equal(gotAnswers, wantAnswers) {
+		t.Fatalf("Cancel, Shed, Cancel again answered %v in Run, %v on the Submit path", gotAnswers, wantAnswers)
+	}
+	if !reflect.DeepEqual(gotLog, wantLog) {
+		t.Fatalf("Run's records and events differ from the Submit path's (%d and %d entries)", len(gotLog), len(wantLog))
+	}
+	ended := map[int64]EventType{}
+	for _, m := range gotLog {
+		if m.sink {
+			ended[m.rec.ID] = m.rec.State
+		}
+	}
+	if ended[cancelID] != EventCancelled || ended[shedID] != EventShed || len(ended) != len(reqs) {
+		t.Fatalf("request %d ended %v, %d ended %v, %d of %d records", cancelID, ended[cancelID], shedID, ended[shedID], len(ended), len(reqs))
 	}
 }

@@ -164,7 +164,11 @@ func borrowPrompt(req *workload.Request, own, out []core.Token) core.Sequence {
 	}
 }
 
-// promptSlab is the fewest buffers a prompt-pool miss makes at once.
+// promptSlab is the fewest buffers a prompt-pool miss makes at once in
+// a class whose promptSlab buffers fit in slabTokens; a larger class's
+// slab holds what fits, at least one buffer. A slab beyond the step's
+// arrivals is a guess at the next ones: eight of the 8k-token class are
+// 256 KB, as much as hetero_churn's image prompts in flight at once.
 const promptSlab = 8
 
 // promptPool is the engine's free list of prompt buffers, the filled own
@@ -187,8 +191,9 @@ type promptPool struct {
 
 // fillPrompt gives r, arriving, the tokens of its own part: a recipe is
 // filled into a buffer from the prompt pool, whose miss makes one slab
-// for every arrival of this step in the class; hand-built tokens were
-// borrowed at Submit already.
+// for every arrival of this step in the class (at least promptSlab
+// buffers, or slabTokens' worth); hand-built tokens were borrowed at
+// Submit already.
 //
 //jenga:hotpath
 func (e *Engine) fillPrompt(r *run) {
@@ -201,7 +206,7 @@ func (e *Engine) fillPrompt(r *run) {
 	k := bits.Len(uint(n - 1))
 	free := p.free[k]
 	if len(free) == 0 {
-		count := max(e.arriving(k)+1, promptSlab)
+		count := max(e.arriving(k)+1, min(promptSlab, slabTokens>>k))
 		//jenga:alloc-ok prompt-pool miss: one slab for the step's arrivals in the class, and the list with room for every buffer of the class, made only while every buffer of the class is lent, so misses are bounded by the prompts live at once, not by requests served
 		slab, list := make([]core.Token, count<<k), make([][]core.Token, count, cap(free)+count)
 		for i := range list {
@@ -217,20 +222,27 @@ func (e *Engine) fillPrompt(r *run) {
 	r.seq.Tokens = buf[:n]
 }
 
-// arriving counts the requests still pending whose arrival this step
-// processes — with k ≥ 0, those of them whose own part takes a class-k
-// prompt buffer.
+// arriving counts the requests not yet arrived, submitted ones and Run's
+// batch, whose arrival this step processes — with k ≥ 0, those of them
+// whose own part takes a class-k prompt buffer.
 func (e *Engine) arriving(k int) int {
 	count := 0
 	for _, r := range e.pending.items() {
 		if r.req.Arrival > e.clock {
 			break
 		}
-		if n := r.req.Own.Len(); k < 0 || n > 0 && bits.Len(uint(n-1)) == k {
+		if inClass(&r.req, k) {
 			count++
 		}
 	}
-	return count
+	return count + e.batch.arriving(e.clock, k)
+}
+
+// inClass reports whether req's own part takes a class-k prompt buffer;
+// every request is in class −1.
+func inClass(req *workload.Request, k int) bool {
+	n := req.Own.Len()
+	return k < 0 || n > 0 && bits.Len(uint(n-1)) == k
 }
 
 // ownsPrompt reports whether r holds a prompt buffer: a filled recipe.
